@@ -39,14 +39,15 @@ fn main() {
     let best = fuzzy_query::AknnConfig::lb_lp_ub();
     // warm
     for q in &queries {
-        engine.aknn_exact_with_scratch(q, k, alpha, &best, &mut scratch).unwrap();
+        engine.aknn_exact_with_scratch_in(&L2, q, k, alpha, &best, &mut scratch).unwrap();
     }
     let started = Instant::now();
     let mut eprobes = 0u64;
     let exacts: Vec<AknnResult> = queries
         .iter()
         .map(|q| {
-            let r = engine.aknn_exact_with_scratch(q, k, alpha, &best, &mut scratch).unwrap();
+            let r =
+                engine.aknn_exact_with_scratch_in(&L2, q, k, alpha, &best, &mut scratch).unwrap();
             eprobes += r.stats.object_accesses;
             r
         })

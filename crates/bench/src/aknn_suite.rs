@@ -21,7 +21,7 @@ use crate::kernel::{self, KernelOptions};
 use crate::{DatasetSpec, Env};
 use fuzzy_datagen::DatasetKind;
 use fuzzy_index::{NodeAccess, PagedRTree, ShardedIndex, StrCenterAssign};
-use fuzzy_query::{AknnConfig, BatchExecutor, BatchOutcome, BatchRequest};
+use fuzzy_query::{AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, Forest};
 use fuzzy_store::{FileStore, ObjectStore};
 use std::path::Path;
 
@@ -430,13 +430,18 @@ fn mutation_count(opts: &BenchOptions, available: usize) -> usize {
     ((available as f64 * opts.mutation_rate).ceil() as usize).min(available)
 }
 
-/// The `shards` sweep: the default workload through the scatter-gather
-/// engine over an STR-tiled [`ShardedIndex`] at every configured shard
-/// count. Every per-shard best-first search runs force-exact and shares
-/// one τ bound, so the S=1 row is the baseline the multi-shard rows must
-/// not exceed in total object probes (CI checks exactly that on the
-/// committed report). Shard files are always paged, independent of the
-/// sweep backend; every batch starts from cold buffer pools.
+/// The `shards` sweep: the default workload through the engine over a
+/// [`Forest`] of an STR-tiled [`ShardedIndex`] at every configured shard
+/// count. A forest answers in **canonical exact form** — every returned
+/// distance probed — so the single-tree peer of these rows is
+/// `QueryEngine::aknn_exact` (the `approx` sweep's `exact` row), *not*
+/// the lazy LB-LP-UB row of `variant_threads`, which may confirm
+/// neighbours by bound without probing them and therefore reports fewer
+/// object accesses for the same variant label. Within the sweep the S=1
+/// row is the baseline the multi-shard rows must not exceed in total
+/// object probes (CI checks exactly that on the committed report). Shard
+/// files are always paged, independent of the sweep backend; every batch
+/// starts from cold buffer pools.
 fn shard_sweep(
     env: &Env,
     queries: &[fuzzy_core::FuzzyObject<2>],
@@ -466,7 +471,7 @@ fn shard_sweep(
             shard.base().clear_cache();
         }
         let executor = BatchExecutor::new(max_threads);
-        let outcome = executor.run_sharded(&shards, &env.store, &requests);
+        let outcome = executor.run(&Forest::new(&shards), &env.store, &requests);
         runs.push(record(
             "shards",
             &best,
@@ -578,7 +583,7 @@ fn approx_sweep(
         .iter()
         .map(|q| {
             engine
-                .aknn_exact_with_scratch(q, k, alpha, &best, &mut scratch)
+                .aknn_exact_with_scratch_in(&L2, q, k, alpha, &best, &mut scratch)
                 .expect("exact baseline query")
         })
         .collect();

@@ -48,19 +48,20 @@
 use fuzzy_core::metric::{GraphMetric, Metric, L2};
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
+use fuzzy_index::shard::compact_shards;
 use fuzzy_index::{
-    delta_path_for, MTree, MTreeConfig, MassClassAssign, NodeAccess, NodeId, NodeRead,
-    OverlayRTree, PagedRTree, RTree, RTreeConfig, ShardAssign, ShardManifest, ShardedIndex,
-    StrCenterAssign,
+    delta_path_for, MTree, MTreeConfig, MassClassAssign, NodeAccess, OverlayRTree, PagedRTree,
+    RTree, RTreeConfig, ShardAssign, ShardManifest, ShardedIndex, StrCenterAssign,
 };
 use fuzzy_query::{
-    metric_aknn, metric_aknn_brute, AknnConfig, QueryEngine, RknnAlgorithm, ShardedQueryEngine,
+    execute_one, metric_aknn, metric_aknn_brute, AknnConfig, BatchRequest, BatchResponse, Forest,
+    QueryEngine, QueryScratch, RknnAlgorithm, SearchBackend,
 };
 use fuzzy_server::{
     is_sharded_path, serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex,
     ServeOptions, WireVariant,
 };
-use fuzzy_store::{FileStore, ObjectStore, StoreError};
+use fuzzy_store::{FileStore, ObjectStore};
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;
@@ -453,73 +454,23 @@ fn open(path: &str) -> FileStore<2> {
     })
 }
 
-/// A persisted index as the CLI sees it: the bare paged tree when no
-/// sidecar delta log exists, or the tree with its overlay replayed.
-enum CliIndex {
-    Paged(PagedRTree<2>),
-    Overlay(OverlayRTree<2>),
-}
-
-impl NodeAccess<2> for CliIndex {
-    fn root_id(&self) -> NodeId {
-        match self {
-            Self::Paged(t) => NodeAccess::root_id(t),
-            Self::Overlay(t) => NodeAccess::root_id(t),
-        }
-    }
-
-    fn root_mbr(&self) -> fuzzy_geom::Mbr<2> {
-        match self {
-            Self::Paged(t) => t.root_mbr(),
-            Self::Overlay(t) => t.root_mbr(),
-        }
-    }
-
-    fn read_node(&self, id: NodeId) -> Result<NodeRead<'_, 2>, StoreError> {
-        match self {
-            Self::Paged(t) => t.read_node(id),
-            Self::Overlay(t) => t.read_node(id),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Paged(t) => NodeAccess::len(t),
-            Self::Overlay(t) => NodeAccess::len(t),
-        }
-    }
-
-    fn height(&self) -> usize {
-        match self {
-            Self::Paged(t) => NodeAccess::height(t),
-            Self::Overlay(t) => NodeAccess::height(t),
-        }
-    }
-}
-
 fn cache_pages(flags: &HashMap<String, String>) -> usize {
     get(flags, "cache-pages").unwrap_or(fuzzy_index::DEFAULT_CACHE_PAGES)
 }
 
-/// Open an index for querying, replaying its sidecar delta log if one
-/// exists so fresh processes see pending inserts/deletes.
-fn open_index(path: &str, flags: &HashMap<String, String>) -> CliIndex {
-    let fail = |e: StoreError| -> ! {
+/// Open a persisted index that has no sidecar delta log: the bare paged
+/// tree. (An index *with* pending inserts/deletes opens through
+/// [`open_overlay`], which replays them.)
+fn open_paged(path: &str, flags: &HashMap<String, String>) -> PagedRTree<2> {
+    PagedRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| {
         eprintln!("cannot open index {path}: {e}");
         exit(1)
-    };
-    if delta_path_for(path).exists() {
-        CliIndex::Overlay(
-            OverlayRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| fail(e)),
-        )
-    } else {
-        CliIndex::Paged(
-            PagedRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| fail(e)),
-        )
-    }
+    })
 }
 
-/// Open an index for mutation (always through the overlay).
+/// Open an index through its overlay, replaying the sidecar delta log if
+/// one exists: the mutable view, and how fresh processes see pending
+/// inserts/deletes.
 fn open_overlay(path: &str, flags: &HashMap<String, String>) -> OverlayRTree<2> {
     OverlayRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| {
         eprintln!("cannot open index {path}: {e}");
@@ -660,55 +611,39 @@ fn delete_cmd(flags: &HashMap<String, String>) {
 
 /// Fold a persisted index's overlay back into the file (STR bulk reload).
 /// Against a `.fzsm` forest each dirty shard compacts on its own thread
-/// (per-shard locks: no shard waits on another), then the manifest rows
-/// are rewritten so the new base-file object counts and regions verify.
+/// (`fuzzy_index::shard::compact_shards`), then the manifest rows are
+/// rewritten so the new base-file object counts and regions verify.
 fn compact_cmd(flags: &HashMap<String, String>) {
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     if is_sharded_path(&ix) {
-        let (mut manifest, shards) = open_sharded(&ix, flags);
+        let (mut manifest, mut shards) = open_sharded(&ix, flags);
         let started = std::time::Instant::now();
-        let compacted: Vec<Option<(usize, u64, fuzzy_geom::Mbr<2>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, overlay)| {
-                        let page_size: u32 =
-                            get(flags, "page-size").unwrap_or(overlay.base().page_size());
-                        scope.spawn(move || {
-                            if overlay.is_clean() {
-                                return None;
-                            }
-                            let pending = (overlay.pending_inserts(), overlay.pending_tombstones());
-                            let tree = overlay.compact(page_size).unwrap_or_else(|e| {
-                                eprintln!("compaction of shard {i} failed: {e}");
-                                exit(1)
-                            });
-                            println!(
-                                "  shard {i}: folded +{} -{} into {} pages, {} objects",
-                                pending.0,
-                                pending.1,
-                                tree.page_count(),
-                                tree.len()
-                            );
-                            let region = if tree.len() == 0 {
-                                fuzzy_geom::Mbr::empty()
-                            } else {
-                                tree.root_mbr()
-                            };
-                            Some((i, tree.len() as u64, region))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("compaction thread panicked")).collect()
-            });
+        let pending: Vec<(usize, usize)> =
+            shards.iter().map(|s| (s.pending_inserts(), s.pending_tombstones())).collect();
+        let compacted = compact_shards(&mut shards, get(flags, "page-size"));
         // Compaction changed base-file object counts; rewrite the
         // manifest rows so `ShardedIndex::open` verifies again.
         let mut dirty = 0usize;
-        for (i, objects, region) in compacted.into_iter().flatten() {
+        for (i, outcome) in compacted.into_iter().enumerate() {
+            let folded = outcome.unwrap_or_else(|e| {
+                eprintln!("compaction of shard {i} failed: {e}");
+                exit(1)
+            });
+            if !folded {
+                continue;
+            }
             dirty += 1;
-            manifest.shards[i].objects = objects;
-            manifest.shards[i].region = region;
+            let tree = shards[i].base();
+            println!(
+                "  shard {i}: folded +{} -{} into {} pages, {} objects",
+                pending[i].0,
+                pending[i].1,
+                tree.page_count(),
+                tree.len()
+            );
+            manifest.shards[i].objects = tree.len() as u64;
+            manifest.shards[i].region =
+                if tree.len() == 0 { fuzzy_geom::Mbr::empty() } else { tree.root_mbr() };
         }
         manifest.save(&ix).unwrap_or_else(|e| {
             eprintln!("cannot rewrite manifest: {e}");
@@ -773,15 +708,9 @@ fn info(path: &str, flags: &HashMap<String, String>) {
             }
             return;
         }
-        match open_index(ix, flags) {
-            CliIndex::Paged(tree) => println!(
-                "  paged index {ix}: height {}, {} pages x {} bytes, C_max {}",
-                NodeAccess::height(&tree),
-                tree.page_count(),
-                tree.page_size(),
-                tree.config().max_entries
-            ),
-            CliIndex::Overlay(tree) => println!(
+        if delta_path_for(ix).exists() {
+            let tree = open_overlay(ix, flags);
+            println!(
                 "  paged index {ix}: height {}, {} pages x {} bytes, C_max {}, \
                  overlay +{} -{} ({} live)",
                 NodeAccess::height(tree.base()),
@@ -791,7 +720,16 @@ fn info(path: &str, flags: &HashMap<String, String>) {
                 tree.pending_inserts(),
                 tree.pending_tombstones(),
                 NodeAccess::len(&tree),
-            ),
+            );
+        } else {
+            let tree = open_paged(ix, flags);
+            println!(
+                "  paged index {ix}: height {}, {} pages x {} bytes, C_max {}",
+                NodeAccess::height(&tree),
+                tree.page_count(),
+                tree.page_size(),
+                tree.config().max_entries
+            );
         }
     } else {
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
@@ -1019,31 +957,76 @@ fn variant(flags: &HashMap<String, String>) -> AknnConfig {
     }
 }
 
-/// Run the AKNN against whichever index backend the flags select.
-fn run_aknn<A: NodeAccess<2>>(
-    tree: &A,
+/// Answer one request in this process against whichever index layout
+/// `--index-file` selects: a `.fzsm` shard forest, a paged tree with its
+/// delta overlay replayed, the bare paged tree, or (no flag) a freshly
+/// bulk-loaded in-memory tree.
+fn run_local(store: &FileStore<2>, flags: &HashMap<String, String>, request: &BatchRequest<2>) {
+    store.reset_stats();
+    match flags.get("index-file") {
+        Some(ix) if is_sharded_path(ix) => {
+            let (_, shards) = open_sharded(ix, flags);
+            print_answer(&Forest::new(&shards), Some(shards.len()), store, request);
+        }
+        Some(ix) if delta_path_for(ix).exists() => {
+            print_answer(&open_overlay(ix, flags), None, store, request)
+        }
+        Some(ix) => print_answer(&open_paged(ix, flags), None, store, request),
+        None => {
+            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+            print_answer(&tree, None, store, request);
+        }
+    }
+}
+
+/// Execute `request` through the engine and print the answer and cost
+/// lines (`shards` names a forest's shard count in the header).
+fn print_answer<I: SearchBackend<2>>(
+    index: &I,
+    shards: Option<usize>,
     store: &FileStore<2>,
-    q: &FuzzyObject<2>,
-    k: usize,
-    alpha: f64,
-    cfg: &AknnConfig,
+    request: &BatchRequest<2>,
 ) {
-    let engine = QueryEngine::new(tree, store);
-    let res = engine.aknn(q, k, alpha, cfg).unwrap_or_else(|e| {
+    let engine = QueryEngine::new(index, store);
+    let response = execute_one(&engine, request, &mut QueryScratch::new()).unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
         exit(1)
     });
-    println!("{k}NN of {} at α = {alpha}:", q.id());
-    for n in &res.neighbors {
-        println!("  {n}");
+    match (request, response) {
+        (BatchRequest::Aknn { query, k, alpha, .. }, BatchResponse::Aknn(res)) => {
+            let layout = shards.map_or(String::new(), |s| format!(" ({s} shards)"));
+            println!("{k}NN of {} at α = {alpha}{layout}:", query.id());
+            for n in &res.neighbors {
+                println!("  {n}");
+            }
+            println!(
+                "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
+                res.stats.object_accesses,
+                res.stats.node_accesses,
+                res.stats.node_disk_reads,
+                res.stats.wall
+            );
+        }
+        (
+            BatchRequest::Rknn { query, k, alpha_start, alpha_end, algo, .. },
+            BatchResponse::Rknn(res),
+        ) => {
+            let layout = shards.map_or(String::new(), |s| format!(", {s} shards"));
+            println!(
+                "range {k}NN of {} over [{alpha_start}, {alpha_end}] ({}{layout}):",
+                query.id(),
+                algo.name()
+            );
+            for item in &res.items {
+                println!("  {item}");
+            }
+            println!(
+                "cost: {} object accesses, {} candidates, {:?}",
+                res.stats.object_accesses, res.stats.candidates, res.stats.wall
+            );
+        }
+        _ => unreachable!("execute_one answers a request in kind"),
     }
-    println!(
-        "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
-        res.stats.object_accesses,
-        res.stats.node_accesses,
-        res.stats.node_disk_reads,
-        res.stats.wall
-    );
 }
 
 /// Resolve the `--recall-dial` flag (`exact` or a numeric budget/slack).
@@ -1187,59 +1170,7 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
         server_aknn(addr, q.id(), k, alpha, flags);
         return;
     }
-    store.reset_stats();
-    match flags.get("index-file") {
-        Some(ix) if is_sharded_path(ix) => {
-            let (_, shards) = open_sharded(ix, flags);
-            let engine = ShardedQueryEngine::new(&shards, &store);
-            let res = engine.aknn(&q, k, alpha, &variant(flags)).unwrap_or_else(|e| {
-                eprintln!("query failed: {e}");
-                exit(1)
-            });
-            println!("{k}NN of {} at α = {alpha} ({} shards):", q.id(), shards.len());
-            for n in &res.neighbors {
-                println!("  {n}");
-            }
-            println!(
-                "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
-                res.stats.object_accesses,
-                res.stats.node_accesses,
-                res.stats.node_disk_reads,
-                res.stats.wall
-            );
-        }
-        Some(ix) => run_aknn(&open_index(ix, flags), &store, &q, k, alpha, &variant(flags)),
-        None => {
-            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            run_aknn(&tree, &store, &q, k, alpha, &variant(flags));
-        }
-    }
-}
-
-/// Run the RKNN against whichever index backend the flags select.
-#[allow(clippy::too_many_arguments)]
-fn run_rknn<A: NodeAccess<2>>(
-    tree: &A,
-    store: &FileStore<2>,
-    q: &FuzzyObject<2>,
-    k: usize,
-    start: f64,
-    end: f64,
-    algo: RknnAlgorithm,
-) {
-    let engine = QueryEngine::new(tree, store);
-    let res = engine.rknn(q, k, start, end, algo, &AknnConfig::lb_lp_ub()).unwrap_or_else(|e| {
-        eprintln!("query failed: {e}");
-        exit(1)
-    });
-    println!("range {k}NN of {} over [{start}, {end}] ({}):", q.id(), algo.name());
-    for item in &res.items {
-        println!("  {item}");
-    }
-    println!(
-        "cost: {} object accesses, {} candidates, {:?}",
-        res.stats.object_accesses, res.stats.candidates, res.stats.wall
-    );
+    run_local(&store, flags, &BatchRequest::aknn(q, k, alpha, variant(flags)));
 }
 
 fn rknn(path: &str, flags: &HashMap<String, String>) {
@@ -1262,36 +1193,8 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
         server_rknn(addr, q.id(), k, start, end, algo, flags);
         return;
     }
-    store.reset_stats();
-    match flags.get("index-file") {
-        Some(ix) if is_sharded_path(ix) => {
-            let (_, shards) = open_sharded(ix, flags);
-            let engine = ShardedQueryEngine::new(&shards, &store);
-            let res =
-                engine.rknn(&q, k, start, end, algo, &AknnConfig::lb_lp_ub()).unwrap_or_else(|e| {
-                    eprintln!("query failed: {e}");
-                    exit(1)
-                });
-            println!(
-                "range {k}NN of {} over [{start}, {end}] ({}, {} shards):",
-                q.id(),
-                algo.name(),
-                shards.len()
-            );
-            for item in &res.items {
-                println!("  {item}");
-            }
-            println!(
-                "cost: {} object accesses, {} candidates, {:?}",
-                res.stats.object_accesses, res.stats.candidates, res.stats.wall
-            );
-        }
-        Some(ix) => run_rknn(&open_index(ix, flags), &store, &q, k, start, end, algo),
-        None => {
-            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            run_rknn(&tree, &store, &q, k, start, end, algo);
-        }
-    }
+    let request = BatchRequest::rknn(q, k, (start, end), algo, AknnConfig::lb_lp_ub());
+    run_local(&store, flags, &request);
 }
 
 // ---------------------------------------------------------------------

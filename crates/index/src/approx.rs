@@ -284,18 +284,17 @@ pub(crate) fn write_approx_file(
     Ok(())
 }
 
-/// Read and envelope-check an approx-index file; returns the body bytes.
+/// Envelope-check an approx-index image; returns the body bytes.
 /// Checks run magic → version → dims → checksum so stale-version and
 /// wrong-dimension files report their typed errors even though both
 /// fields are also covered by the checksum.
-pub(crate) fn read_approx_file(
-    path: impl AsRef<Path>,
+pub(crate) fn approx_body<'a>(
+    bytes: &'a [u8],
     magic: [u8; 4],
     version: u16,
     dims: u16,
     what: &str,
-) -> Result<Vec<u8>, StoreError> {
-    let bytes = fs::read(path)?;
+) -> Result<&'a [u8], StoreError> {
     let corrupt = |reason: String| StoreError::Corrupt { reason };
     if bytes.len() < 16 + 12 {
         return Err(corrupt(format!("{what} file shorter than header + trailer")));
@@ -316,5 +315,5 @@ pub(crate) fn read_approx_file(
     if tail.u64()? != fnv1a(&bytes[..bytes.len() - 12]) {
         return Err(corrupt(format!("{what} checksum mismatch")));
     }
-    Ok(bytes[16..bytes.len() - 12].to_vec())
+    Ok(&bytes[16..bytes.len() - 12])
 }

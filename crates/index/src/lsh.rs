@@ -19,8 +19,8 @@
 //! distances.
 
 use crate::approx::{
-    decode_base, encode_base, read_approx_file, unit_f64, write_approx_file, ApproxBase,
-    ApproxIndex, RecallDial,
+    approx_body, decode_base, encode_base, unit_f64, write_approx_file, ApproxBase, ApproxIndex,
+    RecallDial,
 };
 use fuzzy_core::metric::{Metric, L2};
 use fuzzy_core::{ObjectId, ObjectSummary};
@@ -299,13 +299,18 @@ impl<const D: usize> LshIndex<D> {
         write_approx_file(path, LSH_MAGIC, LSH_VERSION, D as u16, body.as_bytes())
     }
 
-    /// Load a `.fzlh` file, verifying magic, version, dimensionality and
-    /// the whole-file checksum, then every structural invariant (metric
-    /// is `l2`, CSR offsets monotone, member positions in range).
+    /// Load a `.fzlh` file: read it and [`LshIndex::decode`] the image.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let body = read_approx_file(path, LSH_MAGIC, LSH_VERSION, D as u16, "fzlh")?;
+        Self::decode(&std::fs::read(path)?)
+    }
+
+    /// Decode a `.fzlh` image, verifying magic, version, dimensionality
+    /// and the whole-file checksum, then every structural invariant
+    /// (metric is `l2`, CSR offsets monotone, member positions in range).
+    pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
+        let body = approx_body(bytes, LSH_MAGIC, LSH_VERSION, D as u16, "fzlh")?;
         let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
-        let mut d = Decoder::new(&body);
+        let mut d = Decoder::new(body);
         let base = decode_base::<D>(&mut d)?;
         if base.metric_name != "l2" {
             return Err(StoreError::Corrupt {

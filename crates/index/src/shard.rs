@@ -416,9 +416,9 @@ pub fn resolve_shard_path(manifest_path: &Path, relative: &str) -> PathBuf {
 
 /// A partitioned multi-tree index: `S` independent [`PagedRTree`] files
 /// described by one `.fzsm` manifest. Each shard is an ordinary
-/// [`NodeAccess`] backend; the scatter-gather query engine
-/// (`fuzzy_query::ShardedQueryEngine`) searches them with a shared τ
-/// bound. Cloning shares the shard file handles (`Arc` bump).
+/// [`NodeAccess`] backend; the scatter-gather query layout
+/// (`fuzzy_query::Forest`) searches them with a shared τ bound. Cloning
+/// shares the shard file handles (`Arc` bump).
 #[derive(Clone, Debug)]
 pub struct ShardedIndex<const D: usize> {
     manifest: ShardManifest<D>,
@@ -554,6 +554,44 @@ impl<const D: usize> ShardedIndex<D> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Compact every dirty shard of an overlay forest, **shard-parallel**:
+/// one scoped thread per dirty shard folds that shard's delta into a
+/// freshly bulk-loaded base `.fzpt` file (`page_size`, or the shard's
+/// current page size when `None`) and replaces the overlay in place with a
+/// clean one over the new base. Clean shards are skipped.
+///
+/// Readers pinned to a pre-compaction clone keep the old file handle — the
+/// compaction renames over the path, it never truncates in place — so this
+/// is safe to run under a `Versioned<Vec<OverlayRTree>>` write while
+/// snapshot readers keep answering.
+///
+/// Returns one result per shard: `Ok(true)` if it was compacted. An error
+/// leaves that shard's overlay untouched; the others still compact.
+/// Compaction changes base-file object counts — callers owning a `.fzsm`
+/// manifest must rewrite its rows afterwards (`fkq compact` does).
+pub fn compact_shards<const D: usize>(
+    shards: &mut [OverlayRTree<D>],
+    page_size: Option<u32>,
+) -> Vec<Result<bool, StoreError>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .map(|shard| {
+                scope.spawn(move || {
+                    if shard.is_clean() {
+                        return Ok(false);
+                    }
+                    let page_size = page_size.unwrap_or(shard.base().page_size());
+                    let tree = shard.clone().compact(page_size)?;
+                    *shard = OverlayRTree::new(Arc::new(tree))?;
+                    Ok(true)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("compaction thread panicked")).collect()
+    })
 }
 
 #[cfg(test)]

@@ -21,8 +21,7 @@
 //! tree entirely.
 
 use crate::approx::{
-    decode_base, encode_base, read_approx_file, write_approx_file, ApproxBase, ApproxIndex,
-    RecallDial,
+    approx_body, decode_base, encode_base, write_approx_file, ApproxBase, ApproxIndex, RecallDial,
 };
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{ObjectId, ObjectSummary};
@@ -124,16 +123,21 @@ impl<const D: usize> VpTree<D> {
         write_approx_file(path, VPTREE_MAGIC, VPTREE_VERSION, D as u16, body.as_bytes())
     }
 
-    /// Load a `.fzvp` file, verifying magic, version, dimensionality,
-    /// the whole-file checksum, that it was built under `metric` (by
-    /// name) and that the layout column is a permutation.
+    /// Load a `.fzvp` file: read it and [`VpTree::decode`] the image.
     pub fn load<M: Metric<D> + ?Sized>(
         path: impl AsRef<Path>,
         metric: &M,
     ) -> Result<Self, StoreError> {
-        let body = read_approx_file(path, VPTREE_MAGIC, VPTREE_VERSION, D as u16, "fzvp")?;
+        Self::decode(&std::fs::read(path)?, metric)
+    }
+
+    /// Decode a `.fzvp` image, verifying magic, version, dimensionality,
+    /// the whole-file checksum, that it was built under `metric` (by
+    /// name) and that the layout column is a permutation.
+    pub fn decode<M: Metric<D> + ?Sized>(bytes: &[u8], metric: &M) -> Result<Self, StoreError> {
+        let body = approx_body(bytes, VPTREE_MAGIC, VPTREE_VERSION, D as u16, "fzvp")?;
         let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
-        let mut d = Decoder::new(&body);
+        let mut d = Decoder::new(body);
         let base = decode_base::<D>(&mut d)?;
         if base.metric_name != metric.name() {
             return Err(StoreError::Corrupt {

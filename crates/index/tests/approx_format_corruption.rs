@@ -4,7 +4,8 @@
 //! wrong-dimension header — must surface as a typed [`StoreError`],
 //! never a panic and never a silently wrong index. Both formats checksum
 //! **every byte before the trailer** (header included), so even the
-//! reserved header word is flip-protected. Loaders run through
+//! reserved header word is flip-protected. Mutated images are decoded
+//! in memory (`decode(&[u8])`, which `load` wraps) through
 //! `catch_unwind` so a panic shows up as its own failure, not a test
 //! abort.
 
@@ -54,16 +55,14 @@ fn cleanup(path: &Path) {
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
-/// Load a (possibly mutated) image through the right loader; a panic is
-/// converted into a test failure with the mutation's coordinates.
+/// Decode a (possibly mutated) image through the right decoder, in
+/// memory — the matrices never touch the filesystem, so parallel tests
+/// cannot see each other's images. A panic is converted into a test
+/// failure with the mutation's coordinates.
 fn load_result(bytes: &[u8], kind: &str, what: &str) -> Result<(), StoreError> {
-    let dir = std::env::temp_dir().join(format!("fz-approx-mut-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("mut.{kind}"));
-    std::fs::write(&path, bytes).unwrap();
     let out = catch_unwind(AssertUnwindSafe(|| match kind {
-        "fzlh" => LshIndex::<2>::load(&path).map(|_| ()),
-        _ => VpTree::<2>::load(&path, &L2).map(|_| ()),
+        "fzlh" => LshIndex::<2>::decode(bytes).map(|_| ()),
+        _ => VpTree::<2>::decode(bytes, &L2).map(|_| ()),
     }));
     match out {
         Err(_) => panic!("{kind} load panicked on {what}"),

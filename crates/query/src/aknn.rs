@@ -172,15 +172,36 @@ impl AknnConfig {
 
 /// One confirmed neighbour with the probed object when available (RKNN
 /// refinement needs the object to build distance profiles).
-pub(crate) struct FoundNeighbor<const D: usize> {
+pub struct FoundNeighbor<const D: usize> {
+    /// The object.
     pub id: ObjectId,
+    /// What is known about its α-distance.
     pub dist: DistBound,
+    /// The decoded object, when the search probed it.
     pub object: Option<Arc<FuzzyObject<D>>>,
 }
 
-pub(crate) struct SearchOutcome<const D: usize> {
+/// What one top-k search found and what it cost — the currency of the
+/// [`SearchBackend`](crate::SearchBackend) seam. [`AknnResult`] is this
+/// with the decoded objects dropped.
+pub struct SearchOutcome<const D: usize> {
+    /// The confirmed neighbours.
     pub neighbors: Vec<FoundNeighbor<D>>,
+    /// Execution costs of the search.
     pub stats: QueryStats,
+}
+
+impl<const D: usize> From<SearchOutcome<D>> for AknnResult {
+    fn from(outcome: SearchOutcome<D>) -> Self {
+        AknnResult {
+            neighbors: outcome
+                .neighbors
+                .into_iter()
+                .map(|n| Neighbor { id: n.id, dist: n.dist })
+                .collect(),
+            stats: outcome.stats,
+        }
+    }
 }
 
 /// How [`search`] terminates and what it returns.
@@ -846,27 +867,4 @@ pub(crate) fn resolve_pool<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
         }
     }
     Ok(out)
-}
-
-/// Public AKNN entry point used by [`crate::QueryEngine`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn aknn_at<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
-    metric: &M,
-    tree: &A,
-    store: &S,
-    q: &FuzzyObject<D>,
-    k: usize,
-    t: Threshold,
-    cfg: &AknnConfig,
-    scratch: &mut QueryScratch<D>,
-) -> Result<AknnResult, QueryError> {
-    let outcome = search(metric, tree, store, q, k, t, cfg, SearchMode::Lazy, scratch, None, &[])?;
-    Ok(AknnResult {
-        neighbors: outcome
-            .neighbors
-            .into_iter()
-            .map(|n| Neighbor { id: n.id, dist: n.dist })
-            .collect(),
-        stats: outcome.stats,
-    })
 }

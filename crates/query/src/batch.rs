@@ -4,7 +4,9 @@
 //! queries over one shared index and store, varying k, α and the pruning
 //! variant. [`BatchExecutor`] is that execution layer: it fans a workload
 //! of mixed requests across scoped worker threads, each running ordinary
-//! single-query searches against the shared (read-only) engine.
+//! single-query searches against the shared (read-only) index and store —
+//! one tree or a [`Forest`](crate::shard::Forest) of shards, the same
+//! [`QueryEngine`] either way.
 //!
 //! Guarantees, independent of the thread count:
 //!
@@ -24,14 +26,12 @@
 //!   and the batch keeps going; nothing panics across the scope.
 
 use crate::aknn::{AknnConfig, QueryScratch};
-use crate::engine::{QueryEngine, SharedQueryEngine};
+use crate::engine::{QueryEngine, SearchBackend};
 use crate::error::QueryError;
 use crate::result::{AknnResult, RknnResult};
 use crate::rknn::RknnAlgorithm;
-use crate::shard::{ShardScratch, ShardedQueryEngine};
 use crate::stats::QueryStats;
 use fuzzy_core::FuzzyObject;
-use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -189,7 +189,7 @@ impl BatchOutcome {
 /// use fuzzy_core::{FuzzyObject, ObjectId};
 /// use fuzzy_geom::Point;
 /// use fuzzy_index::{RTree, RTreeConfig};
-/// use fuzzy_query::{AknnConfig, BatchExecutor, BatchRequest, SharedQueryEngine};
+/// use fuzzy_query::{AknnConfig, BatchExecutor, BatchRequest};
 /// use fuzzy_store::{MemStore, ObjectStore};
 ///
 /// let store = MemStore::from_objects((0..8).map(|i| {
@@ -202,16 +202,15 @@ impl BatchOutcome {
 /// }))
 /// .unwrap();
 /// let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-/// let engine = SharedQueryEngine::from_parts(tree, store);
 ///
 /// let requests: Vec<BatchRequest<2>> = (0..8)
 ///     .map(|i| {
-///         let q = engine.store().probe(ObjectId(i)).unwrap().as_ref().clone();
+///         let q = store.probe(ObjectId(i)).unwrap().as_ref().clone();
 ///         BatchRequest::aknn(q, 3, 0.5, AknnConfig::lb_lp_ub())
 ///     })
 ///     .collect();
 ///
-/// let outcome = BatchExecutor::new(4).run_shared(&engine, &requests);
+/// let outcome = BatchExecutor::new(4).run(&tree, &store, &requests);
 /// assert_eq!(outcome.responses.len(), 8);
 /// assert_eq!(outcome.error_count(), 0);
 /// // responses[i] answers requests[i]: each query object is its own 1-NN.
@@ -252,16 +251,20 @@ impl BatchExecutor {
         self.threads
     }
 
-    /// Run a workload against a borrowed index and store (any
-    /// [`NodeAccess`] backend — in-memory or paged).
-    pub fn run<A, S, const D: usize>(
+    /// Run a workload against a borrowed index and store: any
+    /// [`SearchBackend`] — an in-memory or paged tree, an `Arc` snapshot,
+    /// or a [`Forest`](crate::shard::Forest), whose AKNN answers come
+    /// back in canonical exact form (byte-identical to
+    /// [`QueryEngine::aknn_exact`] on a single tree, not to the lazy
+    /// confirmation-order results a tree returns for the same request).
+    pub fn run<I, S, const D: usize>(
         &self,
-        tree: &A,
+        index: &I,
         store: &S,
         requests: &[BatchRequest<D>],
     ) -> BatchOutcome
     where
-        A: NodeAccess<D> + Sync,
+        I: SearchBackend<D> + Sync,
         S: ObjectStore<D> + Sync,
     {
         let started = Instant::now();
@@ -278,7 +281,7 @@ impl BatchExecutor {
                 .map(|_| {
                     let cursor = &cursor;
                     scope.spawn(move || {
-                        let engine = QueryEngine::new(tree, store);
+                        let engine = QueryEngine::new(index, store);
                         // One scratch per worker: every query this thread
                         // claims reuses the same heap/buffer/arena
                         // capacity, so steady state allocates nothing.
@@ -318,89 +321,6 @@ impl BatchExecutor {
             wall: started.elapsed(),
         }
     }
-
-    /// Run a workload against a [`SharedQueryEngine`].
-    pub fn run_shared<A, S, const D: usize>(
-        &self,
-        engine: &SharedQueryEngine<A, S, D>,
-        requests: &[BatchRequest<D>],
-    ) -> BatchOutcome
-    where
-        A: NodeAccess<D> + Sync,
-        S: ObjectStore<D> + Sync,
-    {
-        self.run(engine.tree(), engine.store(), requests)
-    }
-
-    /// Run a workload against a shard forest: same worker pool, same
-    /// cursor, same ordering and accounting guarantees as
-    /// [`BatchExecutor::run`], but each query fans out across the shards
-    /// with a shared τ bound ([`crate::shard`]). Every worker owns one
-    /// [`ShardScratch`] — a scratch lane per shard — so steady state
-    /// allocates nothing here either. AKNN answers come back in
-    /// canonical exact form — byte-identical to the single-tree
-    /// *exact* engine (`QueryEngine::aknn_exact`), not the lazy
-    /// confirmation-order results `run` returns for the same request.
-    pub fn run_sharded<A, S, const D: usize>(
-        &self,
-        shards: &[A],
-        store: &S,
-        requests: &[BatchRequest<D>],
-    ) -> BatchOutcome
-    where
-        A: NodeAccess<D> + Sync,
-        S: ObjectStore<D> + Sync,
-    {
-        let started = Instant::now();
-        let workers = self.threads.min(requests.len()).max(1);
-        let cursor = AtomicUsize::new(0);
-
-        let mut responses: Vec<Option<Result<BatchResponse, QueryError>>> = Vec::new();
-        responses.resize_with(requests.len(), || None);
-        let mut per_thread = vec![ThreadStats::default(); workers];
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let engine = ShardedQueryEngine::new(shards, store);
-                        let mut scratch = ShardScratch::new();
-                        let mut report = ThreadStats::default();
-                        let mut answered: Vec<(usize, Result<BatchResponse, QueryError>)> =
-                            Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(request) = requests.get(i) else { break };
-                            let res = execute_caught_sharded(&engine, request, &mut scratch);
-                            report.executed += 1;
-                            if let Ok(r) = &res {
-                                report.stats += *r.stats();
-                            }
-                            answered.push((i, res));
-                        }
-                        (report, answered)
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                let (report, answered) = handle.join().expect("batch worker panicked");
-                per_thread[w] = report;
-                for (i, res) in answered {
-                    responses[i] = Some(res);
-                }
-            }
-        });
-
-        BatchOutcome {
-            responses: responses
-                .into_iter()
-                .map(|slot| slot.expect("every request index was claimed exactly once"))
-                .collect(),
-            per_thread,
-            wall: started.elapsed(),
-        }
-    }
 }
 
 /// Dispatch one request on the calling thread, reusing the worker's
@@ -409,8 +329,8 @@ impl BatchExecutor {
 /// This is the single-request execution primitive shared by the batch
 /// workers and the resident query server — both hand it a long-lived
 /// [`QueryScratch`] so steady state allocates nothing.
-pub fn execute_one<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
-    engine: &QueryEngine<'_, A, S, D>,
+pub fn execute_one<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+    engine: &QueryEngine<'_, I, S, D>,
     request: &BatchRequest<D>,
     scratch: &mut QueryScratch<D>,
 ) -> Result<BatchResponse, QueryError> {
@@ -432,56 +352,30 @@ pub fn execute_one<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
 /// Reusing the scratch afterwards is sound: every search resets the
 /// scratch on entry, so a half-filled heap or buffer from the unwound
 /// query cannot leak into the next one.
-pub fn execute_caught<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
-    engine: &QueryEngine<'_, A, S, D>,
+pub fn execute_caught<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+    engine: &QueryEngine<'_, I, S, D>,
     request: &BatchRequest<D>,
     scratch: &mut QueryScratch<D>,
 ) -> Result<BatchResponse, QueryError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(engine, request, scratch)))
-        .unwrap_or_else(|payload| Err(QueryError::Panicked { message: panic_message(&*payload) }))
+    catch_query(|| execute_one(engine, request, scratch))
 }
 
-/// [`execute_one`] over a shard forest: the same request dispatch, but
-/// AKNN runs scatter-gather with the shared τ bound and RKNN's inner
-/// searches route through the forest backend.
-pub fn execute_one_sharded<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
-    engine: &ShardedQueryEngine<'_, A, S, D>,
-    request: &BatchRequest<D>,
-    scratch: &mut ShardScratch<D>,
-) -> Result<BatchResponse, QueryError> {
-    match request {
-        BatchRequest::Aknn { query, k, alpha, cfg } => {
-            engine.aknn_with_scratch(query, *k, *alpha, cfg, scratch).map(BatchResponse::Aknn)
-        }
-        BatchRequest::Rknn { query, k, alpha_start, alpha_end, algo, cfg } => engine
-            .rknn_with_scratch(query, *k, *alpha_start, *alpha_end, *algo, cfg, scratch)
-            .map(BatchResponse::Rknn),
-    }
-}
-
-/// [`execute_caught`] over a shard forest: a panic inside one sharded
-/// query surfaces as [`QueryError::Panicked`] in that request's slot.
-pub fn execute_caught_sharded<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
-    engine: &ShardedQueryEngine<'_, A, S, D>,
-    request: &BatchRequest<D>,
-    scratch: &mut ShardScratch<D>,
-) -> Result<BatchResponse, QueryError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_one_sharded(engine, request, scratch)
-    }))
-    .unwrap_or_else(|payload| Err(QueryError::Panicked { message: panic_message(&*payload) }))
-}
-
-/// Extract a human-readable message from a panic payload, when it was a
-/// string (the common `panic!("…")` cases).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Run one query, mapping a panic inside it to [`QueryError::Panicked`]
+/// (with the payload's message when it was a string — the common
+/// `panic!("…")` cases). The per-query unwind boundary of
+/// [`execute_caught`], public for query paths that do not go through a
+/// [`QueryEngine`] (the server's covering-ball M-tree AKNN).
+pub fn catch_query<T>(query: impl FnOnce() -> Result<T, QueryError>) -> Result<T, QueryError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(QueryError::Panicked { message })
+    })
 }
 
 #[cfg(test)]
@@ -492,7 +386,7 @@ mod tests {
     use fuzzy_index::{RTree, RTreeConfig};
     use fuzzy_store::MemStore;
 
-    fn fixture(n: u64) -> SharedQueryEngine<RTree<2>, MemStore<2>, 2> {
+    fn fixture(n: u64) -> (RTree<2>, MemStore<2>) {
         let store = MemStore::from_objects((0..n).map(|i| {
             let x = (i % 10) as f64;
             let y = (i / 10) as f64;
@@ -505,16 +399,13 @@ mod tests {
         }))
         .unwrap();
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        SharedQueryEngine::from_parts(tree, store)
+        (tree, store)
     }
 
-    fn workload(
-        engine: &SharedQueryEngine<RTree<2>, MemStore<2>, 2>,
-        n: u64,
-    ) -> Vec<BatchRequest<2>> {
+    fn workload(store: &MemStore<2>, n: u64) -> Vec<BatchRequest<2>> {
         (0..n)
             .map(|i| {
-                let q = engine.store().probe(ObjectId(i)).unwrap().as_ref().clone();
+                let q = store.probe(ObjectId(i)).unwrap().as_ref().clone();
                 if i % 3 == 0 {
                     BatchRequest::rknn(
                         q,
@@ -532,9 +423,9 @@ mod tests {
 
     #[test]
     fn answers_arrive_in_request_order() {
-        let engine = fixture(30);
-        let requests = workload(&engine, 30);
-        let outcome = BatchExecutor::new(4).run_shared(&engine, &requests);
+        let (tree, store) = fixture(30);
+        let requests = workload(&store, 30);
+        let outcome = BatchExecutor::new(4).run(&tree, &store, &requests);
         assert_eq!(outcome.responses.len(), 30);
         for (i, res) in outcome.responses.iter().enumerate() {
             let res = res.as_ref().unwrap();
@@ -549,15 +440,15 @@ mod tests {
 
     #[test]
     fn per_query_errors_do_not_poison_the_batch() {
-        let engine = fixture(10);
-        let good = engine.store().probe(ObjectId(0)).unwrap().as_ref().clone();
+        let (tree, store) = fixture(10);
+        let good = store.probe(ObjectId(0)).unwrap().as_ref().clone();
         let requests = vec![
             BatchRequest::aknn(good.clone(), 2, 0.5, AknnConfig::lb_lp_ub()),
             // Invalid probability: fails validation inside the worker.
             BatchRequest::aknn(good.clone(), 2, 1.5, AknnConfig::lb_lp_ub()),
             BatchRequest::aknn(good, 2, 0.5, AknnConfig::lb_lp_ub()),
         ];
-        let outcome = BatchExecutor::new(2).run_shared(&engine, &requests);
+        let outcome = BatchExecutor::new(2).run(&tree, &store, &requests);
         assert_eq!(outcome.ok_count(), 2);
         assert_eq!(outcome.error_count(), 1);
         let (idx, err) = outcome.errors().next().unwrap();
@@ -645,9 +536,9 @@ mod tests {
 
     #[test]
     fn worker_count_respects_request_count() {
-        let engine = fixture(3);
-        let requests = workload(&engine, 3);
-        let outcome = BatchExecutor::new(16).run_shared(&engine, &requests);
+        let (tree, store) = fixture(3);
+        let requests = workload(&store, 3);
+        let outcome = BatchExecutor::new(16).run(&tree, &store, &requests);
         assert_eq!(outcome.per_thread.len(), 3);
         let executed: usize = outcome.per_thread.iter().map(|t| t.executed).sum();
         assert_eq!(executed, 3);
@@ -655,8 +546,8 @@ mod tests {
 
     #[test]
     fn empty_workload() {
-        let engine = fixture(2);
-        let outcome = BatchExecutor::new(4).run_shared(&engine, &[]);
+        let (tree, store) = fixture(2);
+        let outcome = BatchExecutor::new(4).run(&tree, &store, &[]);
         assert!(outcome.responses.is_empty());
         assert_eq!(outcome.total_stats(), QueryStats::default());
     }

@@ -1,30 +1,119 @@
-//! The public query facade: a borrowed engine for single-owner use and an
-//! `Arc`-based owned engine for sharing one index/store pair across
-//! threads (the [`crate::batch::BatchExecutor`] builds on the latter).
+//! The public query facade: one [`QueryEngine`] over whatever it is asked
+//! to search.
 //!
-//! Both engines are generic over the **index backend** `A` (anything
-//! implementing [`NodeAccess`]: the in-memory `RTree` or the
-//! disk-resident `PagedRTree`) and the **object store** `S` (anything
-//! implementing [`ObjectStore`]), so the same query code serves a fully
-//! in-memory setup, a disk-resident one, or any mix.
+//! The engine is generic over **what it searches** — the
+//! [`SearchBackend`] seam, implemented by every [`NodeAccess`] index (the
+//! in-memory `RTree`, the disk-resident `PagedRTree`/`OverlayRTree`, the
+//! `MTree`, an `Arc` snapshot of any of them) and by a
+//! [`Forest`](crate::shard::Forest) of such indexes — and over the
+//! **object store** `S` (anything implementing [`ObjectStore`]). The paper
+//! has one AKNN procedure and three RKNN algorithms that call it; the
+//! layout under them (one tree, many shards) and the ownership around them
+//! (`&T`, `Arc<T>`, a [`Versioned`](crate::Versioned) snapshot) are the
+//! caller's choice, not separate engine types.
 //!
-//! Every query method also has an `*_in` variant taking an explicit
-//! [`Metric`]; the plain methods are exact aliases for `*_in(&L2, ..)`.
-//! Under [`L2`] the generic path inlines to the specialized kernels, so
-//! answers and counters are byte-identical either way (the differential
-//! suites pin this).
+//! The plain methods fix the metric to [`L2`]; the `*_in` roots take an
+//! explicit [`Metric`]. Under `L2` the generic path inlines to the
+//! specialized kernels, so answers and counters are byte-identical either
+//! way (the differential suites pin this).
 
-use crate::aknn::{aknn_at, search, AknnConfig, QueryScratch, SearchMode};
+use crate::aknn::{search, AknnConfig, QueryScratch, SearchMode, SearchOutcome};
 use crate::error::QueryError;
-use crate::result::{AknnResult, Neighbor, RknnResult};
+use crate::result::{AknnResult, RknnResult};
 use crate::rknn::{self, RknnAlgorithm};
+use crate::stats::QueryStats;
 use fuzzy_core::metric::{Metric, L2};
-use fuzzy_core::{FuzzyObject, Threshold};
+use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
+use fuzzy_geom::Mbr;
 use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
-use std::sync::Arc;
 
-/// A query engine borrowing an index and an object store.
+/// What a [`QueryEngine`] searches: the two primitives through which the
+/// AKNN procedure and the RKNN algorithms reach an index.
+///
+/// Every [`NodeAccess`] backend implements it through a blanket impl (a
+/// single tree, answering lazily unless the exact form is asked for);
+/// [`Forest`](crate::shard::Forest) implements it as scatter-gather over
+/// shards (always the canonical exact form). Everything above the seam —
+/// critical-probability stepping, profile refinement, batching, serving —
+/// is layout-agnostic.
+pub trait SearchBackend<const D: usize> {
+    /// The `k` nearest objects to `q` at `t`. With `exact = false` a
+    /// backend may return bound-confirmed neighbours
+    /// ([`DistBound::Bounded`](crate::DistBound::Bounded)) in confirmation
+    /// order; with `exact = true` every distance is probed exact and the
+    /// decoded object is attached.
+    #[allow(clippy::too_many_arguments)]
+    fn top_k<M: Metric<D>, S: ObjectStore<D>>(
+        &self,
+        metric: &M,
+        store: &S,
+        q: &FuzzyObject<D>,
+        k: usize,
+        t: Threshold,
+        cfg: &AknnConfig,
+        exact: bool,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<SearchOutcome<D>, QueryError>;
+
+    /// RSS candidate collection (Algorithm 4, step 2): ids of every object
+    /// whose lower-bound distance from `q_cut` at `t_start` is within
+    /// `r_sq` (squared). Charges node/bound costs to `stats`; the caller
+    /// sorts the ids.
+    fn range_candidates<M: Metric<D>>(
+        &self,
+        metric: &M,
+        q_cut: &Mbr<D>,
+        t_start: Threshold,
+        r_sq: f64,
+        cfg: &AknnConfig,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<ObjectId>, QueryError>;
+}
+
+impl<A: NodeAccess<D>, const D: usize> SearchBackend<D> for A {
+    fn top_k<M: Metric<D>, S: ObjectStore<D>>(
+        &self,
+        metric: &M,
+        store: &S,
+        q: &FuzzyObject<D>,
+        k: usize,
+        t: Threshold,
+        cfg: &AknnConfig,
+        exact: bool,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<SearchOutcome<D>, QueryError> {
+        let mode = if exact { SearchMode::Exact } else { SearchMode::Lazy };
+        search(metric, self, store, q, k, t, cfg, mode, scratch, None, &[])
+    }
+
+    fn range_candidates<M: Metric<D>>(
+        &self,
+        metric: &M,
+        q_cut: &Mbr<D>,
+        t_start: Threshold,
+        r_sq: f64,
+        cfg: &AknnConfig,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<ObjectId>, QueryError> {
+        rknn::range_candidates_one(metric, self, q_cut, t_start, r_sq, cfg, stats)
+    }
+}
+
+/// `Threshold::at(alpha)` for a caller-supplied probability: `alpha` must
+/// lie in `(0, 1]`, anything else is a typed error rather than a panic.
+pub fn threshold_at(alpha: f64) -> Result<Threshold, QueryError> {
+    if alpha > 0.0 && alpha <= 1.0 {
+        Ok(Threshold::at(alpha))
+    } else {
+        Err(QueryError::InvalidProbability { value: alpha })
+    }
+}
+
+/// The query engine: a borrowed index (one tree or a
+/// [`Forest`](crate::shard::Forest)) and a borrowed object store. All
+/// query state is per call, so one engine — or any number of engines over
+/// the same `&I`/`&S` — may be queried from many threads at once.
 ///
 /// ```
 /// use fuzzy_core::{FuzzyObject, ObjectId};
@@ -57,24 +146,24 @@ use std::sync::Arc;
 ///     .unwrap();
 /// assert!(rknn.range_of(ObjectId(0)).is_some());
 /// ```
-pub struct QueryEngine<'a, A, S, const D: usize> {
-    tree: &'a A,
+pub struct QueryEngine<'a, I, S, const D: usize> {
+    index: &'a I,
     store: &'a S,
 }
 
-impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A, S, D> {
+impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I, S, D> {
     /// Bundle an index and a store.
-    pub fn new(tree: &'a A, store: &'a S) -> Self {
-        Self { tree, store }
+    pub fn new(index: &'a I, store: &'a S) -> Self {
+        Self { index, store }
     }
 
     /// The underlying index.
-    pub fn tree(&self) -> &A {
-        self.tree
+    pub fn index(&self) -> &'a I {
+        self.index
     }
 
     /// The underlying store.
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &'a S {
         self.store
     }
 
@@ -90,28 +179,6 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         self.aknn_with_scratch(q, k, alpha, cfg, &mut QueryScratch::new())
     }
 
-    /// [`QueryEngine::aknn`] under an explicit [`Metric`].
-    pub fn aknn_in<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
-        }
-        self.aknn_at_with_scratch_in(
-            metric,
-            q,
-            k,
-            Threshold::at(alpha),
-            cfg,
-            &mut QueryScratch::new(),
-        )
-    }
-
     /// [`QueryEngine::aknn`] with caller-provided [`QueryScratch`]. Workers
     /// issuing many queries should reuse one scratch per thread — the
     /// steady-state search then allocates nothing.
@@ -123,51 +190,15 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         cfg: &AknnConfig,
         scratch: &mut QueryScratch<D>,
     ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
-        }
-        self.aknn_at_with_scratch(q, k, Threshold::at(alpha), cfg, scratch)
+        self.aknn_at_with_scratch_in(&L2, q, k, threshold_at(alpha)?, cfg, scratch)
     }
 
     /// AKNN at an explicit [`Threshold`] (strict thresholds implement the
-    /// exact `α + ε` semantics).
-    pub fn aknn_at(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_at_with_scratch(q, k, t, cfg, &mut QueryScratch::new())
-    }
-
-    /// [`QueryEngine::aknn_at`] under an explicit [`Metric`].
-    pub fn aknn_at_in<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_at_with_scratch_in(metric, q, k, t, cfg, &mut QueryScratch::new())
-    }
-
-    /// [`QueryEngine::aknn_at`] with caller-provided scratch.
-    pub fn aknn_at_with_scratch(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-        scratch: &mut QueryScratch<D>,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_at_with_scratch_in(&L2, q, k, t, cfg, scratch)
-    }
-
-    /// [`QueryEngine::aknn_at_with_scratch`] under an explicit [`Metric`].
-    /// This is the root of the AKNN call graph: every other `aknn*` method
-    /// funnels here, with the plain variants fixing `metric = &L2`.
+    /// exact `α + ε` semantics) under an explicit [`Metric`]. This is the
+    /// root of the AKNN call graph: the plain methods funnel here with
+    /// `metric = &L2`. A single tree answers lazily (neighbours may be
+    /// bound-confirmed, in confirmation order); a forest always answers in
+    /// the canonical exact form of [`QueryEngine::aknn_exact`].
     pub fn aknn_at_with_scratch_in<M: Metric<D>>(
         &self,
         metric: &M,
@@ -180,16 +211,15 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        aknn_at(metric, self.tree, self.store, q, k, t, cfg, scratch)
+        Ok(self.index.top_k(metric, self.store, q, k, t, cfg, false, scratch)?.into())
     }
 
     /// Canonical exact AKNN: every neighbour probed to an exact distance,
     /// sorted by (distance, id) regardless of confirmation order. This is
-    /// the single-tree reference the cross-shard determinism suite
-    /// compares scatter-gather answers against byte for byte — the lazy
-    /// variants may legitimately return `Bounded` knowledge and
-    /// confirmation order, so they are *not* directly comparable across
-    /// execution layouts; this one is.
+    /// the form in which answers are comparable byte for byte across
+    /// execution layouts — the lazy single-tree answer may legitimately
+    /// carry `Bounded` knowledge in confirmation order; this one, and
+    /// every forest answer, does not.
     pub fn aknn_exact(
         &self,
         q: &FuzzyObject<D>,
@@ -197,35 +227,11 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         alpha: f64,
         cfg: &AknnConfig,
     ) -> Result<AknnResult, QueryError> {
-        self.aknn_exact_with_scratch(q, k, alpha, cfg, &mut QueryScratch::new())
+        self.aknn_exact_with_scratch_in(&L2, q, k, alpha, cfg, &mut QueryScratch::new())
     }
 
-    /// [`QueryEngine::aknn_exact`] under an explicit [`Metric`].
-    pub fn aknn_exact_in<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_exact_with_scratch_in(metric, q, k, alpha, cfg, &mut QueryScratch::new())
-    }
-
-    /// [`QueryEngine::aknn_exact`] with caller-provided scratch.
-    pub fn aknn_exact_with_scratch(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-        scratch: &mut QueryScratch<D>,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_exact_with_scratch_in(&L2, q, k, alpha, cfg, scratch)
-    }
-
-    /// [`QueryEngine::aknn_exact_with_scratch`] under an explicit
-    /// [`Metric`].
+    /// [`QueryEngine::aknn_exact`] under an explicit [`Metric`] with
+    /// caller-provided scratch.
     pub fn aknn_exact_with_scratch_in<M: Metric<D>>(
         &self,
         metric: &M,
@@ -235,29 +241,14 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         cfg: &AknnConfig,
         scratch: &mut QueryScratch<D>,
     ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
-        }
+        let t = threshold_at(alpha)?;
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        let out = search(
-            metric,
-            self.tree,
-            self.store,
-            q,
-            k,
-            Threshold::at(alpha),
-            cfg,
-            SearchMode::Exact,
-            scratch,
-            None,
-            &[],
-        )?;
-        let mut neighbors: Vec<Neighbor> =
-            out.neighbors.into_iter().map(|n| Neighbor { id: n.id, dist: n.dist }).collect();
-        neighbors.sort_by(|a, b| a.dist.hi().total_cmp(&b.dist.hi()).then(a.id.cmp(&b.id)));
-        Ok(AknnResult { neighbors, stats: out.stats })
+        let mut result: AknnResult =
+            self.index.top_k(metric, self.store, q, k, t, cfg, true, scratch)?.into();
+        result.neighbors.sort_by(|a, b| a.dist.hi().total_cmp(&b.dist.hi()).then(a.id.cmp(&b.id)));
+        Ok(result)
     }
 
     /// Range kNN query (Definition 5): every object belonging to the kNN
@@ -273,30 +264,6 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         cfg: &AknnConfig,
     ) -> Result<RknnResult, QueryError> {
         self.rknn_with_scratch(q, k, alpha_start, alpha_end, algo, cfg, &mut QueryScratch::new())
-    }
-
-    /// [`QueryEngine::rknn`] under an explicit [`Metric`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn rknn_in<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha_start: f64,
-        alpha_end: f64,
-        algo: RknnAlgorithm,
-        cfg: &AknnConfig,
-    ) -> Result<RknnResult, QueryError> {
-        self.rknn_with_scratch_in(
-            metric,
-            q,
-            k,
-            alpha_start,
-            alpha_end,
-            algo,
-            cfg,
-            &mut QueryScratch::new(),
-        )
     }
 
     /// [`QueryEngine::rknn`] with caller-provided scratch; the inner AKNN
@@ -333,199 +300,52 @@ impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, A,
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        if !(alpha_start > 0.0 && alpha_start <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha_start });
-        }
-        if !(alpha_end > 0.0 && alpha_end <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha_end });
-        }
+        threshold_at(alpha_start)?;
+        threshold_at(alpha_end)?;
         if alpha_start > alpha_end {
             return Err(QueryError::InvalidRange { start: alpha_start, end: alpha_end });
         }
-        rknn::run(
-            metric,
-            &mut rknn::SingleTreeBackend { tree: self.tree, scratch },
-            self.store,
-            q,
-            k,
-            alpha_start,
-            alpha_end,
-            algo,
-            cfg,
-        )
-    }
-}
-
-/// An owned, cheaply clonable query engine over `Arc`-shared components.
-///
-/// Where [`QueryEngine`] borrows its index and store (ideal for one-shot
-/// use inside a function), `SharedQueryEngine` *owns* `Arc` handles to
-/// them, so it can be cloned into worker threads, stored in long-lived
-/// services, or handed to the [`crate::batch::BatchExecutor`]. All query
-/// state is per-call; the shared components are only ever read, so any
-/// number of clones may query concurrently.
-///
-/// ```
-/// use fuzzy_core::{FuzzyObject, ObjectId};
-/// use fuzzy_geom::Point;
-/// use fuzzy_index::{RTree, RTreeConfig};
-/// use fuzzy_query::{AknnConfig, SharedQueryEngine};
-/// use fuzzy_store::{MemStore, ObjectStore};
-///
-/// let store = MemStore::from_objects((0..4).map(|i| {
-///     FuzzyObject::new(
-///         ObjectId(i),
-///         vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 1.0)],
-///         vec![1.0, 0.5],
-///     )
-///     .unwrap()
-/// }))
-/// .unwrap();
-/// let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-/// let engine = SharedQueryEngine::from_parts(tree, store);
-///
-/// let query = engine.store().probe(ObjectId(1)).unwrap();
-/// let handle = {
-///     let engine = engine.clone(); // Arc bump, not a copy of the index
-///     std::thread::spawn(move || engine.aknn(&query, 2, 0.5, &AknnConfig::lb_lp_ub()))
-/// };
-/// let knn = handle.join().unwrap().unwrap();
-/// assert_eq!(knn.neighbors.len(), 2);
-/// ```
-pub struct SharedQueryEngine<A, S, const D: usize> {
-    tree: Arc<A>,
-    store: Arc<S>,
-}
-
-impl<A, S, const D: usize> Clone for SharedQueryEngine<A, S, D> {
-    fn clone(&self) -> Self {
-        Self { tree: Arc::clone(&self.tree), store: Arc::clone(&self.store) }
-    }
-}
-
-impl<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> SharedQueryEngine<A, S, D> {
-    /// Bundle already-shared components.
-    pub fn new(tree: Arc<A>, store: Arc<S>) -> Self {
-        Self { tree, store }
-    }
-
-    /// Take ownership of an index and a store, wrapping both in `Arc`s.
-    pub fn from_parts(tree: A, store: S) -> Self {
-        Self::new(Arc::new(tree), Arc::new(store))
-    }
-
-    /// An engine pinned to the current epoch of a mutable index: the
-    /// returned engine answers every query against the snapshot published
-    /// at call time, however many writer commits land afterwards. This is
-    /// how in-flight AKNN/RKNN/join/batch work stays consistent while the
-    /// index is maintained — see [`crate::epoch`].
-    pub fn at_snapshot(index: &crate::epoch::Versioned<A>, store: Arc<S>) -> Self
-    where
-        A: Clone,
-    {
-        Self::new(index.snapshot(), store)
-    }
-
-    /// The underlying index.
-    pub fn tree(&self) -> &A {
-        &self.tree
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// A clone of the shared index handle.
-    pub fn tree_handle(&self) -> Arc<A> {
-        Arc::clone(&self.tree)
-    }
-
-    /// A clone of the shared store handle.
-    pub fn store_handle(&self) -> Arc<S> {
-        Arc::clone(&self.store)
-    }
-
-    /// A borrowed view, for APIs that take a [`QueryEngine`].
-    pub fn as_borrowed(&self) -> QueryEngine<'_, A, S, D> {
-        QueryEngine::new(&self.tree, &self.store)
-    }
-
-    /// Ad-hoc kNN query; see [`QueryEngine::aknn`].
-    pub fn aknn(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.as_borrowed().aknn(q, k, alpha, cfg)
-    }
-
-    /// Ad-hoc kNN under an explicit [`Metric`]; see
-    /// [`QueryEngine::aknn_in`].
-    pub fn aknn_in<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.as_borrowed().aknn_in(metric, q, k, alpha, cfg)
-    }
-
-    /// AKNN at an explicit [`Threshold`]; see [`QueryEngine::aknn_at`].
-    pub fn aknn_at(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.as_borrowed().aknn_at(q, k, t, cfg)
-    }
-
-    /// Range kNN query; see [`QueryEngine::rknn`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn rknn(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha_start: f64,
-        alpha_end: f64,
-        algo: RknnAlgorithm,
-        cfg: &AknnConfig,
-    ) -> Result<RknnResult, QueryError> {
-        self.as_borrowed().rknn(q, k, alpha_start, alpha_end, algo, cfg)
+        rknn::run(metric, self.index, self.store, q, k, alpha_start, alpha_end, algo, cfg, scratch)
     }
 }
 
 #[cfg(test)]
 mod send_sync_tests {
     use super::*;
-    use fuzzy_index::{PagedRTree, RTree};
+    use crate::shard::Forest;
+    use fuzzy_index::{OverlayRTree, PagedRTree, RTree};
     use fuzzy_store::{CachedStore, FileStore, MemStore};
+    use std::sync::Arc;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
     /// The whole read path must be shareable across threads: the trees,
-    /// the stores, and both engines over them — for every backend
-    /// combination. This is a compile-time audit — adding interior
-    /// mutability without synchronization anywhere in
-    /// `index`/`store`/`query` breaks this test.
+    /// the stores, and the engine over a tree, an `Arc` snapshot and a
+    /// forest — for the mem and the paged backends. This is a
+    /// compile-time audit — adding interior mutability without
+    /// synchronization anywhere in `index`/`store`/`query` breaks this
+    /// test.
     #[test]
     fn engines_and_components_are_send_sync() {
         assert_send_sync::<RTree<2>>();
         assert_send_sync::<PagedRTree<2>>();
         assert_send_sync::<MemStore<2>>();
         assert_send_sync::<FileStore<2>>();
+        assert_send_sync::<QueryScratch<2>>();
+        // Over a tree.
         assert_send_sync::<QueryEngine<'static, RTree<2>, MemStore<2>, 2>>();
         assert_send_sync::<QueryEngine<'static, RTree<2>, FileStore<2>, 2>>();
         assert_send_sync::<QueryEngine<'static, PagedRTree<2>, FileStore<2>, 2>>();
-        assert_send_sync::<SharedQueryEngine<RTree<2>, MemStore<2>, 2>>();
-        assert_send_sync::<SharedQueryEngine<RTree<2>, FileStore<2>, 2>>();
-        assert_send_sync::<SharedQueryEngine<PagedRTree<2>, FileStore<2>, 2>>();
-        assert_send_sync::<SharedQueryEngine<PagedRTree<2>, CachedStore<FileStore<2>, 2>, 2>>();
+        assert_send_sync::<QueryEngine<'static, PagedRTree<2>, CachedStore<FileStore<2>, 2>, 2>>();
+        // Over an `Arc` snapshot (what `Versioned::snapshot` hands out).
+        assert_send_sync::<QueryEngine<'static, Arc<RTree<2>>, MemStore<2>, 2>>();
+        assert_send_sync::<QueryEngine<'static, Arc<OverlayRTree<2>>, FileStore<2>, 2>>();
+        // Over a forest.
+        assert_send_sync::<QueryEngine<'static, Forest<'static, RTree<2>>, MemStore<2>, 2>>();
+        assert_send_sync::<QueryEngine<'static, Forest<'static, OverlayRTree<2>>, FileStore<2>, 2>>(
+        );
+        assert_send_sync::<
+            QueryEngine<'static, Forest<'static, Arc<PagedRTree<2>>>, FileStore<2>, 2>,
+        >();
     }
 }

@@ -22,13 +22,45 @@
 //! the in-memory `RTree` a clone is the arena `Vec`; for the paged
 //! overlay it is the (small) delta plus an `Arc` bump on the base file.
 //!
-//! [`DynamicQueryEngine`] bundles a versioned index with a shared object
-//! store and exposes the writer API next to snapshot readers.
+//! A reader is `QueryEngine::new(&versioned.snapshot(), &store)` — the
+//! `Arc` snapshot is an index like any other; a writer is
+//! `versioned.write(|index| index.insert_summary(..))`
+//! (`fuzzy_index::MutableIndex`). A shard forest is versioned as one
+//! value, `Versioned<Vec<A>>`, read through
+//! [`Forest::new(&snapshot)`](crate::shard::Forest).
+//!
+//! ```
+//! use fuzzy_core::{FuzzyObject, ObjectId};
+//! use fuzzy_geom::Point;
+//! use fuzzy_index::{MutableIndex, RTree, RTreeConfig};
+//! use fuzzy_query::{AknnConfig, QueryEngine, Versioned};
+//! use fuzzy_store::{MemStore, ObjectStore};
+//!
+//! let store = MemStore::from_objects((0..8).map(|i| {
+//!     FuzzyObject::new(
+//!         ObjectId(i),
+//!         vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 1.0)],
+//!         vec![1.0, 0.5],
+//!     )
+//!     .unwrap()
+//! }))
+//! .unwrap();
+//! let index = Versioned::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()));
+//!
+//! // Readers pin a snapshot; writers publish new epochs.
+//! let pinned = index.snapshot();
+//! assert!(index.write(|tree| tree.delete_id(ObjectId(3))).unwrap());
+//! assert_eq!(index.epoch(), 1);
+//!
+//! let q = store.probe(ObjectId(0)).unwrap();
+//! // The pinned snapshot still sees all 8 objects ...
+//! let before = QueryEngine::new(&pinned, &store).aknn(&q, 8, 0.5, &AknnConfig::lb_lp_ub());
+//! assert_eq!(before.unwrap().neighbors.len(), 8);
+//! // ... while a fresh snapshot sees 7.
+//! let after = QueryEngine::new(&index.snapshot(), &store).aknn(&q, 8, 0.5, &AknnConfig::lb_lp_ub());
+//! assert_eq!(after.unwrap().neighbors.len(), 7);
+//! ```
 
-use crate::engine::SharedQueryEngine;
-use fuzzy_core::{ObjectId, ObjectSummary};
-use fuzzy_index::{MutableIndex, NodeAccess};
-use fuzzy_store::{ObjectStore, StoreError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -116,135 +148,21 @@ impl<T: Clone> Versioned<T> {
     }
 }
 
-/// A query engine over a mutable index: epoch-snapshot reads, serialized
-/// writes, one shared object store.
-///
-/// ```
-/// use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
-/// use fuzzy_geom::Point;
-/// use fuzzy_index::{RTree, RTreeConfig};
-/// use fuzzy_query::{AknnConfig, DynamicQueryEngine};
-/// use fuzzy_store::{MemStore, ObjectStore};
-///
-/// let store = MemStore::from_objects((0..8).map(|i| {
-///     FuzzyObject::new(
-///         ObjectId(i),
-///         vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 1.0)],
-///         vec![1.0, 0.5],
-///     )
-///     .unwrap()
-/// }))
-/// .unwrap();
-/// let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-/// let engine = DynamicQueryEngine::from_parts(tree, store);
-///
-/// // Readers pin a snapshot; writers publish new epochs.
-/// let reader = engine.reader();
-/// engine.delete(ObjectId(3)).unwrap();
-/// assert_eq!(engine.epoch(), 1);
-///
-/// let q = reader.store().probe(ObjectId(0)).unwrap();
-/// // The pinned snapshot still sees all 8 objects ...
-/// let pinned = reader.aknn(&q, 8, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
-/// assert_eq!(pinned.neighbors.len(), 8);
-/// // ... while a fresh reader sees 7.
-/// let fresh = engine.reader().aknn(&q, 8, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
-/// assert_eq!(fresh.neighbors.len(), 7);
-/// ```
-pub struct DynamicQueryEngine<A, S, const D: usize> {
-    index: Arc<Versioned<A>>,
-    store: Arc<S>,
-}
-
-/// Adapt a `Result<bool>` mutation outcome for [`Versioned::write_if`]:
-/// publish only when the mutation reports it changed the index.
-fn changed(out: Result<bool, StoreError>) -> (bool, Result<bool, StoreError>) {
-    (matches!(out, Ok(true)), out)
-}
-
-impl<A, S, const D: usize> Clone for DynamicQueryEngine<A, S, D> {
-    fn clone(&self) -> Self {
-        Self { index: Arc::clone(&self.index), store: Arc::clone(&self.store) }
-    }
-}
-
-impl<A, S, const D: usize> DynamicQueryEngine<A, S, D>
-where
-    A: MutableIndex<D> + Clone,
-    S: ObjectStore<D>,
-{
-    /// Take ownership of an index and a store.
-    pub fn from_parts(index: A, store: S) -> Self {
-        Self { index: Arc::new(Versioned::new(index)), store: Arc::new(store) }
-    }
-
-    /// Bundle an already-shared store with a fresh versioned index.
-    pub fn new(index: A, store: Arc<S>) -> Self {
-        Self { index: Arc::new(Versioned::new(index)), store }
-    }
-
-    /// The versioned index (for direct `write`/`snapshot` access).
-    pub fn versioned(&self) -> &Versioned<A> {
-        &self.index
-    }
-
-    /// The shared object store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Epoch of the published snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.index.epoch()
-    }
-
-    /// A [`SharedQueryEngine`] pinned to the current epoch: hand it to
-    /// worker threads or a [`crate::BatchExecutor`] and every query it
-    /// answers sees one consistent tree, however many commits land
-    /// meanwhile.
-    pub fn reader(&self) -> SharedQueryEngine<A, S, D> {
-        SharedQueryEngine::new(self.index.snapshot(), Arc::clone(&self.store))
-    }
-
-    /// Insert one summary (its own epoch). Returns `Ok(false)` on a
-    /// duplicate id — a no-op that publishes no new epoch. Use
-    /// [`Versioned::write`] via [`Self::versioned`] to batch many
-    /// mutations into one publish.
-    pub fn insert(&self, entry: ObjectSummary<D>) -> Result<bool, StoreError> {
-        self.index.write_if(|tree| changed(tree.insert_summary(entry)))
-    }
-
-    /// Delete by object id. `Ok(false)` when absent (no epoch published).
-    pub fn delete(&self, id: ObjectId) -> Result<bool, StoreError> {
-        self.index.write_if(|tree| changed(tree.delete_id(id)))
-    }
-
-    /// Replace a summary (its own epoch). `Ok(true)` when it replaced an
-    /// existing entry.
-    pub fn update(&self, entry: ObjectSummary<D>) -> Result<bool, StoreError> {
-        // An update always inserts, so the tree always changed.
-        self.index.write(|tree| tree.update_summary(entry))
-    }
-
-    /// Number of live objects in the published snapshot.
-    pub fn len(&self) -> usize {
-        NodeAccess::len(self.index.snapshot().as_ref())
-    }
-
-    /// True when the published snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aknn::AknnConfig;
-    use fuzzy_core::FuzzyObject;
+    use crate::engine::QueryEngine;
+    use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
     use fuzzy_geom::Point;
-    use fuzzy_index::{RTree, RTreeConfig};
-    use fuzzy_store::MemStore;
+    use fuzzy_index::{MutableIndex, NodeAccess, RTree, RTreeConfig};
+    use fuzzy_store::{MemStore, ObjectStore, StoreError};
+
+    /// Publish only when the mutation reports it changed the index — the
+    /// [`Versioned::write_if`] idiom for `MutableIndex` outcomes.
+    fn changed(out: Result<bool, StoreError>) -> (bool, Result<bool, StoreError>) {
+        (matches!(out, Ok(true)), out)
+    }
 
     fn summary(id: u64, x: f64, y: f64) -> ObjectSummary<2> {
         let obj = FuzzyObject::new(
@@ -290,39 +208,39 @@ mod tests {
             store.summaries().to_vec(),
             RTreeConfig { max_entries: 8, min_fill: 0.4 },
         );
-        let engine = DynamicQueryEngine::from_parts(tree, store);
-        let q = engine.store().probe(ObjectId(0)).unwrap();
+        let index = Versioned::new(tree);
+        let q = store.probe(ObjectId(0)).unwrap();
+        let (index, store, q) = (&index, &store, &q);
 
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                let engine = engine.clone();
-                let q = q.clone();
                 scope.spawn(move || {
                     for _ in 0..60 {
-                        let reader = engine.reader();
-                        reader.tree().validate().expect("snapshot is structurally sound");
-                        let k = 5.min(fuzzy_index::NodeAccess::len(reader.tree()));
+                        let snapshot = index.snapshot();
+                        snapshot.validate().expect("snapshot is structurally sound");
+                        let k = 5.min(NodeAccess::len(&snapshot));
                         if k > 0 {
-                            let res = reader.aknn(&q, k, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
+                            let res = QueryEngine::new(&snapshot, store)
+                                .aknn(q, k, 0.5, &AknnConfig::lb_lp_ub())
+                                .unwrap();
                             assert_eq!(res.neighbors.len(), k);
                         }
                     }
                 });
             }
-            let writer = engine.clone();
             scope.spawn(move || {
                 for round in 0..30u64 {
-                    let id = 100 + round;
-                    assert!(writer.insert(summary(id, (round % 9) as f64, 40.0)).unwrap());
+                    let entry = summary(100 + round, (round % 9) as f64, 40.0);
+                    assert!(index.write_if(|t| changed(t.insert_summary(entry))).unwrap());
                     if round % 3 == 0 {
-                        assert!(writer.delete(ObjectId(round)).unwrap());
+                        assert!(index.write_if(|t| changed(t.delete_id(ObjectId(round)))).unwrap());
                     }
                 }
             });
         });
-        assert_eq!(engine.epoch(), 30 + 10);
-        assert_eq!(engine.len(), 64 + 30 - 10);
-        engine.versioned().snapshot().validate().unwrap();
+        assert_eq!(index.epoch(), 30 + 10);
+        assert_eq!(NodeAccess::len(&index.snapshot()), 64 + 30 - 10);
+        index.snapshot().validate().unwrap();
     }
 
     #[test]
@@ -356,30 +274,30 @@ mod tests {
         let store = MemStore::from_objects(objects(16)).unwrap();
         let existing = store.summaries()[3];
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        let engine = DynamicQueryEngine::from_parts(tree, store);
-        let snap = engine.versioned().snapshot();
-        assert!(!engine.delete(ObjectId(9999)).unwrap(), "unknown id");
-        assert!(!engine.insert(existing).unwrap(), "duplicate id");
-        assert_eq!(engine.epoch(), 0, "no-ops must not publish");
+        let index = Versioned::new(tree);
+        let snap = index.snapshot();
+        assert!(!index.write_if(|t| changed(t.delete_id(ObjectId(9999)))).unwrap(), "unknown id");
+        assert!(!index.write_if(|t| changed(t.insert_summary(existing))).unwrap(), "duplicate id");
+        assert_eq!(index.epoch(), 0, "no-ops must not publish");
         assert!(
-            Arc::ptr_eq(&snap, &engine.versioned().snapshot()),
+            Arc::ptr_eq(&snap, &index.snapshot()),
             "published snapshot must be untouched by no-ops"
         );
-        assert!(engine.delete(ObjectId(3)).unwrap());
-        assert_eq!(engine.epoch(), 1);
+        assert!(index.write_if(|t| changed(t.delete_id(ObjectId(3)))).unwrap());
+        assert_eq!(index.epoch(), 1);
     }
 
     #[test]
     fn batched_writes_publish_once() {
         let store = MemStore::from_objects(objects(16)).unwrap();
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        let engine = DynamicQueryEngine::from_parts(tree, store);
-        engine.versioned().write(|tree| {
+        let index = Versioned::new(tree);
+        index.write(|tree| {
             for i in 100..150u64 {
                 assert!(tree.insert_summary(summary(i, i as f64, 0.0)).unwrap());
             }
         });
-        assert_eq!(engine.epoch(), 1, "one commit, one epoch");
-        assert_eq!(engine.len(), 66);
+        assert_eq!(index.epoch(), 1, "one commit, one epoch");
+        assert_eq!(NodeAccess::len(&index.snapshot()), 66);
     }
 }

@@ -19,28 +19,34 @@
 //!   reduction, Algorithm 4 / Lemma 3) and `RssIcr` (candidate refinement
 //!   acceleration, Algorithm 5 / Lemma 4), plus an exact sweep reference
 //!   used as the test oracle.
+//!
+//! There is **one engine**, [`QueryEngine`], generic over what it searches
+//! (the [`SearchBackend`] seam: any `NodeAccess` tree, an `Arc` snapshot
+//! of one, or a [`Forest`] of shards) and over the object store. Layout
+//! and ownership are the caller's choice, not separate engine types:
+//!
 //! * **Batched workloads** ([`batch`]): a [`BatchExecutor`] fans mixed
 //!   AKNN/RKNN workloads across scoped worker threads over one shared
-//!   engine ([`SharedQueryEngine`]), with deterministic output ordering
-//!   and lossless per-thread cost accounting.
+//!   `&index`/`&store` pair, with deterministic output ordering and
+//!   lossless per-thread cost accounting.
 //! * **Dynamic indexes** ([`epoch`]): a [`Versioned`] epoch/snapshot
-//!   wrapper and the [`DynamicQueryEngine`] make index mutation
-//!   (`fuzzy_index::MutableIndex`: insert/delete/update on the in-memory
-//!   tree or the paged-overlay backend) safe under concurrent reads —
-//!   writers publish frozen snapshots, in-flight queries keep theirs.
+//!   wrapper makes index mutation (`fuzzy_index::MutableIndex`:
+//!   insert/delete/update on the in-memory tree or the paged-overlay
+//!   backend) safe under concurrent reads — writers publish frozen
+//!   snapshots, in-flight queries keep theirs
+//!   (`QueryEngine::new(&versioned.snapshot(), &store)`).
 //! * **Approximate AKNN** ([`approx`]): candidate pools from an
 //!   `fuzzy_index::ApproxIndex` backend (multi-probe LSH or VP-tree over
 //!   expected centers), resolved through the exact probe loop and
 //!   optionally refined friend-of-a-friend — exact distances always,
 //!   recall set by the [`RecallDial`], measured by [`recall_at_k`].
-//! * **Shard forests** ([`shard`]): scatter-gather over a
-//!   `fuzzy_index::ShardedIndex` partition — per-shard bound-only
-//!   searches under a shared τ bound ([`SharedTau`]), then one global
-//!   gather phase that probes pooled candidates in the same
-//!   nearest-first order a single tree would. Answers are
-//!   byte-identical to the single-tree exact engine at every shard
-//!   count, with identical object-probe counts; [`ShardedDynamicEngine`]
-//!   adds per-shard mutation locks and shard-parallel compaction.
+//! * **Shard forests** ([`shard`]): `QueryEngine::new(&Forest::new(&shards),
+//!   &store)` scatter-gathers over a `fuzzy_index::ShardedIndex`
+//!   partition — per-shard bound-only searches under a shared τ bound
+//!   ([`SharedTau`]), then one global gather phase that probes pooled
+//!   candidates in the same nearest-first order a single tree would.
+//!   Answers are byte-identical to [`QueryEngine::aknn_exact`] on a
+//!   single tree at every shard count.
 
 #![warn(missing_docs)]
 
@@ -62,19 +68,16 @@ pub mod sweep;
 pub use aknn::{AknnConfig, QueryScratch};
 pub use approx::{approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial};
 pub use batch::{
-    execute_caught, execute_caught_sharded, execute_one, execute_one_sharded, BatchExecutor,
-    BatchOutcome, BatchRequest, BatchResponse, ThreadStats,
+    catch_query, execute_caught, execute_one, BatchExecutor, BatchOutcome, BatchRequest,
+    BatchResponse, ThreadStats,
 };
-pub use engine::{QueryEngine, SharedQueryEngine};
-pub use epoch::{DynamicQueryEngine, Versioned};
+pub use engine::{threshold_at, QueryEngine, SearchBackend};
+pub use epoch::Versioned;
 pub use error::QueryError;
 pub use interval::{Interval, IntervalSet};
 pub use join::{alpha_distance_join, JoinPair, JoinResult};
 pub use metric_search::{metric_aknn, metric_aknn_brute};
 pub use result::{AknnResult, DistBound, Neighbor, RknnItem, RknnResult};
 pub use rknn::RknnAlgorithm;
-pub use shard::{
-    sharded_alpha_distance_join, ContainsId, ShardScratch, ShardedDynamicEngine,
-    ShardedQueryEngine, SharedTau,
-};
+pub use shard::{sharded_alpha_distance_join, Forest, SharedTau};
 pub use stats::QueryStats;

@@ -17,11 +17,11 @@
 //!   within the (k+1)-th distance (Lemma 4), sharply cutting CPU work for
 //!   wide probability ranges.
 
-use crate::aknn::{check_deadline, search, AknnConfig, QueryScratch, SearchMode, SearchOutcome};
+use crate::aknn::{check_deadline, AknnConfig, QueryScratch};
+use crate::engine::SearchBackend;
 use crate::error::QueryError;
 use crate::interval::{Interval, IntervalSet};
 use crate::result::{RknnItem, RknnResult};
-use crate::shard::{sharded_search, ShardScratch};
 use crate::stats::QueryStats;
 use crate::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_core::metric::Metric;
@@ -32,119 +32,8 @@ use fuzzy_store::ObjectStore;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// The index-touching half of the RKNN algorithms, abstracted so
-/// Algorithms 3–5 run unchanged over a single tree or a shard forest.
-///
-/// Two primitives reach the index: the force-exact AKNN call (Algorithms
-/// 3–5, step 1) and the RSS range scan (Algorithm 4, step 2). Everything
-/// else — critical-probability stepping, profile refinement — is
-/// in-memory and backend-agnostic, which is exactly why sharded RKNN is
-/// byte-identical: the forest backend returns the same exact top-k
-/// (canonical merge) and the same candidate *set* (shards partition the
-/// data; the caller sorts ids before refinement).
-pub(crate) trait SearchBackend<S: ObjectStore<D>, const D: usize> {
-    /// Force-exact AKNN: the k nearest objects at `t`, every distance
-    /// probed exact under `metric`.
-    fn search_exact<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        store: &S,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<SearchOutcome<D>, QueryError>;
-
-    /// RSS candidate collection: ids of every object whose lower-bound
-    /// distance from `q_cut` at `t_start` is within `r_sq` (squared).
-    /// Charges node/bound costs to `stats`; the caller sorts the ids.
-    fn range_candidates<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        q_cut: &Mbr<D>,
-        t_start: Threshold,
-        r_sq: f64,
-        cfg: &AknnConfig,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<ObjectId>, QueryError>;
-}
-
-/// The classic backend: one tree, one scratch.
-pub(crate) struct SingleTreeBackend<'a, A, const D: usize> {
-    pub tree: &'a A,
-    pub scratch: &'a mut QueryScratch<D>,
-}
-
-impl<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> SearchBackend<S, D>
-    for SingleTreeBackend<'_, A, D>
-{
-    fn search_exact<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        store: &S,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<SearchOutcome<D>, QueryError> {
-        search(metric, self.tree, store, q, k, t, cfg, SearchMode::Exact, self.scratch, None, &[])
-    }
-
-    fn range_candidates<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        q_cut: &Mbr<D>,
-        t_start: Threshold,
-        r_sq: f64,
-        cfg: &AknnConfig,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<ObjectId>, QueryError> {
-        range_candidates_one(metric, self.tree, q_cut, t_start, r_sq, cfg, stats)
-    }
-}
-
-/// The scatter-gather backend: the AKNN primitive fans out across the
-/// shards with the shared τ bound; the range scan unions per-shard range
-/// searches (shards partition the entries, so the union is exact).
-pub(crate) struct ForestBackend<'a, A, const D: usize> {
-    pub shards: &'a [A],
-    pub scratch: &'a mut ShardScratch<D>,
-}
-
-impl<A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> SearchBackend<S, D>
-    for ForestBackend<'_, A, D>
-{
-    fn search_exact<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        store: &S,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-    ) -> Result<SearchOutcome<D>, QueryError> {
-        sharded_search(metric, self.shards, store, q, k, t, cfg, true, self.scratch)
-    }
-
-    fn range_candidates<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        q_cut: &Mbr<D>,
-        t_start: Threshold,
-        r_sq: f64,
-        cfg: &AknnConfig,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<ObjectId>, QueryError> {
-        let mut ids = Vec::new();
-        for shard in self.shards {
-            ids.extend(range_candidates_one(metric, shard, q_cut, t_start, r_sq, cfg, stats)?);
-        }
-        Ok(ids)
-    }
-}
-
 /// One tree's share of the Lemma-3 range scan (Algorithm 4, step 2).
-fn range_candidates_one<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
+pub(crate) fn range_candidates_one<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     metric: &M,
     tree: &A,
     q_cut: &Mbr<D>,
@@ -233,9 +122,9 @@ impl<const D: usize> ProfileCache<D> {
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize>(
+pub(crate) fn run<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &mut B,
+    backend: &B,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -243,6 +132,7 @@ pub(crate) fn run<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const
     alpha_end: f64,
     algo: RknnAlgorithm,
     cfg: &AknnConfig,
+    scratch: &mut QueryScratch<D>,
 ) -> Result<RknnResult, QueryError> {
     let start = Instant::now();
     let mut stats = QueryStats::default();
@@ -251,7 +141,7 @@ pub(crate) fn run<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const
             naive(metric, store, q, k, alpha_start, alpha_end, cfg, &mut stats)?
         }
         RknnAlgorithm::Basic => {
-            basic(metric, backend, store, q, k, alpha_start, alpha_end, cfg, &mut stats)?
+            basic(metric, backend, store, q, k, alpha_start, alpha_end, cfg, scratch, &mut stats)?
         }
         RknnAlgorithm::Rss | RknnAlgorithm::RssIcr => rss(
             metric,
@@ -263,6 +153,7 @@ pub(crate) fn run<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const
             alpha_end,
             cfg,
             algo == RknnAlgorithm::RssIcr,
+            scratch,
             &mut stats,
         )?,
     };
@@ -300,15 +191,16 @@ fn naive<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
 
 /// Algorithm 3: step through critical probabilities with one AKNN each.
 #[allow(clippy::too_many_arguments)]
-fn basic<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize>(
+fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &mut B,
+    backend: &B,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
     cfg: &AknnConfig,
+    scratch: &mut QueryScratch<D>,
     stats: &mut QueryStats,
 ) -> Result<Vec<RknnItem>, QueryError> {
     let mut cache: ProfileCache<D> = ProfileCache::new();
@@ -317,7 +209,7 @@ fn basic<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize
 
     loop {
         check_deadline(cfg.deadline)?;
-        let out = backend.search_exact(metric, store, q, k, t, cfg)?;
+        let out = backend.top_k(metric, store, q, k, t, cfg, true, scratch)?;
         stats.aknn_calls += 1;
         stats.object_accesses += out.stats.object_accesses;
         stats.node_accesses += out.stats.node_accesses;
@@ -351,9 +243,9 @@ fn basic<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize
 
 /// Algorithms 4/5: reduce the search space, refine candidates in memory.
 #[allow(clippy::too_many_arguments)]
-fn rss<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize>(
+fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &mut B,
+    backend: &B,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -361,11 +253,12 @@ fn rss<M: Metric<D>, B: SearchBackend<S, D>, S: ObjectStore<D>, const D: usize>(
     alpha_end: f64,
     cfg: &AknnConfig,
     improved_refinement: bool,
+    scratch: &mut QueryScratch<D>,
     stats: &mut QueryStats,
 ) -> Result<Vec<RknnItem>, QueryError> {
     // Step 1 — AKNN at α_e gives the pruning radius r = d_k(α_e).
     let t_end = Threshold::at(alpha_end);
-    let out_end = backend.search_exact(metric, store, q, k, t_end, cfg)?;
+    let out_end = backend.top_k(metric, store, q, k, t_end, cfg, true, scratch)?;
     stats.aknn_calls += 1;
     stats.object_accesses += out_end.stats.object_accesses;
     stats.node_accesses += out_end.stats.node_accesses;

@@ -23,27 +23,27 @@
 //!   proves this cell by cell; `shard_props.rs` property-checks pruned
 //!   against unpruned scatter-gather).
 //!
-//! [`ShardedQueryEngine`] is the read facade (AKNN/RKNN/join);
-//! [`ShardedDynamicEngine`] adds per-shard mutation locks (one
-//! [`Versioned`] master per shard — writers to different shards never
-//! contend) and shard-parallel compaction.
+//! [`Forest`] is the layout: `QueryEngine::new(&Forest::new(&shards),
+//! &store)` *is* the scatter-gather engine (AKNN/RKNN, batches, the
+//! server's sharded arm); [`sharded_alpha_distance_join`] is the join.
+//! Mutation is the caller's: a [`Versioned`](crate::Versioned) shard
+//! vector plus `fuzzy_index::ShardManifest::route` and
+//! `fuzzy_index::shard::compact_shards`.
 
 use crate::aknn::{
     resolve_pool, search, AknnConfig, FoundNeighbor, QueryScratch, SearchMode, SearchOutcome,
 };
-use crate::epoch::Versioned;
+use crate::engine::SearchBackend;
 use crate::error::QueryError;
 use crate::join::{alpha_distance_join, JoinResult};
-use crate::result::{AknnResult, Neighbor, RknnResult};
-use crate::rknn::{self, RknnAlgorithm};
+use crate::rknn::range_candidates_one;
 use crate::stats::QueryStats;
-use fuzzy_core::metric::{Metric, L2};
-use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary, Threshold};
+use fuzzy_core::metric::Metric;
+use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Mbr;
-use fuzzy_index::{MutableIndex, NodeAccess, OverlayRTree};
-use fuzzy_store::{ObjectStore, StoreError};
+use fuzzy_index::NodeAccess;
+use fuzzy_store::ObjectStore;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The global k-th-best upper bound τ (squared α-distance) shared by the
@@ -85,35 +85,6 @@ impl SharedTau {
     }
 }
 
-/// Reusable scratch for scatter-gather queries: one [`QueryScratch`] lane
-/// per shard, grown on demand and retained across queries — a worker
-/// thread owns one `ShardScratch` and answers any stream of sharded
-/// queries allocation-free in steady state.
-pub struct ShardScratch<const D: usize> {
-    lanes: Vec<QueryScratch<D>>,
-}
-
-impl<const D: usize> Default for ShardScratch<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const D: usize> ShardScratch<D> {
-    /// Empty scratch; lanes appear as shards are searched.
-    pub fn new() -> Self {
-        Self { lanes: Vec::new() }
-    }
-
-    /// The scratch lane dedicated to shard `i`.
-    pub(crate) fn lane(&mut self, i: usize) -> &mut QueryScratch<D> {
-        while self.lanes.len() <= i {
-            self.lanes.push(QueryScratch::new());
-        }
-        &mut self.lanes[i]
-    }
-}
-
 /// Compare two exact-distance neighbours canonically: by distance, ties
 /// by object id. This is the merge order of every scatter-gather result,
 /// independent of shard count and visit order.
@@ -151,8 +122,12 @@ fn inflate_sq(hi_sq: f64) -> f64 {
 ///
 /// `pruned = false` runs every shard independently (no τ exchange) —
 /// the reference the property suite compares against.
+///
+/// The shards are searched one after another and every [`search`] resets
+/// the scratch on entry and clears it on exit, so the caller's one
+/// `scratch` serves every shard in turn.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
+fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
     shards: &[A],
     store: &S,
@@ -161,7 +136,7 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
     t: Threshold,
     cfg: &AknnConfig,
     pruned: bool,
-    scratch: &mut ShardScratch<D>,
+    scratch: &mut QueryScratch<D>,
 ) -> Result<SearchOutcome<D>, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
@@ -186,7 +161,7 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
     // gather phase, so later shards may count them toward the running
     // k-th-best bound exactly like local candidates — the
     // candidate-granularity domination a single tree gets for free.
-    let mut carry: Vec<(fuzzy_core::ObjectId, f64)> = Vec::new();
+    let mut carry: Vec<(ObjectId, f64)> = Vec::new();
     let mut hi_tmp: Vec<f64> = Vec::new();
     for &si in &order {
         let out = search(
@@ -198,7 +173,7 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
             t,
             cfg,
             SearchMode::Collect,
-            scratch.lane(si),
+            scratch,
             shared,
             if pruned { &carry } else { &[] },
         )?;
@@ -233,191 +208,78 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
     Ok(SearchOutcome { neighbors: merged, stats })
 }
 
-/// A query engine over a shard forest: any slice of [`NodeAccess`]
-/// backends (`&[RTree]`, `&[Arc<PagedRTree>]`, a snapshot vector from a
-/// [`ShardedDynamicEngine`]) plus the one shared object store. Answers
-/// are byte-identical to a single-tree [`QueryEngine`](crate::QueryEngine) over the union of
-/// the shards — the forest is an execution layout, not a semantic change.
-pub struct ShardedQueryEngine<'a, A, S, const D: usize> {
+/// A shard forest as a [`QueryEngine`](crate::QueryEngine) index: any
+/// slice of [`NodeAccess`] backends (`&[RTree]`, `&[OverlayRTree]`, a
+/// `Vec<Arc<PagedRTree>>`, a pinned [`Versioned`](crate::Versioned)
+/// snapshot of a shard vector) over the one shared object store.
+///
+/// Answers come back in canonical exact form — every distance exact,
+/// sorted by (distance, id) — byte-identical to
+/// [`QueryEngine::aknn_exact`](crate::QueryEngine::aknn_exact) on a single
+/// tree over the union of the shards, at every shard count: the forest is
+/// an execution layout, not a semantic change. A forest of one is still a
+/// forest (scatter of one, then gather), not a shortcut to the lazy
+/// single-tree path.
+#[derive(Clone, Copy, Debug)]
+pub struct Forest<'a, A> {
     shards: &'a [A],
-    store: &'a S,
+    pruned: bool,
 }
 
-impl<'a, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize> ShardedQueryEngine<'a, A, S, D> {
-    /// Bundle a shard slice and a store.
-    pub fn new(shards: &'a [A], store: &'a S) -> Self {
-        Self { shards, store }
+impl<'a, A> Forest<'a, A> {
+    /// Scatter-gather over `shards` with the shared τ bound.
+    pub fn new(shards: &'a [A]) -> Self {
+        Self { shards, pruned: true }
+    }
+
+    /// [`Forest::new`] without the shared τ: every shard is searched
+    /// independently and the results merged. Same answers, strictly more
+    /// work — the reference arm of the pruning-equivalence property
+    /// suite, public so external harnesses can check τ soundness on their
+    /// own data.
+    pub fn unpruned(shards: &'a [A]) -> Self {
+        Self { shards, pruned: false }
     }
 
     /// The shard slice.
     pub fn shards(&self) -> &'a [A] {
         self.shards
     }
+}
 
-    /// The shared object store.
-    pub fn store(&self) -> &'a S {
-        self.store
-    }
-
-    /// Scatter-gather kNN (Definition 4) at `alpha ∈ (0, 1]`. All
-    /// returned distances are exact, sorted by (distance, id).
-    pub fn aknn(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        self.aknn_with_scratch(q, k, alpha, cfg, &mut ShardScratch::new())
-    }
-
-    /// [`Self::aknn`] under an explicit [`Metric`]: the scatter, the τ
-    /// exchange and the gather all prune through `metric`'s hooks. With
-    /// `&L2` this is byte-identical to [`Self::aknn`].
-    pub fn aknn_in<M: Metric<D>>(
+impl<A: NodeAccess<D>, const D: usize> SearchBackend<D> for Forest<'_, A> {
+    /// Scatter-gather top-k; `exact` is moot — a forest resolves every
+    /// answer to its exact distance in the gather phase.
+    fn top_k<M: Metric<D>, S: ObjectStore<D>>(
         &self,
         metric: &M,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-    ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
-        }
-        let outcome = sharded_search(
-            metric,
-            self.shards,
-            self.store,
-            q,
-            k,
-            Threshold::at(alpha),
-            cfg,
-            true,
-            &mut ShardScratch::new(),
-        )?;
-        Ok(to_aknn_result(outcome))
-    }
-
-    /// [`Self::aknn`] with caller-provided scratch (one per worker).
-    pub fn aknn_with_scratch(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
-        cfg: &AknnConfig,
-        scratch: &mut ShardScratch<D>,
-    ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
-        }
-        self.aknn_at_with_scratch(q, k, Threshold::at(alpha), cfg, scratch)
-    }
-
-    /// Scatter-gather AKNN at an explicit [`Threshold`].
-    pub fn aknn_at_with_scratch(
-        &self,
+        store: &S,
         q: &FuzzyObject<D>,
         k: usize,
         t: Threshold,
         cfg: &AknnConfig,
-        scratch: &mut ShardScratch<D>,
-    ) -> Result<AknnResult, QueryError> {
-        let outcome = sharded_search(&L2, self.shards, self.store, q, k, t, cfg, true, scratch)?;
-        Ok(to_aknn_result(outcome))
+        _exact: bool,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<SearchOutcome<D>, QueryError> {
+        sharded_search(metric, self.shards, store, q, k, t, cfg, self.pruned, scratch)
     }
 
-    /// [`Self::aknn_with_scratch`] without the shared τ: every shard is
-    /// searched independently and the results merged. Same answers,
-    /// strictly more work — this is the reference arm of the
-    /// pruning-equivalence property suite, public so external harnesses
-    /// can check τ soundness on their own data.
-    pub fn aknn_unpruned_with_scratch(
+    /// Union of the per-shard range scans (shards partition the entries,
+    /// so the union is exact).
+    fn range_candidates<M: Metric<D>>(
         &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha: f64,
+        metric: &M,
+        q_cut: &Mbr<D>,
+        t_start: Threshold,
+        r_sq: f64,
         cfg: &AknnConfig,
-        scratch: &mut ShardScratch<D>,
-    ) -> Result<AknnResult, QueryError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha });
+        stats: &mut QueryStats,
+    ) -> Result<Vec<ObjectId>, QueryError> {
+        let mut ids = Vec::new();
+        for shard in self.shards {
+            ids.extend(range_candidates_one(metric, shard, q_cut, t_start, r_sq, cfg, stats)?);
         }
-        let outcome = sharded_search(
-            &L2,
-            self.shards,
-            self.store,
-            q,
-            k,
-            Threshold::at(alpha),
-            cfg,
-            false,
-            scratch,
-        )?;
-        Ok(to_aknn_result(outcome))
-    }
-
-    /// Range kNN (Definition 5) over the forest: the inner AKNN calls of
-    /// Algorithms 3–5 all route through the scatter-gather path with
-    /// shared τ, and the RSS range scan unions per-shard range searches.
-    pub fn rknn(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha_start: f64,
-        alpha_end: f64,
-        algo: RknnAlgorithm,
-        cfg: &AknnConfig,
-    ) -> Result<RknnResult, QueryError> {
-        self.rknn_with_scratch(q, k, alpha_start, alpha_end, algo, cfg, &mut ShardScratch::new())
-    }
-
-    /// [`Self::rknn`] with caller-provided scratch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rknn_with_scratch(
-        &self,
-        q: &FuzzyObject<D>,
-        k: usize,
-        alpha_start: f64,
-        alpha_end: f64,
-        algo: RknnAlgorithm,
-        cfg: &AknnConfig,
-        scratch: &mut ShardScratch<D>,
-    ) -> Result<RknnResult, QueryError> {
-        if k == 0 {
-            return Err(QueryError::ZeroK);
-        }
-        if !(alpha_start > 0.0 && alpha_start <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha_start });
-        }
-        if !(alpha_end > 0.0 && alpha_end <= 1.0) {
-            return Err(QueryError::InvalidProbability { value: alpha_end });
-        }
-        if alpha_start > alpha_end {
-            return Err(QueryError::InvalidRange { start: alpha_start, end: alpha_end });
-        }
-        rknn::run(
-            &L2,
-            &mut rknn::ForestBackend { shards: self.shards, scratch },
-            self.store,
-            q,
-            k,
-            alpha_start,
-            alpha_end,
-            algo,
-            cfg,
-        )
-    }
-}
-
-fn to_aknn_result<const D: usize>(outcome: SearchOutcome<D>) -> AknnResult {
-    AknnResult {
-        neighbors: outcome
-            .neighbors
-            .into_iter()
-            .map(|n| Neighbor { id: n.id, dist: n.dist })
-            .collect(),
-        stats: outcome.stats,
+        Ok(ids)
     }
 }
 
@@ -461,237 +323,4 @@ where
     pairs.sort_by_key(|p| (p.left, p.right));
     stats.wall = start.elapsed();
     Ok(JoinResult { pairs, stats })
-}
-
-/// A dynamic engine over a shard forest: **per-shard mutation locks**.
-///
-/// Each shard is its own [`Versioned`] master — writers to different
-/// shards commit concurrently without contending, readers pin per-shard
-/// snapshots ([`Self::snapshots`]) and query them through a
-/// [`ShardedQueryEngine`]. Inserts route to the shard whose build-time
-/// region is nearest (a placement heuristic: correctness never depends
-/// on routing, because deletes consult every shard and queries visit
-/// every non-pruned shard).
-///
-/// A snapshot vector is assembled shard by shard, so it is consistent
-/// *per shard* (each `Arc` is one frozen epoch) but not a global
-/// point-in-time cut across shards — the same deal a batch of
-/// single-shard engines would give, and sufficient for byte-identical
-/// answers as long as each object lives in exactly one shard.
-pub struct ShardedDynamicEngine<A, S, const D: usize> {
-    shards: Vec<Arc<Versioned<A>>>,
-    regions: Vec<Mbr<D>>,
-    store: Arc<S>,
-}
-
-impl<A, S, const D: usize> Clone for ShardedDynamicEngine<A, S, D> {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self.shards.iter().map(Arc::clone).collect(),
-            regions: self.regions.clone(),
-            store: Arc::clone(&self.store),
-        }
-    }
-}
-
-impl<A, S, const D: usize> ShardedDynamicEngine<A, S, D>
-where
-    A: MutableIndex<D> + Clone,
-    S: ObjectStore<D>,
-{
-    /// Wrap shard backends with their build-time regions and a shared
-    /// store. `regions` must be one rectangle per shard (the `.fzsm`
-    /// manifest rows, or [`Mbr::empty`] placeholders — routing then
-    /// falls back to shard 0).
-    pub fn new(shards: Vec<A>, regions: Vec<Mbr<D>>, store: Arc<S>) -> Self {
-        assert_eq!(shards.len(), regions.len(), "one region per shard");
-        assert!(!shards.is_empty(), "at least one shard");
-        Self {
-            shards: shards.into_iter().map(|s| Arc::new(Versioned::new(s))).collect(),
-            regions,
-            store,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shared object store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// A clone of the shared store handle.
-    pub fn store_handle(&self) -> Arc<S> {
-        Arc::clone(&self.store)
-    }
-
-    /// Shard `i`'s versioned master, for direct `write`/`snapshot`
-    /// access (e.g. batching many mutations into one commit).
-    pub fn versioned(&self, i: usize) -> &Versioned<A> {
-        &self.shards[i]
-    }
-
-    /// Per-shard epochs of the published snapshots.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
-    }
-
-    /// Pin one snapshot per shard. The returned vector is a valid shard
-    /// slice for [`ShardedQueryEngine::new`] (the `Arc`s implement
-    /// [`NodeAccess`] by delegation) and stays frozen however many
-    /// commits land afterwards.
-    pub fn snapshots(&self) -> Vec<Arc<A>> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
-    }
-
-    /// The shard a summary routes to: nearest build-time region (ties to
-    /// the lowest shard id), shard 0 when every region is empty.
-    pub fn route(&self, mbr: &Mbr<D>) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, region) in self.regions.iter().enumerate() {
-            if region.is_empty() {
-                continue;
-            }
-            let d = region.min_dist_sq(mbr);
-            if d < best_d {
-                best = i;
-                best_d = d;
-            }
-        }
-        best
-    }
-
-    /// Insert one summary into its routed shard (that shard's own epoch;
-    /// other shards are untouched). Returns the shard id and whether the
-    /// insert happened (`false` = duplicate id in that shard; see
-    /// [`Self::contains`] for a forest-wide duplicate check).
-    pub fn insert(&self, entry: ObjectSummary<D>) -> Result<(usize, bool), StoreError> {
-        let shard = self.route(&entry.support_mbr);
-        let inserted = self.shards[shard].write_if(|ix| changed(ix.insert_summary(entry)));
-        Ok((shard, inserted?))
-    }
-
-    /// Delete by object id: consults every shard (routing is a
-    /// heuristic, deletion is not). Returns the shard that held the id,
-    /// `None` when absent everywhere. Only the owning shard publishes an
-    /// epoch.
-    pub fn delete(&self, id: ObjectId) -> Result<Option<usize>, StoreError> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if shard.write_if(|ix| changed(ix.delete_id(id)))? {
-                return Ok(Some(i));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Replace a summary: delete wherever it lives, reinsert into that
-    /// same shard (an object never migrates on update — stable locality
-    /// keeps routing deterministic). An unknown id inserts via routing.
-    /// Returns the shard and whether an existing entry was replaced.
-    pub fn update(&self, entry: ObjectSummary<D>) -> Result<(usize, bool), StoreError> {
-        match self.delete(entry.id)? {
-            Some(shard) => {
-                self.shards[shard].write_if(|ix| changed(ix.insert_summary(entry)))?;
-                Ok((shard, true))
-            }
-            None => {
-                let (shard, _) = self.insert(entry)?;
-                Ok((shard, false))
-            }
-        }
-    }
-
-    /// True when some shard holds `id` (in its published snapshot).
-    pub fn contains(&self, id: ObjectId) -> bool
-    where
-        A: ContainsId,
-    {
-        self.shards.iter().any(|s| s.snapshot().contains_id(id))
-    }
-
-    /// Live objects across all published shard snapshots.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| NodeAccess::len(s.snapshot().as_ref())).sum()
-    }
-
-    /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Adapt a `Result<bool>` mutation outcome for [`Versioned::write_if`]:
-/// publish only when the mutation reports a change.
-fn changed(out: Result<bool, StoreError>) -> (bool, Result<bool, StoreError>) {
-    (matches!(out, Ok(true)), out)
-}
-
-/// Id membership — implemented by the mutable backends so the sharded
-/// engine can answer forest-wide duplicate checks.
-pub trait ContainsId {
-    /// True when the index holds a live entry with `id`.
-    fn contains_id(&self, id: ObjectId) -> bool;
-}
-
-impl<const D: usize> ContainsId for fuzzy_index::RTree<D> {
-    fn contains_id(&self, id: ObjectId) -> bool {
-        fuzzy_index::RTree::contains_id(self, id)
-    }
-}
-
-impl<const D: usize> ContainsId for OverlayRTree<D> {
-    fn contains_id(&self, id: ObjectId) -> bool {
-        OverlayRTree::contains_id(self, id)
-    }
-}
-
-impl<S: ObjectStore<D>, const D: usize> ShardedDynamicEngine<OverlayRTree<D>, S, D>
-where
-    S: Sync,
-{
-    /// Compact every dirty shard, **shard-parallel**: one scoped thread
-    /// per shard folds that shard's delta sidecar into its base `.fzpt`
-    /// file and publishes the fresh overlay as a new epoch, while the
-    /// other shards' writers and all readers proceed unhindered (readers
-    /// pinned to the old snapshot keep the pre-compaction file handle —
-    /// the compaction renames over the path, it never truncates in
-    /// place). Clean shards are skipped without publishing.
-    ///
-    /// Returns one flag per shard: `true` if it was compacted. The first
-    /// error aborts that shard only; others still compact. Note that
-    /// compaction changes base-file object counts — callers owning a
-    /// `.fzsm` manifest must rewrite its rows afterwards (the CLI does).
-    pub fn compact_shards(&self, page_size: u32) -> Vec<Result<bool, StoreError>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard.write_if(|ov| {
-                            if ov.is_clean() {
-                                return (false, Ok(false));
-                            }
-                            let reopened = ov
-                                .clone()
-                                .compact(page_size)
-                                .and_then(|tree| OverlayRTree::new(Arc::new(tree)));
-                            match reopened {
-                                Ok(fresh) => {
-                                    *ov = fresh;
-                                    (true, Ok(true))
-                                }
-                                Err(e) => (false, Err(e)),
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("compaction thread panicked")).collect()
-        })
-    }
 }

@@ -10,8 +10,8 @@ use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
 use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::{
-    AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryStats,
-    RknnAlgorithm, SharedQueryEngine,
+    AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryEngine,
+    QueryStats, RknnAlgorithm,
 };
 use fuzzy_store::{FileStoreWriter, MemStore, ObjectStore};
 
@@ -125,19 +125,19 @@ fn counts(s: &QueryStats) -> [u64; 7] {
     ]
 }
 
-fn assert_deterministic<A, S>(engine: &SharedQueryEngine<A, S, 2>, n: u64) -> String
+fn assert_deterministic<A, S>(tree: &A, store: &S, n: u64) -> String
 where
     A: NodeAccess<2> + Sync,
     S: ObjectStore<2> + Sync,
 {
-    let requests = workload(engine.store(), n);
-    let sequential = BatchExecutor::sequential().run_shared(engine, &requests);
+    let requests = workload(store, n);
+    let sequential = BatchExecutor::sequential().run(tree, store, &requests);
     let seq_print = fingerprint(&sequential);
     let seq_counts = counts(&sequential.total_stats());
     assert!(sequential.error_count() > 0, "workload must exercise error slots");
 
     for threads in [2usize, 8] {
-        let concurrent = BatchExecutor::new(threads).run_shared(engine, &requests);
+        let concurrent = BatchExecutor::new(threads).run(tree, store, &requests);
         assert_eq!(concurrent.per_thread.len(), threads);
         assert_eq!(
             fingerprint(&concurrent),
@@ -164,7 +164,7 @@ where
 fn mem_store_batch_is_deterministic_across_thread_counts() {
     let store = MemStore::from_objects(objects(60)).unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-    assert_deterministic(&SharedQueryEngine::from_parts(tree, store), 60);
+    assert_deterministic(&tree, &store, 60);
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn file_store_batch_is_deterministic_across_thread_counts() {
     }
     let store = writer.finish().unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-    assert_deterministic(&SharedQueryEngine::from_parts(tree, store), 45);
+    assert_deterministic(&tree, &store, 45);
     std::fs::remove_file(&path).ok();
 }
 
@@ -200,7 +200,7 @@ fn paged_tree_matches_in_memory_backends_across_thread_counts() {
     // In-memory reference: MemStore + RTree.
     let mem_store = MemStore::from_objects(objects(45)).unwrap();
     let mem_tree = RTree::bulk_load(mem_store.summaries().to_vec(), config);
-    let mem_print = assert_deterministic(&SharedQueryEngine::from_parts(mem_tree, mem_store), 45);
+    let mem_print = assert_deterministic(&mem_tree, &mem_store, 45);
 
     // Disk-resident: PagedRTree (buffer pool of 4 pages, so eviction is
     // actually exercised) + FileStore.
@@ -210,15 +210,14 @@ fn paged_tree_matches_in_memory_backends_across_thread_counts() {
         drop(paged); // reopen in a fresh handle, tiny cache
         PagedRTree::open_with_cache(&index_path, 4).unwrap()
     };
-    let engine = SharedQueryEngine::from_parts(paged, store);
-    let paged_print = assert_deterministic(&engine, 45);
+    let paged_print = assert_deterministic(&paged, &store, 45);
     assert_eq!(paged_print, mem_print, "disk-resident answers diverged from in-memory");
 
     // The paged run performed real I/O: a cold sequential pass must report
     // disk reads, and they must never exceed the logical accesses.
-    engine.tree().clear_cache();
-    let requests = workload(engine.store(), 45);
-    let cold = BatchExecutor::sequential().run_shared(&engine, &requests);
+    paged.clear_cache();
+    let requests = workload(&store, 45);
+    let cold = BatchExecutor::sequential().run(&paged, &store, &requests);
     let total = cold.total_stats();
     assert!(total.node_disk_reads > 0, "cold buffer pool must read pages");
     assert!(total.node_disk_reads <= total.node_accesses);
@@ -233,9 +232,9 @@ fn batch_stats_match_individual_queries() {
     // stats of the same query run alone (modulo wall-clock).
     let store = MemStore::from_objects(objects(30)).unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-    let engine = SharedQueryEngine::from_parts(tree, store);
-    let requests = workload(engine.store(), 30);
-    let outcome = BatchExecutor::new(4).run_shared(&engine, &requests);
+    let engine = QueryEngine::new(&tree, &store);
+    let requests = workload(&store, 30);
+    let outcome = BatchExecutor::new(4).run(&tree, &store, &requests);
 
     for (req, res) in requests.iter().zip(&outcome.responses) {
         let solo = match req {

@@ -4,10 +4,11 @@
 //! and ranges.
 
 use fuzzy_core::distance::alpha_distance_brute;
+use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, QueryEngine, RknnAlgorithm};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm};
 use fuzzy_store::{MemStore, ObjectStore};
 
 struct Rng(u64);
@@ -147,7 +148,9 @@ fn aknn_at_strict_threshold_matches_oracle() {
     // Strict threshold right at a quantization level exercises the α+ε cut.
     let t = Threshold::above(0.5);
     let oracle = oracle_distances(&store, &q, t);
-    let res = engine.aknn_at(&q, 5, t, &AknnConfig::lb_lp_ub()).unwrap();
+    let res = engine
+        .aknn_at_with_scratch_in(&L2, &q, 5, t, &AknnConfig::lb_lp_ub(), &mut QueryScratch::new())
+        .unwrap();
     let kth = oracle[4].0;
     for n in &res.neighbors {
         let obj = store.probe(n.id).unwrap();

@@ -21,7 +21,7 @@ use fuzzy_index::{
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_query::{
     alpha_distance_join, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-    DistBound, DynamicQueryEngine, RknnAlgorithm, SharedQueryEngine,
+    DistBound, QueryEngine, RknnAlgorithm, Versioned,
 };
 use fuzzy_store::{FileStoreWriter, ObjectStore};
 use std::collections::BTreeSet;
@@ -185,17 +185,17 @@ fn fingerprint(outcome: &BatchOutcome) -> String {
 
 /// Run the workload at 1/2/8 threads; all runs must agree; returns the
 /// shared fingerprint.
-fn threaded_fingerprint<A, S>(engine: &SharedQueryEngine<A, S, 2>, live: &BTreeSet<u64>) -> String
+fn threaded_fingerprint<A, S>(tree: &A, store: &S, live: &BTreeSet<u64>) -> String
 where
     A: NodeAccess<2> + Sync,
     S: ObjectStore<2> + Sync,
 {
-    let requests = workload(engine.store(), live);
-    let sequential = BatchExecutor::sequential().run_shared(engine, &requests);
+    let requests = workload(store, live);
+    let sequential = BatchExecutor::sequential().run(tree, store, &requests);
     assert_eq!(sequential.error_count(), 0);
     let print = fingerprint(&sequential);
     for threads in [2usize, 8] {
-        let concurrent = BatchExecutor::new(threads).run_shared(engine, &requests);
+        let concurrent = BatchExecutor::new(threads).run(tree, store, &requests);
         assert_eq!(fingerprint(&concurrent), print, "{threads}-thread run diverged");
     }
     print
@@ -203,7 +203,7 @@ where
 
 /// AKNN linear-scan oracle: exact α-distances over the live set.
 fn assert_aknn_matches_oracle<A, S>(
-    engine: &SharedQueryEngine<A, S, 2>,
+    engine: &QueryEngine<'_, A, S, 2>,
     live: &BTreeSet<u64>,
     q: &FuzzyObject<2>,
     k: usize,
@@ -234,7 +234,7 @@ fn assert_aknn_matches_oracle<A, S>(
 
 /// RKNN linear-scan oracle: exact sweep over profiles of the live set.
 fn assert_rknn_matches_oracle<A, S>(
-    engine: &SharedQueryEngine<A, S, 2>,
+    engine: &QueryEngine<'_, A, S, 2>,
     live: &BTreeSet<u64>,
     q: &FuzzyObject<2>,
     k: usize,
@@ -287,13 +287,13 @@ fn join_of<A: NodeAccess<2>, S: ObjectStore<2>>(tree: &A, store: &S) -> Vec<(u64
 #[test]
 fn interleaved_mutations_converge_across_backends_and_threads() {
     // Shared object store with every object (indexed or not).
-    let store_path = tmp("store.fzkn");
-    let index_path = tmp("index.fzpt");
+    let store_path = tmp("converge-store.fzkn");
+    let index_path = tmp("converge-index.fzpt");
     let mut writer = FileStoreWriter::<2>::create(&store_path).unwrap();
     for id in 0..TOTAL {
         writer.append(&blob(id)).unwrap();
     }
-    let store = Arc::new(writer.finish().unwrap());
+    let store = writer.finish().unwrap();
     let summaries = store.summaries().to_vec();
     let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
     let seeded: Vec<ObjectSummary<2>> = summaries[..SEEDED as usize].to_vec();
@@ -334,15 +334,13 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     let fresh = RTree::bulk_load(fresh_summaries.clone(), config);
     fresh.validate().unwrap();
 
-    let mem_engine = SharedQueryEngine::new(Arc::new(mem), Arc::clone(&store));
-    // Clone for the engine; the original overlay is compacted at the end.
-    let overlay_engine = SharedQueryEngine::new(Arc::new(overlay.clone()), Arc::clone(&store));
-    let fresh_engine = SharedQueryEngine::new(Arc::new(fresh), Arc::clone(&store));
+    let mem_engine = QueryEngine::new(&mem, &store);
+    let overlay_engine = QueryEngine::new(&overlay, &store);
 
     // 1/2/8-thread fingerprints, identical across all three backends.
-    let mem_print = threaded_fingerprint(&mem_engine, &live);
-    let overlay_print = threaded_fingerprint(&overlay_engine, &live);
-    let fresh_print = threaded_fingerprint(&fresh_engine, &live);
+    let mem_print = threaded_fingerprint(&mem, &store, &live);
+    let overlay_print = threaded_fingerprint(&overlay, &store, &live);
+    let fresh_print = threaded_fingerprint(&fresh, &store, &live);
     assert_eq!(mem_print, fresh_print, "mutated in-memory tree diverged from fresh bulk load");
     assert_eq!(overlay_print, fresh_print, "paged overlay diverged from fresh bulk load");
 
@@ -357,35 +355,21 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
 
     // Self-join over the live set: the mutated backends must produce the
     // same pair set as the fresh tree.
-    let fresh_join = join_of(fresh_engine.tree(), store.as_ref());
+    let fresh_join = join_of(&fresh, &store);
     assert!(!fresh_join.is_empty(), "join radius too small to exercise anything");
-    assert_eq!(
-        join_of(mem_engine.tree(), store.as_ref()),
-        fresh_join,
-        "join diverged on mutated RTree"
-    );
-    assert_eq!(
-        join_of(overlay_engine.tree(), store.as_ref()),
-        fresh_join,
-        "join diverged on overlay"
-    );
+    assert_eq!(join_of(&mem, &store), fresh_join, "join diverged on mutated RTree");
+    assert_eq!(join_of(&overlay, &store), fresh_join, "join diverged on overlay");
 
     // Compact: rewrite the index file through the bulk loader; answers
     // must not move.
-    drop(overlay_engine);
     overlay.save_delta().unwrap();
     assert!(delta_path_for(&index_path).exists());
     let compacted = overlay.compact(4096).unwrap();
     assert!(!delta_path_for(&index_path).exists(), "compact clears the sidecar");
     assert_eq!(NodeAccess::len(&compacted), live.len());
-    let compacted_engine = SharedQueryEngine::new(Arc::new(compacted), Arc::clone(&store));
-    let compacted_print = threaded_fingerprint(&compacted_engine, &live);
+    let compacted_print = threaded_fingerprint(&compacted, &store, &live);
     assert_eq!(compacted_print, fresh_print, "compacted index diverged");
-    assert_eq!(
-        join_of(compacted_engine.tree(), store.as_ref()),
-        fresh_join,
-        "join diverged after compact"
-    );
+    assert_eq!(join_of(&compacted, &store), fresh_join, "join diverged after compact");
 
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&index_path).ok();
@@ -396,7 +380,7 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
 /// churns.
 #[test]
 fn pinned_snapshots_survive_concurrent_writes() {
-    let store_path = tmp("epoch.fzkn");
+    let store_path = tmp("pinned-store.fzkn");
     let mut writer = FileStoreWriter::<2>::create(&store_path).unwrap();
     for id in 0..TOTAL {
         writer.append(&blob(id)).unwrap();
@@ -405,33 +389,34 @@ fn pinned_snapshots_survive_concurrent_writes() {
     let seeded: Vec<ObjectSummary<2>> = store.summaries()[..SEEDED as usize].to_vec();
     let live: BTreeSet<u64> = (0..SEEDED).collect();
     let tree = RTree::bulk_load(seeded, RTreeConfig { max_entries: 8, min_fill: 0.4 });
-    let engine = DynamicQueryEngine::from_parts(tree, store);
+    let index = Versioned::new(tree);
 
-    let pinned = engine.reader();
-    let requests = workload(pinned.store(), &live);
-    let before = fingerprint(&BatchExecutor::sequential().run_shared(&pinned, &requests));
+    let pinned = index.snapshot();
+    let requests = workload(&store, &live);
+    let before = fingerprint(&BatchExecutor::sequential().run(&pinned, &store, &requests));
 
     std::thread::scope(|scope| {
-        let writer = engine.clone();
-        let summaries: Vec<ObjectSummary<2>> = engine.store().summaries().to_vec();
+        let index = &index;
+        let summaries: Vec<ObjectSummary<2>> = store.summaries().to_vec();
         scope.spawn(move || {
+            // One commit (one published epoch) per mutation.
             for op in script() {
                 match op {
                     Op::Insert(id) => {
-                        writer.insert(summaries[id as usize]).unwrap();
+                        index.write(|t| t.insert_summary(summaries[id as usize])).unwrap();
                     }
                     Op::Delete(id) => {
-                        writer.delete(ObjectId(id)).unwrap();
+                        index.write(|t| t.delete_id(ObjectId(id))).unwrap();
                     }
                     Op::Update(id) => {
-                        writer.update(summaries[id as usize]).unwrap();
+                        index.write(|t| t.update_summary(summaries[id as usize])).unwrap();
                     }
                 }
             }
         });
         // Readers on the pinned snapshot, racing the writer.
         for threads in [1usize, 2, 8] {
-            let outcome = BatchExecutor::new(threads).run_shared(&pinned, &requests);
+            let outcome = BatchExecutor::new(threads).run(&pinned, &store, &requests);
             assert_eq!(
                 fingerprint(&outcome),
                 before,
@@ -440,8 +425,8 @@ fn pinned_snapshots_survive_concurrent_writes() {
         }
     });
 
-    assert!(engine.epoch() > 0);
+    assert!(index.epoch() > 0);
     // A fresh reader sees the post-script tree, and it is valid.
-    engine.versioned().snapshot().validate().unwrap();
+    index.snapshot().validate().unwrap();
     std::fs::remove_file(&store_path).ok();
 }

@@ -12,7 +12,7 @@ use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshol
 use fuzzy_geom::Point;
 use fuzzy_index::{MutableIndex, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
-use fuzzy_query::{AknnConfig, DistBound, RknnAlgorithm, SharedQueryEngine};
+use fuzzy_query::{AknnConfig, DistBound, QueryEngine, RknnAlgorithm};
 use fuzzy_store::{MemStore, ObjectStore};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -62,7 +62,7 @@ fn aknn_oracle<S: ObjectStore<2>>(
 
 fn check_backend<A: NodeAccess<2>, S: ObjectStore<2>>(
     label: &str,
-    engine: &SharedQueryEngine<A, S, 2>,
+    engine: &QueryEngine<'_, A, S, 2>,
     live: &BTreeSet<u64>,
     q: &FuzzyObject<2>,
     k: usize,
@@ -129,10 +129,9 @@ proptest! {
     ) {
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let index_path = std::env::temp_dir()
-            .join(format!("fz-mutprops-{}-{case}.fzpt", std::process::id()));
+            .join(format!("fz-mutprops-interleaved-{}-{case}.fzpt", std::process::id()));
 
-        let store =
-            Arc::new(MemStore::from_objects((0..TOTAL).map(|i| blob(i, salt))).unwrap());
+        let store = MemStore::from_objects((0..TOTAL).map(|i| blob(i, salt))).unwrap();
         let summaries = store.summaries().to_vec();
         let seeded: Vec<ObjectSummary<2>> = summaries[..SEEDED as usize].to_vec();
         let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
@@ -190,8 +189,8 @@ proptest! {
 
         // (c) query answers match linear-scan oracles on both backends.
         if !live.is_empty() {
-            let mem_engine = SharedQueryEngine::new(Arc::new(mem), Arc::clone(&store));
-            let ov_engine = SharedQueryEngine::new(Arc::new(overlay), Arc::clone(&store));
+            let mem_engine = QueryEngine::new(&mem, &store);
+            let ov_engine = QueryEngine::new(&overlay, &store);
             let probe_ids: Vec<u64> = live.iter().copied().collect();
             for pick in 0..3usize {
                 let qid = probe_ids[(rnd() as usize) % probe_ids.len()];

@@ -10,11 +10,12 @@ use std::sync::Arc;
 use fuzzy_core::distance::alpha_distance_brute;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
+use fuzzy_index::shard::compact_shards;
 use fuzzy_index::{RTree, RTreeConfig, ShardAssign, ShardedIndex, StrCenterAssign};
 use fuzzy_query::{
-    alpha_distance_join, sharded_alpha_distance_join, AknnConfig, BatchExecutor, BatchOutcome,
-    BatchRequest, BatchResponse, DistBound, Neighbor, QueryEngine, RknnAlgorithm, RknnItem,
-    ShardScratch, ShardedDynamicEngine, ShardedQueryEngine,
+    alpha_distance_join, execute_one, sharded_alpha_distance_join, AknnConfig, BatchExecutor,
+    BatchOutcome, BatchRequest, BatchResponse, DistBound, Forest, Neighbor, QueryEngine,
+    QueryScratch, RknnAlgorithm, RknnItem, SearchBackend, Versioned,
 };
 use fuzzy_store::{FileStoreWriter, MemStore, ObjectStore};
 
@@ -191,7 +192,7 @@ fn forest_matches_single_tree_across_shard_and_thread_counts() {
         let forest = mem_forest(&store, shards);
         assert_eq!(forest.len(), shards);
         for threads in THREAD_COUNTS {
-            let outcome = BatchExecutor::new(threads).run_sharded(&forest, &store, &requests);
+            let outcome = BatchExecutor::new(threads).run(&Forest::new(&forest), &store, &requests);
             assert_eq!(
                 fingerprint(&outcome),
                 reference,
@@ -236,7 +237,8 @@ fn paged_forest_matches_single_tree() {
         let (meta, overlays) = ShardedIndex::<2>::open_overlays(&manifest, 4).unwrap();
         assert_eq!(meta.shards.len(), shards);
         for threads in THREAD_COUNTS {
-            let outcome = BatchExecutor::new(threads).run_sharded(&overlays, &store, &requests);
+            let outcome =
+                BatchExecutor::new(threads).run(&Forest::new(&overlays), &store, &requests);
             assert_eq!(
                 fingerprint(&outcome),
                 reference,
@@ -266,8 +268,9 @@ fn sharded_aknn_matches_exact_reference_and_linear_scan() {
         RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
     let engine = QueryEngine::new(&tree, &store);
     let forest = mem_forest(&store, 4);
-    let sharded = ShardedQueryEngine::new(&forest, &store);
-    let mut scratch = ShardScratch::new();
+    let forest = Forest::new(&forest);
+    let sharded = QueryEngine::new(&forest, &store);
+    let mut scratch = QueryScratch::new();
 
     for qid in [0u64, 13, 37, 59] {
         let q = store.probe(ObjectId(qid)).unwrap().as_ref().clone();
@@ -316,6 +319,73 @@ fn sharded_aknn_matches_exact_reference_and_linear_scan() {
     }
 }
 
+/// One `QueryScratch` carried tree → forest (S = 4) → tree → forest
+/// (S = 2) must leave no trace: every stop returns the answers and the
+/// logical counters of a run on a fresh scratch. This is what lets one
+/// long-lived worker scratch serve whatever layout a SWAP installs.
+#[test]
+fn one_scratch_reused_across_tree_and_forest_matches_fresh_scratch() {
+    const N: u64 = 60;
+    let store = MemStore::from_objects(objects(N)).unwrap();
+    let tree =
+        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let (s4, s2) = (mem_forest(&store, 4), mem_forest(&store, 2));
+    let (f4, f2) = (Forest::new(&s4), Forest::new(&s2));
+    let requests = workload(&store, N);
+
+    // Answer bytes plus every counter except the wall clock.
+    fn trace(res: Result<BatchResponse, fuzzy_query::QueryError>) -> String {
+        match res {
+            Err(e) => format!("err {e}\n"),
+            Ok(r) => {
+                let s = *r.stats();
+                let counts = [
+                    s.object_accesses,
+                    s.node_accesses,
+                    s.node_disk_reads,
+                    s.distance_evals,
+                    s.profile_computations,
+                    s.bound_evals,
+                    s.aknn_calls,
+                    s.candidates,
+                ];
+                let line = match &r {
+                    BatchResponse::Aknn(r) => aknn_line(&r.neighbors),
+                    BatchResponse::Rknn(r) => rknn_line(&r.items),
+                };
+                format!("{counts:?} {line}")
+            }
+        }
+    }
+
+    // One request on the carried scratch and on a fresh one.
+    fn reused_vs_fresh<I: SearchBackend<2>>(
+        index: &I,
+        store: &MemStore<2>,
+        req: &BatchRequest<2>,
+        reused: &mut QueryScratch<2>,
+    ) -> (String, String) {
+        let engine = QueryEngine::new(index, store);
+        (
+            trace(execute_one(&engine, req, reused)),
+            trace(execute_one(&engine, req, &mut QueryScratch::new())),
+        )
+    }
+
+    let mut reused = QueryScratch::new();
+    for (i, req) in requests.iter().enumerate() {
+        let stops = [
+            ("tree", reused_vs_fresh(&tree, &store, req, &mut reused)),
+            ("forest S=4", reused_vs_fresh(&f4, &store, req, &mut reused)),
+            ("tree again", reused_vs_fresh(&tree, &store, req, &mut reused)),
+            ("forest S=2", reused_vs_fresh(&f2, &store, req, &mut reused)),
+        ];
+        for (stop, (got, want)) in stops {
+            assert_eq!(got, want, "request {i}, {stop}: reused scratch diverged");
+        }
+    }
+}
+
 /// The ε-join over two forests must concatenate to exactly the
 /// single-tree join — shards partition each side, so pair sets are
 /// disjoint and the canonical sort makes the merge order-independent.
@@ -348,10 +418,11 @@ fn sharded_join_matches_single_tree_join() {
     }
 }
 
-/// The compact-while-querying race: readers pinned to pre-compaction
-/// snapshots keep answering byte-identically while `compact_shards`
-/// folds dirty delta sidecars shard-parallel underneath them — and the
-/// post-compaction snapshots answer identically too.
+/// The compact-while-querying race: readers pinned to a pre-compaction
+/// snapshot of a `Versioned` shard vector keep answering byte-identically
+/// while `compact_shards` folds dirty delta sidecars shard-parallel
+/// underneath them — and the post-compaction snapshot answers identically
+/// too.
 #[test]
 fn compaction_under_pinned_snapshots_is_byte_identical() {
     const N: u64 = 48;
@@ -377,23 +448,23 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
     )
     .unwrap();
     let (meta, overlays) = ShardedIndex::<2>::open_overlays(&manifest, 8).unwrap();
-    let regions = meta.shards.iter().map(|s| s.region).collect();
-    let dynamic = ShardedDynamicEngine::new(overlays, regions, Arc::clone(&store));
+    let dynamic = Versioned::new(overlays);
 
-    // Dirty several shards: insert the tail, delete a few indexed ids.
+    // Dirty several shards: insert the tail (routed by the manifest's
+    // build-time regions), delete a few indexed ids (every shard is
+    // consulted — routing is only a placement heuristic).
     for s in &store.summaries()[INDEXED as usize..] {
-        let (_, inserted) = dynamic.insert(*s).unwrap();
-        assert!(inserted);
+        assert!(dynamic.write(|shards| shards[meta.route(&s.support_mbr)].insert(*s)));
     }
     for id in [3u64, 17, 29] {
-        assert!(dynamic.delete(ObjectId(id)).unwrap().is_some());
+        assert!(dynamic.write(|shards| shards.iter_mut().any(|shard| shard.delete(ObjectId(id)))));
     }
 
     let requests = workload(store.as_ref(), N);
-    let snapshots = dynamic.snapshots();
+    let snapshots = dynamic.snapshot();
     let baseline = {
         let outcome =
-            BatchExecutor::sequential().run_sharded(&snapshots, store.as_ref(), &requests);
+            BatchExecutor::sequential().run(&Forest::new(&snapshots), store.as_ref(), &requests);
         fingerprint(&outcome)
     };
 
@@ -401,13 +472,13 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
     std::thread::scope(|scope| {
         let readers: Vec<_> = (0..2)
             .map(|_| {
-                let snapshots = &snapshots;
+                let snapshots = Forest::new(&snapshots);
                 let requests = &requests;
                 let store = store.as_ref();
                 let baseline = baseline.as_str();
                 scope.spawn(move || {
                     for round in 0..4 {
-                        let outcome = BatchExecutor::new(2).run_sharded(snapshots, store, requests);
+                        let outcome = BatchExecutor::new(2).run(&snapshots, store, requests);
                         assert_eq!(
                             fingerprint(&outcome),
                             baseline,
@@ -418,7 +489,7 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
             })
             .collect();
 
-        let flags = dynamic.compact_shards(4096);
+        let flags = dynamic.write(|shards| compact_shards(shards, Some(4096)));
         assert!(flags.iter().all(|f| f.is_ok()), "compaction failed: {flags:?}");
         assert!(
             flags.iter().any(|f| matches!(f, Ok(true))),
@@ -431,12 +502,12 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
     });
 
     // Fresh snapshots over the folded bases: same answers, clean overlays.
-    let fresh = dynamic.snapshots();
+    let fresh = dynamic.snapshot();
     assert!(fresh.iter().all(|s| s.is_clean()), "compaction must leave overlays clean");
-    let after = BatchExecutor::sequential().run_sharded(&fresh, store.as_ref(), &requests);
+    let after = BatchExecutor::sequential().run(&Forest::new(&fresh), store.as_ref(), &requests);
     assert_eq!(fingerprint(&after), baseline, "post-compaction answers diverged");
 
-    for i in 0..dynamic.shard_count() {
+    for i in 0..fresh.len() {
         let p = fuzzy_index::shard::resolve_shard_path(&manifest, &meta.shards[i].path);
         std::fs::remove_file(fuzzy_index::delta_path_for(&p)).ok();
         std::fs::remove_file(&p).ok();
@@ -446,12 +517,12 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
 }
 
 /// The metric seam under `Metric = L2`: every explicit `*_in(&L2, ..)`
-/// entry point must fingerprint **bit-identically** against its committed
-/// plain counterpart — single-tree AKNN (lazy and exact), RKNN on every
-/// algorithm, and the scatter-gather engine at every shard count. The
-/// plain methods are documented as exact aliases of `*_in(&L2, ..)`;
-/// this pins the alias claim at the IEEE-754 level so a drive-by edit to
-/// the generic path cannot silently fork the two.
+/// root must fingerprint **bit-identically** against its committed plain
+/// counterpart — single-tree AKNN (lazy and exact), RKNN on every
+/// algorithm, and the forest at every shard count. The plain methods are
+/// documented as exact aliases of the `*_in(&L2, ..)` roots; this pins
+/// the alias claim at the IEEE-754 level so a drive-by edit to the
+/// generic path cannot silently fork the two.
 #[test]
 fn metric_generic_l2_paths_match_committed_engine() {
     use fuzzy_core::metric::L2;
@@ -462,6 +533,7 @@ fn metric_generic_l2_paths_match_committed_engine() {
         RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
+    let mut scratch = QueryScratch::new();
 
     let queries: Vec<FuzzyObject<2>> = [3u64, 17, 41]
         .iter()
@@ -471,14 +543,16 @@ fn metric_generic_l2_paths_match_committed_engine() {
     for q in &queries {
         for (k, alpha) in [(1usize, 0.3), (5, 0.5), (10, 0.8)] {
             let plain = engine.aknn(q, k, alpha, &cfg).unwrap();
-            let seamed = engine.aknn_in(&L2, q, k, alpha, &cfg).unwrap();
+            let t = Threshold::at(alpha);
+            let seamed = engine.aknn_at_with_scratch_in(&L2, q, k, t, &cfg, &mut scratch).unwrap();
             assert_eq!(aknn_line(&plain.neighbors), aknn_line(&seamed.neighbors));
             assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
             assert_eq!(plain.stats.node_accesses, seamed.stats.node_accesses);
             assert_eq!(plain.stats.distance_evals, seamed.stats.distance_evals);
 
             let plain = engine.aknn_exact(q, k, alpha, &cfg).unwrap();
-            let seamed = engine.aknn_exact_in(&L2, q, k, alpha, &cfg).unwrap();
+            let seamed =
+                engine.aknn_exact_with_scratch_in(&L2, q, k, alpha, &cfg, &mut scratch).unwrap();
             assert_eq!(aknn_line(&plain.neighbors), aknn_line(&seamed.neighbors));
             assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
         }
@@ -486,7 +560,8 @@ fn metric_generic_l2_paths_match_committed_engine() {
             [RknnAlgorithm::Naive, RknnAlgorithm::Basic, RknnAlgorithm::Rss, RknnAlgorithm::RssIcr]
         {
             let plain = engine.rknn(q, 4, 0.3, 0.7, algo, &cfg).unwrap();
-            let seamed = engine.rknn_in(&L2, q, 4, 0.3, 0.7, algo, &cfg).unwrap();
+            let seamed =
+                engine.rknn_with_scratch_in(&L2, q, 4, 0.3, 0.7, algo, &cfg, &mut scratch).unwrap();
             assert_eq!(rknn_line(&plain.items), rknn_line(&seamed.items), "{}", algo.name());
             assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
             assert_eq!(plain.stats.candidates, seamed.stats.candidates);
@@ -495,14 +570,16 @@ fn metric_generic_l2_paths_match_committed_engine() {
 
     for shards in SHARD_COUNTS {
         let forest = mem_forest(&store, shards);
-        let sharded = ShardedQueryEngine::new(&forest, &store);
+        let forest = Forest::new(&forest);
+        let sharded = QueryEngine::new(&forest, &store);
         for q in &queries {
             let plain = sharded.aknn(q, 5, 0.5, &cfg).unwrap();
-            let seamed = sharded.aknn_in(&L2, q, 5, 0.5, &cfg).unwrap();
+            let t = Threshold::at(0.5);
+            let seamed = sharded.aknn_at_with_scratch_in(&L2, q, 5, t, &cfg, &mut scratch).unwrap();
             assert_eq!(
                 aknn_line(&plain.neighbors),
                 aknn_line(&seamed.neighbors),
-                "S={shards}: sharded aknn_in(&L2) diverged"
+                "S={shards}: forest aknn under &L2 diverged"
             );
             assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
         }

@@ -22,7 +22,7 @@ use fuzzy_index::{
     MassClassAssign, NodeAccess, RTree, RTreeConfig, ShardAssign, ShardManifest, ShardedIndex,
     StrCenterAssign,
 };
-use fuzzy_query::{AknnConfig, DistBound, ShardScratch, ShardedQueryEngine};
+use fuzzy_query::{AknnConfig, DistBound, Forest, QueryEngine, QueryScratch};
 use fuzzy_store::{MemStore, ObjectStore};
 use proptest::prelude::*;
 
@@ -102,7 +102,7 @@ proptest! {
     ) {
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let manifest_path = std::env::temp_dir()
-            .join(format!("fz-shardprops-{}-{case}.fzsm", std::process::id()));
+            .join(format!("fz-shardprops-manifest-{}-{case}.fzsm", std::process::id()));
 
         let store = MemStore::from_objects((0..n).map(|i| blob(i, salt))).unwrap();
         let built = ShardedIndex::<2>::build(
@@ -161,14 +161,15 @@ proptest! {
             .into_iter()
             .map(|p| RTree::bulk_load(p, RTreeConfig { max_entries: 8, min_fill: 0.4 }))
             .collect();
-        let engine = ShardedQueryEngine::new(&forest, &store);
-        let mut scratch = ShardScratch::new();
+        let (pruned, unpruned) = (Forest::new(&forest), Forest::unpruned(&forest));
+        let engine = QueryEngine::new(&pruned, &store);
+        let reference = QueryEngine::new(&unpruned, &store);
+        let mut scratch = QueryScratch::new();
 
         let q = store.probe(ObjectId(qid_seed % n)).unwrap().as_ref().clone();
         for cfg in AknnConfig::paper_variants() {
             let pruned = engine.aknn_with_scratch(&q, k, alpha, &cfg, &mut scratch).unwrap();
-            let plain =
-                engine.aknn_unpruned_with_scratch(&q, k, alpha, &cfg, &mut scratch).unwrap();
+            let plain = reference.aknn_with_scratch(&q, k, alpha, &cfg, &mut scratch).unwrap();
             prop_assert_eq!(
                 pruned.neighbors.len(),
                 k.min(n as usize),

@@ -11,7 +11,8 @@
 //!   (admission control: the pool never builds unbounded backlog, it
 //!   sheds load at the door).
 //! * A fixed pool of **worker threads** drains the queue. Each worker
-//!   owns one [`QueryScratch`] reused across every query it answers, and
+//!   owns one [`QueryScratch`] reused across every query it answers
+//!   (whatever the index layout a SWAP installs), and
 //!   pins the published index snapshot *per query*, so a SWAP between two
 //!   requests is visible to the second while in-flight queries keep the
 //!   tree they started on ([`Versioned`] epoch semantics).
@@ -28,13 +29,12 @@ use crate::protocol::{
     WIRE_DIMS,
 };
 use fuzzy_core::metric::L2;
-use fuzzy_core::Threshold;
 use fuzzy_index::{
     delta_path_for, MTree, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig, ShardedIndex,
 };
 use fuzzy_query::{
-    execute_caught, execute_caught_sharded, metric_aknn, BatchRequest, BatchResponse, QueryEngine,
-    QueryError, QueryScratch, ShardScratch, ShardedQueryEngine, Versioned,
+    catch_query, execute_caught, metric_aknn, threshold_at, BatchRequest, BatchResponse, Forest,
+    QueryEngine, QueryError, QueryScratch, Versioned,
 };
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
 use std::io::Write;
@@ -604,18 +604,10 @@ fn enqueue(
     }
 }
 
-/// One worker's long-lived scratch: the single-tree lane plus the
-/// sharded lanes, so a SWAP between index layouts never costs the worker
-/// its warmed allocations for either path.
-struct WorkerScratch {
-    single: QueryScratch<WIRE_DIMS>,
-    sharded: ShardScratch<WIRE_DIMS>,
-}
-
 /// Worker: drain the queue with one long-lived scratch; poll the shutdown
 /// flag between jobs.
 fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
-    let mut scratch = WorkerScratch { single: QueryScratch::new(), sharded: ShardScratch::new() };
+    let mut scratch = QueryScratch::new();
     loop {
         let job = {
             let guard = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -635,26 +627,21 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 
 /// Execute one admitted query against the currently published snapshot
 /// and write its response.
-fn run_job(shared: &Arc<Shared>, scratch: &mut WorkerScratch, job: Job) {
+fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job) {
     // Pin the snapshot per query: a SWAP published while this job queued
     // is picked up here; a SWAP landing mid-query is not (epoch
-    // isolation). Single-tree snapshots answer through the classic
-    // engine; shard forests scatter-gather with the shared τ bound.
+    // isolation). One engine whatever the layout: a forest snapshot
+    // scatter-gathers with the shared τ bound.
     let snapshot = shared.index.snapshot();
     let store = shared.store.as_ref();
+    let request = &job.request;
     let executed = match snapshot.as_ref() {
-        ServeIndex::Mem(tree) => {
-            execute_caught(&QueryEngine::new(tree, store), &job.request, &mut scratch.single)
+        ServeIndex::Mem(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
+        ServeIndex::Paged(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
+        ServeIndex::Sharded(shards) => {
+            execute_caught(&QueryEngine::new(&Forest::new(shards), store), request, scratch)
         }
-        ServeIndex::Paged(tree) => {
-            execute_caught(&QueryEngine::new(tree, store), &job.request, &mut scratch.single)
-        }
-        ServeIndex::Sharded(shards) => execute_caught_sharded(
-            &ShardedQueryEngine::new(shards, store),
-            &job.request,
-            &mut scratch.sharded,
-        ),
-        ServeIndex::Metric(tree) => execute_metric(tree, store, &job.request, &mut scratch.single),
+        ServeIndex::Metric(tree) => execute_metric(tree, store, request, scratch),
     };
     let resp = match executed {
         Ok(BatchResponse::Aknn(r)) => {
@@ -678,8 +665,8 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut WorkerScratch, job: Job) {
 /// covering-ball search (`metric_aknn`); it has no deadline hook, so a
 /// request's `deadline_ms` is accepted but not enforced on this backend
 /// (documented in PROTOCOL.md). RKNN rides the tree's `NodeAccess` face
-/// through the classic engine, deadlines included. Both lanes catch
-/// panics at the per-query boundary like the other backends.
+/// through the engine, deadlines included. Both lanes validate α and
+/// catch panics at the per-query boundary like the other backends.
 fn execute_metric(
     tree: &MTree<WIRE_DIMS>,
     store: &FileStore<WIRE_DIMS>,
@@ -688,26 +675,8 @@ fn execute_metric(
 ) -> Result<BatchResponse, QueryError> {
     match request {
         BatchRequest::Aknn { query, k, alpha, cfg: _ } => {
-            // `Threshold::at` panics outside [0, 1]; validate like the
-            // exact engine does so a bad wire alpha stays a typed error.
-            if !(*alpha > 0.0 && *alpha <= 1.0) {
-                return Err(QueryError::InvalidProbability { value: *alpha });
-            }
-            let t = Threshold::at(*alpha);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                metric_aknn(&L2, tree, store, query, *k, t)
-            }))
-            .unwrap_or_else(|payload| {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(QueryError::Panicked { message })
-            })
-            .map(BatchResponse::Aknn)
+            let t = threshold_at(*alpha)?;
+            catch_query(|| metric_aknn(&L2, tree, store, query, *k, t)).map(BatchResponse::Aknn)
         }
         BatchRequest::Rknn { .. } => {
             execute_caught(&QueryEngine::new(tree, store), request, scratch)

@@ -7,36 +7,23 @@
 //! advantage could a plain cache have recovered?
 
 use crate::error::StoreError;
+use crate::pagecache::PageCache;
 use crate::stats::IoStatsSnapshot;
 use crate::{ObjectStore, TracedProbe};
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::Mutex;
 
-/// LRU entries: id → (object, last-use tick).
-struct CacheInner<const D: usize> {
-    map: HashMap<ObjectId, (Arc<FuzzyObject<D>>, u64)>,
-    tick: u64,
-}
-
-/// A bounded LRU cache in front of a store `S`.
+/// A bounded LRU cache in front of a store `S`: the generic
+/// [`PageCache`] keyed by object id.
 pub struct CachedStore<S, const D: usize> {
     inner: S,
-    capacity: usize,
-    cache: Mutex<CacheInner<D>>,
-    hit_count: std::sync::atomic::AtomicU64,
+    cache: PageCache<Arc<FuzzyObject<D>>>,
 }
 
 impl<S: ObjectStore<D>, const D: usize> CachedStore<S, D> {
     /// Wrap `inner` with an LRU of at most `capacity` objects.
     pub fn new(inner: S, capacity: usize) -> Self {
-        Self {
-            inner,
-            capacity: capacity.max(1),
-            cache: Mutex::new(CacheInner { map: HashMap::new(), tick: 0 }),
-            hit_count: std::sync::atomic::AtomicU64::new(0),
-        }
+        Self { inner, cache: PageCache::new(capacity) }
     }
 
     /// The wrapped store.
@@ -46,13 +33,12 @@ impl<S: ObjectStore<D>, const D: usize> CachedStore<S, D> {
 
     /// Drop all cached objects.
     pub fn clear(&self) {
-        let mut c = self.cache.lock().unwrap();
-        c.map.clear();
+        self.cache.clear();
     }
 
     /// Number of currently cached objects.
     pub fn cached_len(&self) -> usize {
-        self.cache.lock().unwrap().map.len()
+        self.cache.resident()
     }
 }
 
@@ -62,34 +48,17 @@ impl<S: ObjectStore<D>, const D: usize> ObjectStore<D> for CachedStore<S, D> {
     }
 
     fn probe_traced(&self, id: ObjectId) -> Result<TracedProbe<D>, StoreError> {
-        {
-            let mut c = self.cache.lock().unwrap();
-            c.tick += 1;
-            let tick = c.tick;
-            if let Some((obj, last)) = c.map.get_mut(&id) {
-                *last = tick;
-                let hit = obj.clone();
-                drop(c);
-                // A cache hit is *not* an object access in the paper's
-                // accounting; record it separately.
-                self.record_hit();
-                return Ok(TracedProbe { object: hit, disk_read: false });
-            }
-        }
-        // Propagate the inner provenance: a miss here that an inner cache
+        // A cache hit is *not* an object access in the paper's accounting
+        // (the loader never runs, `disk_read` stays false). On a miss the
+        // inner provenance propagates: a miss here that an inner cache
         // layer serves is still not a disk read.
-        let probe = self.inner.probe_traced(id)?;
-        let mut c = self.cache.lock().unwrap();
-        c.tick += 1;
-        let tick = c.tick;
-        if c.map.len() >= self.capacity {
-            // Evict the least recently used entry.
-            if let Some((&victim, _)) = c.map.iter().min_by_key(|(_, (_, last))| *last) {
-                c.map.remove(&victim);
-            }
-        }
-        c.map.insert(id, (probe.object.clone(), tick));
-        Ok(probe)
+        let mut disk_read = false;
+        let cached = self.cache.get_or_load(id.0, || {
+            let probe = self.inner.probe_traced(id)?;
+            disk_read = probe.disk_read;
+            Ok(probe.object)
+        })?;
+        Ok(TracedProbe { object: Arc::clone(&cached.value), disk_read })
     }
 
     fn len(&self) -> usize {
@@ -102,23 +71,13 @@ impl<S: ObjectStore<D>, const D: usize> ObjectStore<D> for CachedStore<S, D> {
 
     fn stats(&self) -> IoStatsSnapshot {
         let mut snap = self.inner.stats();
-        snap.cache_hits += self.hits();
+        snap.cache_hits += self.cache.stats().hits;
         snap
     }
 
     fn reset_stats(&self) {
         self.inner.reset_stats();
-        self.hit_count.store(0, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-impl<S, const D: usize> CachedStore<S, D> {
-    fn record_hit(&self) {
-        self.hit_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn hits(&self) -> u64 {
-        self.hit_count.load(std::sync::atomic::Ordering::Relaxed)
+        self.cache.reset_stats();
     }
 }
 

@@ -53,7 +53,7 @@
 //! | [`core`] | fuzzy object model, α-cuts, summaries, α-distance, profiles, critical sets |
 //! | [`store`] | disk/memory object stores with the paper's object-access accounting, plus the page-cache buffer pool |
 //! | [`index`] | R-trees behind the `NodeAccess` trait: in-memory `RTree` (STR bulk load + R* insert) and the disk-resident `PagedRTree` |
-//! | [`query`] | AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) |
+//! | [`query`] | the one `QueryEngine` — AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) over a tree, an `Arc` snapshot or a `Forest` of shards |
 //! | [`datagen`] | §6.1 synthetic workload + cell-like substitute for the real dataset |
 //! | [`analysis`] | §5 cost model (fractal dimensions, Eq. 6–8) |
 
@@ -78,8 +78,8 @@ pub mod prelude {
     pub use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
     pub use fuzzy_query::{
         AknnConfig, AknnResult, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-        DistBound, Interval, IntervalSet, Neighbor, QueryEngine, QueryError, QueryStats,
-        RknnAlgorithm, RknnItem, RknnResult, SharedQueryEngine,
+        DistBound, Forest, Interval, IntervalSet, Neighbor, QueryEngine, QueryError, QueryScratch,
+        QueryStats, RknnAlgorithm, RknnItem, RknnResult, Versioned,
     };
     pub use fuzzy_store::{
         CachedStore, FileStore, FileStoreWriter, MemStore, ObjectStore, PageCache, StoreError,
