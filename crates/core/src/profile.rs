@@ -9,14 +9,33 @@
 //! this structure directly.
 //!
 //! Computation avoids the naive `O(|A|·|Q|)` pair enumeration with a
-//! descending sweep: walking the union of distinct levels from 1 down to
-//! the minimum, each point "activates" exactly once and asks the opposite
-//! kd-tree for its level-filtered nearest neighbour; the running minimum at
-//! each level is `d_ℓ`.
+//! **bounded** descending sweep. A merge walk over the two
+//! membership-descending layouts visits the distinct levels from 1 down to
+//! the minimum; each point "activates" exactly once and looks for a point
+//! of the opposite object at its level or above that lies *strictly
+//! closer than the running minimum* — `d_ℓ` is that minimum when level `ℓ`
+//! is done. The running minimum bounds all of the work:
+//!
+//! * it seeds every nearest-neighbour search
+//!   ([`fuzzy_geom::KdTree::nn_sq_within`]), so a search that cannot
+//!   improve it prunes at the root;
+//! * a point farther than it from the bounding box of the opposite side's
+//!   activated points is skipped without a search;
+//! * the query side `Q` (resident for a whole RKNN query) is searched
+//!   through its kd-tree, but the candidate side `A` — typically decoded
+//!   for this one profile — is scanned as a contiguous prefix of its
+//!   membership layout unless it already carries a tree.
+//!
+//! Everything runs on squared distances with one `sqrt` per emitted step.
+//! The result is bit-identical to taking the minimum of per-pair `sqrt`s:
+//! every path evaluates the same squared pair distances (the kd-tree, the
+//! lane kernel and [`fuzzy_geom::Point::dist_sq`] agree bitwise), a pruned
+//! or skipped pair is never below the bound that pruned it, and `sqrt` is
+//! correctly rounded and monotone, so `sqrt(min d²) = min sqrt(d²)`.
 
 use crate::object::FuzzyObject;
 use crate::threshold::Threshold;
-use fuzzy_geom::LevelFilter;
+use fuzzy_geom::{LevelFilter, Mbr};
 
 /// One step of the staircase: `d_α = dist` for `α ∈ (prev_level, level]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,48 +57,65 @@ pub struct DistanceProfile {
 }
 
 impl DistanceProfile {
-    /// Compute the profile with the descending kd sweep.
+    /// Compute the profile with the bounded descending sweep (module docs).
     pub fn compute<const D: usize>(a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> Self {
-        // Union of distinct levels, descending.
-        let mut levels: Vec<f64> = a.memberships().iter().chain(q.memberships()).copied().collect();
-        levels.sort_by(|x, y| y.total_cmp(x));
-        levels.dedup();
+        let (pa, pq) = (a.by_membership(), q.by_membership());
+        let (ma, mq) = (pa.memberships(), pq.memberships());
+        // Q is the reusable side: its tree is built once per query. A is
+        // usually probed for this one profile, so its tree is used only
+        // when it already exists; otherwise Q's points scan A's prefix.
+        let tree_q = q.kd_tree();
+        let tree_a = a.kd_tree_ready().then(|| a.kd_tree());
 
-        // The cached membership-descending prefix layouts make the
-        // activation frontier a single cursor per object — no per-call
-        // index sort.
-        let pa = a.by_membership();
-        let pq = q.by_membership();
-
-        let (tree_a, tree_q) = (a.kd_tree(), q.kd_tree());
         let (mut ca, mut cq) = (0usize, 0usize);
-        let mut best = f64::INFINITY;
-        let mut raw: Vec<Segment> = Vec::with_capacity(levels.len());
+        let (mut box_a, mut box_q) = (Mbr::<D>::empty(), Mbr::<D>::empty());
+        let mut best_sq = f64::INFINITY;
+        let mut raw: Vec<Segment> = Vec::new();
 
-        for &level in &levels {
+        while ca < ma.len() || cq < mq.len() {
+            // Merge walk: the next level is the larger head of the two
+            // descending arrays (memberships are > 0, so an exhausted
+            // side never wins).
+            let head = |m: &[f64], c: usize| m.get(c).copied().unwrap_or(0.0);
+            let level = head(ma, ca).max(head(mq, cq));
             let filter = LevelFilter::at_least(level);
-            // Activate the new A-points and probe Q's tree.
-            while ca < pa.points().len() && pa.memberships()[ca] >= level {
-                let p = &pa.points()[ca];
-                if let Some((_, d)) = tree_q.nn_filtered(p, filter) {
-                    if d < best {
-                        best = d;
-                    }
-                }
+            // Activate both sides through this level before searching:
+            // the filter already admits the other side's points of this
+            // level, so each box must cover them.
+            let (a0, q0) = (ca, cq);
+            while ca < ma.len() && ma[ca] >= level {
+                box_a.expand_point(&pa.points()[ca]);
                 ca += 1;
             }
-            // Activate the new Q-points and probe A's tree.
-            while cq < pq.points().len() && pq.memberships()[cq] >= level {
-                let p = &pq.points()[cq];
-                if let Some((_, d)) = tree_a.nn_filtered(p, filter) {
-                    if d < best {
-                        best = d;
-                    }
-                }
+            while cq < mq.len() && mq[cq] >= level {
+                box_q.expand_point(&pq.points()[cq]);
                 cq += 1;
             }
-            if best.is_finite() {
-                raw.push(Segment { level, dist: best });
+            let before = best_sq;
+            for p in &pa.points()[a0..ca] {
+                if p.dist_sq_to_box(box_q.lo_coords(), box_q.hi_coords()) >= best_sq {
+                    continue;
+                }
+                if let Some((_, d2)) = tree_q.nn_sq_within(p, filter, best_sq) {
+                    best_sq = d2;
+                }
+            }
+            for p in &pq.points()[q0..cq] {
+                if p.dist_sq_to_box(box_a.lo_coords(), box_a.hi_coords()) >= best_sq {
+                    continue;
+                }
+                let d2 = match tree_a {
+                    Some(tree) => tree.nn_sq_within(p, filter, best_sq).map_or(best_sq, |r| r.1),
+                    None => pa.min_dist_sq_to_prefix(p, ca),
+                };
+                if d2 < best_sq {
+                    best_sq = d2;
+                }
+            }
+            // One step per change of the minimum (two squares may still
+            // round to one `sqrt`; `from_raw_descending` merges those).
+            if best_sq < before {
+                raw.push(Segment { level, dist: best_sq.sqrt() });
             }
         }
         debug_assert!(!raw.is_empty(), "kernels are non-empty");
@@ -166,15 +202,8 @@ impl DistanceProfile {
     /// far the object provably stays within distance `bound` (Lemma 4 /
     /// Algorithm 5 line 8). `None` when even the first segment is ≥ bound.
     pub fn max_level_with_dist_below(&self, bound: f64) -> Option<f64> {
-        let mut out = None;
-        for s in &self.segments {
-            if s.dist < bound {
-                out = Some(s.level);
-            } else {
-                break;
-            }
-        }
-        out
+        let below = self.segments.partition_point(|s| s.dist < bound);
+        below.checked_sub(1).map(|i| self.segments[i].level)
     }
 
     /// The segment whose interval `(prev, level]` contains the threshold.
@@ -226,8 +255,8 @@ mod tests {
             let slow = DistanceProfile::compute_brute(&a, &q);
             assert_eq!(fast.segments().len(), slow.segments().len(), "seed {seed}");
             for (f, s) in fast.segments().iter().zip(slow.segments()) {
-                assert!((f.level - s.level).abs() < 1e-12, "seed {seed}");
-                assert!((f.dist - s.dist).abs() < 1e-12, "seed {seed}");
+                assert_eq!(f.level.to_bits(), s.level.to_bits(), "seed {seed}");
+                assert_eq!(f.dist.to_bits(), s.dist.to_bits(), "seed {seed}");
             }
         }
     }

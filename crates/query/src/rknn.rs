@@ -108,16 +108,10 @@ impl<const D: usize> ProfileCache<D> {
         obj: &FuzzyObject<D>,
         q: &FuzzyObject<D>,
     ) -> &DistanceProfile {
-        if !self.map.contains_key(&obj.id()) {
+        self.map.entry(obj.id()).or_insert_with(|| {
             self.computations += 1;
-            let p = metric.distance_profile(obj, q);
-            self.map.insert(obj.id(), p);
-        }
-        &self.map[&obj.id()]
-    }
-
-    fn get(&self, id: ObjectId) -> &DistanceProfile {
-        &self.map[&id]
+            metric.distance_profile(obj, q)
+        })
     }
 }
 
@@ -282,23 +276,37 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     let r_sq = if r.is_finite() { r * r * (1.0 + 4.0 * f64::EPSILON) } else { f64::INFINITY };
     let mut candidate_ids = backend.range_candidates(metric, &q_cut, t_start, r_sq, cfg, stats)?;
 
-    // Probe every candidate once and build its profile.
-    let mut cache: ProfileCache<D> = ProfileCache::new();
-    for &id in &candidate_ids {
-        check_deadline(cfg.deadline)?;
-        let probe = store.probe_traced(id)?;
-        stats.object_accesses += probe.disk_read as u64;
-        cache.get_or_compute(metric, &probe.object, q);
-    }
     candidate_ids.sort_unstable();
     stats.candidates = candidate_ids.len() as u64;
     let has_non_candidates = candidate_ids.len() < store.len();
 
+    // One profile per candidate, no object read twice: step 1 already
+    // holds its neighbours decoded, so their profiles come first (each
+    // object is dropped as soon as its profile exists) and only the
+    // remaining candidates are probed.
+    let mut cache: ProfileCache<D> = ProfileCache::new();
+    for n in out_end.neighbors {
+        if let (Some(obj), Ok(_)) = (n.object, candidate_ids.binary_search(&n.id)) {
+            cache.get_or_compute(metric, &obj, q);
+        }
+    }
+    for &id in &candidate_ids {
+        if !cache.map.contains_key(&id) {
+            check_deadline(cfg.deadline)?;
+            let probe = store.probe_traced(id)?;
+            stats.object_accesses += probe.disk_read as u64;
+            cache.get_or_compute(metric, &probe.object, q);
+        }
+    }
+    // Ascending in id, so the refinement loops index it instead of hashing.
+    let profiles: Vec<(ObjectId, &DistanceProfile)> =
+        candidate_ids.iter().map(|&id| (id, &cache.map[&id])).collect();
+
     // Step 3 — in-memory refinement over the candidate profiles.
     let acc = if improved_refinement {
-        refine_icr(&cache, &candidate_ids, k, alpha_start, alpha_end, r, has_non_candidates, cfg)?
+        refine_icr(&profiles, k, alpha_start, alpha_end, r, has_non_candidates, cfg)?
     } else {
-        refine_basic(&cache, &candidate_ids, k, alpha_start, alpha_end, cfg)?
+        refine_basic(&profiles, k, alpha_start, alpha_end, cfg)?
     };
     stats.profile_computations += cache.computations;
     Ok(collect(acc))
@@ -306,9 +314,8 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 
 /// Basic refinement (the inner loop of Algorithm 3 restricted to the
 /// candidate set): advance one critical probability at a time.
-fn refine_basic<const D: usize>(
-    cache: &ProfileCache<D>,
-    candidates: &[ObjectId],
+fn refine_basic(
+    profiles: &[(ObjectId, &DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
@@ -316,13 +323,15 @@ fn refine_basic<const D: usize>(
 ) -> Result<HashMap<ObjectId, IntervalSet>, QueryError> {
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut t = Threshold::at(alpha_start);
-    let mut scratch: Vec<(f64, ObjectId)> = Vec::with_capacity(candidates.len());
+    // (distance, candidate slot): ids ascend with the slot, so slot order
+    // is the id tie-break.
+    let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(profiles.len());
     loop {
         check_deadline(cfg.deadline)?;
         scratch.clear();
-        for &id in candidates {
-            if let Some(d) = cache.get(id).value_at(t) {
-                scratch.push((d, id));
+        for (slot, (_, prof)) in profiles.iter().enumerate() {
+            if let Some(d) = prof.value_at(t) {
+                scratch.push((d, slot));
             }
         }
         scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -331,13 +340,13 @@ fn refine_basic<const D: usize>(
         }
         let nn = &scratch[..k.min(scratch.len())];
         let mut alpha_star = f64::INFINITY;
-        for &(_, id) in nn {
-            let beta = cache.get(id).next_critical(t).unwrap_or(1.0);
+        for &(_, slot) in nn {
+            let beta = profiles[slot].1.next_critical(t).unwrap_or(1.0);
             alpha_star = alpha_star.min(beta);
         }
         let iv = Interval::new(t.value, !t.strict, alpha_star.min(alpha_end), true);
-        for &(_, id) in nn {
-            acc.entry(id).or_default().push(iv);
+        for &(_, slot) in nn {
+            acc.entry(profiles[slot].0).or_default().push(iv);
         }
         if alpha_star >= alpha_end {
             break;
@@ -356,10 +365,8 @@ fn refine_basic<const D: usize>(
 /// the pruning radius `r`: every non-candidate keeps a distance > r
 /// throughout the range, so `min(d̂_{k+1}, r)` is a sound (conservative)
 /// stand-in for the true global (k+1)-th distance.
-#[allow(clippy::too_many_arguments)]
-fn refine_icr<const D: usize>(
-    cache: &ProfileCache<D>,
-    candidates: &[ObjectId],
+fn refine_icr(
+    profiles: &[(ObjectId, &DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
@@ -369,13 +376,15 @@ fn refine_icr<const D: usize>(
 ) -> Result<HashMap<ObjectId, IntervalSet>, QueryError> {
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut t = Threshold::at(alpha_start);
-    let mut scratch: Vec<(f64, ObjectId)> = Vec::with_capacity(candidates.len());
+    // (distance, candidate slot): ids ascend with the slot, so slot order
+    // is the id tie-break.
+    let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(profiles.len());
     loop {
         check_deadline(cfg.deadline)?;
         scratch.clear();
-        for &id in candidates {
-            if let Some(d) = cache.get(id).value_at(t) {
-                scratch.push((d, id));
+        for (slot, (_, prof)) in profiles.iter().enumerate() {
+            if let Some(d) = prof.value_at(t) {
+                scratch.push((d, slot));
             }
         }
         scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -388,8 +397,8 @@ fn refine_icr<const D: usize>(
             dk1 = dk1.min(r);
         }
         let mut alpha_star = f64::INFINITY;
-        for &(d, id) in nn {
-            let prof = cache.get(id);
+        for &(d, slot) in nn {
+            let (id, prof) = profiles[slot];
             // Safe range end: the farthest critical value with distance
             // still below d_{k+1}; fall back to the plain Lemma 2 step when
             // the bound is degenerate (ties).
