@@ -1,11 +1,11 @@
 //! Scratch profiler for tuning the approximate sweep's operating
-//! point: engine baseline vs both backends across recall dials, on an
+//! point: engine baseline vs the VP-tree path across recall dials, on an
 //! in-memory synthetic workload. Usage:
 //! `cargo run --release --example profile_approx -- <n> <ppo> <radius>`.
 use fuzzy_core::metric::L2;
 use fuzzy_core::Threshold;
 use fuzzy_datagen::SyntheticConfig;
-use fuzzy_index::{LshConfig, LshIndex, RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig};
+use fuzzy_index::{RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig};
 use fuzzy_query::{
     approx_aknn_with_scratch, recall_at_k, AknnResult, ApproxConfig, QueryEngine, QueryScratch,
 };
@@ -78,30 +78,6 @@ fn main() {
         let (us, probes, recall) = run(&mut scratch);
         println!(
             "vptree eps={eps}: {us:.1} us/q ({probes:.1} probes/q) recall={recall:.4} speedup={:.2}x",
-            exact_us / us
-        );
-    }
-
-    let lsh = LshIndex::build(store.summaries(), LshConfig::default());
-    for budget in [1.0, 2.0, 3.0, 4.0, 6.0] {
-        let cfgq = ApproxConfig { dial: RecallDial::Budget(budget), fof_rounds: 1 };
-        let run = |scratch: &mut QueryScratch<2>| -> (f64, f64, f64) {
-            let started = Instant::now();
-            let mut probes = 0u64;
-            let mut recall = 0.0;
-            for (q, e) in queries.iter().zip(&exacts) {
-                let r =
-                    approx_aknn_with_scratch(&L2, &lsh, &store, q, k, t, &cfgq, scratch).unwrap();
-                probes += r.stats.object_accesses;
-                recall += recall_at_k(&r, e);
-            }
-            let us = started.elapsed().as_secs_f64() * 1e6 / queries.len() as f64;
-            (us, probes as f64 / queries.len() as f64, recall / queries.len() as f64)
-        };
-        run(&mut scratch); // warm
-        let (us, probes, recall) = run(&mut scratch);
-        println!(
-            "lsh b={budget}: {us:.1} us/q ({probes:.1} probes/q) recall={recall:.4} speedup={:.2}x",
             exact_us / us
         );
     }

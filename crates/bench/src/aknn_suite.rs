@@ -20,26 +20,23 @@ use crate::json::Json;
 use crate::kernel::{self, KernelOptions};
 use crate::{DatasetSpec, Env};
 use fuzzy_datagen::DatasetKind;
-use fuzzy_index::{NodeAccess, PagedRTree, ShardedIndex, StrCenterAssign};
-use fuzzy_query::{AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, Forest};
+use fuzzy_index::{NodeAccess, PagedRTree};
+use fuzzy_query::{AknnConfig, BatchExecutor, BatchOutcome, BatchRequest};
 use fuzzy_store::{FileStore, ObjectStore};
 use std::path::Path;
 
 /// Schema identifier embedded in every report. v3 added per-query latency
 /// percentiles (`wall_ms_p50/p95/p99`) to every run and the top-level
-/// `kernel` microbench section. v4 adds a `shards` field to every run
-/// (`0` = the classic single-tree path) and a `shards` sweep that runs
-/// the default workload through the scatter-gather engine at each
-/// configured shard count — the shared-τ bound makes per-query object
-/// probes at S shards comparable to (and no worse than) one shard. v5
-/// adds a `metric` field to every run naming the distance metric the
-/// batch ran under (`l2` for all of the rectangle engine's sweeps). v6
-/// adds the `approx` sweep — the recall-vs-QPS axis: one exact-baseline
-/// row (`approx_backend: "exact"`) plus one row per approximate backend ×
-/// recall dial, every row tagged with its measured `recall_at_k` against
-/// the exact engine. The dial moves recall only; reported distances stay
-/// exact on every row.
-pub const SCHEMA: &str = "fuzzy-knn/bench-aknn/v6";
+/// `kernel` microbench section. v5 adds a `metric` field to every run
+/// naming the distance metric the batch ran under (`l2` for all of the
+/// rectangle engine's sweeps). v6 adds the `approx` sweep — the
+/// recall-vs-QPS axis: one exact-baseline row (`approx_backend: "exact"`)
+/// plus one VP-tree row per recall dial, every row tagged with its
+/// measured `recall_at_k` against the exact engine. The dial moves recall
+/// only; reported distances stay exact on every row. v7 drops the `shards`
+/// field and sweep (v4) and the `lsh` rows with the two layouts they
+/// measured.
+pub const SCHEMA: &str = "fuzzy-knn/bench-aknn/v7";
 
 /// Which index backend a bench run queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,16 +45,6 @@ pub enum IndexBackend {
     Mem,
     /// The disk-resident `PagedRTree` behind an LRU buffer pool.
     Paged,
-}
-
-impl IndexBackend {
-    /// Name recorded in the report.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Mem => "mem",
-            Self::Paged => "paged",
-        }
-    }
 }
 
 /// Sweep axes of one bench invocation.
@@ -77,9 +64,6 @@ pub struct BenchOptions {
     pub alphas: Vec<f64>,
     /// Worker counts of the thread sweep.
     pub thread_counts: Vec<usize>,
-    /// Shard counts of the `shards` sweep (scatter-gather engine over an
-    /// STR-tiled [`ShardedIndex`]); empty skips the sweep.
-    pub shard_counts: Vec<usize>,
     /// Index backend the sweeps query.
     pub backend: IndexBackend,
     /// Page size of the paged index file (ignored for `Mem`).
@@ -104,12 +88,8 @@ pub struct BenchOptions {
     /// on this same workload, so every speedup in the sweep is
     /// apples-to-apples.
     pub approx_dataset: DatasetSpec,
-    /// Probe-budget ladder of the `approx` sweep's LSH rows (buckets
-    /// probed per table); empty skips the LSH rows.
-    pub lsh_budgets: Vec<f64>,
     /// Pruning-slack ladder (ε) of the `approx` sweep's VP-tree rows;
-    /// empty skips the VP-tree rows. The sweep itself runs whenever
-    /// either ladder is nonempty.
+    /// empty skips the sweep.
     pub vptree_slacks: Vec<f64>,
     /// True for the CI smoke configuration (recorded in the report).
     pub smoke: bool,
@@ -132,7 +112,6 @@ impl BenchOptions {
             ks: vec![1, 5, 10, 20, 50],
             alphas: vec![0.2, 0.5, 0.8],
             thread_counts: vec![1, 2, 4, 8],
-            shard_counts: vec![1, 2, 4],
             backend: IndexBackend::Paged,
             page_size: fuzzy_index::DEFAULT_PAGE_SIZE,
             cache_pages: fuzzy_index::DEFAULT_CACHE_PAGES,
@@ -145,7 +124,6 @@ impl BenchOptions {
                 seed: 42,
                 radius: Some(6.0),
             },
-            lsh_budgets: vec![1.0, 2.0, 4.0, 8.0],
             vptree_slacks: vec![0.0, 0.5, 1.0, 1.5, 2.0, 3.0],
             smoke: false,
         }
@@ -168,7 +146,6 @@ impl BenchOptions {
             ks: vec![1, 3],
             alphas: vec![0.5],
             thread_counts: vec![1, 2],
-            shard_counts: vec![1, 2],
             backend: IndexBackend::Paged,
             page_size: fuzzy_index::DEFAULT_PAGE_SIZE,
             cache_pages: 64,
@@ -181,7 +158,6 @@ impl BenchOptions {
                 seed: 42,
                 radius: Some(6.0),
             },
-            lsh_budgets: vec![1.0, 4.0],
             vptree_slacks: vec![0.0, 1.0],
             smoke: true,
         }
@@ -191,16 +167,13 @@ impl BenchOptions {
 /// One measured cell of a sweep, flattened into the report's `runs` array.
 /// `cache` records the buffer-pool state the batch started from: `cold`
 /// (cleared), `warm` (left over from a previous batch) or `none` (the
-/// in-memory backend has no pool). `shards` is the shard count of the
-/// scatter-gather path, or `0` for the classic single-tree path.
-#[allow(clippy::too_many_arguments)]
+/// in-memory backend has no pool).
 fn record(
     sweep: &str,
     cfg: &AknnConfig,
     k: usize,
     alpha: f64,
     threads: usize,
-    shards: usize,
     cache: &str,
     outcome: &BatchOutcome,
 ) -> Json {
@@ -235,7 +208,6 @@ fn record(
         ("k", Json::num(k as f64)),
         ("alpha", Json::num(alpha)),
         ("threads", Json::num(threads as f64)),
-        ("shards", Json::num(shards as f64)),
         ("cache", Json::str(cache)),
         ("queries", Json::num(outcome.responses.len() as f64)),
         ("errors", Json::num(outcome.error_count() as f64)),
@@ -265,7 +237,6 @@ const RUN_FIELDS: &[(&str, bool)] = &[
     ("k", true),
     ("alpha", true),
     ("threads", true),
-    ("shards", true),
     ("cache", false),
     ("queries", true),
     ("errors", true),
@@ -322,7 +293,6 @@ fn sweeps<A: NodeAccess<2> + Sync>(
                 opts.default_k,
                 opts.default_alpha,
                 resolved,
-                0,
                 cache_label,
                 &outcome,
             ));
@@ -335,22 +305,13 @@ fn sweeps<A: NodeAccess<2> + Sync>(
     let max_threads = opts.thread_counts.iter().copied().max().unwrap_or(1);
     for &k in &opts.ks {
         let (outcome, resolved) = batch(&best, k, opts.default_alpha, max_threads);
-        runs.push(record("k", &best, k, opts.default_alpha, resolved, 0, cache_label, &outcome));
+        runs.push(record("k", &best, k, opts.default_alpha, resolved, cache_label, &outcome));
     }
 
     // Sweep 3 — α (Fig. 13/14) with the best variant.
     for &alpha in &opts.alphas {
         let (outcome, resolved) = batch(&best, opts.default_k, alpha, max_threads);
-        runs.push(record(
-            "alpha",
-            &best,
-            opts.default_k,
-            alpha,
-            resolved,
-            0,
-            cache_label,
-            &outcome,
-        ));
+        runs.push(record("alpha", &best, opts.default_k, alpha, resolved, cache_label, &outcome));
     }
 
     // Sweep 4 — cold vs warm buffer pool on the default workload (§6 cost
@@ -364,7 +325,6 @@ fn sweeps<A: NodeAccess<2> + Sync>(
         opts.default_k,
         opts.default_alpha,
         resolved,
-        0,
         cache_label,
         &cold,
     ));
@@ -380,7 +340,6 @@ fn sweeps<A: NodeAccess<2> + Sync>(
         opts.default_k,
         opts.default_alpha,
         executor.threads(),
-        0,
         "warm",
         &warm,
     ));
@@ -415,7 +374,6 @@ fn mutation_sweep<A: NodeAccess<2> + Sync>(
         opts.default_k,
         opts.default_alpha,
         executor.threads(),
-        0,
         cache_label,
         &outcome,
     );
@@ -430,64 +388,8 @@ fn mutation_count(opts: &BenchOptions, available: usize) -> usize {
     ((available as f64 * opts.mutation_rate).ceil() as usize).min(available)
 }
 
-/// The `shards` sweep: the default workload through the engine over a
-/// [`Forest`] of an STR-tiled [`ShardedIndex`] at every configured shard
-/// count. A forest answers in **canonical exact form** — every returned
-/// distance probed — so the single-tree peer of these rows is
-/// `QueryEngine::aknn_exact` (the `approx` sweep's `exact` row), *not*
-/// the lazy LB-LP-UB row of `variant_threads`, which may confirm
-/// neighbours by bound without probing them and therefore reports fewer
-/// object accesses for the same variant label. Within the sweep the S=1
-/// row is the baseline the multi-shard rows must not exceed in total
-/// object probes (CI checks exactly that on the committed report). Shard
-/// files are always paged, independent of the sweep backend; every batch
-/// starts from cold buffer pools.
-fn shard_sweep(
-    env: &Env,
-    queries: &[fuzzy_core::FuzzyObject<2>],
-    opts: &BenchOptions,
-) -> Vec<Json> {
-    let best = AknnConfig::lb_lp_ub();
-    let max_threads = opts.thread_counts.iter().copied().max().unwrap_or(1);
-    let requests: Vec<BatchRequest<2>> = queries
-        .iter()
-        .map(|q| BatchRequest::aknn(q.clone(), opts.default_k, opts.default_alpha, best))
-        .collect();
-    let mut runs = Vec::new();
-    for &s in &opts.shard_counts {
-        let manifest_path = opts.dataset.path().with_extension(format!("s{s}.fzsm"));
-        ShardedIndex::<2>::build(
-            env.store.summaries().to_vec(),
-            s,
-            &StrCenterAssign,
-            fuzzy_index::RTreeConfig::default(),
-            &manifest_path,
-            opts.page_size,
-        )
-        .expect("build sharded index");
-        let (_, shards) = ShardedIndex::<2>::open_overlays(&manifest_path, opts.cache_pages)
-            .expect("open sharded index");
-        for shard in &shards {
-            shard.base().clear_cache();
-        }
-        let executor = BatchExecutor::new(max_threads);
-        let outcome = executor.run(&Forest::new(&shards), &env.store, &requests);
-        runs.push(record(
-            "shards",
-            &best,
-            opts.default_k,
-            opts.default_alpha,
-            executor.threads(),
-            s,
-            "cold",
-            &outcome,
-        ));
-    }
-    runs
-}
-
 /// One row of the `approx` sweep from a pile of per-query results: the
-/// full v6 field set, plus the sweep's own axes (`approx_backend`,
+/// full field set, plus the sweep's own axes (`approx_backend`,
 /// `recall_dial`, `recall_at_k`). Every query runs single-threaded on
 /// the in-memory candidate structures, so the mean-query wall clock is
 /// directly comparable across rows — that comparison *is* the sweep.
@@ -526,7 +428,6 @@ fn record_approx(
         ("k", Json::num(k as f64)),
         ("alpha", Json::num(alpha)),
         ("threads", Json::num(1.0)),
-        ("shards", Json::num(0.0)),
         ("cache", Json::str("none")),
         ("queries", Json::num(results.len() as f64)),
         ("errors", Json::num(0.0)),
@@ -549,12 +450,11 @@ fn record_approx(
 
 /// The `approx` sweep — the recall-vs-QPS axis. One single-threaded
 /// exact-baseline row through `aknn_exact` (the speedup denominator),
-/// then one row per approximate backend × recall dial, each resolving an
-/// LSH or VP-tree candidate pool through the exact probe loop and tagged
-/// with its measured recall@k against the baseline answers. The dial
-/// ladders come from `opts.lsh_budgets` / `opts.vptree_slacks`, each
-/// closed with the backend's `exact` endpoint (recall 1.0 by
-/// construction, asserted here).
+/// then one VP-tree row per recall dial, each resolving a candidate pool
+/// through the exact probe loop and tagged with its measured recall@k
+/// against the baseline answers. The dial ladder is `opts.vptree_slacks`,
+/// closed with the `exact` endpoint (recall 1.0 by construction, asserted
+/// here).
 fn approx_sweep(
     env: &Env,
     queries: &[fuzzy_core::FuzzyObject<2>],
@@ -562,7 +462,7 @@ fn approx_sweep(
 ) -> Vec<Json> {
     use fuzzy_core::metric::L2;
     use fuzzy_core::Threshold;
-    use fuzzy_index::{LshConfig, LshIndex, RecallDial, VpTree, VpTreeConfig};
+    use fuzzy_index::{RecallDial, VpTree, VpTreeConfig};
     use fuzzy_query::{
         approx_aknn_with_scratch, recall_at_k, AknnResult, ApproxConfig, QueryEngine, QueryScratch,
     };
@@ -575,59 +475,46 @@ fn approx_sweep(
     let mut scratch = QueryScratch::new();
 
     // Exact baseline: the engine's own exact search over the in-memory
-    // tree, single-threaded — the denominator of every speedup claim.
+    // tree, single-threaded — the denominator of every speedup claim. One
+    // untimed pass first: the store was opened a moment ago, and a first
+    // pass that pays for faulting its file in is not what the approx rows
+    // after it are compared to.
     let engine = QueryEngine::new(&env.tree, &env.store);
     let best = AknnConfig::lb_lp_ub();
+    let mut exact_pass = || -> Vec<AknnResult> {
+        queries
+            .iter()
+            .map(|q| {
+                engine
+                    .aknn_exact_with_scratch_in(&L2, q, k, alpha, &best, &mut scratch)
+                    .expect("exact baseline query")
+            })
+            .collect()
+    };
+    exact_pass();
     let started = Instant::now();
-    let exacts: Vec<AknnResult> = queries
-        .iter()
-        .map(|q| {
-            engine
-                .aknn_exact_with_scratch_in(&L2, q, k, alpha, &best, &mut scratch)
-                .expect("exact baseline query")
-        })
-        .collect();
+    let exacts = exact_pass();
     runs.push(record_approx("exact", "exact", k, alpha, &exacts, started.elapsed(), 1.0));
 
-    // Shared measurement loop for the backend rows.
-    let mut measure = |backend: &str,
-                       dial: RecallDial,
-                       go: &mut dyn FnMut(
-        &fuzzy_core::FuzzyObject<2>,
-        &ApproxConfig,
-        &mut QueryScratch<2>,
-    ) -> AknnResult| {
+    let vp = VpTree::build(&L2, env.store.summaries(), VpTreeConfig::default());
+    let dials = opts.vptree_slacks.iter().map(|&e| RecallDial::Budget(e));
+    for dial in dials.chain([RecallDial::Exact]) {
         let cfg = ApproxConfig::at(dial);
         let started = Instant::now();
-        let results: Vec<AknnResult> = queries.iter().map(|q| go(q, &cfg, &mut scratch)).collect();
+        let results: Vec<AknnResult> = queries
+            .iter()
+            .map(|q| {
+                approx_aknn_with_scratch(&L2, &vp, &env.store, q, k, t, &cfg, &mut scratch)
+                    .expect("vptree approx query")
+            })
+            .collect();
         let batch = started.elapsed();
         let recall = results.iter().zip(&exacts).map(|(a, e)| recall_at_k(a, e)).sum::<f64>()
             / results.len().max(1) as f64;
         if matches!(dial, RecallDial::Exact) {
-            assert_eq!(recall, 1.0, "{backend}: the exact dial must have recall 1.0");
+            assert_eq!(recall, 1.0, "the exact dial must have recall 1.0");
         }
-        runs.push(record_approx(backend, &dial.label(), k, alpha, &results, batch, recall));
-    };
-
-    if !opts.lsh_budgets.is_empty() {
-        let lsh = LshIndex::build(env.store.summaries(), LshConfig::default());
-        let dials = opts.lsh_budgets.iter().map(|&b| RecallDial::Budget(b));
-        for dial in dials.chain([RecallDial::Exact]) {
-            measure("lsh", dial, &mut |q, cfg, scratch| {
-                approx_aknn_with_scratch(&L2, &lsh, &env.store, q, k, t, cfg, scratch)
-                    .expect("lsh approx query")
-            });
-        }
-    }
-    if !opts.vptree_slacks.is_empty() {
-        let vp = VpTree::build(&L2, env.store.summaries(), VpTreeConfig::default());
-        let dials = opts.vptree_slacks.iter().map(|&e| RecallDial::Budget(e));
-        for dial in dials.chain([RecallDial::Exact]) {
-            measure("vptree", dial, &mut |q, cfg, scratch| {
-                approx_aknn_with_scratch(&L2, &vp, &env.store, q, k, t, cfg, scratch)
-                    .expect("vptree approx query")
-            });
-        }
+        runs.push(record_approx("vptree", &dial.label(), k, alpha, &results, batch, recall));
     }
     runs
 }
@@ -701,10 +588,7 @@ pub fn run(opts: &BenchOptions) -> Json {
         }
     };
 
-    if !opts.shard_counts.is_empty() {
-        runs.extend(shard_sweep(&env, &queries, opts));
-    }
-    if !opts.lsh_budgets.is_empty() || !opts.vptree_slacks.is_empty() {
+    if !opts.vptree_slacks.is_empty() {
         let approx_env = Env::prepare(&opts.approx_dataset);
         let approx_queries = opts.approx_dataset.queries(opts.queries);
         runs.extend(approx_sweep(&approx_env, &approx_queries, opts));
@@ -748,14 +632,6 @@ pub fn run(opts: &BenchOptions) -> Json {
                 (
                     "thread_counts",
                     Json::Arr(opts.thread_counts.iter().map(|&t| Json::num(t as f64)).collect()),
-                ),
-                (
-                    "shard_counts",
-                    Json::Arr(opts.shard_counts.iter().map(|&s| Json::num(s as f64)).collect()),
-                ),
-                (
-                    "lsh_budgets",
-                    Json::Arr(opts.lsh_budgets.iter().map(|&b| Json::num(b)).collect()),
                 ),
                 (
                     "vptree_slacks",
@@ -819,9 +695,9 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
         if run.get("errors").and_then(Json::as_num) != Some(0.0) {
             return Err(format!("runs[{i}] recorded query errors"));
         }
-        // Every `approx`-sweep row carries the recall axis: which backend
-        // produced the pool, which dial setting, and the measured
-        // recall@k in [0, 1] against the exact engine.
+        // Every `approx`-sweep row carries the recall axis: what produced
+        // the answer (`exact` or `vptree`), which dial setting, and the
+        // measured recall@k in [0, 1] against the exact engine.
         if run.get("sweep").and_then(Json::as_str) == Some("approx") {
             match run.get("recall_at_k") {
                 Some(Json::Num(r)) if (0.0..=1.0).contains(r) => {}
@@ -878,24 +754,23 @@ mod tests {
         // The report survives a serialize → parse round trip.
         let reparsed = Json::parse(&report.to_pretty()).unwrap();
         validate_report(&reparsed).unwrap();
-        // All five sweeps are present (smoke sets a nonzero mutation
+        // All six sweeps are present (smoke sets a nonzero mutation
         // rate precisely so the dynamic-update path cannot rot unnoticed).
         let runs = reparsed.get("runs").unwrap().as_arr().unwrap();
-        for sweep in ["variant_threads", "k", "alpha", "cold_warm", "mutation", "shards", "approx"]
-        {
+        for sweep in ["variant_threads", "k", "alpha", "cold_warm", "mutation", "approx"] {
             assert!(
                 runs.iter().any(|r| r.get("sweep").and_then(Json::as_str) == Some(sweep)),
                 "missing sweep {sweep}"
             );
         }
         // The approx sweep carries the recall axis: an exact baseline row
-        // at recall 1.0 plus both backends' dial ladders, each closed
-        // with an exact-dial endpoint that must also hit recall 1.0.
+        // at recall 1.0 plus the VP-tree's dial ladder, closed with an
+        // exact-dial endpoint that must also hit recall 1.0.
         let approx_rows: Vec<_> = runs
             .iter()
             .filter(|r| r.get("sweep").and_then(Json::as_str) == Some("approx"))
             .collect();
-        for backend in ["exact", "lsh", "vptree"] {
+        for backend in ["exact", "vptree"] {
             assert!(
                 approx_rows
                     .iter()
@@ -935,24 +810,6 @@ mod tests {
         };
         assert!(leg("cold") > 0.0, "cold runs must hit the disk");
         assert_eq!(leg("warm"), 0.0, "warm pool must serve every node");
-        // The shared-τ bound keeps scatter-gather probe totals flat in the
-        // shard count: the highest-S row must not probe more objects than
-        // the S=1 baseline (same criterion CI applies to the full report).
-        let shard_probes = |s: f64| -> f64 {
-            runs.iter()
-                .find(|r| {
-                    r.get("sweep").and_then(Json::as_str) == Some("shards")
-                        && r.get("shards").and_then(Json::as_num) == Some(s)
-                })
-                .expect("shards row present")
-                .get("object_accesses_total")
-                .and_then(Json::as_num)
-                .unwrap()
-        };
-        assert!(
-            shard_probes(2.0) <= shard_probes(1.0),
-            "τ sharing must keep S=2 probes within the S=1 baseline"
-        );
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! fkq generate --kind cell --n 1000 --ppo 200 --out cells.fzkn
 //! fkq info cells.fzkn
 //! fkq build-index cells.fzkn --out cells.fzpt
-//! fkq build-index cells.fzkn --out cells.fzsm --shards 4
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzpt
-//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzsm
 //! fkq rknn cells.fzkn --k 10 --start 0.3 --end 0.7 --algo rss-icr
 //! fkq insert cells.fzkn --index-file cells.fzpt --ids 7,8,9
 //! fkq delete --index-file cells.fzpt --ids 3,4
@@ -20,20 +18,14 @@
 //! fkq build-index road.fzkn --metric graph --graph road.fzrn --out road.fzmt
 //! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --index-file road.fzmt
 //! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --brute true
-//! fkq build-index cells.fzkn --approx lsh --out cells.fzlh
-//! fkq build-index cells.fzkn --approx vptree --out cells.fzvp
-//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzlh --recall-dial 4 --measure-recall true
+//! fkq build-index cells.fzkn --out cells.fzvp
+//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial 1.5 --measure-recall true
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial exact
 //! ```
 //!
 //! Query subcommands bulk-load an in-memory R-tree by default; pass
 //! `--index-file` to run against a persisted paged index built with
 //! `build-index` instead (see `docs/FORMAT.md` for the file layout).
-//! A `.fzsm` index file selects a **sharded** index: `build-index
-//! --shards S` partitions the dataset into S paged trees behind one
-//! checksummed manifest, and every query subcommand then scatter-gathers
-//! across the shards with a shared τ bound — answers are byte-identical
-//! to the single-tree layout.
 //! The index file is immutable until compaction: `insert`/`delete`
 //! accumulate changes in a checksummed sidecar delta log
 //! (`<index>.fzdl`) which every query subcommand replays automatically;
@@ -48,18 +40,16 @@
 use fuzzy_core::metric::{GraphMetric, Metric, L2};
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
-use fuzzy_index::shard::compact_shards;
 use fuzzy_index::{
-    delta_path_for, MTree, MTreeConfig, MassClassAssign, NodeAccess, OverlayRTree, PagedRTree,
-    RTree, RTreeConfig, ShardAssign, ShardManifest, ShardedIndex, StrCenterAssign,
+    delta_path_for, MTree, MTreeConfig, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig,
 };
 use fuzzy_query::{
-    execute_one, metric_aknn, metric_aknn_brute, AknnConfig, BatchRequest, BatchResponse, Forest,
+    execute_one, metric_aknn, metric_aknn_brute, AknnConfig, BatchRequest, BatchResponse,
     QueryEngine, QueryScratch, RknnAlgorithm, SearchBackend,
 };
 use fuzzy_server::{
-    is_sharded_path, serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex,
-    ServeOptions, WireVariant,
+    serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
+    WireVariant,
 };
 use fuzzy_store::{FileStore, ObjectStore};
 use std::collections::HashMap;
@@ -73,13 +63,12 @@ const USAGE: &str = "usage:
 [--n <objects>] [--ppo <points>] [--span <f>] [--seed <u64>]
   fkq info <path> [--index-file <path>]
   fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
-[--min-fill <f>] [--shards <n>] [--shard-strategy <str|mass>] \
-[--metric <l2|graph>] [--graph <net.fzrn>] [--fanout <n>] \
-[--approx <lsh|vptree>] [--tables <n>] [--hashes <n>] [--leaf-size <n>] [--fof-neighbors <n>]
+[--min-fill <f>] [--metric <l2|graph>] [--graph <net.fzrn>] [--fanout <n>] \
+[--leaf-size <n>] [--fof-neighbors <n>]
   fkq aknn <path> --k <k> --alpha <a> [--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] \
 [--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
 [--metric <l2|graph>] [--graph <net.fzrn>] [--brute <true|false>] \
-[--approx <lsh|vptree>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
+[--recall-dial <exact|v>] [--measure-recall <true|false>]
   fkq rknn <path> --k <k> --start <a> --end <a> [--algo <naive|basic|rss|rss-icr>] \
 [--query-seed <u64>] [--index-file <path>] [--cache-pages <n>] [--server <addr>] \
 [--deadline-ms <n>]
@@ -88,11 +77,10 @@ const USAGE: &str = "usage:
   fkq compact --index-file <index> [--page-size <bytes>] [--cache-pages <n>]
   fkq bench [--out <path=BENCH_aknn.json>] [--smoke <true|false>] [--kind <synthetic|cell>] \
 [--n <count>] [--ppo <points>] [--seed <u64>] [--queries <count>] [--k <k>] [--alpha <a>] \
-[--ks <csv>] [--alphas <csv>] [--threads <csv>] [--shard-counts <csv>] \
-[--backend <mem|paged>] [--page-size <bytes>] \
+[--ks <csv>] [--alphas <csv>] [--threads <csv>] [--backend <mem|paged>] [--page-size <bytes>] \
 [--cache-pages <n>] [--mutation-rate <f>] [--approx-sweep <true|false>] \
 [--approx-n <count>] [--approx-ppo <points>] [--approx-seed <u64>] [--approx-radius <r>] \
-[--lsh-budgets <csv>] [--vptree-slacks <csv>]
+[--vptree-slacks <csv>]
   fkq serve <path> [--listen <host:port|unix:path>] [--index-file <path>] [--workers <n>] \
 [--queue-depth <n>] [--cache-pages <n>]
   fkq loadgen --addr <host:port|unix:path> [--qps <csv>] [--duration <secs>] \
@@ -306,7 +294,7 @@ fn run_metric_aknn<M: Metric<2>>(
         metric_aknn_brute(metric, store, &store.ids(), q, k, t)
     } else {
         let tree = mtree_for(metric, store, flags);
-        metric_aknn(metric, &tree, store, q, k, t)
+        metric_aknn(metric, &tree, store, q, k, t, None)
     }
     .unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
@@ -398,17 +386,10 @@ fn bench(flags: &HashMap<String, String>) {
     if let Some(threads) = csv_list(flags, "threads") {
         opts.thread_counts = threads;
     }
-    if let Some(shards) = csv_list(flags, "shard-counts") {
-        opts.shard_counts = shards;
-    }
-    if let Some(budgets) = csv_list(flags, "lsh-budgets") {
-        opts.lsh_budgets = budgets;
-    }
     if let Some(slacks) = csv_list(flags, "vptree-slacks") {
         opts.vptree_slacks = slacks;
     }
     if let Some(false) = get(flags, "approx-sweep") {
-        opts.lsh_budgets.clear();
         opts.vptree_slacks.clear();
     }
 
@@ -478,60 +459,12 @@ fn open_overlay(path: &str, flags: &HashMap<String, String>) -> OverlayRTree<2> 
     })
 }
 
-/// Open a `.fzsm` shard forest: the manifest plus one overlay per shard
-/// (each with its sidecar delta replayed).
-fn open_sharded(
-    path: &str,
-    flags: &HashMap<String, String>,
-) -> (ShardManifest<2>, Vec<OverlayRTree<2>>) {
-    ShardedIndex::open_overlays(path, cache_pages(flags)).unwrap_or_else(|e| {
-        eprintln!("cannot open sharded index {path}: {e}");
-        exit(1)
-    })
-}
-
 /// Insert summaries of store objects (by id) into a persisted index's
-/// overlay. Against a `.fzsm` forest each summary routes to the shard
-/// with the nearest build-time region; only touched shards write deltas.
+/// overlay.
 fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
-    if is_sharded_path(&ix) {
-        let (manifest, mut shards) = open_sharded(&ix, flags);
-        let mut inserted = 0usize;
-        let mut touched = vec![false; shards.len()];
-        for id in ids {
-            let Some(summary) = store.summaries().iter().find(|s| s.id.0 == id) else {
-                eprintln!("{path} stores no object {id}");
-                exit(1)
-            };
-            if shards.iter().any(|s| s.contains_id(summary.id)) {
-                eprintln!("id {id} is already indexed; skipped");
-                continue;
-            }
-            let target = manifest.route(&summary.support_mbr);
-            if shards[target].insert(*summary) {
-                inserted += 1;
-                touched[target] = true;
-                println!("  {id} -> shard {target}");
-            }
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            if touched[i] {
-                shard.save_delta().unwrap_or_else(|e| {
-                    eprintln!("cannot write delta log for shard {i}: {e}");
-                    exit(1)
-                });
-            }
-        }
-        let live: usize = shards.iter().map(NodeAccess::len).sum();
-        println!(
-            "inserted {inserted} into {ix}: {live} live objects across {} shards",
-            shards.len()
-        );
-        return;
-    }
     let mut overlay = open_overlay(&ix, flags);
     let mut inserted = 0usize;
     for id in ids {
@@ -556,39 +489,10 @@ fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
     );
 }
 
-/// Tombstone ids out of a persisted index's overlay. Against a `.fzsm`
-/// forest every shard is consulted (routing is only a placement
-/// heuristic); the owning shard takes the tombstone.
+/// Tombstone ids out of a persisted index's overlay.
 fn delete_cmd(flags: &HashMap<String, String>) {
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
-    if is_sharded_path(&ix) {
-        let (_, mut shards) = open_sharded(&ix, flags);
-        let mut deleted = 0usize;
-        let mut touched = vec![false; shards.len()];
-        for id in ids {
-            let id = fuzzy_core::ObjectId(id);
-            match shards.iter_mut().position(|s| s.delete(id)) {
-                Some(owner) => {
-                    deleted += 1;
-                    touched[owner] = true;
-                    println!("  {id} <- shard {owner}");
-                }
-                None => eprintln!("id {id} is not indexed; skipped"),
-            }
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            if touched[i] {
-                shard.save_delta().unwrap_or_else(|e| {
-                    eprintln!("cannot write delta log for shard {i}: {e}");
-                    exit(1)
-                });
-            }
-        }
-        let live: usize = shards.iter().map(NodeAccess::len).sum();
-        println!("deleted {deleted} from {ix}: {live} live objects across {} shards", shards.len());
-        return;
-    }
     let mut overlay = open_overlay(&ix, flags);
     let mut deleted = 0usize;
     for id in ids {
@@ -610,52 +514,8 @@ fn delete_cmd(flags: &HashMap<String, String>) {
 }
 
 /// Fold a persisted index's overlay back into the file (STR bulk reload).
-/// Against a `.fzsm` forest each dirty shard compacts on its own thread
-/// (`fuzzy_index::shard::compact_shards`), then the manifest rows are
-/// rewritten so the new base-file object counts and regions verify.
 fn compact_cmd(flags: &HashMap<String, String>) {
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
-    if is_sharded_path(&ix) {
-        let (mut manifest, mut shards) = open_sharded(&ix, flags);
-        let started = std::time::Instant::now();
-        let pending: Vec<(usize, usize)> =
-            shards.iter().map(|s| (s.pending_inserts(), s.pending_tombstones())).collect();
-        let compacted = compact_shards(&mut shards, get(flags, "page-size"));
-        // Compaction changed base-file object counts; rewrite the
-        // manifest rows so `ShardedIndex::open` verifies again.
-        let mut dirty = 0usize;
-        for (i, outcome) in compacted.into_iter().enumerate() {
-            let folded = outcome.unwrap_or_else(|e| {
-                eprintln!("compaction of shard {i} failed: {e}");
-                exit(1)
-            });
-            if !folded {
-                continue;
-            }
-            dirty += 1;
-            let tree = shards[i].base();
-            println!(
-                "  shard {i}: folded +{} -{} into {} pages, {} objects",
-                pending[i].0,
-                pending[i].1,
-                tree.page_count(),
-                tree.len()
-            );
-            manifest.shards[i].objects = tree.len() as u64;
-            manifest.shards[i].region =
-                if tree.len() == 0 { fuzzy_geom::Mbr::empty() } else { tree.root_mbr() };
-        }
-        manifest.save(&ix).unwrap_or_else(|e| {
-            eprintln!("cannot rewrite manifest: {e}");
-            exit(1)
-        });
-        println!(
-            "compacted {ix}: {dirty} of {} shards dirty, {:?}",
-            manifest.shards.len(),
-            started.elapsed()
-        );
-        return;
-    }
     let overlay = open_overlay(&ix, flags);
     let page_size: u32 = get(flags, "page-size").unwrap_or(overlay.base().page_size());
     let pending = (overlay.pending_inserts(), overlay.pending_tombstones());
@@ -687,27 +547,6 @@ fn info(path: &str, flags: &HashMap<String, String>) {
     }
     println!("  bounding box: {bbox:?}");
     if let Some(ix) = flags.get("index-file") {
-        if is_sharded_path(ix) {
-            let (manifest, shards) = open_sharded(ix, flags);
-            println!(
-                "  sharded index {ix}: {} shards ({}), {} objects at build",
-                manifest.shards.len(),
-                manifest.strategy_name(),
-                manifest.object_count()
-            );
-            for (i, (row, ov)) in manifest.shards.iter().zip(&shards).enumerate() {
-                println!(
-                    "    shard {i}: {} — {} live (overlay +{} -{}), height {}, region {:?}",
-                    row.path,
-                    NodeAccess::len(ov),
-                    ov.pending_inserts(),
-                    ov.pending_tombstones(),
-                    NodeAccess::height(ov.base()),
-                    row.region,
-                );
-            }
-            return;
-        }
         if delta_path_for(ix).exists() {
             let tree = open_overlay(ix, flags);
             println!(
@@ -742,16 +581,14 @@ fn info(path: &str, flags: &HashMap<String, String>) {
     }
 }
 
-/// Build a persistent paged index over a store's summaries. With
-/// `--shards > 1` (or a `.fzsm` output path) the summaries are
-/// partitioned and one paged tree is written per shard, described by a
-/// checksummed `.fzsm` manifest (see `docs/FORMAT.md`).
+/// Build a persistent paged index over a store's summaries (see
+/// `docs/FORMAT.md`).
 fn build_index(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
     let metric_name = flags.get("metric").map(String::as_str).unwrap_or("l2");
-    if flags.contains_key("approx") || out.ends_with(".fzlh") || out.ends_with(".fzvp") {
-        build_approx_index(&store, &out, flags);
+    if out.ends_with(".fzvp") {
+        build_vptree_index(&store, &out, flags);
         return;
     }
     if out.ends_with(".fzmt") || metric_name == "graph" {
@@ -768,46 +605,7 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
         max_entries: get(flags, "max-entries").unwrap_or(defaults.max_entries),
         min_fill: get(flags, "min-fill").unwrap_or(defaults.min_fill),
     };
-    let shards: usize = get(flags, "shards").unwrap_or(1);
     let started = std::time::Instant::now();
-    if shards > 1 || is_sharded_path(&out) {
-        let assign: Box<dyn ShardAssign<2>> =
-            match flags.get("shard-strategy").map(String::as_str).unwrap_or("str") {
-                "str" => Box::new(StrCenterAssign),
-                "mass" => Box::new(MassClassAssign),
-                other => {
-                    eprintln!("unknown shard strategy {other}");
-                    usage()
-                }
-            };
-        if !is_sharded_path(&out) {
-            eprintln!("--shards needs a .fzsm output path (got {out})");
-            exit(1)
-        }
-        let index = ShardedIndex::build(
-            store.summaries().to_vec(),
-            shards.max(1),
-            assign.as_ref(),
-            config,
-            &out,
-            page_size,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build sharded index: {e}");
-            exit(1)
-        });
-        println!(
-            "wrote {out}: {} objects across {} shards ({}), {:?}",
-            index.len(),
-            index.shard_count(),
-            index.manifest().strategy_name(),
-            started.elapsed()
-        );
-        for (i, row) in index.manifest().shards.iter().enumerate() {
-            println!("  shard {i}: {} objects -> {}", row.objects, row.path);
-        }
-        return;
-    }
     let tree = PagedRTree::bulk_write(store.summaries().to_vec(), config, &out, page_size)
         .unwrap_or_else(|e| {
             eprintln!("cannot build index: {e}");
@@ -822,72 +620,27 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
     );
 }
 
-/// Build and persist an approximate candidate index: `--approx lsh` to a
-/// `.fzlh` multi-probe hash table file, `--approx vptree` to a `.fzvp`
-/// vantage-point tree (both L2, see `docs/FORMAT.md`). The backend can
-/// also be inferred from the output extension.
-fn build_approx_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, String>) {
-    let backend = match flags.get("approx").map(String::as_str) {
-        Some(b) => b.to_string(),
-        None if out.ends_with(".fzlh") => "lsh".into(),
-        None => "vptree".into(),
+/// Build and persist the approximate candidate index: a `.fzvp`
+/// vantage-point tree over the store's expected centers (L2, see
+/// `docs/FORMAT.md`).
+fn build_vptree_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, String>) {
+    let defaults = fuzzy_index::VpTreeConfig::default();
+    let config = fuzzy_index::VpTreeConfig {
+        leaf_size: get(flags, "leaf-size").unwrap_or(defaults.leaf_size),
+        fof_neighbors: get(flags, "fof-neighbors").unwrap_or(defaults.fof_neighbors),
     };
-    let fof_neighbors: usize =
-        get(flags, "fof-neighbors").unwrap_or(fuzzy_index::LshConfig::default().fof_neighbors);
     let started = std::time::Instant::now();
-    match backend.as_str() {
-        "lsh" => {
-            if !out.ends_with(".fzlh") {
-                eprintln!("--approx lsh output path must end in .fzlh (got {out})");
-                exit(1)
-            }
-            let defaults = fuzzy_index::LshConfig::default();
-            let config = fuzzy_index::LshConfig {
-                tables: get(flags, "tables").unwrap_or(defaults.tables),
-                hashes: get(flags, "hashes").unwrap_or(defaults.hashes),
-                fof_neighbors,
-                ..defaults
-            };
-            let index = fuzzy_index::LshIndex::build(store.summaries(), config);
-            index.save(out).unwrap_or_else(|e| {
-                eprintln!("cannot write LSH index: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: {} objects, lsh backend ({} tables x {} hashes), {:?}",
-                fuzzy_index::ApproxIndex::len(&index),
-                config.tables,
-                config.hashes,
-                started.elapsed()
-            );
-        }
-        "vptree" => {
-            if !out.ends_with(".fzvp") {
-                eprintln!("--approx vptree output path must end in .fzvp (got {out})");
-                exit(1)
-            }
-            let defaults = fuzzy_index::VpTreeConfig::default();
-            let config = fuzzy_index::VpTreeConfig {
-                leaf_size: get(flags, "leaf-size").unwrap_or(defaults.leaf_size),
-                fof_neighbors,
-            };
-            let index = fuzzy_index::VpTree::build(&L2, store.summaries(), config);
-            index.save(out).unwrap_or_else(|e| {
-                eprintln!("cannot write VP-tree index: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: {} objects, vptree backend (leaf size {}), {:?}",
-                fuzzy_index::ApproxIndex::len(&index),
-                config.leaf_size,
-                started.elapsed()
-            );
-        }
-        other => {
-            eprintln!("unknown approx backend {other} (expected lsh or vptree)");
-            usage()
-        }
-    }
+    let index = fuzzy_index::VpTree::build(&L2, store.summaries(), config);
+    index.save(out).unwrap_or_else(|e| {
+        eprintln!("cannot write VP-tree index: {e}");
+        exit(1)
+    });
+    println!(
+        "wrote {out}: {} objects, vptree backend (leaf size {}), {:?}",
+        store.len(),
+        config.leaf_size,
+        started.elapsed()
+    );
 }
 
 /// Build and persist a `.fzmt` M-tree over a store under `--metric`
@@ -957,36 +710,26 @@ fn variant(flags: &HashMap<String, String>) -> AknnConfig {
     }
 }
 
-/// Answer one request in this process against whichever index layout
-/// `--index-file` selects: a `.fzsm` shard forest, a paged tree with its
-/// delta overlay replayed, the bare paged tree, or (no flag) a freshly
-/// bulk-loaded in-memory tree.
+/// Answer one request in this process against whichever index
+/// `--index-file` selects: a paged tree with its delta overlay replayed,
+/// the bare paged tree, or (no flag) a freshly bulk-loaded in-memory tree.
 fn run_local(store: &FileStore<2>, flags: &HashMap<String, String>, request: &BatchRequest<2>) {
     store.reset_stats();
     match flags.get("index-file") {
-        Some(ix) if is_sharded_path(ix) => {
-            let (_, shards) = open_sharded(ix, flags);
-            print_answer(&Forest::new(&shards), Some(shards.len()), store, request);
-        }
         Some(ix) if delta_path_for(ix).exists() => {
-            print_answer(&open_overlay(ix, flags), None, store, request)
+            print_answer(&open_overlay(ix, flags), store, request)
         }
-        Some(ix) => print_answer(&open_paged(ix, flags), None, store, request),
+        Some(ix) => print_answer(&open_paged(ix, flags), store, request),
         None => {
             let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            print_answer(&tree, None, store, request);
+            print_answer(&tree, store, request);
         }
     }
 }
 
 /// Execute `request` through the engine and print the answer and cost
-/// lines (`shards` names a forest's shard count in the header).
-fn print_answer<I: SearchBackend<2>>(
-    index: &I,
-    shards: Option<usize>,
-    store: &FileStore<2>,
-    request: &BatchRequest<2>,
-) {
+/// lines.
+fn print_answer<I: SearchBackend<2>>(index: &I, store: &FileStore<2>, request: &BatchRequest<2>) {
     let engine = QueryEngine::new(index, store);
     let response = execute_one(&engine, request, &mut QueryScratch::new()).unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
@@ -994,8 +737,7 @@ fn print_answer<I: SearchBackend<2>>(
     });
     match (request, response) {
         (BatchRequest::Aknn { query, k, alpha, .. }, BatchResponse::Aknn(res)) => {
-            let layout = shards.map_or(String::new(), |s| format!(" ({s} shards)"));
-            println!("{k}NN of {} at α = {alpha}{layout}:", query.id());
+            println!("{k}NN of {} at α = {alpha}:", query.id());
             for n in &res.neighbors {
                 println!("  {n}");
             }
@@ -1011,9 +753,8 @@ fn print_answer<I: SearchBackend<2>>(
             BatchRequest::Rknn { query, k, alpha_start, alpha_end, algo, .. },
             BatchResponse::Rknn(res),
         ) => {
-            let layout = shards.map_or(String::new(), |s| format!(", {s} shards"));
             println!(
-                "range {k}NN of {} over [{alpha_start}, {alpha_end}] ({}{layout}):",
+                "range {k}NN of {} over [{alpha_start}, {alpha_end}] ({}):",
                 query.id(),
                 algo.name()
             );
@@ -1038,10 +779,11 @@ fn recall_dial(flags: &HashMap<String, String>) -> fuzzy_index::RecallDial {
     })
 }
 
-/// AKNN through the approximate path: a candidate pool from an LSH or
-/// VP-tree index, resolved through the exact probe loop — distances stay
-/// exact, only recall follows the dial. `--measure-recall true` runs the
-/// exact engine alongside and prints the measured recall@k.
+/// AKNN through the approximate path: a candidate pool from a VP-tree
+/// (loaded from a `.fzvp` `--index-file`, else built in memory), resolved
+/// through the exact probe loop — distances stay exact, only recall
+/// follows the dial. `--measure-recall true` runs the exact engine
+/// alongside and prints the measured recall@k.
 fn run_approx_aknn(
     store: &FileStore<2>,
     q: &FuzzyObject<2>,
@@ -1056,78 +798,42 @@ fn run_approx_aknn(
     let t = Threshold::at(alpha);
     let dial = recall_dial(flags);
     let cfg = fuzzy_query::ApproxConfig::at(dial);
-
-    // The trait's `candidates` hook is generic over the metric, so the
-    // backend dispatch is static: each arm answers through the same
-    // generic closure with its concrete index type.
-    let answer = |res: fuzzy_query::AknnResult, backend: &str| {
-        println!("{k}NN of {} at α = {alpha} (approx {backend}, dial {}):", q.id(), dial.label());
-        for n in &res.neighbors {
-            println!("  {n}");
-        }
-        println!(
-            "cost: {} object accesses, {} bound evals, {:?}",
-            res.stats.object_accesses, res.stats.bound_evals, res.stats.wall
-        );
-        if get::<bool>(flags, "measure-recall").unwrap_or(false) {
-            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            let exact = QueryEngine::new(&tree, store)
-                .aknn(q, k, alpha, &AknnConfig::lb_lp_ub())
-                .unwrap_or_else(|e| {
-                    eprintln!("exact reference failed: {e}");
-                    exit(1)
-                });
-            println!("recall@{k}: {:.4}", fuzzy_query::recall_at_k(&res, &exact));
-        }
-    };
-    let run = |index: &dyn Fn() -> Result<fuzzy_query::AknnResult, fuzzy_query::QueryError>,
-               backend: &str| {
-        let res = index().unwrap_or_else(|e| {
-            eprintln!("query failed: {e}");
-            exit(1)
-        });
-        answer(res, backend);
-    };
-    match flags.get("index-file") {
-        Some(ix) if ix.ends_with(".fzlh") => {
-            let index = fuzzy_index::LshIndex::load(ix).unwrap_or_else(|e| {
-                eprintln!("cannot open LSH index {ix}: {e}");
-                exit(1)
-            });
-            run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "lsh");
-        }
+    let index = match flags.get("index-file") {
         Some(ix) if ix.ends_with(".fzvp") => {
-            let index = fuzzy_index::VpTree::load(ix, &L2).unwrap_or_else(|e| {
+            fuzzy_index::VpTree::load(ix, &L2).unwrap_or_else(|e| {
                 eprintln!("cannot open VP-tree index {ix}: {e}");
                 exit(1)
-            });
-            run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "vptree");
+            })
         }
         Some(ix) => {
-            eprintln!("approximate queries need a .fzlh or .fzvp index; got {ix}");
+            eprintln!("approximate queries need a .fzvp index; got {ix}");
             exit(1)
         }
-        None => match flags.get("approx").map(String::as_str).unwrap_or("lsh") {
-            "lsh" => {
-                let index = fuzzy_index::LshIndex::build(
-                    store.summaries(),
-                    fuzzy_index::LshConfig::default(),
-                );
-                run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "lsh");
-            }
-            "vptree" => {
-                let index = fuzzy_index::VpTree::build(
-                    &L2,
-                    store.summaries(),
-                    fuzzy_index::VpTreeConfig::default(),
-                );
-                run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "vptree");
-            }
-            other => {
-                eprintln!("unknown approx backend {other} (expected lsh or vptree)");
-                usage()
-            }
-        },
+        None => {
+            fuzzy_index::VpTree::build(&L2, store.summaries(), fuzzy_index::VpTreeConfig::default())
+        }
+    };
+    let res = fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg).unwrap_or_else(|e| {
+        eprintln!("query failed: {e}");
+        exit(1)
+    });
+    println!("{k}NN of {} at α = {alpha} (approx vptree, dial {}):", q.id(), dial.label());
+    for n in &res.neighbors {
+        println!("  {n}");
+    }
+    println!(
+        "cost: {} object accesses, {} bound evals, {:?}",
+        res.stats.object_accesses, res.stats.bound_evals, res.stats.wall
+    );
+    if get::<bool>(flags, "measure-recall").unwrap_or(false) {
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        let exact = QueryEngine::new(&tree, store)
+            .aknn(q, k, alpha, &AknnConfig::lb_lp_ub())
+            .unwrap_or_else(|e| {
+                eprintln!("exact reference failed: {e}");
+                exit(1)
+            });
+        println!("recall@{k}: {:.4}", fuzzy_query::recall_at_k(&res, &exact));
     }
 }
 
@@ -1136,9 +842,8 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
     let k: usize = get(flags, "k").unwrap_or(10);
     let alpha: f64 = get(flags, "alpha").unwrap_or(0.5);
     let q = query_object(&store, flags);
-    let wants_approx = flags.contains_key("approx")
-        || flags.contains_key("recall-dial")
-        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzlh") || ix.ends_with(".fzvp"));
+    let wants_approx = flags.contains_key("recall-dial")
+        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
     if wants_approx {
         run_approx_aknn(&store, &q, k, alpha, flags);
         return;

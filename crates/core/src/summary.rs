@@ -79,43 +79,25 @@ impl<const D: usize> ObjectSummary<D> {
         Mbr::new(lo, hi)
     }
 
-    /// Lower bound `d⁻_α(A, Q) = MinDist(M_A(α)*, M_Q(α))` (§3.2) against a
-    /// query cut MBR computed exactly by the caller.
-    #[inline]
-    pub fn lower_bound_dist(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
-        self.lower_bound_dist_sq(query_cut, t).sqrt()
-    }
-
-    /// Squared form of [`ObjectSummary::lower_bound_dist`] — the form the
+    /// Squared lower bound `d⁻_α(A, Q)² = MinDist²(M_A(α)*, M_Q(α))` (§3.2)
+    /// against a query cut MBR computed exactly by the caller — the form the
     /// best-first traversal keys its heap with (no `sqrt` on the hot path).
     #[inline]
     pub fn lower_bound_dist_sq(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
         self.approx_cut_mbr(t).min_dist_sq(query_cut)
     }
 
-    /// Loose upper bound `MaxDist(M_A(α)*, M_Q(α))` (Eq. 3) used by the lazy
-    /// probe before the improved §3.4 bound is applied.
-    #[inline]
-    pub fn upper_bound_dist(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
-        self.upper_bound_dist_sq(query_cut, t).sqrt()
-    }
-
-    /// Squared form of [`ObjectSummary::upper_bound_dist`].
+    /// Squared loose upper bound `MaxDist²(M_A(α)*, M_Q(α))` (Eq. 3) used by
+    /// the lazy probe before the improved §3.4 bound is applied.
     #[inline]
     pub fn upper_bound_dist_sq(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
         self.approx_cut_mbr(t).max_dist_sq(query_cut)
     }
 
-    /// Improved upper bound `d⁺_α(A, Q) = min_{q ∈ Q'_α} ‖rep(A) − q‖`
-    /// (Lemma 1): the distance from the kernel representative to the closest
-    /// of the sampled query points. Returns `+∞` for an empty sample.
-    pub fn rep_upper_bound(&self, query_samples: &[Point<D>]) -> f64 {
-        self.rep_upper_bound_sq(query_samples).sqrt()
-    }
-
-    /// Squared form of [`ObjectSummary::rep_upper_bound`]: the minimum
-    /// squared distance from `rep(A)` to the sampled query points (`+∞`
-    /// for an empty sample).
+    /// Squared improved upper bound `d⁺_α(A, Q) = min_{q ∈ Q'_α} ‖rep(A) − q‖`
+    /// (Lemma 1): the minimum squared distance from the kernel
+    /// representative to the sampled query points (`+∞` for an empty
+    /// sample).
     pub fn rep_upper_bound_sq(&self, query_samples: &[Point<D>]) -> f64 {
         query_samples.iter().map(|q| self.rep.dist_sq(q)).fold(f64::INFINITY, f64::min)
     }
@@ -257,7 +239,7 @@ mod tests {
         let query_cut = Mbr::new([5.0, 5.0], [6.0, 6.0]);
         for v in [0.1, 0.5, 0.9] {
             let t = Threshold::at(v);
-            assert!(s.lower_bound_dist(&query_cut, t) <= s.upper_bound_dist(&query_cut, t));
+            assert!(s.lower_bound_dist_sq(&query_cut, t) <= s.upper_bound_dist_sq(&query_cut, t));
         }
     }
 
@@ -266,10 +248,10 @@ mod tests {
         let a = ring_object(13, 50);
         let s = ObjectSummary::from_object(&a);
         let samples = [Point::xy(3.0, 4.0), Point::xy(1.0, 1.0)];
-        let d = s.rep_upper_bound(&samples);
-        let want = s.rep.dist(&samples[1]).min(s.rep.dist(&samples[0]));
-        assert_eq!(d, want);
-        assert_eq!(s.rep_upper_bound(&[]), f64::INFINITY);
+        let d_sq = s.rep_upper_bound_sq(&samples);
+        let want = s.rep.dist_sq(&samples[1]).min(s.rep.dist_sq(&samples[0]));
+        assert_eq!(d_sq, want);
+        assert_eq!(s.rep_upper_bound_sq(&[]), f64::INFINITY);
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl<const D: usize> Mbr<D> {
         self.intersection(other).map_or(0.0, |m| m.area())
     }
 
-    /// Increase in volume caused by enlarging `self` to cover `other`.
-    #[inline]
-    pub fn enlargement(&self, other: &Self) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Squared `MinDist` (Eq. 1): the squared smallest distance between any
     /// point of `self` and any point of `other`. Zero when they intersect.
     #[inline]
@@ -237,18 +231,6 @@ impl<const D: usize> Mbr<D> {
     #[inline]
     pub fn min_dist_point(&self, p: &Point<D>) -> f64 {
         p.dist_sq_to_box(&self.lo, &self.hi).sqrt()
-    }
-
-    /// `MaxDist` from a single point: distance to the farthest corner.
-    #[inline]
-    pub fn max_dist_point(&self, p: &Point<D>) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            let c = p.coords()[i];
-            let l = (c - self.lo[i]).abs().max((c - self.hi[i]).abs());
-            acc += l * l;
-        }
-        acc.sqrt()
     }
 
     /// Rectangle grown by `pad` on every side (negative `pad` shrinks but is
@@ -355,8 +337,6 @@ mod tests {
         assert_eq!(a.min_dist_point(&inside), 0.0);
         let out = Point::xy(2.0, 1.0);
         assert_eq!(a.min_dist_point(&out), 1.0);
-        // Farthest corner from (2,1) is (0,0): sqrt(4+1).
-        assert!((a.max_dist_point(&out) - 5.0_f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -379,8 +359,8 @@ mod tests {
         assert_eq!(a.margin(), 2.0);
         let b = Mbr::new([0.5, 0.0], [1.5, 1.0]);
         assert_eq!(a.overlap(&b), 0.5);
-        // Union is [0,1.5]x[0,1] = 1.5, so enlargement = 0.5.
-        assert_eq!(a.enlargement(&b), 0.5);
+        // Union is [0,1.5]x[0,1] = 1.5, so enlarging `a` to cover `b` adds 0.5.
+        assert_eq!(a.union(&b).area() - a.area(), 0.5);
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl<const D: usize> Point<D> {
         Self { coords }
     }
 
-    /// Euclidean norm of the position vector.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.coords.iter().map(|c| c * c).sum::<f64>().sqrt()
-    }
-
     /// True when every coordinate is finite (no NaN / infinity).
     #[inline]
     pub fn is_finite(&self) -> bool {

@@ -172,10 +172,9 @@ pub trait NodeAccess<const D: usize> {
     fn height(&self) -> usize;
 }
 
-/// Shared-ownership delegation: a shard forest is naturally a
-/// `Vec<Arc<Tree>>` (clones of a sharded index share file handles), and
-/// query code generic over `A: NodeAccess<D>` should accept the `Arc`s
-/// directly.
+/// Shared-ownership delegation: an epoch snapshot is an `Arc<Tree>`
+/// (clones of a paged index share its file handle), and query code generic
+/// over `A: NodeAccess<D>` should accept the `Arc` directly.
 impl<A: NodeAccess<D> + ?Sized, const D: usize> NodeAccess<D> for Arc<A> {
     fn root_id(&self) -> NodeId {
         (**self).root_id()

@@ -1,27 +1,26 @@
-//! Shared surface of the approximate candidate-generation backends.
+//! What the approximate candidate generator is made of.
 //!
 //! The exact engines answer every query from first principles; at scale
-//! the interesting trade is *recall for throughput*. This module defines
-//! the seam both approximate backends ([`crate::lsh`] and
-//! [`crate::vptree`]) implement: a deterministic **candidate generator**
-//! over per-object expected centers (the [`ObjectSummary::rep`] points the
+//! the interesting trade is *recall for throughput*. [`crate::vptree`] is
+//! the one candidate backend: a deterministic **candidate generator** over
+//! per-object expected centers (the [`ObjectSummary::rep`] points the
 //! store already persists), dialed by a [`RecallDial`]. Candidates are
 //! *never* an answer by themselves — the query layer resolves the pool
 //! through the exact probe loop, so returned distances are always exact
 //! and only recall varies with the dial.
 //!
-//! Both backends also carry build-time **friend-of-a-friend** neighbor
+//! The index also carries build-time **friend-of-a-friend** neighbor
 //! lists (the FoF principle: a near neighbor's near neighbors are likely
 //! near), which the query layer may expand for a refinement round after
-//! the initial pool is resolved.
+//! the initial pool is resolved. This module holds the dial, the
+//! per-object payload with its FoF build, and the checksummed file
+//! envelope.
 
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_store::format::{fnv1a, Decoder, Encoder};
-use fuzzy_store::StoreError;
-use std::fs;
-use std::io::Write;
+use fuzzy_store::{write_atomic, StoreError};
 use std::path::Path;
 
 /// Above this many objects the quadratic FoF neighbor-list build is
@@ -38,9 +37,8 @@ pub enum RecallDial {
     /// Exhaustive: every indexed object enters the candidate pool, so the
     /// resolved answer equals exact AKNN (recall 1.0) at linear pool cost.
     Exact,
-    /// Backend-specific budget `v ≥ 0`: LSH probes `max(1, ⌈v⌉)` buckets
-    /// per table; the VP-tree keeps every visited center within
-    /// `τ_c · (1 + v)` of the query (ε-slack pruning with `ε = v`).
+    /// Pruning slack `v ≥ 0`: the VP-tree keeps every visited center
+    /// within `τ_c · (1 + v)` of the query (ε-slack pruning with `ε = v`).
     Budget(f64),
 }
 
@@ -63,53 +61,9 @@ impl RecallDial {
     }
 }
 
-/// A deterministic approximate candidate generator over expected centers.
-///
-/// Implementations index one immutable snapshot of per-object balls
-/// (center + spread) and answer [`candidates`](Self::candidates) without
-/// touching the object store; the query layer owns the exact resolution.
-pub trait ApproxIndex<const D: usize> {
-    /// Short backend tag (`"lsh"`, `"vptree"`) for bench rows and CLI.
-    fn backend_name(&self) -> &'static str;
-
-    /// Name of the metric the index was built under (`"l2"`, `"graph"`).
-    fn metric_name(&self) -> &str;
-
-    /// Number of indexed objects.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All indexed ids in ascending order (the `Exact` dial's pool).
-    fn ids(&self) -> &[ObjectId];
-
-    /// The indexed ball of `id`: expected center and a sound upper bound
-    /// on the object's spread around it (`+∞` when the metric cannot
-    /// bound boxes). `None` for ids the index does not hold.
-    fn ball_of(&self, id: ObjectId) -> Option<(&Point<D>, f64)>;
-
-    /// Build-time FoF neighbor list of `id` (empty when disabled).
-    fn neighbors_of(&self, id: ObjectId) -> &[ObjectId];
-
-    /// Append the deterministic candidate pool for a query centered at
-    /// `q_center` to `out`, deduplicated and in ascending id order. `k`
-    /// scales backend-internal targets; `dial` sets the reach.
-    fn candidates<M: Metric<D> + ?Sized>(
-        &self,
-        metric: &M,
-        q_center: &Point<D>,
-        k: usize,
-        dial: RecallDial,
-        out: &mut Vec<ObjectId>,
-    );
-}
-
-/// The per-object payload both backends share: id-sorted parallel arrays
-/// of centers, spread bounds and FoF neighbor lists, plus the metric name
-/// recorded for the open-time pairing check.
+/// The per-object payload: id-sorted parallel arrays of centers, spread
+/// bounds and FoF neighbor lists, plus the metric name recorded for the
+/// open-time pairing check.
 pub(crate) struct ApproxBase<const D: usize> {
     pub metric_name: String,
     /// Ascending; parallel to `centers`, `spreads`, `fof`.
@@ -181,21 +135,6 @@ fn build_fof<M: Metric<D> + ?Sized, const D: usize>(
         fof.push(list.into_iter().map(|(_, id)| id).collect());
     }
     fof
-}
-
-/// SplitMix64 step: the deterministic seed stream both backends draw
-/// their randomized structure from.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform f64 in `[0, 1)` from one SplitMix64 draw.
-pub(crate) fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 pub(crate) fn encode_base<const D: usize>(body: &mut Encoder, base: &ApproxBase<D>) {
@@ -278,10 +217,7 @@ pub(crate) fn write_approx_file(
     let sum = fnv1a(&out.as_bytes()[..16 + body.len()]);
     out.u64(sum);
     out.bytes(&magic);
-    let mut file = fs::File::create(path)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    Ok(())
+    write_atomic(path, |file| Ok(file.write_all(out.as_bytes())?))
 }
 
 /// Envelope-check an approx-index image; returns the body bytes.

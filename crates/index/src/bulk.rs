@@ -131,8 +131,7 @@ fn str_tile_by<T: Clone, const D: usize>(
 /// Split `0..n` into `parts` contiguous ranges whose sizes differ by at most
 /// one. Even sizing (rather than `chunks(cap)`) keeps every STR group above
 /// the R-tree minimum fill — a remainder chunk of 1 would violate it.
-/// Also used by the shard partitioners in [`crate::shard`].
-pub(crate) fn even_partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
+fn even_partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
     let extra = n % parts;

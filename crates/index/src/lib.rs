@@ -20,9 +20,9 @@
 //!   shortest-path distance has no rectangle geometry to prune with); it
 //!   also maintains coordinate MBRs and implements [`NodeAccess`], so the
 //!   rectangle-based machinery keeps working against it under L2;
-//! * [`ApproxIndex`] — the approximate candidate-generation family over
-//!   per-object expected centers ([`LshIndex`], [`VpTree`]), dialed by
-//!   [`RecallDial`] and always resolved through the exact probe loop.
+//! * [`VpTree`] — the approximate candidate generator over per-object
+//!   expected centers, dialed by [`RecallDial`] and always resolved through
+//!   the exact probe loop.
 //!
 //! We could not reuse an off-the-shelf R-tree because the evaluation needs
 //! (a) fuzzy summaries as leaf payloads and (b) node-access accounting —
@@ -56,22 +56,19 @@ pub mod approx;
 pub mod bulk;
 pub mod delete;
 pub mod insert;
-pub mod lsh;
 pub mod mtree;
 pub mod mutate;
 pub mod node;
 pub mod overlay;
 pub mod paged;
 pub mod query;
-pub mod shard;
 pub mod validate;
 pub mod vptree;
 
 pub use access::{
     knn_by, range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView,
 };
-pub use approx::{ApproxIndex, RecallDial, FOF_BUILD_CAP};
-pub use lsh::{LshConfig, LshIndex, LSH_MAGIC, LSH_VERSION};
+pub use approx::{RecallDial, FOF_BUILD_CAP};
 pub use mtree::{MTree, MTreeConfig, MTREE_MAGIC, MTREE_VERSION};
 pub use mutate::MutableIndex;
 pub use node::{Children, NodeId, RTree, RTreeConfig};
@@ -81,9 +78,6 @@ pub use paged::{
     PAGED_VERSION,
 };
 pub use query::{EntryHit, RangeResult};
-pub use shard::{
-    MassClassAssign, ShardAssign, ShardManifest, ShardMeta, ShardedIndex, StrCenterAssign,
-};
 pub use validate::ValidationError;
 pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};
 

@@ -46,9 +46,8 @@ use fuzzy_core::metric::Metric;
 use fuzzy_core::{FuzzyObject, ObjectSummary};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_store::format::{decode_summary, encode_summary, fnv1a, summary_len, Decoder, Encoder};
-use fuzzy_store::StoreError;
+use fuzzy_store::{write_atomic, StoreError};
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// File magic of the persisted M-tree.
@@ -336,10 +335,7 @@ impl<const D: usize> MTree<D> {
         out.bytes(&body);
         out.u64(fnv1a(&body));
         out.bytes(&MTREE_MAGIC);
-        let mut file = fs::File::create(path)?;
-        file.write_all(out.as_bytes())?;
-        file.sync_all()?;
-        Ok(())
+        write_atomic(path, |file| Ok(file.write_all(out.as_bytes())?))
     }
 
     /// The metric name a `.fzmt` file records, after the full envelope
@@ -349,38 +345,13 @@ impl<const D: usize> MTree<D> {
     /// protocol error instead of a generic open failure.
     pub fn stored_metric_name(path: impl AsRef<Path>) -> Result<String, StoreError> {
         let bytes = fs::read(path)?;
-        let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
-        if bytes.len() < 16 + 12 {
-            return Err(corrupt("fzmt file shorter than header + trailer"));
-        }
-        if bytes[..4] != MTREE_MAGIC || bytes[bytes.len() - 4..] != MTREE_MAGIC {
-            return Err(corrupt("bad fzmt magic"));
-        }
-        let mut head = Decoder::new(&bytes[4..16]);
-        let version = head.u16()?;
-        if version != MTREE_VERSION {
-            return Err(StoreError::VersionMismatch { found: version, expected: MTREE_VERSION });
-        }
-        let dims = head.u16()?;
-        if dims as usize != D {
-            return Err(StoreError::DimensionMismatch { found: dims, expected: D as u16 });
-        }
-        let body = &bytes[16..bytes.len() - 12];
-        let mut tail = Decoder::new(&bytes[bytes.len() - 12..bytes.len() - 4]);
-        if tail.u64()? != fnv1a(body) {
-            return Err(corrupt("fzmt body checksum mismatch"));
-        }
-        let mut d = Decoder::new(body);
-        let name_len = d.u32()? as usize;
-        Ok(std::str::from_utf8(d.bytes(name_len)?)
-            .map_err(|_| corrupt("metric name is not utf-8"))?
-            .to_string())
+        Ok(Self::open_envelope(&bytes)?.0)
     }
 
-    /// Load a `.fzmt` file, verifying magic, version, dimensionality,
-    /// checksum and that it was built under `metric` (by name).
-    pub fn load<M: Metric<D>>(path: impl AsRef<Path>, metric: &M) -> Result<Self, StoreError> {
-        let bytes = fs::read(path)?;
+    /// Envelope-check a `.fzmt` image (magic, version, dimensionality,
+    /// body checksum) and read the leading metric name; returns it with a
+    /// decoder positioned on the rest of the body.
+    fn open_envelope(bytes: &[u8]) -> Result<(String, Decoder<'_>), StoreError> {
         let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
         if bytes.len() < 16 + 12 {
             return Err(corrupt("fzmt file shorter than header + trailer"));
@@ -407,6 +378,15 @@ impl<const D: usize> MTree<D> {
         let name = std::str::from_utf8(d.bytes(name_len)?)
             .map_err(|_| corrupt("metric name is not utf-8"))?
             .to_string();
+        Ok((name, d))
+    }
+
+    /// Load a `.fzmt` file, verifying magic, version, dimensionality,
+    /// checksum and that it was built under `metric` (by name).
+    pub fn load<M: Metric<D>>(path: impl AsRef<Path>, metric: &M) -> Result<Self, StoreError> {
+        let bytes = fs::read(path)?;
+        let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
+        let (name, mut d) = Self::open_envelope(&bytes)?;
         if name != metric.name() {
             return Err(StoreError::Corrupt {
                 reason: format!(

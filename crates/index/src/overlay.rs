@@ -17,8 +17,8 @@
 //!   sidecar delta log ([`fuzzy_store::DeltaLog`], `<index>.fzdl`), so a
 //!   fresh process opening the same index file sees the same live set.
 //! * **[`OverlayRTree::compact`]** folds base + overlay into a freshly
-//!   STR-bulk-loaded index file (written to a temp path and atomically
-//!   renamed over the original) and clears the sidecar.
+//!   STR-bulk-loaded index file (published over the original through
+//!   `fuzzy_store::write_atomic`) and then clears the sidecar.
 //!
 //! The query stack is generic over `NodeAccess`, so AKNN/RKNN/join/batch
 //! run unmodified over an overlay; `fuzzy_query`'s epoch engine makes the
@@ -31,7 +31,7 @@ use crate::paged::PagedRTree;
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::Mbr;
 use fuzzy_store::overlay::DeltaLog;
-use fuzzy_store::StoreError;
+use fuzzy_store::{write_atomic, StoreError};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -225,7 +225,7 @@ impl<const D: usize> OverlayRTree<D> {
     }
 
     /// Is `id` in the live set (base minus tombstones, plus inserts)?
-    pub fn contains_id(&self, id: ObjectId) -> bool {
+    fn contains_id(&self, id: ObjectId) -> bool {
         self.inserted.iter().any(|e| e.id == id)
             || (self.base_ids.contains(&id.0) && !self.tombstones.contains(&id.0))
     }
@@ -334,19 +334,24 @@ impl<const D: usize> OverlayRTree<D> {
     }
 
     /// Fold base + overlay into a freshly bulk-loaded index file and
-    /// reopen it: the live set is STR-packed ([`RTree::bulk_load`]),
-    /// written to `<index>.compact.tmp`, atomically renamed over the
-    /// index path, and the sidecar delta log is removed. Consumes the
-    /// overlay; the returned tree reads the rewritten file.
+    /// reopen it: the live set is STR-packed ([`RTree::bulk_load`]) and
+    /// published over the index path with [`write_atomic`] — temp file,
+    /// sync, rename, directory sync — and only then is the sidecar delta
+    /// log removed. Consumes the overlay; the returned tree reads the
+    /// rewritten file.
+    ///
+    /// A failure or crash before the rename leaves the old index and its
+    /// sidecar untouched. The sidecar describes the *old* base, so one
+    /// window remains: after the rename and before the sidecar is gone
+    /// (a crash there, or a failed directory sync) the new index sits
+    /// beside a stale sidecar, which [`OverlayRTree::with_delta`] refuses
+    /// with a typed error rather than replaying it — never a wrong
+    /// answer; deleting the sidecar by hand yields the compacted state.
     pub fn compact(self, page_size: u32) -> Result<PagedRTree<D>, StoreError> {
         let live = self.live_summaries()?;
         let path = self.base.path().to_path_buf();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".compact.tmp");
-        let tmp = PathBuf::from(tmp);
         let fresh = RTree::bulk_load(live, self.base.config());
-        PagedRTree::write_tree(&fresh, &tmp, page_size)?;
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&path, |file| PagedRTree::write_tree_to(&fresh, || Ok(file), page_size))?;
         match std::fs::remove_file(delta_path_for(&path)) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -581,6 +586,88 @@ mod tests {
         let mut got: Vec<u64> = reopened.live_summaries().unwrap().iter().map(|e| e.id.0).collect();
         got.sort_unstable();
         assert_eq!(got, want);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A compaction interrupted at any boundary of its `write_atomic` —
+    /// temp creation, each page write, the file sync, the rename — reopens
+    /// as exactly the old state: old base, sidecar intact, same pending
+    /// counts, same live set. Uninterrupted it reopens as the new state. A
+    /// fault at the directory sync is the one documented window: the new
+    /// base is in place, the sidecar that described the old base is still
+    /// there and is refused with a typed error, and removing it yields
+    /// the new state.
+    #[test]
+    fn a_fault_at_every_boundary_of_a_compaction_leaves_the_old_or_the_new_state() {
+        use fuzzy_store::atomic::WRITE_ATOMIC_FAIL_AT;
+        let path = tmp("compact-faults");
+        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let live_ids = |ov: &OverlayRTree<2>| {
+            let mut ids: Vec<u64> = ov.live_summaries().unwrap().iter().map(|e| e.id.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+
+        // What reopening found after a fault at each boundary, in order.
+        let mut reopened_as = Vec::new();
+        let mut want: Option<Vec<u64>> = None;
+        loop {
+            // The old state, from scratch: a base of 120, 3 tombstones and
+            // 10 inserts in the sidecar.
+            let base = Arc::new(PagedRTree::bulk_write(grid(120), cfg, &path, 4096).unwrap());
+            let mut ov = OverlayRTree::new(base).unwrap();
+            for id in [5u64, 50, 119] {
+                assert!(ov.delete(ObjectId(id)));
+            }
+            for i in 0..10u64 {
+                assert!(ov.insert(summary(2000 + i, i as f64, -4.0)));
+            }
+            ov.save_delta().unwrap();
+            let want = want.get_or_insert_with(|| live_ids(&ov));
+            let old_pages = ov.base().page_count();
+            drop(ov);
+
+            let boundary = reopened_as.len();
+            let ov: OverlayRTree<2> = OverlayRTree::open(&path).unwrap();
+            WRITE_ATOMIC_FAIL_AT.with(|f| f.set(Some(boundary)));
+            let result = ov.compact(4096);
+            let fired = WRITE_ATOMIC_FAIL_AT.with(|f| f.replace(None)).is_none();
+            if !fired {
+                result.expect("no boundary left to fail");
+                let reopened: OverlayRTree<2> = OverlayRTree::open(&path).unwrap();
+                assert!(reopened.is_clean() && !delta_path_for(&path).exists());
+                assert_eq!(&live_ids(&reopened), want);
+                break;
+            }
+            assert!(matches!(result, Err(StoreError::Io(_))), "boundary {boundary}");
+            assert!(!PathBuf::from(format!("{}.tmp", path.display())).exists());
+            match OverlayRTree::<2>::open(&path) {
+                Ok(reopened) => {
+                    assert_eq!(
+                        (reopened.pending_inserts(), reopened.pending_tombstones()),
+                        (10, 3),
+                        "boundary {boundary}: neither old nor new"
+                    );
+                    assert_eq!(reopened.base().page_count(), old_pages, "boundary {boundary}");
+                    assert_eq!(&live_ids(&reopened), want, "boundary {boundary}");
+                    reopened_as.push("old");
+                }
+                Err(StoreError::Corrupt { .. }) => {
+                    std::fs::remove_file(delta_path_for(&path)).unwrap();
+                    let reopened: OverlayRTree<2> = OverlayRTree::open(&path).unwrap();
+                    assert!(reopened.is_clean());
+                    assert_eq!(&live_ids(&reopened), want, "boundary {boundary}");
+                    reopened_as.push("new beside a stale sidecar");
+                }
+                Err(e) => panic!("boundary {boundary}: reopen failed with {e}"),
+            }
+        }
+        // create + one write per BufWriter flush + sync + rename: old; the
+        // directory sync: new beside the stale sidecar.
+        assert!(reopened_as.len() >= 8, "only {} boundaries crossed", reopened_as.len());
+        let (dir_sync, before_rename) = reopened_as.split_last().unwrap();
+        assert!(before_rename.iter().all(|&state| state == "old"), "{reopened_as:?}");
+        assert_eq!(*dir_sync, "new beside a stale sidecar");
         std::fs::remove_file(&path).unwrap();
     }
 

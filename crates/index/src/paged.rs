@@ -331,6 +331,18 @@ impl<const D: usize> PagedRTree<D> {
         path: impl AsRef<Path>,
         page_size: u32,
     ) -> Result<(), StoreError> {
+        Self::write_tree_to(tree, || File::create(path.as_ref()), page_size)
+    }
+
+    /// [`PagedRTree::write_tree`] into whatever `open` yields (compaction
+    /// hands it the temp file of `fuzzy_store::write_atomic`). `open` runs
+    /// only once `page_size` is known to fit, so a refused write creates
+    /// nothing.
+    pub(crate) fn write_tree_to<W: Write>(
+        tree: &RTree<D>,
+        open: impl FnOnce() -> std::io::Result<W>,
+        page_size: u32,
+    ) -> Result<(), StoreError> {
         if page_size < MIN_PAGE_SIZE {
             return Err(corrupt(format!("page size {page_size} below minimum {MIN_PAGE_SIZE}")));
         }
@@ -339,8 +351,7 @@ impl<const D: usize> PagedRTree<D> {
             return Err(StoreError::PageOverflow { needed, page_size });
         }
 
-        let file = File::create(path.as_ref())?;
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::new(open()?);
 
         // Header.
         let mut header = Encoder::with_capacity(paged_header_len(D));
@@ -608,11 +619,6 @@ impl<const D: usize> PagedRTree<D> {
     /// Buffer-pool hit/miss/eviction counters.
     pub fn cache_stats(&self) -> PageCacheStats {
         self.cache.stats()
-    }
-
-    /// Zero the buffer-pool counters (resident pages stay).
-    pub fn reset_cache_stats(&self) {
-        self.cache.reset_stats();
     }
 
     /// Drop every resident page, forcing subsequent reads cold.

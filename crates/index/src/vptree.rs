@@ -1,7 +1,7 @@
 //! Bulk-loaded vantage-point tree over per-object expected centers.
 //!
-//! The metric-generic twin of [`crate::lsh`]: a VP-tree needs nothing but
-//! the [`Metric`] distance itself, so it rides the PR 9 seam — build it
+//! The approximate candidate generator: a VP-tree needs nothing but the
+//! [`Metric`] distance itself, so it rides the metric seam — build it
 //! under `l2` or `graph` alike and the `.fzvp` loader enforces the
 //! pairing by name, exactly like `.fzmt`. The tree is implicit: one
 //! permutation of the id-sorted base arrays plus a parallel radius
@@ -21,7 +21,7 @@
 //! tree entirely.
 
 use crate::approx::{
-    approx_body, decode_base, encode_base, write_approx_file, ApproxBase, ApproxIndex, RecallDial,
+    approx_body, decode_base, encode_base, write_approx_file, ApproxBase, RecallDial,
 };
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{ObjectId, ObjectSummary};
@@ -102,11 +102,6 @@ impl<const D: usize> VpTree<D> {
             ranges.push((mid, hi));
         }
         Self { base, leaf_size, order, radius }
-    }
-
-    /// Leaf-range size the tree was built with.
-    pub fn leaf_size(&self) -> usize {
-        self.leaf_size
     }
 
     /// Persist as a `.fzvp` file (layout in `docs/FORMAT.md`).
@@ -229,35 +224,25 @@ impl<const D: usize> VpTree<D> {
             }
         }
     }
-}
 
-impl<const D: usize> ApproxIndex<D> for VpTree<D> {
-    fn backend_name(&self) -> &'static str {
-        "vptree"
-    }
-
-    fn metric_name(&self) -> &str {
-        &self.base.metric_name
-    }
-
-    fn len(&self) -> usize {
-        self.base.ids.len()
-    }
-
-    fn ids(&self) -> &[ObjectId] {
-        &self.base.ids
-    }
-
-    fn ball_of(&self, id: ObjectId) -> Option<(&Point<D>, f64)> {
+    /// The indexed ball of `id`: expected center and a sound upper bound
+    /// on the object's spread around it (`+∞` when the metric cannot
+    /// bound boxes). `None` for ids the index does not hold.
+    pub fn ball_of(&self, id: ObjectId) -> Option<(&Point<D>, f64)> {
         let pos = self.base.pos_of(id)?;
         Some((&self.base.centers[pos], self.base.spreads[pos]))
     }
 
-    fn neighbors_of(&self, id: ObjectId) -> &[ObjectId] {
+    /// Build-time FoF neighbor list of `id` (empty when disabled).
+    pub fn neighbors_of(&self, id: ObjectId) -> &[ObjectId] {
         self.base.pos_of(id).map(|p| self.base.fof[p].as_slice()).unwrap_or(&[])
     }
 
-    fn candidates<M: Metric<D> + ?Sized>(
+    /// Append the deterministic candidate pool for a query centered at
+    /// `q_center` to `out`, deduplicated and in ascending id order. `k`
+    /// sizes the center-kNN the slack is measured from; `dial` sets the
+    /// reach.
+    pub fn candidates<M: Metric<D> + ?Sized>(
         &self,
         metric: &M,
         q_center: &Point<D>,

@@ -1,13 +1,12 @@
-//! Corruption matrices for the approximate-index formats: a `.fzlh` or
-//! `.fzvp` file damaged in **any** way — truncated at every byte
-//! boundary, any single bit flipped, a stale version stamp, a
-//! wrong-dimension header — must surface as a typed [`StoreError`],
-//! never a panic and never a silently wrong index. Both formats checksum
-//! **every byte before the trailer** (header included), so even the
-//! reserved header word is flip-protected. Mutated images are decoded
-//! in memory (`decode(&[u8])`, which `load` wraps) through
-//! `catch_unwind` so a panic shows up as its own failure, not a test
-//! abort.
+//! Corruption matrix for the approximate-index format: a `.fzvp` file
+//! damaged in **any** way — truncated at every byte boundary, any single
+//! bit flipped, a stale version stamp, a wrong-dimension header — must
+//! surface as a typed [`StoreError`], never a panic and never a silently
+//! wrong index. The format checksums **every byte before the trailer**
+//! (header included), so even the reserved header word is flip-protected.
+//! Mutated images are decoded in memory (`decode(&[u8])`, which `load`
+//! wraps) through `catch_unwind` so a panic shows up as its own failure,
+//! not a test abort.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -15,7 +14,7 @@ use std::path::{Path, PathBuf};
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use fuzzy_geom::Point;
-use fuzzy_index::{LshConfig, LshIndex, VpTree, VpTreeConfig};
+use fuzzy_index::{MTree, MTreeConfig, VpTree, VpTreeConfig};
 use fuzzy_store::format::{fnv1a, Encoder};
 use fuzzy_store::StoreError;
 
@@ -29,84 +28,63 @@ fn grid(n: u64) -> Vec<ObjectSummary<2>> {
     (0..n).map(|i| summary(i, (i % 8) as f64 * 2.0, (i / 8) as f64 * 2.0)).collect()
 }
 
-/// Build one real file of each format into a removable dir.
-fn build_fixture(tag: &str, kind: &str) -> PathBuf {
+/// Build one real `.fzvp` file into a removable dir.
+fn build_fixture(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fz-approx-corrupt-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let summaries = grid(24);
-    match kind {
-        "fzlh" => {
-            let path = dir.join("ix.fzlh");
-            LshIndex::build(&summaries, LshConfig { tables: 3, hashes: 3, ..Default::default() })
-                .save(&path)
-                .unwrap();
-            path
-        }
-        _ => {
-            let path = dir.join("ix.fzvp");
-            VpTree::build(&L2, &summaries, VpTreeConfig::default()).save(&path).unwrap();
-            path
-        }
-    }
+    let path = dir.join("ix.fzvp");
+    VpTree::build(&L2, &grid(24), VpTreeConfig::default()).save(&path).unwrap();
+    path
 }
 
 fn cleanup(path: &Path) {
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
-/// Decode a (possibly mutated) image through the right decoder, in
-/// memory — the matrices never touch the filesystem, so parallel tests
-/// cannot see each other's images. A panic is converted into a test
-/// failure with the mutation's coordinates.
-fn load_result(bytes: &[u8], kind: &str, what: &str) -> Result<(), StoreError> {
-    let out = catch_unwind(AssertUnwindSafe(|| match kind {
-        "fzlh" => LshIndex::<2>::decode(bytes).map(|_| ()),
-        _ => VpTree::<2>::decode(bytes, &L2).map(|_| ()),
-    }));
-    match out {
-        Err(_) => panic!("{kind} load panicked on {what}"),
+/// Decode a (possibly mutated) image in memory — the matrices never touch
+/// the filesystem, so parallel tests cannot see each other's images. A
+/// panic is converted into a test failure with the mutation's coordinates.
+fn load_result(bytes: &[u8], what: &str) -> Result<(), StoreError> {
+    match catch_unwind(AssertUnwindSafe(|| VpTree::<2>::decode(bytes, &L2).map(|_| ()))) {
+        Err(_) => panic!("fzvp load panicked on {what}"),
         Ok(r) => r,
     }
 }
 
-fn load_must_error(bytes: &[u8], kind: &str, what: &str) -> StoreError {
-    match load_result(bytes, kind, what) {
-        Ok(()) => panic!("{kind} load accepted {what}"),
+fn load_must_error(bytes: &[u8], what: &str) -> StoreError {
+    match load_result(bytes, what) {
+        Ok(()) => panic!("fzvp load accepted {what}"),
         Err(e) => e,
     }
 }
 
 #[test]
 fn truncation_at_every_byte_boundary_is_a_typed_error() {
-    for kind in ["fzlh", "fzvp"] {
-        let path = build_fixture("trunc", kind);
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(load_result(&bytes, kind, "the pristine image").is_ok());
-        for len in 0..bytes.len() {
-            let e = load_must_error(&bytes[..len], kind, &format!("truncation to {len} bytes"));
-            // Every truncation error must render (Display is part of the
-            // typed contract — the CLI prints these verbatim).
-            assert!(!e.to_string().is_empty());
-        }
-        cleanup(&path);
+    let path = build_fixture("trunc");
+    let bytes = std::fs::read(&path).unwrap();
+    assert!(load_result(&bytes, "the pristine image").is_ok());
+    for len in 0..bytes.len() {
+        let e = load_must_error(&bytes[..len], &format!("truncation to {len} bytes"));
+        // Every truncation error must render (Display is part of the
+        // typed contract — the CLI prints these verbatim).
+        assert!(!e.to_string().is_empty());
     }
+    cleanup(&path);
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    for kind in ["fzlh", "fzvp"] {
-        let path = build_fixture("flip", kind);
-        let bytes = std::fs::read(&path).unwrap();
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut evil = bytes.clone();
-                evil[byte] ^= 1 << bit;
-                load_must_error(&evil, kind, &format!("bit {bit} of byte {byte} flipped"));
-            }
+    let path = build_fixture("flip");
+    let bytes = std::fs::read(&path).unwrap();
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut evil = bytes.clone();
+            evil[byte] ^= 1 << bit;
+            load_must_error(&evil, &format!("bit {bit} of byte {byte} flipped"));
         }
-        cleanup(&path);
     }
+    cleanup(&path);
 }
 
 /// Rewrite the 12-byte header field region and re-checksum, so only the
@@ -125,64 +103,63 @@ fn with_header(bytes: &[u8], version: u16, dims: u16) -> Vec<u8> {
 
 #[test]
 fn stale_version_is_a_version_mismatch() {
-    for kind in ["fzlh", "fzvp"] {
-        let path = build_fixture("stale", kind);
-        let bytes = std::fs::read(&path).unwrap();
-        let stale = with_header(&bytes, 0, 2);
-        let e = load_must_error(&stale, kind, "a stale version stamp");
-        assert!(
-            matches!(e, StoreError::VersionMismatch { found: 0, expected: 1 }),
-            "{kind}: want VersionMismatch, got {e}"
-        );
-        let future = with_header(&bytes, 9, 2);
-        let e = load_must_error(&future, kind, "a future version stamp");
-        assert!(matches!(e, StoreError::VersionMismatch { found: 9, expected: 1 }));
-        cleanup(&path);
-    }
+    let path = build_fixture("stale");
+    let bytes = std::fs::read(&path).unwrap();
+    let stale = with_header(&bytes, 0, 2);
+    let e = load_must_error(&stale, "a stale version stamp");
+    assert!(
+        matches!(e, StoreError::VersionMismatch { found: 0, expected: 1 }),
+        "want VersionMismatch, got {e}"
+    );
+    let future = with_header(&bytes, 9, 2);
+    let e = load_must_error(&future, "a future version stamp");
+    assert!(matches!(e, StoreError::VersionMismatch { found: 9, expected: 1 }));
+    cleanup(&path);
 }
 
 #[test]
 fn wrong_dimension_header_is_a_dimension_mismatch() {
-    for kind in ["fzlh", "fzvp"] {
-        let path = build_fixture("dims", kind);
-        let bytes = std::fs::read(&path).unwrap();
-        for dims in [0_u16, 3, 7] {
-            let evil = with_header(&bytes, 1, dims);
-            let e = load_must_error(&evil, kind, "a wrong-dimension header");
-            assert!(
-                matches!(e, StoreError::DimensionMismatch { found, expected: 2 } if found == dims),
-                "{kind}: want DimensionMismatch({dims}), got {e}"
-            );
-        }
-        cleanup(&path);
+    let path = build_fixture("dims");
+    let bytes = std::fs::read(&path).unwrap();
+    for dims in [0_u16, 3, 7] {
+        let evil = with_header(&bytes, 1, dims);
+        let e = load_must_error(&evil, "a wrong-dimension header");
+        assert!(
+            matches!(e, StoreError::DimensionMismatch { found, expected: 2 } if found == dims),
+            "want DimensionMismatch({dims}), got {e}"
+        );
     }
+    cleanup(&path);
 }
 
 #[test]
 fn garbage_and_degenerate_images_are_rejected() {
-    for kind in ["fzlh", "fzvp"] {
-        load_must_error(b"", kind, "an empty image");
-        load_must_error(b"FZLH", kind, "a bare magic");
-        for fill in [0x00u8, 0xFF, 0x5A] {
-            load_must_error(&vec![fill; 256], kind, &format!("256 bytes of 0x{fill:02x}"));
-        }
+    load_must_error(b"", "an empty image");
+    load_must_error(b"FZVP", "a bare magic");
+    for fill in [0x00u8, 0xFF, 0x5A] {
+        load_must_error(&vec![fill; 256], &format!("256 bytes of 0x{fill:02x}"));
     }
 }
 
 #[test]
 fn cross_format_confusion_is_rejected() {
-    // Feeding one format's pristine bytes to the other loader must be a
-    // typed magic error, not a decode attempt.
-    let lsh_path = build_fixture("cross-l", "fzlh");
-    let vp_path = build_fixture("cross-v", "fzvp");
-    let lsh_bytes = std::fs::read(&lsh_path).unwrap();
-    let vp_bytes = std::fs::read(&vp_path).unwrap();
-    let e = load_must_error(&lsh_bytes, "fzvp", "an fzlh image");
+    // A pristine `.fzmt` image wears the same 16-byte header / 12-byte
+    // trailer envelope; feeding it to the `.fzvp` loader must be a typed
+    // magic error, not a decode attempt.
+    let dir = std::env::temp_dir().join(format!("fz-approx-corrupt-{}-cross", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ix.fzmt");
+    let objects: Vec<FuzzyObject<2>> = (0..24u64)
+        .map(|i| {
+            let (x, y) = ((i % 8) as f64 * 2.0, (i / 8) as f64 * 2.0);
+            FuzzyObject::new(ObjectId(i), vec![Point::new([x, y])], vec![1.0]).unwrap()
+        })
+        .collect();
+    MTree::build(&L2, &objects, MTreeConfig::default()).save(&path).unwrap();
+    let e = load_must_error(&std::fs::read(&path).unwrap(), "an fzmt image");
     assert!(matches!(e, StoreError::Corrupt { .. }));
-    let e = load_must_error(&vp_bytes, "fzlh", "an fzvp image");
-    assert!(matches!(e, StoreError::Corrupt { .. }));
-    cleanup(&lsh_path);
-    cleanup(&vp_path);
+    cleanup(&path);
 }
 
 #[test]
@@ -198,7 +175,7 @@ fn metric_mismatch_on_open_is_typed() {
             a.dist(b)
         }
     }
-    let path = build_fixture("metric", "fzvp");
+    let path = build_fixture("metric");
     let out = catch_unwind(AssertUnwindSafe(|| VpTree::<2>::load(&path, &FakeMetric)));
     match out {
         Err(_) => panic!("load panicked on a metric mismatch"),

@@ -29,7 +29,7 @@
 //! probes through [`Metric::alpha_distance_sq_bounded`]. Under
 //! [`fuzzy_core::L2`] every hook inlines to the pre-seam specialized call,
 //! so answers and counters are byte-identical to the L2-only engine
-//! (proven by the differential and shard-determinism suites); metrics
+//! (proven by the differential and engine-determinism suites); metrics
 //! without rectangle geometry degrade to sound `0`/`+∞` box bounds and
 //! rely on the M-tree backend (`fuzzy_index::mtree`) for real pruning.
 //!
@@ -63,7 +63,6 @@
 
 use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
-use crate::shard::SharedTau;
 use crate::stats::QueryStats;
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary, Threshold};
@@ -202,24 +201,6 @@ impl<const D: usize> From<SearchOutcome<D>> for AknnResult {
             stats: outcome.stats,
         }
     }
-}
-
-/// How [`search`] terminates and what it returns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SearchMode {
-    /// The paper's Algorithm 1/2: confirm `k` neighbours, exact or
-    /// bound-confirmed (`DistBound::Bounded`), in confirmation order.
-    Lazy,
-    /// `Lazy`, then probe every bound-confirmed survivor so all returned
-    /// distances are exact with the decoded object attached (RKNN and
-    /// the canonical single-tree reference need this).
-    Exact,
-    /// Scatter phase of a sharded query: collect **every** candidate
-    /// surviving τ pruning, bounds only, never probing the store. The
-    /// gather phase ([`resolve_pool`]) probes the pooled candidates in
-    /// global lower-bound order, so S shards spend their object probes
-    /// exactly where a single tree would.
-    Collect,
 }
 
 enum Item<const D: usize> {
@@ -433,28 +414,12 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     }
 }
 
-/// Core best-first search, generic over the index backend. `force_exact`
-/// probes any bound-confirmed neighbour at the end so every returned
-/// distance is exact (the RKNN algorithms need exact distances and the
-/// objects themselves).
-///
-/// `shared` plugs the search into a scatter-gather fan-out
-/// ([`crate::shard`]): when `Some`, the search *reads* the global
-/// k-th-best upper bound τ published by sibling shard searches — pruning
-/// whole subtrees, deferred entries and object probes that are provably
-/// outside the **global** top-k — and *publishes* its own k-th-best live
-/// upper bound back. Every prune compares strictly against an
-/// ulp-inflated τ, so exact ties are never discarded and the merged
-/// scatter-gather answer is byte-identical to a single-tree search over
-/// the union. `None` (every non-sharded caller) is bit-identical legacy
-/// behaviour.
-///
-/// `carry` holds already-confirmed competitors from sibling shards
-/// (disjoint ids, exact **squared** distances). They join the live seed
-/// set, so the running k-th-best bound counts cross-shard candidates
-/// individually — the same bound a single-tree search over the union
-/// would hold — instead of only through the scalar τ. Pass `&[]` when
-/// not scatter-gathering.
+/// Core best-first search (the paper's Algorithm 1/2), generic over the
+/// index backend: confirm `k` neighbours, exact or bound-confirmed
+/// ([`DistBound::Bounded`]), in confirmation order. With `exact`, every
+/// bound-confirmed survivor is then probed, so all returned distances are
+/// exact with the decoded object attached (RKNN and the canonical exact
+/// form need this).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -464,15 +429,12 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     k: usize,
     t: Threshold,
     cfg: &AknnConfig,
-    mode: SearchMode,
+    exact: bool,
     scratch: &mut QueryScratch<D>,
-    shared: Option<&SharedTau>,
-    carry: &[(ObjectId, f64)],
 ) -> Result<SearchOutcome<D>, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
-    let collect = mode == SearchMode::Collect;
     let start = Instant::now();
     let mut stats = QueryStats::default();
 
@@ -480,18 +442,6 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     let QueryScratch { heap, buffer, entries, samples, seeds } = scratch;
 
     let q_cut = q.cut_mbr(t).ok_or(QueryError::EmptyQueryCut)?;
-    // Carried competitors are live for the whole search: each is a real
-    // object already confirmed at an exact distance, so counting it
-    // toward the k-th-best bound is always sound. Publish the tightened
-    // bound immediately — sibling-shard knowledge prunes from pop one.
-    if cfg.seeded_probes && !carry.is_empty() {
-        for &(id, d_sq) in carry {
-            seeds.insert(id, d_sq);
-        }
-        if let Some(sh) = shared {
-            sh.observe(seeds.tau_sq(k));
-        }
-    }
     if cfg.improved_upper_bound {
         samples.extend(
             q.sample_cut_indices(t, cfg.query_samples, cfg.sample_seed)
@@ -518,14 +468,11 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
 
     // Costs are charged to the query-local `stats` (never read back from
     // the shared store/tree counters), so concurrent queries over one
-    // engine cannot pollute each other's numbers. `Collect` runs until
-    // τ pruning or exhaustion empties H — it bounds candidates, it does
-    // not count confirmations.
-    while collect || out.len() < k {
+    // engine cannot pollute each other's numbers.
+    while out.len() < k {
         let Some(MinKey { key, item }) = heap.pop() else {
             // H exhausted: everything still deferred is confirmed
-            // (|G| ≤ k − |NN| by invariant; unbounded in `Collect`, where
-            // the gather phase arbitrates). Deterministic order: by lower
+            // (|G| ≤ k − |NN| by invariant). Deterministic order: by lower
             // bound, then id.
             buffer.sort_by(|a, b| {
                 a.lo_sq.total_cmp(&b.lo_sq).then(
@@ -541,32 +488,6 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
             }
             break;
         };
-        // Scatter-gather pruning: pops ascend and the shared τ only
-        // shrinks, so the first pop beyond the (inflated) global bound
-        // proves this item and everything left in H strictly farther than
-        // k objects somewhere in the forest — none of it can reach the
-        // merged top-k. Clear H, drop the provably-out deferred entries,
-        // and let the next iteration drain the survivors.
-        let mut tau_g = shared.map_or(f64::INFINITY, SharedTau::get);
-        if collect && cfg.seeded_probes {
-            // Collect has no local confirmations to stop on; the running
-            // k-th-best live bound (which includes the carry) is what
-            // bounds the traversal — with or without sibling shards.
-            tau_g = tau_g.min(seeds.tau_sq(k));
-        }
-        if tau_g.is_finite() && key > inflate_sq(tau_g) {
-            heap.clear();
-            let bound = inflate_sq(tau_g);
-            buffer.retain(|d| {
-                if d.lo_sq > bound {
-                    seeds.remove(&entries[d.entry as usize].summary.id);
-                    false
-                } else {
-                    true
-                }
-            });
-            continue;
-        }
         match item {
             Item::Node(id) => {
                 check_deadline(cfg.deadline)?;
@@ -601,32 +522,12 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
             Item::Entry(idx) => {
                 check_deadline(cfg.deadline)?;
                 let id = entries[idx as usize].summary.id;
-                if collect {
-                    // Bound the candidate, track it, move on — the store
-                    // is never touched in the scatter phase.
-                    stats.bound_evals += 1;
-                    let hi_sq = entry_hi_sq(&entries[idx as usize]);
-                    if cfg.seeded_probes {
-                        seeds.insert(id, hi_sq);
-                        if let Some(sh) = shared {
-                            sh.observe(seeds.tau_sq(k));
-                        }
-                    }
-                    let pos = buffer.partition_point(|d| d.lo_sq > key);
-                    buffer.insert(pos, Deferred { entry: idx, lo_sq: key, hi_sq });
-                } else if !cfg.lazy_probe {
-                    let mut tau_sq =
-                        if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
-                    if let Some(sh) = shared {
-                        tau_sq = tau_sq.min(sh.get());
-                    }
+                if !cfg.lazy_probe {
+                    let tau_sq = if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
                     match probe_exact(metric, store, q, t, id, f64::INFINITY, tau_sq, &mut stats)? {
                         Probed::Exact(d_sq, obj) => {
                             if cfg.seeded_probes {
                                 seeds.insert(id, d_sq);
-                                if let Some(sh) = shared {
-                                    sh.observe(seeds.tau_sq(k));
-                                }
                             }
                             heap.push(MinKey { key: d_sq, item: Item::Object(id, d_sq, obj) });
                         }
@@ -657,9 +558,6 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     let hi_sq = entry_hi_sq(&entries[idx as usize]);
                     if cfg.seeded_probes {
                         seeds.insert(id, hi_sq);
-                        if let Some(sh) = shared {
-                            sh.observe(seeds.tau_sq(k));
-                        }
                     }
                     // Descending order, equal bounds latest-first: later
                     // duplicates land at the head of their equal run, so
@@ -668,8 +566,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     buffer.insert(pos, Deferred { entry: idx, lo_sq: key, hi_sq });
                     while buffer.len() > k - out.len() {
                         evict(
-                            heap, buffer, entries, seeds, metric, store, q, t, k, cfg, shared,
-                            &mut stats,
+                            heap, buffer, entries, seeds, metric, store, q, t, k, cfg, &mut stats,
                         )?;
                     }
                 }
@@ -678,10 +575,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 // Make room first: accepting the object shrinks the buffer
                 // capacity, and a full buffer might hide a closer candidate.
                 while !buffer.is_empty() && buffer.len() > k - out.len() - 1 {
-                    evict(
-                        heap, buffer, entries, seeds, metric, store, q, t, k, cfg, shared,
-                        &mut stats,
-                    )?;
+                    evict(heap, buffer, entries, seeds, metric, store, q, t, k, cfg, &mut stats)?;
                 }
                 // Eviction may have pushed a closer object into H; re-check.
                 if heap.peek().is_some_and(|top| top.key < d_sq) {
@@ -697,55 +591,24 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
         }
     }
 
-    if mode == SearchMode::Exact {
-        if let Some(sh) = shared {
-            // Scatter-gather tail: each bound-only leftover is checked
-            // against the global τ *before* its store probe — by lower
-            // bound (free) or by a τ-seeded probe (dominated ⇒ strictly
-            // farther than k objects in the forest). Either way a dropped
-            // candidate can never reach the merged top-k, and survivors
-            // come back exact so shard answers merge deterministically.
-            let mut exact = Vec::with_capacity(out.len());
-            for mut n in out {
-                if n.object.is_none() {
-                    let tau_g = sh.get();
-                    let cut = if tau_g.is_finite() { inflate_sq(tau_g) } else { f64::INFINITY };
-                    let lo = n.dist.lo();
-                    if lo * lo > cut {
-                        continue;
+    if exact {
+        for n in &mut out {
+            if n.object.is_none() {
+                match probe_exact(
+                    metric,
+                    store,
+                    q,
+                    t,
+                    n.id,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    &mut stats,
+                )? {
+                    Probed::Exact(d_sq, obj) => {
+                        n.dist = DistBound::Exact(d_sq.sqrt());
+                        n.object = Some(obj);
                     }
-                    let hi = n.dist.hi();
-                    let own = if hi.is_finite() { inflate_sq(hi * hi) } else { f64::INFINITY };
-                    match probe_exact(metric, store, q, t, n.id, own, tau_g, &mut stats)? {
-                        Probed::Exact(d_sq, obj) => {
-                            n.dist = DistBound::Exact(d_sq.sqrt());
-                            n.object = Some(obj);
-                        }
-                        Probed::Dominated => continue,
-                    }
-                }
-                exact.push(n);
-            }
-            out = exact;
-        } else {
-            for n in &mut out {
-                if n.object.is_none() {
-                    match probe_exact(
-                        metric,
-                        store,
-                        q,
-                        t,
-                        n.id,
-                        f64::INFINITY,
-                        f64::INFINITY,
-                        &mut stats,
-                    )? {
-                        Probed::Exact(d_sq, obj) => {
-                            n.dist = DistBound::Exact(d_sq.sqrt());
-                            n.object = Some(obj);
-                        }
-                        Probed::Dominated => unreachable!("unseeded probes cannot be dominated"),
-                    }
+                    Probed::Dominated => unreachable!("unseeded probes cannot be dominated"),
                 }
             }
         }
@@ -781,90 +644,24 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     t: Threshold,
     k: usize,
     cfg: &AknnConfig,
-    shared: Option<&SharedTau>,
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let victim = buffer.pop().expect("evict called on a non-empty buffer");
     let id = entries[victim.entry as usize].summary.id;
-    let (own_hi_sq, mut tau_sq) = if cfg.seeded_probes {
+    let (own_hi_sq, tau_sq) = if cfg.seeded_probes {
         seeds.remove(&id);
         (inflate_sq(victim.hi_sq), seeds.tau_sq(k))
     } else {
         (f64::INFINITY, f64::INFINITY)
     };
-    if let Some(sh) = shared {
-        tau_sq = tau_sq.min(sh.get());
-    }
     match probe_exact(metric, store, q, t, id, own_hi_sq, tau_sq, stats)? {
         Probed::Exact(d_sq, obj) => {
             if cfg.seeded_probes {
                 seeds.insert(id, d_sq);
-                if let Some(sh) = shared {
-                    sh.observe(seeds.tau_sq(k));
-                }
             }
             heap.push(MinKey { key: d_sq, item: Item::Object(id, d_sq, obj) });
         }
         Probed::Dominated => {}
     }
     Ok(())
-}
-
-/// Resolve a scatter-gather candidate pool to exact distances — the
-/// gather half of [`crate::shard::sharded_search`]. The pool is the
-/// union of per-shard top-k lists, so every global top-k member is in
-/// it; candidates are probed in ascending lower-bound order (ties by
-/// id) — the order a single-tree best-first search drains its heap in —
-/// under one seed tracker holding every live candidate's tightest
-/// bound. A candidate provably behind `k` others is dropped for free
-/// (by lower bound) or by a τ-seeded probe; every comparison goes
-/// through the ulp-inflated τ, so exact ties survive and the canonical
-/// (distance, id) top-k stays byte-identical to a single-tree exact
-/// search over the union. Survivors all carry exact distances and the
-/// decoded object; the caller sorts and truncates.
-pub(crate) fn resolve_pool<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
-    metric: &M,
-    store: &S,
-    q: &FuzzyObject<D>,
-    k: usize,
-    t: Threshold,
-    mut pool: Vec<FoundNeighbor<D>>,
-    stats: &mut QueryStats,
-) -> Result<Vec<FoundNeighbor<D>>, QueryError> {
-    let mut seeds = SeedTracker::default();
-    seeds.reset();
-    for n in &pool {
-        let hi = n.dist.hi();
-        seeds.insert(n.id, if hi.is_finite() { hi * hi } else { f64::INFINITY });
-    }
-    pool.sort_by(|a, b| a.dist.lo().total_cmp(&b.dist.lo()).then(a.id.cmp(&b.id)));
-    let mut out: Vec<FoundNeighbor<D>> = Vec::with_capacity(k);
-    for mut n in pool {
-        if n.object.is_some() {
-            // Probed during the scatter phase; its seed is already its
-            // exact distance.
-            out.push(n);
-            continue;
-        }
-        // Mirror `evict`: drop the candidate's own bound *before*
-        // computing τ, so τ counts `k` other live candidates.
-        seeds.remove(&n.id);
-        let tau_sq = seeds.tau_sq(k);
-        let lo = n.dist.lo();
-        if tau_sq.is_finite() && lo * lo > inflate_sq(tau_sq) {
-            continue;
-        }
-        let hi = n.dist.hi();
-        let own = if hi.is_finite() { inflate_sq(hi * hi) } else { f64::INFINITY };
-        match probe_exact(metric, store, q, t, n.id, own, tau_sq, stats)? {
-            Probed::Exact(d_sq, obj) => {
-                seeds.insert(n.id, d_sq);
-                n.dist = DistBound::Exact(d_sq.sqrt());
-                n.object = Some(obj);
-                out.push(n);
-            }
-            Probed::Dominated => {}
-        }
-    }
-    Ok(out)
 }

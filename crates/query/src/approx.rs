@@ -1,13 +1,12 @@
 //! Approximate AKNN: dialed recall, exact distances.
 //!
-//! [`approx_aknn`] answers the paper's AKNN query through an
-//! [`ApproxIndex`] candidate generator instead of a tree traversal. The
-//! backend proposes a deterministic candidate pool from per-object
-//! expected centers ([`fuzzy_index::lsh`] / [`fuzzy_index::vptree`],
-//! reach set by the [`RecallDial`]); this module then **resolves** the
-//! pool through the same exact probe loop the tree engines use —
-//! τ-seeded [`Metric::alpha_distance_sq_bounded`] probes with the
-//! [`QueryScratch`] seed tracker — and finishes with optional
+//! [`approx_aknn`] answers the paper's AKNN query through a [`VpTree`]
+//! candidate generator instead of an R-tree traversal. The VP-tree
+//! proposes a deterministic candidate pool from per-object expected
+//! centers (reach set by the [`RecallDial`]); this module then
+//! **resolves** the pool through the same exact probe loop the tree
+//! engines use — τ-seeded [`Metric::alpha_distance_sq_bounded`] probes
+//! with the [`QueryScratch`] seed tracker — and finishes with optional
 //! friend-of-a-friend refinement rounds (expand the current answers'
 //! build-time neighbor lists, probe anything that might beat τ).
 //!
@@ -28,7 +27,7 @@ use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
-use fuzzy_index::ApproxIndex;
+use fuzzy_index::VpTree;
 use fuzzy_store::ObjectStore;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -61,9 +60,9 @@ impl Default for ApproxConfig {
 }
 
 /// Approximate AKNN with a fresh scratch; see [`approx_aknn_with_scratch`].
-pub fn approx_aknn<M, X, S, const D: usize>(
+pub fn approx_aknn<M, S, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -72,7 +71,6 @@ pub fn approx_aknn<M, X, S, const D: usize>(
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
     S: ObjectStore<D>,
 {
     approx_aknn_with_scratch(metric, index, store, q, k, t, cfg, &mut QueryScratch::new())
@@ -91,9 +89,9 @@ where
 /// `object_accesses` per store probe that hit disk, `distance_evals` per
 /// α-distance evaluation.
 #[allow(clippy::too_many_arguments)]
-pub fn approx_aknn_with_scratch<M, X, S, const D: usize>(
+pub fn approx_aknn_with_scratch<M, S, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -103,7 +101,6 @@ pub fn approx_aknn_with_scratch<M, X, S, const D: usize>(
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
     S: ObjectStore<D>,
 {
     if k == 0 {
@@ -171,17 +168,13 @@ where
 
 /// Candidate ids → (center distance, spread, id), sorted nearest-center
 /// first with id tie-breaks — the deterministic probe order.
-fn rank_pool<M, X, const D: usize>(
+fn rank_pool<M: Metric<D> + ?Sized, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     q_rep: &fuzzy_geom::Point<D>,
     ids: &[ObjectId],
     stats: &mut QueryStats,
-) -> Vec<(f64, f64, ObjectId)>
-where
-    M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
-{
+) -> Vec<(f64, f64, ObjectId)> {
     let mut pool: Vec<(f64, f64, ObjectId)> = Vec::with_capacity(ids.len());
     for &id in ids {
         if let Some((center, spread)) = index.ball_of(id) {

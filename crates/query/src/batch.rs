@@ -4,9 +4,8 @@
 //! queries over one shared index and store, varying k, α and the pruning
 //! variant. [`BatchExecutor`] is that execution layer: it fans a workload
 //! of mixed requests across scoped worker threads, each running ordinary
-//! single-query searches against the shared (read-only) index and store —
-//! one tree or a [`Forest`](crate::shard::Forest) of shards, the same
-//! [`QueryEngine`] either way.
+//! single-query searches against the shared (read-only) index and store
+//! through the one [`QueryEngine`].
 //!
 //! Guarantees, independent of the thread count:
 //!
@@ -103,22 +102,6 @@ impl BatchResponse {
             Self::Rknn(r) => &r.stats,
         }
     }
-
-    /// The AKNN result, if this answered an AKNN request.
-    pub fn as_aknn(&self) -> Option<&AknnResult> {
-        match self {
-            Self::Aknn(r) => Some(r),
-            Self::Rknn(_) => None,
-        }
-    }
-
-    /// The RKNN result, if this answered an RKNN request.
-    pub fn as_rknn(&self) -> Option<&RknnResult> {
-        match self {
-            Self::Aknn(_) => None,
-            Self::Rknn(r) => Some(r),
-        }
-    }
 }
 
 /// What one worker thread did.
@@ -189,7 +172,7 @@ impl BatchOutcome {
 /// use fuzzy_core::{FuzzyObject, ObjectId};
 /// use fuzzy_geom::Point;
 /// use fuzzy_index::{RTree, RTreeConfig};
-/// use fuzzy_query::{AknnConfig, BatchExecutor, BatchRequest};
+/// use fuzzy_query::{AknnConfig, BatchExecutor, BatchRequest, BatchResponse};
 /// use fuzzy_store::{MemStore, ObjectStore};
 ///
 /// let store = MemStore::from_objects((0..8).map(|i| {
@@ -214,7 +197,7 @@ impl BatchOutcome {
 /// assert_eq!(outcome.responses.len(), 8);
 /// assert_eq!(outcome.error_count(), 0);
 /// // responses[i] answers requests[i]: each query object is its own 1-NN.
-/// let first = outcome.responses[0].as_ref().unwrap().as_aknn().unwrap();
+/// let Ok(BatchResponse::Aknn(first)) = &outcome.responses[0] else { panic!("an AKNN answer") };
 /// assert!(first.ids().contains(&ObjectId(0)));
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -252,11 +235,8 @@ impl BatchExecutor {
     }
 
     /// Run a workload against a borrowed index and store: any
-    /// [`SearchBackend`] — an in-memory or paged tree, an `Arc` snapshot,
-    /// or a [`Forest`](crate::shard::Forest), whose AKNN answers come
-    /// back in canonical exact form (byte-identical to
-    /// [`QueryEngine::aknn_exact`] on a single tree, not to the lazy
-    /// confirmation-order results a tree returns for the same request).
+    /// [`SearchBackend`] — an in-memory or paged tree, or an `Arc`
+    /// snapshot of one.
     pub fn run<I, S, const D: usize>(
         &self,
         index: &I,
@@ -529,7 +509,9 @@ mod tests {
         // The engine remains usable after the unwind (scratch reset at
         // every search entry): both survivors found their own object.
         for i in [0usize, 2] {
-            let r = outcome.responses[i].as_ref().unwrap().as_aknn().unwrap();
+            let Ok(BatchResponse::Aknn(r)) = &outcome.responses[i] else {
+                panic!("an AKNN answer")
+            };
             assert!(r.ids().contains(&ObjectId(0)));
         }
     }

@@ -4,20 +4,19 @@
 //! The engine is generic over **what it searches** — the
 //! [`SearchBackend`] seam, implemented by every [`NodeAccess`] index (the
 //! in-memory `RTree`, the disk-resident `PagedRTree`/`OverlayRTree`, the
-//! `MTree`, an `Arc` snapshot of any of them) and by a
-//! [`Forest`](crate::shard::Forest) of such indexes — and over the
-//! **object store** `S` (anything implementing [`ObjectStore`]). The paper
-//! has one AKNN procedure and three RKNN algorithms that call it; the
-//! layout under them (one tree, many shards) and the ownership around them
-//! (`&T`, `Arc<T>`, a [`Versioned`](crate::Versioned) snapshot) are the
-//! caller's choice, not separate engine types.
+//! `MTree`, an `Arc` snapshot of any of them) — and over the **object
+//! store** `S` (anything implementing [`ObjectStore`]). The paper has one
+//! AKNN procedure and three RKNN algorithms that call it; the backend
+//! under them and the ownership around them (`&T`, `Arc<T>`, a
+//! [`Versioned`](crate::Versioned) snapshot) are the caller's choice, not
+//! separate engine types.
 //!
 //! The plain methods fix the metric to [`L2`]; the `*_in` roots take an
 //! explicit [`Metric`]. Under `L2` the generic path inlines to the
 //! specialized kernels, so answers and counters are byte-identical either
 //! way (the differential suites pin this).
 
-use crate::aknn::{search, AknnConfig, QueryScratch, SearchMode, SearchOutcome};
+use crate::aknn::{search, AknnConfig, QueryScratch, SearchOutcome};
 use crate::error::QueryError;
 use crate::result::{AknnResult, RknnResult};
 use crate::rknn::{self, RknnAlgorithm};
@@ -31,12 +30,10 @@ use fuzzy_store::ObjectStore;
 /// What a [`QueryEngine`] searches: the two primitives through which the
 /// AKNN procedure and the RKNN algorithms reach an index.
 ///
-/// Every [`NodeAccess`] backend implements it through a blanket impl (a
-/// single tree, answering lazily unless the exact form is asked for);
-/// [`Forest`](crate::shard::Forest) implements it as scatter-gather over
-/// shards (always the canonical exact form). Everything above the seam —
-/// critical-probability stepping, profile refinement, batching, serving —
-/// is layout-agnostic.
+/// Every [`NodeAccess`] backend implements it through a blanket impl,
+/// answering lazily unless the exact form is asked for. Everything above
+/// the seam — critical-probability stepping, profile refinement, batching,
+/// serving — is backend-agnostic.
 pub trait SearchBackend<const D: usize> {
     /// The `k` nearest objects to `q` at `t`. With `exact = false` a
     /// backend may return bound-confirmed neighbours
@@ -83,8 +80,7 @@ impl<A: NodeAccess<D>, const D: usize> SearchBackend<D> for A {
         exact: bool,
         scratch: &mut QueryScratch<D>,
     ) -> Result<SearchOutcome<D>, QueryError> {
-        let mode = if exact { SearchMode::Exact } else { SearchMode::Lazy };
-        search(metric, self, store, q, k, t, cfg, mode, scratch, None, &[])
+        search(metric, self, store, q, k, t, cfg, exact, scratch)
     }
 
     fn range_candidates<M: Metric<D>>(
@@ -110,8 +106,7 @@ pub fn threshold_at(alpha: f64) -> Result<Threshold, QueryError> {
     }
 }
 
-/// The query engine: a borrowed index (one tree or a
-/// [`Forest`](crate::shard::Forest)) and a borrowed object store. All
+/// The query engine: a borrowed index and a borrowed object store. All
 /// query state is per call, so one engine — or any number of engines over
 /// the same `&I`/`&S` — may be queried from many threads at once.
 ///
@@ -196,9 +191,9 @@ impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a,
     /// AKNN at an explicit [`Threshold`] (strict thresholds implement the
     /// exact `α + ε` semantics) under an explicit [`Metric`]. This is the
     /// root of the AKNN call graph: the plain methods funnel here with
-    /// `metric = &L2`. A single tree answers lazily (neighbours may be
-    /// bound-confirmed, in confirmation order); a forest always answers in
-    /// the canonical exact form of [`QueryEngine::aknn_exact`].
+    /// `metric = &L2`. The answer is lazy: neighbours may be
+    /// bound-confirmed, in confirmation order
+    /// ([`QueryEngine::aknn_exact`] is the canonical exact form).
     pub fn aknn_at_with_scratch_in<M: Metric<D>>(
         &self,
         metric: &M,
@@ -217,9 +212,8 @@ impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a,
     /// Canonical exact AKNN: every neighbour probed to an exact distance,
     /// sorted by (distance, id) regardless of confirmation order. This is
     /// the form in which answers are comparable byte for byte across
-    /// execution layouts — the lazy single-tree answer may legitimately
-    /// carry `Bounded` knowledge in confirmation order; this one, and
-    /// every forest answer, does not.
+    /// backends — the lazy answer may legitimately carry `Bounded`
+    /// knowledge in confirmation order; this one does not.
     pub fn aknn_exact(
         &self,
         q: &FuzzyObject<D>,
@@ -312,7 +306,6 @@ impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a,
 #[cfg(test)]
 mod send_sync_tests {
     use super::*;
-    use crate::shard::Forest;
     use fuzzy_index::{OverlayRTree, PagedRTree, RTree};
     use fuzzy_store::{CachedStore, FileStore, MemStore};
     use std::sync::Arc;
@@ -320,11 +313,10 @@ mod send_sync_tests {
     fn assert_send_sync<T: Send + Sync>() {}
 
     /// The whole read path must be shareable across threads: the trees,
-    /// the stores, and the engine over a tree, an `Arc` snapshot and a
-    /// forest — for the mem and the paged backends. This is a
-    /// compile-time audit — adding interior mutability without
-    /// synchronization anywhere in `index`/`store`/`query` breaks this
-    /// test.
+    /// the stores, and the engine over a tree and an `Arc` snapshot — for
+    /// the mem and the paged backends. This is a compile-time audit —
+    /// adding interior mutability without synchronization anywhere in
+    /// `index`/`store`/`query` breaks this test.
     #[test]
     fn engines_and_components_are_send_sync() {
         assert_send_sync::<RTree<2>>();
@@ -340,12 +332,5 @@ mod send_sync_tests {
         // Over an `Arc` snapshot (what `Versioned::snapshot` hands out).
         assert_send_sync::<QueryEngine<'static, Arc<RTree<2>>, MemStore<2>, 2>>();
         assert_send_sync::<QueryEngine<'static, Arc<OverlayRTree<2>>, FileStore<2>, 2>>();
-        // Over a forest.
-        assert_send_sync::<QueryEngine<'static, Forest<'static, RTree<2>>, MemStore<2>, 2>>();
-        assert_send_sync::<QueryEngine<'static, Forest<'static, OverlayRTree<2>>, FileStore<2>, 2>>(
-        );
-        assert_send_sync::<
-            QueryEngine<'static, Forest<'static, Arc<PagedRTree<2>>>, FileStore<2>, 2>,
-        >();
     }
 }

@@ -25,9 +25,7 @@
 //! A reader is `QueryEngine::new(&versioned.snapshot(), &store)` — the
 //! `Arc` snapshot is an index like any other; a writer is
 //! `versioned.write(|index| index.insert_summary(..))`
-//! (`fuzzy_index::MutableIndex`). A shard forest is versioned as one
-//! value, `Versioned<Vec<A>>`, read through
-//! [`Forest::new(&snapshot)`](crate::shard::Forest).
+//! (`fuzzy_index::MutableIndex`).
 //!
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId};

@@ -21,9 +21,9 @@
 //!   used as the test oracle.
 //!
 //! There is **one engine**, [`QueryEngine`], generic over what it searches
-//! (the [`SearchBackend`] seam: any `NodeAccess` tree, an `Arc` snapshot
-//! of one, or a [`Forest`] of shards) and over the object store. Layout
-//! and ownership are the caller's choice, not separate engine types:
+//! (the [`SearchBackend`] seam: any `NodeAccess` tree or an `Arc` snapshot
+//! of one) and over the object store. Backend and ownership are the
+//! caller's choice, not separate engine types:
 //!
 //! * **Batched workloads** ([`batch`]): a [`BatchExecutor`] fans mixed
 //!   AKNN/RKNN workloads across scoped worker threads over one shared
@@ -35,18 +35,11 @@
 //!   backend) safe under concurrent reads — writers publish frozen
 //!   snapshots, in-flight queries keep theirs
 //!   (`QueryEngine::new(&versioned.snapshot(), &store)`).
-//! * **Approximate AKNN** ([`approx`]): candidate pools from an
-//!   `fuzzy_index::ApproxIndex` backend (multi-probe LSH or VP-tree over
-//!   expected centers), resolved through the exact probe loop and
-//!   optionally refined friend-of-a-friend — exact distances always,
-//!   recall set by the [`RecallDial`], measured by [`recall_at_k`].
-//! * **Shard forests** ([`shard`]): `QueryEngine::new(&Forest::new(&shards),
-//!   &store)` scatter-gathers over a `fuzzy_index::ShardedIndex`
-//!   partition — per-shard bound-only searches under a shared τ bound
-//!   ([`SharedTau`]), then one global gather phase that probes pooled
-//!   candidates in the same nearest-first order a single tree would.
-//!   Answers are byte-identical to [`QueryEngine::aknn_exact`] on a
-//!   single tree at every shard count.
+//! * **Approximate AKNN** ([`approx`]): candidate pools from a
+//!   `fuzzy_index::VpTree` over expected centers, resolved through the
+//!   exact probe loop and optionally refined friend-of-a-friend — exact
+//!   distances always, recall set by the [`RecallDial`], measured by
+//!   [`recall_at_k`].
 
 #![warn(missing_docs)]
 
@@ -61,7 +54,6 @@ pub mod join;
 pub mod metric_search;
 pub mod result;
 pub mod rknn;
-pub mod shard;
 pub mod stats;
 pub mod sweep;
 
@@ -79,5 +71,4 @@ pub use join::{alpha_distance_join, JoinPair, JoinResult};
 pub use metric_search::{metric_aknn, metric_aknn_brute};
 pub use result::{AknnResult, DistBound, Neighbor, RknnItem, RknnResult};
 pub use rknn::RknnAlgorithm;
-pub use shard::{sharded_alpha_distance_join, Forest, SharedTau};
 pub use stats::QueryStats;

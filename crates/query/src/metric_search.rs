@@ -26,7 +26,7 @@
 //! metric-search suite), while the *costs* differ because ball bounds are
 //! looser than box bounds.
 
-use crate::aknn::inflate_sq;
+use crate::aknn::{check_deadline, inflate_sq};
 use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
@@ -70,6 +70,10 @@ pub(crate) fn ball_lb_sq(d: f64, q_spread: f64, other_radius: f64) -> f64 {
 /// accounted in the same units as the rectangle engine: `node_accesses`
 /// per expanded node, `object_accesses` per store probe, `distance_evals`
 /// per exact α-distance evaluation, `bound_evals` per entry bound.
+///
+/// Past `deadline` the search aborts with
+/// [`QueryError::DeadlineExceeded`] at its next node expansion or object
+/// probe, like the rectangle engine; `None` never expires.
 pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
     tree: &MTree<D>,
@@ -77,6 +81,7 @@ pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     q: &FuzzyObject<D>,
     k: usize,
     t: Threshold,
+    deadline: Option<Instant>,
 ) -> Result<AknnResult, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
@@ -116,6 +121,7 @@ pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
         }
         match item {
             Pending::Node(id) => {
+                check_deadline(deadline)?;
                 stats.node_accesses += 1;
                 let node = tree.read_node(id).map_err(QueryError::Store)?;
                 match node.view() {
@@ -144,6 +150,7 @@ pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
                 }
             }
             Pending::Object(id) => {
+                check_deadline(deadline)?;
                 stats.object_accesses += 1;
                 let obj = store.probe(id).map_err(QueryError::Store)?;
                 stats.distance_evals += 1;

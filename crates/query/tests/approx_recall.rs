@@ -2,12 +2,11 @@
 //!
 //! Three properties pin the dial semantics, for any seeded workload:
 //!
-//! 1. **Exact dial ⇒ recall 1.0**: at `RecallDial::Exact` both backends
-//!    answer bit-identically to the exact engine — ids *and* IEEE-754
+//! 1. **Exact dial ⇒ recall 1.0**: at `RecallDial::Exact` the VP-tree path
+//!    answers bit-identically to the exact engine — ids *and* IEEE-754
 //!    distance bits.
-//! 2. **LSH recall is monotone in the probe budget**: the multi-probe
-//!    sequence is prefix-nested, so the candidate pool at budget `b` is
-//!    a subset of the pool at `b + 1`, and recall@k can only rise.
+//! 2. **Slack widens the pool**: a larger ε never shrinks the candidate
+//!    pool, and the pool always holds at least `k` candidates.
 //! 3. **Every returned `(dist, id)` pair is bit-identical to an
 //!    exact-oracle pair**: the dial moves recall, never the reported
 //!    distance of any returned object.
@@ -15,9 +14,7 @@
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{
-    ApproxIndex, LshConfig, LshIndex, RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig,
-};
+use fuzzy_index::{RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig};
 use fuzzy_query::{
     approx_aknn, metric_aknn_brute, recall_at_k, AknnConfig, ApproxConfig, DistBound, QueryEngine,
 };
@@ -62,10 +59,8 @@ fn fingerprint(result: &fuzzy_query::AknnResult) -> String {
         .join(" ")
 }
 
-fn backends(store: &MemStore<2>) -> (LshIndex<2>, VpTree<2>) {
-    let lsh = LshIndex::build(store.summaries(), LshConfig::default());
-    let vp = VpTree::build(&L2, store.summaries(), VpTreeConfig::default());
-    (lsh, vp)
+fn vptree(store: &MemStore<2>) -> VpTree<2> {
+    VpTree::build(&L2, store.summaries(), VpTreeConfig::default())
 }
 
 #[test]
@@ -77,74 +72,17 @@ fn exact_dial_matches_exact_engine_bitwise() {
             RTreeConfig { max_entries: 8, min_fill: 0.4 },
         );
         let engine = QueryEngine::new(&tree, &store);
-        let (lsh, vp) = backends(&store);
+        let vp = vptree(&store);
         let cfg = ApproxConfig::at(RecallDial::Exact);
         for qid in [0_u64, 13, 42, 69] {
             let q = store.probe(ObjectId(qid)).unwrap();
             for (k, alpha) in [(1, 0.5), (5, 0.5), (10, 0.3), (7, 0.8)] {
                 let exact = engine.aknn_exact(&q, k, alpha, &AknnConfig::lb_lp_ub()).unwrap();
                 let t = Threshold::at(alpha);
-                let via_lsh = approx_aknn(&L2, &lsh, &store, &q, k, t, &cfg).unwrap();
                 let via_vp = approx_aknn(&L2, &vp, &store, &q, k, t, &cfg).unwrap();
-                assert_eq!(fingerprint(&via_lsh), fingerprint(&exact), "lsh exact dial");
                 assert_eq!(fingerprint(&via_vp), fingerprint(&exact), "vptree exact dial");
-                assert_eq!(recall_at_k(&via_lsh, &exact), 1.0);
                 assert_eq!(recall_at_k(&via_vp, &exact), 1.0);
             }
-        }
-    }
-}
-
-#[test]
-fn lsh_recall_monotone_in_probe_budget() {
-    const BUDGETS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
-    for salt in [0_u64, 1, 2, 3, 4] {
-        let store = store_of(90, salt);
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
-        let engine = QueryEngine::new(&tree, &store);
-        let lsh = LshIndex::build(store.summaries(), LshConfig::default());
-        // FoF rounds off: monotonicity is a property of the raw pools.
-        let mut last = -1.0_f64;
-        for budget in BUDGETS {
-            let cfg = ApproxConfig { dial: RecallDial::Budget(budget), fof_rounds: 0 };
-            let mut total = 0.0;
-            let mut count = 0;
-            for qid in (0..90).step_by(9) {
-                let q = store.probe(ObjectId(qid)).unwrap();
-                let exact = engine.aknn_exact(&q, 10, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
-                let approx =
-                    approx_aknn(&L2, &lsh, &store, &q, 10, Threshold::at(0.5), &cfg).unwrap();
-                total += recall_at_k(&approx, &exact);
-                count += 1;
-            }
-            let mean = total / count as f64;
-            assert!(
-                mean >= last - 1e-12,
-                "salt {salt}: recall fell from {last} to {mean} at budget {budget}"
-            );
-            last = mean;
-        }
-    }
-}
-
-#[test]
-fn lsh_pools_nest_across_budgets() {
-    let store = store_of(80, 99);
-    let lsh = LshIndex::build(store.summaries(), LshConfig::default());
-    for qid in [0_u64, 17, 55] {
-        let q = store.probe(ObjectId(qid)).unwrap().rep_point();
-        let mut prev: Vec<ObjectId> = Vec::new();
-        for budget in [1.0, 2.0, 3.0, 5.0, 9.0] {
-            let mut pool = Vec::new();
-            lsh.candidates(&L2, &q, 10, RecallDial::Budget(budget), &mut pool);
-            assert!(
-                prev.iter().all(|id| pool.binary_search(id).is_ok()),
-                "pool at larger budget must contain the smaller pool"
-            );
-            prev = pool;
         }
     }
 }
@@ -155,7 +93,7 @@ fn returned_pairs_are_bitwise_oracle_pairs() {
     let n = 75_u64;
     let store = store_of(n, salt);
     let ids: Vec<ObjectId> = store.summaries().iter().map(|s| s.id).collect();
-    let (lsh, vp) = backends(&store);
+    let vp = vptree(&store);
     for qid in [3_u64, 40, 74] {
         let q = store.probe(ObjectId(qid)).unwrap();
         let t = Threshold::at(0.5);
@@ -163,21 +101,17 @@ fn returned_pairs_are_bitwise_oracle_pairs() {
         let oracle = metric_aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
         for dial in [RecallDial::Budget(1.0), RecallDial::Budget(4.0), RecallDial::Exact] {
             let cfg = ApproxConfig::at(dial);
-            for result in [
-                approx_aknn(&L2, &lsh, &store, &q, 10, t, &cfg).unwrap(),
-                approx_aknn(&L2, &vp, &store, &q, 10, t, &cfg).unwrap(),
-            ] {
-                for nb in &result.neighbors {
-                    let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
-                    let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();
-                    let DistBound::Exact(od) = found.dist else { unreachable!() };
-                    assert_eq!(
-                        d.to_bits(),
-                        od.to_bits(),
-                        "returned pair for {} must be bit-identical to the oracle",
-                        nb.id
-                    );
-                }
+            let result = approx_aknn(&L2, &vp, &store, &q, 10, t, &cfg).unwrap();
+            for nb in &result.neighbors {
+                let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
+                let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();
+                let DistBound::Exact(od) = found.dist else { unreachable!() };
+                assert_eq!(
+                    d.to_bits(),
+                    od.to_bits(),
+                    "returned pair for {} must be bit-identical to the oracle",
+                    nb.id
+                );
             }
         }
     }
@@ -186,7 +120,7 @@ fn returned_pairs_are_bitwise_oracle_pairs() {
 #[test]
 fn vptree_slack_widens_the_pool() {
     let store = store_of(120, 5);
-    let vp = VpTree::build(&L2, store.summaries(), VpTreeConfig::default());
+    let vp = vptree(&store);
     let q = store.probe(ObjectId(60)).unwrap().rep_point();
     let mut sizes = Vec::new();
     for eps in [0.0, 0.5, 2.0] {
@@ -201,7 +135,7 @@ fn vptree_slack_widens_the_pool() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The three dial properties under arbitrary seeded workloads.
+    /// The dial properties under arbitrary seeded workloads.
     #[test]
     fn dial_properties_hold_for_any_seeded_workload(
         salt in any::<u64>(),
@@ -215,7 +149,7 @@ proptest! {
         );
         let engine = QueryEngine::new(&tree, &store);
         let ids: Vec<ObjectId> = store.summaries().iter().map(|s| s.id).collect();
-        let (lsh, vp) = backends(&store);
+        let vp = vptree(&store);
         let t = Threshold::at(0.5);
         let q = store.probe(ObjectId(salt % n)).unwrap();
         let exact = engine.aknn_exact(&q, k, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
@@ -223,34 +157,26 @@ proptest! {
 
         // (1) exact dial ⇒ bitwise-exact answer, recall 1.0.
         let at_exact = ApproxConfig::at(RecallDial::Exact);
-        let lsh_exact = approx_aknn(&L2, &lsh, &store, &q, k, t, &at_exact).unwrap();
         let vp_exact = approx_aknn(&L2, &vp, &store, &q, k, t, &at_exact).unwrap();
-        prop_assert_eq!(fingerprint(&lsh_exact), fingerprint(&exact));
         prop_assert_eq!(fingerprint(&vp_exact), fingerprint(&exact));
+        prop_assert_eq!(recall_at_k(&vp_exact, &exact), 1.0);
 
-        // (2) LSH recall monotone across a budget ladder (raw pools).
-        let mut last = -1.0_f64;
-        for budget in [1.0, 3.0, 9.0] {
-            let cfg = ApproxConfig { dial: RecallDial::Budget(budget), fof_rounds: 0 };
-            let r = recall_at_k(
-                &approx_aknn(&L2, &lsh, &store, &q, k, t, &cfg).unwrap(),
-                &exact,
-            );
-            prop_assert!(r >= last - 1e-12, "recall fell from {} to {} at {}", last, r, budget);
-            last = r;
+        // (2) slack never shrinks the pool, which holds at least k.
+        let mut last = k.min(n as usize);
+        for eps in [0.0, 1.0, 3.0] {
+            let mut pool = Vec::new();
+            vp.candidates(&L2, &q.rep_point(), k, RecallDial::Budget(eps), &mut pool);
+            prop_assert!(pool.len() >= last, "pool shrank to {} at ε = {}", pool.len(), eps);
+            last = pool.len();
         }
 
         // (3) every returned pair is a bitwise oracle pair.
-        for result in [
-            approx_aknn(&L2, &lsh, &store, &q, k, t, &ApproxConfig::default()).unwrap(),
-            approx_aknn(&L2, &vp, &store, &q, k, t, &ApproxConfig::default()).unwrap(),
-        ] {
-            for nb in &result.neighbors {
-                let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
-                let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();
-                let DistBound::Exact(od) = found.dist else { unreachable!() };
-                prop_assert_eq!(d.to_bits(), od.to_bits());
-            }
+        let result = approx_aknn(&L2, &vp, &store, &q, k, t, &ApproxConfig::default()).unwrap();
+        for nb in &result.neighbors {
+            let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
+            let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();
+            let DistBound::Exact(od) = found.dist else { unreachable!() };
+            prop_assert_eq!(d.to_bits(), od.to_bits());
         }
     }
 }

@@ -7,8 +7,8 @@ use fuzzy_core::distance::alpha_distance_brute;
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{RTree, RTreeConfig, ShardAssign, StrCenterAssign};
-use fuzzy_query::{AknnConfig, Forest, QueryEngine, QueryScratch, RknnAlgorithm, SearchBackend};
+use fuzzy_index::{RTree, RTreeConfig};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm};
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
 
@@ -296,61 +296,45 @@ impl ObjectStore<2> for CountingStore {
 /// RSS / RSS-ICR read each object at most once per query: step 1's
 /// neighbours are profiled from the objects its AKNN already decoded, so
 /// only the remaining range candidates are probed.
-fn check_rss_probes_no_object_twice<I: SearchBackend<2>>(
-    layout: &str,
-    index: &I,
-    store: &CountingStore,
-    q: &FuzzyObject<2>,
-) {
-    let engine = QueryEngine::new(index, store);
-    let cfg = AknnConfig::lb_lp_ub();
-    let (k, lo, hi) = (6usize, 0.3, 0.7);
-    let naive = engine.rknn(q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
-    let step1 = engine.aknn_exact(q, k, hi, &cfg).unwrap();
-
-    for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
-        store.probed.lock().unwrap().clear();
-        let res = engine.rknn(q, k, lo, hi, algo, &cfg).unwrap();
-        let mut probed = std::mem::take(&mut *store.probed.lock().unwrap());
-        let what = format!("{layout} {}", algo.name());
-
-        let reads = probed.len() as u64;
-        probed.sort_unstable();
-        probed.dedup();
-        assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
-        assert_eq!(res.stats.object_accesses, reads, "{what}");
-
-        // Every step-1 neighbour lies within r of q, so the range scan
-        // returns it and its decoded object is reused.
-        let in_hand = step1.neighbors.len() as u64;
-        assert_eq!(in_hand, k as u64);
-        assert!(res.stats.candidates > in_hand, "{what}: candidate set too small to tell");
-        assert_eq!(
-            res.stats.object_accesses,
-            step1.stats.object_accesses + res.stats.candidates - in_hand,
-            "{what}"
-        );
-        assert_eq!(res.stats.profile_computations, res.stats.candidates, "{what}");
-        assert!(res.approx_eq(&naive, 1e-9), "{what}");
-    }
-}
-
 #[test]
-fn rss_probes_no_object_twice_on_a_tree_and_a_forest() {
+fn rss_probes_no_object_twice() {
     for seed in [31u64, 77] {
         let (inner, q) = dataset(seed, 300, 25);
         let store = CountingStore { inner, probed: Mutex::new(Vec::new()) };
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
-        let summaries = store.summaries().to_vec();
-        let tree = RTree::bulk_load(summaries.clone(), cfg);
-        check_rss_probes_no_object_twice("tree", &tree, &store, &q);
+        let tree = RTree::bulk_load(
+            store.summaries().to_vec(),
+            RTreeConfig { max_entries: 8, min_fill: 0.4 },
+        );
+        let engine = QueryEngine::new(&tree, &store);
+        let cfg = AknnConfig::lb_lp_ub();
+        let (k, lo, hi) = (6usize, 0.3, 0.7);
+        let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
+        let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
 
-        let assign = ShardAssign::<2>::assign(&StrCenterAssign, &summaries, 3);
-        let mut parts: Vec<Vec<_>> = vec![Vec::new(); 3];
-        for (s, shard) in summaries.into_iter().zip(&assign) {
-            parts[*shard as usize].push(s);
+        for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+            store.probed.lock().unwrap().clear();
+            let res = engine.rknn(&q, k, lo, hi, algo, &cfg).unwrap();
+            let mut probed = std::mem::take(&mut *store.probed.lock().unwrap());
+            let what = algo.name();
+
+            let reads = probed.len() as u64;
+            probed.sort_unstable();
+            probed.dedup();
+            assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
+            assert_eq!(res.stats.object_accesses, reads, "{what}");
+
+            // Every step-1 neighbour lies within r of q, so the range scan
+            // returns it and its decoded object is reused.
+            let in_hand = step1.neighbors.len() as u64;
+            assert_eq!(in_hand, k as u64);
+            assert!(res.stats.candidates > in_hand, "{what}: candidate set too small to tell");
+            assert_eq!(
+                res.stats.object_accesses,
+                step1.stats.object_accesses + res.stats.candidates - in_hand,
+                "{what}"
+            );
+            assert_eq!(res.stats.profile_computations, res.stats.candidates, "{what}");
+            assert!(res.approx_eq(&naive, 1e-9), "{what}");
         }
-        let shards: Vec<RTree<2>> = parts.into_iter().map(|p| RTree::bulk_load(p, cfg)).collect();
-        check_rss_probes_no_object_twice("forest", &Forest::new(&shards), &store, &q);
     }
 }

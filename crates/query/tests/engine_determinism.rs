@@ -1,0 +1,361 @@
+//! One engine, whatever it runs over: a `QueryScratch` carried across
+//! backends leaves no trace, a pinned epoch snapshot keeps answering
+//! **byte-identically** while the index file is compacted under it, and
+//! the explicit-metric roots under `&L2` are exact aliases of the plain
+//! methods. Distances are compared at the IEEE-754 bit level; "close
+//! enough" is a failure.
+
+use std::sync::Arc;
+
+use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
+use fuzzy_geom::Point;
+use fuzzy_index::{OverlayRTree, PagedRTree, RTree, RTreeConfig};
+use fuzzy_query::{
+    execute_one, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound,
+    Neighbor, QueryEngine, QueryScratch, RknnAlgorithm, RknnItem, SearchBackend, Versioned,
+};
+use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
+
+/// A deterministic pseudo-random fuzzy object (xorshift, no external RNG).
+fn blob(id: u64, cx: f64, cy: f64) -> FuzzyObject<2> {
+    let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut rnd = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut pts = vec![Point::xy(cx, cy)];
+    let mut mus = vec![1.0];
+    for _ in 1..20 {
+        let r = rnd();
+        let th = rnd() * std::f64::consts::TAU;
+        pts.push(Point::xy(cx + r * th.cos(), cy + r * th.sin()));
+        mus.push((((1.0 - r) * 10.0).round() / 10.0).clamp(0.1, 1.0));
+    }
+    FuzzyObject::new(ObjectId(id), pts, mus).unwrap()
+}
+
+fn objects(n: u64) -> impl Iterator<Item = FuzzyObject<2>> {
+    (0..n).map(|i| blob(i, (i % 12) as f64 * 3.0, (i / 12) as f64 * 3.0))
+}
+
+/// A mixed AKNN/RKNN workload over every paper variant, including an
+/// invalid slot — error positions must be stable across all cells too.
+fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<BatchRequest<2>> {
+    let mut requests = Vec::new();
+    for i in 0..n {
+        let q = store.probe(ObjectId(i)).unwrap().as_ref().clone();
+        match i % 6 {
+            0 => requests.push(BatchRequest::aknn(q, 5, 0.5, AknnConfig::lb_lp_ub())),
+            1 => requests.push(BatchRequest::aknn(q, 3, 0.8, AknnConfig::basic())),
+            2 => requests.push(BatchRequest::aknn(q, 8, 0.3, AknnConfig::lb())),
+            3 => requests.push(BatchRequest::rknn(
+                q,
+                3,
+                (0.3, 0.7),
+                RknnAlgorithm::RssIcr,
+                AknnConfig::lb_lp_ub(),
+            )),
+            4 => requests.push(BatchRequest::rknn(
+                q,
+                2,
+                (0.2, 0.9),
+                RknnAlgorithm::Rss,
+                AknnConfig::lb_lp(),
+            )),
+            // Deliberately invalid: α out of range.
+            _ => requests.push(BatchRequest::aknn(q, 4, 1.5, AknnConfig::lb_lp_ub())),
+        }
+    }
+    requests
+}
+
+/// One AKNN answer line: ids plus the raw IEEE-754 bits of every
+/// distance (or bound endpoints).
+fn aknn_line(neighbors: &[Neighbor]) -> String {
+    let mut out = String::new();
+    for n in neighbors {
+        let bits = match n.dist {
+            DistBound::Exact(d) => format!("={:016x}", d.to_bits()),
+            DistBound::Bounded { lo, hi } => {
+                format!("[{:016x},{:016x}]", lo.to_bits(), hi.to_bits())
+            }
+        };
+        out.push_str(&format!("{}{bits} ", n.id));
+    }
+    out.push('\n');
+    out
+}
+
+/// One RKNN answer line: ids plus the bits of every interval endpoint.
+fn rknn_line(items: &[RknnItem]) -> String {
+    let mut out = String::new();
+    for item in items {
+        out.push_str(&format!("{} ", item.id));
+        for iv in item.range.intervals() {
+            out.push_str(&format!(
+                "({}{:016x},{:016x}{}) ",
+                if iv.lo_closed { "[" } else { "(" },
+                iv.lo.to_bits(),
+                iv.hi.to_bits(),
+                if iv.hi_closed { "]" } else { ")" },
+            ));
+        }
+    }
+    out.push('\n');
+    out
+}
+
+/// Canonical byte representation of the answers. Equal fingerprints ⟺
+/// byte-identical result sets.
+fn fingerprint(outcome: &BatchOutcome) -> String {
+    let mut out = String::new();
+    for (i, res) in outcome.responses.iter().enumerate() {
+        out.push_str(&format!("[{i}] "));
+        match res {
+            Err(e) => out.push_str(&format!("err {e}\n")),
+            Ok(BatchResponse::Aknn(r)) => out.push_str(&aknn_line(&r.neighbors)),
+            Ok(BatchResponse::Rknn(r)) => out.push_str(&rknn_line(&r.items)),
+        }
+    }
+    out
+}
+
+/// The dataset as a `.fzkn` file under a per-test name.
+fn file_store(tag: &str, n: u64) -> (std::path::PathBuf, FileStore<2>) {
+    let path =
+        std::env::temp_dir().join(format!("fuzzy-engine-det-{}-{tag}.fzkn", std::process::id()));
+    let mut writer = FileStoreWriter::<2>::create(&path).unwrap();
+    for obj in objects(n) {
+        writer.append(&obj).unwrap();
+    }
+    (path, writer.finish().unwrap())
+}
+
+/// One `QueryScratch` carried mem tree → paged tree → overlay (pending
+/// inserts and tombstones) → mem tree again must leave no trace: every
+/// stop returns the answers and the logical counters of a run on a fresh
+/// scratch. This is what lets one long-lived worker scratch serve whatever
+/// backend a SWAP installs.
+#[test]
+fn one_scratch_reused_across_backends_matches_fresh_scratch() {
+    const N: u64 = 60;
+    const INDEXED: u64 = 54;
+    let (store_path, store) = file_store("scratch", N);
+    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let tree = RTree::bulk_load(store.summaries().to_vec(), config);
+    let index_path = store_path.with_extension("fzpt");
+    let paged = PagedRTree::bulk_write(store.summaries().to_vec(), config, &index_path, 4096)
+        .expect("write paged index");
+    // The overlay holds the same live set by another route: a base over a
+    // prefix, the tail as pending inserts, two ids deleted and re-inserted.
+    let overlay_path = store_path.with_extension("overlay.fzpt");
+    let base = PagedRTree::bulk_write(
+        store.summaries()[..INDEXED as usize].to_vec(),
+        config,
+        &overlay_path,
+        4096,
+    )
+    .expect("write overlay base");
+    let mut overlay = OverlayRTree::new(Arc::new(base)).unwrap();
+    for s in &store.summaries()[INDEXED as usize..] {
+        assert!(overlay.insert(*s));
+    }
+    for id in [5usize, 31] {
+        assert!(overlay.delete(ObjectId(id as u64)));
+        assert!(overlay.insert(store.summaries()[id]));
+    }
+    let requests = workload(&store, N);
+
+    // Answer bytes plus every counter except the wall clock.
+    fn trace(res: Result<BatchResponse, fuzzy_query::QueryError>) -> String {
+        match res {
+            Err(e) => format!("err {e}\n"),
+            Ok(r) => {
+                let s = *r.stats();
+                let counts = [
+                    s.object_accesses,
+                    s.node_accesses,
+                    s.node_disk_reads,
+                    s.distance_evals,
+                    s.profile_computations,
+                    s.bound_evals,
+                    s.aknn_calls,
+                    s.candidates,
+                ];
+                let line = match &r {
+                    BatchResponse::Aknn(r) => aknn_line(&r.neighbors),
+                    BatchResponse::Rknn(r) => rknn_line(&r.items),
+                };
+                format!("{counts:?} {line}")
+            }
+        }
+    }
+
+    // One request on the carried scratch and on a fresh one, each from a
+    // cold buffer pool so `node_disk_reads` is comparable too.
+    fn reused_vs_fresh<I: SearchBackend<2>>(
+        index: &I,
+        pool: Option<&PagedRTree<2>>,
+        store: &FileStore<2>,
+        req: &BatchRequest<2>,
+        reused: &mut QueryScratch<2>,
+    ) -> (String, String) {
+        let engine = QueryEngine::new(index, store);
+        let cold = |scratch: &mut QueryScratch<2>| {
+            if let Some(pool) = pool {
+                pool.clear_cache();
+            }
+            trace(execute_one(&engine, req, scratch))
+        };
+        (cold(reused), cold(&mut QueryScratch::new()))
+    }
+
+    let mut reused = QueryScratch::new();
+    for (i, req) in requests.iter().enumerate() {
+        let stops = [
+            ("mem tree", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
+            ("paged tree", reused_vs_fresh(&paged, Some(&paged), &store, req, &mut reused)),
+            ("overlay", reused_vs_fresh(&overlay, Some(overlay.base()), &store, req, &mut reused)),
+            ("mem tree again", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
+        ];
+        for (stop, (got, want)) in stops {
+            assert_eq!(got, want, "request {i}, {stop}: reused scratch diverged");
+        }
+    }
+
+    for p in [&store_path, &index_path, &overlay_path] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// The compact-while-querying race: readers pinned to a pre-compaction
+/// snapshot of a `Versioned` overlay keep answering byte-identically while
+/// the writer folds the delta sidecar into a rewritten index file
+/// underneath them — the snapshot's open handle still reads the replaced
+/// file — and the post-compaction snapshot answers identically too.
+#[test]
+fn compaction_under_a_pinned_snapshot_is_byte_identical() {
+    const N: u64 = 48;
+    const INDEXED: u64 = 42;
+    let (store_path, store) = file_store("compact", N);
+
+    // Index only a prefix so the tail can arrive as dynamic inserts.
+    let index_path = store_path.with_extension("fzpt");
+    let base = PagedRTree::bulk_write(
+        store.summaries()[..INDEXED as usize].to_vec(),
+        RTreeConfig { max_entries: 8, min_fill: 0.4 },
+        &index_path,
+        4096,
+    )
+    .unwrap();
+    let dynamic = Versioned::new(OverlayRTree::new(Arc::new(base)).unwrap());
+    for s in &store.summaries()[INDEXED as usize..] {
+        assert!(dynamic.write(|overlay| overlay.insert(*s)));
+    }
+    for id in [3u64, 17, 29] {
+        assert!(dynamic.write(|overlay| overlay.delete(ObjectId(id))));
+    }
+    dynamic.snapshot().save_delta().unwrap();
+
+    let requests = workload(&store, N);
+    let pinned = dynamic.snapshot();
+    let baseline = fingerprint(&BatchExecutor::sequential().run(&pinned, &store, &requests));
+
+    // Readers hammer the pinned snapshot while the main thread compacts.
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (pinned, requests, store, baseline) =
+                    (&pinned, &requests, &store, baseline.as_str());
+                scope.spawn(move || {
+                    for round in 0..4 {
+                        let outcome = BatchExecutor::new(2).run(pinned, store, requests);
+                        assert_eq!(
+                            fingerprint(&outcome),
+                            baseline,
+                            "pinned snapshot diverged mid-compaction (round {round})"
+                        );
+                    }
+                })
+            })
+            .collect();
+
+        dynamic
+            .write(|overlay| -> Result<(), fuzzy_store::StoreError> {
+                let folded = overlay.clone().compact(4096)?;
+                *overlay = OverlayRTree::new(Arc::new(folded))?;
+                Ok(())
+            })
+            .expect("compaction failed");
+
+        for r in readers {
+            r.join().unwrap();
+        }
+    });
+
+    // A fresh snapshot over the folded base: same answers, clean overlay,
+    // no sidecar left.
+    let fresh = dynamic.snapshot();
+    assert!(fresh.is_clean(), "compaction must leave the overlay clean");
+    assert!(!fuzzy_index::delta_path_for(&index_path).exists());
+    let after = BatchExecutor::sequential().run(&fresh, &store, &requests);
+    assert_eq!(fingerprint(&after), baseline, "post-compaction answers diverged");
+
+    std::fs::remove_file(&index_path).ok();
+    std::fs::remove_file(&store_path).ok();
+}
+
+/// The metric seam under `Metric = L2`: every explicit `*_in(&L2, ..)`
+/// root must fingerprint **bit-identically** against its committed plain
+/// counterpart — AKNN (lazy and exact) and RKNN on every algorithm. The
+/// plain methods are
+/// documented as exact aliases of the `*_in(&L2, ..)` roots; this pins
+/// the alias claim at the IEEE-754 level so a drive-by edit to the
+/// generic path cannot silently fork the two.
+#[test]
+fn metric_generic_l2_paths_match_committed_engine() {
+    use fuzzy_core::metric::L2;
+
+    const N: u64 = 60;
+    let store = MemStore::from_objects(objects(N)).unwrap();
+    let tree =
+        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let engine = QueryEngine::new(&tree, &store);
+    let cfg = AknnConfig::lb_lp_ub();
+    let mut scratch = QueryScratch::new();
+
+    let queries: Vec<FuzzyObject<2>> = [3u64, 17, 41]
+        .iter()
+        .map(|&id| store.probe(ObjectId(id)).unwrap().as_ref().clone())
+        .collect();
+
+    for q in &queries {
+        for (k, alpha) in [(1usize, 0.3), (5, 0.5), (10, 0.8)] {
+            let plain = engine.aknn(q, k, alpha, &cfg).unwrap();
+            let t = Threshold::at(alpha);
+            let seamed = engine.aknn_at_with_scratch_in(&L2, q, k, t, &cfg, &mut scratch).unwrap();
+            assert_eq!(aknn_line(&plain.neighbors), aknn_line(&seamed.neighbors));
+            assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
+            assert_eq!(plain.stats.node_accesses, seamed.stats.node_accesses);
+            assert_eq!(plain.stats.distance_evals, seamed.stats.distance_evals);
+
+            let plain = engine.aknn_exact(q, k, alpha, &cfg).unwrap();
+            let seamed =
+                engine.aknn_exact_with_scratch_in(&L2, q, k, alpha, &cfg, &mut scratch).unwrap();
+            assert_eq!(aknn_line(&plain.neighbors), aknn_line(&seamed.neighbors));
+            assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
+        }
+        for algo in
+            [RknnAlgorithm::Naive, RknnAlgorithm::Basic, RknnAlgorithm::Rss, RknnAlgorithm::RssIcr]
+        {
+            let plain = engine.rknn(q, 4, 0.3, 0.7, algo, &cfg).unwrap();
+            let seamed =
+                engine.rknn_with_scratch_in(&L2, q, 4, 0.3, 0.7, algo, &cfg, &mut scratch).unwrap();
+            assert_eq!(rknn_line(&plain.items), rknn_line(&seamed.items), "{}", algo.name());
+            assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
+            assert_eq!(plain.stats.candidates, seamed.stats.candidates);
+        }
+    }
+}

@@ -58,7 +58,7 @@ fn graph_mtree_matches_brute_oracle() {
         for k in [1usize, 4, 10] {
             for alpha in [0.3, 0.5, 1.0] {
                 let t = Threshold::at(alpha);
-                let via_tree = metric_aknn(&metric, &tree, &store, &q, k, t).unwrap();
+                let via_tree = metric_aknn(&metric, &tree, &store, &q, k, t, None).unwrap();
                 let via_scan = metric_aknn_brute(&metric, &store, &store.ids(), &q, k, t).unwrap();
                 assert_eq!(
                     fingerprint(&via_tree),
@@ -83,7 +83,7 @@ fn l2_mtree_matches_exact_rectangle_engine() {
         for k in [1usize, 5, 12] {
             for alpha in [0.4, 1.0] {
                 let t = Threshold::at(alpha);
-                let via_mtree = metric_aknn(&L2, &mtree, &store, &q, k, t).unwrap();
+                let via_mtree = metric_aknn(&L2, &mtree, &store, &q, k, t, None).unwrap();
                 let via_brute = metric_aknn_brute(&L2, &store, &store.ids(), &q, k, t).unwrap();
                 let via_exact = engine.aknn_exact(&q, k, alpha, &AknnConfig::lb_lp_ub()).unwrap();
                 assert_eq!(
@@ -115,8 +115,8 @@ fn mtree_build_and_search_are_deterministic() {
     let t2 = MTree::build(&metric, &objects, MTreeConfig::default());
     let q = cfg.query_object(&net, 4);
     let t = Threshold::at(0.5);
-    let r1 = metric_aknn(&metric, &t1, &store, &q, 8, t).unwrap();
-    let r2 = metric_aknn(&metric, &t2, &store, &q, 8, t).unwrap();
+    let r1 = metric_aknn(&metric, &t1, &store, &q, 8, t, None).unwrap();
+    let r2 = metric_aknn(&metric, &t2, &store, &q, 8, t, None).unwrap();
     assert_eq!(fingerprint(&r1), fingerprint(&r2));
     assert_eq!(r1.stats.node_accesses, r2.stats.node_accesses);
     assert_eq!(r1.stats.object_accesses, r2.stats.object_accesses);
@@ -128,7 +128,7 @@ fn mtree_build_and_search_are_deterministic() {
     let path = dir.join("road.fzmt");
     t1.save(&path).unwrap();
     let loaded = MTree::<2>::load(&path, &metric).unwrap();
-    let r3 = metric_aknn(&metric, &loaded, &store, &q, 8, t).unwrap();
+    let r3 = metric_aknn(&metric, &loaded, &store, &q, 8, t, None).unwrap();
     assert_eq!(fingerprint(&r1), fingerprint(&r3));
     assert_eq!(r1.stats.node_accesses, r3.stats.node_accesses);
     std::fs::remove_file(&path).ok();

@@ -34,4 +34,4 @@ pub use client::Client;
 pub use protocol::{
     ErrorCode, QuerySource, RawFrame, Request, Response, WireError, WireStats, WireVariant,
 };
-pub use server::{is_sharded_path, serve, ListenAddr, ServeIndex, ServeOptions, ServerHandle};
+pub use server::{serve, ListenAddr, ServeIndex, ServeOptions, ServerHandle};

@@ -12,7 +12,7 @@
 //!   sheds load at the door).
 //! * A fixed pool of **worker threads** drains the queue. Each worker
 //!   owns one [`QueryScratch`] reused across every query it answers
-//!   (whatever the index layout a SWAP installs), and
+//!   (whatever index backend a SWAP installs), and
 //!   pins the published index snapshot *per query*, so a SWAP between two
 //!   requests is visible to the second while in-flight queries keep the
 //!   tree they started on ([`Versioned`] epoch semantics).
@@ -29,11 +29,9 @@ use crate::protocol::{
     WIRE_DIMS,
 };
 use fuzzy_core::metric::L2;
-use fuzzy_index::{
-    delta_path_for, MTree, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig, ShardedIndex,
-};
+use fuzzy_index::{MTree, NodeAccess, OverlayRTree, RTree, RTreeConfig};
 use fuzzy_query::{
-    catch_query, execute_caught, metric_aknn, threshold_at, BatchRequest, BatchResponse, Forest,
+    catch_query, execute_caught, metric_aknn, threshold_at, BatchRequest, BatchResponse,
     QueryEngine, QueryError, QueryScratch, Versioned,
 };
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
@@ -49,22 +47,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The index backend a server answers from: the in-memory tree, a
-/// disk-resident paged tree with its overlay, or a sharded forest opened
-/// from a `.fzsm` manifest. All are cheap enough to clone for
-/// [`Versioned`] snapshot publishing (arena `Vec` / small deltas plus
-/// `Arc` bumps on the base files).
+/// disk-resident paged tree with its overlay, or a metric tree. All are
+/// cheap enough to clone for [`Versioned`] snapshot publishing (arena
+/// `Vec` / a small delta plus an `Arc` bump on the base file).
 #[derive(Clone, Debug)]
 pub enum ServeIndex {
     /// In-memory R-tree (bulk-loaded from the store's summaries).
     Mem(RTree<WIRE_DIMS>),
     /// Disk-resident paged tree, with any sidecar delta replayed.
     Paged(OverlayRTree<WIRE_DIMS>),
-    /// A shard forest from a `.fzsm` manifest, each shard with its own
-    /// delta replayed. Queries scatter-gather across the shards with a
-    /// shared τ bound and answer in canonical (distance, id) order, so a
-    /// live SWAP between shardings of the same data is invisible on the
-    /// wire.
-    Sharded(Vec<OverlayRTree<WIRE_DIMS>>),
     /// A covering-ball M-tree from a `.fzmt` file. The wire serves L2
     /// only, so the loader rejects files built under any other metric
     /// (a SWAP answers [`ErrorCode::IndexMismatch`]). AKNN requests run
@@ -80,19 +71,7 @@ impl ServeIndex {
 
     /// Open a persisted index (replaying its delta log if one exists).
     pub fn open_paged(path: &str, cache_pages: usize) -> Result<Self, StoreError> {
-        if delta_path_for(path).exists() {
-            Ok(Self::Paged(OverlayRTree::open_with_cache(path, cache_pages)?))
-        } else {
-            let base = Arc::new(PagedRTree::open_with_cache(path, cache_pages)?);
-            Ok(Self::Paged(OverlayRTree::new(base)?))
-        }
-    }
-
-    /// Open a shard forest from its `.fzsm` manifest, replaying each
-    /// shard's delta log if one exists.
-    pub fn open_sharded(path: &str, cache_pages: usize) -> Result<Self, StoreError> {
-        let (_, shards) = ShardedIndex::open_overlays(path, cache_pages)?;
-        Ok(Self::Sharded(shards))
+        Ok(Self::Paged(OverlayRTree::open_with_cache(path, cache_pages)?))
     }
 
     /// Open a metric index from a `.fzmt` file. The wire serves L2 only;
@@ -108,54 +87,36 @@ impl ServeIndex {
         Ok(Self::Metric(MTree::load(path, &L2)?))
     }
 
-    /// Open whatever `path` names: a `.fzsm` manifest becomes a sharded
-    /// forest, a `.fzmt` file a metric tree, anything else a paged tree.
+    /// Open whatever `path` names: a `.fzmt` file becomes a metric tree,
+    /// anything else a paged tree.
     pub fn open(path: &str, cache_pages: usize) -> Result<Self, StoreError> {
-        if is_sharded_path(path) {
-            Self::open_sharded(path, cache_pages)
-        } else if is_metric_path(path) {
+        if is_metric_path(path) {
             Self::open_metric(path)
         } else {
             Self::open_paged(path, cache_pages)
         }
     }
 
-    /// Live objects across the whole index (all shards).
+    /// Live objects in the index.
     pub fn object_count(&self) -> u64 {
         match self {
             Self::Mem(t) => NodeAccess::len(t) as u64,
             Self::Paged(t) => NodeAccess::len(t) as u64,
-            Self::Sharded(shards) => shards.iter().map(|s| NodeAccess::len(s) as u64).sum(),
             Self::Metric(t) => NodeAccess::len(t) as u64,
         }
     }
-
-    /// Number of shards (1 for the single-tree backends).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Self::Mem(_) | Self::Paged(_) | Self::Metric(_) => 1,
-            Self::Sharded(shards) => shards.len(),
-        }
-    }
-}
-
-/// Does `path` name a shard manifest (by extension)?
-pub fn is_sharded_path(path: &str) -> bool {
-    std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzsm"))
 }
 
 /// Does `path` name a metric M-tree file (by extension)?
-pub fn is_metric_path(path: &str) -> bool {
+fn is_metric_path(path: &str) -> bool {
     std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzmt"))
 }
 
 /// Does `path` name an approximate candidate index (by extension)?
-/// These cannot back the serve path — they generate candidates, they do
-/// not answer queries — so a SWAP to one is an [`ErrorCode::IndexMismatch`].
-pub fn is_approx_path(path: &str) -> bool {
-    std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("fzlh") || e.eq_ignore_ascii_case("fzvp"))
+/// It cannot back the serve path — it generates candidates, it does not
+/// answer queries — so a SWAP to one is an [`ErrorCode::IndexMismatch`].
+fn is_approx_path(path: &str) -> bool {
+    std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzvp"))
 }
 
 /// Where the server listens.
@@ -630,17 +591,13 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job) {
     // Pin the snapshot per query: a SWAP published while this job queued
     // is picked up here; a SWAP landing mid-query is not (epoch
-    // isolation). One engine whatever the layout: a forest snapshot
-    // scatter-gathers with the shared τ bound.
+    // isolation).
     let snapshot = shared.index.snapshot();
     let store = shared.store.as_ref();
     let request = &job.request;
     let executed = match snapshot.as_ref() {
         ServeIndex::Mem(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
         ServeIndex::Paged(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
-        ServeIndex::Sharded(shards) => {
-            execute_caught(&QueryEngine::new(&Forest::new(shards), store), request, scratch)
-        }
         ServeIndex::Metric(tree) => execute_metric(tree, store, request, scratch),
     };
     let resp = match executed {
@@ -662,11 +619,10 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job
 }
 
 /// Execute one request against a metric snapshot. AKNN goes through the
-/// covering-ball search (`metric_aknn`); it has no deadline hook, so a
-/// request's `deadline_ms` is accepted but not enforced on this backend
-/// (documented in PROTOCOL.md). RKNN rides the tree's `NodeAccess` face
-/// through the engine, deadlines included. Both lanes validate α and
-/// catch panics at the per-query boundary like the other backends.
+/// covering-ball search (`metric_aknn`), RKNN rides the tree's
+/// `NodeAccess` face through the engine. Both lanes enforce the request's
+/// deadline, validate α and catch panics at the per-query boundary like
+/// the other backends.
 fn execute_metric(
     tree: &MTree<WIRE_DIMS>,
     store: &FileStore<WIRE_DIMS>,
@@ -674,9 +630,10 @@ fn execute_metric(
     scratch: &mut QueryScratch<WIRE_DIMS>,
 ) -> Result<BatchResponse, QueryError> {
     match request {
-        BatchRequest::Aknn { query, k, alpha, cfg: _ } => {
+        BatchRequest::Aknn { query, k, alpha, cfg } => {
             let t = threshold_at(*alpha)?;
-            catch_query(|| metric_aknn(&L2, tree, store, query, *k, t)).map(BatchResponse::Aknn)
+            catch_query(|| metric_aknn(&L2, tree, store, query, *k, t, cfg.deadline))
+                .map(BatchResponse::Aknn)
         }
         BatchRequest::Rknn { .. } => {
             execute_caught(&QueryEngine::new(tree, store), request, scratch)
@@ -712,8 +669,8 @@ fn classify(e: &QueryError) -> (ErrorCode, CounterKind) {
 }
 
 /// Open the index a SWAP names. `:mem:` bulk-reloads from the store; a
-/// `.fzsm` path opens a shard forest, a `.fzmt` file a metric tree
-/// (l2 only), anything else a paged tree. Mismatches the server can
+/// `.fzmt` file opens a metric tree (l2 only), anything else a paged
+/// tree. Mismatches the server can
 /// diagnose by *kind* — an approximate candidate index, or a metric tree
 /// built under a metric the wire does not serve — answer
 /// [`ErrorCode::IndexMismatch`]; every other failure is a plain
@@ -727,7 +684,7 @@ fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (Err
             ErrorCode::IndexMismatch,
             format!(
                 "'{index_path}' is an approximate candidate index; the serve path needs an \
-                 exact index (.fzpt/.fzsm/.fzmt)"
+                 exact index (.fzpt/.fzmt)"
             ),
         ));
     }

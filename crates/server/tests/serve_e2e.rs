@@ -198,60 +198,40 @@ fn served_answers_are_byte_identical_across_connections_and_a_live_swap() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Serving a shard forest: a live SWAP from a 1-shard `.fzsm` to a
-/// 4-shard `.fzsm` of the same dataset lands mid-run, and every answer —
-/// before, during and after, at 1, 2 and 8 connections — is
-/// byte-identical to the one-shot canonical engine. The sharded path
-/// resolves every answer exactly (scatter-gather arbitrates candidates
-/// globally), so the reference is `QueryEngine::aknn_exact`, not the
-/// lazy confirmation-order path the single-tree snapshots serve.
+/// Serving a disk-resident index: a live SWAP between two `.fzpt` files of
+/// the same dataset lands mid-run, and every answer — before, during and
+/// after, at 1, 2 and 8 connections — is byte-identical to the one-shot
+/// engine over the equivalent in-memory tree.
 #[test]
-fn sharded_swap_mid_run_is_byte_identical() {
-    let (path, store) = store_file("shard-swap", 60);
+fn paged_swap_mid_run_is_byte_identical() {
+    let (path, store) = store_file("paged-swap", 60);
     let work = workload(60);
+    let expected = reference_answers(&store, &work);
 
-    // Canonical exact reference over the same store.
-    let tree = fuzzy_index::RTree::bulk_load(
-        store.summaries().to_vec(),
-        fuzzy_index::RTreeConfig { max_entries: 8, min_fill: 0.4 },
-    );
-    let engine = QueryEngine::new(&tree, &store);
-    let expected: Vec<String> = work
+    // Two index files over the same objects.
+    let index_files: Vec<PathBuf> = ["a", "b"]
         .iter()
-        .map(|&(id, k, alpha, variant)| {
-            let q = store.probe(ObjectId(id)).unwrap().as_ref().clone();
-            let r = engine.aknn_exact(&q, k as usize, alpha, &variant.config()).unwrap();
-            fingerprint(&r.neighbors)
+        .map(|tag| {
+            let file = path.with_extension(format!("{tag}.fzpt"));
+            fuzzy_index::PagedRTree::bulk_write(
+                store.summaries().to_vec(),
+                fuzzy_index::RTreeConfig::default(),
+                &file,
+                fuzzy_index::DEFAULT_PAGE_SIZE,
+            )
+            .unwrap();
+            file
         })
         .collect();
 
-    // Two manifests over the same objects, 1 and 4 shards.
-    let base = std::env::temp_dir();
-    let pid = std::process::id();
-    let mut manifests = Vec::new();
-    for shards in [1usize, 4] {
-        let manifest = base.join(format!("fuzzy-serve-shard-swap-{pid}-s{shards}.fzsm"));
-        fuzzy_index::ShardedIndex::<2>::build(
-            store.summaries().to_vec(),
-            shards,
-            &fuzzy_index::StrCenterAssign,
-            fuzzy_index::RTreeConfig { max_entries: 8, min_fill: 0.4 },
-            &manifest,
-            4096,
-        )
-        .unwrap();
-        manifests.push(manifest);
-    }
-
     let opts = ServeOptions { workers: 2, ..ServeOptions::default() };
-    let index = ServeIndex::open(manifests[0].to_str().unwrap(), 8).unwrap();
+    let index = ServeIndex::open(index_files[0].to_str().unwrap(), 8).unwrap();
     let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
     let addr = handle.addr().to_string();
 
     for (round, connections) in [1usize, 2, 8].into_iter().enumerate() {
-        // Odd rounds swap back to the 1-shard forest, even rounds to the
-        // 4-shard one — every round crosses a shard-count change mid-run.
-        let target = &manifests[(round + 1) % 2];
+        // Every round swaps to the file the server is not reading.
+        let target = &index_files[(round + 1) % 2];
         let answers = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for conn in 0..connections {
@@ -291,10 +271,7 @@ fn sharded_swap_mid_run_is_byte_identical() {
             }
             merged
         });
-        assert_eq!(
-            answers, expected,
-            "{connections}-connection run diverged across the shard-count swap"
-        );
+        assert_eq!(answers, expected, "{connections}-connection run diverged across the swap");
     }
 
     let mut control = Client::connect(&addr).unwrap();
@@ -308,15 +285,61 @@ fn sharded_swap_mid_run_is_byte_identical() {
     }
 
     handle.stop();
-    for manifest in &manifests {
-        let meta = fuzzy_index::ShardManifest::<2>::load(manifest).unwrap();
-        for row in &meta.shards {
-            let p = fuzzy_index::shard::resolve_shard_path(manifest, &row.path);
-            std::fs::remove_file(fuzzy_index::delta_path_for(&p)).ok();
-            std::fs::remove_file(p).ok();
-        }
-        std::fs::remove_file(manifest).ok();
+    for file in &index_files {
+        std::fs::remove_file(file).ok();
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A path that names one of the two deleted index layouts — a `.fzsm`
+/// shard manifest, a `.fzlh` hash-table file — is no index at all: a SWAP
+/// to it fails as any non-index file does, typed `SWAP_FAILED`, whether
+/// the file is missing or holds an old build's bytes, and the connection
+/// and the live index carry on.
+#[test]
+fn swap_to_a_deleted_format_is_swap_failed_and_the_connection_survives() {
+    let (path, store) = store_file("gone-formats", 30);
+    let index = ServeIndex::mem_from_store(&store);
+    let handle =
+        serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &ServeOptions::default()).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    for (ext, magic) in [("fzsm", b"FZSM"), ("fzlh", b"FZLH")] {
+        let missing = path.with_extension(format!("missing.{ext}"));
+        let stale = path.with_extension(format!("stale.{ext}"));
+        // Header of a file an earlier build wrote: magic, version 1, two
+        // dimensions, then whatever followed.
+        let mut image = magic.to_vec();
+        image.extend_from_slice(&[1, 0, 2, 0]);
+        image.extend_from_slice(&[0x5A; 120]);
+        std::fs::write(&stale, image).unwrap();
+
+        for target in [&missing, &stale] {
+            let swap = Request::Swap { index_path: target.display().to_string() };
+            match client.call(&swap).unwrap() {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::SwapFailed, "swap to {}", target.display());
+                    assert!(!message.is_empty());
+                }
+                other => panic!("swap to {} must fail: {other:?}", target.display()),
+            }
+            // Same connection, same epoch-0 index, still answering.
+            match client.call(&Request::Info).unwrap() {
+                Response::Info { objects, epoch, .. } => assert_eq!((objects, epoch), (30, 0)),
+                other => panic!("INFO: {other:?}"),
+            }
+            let query = aknn_request(3, 4, 0.5, fuzzy_server::WireVariant::LbLpUb);
+            assert!(matches!(client.call(&query).unwrap(), Response::Aknn { .. }));
+        }
+        std::fs::remove_file(&stale).ok();
+    }
+
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats { swaps, errors, .. } => assert_eq!((swaps, errors), (0, 4)),
+        other => panic!("STATS: {other:?}"),
+    }
+    handle.stop();
     std::fs::remove_file(&path).ok();
 }
 
@@ -328,10 +351,37 @@ fn sharded_swap_mid_run_is_byte_identical() {
 /// 1 ms-deadline query leaves the queue its deadline has long passed.
 #[test]
 fn expired_deadline_is_typed_and_does_not_stall_the_connection() {
+    deadline_burst("deadline", ServeIndex::mem_from_store);
+}
+
+/// The same burst over a `.fzmt` snapshot: the doomed AKNN runs through
+/// the covering-ball search, which checks the deadline like the rectangle
+/// engine does.
+#[test]
+fn expired_deadline_is_typed_on_a_metric_snapshot() {
+    deadline_burst("deadline-metric", |store| {
+        let objects: Vec<FuzzyObject<2>> =
+            store.ids().iter().map(|&id| store.probe(id).unwrap().as_ref().clone()).collect();
+        let file = std::env::temp_dir()
+            .join(format!("fuzzy-serve-e2e-deadline-{}.fzmt", std::process::id()));
+        fuzzy_index::MTree::build(
+            &fuzzy_core::metric::L2,
+            &objects,
+            fuzzy_index::MTreeConfig::default(),
+        )
+        .save(&file)
+        .unwrap();
+        let index = ServeIndex::open_metric(file.to_str().unwrap()).unwrap();
+        std::fs::remove_file(&file).ok();
+        index
+    });
+}
+
+fn deadline_burst(tag: &str, index_of: impl FnOnce(&FileStore<2>) -> ServeIndex) {
     // Big enough that even a release build spends well over the doomed
     // query's 1 ms deadline on the Θ(N²) heavy frames ahead of it.
-    let (path, store) = store_file("deadline", 400);
-    let index = ServeIndex::mem_from_store(&store);
+    let (path, store) = store_file(tag, 400);
+    let index = index_of(&store);
     let opts = ServeOptions { workers: 1, queue_depth: 8, ..ServeOptions::default() };
     let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
     let ListenAddr::Tcp(addr) = handle.addr().clone() else { panic!("tcp") };
@@ -496,14 +546,14 @@ fn shutdown_frame_stops_the_daemon() {
 /// The metric backend behind the wire: a `.fzmt` file served after a
 /// live SWAP answers AKNN byte-identically to direct `metric_aknn` runs,
 /// RKNN rides the tree's `NodeAccess` face, and swaps to indexes the
-/// serve path cannot back — approximate candidate files, or a metric
+/// serve path cannot back — an approximate candidate file, or a metric
 /// tree built under a metric the wire does not serve — answer the typed
 /// `IndexMismatch` code instead of swapping.
 #[test]
 fn metric_index_serves_and_mismatched_swaps_are_typed() {
     use fuzzy_core::metric::{GraphMetric, RoadNetwork, L2};
     use fuzzy_core::Threshold;
-    use fuzzy_index::{LshConfig, LshIndex, MTree, MTreeConfig};
+    use fuzzy_index::{MTree, MTreeConfig, VpTree, VpTreeConfig};
     use fuzzy_query::metric_aknn;
     use std::sync::Arc;
 
@@ -519,8 +569,8 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     mtree.save(&mtree_path).unwrap();
 
     // A pristine approximate index: structurally valid, still unservable.
-    let lsh_path = base.join(format!("fuzzy-serve-metric-{pid}.fzlh"));
-    LshIndex::build(store.summaries(), LshConfig::default()).save(&lsh_path).unwrap();
+    let vp_path = base.join(format!("fuzzy-serve-metric-{pid}.fzvp"));
+    VpTree::build(&L2, store.summaries(), VpTreeConfig::default()).save(&vp_path).unwrap();
 
     // A metric tree under the graph metric: valid file, wrong metric.
     let net = RoadNetwork::new(
@@ -539,7 +589,8 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
         .iter()
         .map(|&(id, k, alpha)| {
             let q = store.probe(ObjectId(id)).unwrap();
-            let r = metric_aknn(&L2, &mtree, &store, &q, k as usize, Threshold::at(alpha)).unwrap();
+            let r = metric_aknn(&L2, &mtree, &store, &q, k as usize, Threshold::at(alpha), None)
+                .unwrap();
             fingerprint(&r.neighbors)
         })
         .collect();
@@ -553,7 +604,7 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     // Mismatched swaps first: typed rejection, the live index is untouched.
-    for (target, needle) in [(&lsh_path, "approximate"), (&graph_path, "metric 'graph'")] {
+    for (target, needle) in [(&vp_path, "approximate"), (&graph_path, "metric 'graph'")] {
         match client.call(&Request::Swap { index_path: target.display().to_string() }).unwrap() {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::IndexMismatch, "swap to {}", target.display());
@@ -606,7 +657,7 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     }
 
     handle.stop();
-    for p in [&path, &mtree_path, &lsh_path, &graph_path] {
+    for p in [&path, &mtree_path, &vp_path, &graph_path] {
         std::fs::remove_file(p).ok();
     }
 }

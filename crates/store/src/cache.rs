@@ -35,11 +35,6 @@ impl<S: ObjectStore<D>, const D: usize> CachedStore<S, D> {
     pub fn clear(&self) {
         self.cache.clear();
     }
-
-    /// Number of currently cached objects.
-    pub fn cached_len(&self) -> usize {
-        self.cache.resident()
-    }
 }
 
 impl<S: ObjectStore<D>, const D: usize> ObjectStore<D> for CachedStore<S, D> {
@@ -113,7 +108,6 @@ mod tests {
         let _ = s.probe(ObjectId(1)).unwrap();
         let _ = s.probe(ObjectId(0)).unwrap(); // refresh 0
         let _ = s.probe(ObjectId(2)).unwrap(); // evicts 1
-        assert_eq!(s.cached_len(), 2);
         let before = s.stats().object_reads;
         let _ = s.probe(ObjectId(1)).unwrap(); // miss again, evicts 0 (LRU)
         assert_eq!(s.stats().object_reads, before + 1);
@@ -129,7 +123,6 @@ mod tests {
         let s = store(3, 3);
         let _ = s.probe(ObjectId(0)).unwrap();
         s.clear();
-        assert_eq!(s.cached_len(), 0);
         let _ = s.probe(ObjectId(0)).unwrap();
         assert_eq!(s.stats().object_reads, 2);
     }

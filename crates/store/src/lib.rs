@@ -18,10 +18,13 @@
 //! * [`DeltaLog`] — the checksummed `.fzdl` sidecar persisting a paged
 //!   index's pending inserts/tombstones between processes (the index file
 //!   itself is immutable until compaction).
+//! * [`write_atomic`] — the one way a file is replaced in place: temp
+//!   sibling, sync, rename, directory sync.
 //! * [`ObjectStore`] — the trait the query processor is generic over.
 
 #![warn(missing_docs)]
 
+pub mod atomic;
 pub mod cache;
 pub mod error;
 pub mod file_store;
@@ -32,6 +35,7 @@ pub mod pagecache;
 pub mod roadnet;
 pub mod stats;
 
+pub use atomic::write_atomic;
 pub use cache::CachedStore;
 pub use error::StoreError;
 pub use file_store::{FileStore, FileStoreWriter};

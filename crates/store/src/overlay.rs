@@ -19,10 +19,10 @@
 //! ```
 //!
 //! The log is a *state snapshot*, not an append log: every save rewrites
-//! the (small) file whole, via a temp file renamed into place — a crash
-//! mid-save leaves the previously persisted state authoritative, and the
-//! trailing checksum catches any torn temp write that leaks through.
+//! the (small) file whole through [`write_atomic`] — a crash mid-save
+//! leaves the previously persisted state authoritative.
 
+use crate::atomic::write_atomic;
 use crate::error::StoreError;
 use crate::format::{decode_summary, encode_summary, fnv1a, summary_len, Decoder, Encoder};
 use fuzzy_core::ObjectSummary;
@@ -119,18 +119,11 @@ impl<const D: usize> DeltaLog<D> {
         Ok(Self { inserted, tombstones })
     }
 
-    /// Write the log to `path`. The bytes go to a `.tmp` sibling first
-    /// and are renamed into place, so a crash mid-save leaves the
-    /// previous log intact; a torn write of the temp file never becomes
-    /// visible (and would fail the trailing checksum anyway).
+    /// Write the log to `path`, replacing any previous log atomically and
+    /// durably ([`write_atomic`]): a crash mid-save leaves the previous log
+    /// intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(path, |file| Ok(file.write_all(&self.to_bytes())?))
     }
 
     /// Load a log from `path`. A missing file is the empty log — an index
@@ -205,5 +198,44 @@ mod tests {
         ));
 
         assert!(DeltaLog::<2>::from_bytes(&pristine).is_ok());
+    }
+
+    /// A save interrupted at any boundary — temp creation, each write, the
+    /// file sync, the rename, the directory sync — leaves a sidecar that
+    /// loads as exactly the old log or exactly the new one, and only the
+    /// last boundary (the rename has happened) yields the new one.
+    #[test]
+    fn a_fault_at_every_boundary_of_a_save_leaves_the_old_or_the_new_log() {
+        use crate::atomic::WRITE_ATOMIC_FAIL_AT;
+        let path =
+            std::env::temp_dir().join(format!("fz-delta-faults-{}.fzdl", std::process::id()));
+        let old = DeltaLog::<2> { inserted: vec![summary(1, 0.0)], tombstones: vec![7] };
+        let new = DeltaLog::<2> {
+            inserted: (0..300).map(|i| summary(100 + i, i as f64)).collect(),
+            tombstones: vec![3, 7, 9],
+        };
+
+        let mut published = Vec::new();
+        loop {
+            old.save(&path).unwrap();
+            WRITE_ATOMIC_FAIL_AT.with(|f| f.set(Some(published.len())));
+            let result = new.save(&path);
+            let fired = WRITE_ATOMIC_FAIL_AT.with(|f| f.replace(None)).is_none();
+            let on_disk = DeltaLog::<2>::load(&path).expect("a loadable log").to_bytes();
+            if !fired {
+                result.expect("no boundary left to fail");
+                assert_eq!(on_disk, new.to_bytes());
+                break;
+            }
+            assert!(matches!(result, Err(StoreError::Io(_))), "boundary {}", published.len());
+            assert!(on_disk == old.to_bytes() || on_disk == new.to_bytes());
+            published.push(on_disk == new.to_bytes());
+        }
+        // create, ≥ 1 write, sync, rename: old; directory sync: new.
+        assert!(published.len() >= 5, "only {} boundaries crossed", published.len());
+        let (dir_sync, before_rename) = published.split_last().unwrap();
+        assert!(before_rename.iter().all(|&new| !new), "{published:?}");
+        assert!(dir_sync, "{published:?}");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -157,11 +157,6 @@ impl<T> PageCache<T> {
         self.capacity
     }
 
-    /// Number of currently resident pages.
-    pub fn resident(&self) -> usize {
-        self.inner.lock().unwrap().0.map.len()
-    }
-
     /// Look `key` up, running `load` on a miss. The returned provenance
     /// flag is true exactly when `load` ran.
     pub fn get_or_load(
@@ -250,10 +245,8 @@ mod tests {
         assert!(cache.get_or_load(0, load_ok(0)).unwrap().disk_read);
         assert!(!cache.get_or_load(0, || panic!("resident")).unwrap().disk_read);
         assert!(cache.get_or_load(1, load_ok(1)).unwrap().disk_read); // evicts 0
-        assert_eq!(cache.resident(), 1);
         assert!(cache.get_or_load(0, load_ok(0)).unwrap().disk_read); // 0 was evicted
         assert!(cache.get_or_load(1, load_ok(1)).unwrap().disk_read); // 1 was evicted
-        assert_eq!(cache.resident(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 4, 3));
     }
@@ -276,7 +269,6 @@ mod tests {
             .get_or_load(3, || Err(StoreError::Corrupt { reason: "bad page".into() }))
             .unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }));
-        assert_eq!(cache.resident(), 0);
         // The next lookup still has to load.
         assert!(cache.get_or_load(3, load_ok(3)).unwrap().disk_read);
     }
@@ -287,7 +279,6 @@ mod tests {
         cache.get_or_load(0, load_ok(0)).unwrap();
         cache.get_or_load(1, load_ok(1)).unwrap();
         cache.clear();
-        assert_eq!(cache.resident(), 0);
         assert!(cache.get_or_load(0, load_ok(0)).unwrap().disk_read);
     }
 

@@ -18,12 +18,12 @@
 //! fnv1a(body) u64  | magic "FZRN"                          (trailer, 12 B)
 //! ```
 
+use crate::atomic::write_atomic;
 use crate::error::StoreError;
 use crate::format::{fnv1a, Decoder, Encoder};
 use fuzzy_core::RoadNetwork;
 use fuzzy_geom::Point;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// File magic of the persisted road network.
@@ -60,10 +60,7 @@ pub fn save_road_network<const D: usize>(
     out.bytes(&body);
     out.u64(fnv1a(&body));
     out.bytes(&ROADNET_MAGIC);
-    let mut file = fs::File::create(path)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    Ok(())
+    write_atomic(path, |file| Ok(file.write_all(out.as_bytes())?))
 }
 
 /// Load a `.fzrn` file and rebuild the full [`RoadNetwork`] (CSR, APSP,

@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct IoStats {
     object_reads: AtomicU64,
     bytes_read: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 impl IoStats {
@@ -26,18 +25,13 @@ impl IoStats {
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record a cache hit (a probe that did *not* reach the disk).
-    #[inline]
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters.
+    /// Snapshot the counters. A bare store has no cache, so `cache_hits`
+    /// is zero here; a cache layer adds its own (`CachedStore::stats`).
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
             object_reads: self.object_reads.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
         }
     }
 
@@ -45,7 +39,6 @@ impl IoStats {
     pub fn reset(&self) {
         self.object_reads.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -87,11 +80,10 @@ mod tests {
         let s = IoStats::new();
         s.record_read(100);
         s.record_read(50);
-        s.record_cache_hit();
         let snap = s.snapshot();
         assert_eq!(snap.object_reads, 2);
         assert_eq!(snap.bytes_read, 150);
-        assert_eq!(snap.cache_hits, 1);
+        assert_eq!(snap.cache_hits, 0);
     }
 
     #[test]

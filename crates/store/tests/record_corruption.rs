@@ -3,8 +3,6 @@
 //! every byte boundary, any single bit flipped, layout contracts forged
 //! behind a valid checksum, stale format versions — must surface as a
 //! typed [`StoreError`], never a panic and never a silently wrong object.
-//! Mirrors the `.fzsm` manifest matrix in
-//! `crates/index/tests/shard_manifest_corruption.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

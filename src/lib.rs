@@ -53,7 +53,7 @@
 //! | [`core`] | fuzzy object model, α-cuts, summaries, α-distance, profiles, critical sets |
 //! | [`store`] | disk/memory object stores with the paper's object-access accounting, plus the page-cache buffer pool |
 //! | [`index`] | R-trees behind the `NodeAccess` trait: in-memory `RTree` (STR bulk load + R* insert) and the disk-resident `PagedRTree` |
-//! | [`query`] | the one `QueryEngine` — AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) over a tree, an `Arc` snapshot or a `Forest` of shards |
+//! | [`query`] | the one `QueryEngine` — AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) over a tree or an `Arc` snapshot of one |
 //! | [`datagen`] | §6.1 synthetic workload + cell-like substitute for the real dataset |
 //! | [`analysis`] | §5 cost model (fractal dimensions, Eq. 6–8) |
 
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
     pub use fuzzy_query::{
         AknnConfig, AknnResult, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-        DistBound, Forest, Interval, IntervalSet, Neighbor, QueryEngine, QueryError, QueryScratch,
+        DistBound, Interval, IntervalSet, Neighbor, QueryEngine, QueryError, QueryScratch,
         QueryStats, RknnAlgorithm, RknnItem, RknnResult, Versioned,
     };
     pub use fuzzy_store::{
