@@ -23,19 +23,36 @@
 //!   pair), kept verbatim as the test oracle and for the `abl-dist`
 //!   ablation.
 //! * [`alpha_distance`] / [`alpha_distance_bounded`] — the adaptive kernel.
-//!   It treats the **second** argument as the reusable side (the query
-//!   object in AKNN, the run-grouped left object in the join): cached
-//!   structures — the [`MembershipPrefix`](crate::MembershipPrefix)
-//!   layout or the kd-tree — are only ever built on that side, while the
-//!   throwaway side (an object decoded for a single probe) is scanned
-//!   raw. Per call it picks the cheapest exact strategy:
-//!   1. **dense** — when the cut product is small, the throwaway side's
-//!      points stream once through the membership filter and each
-//!      accepted point runs a dense inner loop over the reusable side's
-//!      contiguous α-cut prefix (no tree, no sort, no allocation);
-//!   2. **single-tree** — for larger cuts, each accepted throwaway point
-//!      runs a seeded nearest-neighbour search in the reusable side's
-//!      kd-tree, chaining the running best as the next seed;
+//!   Its two arguments play different roles. The **first** is the *probed*
+//!   side — in AKNN an object decoded from the store for this one call. It
+//!   is never indexed: it is scanned point by point through its
+//!   [`MembershipPrefix`], which for a decoded object *is* the record's
+//!   columns (no sort, no copy; an object built by [`FuzzyObject::new`]
+//!   pays one sort per lifetime instead). The **second** is the *reusable*
+//!   side — the query object in AKNN, the run-grouped left object in the
+//!   join: the kd-tree is only ever built there, and its cut is merely
+//!   *counted* until a strategy needs more.
+//!
+//!   The probed side's cut is the prefix `0..n`, and it is visited **from
+//!   the tail**: lowest admitted membership first. Memberships fall off
+//!   with distance from an object's kernel, so the tail is the cut's
+//!   periphery — where the closest pairs between two separate objects
+//!   live. Starting there drops the running bound to (nearly) its final
+//!   value within the first few points, and everything after prunes
+//!   against a tight bound; centre-first keeps the bound loose until the
+//!   very end (measured on 1 000-point objects: a quarter of the query
+//!   throughput). The order only decides how fast the bound shrinks, never
+//!   the answer.
+//!
+//!   Per call the kernel picks the cheapest exact strategy:
+//!   1. **dense** — when the cut product is small, each probed point runs
+//!      a branchless columnar min-reduction over the reusable side's
+//!      contiguous α-cut prefix (no tree; the reusable side's prefix is
+//!      built here, on first use);
+//!   2. **single-tree** — for larger cuts, each probed point runs a seeded
+//!      nearest-neighbour search in the reusable side's kd-tree, chaining
+//!      the running best as the next seed (the reusable side's prefix is
+//!      never built);
 //!   3. **dual-tree** — the bichromatic closest pair over both kd-trees
 //!      with membership-level pruning (Corral et al., ref. \[9\]), used
 //!      when both trees already exist.
@@ -49,11 +66,11 @@
 //! beyond the seed are pruned, and `None` reports that no qualifying pair
 //! closer than the seed exists.
 
-use crate::object::FuzzyObject;
+use crate::object::{FuzzyObject, MembershipPrefix};
 use crate::threshold::Threshold;
-use fuzzy_geom::{bichromatic_closest_pair_sq, KdTree, LevelFilter, Point};
+use fuzzy_geom::{bichromatic_closest_pair_sq, KdTree, LevelFilter};
 
-/// Below this `|A_α|·|B_α|` product the dense filtered-scan × prefix loop
+/// Below this `|A_α|·|B_α|` product the dense prefix × prefix loop
 /// beats the tree traversals (no tree build, no recursion, a vectorized
 /// branchless inner loop). Chosen so objects of a few hundred points
 /// never pay a tree construction.
@@ -103,27 +120,31 @@ pub fn alpha_distance_bounded<const D: usize>(
 /// This is the form the query engine calls on its hot path — heap keys,
 /// pruning bounds and seeds all stay squared, and the single `sqrt` is
 /// taken when a distance is reported to the user.
+///
+/// Deliberately never inlined: a caller that wraps the call (a timing
+/// span, a metric adapter) must run the same machine code as one that does
+/// not, or a traced run measures a different kernel than an untraced one.
+#[inline(never)]
 pub fn alpha_distance_sq_bounded<const D: usize>(
     a: &FuzzyObject<D>,
     b: &FuzzyObject<D>,
     t: Threshold,
     upper_bound_sq: f64,
 ) -> Option<f64> {
-    // `a` is the throwaway side, scanned raw: count its cut in one pass
-    // (branch-predictable, no allocation, no sort).
-    let na = a.memberships().iter().filter(|&&mu| t.accepts(mu)).count();
+    // `a` is the probed side: its cut is a prefix of the columns it was
+    // decoded into.
+    let pa = a.by_membership();
+    let na = pa.prefix_len(t);
     if na == 0 {
         return None;
     }
-    // `b` is the reusable side: its sorted layout is built once and
-    // amortized over every evaluation against it.
-    let pb = b.by_membership();
-    let nb = pb.prefix_len(t);
+    // `b` is the reusable side: count its cut, build nothing yet.
+    let nb = b.cut_len(t);
     if nb == 0 {
         return None;
     }
     if na.saturating_mul(nb) <= DENSE_PAIR_BUDGET {
-        return dense_scan_sq(a, t, pb, nb, upper_bound_sq);
+        return dense_scan_sq(pa, na, b.by_membership(), nb, upper_bound_sq);
     }
     let f = t.filter();
     if a.kd_tree_ready() && b.kd_tree_ready() {
@@ -131,51 +152,36 @@ pub fn alpha_distance_sq_bounded<const D: usize>(
             .map(|r| r.dist_sq);
     }
     if a.kd_tree_ready() {
-        // Rare shape (the throwaway side happens to carry a tree): probe
-        // it from b's prefix instead of building a second tree.
-        return single_tree_sq(a.kd_tree(), f, &pb.points()[..nb], upper_bound_sq);
+        // Rare shape (the probed side happens to carry a tree): probe it
+        // from b's prefix instead of building a second tree.
+        return single_tree_sq(a.kd_tree(), f, b.by_membership(), nb, upper_bound_sq);
     }
-    single_tree_sq(b.kd_tree(), f, FilteredPoints::Raw(a, t), upper_bound_sq)
+    single_tree_sq(b.kd_tree(), f, pa, na, upper_bound_sq)
 }
 
-/// Point source for the single-tree path: either a raw membership-filtered
-/// scan or an already-contiguous prefix.
-enum FilteredPoints<'a, const D: usize> {
-    Raw(&'a FuzzyObject<D>, Threshold),
-    Prefix(&'a [Point<D>]),
-}
-
-impl<'a, const D: usize> From<&'a [Point<D>]> for FilteredPoints<'a, D> {
-    fn from(pts: &'a [Point<D>]) -> Self {
-        Self::Prefix(pts)
-    }
-}
-
-/// Dense path: stream `a`'s raw points through the membership filter; each
-/// accepted point runs a branchless columnar min-reduction over `b`'s
-/// contiguous cut prefix. A point whose distance to the prefix's bounding
-/// box already reaches the running best skips its row entirely — with the
-/// engine's tight probe seeds, dominated evaluations collapse to a handful
-/// of box tests (bitwise-safe: a skipped row's minimum cannot beat the
-/// bound that skipped it).
+/// Dense path: each point of `a`'s cut prefix, periphery first, runs a
+/// branchless columnar min-reduction over `b`'s contiguous cut prefix. A
+/// point whose distance to that prefix's bounding box already reaches the
+/// running best skips its row entirely — with the engine's tight probe
+/// seeds, dominated evaluations collapse to a handful of box tests
+/// (bitwise-safe: a skipped row's minimum cannot beat the bound that
+/// skipped it).
 fn dense_scan_sq<const D: usize>(
-    a: &FuzzyObject<D>,
-    t: Threshold,
-    pb: &crate::object::MembershipPrefix<D>,
+    pa: &MembershipPrefix<D>,
+    na: usize,
+    pb: &MembershipPrefix<D>,
     nb: usize,
     upper_bound_sq: f64,
 ) -> Option<f64> {
     let (cut_lo, cut_hi) = pb.prefix_bounds(nb);
     let mut best = upper_bound_sq;
     let mut found = false;
-    for (p, mu) in a.iter() {
-        if !t.accepts(mu) {
-            continue;
-        }
+    for j in (0..na).rev() {
+        let p = pa.point(j);
         if p.dist_sq_to_box(&cut_lo, &cut_hi) >= best {
             continue;
         }
-        let row_min = pb.min_dist_sq_to_prefix(p, nb);
+        let row_min = pb.min_dist_sq_to_prefix(&p, nb);
         if row_min < best {
             best = row_min;
             found = true;
@@ -184,35 +190,22 @@ fn dense_scan_sq<const D: usize>(
     found.then_some(best)
 }
 
-/// One seeded NN search per filtered point of the tree-less side, chaining
-/// the running best as the next seed: after the first close hit, most
-/// probes prune at the root.
-fn single_tree_sq<'a, const D: usize>(
+/// One seeded NN search per point of the scanned side's cut prefix
+/// `0..n`, periphery first, chaining the running best as the next seed:
+/// after the first close hit, most probes prune at the root.
+fn single_tree_sq<const D: usize>(
     tree: &KdTree<D>,
     filter: LevelFilter,
-    cut: impl Into<FilteredPoints<'a, D>>,
+    scanned: &MembershipPrefix<D>,
+    n: usize,
     upper_bound_sq: f64,
 ) -> Option<f64> {
     let mut best = upper_bound_sq;
     let mut found = false;
-    let mut visit = |p: &Point<D>| {
-        if let Some((_, d2)) = tree.nn_sq_within(p, filter, best) {
+    for j in (0..n).rev() {
+        if let Some((_, d2)) = tree.nn_sq_within(&scanned.point(j), filter, best) {
             best = d2;
             found = true;
-        }
-    };
-    match cut.into() {
-        FilteredPoints::Raw(a, t) => {
-            for (p, mu) in a.iter() {
-                if t.accepts(mu) {
-                    visit(p);
-                }
-            }
-        }
-        FilteredPoints::Prefix(pts) => {
-            for p in pts {
-                visit(p);
-            }
         }
     }
     found.then_some(best)
@@ -284,27 +277,51 @@ mod tests {
         FuzzyObject::new(ObjectId(seed), pts, mus).unwrap()
     }
 
+    /// `a` as a store probe hands it over: rebuilt from its record columns,
+    /// so it holds the prefix view only.
+    fn decoded(a: &FuzzyObject<2>) -> FuzzyObject<2> {
+        let pa = a.by_membership();
+        let cols = [pa.coord_column(0), pa.coord_column(1)].concat();
+        let probed = FuzzyObject::from_columnar(
+            a.id(),
+            pa.source_indices().to_vec(),
+            pa.memberships().to_vec(),
+            cols,
+        )
+        .unwrap();
+        assert!(probed.prefix_ready() && !probed.source_ready());
+        probed
+    }
+
+    /// The kernel on `(a, b)` equals `want` bitwise and honours the seed
+    /// contract just above and at the answer.
+    fn assert_kernel(a: &FuzzyObject<2>, b: &FuzzyObject<2>, t: Threshold, want: Option<f64>) {
+        let got = alpha_distance_sq_bounded(a, b, t, f64::INFINITY);
+        assert_eq!(got.map(|d| d.sqrt().to_bits()), want.map(f64::to_bits), "{t}: {got:?}");
+        if let Some(d_sq) = got {
+            assert_eq!(alpha_distance_sq_bounded(a, b, t, d_sq * (1.0 + 1e-9)), Some(d_sq));
+            assert_eq!(alpha_distance_sq_bounded(a, b, t, d_sq), None);
+        }
+    }
+
     #[test]
     fn adaptive_kernel_matches_brute_force_bitwise() {
-        // 90×90 points straddles the brute budget across α, so this
-        // exercises the dense path (high α) and tree paths (low α).
+        // 80×90 points stay under the dense budget at every α: the dense
+        // strategy, on a constructed and on a decoded probed side.
         for seed in 1..10u64 {
             let a = blob(seed, 80, 0.0, 0.0);
             let b = blob(seed + 100, 90, 3.0, 1.0);
+            let probed = decoded(&a);
             for v in [0.05, 0.3, 0.5, 0.8, 1.0] {
                 for strict in [false, true] {
                     let t = Threshold { value: v, strict };
-                    let fast = alpha_distance(&a, &b, t);
-                    let slow = alpha_distance_brute(&a, &b, t);
-                    match (fast, slow) {
-                        (None, None) => {}
-                        (Some(f), Some(s)) => {
-                            assert_eq!(f.to_bits(), s.to_bits(), "seed {seed} t {t}: {f} vs {s}")
-                        }
-                        other => panic!("seed {seed} t {t}: {other:?}"),
-                    }
+                    let want = alpha_distance_brute(&a, &b, t);
+                    assert_kernel(&a, &b, t, want);
+                    assert_kernel(&probed, &b, t, want);
                 }
             }
+            assert!(!probed.source_ready() && !probed.kd_tree_ready());
+            assert!(!b.kd_tree_ready(), "the dense strategy builds no tree");
         }
     }
 
@@ -356,14 +373,24 @@ mod tests {
         a.kd_tree();
         b.kd_tree();
         assert_eq!(alpha_distance(&a, &b, t).unwrap().to_bits(), want.to_bits());
-        // Seeded forms agree too: just above the answer preserves it
-        // bitwise, at the answer prunes to None — on the tree paths.
-        let (a, b) = fresh(31);
-        b.kd_tree();
-        let want_sq = alpha_distance_sq_bounded(&a, &b, t, f64::INFINITY).unwrap();
-        assert_eq!(want_sq.sqrt().to_bits(), want.to_bits());
-        assert_eq!(alpha_distance_sq_bounded(&a, &b, t, want_sq * (1.0 + 1e-9)), Some(want_sq));
-        assert_eq!(alpha_distance_sq_bounded(&a, &b, t, want_sq), None);
+        // The hot probe shape, with the seeded forms (just above the
+        // answer preserves it bitwise, at the answer prunes to None): a
+        // decoded probed side against a query that has its tree, and
+        // against one that does not yet — inclusive and strict cuts. Only
+        // the query's tree is ever built; the probed side stays columns.
+        for t in [t, Threshold::above(0.05)] {
+            let want = alpha_distance_brute(&a0, &b0, t);
+            for prebuilt in [true, false] {
+                let (a, b) = fresh(31);
+                if prebuilt {
+                    b.kd_tree();
+                }
+                let probed = decoded(&a);
+                assert_kernel(&probed, &b, t, want);
+                assert!(!probed.source_ready() && !probed.kd_tree_ready());
+                assert!(b.kd_tree_ready() && !b.prefix_ready(), "tree paths never sort b");
+            }
+        }
     }
 
     #[test]

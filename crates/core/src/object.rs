@@ -1,4 +1,12 @@
 //! The fuzzy object itself: a validated set of probabilistic spatial points.
+//!
+//! What is stored and what is lazy: an object is born with **one** of two
+//! views of its points — construction order ([`FuzzyObject::new`]) or the
+//! membership-descending columns of a stored record
+//! ([`FuzzyObject::from_columnar`]) — and builds the other, the
+//! array-of-points form of the columns and the kd-tree only when a caller
+//! first asks for them. A store probe therefore costs a validation pass
+//! and nothing else; see [`FuzzyObject`].
 
 use crate::error::ModelError;
 use crate::threshold::Threshold;
@@ -24,36 +32,50 @@ impl fmt::Display for ObjectId {
 /// * non-empty kernel — some point has membership exactly `1.0`
 ///   (the paper's standing assumption, Section 2.1).
 ///
-/// Two derived structures are built lazily on first use and cached:
+/// An object holds its points in one of two **views**, and derives the
+/// other from it on first use:
 ///
-/// * a kd-tree over the points (annotated with subtree membership maxima),
-///   shared by the tree-based α-distance evaluators;
-/// * a [`MembershipPrefix`] — the points re-stored as a
+/// * **construction order** — the point and membership vectors as given;
+///   what [`FuzzyObject::new`] fills, and what [`FuzzyObject::points`],
+///   [`FuzzyObject::iter`], sampling and the kd-tree read;
+/// * the [`MembershipPrefix`] — the same points as a
 ///   **membership-descending structure-of-arrays**, so any α-cut is a
-///   contiguous prefix located by one binary search. The hot distance
-///   kernels scan these prefixes instead of filtering point-by-point.
+///   contiguous prefix located by one binary search. It is what a stored
+///   record holds, so [`FuzzyObject::from_columnar`] fills *this* view, by
+///   keeping the record's three columns, and what the hot distance kernels
+///   scan.
 ///
-/// The externally observable point order ([`FuzzyObject::points`],
-/// [`FuzzyObject::iter`], serialization) remains the construction order.
+/// An object probed from a store is therefore exactly its record's columns
+/// for as long as only the kernels touch it: construction order is
+/// materialised (one scatter through the stored permutation) the first
+/// time someone asks for it, and an object built by `new` pays one sort
+/// the first time a kernel asks for its prefix. Both derivations are
+/// cached for the object's lifetime and race-free (`OnceLock`); whichever
+/// view came first, every accessor answers bit for bit the same. The
+/// kd-tree over the points (annotated with subtree membership maxima,
+/// shared by the tree-based α-distance evaluators) is a third lazy cache,
+/// built from construction order because its answers are construction
+/// indices.
 #[derive(Clone, Debug)]
 pub struct FuzzyObject<const D: usize> {
     id: ObjectId,
-    points: Vec<Point<D>>,
-    memberships: Vec<f64>,
-    kd: OnceLock<KdTree<D>>,
+    len: usize,
+    /// Points and memberships in construction order. At least one of
+    /// `source` and `prefix` is set from construction on.
+    source: OnceLock<(Vec<Point<D>>, Vec<f64>)>,
     prefix: OnceLock<MembershipPrefix<D>>,
+    kd: OnceLock<KdTree<D>>,
 }
 
 /// The membership-descending structure-of-arrays view of an object's
-/// points: `points()[i]` carries `memberships()[i]`, and memberships are
+/// points: slot `j` carries `memberships()[j]`, and memberships are
 /// sorted descending (ties broken by original index, so the layout is
 /// deterministic). Any threshold then selects the contiguous prefix
 /// `0..prefix_len(t)` — a single binary search instead of a scan — and
-/// the quadratic α-distance kernels become cache-friendly prefix×prefix
-/// loops over dense coordinate arrays.
+/// the quadratic α-distance kernels become cache-friendly loops over dense
+/// coordinate columns.
 #[derive(Clone, Debug)]
 pub struct MembershipPrefix<const D: usize> {
-    pts: Vec<Point<D>>,
     mus: Vec<f64>,
     /// Dimension-major coordinate columns (`cols[d*len + j]` is coordinate
     /// `d` of sorted point `j`): the distance kernels stream these
@@ -62,9 +84,13 @@ pub struct MembershipPrefix<const D: usize> {
     cols: Vec<f64>,
     /// `orig[j]` is the construction-order index of sorted point `j` — the
     /// permutation that undoes the membership sort. Serialized with format
-    /// v3 records so decoding can restore the original order without
-    /// re-sorting.
+    /// v3 records so construction order can be restored without re-sorting.
     orig: Vec<u32>,
+    /// The sorted points as an array of structs, gathered from `cols` the
+    /// first time [`MembershipPrefix::points`] is asked for (the profile
+    /// sweep does; the α-distance kernel reads the columns and never builds
+    /// it).
+    pts: OnceLock<Vec<Point<D>>>,
 }
 
 impl<const D: usize> MembershipPrefix<D> {
@@ -82,17 +108,24 @@ impl<const D: usize> MembershipPrefix<D> {
             }
         }
         Self {
-            pts: keyed.iter().map(|&(_, i)| points[i as usize]).collect(),
             mus: keyed.iter().map(|&(mu, _)| mu).collect(),
             cols,
             orig: keyed.iter().map(|&(_, i)| i).collect(),
+            pts: OnceLock::new(),
         }
     }
 
-    /// Points, membership-descending.
+    /// Sorted point `j`, gathered from the coordinate columns.
     #[inline]
+    pub(crate) fn point(&self, j: usize) -> Point<D> {
+        let n = self.mus.len();
+        Point::new(std::array::from_fn(|d| self.cols[d * n + j]))
+    }
+
+    /// Points, membership-descending (an array-of-structs copy of the
+    /// columns, built on first use).
     pub fn points(&self) -> &[Point<D>] {
-        &self.pts
+        self.pts.get_or_init(|| (0..self.mus.len()).map(|j| self.point(j)).collect())
     }
 
     /// Memberships, descending, parallel to [`MembershipPrefix::points`].
@@ -105,7 +138,7 @@ impl<const D: usize> MembershipPrefix<D> {
     /// parallel to [`MembershipPrefix::points`]).
     #[inline]
     pub fn coord_column(&self, d: usize) -> &[f64] {
-        &self.cols[d * self.pts.len()..(d + 1) * self.pts.len()]
+        &self.cols[d * self.mus.len()..(d + 1) * self.mus.len()]
     }
 
     /// Construction-order index of each sorted point — the permutation
@@ -145,7 +178,7 @@ impl<const D: usize> MembershipPrefix<D> {
     /// identical to the scalar evaluators). `+∞` for an empty prefix.
     #[inline]
     pub fn min_dist_sq_to_prefix(&self, p: &Point<D>, n: usize) -> f64 {
-        let len = self.pts.len();
+        let len = self.mus.len();
         let cols: [&[f64]; D] = std::array::from_fn(|d| &self.cols[d * len..d * len + n]);
         fuzzy_geom::kernel::min_dist_sq_cols(&cols, p.coords())
     }
@@ -181,7 +214,13 @@ impl<const D: usize> FuzzyObject<D> {
         if !has_kernel {
             return Err(ModelError::EmptyKernel);
         }
-        Ok(Self { id, points, memberships, kd: OnceLock::new(), prefix: OnceLock::new() })
+        Ok(Self {
+            id,
+            len: points.len(),
+            source: OnceLock::from((points, memberships)),
+            prefix: OnceLock::new(),
+            kd: OnceLock::new(),
+        })
     }
 
     /// Validate and construct from the membership-descending **columnar**
@@ -189,11 +228,13 @@ impl<const D: usize> FuzzyObject<D> {
     /// construction-order index of sorted slot `j`, `mus` descends (ties
     /// by `orig`), and `cols[d·n + j]` is coordinate `d` of slot `j`.
     ///
-    /// The original point order is restored by scattering through `orig`,
-    /// so the observable object (points, memberships, iteration order,
-    /// sampling) is identical to [`FuzzyObject::new`] on the source data —
-    /// and the [`MembershipPrefix`] cache is pre-filled from the given
-    /// columns, so probed objects skip the membership sort entirely.
+    /// The three columns are validated and then **kept as they are**: they
+    /// become the object's [`MembershipPrefix`], so a probed object reaches
+    /// the distance kernels without a sort, a scatter or a copy. The
+    /// observable object (points, memberships, iteration order, sampling)
+    /// is identical to [`FuzzyObject::new`] on the source data; its
+    /// construction order is restored through `orig` the first time it is
+    /// asked for.
     pub fn from_columnar(
         id: ObjectId,
         orig: Vec<u32>,
@@ -232,41 +273,41 @@ impl<const D: usize> FuzzyObject<D> {
                 });
             }
         }
-        // Scatter back to construction order, validating as we go.
-        let mut points = vec![Point::origin(); n];
-        let mut memberships = vec![0.0; n];
-        for (j, &i) in orig.iter().enumerate() {
-            let mu = mus[j];
+        // Model invariants slot by slot, reported by construction index.
+        for (j, (&mu, &i)) in mus.iter().zip(&orig).enumerate() {
             if !(mu > 0.0 && mu <= 1.0) {
                 return Err(ModelError::InvalidMembership { index: i as usize, value: mu });
             }
-            let mut c = [0.0; D];
-            for d in 0..D {
-                c[d] = cols[d * n + j];
-            }
-            let p = Point::new(c);
-            if !p.is_finite() {
+            if !(0..D).all(|d| cols[d * n + j].is_finite()) {
                 return Err(ModelError::NonFiniteCoordinate { index: i as usize });
             }
-            points[i as usize] = p;
-            memberships[i as usize] = mu;
         }
         // Descending order makes the kernel check O(1).
         if mus[0] != 1.0 {
             return Err(ModelError::EmptyKernel);
         }
-        let pts_sorted: Vec<Point<D>> = (0..n)
-            .map(|j| {
-                let mut c = [0.0; D];
-                for d in 0..D {
-                    c[d] = cols[d * n + j];
-                }
-                Point::new(c)
-            })
-            .collect();
-        let prefix = OnceLock::new();
-        let _ = prefix.set(MembershipPrefix { pts: pts_sorted, mus, cols, orig });
-        Ok(Self { id, points, memberships, kd: OnceLock::new(), prefix })
+        Ok(Self {
+            id,
+            len: n,
+            source: OnceLock::new(),
+            prefix: OnceLock::from(MembershipPrefix { mus, cols, orig, pts: OnceLock::new() }),
+            kd: OnceLock::new(),
+        })
+    }
+
+    /// The construction-order view; scattered back through the stored
+    /// permutation on first use when the object came from its columns.
+    fn source(&self) -> &(Vec<Point<D>>, Vec<f64>) {
+        self.source.get_or_init(|| {
+            let pb = self.prefix.get().expect("an object always holds one of its views");
+            let mut points = vec![Point::origin(); self.len];
+            let mut memberships = vec![0.0; self.len];
+            for (j, &i) in pb.orig.iter().enumerate() {
+                points[i as usize] = pb.point(j);
+                memberships[i as usize] = pb.mus[j];
+            }
+            (points, memberships)
+        })
     }
 
     /// Object identifier.
@@ -275,38 +316,40 @@ impl<const D: usize> FuzzyObject<D> {
         self.id
     }
 
-    /// Number of probabilistic points (`|A_s|`).
+    /// Number of probabilistic points (`|A_s|`). O(1), whichever view the
+    /// object holds.
     #[inline]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// Always false (construction rejects empty objects).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
-    /// All points (the support set, since every stored membership is > 0).
+    /// All points (the support set, since every stored membership is > 0),
+    /// in construction order.
     #[inline]
     pub fn points(&self) -> &[Point<D>] {
-        &self.points
+        &self.source().0
     }
 
     /// Membership values, parallel to [`FuzzyObject::points`].
     #[inline]
     pub fn memberships(&self) -> &[f64] {
-        &self.memberships
+        &self.source().1
     }
 
-    /// Iterate `⟨a, µ(a)⟩` pairs.
+    /// Iterate `⟨a, µ(a)⟩` pairs in construction order.
     pub fn iter(&self) -> impl Iterator<Item = (&Point<D>, f64)> + '_ {
-        self.points.iter().zip(self.memberships.iter().copied())
+        self.points().iter().zip(self.memberships().iter().copied())
     }
 
     /// The lazily built, cached kd-tree over the object's points.
     pub fn kd_tree(&self) -> &KdTree<D> {
-        self.kd.get_or_init(|| KdTree::build(&self.points, &self.memberships))
+        self.kd.get_or_init(|| KdTree::build(self.points(), self.memberships()))
     }
 
     /// True when the cached kd-tree has already been built. The adaptive
@@ -318,12 +361,12 @@ impl<const D: usize> FuzzyObject<D> {
         self.kd.get().is_some()
     }
 
-    /// The lazily built, cached membership-descending prefix layout. Much
-    /// cheaper to build than the kd-tree (one sort, no recursive
-    /// partitioning), which is why the hot kernels prefer it for objects
-    /// probed a single time.
+    /// The membership-descending prefix layout: the record's own columns
+    /// for an object decoded from a store, otherwise built on first use
+    /// (one sort, no recursive partitioning — much cheaper than the
+    /// kd-tree) and cached.
     pub fn by_membership(&self) -> &MembershipPrefix<D> {
-        self.prefix.get_or_init(|| MembershipPrefix::build(&self.points, &self.memberships))
+        self.prefix.get_or_init(|| MembershipPrefix::build(self.points(), self.memberships()))
     }
 
     /// True when the membership-descending prefix layout is already built
@@ -333,9 +376,16 @@ impl<const D: usize> FuzzyObject<D> {
         self.prefix.get().is_some()
     }
 
+    /// True once construction order exists; lets the kernel tests pin that
+    /// a decoded object is evaluated without it.
+    #[cfg(test)]
+    pub(crate) fn source_ready(&self) -> bool {
+        self.source.get().is_some()
+    }
+
     /// MBR of the support set (`M_A` = `M_A(0)` in the paper's notation).
     pub fn support_mbr(&self) -> Mbr<D> {
-        Mbr::from_points(self.points.iter()).expect("object is non-empty")
+        Mbr::from_points(self.points()).expect("object is non-empty")
     }
 
     /// MBR of the kernel set (`M_A(1)`); the kernel is never empty.
@@ -346,7 +396,7 @@ impl<const D: usize> FuzzyObject<D> {
 
     /// Indices of points belonging to the cut selected by `t`.
     pub fn cut_indices(&self, t: Threshold) -> Vec<usize> {
-        self.memberships
+        self.memberships()
             .iter()
             .enumerate()
             .filter(|&(_, &mu)| t.accepts(mu))
@@ -354,9 +404,14 @@ impl<const D: usize> FuzzyObject<D> {
             .collect()
     }
 
-    /// Number of points in the cut selected by `t` (`|A_α|`).
+    /// Number of points in the cut selected by `t` (`|A_α|`): one binary
+    /// search when the prefix layout exists, one counting pass otherwise —
+    /// neither view is built to answer it.
     pub fn cut_len(&self, t: Threshold) -> usize {
-        self.memberships.iter().filter(|&&mu| t.accepts(mu)).count()
+        match self.prefix.get() {
+            Some(pb) => pb.prefix_len(t),
+            None => self.memberships().iter().filter(|&&mu| t.accepts(mu)).count(),
+        }
     }
 
     /// Exact MBR of the cut selected by `t` (`M_A(α)`), or `None` when the
@@ -367,7 +422,7 @@ impl<const D: usize> FuzzyObject<D> {
 
     /// The distinct membership values `U_A`, ascending (Section 3.2).
     pub fn distinct_levels(&self) -> Vec<f64> {
-        let mut levels = self.memberships.clone();
+        let mut levels = self.memberships().to_vec();
         levels.sort_by(f64::total_cmp);
         levels.dedup();
         levels
@@ -412,13 +467,13 @@ impl<const D: usize> FuzzyObject<D> {
     /// Point accessor.
     #[inline]
     pub fn point(&self, i: usize) -> &Point<D> {
-        &self.points[i]
+        &self.points()[i]
     }
 
     /// Membership accessor.
     #[inline]
     pub fn membership(&self, i: usize) -> f64 {
-        self.memberships[i]
+        self.memberships()[i]
     }
 }
 

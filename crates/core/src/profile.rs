@@ -61,6 +61,9 @@ impl DistanceProfile {
     pub fn compute<const D: usize>(a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> Self {
         let (pa, pq) = (a.by_membership(), q.by_membership());
         let (ma, mq) = (pa.memberships(), pq.memberships());
+        // The sweep walks points, not columns: the one reader of the
+        // prefixes' array-of-points form (gathered here on first use).
+        let (pts_a, pts_q) = (pa.points(), pq.points());
         // Q is the reusable side: its tree is built once per query. A is
         // usually probed for this one profile, so its tree is used only
         // when it already exists; otherwise Q's points scan A's prefix.
@@ -84,15 +87,15 @@ impl DistanceProfile {
             // level, so each box must cover them.
             let (a0, q0) = (ca, cq);
             while ca < ma.len() && ma[ca] >= level {
-                box_a.expand_point(&pa.points()[ca]);
+                box_a.expand_point(&pts_a[ca]);
                 ca += 1;
             }
             while cq < mq.len() && mq[cq] >= level {
-                box_q.expand_point(&pq.points()[cq]);
+                box_q.expand_point(&pts_q[cq]);
                 cq += 1;
             }
             let before = best_sq;
-            for p in &pa.points()[a0..ca] {
+            for p in &pts_a[a0..ca] {
                 if p.dist_sq_to_box(box_q.lo_coords(), box_q.hi_coords()) >= best_sq {
                     continue;
                 }
@@ -100,7 +103,7 @@ impl DistanceProfile {
                     best_sq = d2;
                 }
             }
-            for p in &pq.points()[q0..cq] {
+            for p in &pts_q[q0..cq] {
                 if p.dist_sq_to_box(box_a.lo_coords(), box_a.hi_coords()) >= best_sq {
                     continue;
                 }

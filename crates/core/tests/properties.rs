@@ -3,7 +3,8 @@
 use fuzzy_core::boundary::BoundaryFunctions;
 use fuzzy_core::distance::{alpha_distance, alpha_distance_brute};
 use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshold};
-use fuzzy_geom::Point;
+use fuzzy_geom::{LevelFilter, Point};
+use fuzzy_store::format::{decode_object, encode_object};
 use proptest::prelude::*;
 
 /// Arbitrary fuzzy object: quantized memberships, guaranteed kernel.
@@ -20,6 +21,64 @@ fn arb_object(id: u64, max_pts: usize) -> impl Strategy<Value = FuzzyObject<2>> 
             FuzzyObject::new(ObjectId(id), pts, mus).unwrap()
         },
     )
+}
+
+/// Objects on a half-unit lattice with four membership levels: tied
+/// memberships, duplicate points, tied pair distances and both signs of
+/// zero (`min`/`max` folds are order-sensitive there) — everything that
+/// could tell a decoded object from the one that was encoded.
+fn arb_lattice_object(id: u64, max_pts: usize) -> impl Strategy<Value = FuzzyObject<2>> {
+    let coord = || {
+        (-4i32..=4, any::<bool>())
+            .prop_map(|(c, neg)| if c == 0 && neg { -0.0 } else { c as f64 * 0.5 })
+    };
+    prop::collection::vec((coord(), coord(), 1u32..=4), 1..max_pts).prop_map(move |raw| {
+        let pts = raw.iter().map(|&(x, y, _)| Point::xy(x, y)).collect();
+        let mut mus: Vec<f64> = raw.iter().map(|&(_, _, q)| q as f64 / 4.0).collect();
+        let kernel = raw.len() / 2; // not always the first point
+        mus[kernel] = 1.0;
+        FuzzyObject::new(ObjectId(id), pts, mus).unwrap()
+    })
+}
+
+/// Every observable of `b` equals `a`'s bit for bit.
+fn assert_observably_equal(a: &FuzzyObject<2>, b: &FuzzyObject<2>) {
+    let bits = |o: &FuzzyObject<2>| -> Vec<[u64; 3]> {
+        o.iter().map(|(p, mu)| [p.x().to_bits(), p.y().to_bits(), mu.to_bits()]).collect()
+    };
+    let mbr_bits = |m: fuzzy_geom::Mbr<2>| [m.lo(0), m.lo(1), m.hi(0), m.hi(1)].map(f64::to_bits);
+    assert_eq!((a.id(), a.len()), (b.id(), b.len()));
+    assert_eq!(bits(a), bits(b), "iter()");
+    assert_eq!(a.points().len(), b.points().len());
+    for i in 0..a.len() {
+        assert_eq!(a.point(i).x().to_bits(), b.points()[i].x().to_bits());
+        assert_eq!(a.point(i).y().to_bits(), b.points()[i].y().to_bits());
+        assert_eq!(a.membership(i).to_bits(), b.memberships()[i].to_bits());
+    }
+    assert_eq!(mbr_bits(a.support_mbr()), mbr_bits(b.support_mbr()));
+    assert_eq!(mbr_bits(a.kernel_mbr()), mbr_bits(b.kernel_mbr()));
+    assert_eq!(a.rep_point().coords().map(f64::to_bits), b.rep_point().coords().map(f64::to_bits));
+    assert_eq!(a.distinct_levels(), b.distinct_levels());
+    for value in [0.0, 0.25, 0.5, 0.75, 1.0] {
+        for strict in [false, true] {
+            let t = Threshold { value, strict };
+            assert_eq!(a.cut_len(t), b.cut_len(t), "cut_len at {t}");
+            assert_eq!(a.cut_indices(t), b.cut_indices(t), "cut_indices at {t}");
+            assert_eq!(a.cut_mbr(t).map(mbr_bits), b.cut_mbr(t).map(mbr_bits), "cut_mbr at {t}");
+            for seed in [1, 99] {
+                assert_eq!(a.sample_cut_indices(t, 3, seed), b.sample_cut_indices(t, 3, seed));
+            }
+            let f = LevelFilter { min: value, strict };
+            for q in [Point::xy(0.25, -0.25), Point::xy(-2.0, 2.0), Point::xy(0.0, 0.0)] {
+                let (na, nb) = (a.kd_tree().nn_filtered(&q, f), b.kd_tree().nn_filtered(&q, f));
+                assert_eq!(na.map(|(i, d)| (i, d.to_bits())), nb.map(|(i, d)| (i, d.to_bits())));
+            }
+        }
+    }
+    let (pa, pb) = (a.by_membership(), b.by_membership());
+    assert_eq!(pa.source_indices(), pb.source_indices());
+    assert_eq!(pa.memberships(), pb.memberships());
+    assert_eq!(pa.points(), pb.points());
 }
 
 fn arb_threshold() -> impl Strategy<Value = Threshold> {
@@ -142,6 +201,49 @@ proptest! {
                 prop_assert_eq!(p.coord_column(d)[j].to_bits(), pt.coords()[d].to_bits());
             }
         }
+    }
+
+    /// A decoded object holds its record's columns and derives construction
+    /// order lazily; one built by `new` does the reverse. Nothing observable
+    /// may tell them apart — whichever view is touched first, and when two
+    /// threads race the first touch.
+    #[test]
+    fn decoded_object_is_observably_the_encoded_one(a in arb_lattice_object(30, 41)) {
+        let record = encode_object(&a);
+        let decode = || decode_object::<2>(&record).unwrap();
+
+        let prefix_first = decode();
+        prop_assert!(prefix_first.prefix_ready());
+        let _ = prefix_first.by_membership().points();
+        assert_observably_equal(&a, &prefix_first);
+
+        let points_first = decode();
+        let _ = points_first.points();
+        assert_observably_equal(&a, &points_first);
+
+        let raced = decode();
+        let barrier = std::sync::Barrier::new(2);
+        let (order, tree) = std::thread::scope(|s| {
+            let order = s.spawn(|| {
+                barrier.wait();
+                raced.points().as_ptr() as usize
+            });
+            let tree = s.spawn(|| {
+                barrier.wait();
+                raced.kd_tree() as *const _ as usize
+            });
+            (order.join().unwrap(), tree.join().unwrap())
+        });
+        // Both threads settled on the one cached copy of each view.
+        prop_assert_eq!(order, raced.points().as_ptr() as usize);
+        prop_assert_eq!(tree, raced.kd_tree() as *const _ as usize);
+        assert_observably_equal(&a, &raced);
+
+        // And the reverse derivation: a fresh `new` object whose prefix is
+        // touched before anything else re-encodes to the same bytes.
+        let rebuilt =
+            FuzzyObject::new(a.id(), raced.points().to_vec(), raced.memberships().to_vec()).unwrap();
+        prop_assert_eq!(encode_object(&rebuilt), record);
     }
 
     /// Bound-seeded evaluation: a seed strictly above the true distance

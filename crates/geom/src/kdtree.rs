@@ -259,13 +259,17 @@ impl<const D: usize> KdTree<D> {
     ) -> Option<(usize, f64)> {
         let mut best = cap_sq;
         let mut best_orig: Option<u32> = None;
-        self.nn_rec(self.root_ref(), q, filter, &mut best, &mut best_orig);
+        let root = self.root_ref();
+        self.nn_rec(root, self.box_dist_sq(root, q), q, filter, &mut best, &mut best_orig);
         best_orig.map(|o| (o as usize, best))
     }
 
+    /// `d2` is `box_dist_sq(node, q)`: the parent computed it to order its
+    /// children and hands it down.
     fn nn_rec(
         &self,
         node: NodeRef,
+        d2: f64,
         q: &Point<D>,
         filter: LevelFilter,
         best_sq: &mut f64,
@@ -274,7 +278,6 @@ impl<const D: usize> KdTree<D> {
         if !filter.accepts(self.max_mu[node.id as usize]) {
             return;
         }
-        let d2 = self.box_dist_sq(node, q);
         // With a candidate in hand, subtrees at exactly the best distance
         // must still be visited: they may hold an equal-distance point with
         // a smaller original index (the canonical winner). Without one, the
@@ -296,9 +299,10 @@ impl<const D: usize> KdTree<D> {
         let (left, right) = node.children();
         let dl = self.box_dist_sq(left, q);
         let dr = self.box_dist_sq(right, q);
-        let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-        self.nn_rec(first, q, filter, best_sq, best_orig);
-        self.nn_rec(second, q, filter, best_sq, best_orig);
+        let ((first, d1), (second, d2)) =
+            if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
+        self.nn_rec(first, d1, q, filter, best_sq, best_orig);
+        self.nn_rec(second, d2, q, filter, best_sq, best_orig);
     }
 
     /// Collect the original indices of all points passing `filter` that lie

@@ -143,94 +143,56 @@ fn encode_leaf_entries<const D: usize>(page: &mut Encoder, entries: &[ObjectSumm
 }
 
 /// Decode a v3 columnar leaf block of `count` entries (inverse of
-/// [`encode_leaf_entries`]); MBR columns are validated the same way
-/// [`decode_mbr`] validates internal-node rectangles.
+/// [`encode_leaf_entries`]) in one pass: cell *(column c, entry j)* is read
+/// straight out of the block and each summary is pushed once. MBR cells
+/// are validated the same way [`decode_mbr`] validates internal-node
+/// rectangles.
 fn decode_leaf_entries<const D: usize>(
     d: &mut Decoder<'_>,
     count: usize,
 ) -> Result<Vec<ObjectSummary<D>>, StoreError> {
     use fuzzy_geom::{ConservativeLine, Point};
-    let mut ids = Vec::with_capacity(count);
-    for _ in 0..count {
-        ids.push(fuzzy_core::ObjectId(d.u64()?));
-    }
-    let mut counts = Vec::with_capacity(count);
-    for _ in 0..count {
-        counts.push(d.u32()?);
-    }
-    let mut column = |d: &mut Decoder<'_>| -> Result<Vec<f64>, StoreError> {
-        let mut col = Vec::with_capacity(count);
-        for _ in 0..count {
-            col.push(d.f64()?);
-        }
-        Ok(col)
+    let block = d.bytes(count * leaf_entry_len(D))?;
+    let (ids, rest) = block.split_at(8 * count);
+    let (counts, cells) = rest.split_at(4 * count);
+    // The f64 columns in block order: support lo/hi, kernel lo/hi, upper
+    // m/t and lower m/t interleaved per dimension, then rep.
+    let cell = |c: usize, j: usize| -> f64 {
+        let at = (c * count + j) * 8;
+        f64::from_le_bytes(cells[at..at + 8].try_into().expect("8-byte cell"))
     };
-    let read_mbr_cols =
-        |d: &mut Decoder<'_>,
-         column: &mut dyn FnMut(&mut Decoder<'_>) -> Result<Vec<f64>, StoreError>|
-         -> Result<Vec<Mbr<D>>, StoreError> {
-            let mut lo = Vec::with_capacity(D);
-            let mut hi = Vec::with_capacity(D);
-            for _ in 0..D {
-                lo.push(column(d)?);
-                hi.push(column(d)?);
-            }
-            (0..count)
-                .map(|j| {
-                    let mut l = [0.0; D];
-                    let mut h = [0.0; D];
-                    for dim in 0..D {
-                        l[dim] = lo[dim][j];
-                        h[dim] = hi[dim][j];
-                    }
-                    if (0..D).all(|i| l[i] <= h[i]) {
-                        Ok(Mbr::new(l, h))
-                    } else {
-                        Err(corrupt("inverted MBR in leaf summary block"))
-                    }
-                })
-                .collect()
-        };
-    let support = read_mbr_cols(d, &mut column)?;
-    let kernel = read_mbr_cols(d, &mut column)?;
-    let read_lines = |d: &mut Decoder<'_>| -> Result<Vec<[ConservativeLine; D]>, StoreError> {
-        let mut cols = Vec::with_capacity(D);
-        for _ in 0..D {
-            cols.push((column(d)?, column(d)?));
+    let mbr = |first: usize, j: usize| -> Result<Mbr<D>, StoreError> {
+        let lo: [f64; D] = std::array::from_fn(|dim| cell(first + 2 * dim, j));
+        let hi: [f64; D] = std::array::from_fn(|dim| cell(first + 2 * dim + 1, j));
+        if (0..D).all(|i| lo[i] <= hi[i]) {
+            Ok(Mbr::new(lo, hi))
+        } else {
+            Err(corrupt("inverted MBR in leaf summary block"))
         }
-        Ok((0..count)
-            .map(|j| {
-                let mut lines = [ConservativeLine::ZERO; D];
-                for (dim, (m, t)) in cols.iter().enumerate() {
-                    lines[dim] = ConservativeLine { m: m[j], t: t[j] };
-                }
-                lines
-            })
-            .collect())
     };
-    let upper = read_lines(d)?;
-    let lower = read_lines(d)?;
-    let mut rep_cols = Vec::with_capacity(D);
-    for _ in 0..D {
-        rep_cols.push(column(d)?);
-    }
-    Ok((0..count)
-        .map(|j| {
-            let mut rep = [0.0; D];
-            for dim in 0..D {
-                rep[dim] = rep_cols[dim][j];
-            }
-            ObjectSummary {
-                id: ids[j],
-                support_mbr: support[j],
-                kernel_mbr: kernel[j],
-                upper_lines: upper[j],
-                lower_lines: lower[j],
-                rep: Point::new(rep),
-                point_count: counts[j],
-            }
+    let lines = |first: usize, j: usize| -> [ConservativeLine; D] {
+        std::array::from_fn(|dim| ConservativeLine {
+            m: cell(first + 2 * dim, j),
+            t: cell(first + 2 * dim + 1, j),
         })
-        .collect())
+    };
+    let mut entries = Vec::with_capacity(count);
+    for j in 0..count {
+        entries.push(ObjectSummary {
+            id: fuzzy_core::ObjectId(u64::from_le_bytes(
+                ids[8 * j..8 * j + 8].try_into().expect("8-byte id"),
+            )),
+            support_mbr: mbr(0, j)?,
+            kernel_mbr: mbr(2 * D, j)?,
+            upper_lines: lines(4 * D, j),
+            lower_lines: lines(6 * D, j),
+            rep: Point::new(std::array::from_fn(|dim| cell(8 * D + dim, j))),
+            point_count: u32::from_le_bytes(
+                counts[4 * j..4 * j + 4].try_into().expect("4-byte count"),
+            ),
+        });
+    }
+    Ok(entries)
 }
 
 /// Encode an MBR as `D × (lo, hi)` f64 pairs.
@@ -682,6 +644,36 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fzpt-test-{}-{name}.fzpt", std::process::id()))
+    }
+
+    #[test]
+    fn leaf_block_roundtrips_at_every_fill() {
+        // Odd counts leave the f64 columns on a 4-byte boundary (the point
+        // counts before them are u32); 0 and a full 64-entry leaf are the
+        // ends of what a page holds.
+        let all = grid_summaries(64);
+        for count in [0usize, 1, 63, 64] {
+            let mut block = Encoder::new();
+            encode_leaf_entries(&mut block, &all[..count]);
+            assert_eq!(block.len(), count * leaf_entry_len(2));
+            let mut padded = block.into_bytes();
+            padded.extend_from_slice(&[0u8; 24]); // a page's zero padding follows
+            let mut d = Decoder::new(&padded);
+            let back = decode_leaf_entries::<2>(&mut d, count).unwrap();
+            assert_eq!(d.remaining(), 24, "the decode consumes exactly the block");
+            assert_eq!(back.len(), count);
+            for (b, a) in back.iter().zip(&all) {
+                assert_eq!((b.id, b.point_count), (a.id, a.point_count));
+                assert_eq!(
+                    (b.support_mbr, b.kernel_mbr, b.rep),
+                    (a.support_mbr, a.kernel_mbr, a.rep)
+                );
+                assert_eq!((b.upper_lines, b.lower_lines), (a.upper_lines, a.lower_lines));
+            }
+            // One entry more than the block holds is a typed error.
+            let short = &padded[..padded.len() - 24];
+            assert!(decode_leaf_entries::<2>(&mut Decoder::new(short), count + 1).is_err());
+        }
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! the same neighbour id set, and wherever both report an exact distance
 //! for the same object the values must agree bitwise. Both runs are also
 //! checked against a linear-scan oracle's k-th distance.
+//!
+//! Every search runs twice more over a `FileStore` of the same objects:
+//! there each probed object is its record's decoded columns rather than a
+//! constructed object, and neighbours, distances and logical counters
+//! must not be able to tell.
 
 use fuzzy_core::distance::alpha_distance_brute;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, DistBound, QueryEngine};
-use fuzzy_store::{MemStore, ObjectStore};
+use fuzzy_query::{AknnConfig, DistBound, QueryEngine, QueryStats};
+use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -50,6 +55,17 @@ fn dataset(n: u64, salt: u64) -> MemStore<2> {
     MemStore::from_objects((0..n).map(|i| blob(i, salt, rnd() * 25.0, rnd() * 25.0))).unwrap()
 }
 
+/// The same objects, in summary order, behind a `.fzkn` file.
+fn on_disk(store: &MemStore<2>, salt: u64) -> (std::path::PathBuf, FileStore<2>) {
+    let path =
+        std::env::temp_dir().join(format!("fz-seeded-probes-{}-{salt:x}.fzkn", std::process::id()));
+    let mut w = FileStoreWriter::<2>::create(&path).unwrap();
+    for s in store.summaries() {
+        w.append(&store.probe(s.id).unwrap()).unwrap();
+    }
+    (path, w.finish().unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -67,6 +83,8 @@ proptest! {
             RTreeConfig { max_entries: 8, min_fill: 0.4 },
         );
         let engine = QueryEngine::new(&tree, &store);
+        let (path, file_store) = on_disk(&store, salt);
+        let file_engine = QueryEngine::new(&tree, &file_store);
         let q = blob(1_000_000 + query_seed, salt, 12.0, 12.0);
 
         // Oracle k-th distance for the containment check.
@@ -83,6 +101,14 @@ proptest! {
             prop_assert!(base.seeded_probes, "seeding must be the default");
             let seeded = engine.aknn(&q, k, alpha, &base).unwrap();
             let unseeded = engine.aknn(&q, k, alpha, &base.unseeded()).unwrap();
+
+            // Decoded probes answer exactly like constructed ones.
+            for (cfg, mem) in [(base, &seeded), (base.unseeded(), &unseeded)] {
+                let file = file_engine.aknn(&q, k, alpha, &cfg).unwrap();
+                prop_assert_eq!(&file.neighbors, &mem.neighbors, "{}", base.variant_name());
+                let logical = |s: &QueryStats| QueryStats { wall: Default::default(), ..*s };
+                prop_assert_eq!(logical(&file.stats), logical(&mem.stats));
+            }
 
             let mut ids_s = seeded.ids();
             let mut ids_u = unseeded.ids();
@@ -119,5 +145,6 @@ proptest! {
                 }
             }
         }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -2,13 +2,13 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    decode_object, decode_summary, encode_object, encode_summary, Decoder, Encoder, HEADER_LEN,
-    MAGIC, TRAILER_LEN, VERSION,
+    decode_object, decode_summary, encode_object, encode_summary, record_len, summary_len, Decoder,
+    Encoder, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };
 use crate::stats::{IoStats, IoStatsSnapshot};
 use crate::ObjectStore;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -24,7 +24,7 @@ pub struct FileStoreWriter<const D: usize> {
     offset: u64,
     index: Vec<(ObjectId, u64, u64)>,
     summaries: Vec<ObjectSummary<D>>,
-    seen: HashMap<ObjectId, ()>,
+    seen: HashSet<ObjectId>,
 }
 
 impl<const D: usize> FileStoreWriter<D> {
@@ -45,14 +45,14 @@ impl<const D: usize> FileStoreWriter<D> {
             offset: HEADER_LEN as u64,
             index: Vec::new(),
             summaries: Vec::new(),
-            seen: HashMap::new(),
+            seen: HashSet::new(),
         })
     }
 
     /// Append one object; its summary is computed here so readers never
     /// need to touch the records for index construction.
     pub fn append(&mut self, obj: &FuzzyObject<D>) -> Result<(), StoreError> {
-        if self.seen.insert(obj.id(), ()).is_some() {
+        if !self.seen.insert(obj.id()) {
             return Err(StoreError::DuplicateObject(obj.id()));
         }
         let record = encode_object(obj);
@@ -112,8 +112,11 @@ pub struct FileStore<const D: usize> {
 }
 
 impl<const D: usize> FileStore<D> {
-    /// Open an existing store file, validating magic, version and
-    /// dimensionality.
+    /// Open an existing store file, validating magic, version,
+    /// dimensionality and that every offset, count and index entry the
+    /// trailer leads to stays inside the section it belongs to. Total on
+    /// hostile bytes: a damaged file is a typed [`StoreError`], never a
+    /// panic and never a handle that points outside the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
@@ -146,49 +149,77 @@ impl<const D: usize> FileStore<D> {
         let mut t = Decoder::new(&tail);
         let summary_off = t.u64()?;
         let index_off = t.u64()?;
-        let count = t.u64()? as usize;
-        if summary_off > index_off || index_off >= total {
-            return Err(StoreError::Corrupt { reason: "trailer offsets out of order".into() });
+        let count = t.u64()?;
+        // Every size below comes from the file: bound each section by the
+        // bytes that are there before sizing a buffer or a table from it.
+        let corrupt = |reason: String| StoreError::Corrupt { reason };
+        let index_end = total - TRAILER_LEN as u64;
+        if summary_off < HEADER_LEN as u64 || summary_off > index_off || index_off > index_end {
+            return Err(corrupt(format!(
+                "trailer offsets out of order: summary_off {summary_off}, index_off {index_off}, \
+                 trailer at {index_end}"
+            )));
+        }
+        let section_holds = |len: u64, entry: usize| {
+            count.checked_mul(entry as u64).and_then(|b| b.checked_add(8)).is_some_and(|b| b <= len)
+        };
+        if !section_holds(index_off - summary_off, summary_len(D)) {
+            return Err(corrupt(format!(
+                "trailer count {count} exceeds what the summary section can hold"
+            )));
+        }
+        if !section_holds(index_end - index_off, 24) {
+            return Err(corrupt(format!(
+                "trailer count {count} exceeds what the index section can hold"
+            )));
         }
 
         // Summaries.
-        let sum_len = (index_off - summary_off) as usize;
-        let mut sum_bytes = vec![0u8; sum_len];
+        let mut sum_bytes = vec![0u8; (index_off - summary_off) as usize];
         file.read_exact_at(&mut sum_bytes, summary_off)?;
         let mut sd = Decoder::new(&sum_bytes);
-        let sum_count = sd.u64()? as usize;
+        let sum_count = sd.u64()?;
         if sum_count != count {
-            return Err(StoreError::Corrupt {
-                reason: format!("summary count {sum_count} != object count {count}"),
-            });
+            return Err(corrupt(format!("summary count {sum_count} != object count {count}")));
         }
-        let mut summaries = Vec::with_capacity(count);
+        let mut summaries = Vec::with_capacity(count as usize);
         for _ in 0..count {
             summaries.push(decode_summary::<D>(&mut sd)?);
         }
 
         // Index.
-        let idx_len = (total - TRAILER_LEN as u64 - index_off) as usize;
-        let mut idx_bytes = vec![0u8; idx_len];
+        let mut idx_bytes = vec![0u8; (index_end - index_off) as usize];
         file.read_exact_at(&mut idx_bytes, index_off)?;
         let mut ix = Decoder::new(&idx_bytes);
-        let idx_count = ix.u64()? as usize;
+        let idx_count = ix.u64()?;
         if idx_count != count {
-            return Err(StoreError::Corrupt {
-                reason: format!("index count {idx_count} != object count {count}"),
-            });
+            return Err(corrupt(format!("index count {idx_count} != object count {count}")));
         }
-        let mut index = HashMap::with_capacity(count);
-        for _ in 0..count {
+        let mut index = HashMap::with_capacity(summaries.len());
+        for summary in &summaries {
             let id = ObjectId(ix.u64()?);
             let off = ix.u64()?;
             let len = ix.u64()?;
-            if off + len > summary_off {
-                return Err(StoreError::Corrupt {
-                    reason: format!("record for {id} overlaps summary section"),
-                });
+            // Both sections are written in append order.
+            if id != summary.id {
+                return Err(corrupt(format!(
+                    "index entry id {id} does not match its summary's id {}",
+                    summary.id
+                )));
             }
-            index.insert(id, (off, len));
+            // A record holds at least one point and lives between the
+            // header and the summary section.
+            let in_records = len >= record_len(D, 1) as u64
+                && off >= HEADER_LEN as u64
+                && off.checked_add(len).is_some_and(|end| end <= summary_off);
+            if !in_records {
+                return Err(corrupt(format!(
+                    "index entry for {id} (off {off}, len {len}) is no record of the record section"
+                )));
+            }
+            if index.insert(id, (off, len)).is_some() {
+                return Err(corrupt(format!("index lists {id} twice")));
+            }
         }
 
         Ok(Self { file, path, index, summaries, stats: IoStats::new() })

@@ -29,8 +29,8 @@ pub const MAGIC: [u8; 4] = *b"FZKN";
 /// stored membership-descending as dimension-major coordinate columns
 /// plus the permutation that restores construction order, so a decoded
 /// object's [`MembershipPrefix`](fuzzy_core::MembershipPrefix) — the
-/// layout every hot distance kernel scans — is rebuilt straight from the
-/// record bytes without a sort.
+/// layout every hot distance kernel scans — *is* the record's three
+/// sections, converted to native words and nothing else.
 pub const VERSION: u16 = 3;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 4 + 2 + 2 + 8;
@@ -192,9 +192,10 @@ pub const fn record_len(d: usize, n: usize) -> usize {
 /// Records store the **membership-descending columnar** layout directly:
 /// the permutation back to construction order, the sorted memberships,
 /// then the dimension-major coordinate columns. Decoding therefore hands
-/// the distance kernels their scan layout without re-sorting (the
-/// `MembershipPrefix` cache is pre-filled), while the observable object
-/// round-trips exactly — same points, memberships and iteration order.
+/// the distance kernels their scan layout as it stands (the decoded
+/// sections are the object's `MembershipPrefix`), while the observable
+/// object round-trips exactly — same points, memberships and iteration
+/// order.
 pub fn encode_object<const D: usize>(obj: &FuzzyObject<D>) -> Vec<u8> {
     let n = obj.len();
     let pb = obj.by_membership();
@@ -245,19 +246,19 @@ pub fn decode_object<const D: usize>(bytes: &[u8]) -> Result<FuzzyObject<D>, Sto
             ),
         });
     }
-    let mut orig = Vec::with_capacity(n);
-    for _ in 0..n {
-        orig.push(d.u32()?);
-    }
-    let mut mus = Vec::with_capacity(n);
-    for _ in 0..n {
-        mus.push(d.f64()?);
-    }
-    let mut cols = Vec::with_capacity(D * n);
-    for _ in 0..D * n {
-        cols.push(d.f64()?);
-    }
-    Ok(FuzzyObject::from_columnar(id, orig, mus, cols)?)
+    // The length check above fixed the three sections; each converts in
+    // one bulk pass and becomes, unchanged, a column of the object.
+    let (perm, rest) = d.bytes(expected)?.split_at(n * 4);
+    let (mus, cols) = rest.split_at(n * 8);
+    let f64s = |section: &[u8]| -> Vec<f64> {
+        let word = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+        section.chunks_exact(8).map(word).collect()
+    };
+    let orig = perm
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
+        .collect();
+    Ok(FuzzyObject::from_columnar(id, orig, f64s(mus), f64s(cols))?)
 }
 
 /// Fixed encoded size of one summary.

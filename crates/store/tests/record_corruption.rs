@@ -9,7 +9,9 @@ use std::path::PathBuf;
 
 use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
-use fuzzy_store::format::{decode_object, encode_object, fnv1a, record_len, Encoder, VERSION};
+use fuzzy_store::format::{
+    decode_object, encode_object, fnv1a, record_len, Encoder, TRAILER_LEN, VERSION,
+};
 use fuzzy_store::{FileStore, FileStoreWriter, ObjectStore, StoreError};
 
 fn sample() -> FuzzyObject<2> {
@@ -168,5 +170,68 @@ fn flipped_record_bytes_fail_the_probe_not_the_open() {
     let store = FileStore::<2>::open(&path).unwrap();
     let err = store.probe(ObjectId(42)).unwrap_err();
     assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The file *around* the records: every offset, count and index-entry
+/// field the open follows, overwritten with the values that sit on a
+/// boundary of the file or of `u64`. `FileStore::open` must refuse each
+/// with a typed error — no panic, no arithmetic that wraps into a check
+/// that passes, no allocation sized by a number the file made up.
+#[test]
+fn hostile_trailer_and_index_fields_never_open() {
+    let path = tmp("matrix");
+    let mut w = FileStoreWriter::<2>::create(&path).unwrap();
+    for id in [42u64, 43, 44] {
+        let a = sample();
+        w.append(
+            &FuzzyObject::new(ObjectId(id), a.points().to_vec(), a.memberships().to_vec()).unwrap(),
+        )
+        .unwrap();
+    }
+    drop(w.finish().unwrap());
+    let pristine = std::fs::read(&path).unwrap();
+    let total = pristine.len() as u64;
+    let word = |at: usize| u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap());
+    let trailer = pristine.len() - TRAILER_LEN;
+    let (summary_off, index_off) = (word(trailer) as usize, word(trailer + 8) as usize);
+
+    // (what, byte offset of the u64 field)
+    let mut fields = vec![
+        ("trailer summary_off".to_string(), trailer),
+        ("trailer index_off".to_string(), trailer + 8),
+        ("trailer count".to_string(), trailer + 16),
+    ];
+    for entry in 0..3 {
+        for (k, name) in ["id", "off", "len"].iter().enumerate() {
+            fields
+                .push((format!("index entry {entry} {name}"), index_off + 8 + 24 * entry + 8 * k));
+        }
+    }
+    let must_refuse = |bytes: &[u8], what: &str| {
+        std::fs::write(&path, bytes).unwrap();
+        match catch_unwind(AssertUnwindSafe(|| FileStore::<2>::open(&path))) {
+            Err(_) => panic!("open panicked on {what}"),
+            Ok(Ok(_)) => panic!("open accepted {what}"),
+            Ok(Err(e)) => assert!(matches!(e, StoreError::Corrupt { .. }), "{what} gave {e}"),
+        }
+    };
+    for (what, at) in &fields {
+        for value in [0, total - 1, total, u64::MAX - 3, u64::MAX] {
+            let mut evil = pristine.clone();
+            evil[*at..*at + 8].copy_from_slice(&value.to_le_bytes());
+            must_refuse(&evil, &format!("{what} = {value}"));
+        }
+    }
+
+    // All three counts agree on a number no file could hold.
+    let mut evil = pristine.clone();
+    for at in [trailer + 16, summary_off, index_off] {
+        evil[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+    }
+    must_refuse(&evil, "equal counts of 2^61");
+
+    std::fs::write(&path, &pristine).unwrap();
+    assert_eq!(FileStore::<2>::open(&path).unwrap().len(), 3, "the fixture itself opens");
     std::fs::remove_file(&path).unwrap();
 }
