@@ -19,7 +19,12 @@
 //!   adaptive columnar/kd kernel in [`crate::distance`], which is why the
 //!   generic engine stays byte-identical to the specialized one under `L2`;
 //! * **distance profiles** — [`Metric::distance_profile`] builds the full
-//!   staircase `α ↦ d_α` the RKNN algorithms refine against.
+//!   staircase `α ↦ d_α`, and [`Metric::distance_profile_window`] the part
+//!   of it an RKNN over `[αs, αe]` reads. The window hook is *provided*: it
+//!   defaults to the full profile, which is a valid answer for every
+//!   window, so a metric (or an adapter around one) that implements only
+//!   `distance_profile` stays correct and merely does the full work. `L2`
+//!   overrides it with the windowed sweep of [`crate::profile`].
 //!
 //! Two implementations ship here: [`L2`] (the paper's setting, every hook
 //! delegating to the existing specialized code) and [`GraphMetric`]
@@ -92,11 +97,29 @@ pub trait Metric<const D: usize>: Sync {
 
     /// The full α-distance staircase `α ↦ d_α(a, q)` under this metric
     /// (Definition 7; what the RKNN refinement loops consume). The default
-    /// enumerates every pair; L2 overrides with the descending kd sweep.
+    /// enumerates every pair; L2 overrides with the sweep of [`crate::profile`].
     fn distance_profile(&self, a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> DistanceProfile {
         DistanceProfile::from_pairs(
             a.iter().flat_map(|(p, mu)| q.iter().map(move |(r, nu)| (mu.min(nu), self.dist(p, r)))),
         )
+    }
+
+    /// The staircase on the window `[lo, hi]`, under the contract of
+    /// [`DistanceProfile::compute_window`]: exact for every threshold in
+    /// the window, unspecified outside it. `top_sq` is the squared
+    /// α-distance at `hi` when the caller already holds it (as returned by
+    /// [`Metric::alpha_distance_sq_bounded`] for the same pair), `None`
+    /// otherwise. The default ignores the window and returns
+    /// [`Metric::distance_profile`].
+    fn distance_profile_window(
+        &self,
+        a: &FuzzyObject<D>,
+        q: &FuzzyObject<D>,
+        _lo: f64,
+        _hi: f64,
+        _top_sq: Option<f64>,
+    ) -> DistanceProfile {
+        self.distance_profile(a, q)
     }
 }
 
@@ -134,7 +157,7 @@ pub fn generic_alpha_distance_sq_bounded<M: Metric<D> + ?Sized, const D: usize>(
 /// The Euclidean metric — the paper's setting and the engine's fast path.
 /// Every hook delegates to the pre-existing specialized code (exact
 /// `MinDist`/`MaxDist` box bounds, the adaptive columnar/kd α-distance
-/// kernel, the descending kd profile sweep), so query answers and per-query
+/// kernel, the windowed profile sweep), so query answers and per-query
 /// counters through the metric seam are byte-identical to the direct calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct L2;
@@ -179,6 +202,18 @@ impl<const D: usize> Metric<D> for L2 {
     #[inline]
     fn distance_profile(&self, a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> DistanceProfile {
         DistanceProfile::compute(a, q)
+    }
+
+    #[inline]
+    fn distance_profile_window(
+        &self,
+        a: &FuzzyObject<D>,
+        q: &FuzzyObject<D>,
+        lo: f64,
+        hi: f64,
+        top_sq: Option<f64>,
+    ) -> DistanceProfile {
+        DistanceProfile::compute_window(a, q, lo, hi, top_sq)
     }
 }
 

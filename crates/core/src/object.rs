@@ -3,10 +3,9 @@
 //! What is stored and what is lazy: an object is born with **one** of two
 //! views of its points — construction order ([`FuzzyObject::new`]) or the
 //! membership-descending columns of a stored record
-//! ([`FuzzyObject::from_columnar`]) — and builds the other, the
-//! array-of-points form of the columns and the kd-tree only when a caller
-//! first asks for them. A store probe therefore costs a validation pass
-//! and nothing else; see [`FuzzyObject`].
+//! ([`FuzzyObject::from_columnar`]) — and builds the other and the kd-tree
+//! only when a caller first asks for them. A store probe therefore costs a
+//! validation pass and nothing else; see [`FuzzyObject`].
 
 use crate::error::ModelError;
 use crate::threshold::Threshold;
@@ -86,11 +85,6 @@ pub struct MembershipPrefix<const D: usize> {
     /// permutation that undoes the membership sort. Serialized with format
     /// v3 records so construction order can be restored without re-sorting.
     orig: Vec<u32>,
-    /// The sorted points as an array of structs, gathered from `cols` the
-    /// first time [`MembershipPrefix::points`] is asked for (the profile
-    /// sweep does; the α-distance kernel reads the columns and never builds
-    /// it).
-    pts: OnceLock<Vec<Point<D>>>,
 }
 
 impl<const D: usize> MembershipPrefix<D> {
@@ -111,7 +105,6 @@ impl<const D: usize> MembershipPrefix<D> {
             mus: keyed.iter().map(|&(mu, _)| mu).collect(),
             cols,
             orig: keyed.iter().map(|&(_, i)| i).collect(),
-            pts: OnceLock::new(),
         }
     }
 
@@ -122,20 +115,15 @@ impl<const D: usize> MembershipPrefix<D> {
         Point::new(std::array::from_fn(|d| self.cols[d * n + j]))
     }
 
-    /// Points, membership-descending (an array-of-structs copy of the
-    /// columns, built on first use).
-    pub fn points(&self) -> &[Point<D>] {
-        self.pts.get_or_init(|| (0..self.mus.len()).map(|j| self.point(j)).collect())
-    }
-
-    /// Memberships, descending, parallel to [`MembershipPrefix::points`].
+    /// Memberships, descending: slot `j` of every column belongs to the
+    /// same point.
     #[inline]
     pub fn memberships(&self) -> &[f64] {
         &self.mus
     }
 
     /// Coordinate column of dimension `d` (membership-descending order,
-    /// parallel to [`MembershipPrefix::points`]).
+    /// parallel to [`MembershipPrefix::memberships`]).
     #[inline]
     pub fn coord_column(&self, d: usize) -> &[f64] {
         &self.cols[d * self.mus.len()..(d + 1) * self.mus.len()]
@@ -143,14 +131,14 @@ impl<const D: usize> MembershipPrefix<D> {
 
     /// Construction-order index of each sorted point — the permutation
     /// that undoes the membership sort, parallel to
-    /// [`MembershipPrefix::points`].
+    /// [`MembershipPrefix::memberships`].
     #[inline]
     pub fn source_indices(&self) -> &[u32] {
         &self.orig
     }
 
     /// Length of the prefix selected by `t`: the cut `{a : t accepts µ(a)}`
-    /// is exactly `points()[..prefix_len(t)]`.
+    /// is exactly the slots `..prefix_len(t)` of every column.
     #[inline]
     pub fn prefix_len(&self, t: Threshold) -> usize {
         self.mus.partition_point(|&mu| t.accepts(mu))
@@ -161,11 +149,27 @@ impl<const D: usize> MembershipPrefix<D> {
     /// columns. Callers use it to skip whole prefix scans whose bounding
     /// box already lies beyond a known bound.
     pub fn prefix_bounds(&self, n: usize) -> ([f64; D], [f64; D]) {
+        // Independent lanes, folded at the end: one running minimum would
+        // serialise the pass on its own latency. Coordinates are finite, so
+        // the extremes do not depend on the order they are compared in.
+        const LANES: usize = 8;
         let mut lo = [f64::INFINITY; D];
         let mut hi = [f64::NEG_INFINITY; D];
         for d in 0..D {
-            for &c in &self.coord_column(d)[..n] {
+            let mut lanes_lo = [f64::INFINITY; LANES];
+            let mut lanes_hi = [f64::NEG_INFINITY; LANES];
+            let chunks = self.coord_column(d)[..n].chunks_exact(LANES);
+            let rest = chunks.remainder();
+            for chunk in chunks {
+                for (l, &c) in chunk.iter().enumerate() {
+                    lanes_lo[l] = if c < lanes_lo[l] { c } else { lanes_lo[l] };
+                    lanes_hi[l] = if c > lanes_hi[l] { c } else { lanes_hi[l] };
+                }
+            }
+            for &c in rest.iter().chain(&lanes_lo) {
                 lo[d] = lo[d].min(c);
+            }
+            for &c in rest.iter().chain(&lanes_hi) {
                 hi[d] = hi[d].max(c);
             }
         }
@@ -290,7 +294,7 @@ impl<const D: usize> FuzzyObject<D> {
             id,
             len: n,
             source: OnceLock::new(),
-            prefix: OnceLock::from(MembershipPrefix { mus, cols, orig, pts: OnceLock::new() }),
+            prefix: OnceLock::from(MembershipPrefix { mus, cols, orig }),
             kd: OnceLock::new(),
         })
     }
@@ -707,7 +711,6 @@ mod tests {
         assert!(b.prefix_ready());
         let pa = a.by_membership();
         let pb = b.by_membership();
-        assert_eq!(pa.points(), pb.points());
         assert_eq!(pa.memberships(), pb.memberships());
         assert_eq!(pa.source_indices(), pb.source_indices());
         for d in 0..2 {

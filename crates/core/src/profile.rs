@@ -1,4 +1,4 @@
-//! The α-distance profile: the full step function `α ↦ d_α(A, Q)` and the
+//! The α-distance profile: the step function `α ↦ d_α(A, Q)` and the
 //! critical probability set `Ω_Q(A)` (Definition 7).
 //!
 //! Because cuts only change composition at distinct membership values, the
@@ -8,23 +8,55 @@
 //! curve of d_α(A,Q)" (Figure 8). The RKNN algorithms (Section 4) consume
 //! this structure directly.
 //!
-//! Computation avoids the naive `O(|A|·|Q|)` pair enumeration with a
-//! **bounded** descending sweep. A merge walk over the two
-//! membership-descending layouts visits the distinct levels from 1 down to
-//! the minimum; each point "activates" exactly once and looks for a point
-//! of the opposite object at its level or above that lies *strictly
-//! closer than the running minimum* — `d_ℓ` is that minimum when level `ℓ`
-//! is done. The running minimum bounds all of the work:
+//! # The window
 //!
-//! * it seeds every nearest-neighbour search
-//!   ([`fuzzy_geom::KdTree::nn_sq_within`]), so a search that cannot
-//!   improve it prunes at the root;
-//! * a point farther than it from the bounding box of the opposite side's
-//!   activated points is skipped without a search;
-//! * the query side `Q` (resident for a whole RKNN query) is searched
-//!   through its kd-tree, but the candidate side `A` — typically decoded
-//!   for this one profile — is scanned as a contiguous prefix of its
-//!   membership layout unless it already carries a tree.
+//! An RKNN over `[αs, αe]` reads a candidate's staircase only on that
+//! range, so the one sweep here — [`DistanceProfile::compute_window`] — is
+//! given the range `[lo, hi]` and touches only what can matter inside it;
+//! [`DistanceProfile::compute`] is the widest window, `[0, 1]`.
+//!
+//! **Contract.** The result holds the full profile's segments whose level
+//! lies in `[lo, hi)` bit for bit, then one last segment `(1.0, d_hi)`, and
+//! nothing below `lo`. The last segment says "from the previous level up,
+//! the distance is `d_hi`"; where above `hi` the full staircase next steps
+//! up is never learned, and no reader of a window needs it — every consumer
+//! clamps levels to the window's end. For a threshold **in the window** —
+//! `Threshold::at(v)` with `lo ≤ v ≤ hi`, `Threshold::above(v)` with
+//! `lo ≤ v < hi` — [`DistanceProfile::value_at`],
+//! `next_critical(t).min(hi)` and `max_level_with_dist_below(b).min(hi)`
+//! (for an answer at or above `lo`) equal the full profile's. Outside the
+//! window all three are unspecified.
+//!
+//! **The sweep.** `d_hi` comes first: from the caller when it already holds
+//! the squared distance (RSS step 1 evaluated exactly this, see
+//! `fuzzy_query::rknn`), otherwise from one call of the α-distance kernel
+//! at `hi`. Below `hi` the staircase can only fall, and only through a pair
+//! strictly closer than `d_hi` — which bounds the rest of the work before
+//! it starts:
+//!
+//! * only points with `lo ≤ µ` are looked at (a prefix of each side's
+//!   membership-descending columns);
+//! * of those, only the **survivors**: points strictly closer than `d_hi`
+//!   to the bounding box of the other side's cut at `lo`. A pair is never
+//!   closer than its point-to-box distance and the running minimum starts
+//!   at `d_hi`, so no other point can ever be half of an improving pair.
+//!   Survivors are kept as compacted columns, still membership-descending;
+//! * a merge walk over the two survivor lists visits the distinct levels
+//!   below `hi` in descending order. Each survivor "activates" once and
+//!   looks for a point of the opposite side at its level or above that lies
+//!   *strictly closer than the running minimum*: a candidate-side point
+//!   through a seeded search of the query's kd-tree
+//!   ([`fuzzy_geom::KdTree::nn_sq_within`] — a search that cannot improve
+//!   the bound prunes at the root), a query-side point through a lane
+//!   min-reduction over the candidate's activated survivors. Either is
+//!   skipped when the point is not closer than the running minimum to the
+//!   box of the opposite side's activated survivors. `d_ℓ` is the running
+//!   minimum when level `ℓ` is done.
+//!
+//! The query side `Q` is resident for a whole RKNN query, so it is the side
+//! searched through a kd-tree (built on the first search that needs it);
+//! the candidate side `A` — typically decoded for this one profile — is
+//! never indexed here.
 //!
 //! Everything runs on squared distances with one `sqrt` per emitted step.
 //! The result is bit-identical to taking the minimum of per-pair `sqrt`s:
@@ -33,9 +65,10 @@
 //! or skipped pair is never below the bound that pruned it, and `sqrt` is
 //! correctly rounded and monotone, so `sqrt(min d²) = min sqrt(d²)`.
 
-use crate::object::FuzzyObject;
+use crate::distance::alpha_distance_sq_bounded;
+use crate::object::{FuzzyObject, MembershipPrefix};
 use crate::threshold::Threshold;
-use fuzzy_geom::{LevelFilter, Mbr};
+use fuzzy_geom::{LevelFilter, Mbr, Point};
 
 /// One step of the staircase: `d_α = dist` for `α ∈ (prev_level, level]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,67 +83,140 @@ pub struct Segment {
 ///
 /// Segments are ascending in `level` and strictly increasing in `dist`;
 /// the final segment always has `level == 1.0` (kernels are non-empty, so
-/// `d_α` is defined on all of `(0, 1]`).
+/// `d_α` is defined on all of `(0, 1]`). A profile computed for a window
+/// answers for thresholds inside that window only (module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DistanceProfile {
     segments: Vec<Segment>,
 }
 
-impl DistanceProfile {
-    /// Compute the profile with the bounded descending sweep (module docs).
-    pub fn compute<const D: usize>(a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> Self {
-        let (pa, pq) = (a.by_membership(), q.by_membership());
-        let (ma, mq) = (pa.memberships(), pq.memberships());
-        // The sweep walks points, not columns: the one reader of the
-        // prefixes' array-of-points form (gathered here on first use).
-        let (pts_a, pts_q) = (pa.points(), pq.points());
-        // Q is the reusable side: its tree is built once per query. A is
-        // usually probed for this one profile, so its tree is used only
-        // when it already exists; otherwise Q's points scan A's prefix.
-        let tree_q = q.kd_tree();
-        let tree_a = a.kd_tree_ready().then(|| a.kd_tree());
+/// One side of a windowed sweep: the points of an object's cut at the
+/// window's lower end that can still be half of an improving pair, in
+/// membership order, as compacted coordinate columns.
+struct Survivors<const D: usize> {
+    mus: Vec<f64>,
+    cols: [Vec<f64>; D],
+}
 
+impl<const D: usize> Survivors<D> {
+    /// Of the prefix `0..n`, the points strictly closer than `bound_sq` to
+    /// the box `(lo, hi)`: one pass, every slot written and the cursor
+    /// advanced by the test's outcome.
+    fn of(
+        prefix: &MembershipPrefix<D>,
+        n: usize,
+        (lo, hi): &([f64; D], [f64; D]),
+        bound_sq: f64,
+    ) -> Self {
+        let mut mus = vec![0.0; n];
+        let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| vec![0.0; n]);
+        let mut kept = 0;
+        for (j, &mu) in prefix.memberships()[..n].iter().enumerate() {
+            let p = prefix.point(j);
+            mus[kept] = mu;
+            for (col, &c) in cols.iter_mut().zip(p.coords()) {
+                col[kept] = c;
+            }
+            kept += usize::from(p.dist_sq_to_box(lo, hi) < bound_sq);
+        }
+        mus.truncate(kept);
+        cols.iter_mut().for_each(|col| col.truncate(kept));
+        Self { mus, cols }
+    }
+
+    fn point(&self, j: usize) -> Point<D> {
+        Point::new(std::array::from_fn(|d| self.cols[d][j]))
+    }
+
+    /// Activate every survivor from `*cursor` on whose membership reaches
+    /// `level`: the cursor moves past them and `bounds` grows to cover them.
+    fn activate(&self, cursor: &mut usize, bounds: &mut Mbr<D>, level: f64) {
+        while *cursor < self.mus.len() && self.mus[*cursor] >= level {
+            bounds.expand_point(&self.point(*cursor));
+            *cursor += 1;
+        }
+    }
+
+    /// Smallest squared distance from `p` to the first `n` survivors.
+    fn min_dist_sq_to_prefix(&self, p: &Point<D>, n: usize) -> f64 {
+        let cols: [&[f64]; D] = std::array::from_fn(|d| &self.cols[d][..n]);
+        fuzzy_geom::kernel::min_dist_sq_cols(&cols, p.coords())
+    }
+}
+
+impl DistanceProfile {
+    /// The profile on all of `(0, 1]`: the widest window.
+    pub fn compute<const D: usize>(a: &FuzzyObject<D>, q: &FuzzyObject<D>) -> Self {
+        Self::compute_window(a, q, 0.0, 1.0, None)
+    }
+
+    /// The profile on the window `[lo, hi]` (module docs: the contract, the
+    /// sweep and why it is exact). `top_sq` is the squared α-distance at
+    /// `hi` when the caller already holds it — the kernel's own bits, which
+    /// a debug build checks — and `None` to have it computed here. `a` is
+    /// the candidate, `q` the query whose kd-tree the sweep searches.
+    ///
+    /// # Panics
+    /// Unless `0 ≤ lo ≤ hi ≤ 1`.
+    pub fn compute_window<const D: usize>(
+        a: &FuzzyObject<D>,
+        q: &FuzzyObject<D>,
+        lo: f64,
+        hi: f64,
+        top_sq: Option<f64>,
+    ) -> Self {
+        let (cut_lo, cut_hi) = (Threshold::at(lo), Threshold::at(hi));
+        assert!(lo <= hi, "window [{lo}, {hi}] is inverted");
+        let kernel_top = || {
+            alpha_distance_sq_bounded(a, q, cut_hi, f64::INFINITY)
+                .expect("kernels are non-empty, so both cuts at hi ≤ 1 are")
+        };
+        debug_assert!(top_sq.map_or(true, |t| t.to_bits() == kernel_top().to_bits()));
+        let top_sq = top_sq.unwrap_or_else(kernel_top);
+
+        let (pa, pq) = (a.by_membership(), q.by_membership());
+        let (na, nq) = (pa.prefix_len(cut_lo), pq.prefix_len(cut_lo));
+        let sa = Survivors::of(pa, na, &pq.prefix_bounds(nq), top_sq);
+        let sq = Survivors::of(pq, nq, &pa.prefix_bounds(na), top_sq);
+
+        // Everything at `hi` or above is behind `top_sq` already: activated
+        // as search targets, never searched from.
         let (mut ca, mut cq) = (0usize, 0usize);
         let (mut box_a, mut box_q) = (Mbr::<D>::empty(), Mbr::<D>::empty());
-        let mut best_sq = f64::INFINITY;
-        let mut raw: Vec<Segment> = Vec::new();
+        sa.activate(&mut ca, &mut box_a, hi);
+        sq.activate(&mut cq, &mut box_q, hi);
+        let mut best_sq = top_sq;
+        let mut raw = vec![Segment { level: 1.0, dist: top_sq.sqrt() }];
 
-        while ca < ma.len() || cq < mq.len() {
+        while ca < sa.mus.len() || cq < sq.mus.len() {
             // Merge walk: the next level is the larger head of the two
             // descending arrays (memberships are > 0, so an exhausted
             // side never wins).
             let head = |m: &[f64], c: usize| m.get(c).copied().unwrap_or(0.0);
-            let level = head(ma, ca).max(head(mq, cq));
+            let level = head(&sa.mus, ca).max(head(&sq.mus, cq));
             let filter = LevelFilter::at_least(level);
             // Activate both sides through this level before searching:
             // the filter already admits the other side's points of this
             // level, so each box must cover them.
             let (a0, q0) = (ca, cq);
-            while ca < ma.len() && ma[ca] >= level {
-                box_a.expand_point(&pts_a[ca]);
-                ca += 1;
-            }
-            while cq < mq.len() && mq[cq] >= level {
-                box_q.expand_point(&pts_q[cq]);
-                cq += 1;
-            }
+            sa.activate(&mut ca, &mut box_a, level);
+            sq.activate(&mut cq, &mut box_q, level);
             let before = best_sq;
-            for p in &pts_a[a0..ca] {
+            for j in a0..ca {
+                let p = sa.point(j);
                 if p.dist_sq_to_box(box_q.lo_coords(), box_q.hi_coords()) >= best_sq {
                     continue;
                 }
-                if let Some((_, d2)) = tree_q.nn_sq_within(p, filter, best_sq) {
+                if let Some((_, d2)) = q.kd_tree().nn_sq_within(&p, filter, best_sq) {
                     best_sq = d2;
                 }
             }
-            for p in &pts_q[q0..cq] {
+            for j in q0..cq {
+                let p = sq.point(j);
                 if p.dist_sq_to_box(box_a.lo_coords(), box_a.hi_coords()) >= best_sq {
                     continue;
                 }
-                let d2 = match tree_a {
-                    Some(tree) => tree.nn_sq_within(p, filter, best_sq).map_or(best_sq, |r| r.1),
-                    None => pa.min_dist_sq_to_prefix(p, ca),
-                };
+                let d2 = sa.min_dist_sq_to_prefix(&p, ca);
                 if d2 < best_sq {
                     best_sq = d2;
                 }
@@ -121,7 +227,6 @@ impl DistanceProfile {
                 raw.push(Segment { level, dist: best_sq.sqrt() });
             }
         }
-        debug_assert!(!raw.is_empty(), "kernels are non-empty");
         Self::from_raw_descending(raw)
     }
 
@@ -137,22 +242,23 @@ impl DistanceProfile {
     /// point pair, with `level = min(µ_a, µ_q)` and `dist` measured under
     /// whatever metric produced them. This is the metric-generic profile
     /// constructor: [`crate::metric::Metric::distance_profile`] defaults to
-    /// feeding it the full pair enumeration.
+    /// feeding it the full pair enumeration. One sort by level, then a
+    /// running minimum down the levels: `O(P log P)` in the pair count.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (f64, f64)>) -> Self {
-        let pairs: Vec<(f64, f64)> = pairs.into_iter().collect();
-        // Distinct levels descending.
-        let mut levels: Vec<f64> = pairs.iter().map(|&(l, _)| l).collect();
-        levels.sort_by(|x, y| y.total_cmp(x));
-        levels.dedup();
-        let mut raw = Vec::with_capacity(levels.len());
-        for &level in &levels {
-            let best = pairs
-                .iter()
-                .filter(|&&(l, _)| l >= level)
-                .map(|&(_, d)| d)
-                .fold(f64::INFINITY, f64::min);
-            if best.is_finite() {
-                raw.push(Segment { level, dist: best });
+        let mut pairs: Vec<(f64, f64)> = pairs.into_iter().collect();
+        pairs.sort_unstable_by(|x, y| y.0.total_cmp(&x.0));
+        // Walking down the levels, a step belongs to the level at which
+        // the minimum first falls to it; a further fall inside a run of
+        // equal levels replaces that run's step.
+        let mut best = f64::INFINITY;
+        let mut raw: Vec<Segment> = Vec::new();
+        for (level, dist) in pairs {
+            if dist < best {
+                best = dist;
+                match raw.last_mut() {
+                    Some(last) if last.level == level => last.dist = dist,
+                    _ => raw.push(Segment { level, dist }),
+                }
             }
         }
         Self::from_raw_descending(raw)

@@ -78,7 +78,9 @@ fn assert_observably_equal(a: &FuzzyObject<2>, b: &FuzzyObject<2>) {
     let (pa, pb) = (a.by_membership(), b.by_membership());
     assert_eq!(pa.source_indices(), pb.source_indices());
     assert_eq!(pa.memberships(), pb.memberships());
-    assert_eq!(pa.points(), pb.points());
+    for d in 0..2 {
+        assert_eq!(pa.coord_column(d), pb.coord_column(d));
+    }
 }
 
 fn arb_threshold() -> impl Strategy<Value = Threshold> {
@@ -191,12 +193,16 @@ proptest! {
             .filter(|&(_, mu)| t.accepts(mu))
             .map(|(pt, _)| *pt)
             .collect();
-        let mut got: Vec<_> = p.points()[..n].to_vec();
+        let mut got: Vec<_> =
+            (0..n).map(|j| Point::xy(p.coord_column(0)[j], p.coord_column(1)[j])).collect();
         want.sort_by(|x, y| x.lex_cmp(y));
         got.sort_by(|x, y| x.lex_cmp(y));
         prop_assert_eq!(got, want);
-        // The columnar view agrees with the point array.
-        for (j, pt) in p.points().iter().enumerate() {
+        // Slot by slot, the columns hold the source point the permutation
+        // names, with its membership.
+        for (j, &i) in p.source_indices().iter().enumerate() {
+            let (pt, mu) = (obj.point(i as usize), obj.membership(i as usize));
+            prop_assert_eq!(p.memberships()[j].to_bits(), mu.to_bits());
             for d in 0..2 {
                 prop_assert_eq!(p.coord_column(d)[j].to_bits(), pt.coords()[d].to_bits());
             }
@@ -214,7 +220,7 @@ proptest! {
 
         let prefix_first = decode();
         prop_assert!(prefix_first.prefix_ready());
-        let _ = prefix_first.by_membership().points();
+        let _ = prefix_first.by_membership().coord_column(0);
         assert_observably_equal(&a, &prefix_first);
 
         let points_first = decode();

@@ -176,6 +176,11 @@ pub struct FoundNeighbor<const D: usize> {
     pub id: ObjectId,
     /// What is known about its α-distance.
     pub dist: DistBound,
+    /// The exact **squared** α-distance as the metric's kernel returned it,
+    /// whenever `dist` is [`DistBound::Exact`]: RKNN hands it to the
+    /// windowed profile, which would otherwise evaluate it a second time
+    /// (`dist` holds its `sqrt` and cannot be squared back bit for bit).
+    pub dist_sq: Option<f64>,
     /// The decoded object, when the search probed it.
     pub object: Option<Arc<FuzzyObject<D>>>,
 }
@@ -483,6 +488,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 out.push(FoundNeighbor {
                     id: entries[d.entry as usize].summary.id,
                     dist: DistBound::Bounded { lo: d.lo_sq.sqrt(), hi: d.hi_sq.sqrt() },
+                    dist_sq: None,
                     object: None,
                 });
             }
@@ -545,6 +551,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                             out.push(FoundNeighbor {
                                 id: entries[u.entry as usize].summary.id,
                                 dist: DistBound::Bounded { lo: u.lo_sq.sqrt(), hi: u.hi_sq.sqrt() },
+                                dist_sq: None,
                                 object: None,
                             });
                         } else {
@@ -585,6 +592,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 out.push(FoundNeighbor {
                     id,
                     dist: DistBound::Exact(d_sq.sqrt()),
+                    dist_sq: Some(d_sq),
                     object: Some(obj),
                 });
             }
@@ -606,6 +614,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 )? {
                     Probed::Exact(d_sq, obj) => {
                         n.dist = DistBound::Exact(d_sq.sqrt());
+                        n.dist_sq = Some(d_sq);
                         n.object = Some(obj);
                     }
                     Probed::Dominated => unreachable!("unseeded probes cannot be dominated"),

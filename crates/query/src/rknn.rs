@@ -2,9 +2,11 @@
 //!
 //! Four algorithms, in increasing sophistication:
 //!
-//! * [`RknnAlgorithm::Naive`] — probe every object, build its distance
-//!   profile and sweep; the paper's strawman ("enumerating all values in
-//!   `U_D`"), also the ground-truth oracle for tests.
+//! * [`RknnAlgorithm::Naive`] — probe every object, build its **full**
+//!   distance profile and sweep; the paper's strawman ("enumerating all
+//!   values in `U_D`"), also the ground-truth oracle for tests — which is
+//!   why it alone stays on [`Metric::distance_profile`]: the other three
+//!   are compared against a path that never sees a window.
 //! * [`RknnAlgorithm::Basic`] — Algorithm 3: repeated AKNN queries at the
 //!   critical probabilities of the current kNN members (Lemma 2).
 //! * [`RknnAlgorithm::Rss`] — Algorithm 4: one AKNN at `αe` yields the
@@ -16,6 +18,16 @@
 //!   steps leap over every critical value at which a member provably stays
 //!   within the (k+1)-th distance (Lemma 4), sharply cutting CPU work for
 //!   wide probability ranges.
+//!
+//! Basic, RSS and RSS-ICR read a candidate's staircase on `[αs, αe]` only,
+//! so they ask the metric for that window
+//! ([`Metric::distance_profile_window`]). A window opens with the distance
+//! at `αe`, and who already holds it decides what is handed over: RSS's
+//! step 1 is an exact AKNN at `αe`, so each of its neighbours arrives with
+//! the kernel's squared distance ([`FoundNeighbor::dist_sq`](crate::aknn::FoundNeighbor::dist_sq)) and its
+//! window starts from that; the candidates only step 2 found, and every
+//! object in Basic (whose AKNN calls run at other thresholds), pass `None`
+//! and the window evaluates it once itself.
 
 use crate::aknn::{check_deadline, AknnConfig, QueryScratch};
 use crate::engine::SearchBackend;
@@ -91,26 +103,33 @@ impl RknnAlgorithm {
 }
 
 /// Profile cache: one α-distance profile per (object, query) pair per
-/// query execution.
+/// query execution, each computed on the query's window `[αs, αe]` — the
+/// only part of a staircase the refinement loops read (they start at `αs`
+/// and clamp every level to `αe`).
 struct ProfileCache<const D: usize> {
     map: HashMap<ObjectId, DistanceProfile>,
     computations: u64,
+    alpha_start: f64,
+    alpha_end: f64,
 }
 
 impl<const D: usize> ProfileCache<D> {
-    fn new() -> Self {
-        Self { map: HashMap::new(), computations: 0 }
+    fn new(alpha_start: f64, alpha_end: f64) -> Self {
+        Self { map: HashMap::new(), computations: 0, alpha_start, alpha_end }
     }
 
+    /// `top_sq` is the squared α-distance at `αe` when a search at exactly
+    /// that threshold already evaluated it for `obj`, `None` otherwise.
     fn get_or_compute<M: Metric<D>>(
         &mut self,
         metric: &M,
         obj: &FuzzyObject<D>,
         q: &FuzzyObject<D>,
+        top_sq: Option<f64>,
     ) -> &DistanceProfile {
         self.map.entry(obj.id()).or_insert_with(|| {
             self.computations += 1;
-            metric.distance_profile(obj, q)
+            metric.distance_profile_window(obj, q, self.alpha_start, self.alpha_end, top_sq)
         })
     }
 }
@@ -197,7 +216,7 @@ fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     scratch: &mut QueryScratch<D>,
     stats: &mut QueryStats,
 ) -> Result<Vec<RknnItem>, QueryError> {
-    let mut cache: ProfileCache<D> = ProfileCache::new();
+    let mut cache: ProfileCache<D> = ProfileCache::new(alpha_start, alpha_end);
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut t = Threshold::at(alpha_start);
 
@@ -217,7 +236,9 @@ fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
         let mut alpha_star = f64::INFINITY;
         for n in &out.neighbors {
             let obj = n.object.as_ref().expect("force_exact probes every neighbour");
-            let beta = cache.get_or_compute(metric, obj, q).next_critical(t).unwrap_or(1.0);
+            // The search ran at `t`, not at α_e: its distance is no use
+            // to the window.
+            let beta = cache.get_or_compute(metric, obj, q, None).next_critical(t).unwrap_or(1.0);
             alpha_star = alpha_star.min(beta);
         }
         let hi = alpha_star.min(alpha_end);
@@ -280,14 +301,16 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     stats.candidates = candidate_ids.len() as u64;
     let has_non_candidates = candidate_ids.len() < store.len();
 
-    // One profile per candidate, no object read twice: step 1 already
-    // holds its neighbours decoded, so their profiles come first (each
-    // object is dropped as soon as its profile exists) and only the
-    // remaining candidates are probed.
-    let mut cache: ProfileCache<D> = ProfileCache::new();
+    // One profile per candidate, no object read twice and no distance
+    // evaluated twice: step 1 already holds its neighbours decoded *and*
+    // their exact squared distance at α_e — the top of the window — so
+    // their profiles come first and start from it (each object is dropped
+    // as soon as its profile exists); only the remaining candidates are
+    // probed, and only their windows open with a kernel call.
+    let mut cache: ProfileCache<D> = ProfileCache::new(alpha_start, alpha_end);
     for n in out_end.neighbors {
         if let (Some(obj), Ok(_)) = (n.object, candidate_ids.binary_search(&n.id)) {
-            cache.get_or_compute(metric, &obj, q);
+            cache.get_or_compute(metric, &obj, q, n.dist_sq);
         }
     }
     for &id in &candidate_ids {
@@ -295,7 +318,7 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
             check_deadline(cfg.deadline)?;
             let probe = store.probe_traced(id)?;
             stats.object_accesses += probe.disk_read as u64;
-            cache.get_or_compute(metric, &probe.object, q);
+            cache.get_or_compute(metric, &probe.object, q, None);
         }
     }
     // Ascending in id, so the refinement loops index it instead of hashing.

@@ -3,12 +3,15 @@
 //! (probe-everything) reference, across random datasets, ks, thresholds
 //! and ranges.
 
-use fuzzy_core::distance::alpha_distance_brute;
-use fuzzy_core::metric::L2;
-use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
-use fuzzy_geom::Point;
+use fuzzy_core::distance::{alpha_distance_brute, alpha_distance_sq_bounded};
+use fuzzy_core::metric::{GraphMetric, Metric, L2};
+use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
+use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
+use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm};
+use fuzzy_query::{
+    AknnConfig, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm, RknnResult,
+};
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
 
@@ -337,4 +340,304 @@ fn rss_probes_no_object_twice() {
             assert!(res.approx_eq(&naive, 1e-9), "{what}");
         }
     }
+}
+
+/// An RKNN answer down to the bits of every interval endpoint.
+fn rknn_bits(res: &RknnResult) -> String {
+    let mut out = String::new();
+    for item in &res.items {
+        out.push_str(&format!("{}:", item.id));
+        for iv in item.range.intervals() {
+            let (open, close) =
+                (["(", "["][iv.lo_closed as usize], [")", "]"][iv.hi_closed as usize]);
+            out.push_str(&format!(
+                " {open}{:016x},{:016x}{close}",
+                iv.lo.to_bits(),
+                iv.hi.to_bits()
+            ));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The logical counters of a query (everything but the wall clock and the
+/// pool-dependent disk reads).
+fn counters(s: &QueryStats) -> [u64; 7] {
+    [
+        s.object_accesses,
+        s.node_accesses,
+        s.distance_evals,
+        s.profile_computations,
+        s.bound_evals,
+        s.aknn_calls,
+        s.candidates,
+    ]
+}
+
+/// The ranges the windowed algorithms are held to: the benchmark's, a
+/// single probability, one ending at the kernel level, and one whose ends
+/// are membership levels the query object stores.
+fn window_ranges(q: &FuzzyObject<2>) -> [(f64, f64); 4] {
+    let levels = q.distinct_levels();
+    [(0.3, 0.7), (0.5, 0.5), (0.6, 1.0), (levels[levels.len() / 3], levels[2 * levels.len() / 3])]
+}
+
+/// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
+/// profiles — item for item, interval bit for interval bit — with every
+/// candidate carrying a kd-tree of its own (a `MemStore` hands out the
+/// objects it holds), and their logical counters, summed over the queries
+/// per (range, algorithm), against the rows the commit before the window
+/// produced with this same code.
+fn windowed_algorithms_equal_naive(
+    what: &str,
+    objects: Vec<FuzzyObject<2>>,
+    parent_counters: &[[u64; 7]; 12],
+) {
+    let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
+    let store = MemStore::from_objects(objects).unwrap();
+    for s in store.summaries() {
+        store.probe(s.id).unwrap().kd_tree();
+    }
+    let tree =
+        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let engine = QueryEngine::new(&tree, &store);
+    let cfg = AknnConfig::lb_lp_ub();
+    let mut rows = Vec::new();
+    for r in 0..4 {
+        for algo in RknnAlgorithm::paper_variants() {
+            let mut sum = [0u64; 7];
+            for q in &queries {
+                let (lo, hi) = window_ranges(q)[r];
+                let naive = engine.rknn(q, 5, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
+                let got = engine.rknn(q, 5, lo, hi, algo, &cfg).unwrap();
+                assert_eq!(
+                    rknn_bits(&got),
+                    rknn_bits(&naive),
+                    "{what} {} on [{lo}, {hi}], query {}",
+                    algo.name(),
+                    q.id()
+                );
+                for (total, c) in sum.iter_mut().zip(counters(&got.stats)) {
+                    *total += c;
+                }
+            }
+            rows.push(sum);
+        }
+    }
+    assert_eq!(rows, parent_counters, "{what}: counters moved");
+}
+
+#[test]
+fn windowed_rknn_equals_naive_on_continuous_memberships() {
+    let data = SyntheticConfig {
+        num_objects: 150,
+        points_per_object: 60,
+        space: 9.0,
+        seed: 21,
+        ..SyntheticConfig::default()
+    };
+    // Per range, in `paper_variants` order: Basic, RSS, RSS-ICR.
+    let parent = [
+        [76, 68, 76, 16, 343, 12, 0],
+        [25, 33, 18, 22, 100, 3, 22],
+        [25, 33, 18, 22, 100, 3, 22],
+        [22, 18, 22, 15, 96, 3, 0],
+        [28, 36, 22, 21, 117, 3, 21],
+        [28, 36, 22, 21, 117, 3, 21],
+        [703, 724, 703, 16, 3665, 119, 0],
+        [52, 41, 17, 50, 141, 3, 50],
+        [52, 41, 17, 50, 141, 3, 50],
+        [198, 204, 198, 16, 1038, 33, 0],
+        [28, 36, 18, 25, 117, 3, 25],
+        [28, 36, 18, 25, 117, 3, 25],
+    ];
+    windowed_algorithms_equal_naive("synthetic", data.generate().collect(), &parent);
+}
+
+#[test]
+fn windowed_rknn_equals_naive_on_256_level_memberships() {
+    let data = CellConfig {
+        num_objects: 150,
+        points_per_object: 60,
+        clusters: 0,
+        space: 9.0,
+        seed: 21,
+        ..CellConfig::default()
+    };
+    let parent = [
+        [293, 291, 293, 18, 1612, 45, 0],
+        [39, 40, 18, 36, 142, 3, 36],
+        [39, 40, 18, 36, 142, 3, 36],
+        [18, 20, 18, 15, 106, 3, 0],
+        [19, 35, 18, 16, 122, 3, 16],
+        [19, 35, 18, 16, 122, 3, 16],
+        [505, 539, 505, 18, 2919, 77, 0],
+        [50, 51, 20, 45, 168, 3, 45],
+        [50, 51, 20, 45, 168, 3, 45],
+        [235, 218, 235, 17, 1197, 34, 0],
+        [39, 41, 18, 36, 142, 3, 36],
+        [39, 41, 18, 36, 142, 3, 36],
+    ];
+    windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent);
+}
+
+/// A metric that implements no window hook gets full profiles through the
+/// provided default: RKNN under `GraphMetric` answers what it answered, and
+/// costs what it cost, before the window existed (Naive first, then the
+/// paper's three).
+const PARENT_GRAPH_ROWS: [(u64, [u64; 7]); 4] = [
+    (16206437762532795564, [60, 0, 0, 60, 0, 0, 60]),
+    (2424780676033586269, [124, 3, 124, 9, 304, 3, 0]),
+    (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
+    (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
+];
+
+#[test]
+fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
+    let cfg = RoadConfig {
+        vertices: 120,
+        extra_edges: 60,
+        objects: 60,
+        points_per_object: 8,
+        span: 50.0,
+        seed: 9,
+    };
+    let net = Arc::new(cfg.network());
+    let store = MemStore::from_objects(cfg.objects(&net)).unwrap();
+    let metric = GraphMetric::new(net.clone());
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+    let engine = QueryEngine::new(&tree, &store);
+    let aknn = AknnConfig::lb_lp_ub();
+    let mut scratch = QueryScratch::new();
+    let q = cfg.query_object(&net, 3);
+    let mut run = |algo| {
+        engine.rknn_with_scratch_in(&metric, &q, 4, 0.3, 0.7, algo, &aknn, &mut scratch).unwrap()
+    };
+    // Vertex-resident objects tie at distance 0 all the time and the
+    // algorithms break ties differently, so each is held to its own answer
+    // (a digest of its bits) and counters, not to Naive's.
+    let rows: Vec<(u64, [u64; 7])> = [RknnAlgorithm::Naive]
+        .into_iter()
+        .chain(RknnAlgorithm::paper_variants())
+        .map(|algo| {
+            let res = run(algo);
+            let digest = rknn_bits(&res).bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            });
+            (digest, counters(&res.stats))
+        })
+        .collect();
+    assert_eq!(rows, PARENT_GRAPH_ROWS, "answers or counters moved");
+}
+
+/// `L2`, logging what each windowed profile was handed.
+struct RecordingL2 {
+    windows: Mutex<Vec<Window>>,
+}
+
+/// One `distance_profile_window` call: candidate, `[lo, hi]`, `top_sq`.
+type Window = (ObjectId, f64, f64, Option<f64>);
+
+impl Metric<2> for RecordingL2 {
+    fn name(&self) -> &'static str {
+        "recording-l2"
+    }
+    fn dist(&self, a: &Point<2>, b: &Point<2>) -> f64 {
+        L2.dist(a, b)
+    }
+    fn dist_sq(&self, a: &Point<2>, b: &Point<2>) -> f64 {
+        L2.dist_sq(a, b)
+    }
+    fn min_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
+        L2.min_box_dist_sq(a, b)
+    }
+    fn max_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
+        L2.max_box_dist_sq(a, b)
+    }
+    fn alpha_distance_sq_bounded(
+        &self,
+        a: &FuzzyObject<2>,
+        b: &FuzzyObject<2>,
+        t: Threshold,
+        upper_bound_sq: f64,
+    ) -> Option<f64> {
+        L2.alpha_distance_sq_bounded(a, b, t, upper_bound_sq)
+    }
+    fn distance_profile(&self, a: &FuzzyObject<2>, q: &FuzzyObject<2>) -> DistanceProfile {
+        L2.distance_profile(a, q)
+    }
+    fn distance_profile_window(
+        &self,
+        a: &FuzzyObject<2>,
+        q: &FuzzyObject<2>,
+        lo: f64,
+        hi: f64,
+        top_sq: Option<f64>,
+    ) -> DistanceProfile {
+        self.windows.lock().unwrap().push((a.id(), lo, hi, top_sq));
+        L2.distance_profile_window(a, q, lo, hi, top_sq)
+    }
+}
+
+/// Who hands the window its top: RSS passes step 1's exact squared distance
+/// for each of its `k` neighbours — also for one the lazy-probe search
+/// confirmed by its bounds alone and only the exact tail probed — and
+/// nothing for the candidates step 2 adds; Basic passes nothing at all;
+/// Naive never asks for a window.
+#[test]
+fn rknn_rss_hands_step_one_distances_to_the_window() {
+    let (store, q) = dataset(31, 300, 25);
+    let tree =
+        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let engine = QueryEngine::new(&tree, &store);
+    let cfg = AknnConfig::lb_lp_ub();
+    let (k, lo, hi) = (6usize, 0.3, 0.7);
+    let metric = RecordingL2 { windows: Mutex::new(Vec::new()) };
+    let mut scratch = QueryScratch::new();
+    let mut run = |algo| {
+        metric.windows.lock().unwrap().clear();
+        let res =
+            engine.rknn_with_scratch_in(&metric, &q, k, lo, hi, algo, &cfg, &mut scratch).unwrap();
+        (res, std::mem::take(&mut *metric.windows.lock().unwrap()))
+    };
+
+    let (naive, windows) = run(RknnAlgorithm::Naive);
+    assert!(windows.is_empty(), "Naive profiles the full range");
+
+    // Step 1 as RSS runs it, without the exact tail: whoever comes back
+    // `Bounded` was never probed by the search itself.
+    let lazy = engine.aknn(&q, k, hi, &cfg).unwrap();
+    let unprobed: Vec<ObjectId> = lazy
+        .neighbors
+        .iter()
+        .filter(|n| matches!(n.dist, DistBound::Bounded { .. }))
+        .map(|n| n.id)
+        .collect();
+    assert!(!unprobed.is_empty(), "no neighbour was confirmed by bounds: pick another dataset");
+
+    for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+        let (res, windows) = run(algo);
+        assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{}", algo.name());
+        assert_eq!(windows.len() as u64, res.stats.candidates);
+        for &(id, w_lo, w_hi, top_sq) in &windows {
+            assert_eq!((w_lo, w_hi), (lo, hi));
+            let step_one = lazy.neighbors.iter().any(|n| n.id == id);
+            let exact = alpha_distance_sq_bounded(
+                &store.probe(id).unwrap(),
+                &q,
+                Threshold::at(hi),
+                f64::INFINITY,
+            );
+            let want = if step_one { exact } else { None };
+            assert_eq!(top_sq.map(f64::to_bits), want.map(f64::to_bits), "{} {id}", algo.name());
+        }
+        for id in &unprobed {
+            assert!(windows.iter().any(|w| w.0 == *id), "{id} is a candidate");
+        }
+    }
+
+    let (basic, windows) = run(RknnAlgorithm::Basic);
+    assert_eq!(rknn_bits(&basic), rknn_bits(&naive));
+    assert!(!windows.is_empty() && windows.iter().all(|w| (w.1, w.2, w.3) == (lo, hi, None)));
 }

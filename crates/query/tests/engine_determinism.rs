@@ -1,8 +1,9 @@
 //! One engine, whatever it runs over: a `QueryScratch` carried across
 //! backends leaves no trace, a pinned epoch snapshot keeps answering
-//! **byte-identically** while the index file is compacted under it, and
-//! the explicit-metric roots under `&L2` are exact aliases of the plain
-//! methods. Distances are compared at the IEEE-754 bit level; "close
+//! **byte-identically** while the index file is compacted under it, the
+//! explicit-metric roots under `&L2` are exact aliases of the plain
+//! methods, and an RKNN's windowed profiles do not care whether a candidate
+//! arrives as a record's columns or as a resident object with a kd-tree. Distances are compared at the IEEE-754 bit level; "close
 //! enough" is a failure.
 
 use std::sync::Arc;
@@ -356,6 +357,95 @@ fn metric_generic_l2_paths_match_committed_engine() {
             assert_eq!(rknn_line(&plain.items), rknn_line(&seamed.items), "{}", algo.name());
             assert_eq!(plain.stats.object_accesses, seamed.stats.object_accesses);
             assert_eq!(plain.stats.candidates, seamed.stats.candidates);
+        }
+    }
+}
+
+/// RKNN over objects as they come off a file (`FileStore` + `PagedRTree`:
+/// every candidate is a freshly decoded record, columns only) and over the
+/// same objects resident with their kd-trees built (`MemStore` + `RTree`):
+/// the windowed profile sweep takes its top distance from whichever kernel
+/// strategy the pair's cached structures select and never indexes the
+/// candidate, so answers — to the bit — and logical counters must agree,
+/// on continuous and on 256-level memberships, for the benchmark's range,
+/// a single probability, a range ending at the kernel level and one whose
+/// ends are stored membership levels.
+#[test]
+fn rknn_windows_do_not_depend_on_where_candidates_live() {
+    use fuzzy_datagen::{CellConfig, SyntheticConfig};
+
+    let synthetic = SyntheticConfig {
+        num_objects: 90,
+        points_per_object: 50,
+        space: 7.0,
+        seed: 33,
+        ..SyntheticConfig::default()
+    };
+    let cell = CellConfig {
+        num_objects: 90,
+        points_per_object: 50,
+        clusters: 0,
+        space: 7.0,
+        seed: 33,
+        ..CellConfig::default()
+    };
+    let datasets: [(&str, Vec<FuzzyObject<2>>); 2] =
+        [("synthetic", synthetic.generate().collect()), ("cell", cell.generate().collect())];
+    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let cfg = AknnConfig::lb_lp_ub();
+
+    for (tag, objects) in datasets {
+        let path = std::env::temp_dir()
+            .join(format!("fuzzy-engine-det-{}-window-{tag}.fzkn", std::process::id()));
+        let mut writer = FileStoreWriter::<2>::create(&path).unwrap();
+        for obj in &objects {
+            writer.append(obj).unwrap();
+        }
+        let on_file = writer.finish().unwrap();
+        let index_path = path.with_extension("fzpt");
+        let paged = PagedRTree::bulk_write(on_file.summaries().to_vec(), config, &index_path, 4096)
+            .expect("write paged index");
+
+        let queries: Vec<FuzzyObject<2>> = objects[..2].to_vec();
+        let resident = MemStore::from_objects(objects).unwrap();
+        for s in resident.summaries() {
+            resident.probe(s.id).unwrap().kd_tree();
+        }
+        let tree = RTree::bulk_load(resident.summaries().to_vec(), config);
+
+        let from_file = QueryEngine::new(&paged, &on_file);
+        let from_memory = QueryEngine::new(&tree, &resident);
+        for q in &queries {
+            let levels = q.distinct_levels();
+            let stored = (levels[levels.len() / 4], levels[3 * levels.len() / 4]);
+            for (lo, hi) in [(0.3, 0.7), (0.45, 0.45), (0.55, 1.0), stored] {
+                for algo in [
+                    RknnAlgorithm::Naive,
+                    RknnAlgorithm::Basic,
+                    RknnAlgorithm::Rss,
+                    RknnAlgorithm::RssIcr,
+                ] {
+                    let a = from_file.rknn(q, 4, lo, hi, algo, &cfg).unwrap();
+                    let b = from_memory.rknn(q, 4, lo, hi, algo, &cfg).unwrap();
+                    let what = format!("{tag} {} [{lo}, {hi}] query {}", algo.name(), q.id());
+                    assert_eq!(rknn_line(&a.items), rknn_line(&b.items), "{what}");
+                    let counts = |s: &fuzzy_query::QueryStats| {
+                        [
+                            s.object_accesses,
+                            s.node_accesses,
+                            s.distance_evals,
+                            s.profile_computations,
+                            s.bound_evals,
+                            s.aknn_calls,
+                            s.candidates,
+                        ]
+                    };
+                    assert_eq!(counts(&a.stats), counts(&b.stats), "{what}");
+                }
+            }
+        }
+        for p in [&path, &index_path] {
+            std::fs::remove_file(p).ok();
         }
     }
 }

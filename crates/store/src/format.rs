@@ -354,7 +354,6 @@ mod tests {
         assert!(back.prefix_ready());
         let pa = obj.by_membership();
         let pb = back.by_membership();
-        assert_eq!(pa.points(), pb.points());
         assert_eq!(pa.memberships(), pb.memberships());
         assert_eq!(pa.source_indices(), pb.source_indices());
         for d in 0..2 {
