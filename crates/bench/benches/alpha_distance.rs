@@ -1,54 +1,120 @@
-//! `abl-dist`: α-distance evaluation cost — quadratic brute force vs the
-//! dual-tree closest pair, across object sizes and thresholds.
+//! `abl-dist`: α-distance evaluation cost — the quadratic brute force, the
+//! adaptive kernel on a pair whose two kd-trees both exist, and the shape
+//! the query engine runs: a store-probed object against the resident query.
+//!
+//! * `alpha_distance/brute` — the all-pairs oracle.
+//! * `alpha_distance/auto_{dense,dual_tree}` — [`alpha_distance`] with both
+//!   trees pre-built, labelled with the strategy the kernel picks for the
+//!   pair (the dense scan below its pair budget, the dual-tree closest pair
+//!   above it).
+//! * `probed_vs_query/{separated,touching,half,concentric}` — the probed
+//!   side arrives from `from_columnar` (columns only, no tree), the query's
+//!   tree is pre-built, 1 000 points a side with r = σ = 0.5 as on fkbench's
+//!   `paper` dataset: the single-tree strategy. `seed_inf` is an unseeded
+//!   call, `seed_1.05x` one seeded 5 % above the answer — the engine's d⁺
+//!   seeds are that tight.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fuzzy_core::distance::{alpha_distance, alpha_distance_brute};
-use fuzzy_core::Threshold;
+use fuzzy_core::distance::{alpha_distance, alpha_distance_brute, alpha_distance_sq_bounded};
+use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::SyntheticConfig;
+
+/// The first two objects of a `paper`-shaped generator with `n` points each.
+fn pair(n: usize, space: f64, seed: u64) -> (FuzzyObject<2>, FuzzyObject<2>) {
+    let cfg = SyntheticConfig {
+        num_objects: 2,
+        points_per_object: n,
+        space,
+        seed,
+        ..SyntheticConfig::default()
+    };
+    let mut objs = cfg.generate();
+    (objs.next().expect("two objects"), objs.next().expect("two objects"))
+}
+
+/// Build both kd-trees and name what [`alpha_distance`] then runs at `t`.
+/// Only the dense scan leaves a tree-less reusable side without its tree, so
+/// one call on the still cold pair tells the strategies apart.
+fn warm_and_name(a: &FuzzyObject<2>, b: &FuzzyObject<2>, t: Threshold) -> &'static str {
+    let (cold_a, cold_b) = (a.clone(), b.clone());
+    assert!(!cold_a.kd_tree_ready() && !cold_b.kd_tree_ready(), "name the pair before warming it");
+    let _ = alpha_distance(&cold_a, &cold_b, t);
+    let _ = (a.kd_tree(), b.kd_tree());
+    if cold_b.kd_tree_ready() {
+        "auto_dual_tree"
+    } else {
+        "auto_dense"
+    }
+}
 
 fn bench_alpha_distance(c: &mut Criterion) {
     let mut group = c.benchmark_group("alpha_distance");
     for n in [100usize, 400, 1000] {
-        let cfg = SyntheticConfig {
-            num_objects: 2,
-            points_per_object: n,
-            seed: 9,
-            ..SyntheticConfig::default()
-        };
-        let objs: Vec<_> = cfg.generate().collect();
-        let (a, b) = (&objs[0], &objs[1]);
-        // Force kd construction out of the measurement.
-        let _ = a.kd_tree();
-        let _ = b.kd_tree();
+        let (a, b) = pair(n, 100.0, 9);
         let t = Threshold::at(0.5);
+        let auto = warm_and_name(&a, &b, t);
         group.bench_with_input(BenchmarkId::new("brute", n), &n, |bench, _| {
-            bench.iter(|| alpha_distance_brute(a, b, t))
+            bench.iter(|| alpha_distance_brute(&a, &b, t))
         });
-        group.bench_with_input(BenchmarkId::new("dual_tree", n), &n, |bench, _| {
-            bench.iter(|| alpha_distance(a, b, t))
+        group.bench_with_input(BenchmarkId::new(auto, n), &n, |bench, _| {
+            bench.iter(|| alpha_distance(&a, &b, t))
         });
     }
     group.finish();
 }
 
 fn bench_threshold_sensitivity(c: &mut Criterion) {
-    let cfg = SyntheticConfig {
-        num_objects: 2,
-        points_per_object: 1000,
-        seed: 11,
-        ..SyntheticConfig::default()
-    };
-    let objs: Vec<_> = cfg.generate().collect();
-    let (a, b) = (&objs[0], &objs[1]);
-    let _ = (a.kd_tree(), b.kd_tree());
+    let (a, b) = pair(1000, 100.0, 11);
     let mut group = c.benchmark_group("alpha_distance_vs_alpha");
     for alpha in [0.1, 0.5, 0.9] {
-        group.bench_with_input(BenchmarkId::new("dual_tree", alpha), &alpha, |bench, &al| {
-            bench.iter(|| alpha_distance(a, b, Threshold::at(al)))
+        // Cloned per level: the name is taken from a cold pair.
+        let (a, b) = (a.clone(), b.clone());
+        let auto = warm_and_name(&a, &b, Threshold::at(alpha));
+        group.bench_with_input(BenchmarkId::new(auto, alpha), &alpha, |bench, &al| {
+            bench.iter(|| alpha_distance(&a, &b, Threshold::at(al)))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_alpha_distance, bench_threshold_sensitivity);
+/// `a` moved by `dx` along x, as a v3 record decode would produce it: the
+/// prefix layout filled, no construction order, no kd-tree.
+fn probed_at(a: &FuzzyObject<2>, dx: f64) -> FuzzyObject<2> {
+    let pa = a.by_membership();
+    let xs = pa.coord_column(0).iter().map(|x| x + dx);
+    let cols = xs.chain(pa.coord_column(1).iter().copied()).collect();
+    FuzzyObject::from_columnar(
+        a.id(),
+        pa.source_indices().to_vec(),
+        pa.memberships().to_vec(),
+        cols,
+    )
+    .expect("a valid object's own layout, translated")
+}
+
+fn bench_probed_vs_query(c: &mut Criterion) {
+    // `space: 0` centres both objects on the origin; the probed one is then
+    // moved by a multiple of the radius (0.5).
+    let (a, q) = pair(1000, 0.0, 13);
+    let _ = q.kd_tree();
+    let t = Threshold::at(0.5);
+    let mut group = c.benchmark_group("probed_vs_query");
+    for (relation, dx) in
+        [("separated", 2.0), ("touching", 1.0), ("half", 0.5), ("concentric", 0.0)]
+    {
+        let probed = probed_at(&a, dx);
+        let answer = alpha_distance_sq_bounded(&probed, &q, t, f64::INFINITY).expect("full cuts");
+        assert!(!probed.kd_tree_ready(), "the probed side is never indexed");
+        for (seed_name, seed_sq) in
+            [("seed_inf", f64::INFINITY), ("seed_1.05x", answer * 1.05 * 1.05)]
+        {
+            group.bench_with_input(BenchmarkId::new(relation, seed_name), &seed_sq, |bench, &s| {
+                bench.iter(|| alpha_distance_sq_bounded(&probed, &q, t, s))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_alpha_distance, bench_threshold_sensitivity, bench_probed_vs_query);
 criterion_main!(benches);

@@ -46,7 +46,7 @@
 //!   looks for a point of the opposite side at its level or above that lies
 //!   *strictly closer than the running minimum*: a candidate-side point
 //!   through a seeded search of the query's kd-tree
-//!   ([`fuzzy_geom::KdTree::nn_sq_within`] — a search that cannot improve
+//!   ([`fuzzy_geom::KdTree::min_dist_sq_within`] — a search that cannot improve
 //!   the bound prunes at the root), a query-side point through a lane
 //!   min-reduction over the candidate's activated survivors. Either is
 //!   skipped when the point is not closer than the running minimum to the
@@ -207,7 +207,7 @@ impl DistanceProfile {
                 if p.dist_sq_to_box(box_q.lo_coords(), box_q.hi_coords()) >= best_sq {
                     continue;
                 }
-                if let Some((_, d2)) = q.kd_tree().nn_sq_within(&p, filter, best_sq) {
+                if let Some(d2) = q.kd_tree().min_dist_sq_within(&p, filter, best_sq) {
                     best_sq = d2;
                 }
             }

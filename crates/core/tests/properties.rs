@@ -359,3 +359,88 @@ proptest! {
         }
     }
 }
+
+/// `n` points of the unit disc around `(cx, 0)` on three membership rings
+/// (0.8 / 0.5 / 0.3 outwards), the kernel point first and just off the
+/// centre, followed by `decoys` points of membership 0.1 on `decoy_at`.
+fn ringed_disc(
+    seed: u64,
+    n: usize,
+    cx: f64,
+    decoys: usize,
+    decoy_at: Point<2>,
+) -> (Vec<Point<2>>, Vec<f64>) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut rnd = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut pts = vec![Point::xy(cx + 0.03 * rnd(), 0.03 * rnd())];
+    let mut mus = vec![1.0];
+    for _ in 1..n {
+        let (r, th) = (rnd(), rnd() * std::f64::consts::TAU);
+        pts.push(Point::xy(cx + r * th.cos(), r * th.sin()));
+        mus.push(if r < 0.4 {
+            0.8
+        } else if r < 0.8 {
+            0.5
+        } else {
+            0.3
+        });
+    }
+    pts.extend(std::iter::repeat(decoy_at).take(decoys));
+    mus.extend(std::iter::repeat(0.1).take(decoys));
+    (pts, mus)
+}
+
+/// The kernel's tree strategy on the shape the engine runs — a probed
+/// object straight from the record codec against a resident query — across
+/// probed sizes around the gap pass's block boundaries and the four ways two
+/// discs can lie: bitwise the brute oracle under inclusive and strict cuts
+/// and under seeds ∞ / the next float up / at the answer; the probed side
+/// is never indexed, the query's tree is built and the query never sorted;
+/// and points below the cut (a decoy on the query's kernel point) change
+/// nothing.
+#[test]
+fn blocked_chain_matches_brute_across_sizes_and_relations() {
+    use fuzzy_core::distance::alpha_distance_sq_bounded;
+    let relations = [("separated", 3.0), ("touching", 2.0), ("half", 1.0), ("concentric", 0.0)];
+    for n in [1usize, 63, 64, 65, 127, 128, 129, 1000] {
+        // Large enough that every cut product clears the dense budget
+        // (65 536 pairs): the kernel must build and search the query's tree.
+        let (qp, qm) = ringed_disc(n as u64 + 500, 2 * 65_536 / n + 64, 0.0, 0, Point::origin());
+        let q_kernel = qp[0];
+        let cold = FuzzyObject::new(ObjectId(2), qp, qm).unwrap();
+        let resident = cold.clone();
+        resident.kd_tree();
+        for (relation, dx) in relations {
+            let build = |decoys| {
+                let (p, m) = ringed_disc(n as u64, n, dx, decoys, q_kernel);
+                FuzzyObject::new(ObjectId(1), p, m).unwrap()
+            };
+            let plain = build(0);
+            let probed = decode_object::<2>(&encode_object(&plain)).unwrap();
+            let decoyed = decode_object::<2>(&encode_object(&build(40))).unwrap();
+            for t in [Threshold::at(0.3), Threshold::above(0.3)] {
+                let tag = format!("n {n} {relation} {t}");
+                let want = alpha_distance_brute(&plain, &cold, t).expect("both cuts hold a kernel");
+                assert!(want > 0.0, "{tag}: the seeds below need a positive answer");
+                let fresh = cold.clone();
+                for (a, q) in [(&probed, &resident), (&decoyed, &resident), (&decoyed, &fresh)] {
+                    let got = alpha_distance_sq_bounded(a, q, t, f64::INFINITY).expect(&tag);
+                    assert_eq!(got.sqrt().to_bits(), want.to_bits(), "{tag}");
+                    let above = f64::from_bits(got.to_bits() + 1);
+                    assert_eq!(alpha_distance_sq_bounded(a, q, t, above), Some(got), "{tag}");
+                    assert_eq!(alpha_distance_sq_bounded(a, q, t, got), None, "{tag}");
+                    assert!(!a.kd_tree_ready(), "{tag}: the probed side is never indexed");
+                    assert!(
+                        q.kd_tree_ready() && !q.prefix_ready(),
+                        "{tag}: tree built, q unsorted"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -29,13 +29,26 @@
 //! scans stop at the first rejected membership instead of testing every
 //! point.
 //!
+//! **Two search forms, one descent.** [`KdTree::min_dist_sq_within`] is
+//! the distance-only form: the smallest squared distance strictly below a
+//! cap, or `None`. It is what the α-distance kernel and the profile sweep
+//! chain — both minimise over pairs and never read which point won — so it
+//! pays for nothing an index would need: a subtree *at* the best distance
+//! is pruned (it cannot lower a minimum), a child's box is tested before
+//! the call into it, and a leaf is one lane min-reduction.
+//! [`KdTree::nn_sq_within`] / [`KdTree::nn_filtered`] are the indexed form,
+//! for callers that name the neighbour (tests, the reference comparisons,
+//! tooling): the same descent, then a witness pass over the leaves whose
+//! box is not farther than the answer, which picks the smallest original
+//! index at exactly that distance.
+//!
 //! **Canonical answers.** All queries break distance ties by the smallest
 //! original index, so results are a pure function of the input point set —
 //! independent of tree shape, traversal order, and kernel lane count. The
 //! retained reference tree ([`crate::reference::ArenaKdTree`]) implements
 //! the same contract; the differential suite in `crates/geom/tests` holds
-//! both to bit-identical `(distance², index)` answers against a brute
-//! oracle.
+//! both forms to bit-identical `(distance², index)` answers against it and
+//! a brute oracle.
 
 #![allow(clippy::needless_range_loop)] // per-dimension index loops read clearer
 
@@ -243,66 +256,71 @@ impl<const D: usize> KdTree<D> {
         self.nn_sq_within(q, filter, f64::INFINITY).map(|(i, d2)| (i, d2.sqrt()))
     }
 
-    /// Seeded nearest-neighbour search in **squared** space: the original
-    /// index and squared distance of the closest point passing `filter`
-    /// that lies *strictly closer* than `cap_sq`, or `None` when no such
-    /// point exists. With `cap_sq = ∞` this is [`KdTree::nn_filtered`]
-    /// without the final square root. The seed lets chained searches (one
-    /// per activated point in the α-distance evaluators) start each probe
-    /// from the running best, pruning most of the tree immediately.
-    /// Distance ties are broken by the smallest original index.
+    /// Seeded nearest-neighbour **distance** in squared space: the smallest
+    /// squared distance from `q` to a point passing `filter`, provided it
+    /// is *strictly below* `cap_sq`; `None` when no such point exists. With
+    /// `cap_sq = ∞` this is the plain nearest distance. The seed lets
+    /// chained searches (one per activated point in the α-distance
+    /// evaluators) start each probe from the running best, so a search that
+    /// cannot improve it ends at the root. This is the one descent of the
+    /// tree (module docs): it carries no index.
+    pub fn min_dist_sq_within(
+        &self,
+        q: &Point<D>,
+        filter: LevelFilter,
+        cap_sq: f64,
+    ) -> Option<f64> {
+        let root = self.root_ref();
+        let mut best = cap_sq;
+        if filter.accepts(self.max_mu[0]) && self.box_dist_sq(root, q) < best {
+            self.descend(root, q, filter, &mut best);
+        }
+        (best < cap_sq).then_some(best)
+    }
+
+    /// [`KdTree::min_dist_sq_within`] with its witness: the original index
+    /// and squared distance of the closest point passing `filter` that lies
+    /// *strictly closer* than `cap_sq`. Distance ties are broken by the
+    /// smallest original index, found by a second pass over the leaves whose
+    /// box is not farther than the answer — the points within the answer of
+    /// `q` are exactly the ones at it.
     pub fn nn_sq_within(
         &self,
         q: &Point<D>,
         filter: LevelFilter,
         cap_sq: f64,
     ) -> Option<(usize, f64)> {
-        let mut best = cap_sq;
-        let mut best_orig: Option<u32> = None;
-        let root = self.root_ref();
-        self.nn_rec(root, self.box_dist_sq(root, q), q, filter, &mut best, &mut best_orig);
-        best_orig.map(|o| (o as usize, best))
+        let d2 = self.min_dist_sq_within(q, filter, cap_sq)?;
+        let mut witness = u32::MAX;
+        self.for_each_within_sq(q, d2, filter, |slot| witness = witness.min(self.orig[slot]));
+        debug_assert_ne!(witness, u32::MAX, "the minimum comes from a row");
+        Some((witness as usize, d2))
     }
 
-    /// `d2` is `box_dist_sq(node, q)`: the parent computed it to order its
-    /// children and hands it down.
-    fn nn_rec(
-        &self,
-        node: NodeRef,
-        d2: f64,
-        q: &Point<D>,
-        filter: LevelFilter,
-        best_sq: &mut f64,
-        best_orig: &mut Option<u32>,
-    ) {
-        if !filter.accepts(self.max_mu[node.id as usize]) {
-            return;
-        }
-        // With a candidate in hand, subtrees at exactly the best distance
-        // must still be visited: they may hold an equal-distance point with
-        // a smaller original index (the canonical winner). Without one, the
-        // cap is exclusive — only strictly closer points qualify.
-        let prunable = match best_orig {
-            Some(_) => d2 > *best_sq,
-            None => d2 >= *best_sq,
-        };
-        if prunable {
-            return;
-        }
+    /// The descent below `node`, whose filter and box tests the caller has
+    /// passed: `best_sq` falls to the smallest squared distance below it.
+    /// A child is tested before it is entered and pruned at `>=` — an
+    /// equal-distance subtree cannot lower a minimum — nearer child first;
+    /// a leaf is one lane min-reduction over its accepted prefix (`+∞` when
+    /// that is empty or all NaN, which never wins).
+    fn descend(&self, node: NodeRef, q: &Point<D>, filter: LevelFilter, best_sq: &mut f64) {
         if node.is_leaf() {
             let p = self.leaf_prefix_len(node, filter);
-            if let Some(cand) = self.leaf_candidate(node.start as usize, p, q) {
-                consider(cand, best_sq, best_orig);
+            let m = kernel::min_dist_sq_cols(&self.col_slices(node.start as usize, p), q.coords());
+            if m < *best_sq {
+                *best_sq = m;
             }
             return;
         }
         let (left, right) = node.children();
         let dl = self.box_dist_sq(left, q);
         let dr = self.box_dist_sq(right, q);
-        let ((first, d1), (second, d2)) =
-            if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
-        self.nn_rec(first, d1, q, filter, best_sq, best_orig);
-        self.nn_rec(second, d2, q, filter, best_sq, best_orig);
+        let order = if dl <= dr { [(left, dl), (right, dr)] } else { [(right, dr), (left, dl)] };
+        for (child, d2) in order {
+            if d2 < *best_sq && filter.accepts(self.max_mu[child.id as usize]) {
+                self.descend(child, q, filter, best_sq);
+            }
+        }
     }
 
     /// Collect the original indices of all points passing `filter` that lie
@@ -314,7 +332,23 @@ impl<const D: usize> KdTree<D> {
         filter: LevelFilter,
     ) -> Vec<usize> {
         let mut out = Vec::new();
-        let r2 = radius * radius;
+        self.for_each_within_sq(q, radius * radius, filter, |slot| {
+            out.push(self.orig[slot] as usize)
+        });
+        // Canonical order: tree shape must not leak into the answer.
+        out.sort_unstable();
+        out
+    }
+
+    /// Visit the slot of every point passing `filter` at squared distance
+    /// `≤ r2` from `q` (NaN distances never qualify), in tree order.
+    fn for_each_within_sq(
+        &self,
+        q: &Point<D>,
+        r2: f64,
+        filter: LevelFilter,
+        mut visit: impl FnMut(usize),
+    ) {
         let mut stack = vec![self.root_ref()];
         while let Some(node) = stack.pop() {
             if !filter.accepts(self.max_mu[node.id as usize]) {
@@ -327,7 +361,7 @@ impl<const D: usize> KdTree<D> {
                 let p = self.leaf_prefix_len(node, filter);
                 for j in node.start as usize..node.start as usize + p {
                     if self.row_dist_sq(q, j) <= r2 {
-                        out.push(self.orig[j] as usize);
+                        visit(j);
                     }
                 }
             } else {
@@ -336,9 +370,6 @@ impl<const D: usize> KdTree<D> {
                 stack.push(right);
             }
         }
-        // Canonical order: tree shape must not leak into the answer.
-        out.sort_unstable();
-        out
     }
 
     // ----- internals shared with the closest-pair module -----
@@ -401,15 +432,8 @@ impl<const D: usize> KdTree<D> {
     /// the accepted set).
     #[inline]
     pub(crate) fn leaf_prefix_len(&self, node: NodeRef, filter: LevelFilter) -> usize {
-        let (start, end) = (node.start as usize, node.end as usize);
-        let mut p = 0;
-        for j in start..end {
-            if !filter.accepts(self.mus[j]) {
-                break;
-            }
-            p += 1;
-        }
-        p
+        let mus = &self.mus[node.start as usize..node.end as usize];
+        mus.iter().take_while(|&&mu| filter.accepts(mu)).count()
     }
 
     /// Dim-major column views over the slot range `[start, start + n)`.
@@ -445,45 +469,6 @@ impl<const D: usize> KdTree<D> {
             s += diff * diff;
         }
         s
-    }
-
-    /// Canonical best candidate of the first `p` slots of a leaf: the
-    /// kernel min-reduction over the columns, then the smallest original
-    /// index achieving it. `None` when the prefix is empty or contains no
-    /// comparable (non-NaN, finite-min) candidate.
-    fn leaf_candidate(&self, start: usize, p: usize, q: &Point<D>) -> Option<(f64, u32)> {
-        if p == 0 {
-            return None;
-        }
-        let m = kernel::min_dist_sq_cols(&self.col_slices(start, p), q.coords());
-        if m == f64::INFINITY {
-            return None; // every candidate was NaN
-        }
-        let mut best_orig = u32::MAX;
-        for j in start..start + p {
-            if self.row_dist_sq(q, j).to_bits() == m.to_bits() {
-                best_orig = best_orig.min(self.orig[j]);
-            }
-        }
-        debug_assert_ne!(best_orig, u32::MAX, "kernel min must come from a row");
-        Some((m, best_orig))
-    }
-}
-
-/// Canonical update rule shared by the tree traversals: a candidate wins on
-/// strictly smaller distance, or on equal distance with a smaller original
-/// index — but only once a real point holds the best slot (the initial cap
-/// is exclusive).
-#[inline]
-fn consider(cand: (f64, u32), best_sq: &mut f64, best_orig: &mut Option<u32>) {
-    let (d2, o) = cand;
-    let wins = match *best_orig {
-        None => d2 < *best_sq,
-        Some(bo) => d2 < *best_sq || (d2 == *best_sq && o < bo),
-    };
-    if wins {
-        *best_sq = d2;
-        *best_orig = Some(o);
     }
 }
 

@@ -10,6 +10,9 @@
 //! * `nn_sq_within` returns the candidate **strictly** closer than the
 //!   cap, ties broken by smallest original index — regardless of tree
 //!   shape or traversal order;
+//! * `min_dist_sq_within`, the distance-only search the α-distance kernel
+//!   and the profile sweep chain, returns that candidate's distance bits
+//!   and `None` exactly when `nn_sq_within` does, at any cap;
 //! * `within_radius_filtered` returns exactly the indices at `d² ≤ r²`,
 //!   ascending;
 //! * `bichromatic_closest_pair_sq` returns the lexicographically smallest
@@ -209,6 +212,23 @@ fn check_cloud<const D: usize>(pts: &[Point<D>], mus: &[f64], f: LevelFilter, ta
             );
         }
 
+        // The distance-only search, at every cap that can tell it from the
+        // indexed form: unbounded, the next float above the answer, the
+        // answer itself (exclusive: `None`) and half of it. `Some` carries
+        // the indexed form's and the oracle's bits, `None` falls exactly
+        // where they say so.
+        let caps = match want {
+            Some((_, d2)) => vec![f64::INFINITY, f64::from_bits(d2.to_bits() + 1), d2, d2 * 0.5],
+            None => vec![f64::INFINITY],
+        };
+        for cap in caps {
+            let got = flat.min_dist_sq_within(q, f, cap).map(f64::to_bits);
+            let indexed = flat.nn_sq_within(q, f, cap).map(|(_, d2)| d2.to_bits());
+            let brute = brute_nn(pts, mus, q, f, cap).map(|(_, d2)| d2.to_bits());
+            assert_eq!(got, indexed, "{tag}: distance-only vs indexed, cap {cap}");
+            assert_eq!(got, brute, "{tag}: distance-only vs brute, cap {cap}");
+        }
+
         // Radius scans at several radii, including 0 (exact hits only).
         for radius in [0.0, 1.0, 5.0, 30.0] {
             let want = brute_radius(pts, mus, q, f, radius);
@@ -309,9 +329,43 @@ fn all_nan_cloud_returns_none() {
     let q = Point::xy(0.0, 0.0);
     let f = LevelFilter::at_least(0.0);
     assert_eq!(flat.nn_sq_within(&q, f, f64::INFINITY), None);
+    assert_eq!(flat.min_dist_sq_within(&q, f, f64::INFINITY), None);
     assert_eq!(arena.nn_sq_within(&q, f, f64::INFINITY), None);
     assert!(flat.within_radius_filtered(&q, 1e9, f).is_empty());
     assert!(arena.within_radius_filtered(&q, 1e9, f).is_empty());
+}
+
+#[test]
+fn distance_only_search_ignores_ties_and_empty_filters() {
+    // A filter no membership passes: `None` from both forms, at any cap,
+    // at every size around the leaf boundaries.
+    for (si, &n) in SIZES.iter().enumerate() {
+        let (pts, mus) = cloud::<2>(400 + si as u64, n, MuShape::Quantized, 0, 0);
+        let flat = KdTree::build(&pts, &mus);
+        for cap in [f64::INFINITY, 1.0] {
+            assert_eq!(flat.min_dist_sq_within(&pts[0], LevelFilter::above(1.0), cap), None);
+            assert_eq!(flat.nn_sq_within(&pts[0], LevelFilter::above(1.0), cap), None);
+        }
+    }
+    // Equal-distance ties: a ring of 40 points at distance exactly 5 from
+    // the query, spread over several leaves, plus far points. The distance
+    // is the ring's whichever member is met first; the index is the
+    // smallest on the ring that passes the filter.
+    let ring = [(3.0, 4.0), (4.0, 3.0), (-3.0, 4.0), (-4.0, 3.0), (0.0, 5.0)];
+    let mut pts: Vec<Point<2>> = (0..30).map(|i| Point::xy(40.0 + i as f64, -30.0)).collect();
+    for i in 0..40 {
+        let (x, y) = ring[i % ring.len()];
+        pts.push(Point::xy(if i % 2 == 0 { x } else { -x }, if i % 3 == 0 { y } else { -y }));
+    }
+    let mus: Vec<f64> = (0..pts.len()).map(|i| if i % 4 == 0 { 1.0 } else { 0.5 }).collect();
+    let flat = KdTree::build(&pts, &mus);
+    let q = Point::origin();
+    for (f, first) in [(LevelFilter::at_least(0.5), 30), (LevelFilter::at_least(1.0), 32)] {
+        assert_eq!(flat.min_dist_sq_within(&q, f, f64::INFINITY), Some(25.0));
+        assert_eq!(flat.nn_sq_within(&q, f, f64::INFINITY), Some((first, 25.0)));
+        assert_eq!(brute_nn(&pts, &mus, &q, f, f64::INFINITY), Some((first, 25.0)));
+        assert_eq!(flat.min_dist_sq_within(&q, f, 25.0), None, "the cap is exclusive");
+    }
 }
 
 #[test]
@@ -405,6 +459,8 @@ proptest! {
                         got_flat.map(|(i, d)| (i, d.to_bits())));
         prop_assert_eq!(want.map(|(i, d)| (i, d.to_bits())),
                         got_arena.map(|(i, d)| (i, d.to_bits())));
+        prop_assert_eq!(want.map(|(_, d)| d.to_bits()),
+                        flat.min_dist_sq_within(&q, f, f64::INFINITY).map(f64::to_bits));
     }
 
     /// Random radius scans agree exactly (index sets, ascending).
