@@ -13,11 +13,18 @@
 //!   `paper` dataset: the single-tree strategy. `seed_inf` is an unseeded
 //!   call, `seed_1.05x` one seeded 5 % above the answer — the engine's d⁺
 //!   seeds are that tight.
+//! * `kd_build/{100,1000}` — [`KdTree::build`] over one such object, the
+//!   occupancy bitmap's fill included (a query pays it once).
+//! * `kd_search/{miss_small_cap,hit}` — one [`KdTree::min_dist_sq_within`]
+//!   from an interior point of the 1 000-point tree: with the cap at a
+//!   quarter of a bitmap cell's area, where no point lies within it (the
+//!   search the chain makes 97 % of the time), and unbounded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy_core::distance::{alpha_distance, alpha_distance_brute, alpha_distance_sq_bounded};
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::SyntheticConfig;
+use fuzzy_geom::{KdTree, LevelFilter, Point};
 
 /// The first two objects of a `paper`-shaped generator with `n` points each.
 fn pair(n: usize, space: f64, seed: u64) -> (FuzzyObject<2>, FuzzyObject<2>) {
@@ -116,5 +123,45 @@ fn bench_probed_vs_query(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_alpha_distance, bench_threshold_sensitivity, bench_probed_vs_query);
+fn bench_kd_tree(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kd_build");
+    for n in [100usize, 1000] {
+        let (_, q) = pair(n, 0.0, 13);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
+            bench.iter(|| KdTree::build(q.points(), q.memberships()))
+        });
+    }
+    group.finish();
+
+    let (_, q) = pair(1000, 0.0, 13);
+    let tree = q.kd_tree();
+    let (lo, hi) = (tree.mbr().lo_coords(), tree.mbr().hi_coords());
+    // A quarter of a cell of the bitmap's documented grid: the smallest `w`
+    // with `w² ≥ 128·n` cells a side.
+    let w = (1..).find(|w| w * w >= 128 * tree.len()).expect("some square is large enough");
+    let small_cap = (hi[0] - lo[0]) * (hi[1] - lo[1]) / (w * w) as f64 / 4.0;
+    // The first point up the box's diagonal with nothing within that cap —
+    // chosen by the answer, so it is the same point whatever answers it.
+    let f = LevelFilter::support();
+    let p = (1..64)
+        .map(|i| i as f64 / 64.0)
+        .map(|s| Point::xy(lo[0] + s * (hi[0] - lo[0]), lo[1] + s * (hi[1] - lo[1])))
+        .find(|p| tree.min_dist_sq_within(p, f, small_cap).is_none())
+        .expect("a 1 000-point blob leaves a gap on its diagonal");
+    let mut group = c.benchmark_group("kd_search");
+    for (name, cap) in [("miss_small_cap", small_cap), ("hit", f64::INFINITY)] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &cap, |bench, &cap| {
+            bench.iter(|| tree.min_dist_sq_within(&p, f, cap))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_alpha_distance,
+    bench_threshold_sensitivity,
+    bench_probed_vs_query,
+    bench_kd_tree
+);
 criterion_main!(benches);

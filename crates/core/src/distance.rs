@@ -62,7 +62,10 @@
 //!      the value the tree's own root test computes. A point whose gap is
 //!      not below the running best is neither gathered nor searched. That
 //!      is exact: no tree point is closer to it than the box is, so its
-//!      search would have returned `None` at the root. The gap is compared
+//!      search would have returned `None` at the root. (The gap pass
+//!      rejects points *outside* the query's box; points inside it that sit
+//!      in a gap between the query's points are rejected by the tree's
+//!      occupancy bitmap, in O(1), before the descent.) The gap is compared
 //!      with the *running* best, not the caller's seed: the engine's seeds
 //!      are tight but the boxes overlap them — on paper-sized objects three
 //!      quarters of the probed points lie within the seed of the query's

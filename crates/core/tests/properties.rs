@@ -443,4 +443,52 @@ fn blocked_chain_matches_brute_across_sizes_and_relations() {
             }
         }
     }
+
+    // Two relations for the occupancy bitmap in front of the descent. One
+    // it is made for: two 1 000-point discs sharing a centre, seeded 5 %
+    // above the answer — nearly every probed point sits inside the query's
+    // box, in a gap between its points. One it must not break: a probed
+    // side whose every point lies outside the query's box by less than a
+    // cell of the bitmap's grid (the smallest `w` with `w² ≥ 128·n` cells a
+    // side), where the gap pass rejects nothing and the block around each
+    // point hangs over the grid's edge.
+    let (qp, qm) = ringed_disc(77, 1000, 0.0, 0, Point::origin());
+    let cold = FuzzyObject::new(ObjectId(2), qp, qm).unwrap();
+    let resident = cold.clone();
+    let (lo, hi) = (*resident.kd_tree().mbr().lo_coords(), *resident.kd_tree().mbr().hi_coords());
+    let w = (1..).find(|w| w * w >= 128 * 1000).unwrap() as f64;
+    let (cx, cy) = ((hi[0] - lo[0]) / w, (hi[1] - lo[1]) / w);
+    let mut rim = Vec::new();
+    for i in 0..50 {
+        let s = i as f64 / 49.0;
+        let (x, y) = (lo[0] + s * (hi[0] - lo[0]), lo[1] + s * (hi[1] - lo[1]));
+        rim.extend([
+            Point::xy(x, lo[1] - 0.5 * cy),
+            Point::xy(x, hi[1] + 0.9 * cy),
+            Point::xy(lo[0] - 0.9 * cx, y),
+            Point::xy(hi[0] + 0.5 * cx, y),
+        ]);
+    }
+    let rim_mus = (0..rim.len()).map(|i| if i == 0 { 1.0 } else { 0.5 }).collect();
+    let (cp, cm) = ringed_disc(78, 1000, 0.0, 0, Point::origin());
+    for (relation, points, mus) in [("concentric 1000", cp, cm), ("rim", rim, rim_mus)] {
+        let plain = FuzzyObject::new(ObjectId(1), points, mus).unwrap();
+        let probed = decode_object::<2>(&encode_object(&plain)).unwrap();
+        for t in [Threshold::at(0.3), Threshold::above(0.3)] {
+            let tag = format!("{relation} {t}");
+            let want = alpha_distance_brute(&plain, &cold, t).expect("both cuts hold a kernel");
+            assert!(want > 0.0, "{tag}: the seeds below need a positive answer");
+            let got = alpha_distance_sq_bounded(&probed, &resident, t, f64::INFINITY).expect(&tag);
+            assert_eq!(got.sqrt().to_bits(), want.to_bits(), "{tag}");
+            for seed in [got * 1.05 * 1.05, f64::from_bits(got.to_bits() + 1)] {
+                assert_eq!(
+                    alpha_distance_sq_bounded(&probed, &resident, t, seed),
+                    Some(got),
+                    "{tag}"
+                );
+            }
+            assert_eq!(alpha_distance_sq_bounded(&probed, &resident, t, got), None, "{tag}");
+            assert!(!probed.kd_tree_ready(), "{tag}: the probed side is never indexed");
+        }
+    }
 }

@@ -42,6 +42,44 @@
 //! box is not farther than the answer, which picks the smallest original
 //! index at exactly that distance.
 //!
+//! **The O(1) no.** Chained searches mostly fail: once the running best is
+//! below the tree's own point spacing, nearly every further search pays a
+//! root-to-leaf descent to learn that nothing lies within the cap. So the
+//! tree carries one more flat annotation beside `max_µ` and the boxes: an
+//! *occupancy bitmap* over a uniform grid on the root box — `w` cells a
+//! side, `w` the smallest integer with `w^D ≥ 128·n` (at most 2 048), one
+//! bit per cell, set when any point falls in it — filled at build from the
+//! coordinate columns. [`KdTree::min_dist_sq_within`] consults it after its
+//! root tests: for a cap `cap_sq ≤ (m·c_min·(1 − 1e-9))²`, `m ∈ {1, 2, 3}`
+//! (`c_d = extent_d / w` the cell side, `c_min` the smallest over the
+//! dimensions that are gridded at all — extent positive and finite, the
+//! three thresholds normal numbers), it reads the `(2m + 1)^D` cells around
+//! the query point's cell, and if all are clear it answers `None` without
+//! descending. A larger, infinite or NaN cap, or a box no dimension of
+//! which can be gridded, descends as ever. *Why it is exact:* the cell index
+//! `⌊(x − lo)·(1/c)⌋`, clamped to `[0, w]`, is monotone in `x` and is the
+//! same expression at build and at query. A point `s` with
+//! `‖s − p‖² < cap_sq` has `|s_d − p_d| < m·c_d·(1 − 1e-9)` in every
+//! dimension, so its scaled coordinate is within `m` of `p`'s and its index
+//! within `m` of `p`'s cell (the `1e-9` absorbs every rounding on the way:
+//! the squared distance's, and a few ulps of a scaled coordinate that is
+//! at most `w + 3` when such an `s` exists — some 10⁻¹² of a cell); clamping moves
+//! no two indices further apart; hence `s` marks a cell of the block, and a
+//! clear block proves the descent would have returned `None` under the
+//! strict-`<` contract. In a dimension that is not gridded every
+//! coordinate, NaN included, has cell 0, which loses rejections there and
+//! nothing else. The bitmap is over *all* points whatever their membership:
+//! under a restrictive [`LevelFilter`] it says "maybe" more often than it
+//! must, never "no" wrongly (a NaN-coordinate point marks some cell and can
+//! never be a minimum anyway). It costs `(w + 1)^(D−1) · ⌈(w + 1)/64⌉ · 8`
+//! bytes — each run of the last dimension padded to a word: at 1 000
+//! points 17 B a point in two dimensions (`w = 358`; the dimensionality
+//! every shipped caller uses) and 22 B in three (`w = 51`), beside the
+//! ≈ 30 B the tree already holds; it is not sized for more dimensions,
+//! where the padded runs multiply (2 MB at `D = 8`). That matters only for
+//! objects whose trees stay resident, `MemStore`'s. Filling it is a tenth
+//! of the build.
+//!
 //! **Canonical answers.** All queries break distance ties by the smallest
 //! original index, so results are a pure function of the input point set —
 //! independent of tree shape, traversal order, and kernel lane count. The
@@ -104,6 +142,21 @@ impl LevelFilter {
 /// kernel lane width so full leaves stream through the unrolled reduction
 /// without a remainder pass.
 const LEAF_SIZE: usize = 16;
+
+/// Grid cells per point of the occupancy bitmap (module docs, "The O(1)
+/// no"): 17 B a point in 2-d. Swept 32 to 1 024 on 1 000-point objects
+/// (CHANGES.md, PR 23): a finer grid answers more searches until the
+/// bitmap crowds the tree out of the cache; throughput peaks at 256, and
+/// 128 is within 3 % of the peak at half its bytes.
+const CELLS_PER_POINT: usize = 128;
+
+/// Widest block the occupancy bitmap tests, in cells either side of the
+/// query point's cell: `(2·3 + 1)^D` cells at most. Swept 1 to 4 on
+/// `aknn-heavy` `qps`, four runs each, the groups disjoint (CHANGES.md,
+/// PR 23): reach 1 is 4 % and reach 2 is 1.6 % below reach 3 — caps
+/// between one and three cells are a real share of the chain — and 4 adds
+/// nothing: the wider the block, the likelier a point sits in it.
+const MAX_REACH: usize = 3;
 
 /// An implicit node: a heap id (for the annotation arrays) plus the point
 /// subrange it covers. Never stored — derived on the way down.
@@ -174,6 +227,8 @@ pub struct KdTree<const D: usize> {
     /// Number of real (visited) nodes, for diagnostics.
     node_count: usize,
     root_mbr: Mbr<D>,
+    /// Which cells of a uniform grid on the root box hold a point.
+    occupancy: Occupancy<D>,
 }
 
 impl<const D: usize> KdTree<D> {
@@ -208,6 +263,7 @@ impl<const D: usize> KdTree<D> {
             mus[j] = it.mu;
             orig[j] = it.orig;
         }
+        let occupancy = Occupancy::build(&cols, n, &root_mbr);
         Self {
             len: n,
             cols,
@@ -217,6 +273,7 @@ impl<const D: usize> KdTree<D> {
             bounds: ann.bounds.into_boxed_slice(),
             node_count: ann.nodes,
             root_mbr,
+            occupancy,
         }
     }
 
@@ -262,8 +319,9 @@ impl<const D: usize> KdTree<D> {
     /// `cap_sq = ∞` this is the plain nearest distance. The seed lets
     /// chained searches (one per activated point in the α-distance
     /// evaluators) start each probe from the running best, so a search that
-    /// cannot improve it ends at the root. This is the one descent of the
-    /// tree (module docs): it carries no index.
+    /// cannot improve it ends at the root — or, with a cap below the
+    /// tree's point spacing, at the occupancy bitmap (module docs, "The
+    /// O(1) no"). This is the one descent of the tree: it carries no index.
     pub fn min_dist_sq_within(
         &self,
         q: &Point<D>,
@@ -272,7 +330,10 @@ impl<const D: usize> KdTree<D> {
     ) -> Option<f64> {
         let root = self.root_ref();
         let mut best = cap_sq;
-        if filter.accepts(self.max_mu[0]) && self.box_dist_sq(root, q) < best {
+        if filter.accepts(self.max_mu[0])
+            && self.box_dist_sq(root, q) < best
+            && !self.occupancy.rules_out(q, cap_sq)
+        {
             self.descend(root, q, filter, &mut best);
         }
         (best < cap_sq).then_some(best)
@@ -472,6 +533,135 @@ impl<const D: usize> KdTree<D> {
     }
 }
 
+/// One bit per cell of a uniform grid on the root box, set when any point
+/// of the tree falls in the cell — whatever its membership. Cells are
+/// `0..=top` a side (the high edge of the box has an index of its own), the
+/// last dimension contiguous, so the block of cells around a query point is
+/// a few masked loads of at most two words each. The module docs ("The O(1)
+/// no") carry the argument that an all-clear block proves a capped search
+/// empty.
+#[derive(Clone, Debug)]
+struct Occupancy<const D: usize> {
+    /// Low corner of the root box.
+    lo: [f64; D],
+    /// Cells per unit length, `1 / c_d`; 0 in a dimension that is not
+    /// gridded (extent zero, non-finite, or too extreme to square), where
+    /// every coordinate therefore has cell 0.
+    inv: [f64; D],
+    /// Highest cell index a side, `w`.
+    top: usize,
+    /// Words per run of the last dimension.
+    row_words: usize,
+    /// `reach_sq[m − 1] = (m·c_min·(1 − 1e-9))²`, the largest cap a block
+    /// of `m` cells either side answers for; all 0 — never consulted —
+    /// when no dimension is gridded.
+    reach_sq: [f64; MAX_REACH],
+    bits: Box<[u64]>,
+}
+
+impl<const D: usize> Occupancy<D> {
+    /// Grid the root box `mbr` and mark the cell of each of the `n` points
+    /// in the dim-major columns `cols`.
+    fn build(cols: &[f64], n: usize, mbr: &Mbr<D>) -> Self {
+        // The smallest `w` with `w^D ≥ CELLS_PER_POINT · n`, at most 2 048.
+        let want = CELLS_PER_POINT.saturating_mul(n);
+        let top = (1..2048).find(|w: &usize| w.saturating_pow(D as u32) >= want).unwrap_or(2048);
+        let reach_sq_of = |c: f64| -> [f64; MAX_REACH] {
+            std::array::from_fn(|i| {
+                let r = (i + 1) as f64 * c * (1.0 - 1e-9);
+                r * r
+            })
+        };
+        let mut inv = [0.0; D];
+        let mut c_min = f64::INFINITY;
+        for d in 0..D {
+            let c = mbr.extent(d) / top as f64;
+            // Thresholds that are normal numbers keep every rounding
+            // error of the argument relative; an extent that is zero, NaN
+            // (zero to `extent`) or infinite fails the same test.
+            if reach_sq_of(c).iter().all(|r| r.is_normal()) {
+                inv[d] = 1.0 / c;
+                c_min = c_min.min(c);
+            }
+        }
+        let reach_sq = if c_min.is_finite() { reach_sq_of(c_min) } else { [0.0; MAX_REACH] };
+        let side = top + 1;
+        let row_words = side.div_ceil(64);
+        let bits = vec![0u64; side.pow(D as u32 - 1) * row_words].into_boxed_slice();
+        let mut occ = Self { lo: *mbr.lo_coords(), inv, top, row_words, reach_sq, bits };
+        for j in 0..n {
+            let mut run = 0;
+            for d in 0..D - 1 {
+                run = run * side + occ.cell(cols[d * n + j], d);
+            }
+            let last = occ.cell(cols[(D - 1) * n + j], D - 1);
+            occ.bits[run * row_words + last / 64] |= 1 << (last % 64);
+        }
+        occ
+    }
+
+    /// Cell index of coordinate `x` in dimension `d`: monotone in `x`, the
+    /// same expression at build and at query. The cast saturates, so a
+    /// coordinate below the box — or NaN — has cell 0.
+    #[inline]
+    fn cell(&self, x: f64, d: usize) -> usize {
+        (((x - self.lo[d]) * self.inv[d]) as usize).min(self.top)
+    }
+
+    /// True when no point of the tree — of any membership — can lie
+    /// strictly within `cap_sq` of `q`: the cap is within reach and every
+    /// cell of the block around `q`'s cell is clear. False proves nothing.
+    #[inline]
+    fn rules_out(&self, q: &Point<D>, cap_sq: f64) -> bool {
+        // A NaN or infinite cap is below no reach.
+        let Some(m) = (1..=MAX_REACH).find(|&m| cap_sq <= self.reach_sq[m - 1]) else {
+            return false;
+        };
+        let mut lo = [0usize; D];
+        let mut hi = [0usize; D];
+        for d in 0..D {
+            let c = self.cell(q.coords()[d], d);
+            lo[d] = c.saturating_sub(m);
+            hi[d] = (c + m).min(self.top);
+        }
+        // The block's span of the last dimension: at most 2m + 1 bits, in
+        // one word or across the boundary of two.
+        let (first, last) = (lo[D - 1] / 64, hi[D - 1] / 64);
+        let first_mask = !0u64 << (lo[D - 1] % 64);
+        let last_mask = !0u64 >> (63 - hi[D - 1] % 64);
+        let side = self.top + 1;
+        let mut at = lo;
+        loop {
+            let mut run = 0;
+            for d in 0..D - 1 {
+                run = run * side + at[d];
+            }
+            let row = &self.bits[run * self.row_words..][..self.row_words];
+            let hit = if first == last {
+                row[first] & first_mask & last_mask
+            } else {
+                (row[first] & first_mask) | (row[last] & last_mask)
+            };
+            if hit != 0 {
+                return false;
+            }
+            // Odometer over the leading dimensions.
+            let mut d = D - 1;
+            loop {
+                if d == 0 {
+                    return true;
+                }
+                d -= 1;
+                if at[d] < hi[d] {
+                    at[d] += 1;
+                    break;
+                }
+                at[d] = lo[d];
+            }
+        }
+    }
+}
+
 /// Growable heap-indexed annotation storage used during construction.
 struct Annotations {
     max_mu: Vec<f64>,
@@ -537,6 +727,7 @@ fn build_range<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_tree() -> (Vec<Point<2>>, Vec<f64>, KdTree<2>) {
         // 10x10 grid; membership grows with x+y, normalized to (0,1].
@@ -674,6 +865,84 @@ mod tests {
         assert!(tree.nn_sq_within(&q, LevelFilter::support(), 25.0).is_none());
         let (i, d2) = tree.nn_sq_within(&q, LevelFilter::support(), 25.0 + 1e-9).unwrap();
         assert_eq!((i, d2), (0, 25.0));
+    }
+
+    /// The `i`-th point of the Kronecker sequence on `(a, b)`: evenly
+    /// spread over the unit square for irrational multipliers, no generator.
+    fn kronecker(i: usize, a: f64, b: f64) -> Point<2> {
+        Point::xy((i as f64 * a).fract(), (i as f64 * b).fract())
+    }
+
+    /// The occupancy layer is not a no-op: on a uniform cloud, with the cap
+    /// at a quarter of a cell's area, most interior searches end at the
+    /// bitmap (a 3 × 3 block at one point per 128 cells is clear 93 % of
+    /// the time) — and each such verdict is the descent's.
+    #[test]
+    fn occupancy_answers_most_small_cap_searches_without_a_descent() {
+        // The cloud on the plastic number's pair, the queries on another.
+        let pts: Vec<Point<2>> = (0..1000)
+            .map(|i| kronecker(i, 0.754_877_666_246_692_7, 0.569_840_290_998_053_2))
+            .collect();
+        let tree = KdTree::build(&pts, &vec![1.0; pts.len()]);
+        let occ = &tree.occupancy;
+        let cap_sq = 0.25 / (occ.inv[0] * occ.inv[1]);
+        assert!(cap_sq <= occ.reach_sq[0], "a quarter cell is within the first reach");
+        let mut answered = 0;
+        for q in (1..=1000).map(|i| kronecker(i, 2f64.sqrt(), 3f64.sqrt())) {
+            if occ.rules_out(&q, cap_sq) {
+                answered += 1;
+                assert!(pts.iter().all(|p| p.dist_sq(&q) >= cap_sq), "a clear block at {q:?}");
+                let mut best = cap_sq;
+                tree.descend(tree.root_ref(), &q, LevelFilter::support(), &mut best);
+                assert_eq!(best, cap_sq, "the descent finds nothing either");
+            }
+        }
+        assert!(answered >= 500, "only {answered} of 1000 searches were answered by the bitmap");
+    }
+
+    /// Degenerate boxes grid what they can: a zero-extent dimension is not
+    /// gridded (every coordinate there has cell 0), and a box degenerate
+    /// in every dimension has no reach, so its bitmap is never consulted.
+    #[test]
+    fn occupancy_of_degenerate_boxes() {
+        // Eight points a unit apart, 32 cells a side: 4.6 cells between two.
+        let line: Vec<Point<2>> = (0..8).map(|i| Point::xy(i as f64, 7.0)).collect();
+        let occ = KdTree::build(&line, &[1.0; 8]).occupancy;
+        assert!(occ.inv[0] > 0.0 && occ.inv[1] == 0.0 && occ.reach_sq[0] > 0.0);
+        assert!(occ.rules_out(&Point::xy(3.5, 7.0), 1e-6), "between two points of the line");
+        assert!(!occ.rules_out(&Point::xy(3.0, 7.0), 1e-6), "on one");
+
+        let spot = KdTree::build(&[Point::xy(2.0, 3.0); 5], &[1.0; 5]).occupancy;
+        assert_eq!(spot.reach_sq, [0.0; MAX_REACH]);
+        let nan = KdTree::build(&[Point::xy(f64::NAN, f64::NAN); 3], &[1.0; 3]).occupancy;
+        assert_eq!(nan.reach_sq, [0.0; MAX_REACH]);
+        for cap in [0.0, 1e-300, 1.0, f64::INFINITY, f64::NAN] {
+            // Even a cap of 0, which is "within reach", finds cell 0 marked.
+            assert!(!spot.rules_out(&Point::xy(2.0, 3.5), cap));
+            assert!(!nan.rules_out(&Point::xy(2.0, 3.5), cap));
+        }
+    }
+
+    proptest! {
+        /// Soundness of the bitmap on its own, root tests or not: a clear
+        /// block means the brute scan finds nothing strictly within the
+        /// cap — for query points inside, on and around the box, and caps
+        /// from far below the first reach to beyond the last.
+        #[test]
+        fn an_all_clear_block_means_nothing_lies_within_the_cap(
+            coords in prop::collection::vec((-50.0..50.0f64, -50.0..50.0f64), 1..200),
+            (ux, uy) in (-0.1..1.1f64, -0.1..1.1f64),
+            cells in 0.0..3.5f64,
+        ) {
+            let pts: Vec<Point<2>> = coords.into_iter().map(|(x, y)| Point::xy(x, y)).collect();
+            let tree = KdTree::build(&pts, &vec![1.0; pts.len()]);
+            let (lo, hi) = (tree.mbr().lo_coords(), tree.mbr().hi_coords());
+            let q = Point::xy(lo[0] + ux * (hi[0] - lo[0]), lo[1] + uy * (hi[1] - lo[1]));
+            let cap_sq = tree.occupancy.reach_sq[0] * cells * cells;
+            if tree.occupancy.rules_out(&q, cap_sq) {
+                prop_assert!(pts.iter().all(|p| p.dist_sq(&q) >= cap_sq));
+            }
+        }
     }
 
     #[test]

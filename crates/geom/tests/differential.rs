@@ -12,7 +12,9 @@
 //!   shape or traversal order;
 //! * `min_dist_sq_within`, the distance-only search the α-distance kernel
 //!   and the profile sweep chain, returns that candidate's distance bits
-//!   and `None` exactly when `nn_sq_within` does, at any cap;
+//!   and `None` exactly when `nn_sq_within` does, at any cap — the caps
+//!   and query points that straddle every threshold of the tree's
+//!   occupancy bitmap (the O(1) "no" in front of the descent) included;
 //! * `within_radius_filtered` returns exactly the indices at `d² ≤ r²`,
 //!   ascending;
 //! * `bichromatic_closest_pair_sq` returns the lexicographically smallest
@@ -365,6 +367,104 @@ fn distance_only_search_ignores_ties_and_empty_filters() {
         assert_eq!(flat.nn_sq_within(&q, f, f64::INFINITY), Some((first, 25.0)));
         assert_eq!(brute_nn(&pts, &mus, &q, f, f64::INFINITY), Some((first, 25.0)));
         assert_eq!(flat.min_dist_sq_within(&q, f, 25.0), None, "the cap is exclusive");
+    }
+}
+
+/// The occupancy bitmap against the oracle, for one cloud under all six
+/// filters. The grid is recomputed here from its documented geometry —
+/// `w` the smallest integer with `w^D ≥ 128·n` (at most 2 048), cell side
+/// `c_d = extent_d / w`, a dimension gridded when the three reach squares
+/// `(m·c_d·(1 − 1e-9))²` are normal numbers, `c_min` the smallest gridded
+/// side — so the query points sit in, on and around its cells and the caps
+/// straddle each reach threshold by one float either way.
+fn check_occupancy<const D: usize>(pts: &[Point<D>], mus: &[f64], tag: &str) {
+    let flat = KdTree::build(pts, mus);
+    let (lo, hi) = (*flat.mbr().lo_coords(), *flat.mbr().hi_coords());
+    let want_cells = 128 * pts.len() as u128;
+    let w = (1..2048usize).find(|&w| (w as u128).pow(D as u32) >= want_cells).unwrap_or(2048);
+    let reach_sq = |c: f64, m: usize| {
+        let r = m as f64 * c * (1.0 - 1e-9);
+        r * r
+    };
+    let gridded = |c: f64| (1..=3).all(|m| reach_sq(c, m).is_normal());
+    let side: [f64; D] = std::array::from_fn(|d| (hi[d] - lo[d]).max(0.0) / w as f64);
+    let c_min = side.iter().copied().filter(|&c| gridded(c)).fold(f64::INFINITY, f64::min);
+
+    // Where a dimension has no grid (or no finite box) step by 1 from 0.
+    let step: [f64; D] = std::array::from_fn(|d| if gridded(side[d]) { side[d] } else { 1.0 });
+    let low: [f64; D] = std::array::from_fn(|d| if lo[d].is_finite() { lo[d] } else { 0.0 });
+    let high: [f64; D] = std::array::from_fn(|d| if hi[d].is_finite() { hi[d] } else { 0.0 });
+    let from_low = |k: f64| Point::new(std::array::from_fn(|d| low[d] + k * step[d]));
+    let from_high = |k: f64| Point::new(std::array::from_fn(|d| high[d] + k * step[d]));
+    let mut rng = Mix(0x0CC ^ pts.len() as u64);
+    let mut queries: Vec<Point<D>> = Vec::new();
+    for _ in 0..4 {
+        // Inside the box.
+        queries.push(Point::new(std::array::from_fn(|d| low[d] + rng.f64() * (high[d] - low[d]))));
+    }
+    // Both corners, cell boundaries, half a cell outside, outside by one,
+    // two and three cells exactly, and far away.
+    for k in [0.0, 1.0, (w / 2) as f64, (w - 1) as f64, -0.5, -1.0, -2.0, -3.0, -1000.0] {
+        queries.push(from_low(k));
+    }
+    for k in [0.0, -1.0, 0.5, 1.0, 2.0, 3.0, 1e6] {
+        queries.push(from_high(k));
+    }
+    // Some of the cloud's own points, and points a fraction of a cell off.
+    for i in [0, pts.len() / 2, pts.len() - 1] {
+        if pts[i].is_finite() {
+            queries.push(pts[i]);
+            queries.push(Point::new(std::array::from_fn(|d| pts[i].coords()[d] + 0.3 * step[d])));
+        }
+    }
+
+    let mut caps = vec![f64::INFINITY, f64::NAN];
+    if c_min.is_finite() {
+        for m in 1..=3 {
+            let at = reach_sq(c_min, m);
+            caps.extend([f64::from_bits(at.to_bits() - 1), at, f64::from_bits(at.to_bits() + 1)]);
+        }
+    }
+    for f in FILTERS {
+        for q in &queries {
+            let mut caps = caps.clone();
+            if let Some((_, d2)) = brute_nn(pts, mus, q, f, f64::INFINITY) {
+                caps.extend([d2, f64::from_bits(d2.to_bits() + 1)]);
+            }
+            for cap in caps {
+                let got = flat.min_dist_sq_within(q, f, cap).map(f64::to_bits);
+                let want = brute_nn(pts, mus, q, f, cap).map(|(_, d2)| d2.to_bits());
+                assert_eq!(got, want, "{tag}: f={f:?} q={q:?} cap={cap:e} (c_min {c_min:e})");
+            }
+        }
+    }
+}
+
+#[test]
+fn occupancy_bitmap_never_changes_a_capped_search() {
+    for (si, &n) in SIZES.iter().enumerate() {
+        let seed = 600 + si as u64;
+        let (pts, mus) = cloud::<2>(seed, n, MuShape::Continuous, 0, 0);
+        check_occupancy(&pts, &mus, &format!("2d n={n}"));
+        let (pts, mus) = cloud::<3>(seed, n, MuShape::Quantized, 0, 0);
+        check_occupancy(&pts, &mus, &format!("3d n={n}"));
+        let (pts, mus) = cloud::<1>(seed, n, MuShape::Quantized, 0, 0);
+        check_occupancy(&pts, &mus, &format!("1d n={n}"));
+        let (pts, mus) = cloud::<2>(seed, n, MuShape::Quantized, 0, 2);
+        check_occupancy(&pts, &mus, &format!("dup n={n}"));
+        for nan_every in [2usize, 5] {
+            let (pts, mus) = cloud::<2>(seed, n, MuShape::Continuous, nan_every, 0);
+            check_occupancy(&pts, &mus, &format!("nan n={n} every={nan_every}"));
+        }
+
+        // One extent zero, every extent zero, every distance NaN.
+        let (flat_pts, mus) = cloud::<2>(seed, n, MuShape::Quantized, 0, 0);
+        let collinear: Vec<Point<2>> =
+            flat_pts.iter().map(|p| Point::xy(p.coords()[0], -3.5)).collect();
+        check_occupancy(&collinear, &mus, &format!("collinear n={n}"));
+        check_occupancy(&vec![Point::xy(4.25, -1.5); n], &mus, &format!("all-equal n={n}"));
+        let all_nan: Vec<Point<2>> = (0..n).map(|i| Point::xy(f64::NAN, i as f64)).collect();
+        check_occupancy(&all_nan, &mus, &format!("all-nan n={n}"));
     }
 }
 

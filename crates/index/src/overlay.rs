@@ -58,13 +58,15 @@ fn corrupt(reason: impl Into<String>) -> StoreError {
 ///
 /// Reads (`&self`, via [`NodeAccess`]) are thread-safe exactly like the
 /// base tree's; mutation takes `&mut self`. Clones share the base file
-/// handle (`Arc`) but copy the delta — which is what `fuzzy_query`'s
-/// epoch publisher relies on to hand frozen snapshots to readers.
+/// handle and the base's id set (`Arc`s) but copy the delta — which is
+/// what `fuzzy_query`'s epoch publisher relies on to hand frozen snapshots
+/// to readers.
 #[derive(Clone, Debug)]
 pub struct OverlayRTree<const D: usize> {
     base: Arc<PagedRTree<D>>,
-    /// Every object id stored in the base file (one leaf sweep at open).
-    base_ids: HashSet<u64>,
+    /// Every object id stored in the base file (one leaf sweep at open);
+    /// immutable for the file's lifetime, so clones share it.
+    base_ids: Arc<HashSet<u64>>,
     /// Summaries inserted since the last compaction, insertion order.
     inserted: Vec<ObjectSummary<D>>,
     /// Base ids deleted since the last compaction.
@@ -103,7 +105,26 @@ impl<const D: usize> OverlayRTree<D> {
     /// are inconsistent with the base (tombstones for unknown ids,
     /// inserts colliding with live ids).
     pub fn with_delta(base: Arc<PagedRTree<D>>, delta: DeltaLog<D>) -> Result<Self, StoreError> {
-        let base_ids = Self::sweep_base_ids(&base)?;
+        let base_ids = Arc::new(Self::sweep_base_ids(&base)?);
+        Self::replay(base, base_ids, delta)
+    }
+
+    /// This overlay's base under the sidecar as it is on disk *now*: the
+    /// open file, its warm buffer pool and its id set are shared, the
+    /// delta log is loaded afresh and held to [`OverlayRTree::with_delta`]'s
+    /// checks. What re-publishing an unchanged index file costs — the
+    /// caller establishes "unchanged" ([`PagedRTree::is_file_at`]).
+    pub fn reload_delta(&self) -> Result<Self, StoreError> {
+        let delta = DeltaLog::load(delta_path_for(self.base.path()))?;
+        Self::replay(Arc::clone(&self.base), Arc::clone(&self.base_ids), delta)
+    }
+
+    /// Replay `delta` over a base whose stored ids are `base_ids`.
+    fn replay(
+        base: Arc<PagedRTree<D>>,
+        base_ids: Arc<HashSet<u64>>,
+        delta: DeltaLog<D>,
+    ) -> Result<Self, StoreError> {
         let mut out = Self {
             base,
             base_ids,
@@ -739,6 +760,40 @@ mod tests {
             OverlayRTree::with_delta(Arc::clone(&base), bad).unwrap_err(),
             StoreError::Corrupt { .. }
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A clone (what every publish makes) and a sidecar reload share the
+    /// open base and its id set; the reload sees the sidecar as saved and
+    /// holds it to the same checks as a fresh open.
+    #[test]
+    fn clones_and_sidecar_reloads_share_the_base_and_its_ids() {
+        let path = tmp("reload");
+        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let base = Arc::new(PagedRTree::bulk_write(grid(60), cfg, &path, 4096).unwrap());
+        let served = OverlayRTree::new(base).unwrap();
+        let published = served.clone();
+        assert!(Arc::ptr_eq(&served.base, &published.base));
+        assert!(Arc::ptr_eq(&served.base_ids, &published.base_ids));
+
+        let mut writer: OverlayRTree<2> = OverlayRTree::open(&path).unwrap();
+        assert!(writer.delete(ObjectId(9)) && writer.insert(summary(700, 1.0, 1.0)));
+        writer.save_delta().unwrap();
+        let reloaded = served.reload_delta().unwrap();
+        assert!(Arc::ptr_eq(&served.base, &reloaded.base));
+        assert!(Arc::ptr_eq(&served.base_ids, &reloaded.base_ids));
+        assert!(!reloaded.contains_id(ObjectId(9)) && reloaded.contains_id(ObjectId(700)));
+        assert_eq!(NodeAccess::len(&reloaded), 60);
+        assert!(served.is_clean() && served.contains_id(ObjectId(9)), "the source is untouched");
+        let q = Point::xy(1.0, 1.0);
+        assert_eq!(knn_ids(&reloaded, q, 5), knn_ids(&writer, q, 5));
+
+        let stale = DeltaLog::<2> { inserted: vec![], tombstones: vec![999] };
+        stale.save(delta_path_for(&path)).unwrap();
+        assert!(matches!(served.reload_delta().unwrap_err(), StoreError::Corrupt { .. }));
+
+        std::fs::remove_file(delta_path_for(&path)).unwrap();
+        assert!(served.reload_delta().unwrap().is_clean(), "no sidecar is the empty delta");
         std::fs::remove_file(&path).unwrap();
     }
 

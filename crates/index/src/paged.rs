@@ -39,9 +39,9 @@ use fuzzy_geom::Mbr;
 use fuzzy_store::format::{fnv1a, Decoder, Encoder};
 use fuzzy_store::pagecache::{PageCache, PageCacheStats};
 use fuzzy_store::StoreError;
-use std::fs::File;
+use std::fs::{File, Metadata};
 use std::io::{BufWriter, Write};
-use std::os::unix::fs::FileExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 
 /// Index-file magic ("FuZzy Paged Tree").
@@ -75,6 +75,22 @@ pub const fn paged_header_len(d: usize) -> usize {
 
 fn corrupt(reason: impl Into<String>) -> StoreError {
     StoreError::Corrupt { reason: reason.into() }
+}
+
+/// Which file, and which state of it: device, inode, length, and the
+/// modification and status-change times in nanoseconds. A rename-replace
+/// changes the inode; any write or truncation changes the times.
+type FileStamp = (u64, u64, u64, i128, i128);
+
+fn file_stamp(meta: &Metadata) -> FileStamp {
+    let nanos = |secs: i64, nsec: i64| secs as i128 * 1_000_000_000 + nsec as i128;
+    (
+        meta.dev(),
+        meta.ino(),
+        meta.len(),
+        nanos(meta.mtime(), meta.mtime_nsec()),
+        nanos(meta.ctime(), meta.ctime_nsec()),
+    )
 }
 
 /// Per-entry cost of the columnar leaf block: id (u64), point count (u32)
@@ -260,6 +276,8 @@ fn decode_mbr<const D: usize>(d: &mut Decoder<'_>) -> Result<Mbr<D>, StoreError>
 pub struct PagedRTree<const D: usize> {
     file: File,
     path: PathBuf,
+    /// The file's [`FileStamp`] when it was opened, before any read.
+    opened_as: FileStamp,
     page_size: u32,
     page_offsets: Vec<u64>,
     root: NodeId,
@@ -410,7 +428,8 @@ impl<const D: usize> PagedRTree<D> {
     pub fn open_with_cache(path: impl AsRef<Path>, cache_pages: usize) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
-        let total = file.metadata()?.len();
+        let opened = file.metadata()?;
+        let (opened_as, total) = (file_stamp(&opened), opened.len());
         let header_len = paged_header_len(D);
         if total < (header_len + PAGED_TRAILER_LEN) as u64 {
             return Err(corrupt("file shorter than header + trailer"));
@@ -506,6 +525,7 @@ impl<const D: usize> PagedRTree<D> {
         Ok(Self {
             file,
             path,
+            opened_as,
             page_size,
             page_offsets,
             root: NodeId(root_page as u32),
@@ -561,6 +581,20 @@ impl<const D: usize> PagedRTree<D> {
     /// Path of the backing index file.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Does `path` still name the very file this tree opened, unmodified
+    /// since — same device and inode, and the length and modification /
+    /// status-change times recorded at open? Replacing the index by rename
+    /// (`fuzzy_store::write_atomic`, what compaction does) changes the
+    /// inode; rewriting it in place ([`PagedRTree::write_tree`] truncates
+    /// and keeps the inode) changes the times, and sometimes the length.
+    /// Both answer `false`, as does a path that cannot be read. The times
+    /// have the file system's granularity: a same-length rewrite finished
+    /// within one timestamp tick of this file's last write is not told
+    /// apart.
+    pub fn is_file_at(&self, path: impl AsRef<Path>) -> bool {
+        std::fs::metadata(path).is_ok_and(|named| file_stamp(&named) == self.opened_as)
     }
 
     /// Page size in bytes.

@@ -20,7 +20,8 @@
 //! The cost model: publishing clones the index once per *commit*, not per
 //! mutation — batch your writes with [`Versioned::write`]'s closure. For
 //! the in-memory `RTree` a clone is the arena `Vec`; for the paged
-//! overlay it is the (small) delta plus an `Arc` bump on the base file.
+//! overlay it is the (small) delta plus two `Arc` bumps — the open base
+//! file and the set of ids it stores, both immutable and shared.
 //!
 //! A reader is `QueryEngine::new(&versioned.snapshot(), &store)` — the
 //! `Arc` snapshot is an index like any other; a writer is

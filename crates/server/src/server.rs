@@ -39,7 +39,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,8 @@ use std::time::{Duration, Instant};
 /// The index backend a server answers from: the in-memory tree, a
 /// disk-resident paged tree with its overlay, or a metric tree. All are
 /// cheap enough to clone for [`Versioned`] snapshot publishing (arena
-/// `Vec` / a small delta plus an `Arc` bump on the base file).
+/// `Vec` / a small delta plus `Arc` bumps on the base file and its id
+/// set).
 #[derive(Clone, Debug)]
 pub enum ServeIndex {
     /// In-memory R-tree (bulk-loaded from the store's summaries).
@@ -670,7 +671,9 @@ fn classify(e: &QueryError) -> (ErrorCode, CounterKind) {
 
 /// Open the index a SWAP names. `:mem:` bulk-reloads from the store; a
 /// `.fzmt` file opens a metric tree (l2 only), anything else a paged
-/// tree. Mismatches the server can
+/// tree — unless it is the paged file already being served, unchanged,
+/// in which case only its sidecar is replayed over the open base (warm
+/// pool, shared id set). Mismatches the server can
 /// diagnose by *kind* — an approximate candidate index, or a metric tree
 /// built under a metric the wire does not serve — answer
 /// [`ErrorCode::IndexMismatch`]; every other failure is a plain
@@ -702,8 +705,29 @@ fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (Err
             Err(e) => return Err((ErrorCode::SwapFailed, e.to_string())),
         }
     }
-    ServeIndex::open(index_path, shared.cache_pages)
+    reopen(&shared.index.snapshot(), index_path, shared.cache_pages)
         .map_err(|e| (ErrorCode::SwapFailed, e.to_string()))
+}
+
+/// What a SWAP to `index_path` publishes while `served` is being served.
+/// A paged index asked to swap to its own base path, with that path still
+/// naming the file it opened, unmodified since, replays only the sidecar
+/// over the open base; a compacted index (a new inode), one rebuilt in
+/// place, another file or another backend pays the full open.
+fn reopen(
+    served: &ServeIndex,
+    index_path: &str,
+    cache_pages: usize,
+) -> Result<ServeIndex, StoreError> {
+    match served {
+        ServeIndex::Paged(overlay)
+            if overlay.base().path() == Path::new(index_path)
+                && overlay.base().is_file_at(index_path) =>
+        {
+            overlay.reload_delta().map(ServeIndex::Paged)
+        }
+        _ => ServeIndex::open(index_path, cache_pages),
+    }
 }
 
 /// Serialize and write one whole frame under the connection's writer
@@ -714,4 +738,87 @@ fn write_response(writer: &SharedWriter, request_id: u64, resp: &Response) {
     let mut guard = writer.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _ = guard.write_all(&bytes);
     let _ = guard.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
+    use fuzzy_geom::Point;
+    use fuzzy_index::{PagedRTree, DEFAULT_PAGE_SIZE};
+
+    fn summary(id: u64) -> ObjectSummary<WIRE_DIMS> {
+        let (x, y) = ((id % 8) as f64 * 2.0, (id / 8) as f64 * 2.0);
+        let object = FuzzyObject::new(
+            ObjectId(id),
+            vec![Point::xy(x, y), Point::xy(x + 0.5, y + 0.5)],
+            vec![1.0, 0.5],
+        )
+        .unwrap();
+        ObjectSummary::from_object(&object)
+    }
+
+    fn overlay_of(index: &ServeIndex) -> &OverlayRTree<WIRE_DIMS> {
+        match index {
+            ServeIndex::Paged(overlay) => overlay,
+            other => panic!("expected a paged index, got {other:?}"),
+        }
+    }
+
+    /// The SWAP fast path: the served file, unchanged, keeps its open base
+    /// (and with it the warm pool) and replays only the sidecar; a copy
+    /// under another path, a compacted file (a new inode under the same
+    /// path) and a file rebuilt in place (the same inode, new bytes) are
+    /// opened in full.
+    #[test]
+    fn a_swap_to_the_served_unchanged_file_shares_the_base_and_anything_else_reopens() {
+        let path =
+            std::env::temp_dir().join(format!("fuzzy-server-reopen-{}.fzpt", std::process::id()));
+        let name = path.to_str().unwrap();
+        let entries: Vec<_> = (0..40).map(summary).collect();
+        PagedRTree::bulk_write(entries, RTreeConfig::default(), &path, DEFAULT_PAGE_SIZE).unwrap();
+        let served = ServeIndex::open_paged(name, 8).unwrap();
+
+        // A writer with an overlay of its own leaves a sidecar behind.
+        let mut writer: OverlayRTree<WIRE_DIMS> = OverlayRTree::open(&path).unwrap();
+        assert!(writer.delete(ObjectId(3)) && writer.delete(ObjectId(4)));
+        assert!(writer.insert(summary(900)));
+        writer.save_delta().unwrap();
+
+        let again = reopen(&served, name, 8).unwrap();
+        assert!(std::ptr::eq(overlay_of(&served).base(), overlay_of(&again).base()));
+        assert_eq!(again.object_count(), 39);
+        assert_eq!(served.object_count(), 40, "the served snapshot is untouched");
+
+        let copy = path.with_extension("copy.fzpt");
+        std::fs::copy(&path, &copy).unwrap();
+        let other = reopen(&again, copy.to_str().unwrap(), 8).unwrap();
+        assert!(!std::ptr::eq(overlay_of(&again).base(), overlay_of(&other).base()));
+        assert_eq!(other.object_count(), 40, "the copy has no sidecar");
+
+        writer.compact(DEFAULT_PAGE_SIZE).unwrap();
+        assert!(!overlay_of(&again).base().is_file_at(&path), "compaction renames a new file in");
+        let compacted = reopen(&again, name, 8).unwrap();
+        assert!(!std::ptr::eq(overlay_of(&again).base(), overlay_of(&compacted).base()));
+        assert!(overlay_of(&compacted).is_clean());
+        assert_eq!(compacted.object_count(), 39);
+
+        // `fkq build-index` rewrites in place: the same inode and, a page
+        // being a page, the same length — only the times tell. (The pause
+        // outlasts the tick of a file system with coarse timestamps.)
+        let length = std::fs::metadata(&path).unwrap().len();
+        std::thread::sleep(Duration::from_millis(50));
+        let entries: Vec<_> = (100..139).map(summary).collect();
+        PagedRTree::bulk_write(entries, RTreeConfig::default(), &path, DEFAULT_PAGE_SIZE).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), length);
+        assert!(!overlay_of(&compacted).base().is_file_at(&path), "rewritten under the open fd");
+        let rebuilt = reopen(&compacted, name, 8).unwrap();
+        assert!(!std::ptr::eq(overlay_of(&compacted).base(), overlay_of(&rebuilt).base()));
+        let mut probe = overlay_of(&rebuilt).clone();
+        assert!(probe.delete(ObjectId(138)), "the rebuilt file's ids are live");
+        assert!(!probe.delete(ObjectId(5)), "the old file's ids are not carried over");
+
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&copy).unwrap();
+    }
 }

@@ -291,6 +291,123 @@ fn paged_swap_mid_run_is_byte_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A SWAP to the path being served replays only the sidecar over the open
+/// base — and must see exactly what a full open would: a tombstoned id is
+/// gone, an inserted one answers, a sidecar that tombstones an id the file
+/// does not store is the typed `SWAP_FAILED` with the live index
+/// untouched. A compacted file (a new inode under the same path), a file
+/// rebuilt in place (the same inode, new bytes) and a copy under another
+/// path take the full open and answer from what is on disk.
+#[test]
+fn a_sidecar_only_swap_sees_the_new_delta_and_full_reopens_still_work() {
+    use fuzzy_index::{delta_path_for, OverlayRTree, PagedRTree};
+    use fuzzy_store::overlay::DeltaLog;
+
+    let (path, store) = store_file("sidecar-swap", 60);
+    // Ids 50.. are held out of the index for the writer to insert.
+    let summaries = store.summaries().to_vec();
+    let index_file = path.with_extension("served.fzpt");
+    let target = index_file.display().to_string();
+    PagedRTree::bulk_write(
+        summaries[..50].to_vec(),
+        fuzzy_index::RTreeConfig::default(),
+        &index_file,
+        fuzzy_index::DEFAULT_PAGE_SIZE,
+    )
+    .unwrap();
+
+    let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let index = ServeIndex::open(&target, 8).unwrap();
+    let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    // Is `id` its own nearest neighbour (distance 0), i.e. live?
+    let answers = |client: &mut Client, id: u64| {
+        let query = aknn_request(id, 3, 0.5, fuzzy_server::WireVariant::LbLpUb);
+        match client.call(&query).unwrap() {
+            Response::Aknn { neighbors, .. } => neighbors.iter().any(|n| n.id == ObjectId(id)),
+            other => panic!("AKNN {id}: {other:?}"),
+        }
+    };
+    let swap = |client: &mut Client, to: &str| {
+        client.call(&Request::Swap { index_path: to.to_string() }).unwrap()
+    };
+    assert!(answers(&mut client, 7) && !answers(&mut client, 55));
+
+    // The writer's own overlay: one delete, one insert, saved beside the index.
+    let mut writer: OverlayRTree<2> = OverlayRTree::open(&index_file).unwrap();
+    assert!(writer.delete(ObjectId(7)) && writer.insert(summaries[55]));
+    writer.save_delta().unwrap();
+    match swap(&mut client, &target) {
+        Response::Swapped { epoch, objects } => assert_eq!((epoch, objects), (1, 50)),
+        other => panic!("sidecar-only SWAP: {other:?}"),
+    }
+    assert!(!answers(&mut client, 7) && answers(&mut client, 55));
+
+    // A sidecar that does not belong to this base is refused, typed, and
+    // the epoch-1 index keeps answering.
+    DeltaLog::<2> { inserted: vec![], tombstones: vec![9_999] }
+        .save(delta_path_for(&index_file))
+        .unwrap();
+    match swap(&mut client, &target) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::SwapFailed);
+            assert!(message.contains("9999"), "message {message:?} must name the id");
+        }
+        other => panic!("a stale sidecar must be refused: {other:?}"),
+    }
+    match client.call(&Request::Info).unwrap() {
+        Response::Info { objects, epoch, .. } => assert_eq!((objects, epoch), (50, 1)),
+        other => panic!("INFO: {other:?}"),
+    }
+    assert!(!answers(&mut client, 7) && answers(&mut client, 55));
+
+    // Compaction renames a new file over the path: the full open, clean.
+    assert!(writer.insert(summaries[56]));
+    writer.compact(fuzzy_index::DEFAULT_PAGE_SIZE).unwrap();
+    match swap(&mut client, &target) {
+        Response::Swapped { epoch, objects } => assert_eq!((epoch, objects), (2, 51)),
+        other => panic!("SWAP after compaction: {other:?}"),
+    }
+    assert!(!answers(&mut client, 7) && answers(&mut client, 55) && answers(&mut client, 56));
+
+    // `fkq build-index` rebuilds in place: the same inode and length, new
+    // bytes under the open descriptor — the times tell, the full open. (The
+    // pause outlasts the tick of a file system with coarse timestamps.)
+    std::thread::sleep(Duration::from_millis(50));
+    PagedRTree::bulk_write(
+        summaries[10..].to_vec(),
+        fuzzy_index::RTreeConfig::default(),
+        &index_file,
+        fuzzy_index::DEFAULT_PAGE_SIZE,
+    )
+    .unwrap();
+    match swap(&mut client, &target) {
+        Response::Swapped { epoch, objects } => assert_eq!((epoch, objects), (3, 50)),
+        other => panic!("SWAP after an in-place rebuild: {other:?}"),
+    }
+    assert!(!answers(&mut client, 3) && answers(&mut client, 12) && answers(&mut client, 58));
+
+    // The same bytes under another path: another file, the full open.
+    let copy = path.with_extension("copy.fzpt");
+    std::fs::copy(&index_file, &copy).unwrap();
+    match swap(&mut client, &copy.display().to_string()) {
+        Response::Swapped { epoch, objects } => assert_eq!((epoch, objects), (4, 50)),
+        other => panic!("SWAP to a copy: {other:?}"),
+    }
+    assert!(!answers(&mut client, 3) && answers(&mut client, 58));
+
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats { swaps, errors, .. } => assert_eq!((swaps, errors), (4, 1)),
+        other => panic!("STATS: {other:?}"),
+    }
+    handle.stop();
+    for file in [&index_file, &copy, &path] {
+        std::fs::remove_file(file).ok();
+    }
+}
+
 /// A path that names one of the two deleted index layouts — a `.fzsm`
 /// shard manifest, a `.fzlh` hash-table file — is no index at all: a SWAP
 /// to it fails as any non-index file does, typed `SWAP_FAILED`, whether
