@@ -28,6 +28,64 @@
 //! window starts from that; the candidates only step 2 found, and every
 //! object in Basic (whose AKNN calls run at other thresholds), pass `None`
 //! and the window evaluates it once itself.
+//!
+//! # Which candidates get a profile: the settle step
+//!
+//! A profile is the expensive part of an RSS query, and most candidates do
+//! not need one. Lemma 3, which the range scan applies to lower bounds,
+//! decides more once it is applied to exact distances. Write `r = d_k(αe)`
+//! for step 1's radius, call step 1's `k` results the *neighbours* and the
+//! range candidates it did not return the *outsiders*. Before anything is
+//! profiled:
+//!
+//! 1. every outsider is probed (each candidate is still read exactly once)
+//!    and asked one bounded kernel question,
+//!    `alpha_distance_sq_bounded(obj, q, αs, r_sq)` with the range scan's
+//!    own inflated `r_sq`: `None` — no pair strictly within `r_sq` at `αs` —
+//!    **drops** it; `Some(l_sq)` keeps it and feeds `l_min_sq`, the smallest
+//!    kept `d²_αs`;
+//! 2. a neighbour whose exact distance at `αe` satisfies
+//!    `sqrt(u_sq) < sqrt(l_min_sq)` is **settled**: its answer is the whole
+//!    `[αs, αe]`;
+//! 3. only the unsettled neighbours and the kept outsiders get windows, and
+//!    the refinement runs over them with `k − settled` slots — or not at
+//!    all when no slot is open.
+//!
+//! **Why this is exact.** Every comparison the refinement makes is between
+//! `sqrt`s of pair minima, and on the window a profile's values lie between
+//! `sqrt(d²_αs)` and `sqrt(d²_αe)` (`d_α` only grows with `α`; `sqrt` is
+//! monotone, so these are bounds on the *rounded* values compared). A
+//! dropped outsider has `sqrt(d²_αs) ≥ sqrt(r_sq) > r` (the guard below):
+//! strictly beyond all `k` neighbours at every level, it is never a member,
+//! and the `(k+1)`-th distance it could have supplied is one `refine_icr`
+//! already clamps to `r`. A settled neighbour is, at every level, strictly
+//! closer than every kept outsider (`≤ sqrt(u_sq) < sqrt(l_min_sq) ≤` theirs),
+//! every dropped one and every non-candidate (`≤ r <` theirs), so only the
+//! other `k − 1` neighbours can precede it, whatever the id tie-break: it is
+//! always a member. The kNN set at a level is therefore "the settled, plus
+//! the top `k − settled` of the rest", and taking the settled out changes
+//! neither the rest's distances nor their relative (distance, id) order —
+//! the profiles stay sorted by id, a slot's index still is the tie-break.
+//! [`IntervalSet`] is canonical, so the one `[αs, αe]` pushed for a settled
+//! neighbour equals the union the stepping would have built interval by
+//! interval.
+//!
+//! **The tie guard.** "Not strictly within `r_sq`" means "strictly beyond
+//! `r`" only if `r_sq.sqrt() > r` holds as `f64`s. It does not at `r = 0`
+//! (everything that touches the query ties at 0, and ids decide), at
+//! `r = ∞` (fewer than `k` objects) and when `r²` is subnormal and the
+//! inflation is rounded away; then nothing is dropped, nothing settles and
+//! every candidate is profiled. Both rules are strict: an outsider *at*
+//! `r`, or one whose `d_αs` *equals* a neighbour's `d_αe`, may win a slot on
+//! the id tie-break and keeps the neighbour unsettled.
+//!
+//! **Counters.** `distance_evals` counts step 1's evaluations plus one per
+//! outsider (none when the guard fails); `profile_computations` counts the
+//! windows actually built — at most `candidates`, and 0 when every
+//! neighbour settles. `object_accesses` and `candidates` are what they
+//! were: every candidate is read once. How many candidates settle is a
+//! property of the data — how far `d_α` moves across the window against the
+//! spacing of the neighbours — not of the algorithm.
 
 use crate::aknn::{check_deadline, AknnConfig, QueryScratch};
 use crate::engine::SearchBackend;
@@ -42,6 +100,7 @@ use fuzzy_geom::Mbr;
 use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One tree's share of the Lemma-3 range scan (Algorithm 4, step 2).
@@ -102,10 +161,12 @@ impl RknnAlgorithm {
     }
 }
 
-/// Profile cache: one α-distance profile per (object, query) pair per
-/// query execution, each computed on the query's window `[αs, αe]` — the
-/// only part of a staircase the refinement loops read (they start at `αs`
-/// and clamp every level to `αe`).
+/// Basic's profile cache: its AKNN calls return the same objects step
+/// after step, so one α-distance profile per (object, query) pair per query
+/// execution, each computed on the query's window `[αs, αe]` — the only
+/// part of a staircase the stepping reads (it starts at `αs` and clamps
+/// every level to `αe`). RSS meets each candidate once and keeps a plain
+/// id-sorted vector instead.
 struct ProfileCache<const D: usize> {
     map: HashMap<ObjectId, DistanceProfile>,
     computations: u64,
@@ -299,46 +360,86 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 
     candidate_ids.sort_unstable();
     stats.candidates = candidate_ids.len() as u64;
-    let has_non_candidates = candidate_ids.len() < store.len();
+    let mut neighbors = out_end.neighbors;
+    neighbors.sort_unstable_by_key(|n| n.id);
+    debug_assert!(
+        neighbors.iter().all(|n| candidate_ids.binary_search(&n.id).is_ok()),
+        "a step-1 neighbour lies within r, so the range scan must return it"
+    );
 
-    // One profile per candidate, no object read twice and no distance
-    // evaluated twice: step 1 already holds its neighbours decoded *and*
-    // their exact squared distance at α_e — the top of the window — so
-    // their profiles come first and start from it (each object is dropped
-    // as soon as its profile exists); only the remaining candidates are
-    // probed, and only their windows open with a kernel call.
-    let mut cache: ProfileCache<D> = ProfileCache::new(alpha_start, alpha_end);
-    for n in out_end.neighbors {
-        if let (Some(obj), Ok(_)) = (n.object, candidate_ids.binary_search(&n.id)) {
-            cache.get_or_compute(metric, &obj, q, n.dist_sq);
-        }
-    }
+    // Step 3a — settle (module docs). The tie guard: `r_sq` must round-trip
+    // to strictly more than `r`, or "not below r_sq" would not mean "beyond
+    // r". At r = 0, r = ∞ and on underflow nothing is dropped or settled.
+    let can_settle = r_sq.sqrt() > r;
+
+    // The outsiders — candidates step 1 did not return — are the only
+    // objects left to read. Each is probed once and asked one bounded
+    // question: is d_αs strictly within the radius at all?
+    let mut outsiders: Vec<(ObjectId, Arc<FuzzyObject<D>>)> = Vec::new();
+    let mut dropped = false;
+    let mut l_min_sq = f64::INFINITY;
     for &id in &candidate_ids {
-        if !cache.map.contains_key(&id) {
-            check_deadline(cfg.deadline)?;
-            let probe = store.probe_traced(id)?;
-            stats.object_accesses += probe.disk_read as u64;
-            cache.get_or_compute(metric, &probe.object, q, None);
+        if neighbors.binary_search_by_key(&id, |n| n.id).is_ok() {
+            continue;
+        }
+        check_deadline(cfg.deadline)?;
+        let probe = store.probe_traced(id)?;
+        stats.object_accesses += probe.disk_read as u64;
+        if can_settle {
+            stats.distance_evals += 1;
+            match metric.alpha_distance_sq_bounded(&probe.object, q, t_start, r_sq) {
+                Some(l_sq) => l_min_sq = l_min_sq.min(l_sq),
+                None => {
+                    dropped = true;
+                    continue;
+                }
+            }
+        }
+        outsiders.push((id, probe.object));
+    }
+
+    // A neighbour whose distance at α_e is strictly below every kept
+    // outsider's at α_s never leaves the kNN set: its answer is the window.
+    let l_min = l_min_sq.sqrt();
+    let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
+    let mut profiles: Vec<(ObjectId, DistanceProfile)> = Vec::new();
+    let window = |obj: &FuzzyObject<D>, top_sq| {
+        metric.distance_profile_window(obj, q, alpha_start, alpha_end, top_sq)
+    };
+    for n in neighbors {
+        if can_settle && n.dist_sq.is_some_and(|u_sq| u_sq.sqrt() < l_min) {
+            acc.insert(n.id, IntervalSet::from_interval(Interval::closed(alpha_start, alpha_end)));
+        } else {
+            // Step 1 holds the neighbour decoded *and* its exact squared
+            // distance at α_e — the top of the window.
+            let obj = n.object.expect("force_exact probes every neighbour");
+            profiles.push((n.id, window(&obj, n.dist_sq)));
         }
     }
-    // Ascending in id, so the refinement loops index it instead of hashing.
-    let profiles: Vec<(ObjectId, &DistanceProfile)> =
-        candidate_ids.iter().map(|&id| (id, &cache.map[&id])).collect();
 
-    // Step 3 — in-memory refinement over the candidate profiles.
-    let acc = if improved_refinement {
-        refine_icr(&profiles, k, alpha_start, alpha_end, r, has_non_candidates, cfg)?
-    } else {
-        refine_basic(&profiles, k, alpha_start, alpha_end, cfg)?
-    };
-    stats.profile_computations += cache.computations;
+    // Step 3b — in-memory refinement of the `k − settled` open slots over
+    // the unsettled neighbours and the kept outsiders. With no slot open
+    // there is nothing to decide and no outsider is profiled at all.
+    let slots = k - acc.len();
+    if slots > 0 {
+        profiles.extend(outsiders.into_iter().map(|(id, obj)| (id, window(&obj, None))));
+        // Ascending in id: a slot's index is the refinement's id tie-break.
+        profiles.sort_unstable_by_key(|&(id, _)| id);
+        stats.profile_computations += profiles.len() as u64;
+        let has_non_candidates = dropped || candidate_ids.len() < store.len();
+        acc.extend(if improved_refinement {
+            refine_icr(&profiles, slots, alpha_start, alpha_end, r, has_non_candidates, cfg)?
+        } else {
+            refine_basic(&profiles, slots, alpha_start, alpha_end, cfg)?
+        });
+    }
     Ok(collect(acc))
 }
 
 /// Basic refinement (the inner loop of Algorithm 3 restricted to the
 /// candidate set): advance one critical probability at a time.
 fn refine_basic(
-    profiles: &[(ObjectId, &DistanceProfile)],
+    profiles: &[(ObjectId, DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
@@ -384,12 +485,13 @@ fn refine_basic(
 /// distance stays below the (k+1)-th distance `d_{k+1}`; record the whole
 /// safe range at once and jump to the earliest safe-range end.
 ///
-/// When objects outside the candidate set exist, `d_{k+1}` is clamped to
-/// the pruning radius `r`: every non-candidate keeps a distance > r
-/// throughout the range, so `min(d̂_{k+1}, r)` is a sound (conservative)
-/// stand-in for the true global (k+1)-th distance.
+/// When objects outside `profiles` exist — non-candidates, or outsiders the
+/// settle step dropped — `d_{k+1}` is clamped to the pruning radius `r`:
+/// each of them keeps a distance > r throughout the range, so
+/// `min(d̂_{k+1}, r)` is a sound (conservative) stand-in for the true global
+/// (k+1)-th distance.
 fn refine_icr(
-    profiles: &[(ObjectId, &DistanceProfile)],
+    profiles: &[(ObjectId, DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
@@ -421,7 +523,7 @@ fn refine_icr(
         }
         let mut alpha_star = f64::INFINITY;
         for &(d, slot) in nn {
-            let (id, prof) = profiles[slot];
+            let (id, prof) = &profiles[slot];
             // Safe range end: the farthest critical value with distance
             // still below d_{k+1}; fall back to the plain Lemma 2 step when
             // the bound is degenerate (ties).
@@ -430,7 +532,7 @@ fn refine_icr(
                 _ => prof.next_critical(t).unwrap_or(1.0),
             };
             let iv = Interval::new(t.value, !t.strict, beta.min(alpha_end), true);
-            acc.entry(id).or_default().push(iv);
+            acc.entry(*id).or_default().push(iv);
             alpha_star = alpha_star.min(beta);
         }
         if alpha_star >= alpha_end {

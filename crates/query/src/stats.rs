@@ -17,9 +17,14 @@ pub struct QueryStats {
     /// shared `CachedStore`'s hit/miss split, this depends on how
     /// concurrent queries interleave on the shared pool.
     pub node_disk_reads: u64,
-    /// Exact α-distance evaluations (dual-tree closest pair runs).
+    /// Exact α-distance evaluations (dual-tree closest pair runs): one per
+    /// object an AKNN search probes, plus — in RSS / RSS-ICR — one bounded
+    /// call at `αs` per range candidate step 1 did not return (the settle
+    /// step of [`crate::rknn`]).
     pub distance_evals: u64,
-    /// Distance-profile computations (RKNN refinement).
+    /// Distance-profile computations (RKNN refinement). In RSS / RSS-ICR at
+    /// most `candidates`: a step-1 neighbour that can never leave the kNN
+    /// set and a candidate that can never enter it get none.
     pub profile_computations: u64,
     /// Lower/upper bound evaluations (cheap, CPU only).
     pub bound_evals: u64,

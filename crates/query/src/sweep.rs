@@ -20,12 +20,11 @@ pub struct ProfiledCandidate<'a> {
     pub profile: &'a DistanceProfile,
 }
 
-/// Exact sweep: returns each object that is a kNN member somewhere in
-/// `[alpha_start, alpha_end]`, with its qualifying range. `floor_count`
-/// is the number of objects *not* in `candidates` that are known to be
-/// farther than every candidate throughout the range (they can never push
-/// a candidate out of the kNN set, but they do occupy no slots — the
-/// caller guarantees candidates is a superset of all possible members).
+/// Exact sweep: returns each of `candidates` that is among the `k` nearest
+/// somewhere in `[alpha_start, alpha_end]`, with its qualifying range, in
+/// ascending id order. Ranking is by (distance, id) among `candidates`
+/// alone, so the caller passes a superset of every possible member: an
+/// object left out is treated as farther than all of them at every level.
 pub fn exact_sweep(
     candidates: &[ProfiledCandidate<'_>],
     k: usize,

@@ -4,16 +4,20 @@
 //! and ranges.
 
 use fuzzy_core::distance::{alpha_distance_brute, alpha_distance_sq_bounded};
-use fuzzy_core::metric::{GraphMetric, Metric, L2};
-use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
+use fuzzy_core::metric::{GraphMetric, L2};
+use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
-use fuzzy_geom::{Mbr, Point};
+use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig};
 use fuzzy_query::{
-    AknnConfig, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm, RknnResult,
+    AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm,
+    RknnResult,
 };
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
+
+mod common;
+use common::{settle_calls, KernelCall, RecordingL2, Settle, Window};
 
 struct Rng(u64);
 impl Rng {
@@ -296,11 +300,93 @@ impl ObjectStore<2> for CountingStore {
     }
 }
 
+/// What the settle step may do, recomputed from unseeded kernel calls and
+/// held against what the recording metric saw: exactly one kernel call at
+/// `(αs, r_sq)` per outsider and none per step-1 neighbour, `None` exactly
+/// for the outsiders not strictly within `r_sq`; one window per unsettled
+/// neighbour (its top the kernel's bits at `αe`) and per kept outsider (top
+/// `None`), none for a settled or a dropped id, and none at all when every
+/// neighbour settles; `distance_evals` and `profile_computations` count
+/// those calls. `step1` is the exact AKNN at `hi` the query starts with.
+fn assert_settle_accounting(
+    store: &MemStore<2>,
+    q: &FuzzyObject<2>,
+    (k, lo, hi): (usize, f64, f64),
+    step1: &AknnResult,
+    res: &RknnResult,
+    (kernel, windows): &(Vec<KernelCall>, Vec<Window>),
+    what: &str,
+) -> Settle {
+    let exact_sq = |id: ObjectId, alpha: f64| {
+        let obj = store.probe(id).unwrap();
+        alpha_distance_sq_bounded(&obj, q, Threshold::at(alpha), f64::INFINITY).unwrap()
+    };
+    let neighbors = step1.ids();
+    assert_eq!(neighbors.len(), k, "{what}");
+    let r = step1.neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max);
+    let r_sq = r * r * (1.0 + 4.0 * f64::EPSILON);
+    let settle = Settle::of(kernel, windows, lo, &neighbors);
+
+    let mut distinct = settle.outsiders.clone();
+    distinct.dedup();
+    assert_eq!(distinct, settle.outsiders, "{what}: an outsider was asked twice");
+    assert_eq!(settle.outsiders.len() as u64, res.stats.candidates - k as u64, "{what}");
+    let mut l_min = f64::INFINITY;
+    for call in settle_calls(kernel, lo) {
+        let &(id, _, seed_sq, got) = call;
+        assert!(!neighbors.contains(&id), "{what}: neighbour {id} was asked again");
+        assert_eq!(seed_sq.to_bits(), r_sq.to_bits(), "{what}: {id} was not seeded with r_sq");
+        let d_sq = exact_sq(id, lo);
+        let want = (d_sq < r_sq).then_some(d_sq);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {id}");
+        if want.is_some() {
+            l_min = l_min.min(d_sq.sqrt());
+        }
+    }
+
+    let mut want: Vec<(ObjectId, Option<u64>)> = neighbors
+        .iter()
+        .map(|&id| (id, exact_sq(id, hi)))
+        .filter(|&(_, top_sq)| top_sq.sqrt() >= l_min)
+        .map(|(id, top_sq)| (id, Some(top_sq.to_bits())))
+        .collect();
+    if !want.is_empty() {
+        let kept = settle.outsiders.iter().filter(|id| !settle.dropped.contains(id));
+        want.extend(kept.map(|&id| (id, None)));
+    }
+    want.sort_unstable();
+    let mut got: Vec<(ObjectId, Option<u64>)> = windows
+        .iter()
+        .map(|&(id, w_lo, w_hi, top_sq)| {
+            assert_eq!((w_lo, w_hi), (lo, hi), "{what}: {id}");
+            (id, top_sq.map(f64::to_bits))
+        })
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "{what}: who got a window, and with which top");
+
+    assert_eq!(res.stats.profile_computations, windows.len() as u64, "{what}");
+    assert!(res.stats.profile_computations <= res.stats.candidates, "{what}");
+    assert_eq!(
+        res.stats.distance_evals,
+        step1.stats.distance_evals + settle.outsiders.len() as u64,
+        "{what}"
+    );
+    settle
+}
+
 /// RSS / RSS-ICR read each object at most once per query: step 1's
-/// neighbours are profiled from the objects its AKNN already decoded, so
-/// only the remaining range candidates are probed.
+/// neighbours are settled or profiled from the objects its AKNN already
+/// decoded, so only the remaining range candidates — the outsiders — are
+/// probed, each exactly once whether it is then dropped, kept or never
+/// profiled because every neighbour settled. (Step 1 returns the objects of
+/// its final neighbours only; one it probed and rejected is read again as
+/// an outsider, which the first window — the pinned one — does not meet.)
 #[test]
 fn rss_probes_no_object_twice() {
+    // Seen at least once: an outsider dropped, neighbours settled beside
+    // profiled ones, and every neighbour settled (no window at all).
+    let mut seen = [false; 3];
     for seed in [31u64, 77] {
         let (inner, q) = dataset(seed, 300, 25);
         let store = CountingStore { inner, probed: Mutex::new(Vec::new()) };
@@ -310,36 +396,59 @@ fn rss_probes_no_object_twice() {
         );
         let engine = QueryEngine::new(&tree, &store);
         let cfg = AknnConfig::lb_lp_ub();
-        let (k, lo, hi) = (6usize, 0.3, 0.7);
-        let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
-        let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
+        let metric = RecordingL2::default();
+        let mut scratch = QueryScratch::new();
+        let k = 6usize;
+        for (lo, hi) in [(0.3, 0.7), (0.2, 0.5), (0.6, 0.9)] {
+            let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
+            let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
 
-        for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
-            store.probed.lock().unwrap().clear();
-            let res = engine.rknn(&q, k, lo, hi, algo, &cfg).unwrap();
-            let mut probed = std::mem::take(&mut *store.probed.lock().unwrap());
-            let what = algo.name();
+            for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+                store.probed.lock().unwrap().clear();
+                metric.take();
+                let res = engine
+                    .rknn_with_scratch_in(&metric, &q, k, lo, hi, algo, &cfg, &mut scratch)
+                    .unwrap();
+                let mut probed = std::mem::take(&mut *store.probed.lock().unwrap());
+                let log = metric.take();
+                let what = format!("seed {seed} k {k} [{lo}, {hi}] {}", algo.name());
 
-            let reads = probed.len() as u64;
-            probed.sort_unstable();
-            probed.dedup();
-            assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
-            assert_eq!(res.stats.object_accesses, reads, "{what}");
+                let reads = probed.len() as u64;
+                probed.sort_unstable();
+                probed.dedup();
+                if (lo, hi) == (0.3, 0.7) {
+                    assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
+                }
+                assert_eq!(res.stats.object_accesses, reads, "{what}");
 
-            // Every step-1 neighbour lies within r of q, so the range scan
-            // returns it and its decoded object is reused.
-            let in_hand = step1.neighbors.len() as u64;
-            assert_eq!(in_hand, k as u64);
-            assert!(res.stats.candidates > in_hand, "{what}: candidate set too small to tell");
-            assert_eq!(
-                res.stats.object_accesses,
-                step1.stats.object_accesses + res.stats.candidates - in_hand,
-                "{what}"
-            );
-            assert_eq!(res.stats.profile_computations, res.stats.candidates, "{what}");
-            assert!(res.approx_eq(&naive, 1e-9), "{what}");
+                // Every step-1 neighbour lies within r of q, so the range scan
+                // returns it and its decoded object is reused.
+                let in_hand = step1.neighbors.len() as u64;
+                assert_eq!(
+                    res.stats.object_accesses,
+                    step1.stats.object_accesses + res.stats.candidates - in_hand,
+                    "{what}"
+                );
+                let settle = assert_settle_accounting(
+                    &store.inner,
+                    &q,
+                    (k, lo, hi),
+                    &step1,
+                    &res,
+                    &log,
+                    &what,
+                );
+                for id in &settle.outsiders {
+                    assert!(probed.binary_search(id).is_ok(), "{what}: {id} was never read");
+                }
+                seen[0] |= !settle.dropped.is_empty();
+                seen[1] |= !settle.settled.is_empty() && !settle.profiled.is_empty();
+                seen[2] |= settle.profiled.is_empty() && !settle.dropped.is_empty();
+                assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{what}");
+            }
         }
     }
+    assert_eq!(seen, [true; 3], "a path of the settle step was never taken: pick other queries");
 }
 
 /// An RKNN answer down to the bits of every interval endpoint.
@@ -383,16 +492,49 @@ fn window_ranges(q: &FuzzyObject<2>) -> [(f64, f64); 4] {
     [(0.3, 0.7), (0.5, 0.5), (0.6, 1.0), (levels[levels.len() / 3], levels[2 * levels.len() / 3])]
 }
 
+/// The two columns of [`counters`] RSS's settle step moves: it adds one
+/// bounded kernel call per outsider to `distance_evals` and takes the
+/// settled neighbours' and dropped outsiders' windows — or all of them — off
+/// `profile_computations`. Every other counter is the parent's.
+const SETTLE_COLUMNS: [usize; 2] = [2, 3];
+
+/// `rows` against the rows the commit before the settle step produced:
+/// equal outside [`SETTLE_COLUMNS`] for RSS and RSS-ICR, equal everywhere
+/// for every other algorithm.
+fn assert_only_settle_columns_moved(
+    what: &str,
+    algos: &[RknnAlgorithm],
+    rows: &[[u64; 7]],
+    parent: &[[u64; 7]],
+) {
+    assert_eq!(rows.len(), parent.len());
+    for (i, (row, old)) in rows.iter().zip(parent).enumerate() {
+        let algo = algos[i % algos.len()];
+        let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
+        for col in 0..7 {
+            if !(rss && SETTLE_COLUMNS.contains(&col)) {
+                assert_eq!(row[col], old[col], "{what} row {i} ({}) column {col}", algo.name());
+            }
+        }
+        if rss {
+            assert!(row[3] <= row[6], "{what} row {i}: more profiles than candidates");
+            assert!(row[2] >= old[2], "{what} row {i}: settle calls only add evaluations");
+        }
+    }
+}
+
 /// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
 /// profiles — item for item, interval bit for interval bit — with every
 /// candidate carrying a kd-tree of its own (a `MemStore` hands out the
 /// objects it holds), and their logical counters, summed over the queries
-/// per (range, algorithm), against the rows the commit before the window
-/// produced with this same code.
+/// per (range, algorithm), against the pinned rows; those against the rows
+/// the commit before the settle step produced with this same code, which
+/// may differ in [`SETTLE_COLUMNS`] of the RSS rows and nowhere else.
 fn windowed_algorithms_equal_naive(
     what: &str,
     objects: Vec<FuzzyObject<2>>,
     parent_counters: &[[u64; 7]; 12],
+    pinned_counters: &[[u64; 7]; 12],
 ) {
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
@@ -425,7 +567,13 @@ fn windowed_algorithms_equal_naive(
             rows.push(sum);
         }
     }
-    assert_eq!(rows, parent_counters, "{what}: counters moved");
+    assert_eq!(rows, pinned_counters, "{what}: counters moved");
+    assert_only_settle_columns_moved(
+        what,
+        &RknnAlgorithm::paper_variants(),
+        pinned_counters,
+        parent_counters,
+    );
 }
 
 #[test]
@@ -452,7 +600,21 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [28, 36, 18, 25, 117, 3, 25],
         [28, 36, 18, 25, 117, 3, 25],
     ];
-    windowed_algorithms_equal_naive("synthetic", data.generate().collect(), &parent);
+    let pinned = [
+        [76, 68, 76, 16, 343, 12, 0],
+        [25, 33, 25, 3, 100, 3, 22],
+        [25, 33, 25, 3, 100, 3, 22],
+        [22, 18, 22, 15, 96, 3, 0],
+        [28, 36, 28, 0, 117, 3, 21],
+        [28, 36, 28, 0, 117, 3, 21],
+        [703, 724, 703, 16, 3665, 119, 0],
+        [52, 41, 52, 39, 141, 3, 50],
+        [52, 41, 52, 39, 141, 3, 50],
+        [198, 204, 198, 16, 1038, 33, 0],
+        [28, 36, 28, 5, 117, 3, 25],
+        [28, 36, 28, 5, 117, 3, 25],
+    ];
+    windowed_algorithms_equal_naive("synthetic", data.generate().collect(), &parent, &pinned);
 }
 
 #[test]
@@ -479,18 +641,39 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [39, 41, 18, 36, 142, 3, 36],
         [39, 41, 18, 36, 142, 3, 36],
     ];
-    windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent);
+    let pinned = [
+        [293, 291, 293, 18, 1612, 45, 0],
+        [39, 40, 39, 14, 142, 3, 36],
+        [39, 40, 39, 14, 142, 3, 36],
+        [18, 20, 18, 15, 106, 3, 0],
+        [19, 35, 19, 0, 122, 3, 16],
+        [19, 35, 19, 0, 122, 3, 16],
+        [505, 539, 505, 18, 2919, 77, 0],
+        [50, 51, 50, 26, 168, 3, 45],
+        [50, 51, 50, 26, 168, 3, 45],
+        [235, 218, 235, 17, 1197, 34, 0],
+        [39, 41, 39, 13, 142, 3, 36],
+        [39, 41, 39, 13, 142, 3, 36],
+    ];
+    windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent, &pinned);
 }
 
 /// A metric that implements no window hook gets full profiles through the
 /// provided default: RKNN under `GraphMetric` answers what it answered, and
 /// costs what it cost, before the window existed (Naive first, then the
-/// paper's three).
+/// paper's three) — and, for RSS and RSS-ICR, before the settle step: their
+/// digests stand, [`GRAPH_ROWS`] moves them in [`SETTLE_COLUMNS`] only.
 const PARENT_GRAPH_ROWS: [(u64, [u64; 7]); 4] = [
     (16206437762532795564, [60, 0, 0, 60, 0, 0, 60]),
     (2424780676033586269, [124, 3, 124, 9, 304, 3, 0]),
     (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
     (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
+];
+const GRAPH_ROWS: [(u64, [u64; 7]); 4] = [
+    (16206437762532795564, [60, 0, 0, 60, 0, 0, 60]),
+    (2424780676033586269, [124, 3, 124, 9, 304, 3, 0]),
+    (16206437762532795564, [116, 2, 116, 59, 180, 1, 60]),
+    (16206437762532795564, [116, 2, 116, 59, 180, 1, 60]),
 ];
 
 #[test]
@@ -528,63 +711,25 @@ fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
             (digest, counters(&res.stats))
         })
         .collect();
-    assert_eq!(rows, PARENT_GRAPH_ROWS, "answers or counters moved");
-}
-
-/// `L2`, logging what each windowed profile was handed.
-struct RecordingL2 {
-    windows: Mutex<Vec<Window>>,
-}
-
-/// One `distance_profile_window` call: candidate, `[lo, hi]`, `top_sq`.
-type Window = (ObjectId, f64, f64, Option<f64>);
-
-impl Metric<2> for RecordingL2 {
-    fn name(&self) -> &'static str {
-        "recording-l2"
-    }
-    fn dist(&self, a: &Point<2>, b: &Point<2>) -> f64 {
-        L2.dist(a, b)
-    }
-    fn dist_sq(&self, a: &Point<2>, b: &Point<2>) -> f64 {
-        L2.dist_sq(a, b)
-    }
-    fn min_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
-        L2.min_box_dist_sq(a, b)
-    }
-    fn max_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
-        L2.max_box_dist_sq(a, b)
-    }
-    fn alpha_distance_sq_bounded(
-        &self,
-        a: &FuzzyObject<2>,
-        b: &FuzzyObject<2>,
-        t: Threshold,
-        upper_bound_sq: f64,
-    ) -> Option<f64> {
-        L2.alpha_distance_sq_bounded(a, b, t, upper_bound_sq)
-    }
-    fn distance_profile(&self, a: &FuzzyObject<2>, q: &FuzzyObject<2>) -> DistanceProfile {
-        L2.distance_profile(a, q)
-    }
-    fn distance_profile_window(
-        &self,
-        a: &FuzzyObject<2>,
-        q: &FuzzyObject<2>,
-        lo: f64,
-        hi: f64,
-        top_sq: Option<f64>,
-    ) -> DistanceProfile {
-        self.windows.lock().unwrap().push((a.id(), lo, hi, top_sq));
-        L2.distance_profile_window(a, q, lo, hi, top_sq)
-    }
+    assert_eq!(rows, GRAPH_ROWS, "answers or counters moved");
+    let digests = |rows: &[(u64, [u64; 7])]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
+    assert_eq!(digests(&GRAPH_ROWS), digests(&PARENT_GRAPH_ROWS), "an answer moved");
+    let algos: Vec<RknnAlgorithm> =
+        [RknnAlgorithm::Naive].into_iter().chain(RknnAlgorithm::paper_variants()).collect();
+    assert_only_settle_columns_moved(
+        "graph",
+        &algos,
+        &GRAPH_ROWS.map(|r| r.1),
+        &PARENT_GRAPH_ROWS.map(|r| r.1),
+    );
 }
 
 /// Who hands the window its top: RSS passes step 1's exact squared distance
-/// for each of its `k` neighbours — also for one the lazy-probe search
-/// confirmed by its bounds alone and only the exact tail probed — and
-/// nothing for the candidates step 2 adds; Basic passes nothing at all;
-/// Naive never asks for a window.
+/// for each neighbour it still has to profile — also for one the lazy-probe
+/// search confirmed by its bounds alone and only the exact tail probed — and
+/// nothing for the outsiders it kept; a settled neighbour and a dropped
+/// outsider get no window; Basic passes nothing at all; Naive never asks for
+/// a window.
 #[test]
 fn rknn_rss_hands_step_one_distances_to_the_window() {
     let (store, q) = dataset(31, 300, 25);
@@ -593,17 +738,17 @@ fn rknn_rss_hands_step_one_distances_to_the_window() {
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let (k, lo, hi) = (6usize, 0.3, 0.7);
-    let metric = RecordingL2 { windows: Mutex::new(Vec::new()) };
+    let metric = RecordingL2::default();
     let mut scratch = QueryScratch::new();
     let mut run = |algo| {
-        metric.windows.lock().unwrap().clear();
+        metric.take();
         let res =
             engine.rknn_with_scratch_in(&metric, &q, k, lo, hi, algo, &cfg, &mut scratch).unwrap();
-        (res, std::mem::take(&mut *metric.windows.lock().unwrap()))
+        (res, metric.take())
     };
 
-    let (naive, windows) = run(RknnAlgorithm::Naive);
-    assert!(windows.is_empty(), "Naive profiles the full range");
+    let (naive, (kernel, windows)) = run(RknnAlgorithm::Naive);
+    assert!(kernel.is_empty() && windows.is_empty(), "Naive profiles the full range");
 
     // Step 1 as RSS runs it, without the exact tail: whoever comes back
     // `Bounded` was never probed by the search itself.
@@ -614,30 +759,106 @@ fn rknn_rss_hands_step_one_distances_to_the_window() {
         .filter(|n| matches!(n.dist, DistBound::Bounded { .. }))
         .map(|n| n.id)
         .collect();
-    assert!(!unprobed.is_empty(), "no neighbour was confirmed by bounds: pick another dataset");
+    let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
 
     for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
-        let (res, windows) = run(algo);
-        assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{}", algo.name());
-        assert_eq!(windows.len() as u64, res.stats.candidates);
-        for &(id, w_lo, w_hi, top_sq) in &windows {
-            assert_eq!((w_lo, w_hi), (lo, hi));
-            let step_one = lazy.neighbors.iter().any(|n| n.id == id);
-            let exact = alpha_distance_sq_bounded(
-                &store.probe(id).unwrap(),
-                &q,
-                Threshold::at(hi),
-                f64::INFINITY,
-            );
-            let want = if step_one { exact } else { None };
-            assert_eq!(top_sq.map(f64::to_bits), want.map(f64::to_bits), "{} {id}", algo.name());
-        }
-        for id in &unprobed {
-            assert!(windows.iter().any(|w| w.0 == *id), "{id} is a candidate");
-        }
+        let (res, log) = run(algo);
+        let what = algo.name();
+        assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{what}");
+        let settle = assert_settle_accounting(&store, &q, (k, lo, hi), &step1, &res, &log, what);
+        assert!(
+            unprobed.iter().any(|id| settle.profiled.contains(id)),
+            "{what}: no bound-confirmed neighbour was left to profile: pick another dataset"
+        );
+        assert!(!settle.settled.is_empty() && !settle.dropped.is_empty(), "{what}: {settle:?}");
     }
 
-    let (basic, windows) = run(RknnAlgorithm::Basic);
+    let (basic, (_, windows)) = run(RknnAlgorithm::Basic);
     assert_eq!(rknn_bits(&basic), rknn_bits(&naive));
     assert!(!windows.is_empty() && windows.iter().all(|w| (w.1, w.2, w.3) == (lo, hi, None)));
+}
+
+/// An object on the x axis whose distance to a query at the origin is
+/// `near` up to probability `m` and `far` above it (`near == far`: constant).
+fn stepped(id: u64, near: f64, far: f64, m: f64) -> FuzzyObject<2> {
+    FuzzyObject::new(ObjectId(id), vec![Point::xy(far, 0.0), Point::xy(near, 0.0)], vec![1.0, m])
+        .unwrap()
+}
+
+/// Where the settle rule is at its edge, RSS and RSS-ICR still answer what
+/// Naive answers, interval bit for interval bit, under both lower bounds.
+/// Every distance here is exact in `f64`, so every tie is a tie of bits.
+#[test]
+fn rknn_settle_rule_at_its_edges_equals_naive() {
+    let origin =
+        FuzzyObject::new(ObjectId(u64::MAX), vec![Point::xy(0.0, 0.0)], vec![1.0]).unwrap();
+    // k = 3 over [0.3, 0.7]; step 1 returns {1, 4, 5} with r = 3.
+    let ties = |scale: f64| -> Vec<FuzzyObject<2>> {
+        let at = |id, near: f64, far: f64, m| stepped(id, near * scale, far * scale, m);
+        vec![
+            at(1, 1.0, 1.0, 1.0), // always in: the one neighbour that may settle
+            // An outsider whose d_αs equals r, and the neighbours' d_αe,
+            // exactly, with the smaller id: it takes 5's slot up to 0.5.
+            at(2, 3.0, 6.0, 0.5),
+            // One object under three ids: 4 beats the k-th neighbour's
+            // tie-break, 5 is the k-th neighbour, 6 loses to it everywhere.
+            at(4, 3.0, 3.0, 1.0),
+            at(5, 3.0, 3.0, 1.0),
+            at(6, 3.0, 3.0, 1.0),
+            // The same tie from the other side of the id order: never in.
+            at(7, 3.0, 6.0, 0.5),
+            // Within r only below αs: a candidate by its support box, beyond
+            // r on the whole window, so the settle step drops it.
+            at(8, 2.0, 5.0, 0.1),
+            // d_αs strictly inside r: kept, and it holds 4 and 5 unsettled.
+            at(9, 2.5, 7.0, 0.4),
+            at(10, 40.0, 40.0, 1.0), // never a candidate
+        ]
+    };
+    // r = 0: four objects touch the query at every level, and 1 touches it
+    // up to 0.5 only — an outsider at α_e that owns a slot below. Dropping
+    // at r = 0 would lose it (no pair is strictly closer than 0).
+    let dense = vec![
+        stepped(1, 0.0, 2.0, 0.5),
+        stepped(3, 0.0, 0.0, 1.0),
+        stepped(4, 0.0, 0.0, 1.0),
+        stepped(5, 0.0, 0.0, 1.0),
+        stepped(6, 0.0, 0.0, 1.0),
+        stepped(7, 0.0, 1.0, 0.6),
+    ];
+    let fixtures: [(&str, Vec<FuzzyObject<2>>, Vec<usize>); 4] = [
+        ("ties", ties(1.0), vec![1, 2, 3, 4]),
+        // The same at 1e-160: squared distances are subnormal, the radius'
+        // inflation is lost and the guard must see that.
+        ("ties, subnormal squares", ties(1e-160), vec![1, 2, 3, 4]),
+        ("dense, r = 0", dense, vec![1, 2, 3, 4]),
+        // k = n: r is finite and everything settles; k > n: r = ∞.
+        ("k >= n", ties(1.0), vec![9, 10, 50]),
+    ];
+    for (tag, objects, ks) in fixtures {
+        let store = MemStore::from_objects(objects).unwrap();
+        let tree = RTree::bulk_load(
+            store.summaries().to_vec(),
+            RTreeConfig { max_entries: 4, min_fill: 0.4 },
+        );
+        let engine = QueryEngine::new(&tree, &store);
+        for k in ks {
+            for (lo, hi) in [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5), (0.05, 1.0)] {
+                for cfg in [AknnConfig::basic(), AknnConfig::lb_lp_ub()] {
+                    let naive =
+                        engine.rknn(&origin, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
+                    for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+                        let got = engine.rknn(&origin, k, lo, hi, algo, &cfg).unwrap();
+                        assert_eq!(
+                            rknn_bits(&got),
+                            rknn_bits(&naive),
+                            "{tag}: k {k} [{lo}, {hi}] {} ({})",
+                            algo.name(),
+                            cfg.variant_name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -17,6 +17,9 @@ use fuzzy_query::{
 };
 use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 
+mod common;
+use common::{KernelCall, RecordingL2, Settle, Window};
+
 /// A deterministic pseudo-random fuzzy object (xorshift, no external RNG).
 fn blob(id: u64, cx: f64, cy: f64) -> FuzzyObject<2> {
     let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -361,6 +364,24 @@ fn metric_generic_l2_paths_match_committed_engine() {
     }
 }
 
+/// One 4-NN range query under the recording metric: the answer's bits, then
+/// every kernel call and every window the metric saw, in call order.
+fn recorded_rknn<I: SearchBackend<2>, S: ObjectStore<2>>(
+    engine: &QueryEngine<'_, I, S, 2>,
+    metric: &RecordingL2,
+    q: &FuzzyObject<2>,
+    (lo, hi): (f64, f64),
+    algo: RknnAlgorithm,
+) -> (String, Vec<KernelCall>, Vec<Window>) {
+    metric.take();
+    let cfg = AknnConfig::lb_lp_ub();
+    let res = engine
+        .rknn_with_scratch_in(metric, q, 4, lo, hi, algo, &cfg, &mut QueryScratch::new())
+        .unwrap();
+    let (kernel, windows) = metric.take();
+    (rknn_line(&res.items), kernel, windows)
+}
+
 /// RKNN over objects as they come off a file (`FileStore` + `PagedRTree`:
 /// every candidate is a freshly decoded record, columns only) and over the
 /// same objects resident with their kd-trees built (`MemStore` + `RTree`):
@@ -369,7 +390,11 @@ fn metric_generic_l2_paths_match_committed_engine() {
 /// candidate, so answers — to the bit — and logical counters must agree,
 /// on continuous and on 256-level memberships, for the benchmark's range,
 /// a single probability, a range ending at the kernel level and one whose
-/// ends are stored membership levels.
+/// ends are stored membership levels. Nor does RSS's settle step: both
+/// sides put the same questions to the metric in the same order — every
+/// kernel call's candidate, threshold, seed and answer, every window's
+/// candidate and top, to the bit — so the same outsiders are dropped and the
+/// same neighbours settled.
 #[test]
 fn rknn_windows_do_not_depend_on_where_candidates_live() {
     use fuzzy_datagen::{CellConfig, SyntheticConfig};
@@ -415,6 +440,8 @@ fn rknn_windows_do_not_depend_on_where_candidates_live() {
 
         let from_file = QueryEngine::new(&paged, &on_file);
         let from_memory = QueryEngine::new(&tree, &resident);
+        let metric = RecordingL2::default();
+        let (mut dropped, mut settled) = (0, 0);
         for q in &queries {
             let levels = q.distinct_levels();
             let stored = (levels[levels.len() / 4], levels[3 * levels.len() / 4]);
@@ -441,9 +468,24 @@ fn rknn_windows_do_not_depend_on_where_candidates_live() {
                         ]
                     };
                     assert_eq!(counts(&a.stats), counts(&b.stats), "{what}");
+
+                    if !matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr) {
+                        continue;
+                    }
+                    let on_file = recorded_rknn(&from_file, &metric, q, (lo, hi), algo);
+                    let in_memory = recorded_rknn(&from_memory, &metric, q, (lo, hi), algo);
+                    assert_eq!(on_file.0, rknn_line(&a.items), "{what}");
+                    assert_eq!(on_file, in_memory, "{what}: what the metric was asked");
+                    if lo < hi {
+                        let step1 = from_memory.aknn_exact(q, 4, hi, &cfg).unwrap().ids();
+                        let settle = Settle::of(&on_file.1, &on_file.2, lo, &step1);
+                        dropped += settle.dropped.len();
+                        settled += settle.settled.len();
+                    }
                 }
             }
         }
+        assert!(dropped > 0 && settled > 0, "{tag}: the settle step never acted");
         for p in [&path, &index_path] {
             std::fs::remove_file(p).ok();
         }

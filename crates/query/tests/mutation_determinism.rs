@@ -21,12 +21,15 @@ use fuzzy_index::{
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_query::{
     alpha_distance_join, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-    DistBound, QueryEngine, RknnAlgorithm, Versioned,
+    DistBound, QueryEngine, QueryScratch, RknnAlgorithm, Versioned,
 };
 use fuzzy_store::{FileStoreWriter, ObjectStore};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
+use common::{RecordingL2, Settle};
 
 /// Deterministic pseudo-random fuzzy object (tie-free geometry).
 fn blob(id: u64) -> FuzzyObject<2> {
@@ -265,6 +268,43 @@ fn assert_rknn_matches_oracle<A, S>(
     }
 }
 
+/// What one RSS / RSS-ICR query settled, dropped and profiled, with its
+/// answer and the counters that do not depend on the tree's shape
+/// (`object_accesses`, `distance_evals`, `profile_computations`,
+/// `aknn_calls`, `candidates`; node and bound counts follow the shape) and
+/// every id that reached the metric, as a neighbour, an outsider or a window.
+fn rss_settle_of<A, S>(
+    engine: &QueryEngine<'_, A, S, 2>,
+    q: &FuzzyObject<2>,
+    algo: RknnAlgorithm,
+) -> (Vec<String>, [u64; 5], Settle, BTreeSet<u64>)
+where
+    A: NodeAccess<2>,
+    S: ObjectStore<2>,
+{
+    let (k, lo, hi) = (3, 0.3, 0.7);
+    let cfg = AknnConfig::lb(); // no lazy probe: step 1 reads the same objects on any shape
+    let metric = RecordingL2::default();
+    let res = engine
+        .rknn_with_scratch_in(&metric, q, k, lo, hi, algo, &cfg, &mut QueryScratch::new())
+        .unwrap();
+    let (kernel, windows) = metric.take();
+    let step1 = engine.aknn_exact(q, k, hi, &cfg).unwrap().ids();
+    let st = res.stats;
+    (
+        res.items.iter().map(|item| item.to_string()).collect(),
+        [
+            st.object_accesses,
+            st.distance_evals,
+            st.profile_computations,
+            st.aknn_calls,
+            st.candidates,
+        ],
+        Settle::of(&kernel, &windows, lo, &step1),
+        kernel.iter().map(|c| c.0 .0).chain(windows.iter().map(|w| w.0 .0)).collect(),
+    )
+}
+
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fz-mutdet-{}-{name}", std::process::id()))
 }
@@ -324,7 +364,7 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
 
     // Backend 2: paged base file + delta overlay, same script.
     let base = Arc::new(PagedRTree::bulk_write(seeded, config, &index_path, 4096).unwrap());
-    let mut overlay = OverlayRTree::new(base).unwrap();
+    let mut overlay = OverlayRTree::new(base.clone()).unwrap();
     let live_overlay = apply(&mut overlay, &summaries);
     assert_eq!(live, live_overlay);
 
@@ -352,6 +392,29 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
         assert_rknn_matches_oracle(&mem_engine, &live, &q, 3, (0.3, 0.7));
         assert_rknn_matches_oracle(&overlay_engine, &live, &q, 3, (0.3, 0.7));
     }
+
+    // RSS settles its candidates the same way wherever they are indexed:
+    // the tree mutated in place and the overlay — inserts pending in its
+    // delta, deletes as tombstones over the base file — drop, keep and
+    // settle the ids the fresh bulk load does, and no tombstoned object
+    // reaches the metric — though the base file alone would hand some over.
+    let fresh_engine = QueryEngine::new(&fresh, &store);
+    let base_engine = QueryEngine::new(&base, &store);
+    let (mut dropped, mut settled, mut tombstoned) = (0, 0, 0);
+    for &qid in live.iter().step_by(5) {
+        let q = store.probe(ObjectId(qid)).unwrap().as_ref().clone();
+        for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+            let want = rss_settle_of(&fresh_engine, &q, algo);
+            assert_eq!(rss_settle_of(&mem_engine, &q, algo), want, "RTree, query {qid}");
+            assert_eq!(rss_settle_of(&overlay_engine, &q, algo), want, "overlay, query {qid}");
+            assert!(want.3.is_subset(&live), "query {qid}: a deleted object was evaluated");
+            dropped += want.2.dropped.len();
+            settled += want.2.settled.len();
+            tombstoned += rss_settle_of(&base_engine, &q, algo).3.difference(&live).count();
+        }
+    }
+    assert!(dropped > 0 && settled > 0, "the settle step never acted");
+    assert!(tombstoned > 0, "no deleted object lies within any query's radius");
 
     // Self-join over the live set: the mutated backends must produce the
     // same pair set as the fresh tree.
