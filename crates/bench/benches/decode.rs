@@ -1,0 +1,82 @@
+//! What a store probe and a page miss pay to turn bytes into a checked
+//! object or node, on in-memory bytes (no `pread`).
+//!
+//! * `decode_object/{32,1000}` — [`decode_object`] of one record of
+//!   fkbench's `scale` (32 points, r = 0.1) and `paper` (1 000 points,
+//!   r = 0.5) shapes: checksum, conversion and every layout check. 32 is
+//!   `aknn-scale`'s and `serve-mixed`'s probe, 1 000 `aknn-heavy`'s.
+//! * `fnv1a/record_1000` — the checksum alone over the 1 000-point record:
+//!   the dependency chain a decode cannot finish before.
+//! * `leaf_page/full` — one read of a full leaf of a `scale` index (16 KiB
+//!   pages, the fullest leaves STR packs: 56 of 64 entries) through
+//!   [`PagedRTree`] with a one-page pool: two such leaves alternate, so
+//!   every read is a miss (the page comes from the OS page cache).
+
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use fuzzy_core::{FuzzyObject, ObjectSummary};
+use fuzzy_datagen::SyntheticConfig;
+use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
+use fuzzy_store::format::{decode_object, encode_object, fnv1a};
+
+fn objects(n: usize, points: usize, radius: f64) -> Vec<FuzzyObject<2>> {
+    let cfg = SyntheticConfig {
+        num_objects: n,
+        points_per_object: points,
+        radius,
+        seed: 7,
+        ..SyntheticConfig::default()
+    };
+    cfg.generate().collect()
+}
+
+fn bench_records(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decode_object");
+    for (points, radius) in [(32usize, 0.1), (1000, 0.5)] {
+        let record = encode_object(&objects(1, points, radius)[0]);
+        group.bench_with_input(BenchmarkId::from_parameter(points), &record, |b, record| {
+            b.iter(|| decode_object::<2>(black_box(record)).expect("a valid record"))
+        });
+    }
+    group.finish();
+
+    let record = encode_object(&objects(1, 1000, 0.5)[0]);
+    let payload = &record[..record.len() - 8];
+    let mut group = c.benchmark_group("fnv1a");
+    group.bench_function("record_1000", |b| b.iter(|| fnv1a(black_box(payload))));
+    group.finish();
+}
+
+fn bench_leaf_page(c: &mut Criterion) {
+    let summaries: Vec<ObjectSummary<2>> =
+        objects(2_000, 32, 0.1).iter().map(ObjectSummary::from_object).collect();
+    let path = std::env::temp_dir().join(format!("fz-decode-bench-{}.fzpt", std::process::id()));
+    drop(PagedRTree::bulk_write(summaries, RTreeConfig::default(), &path, 16 * 1024).unwrap());
+    let tree: PagedRTree<2> = PagedRTree::open_with_cache(&path, 1).unwrap();
+    // Every leaf with its entry count, depth first from the root.
+    let (mut leaves, mut stack) = (Vec::new(), vec![tree.root_id()]);
+    while let Some(id) = stack.pop() {
+        match tree.read_node(id).unwrap().view() {
+            NodeView::Nodes(children) => stack.extend(children.iter().map(|c| c.id)),
+            NodeView::Entries(e) => leaves.push((e.len(), id)),
+        }
+    }
+    let fullest = leaves.iter().map(|l| l.0).max().expect("a tree has leaves");
+    let full: Vec<_> = leaves.iter().filter(|l| l.0 == fullest).map(|l| l.1).take(2).collect();
+    assert_eq!(full.len(), 2, "two leaves of the fullest size");
+    println!("leaf_page: {fullest} of {} entries", RTreeConfig::default().max_entries);
+    let mut turn = 0;
+    let mut group = c.benchmark_group("leaf_page");
+    group.bench_function("full", |b| {
+        b.iter(|| {
+            turn ^= 1;
+            let node = tree.read_node(full[turn]).unwrap();
+            assert!(node.disk_read, "a one-page pool misses on every alternation");
+            black_box(node.view());
+        })
+    });
+    group.finish();
+    std::fs::remove_file(&path).unwrap();
+}
+
+criterion_group!(benches, bench_records, bench_leaf_page);
+criterion_main!(benches);

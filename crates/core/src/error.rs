@@ -35,6 +35,13 @@ pub enum ModelError {
         /// What was wrong with the layout.
         reason: &'static str,
     },
+    /// An [`ObjectSummary`](crate::ObjectSummary) broke one of its
+    /// invariants (non-finite value, inverted box, kernel box outside the
+    /// support box, representative outside the kernel box, no points).
+    InvalidSummary {
+        /// Which invariant failed.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -58,6 +65,7 @@ impl fmt::Display for ModelError {
             Self::InvalidColumnarLayout { reason } => {
                 write!(f, "invalid columnar layout: {reason}")
             }
+            Self::InvalidSummary { reason } => write!(f, "invalid object summary: {reason}"),
         }
     }
 }

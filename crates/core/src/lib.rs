@@ -36,7 +36,7 @@ pub mod threshold;
 
 pub use error::ModelError;
 pub use metric::{GraphMetric, Metric, RoadNetwork, L2};
-pub use object::{FuzzyObject, FuzzyObjectBuilder, MembershipPrefix, ObjectId};
+pub use object::{ColumnarChecker, FuzzyObject, FuzzyObjectBuilder, MembershipPrefix, ObjectId};
 pub use profile::DistanceProfile;
 pub use summary::ObjectSummary;
 pub use threshold::Threshold;

@@ -2,10 +2,12 @@
 //!
 //! What is stored and what is lazy: an object is born with **one** of two
 //! views of its points — construction order ([`FuzzyObject::new`]) or the
-//! membership-descending columns of a stored record
-//! ([`FuzzyObject::from_columnar`]) — and builds the other and the kd-tree
-//! only when a caller first asks for them. A store probe therefore costs a
-//! validation pass and nothing else; see [`FuzzyObject`].
+//! membership-descending columns of a stored record ([`ColumnarChecker`],
+//! which [`FuzzyObject::from_columnar`] also goes through) — and builds the
+//! other and the kd-tree only when a caller first asks for them; see
+//! [`FuzzyObject`]. A store probe hands the checker each value as it reads
+//! it, so the layout checks run inside the probe's one walk over the record
+//! bytes instead of in a pass of their own.
 
 use crate::error::ModelError;
 use crate::threshold::Threshold;
@@ -40,9 +42,9 @@ impl fmt::Display for ObjectId {
 /// * the [`MembershipPrefix`] — the same points as a
 ///   **membership-descending structure-of-arrays**, so any α-cut is a
 ///   contiguous prefix located by one binary search. It is what a stored
-///   record holds, so [`FuzzyObject::from_columnar`] fills *this* view, by
-///   keeping the record's three columns, and what the hot distance kernels
-///   scan.
+///   record holds, so a decoded object is born with *this* view — the
+///   columns a [`ColumnarChecker`] filled and checked, kept as they are —
+///   and it is what the hot distance kernels scan.
 ///
 /// An object probed from a store is therefore exactly its record's columns
 /// for as long as only the kernels touch it: construction order is
@@ -75,12 +77,12 @@ pub struct FuzzyObject<const D: usize> {
 /// coordinate columns.
 #[derive(Clone, Debug)]
 pub struct MembershipPrefix<const D: usize> {
-    mus: Vec<f64>,
-    /// Dimension-major coordinate columns (`cols[d*len + j]` is coordinate
-    /// `d` of sorted point `j`): the distance kernels stream these
-    /// contiguously through the unrolled lane reduction of
-    /// [`fuzzy_geom::kernel`].
-    cols: Vec<f64>,
+    /// The memberships, then the dimension-major coordinate columns, in one
+    /// buffer: column `c` is `columns[c·n..(c + 1)·n]`, so coordinate `d`
+    /// of sorted point `j` is `columns[(1 + d)·n + j]`. The distance
+    /// kernels stream the coordinate columns contiguously through the
+    /// unrolled lane reduction of [`fuzzy_geom::kernel`].
+    columns: Vec<f64>,
     /// `orig[j]` is the construction-order index of sorted point `j` — the
     /// permutation that undoes the membership sort. Serialized with format
     /// v3 records so construction order can be restored without re-sorting.
@@ -95,38 +97,41 @@ impl<const D: usize> MembershipPrefix<D> {
             memberships.iter().zip(0u32..).map(|(&mu, i)| (mu, i)).collect();
         keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let n = keyed.len();
-        let mut cols = vec![0.0; D * n];
-        for (j, &(_, i)) in keyed.iter().enumerate() {
+        let mut columns = vec![0.0; (1 + D) * n];
+        for (j, &(mu, i)) in keyed.iter().enumerate() {
+            columns[j] = mu;
             for d in 0..D {
-                cols[d * n + j] = points[i as usize].coords()[d];
+                columns[(1 + d) * n + j] = points[i as usize].coords()[d];
             }
         }
-        Self {
-            mus: keyed.iter().map(|&(mu, _)| mu).collect(),
-            cols,
-            orig: keyed.iter().map(|&(_, i)| i).collect(),
-        }
+        Self { columns, orig: keyed.iter().map(|&(_, i)| i).collect() }
+    }
+
+    /// Column `c` of the buffer: memberships for 0, then coordinates.
+    #[inline]
+    fn column(&self, c: usize) -> &[f64] {
+        let n = self.orig.len();
+        &self.columns[c * n..(c + 1) * n]
     }
 
     /// Sorted point `j`, gathered from the coordinate columns.
     #[inline]
     pub(crate) fn point(&self, j: usize) -> Point<D> {
-        let n = self.mus.len();
-        Point::new(std::array::from_fn(|d| self.cols[d * n + j]))
+        Point::new(std::array::from_fn(|d| self.coord_column(d)[j]))
     }
 
     /// Memberships, descending: slot `j` of every column belongs to the
     /// same point.
     #[inline]
     pub fn memberships(&self) -> &[f64] {
-        &self.mus
+        self.column(0)
     }
 
     /// Coordinate column of dimension `d` (membership-descending order,
     /// parallel to [`MembershipPrefix::memberships`]).
     #[inline]
     pub fn coord_column(&self, d: usize) -> &[f64] {
-        &self.cols[d * self.mus.len()..(d + 1) * self.mus.len()]
+        self.column(1 + d)
     }
 
     /// Construction-order index of each sorted point — the permutation
@@ -141,7 +146,7 @@ impl<const D: usize> MembershipPrefix<D> {
     /// is exactly the slots `..prefix_len(t)` of every column.
     #[inline]
     pub fn prefix_len(&self, t: Threshold) -> usize {
-        self.mus.partition_point(|&mu| t.accepts(mu))
+        self.memberships().partition_point(|&mu| t.accepts(mu))
     }
 
     /// Per-dimension bounds of the prefix `0..n` as `(lo, hi)` arrays —
@@ -182,9 +187,225 @@ impl<const D: usize> MembershipPrefix<D> {
     /// identical to the scalar evaluators). `+∞` for an empty prefix.
     #[inline]
     pub fn min_dist_sq_to_prefix(&self, p: &Point<D>, n: usize) -> f64 {
-        let len = self.mus.len();
-        let cols: [&[f64]; D] = std::array::from_fn(|d| &self.cols[d * len..d * len + n]);
+        let cols: [&[f64]; D] = std::array::from_fn(|d| &self.coord_column(d)[..n]);
         fuzzy_geom::kernel::min_dist_sq_cols(&cols, p.coords())
+    }
+}
+
+/// The one check of a membership-descending columnar layout, and the owner
+/// of the columns it checks: values checked are values kept.
+///
+/// A decoder hands it the three sections of a record in record order —
+/// source indices, memberships, then the dimension-major coordinate
+/// columns — and each value is checked as it is stored, by branch-free
+/// accumulators, so the checks ride along with whatever produces the
+/// values (a store probe's checksum chain) instead of taking a pass of
+/// their own. [`ColumnarChecker::finish`] then turns the columns into the
+/// object, or names the first broken rule in a fixed order: the source
+/// indices are a permutation of `0..n`; memberships descend under
+/// [`f64::total_cmp`], ties by ascending source index; then the first
+/// slot whose membership is outside `(0, 1]` or whose coordinates are not
+/// all finite (the membership first when one slot breaks both), reported
+/// by its source index; then the kernel (`µ₀ == 1`). In that order the
+/// memberships outside `(0, 1]` can only sit at the two ends of their
+/// column, so the first of them is found from the order, by one binary
+/// search, instead of slot by slot.
+///
+/// Each section is filled by one call, in record order: source indices,
+/// memberships, then one call per coordinate column. Values beyond a
+/// section's length are not taken; a section handed over short, or a call
+/// out of order (which fills nothing), leaves the object unfinished, and
+/// [`ColumnarChecker::finish`] reports it.
+///
+/// ```
+/// use fuzzy_core::{ColumnarChecker, ObjectId};
+///
+/// let mut check = ColumnarChecker::<2>::new(2);
+/// check.fill_source_indices([1, 0]);
+/// check.fill_memberships([1.0, 0.5]);
+/// check.fill_coord_column([3.0, 1.0]); // x
+/// check.fill_coord_column([4.0, 2.0]); // y
+/// let obj = check.finish(ObjectId(9)).unwrap();
+/// assert_eq!(obj.memberships(), &[0.5, 1.0]); // construction order restored
+/// ```
+#[derive(Debug)]
+pub struct ColumnarChecker<const D: usize> {
+    len: usize,
+    orig: Vec<u32>,
+    /// The memberships, then the coordinate columns (as in
+    /// [`MembershipPrefix`]).
+    columns: Vec<f64>,
+    /// Sections filled so far, and whether one of them came short.
+    filled: usize,
+    short: bool,
+    /// The source indices are a permutation of `0..n`.
+    permutation: bool,
+    /// Some slot broke the descending order or its tie-break.
+    misordered: bool,
+    /// The first slot whose membership is outside `(0, 1]`, or `n` (read
+    /// off the order, which it only names when the order holds).
+    mu_lead: usize,
+    /// The fewest leading finite slots of any coordinate column.
+    coord_lead: usize,
+}
+
+/// [`f64::total_cmp`]'s key: ordering these integers orders the floats.
+#[inline]
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+impl<const D: usize> ColumnarChecker<D> {
+    /// An empty checker for an object of `n` points.
+    pub fn new(n: usize) -> Self {
+        Self {
+            len: n,
+            orig: vec![0; n],
+            columns: vec![0.0; (1 + D) * n],
+            filled: 0,
+            short: false,
+            permutation: false,
+            misordered: false,
+            mu_lead: 0,
+            coord_lead: n,
+        }
+    }
+
+    /// Start the next section if it is one of `sections`.
+    fn begin(&mut self, sections: std::ops::Range<usize>) -> Option<usize> {
+        // A branch, not `filled += contains(…) as usize`: rustc 1.95
+        // (LLVM 22) drops that store in release builds when a slice loop
+        // follows.
+        let next = self.filled;
+        if !sections.contains(&next) {
+            return None;
+        }
+        self.filled += 1;
+        Some(next)
+    }
+
+    /// The source indices: `orig[j]` is the construction index of sorted
+    /// slot `j`.
+    #[inline]
+    pub fn fill_source_indices(&mut self, values: impl IntoIterator<Item = u32>) {
+        if self.begin(0..1).is_none() {
+            return;
+        }
+        let n = self.len;
+        // The memberships are not filled yet: until they are, their first
+        // ⌈n/64⌉ slots are the bitmap of source indices seen.
+        let seen = &mut self.columns[..n.div_ceil(64)];
+        let mut taken = 0;
+        for (slot, i) in self.orig.iter_mut().zip(values) {
+            *slot = i;
+            taken += 1;
+            if let Some(word) = seen.get_mut(i as usize / 64) {
+                *word = f64::from_bits(word.to_bits() | 1 << (i % 64));
+            }
+        }
+        // Only bits below `n` are counted, so a slot naming an index out of
+        // range (past the bitmap, or at or above `n` in its last word) is
+        // missing from `distinct` just like a repeated one.
+        let words = seen.len();
+        let distinct = seen.iter().enumerate().map(|(w, word)| {
+            let below_n = if w + 1 == words { u64::MAX >> (64 * words - n) } else { u64::MAX };
+            (word.to_bits() & below_n).count_ones() as usize
+        });
+        self.permutation = distinct.sum::<usize>() == n;
+        self.short |= taken < n;
+    }
+
+    /// The memberships, slot by slot.
+    #[inline]
+    pub fn fill_memberships(&mut self, values: impl IntoIterator<Item = f64>) {
+        if self.begin(1..2).is_none() {
+            return;
+        }
+        // Slot order as one number: the membership's `total_cmp` key, then
+        // the complement of the source index (ties by ascending index), so
+        // a slot ranking above its predecessor breaks the order. The first
+        // slot has no predecessor: nothing ranks above `i128::MAX`.
+        let mut prev = i128::MAX;
+        let (mut misordered, mut taken) = (false, 0);
+        let mus = &mut self.columns[..self.len];
+        for ((slot, &i), mu) in mus.iter_mut().zip(&self.orig).zip(values) {
+            *slot = mu;
+            taken += 1;
+            let rank = (total_key(mu) as i128) << 64 | !i as i128;
+            misordered |= prev < rank;
+            prev = rank;
+        }
+        // In that order the memberships outside (0, 1] sit at the ends:
+        // above 1 (and +NaN) first, at or below +0.0 last. The first bad
+        // slot is therefore 0 or the first of the tail.
+        self.mu_lead = match mus.first() {
+            Some(&mu) if total_key(mu) > total_key(1.0) => 0,
+            _ => mus.partition_point(|&mu| total_key(mu) > 0),
+        };
+        self.misordered = misordered;
+        self.short |= taken < self.len;
+    }
+
+    /// The next coordinate column: coordinate `d` of every slot, for
+    /// `d = 0, 1, …` in turn.
+    #[inline]
+    pub fn fill_coord_column(&mut self, values: impl IntoIterator<Item = f64>) {
+        // Section `2 + d` is buffer column `1 + d`.
+        let Some(section) = self.begin(2..2 + D) else {
+            return;
+        };
+        let n = self.len;
+        let (mut clean, mut lead, mut taken) = (true, 0, 0);
+        for (slot, c) in self.columns[(section - 1) * n..section * n].iter_mut().zip(values) {
+            *slot = c;
+            taken += 1;
+            clean &= c.is_finite();
+            lead += clean as usize;
+        }
+        self.coord_lead = self.coord_lead.min(lead);
+        self.short |= taken < n;
+    }
+
+    /// The checked object, or the first broken rule (see
+    /// [`ColumnarChecker`]). Columns left short are an
+    /// [`ModelError::InvalidColumnarLayout`].
+    pub fn finish(self, id: ObjectId) -> Result<FuzzyObject<D>, ModelError> {
+        let n = self.len;
+        let layout = |reason| Err(ModelError::InvalidColumnarLayout { reason });
+        if n == 0 {
+            return Err(ModelError::EmptyObject);
+        }
+        if self.filled != 2 + D || self.short {
+            return layout("columns do not cover every point");
+        }
+        if !self.permutation {
+            return layout("source indices are not a permutation");
+        }
+        if self.misordered {
+            return layout("memberships are not membership-descending");
+        }
+        let slot = self.mu_lead.min(self.coord_lead);
+        if slot < n {
+            let index = self.orig[slot] as usize;
+            return Err(if self.mu_lead == slot {
+                ModelError::InvalidMembership { index, value: self.columns[slot] }
+            } else {
+                ModelError::NonFiniteCoordinate { index }
+            });
+        }
+        // Descending order makes the kernel check O(1).
+        if self.columns[0] != 1.0 {
+            return Err(ModelError::EmptyKernel);
+        }
+        let Self { orig, columns, .. } = self;
+        Ok(FuzzyObject {
+            id,
+            len: n,
+            source: OnceLock::new(),
+            prefix: OnceLock::from(MembershipPrefix { columns, orig }),
+            kd: OnceLock::new(),
+        })
     }
 }
 
@@ -232,13 +453,12 @@ impl<const D: usize> FuzzyObject<D> {
     /// construction-order index of sorted slot `j`, `mus` descends (ties
     /// by `orig`), and `cols[d·n + j]` is coordinate `d` of slot `j`.
     ///
-    /// The three columns are validated and then **kept as they are**: they
-    /// become the object's [`MembershipPrefix`], so a probed object reaches
-    /// the distance kernels without a sort, a scatter or a copy. The
-    /// observable object (points, memberships, iteration order, sampling)
-    /// is identical to [`FuzzyObject::new`] on the source data; its
-    /// construction order is restored through `orig` the first time it is
-    /// asked for.
+    /// The columns are checked by a [`ColumnarChecker`], whose columns then
+    /// become the object's [`MembershipPrefix`], so the object reaches the
+    /// distance kernels without a sort or a scatter. The observable object
+    /// (points, memberships, iteration order, sampling) is identical to
+    /// [`FuzzyObject::new`] on the source data; its construction order is
+    /// restored through `orig` the first time it is asked for.
     pub fn from_columnar(
         id: ObjectId,
         orig: Vec<u32>,
@@ -257,46 +477,13 @@ impl<const D: usize> FuzzyObject<D> {
                 reason: "coordinate columns do not cover every point",
             });
         }
-        // `orig` must be a permutation of 0..n.
-        let mut seen = vec![false; n];
-        for &i in &orig {
-            if i as usize >= n || seen[i as usize] {
-                return Err(ModelError::InvalidColumnarLayout {
-                    reason: "source indices are not a permutation",
-                });
-            }
-            seen[i as usize] = true;
+        let mut check = ColumnarChecker::new(n);
+        check.fill_source_indices(orig);
+        check.fill_memberships(mus);
+        for column in cols.chunks_exact(n) {
+            check.fill_coord_column(column.iter().copied());
         }
-        // Memberships descend with the canonical orig tie-break — the
-        // exact order `MembershipPrefix::build` would have produced.
-        for j in 1..n {
-            let ord = mus[j - 1].total_cmp(&mus[j]).then(orig[j].cmp(&orig[j - 1]));
-            if ord == std::cmp::Ordering::Less {
-                return Err(ModelError::InvalidColumnarLayout {
-                    reason: "memberships are not membership-descending",
-                });
-            }
-        }
-        // Model invariants slot by slot, reported by construction index.
-        for (j, (&mu, &i)) in mus.iter().zip(&orig).enumerate() {
-            if !(mu > 0.0 && mu <= 1.0) {
-                return Err(ModelError::InvalidMembership { index: i as usize, value: mu });
-            }
-            if !(0..D).all(|d| cols[d * n + j].is_finite()) {
-                return Err(ModelError::NonFiniteCoordinate { index: i as usize });
-            }
-        }
-        // Descending order makes the kernel check O(1).
-        if mus[0] != 1.0 {
-            return Err(ModelError::EmptyKernel);
-        }
-        Ok(Self {
-            id,
-            len: n,
-            source: OnceLock::new(),
-            prefix: OnceLock::from(MembershipPrefix { mus, cols, orig }),
-            kd: OnceLock::new(),
-        })
+        check.finish(id)
     }
 
     /// The construction-order view; scattered back through the stored
@@ -306,9 +493,9 @@ impl<const D: usize> FuzzyObject<D> {
             let pb = self.prefix.get().expect("an object always holds one of its views");
             let mut points = vec![Point::origin(); self.len];
             let mut memberships = vec![0.0; self.len];
-            for (j, &i) in pb.orig.iter().enumerate() {
+            for (j, (&i, &mu)) in pb.orig.iter().zip(pb.memberships()).enumerate() {
                 points[i as usize] = pb.point(j);
-                memberships[i as usize] = pb.mus[j];
+                memberships[i as usize] = mu;
             }
             (points, memberships)
         })

@@ -6,6 +6,7 @@
 //! every dimension side, and the kernel representative point `rep(A)`.
 
 use crate::boundary::BoundaryFunctions;
+use crate::error::ModelError;
 use crate::metric::Metric;
 use crate::object::{FuzzyObject, ObjectId};
 use crate::threshold::Threshold;
@@ -51,6 +52,52 @@ impl<const D: usize> ObjectSummary<D> {
             rep: obj.rep_point(),
             point_count: obj.len() as u32,
         }
+    }
+
+    /// A summary from stored fields (each box as `[lo, hi]`), checked for
+    /// what every summary [`ObjectSummary::from_object`] builds holds, in
+    /// this order: every value is finite, both boxes have `lo ≤ hi`, the
+    /// kernel box lies inside the support box, `rep` lies inside the kernel
+    /// box, and the object has at least one point. The bounds prune on
+    /// these boxes, so a summary read from bytes that no checksum covers
+    /// must pass this before a search trusts it.
+    pub fn from_stored(
+        id: ObjectId,
+        point_count: u32,
+        support: [[f64; D]; 2],
+        kernel: [[f64; D]; 2],
+        upper_lines: [ConservativeLine; D],
+        lower_lines: [ConservativeLine; D],
+        rep: [f64; D],
+    ) -> Result<Self, ModelError> {
+        let broken = |reason| Err(ModelError::InvalidSummary { reason });
+        let boxes = support.iter().chain(&kernel).chain([&rep]).flatten().copied();
+        let lines = upper_lines.iter().chain(&lower_lines).flat_map(|l| [l.m, l.t]);
+        if !boxes.chain(lines).all(f64::is_finite) {
+            return broken("a value is not finite");
+        }
+        let ([s_lo, s_hi], [k_lo, k_hi]) = (support, kernel);
+        if !(0..D).all(|i| s_lo[i] <= s_hi[i] && k_lo[i] <= k_hi[i]) {
+            return broken("a box is inverted");
+        }
+        if !(0..D).all(|i| s_lo[i] <= k_lo[i] && k_hi[i] <= s_hi[i]) {
+            return broken("the kernel box leaves the support box");
+        }
+        if !(0..D).all(|i| k_lo[i] <= rep[i] && rep[i] <= k_hi[i]) {
+            return broken("the representative point leaves the kernel box");
+        }
+        if point_count == 0 {
+            return broken("the object has no points");
+        }
+        Ok(Self {
+            id,
+            support_mbr: Mbr::new(s_lo, s_hi),
+            kernel_mbr: Mbr::new(k_lo, k_hi),
+            upper_lines,
+            lower_lines,
+            rep: Point::new(rep),
+            point_count,
+        })
     }
 
     /// The approximated α-cut MBR `M_A(α)*` of Equation (2):
@@ -133,16 +180,17 @@ impl<const D: usize> ObjectSummary<D> {
 
 /// Defensive post-processing of a fitted line: boundary functions are
 /// non-increasing, so the optimal line must have non-positive slope; a
-/// positive slope can only arise from floating-point degeneracies, in which
-/// case we fall back to the (always conservative) horizontal line through
-/// the largest gap.
+/// positive or non-finite slope can only arise from floating-point
+/// degeneracies, in which case we fall back to the (always conservative)
+/// horizontal line through the largest gap. A stored line must be finite:
+/// [`ObjectSummary::from_stored`] rejects any other.
 fn sanitize<const D: usize>(
     line: ConservativeLine,
     bf: &BoundaryFunctions<D>,
     dim: usize,
     upper: bool,
 ) -> ConservativeLine {
-    if line.m <= 0.0 && line.t.is_finite() {
+    if line.m <= 0.0 && line.m.is_finite() && line.t.is_finite() {
         return line;
     }
     let max_gap = if upper {

@@ -36,7 +36,7 @@ use crate::access::{ChildRef, DecodedNode, NodeAccess, NodeRead};
 use crate::node::{Node, NodeId, RTree, RTreeConfig};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
-use fuzzy_store::format::{fnv1a, Decoder, Encoder};
+use fuzzy_store::format::{fnv1a, ChecksumWalk, Decoder, Encoder};
 use fuzzy_store::pagecache::{PageCache, PageCacheStats};
 use fuzzy_store::StoreError;
 use std::fs::{File, Metadata};
@@ -160,12 +160,15 @@ fn encode_leaf_entries<const D: usize>(page: &mut Encoder, entries: &[ObjectSumm
 
 /// Decode a v3 columnar leaf block of `count` entries (inverse of
 /// [`encode_leaf_entries`]) in one pass: cell *(column c, entry j)* is read
-/// straight out of the block and each summary is pushed once. MBR cells
-/// are validated the same way [`decode_mbr`] validates internal-node
-/// rectangles.
+/// straight out of the block and each summary is pushed once, while
+/// `walk` folds `words` more words of the page's checksum per entry. MBR
+/// cells are validated the same way [`decode_mbr`] validates
+/// internal-node rectangles.
 fn decode_leaf_entries<const D: usize>(
     d: &mut Decoder<'_>,
     count: usize,
+    walk: &mut ChecksumWalk<'_>,
+    words: usize,
 ) -> Result<Vec<ObjectSummary<D>>, StoreError> {
     use fuzzy_geom::{ConservativeLine, Point};
     let block = d.bytes(count * leaf_entry_len(D))?;
@@ -194,6 +197,7 @@ fn decode_leaf_entries<const D: usize>(
     };
     let mut entries = Vec::with_capacity(count);
     for j in 0..count {
+        walk.fold(words);
         entries.push(ObjectSummary {
             id: fuzzy_core::ObjectId(u64::from_le_bytes(
                 ids[8 * j..8 * j + 8].try_into().expect("8-byte id"),
@@ -537,16 +541,32 @@ impl<const D: usize> PagedRTree<D> {
         })
     }
 
-    /// Read and decode one page from disk (bypasses the buffer pool).
+    /// Read and decode one page from disk (bypasses the buffer pool). The
+    /// page's checksum chain is folded in step with the decode — each entry
+    /// decoded folds its share of the page's words, the rest (padding
+    /// included) after the last — so the decode runs in the chain's shadow;
+    /// a checksum mismatch outranks every error the decode found.
     fn load_page(&self, id: NodeId) -> Result<DecodedNode<D>, StoreError> {
         let offset = self.page_offsets[id.0 as usize];
         let mut buf = vec![0u8; self.page_size as usize];
         self.file.read_exact_at(&mut buf, offset)?;
         let (payload, sum_bytes) = buf.split_at(self.page_size as usize - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if stored != fnv1a(payload) {
+        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("an 8-byte split"));
+        let mut walk = ChecksumWalk::new(payload);
+        let node = self.decode_page(id, payload, &mut walk);
+        if walk.finish() != stored {
             return Err(corrupt(format!("page {} checksum mismatch", id.0)));
         }
+        node
+    }
+
+    /// The node in a page's `payload`, decoded while `walk` folds it.
+    fn decode_page(
+        &self,
+        id: NodeId,
+        payload: &[u8],
+        walk: &mut ChecksumWalk<'_>,
+    ) -> Result<DecodedNode<D>, StoreError> {
         let mut d = Decoder::new(payload);
         let kind = d.bytes(4)?[0];
         let count = d.u32()? as usize;
@@ -556,10 +576,12 @@ impl<const D: usize> PagedRTree<D> {
                 id.0, self.config.max_entries
             )));
         }
+        let words = payload.len() / 8 / count.max(1);
         match kind {
             1 => {
                 let mut children = Vec::with_capacity(count);
                 for _ in 0..count {
+                    walk.fold(words);
                     let child = d.u64()?;
                     if child >= self.page_offsets.len() as u64 {
                         return Err(corrupt(format!(
@@ -573,7 +595,7 @@ impl<const D: usize> PagedRTree<D> {
                 }
                 Ok(DecodedNode::Internal(children))
             }
-            0 => Ok(DecodedNode::Leaf(decode_leaf_entries::<D>(&mut d, count)?)),
+            0 => Ok(DecodedNode::Leaf(decode_leaf_entries::<D>(&mut d, count, walk, words)?)),
             other => Err(corrupt(format!("page {} has unknown node kind {other}", id.0))),
         }
     }
@@ -693,8 +715,10 @@ mod tests {
             let mut padded = block.into_bytes();
             padded.extend_from_slice(&[0u8; 24]); // a page's zero padding follows
             let mut d = Decoder::new(&padded);
-            let back = decode_leaf_entries::<2>(&mut d, count).unwrap();
+            let mut walk = ChecksumWalk::new(&padded);
+            let back = decode_leaf_entries::<2>(&mut d, count, &mut walk, 1).unwrap();
             assert_eq!(d.remaining(), 24, "the decode consumes exactly the block");
+            assert_eq!(walk.finish(), fnv1a(&padded), "the walk folds the whole page");
             assert_eq!(back.len(), count);
             for (b, a) in back.iter().zip(&all) {
                 assert_eq!((b.id, b.point_count), (a.id, a.point_count));
@@ -706,7 +730,9 @@ mod tests {
             }
             // One entry more than the block holds is a typed error.
             let short = &padded[..padded.len() - 24];
-            assert!(decode_leaf_entries::<2>(&mut Decoder::new(short), count + 1).is_err());
+            let mut walk = ChecksumWalk::new(short);
+            assert!(decode_leaf_entries::<2>(&mut Decoder::new(short), count + 1, &mut walk, 1)
+                .is_err());
         }
     }
 

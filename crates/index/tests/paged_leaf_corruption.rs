@@ -5,13 +5,22 @@
 //! e.g. reserved trailer padding) leave every decoded node identical to
 //! the pristine file. Never a panic, never silently different summaries.
 //! Mirrors `shard_manifest_corruption.rs` at the page layer.
+//!
+//! The page decode is also held to the one it replaced — a whole-page
+//! `fnv1a`, then the leaf or internal decode through a byte reader — kept
+//! below as the oracle: every flipped bit of a leaf and of an internal page
+//! (checksum stale and re-stamped) and every forged checksum-valid page
+//! decodes to the same node, or fails with the same error and message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use fuzzy_geom::Point;
-use fuzzy_index::{paged_header_len, NodeAccess, NodeView, PagedRTree, RTreeConfig, PAGED_VERSION};
+use fuzzy_index::{
+    leaf_entry_len, paged_header_len, NodeAccess, NodeId, NodeView, PagedRTree, RTreeConfig,
+    PAGED_VERSION,
+};
 use fuzzy_store::format::fnv1a;
 use fuzzy_store::StoreError;
 
@@ -197,5 +206,324 @@ fn damaged_leaf_page_fails_only_that_read() {
     assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     // Other pages still read fine through the same handle and cache.
     assert!(tree.read_node(root).is_ok());
+    std::fs::remove_file(&path).unwrap();
+}
+
+fn oracle_fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x100000001b3;
+    let mut h: u64 = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+fn corrupt(reason: String) -> StoreError {
+    StoreError::Corrupt { reason }
+}
+
+/// The parent's bounds-checked byte reader.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if self.pos + n > self.buf.len() {
+            return Err(corrupt(format!(
+                "unexpected end of data: need {} bytes at offset {}, have {}",
+                n,
+                self.pos,
+                self.buf.len()
+            )));
+        }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+}
+
+/// The parent's page decode, as the node digest `full_scan` builds.
+fn oracle_page(
+    page: &[u8],
+    id: u32,
+    pages: u64,
+    max_entries: usize,
+) -> Result<Vec<u64>, StoreError> {
+    let (payload, sum_bytes) = page.split_at(page.len() - 8);
+    if u64::from_le_bytes(sum_bytes.try_into().unwrap()) != oracle_fnv1a(payload) {
+        return Err(corrupt(format!("page {id} checksum mismatch")));
+    }
+    let mut d = Reader { buf: payload, pos: 0 };
+    let kind = d.take(4)?[0];
+    let count = u32::from_le_bytes(d.take(4)?.try_into().unwrap()) as usize;
+    if count > max_entries {
+        return Err(corrupt(format!(
+            "page {id} declares {count} entries, node capacity is {max_entries}"
+        )));
+    }
+    let mut digest = Vec::new();
+    match kind {
+        1 => {
+            for _ in 0..count {
+                let child = d.u64()?;
+                if child >= pages {
+                    return Err(corrupt(format!(
+                        "page {id} references child page {child} of {pages}"
+                    )));
+                }
+                let mut lo_hi = [0.0f64; 4];
+                for v in &mut lo_hi {
+                    *v = f64::from_bits(d.u64()?);
+                }
+                let ([lo0, hi0, lo1, hi1], inf) = (lo_hi, f64::INFINITY);
+                let valid = lo0 <= hi0 && lo1 <= hi1;
+                let empty = lo0 == inf && lo1 == inf && hi0 == -inf && hi1 == -inf;
+                if !valid && !empty {
+                    return Err(corrupt("inverted MBR in node page".into()));
+                }
+                digest.push(child);
+                digest.extend([lo0, hi0, lo1, hi1].map(f64::to_bits));
+            }
+        }
+        0 => {
+            let block = d.take(count * leaf_entry_len(2))?;
+            let (ids, rest) = block.split_at(8 * count);
+            let (counts, cells) = rest.split_at(4 * count);
+            let cell = |c: usize, j: usize| {
+                let at = (c * count + j) * 8;
+                f64::from_le_bytes(cells[at..at + 8].try_into().unwrap())
+            };
+            for j in 0..count {
+                // support lo/hi and kernel lo/hi, interleaved per dimension.
+                for first in [0, 4] {
+                    if !(0..2).all(|dim| cell(first + 2 * dim, j) <= cell(first + 2 * dim + 1, j)) {
+                        return Err(corrupt("inverted MBR in leaf summary block".into()));
+                    }
+                }
+                digest.push(u64::from_le_bytes(ids[8 * j..8 * j + 8].try_into().unwrap()));
+                digest
+                    .push(u32::from_le_bytes(counts[4 * j..4 * j + 4].try_into().unwrap()) as u64);
+                for dim in 0..2 {
+                    for c in [0, 1, 4, 5, 8, 9, 12, 13] {
+                        digest.push(cell(c + 2 * dim, j).to_bits());
+                    }
+                    digest.push(cell(16 + dim, j).to_bits());
+                }
+            }
+        }
+        other => return Err(corrupt(format!("page {id} has unknown node kind {other}"))),
+    }
+    Ok(digest)
+}
+
+/// What one node read gives, in the oracle's digest order.
+fn node_digest(tree: &PagedRTree<2>, id: NodeId) -> Result<Vec<u64>, StoreError> {
+    let node = tree.read_node(id)?;
+    let mut digest = Vec::new();
+    match node.view() {
+        NodeView::Nodes(children) => {
+            for c in children {
+                digest.push(c.id.index() as u64);
+                for d in 0..2 {
+                    digest.extend([c.mbr.lo(d).to_bits(), c.mbr.hi(d).to_bits()]);
+                }
+            }
+        }
+        NodeView::Entries(entries) => {
+            for e in entries {
+                digest.extend([e.id.0, e.point_count as u64]);
+                for d in 0..2 {
+                    digest.extend([
+                        e.support_mbr.lo(d).to_bits(),
+                        e.support_mbr.hi(d).to_bits(),
+                        e.kernel_mbr.lo(d).to_bits(),
+                        e.kernel_mbr.hi(d).to_bits(),
+                        e.upper_lines[d].m.to_bits(),
+                        e.upper_lines[d].t.to_bits(),
+                        e.lower_lines[d].m.to_bits(),
+                        e.lower_lines[d].t.to_bits(),
+                        e.rep[d].to_bits(),
+                    ]);
+                }
+            }
+        }
+    }
+    Ok(digest)
+}
+
+/// Every page of the fixture by page number, and the first leaf and
+/// internal page.
+fn pages_of(path: &PathBuf) -> (Vec<NodeId>, NodeId, NodeId) {
+    let tree = PagedRTree::<2>::open(path).unwrap();
+    let (mut all, mut queue) = (Vec::new(), vec![tree.root_id()]);
+    let (mut leaf, mut internal) = (None, None);
+    while let Some(id) = queue.pop() {
+        all.push(id);
+        match tree.read_node(id).unwrap().view() {
+            NodeView::Nodes(children) => {
+                internal.get_or_insert(id);
+                queue.extend(children.iter().map(|c| c.id));
+            }
+            NodeView::Entries(_) => {
+                leaf.get_or_insert(id);
+            }
+        }
+    }
+    all.sort_by_key(|id| id.index());
+    assert_eq!(all.len(), tree.page_count(), "every page is reachable");
+    (all, leaf.unwrap(), internal.unwrap())
+}
+
+/// Write `file`, open it and read page `id`; the oracle reads the same
+/// page's bytes. Both must agree.
+fn page_matches_oracle(path: &PathBuf, file: &[u8], id: NodeId, what: &dyn Fn() -> String) {
+    std::fs::write(path, file).unwrap();
+    let tree = PagedRTree::<2>::open(path).expect("only the page was touched");
+    let got = catch_unwind(AssertUnwindSafe(|| node_digest(&tree, id)))
+        .unwrap_or_else(|_| panic!("read panicked on {}", what()));
+    let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
+    let page = &file[at..at + PAGE as usize];
+    let want = oracle_page(page, id.index(), tree.page_count() as u64, tree.config().max_entries);
+    let show = |r: Result<Vec<u64>, StoreError>| r.map_err(|e| format!("{e:?}"));
+    assert_eq!(show(got), show(want), "{}", what());
+}
+
+/// Re-stamp page `id`'s checksum in `file`.
+fn seal_page(file: &mut [u8], id: NodeId) {
+    let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
+    let end = at + PAGE as usize - 8;
+    let sum = oracle_fnv1a(&file[at..end]);
+    file[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn flipped_page_bits_decode_as_the_oracle_does() {
+    let (path, bytes) = build_fixture("diffflip");
+    let (_, leaf, internal) = pages_of(&path);
+    for (kind, id) in [("leaf", leaf), ("internal", internal)] {
+        let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
+        for byte in at..at + PAGE as usize - 8 {
+            // Every bit in release (CI); one a byte in tier-1's debug build.
+            let bits = if cfg!(debug_assertions) { byte % 8..byte % 8 + 1 } else { 0..8 };
+            for bit in bits {
+                let mut evil = bytes.clone();
+                evil[byte] ^= 1 << bit;
+                let what = || format!("{kind} page, bit {bit} of byte {}", byte - at);
+                page_matches_oracle(&path, &evil, id, &|| format!("{}, stale", what()));
+                seal_page(&mut evil, id);
+                page_matches_oracle(&path, &evil, id, &|| format!("{}, re-stamped", what()));
+            }
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn forged_pages_decode_as_the_oracle_does() {
+    let (path, bytes) = build_fixture("diffforge");
+    let (all, leaf, internal) = pages_of(&path);
+    let page_at = |id: NodeId| paged_header_len(2) + id.index() as usize * PAGE as usize;
+    let forged = |id: NodeId, edit: &dyn Fn(&mut [u8])| {
+        let mut file = bytes.clone();
+        let at = page_at(id);
+        edit(&mut file[at..at + PAGE as usize]);
+        seal_page(&mut file, id);
+        file
+    };
+    let put =
+        |page: &mut [u8], at: usize, v: u64| page[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let count = |page: &[u8]| u32::from_le_bytes(page[4..8].try_into().unwrap()) as usize;
+    let pages = all.len() as u64;
+
+    // Header fields every page shares.
+    for (what, kind, n) in [
+        ("count above capacity", None, 4u32),
+        ("count u32::MAX", None, u32::MAX),
+        ("kind 2", Some(2u8), 1),
+        ("kind 255", Some(255), 1),
+        ("empty leaf", Some(0), 0),
+    ] {
+        for &id in &all {
+            let file = forged(id, &|p| {
+                if let Some(k) = kind {
+                    p[0] = k;
+                }
+                p[4..8].copy_from_slice(&n.to_le_bytes());
+            });
+            page_matches_oracle(&path, &file, id, &|| format!("page {}: {what}", id.index()));
+        }
+    }
+
+    // Leaf cells: column `c` of entry `j` sits at 8 + 12·count + 8·(c·count + j).
+    let n = count(&bytes[page_at(leaf)..]);
+    let cell = |c: usize, j: usize| 8 + 12 * n + 8 * (c * n + j);
+    for j in [0, n - 1] {
+        for (what, c, v) in [
+            ("support lo x above its hi", 0, 1e9f64),
+            ("support hi y below its lo", 3, -1e9),
+            ("kernel lo y NaN", 6, f64::NAN),
+            ("kernel hi x -inf", 5, f64::NEG_INFINITY),
+            ("an infinite line slope", 8, f64::INFINITY),
+            ("a NaN rep", 17, f64::NAN),
+        ] {
+            let file = forged(leaf, &|p| put(p, cell(c, j), v.to_bits()));
+            page_matches_oracle(&path, &file, leaf, &|| format!("leaf entry {j}: {what}"));
+        }
+    }
+
+    // Internal entries: child u64, then lo/hi per dimension.
+    let m = count(&bytes[page_at(internal)..]);
+    for j in [0, m - 1] {
+        let entry = 8 + 40 * j;
+        let edits: [(&str, usize, u64); 6] = [
+            ("child = page count", 0, pages),
+            ("child = u64::MAX", 0, u64::MAX),
+            ("lo x above hi x", 8, 1e9f64.to_bits()),
+            ("hi y NaN", 32, f64::NAN.to_bits()),
+            ("lo x +inf", 8, f64::INFINITY.to_bits()),
+            ("hi x -inf", 16, f64::NEG_INFINITY.to_bits()),
+        ];
+        for (what, off, v) in edits {
+            let file = forged(internal, &|p| put(p, entry + off, v));
+            page_matches_oracle(&path, &file, internal, &|| format!("internal {j}: {what}"));
+        }
+        // The empty-box sentinel decodes; half of it is inverted.
+        let file = forged(internal, &|p| {
+            for d in 0..2 {
+                put(p, entry + 8 + 16 * d, f64::INFINITY.to_bits());
+                put(p, entry + 16 + 16 * d, f64::NEG_INFINITY.to_bits());
+            }
+        });
+        page_matches_oracle(&path, &file, internal, &|| format!("internal {j}: sentinel"));
+    }
+
+    // A header that allows more entries than a page holds: the decode runs
+    // off the page's end, at the same offset as the oracle's reader.
+    let mut roomy = bytes.clone();
+    roomy[12..16].copy_from_slice(&40u32.to_le_bytes());
+    let hlen = paged_header_len(2);
+    let sum = oracle_fnv1a(&roomy[..hlen - 8]);
+    roomy[hlen - 8..hlen].copy_from_slice(&sum.to_le_bytes());
+    for (id, counts) in [(leaf, [4u32, 40]), (internal, [13, 40])] {
+        for c in counts {
+            let mut file = roomy.clone();
+            let at = page_at(id);
+            file[at + 4..at + 8].copy_from_slice(&c.to_le_bytes());
+            seal_page(&mut file, id);
+            page_matches_oracle(&path, &file, id, &|| format!("page {} counts {c}", id.index()));
+        }
+    }
     std::fs::remove_file(&path).unwrap();
 }

@@ -13,11 +13,13 @@
 //! ```
 //!
 //! Every record carries an FNV-1a checksum so a truncated or bit-flipped
-//! file is detected at probe time rather than silently decoded.
+//! file is detected at probe time rather than silently decoded. A probe
+//! reads its record in one [`ChecksumWalk`]: each word is folded into the
+//! checksum, converted and handed to the layout checks in the same step.
 
 use crate::error::StoreError;
-use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
-use fuzzy_geom::{ConservativeLine, Mbr, Point};
+use fuzzy_core::{ColumnarChecker, FuzzyObject, ObjectId, ObjectSummary};
+use fuzzy_geom::ConservativeLine;
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"FZKN";
@@ -45,19 +47,155 @@ pub const TRAILER_LEN: usize = 8 + 8 + 8 + 4;
 /// throughput with the same error-detection envelope for our fixed-layout
 /// records (length is part of the state, so zero padding cannot alias).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    fnv_fold(fnv_seed(bytes.len()), bytes)
+}
+
+/// The state [`fnv1a`] starts from for an input of `len` bytes.
+#[inline]
+fn fnv_seed(len: usize) -> u64 {
+    0xcbf29ce484222325 ^ (len as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// One word of [`fnv1a`]: the classic `xor`-then-multiply step.
+#[inline]
+fn fnv_step(h: u64, word: &[u8]) -> u64 {
+    (h ^ u64::from_le_bytes(word.try_into().expect("an 8-byte word"))).wrapping_mul(FNV_PRIME)
+}
+
+/// [`fnv1a`]'s fold of `bytes` from state `h`: whole words, then the
+/// zero-padded partial word.
+#[inline]
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = fnv_step(h, word);
     }
-    let rest = chunks.remainder();
+    let rest = words.remainder();
     if !rest.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rest.len()].copy_from_slice(rest);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+        h = fnv_step(h, &tail);
     }
     h
+}
+
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// [`fnv1a`] taken a piece at a time by a decoder, so the decode runs in
+/// the checksum's shadow.
+///
+/// The checksum is a strict dependency chain (a multiply per word), which
+/// leaves most of the core idle; a decoder that converts and checks values
+/// while the chain folds gets that work done in the chain's shadow instead
+/// of in passes after it. The walk folds the input's words in order, in
+/// one of two ways:
+///
+/// * **folding ahead** ([`ChecksumWalk::fold`]) while the caller parses the
+///   same bytes itself, a share of the words per entry parsed (a `.fzpt`
+///   page read);
+/// * **reading through the walk** (this module's `u64`, `u32s` and `f64s`,
+///   what [`decode_object`] does): the walk reads front to back, and every
+///   read folds the words that end inside it — after an odd count of
+///   `u32`s the walk sits 4 bytes into a word, which the next read folds.
+///   A section yields the values that are there, at most the `n` asked
+///   for, and the walk moves past all of them: take every value of a
+///   section before reading on.
+///
+/// The two do not mix: a read after folding ahead folds its words again.
+///
+/// [`ChecksumWalk::finish`] folds whatever was not folded yet, so its
+/// digest is always `fnv1a` of the whole input: a decoder may stop at its
+/// first error and still report the checksum verdict first.
+#[derive(Debug)]
+pub struct ChecksumWalk<'a> {
+    bytes: &'a [u8],
+    h: u64,
+    /// Bytes read through the walk.
+    read: usize,
+    /// Bytes folded: a multiple of 8, every whole word before it.
+    folded: usize,
+}
+
+impl<'a> ChecksumWalk<'a> {
+    /// Start the chain over `bytes` (the state is seeded with its length).
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, h: fnv_seed(bytes.len()), read: 0, folded: 0 }
+    }
+
+    /// Fold up to `words` more whole words, ahead of any read.
+    #[inline]
+    pub fn fold(&mut self, words: usize) {
+        let end = self.folded.saturating_add(words.saturating_mul(8)).min(self.bytes.len() & !7);
+        for word in self.bytes[self.folded..end].chunks_exact(8) {
+            self.h = fnv_step(self.h, word);
+        }
+        self.folded = end;
+    }
+
+    /// The next little-endian `u64`, or the [`Decoder`]'s error for it.
+    #[inline]
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        let (at, word) = (self.read, self.read & !7);
+        if at + 8 > self.bytes.len() {
+            return Err(end_of_data(8, at, self.bytes.len()));
+        }
+        self.h = fnv_step(self.h, &self.bytes[word..word + 8]);
+        (self.read, self.folded) = (at + 8, word + 8);
+        Ok(u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes are there")))
+    }
+
+    /// The next `n` little-endian `u32`s.
+    #[inline]
+    fn u32s<'w>(&'w mut self, n: usize) -> impl Iterator<Item = u32> + 'w
+    where
+        'a: 'w,
+    {
+        let (bytes, at): (&'w [u8], usize) = (self.bytes, self.read);
+        let n = n.min((bytes.len() - at) / 4);
+        self.read += 4 * n;
+        self.folded = self.read & !7;
+        let h = &mut self.h;
+        bytes[at..at + 4 * n].chunks_exact(4).enumerate().map(move |(k, value)| {
+            let end = at + 4 * k + 4;
+            if end % 8 == 0 {
+                *h = fnv_step(*h, &bytes[end - 8..end]);
+            }
+            u32::from_le_bytes(value.try_into().expect("a 4-byte chunk"))
+        })
+    }
+
+    /// The next `n` little-endian `f64`s.
+    #[inline]
+    fn f64s<'w>(&'w mut self, n: usize) -> impl Iterator<Item = f64> + 'w
+    where
+        'a: 'w,
+    {
+        let (bytes, at): (&'w [u8], usize) = (self.bytes, self.read);
+        let n = n.min((bytes.len() - at) / 8);
+        self.read += 8 * n;
+        self.folded = self.read & !7;
+        // Value `k` ends inside word `k` from the one the read starts in.
+        let words = bytes[at & !7..(at & !7) + 8 * n].chunks_exact(8);
+        let h = &mut self.h;
+        bytes[at..at + 8 * n].chunks_exact(8).zip(words).map(move |(value, word)| {
+            *h = fnv_step(*h, word);
+            f64::from_le_bytes(value.try_into().expect("an 8-byte chunk"))
+        })
+    }
+
+    /// Fold every word not folded yet and return the digest.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        fnv_fold(self.h, &self.bytes[self.folded..])
+    }
+}
+
+/// The error for a read of `need` bytes at `at` from `have` bytes.
+fn end_of_data(need: usize, at: usize, have: usize) -> StoreError {
+    StoreError::Corrupt {
+        reason: format!("unexpected end of data: need {need} bytes at offset {at}, have {have}"),
+    }
 }
 
 /// Little-endian byte writer over a growable buffer.
@@ -137,14 +275,7 @@ impl<'a> Decoder<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.pos + n > self.buf.len() {
-            return Err(StoreError::Corrupt {
-                reason: format!(
-                    "unexpected end of data: need {} bytes at offset {}, have {}",
-                    n,
-                    self.pos,
-                    self.buf.len()
-                ),
-            });
+            return Err(end_of_data(n, self.pos, self.buf.len()));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -219,46 +350,49 @@ pub fn encode_object<const D: usize>(obj: &FuzzyObject<D>) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decode one object record, verifying the checksum, the columnar layout
-/// contract (permutation, descending memberships) and model invariants.
+/// Decode one object record in one [`ChecksumWalk`]: every word is folded
+/// into the checksum, converted into its column and checked by a
+/// [`ColumnarChecker`] in the same step. A checksum mismatch outranks every
+/// other error; then a point count the record's length disagrees with;
+/// then the checker's verdict.
 pub fn decode_object<const D: usize>(bytes: &[u8]) -> Result<FuzzyObject<D>, StoreError> {
     if bytes.len() < record_len(D, 0) {
         return Err(StoreError::Corrupt { reason: "record too short".into() });
     }
     let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    let computed = fnv1a(payload);
+    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("an 8-byte split"));
+    let mut walk = ChecksumWalk::new(payload);
+    let decoded = walk_object(&mut walk);
+    let computed = walk.finish();
     if stored != computed {
         return Err(StoreError::Corrupt {
             reason: format!("record checksum mismatch: stored {stored:x}, computed {computed:x}"),
         });
     }
-    let mut d = Decoder::new(payload);
-    let id = ObjectId(d.u64()?);
-    let n = d.u32()? as usize;
-    let _flags = d.u32()?;
+    decoded
+}
+
+/// The record body behind [`decode_object`]'s walk.
+fn walk_object<const D: usize>(walk: &mut ChecksumWalk<'_>) -> Result<FuzzyObject<D>, StoreError> {
+    let id = ObjectId(walk.u64()?);
+    // `n` u32, then the reserved flags u32.
+    let n = walk.u64()? as u32 as usize;
     let expected = n * 4 + n * 8 + D * n * 8;
-    if d.remaining() != expected {
+    let carried = walk.bytes.len() - walk.read;
+    if carried != expected {
         return Err(StoreError::Corrupt {
             reason: format!(
-                "record for {id} declares {n} points but carries {} payload bytes (expected {expected})",
-                d.remaining()
+                "record for {id} declares {n} points but carries {carried} payload bytes (expected {expected})"
             ),
         });
     }
-    // The length check above fixed the three sections; each converts in
-    // one bulk pass and becomes, unchanged, a column of the object.
-    let (perm, rest) = d.bytes(expected)?.split_at(n * 4);
-    let (mus, cols) = rest.split_at(n * 8);
-    let f64s = |section: &[u8]| -> Vec<f64> {
-        let word = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
-        section.chunks_exact(8).map(word).collect()
-    };
-    let orig = perm
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect();
-    Ok(FuzzyObject::from_columnar(id, orig, f64s(mus), f64s(cols))?)
+    let mut check = ColumnarChecker::<D>::new(n);
+    check.fill_source_indices(walk.u32s(n));
+    check.fill_memberships(walk.f64s(n));
+    for _ in 0..D {
+        check.fill_coord_column(walk.f64s(n));
+    }
+    Ok(check.finish(id)?)
 }
 
 /// Fixed encoded size of one summary.
@@ -292,22 +426,22 @@ pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
     }
 }
 
-/// Decode one summary.
+/// Decode one summary, checked by [`ObjectSummary::from_stored`]: the
+/// section summaries live in carries no checksum of its own (`.fzkn`), so
+/// a damaged box must fail here rather than prune a true neighbour.
 pub fn decode_summary<const D: usize>(d: &mut Decoder<'_>) -> Result<ObjectSummary<D>, StoreError> {
     let id = ObjectId(d.u64()?);
     let point_count = d.u32()?;
     let _flags = d.u32()?;
-    let read_mbr = |d: &mut Decoder<'_>| -> Result<Mbr<D>, StoreError> {
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            lo[i] = d.f64()?;
-            hi[i] = d.f64()?;
+    let read_box = |d: &mut Decoder<'_>| -> Result<[[f64; D]; 2], StoreError> {
+        let (mut lo, mut hi) = ([0.0; D], [0.0; D]);
+        for (lo, hi) in lo.iter_mut().zip(&mut hi) {
+            (*lo, *hi) = (d.f64()?, d.f64()?);
         }
-        Ok(Mbr::new(lo, hi))
+        Ok([lo, hi])
     };
-    let support_mbr = read_mbr(d)?;
-    let kernel_mbr = read_mbr(d)?;
+    let support = read_box(d)?;
+    let kernel = read_box(d)?;
     let mut upper_lines = [ConservativeLine::ZERO; D];
     for line in upper_lines.iter_mut() {
         *line = ConservativeLine { m: d.f64()?, t: d.f64()? };
@@ -320,20 +454,14 @@ pub fn decode_summary<const D: usize>(d: &mut Decoder<'_>) -> Result<ObjectSumma
     for x in rep.iter_mut() {
         *x = d.f64()?;
     }
-    Ok(ObjectSummary {
-        id,
-        support_mbr,
-        kernel_mbr,
-        upper_lines,
-        lower_lines,
-        rep: Point::new(rep),
-        point_count,
-    })
+    ObjectSummary::from_stored(id, point_count, support, kernel, upper_lines, lower_lines, rep)
+        .map_err(|e| StoreError::Corrupt { reason: format!("summary for {id}: {e}") })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuzzy_geom::Point;
 
     fn sample_object(id: u64) -> FuzzyObject<2> {
         let pts = vec![Point::xy(1.5, -2.25), Point::xy(0.0, 0.125), Point::xy(-3.5, 7.0)];

@@ -126,6 +126,57 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fz-v3-corrupt-{}-{name}", std::process::id()))
 }
 
+/// The summary section carries no checksum, and the search prunes on its
+/// boxes: a summary that breaks an invariant — here a support box whose
+/// upper x bound a damaged bit pulled below the object's kernel point —
+/// must stop the open with a `Corrupt` naming the object, not open into
+/// an index that can prune a true neighbour.
+#[test]
+fn summaries_breaking_their_invariants_never_open() {
+    let path = tmp("summary");
+    let mut w = FileStoreWriter::<2>::create(&path).unwrap();
+    w.append(&sample()).unwrap();
+    drop(w.finish().unwrap());
+    let pristine = std::fs::read(&path).unwrap();
+    let trailer = pristine.len() - TRAILER_LEN;
+    let summary =
+        u64::from_le_bytes(pristine[trailer..trailer + 8].try_into().unwrap()) as usize + 8;
+    // id u64 | point_count u32 | flags u32, then f64s: support lo/hi per
+    // dimension, kernel lo/hi per dimension, upper m/t, lower m/t, rep.
+    let cell = |k: usize| summary + 16 + 8 * k;
+    let read = |k: usize| f64::from_le_bytes(pristine[cell(k)..cell(k) + 8].try_into().unwrap());
+    let (support_lo_x, kernel_hi_x) = (read(0), read(5));
+    let cases: [(&str, usize, f64, &str); 5] = [
+        ("support hi x pulled below the kernel", 1, support_lo_x, "kernel box leaves"),
+        ("support lo x above its hi", 0, read(1) + 1.0, "inverted"),
+        ("a NaN line slope", 8, f64::NAN, "not finite"),
+        ("an infinite rep", 16, f64::INFINITY, "not finite"),
+        ("rep beyond the kernel", 16, kernel_hi_x + 0.5, "representative"),
+    ];
+    for (what, k, value, says) in cases {
+        let mut evil = pristine.clone();
+        evil[cell(k)..cell(k) + 8].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(&path, &evil).unwrap();
+        match catch_unwind(AssertUnwindSafe(|| FileStore::<2>::open(&path))) {
+            Err(_) => panic!("open panicked on {what}"),
+            Ok(Ok(_)) => panic!("open accepted {what}"),
+            Ok(Err(StoreError::Corrupt { reason })) => {
+                assert!(reason.contains("#42") && reason.contains(says), "{what}: {reason}")
+            }
+            Ok(Err(e)) => panic!("{what} gave {e}"),
+        }
+    }
+    let mut evil = pristine.clone();
+    evil[summary + 8..summary + 12].copy_from_slice(&0u32.to_le_bytes());
+    std::fs::write(&path, &evil).unwrap();
+    let err = FileStore::<2>::open(&path).unwrap_err();
+    assert!(err.to_string().contains("no points"), "{err}");
+
+    std::fs::write(&path, &pristine).unwrap();
+    assert!(FileStore::<2>::open(&path).is_ok(), "the fixture itself opens");
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn stale_version_files_are_version_mismatch() {
     let path = tmp("stale");
