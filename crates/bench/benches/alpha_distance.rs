@@ -1,12 +1,13 @@
 //! `abl-dist`: α-distance evaluation cost — the quadratic brute force, the
-//! adaptive kernel on a pair whose two kd-trees both exist, and the shape
-//! the query engine runs: a store-probed object against the resident query.
+//! adaptive kernel on a pair whose query side already carries its kd-tree,
+//! and the shape the query engine runs: a store-probed object against the
+//! resident query.
 //!
 //! * `alpha_distance/brute` — the all-pairs oracle.
-//! * `alpha_distance/auto_{dense,dual_tree}` — [`alpha_distance`] with both
-//!   trees pre-built, labelled with the strategy the kernel picks for the
-//!   pair (the dense scan below its pair budget, the dual-tree closest pair
-//!   above it).
+//! * `alpha_distance/auto_{dense,single_tree}` — [`alpha_distance`] with
+//!   the second (query) object's tree pre-built, labelled with the strategy
+//!   the kernel picks for the pair (the dense scan below its pair budget,
+//!   the single-tree search above it).
 //! * `probed_vs_query/{separated,touching,half,concentric}` — the probed
 //!   side arrives from `from_columnar` (columns only, no tree), the query's
 //!   tree is pre-built, 1 000 points a side with r = σ = 0.5 as on fkbench's
@@ -39,16 +40,16 @@ fn pair(n: usize, space: f64, seed: u64) -> (FuzzyObject<2>, FuzzyObject<2>) {
     (objs.next().expect("two objects"), objs.next().expect("two objects"))
 }
 
-/// Build both kd-trees and name what [`alpha_distance`] then runs at `t`.
-/// Only the dense scan leaves a tree-less reusable side without its tree, so
-/// one call on the still cold pair tells the strategies apart.
+/// Build `b`'s kd-tree and name what [`alpha_distance`] then runs at `t`.
+/// Only the dense scan leaves a tree-less query side without its tree, so
+/// one call on a still cold copy tells the strategies apart.
 fn warm_and_name(a: &FuzzyObject<2>, b: &FuzzyObject<2>, t: Threshold) -> &'static str {
-    let (cold_a, cold_b) = (a.clone(), b.clone());
-    assert!(!cold_a.kd_tree_ready() && !cold_b.kd_tree_ready(), "name the pair before warming it");
-    let _ = alpha_distance(&cold_a, &cold_b, t);
-    let _ = (a.kd_tree(), b.kd_tree());
+    let cold_b = b.clone();
+    assert!(!cold_b.kd_tree_ready(), "name the pair before warming it");
+    let _ = alpha_distance(a, &cold_b, t);
+    let _ = b.kd_tree();
     if cold_b.kd_tree_ready() {
-        "auto_dual_tree"
+        "auto_single_tree"
     } else {
         "auto_dense"
     }
@@ -74,8 +75,8 @@ fn bench_threshold_sensitivity(c: &mut Criterion) {
     let (a, b) = pair(1000, 100.0, 11);
     let mut group = c.benchmark_group("alpha_distance_vs_alpha");
     for alpha in [0.1, 0.5, 0.9] {
-        // Cloned per level: the name is taken from a cold pair.
-        let (a, b) = (a.clone(), b.clone());
+        // Cloned per level: the name is taken from a cold query.
+        let b = b.clone();
         let auto = warm_and_name(&a, &b, Threshold::at(alpha));
         group.bench_with_input(BenchmarkId::new(auto, alpha), &alpha, |bench, &al| {
             bench.iter(|| alpha_distance(&a, &b, Threshold::at(al)))

@@ -1,11 +1,11 @@
-//! R-tree costs: STR bulk load, incremental insertion, best-first kNN and
-//! range search over fuzzy summaries.
+//! R-tree costs: STR bulk load, incremental insertion and range search over
+//! fuzzy summaries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fuzzy_core::ObjectSummary;
 use fuzzy_datagen::SyntheticConfig;
 use fuzzy_geom::Point;
-use fuzzy_index::{RTree, RTreeConfig};
+use fuzzy_index::{range_search, RTree, RTreeConfig};
 
 fn summaries(n: usize) -> Vec<ObjectSummary<2>> {
     let cfg = SyntheticConfig {
@@ -51,20 +51,14 @@ fn bench_queries(c: &mut Criterion) {
     let tree = RTree::bulk_load(entries, RTreeConfig::default());
     let q = Point::xy(50.0, 50.0);
     let mut group = c.benchmark_group("rtree_query");
-    for k in [1usize, 20, 100] {
-        group.bench_with_input(BenchmarkId::new("knn_by", k), &k, |b, &k| {
-            b.iter(|| {
-                tree.knn_by(k, |mbr| mbr.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q))
-            })
-        });
-    }
     for radius in [1.0, 5.0, 20.0] {
         group.bench_with_input(BenchmarkId::new("range", radius as u64), &radius, |b, &r| {
             b.iter(|| {
-                tree.range_search(
+                range_search(
+                    &tree,
                     r,
                     |mbr| mbr.min_dist_point(&q),
-                    |e| e.support_mbr.min_dist_point(&q),
+                    |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
                 )
             })
         });

@@ -8,10 +8,8 @@
 //! synthetic object pairs. Algorithms:
 //!
 //! * `brute` — the naive per-pair reference ([`alpha_distance_brute`]);
-//! * `auto` — the adaptive production kernel (dense prefix scan /
-//!   single-tree / dual-tree, squared distances end to end);
-//! * `dual-tree` — the bichromatic closest pair forced over both
-//!   kd-trees;
+//! * `auto` — the adaptive production kernel (dense prefix scan or
+//!   single-tree, squared distances end to end);
 //! * `seeded` — the adaptive kernel seeded with an upper bound 5% above
 //!   the true distance, the shape of the AKNN engine's bound-seeded
 //!   probes.
@@ -20,9 +18,7 @@
 //! so the sweep doubles as an end-to-end equivalence test in CI.
 
 use crate::json::Json;
-use fuzzy_core::distance::{
-    alpha_distance_bounded, alpha_distance_brute, alpha_distance_with, DistanceAlgorithm,
-};
+use fuzzy_core::distance::{alpha_distance, alpha_distance_bounded, alpha_distance_brute};
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::SyntheticConfig;
 use std::time::Instant;
@@ -74,13 +70,12 @@ fn object_pairs(opts: &KernelOptions, ppo: usize) -> Vec<(FuzzyObject<2>, FuzzyO
 }
 
 /// Algorithm axis of the sweep.
-const ALGORITHMS: &[&str] = &["brute", "auto", "dual-tree", "seeded"];
+const ALGORITHMS: &[&str] = &["brute", "auto", "seeded"];
 
 /// One pass of one algorithm over every pair; returns (total distance,
 /// evaluations). Each algorithm runs on freshly built objects, so the
 /// measured cost includes its lazily built support structure (the sorted
-/// prefix layout for `auto`/`seeded`, both kd-trees for `dual-tree`) —
-/// the same shape as a store probe on the query hot path. `seeds`, when
+/// prefix layout, or the second object's kd-tree) — the same shape as a store probe on the query hot path. `seeds`, when
 /// present, carries one precomputed upper bound per pair (timed work then
 /// excludes the reference evaluation that produced it).
 fn run_algorithm(
@@ -94,8 +89,7 @@ fn run_algorithm(
     for (i, (a, b)) in pairs.iter().enumerate() {
         let d = match name {
             "brute" => alpha_distance_brute(a, b, t),
-            "auto" => alpha_distance_with(DistanceAlgorithm::Auto, a, b, t),
-            "dual-tree" => alpha_distance_with(DistanceAlgorithm::DualTree, a, b, t),
+            "auto" => alpha_distance(a, b, t),
             "seeded" => {
                 let seed = seeds.expect("seeded pass gets precomputed bounds")[i];
                 alpha_distance_bounded(a, b, t, seed)

@@ -28,7 +28,7 @@ fn kernel_sweep_rows_are_complete_and_reparsable() {
     // Every algorithm appears once per (ppo, α) cell.
     let algos: Vec<&str> =
         rows.iter().filter_map(|r| r.get("algorithm").and_then(Json::as_str)).collect();
-    for want in ["brute", "auto", "dual-tree", "seeded"] {
+    for want in ["brute", "auto", "seeded"] {
         assert!(algos.contains(&want), "missing algorithm {want}");
     }
 }
@@ -43,8 +43,8 @@ fn kernel_sweep_rows_are_complete_and_reparsable() {
 fn full_sweep_checksums_match_the_brute_oracle() {
     let rows = kernel::run(&KernelOptions::full());
     let opts = KernelOptions::full();
-    // One row per (algorithm, ppo, α) cell, 4 algorithms.
-    assert_eq!(rows.len(), opts.points_per_object.len() * opts.alphas.len() * 4);
+    // One row per (algorithm, ppo, α) cell, 3 algorithms.
+    assert_eq!(rows.len(), opts.points_per_object.len() * opts.alphas.len() * 3);
 }
 
 #[test]

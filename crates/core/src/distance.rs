@@ -28,10 +28,12 @@
 //!   is never indexed: it is scanned point by point through its
 //!   [`MembershipPrefix`], which for a decoded object *is* the record's
 //!   columns (no sort, no copy; an object built by [`FuzzyObject::new`]
-//!   pays one sort per lifetime instead). The **second** is the *reusable*
-//!   side — the query object in AKNN, the run-grouped left object in the
-//!   join: the kd-tree is only ever built there, and its cut is merely
-//!   *counted* until a strategy needs more.
+//!   pays one sort per lifetime instead), and the kernel never reads a
+//!   kd-tree it may carry — an object a `MemStore` or `CachedStore` hands
+//!   back may have been a query earlier. The **second** is the *reusable*
+//!   side — the query object in AKNN: the kd-tree is only ever built and
+//!   searched there, and its cut is merely *counted* until a strategy needs
+//!   more.
 //!
 //!   The probed side's cut is the prefix `0..n`, and it is visited **from
 //!   the tail**: lowest admitted membership first. Memberships fall off
@@ -44,7 +46,8 @@
 //!   throughput). The order only decides how fast the bound shrinks, never
 //!   the answer.
 //!
-//!   Per call the kernel picks the cheapest exact strategy:
+//!   Per call the kernel picks the cheaper of two exact strategies from the
+//!   cut sizes alone:
 //!   1. **dense** — when the cut product is small, each probed point runs
 //!      a branchless columnar min-reduction over the reusable side's
 //!      contiguous α-cut prefix (no tree; the reusable side's prefix is
@@ -70,12 +73,9 @@
 //!      are tight but the boxes overlap them — on paper-sized objects three
 //!      quarters of the probed points lie within the seed of the query's
 //!      box, while the bound the periphery-first block leaves behind
-//!      removes most of them;
-//!   3. **dual-tree** — the bichromatic closest pair over both kd-trees
-//!      with membership-level pruning (Corral et al., ref. \[9\]), used
-//!      when both trees already exist.
+//!      removes most of them.
 //!
-//!   All strategies minimize the same set of squared pair distances, so
+//!   Both strategies minimize the same set of squared pair distances, so
 //!   they return bitwise-equal results (property-tested against the
 //!   oracle).
 //!
@@ -86,26 +86,13 @@
 
 use crate::object::{FuzzyObject, MembershipPrefix};
 use crate::threshold::Threshold;
-use fuzzy_geom::{bichromatic_closest_pair_sq, KdTree, LevelFilter};
+use fuzzy_geom::{KdTree, LevelFilter};
 
 /// Below this `|A_α|·|B_α|` product the dense prefix × prefix loop
-/// beats the tree traversals (no tree build, no recursion, a vectorized
+/// beats the single-tree search (no tree build, no recursion, a vectorized
 /// branchless inner loop). Chosen so objects of a few hundred points
 /// never pay a tree construction.
 const DENSE_PAIR_BUDGET: usize = 65536;
-
-/// Evaluation strategy selector, mainly for benchmarks and tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DistanceAlgorithm {
-    /// All-pairs scan, `O(|A_α|·|B_α|)`, one `sqrt` per pair (the paper's
-    /// naive cost model; the reference oracle).
-    BruteForce,
-    /// Dual-tree branch and bound over both kd-trees.
-    DualTree,
-    /// The adaptive kernel: prefix×prefix, single-tree or dual-tree,
-    /// whichever is cheapest for the call (the production default).
-    Auto,
-}
 
 /// α-distance via the adaptive kernel. Returns `None` when either cut is
 /// empty under `t` (possible only for strict thresholds at the top level).
@@ -157,7 +144,7 @@ pub fn alpha_distance_sq_bounded<const D: usize>(
     upper_bound_sq: f64,
 ) -> Option<f64> {
     // `a` is the probed side: its cut is a prefix of the columns it was
-    // decoded into.
+    // decoded into, scanned whatever else it carries.
     let pa = a.by_membership();
     let na = pa.prefix_len(t);
     if na == 0 {
@@ -171,17 +158,7 @@ pub fn alpha_distance_sq_bounded<const D: usize>(
     if na.saturating_mul(nb) <= DENSE_PAIR_BUDGET {
         return dense_scan_sq(pa, na, b.by_membership(), nb, upper_bound_sq);
     }
-    let f = t.filter();
-    if a.kd_tree_ready() && b.kd_tree_ready() {
-        return bichromatic_closest_pair_sq(a.kd_tree(), b.kd_tree(), f, f, upper_bound_sq)
-            .map(|r| r.dist_sq);
-    }
-    if a.kd_tree_ready() {
-        // Rare shape (the probed side happens to carry a tree): probe it
-        // from b's prefix instead of building a second tree.
-        return single_tree_sq(a.kd_tree(), f, b.by_membership(), nb, upper_bound_sq);
-    }
-    single_tree_sq(b.kd_tree(), f, pa, na, upper_bound_sq)
+    single_tree_sq(b.kd_tree(), t.filter(), pa, na, upper_bound_sq)
 }
 
 /// Dense path: each point of `a`'s cut prefix, periphery first, runs a
@@ -288,24 +265,6 @@ pub fn alpha_distance_brute<const D: usize>(
     best
 }
 
-/// Dispatch on [`DistanceAlgorithm`].
-pub fn alpha_distance_with<const D: usize>(
-    algo: DistanceAlgorithm,
-    a: &FuzzyObject<D>,
-    b: &FuzzyObject<D>,
-    t: Threshold,
-) -> Option<f64> {
-    match algo {
-        DistanceAlgorithm::BruteForce => alpha_distance_brute(a, b, t),
-        DistanceAlgorithm::DualTree => {
-            let f = t.filter();
-            bichromatic_closest_pair_sq(a.kd_tree(), b.kd_tree(), f, f, f64::INFINITY)
-                .map(|r| r.dist_sq.sqrt())
-        }
-        DistanceAlgorithm::Auto => alpha_distance(a, b, t),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,16 +340,36 @@ mod tests {
 
     #[test]
     fn all_strategies_agree_bitwise() {
-        for seed in [2u64, 5, 9] {
-            let a = blob(seed, 120, 0.0, 0.0);
-            let b = blob(seed + 7, 110, 2.0, -1.0);
-            for v in [0.1, 0.5, 0.9] {
-                let t = Threshold::at(v);
-                let brute = alpha_distance_with(DistanceAlgorithm::BruteForce, &a, &b, t).unwrap();
-                let dual = alpha_distance_with(DistanceAlgorithm::DualTree, &a, &b, t).unwrap();
-                let auto = alpha_distance_with(DistanceAlgorithm::Auto, &a, &b, t).unwrap();
-                assert_eq!(brute.to_bits(), dual.to_bits(), "seed {seed} α {v}");
-                assert_eq!(brute.to_bits(), auto.to_bits(), "seed {seed} α {v}");
+        // Pairs under the dense budget at every α (120 × 110 points) and a
+        // pair above it at α 0.05 (300 × 300 support cuts), in both
+        // argument orders, with the probed side bare or carrying a kd-tree
+        // of its own — as when a `MemStore` or `CachedStore` hands back an
+        // object that was a query earlier. The kernel scans the probed
+        // side's prefix whatever it carries; only the tree strategy builds
+        // the query's tree.
+        let mut cases: Vec<_> = [2u64, 5, 9]
+            .iter()
+            .flat_map(|&seed| {
+                let (a, b) = (blob(seed, 120, 0.0, 0.0), blob(seed + 7, 110, 2.0, -1.0));
+                [0.1, 0.5, 0.9].map(|v| (a.clone(), b.clone(), Threshold::at(v), true))
+            })
+            .collect();
+        let (a, b) = (blob(31, 300, 0.0, 0.0), blob(32, 300, 1.5, 0.5));
+        cases.push((a.clone(), b.clone(), Threshold::at(0.05), false));
+        cases.push((a, b, Threshold::above(0.05), false));
+        for (x, y, t, dense) in cases {
+            let product = x.cut_len(t) * y.cut_len(t);
+            assert_eq!(product <= DENSE_PAIR_BUDGET, dense, "{t}: {product} pairs");
+            let want = alpha_distance_brute(&x, &y, t);
+            for (probed, query) in [(&x, &y), (&y, &x)] {
+                for probed_tree in [false, true] {
+                    let (a, b) = (probed.clone(), query.clone());
+                    if probed_tree {
+                        a.kd_tree();
+                    }
+                    assert_kernel(&a, &b, t, want);
+                    assert_eq!(b.kd_tree_ready(), !dense, "{t}: the query's tree");
+                }
             }
         }
     }
@@ -398,40 +377,18 @@ mod tests {
     #[test]
     fn tree_paths_match_brute_above_the_dense_budget() {
         // Force the cut product above the real dispatch constant so the
-        // non-dense strategies actually run, in every cache shape:
-        // b-cached (the hot probe shape), a-cached (the rare symmetric
-        // branch), neither (builds b's tree), and both (dual-tree).
+        // tree strategy actually runs, on the hot probe shape, with the
+        // seeded forms (just above the answer preserves it bitwise, at the
+        // answer prunes to None): a decoded probed side against a query
+        // that has its tree, and against one that does not yet — inclusive
+        // and strict cuts. Only the query's tree is ever built; the probed
+        // side stays columns.
         let n = 300; // 300×300 support cuts → 90 000 pairs
         let t = Threshold::at(0.05);
         let fresh = |id: u64| (blob(id, n, 0.0, 0.0), blob(id + 1, n, 1.5, 0.5));
         let (a0, b0) = fresh(31);
         let product = a0.by_membership().prefix_len(t) * b0.by_membership().prefix_len(t);
         assert!(product > super::DENSE_PAIR_BUDGET, "test objects too small: {product}");
-        let want = alpha_distance_brute(&a0, &b0, t).unwrap();
-
-        // Only b cached (probed object vs resident query).
-        let (a, b) = fresh(31);
-        b.kd_tree();
-        assert!(!a.kd_tree_ready() && b.kd_tree_ready());
-        assert_eq!(alpha_distance(&a, &b, t).unwrap().to_bits(), want.to_bits());
-        // Only a cached.
-        let (a, b) = fresh(31);
-        a.kd_tree();
-        assert_eq!(alpha_distance(&a, &b, t).unwrap().to_bits(), want.to_bits());
-        // Neither cached: the kernel builds b's tree.
-        let (a, b) = fresh(31);
-        assert_eq!(alpha_distance(&a, &b, t).unwrap().to_bits(), want.to_bits());
-        assert!(!a.kd_tree_ready() && b.kd_tree_ready());
-        // Both cached: dual-tree.
-        let (a, b) = fresh(31);
-        a.kd_tree();
-        b.kd_tree();
-        assert_eq!(alpha_distance(&a, &b, t).unwrap().to_bits(), want.to_bits());
-        // The hot probe shape, with the seeded forms (just above the
-        // answer preserves it bitwise, at the answer prunes to None): a
-        // decoded probed side against a query that has its tree, and
-        // against one that does not yet — inclusive and strict cuts. Only
-        // the query's tree is ever built; the probed side stays columns.
         for t in [t, Threshold::above(0.05)] {
             let want = alpha_distance_brute(&a0, &b0, t);
             for prebuilt in [true, false] {
@@ -593,20 +550,5 @@ mod tests {
         assert_eq!(alpha_distance_sq_bounded(&a, &b, t, sq * (1.0 + 1e-9)), Some(sq));
         // A squared seed at the answer prunes everything (strict compare).
         assert_eq!(alpha_distance_sq_bounded(&a, &b, t, sq), None);
-    }
-
-    #[test]
-    fn dispatch_helper() {
-        let a = blob(11, 40, 0.0, 0.0);
-        let b = blob(12, 40, 2.0, 2.0);
-        let t = Threshold::at(0.4);
-        assert_eq!(
-            alpha_distance_with(DistanceAlgorithm::BruteForce, &a, &b, t),
-            alpha_distance_with(DistanceAlgorithm::DualTree, &a, &b, t)
-        );
-        assert_eq!(
-            alpha_distance_with(DistanceAlgorithm::BruteForce, &a, &b, t),
-            alpha_distance_with(DistanceAlgorithm::Auto, &a, &b, t)
-        );
     }
 }

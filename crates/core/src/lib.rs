@@ -16,7 +16,8 @@
 //!   and the kernel representative point; including the approximate α-cut
 //!   MBR `M_A(α)*` of Equation (2).
 //! * [`distance`] — α-distance evaluators (Definition 3): a quadratic
-//!   brute-force reference and the kd dual-tree closest-pair evaluator.
+//!   brute-force reference and the adaptive kernel (a dense prefix scan,
+//!   or seeded searches in the query's kd-tree).
 //! * [`metric`] — the pluggable [`Metric`] seam the query layer prunes
 //!   through: [`L2`] (every hook delegating to the specialized kernels)
 //!   and [`GraphMetric`] (shortest paths over a [`RoadNetwork`]).

@@ -543,10 +543,9 @@ impl<const D: usize> FuzzyObject<D> {
         self.kd.get_or_init(|| KdTree::build(self.points(), self.memberships()))
     }
 
-    /// True when the cached kd-tree has already been built. The adaptive
-    /// α-distance kernel uses this to avoid constructing a tree for an
-    /// object probed once (e.g. a freshly decoded store object) when a
-    /// cheaper evaluation path exists.
+    /// True when the cached kd-tree has already been built — which lets
+    /// tests and benches pin that the α-distance kernel indexes only its
+    /// second (query) argument, never the probed one.
     #[inline]
     pub fn kd_tree_ready(&self) -> bool {
         self.kd.get().is_some()

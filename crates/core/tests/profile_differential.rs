@@ -2,7 +2,7 @@
 //!
 //! `DistanceProfile::compute` — the widest window — must return the same
 //! **bits** as the all-pairs Pareto frontier (`compute_brute`) and as the
-//! unseeded sweep it replaced (one full `nn_filtered` per activated point,
+//! unseeded sweep it replaced (one full kd search per activated point,
 //! kept here as [`unseeded_sweep`]) — on every geometric relation between
 //! the two objects, on continuous and quantised memberships, and whether or
 //! not the candidate side happens to carry a kd-tree (the sweep never
@@ -56,8 +56,8 @@ fn slot(p: &MembershipPrefix<2>, j: usize) -> Point<2> {
 }
 
 /// The sweep the bounded one replaced, verbatim in behaviour: distinct
-/// levels collected and sorted, one unseeded `nn_filtered` (a `sqrt` each)
-/// per activated point, one raw step per level.
+/// levels collected and sorted, one unseeded kd search (a `sqrt` each) per
+/// activated point, one raw step per level.
 fn unseeded_sweep(a: &FuzzyObject<2>, q: &FuzzyObject<2>) -> Vec<Segment> {
     let mut levels: Vec<f64> = a.memberships().iter().chain(q.memberships()).copied().collect();
     levels.sort_by(|x, y| y.total_cmp(x));
@@ -70,13 +70,17 @@ fn unseeded_sweep(a: &FuzzyObject<2>, q: &FuzzyObject<2>) -> Vec<Segment> {
     for &level in &levels {
         let filter = LevelFilter::at_least(level);
         while ca < a.len() && pa.memberships()[ca] >= level {
-            if let Some((_, d)) = tree_q.nn_filtered(&slot(pa, ca), filter) {
+            if let Some(d) =
+                tree_q.min_dist_sq_within(&slot(pa, ca), filter, f64::INFINITY).map(f64::sqrt)
+            {
                 best = best.min(d);
             }
             ca += 1;
         }
         while cq < q.len() && pq.memberships()[cq] >= level {
-            if let Some((_, d)) = tree_a.nn_filtered(&slot(pq, cq), filter) {
+            if let Some(d) =
+                tree_a.min_dist_sq_within(&slot(pq, cq), filter, f64::INFINITY).map(f64::sqrt)
+            {
                 best = best.min(d);
             }
             cq += 1;

@@ -70,8 +70,10 @@ fn assert_observably_equal(a: &FuzzyObject<2>, b: &FuzzyObject<2>) {
             }
             let f = LevelFilter { min: value, strict };
             for q in [Point::xy(0.25, -0.25), Point::xy(-2.0, 2.0), Point::xy(0.0, 0.0)] {
-                let (na, nb) = (a.kd_tree().nn_filtered(&q, f), b.kd_tree().nn_filtered(&q, f));
-                assert_eq!(na.map(|(i, d)| (i, d.to_bits())), nb.map(|(i, d)| (i, d.to_bits())));
+                let nn = |o: &FuzzyObject<2>| {
+                    o.kd_tree().min_dist_sq_within(&q, f, f64::INFINITY).map(f64::sqrt)
+                };
+                assert_eq!(nn(a).map(f64::to_bits), nn(b).map(f64::to_bits));
             }
         }
     }
@@ -144,11 +146,11 @@ proptest! {
 
     /// The squared-distance kernel returns **bitwise-equal** distances to
     /// the per-pair `sqrt` oracle, whatever strategy the adaptive kernel
-    /// picks (dense prefix scan, single-tree, dual-tree): `sqrt` is
-    /// correctly rounded and monotone, so `min over sqrt(d²)` and
-    /// `sqrt(min over d²)` are the same float. Pre-building kd-trees
-    /// steers the strategy choice; objects up to 120 points straddle the
-    /// dense budget across thresholds.
+    /// picks (dense prefix scan, single-tree): `sqrt` is correctly rounded
+    /// and monotone, so `min over sqrt(d²)` and `sqrt(min over d²)` are the
+    /// same float. Objects up to 120 points straddle the dense budget
+    /// across thresholds; a pre-built kd-tree on either side changes
+    /// nothing (the probed side's is never read).
     #[test]
     fn squared_kernel_bitwise_equals_brute(
         a in arb_object(20, 120),

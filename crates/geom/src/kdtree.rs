@@ -29,18 +29,14 @@
 //! scans stop at the first rejected membership instead of testing every
 //! point.
 //!
-//! **Two search forms, one descent.** [`KdTree::min_dist_sq_within`] is
-//! the distance-only form: the smallest squared distance strictly below a
-//! cap, or `None`. It is what the α-distance kernel and the profile sweep
-//! chain — both minimise over pairs and never read which point won — so it
-//! pays for nothing an index would need: a subtree *at* the best distance
-//! is pruned (it cannot lower a minimum), a child's box is tested before
-//! the call into it, and a leaf is one lane min-reduction.
-//! [`KdTree::nn_sq_within`] / [`KdTree::nn_filtered`] are the indexed form,
-//! for callers that name the neighbour (tests, the reference comparisons,
-//! tooling): the same descent, then a witness pass over the leaves whose
-//! box is not farther than the answer, which picks the smallest original
-//! index at exactly that distance.
+//! **One search.** [`KdTree::min_dist_sq_within`] is the tree's only
+//! query: the smallest squared distance from a point to a point passing a
+//! [`LevelFilter`], strictly below a cap, or `None`. The α-distance kernel
+//! and the profile sweep chain it — both minimise over pairs and never read
+//! which point won — so the tree keeps no index of its points and the
+//! search pays for nothing an index would need: a subtree *at* the best
+//! distance is pruned (it cannot lower a minimum), a child's box is tested
+//! before the call into it, and a leaf is one lane min-reduction.
 //!
 //! **The O(1) no.** Chained searches mostly fail: once the running best is
 //! below the tree's own point spacing, nearly every further search pays a
@@ -80,13 +76,14 @@
 //! objects whose trees stay resident, `MemStore`'s. Filling it is a tenth
 //! of the build.
 //!
-//! **Canonical answers.** All queries break distance ties by the smallest
-//! original index, so results are a pure function of the input point set —
-//! independent of tree shape, traversal order, and kernel lane count. The
-//! retained reference tree ([`crate::reference::ArenaKdTree`]) implements
-//! the same contract; the differential suite in `crates/geom/tests` holds
-//! both forms to bit-identical `(distance², index)` answers against it and
-//! a brute oracle.
+//! **Canonical answers.** A search answers with a distance, never a point,
+//! and the minimum of a set of squared distances is one bit pattern in
+//! whatever order they are met (the selection argument of
+//! [`crate::kernel`]). Answers are therefore a pure function of the input
+//! point set — independent of tree shape, traversal order, and kernel lane
+//! count. The differential suite in `crates/geom/tests` holds the search to
+//! bit-identical distances against an arena-based reference tree (kept
+//! there, not here) and a brute oracle.
 
 #![allow(clippy::needless_range_loop)] // per-dimension index loops read clearer
 
@@ -161,7 +158,7 @@ const MAX_REACH: usize = 3;
 /// An implicit node: a heap id (for the annotation arrays) plus the point
 /// subrange it covers. Never stored — derived on the way down.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct NodeRef {
+struct NodeRef {
     id: u32,
     start: u32,
     end: u32,
@@ -173,20 +170,14 @@ impl NodeRef {
         (self.end - self.start) as usize
     }
 
-    /// First slot of the covered range.
     #[inline]
-    pub(crate) fn start(self) -> u32 {
-        self.start
-    }
-
-    #[inline]
-    pub(crate) fn is_leaf(self) -> bool {
+    fn is_leaf(self) -> bool {
         self.len() <= LEAF_SIZE
     }
 
     /// Child ranges under the fixed `mid = start + len/2` split rule.
     #[inline]
-    pub(crate) fn children(self) -> (NodeRef, NodeRef) {
+    fn children(self) -> (NodeRef, NodeRef) {
         debug_assert!(!self.is_leaf());
         let mid = self.start + (self.end - self.start) / 2;
         (
@@ -207,8 +198,9 @@ struct BuildItem<const D: usize> {
 
 /// Bulk-loaded, immutable implicit kd-tree over `(point, membership)` pairs.
 ///
-/// Construction permutes the points internally; query results refer to the
-/// *original* input indices. See the module docs for the layout.
+/// Construction permutes the points internally; a search answers with a
+/// distance only, so the permutation never shows. See the module docs for
+/// the layout.
 #[derive(Clone, Debug)]
 pub struct KdTree<const D: usize> {
     len: usize,
@@ -216,8 +208,6 @@ pub struct KdTree<const D: usize> {
     cols: Box<[f64]>,
     /// Memberships in median order (descending within each leaf range).
     mus: Box<[f64]>,
-    /// Original input index of each slot.
-    orig: Box<[u32]>,
     /// Heap-indexed subtree max-membership annotations.
     max_mu: Box<[f64]>,
     /// Heap-indexed exact subtree bounds: `2·D` values per node, lows then
@@ -255,20 +245,17 @@ impl<const D: usize> KdTree<D> {
 
         let mut cols = vec![0.0; D * n].into_boxed_slice();
         let mut mus = vec![0.0; n].into_boxed_slice();
-        let mut orig = vec![0u32; n].into_boxed_slice();
         for (j, it) in items.iter().enumerate() {
             for d in 0..D {
                 cols[d * n + j] = it.pt.coords()[d];
             }
             mus[j] = it.mu;
-            orig[j] = it.orig;
         }
         let occupancy = Occupancy::build(&cols, n, &root_mbr);
         Self {
             len: n,
             cols,
             mus,
-            orig,
             max_mu: ann.max_mu.into_boxed_slice(),
             bounds: ann.bounds.into_boxed_slice(),
             node_count: ann.nodes,
@@ -306,13 +293,6 @@ impl<const D: usize> KdTree<D> {
         self.node_count
     }
 
-    /// Nearest neighbour of `q` among points passing `filter`; returns the
-    /// original index and the distance, or `None` when no point passes.
-    /// Distance ties are broken by the smallest original index.
-    pub fn nn_filtered(&self, q: &Point<D>, filter: LevelFilter) -> Option<(usize, f64)> {
-        self.nn_sq_within(q, filter, f64::INFINITY).map(|(i, d2)| (i, d2.sqrt()))
-    }
-
     /// Seeded nearest-neighbour **distance** in squared space: the smallest
     /// squared distance from `q` to a point passing `filter`, provided it
     /// is *strictly below* `cap_sq`; `None` when no such point exists. With
@@ -321,7 +301,7 @@ impl<const D: usize> KdTree<D> {
     /// evaluators) start each probe from the running best, so a search that
     /// cannot improve it ends at the root — or, with a cap below the
     /// tree's point spacing, at the occupancy bitmap (module docs, "The
-    /// O(1) no"). This is the one descent of the tree: it carries no index.
+    /// O(1) no"). This is the tree's one search: it carries no index.
     pub fn min_dist_sq_within(
         &self,
         q: &Point<D>,
@@ -337,25 +317,6 @@ impl<const D: usize> KdTree<D> {
             self.descend(root, q, filter, &mut best);
         }
         (best < cap_sq).then_some(best)
-    }
-
-    /// [`KdTree::min_dist_sq_within`] with its witness: the original index
-    /// and squared distance of the closest point passing `filter` that lies
-    /// *strictly closer* than `cap_sq`. Distance ties are broken by the
-    /// smallest original index, found by a second pass over the leaves whose
-    /// box is not farther than the answer — the points within the answer of
-    /// `q` are exactly the ones at it.
-    pub fn nn_sq_within(
-        &self,
-        q: &Point<D>,
-        filter: LevelFilter,
-        cap_sq: f64,
-    ) -> Option<(usize, f64)> {
-        let d2 = self.min_dist_sq_within(q, filter, cap_sq)?;
-        let mut witness = u32::MAX;
-        self.for_each_within_sq(q, d2, filter, |slot| witness = witness.min(self.orig[slot]));
-        debug_assert_ne!(witness, u32::MAX, "the minimum comes from a row");
-        Some((witness as usize, d2))
     }
 
     /// The descent below `node`, whose filter and box tests the caller has
@@ -384,71 +345,15 @@ impl<const D: usize> KdTree<D> {
         }
     }
 
-    /// Collect the original indices of all points passing `filter` that lie
-    /// within `radius` of `q`, in ascending original-index order.
-    pub fn within_radius_filtered(
-        &self,
-        q: &Point<D>,
-        radius: f64,
-        filter: LevelFilter,
-    ) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_within_sq(q, radius * radius, filter, |slot| {
-            out.push(self.orig[slot] as usize)
-        });
-        // Canonical order: tree shape must not leak into the answer.
-        out.sort_unstable();
-        out
-    }
-
-    /// Visit the slot of every point passing `filter` at squared distance
-    /// `≤ r2` from `q` (NaN distances never qualify), in tree order.
-    fn for_each_within_sq(
-        &self,
-        q: &Point<D>,
-        r2: f64,
-        filter: LevelFilter,
-        mut visit: impl FnMut(usize),
-    ) {
-        let mut stack = vec![self.root_ref()];
-        while let Some(node) = stack.pop() {
-            if !filter.accepts(self.max_mu[node.id as usize]) {
-                continue;
-            }
-            if self.box_dist_sq(node, q) > r2 {
-                continue;
-            }
-            if node.is_leaf() {
-                let p = self.leaf_prefix_len(node, filter);
-                for j in node.start as usize..node.start as usize + p {
-                    if self.row_dist_sq(q, j) <= r2 {
-                        visit(j);
-                    }
-                }
-            } else {
-                let (left, right) = node.children();
-                stack.push(left);
-                stack.push(right);
-            }
-        }
-    }
-
-    // ----- internals shared with the closest-pair module -----
-
     #[inline]
-    pub(crate) fn root_ref(&self) -> NodeRef {
+    fn root_ref(&self) -> NodeRef {
         NodeRef { id: 0, start: 0, end: self.len as u32 }
-    }
-
-    #[inline]
-    pub(crate) fn node_max_mu(&self, node: NodeRef) -> f64 {
-        self.max_mu[node.id as usize]
     }
 
     /// Squared point-to-node-box distance, matching
     /// [`Point::dist_sq_to_box`] bit for bit.
     #[inline]
-    pub(crate) fn box_dist_sq(&self, node: NodeRef, q: &Point<D>) -> f64 {
+    fn box_dist_sq(&self, node: NodeRef, q: &Point<D>) -> f64 {
         let b = node.id as usize * 2 * D;
         let (lo, hi) = (&self.bounds[b..b + D], &self.bounds[b + D..b + 2 * D]);
         let mut acc = 0.0;
@@ -466,70 +371,19 @@ impl<const D: usize> KdTree<D> {
         acc
     }
 
-    /// Squared node-box-to-node-box gap across two trees, matching
-    /// [`Mbr::min_dist_sq`] bit for bit.
-    #[inline]
-    pub(crate) fn box_gap_sq(&self, node: NodeRef, other: &Self, onode: NodeRef) -> f64 {
-        let a = node.id as usize * 2 * D;
-        let b = onode.id as usize * 2 * D;
-        let (alo, ahi) = (&self.bounds[a..a + D], &self.bounds[a + D..a + 2 * D]);
-        let (blo, bhi) = (&other.bounds[b..b + D], &other.bounds[b + D..b + 2 * D]);
-        let mut acc = 0.0;
-        for i in 0..D {
-            let l = if alo[i] > bhi[i] {
-                alo[i] - bhi[i]
-            } else if blo[i] > ahi[i] {
-                blo[i] - ahi[i]
-            } else {
-                0.0
-            };
-            acc += l * l;
-        }
-        acc
-    }
-
     /// Length of the membership-accepted prefix of a leaf range (the leaf
     /// prefix invariant: memberships descend, so the first rejection ends
     /// the accepted set).
     #[inline]
-    pub(crate) fn leaf_prefix_len(&self, node: NodeRef, filter: LevelFilter) -> usize {
+    fn leaf_prefix_len(&self, node: NodeRef, filter: LevelFilter) -> usize {
         let mus = &self.mus[node.start as usize..node.end as usize];
         mus.iter().take_while(|&&mu| filter.accepts(mu)).count()
     }
 
     /// Dim-major column views over the slot range `[start, start + n)`.
     #[inline]
-    pub(crate) fn col_slices(&self, start: usize, n: usize) -> [&[f64]; D] {
+    fn col_slices(&self, start: usize, n: usize) -> [&[f64]; D] {
         std::array::from_fn(|d| &self.cols[d * self.len + start..d * self.len + start + n])
-    }
-
-    /// Point, membership and original index stored at `slot`.
-    #[inline]
-    pub(crate) fn point_at(&self, slot: usize) -> (Point<D>, f64, u32) {
-        let mut c = [0.0; D];
-        for d in 0..D {
-            c[d] = self.cols[d * self.len + slot];
-        }
-        (Point::new(c), self.mus[slot], self.orig[slot])
-    }
-
-    /// Original input index of the point stored at `slot`.
-    #[inline]
-    pub(crate) fn orig_at(&self, slot: usize) -> u32 {
-        self.orig[slot]
-    }
-
-    /// Squared distance from `q` to the point at `slot`, with the same
-    /// arithmetic (dimension order, one accumulator) as the kernels and
-    /// [`Point::dist_sq`].
-    #[inline]
-    pub(crate) fn row_dist_sq(&self, q: &Point<D>, slot: usize) -> f64 {
-        let mut s = 0.0;
-        for d in 0..D {
-            let diff = self.cols[d * self.len + slot] - q.coords()[d];
-            s += diff * diff;
-        }
-        s
     }
 }
 
@@ -743,18 +597,17 @@ mod tests {
         (pts, mus, tree)
     }
 
-    fn brute_nn(
+    fn brute_min_dist_sq(
         pts: &[Point<2>],
         mus: &[f64],
         q: &Point<2>,
         f: LevelFilter,
-    ) -> Option<(usize, f64)> {
+    ) -> Option<f64> {
         pts.iter()
             .zip(mus)
-            .enumerate()
-            .filter(|(_, (_, &mu))| f.accepts(mu))
-            .map(|(i, (p, _))| (i, p.dist(q)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .filter(|(_, &mu)| f.accepts(mu))
+            .map(|(p, _)| p.dist_sq(q))
+            .reduce(f64::min)
     }
 
     #[test]
@@ -779,71 +632,35 @@ mod tests {
             for lvl in [0.0, 0.3, 0.5, 0.9, 1.0] {
                 for strict in [false, true] {
                     let f = LevelFilter { min: lvl, strict };
-                    let got = tree.nn_filtered(&q, f);
-                    let want = brute_nn(&pts, &mus, &q, f);
-                    match (got, want) {
-                        (None, None) => {}
-                        (Some((ig, dg)), Some((iw, dw))) => {
-                            assert_eq!(ig, iw, "q={q:?} lvl={lvl} strict={strict}");
-                            assert!(
-                                (dg - dw).abs() < 1e-12,
-                                "q={q:?} lvl={lvl} strict={strict}: {dg} vs {dw}"
-                            );
-                        }
-                        other => panic!("mismatch at q={q:?} lvl={lvl}: {other:?}"),
-                    }
+                    let got = tree.min_dist_sq_within(&q, f, f64::INFINITY);
+                    let want = brute_min_dist_sq(&pts, &mus, &q, f);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "q={q:?} lvl={lvl} strict={strict}: {got:?} vs {want:?}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn nn_ties_resolve_to_smallest_original_index() {
-        // Four copies of the same point: the canonical winner is index 0,
-        // whatever the leaf order or lane assignment.
-        let pts = vec![Point::xy(1.0, 1.0); 4];
-        let mus = vec![0.5, 1.0, 0.7, 0.9];
-        let tree = KdTree::build(&pts, &mus);
-        let (i, d) = tree.nn_filtered(&Point::xy(0.0, 0.0), LevelFilter::support()).unwrap();
-        assert_eq!(i, 0);
-        assert!((d - 2.0f64.sqrt()).abs() < 1e-12);
-        // Filtering out index 0 moves the canonical winner to index 1.
-        let (i, _) = tree.nn_filtered(&Point::xy(0.0, 0.0), LevelFilter::at_least(0.9)).unwrap();
-        assert_eq!(i, 1);
-    }
-
-    #[test]
     fn filter_excluding_everything_returns_none() {
         let (_, _, tree) = grid_tree();
-        assert!(tree.nn_filtered(&Point::xy(0.0, 0.0), LevelFilter::above(1.0)).is_none());
-    }
-
-    #[test]
-    fn within_radius_matches_brute_force() {
-        let (pts, mus, tree) = grid_tree();
-        let q = Point::xy(5.0, 5.0);
-        let f = LevelFilter::at_least(0.4);
-        let got = tree.within_radius_filtered(&q, 2.5, f);
-        let mut want: Vec<usize> = pts
-            .iter()
-            .zip(&mus)
-            .enumerate()
-            .filter(|(_, (p, &mu))| f.accepts(mu) && p.dist(&q) <= 2.5)
-            .map(|(i, _)| i)
-            .collect();
-        want.sort_unstable();
-        // Already sorted: the output order is canonical.
-        assert_eq!(got, want);
+        let q = Point::xy(0.0, 0.0);
+        assert!(tree.min_dist_sq_within(&q, LevelFilter::above(1.0), f64::INFINITY).is_none());
     }
 
     #[test]
     fn singleton_tree() {
         let tree = KdTree::build(&[Point::xy(1.0, 2.0)], &[0.8]);
         assert_eq!(tree.len(), 1);
-        let (i, d) = tree.nn_filtered(&Point::xy(1.0, 3.0), LevelFilter::at_least(0.5)).unwrap();
-        assert_eq!(i, 0);
-        assert!((d - 1.0).abs() < 1e-12);
-        assert!(tree.nn_filtered(&Point::xy(0.0, 0.0), LevelFilter::at_least(0.9)).is_none());
+        let q = Point::xy(1.0, 3.0);
+        assert_eq!(
+            tree.min_dist_sq_within(&q, LevelFilter::at_least(0.5), f64::INFINITY),
+            Some(1.0)
+        );
+        assert!(tree.min_dist_sq_within(&q, LevelFilter::at_least(0.9), f64::INFINITY).is_none());
     }
 
     #[test]
@@ -856,15 +673,14 @@ mod tests {
 
     #[test]
     fn strictly_closer_cap_semantics_survive_ties() {
-        // A point exactly at the cap distance must not be returned, even
-        // though equal distances are otherwise tie-broken by index.
+        // A point exactly at the cap distance must not be returned: the cap
+        // is exclusive, and a cap just above it admits the point.
         let pts = vec![Point::xy(3.0, 4.0), Point::xy(6.0, 8.0)];
         let mus = vec![1.0, 1.0];
         let tree = KdTree::build(&pts, &mus);
         let q = Point::origin();
-        assert!(tree.nn_sq_within(&q, LevelFilter::support(), 25.0).is_none());
-        let (i, d2) = tree.nn_sq_within(&q, LevelFilter::support(), 25.0 + 1e-9).unwrap();
-        assert_eq!((i, d2), (0, 25.0));
+        assert!(tree.min_dist_sq_within(&q, LevelFilter::support(), 25.0).is_none());
+        assert_eq!(tree.min_dist_sq_within(&q, LevelFilter::support(), 25.0 + 1e-9), Some(25.0));
     }
 
     /// The `i`-th point of the Kronecker sequence on `(a, b)`: evenly

@@ -6,8 +6,10 @@
 //! the naive loop carries the running minimum through every iteration, so
 //! the CPU serialises on the `min` latency chain and the compiler cannot
 //! vectorise it (reassociating a float reduction is not allowed without
-//! fast-math). The [`min_dist_sq_cols_lanes`] kernel breaks the chain with
-//! [`LANES`] independent accumulators and folds them once at the end.
+//! fast-math). The [`min_dist_sq_cols`] kernel breaks the chain with
+//! [`LANES`] independent accumulators and folds them once at the end;
+//! [`min_dist_sq_cols_scalar`] is the sequential reference it is tested
+//! against.
 //!
 //! **Bitwise identity.** Both kernels return the *same bits* for the same
 //! input, and the same bits as the row-major scan they replaced:
@@ -29,32 +31,9 @@
 /// the `min` latency chain on current cores.
 pub const LANES: usize = 8;
 
-/// Minimum squared Euclidean distance from `q` to the points stored in the
-/// dim-major columns `cols` (column `d` holds coordinate `d` of every
-/// point). Returns `+∞` when the columns are empty.
-///
-/// Dispatches to the lane kernel unless the crate is built with the
-/// `scalar-kernel` feature, which forces the sequential reference path
-/// (useful for debugging codegen or pinning down a miscompile). Both paths
-/// return identical bits — see the module docs.
-///
-/// # Panics
-/// In debug builds, when the columns differ in length.
-#[inline]
-pub fn min_dist_sq_cols<const D: usize>(cols: &[&[f64]; D], q: &[f64; D]) -> f64 {
-    #[cfg(feature = "scalar-kernel")]
-    {
-        min_dist_sq_cols_scalar(cols, q)
-    }
-    #[cfg(not(feature = "scalar-kernel"))]
-    {
-        min_dist_sq_cols_lanes(cols, q)
-    }
-}
-
 /// Sequential reference kernel: one accumulator, candidates reduced in
-/// index order. This is the bit-level specification the lane kernel is
-/// tested against.
+/// index order. This is the bit-level specification [`min_dist_sq_cols`]
+/// is tested against.
 pub fn min_dist_sq_cols_scalar<const D: usize>(cols: &[&[f64]; D], q: &[f64; D]) -> f64 {
     let n = cols[0].len();
     debug_assert!(cols.iter().all(|c| c.len() == n), "ragged columns");
@@ -73,10 +52,16 @@ pub fn min_dist_sq_cols_scalar<const D: usize>(cols: &[&[f64]; D], q: &[f64; D])
     best
 }
 
-/// Unrolled kernel: [`LANES`] independent accumulators walk the columns in
-/// lock-step, then fold. Bitwise-equal to [`min_dist_sq_cols_scalar`]; see
-/// the module docs for why the reassociation is exact.
-pub fn min_dist_sq_cols_lanes<const D: usize>(cols: &[&[f64]; D], q: &[f64; D]) -> f64 {
+/// Minimum squared Euclidean distance from `q` to the points stored in the
+/// dim-major columns `cols` (column `d` holds coordinate `d` of every
+/// point); `+∞` when the columns are empty. [`LANES`] independent
+/// accumulators walk the columns in lock-step, then fold. Bitwise-equal to
+/// [`min_dist_sq_cols_scalar`]; see the module docs for why the
+/// reassociation is exact.
+///
+/// # Panics
+/// In debug builds, when the columns differ in length.
+pub fn min_dist_sq_cols<const D: usize>(cols: &[&[f64]; D], q: &[f64; D]) -> f64 {
     let n = cols[0].len();
     debug_assert!(cols.iter().all(|c| c.len() == n), "ragged columns");
     let mut acc = [f64::INFINITY; LANES];
@@ -153,9 +138,8 @@ mod tests {
             let (cols, q) = random_cols::<2>(n, 0x5eed + n as u64);
             let refs = as_refs::<2>(&cols);
             let s = min_dist_sq_cols_scalar(&refs, &q);
-            let l = min_dist_sq_cols_lanes(&refs, &q);
+            let l = min_dist_sq_cols(&refs, &q);
             assert_eq!(s.to_bits(), l.to_bits(), "n={n}: scalar {s} vs lanes {l}");
-            assert_eq!(min_dist_sq_cols(&refs, &q).to_bits(), s.to_bits());
         }
     }
 
@@ -166,7 +150,7 @@ mod tests {
             let refs = as_refs::<3>(&cols);
             assert_eq!(
                 min_dist_sq_cols_scalar(&refs, &q).to_bits(),
-                min_dist_sq_cols_lanes(&refs, &q).to_bits(),
+                min_dist_sq_cols(&refs, &q).to_bits(),
                 "n={n}"
             );
         }
@@ -176,7 +160,7 @@ mod tests {
     fn empty_columns_yield_infinity() {
         let refs: [&[f64]; 2] = [&[], &[]];
         assert_eq!(min_dist_sq_cols_scalar(&refs, &[0.0, 0.0]), f64::INFINITY);
-        assert_eq!(min_dist_sq_cols_lanes(&refs, &[0.0, 0.0]), f64::INFINITY);
+        assert_eq!(min_dist_sq_cols(&refs, &[0.0, 0.0]), f64::INFINITY);
     }
 
     #[test]
@@ -184,7 +168,7 @@ mod tests {
         let refs: [&[f64]; 2] = [&[3.0], &[4.0]];
         let q = [0.0, 0.0];
         assert_eq!(min_dist_sq_cols_scalar(&refs, &q), 25.0);
-        assert_eq!(min_dist_sq_cols_lanes(&refs, &q), 25.0);
+        assert_eq!(min_dist_sq_cols(&refs, &q), 25.0);
     }
 
     #[test]
@@ -198,7 +182,7 @@ mod tests {
             let refs: [&[f64]; 2] = [&xs, &ys];
             let q = [0.0, 0.0];
             let s = min_dist_sq_cols_scalar(&refs, &q);
-            let l = min_dist_sq_cols_lanes(&refs, &q);
+            let l = min_dist_sq_cols(&refs, &q);
             assert!(!s.is_nan() && !l.is_nan());
             assert_eq!(s.to_bits(), l.to_bits(), "nan_at={nan_at}");
         }
@@ -211,7 +195,7 @@ mod tests {
         let refs: [&[f64]; 2] = [&xs, &ys];
         let q = [0.0, 0.0];
         assert_eq!(min_dist_sq_cols_scalar(&refs, &q), f64::INFINITY);
-        assert_eq!(min_dist_sq_cols_lanes(&refs, &q), f64::INFINITY);
+        assert_eq!(min_dist_sq_cols(&refs, &q), f64::INFINITY);
     }
 
     #[test]
@@ -223,6 +207,6 @@ mod tests {
         let refs: [&[f64]; 2] = [&xs, &ys];
         let q = [0.0, 0.0];
         assert_eq!(min_dist_sq_cols_scalar(&refs, &q), 1.0);
-        assert_eq!(min_dist_sq_cols_lanes(&refs, &q), 1.0);
+        assert_eq!(min_dist_sq_cols(&refs, &q), 1.0);
     }
 }

@@ -15,30 +15,22 @@
 //! * [`kdtree`] — an implicit, bulk-loaded kd-tree (the tree *is* one
 //!   median-ordered flat slice; subtree = subrange) whose nodes are
 //!   annotated with the maximum membership value of their subtree,
-//!   supporting level-filtered nearest-neighbour queries over dim-major
-//!   coordinate columns.
-//! * [`kernel`] — the columnar min-reduction distance kernels (unrolled
-//!   multi-accumulator and scalar reference paths, bitwise-identical).
-//! * [`mod@reference`] — the previous arena-based kd-tree, retained as the
-//!   differential oracle for the implicit layout.
-//! * [`closest_pair`] — dual-tree bichromatic closest pair with level
-//!   pruning; this is the evaluator for the α-distance
-//!   `d_α(A,B) = min_{a∈A_α, b∈B_α} ‖a−b‖`.
+//!   answering one level-filtered, capped nearest-distance search over
+//!   dim-major coordinate columns — the search the α-distance
+//!   `d_α(A,B) = min_{a∈A_α, b∈B_α} ‖a−b‖` chains, one per point of the
+//!   side that is not indexed.
+//! * [`kernel`] — the columnar min-reduction distance kernel (unrolled
+//!   multi-accumulator) and its sequential reference, bitwise-identical.
 
 #![warn(missing_docs)]
 
-pub mod closest_pair;
 pub mod conservative;
 pub mod hull;
 pub mod kdtree;
 pub mod kernel;
 pub mod mbr;
 pub mod point;
-pub mod reference;
 
-pub use closest_pair::{
-    bichromatic_closest_pair, bichromatic_closest_pair_sq, PairResult, PairResultSq,
-};
 pub use conservative::{fit_conservative_line, fit_conservative_line_exact, ConservativeLine};
 pub use hull::{convex_hull_2d, upper_hull_2d};
 pub use kdtree::{KdTree, LevelFilter};

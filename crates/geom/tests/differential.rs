@@ -1,30 +1,26 @@
 //! The kernel-equivalence differential suite: the flat implicit
-//! [`KdTree`] must return **bit-identical** `(distance, index)` answers to
-//! the retained arena tree ([`ArenaKdTree`]) and to a brute-force oracle,
-//! across point counts straddling every leaf-size boundary, α levels,
-//! strictness, dimensionalities, and adversarial inputs (NaN coordinates,
-//! degenerate membership distributions, duplicated points).
+//! [`KdTree`]'s one search, `min_dist_sq_within`, must return
+//! **bit-identical** distances to the arena tree ([`ArenaKdTree`], kept in
+//! `tests/arena/`) and to a brute-force oracle, across point counts
+//! straddling every leaf-size boundary, α levels, strictness,
+//! dimensionalities, and adversarial inputs (NaN coordinates, degenerate
+//! membership distributions, duplicated points).
 //!
 //! The contract being locked down:
 //!
-//! * `nn_sq_within` returns the candidate **strictly** closer than the
-//!   cap, ties broken by smallest original index — regardless of tree
-//!   shape or traversal order;
-//! * `min_dist_sq_within`, the distance-only search the α-distance kernel
-//!   and the profile sweep chain, returns that candidate's distance bits
-//!   and `None` exactly when `nn_sq_within` does, at any cap — the caps
-//!   and query points that straddle every threshold of the tree's
-//!   occupancy bitmap (the O(1) "no" in front of the descent) included;
-//! * `within_radius_filtered` returns exactly the indices at `d² ≤ r²`,
-//!   ascending;
-//! * `bichromatic_closest_pair_sq` returns the lexicographically smallest
-//!   witness pair among the tied minima;
+//! * the search returns the smallest squared distance **strictly** below
+//!   the cap, and `None` exactly when no accepted point lies below it — at
+//!   any cap, the caps and query points that straddle every threshold of
+//!   the tree's occupancy bitmap (the O(1) "no" in front of the descent)
+//!   included — regardless of tree shape or traversal order;
 //! * points with NaN coordinates never win and never poison an answer
 //!   (their candidate distance is NaN, which every evaluator ignores the
 //!   same way).
 
-use fuzzy_geom::reference::ArenaKdTree;
-use fuzzy_geom::{bichromatic_closest_pair_sq, KdTree, LevelFilter, Point};
+mod arena;
+
+use arena::ArenaKdTree;
+use fuzzy_geom::{KdTree, LevelFilter, Point};
 use proptest::prelude::*;
 
 /// splitmix64 — deterministic, dependency-free.
@@ -94,81 +90,25 @@ fn cloud<const D: usize>(
     (pts, mus)
 }
 
-/// Brute-force NN oracle with the canonical contract: the strictly-
-/// closer-than-cap minimum by `(d², index)`, NaN distances ignored.
-fn brute_nn<const D: usize>(
+/// Brute-force oracle with the search's contract: the smallest squared
+/// distance to an accepted point strictly below `cap_sq`, NaN distances
+/// ignored.
+fn brute_min<const D: usize>(
     pts: &[Point<D>],
     mus: &[f64],
     q: &Point<D>,
     f: LevelFilter,
     cap_sq: f64,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, (p, &mu)) in pts.iter().zip(mus).enumerate() {
-        if !f.accepts(mu) {
-            continue;
-        }
+) -> Option<f64> {
+    let mut best = cap_sq;
+    for (p, &mu) in pts.iter().zip(mus) {
+        // NaN fails the comparison, exactly like the kernels.
         let d2 = p.dist_sq(q);
-        // NaN fails both comparisons, exactly like the kernels.
-        let wins = match best {
-            None => d2 < cap_sq,
-            Some((_, b)) => d2 < b,
-        };
-        if wins {
-            best = Some((i, d2));
+        if f.accepts(mu) && d2 < best {
+            best = d2;
         }
     }
-    best
-}
-
-/// Brute radius oracle: ascending indices at `d² ≤ r²`.
-fn brute_radius<const D: usize>(
-    pts: &[Point<D>],
-    mus: &[f64],
-    q: &Point<D>,
-    f: LevelFilter,
-    radius: f64,
-) -> Vec<usize> {
-    let r2 = radius * radius;
-    pts.iter()
-        .zip(mus)
-        .enumerate()
-        .filter(|(_, (p, &mu))| f.accepts(mu) && p.dist_sq(q) <= r2)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Brute closest-pair oracle: the strictly-closer-than-cap minimum by
-/// `(d², i, j)` lexicographically.
-fn brute_pair<const D: usize>(
-    pa: &[Point<D>],
-    ma: &[f64],
-    pb: &[Point<D>],
-    mb: &[f64],
-    fa: LevelFilter,
-    fb: LevelFilter,
-    cap_sq: f64,
-) -> Option<(f64, usize, usize)> {
-    let mut best: Option<(f64, usize, usize)> = None;
-    for (i, (p, &mu)) in pa.iter().zip(ma).enumerate() {
-        if !fa.accepts(mu) {
-            continue;
-        }
-        for (j, (q, &nu)) in pb.iter().zip(mb).enumerate() {
-            if !fb.accepts(nu) {
-                continue;
-            }
-            let d2 = p.dist_sq(q);
-            let wins = match best {
-                None => d2 < cap_sq,
-                Some((b, bi, bj)) => d2.to_bits() == b.to_bits() && (i, j) < (bi, bj) || d2 < b,
-            };
-            if wins {
-                best = Some((d2, i, j));
-            }
-        }
-    }
-    best
+    (best < cap_sq).then_some(best)
 }
 
 /// Run the full three-way comparison for one cloud and one filter, over a
@@ -186,8 +126,8 @@ fn check_cloud<const D: usize>(pts: &[Point<D>], mus: &[f64], f: LevelFilter, ta
             Point::new(c)
         })
         .collect();
-    // On-point queries force zero-distance ties; with duplicated points
-    // several indices tie at exactly 0.
+    // On-point queries force zero distances; with duplicated points
+    // several points tie at exactly 0.
     for i in [0, pts.len() / 2, pts.len() - 1] {
         if pts[i].is_finite() {
             queries.push(pts[i]);
@@ -195,67 +135,27 @@ fn check_cloud<const D: usize>(pts: &[Point<D>], mus: &[f64], f: LevelFilter, ta
     }
 
     for q in &queries {
-        // Unbounded NN.
-        let want = brute_nn(pts, mus, q, f, f64::INFINITY);
-        let got_flat = flat.nn_sq_within(q, f, f64::INFINITY);
-        let got_arena = arena.nn_sq_within(q, f, f64::INFINITY);
-        assert_nn_eq(want, got_flat, &format!("{tag}: flat vs brute (unbounded)"));
-        assert_nn_eq(want, got_arena, &format!("{tag}: arena vs brute (unbounded)"));
-
-        // Capped NN: at the answer (must prune to None) and just above.
-        if let Some((_, d2)) = want {
-            assert_nn_eq(None, flat.nn_sq_within(q, f, d2), &format!("{tag}: flat cap==answer"));
-            assert_nn_eq(None, arena.nn_sq_within(q, f, d2), &format!("{tag}: arena cap==answer"));
-            let above = d2 * (1.0 + 1e-12) + f64::MIN_POSITIVE;
-            assert_nn_eq(
-                brute_nn(pts, mus, q, f, above),
-                flat.nn_sq_within(q, f, above),
-                &format!("{tag}: flat cap just above"),
-            );
-        }
-
-        // The distance-only search, at every cap that can tell it from the
-        // indexed form: unbounded, the next float above the answer, the
-        // answer itself (exclusive: `None`) and half of it. `Some` carries
-        // the indexed form's and the oracle's bits, `None` falls exactly
-        // where they say so.
-        let caps = match want {
-            Some((_, d2)) => vec![f64::INFINITY, f64::from_bits(d2.to_bits() + 1), d2, d2 * 0.5],
+        // Every cap that can tell two searches apart: unbounded, the next
+        // float above the answer, just above it, the answer itself
+        // (exclusive: `None`) and half of it. `Some` carries the oracle's
+        // bits, `None` falls exactly where it says so.
+        let caps = match brute_min(pts, mus, q, f, f64::INFINITY) {
+            Some(d2) => vec![
+                f64::INFINITY,
+                f64::from_bits(d2.to_bits() + 1),
+                d2 * (1.0 + 1e-12) + f64::MIN_POSITIVE,
+                d2,
+                d2 * 0.5,
+            ],
             None => vec![f64::INFINITY],
         };
         for cap in caps {
-            let got = flat.min_dist_sq_within(q, f, cap).map(f64::to_bits);
-            let indexed = flat.nn_sq_within(q, f, cap).map(|(_, d2)| d2.to_bits());
-            let brute = brute_nn(pts, mus, q, f, cap).map(|(_, d2)| d2.to_bits());
-            assert_eq!(got, indexed, "{tag}: distance-only vs indexed, cap {cap}");
-            assert_eq!(got, brute, "{tag}: distance-only vs brute, cap {cap}");
+            let want = brute_min(pts, mus, q, f, cap).map(f64::to_bits);
+            let got_flat = flat.min_dist_sq_within(q, f, cap).map(f64::to_bits);
+            let got_arena = arena.min_dist_sq_within(q, f, cap).map(f64::to_bits);
+            assert_eq!(got_flat, want, "{tag}: flat vs brute, cap {cap}");
+            assert_eq!(got_arena, want, "{tag}: arena vs brute, cap {cap}");
         }
-
-        // Radius scans at several radii, including 0 (exact hits only).
-        for radius in [0.0, 1.0, 5.0, 30.0] {
-            let want = brute_radius(pts, mus, q, f, radius);
-            assert_eq!(
-                flat.within_radius_filtered(q, radius, f),
-                want,
-                "{tag}: flat radius {radius}"
-            );
-            assert_eq!(
-                arena.within_radius_filtered(q, radius, f),
-                want,
-                "{tag}: arena radius {radius}"
-            );
-        }
-    }
-}
-
-fn assert_nn_eq(want: Option<(usize, f64)>, got: Option<(usize, f64)>, tag: &str) {
-    match (want, got) {
-        (None, None) => {}
-        (Some((wi, wd)), Some((gi, gd))) => {
-            assert_eq!(wi, gi, "{tag}: index mismatch ({wd} vs {gd})");
-            assert_eq!(wd.to_bits(), gd.to_bits(), "{tag}: distance bits differ at index {wi}");
-        }
-        other => panic!("{tag}: presence mismatch {other:?}"),
     }
 }
 
@@ -297,9 +197,9 @@ fn flat_arena_and_brute_agree_3d() {
 
 #[test]
 fn duplicated_points_tie_break_canonically() {
-    // Every other point is a duplicate: NN at a duplicated site ties at
-    // exactly zero and must resolve to the smallest original index in
-    // all three evaluators.
+    // Every other point is a duplicate: the search at a duplicated site
+    // meets several points at exactly zero, and all three evaluators
+    // answer with the same zero.
     for &n in &[16usize, 48, 130] {
         let (pts, mus) = cloud::<2>(7_000 + n as u64, n, MuShape::Quantized, 0, 2);
         for f in FILTERS {
@@ -322,37 +222,34 @@ fn nan_coordinates_never_win_or_poison() {
 
 #[test]
 fn all_nan_cloud_returns_none() {
-    // Every candidate distance is NaN → every evaluator reports None /
-    // empty, not a NaN answer.
+    // Every candidate distance is NaN → every evaluator reports None, not
+    // a NaN answer.
     let pts: Vec<Point<2>> = (0..20).map(|i| Point::xy(f64::NAN, i as f64)).collect();
     let mus: Vec<f64> = vec![1.0; 20];
     let flat = KdTree::build(&pts, &mus);
     let arena = ArenaKdTree::build(&pts, &mus);
     let q = Point::xy(0.0, 0.0);
     let f = LevelFilter::at_least(0.0);
-    assert_eq!(flat.nn_sq_within(&q, f, f64::INFINITY), None);
     assert_eq!(flat.min_dist_sq_within(&q, f, f64::INFINITY), None);
-    assert_eq!(arena.nn_sq_within(&q, f, f64::INFINITY), None);
-    assert!(flat.within_radius_filtered(&q, 1e9, f).is_empty());
-    assert!(arena.within_radius_filtered(&q, 1e9, f).is_empty());
+    assert_eq!(arena.min_dist_sq_within(&q, f, f64::INFINITY), None);
 }
 
 #[test]
 fn distance_only_search_ignores_ties_and_empty_filters() {
-    // A filter no membership passes: `None` from both forms, at any cap,
+    // A filter no membership passes: `None` from both trees, at any cap,
     // at every size around the leaf boundaries.
     for (si, &n) in SIZES.iter().enumerate() {
         let (pts, mus) = cloud::<2>(400 + si as u64, n, MuShape::Quantized, 0, 0);
         let flat = KdTree::build(&pts, &mus);
+        let arena = ArenaKdTree::build(&pts, &mus);
         for cap in [f64::INFINITY, 1.0] {
             assert_eq!(flat.min_dist_sq_within(&pts[0], LevelFilter::above(1.0), cap), None);
-            assert_eq!(flat.nn_sq_within(&pts[0], LevelFilter::above(1.0), cap), None);
+            assert_eq!(arena.min_dist_sq_within(&pts[0], LevelFilter::above(1.0), cap), None);
         }
     }
     // Equal-distance ties: a ring of 40 points at distance exactly 5 from
-    // the query, spread over several leaves, plus far points. The distance
-    // is the ring's whichever member is met first; the index is the
-    // smallest on the ring that passes the filter.
+    // the query, spread over several leaves, plus far points: the distance
+    // is the ring's whichever member is met first.
     let ring = [(3.0, 4.0), (4.0, 3.0), (-3.0, 4.0), (-4.0, 3.0), (0.0, 5.0)];
     let mut pts: Vec<Point<2>> = (0..30).map(|i| Point::xy(40.0 + i as f64, -30.0)).collect();
     for i in 0..40 {
@@ -361,16 +258,17 @@ fn distance_only_search_ignores_ties_and_empty_filters() {
     }
     let mus: Vec<f64> = (0..pts.len()).map(|i| if i % 4 == 0 { 1.0 } else { 0.5 }).collect();
     let flat = KdTree::build(&pts, &mus);
+    let arena = ArenaKdTree::build(&pts, &mus);
     let q = Point::origin();
-    for (f, first) in [(LevelFilter::at_least(0.5), 30), (LevelFilter::at_least(1.0), 32)] {
+    for f in [LevelFilter::at_least(0.5), LevelFilter::at_least(1.0)] {
         assert_eq!(flat.min_dist_sq_within(&q, f, f64::INFINITY), Some(25.0));
-        assert_eq!(flat.nn_sq_within(&q, f, f64::INFINITY), Some((first, 25.0)));
-        assert_eq!(brute_nn(&pts, &mus, &q, f, f64::INFINITY), Some((first, 25.0)));
+        assert_eq!(arena.min_dist_sq_within(&q, f, f64::INFINITY), Some(25.0));
+        assert_eq!(brute_min(&pts, &mus, &q, f, f64::INFINITY), Some(25.0));
         assert_eq!(flat.min_dist_sq_within(&q, f, 25.0), None, "the cap is exclusive");
     }
 }
 
-/// The occupancy bitmap against the oracle, for one cloud under all six
+/// The occupancy bitmap against the arena and the oracle, for one cloud under all six
 /// filters. The grid is recomputed here from its documented geometry —
 /// `w` the smallest integer with `w^D ≥ 128·n` (at most 2 048), cell side
 /// `c_d = extent_d / w`, a dimension gridded when the three reach squares
@@ -379,6 +277,7 @@ fn distance_only_search_ignores_ties_and_empty_filters() {
 /// straddle each reach threshold by one float either way.
 fn check_occupancy<const D: usize>(pts: &[Point<D>], mus: &[f64], tag: &str) {
     let flat = KdTree::build(pts, mus);
+    let arena = ArenaKdTree::build(pts, mus);
     let (lo, hi) = (*flat.mbr().lo_coords(), *flat.mbr().hi_coords());
     let want_cells = 128 * pts.len() as u128;
     let w = (1..2048usize).find(|&w| (w as u128).pow(D as u32) >= want_cells).unwrap_or(2048);
@@ -428,13 +327,15 @@ fn check_occupancy<const D: usize>(pts: &[Point<D>], mus: &[f64], tag: &str) {
     for f in FILTERS {
         for q in &queries {
             let mut caps = caps.clone();
-            if let Some((_, d2)) = brute_nn(pts, mus, q, f, f64::INFINITY) {
+            if let Some(d2) = brute_min(pts, mus, q, f, f64::INFINITY) {
                 caps.extend([d2, f64::from_bits(d2.to_bits() + 1)]);
             }
             for cap in caps {
                 let got = flat.min_dist_sq_within(q, f, cap).map(f64::to_bits);
-                let want = brute_nn(pts, mus, q, f, cap).map(|(_, d2)| d2.to_bits());
+                let want = brute_min(pts, mus, q, f, cap).map(f64::to_bits);
                 assert_eq!(got, want, "{tag}: f={f:?} q={q:?} cap={cap:e} (c_min {c_min:e})");
+                let got = arena.min_dist_sq_within(q, f, cap).map(f64::to_bits);
+                assert_eq!(got, want, "{tag}: arena f={f:?} q={q:?} cap={cap:e}");
             }
         }
     }
@@ -468,61 +369,6 @@ fn occupancy_bitmap_never_changes_a_capped_search() {
     }
 }
 
-#[test]
-fn closest_pair_matches_brute_bitwise_with_witnesses() {
-    for &(na, nb) in &[(5usize, 7usize), (16, 16), (33, 48), (90, 70)] {
-        for shape in [MuShape::Continuous, MuShape::Quantized] {
-            let (pa, ma) = cloud::<2>(na as u64 * 13 + 1, na, shape, 0, 0);
-            let (pb, mb) = cloud::<2>(nb as u64 * 17 + 2, nb, shape, 0, 0);
-            let ta = KdTree::build(&pa, &ma);
-            let tb = KdTree::build(&pb, &mb);
-            for f in [LevelFilter::at_least(0.0), LevelFilter::at_least(0.5)] {
-                let want = brute_pair(&pa, &ma, &pb, &mb, f, f, f64::INFINITY);
-                let got = bichromatic_closest_pair_sq(&ta, &tb, f, f, f64::INFINITY)
-                    .map(|r| (r.dist_sq, r.i, r.j));
-                match (want, got) {
-                    (None, None) => {}
-                    (Some((wd, wi, wj)), Some((gd, gi, gj))) => {
-                        assert_eq!(wd.to_bits(), gd.to_bits(), "na={na} nb={nb} {shape:?}");
-                        assert_eq!((wi, wj), (gi, gj), "witness pair, na={na} nb={nb}");
-                    }
-                    other => panic!("presence mismatch {other:?}"),
-                }
-                // Cap at the answer: strictly-closer semantics prune all.
-                if let Some((wd, _, _)) = want {
-                    assert!(bichromatic_closest_pair_sq(&ta, &tb, f, f, wd).is_none());
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn duplicate_cross_points_pick_lexicographic_pair() {
-    // Both sides share several exact sites: many (i, j) pairs tie at 0.
-    let shared = [Point::xy(1.0, 1.0), Point::xy(-2.0, 3.0)];
-    let mut pa: Vec<Point<2>> = vec![Point::xy(9.0, 9.0)];
-    let mut pb: Vec<Point<2>> = vec![Point::xy(-9.0, -9.0)];
-    for _ in 0..3 {
-        pa.extend_from_slice(&shared);
-        pb.extend_from_slice(&shared);
-    }
-    let ma = vec![1.0; pa.len()];
-    let mb = vec![1.0; pb.len()];
-    let ta = KdTree::build(&pa, &ma);
-    let tb = KdTree::build(&pb, &mb);
-    let f = LevelFilter::at_least(0.0);
-    let got = bichromatic_closest_pair_sq(&ta, &tb, f, f, f64::INFINITY).unwrap();
-    assert_eq!(got.dist_sq, 0.0);
-    // Smallest witness: pa[1] == pb[1] == shared[0].
-    assert_eq!((got.i, got.j), (1, 1));
-    assert_eq!(
-        brute_pair(&pa, &ma, &pb, &mb, f, f, f64::INFINITY),
-        Some((0.0, 1, 1)),
-        "oracle agrees on the lexicographic witness"
-    );
-}
-
 // ---- randomized layer on top of the deterministic sweeps ----
 
 fn arb_cloud2(max: usize) -> impl Strategy<Value = (Vec<Point<2>>, Vec<f64>)> {
@@ -538,8 +384,8 @@ fn arb_cloud2(max: usize) -> impl Strategy<Value = (Vec<Point<2>>, Vec<f64>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random clouds: the flat tree, the arena reference and the brute
-    /// oracle return the identical `(index, d²-bits)` answer.
+    /// Random clouds and caps: the flat tree, the arena reference and the
+    /// brute oracle return the identical distance bits, or all `None`.
     #[test]
     fn random_clouds_agree_bitwise(
         (pts, mus) in arb_cloud2(120),
@@ -547,38 +393,17 @@ proptest! {
         qy in -60.0..60.0f64,
         lvl in 0.0..=1.0f64,
         strict in any::<bool>(),
+        cap in 0.0..500.0f64,
     ) {
+        // A fifth of the cases search unbounded.
+        let cap = if cap < 400.0 { cap } else { f64::INFINITY };
         let q = Point::xy(qx, qy);
         let f = LevelFilter { min: lvl, strict };
         let flat = KdTree::build(&pts, &mus);
         let arena = ArenaKdTree::build(&pts, &mus);
-        let want = brute_nn(&pts, &mus, &q, f, f64::INFINITY);
-        let got_flat = flat.nn_sq_within(&q, f, f64::INFINITY);
-        let got_arena = arena.nn_sq_within(&q, f, f64::INFINITY);
-        prop_assert_eq!(want.map(|(i, d)| (i, d.to_bits())),
-                        got_flat.map(|(i, d)| (i, d.to_bits())));
-        prop_assert_eq!(want.map(|(i, d)| (i, d.to_bits())),
-                        got_arena.map(|(i, d)| (i, d.to_bits())));
-        prop_assert_eq!(want.map(|(_, d)| d.to_bits()),
-                        flat.min_dist_sq_within(&q, f, f64::INFINITY).map(f64::to_bits));
-    }
-
-    /// Random radius scans agree exactly (index sets, ascending).
-    #[test]
-    fn random_radius_scans_agree(
-        (pts, mus) in arb_cloud2(90),
-        qx in -60.0..60.0f64,
-        qy in -60.0..60.0f64,
-        radius in 0.0..80.0f64,
-        lvl in 0.0..=1.0f64,
-    ) {
-        let q = Point::xy(qx, qy);
-        let f = LevelFilter::at_least(lvl);
-        let flat = KdTree::build(&pts, &mus);
-        let arena = ArenaKdTree::build(&pts, &mus);
-        let want = brute_radius(&pts, &mus, &q, f, radius);
-        prop_assert_eq!(&flat.within_radius_filtered(&q, radius, f), &want);
-        prop_assert_eq!(&arena.within_radius_filtered(&q, radius, f), &want);
+        let want = brute_min(&pts, &mus, &q, f, cap).map(f64::to_bits);
+        prop_assert_eq!(want, flat.min_dist_sq_within(&q, f, cap).map(f64::to_bits));
+        prop_assert_eq!(want, arena.min_dist_sq_within(&q, f, cap).map(f64::to_bits));
     }
 }
 

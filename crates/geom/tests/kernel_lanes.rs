@@ -1,18 +1,16 @@
-//! SIMD-vs-scalar lane equivalence, forced explicitly: both kernel paths
-//! are public precisely so this suite can run them side by side and
-//! assert **bitwise-equal** min-reductions regardless of which one the
-//! `scalar-kernel` feature selects as the build-time dispatcher.
+//! Lane-vs-scalar equivalence: the lane kernel `min_dist_sq_cols` and its
+//! sequential reference `min_dist_sq_cols_scalar` are both public precisely
+//! so this suite can run them side by side and assert **bitwise-equal**
+//! min-reductions.
 //!
 //! The bitwise argument (see `fuzzy_geom::kernel` docs): candidates are
 //! `+0.0`/positive/`+∞`/NaN — never `-0.0` — so `f64::min` is an exact
 //! selection and any lane assignment or fold order returns the same bits.
 //! These tests pin that argument against regressions: remainder rows
 //! (`n % 8 ≠ 0`), single points, empty columns, NaN rows, duplicate
-//! minima, and the dispatcher agreeing with whichever path it selects.
+//! minima, and the kd-tree's leaf scans, which run the lane kernel.
 
-use fuzzy_geom::kernel::{
-    min_dist_sq_cols, min_dist_sq_cols_lanes, min_dist_sq_cols_scalar, LANES,
-};
+use fuzzy_geom::kernel::{min_dist_sq_cols, min_dist_sq_cols_scalar, LANES};
 use fuzzy_geom::{KdTree, LevelFilter, Point};
 
 struct Mix(u64);
@@ -51,14 +49,12 @@ fn forced_paths_match_bitwise_across_all_remainders() {
             for qi in 0..5 {
                 let q = [qi as f64 * 137.0 - 300.0, 250.0 - qi as f64 * 91.0];
                 let scalar = min_dist_sq_cols_scalar(&refs, &q);
-                let lanes = min_dist_sq_cols_lanes(&refs, &q);
-                let dispatched = min_dist_sq_cols(&refs, &q);
+                let lanes = min_dist_sq_cols(&refs, &q);
                 assert_eq!(
                     scalar.to_bits(),
                     lanes.to_bits(),
                     "n={n} seed={seed} q#{qi}: scalar {scalar} vs lanes {lanes}"
                 );
-                assert_eq!(dispatched.to_bits(), scalar.to_bits(), "dispatcher diverges at n={n}");
             }
         }
     }
@@ -72,7 +68,7 @@ fn forced_paths_match_in_3d() {
         let q = [1.5, -2.5, 0.25];
         assert_eq!(
             min_dist_sq_cols_scalar(&refs, &q).to_bits(),
-            min_dist_sq_cols_lanes(&refs, &q).to_bits(),
+            min_dist_sq_cols(&refs, &q).to_bits(),
             "3-D n={n}"
         );
     }
@@ -83,11 +79,11 @@ fn single_point_and_empty_edge_cases() {
     let empty: [&[f64]; 2] = [&[], &[]];
     let q = [0.0, 0.0];
     assert_eq!(min_dist_sq_cols_scalar(&empty, &q), f64::INFINITY);
-    assert_eq!(min_dist_sq_cols_lanes(&empty, &q), f64::INFINITY);
+    assert_eq!(min_dist_sq_cols(&empty, &q), f64::INFINITY);
 
     let one: [&[f64]; 2] = [&[3.0], &[4.0]];
     let s = min_dist_sq_cols_scalar(&one, &q);
-    let l = min_dist_sq_cols_lanes(&one, &q);
+    let l = min_dist_sq_cols(&one, &q);
     assert_eq!(s.to_bits(), l.to_bits());
     assert_eq!(s, 25.0);
 }
@@ -104,15 +100,15 @@ fn nan_rows_are_ignored_identically() {
         let refs = as_refs::<2>(&cols);
         let q = [0.0, 0.0];
         let s = min_dist_sq_cols_scalar(&refs, &q);
-        let l = min_dist_sq_cols_lanes(&refs, &q);
+        let l = min_dist_sq_cols(&refs, &q);
         assert_eq!(s.to_bits(), l.to_bits(), "nan at row {nan_at}");
         assert!(s.is_finite(), "one NaN row must not poison the reduction");
     }
 }
 
-/// End-to-end: a tree query (which funnels leaf scans through the
-/// dispatcher) agrees bitwise with a manual reduction over both forced
-/// paths — the kernel swap is invisible at the query surface.
+/// End-to-end: a tree search (whose leaf scans are the lane kernel) agrees
+/// bitwise with a manual reduction over the whole cloud through both
+/// kernels — the lanes are invisible at the search's surface.
 #[test]
 fn tree_leaf_scans_agree_with_forced_kernels() {
     let mut rng = Mix(90210);
@@ -125,15 +121,15 @@ fn tree_leaf_scans_agree_with_forced_kernels() {
     let f = LevelFilter::at_least(0.0);
     for _ in 0..20 {
         let q = Point::xy(rng.f64() * 60.0 - 5.0, rng.f64() * 60.0 - 5.0);
-        let (idx, d2) = tree.nn_sq_within(&q, f, f64::INFINITY).unwrap();
+        let d2 = tree.min_dist_sq_within(&q, f, f64::INFINITY).unwrap();
         // Oracle reduction over the whole cloud through both kernels.
         let xs: Vec<f64> = pts.iter().map(|p| p.x()).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.y()).collect();
         let cols: [&[f64]; 2] = [&xs, &ys];
         let s = min_dist_sq_cols_scalar(&cols, q.coords());
-        let l = min_dist_sq_cols_lanes(&cols, q.coords());
+        let l = min_dist_sq_cols(&cols, q.coords());
         assert_eq!(s.to_bits(), l.to_bits());
         assert_eq!(d2.to_bits(), s.to_bits(), "tree NN distance differs from kernel reduction");
-        assert_eq!(pts[idx].dist_sq(&q).to_bits(), d2.to_bits());
+        assert!(pts.iter().any(|p| p.dist_sq(&q).to_bits() == d2.to_bits()), "a point at {d2}");
     }
 }

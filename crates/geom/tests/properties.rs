@@ -1,8 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use fuzzy_geom::{
-    bichromatic_closest_pair, fit_conservative_line, fit_conservative_line_exact, upper_hull_2d,
-    KdTree, LevelFilter, Mbr, Point,
+    fit_conservative_line, fit_conservative_line_exact, upper_hull_2d, KdTree, LevelFilter, Mbr,
+    Point,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,7 @@ proptest! {
     ) {
         let tree = KdTree::build(&pts, &mus);
         let f = LevelFilter { min: lvl, strict };
-        let got = tree.nn_filtered(&q, f).map(|(_, d)| d);
+        let got = tree.min_dist_sq_within(&q, f, f64::INFINITY).map(f64::sqrt);
         let want = pts.iter().zip(&mus)
             .filter(|(_, &mu)| f.accepts(mu))
             .map(|(p, _)| p.dist(&q))
@@ -123,83 +123,11 @@ proptest! {
         }
     }
 
-    /// Dual-tree closest pair agrees with brute force.
-    #[test]
-    fn closest_pair_matches_brute(
-        (pa, ma) in arb_cloud(50),
-        (pb, mb) in arb_cloud(50),
-        lvl in 0.0..=1.0f64,
-    ) {
-        let ta = KdTree::build(&pa, &ma);
-        let tb = KdTree::build(&pb, &mb);
-        let f = LevelFilter::at_least(lvl);
-        let got = bichromatic_closest_pair(&ta, &tb, f, f, f64::INFINITY).map(|r| r.dist);
-        let mut want: Option<f64> = None;
-        for (p, &mu) in pa.iter().zip(&ma) {
-            if !f.accepts(mu) { continue; }
-            for (q, &nu) in pb.iter().zip(&mb) {
-                if !f.accepts(nu) { continue; }
-                let d = p.dist(q);
-                want = Some(want.map_or(d, |w: f64| w.min(d)));
-            }
-        }
-        match (got, want) {
-            (None, None) => {}
-            (Some(g), Some(w)) => prop_assert!((g - w).abs() < 1e-9),
-            other => prop_assert!(false, "mismatch {:?}", other),
-        }
-    }
-
-    /// Closest-pair distance is bounded above by the distance between any
-    /// concrete member pair — in particular the kernel representatives
-    /// (index 0, µ = 1, accepted by every level filter). This is the
-    /// geometric fact behind the paper's representative-point upper bound.
-    #[test]
-    fn closest_pair_le_representative_distance(
-        (pa, ma) in arb_cloud(40),
-        (pb, mb) in arb_cloud(40),
-        lvl in 0.0..=1.0f64,
-    ) {
-        let ta = KdTree::build(&pa, &ma);
-        let tb = KdTree::build(&pb, &mb);
-        let f = LevelFilter::at_least(lvl);
-        let got = bichromatic_closest_pair(&ta, &tb, f, f, f64::INFINITY)
-            .expect("kernels are non-empty")
-            .dist;
-        prop_assert!(got <= pa[0].dist(&pb[0]) + 1e-9);
-        // The filtered centroids are convex combinations of members, so
-        // their distance is dominated by the maximum cross distance, which
-        // brackets the closest pair from the other side:
-        //   closest pair ≤ representative distance ≤ max cross,
-        //   centroid distance ≤ max cross.
-        let centroid = |pts: &[Point<2>], mus: &[f64]| {
-            let mut acc = Point::xy(0.0, 0.0);
-            let mut n = 0.0;
-            for (p, &mu) in pts.iter().zip(mus) {
-                if f.accepts(mu) {
-                    acc = acc.add(p);
-                    n += 1.0;
-                }
-            }
-            acc.scale(1.0 / n)
-        };
-        let (ca, cb) = (centroid(&pa, &ma), centroid(&pb, &mb));
-        let max_cross = pa.iter().zip(&ma)
-            .filter(|(_, &mu)| f.accepts(mu))
-            .flat_map(|(p, _)| {
-                pb.iter().zip(&mb).filter(|(_, &nu)| f.accepts(nu)).map(move |(q, _)| p.dist(q))
-            })
-            .fold(0.0, f64::max);
-        prop_assert!(pa[0].dist(&pb[0]) <= max_cross + 1e-9);
-        prop_assert!(ca.dist(&cb) <= max_cross + 1e-9);
-        prop_assert!(got <= max_cross + 1e-9);
-    }
-
     /// The MinDist of the filtered sets' MBRs lower-bounds the exact
-    /// filtered closest-pair distance (the index-level pruning bound used
-    /// as the α-distance lower bound, Eq. 1).
+    /// distance between the filtered sets (the index-level pruning bound
+    /// used as the α-distance lower bound, Eq. 1).
     #[test]
-    fn mbr_min_dist_lower_bounds_closest_pair(
+    fn mbr_min_dist_lower_bounds_cut_distance(
         (pa, ma) in arb_cloud(40),
         (pb, mb) in arb_cloud(40),
         lvl in 0.0..=1.0f64,
@@ -211,9 +139,10 @@ proptest! {
         let (fa, fb) = (filtered(&pa, &ma), filtered(&pb, &mb));
         let mbr_a = Mbr::from_points(fa.iter()).expect("kernel keeps the cut non-empty");
         let mbr_b = Mbr::from_points(fb.iter()).expect("kernel keeps the cut non-empty");
-        let ta = KdTree::build(&pa, &ma);
-        let tb = KdTree::build(&pb, &mb);
-        let exact = bichromatic_closest_pair(&ta, &tb, f, f, f64::INFINITY).unwrap().dist;
+        let exact = fa
+            .iter()
+            .flat_map(|p| fb.iter().map(move |q| p.dist(q)))
+            .fold(f64::INFINITY, f64::min);
         prop_assert!(mbr_a.min_dist(&mbr_b) <= exact + 1e-9);
         // And MaxDist brackets it from above.
         prop_assert!(exact <= mbr_a.max_dist(&mbr_b) + 1e-9);
@@ -224,26 +153,5 @@ proptest! {
         for p in &fb {
             prop_assert!(mbr_b.contains_point(p));
         }
-    }
-
-    /// Closest pair distance is monotone non-decreasing in the level —
-    /// the geometric root of the α-distance monotonicity (Section 2.1).
-    #[test]
-    fn closest_pair_monotone_in_level(
-        (pa, ma) in arb_cloud(40),
-        (pb, mb) in arb_cloud(40),
-        l1 in 0.0..=1.0f64,
-        l2 in 0.0..=1.0f64,
-    ) {
-        let (lo, hi) = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
-        let ta = KdTree::build(&pa, &ma);
-        let tb = KdTree::build(&pb, &mb);
-        let d_lo = bichromatic_closest_pair(
-            &ta, &tb, LevelFilter::at_least(lo), LevelFilter::at_least(lo), f64::INFINITY);
-        let d_hi = bichromatic_closest_pair(
-            &ta, &tb, LevelFilter::at_least(hi), LevelFilter::at_least(hi), f64::INFINITY);
-        // Kernels are non-empty so both must exist.
-        let (d_lo, d_hi) = (d_lo.unwrap().dist, d_hi.unwrap().dist);
-        prop_assert!(d_lo <= d_hi + 1e-9, "d_{{{lo}}} = {d_lo} > d_{{{hi}}} = {d_hi}");
     }
 }

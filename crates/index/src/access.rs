@@ -14,18 +14,21 @@
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 //! use fuzzy_geom::Point;
-//! use fuzzy_index::{knn_by, NodeAccess, RTree, RTreeConfig};
+//! use fuzzy_index::{range_search, NodeAccess, RTree, RTreeConfig};
 //!
-//! // A generic nearest-entry helper that works on *any* index backend.
-//! fn nearest_id<A: NodeAccess<2>>(index: &A, q: Point<2>) -> Option<ObjectId> {
-//!     let hits = knn_by(
+//! // A generic "which supports come within `r`" helper that works on *any*
+//! // index backend.
+//! fn ids_within<A: NodeAccess<2>>(index: &A, q: Point<2>, r: f64) -> Vec<ObjectId> {
+//!     let found = range_search(
 //!         index,
-//!         1,
+//!         r,
 //!         |mbr| mbr.min_dist_point(&q),
 //!         |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
 //!     )
 //!     .unwrap();
-//!     hits.first().map(|h| h.entry.id)
+//!     let mut ids: Vec<ObjectId> = found.hits.iter().map(|h| h.entry.id).collect();
+//!     ids.sort();
+//!     ids
 //! }
 //!
 //! let summaries: Vec<ObjectSummary<2>> = (0..32)
@@ -40,7 +43,7 @@
 //!     })
 //!     .collect();
 //! let tree = RTree::bulk_load(summaries, RTreeConfig::default());
-//! assert_eq!(nearest_id(&tree, Point::xy(10.1, 0.0)), Some(ObjectId(10)));
+//! assert_eq!(ids_within(&tree, Point::xy(10.1, 0.0), 0.05), vec![ObjectId(10)]);
 //! ```
 
 use crate::node::{Children, NodeId, RTree};
@@ -49,7 +52,6 @@ use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 use fuzzy_store::StoreError;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A child pointer as stored inside its parent node: the paper's I/O model
@@ -223,11 +225,11 @@ impl<const D: usize> NodeAccess<D> for RTree<D> {
     }
 }
 
-/// Max-heap adapter turning [`BinaryHeap`] into a min-heap on `f64` keys
+/// Max-heap adapter turning [`std::collections::BinaryHeap`] into a min-heap on `f64` keys
 /// (ordered by `total_cmp`, reversed). Shared by every best-first
-/// traversal in the workspace — the generic searches here and the AKNN
-/// engine in `fuzzy-query` — so tie-breaking and NaN policy cannot
-/// silently diverge between backends.
+/// traversal in the workspace — the AKNN engine in `fuzzy-query` among
+/// them — so tie-breaking and NaN policy cannot silently diverge between
+/// backends.
 pub struct MinKey<T> {
     /// The ordering key (smaller pops first).
     pub key: f64,
@@ -250,54 +252,6 @@ impl<T> Ord for MinKey<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.total_cmp(&self.key) // reversed: BinaryHeap is a max-heap
     }
-}
-
-/// Generic best-first k-nearest-entries search over any [`NodeAccess`]
-/// backend.
-///
-/// `node_key` must lower-bound `entry_key` for every entry in a node's
-/// subtree (the usual `MinDist` property, Eq. 1); under that contract the
-/// traversal is provably correct and expands the minimum number of nodes
-/// (Hjaltason & Samet, ref. \[11\] of the paper).
-pub fn knn_by<A: NodeAccess<D> + ?Sized, const D: usize>(
-    tree: &A,
-    k: usize,
-    node_key: impl Fn(&Mbr<D>) -> f64,
-    entry_key: impl Fn(&ObjectSummary<D>) -> f64,
-) -> Result<Vec<EntryHit<D>>, StoreError> {
-    enum Item<const D: usize> {
-        Node(NodeId),
-        Entry(ObjectSummary<D>),
-    }
-    let mut heap: BinaryHeap<MinKey<Item<D>>> = BinaryHeap::new();
-    heap.push(MinKey { key: node_key(&tree.root_mbr()), item: Item::Node(tree.root_id()) });
-    let mut out = Vec::with_capacity(k);
-    while let Some(MinKey { item, key }) = heap.pop() {
-        match item {
-            Item::Entry(e) => {
-                out.push(EntryHit { entry: e, score: key });
-                if out.len() == k {
-                    break;
-                }
-            }
-            Item::Node(id) => {
-                let read = tree.read_node(id)?;
-                match read.view() {
-                    NodeView::Nodes(kids) => {
-                        for c in kids {
-                            heap.push(MinKey { key: node_key(&c.mbr), item: Item::Node(c.id) });
-                        }
-                    }
-                    NodeView::Entries(entries) => {
-                        for e in entries {
-                            heap.push(MinKey { key: entry_key(e), item: Item::Entry(*e) });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Generic range search over any [`NodeAccess`] backend: collect every

@@ -44,9 +44,9 @@
 //! * [`RTree::expand`] / [`NodeAccess::read_node`] — the navigation
 //!   primitives used by the query processor's best-first search; every
 //!   call counts one node access.
-//! * [`knn_by`] / [`range_search`] — backend-generic queries
-//!   parameterised by arbitrary node/entry scoring, used by tests and by
-//!   the RSS candidate collection (Algorithm 4).
+//! * [`range_search`] — the backend-generic range query, parameterised by
+//!   arbitrary node/entry scoring: the RSS candidate collection
+//!   (Algorithm 4).
 //! * [`RTree::validate`] — structural invariant checker used by tests.
 
 #![warn(missing_docs)]
@@ -65,9 +65,7 @@ pub mod query;
 pub mod validate;
 pub mod vptree;
 
-pub use access::{
-    knn_by, range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView,
-};
+pub use access::{range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
 pub use approx::{RecallDial, FOF_BUILD_CAP};
 pub use mtree::{MTree, MTreeConfig, MTREE_MAGIC, MTREE_VERSION};
 pub use mutate::MutableIndex;

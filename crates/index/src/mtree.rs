@@ -31,7 +31,7 @@
 //!   need no coordinate geometry either.
 //! * **Coordinate MBRs are maintained per node anyway**, so the tree
 //!   implements [`NodeAccess`] and every rectangle-based query (the L2
-//!   AKNN engine, `knn_by`, `range_search`) runs against it unchanged —
+//!   AKNN engine, `range_search`) runs against it unchanged —
 //!   the M-tree is a strict superset of the R-tree interface, not a
 //!   parallel world.
 //! * **`.fzmt` persistence** reuses the store's checksummed-header

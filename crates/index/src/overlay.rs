@@ -20,7 +20,7 @@
 //!   STR-bulk-loaded index file (published over the original through
 //!   `fuzzy_store::write_atomic`) and then clears the sidecar.
 //!
-//! The query stack is generic over `NodeAccess`, so AKNN/RKNN/join/batch
+//! The query stack is generic over `NodeAccess`, so AKNN/RKNN/batch
 //! run unmodified over an overlay; `fuzzy_query`'s epoch engine makes the
 //! mutation path safe to share with concurrent readers.
 
@@ -488,17 +488,19 @@ mod tests {
         std::env::temp_dir().join(format!("fz-overlay-{}-{name}.fzpt", std::process::id()))
     }
 
-    fn knn_ids<A: NodeAccess<2>>(tree: &A, q: Point<2>, k: usize) -> Vec<u64> {
-        access::knn_by(
+    /// Ids of the entries whose support comes within `radius` of `q`,
+    /// ascending.
+    fn ids_within<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> Vec<u64> {
+        let found = access::range_search(
             tree,
-            k,
+            radius,
             |m| m.min_dist_point(&q),
             |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
         )
-        .unwrap()
-        .into_iter()
-        .map(|h| h.entry.id.0)
-        .collect()
+        .unwrap();
+        let mut ids: Vec<u64> = found.hits.iter().map(|h| h.entry.id.0).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -545,29 +547,9 @@ mod tests {
         let fresh = RTree::bulk_load(ov.live_summaries().unwrap(), cfg);
         fresh.validate().unwrap();
         for q in [Point::xy(0.0, 0.0), Point::xy(14.0, 36.0), Point::xy(100.0, -5.0)] {
-            for k in [1usize, 5, 23] {
-                assert_eq!(knn_ids(&ov, q, k), knn_ids(&fresh, q, k), "q={q:?} k={k}");
-            }
-            for radius in [0.0, 4.0, 50.0] {
-                let a = access::range_search(
-                    &ov,
-                    radius,
-                    |m| m.min_dist_point(&q),
-                    |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-                )
-                .unwrap();
-                let mut a: Vec<u64> = a.hits.into_iter().map(|h| h.entry.id.0).collect();
-                a.sort_unstable();
-                let b = access::range_search(
-                    &fresh,
-                    radius,
-                    |m| m.min_dist_point(&q),
-                    |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-                )
-                .unwrap();
-                let mut b: Vec<u64> = b.hits.into_iter().map(|h| h.entry.id.0).collect();
-                b.sort_unstable();
-                assert_eq!(a, b, "q={q:?} radius={radius}");
+            for radius in [0.0, 1.0, 4.0, 50.0] {
+                let want = ids_within(&fresh, q, radius);
+                assert_eq!(ids_within(&ov, q, radius), want, "q={q:?} radius={radius}");
             }
         }
         std::fs::remove_file(&path).unwrap();
@@ -738,7 +720,7 @@ mod tests {
             }
         }
         for q in [Point::xy(3.0, 52.0), Point::xy(20.0, 10.0)] {
-            assert_eq!(knn_ids(&ov, q, 9), knn_ids(&rebuilt, q, 9), "q={q:?}");
+            assert_eq!(ids_within(&ov, q, 3.0), ids_within(&rebuilt, q, 3.0), "q={q:?}");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -786,7 +768,7 @@ mod tests {
         assert_eq!(NodeAccess::len(&reloaded), 60);
         assert!(served.is_clean() && served.contains_id(ObjectId(9)), "the source is untouched");
         let q = Point::xy(1.0, 1.0);
-        assert_eq!(knn_ids(&reloaded, q, 5), knn_ids(&writer, q, 5));
+        assert_eq!(ids_within(&reloaded, q, 2.0), ids_within(&writer, q, 2.0));
 
         let stale = DeltaLog::<2> { inserted: vec![], tombstones: vec![999] };
         stale.save(delta_path_for(&path)).unwrap();
@@ -809,7 +791,7 @@ mod tests {
             assert!(ov.insert(summary(i, (i % 10) as f64, (i / 10) as f64)));
         }
         assert_eq!(NodeAccess::len(&ov), 100);
-        assert_eq!(knn_ids(&ov, Point::xy(0.0, 0.0), 1), vec![0]);
+        assert_eq!(ids_within(&ov, Point::xy(0.0, 0.0), 0.25), vec![0]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -702,6 +702,22 @@ mod tests {
         std::env::temp_dir().join(format!("fzpt-test-{}-{name}.fzpt", std::process::id()))
     }
 
+    /// Every entry whose support comes within `radius` of `q`, as sorted
+    /// `(id, score bits)`.
+    fn hits_within<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> Vec<(u64, u64)> {
+        let found = access::range_search(
+            tree,
+            radius,
+            |m| m.min_dist_point(&q),
+            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+        )
+        .unwrap();
+        let mut hits: Vec<(u64, u64)> =
+            found.hits.iter().map(|h| (h.entry.id.0, h.score.to_bits())).collect();
+        hits.sort_unstable();
+        hits
+    }
+
     #[test]
     fn leaf_block_roundtrips_at_every_fill() {
         // Odd counts leave the f64 columns on a 4-byte boundary (the point
@@ -757,28 +773,8 @@ mod tests {
         let mem = RTree::bulk_load(grid_summaries(300), cfg);
         let paged = PagedRTree::bulk_write(grid_summaries(300), cfg, &path, 4096).unwrap();
         let q = Point::xy(17.0, 4.0);
-        for k in [1usize, 7, 40] {
-            let a = access::knn_by(
-                &mem,
-                k,
-                |m| m.min_dist_point(&q),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-            )
-            .unwrap();
-            let b = access::knn_by(
-                &paged,
-                k,
-                |m| m.min_dist_point(&q),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-            )
-            .unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.entry.id, y.entry.id, "k={k}");
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "k={k}");
-            }
-        }
         for radius in [0.0, 5.0, 100.0] {
+            assert_eq!(hits_within(&mem, q, radius), hits_within(&paged, q, radius), "{radius}");
             let a = access::range_search(
                 &mem,
                 radius,
@@ -793,7 +789,6 @@ mod tests {
                 |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
             )
             .unwrap();
-            assert_eq!(a.hits.len(), b.hits.len(), "radius {radius}");
             assert_eq!(a.node_accesses, b.node_accesses, "same logical I/O");
             assert_eq!(a.node_disk_reads, 0, "arena never reads disk");
         }
@@ -837,20 +832,11 @@ mod tests {
         }
         let paged: PagedRTree<2> = PagedRTree::open_with_cache(&path, 1).unwrap();
         let q = Point::xy(11.0, 7.0);
-        let hits = access::knn_by(
-            &paged,
-            10,
-            |m| m.min_dist_point(&q),
-            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-        )
-        .unwrap();
-        assert_eq!(hits.len(), 10);
+        let hits = hits_within(&paged, q, 6.0);
+        assert!(hits.len() > 10, "{} hits", hits.len());
         // Oracle: same query on the in-memory tree.
         let mem = RTree::bulk_load(grid_summaries(300), cfg);
-        let want = mem.knn_by(10, |m| m.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
-        for (a, b) in hits.iter().zip(&want) {
-            assert_eq!(a.entry.id, b.entry.id);
-        }
+        assert_eq!(hits, hits_within(&mem, q, 6.0));
         let stats = paged.cache_stats();
         assert!(stats.evictions > 0, "capacity 1 must evict");
         assert!(stats.misses > 0);
@@ -865,14 +851,7 @@ mod tests {
         assert!(NodeAccess::is_empty(&paged));
         assert_eq!(NodeAccess::height(&paged), 1);
         assert!(paged.root_mbr().is_empty());
-        let hits = access::knn_by(
-            &paged,
-            3,
-            |m| m.min_dist_point(&Point::xy(0.0, 0.0)),
-            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&Point::xy(0.0, 0.0)),
-        )
-        .unwrap();
-        assert!(hits.is_empty());
+        assert!(hits_within(&paged, Point::xy(0.0, 0.0), 1e9).is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -961,17 +940,9 @@ mod tests {
         let paged: PagedRTree<2> = PagedRTree::open(&path).unwrap();
         assert_eq!(NodeAccess::len(&paged), 150);
         let q = Point::xy(20.0, 2.0);
-        let a = tree.knn_by(5, |m| m.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
-        let b = access::knn_by(
-            &paged,
-            5,
-            |m| m.min_dist_point(&q),
-            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-        )
-        .unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.entry.id, y.entry.id);
-        }
+        let want = hits_within(&tree, q, 4.0);
+        assert!(want.len() >= 5, "{} hits", want.len());
+        assert_eq!(hits_within(&paged, q, 4.0), want);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,17 +1,11 @@
-//! Self-contained queries over the tree: best-first kNN and range search.
+//! What a range search over the tree returns.
 //!
-//! The traversals themselves are implemented once, generically over any
-//! [`crate::NodeAccess`] backend, in [`crate::access`] — the AKNN/RKNN
-//! processors in `fuzzy-query` call those generic versions so they run
-//! unmodified against the in-memory [`RTree`] and the disk-resident
-//! [`crate::PagedRTree`]. The inherent methods here are infallible
-//! conveniences over the in-memory tree, kept for tests and standalone
-//! use of the index.
+//! The traversal itself is implemented once, generically over any
+//! [`crate::NodeAccess`] backend, as [`crate::range_search`] — the RKNN
+//! processors in `fuzzy-query` call it, so it runs unmodified against the
+//! in-memory [`crate::RTree`] and the disk-resident [`crate::PagedRTree`].
 
-use crate::access;
-use crate::node::RTree;
 use fuzzy_core::ObjectSummary;
-use fuzzy_geom::Mbr;
 
 /// A matched entry together with the score that admitted it.
 #[derive(Clone, Debug)]
@@ -34,40 +28,11 @@ pub struct RangeResult<const D: usize> {
     pub node_disk_reads: u64,
 }
 
-impl<const D: usize> RTree<D> {
-    /// Generic best-first k-nearest-entries search.
-    ///
-    /// `node_key` must lower-bound `entry_key` for every entry in the
-    /// node's subtree (the usual `MinDist` property, Eq. 1); under that
-    /// contract the traversal is provably correct and expands the minimum
-    /// number of nodes (Hjaltason & Samet, ref. \[11\] of the paper).
-    pub fn knn_by(
-        &self,
-        k: usize,
-        node_key: impl Fn(&Mbr<D>) -> f64,
-        entry_key: impl Fn(&ObjectSummary<D>) -> f64,
-    ) -> Vec<EntryHit<D>> {
-        access::knn_by(self, k, node_key, entry_key).expect("in-memory node reads cannot fail")
-    }
-
-    /// Collect every entry whose `entry_key` is at most `radius`, pruning
-    /// subtrees whose `node_key` exceeds it. With `node_key = MinDist` this
-    /// is the range search of Algorithm 4 (RSS candidate collection).
-    pub fn range_search(
-        &self,
-        radius: f64,
-        node_key: impl Fn(&Mbr<D>) -> f64,
-        entry_key: impl Fn(&ObjectSummary<D>) -> f64,
-    ) -> RangeResult<D> {
-        access::range_search(self, radius, node_key, entry_key)
-            .expect("in-memory node reads cannot fail")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Children, RTreeConfig};
+    use crate::access;
+    use crate::node::{Children, RTree, RTreeConfig};
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
@@ -89,52 +54,18 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_linear_scan() {
-        let tree = build(800, 16);
-        let q = Point::xy(37.3, 11.8);
-        for k in [1usize, 5, 20, 100] {
-            let hits =
-                tree.knn_by(k, |mbr| mbr.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
-            assert_eq!(hits.len(), k);
-            // Linear scan oracle.
-            let mut all: Vec<f64> =
-                tree.iter_entries().map(|e| e.support_mbr.min_dist_point(&q)).collect();
-            all.sort_by(f64::total_cmp);
-            for (i, h) in hits.iter().enumerate() {
-                assert!(
-                    (h.score - all[i]).abs() < 1e-12,
-                    "k={k} rank {i}: {} vs {}",
-                    h.score,
-                    all[i]
-                );
-            }
-            // Scores are non-decreasing.
-            for w in hits.windows(2) {
-                assert!(w[0].score <= w[1].score + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn knn_with_k_larger_than_tree() {
-        let tree = build(10, 4);
-        let q = Point::xy(0.0, 0.0);
-        let hits =
-            tree.knn_by(50, |mbr| mbr.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
-        assert_eq!(hits.len(), 10);
-    }
-
-    #[test]
     fn range_search_matches_linear_scan() {
         let tree = build(800, 16);
         let q = Point::xy(50.0, 10.0);
         for radius in [0.0, 3.0, 10.0, 1000.0] {
             tree.stats().reset();
-            let res = tree.range_search(
+            let res = access::range_search(
+                &tree,
                 radius,
                 |mbr| mbr.min_dist_point(&q),
-                |e| e.support_mbr.min_dist_point(&q),
-            );
+                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+            )
+            .unwrap();
             let want =
                 tree.iter_entries().filter(|e| e.support_mbr.min_dist_point(&q) <= radius).count();
             assert_eq!(res.hits.len(), want, "radius {radius}");
@@ -145,28 +76,16 @@ mod tests {
     }
 
     #[test]
-    fn best_first_expands_fewer_nodes_than_full_scan() {
-        let tree = build(2500, 16);
-        let q = Point::xy(2.0, 2.0);
-        tree.stats().reset();
-        let _ = tree.knn_by(5, |mbr| mbr.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
-        let expanded = tree.stats().node_accesses();
-        let total_nodes = tree.node_count() as u64;
-        assert!(
-            expanded * 4 < total_nodes,
-            "best-first expanded {expanded} of {total_nodes} nodes"
-        );
-    }
-
-    #[test]
     fn empty_tree_queries() {
         let tree: RTree<2> = RTree::new(RTreeConfig::default());
         let q = Point::xy(0.0, 0.0);
-        assert!(tree
-            .knn_by(3, |m| m.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q))
-            .is_empty());
-        let res =
-            tree.range_search(10.0, |m| m.min_dist_point(&q), |e| e.support_mbr.min_dist_point(&q));
+        let res = access::range_search(
+            &tree,
+            10.0,
+            |m| m.min_dist_point(&q),
+            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+        )
+        .unwrap();
         assert!(res.hits.is_empty());
     }
 

@@ -41,8 +41,8 @@
 //! the current k-th best upper bound τ over the *live* candidates. A probe
 //! that comes back `None` under the τ seed is dominated — at least `k`
 //! live candidates are provably no farther than τ — and is discarded
-//! without ever finishing its dual-tree descent (the documented
-//! `None`-on-seed contract of the kernel).
+//! without ever finishing its kernel call (the documented `None`-on-seed
+//! contract of the kernel).
 //!
 //! ### A note on the lazy-probe buffer
 //!

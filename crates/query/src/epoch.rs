@@ -12,8 +12,8 @@
 //!   commit, **publish** a frozen clone behind an `Arc`, bumping the
 //!   epoch counter.
 //! * Readers grab the currently published `Arc` (one atomic-refcount
-//!   bump, no tree copy) and run entire queries — AKNN, RKNN, joins,
-//!   whole [`crate::BatchExecutor`] batches — against that immutable
+//!   bump, no tree copy) and run entire queries — AKNN, RKNN, whole
+//!   [`crate::BatchExecutor`] batches — against that immutable
 //!   snapshot. A query admitted at epoch `e` sees exactly the epoch-`e`
 //!   tree no matter how many commits land while it runs.
 //!

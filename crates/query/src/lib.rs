@@ -50,7 +50,6 @@ pub mod engine;
 pub mod epoch;
 pub mod error;
 pub mod interval;
-pub mod join;
 pub mod metric_search;
 pub mod result;
 pub mod rknn;
@@ -67,7 +66,6 @@ pub use engine::{threshold_at, QueryEngine, SearchBackend};
 pub use epoch::Versioned;
 pub use error::QueryError;
 pub use interval::{Interval, IntervalSet};
-pub use join::{alpha_distance_join, JoinPair, JoinResult};
 pub use metric_search::{metric_aknn, metric_aknn_brute};
 pub use result::{AknnResult, DistBound, Neighbor, RknnItem, RknnResult};
 pub use rknn::RknnAlgorithm;

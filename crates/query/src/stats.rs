@@ -17,7 +17,7 @@ pub struct QueryStats {
     /// shared `CachedStore`'s hit/miss split, this depends on how
     /// concurrent queries interleave on the shared pool.
     pub node_disk_reads: u64,
-    /// Exact α-distance evaluations (dual-tree closest pair runs): one per
+    /// Exact α-distance evaluations (kernel calls): one per
     /// object an AKNN search probes, plus — in RSS / RSS-ICR — one bounded
     /// call at `αs` per range candidate step 1 did not return (the settle
     /// step of [`crate::rknn`]).

@@ -1,7 +1,7 @@
 //! Dynamic-update determinism: after an interleaved insert/delete/update
 //! workload, the three dynamic backends — the in-memory `RTree` mutated
 //! in place, the `PagedRTree` + delta overlay, and the overlay after
-//! `compact` rewrote the index file — must answer AKNN/RKNN/join queries
+//! `compact` rewrote the index file — must answer AKNN/RKNN queries
 //! **byte-identically** to each other, to a freshly bulk-loaded tree over
 //! the same live set, and to linear-scan oracles; at 1, 2 and 8 executor
 //! threads. This is the test the CI `mutation-determinism` job runs.
@@ -20,8 +20,8 @@ use fuzzy_index::{
 };
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_query::{
-    alpha_distance_join, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-    DistBound, QueryEngine, QueryScratch, RknnAlgorithm, Versioned,
+    AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryEngine,
+    QueryScratch, RknnAlgorithm, Versioned,
 };
 use fuzzy_store::{FileStoreWriter, ObjectStore};
 use std::collections::BTreeSet;
@@ -309,21 +309,6 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fz-mutdet-{}-{name}", std::process::id()))
 }
 
-/// Self-join over one index: qualifying pairs with exact distances.
-fn join_of<A: NodeAccess<2>, S: ObjectStore<2>>(tree: &A, store: &S) -> Vec<(u64, u64, u64)> {
-    let res = alpha_distance_join(
-        tree,
-        store,
-        tree,
-        store,
-        Threshold::at(0.5),
-        2.5,
-        &AknnConfig::lb_lp_ub(),
-    )
-    .unwrap();
-    res.pairs.iter().map(|p| (p.left.0, p.right.0, p.dist.to_bits())).collect()
-}
-
 #[test]
 fn interleaved_mutations_converge_across_backends_and_threads() {
     // Shared object store with every object (indexed or not).
@@ -416,13 +401,6 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     assert!(dropped > 0 && settled > 0, "the settle step never acted");
     assert!(tombstoned > 0, "no deleted object lies within any query's radius");
 
-    // Self-join over the live set: the mutated backends must produce the
-    // same pair set as the fresh tree.
-    let fresh_join = join_of(&fresh, &store);
-    assert!(!fresh_join.is_empty(), "join radius too small to exercise anything");
-    assert_eq!(join_of(&mem, &store), fresh_join, "join diverged on mutated RTree");
-    assert_eq!(join_of(&overlay, &store), fresh_join, "join diverged on overlay");
-
     // Compact: rewrite the index file through the bulk loader; answers
     // must not move.
     overlay.save_delta().unwrap();
@@ -432,7 +410,6 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     assert_eq!(NodeAccess::len(&compacted), live.len());
     let compacted_print = threaded_fingerprint(&compacted, &store, &live);
     assert_eq!(compacted_print, fresh_print, "compacted index diverged");
-    assert_eq!(join_of(&compacted, &store), fresh_join, "join diverged after compact");
 
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&index_path).ok();

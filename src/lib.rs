@@ -49,7 +49,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`geom`] | points, MBRs, MinDist/MaxDist, hulls, conservative lines, kd-trees, closest pair |
+//! | [`geom`] | points, MBRs, MinDist/MaxDist, hulls, conservative lines, level-annotated kd-trees |
 //! | [`core`] | fuzzy object model, α-cuts, summaries, α-distance, profiles, critical sets |
 //! | [`store`] | disk/memory object stores with the paper's object-access accounting, plus the page-cache buffer pool |
 //! | [`index`] | R-trees behind the `NodeAccess` trait: in-memory `RTree` (STR bulk load + R* insert) and the disk-resident `PagedRTree` |
