@@ -200,10 +200,9 @@ fn record(
     Json::obj(vec![
         ("sweep", Json::str(sweep)),
         ("variant", Json::str(cfg.variant_name())),
-        // The distance metric the batch ran under. The suite currently
-        // sweeps the rectangle engine, which is the L2 specialization of
-        // the Metric seam; the field readies the schema for graph-metric
-        // sweeps without another version bump.
+        // The distance metric the batch ran under: always `l2`, the one
+        // metric the engine serves. Kept so existing reports still
+        // validate against the schema.
         ("metric", Json::str("l2")),
         ("k", Json::num(k as f64)),
         ("alpha", Json::num(alpha)),

@@ -14,10 +14,7 @@
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --server 127.0.0.1:7878
 //! fkq loadgen --addr 127.0.0.1:7878 --qps 100,200 --out BENCH_serve.json
 //! fkq swap --addr 127.0.0.1:7878 --index-file cells.fzpt
-//! fkq gen-road --out road.fzkn --graph road.fzrn --vertices 300 --n 150
-//! fkq build-index road.fzkn --metric graph --graph road.fzrn --out road.fzmt
-//! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --index-file road.fzmt
-//! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --brute true
+//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --brute true
 //! fkq build-index cells.fzkn --out cells.fzvp
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial 1.5 --measure-recall true
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial exact
@@ -37,15 +34,13 @@
 //! measures latency under open-loop load and writes `BENCH_serve.json`;
 //! `swap` publishes a new index epoch without restarting the daemon.
 
-use fuzzy_core::metric::{GraphMetric, Metric, L2};
+use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
-use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
-use fuzzy_index::{
-    delta_path_for, MTree, MTreeConfig, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig,
-};
+use fuzzy_datagen::{CellConfig, SyntheticConfig};
+use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::{
-    execute_one, metric_aknn, metric_aknn_brute, AknnConfig, BatchRequest, BatchResponse,
-    QueryEngine, QueryScratch, RknnAlgorithm, SearchBackend,
+    aknn_brute, execute_one, AknnConfig, BatchRequest, BatchResponse, QueryEngine, QueryScratch,
+    RknnAlgorithm, SearchBackend,
 };
 use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
@@ -54,21 +49,16 @@ use fuzzy_server::{
 use fuzzy_store::{FileStore, ObjectStore};
 use std::collections::HashMap;
 use std::process::exit;
-use std::sync::Arc;
 
 const USAGE: &str = "usage:
   fkq generate --kind <synthetic|cell> --n <count> [--ppo <points>] [--seed <u64>] \
 [--radius <r>] --out <path>
-  fkq gen-road --out <path> --graph <net.fzrn> [--vertices <n>] [--extra-edges <n>] \
-[--n <objects>] [--ppo <points>] [--span <f>] [--seed <u64>]
   fkq info <path> [--index-file <path>]
   fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
-[--min-fill <f>] [--metric <l2|graph>] [--graph <net.fzrn>] [--fanout <n>] \
-[--leaf-size <n>] [--fof-neighbors <n>]
+[--min-fill <f>] [--leaf-size <n>] [--fof-neighbors <n>]
   fkq aknn <path> --k <k> --alpha <a> [--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] \
 [--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
-[--metric <l2|graph>] [--graph <net.fzrn>] [--brute <true|false>] \
-[--recall-dial <exact|v>] [--measure-recall <true|false>]
+[--brute <true|false>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
   fkq rknn <path> --k <k> --start <a> --end <a> [--algo <naive|basic|rss|rss-icr>] \
 [--query-seed <u64>] [--index-file <path>] [--cache-pages <n>] [--server <addr>] \
 [--deadline-ms <n>]
@@ -94,12 +84,20 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Flags of the retired road-network metric. A leftover one is refused
+/// rather than ignored, so no such query is ever answered under L2.
+const RETIRED_FLAGS: [&str; 3] = ["metric", "graph", "fanout"];
+
 fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut pos = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if RETIRED_FLAGS.contains(&name) {
+                eprintln!("flag --{name} is no longer supported: queries run under L2 only");
+                usage();
+            }
             if i + 1 >= args.len() {
                 eprintln!("flag --{name} needs a value");
                 usage();
@@ -135,7 +133,6 @@ fn main() {
     let (pos, flags) = parse_flags(&args[1..]);
     match args[0].as_str() {
         "generate" => generate(&flags),
-        "gen-road" => gen_road(&flags),
         "info" => info(pos.first().unwrap_or_else(|| usage()), &flags),
         "build-index" => build_index(pos.first().unwrap_or_else(|| usage()), &flags),
         "aknn" => aknn(pos.first().unwrap_or_else(|| usage()), &flags),
@@ -187,129 +184,26 @@ fn generate(flags: &HashMap<String, String>) {
     println!("wrote {} objects to {out}", store.len());
 }
 
-/// Generate the road-network workload: a connected graph (persisted as a
-/// checksummed `.fzrn` file) plus vertex-resident fuzzy objects written
-/// to an ordinary `.fzkn` store — both from one seed, both deterministic.
-fn gen_road(flags: &HashMap<String, String>) {
-    let defaults = RoadConfig::default();
-    let cfg = RoadConfig {
-        vertices: get(flags, "vertices").unwrap_or(defaults.vertices),
-        extra_edges: get(flags, "extra-edges").unwrap_or(defaults.extra_edges),
-        objects: get(flags, "n").unwrap_or(defaults.objects),
-        points_per_object: get(flags, "ppo").unwrap_or(defaults.points_per_object),
-        span: get(flags, "span").unwrap_or(defaults.span),
-        seed: get(flags, "seed").unwrap_or(42),
-    };
-    let out = flags.get("out").cloned().unwrap_or_else(|| usage());
-    let graph_out = flags.get("graph").cloned().unwrap_or_else(|| usage());
-    let net = cfg.network();
-    fuzzy_store::save_road_network(&net, &graph_out).unwrap_or_else(|e| {
-        eprintln!("cannot write {graph_out}: {e}");
-        exit(1)
-    });
-    let store = fuzzy_datagen::write_dataset(&out, cfg.objects(&net)).unwrap_or_else(|e| {
-        eprintln!("generation failed: {e}");
-        exit(1)
-    });
-    println!(
-        "wrote {} objects to {out}; network: {} vertices, {} edges -> {graph_out}",
-        store.len(),
-        net.vertex_count(),
-        net.edges().len()
-    );
-}
-
-/// Load the `.fzrn` named by `--graph` into a [`GraphMetric`].
-fn load_graph_metric(flags: &HashMap<String, String>) -> GraphMetric<2> {
-    let path = flags.get("graph").unwrap_or_else(|| {
-        eprintln!("--metric graph needs --graph <net.fzrn>");
-        usage()
-    });
-    let net = fuzzy_store::load_road_network::<2>(path).unwrap_or_else(|e| {
-        eprintln!("cannot open road network {path}: {e}");
-        exit(1)
-    });
-    GraphMetric::new(Arc::new(net))
-}
-
-/// Decode every object out of a store (the M-tree build needs full point
-/// sets for metric spreads, not just summaries).
-fn load_objects(store: &FileStore<2>) -> Vec<FuzzyObject<2>> {
-    store
-        .ids()
-        .iter()
-        .map(|&id| {
-            store
-                .probe(id)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot load object {id}: {e}");
-                    exit(1)
-                })
-                .as_ref()
-                .clone()
-        })
-        .collect()
-}
-
-/// The M-tree to query under `metric`: loaded from `--index-file` when a
-/// `.fzmt` path was given (the loader verifies the metric name), else
-/// built in memory from the store.
-fn mtree_for<M: Metric<2>>(
-    metric: &M,
-    store: &FileStore<2>,
-    flags: &HashMap<String, String>,
-) -> MTree<2> {
-    if let Some(ix) = flags.get("index-file") {
-        if !ix.ends_with(".fzmt") {
-            eprintln!("metric queries need an M-tree index (.fzmt); got {ix}");
-            exit(1)
-        }
-        return MTree::load(ix, metric).unwrap_or_else(|e| {
-            eprintln!("cannot open M-tree {ix}: {e}");
-            exit(1)
-        });
-    }
-    let fanout = get(flags, "fanout").unwrap_or(MTreeConfig::default().fanout);
-    MTree::build(metric, &load_objects(store), MTreeConfig { fanout })
-}
-
-/// AKNN through the metric seam: best-first over the M-tree, or the
-/// brute-force oracle scan with `--brute true`. Answer lines print in the
-/// same format as the rectangle path so outputs diff cleanly.
-fn run_metric_aknn<M: Metric<2>>(
-    metric: &M,
-    store: &FileStore<2>,
-    q: &FuzzyObject<2>,
-    k: usize,
-    alpha: f64,
-    flags: &HashMap<String, String>,
-) {
+/// AKNN by the brute-force oracle (`--brute true`): every object
+/// evaluated, no index. Answer lines print in the same format as the
+/// indexed paths so outputs diff cleanly.
+fn run_brute_aknn(store: &FileStore<2>, q: &FuzzyObject<2>, k: usize, alpha: f64) {
     if !(alpha > 0.0 && alpha <= 1.0) {
         eprintln!("--alpha must lie in (0, 1]; got {alpha}");
         exit(1)
     }
-    let t = Threshold::at(alpha);
-    let brute: bool = get(flags, "brute").unwrap_or(false);
-    let res = if brute {
-        metric_aknn_brute(metric, store, &store.ids(), q, k, t)
-    } else {
-        let tree = mtree_for(metric, store, flags);
-        metric_aknn(metric, &tree, store, q, k, t, None)
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("query failed: {e}");
-        exit(1)
-    });
-    println!("{k}NN of {} at α = {alpha} (metric {}):", q.id(), metric.name());
+    let res =
+        aknn_brute(&L2, store, &store.ids(), q, k, Threshold::at(alpha)).unwrap_or_else(|e| {
+            eprintln!("query failed: {e}");
+            exit(1)
+        });
+    println!("{k}NN of {} at α = {alpha} (brute-force oracle):", q.id());
     for n in &res.neighbors {
         println!("  {n}");
     }
     println!(
-        "cost: {} object accesses, {} node accesses, {} distance evals, {:?}",
-        res.stats.object_accesses,
-        res.stats.node_accesses,
-        res.stats.distance_evals,
-        res.stats.wall
+        "cost: {} object accesses, {} distance evals, {:?}",
+        res.stats.object_accesses, res.stats.distance_evals, res.stats.wall
     );
 }
 
@@ -586,18 +480,9 @@ fn info(path: &str, flags: &HashMap<String, String>) {
 fn build_index(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
-    let metric_name = flags.get("metric").map(String::as_str).unwrap_or("l2");
     if out.ends_with(".fzvp") {
         build_vptree_index(&store, &out, flags);
         return;
-    }
-    if out.ends_with(".fzmt") || metric_name == "graph" {
-        build_mtree_index(&store, &out, metric_name, flags);
-        return;
-    }
-    if metric_name != "l2" {
-        eprintln!("unknown metric {metric_name}");
-        usage()
     }
     let page_size: u32 = get(flags, "page-size").unwrap_or(fuzzy_index::DEFAULT_PAGE_SIZE);
     let defaults = RTreeConfig::default();
@@ -639,42 +524,6 @@ fn build_vptree_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, S
         "wrote {out}: {} objects, vptree backend (leaf size {}), {:?}",
         store.len(),
         config.leaf_size,
-        started.elapsed()
-    );
-}
-
-/// Build and persist a `.fzmt` M-tree over a store under `--metric`
-/// (`graph` needs the `--graph` network the objects were generated on).
-fn build_mtree_index(
-    store: &FileStore<2>,
-    out: &str,
-    metric_name: &str,
-    flags: &HashMap<String, String>,
-) {
-    if !out.ends_with(".fzmt") {
-        eprintln!("M-tree output path must end in .fzmt (got {out})");
-        exit(1)
-    }
-    let fanout = get(flags, "fanout").unwrap_or(MTreeConfig::default().fanout);
-    let objects = load_objects(store);
-    let started = std::time::Instant::now();
-    let tree = match metric_name {
-        "l2" => MTree::build(&L2, &objects, MTreeConfig { fanout }),
-        "graph" => MTree::build(&load_graph_metric(flags), &objects, MTreeConfig { fanout }),
-        other => {
-            eprintln!("unknown metric {other}");
-            usage()
-        }
-    };
-    tree.save(out).unwrap_or_else(|e| {
-        eprintln!("cannot write M-tree: {e}");
-        exit(1)
-    });
-    println!(
-        "wrote {out}: {} objects, metric {}, fanout {fanout}, height {}, {:?}",
-        NodeAccess::len(&tree),
-        tree.metric_name(),
-        NodeAccess::height(&tree),
         started.elapsed()
     );
 }
@@ -848,28 +697,9 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
         run_approx_aknn(&store, &q, k, alpha, flags);
         return;
     }
-    let metric_name = flags.get("metric").map(String::as_str).unwrap_or("l2");
-    match metric_name {
-        "graph" => {
-            let metric = load_graph_metric(flags);
-            run_metric_aknn(&metric, &store, &q, k, alpha, flags);
-            return;
-        }
-        "l2" => {
-            // `--metric l2` against a `.fzmt` index (or with `--brute`)
-            // exercises the metric seam under L2; the plain rectangle
-            // path below stays the default.
-            let wants_metric_path = get::<bool>(flags, "brute").unwrap_or(false)
-                || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzmt"));
-            if wants_metric_path {
-                run_metric_aknn(&L2, &store, &q, k, alpha, flags);
-                return;
-            }
-        }
-        other => {
-            eprintln!("unknown metric {other}");
-            usage()
-        }
+    if get::<bool>(flags, "brute").unwrap_or(false) {
+        run_brute_aknn(&store, &q, k, alpha);
+        return;
     }
     if let Some(addr) = flags.get("server") {
         server_aknn(addr, q.id(), k, alpha, flags);
@@ -1017,7 +847,7 @@ fn server_rknn(
 fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let index = match flags.get("index-file") {
-        Some(ix) => ServeIndex::open(ix, cache_pages(flags)).unwrap_or_else(|e| {
+        Some(ix) => ServeIndex::open_paged(ix, cache_pages(flags)).unwrap_or_else(|e| {
             eprintln!("cannot open index {ix}: {e}");
             exit(1)
         }),

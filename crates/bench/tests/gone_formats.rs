@@ -1,9 +1,11 @@
-//! The two index layouts that were deleted by measurement — the `.fzsm`
-//! shard manifest and the `.fzlh` hash-table file — are no index at all to
-//! this build: `fkq` given one fails the way it fails on any non-index
-//! file, exit code 1 and a message naming the path, whether the file is
-//! missing or holds an old build's bytes. Nothing panics, nothing is
-//! silently answered from another index.
+//! The retired file formats — the `.fzsm` shard manifest and the `.fzlh`
+//! hash-table file (deleted by measurement), the `.fzmt` M-tree and the
+//! `.fzrn` road network (deleted with the road-network metric) — are no
+//! index at all to this build: `fkq` given one fails the way it fails on
+//! any non-index file, exit code 1 and a message naming the path, whether
+//! the file is missing or holds an old build's bytes. A leftover flag of
+//! the road-network metric is refused by name. Nothing panics, nothing is
+//! silently answered from another index or under another metric.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -22,7 +24,9 @@ fn fkq_refuses_a_shard_manifest_and_a_hash_table_file() {
     );
     assert!(generated.status.success());
 
-    for (file, magic) in [("old.fzsm", b"FZSM"), ("old.fzlh", b"FZLH")] {
+    for (file, magic) in
+        [("old.fzsm", b"FZSM"), ("old.fzlh", b"FZLH"), ("old.fzmt", b"FZMT"), ("old.fzrn", b"FZRN")]
+    {
         // Header of a file the previous build wrote: magic, version 1, two
         // dimensions, then whatever followed.
         let mut image = magic.to_vec();
@@ -48,5 +52,32 @@ fn fkq_refuses_a_shard_manifest_and_a_hash_table_file() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fkq_refuses_the_road_network_flags_by_name() {
+    let dir = std::env::temp_dir().join(format!("fz-gone-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let generated = fkq(
+        &["generate", "--kind", "synthetic", "--n", "40", "--ppo", "20", "--out", "d.fzkn"],
+        &dir,
+    );
+    assert!(generated.status.success());
+
+    for (flag, value) in [("--metric", "graph"), ("--metric", "l2"), ("--graph", "road.fzrn")] {
+        for query in [
+            &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5"][..],
+            &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5", "--brute", "true"][..],
+            &["build-index", "d.fzkn", "--out", "d.fzpt"][..],
+        ] {
+            let out = fkq(&[query, &[flag, value]].concat(), &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{query:?} {flag} {value}: {stderr}");
+            assert!(stderr.contains(flag), "{query:?} must name {flag}: {stderr}");
+            assert!(out.stdout.is_empty(), "{query:?} {flag} {value} answered something");
+        }
+    }
+    assert!(!dir.join("d.fzpt").exists(), "no index is built under a leftover flag");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,9 +18,8 @@
 //! * [`distance`] — α-distance evaluators (Definition 3): a quadratic
 //!   brute-force reference and the adaptive kernel (a dense prefix scan,
 //!   or seeded searches in the query's kd-tree).
-//! * [`metric`] — the pluggable [`Metric`] seam the query layer prunes
-//!   through: [`L2`] (every hook delegating to the specialized kernels)
-//!   and [`GraphMetric`] (shortest paths over a [`RoadNetwork`]).
+//! * [`metric`] — the [`Metric`] seam the query layer prunes through, and
+//!   [`L2`], every hook delegating to the specialized kernels.
 //! * [`DistanceProfile`] — the full step function `α ↦ d_α(A, Q)` and the
 //!   critical probability set `Ω_Q(A)` (Definition 7).
 
@@ -36,7 +35,7 @@ pub mod summary;
 pub mod threshold;
 
 pub use error::ModelError;
-pub use metric::{GraphMetric, Metric, RoadNetwork, L2};
+pub use metric::{Metric, L2};
 pub use object::{ColumnarChecker, FuzzyObject, FuzzyObjectBuilder, MembershipPrefix, ObjectId};
 pub use profile::DistanceProfile;
 pub use summary::ObjectSummary;

@@ -26,17 +26,15 @@
 //!   `distance_profile` stays correct and merely does the full work. `L2`
 //!   overrides it with the windowed sweep of [`crate::profile`].
 //!
-//! Two implementations ship here: [`L2`] (the paper's setting, every hook
-//! delegating to the existing specialized code) and [`GraphMetric`]
-//! (shortest-path distance over a [`RoadNetwork`], the kFANN-style road
-//! workload where fuzzy objects live on network vertices).
+//! One implementation ships here: [`L2`], the paper's Euclidean setting,
+//! every hook delegating to the existing specialized code. The trait stays
+//! a seam so a wrapper can observe the engine's calls (fkbench's timed
+//! metric and the query suites' recording metric wrap `L2` through it).
 
 use crate::object::FuzzyObject;
 use crate::profile::DistanceProfile;
 use crate::threshold::Threshold;
 use fuzzy_geom::{Mbr, Point};
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// A metric on `D`-dimensional points, plus the derived hooks the query
 /// engine prunes with. Implementations must satisfy the metric axioms
@@ -44,8 +42,8 @@ use std::sync::Arc;
 /// symmetry, triangle inequality) — the `metric_laws` proptest harness in
 /// `crates/core/tests` checks sampled instances of all four.
 pub trait Metric<const D: usize>: Sync {
-    /// Short stable name (`"l2"`, `"graph"`) used in CLI flags, bench
-    /// reports and index headers.
+    /// Short stable name (`"l2"`) used in bench reports and index
+    /// headers.
     fn name(&self) -> &'static str;
 
     /// The distance `d(a, b)`.
@@ -217,266 +215,6 @@ impl<const D: usize> Metric<D> for L2 {
     }
 }
 
-/// An undirected weighted road network: vertex coordinates plus a CSR
-/// adjacency, with all-pairs shortest paths precomputed at construction
-/// (one Dijkstra per vertex). Sized for workload graphs of a few hundred
-/// to a few thousand vertices — the APSP table is `V²` doubles.
-///
-/// Shortest-path distance over an undirected graph with non-negative edge
-/// weights is a true metric on the vertex set (on disconnected graphs,
-/// with `+∞` between components — the extended-metric convention).
-#[derive(Clone, Debug)]
-pub struct RoadNetwork<const D: usize> {
-    coords: Vec<Point<D>>,
-    /// Original undirected edge list `(u, v, w)`, kept for serialization.
-    edges: Vec<(u32, u32, f64)>,
-    /// CSR offsets, `len = V + 1`.
-    offsets: Vec<u32>,
-    /// CSR neighbor targets.
-    targets: Vec<u32>,
-    /// CSR edge weights, parallel to `targets`.
-    weights: Vec<f64>,
-    /// Row-major `V × V` shortest-path matrix.
-    apsp: Vec<f64>,
-    /// Exact coordinate → vertex lookup (keyed on IEEE-754 bit patterns).
-    lookup: HashMap<[u64; D], u32>,
-}
-
-/// Construction failure for [`RoadNetwork`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum RoadNetworkError {
-    /// The vertex set was empty.
-    NoVertices,
-    /// An edge referenced a vertex index `>= V`.
-    EdgeOutOfRange {
-        /// The offending vertex index.
-        index: u32,
-    },
-    /// An edge weight was negative, NaN or infinite.
-    BadWeight {
-        /// The offending weight.
-        weight: f64,
-    },
-    /// A vertex coordinate was NaN or infinite.
-    BadCoordinate,
-}
-
-impl std::fmt::Display for RoadNetworkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NoVertices => write!(f, "road network has no vertices"),
-            Self::EdgeOutOfRange { index } => {
-                write!(f, "edge references out-of-range vertex {index}")
-            }
-            Self::BadWeight { weight } => write!(f, "edge weight {weight} is not finite and >= 0"),
-            Self::BadCoordinate => write!(f, "vertex coordinate is not finite"),
-        }
-    }
-}
-
-impl std::error::Error for RoadNetworkError {}
-
-impl<const D: usize> RoadNetwork<D> {
-    /// Build a network from vertex coordinates and an undirected edge
-    /// list, validating indices and weights and precomputing all-pairs
-    /// shortest paths.
-    pub fn new(
-        coords: Vec<Point<D>>,
-        edges: Vec<(u32, u32, f64)>,
-    ) -> Result<Self, RoadNetworkError> {
-        if coords.is_empty() {
-            return Err(RoadNetworkError::NoVertices);
-        }
-        if coords.iter().any(|p| !p.is_finite()) {
-            return Err(RoadNetworkError::BadCoordinate);
-        }
-        let n = coords.len() as u32;
-        for &(u, v, w) in &edges {
-            if u >= n {
-                return Err(RoadNetworkError::EdgeOutOfRange { index: u });
-            }
-            if v >= n {
-                return Err(RoadNetworkError::EdgeOutOfRange { index: v });
-            }
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(RoadNetworkError::BadWeight { weight: w });
-            }
-        }
-
-        // CSR over the symmetrized edge list.
-        let mut degree = vec![0u32; coords.len()];
-        for &(u, v, _) in &edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(coords.len() + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..coords.len()].to_vec();
-        let mut targets = vec![0u32; acc as usize];
-        let mut weights = vec![0.0f64; acc as usize];
-        for &(u, v, w) in &edges {
-            for (a, b) in [(u, v), (v, u)] {
-                let slot = cursor[a as usize] as usize;
-                targets[slot] = b;
-                weights[slot] = w;
-                cursor[a as usize] += 1;
-            }
-        }
-
-        let mut lookup = HashMap::with_capacity(coords.len());
-        for (i, p) in coords.iter().enumerate() {
-            let mut key = [0u64; D];
-            for (k, c) in key.iter_mut().zip(p.coords()) {
-                *k = c.to_bits();
-            }
-            // First vertex wins on duplicate coordinates (deterministic).
-            lookup.entry(key).or_insert(i as u32);
-        }
-
-        let mut net = Self { coords, edges, offsets, targets, weights, apsp: Vec::new(), lookup };
-        net.apsp = net.compute_apsp();
-        Ok(net)
-    }
-
-    /// One Dijkstra per source over the CSR adjacency. Deterministic: the
-    /// heap orders by `(dist bits, vertex)` and relaxations use strict
-    /// improvement only.
-    fn compute_apsp(&self) -> Vec<f64> {
-        let n = self.coords.len();
-        let mut apsp = vec![f64::INFINITY; n * n];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-        for src in 0..n {
-            let dist = &mut apsp[src * n..(src + 1) * n];
-            dist[src] = 0.0;
-            heap.clear();
-            heap.push(std::cmp::Reverse((0, src as u32)));
-            while let Some(std::cmp::Reverse((dbits, u))) = heap.pop() {
-                let du = f64::from_bits(dbits);
-                if du > dist[u as usize] {
-                    continue;
-                }
-                let (lo, hi) =
-                    (self.offsets[u as usize] as usize, self.offsets[u as usize + 1] as usize);
-                for (&v, &w) in self.targets[lo..hi].iter().zip(&self.weights[lo..hi]) {
-                    let nd = du + w;
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        // Non-negative doubles order identically as their
-                        // bit patterns, so the u64 heap key is exact.
-                        heap.push(std::cmp::Reverse((nd.to_bits(), v)));
-                    }
-                }
-            }
-        }
-        // Symmetrize: on an undirected graph row u's entry for v and row
-        // v's entry for u are the same shortest path, but Dijkstra sums
-        // its edge weights in opposite orders, which can differ in the
-        // last ulp. Taking the min makes d(u, v) == d(v, u) **bitwise**
-        // — the symmetry axiom the metric-law suite pins — while staying
-        // a valid path length (both orientations are achievable sums).
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let m = apsp[u * n + v].min(apsp[v * n + u]);
-                apsp[u * n + v] = m;
-                apsp[v * n + u] = m;
-            }
-        }
-        apsp
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// Vertex coordinates, indexed by vertex id.
-    pub fn coords(&self) -> &[Point<D>] {
-        &self.coords
-    }
-
-    /// The undirected edge list `(u, v, w)` as constructed.
-    pub fn edges(&self) -> &[(u32, u32, f64)] {
-        &self.edges
-    }
-
-    /// The vertex whose coordinates match `p` bit-for-bit, if any.
-    pub fn vertex_at(&self, p: &Point<D>) -> Option<u32> {
-        let mut key = [0u64; D];
-        for (k, c) in key.iter_mut().zip(p.coords()) {
-            *k = c.to_bits();
-        }
-        self.lookup.get(&key).copied()
-    }
-
-    /// The vertex for `p`: the bit-exact match when `p` lies on a vertex,
-    /// otherwise the deterministic nearest-vertex snap (smallest squared
-    /// Euclidean distance, ties to the lowest vertex id).
-    pub fn snap(&self, p: &Point<D>) -> u32 {
-        if let Some(v) = self.vertex_at(p) {
-            return v;
-        }
-        let mut best = (f64::INFINITY, 0u32);
-        for (i, c) in self.coords.iter().enumerate() {
-            let d = p.dist_sq(c);
-            if d < best.0 {
-                best = (d, i as u32);
-            }
-        }
-        best.1
-    }
-
-    /// Shortest-path distance between two vertices (`+∞` when
-    /// disconnected).
-    pub fn shortest_path(&self, u: u32, v: u32) -> f64 {
-        self.apsp[u as usize * self.coords.len() + v as usize]
-    }
-
-    /// True when every vertex reaches every other.
-    pub fn is_connected(&self) -> bool {
-        let n = self.coords.len();
-        self.apsp[..n].iter().all(|d| d.is_finite())
-    }
-}
-
-/// Graph shortest-path metric over a shared [`RoadNetwork`]. Points are
-/// mapped to vertices (bit-exact lookup with a deterministic nearest snap
-/// for off-network points), so on vertex-resident fuzzy objects — what the
-/// `fuzzy-datagen` road workload generates — this is the true network
-/// metric.
-#[derive(Clone, Debug)]
-pub struct GraphMetric<const D: usize> {
-    net: Arc<RoadNetwork<D>>,
-}
-
-impl<const D: usize> GraphMetric<D> {
-    /// Wrap a shared network.
-    pub fn new(net: Arc<RoadNetwork<D>>) -> Self {
-        Self { net }
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &RoadNetwork<D> {
-        &self.net
-    }
-}
-
-impl<const D: usize> Metric<D> for GraphMetric<D> {
-    #[inline]
-    fn name(&self) -> &'static str {
-        "graph"
-    }
-
-    #[inline]
-    fn dist(&self, a: &Point<D>, b: &Point<D>) -> f64 {
-        self.net.shortest_path(self.net.snap(a), self.net.snap(b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,108 +316,5 @@ mod tests {
             assert!((g.level - s.level).abs() < 1e-12);
             assert!((g.dist - s.dist).abs() < 1e-12);
         }
-    }
-
-    fn grid_network() -> RoadNetwork<2> {
-        // 3×3 grid, unit edges.
-        let mut coords = Vec::new();
-        for y in 0..3 {
-            for x in 0..3 {
-                coords.push(Point::xy(x as f64, y as f64));
-            }
-        }
-        let mut edges = Vec::new();
-        for y in 0..3u32 {
-            for x in 0..3u32 {
-                let v = y * 3 + x;
-                if x + 1 < 3 {
-                    edges.push((v, v + 1, 1.0));
-                }
-                if y + 1 < 3 {
-                    edges.push((v, v + 3, 1.0));
-                }
-            }
-        }
-        RoadNetwork::new(coords, edges).unwrap()
-    }
-
-    #[test]
-    fn grid_shortest_paths_are_manhattan() {
-        let net = grid_network();
-        assert!(net.is_connected());
-        assert_eq!(net.shortest_path(0, 8), 4.0); // (0,0) → (2,2)
-        assert_eq!(net.shortest_path(0, 2), 2.0);
-        assert_eq!(net.shortest_path(4, 4), 0.0);
-        // Symmetry over every pair.
-        for u in 0..9u32 {
-            for v in 0..9u32 {
-                assert_eq!(net.shortest_path(u, v).to_bits(), net.shortest_path(v, u).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn graph_metric_evaluates_on_vertices_and_snaps_off_network() {
-        let net = Arc::new(grid_network());
-        let m = GraphMetric::new(net.clone());
-        let a = Point::xy(0.0, 0.0);
-        let b = Point::xy(2.0, 2.0);
-        assert_eq!(m.dist(&a, &b), 4.0);
-        assert_eq!(m.dist_sq(&a, &b), 16.0);
-        // An off-network point snaps to its nearest vertex.
-        let c = Point::xy(1.9, 2.1);
-        assert_eq!(net.snap(&c), 8);
-        assert_eq!(m.dist(&a, &c), 4.0);
-    }
-
-    #[test]
-    fn graph_alpha_distance_uses_cut_semantics() {
-        let net = Arc::new(grid_network());
-        let m = GraphMetric::new(net);
-        // A: kernel on vertex (0,0), a µ=0.4 point on (2,0).
-        let a = FuzzyObject::new(
-            ObjectId(1),
-            vec![Point::xy(0.0, 0.0), Point::xy(2.0, 0.0)],
-            vec![1.0, 0.4],
-        )
-        .unwrap();
-        // B: kernel on (2,2), a µ=0.6 point on (2,1).
-        let b = FuzzyObject::new(
-            ObjectId(2),
-            vec![Point::xy(2.0, 2.0), Point::xy(2.0, 1.0)],
-            vec![1.0, 0.6],
-        )
-        .unwrap();
-        // α ≤ 0.4: closest pair (2,0)–(2,1), network distance 1.
-        let d = m.alpha_distance_sq_bounded(&a, &b, Threshold::at(0.4), f64::INFINITY);
-        assert_eq!(d, Some(1.0));
-        // 0.4 < α ≤ 0.6: (0,0)–(2,1), distance 3.
-        let d = m.alpha_distance_sq_bounded(&a, &b, Threshold::at(0.6), f64::INFINITY);
-        assert_eq!(d, Some(9.0));
-        // Kernel level: (0,0)–(2,2), distance 4.
-        let d = m.alpha_distance_sq_bounded(&a, &b, Threshold::kernel(), f64::INFINITY);
-        assert_eq!(d, Some(16.0));
-    }
-
-    #[test]
-    fn road_network_rejects_bad_input() {
-        assert!(matches!(RoadNetwork::<2>::new(vec![], vec![]), Err(RoadNetworkError::NoVertices)));
-        let coords = vec![Point::xy(0.0, 0.0), Point::xy(1.0, 0.0)];
-        assert!(matches!(
-            RoadNetwork::new(coords.clone(), vec![(0, 5, 1.0)]),
-            Err(RoadNetworkError::EdgeOutOfRange { index: 5 })
-        ));
-        assert!(matches!(
-            RoadNetwork::new(coords.clone(), vec![(0, 1, -1.0)]),
-            Err(RoadNetworkError::BadWeight { .. })
-        ));
-        assert!(matches!(
-            RoadNetwork::new(vec![Point::xy(f64::NAN, 0.0)], vec![]),
-            Err(RoadNetworkError::BadCoordinate)
-        ));
-        // Disconnected networks are allowed; distances are +∞.
-        let net = RoadNetwork::new(coords, vec![]).unwrap();
-        assert!(!net.is_connected());
-        assert_eq!(net.shortest_path(0, 1), f64::INFINITY);
     }
 }

@@ -1,61 +1,24 @@
-//! Metric-law property harness: every [`Metric`] the workspace ships must
+//! Metric-law property harness: the [`Metric`] the workspace ships must
 //! actually be a metric, because the search layers prune with the
-//! triangle inequality (M-tree covering balls, the representative upper
-//! bound of Lemma 1, the ball lower bounds of `metric_search`). A
-//! "metric" violating the axioms would make those prunes silently drop
-//! answers — so the axioms are pinned here for both [`L2`] and
-//! [`GraphMetric`], on sampled point triples:
+//! triangle inequality (the representative upper bound of Lemma 1, the
+//! ball bounds of the approximate path). A "metric" violating the axioms
+//! would make those prunes silently drop answers — so the axioms are
+//! pinned here for [`L2`], on sampled point triples:
 //!
 //! * non-negativity: `d(a, b) ≥ 0`
 //! * identity: `d(a, a) = 0`
 //! * symmetry: `d(a, b) = d(b, a)` (bitwise, not just approximately —
 //!   the determinism suites need evaluation-order invariance)
 //! * triangle inequality: `d(a, c) ≤ d(a, b) + d(b, c)` (up to one ulp
-//!   slack for float accumulation in L2; exact for the graph metric,
-//!   whose distances come from one shared APSP table)
+//!   slack for float accumulation)
 //!
-//! The harness also pins the seam-level contracts the search code leans
-//! on: `dist_sq` consistency and the `alpha_distance_sq_bounded`
-//! seed-domination behaviour under both metrics.
+//! plus the `dist_sq` consistency the squared-space engine leans on. The
+//! α-distance seed contract under `L2` is pinned against the generic
+//! pair fold in the geom differential suite (`metric_seam`).
 
-use fuzzy_core::metric::{GraphMetric, Metric, RoadNetwork, L2};
-use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
+use fuzzy_core::metric::{Metric, L2};
 use fuzzy_geom::Point;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-/// A deterministic pseudo-random connected road network: a path spine
-/// (guarantees connectivity) plus chords picked from the seed.
-fn network(seed: u64, vertices: usize) -> Arc<RoadNetwork<2>> {
-    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut rng = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    let n = vertices.max(2);
-    let coords: Vec<Point<2>> = (0..n)
-        .map(|_| {
-            let x = (rng() % 1000) as f64 / 10.0;
-            let y = (rng() % 1000) as f64 / 10.0;
-            Point::xy(x, y)
-        })
-        .collect();
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-    for v in 1..n {
-        let u = v - 1;
-        edges.push((u as u32, v as u32, coords[u].dist(&coords[v])));
-    }
-    for _ in 0..n {
-        let u = (rng() as usize) % n;
-        let v = (rng() as usize) % n;
-        if u != v {
-            edges.push((u.min(v) as u32, u.max(v) as u32, coords[u].dist(&coords[v])));
-        }
-    }
-    Arc::new(RoadNetwork::new(coords, edges).unwrap())
-}
 
 /// Check the four axioms on one concrete triple.
 fn assert_metric_laws<M: Metric<2>>(metric: &M, a: &Point<2>, b: &Point<2>, c: &Point<2>) {
@@ -92,58 +55,5 @@ proptest! {
         // override sums squares, which must still satisfy d_sq ≥ 0 and
         // sqrt(d_sq) == dist bit-for-bit.
         prop_assert_eq!(L2.dist_sq(&a, &b).sqrt().to_bits(), L2.dist(&a, &b).to_bits());
-    }
-
-    /// Graph shortest-path distance satisfies the metric axioms on
-    /// sampled vertex triples of pseudo-random connected networks.
-    #[test]
-    fn graph_is_a_metric(seed in 0u64..1024, i in 0usize..64, j in 0usize..64, k in 0usize..64) {
-        let net = network(seed, 24);
-        let n = net.vertex_count();
-        let metric = GraphMetric::new(net.clone());
-        let a = net.coords()[i % n];
-        let b = net.coords()[j % n];
-        let c = net.coords()[k % n];
-        assert_metric_laws(&metric, &a, &b, &c);
-        prop_assert_eq!(
-            metric.dist_sq(&a, &b).to_bits(),
-            (metric.dist(&a, &b) * metric.dist(&a, &b)).to_bits(),
-            "graph dist_sq must be the square of dist"
-        );
-    }
-
-    /// The α-distance evaluator respects its seed contract under both
-    /// metrics: an infinite seed yields the true value, and any seed at or
-    /// below the true value dominates the object (returns `None`).
-    #[test]
-    fn alpha_distance_seed_contract(seed in 0u64..256, qa in 0usize..16, qb in 0usize..16) {
-        let net = network(seed, 16);
-        let n = net.vertex_count();
-        let metric = GraphMetric::new(net.clone());
-        let obj_at = |id: u64, home: usize| {
-            let mut pts = Vec::new();
-            let mut mus = Vec::new();
-            for hop in 0..3usize {
-                let v = (home + hop) % n;
-                pts.push(net.coords()[v]);
-                mus.push(1.0 / (1.0 + hop as f64));
-            }
-            FuzzyObject::new(ObjectId(id), pts, mus).unwrap()
-        };
-        let a = obj_at(1, qa);
-        let b = obj_at(2, qb);
-        let t = Threshold::at(0.5);
-        let exact = metric.alpha_distance_sq_bounded(&a, &b, t, f64::INFINITY);
-        if let Some(d_sq) = exact {
-            // Seeding strictly above keeps the value; at/below dominates.
-            let above = metric.alpha_distance_sq_bounded(&a, &b, t, d_sq * (1.0 + 1e-9) + 1e-300);
-            prop_assert_eq!(above.map(f64::to_bits), Some(d_sq.to_bits()));
-            prop_assert_eq!(metric.alpha_distance_sq_bounded(&a, &b, t, d_sq), None);
-        }
-        // L2 honours the same contract on the same objects.
-        let exact_l2 = L2.alpha_distance_sq_bounded(&a, &b, t, f64::INFINITY);
-        if let Some(d_sq) = exact_l2 {
-            prop_assert_eq!(L2.alpha_distance_sq_bounded(&a, &b, t, d_sq), None);
-        }
     }
 }

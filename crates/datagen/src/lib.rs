@@ -11,21 +11,15 @@
 //!   quantized memberships and spatially clustered placement. See
 //!   DESIGN.md §4 for why this substitution preserves the evaluation's
 //!   behaviour.
-//! * [`roadnet`] — the graph-metric workload: a connected random road
-//!   network (spanning tree + chords, L2 edge weights) with fuzzy objects
-//!   resident on its vertices, evaluated under shortest-path distance
-//!   through the `Metric` seam.
 //!
 //! All generators are deterministic given their seed.
 
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod roadnet;
 pub mod synthetic;
 
 pub use cell::CellConfig;
-pub use roadnet::RoadConfig;
 pub use synthetic::SyntheticConfig;
 
 use fuzzy_core::FuzzyObject;

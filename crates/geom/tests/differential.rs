@@ -444,10 +444,23 @@ mod metric_seam {
                             fold.map(f64::to_bits),
                             "kernel vs generic fold diverged: shape {shape:?} n {n} t {t}"
                         );
-                        // Seed domination must agree as well: seeding both
-                        // evaluators with the exact value forces `None`
-                        // from both (the strict-< contract).
+                        // The seed contract must agree as well: a seed
+                        // strictly above the exact value keeps it, the
+                        // exact value itself forces `None` from both (the
+                        // strict-< contract).
                         if let Some(d_sq) = kernel {
+                            let above = d_sq * (1.0 + 1e-9) + 1e-300;
+                            assert_eq!(
+                                L2.alpha_distance_sq_bounded(&a, &b, t, above).map(f64::to_bits),
+                                Some(d_sq.to_bits()),
+                                "kernel lost its value under a seed above it"
+                            );
+                            assert_eq!(
+                                generic_alpha_distance_sq_bounded(&L2, &a, &b, t, above)
+                                    .map(f64::to_bits),
+                                Some(d_sq.to_bits()),
+                                "generic fold lost its value under a seed above it"
+                            );
                             assert_eq!(
                                 L2.alpha_distance_sq_bounded(&a, &b, t, d_sq),
                                 None,

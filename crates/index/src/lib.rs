@@ -16,10 +16,6 @@
 //! * [`NodeAccess`] — the trait both implement; the query processor in
 //!   `fuzzy-query` is generic over it and returns byte-identical answers
 //!   on either backend;
-//! * [`MTree`] — the covering-ball index for general metrics (graph
-//!   shortest-path distance has no rectangle geometry to prune with); it
-//!   also maintains coordinate MBRs and implements [`NodeAccess`], so the
-//!   rectangle-based machinery keeps working against it under L2;
 //! * [`VpTree`] — the approximate candidate generator over per-object
 //!   expected centers, dialed by [`RecallDial`] and always resolved through
 //!   the exact probe loop.
@@ -56,7 +52,6 @@ pub mod approx;
 pub mod bulk;
 pub mod delete;
 pub mod insert;
-pub mod mtree;
 pub mod mutate;
 pub mod node;
 pub mod overlay;
@@ -67,7 +62,6 @@ pub mod vptree;
 
 pub use access::{range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
 pub use approx::{RecallDial, FOF_BUILD_CAP};
-pub use mtree::{MTree, MTreeConfig, MTREE_MAGIC, MTREE_VERSION};
 pub use mutate::MutableIndex;
 pub use node::{Children, NodeId, RTree, RTreeConfig};
 pub use overlay::{delta_path_for, OverlayRTree};

@@ -1,9 +1,9 @@
 //! Bulk-loaded vantage-point tree over per-object expected centers.
 //!
 //! The approximate candidate generator: a VP-tree needs nothing but the
-//! [`Metric`] distance itself, so it rides the metric seam — build it
-//! under `l2` or `graph` alike and the `.fzvp` loader enforces the
-//! pairing by name, exactly like `.fzmt`. The tree is implicit: one
+//! [`Metric`] distance itself, so it rides the metric seam, and the
+//! `.fzvp` loader checks the metric name the file records against the
+//! one it is opened under. The tree is implicit: one
 //! permutation of the id-sorted base arrays plus a parallel radius
 //! column, where the subtree of range `[lo, hi)` has its vantage at
 //! `order[lo]`, the inner half (distance ≤ radius) at

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use fuzzy_geom::Point;
-use fuzzy_index::{MTree, MTreeConfig, VpTree, VpTreeConfig};
+use fuzzy_index::{VpTree, VpTreeConfig};
 use fuzzy_store::format::{fnv1a, Encoder};
 use fuzzy_store::StoreError;
 
@@ -143,23 +143,20 @@ fn garbage_and_degenerate_images_are_rejected() {
 
 #[test]
 fn cross_format_confusion_is_rejected() {
-    // A pristine `.fzmt` image wears the same 16-byte header / 12-byte
-    // trailer envelope; feeding it to the `.fzvp` loader must be a typed
-    // magic error, not a decode attempt.
-    let dir = std::env::temp_dir().join(format!("fz-approx-corrupt-{}-cross", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ix.fzmt");
-    let objects: Vec<FuzzyObject<2>> = (0..24u64)
-        .map(|i| {
-            let (x, y) = ((i % 8) as f64 * 2.0, (i / 8) as f64 * 2.0);
-            FuzzyObject::new(ObjectId(i), vec![Point::new([x, y])], vec![1.0]).unwrap()
-        })
-        .collect();
-    MTree::build(&L2, &objects, MTreeConfig::default()).save(&path).unwrap();
-    let e = load_must_error(&std::fs::read(&path).unwrap(), "an fzmt image");
+    // The retired `.fzmt` M-tree file wore the same 16-byte header /
+    // 12-byte trailer envelope, body checksum and all; feeding one to the
+    // `.fzvp` loader must be a typed magic error, not a decode attempt.
+    let body = [2u8, 0, 0, 0, b'l', b'2', 0, 0, 0, 0];
+    let mut image = Encoder::with_capacity(16 + body.len() + 12);
+    image.bytes(b"FZMT");
+    image.u16(1);
+    image.u16(2);
+    image.u64(0);
+    image.bytes(&body);
+    image.u64(fnv1a(&body));
+    image.bytes(b"FZMT");
+    let e = load_must_error(image.as_bytes(), "an fzmt image");
     assert!(matches!(e, StoreError::Corrupt { .. }));
-    cleanup(&path);
 }
 
 #[test]

@@ -29,9 +29,9 @@
 //! probes through [`Metric::alpha_distance_sq_bounded`]. Under
 //! [`fuzzy_core::L2`] every hook inlines to the pre-seam specialized call,
 //! so answers and counters are byte-identical to the L2-only engine
-//! (proven by the differential and engine-determinism suites); metrics
-//! without rectangle geometry degrade to sound `0`/`+∞` box bounds and
-//! rely on the M-tree backend (`fuzzy_index::mtree`) for real pruning.
+//! (proven by the differential and engine-determinism suites); a metric
+//! without rectangle geometry would degrade to the sound `0`/`+∞` default
+//! box bounds and prune nothing.
 //!
 //! ### Bound-seeded probes
 //!

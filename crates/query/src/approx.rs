@@ -18,11 +18,11 @@
 //!
 //! [`recall_at_k`] is the measurement harness: the fraction of the exact
 //! oracle's answer ids an approximate answer recovered, the quantity the
-//! bench sweep plots against QPS.
+//! bench sweep plots against QPS. [`aknn_brute`] is that oracle at its
+//! plainest: every stored object evaluated, no index at all.
 
 use crate::aknn::{inflate_sq, probe_exact, Probed, QueryScratch};
 use crate::error::QueryError;
-use crate::metric_search::{ball_lb_sq, query_ball};
 use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
 use fuzzy_core::metric::Metric;
@@ -166,6 +166,22 @@ where
     Ok(AknnResult { neighbors, stats })
 }
 
+/// The query-side ball: representative point and its metric spread.
+fn query_ball<M: Metric<D> + ?Sized, const D: usize>(
+    metric: &M,
+    q: &FuzzyObject<D>,
+) -> (fuzzy_geom::Point<D>, f64) {
+    let rep = q.rep_point();
+    let spread = q.points().iter().map(|p| metric.dist(&rep, p)).fold(0.0_f64, f64::max);
+    (rep, spread)
+}
+
+/// Clamped squared lower bound from two balls at center distance `d`.
+fn ball_lb_sq(d: f64, q_spread: f64, other_radius: f64) -> f64 {
+    let lb = (d - q_spread - other_radius).max(0.0);
+    lb * lb
+}
+
 /// Candidate ids → (center distance, spread, id), sorted nearest-center
 /// first with id tie-breaks — the deterministic probe order.
 fn rank_pool<M: Metric<D> + ?Sized, const D: usize>(
@@ -256,4 +272,45 @@ pub fn recall_at_k(approx: &AknnResult, exact: &AknnResult) -> f64 {
     let want: BTreeSet<ObjectId> = exact.neighbors.iter().map(|n| n.id).collect();
     let hits = approx.neighbors.iter().filter(|n| want.contains(&n.id)).count();
     hits as f64 / exact.neighbors.len() as f64
+}
+
+/// Brute-force oracle: evaluate `d_α(q, O)` for **every** id in `ids`
+/// under `metric` and keep the k smallest in canonical `(distance, id)`
+/// order. Linear cost, no index — what [`recall_at_k`] and the
+/// exact-dial checks diff the approximate path against.
+pub fn aknn_brute<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
+    metric: &M,
+    store: &S,
+    ids: &[ObjectId],
+    q: &FuzzyObject<D>,
+    k: usize,
+    t: Threshold,
+) -> Result<AknnResult, QueryError> {
+    if k == 0 {
+        return Err(QueryError::ZeroK);
+    }
+    if q.cut_len(t) == 0 {
+        return Err(QueryError::EmptyQueryCut);
+    }
+    let start = Instant::now();
+    let mut stats = QueryStats::default();
+    let mut all: Vec<(f64, ObjectId)> = Vec::new();
+    for &id in ids {
+        stats.object_accesses += 1;
+        let obj = store.probe(id).map_err(QueryError::Store)?;
+        stats.distance_evals += 1;
+        // Same operand order as the indexed paths: the per-probe object is
+        // the throwaway side, the constant query keeps its warm caches.
+        if let Some(d_sq) = metric.alpha_distance_sq_bounded(&obj, q, t, f64::INFINITY) {
+            all.push((d_sq, id));
+        }
+    }
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    all.truncate(k);
+    stats.wall = start.elapsed();
+    let neighbors = all
+        .into_iter()
+        .map(|(d_sq, id)| Neighbor { id, dist: DistBound::Exact(d_sq.sqrt()) })
+        .collect();
+    Ok(AknnResult { neighbors, stats })
 }

@@ -326,7 +326,8 @@ pub fn execute_one<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 
 /// Like [`execute_one`], but a panic inside the query is caught at this
 /// per-query boundary and surfaced as [`QueryError::Panicked`] in the
-/// request's own error slot, so one poisoned query cannot tear down the
+/// request's own error slot (with the payload's message when it was a
+/// string), so one poisoned query cannot tear down the
 /// batch scope (or a server worker) and take the other answers with it.
 ///
 /// Reusing the scratch afterwards is sound: every search resets the
@@ -337,25 +338,17 @@ pub fn execute_caught<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     request: &BatchRequest<D>,
     scratch: &mut QueryScratch<D>,
 ) -> Result<BatchResponse, QueryError> {
-    catch_query(|| execute_one(engine, request, scratch))
-}
-
-/// Run one query, mapping a panic inside it to [`QueryError::Panicked`]
-/// (with the payload's message when it was a string — the common
-/// `panic!("…")` cases). The per-query unwind boundary of
-/// [`execute_caught`], public for query paths that do not go through a
-/// [`QueryEngine`] (the server's covering-ball M-tree AKNN).
-pub fn catch_query<T>(query: impl FnOnce() -> Result<T, QueryError>) -> Result<T, QueryError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).unwrap_or_else(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Err(QueryError::Panicked { message })
-    })
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_one(engine, request, scratch)))
+        .unwrap_or_else(|payload| {
+            let message = if let Some(s) = payload.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "non-string panic payload".to_string()
+            };
+            Err(QueryError::Panicked { message })
+        })
 }
 
 #[cfg(test)]

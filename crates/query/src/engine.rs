@@ -3,8 +3,8 @@
 //!
 //! The engine is generic over **what it searches** — the
 //! [`SearchBackend`] seam, implemented by every [`NodeAccess`] index (the
-//! in-memory `RTree`, the disk-resident `PagedRTree`/`OverlayRTree`, the
-//! `MTree`, an `Arc` snapshot of any of them) — and over the **object
+//! in-memory `RTree`, the disk-resident `PagedRTree`/`OverlayRTree`, an
+//! `Arc` snapshot of any of them) — and over the **object
 //! store** `S` (anything implementing [`ObjectStore`]). The paper has one
 //! AKNN procedure and three RKNN algorithms that call it; the backend
 //! under them and the ownership around them (`&T`, `Arc<T>`, a
@@ -98,7 +98,7 @@ impl<A: NodeAccess<D>, const D: usize> SearchBackend<D> for A {
 
 /// `Threshold::at(alpha)` for a caller-supplied probability: `alpha` must
 /// lie in `(0, 1]`, anything else is a typed error rather than a panic.
-pub fn threshold_at(alpha: f64) -> Result<Threshold, QueryError> {
+pub(crate) fn threshold_at(alpha: f64) -> Result<Threshold, QueryError> {
     if alpha > 0.0 && alpha <= 1.0 {
         Ok(Threshold::at(alpha))
     } else {

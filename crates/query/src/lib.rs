@@ -50,23 +50,23 @@ pub mod engine;
 pub mod epoch;
 pub mod error;
 pub mod interval;
-pub mod metric_search;
 pub mod result;
 pub mod rknn;
 pub mod stats;
 pub mod sweep;
 
 pub use aknn::{AknnConfig, QueryScratch};
-pub use approx::{approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial};
-pub use batch::{
-    catch_query, execute_caught, execute_one, BatchExecutor, BatchOutcome, BatchRequest,
-    BatchResponse, ThreadStats,
+pub use approx::{
+    aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial,
 };
-pub use engine::{threshold_at, QueryEngine, SearchBackend};
+pub use batch::{
+    execute_caught, execute_one, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
+    ThreadStats,
+};
+pub use engine::{QueryEngine, SearchBackend};
 pub use epoch::Versioned;
 pub use error::QueryError;
 pub use interval::{Interval, IntervalSet};
-pub use metric_search::{metric_aknn, metric_aknn_brute};
 pub use result::{AknnResult, DistBound, Neighbor, RknnItem, RknnResult};
 pub use rknn::RknnAlgorithm;
 pub use stats::QueryStats;

@@ -16,7 +16,7 @@ use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig};
 use fuzzy_query::{
-    approx_aknn, metric_aknn_brute, recall_at_k, AknnConfig, ApproxConfig, DistBound, QueryEngine,
+    aknn_brute, approx_aknn, recall_at_k, AknnConfig, ApproxConfig, DistBound, QueryEngine,
 };
 use fuzzy_store::{MemStore, ObjectStore};
 use proptest::prelude::*;
@@ -98,7 +98,7 @@ fn returned_pairs_are_bitwise_oracle_pairs() {
         let q = store.probe(ObjectId(qid)).unwrap();
         let t = Threshold::at(0.5);
         // Full oracle ranking: every object's exact pair.
-        let oracle = metric_aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
+        let oracle = aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
         for dial in [RecallDial::Budget(1.0), RecallDial::Budget(4.0), RecallDial::Exact] {
             let cfg = ApproxConfig::at(dial);
             let result = approx_aknn(&L2, &vp, &store, &q, 10, t, &cfg).unwrap();
@@ -153,7 +153,7 @@ proptest! {
         let t = Threshold::at(0.5);
         let q = store.probe(ObjectId(salt % n)).unwrap();
         let exact = engine.aknn_exact(&q, k, 0.5, &AknnConfig::lb_lp_ub()).unwrap();
-        let oracle = metric_aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
+        let oracle = aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
 
         // (1) exact dial ⇒ bitwise-exact answer, recall 1.0.
         let at_exact = ApproxConfig::at(RecallDial::Exact);

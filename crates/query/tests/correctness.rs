@@ -4,10 +4,10 @@
 //! and ranges.
 
 use fuzzy_core::distance::{alpha_distance_brute, alpha_distance_sq_bounded};
-use fuzzy_core::metric::{GraphMetric, L2};
-use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
-use fuzzy_datagen::{CellConfig, RoadConfig, SyntheticConfig};
-use fuzzy_geom::Point;
+use fuzzy_core::metric::{Metric, L2};
+use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
+use fuzzy_datagen::{CellConfig, SyntheticConfig};
+use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::{RTree, RTreeConfig};
 use fuzzy_query::{
     AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm,
@@ -658,70 +658,67 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
     windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent, &pinned);
 }
 
-/// A metric that implements no window hook gets full profiles through the
-/// provided default: RKNN under `GraphMetric` answers what it answered, and
-/// costs what it cost, before the window existed (Naive first, then the
-/// paper's three) — and, for RSS and RSS-ICR, before the settle step: their
-/// digests stand, [`GRAPH_ROWS`] moves them in [`SETTLE_COLUMNS`] only.
-const PARENT_GRAPH_ROWS: [(u64, [u64; 7]); 4] = [
-    (16206437762532795564, [60, 0, 0, 60, 0, 0, 60]),
-    (2424780676033586269, [124, 3, 124, 9, 304, 3, 0]),
-    (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
-    (16206437762532795564, [116, 2, 60, 60, 180, 1, 60]),
-];
-const GRAPH_ROWS: [(u64, [u64; 7]); 4] = [
-    (16206437762532795564, [60, 0, 0, 60, 0, 0, 60]),
-    (2424780676033586269, [124, 3, 124, 9, 304, 3, 0]),
-    (16206437762532795564, [116, 2, 116, 59, 180, 1, 60]),
-    (16206437762532795564, [116, 2, 116, 59, 180, 1, 60]),
-];
+/// `L2` with every hook but the window one, the shape of a wrapper that
+/// times or counts the engine's calls: its windowed profiles come from the
+/// provided default, which returns the full profile.
+struct FullProfileL2;
 
+impl Metric<2> for FullProfileL2 {
+    fn name(&self) -> &'static str {
+        "full-profile-l2"
+    }
+    fn dist(&self, a: &Point<2>, b: &Point<2>) -> f64 {
+        L2.dist(a, b)
+    }
+    fn dist_sq(&self, a: &Point<2>, b: &Point<2>) -> f64 {
+        L2.dist_sq(a, b)
+    }
+    fn min_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
+        L2.min_box_dist_sq(a, b)
+    }
+    fn max_box_dist_sq(&self, a: &Mbr<2>, b: &Mbr<2>) -> f64 {
+        L2.max_box_dist_sq(a, b)
+    }
+    fn alpha_distance_sq_bounded(
+        &self,
+        a: &FuzzyObject<2>,
+        b: &FuzzyObject<2>,
+        t: Threshold,
+        upper_bound_sq: f64,
+    ) -> Option<f64> {
+        L2.alpha_distance_sq_bounded(a, b, t, upper_bound_sq)
+    }
+    fn distance_profile(&self, a: &FuzzyObject<2>, q: &FuzzyObject<2>) -> DistanceProfile {
+        L2.distance_profile(a, q)
+    }
+}
+
+/// A metric that implements no window hook gets full profiles through the
+/// provided default, and RKNN under it answers and costs exactly what it
+/// does under `L2`'s windowed sweep: every algorithm (Naive first, then
+/// the paper's three), on every window range, item for item, interval bit
+/// for interval bit, counter for counter.
 #[test]
 fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
-    let cfg = RoadConfig {
-        vertices: 120,
-        extra_edges: 60,
-        objects: 60,
-        points_per_object: 8,
-        span: 50.0,
-        seed: 9,
-    };
-    let net = Arc::new(cfg.network());
-    let store = MemStore::from_objects(cfg.objects(&net)).unwrap();
-    let metric = GraphMetric::new(net.clone());
-    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+    let (store, q) = dataset(23, 200, 20);
+    let tree =
+        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
     let engine = QueryEngine::new(&tree, &store);
     let aknn = AknnConfig::lb_lp_ub();
     let mut scratch = QueryScratch::new();
-    let q = cfg.query_object(&net, 3);
-    let mut run = |algo| {
-        engine.rknn_with_scratch_in(&metric, &q, 4, 0.3, 0.7, algo, &aknn, &mut scratch).unwrap()
-    };
-    // Vertex-resident objects tie at distance 0 all the time and the
-    // algorithms break ties differently, so each is held to its own answer
-    // (a digest of its bits) and counters, not to Naive's.
-    let rows: Vec<(u64, [u64; 7])> = [RknnAlgorithm::Naive]
-        .into_iter()
-        .chain(RknnAlgorithm::paper_variants())
-        .map(|algo| {
-            let res = run(algo);
-            let digest = rknn_bits(&res).bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            });
-            (digest, counters(&res.stats))
-        })
-        .collect();
-    assert_eq!(rows, GRAPH_ROWS, "answers or counters moved");
-    let digests = |rows: &[(u64, [u64; 7])]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
-    assert_eq!(digests(&GRAPH_ROWS), digests(&PARENT_GRAPH_ROWS), "an answer moved");
-    let algos: Vec<RknnAlgorithm> =
-        [RknnAlgorithm::Naive].into_iter().chain(RknnAlgorithm::paper_variants()).collect();
-    assert_only_settle_columns_moved(
-        "graph",
-        &algos,
-        &GRAPH_ROWS.map(|r| r.1),
-        &PARENT_GRAPH_ROWS.map(|r| r.1),
-    );
+    for (lo, hi) in window_ranges(&q) {
+        for algo in [RknnAlgorithm::Naive].into_iter().chain(RknnAlgorithm::paper_variants()) {
+            let windowed =
+                engine.rknn_with_scratch_in(&L2, &q, 4, lo, hi, algo, &aknn, &mut scratch).unwrap();
+            let full = engine
+                .rknn_with_scratch_in(&FullProfileL2, &q, 4, lo, hi, algo, &aknn, &mut scratch)
+                .unwrap();
+            let what = format!("{} on [{lo}, {hi}]", algo.name());
+            assert!(!windowed.items.is_empty(), "{what}: empty answer");
+            assert_eq!(rknn_bits(&full), rknn_bits(&windowed), "{what}: answer moved");
+            assert_eq!(counters(&full.stats), counters(&windowed.stats), "{what}: counters moved");
+        }
+    }
 }
 
 /// Who hands the window its top: RSS passes step 1's exact squared distance

@@ -100,9 +100,7 @@ pub enum ErrorCode {
     /// A SWAP request could not open or publish the new index.
     SwapFailed = 8,
     /// The named index cannot back the serve path: an approximate
-    /// (`.fzvp`) file where an exact index is required, or a
-    /// metric index (`.fzmt`) built under a metric the server does not
-    /// serve.
+    /// (`.fzvp`) file where an exact index is required.
     IndexMismatch = 9,
 }
 

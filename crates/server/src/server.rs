@@ -28,11 +28,9 @@ use crate::protocol::{
     inline_object, read_frame, ErrorCode, QuerySource, RawFrame, Request, Response, WireError,
     WIRE_DIMS,
 };
-use fuzzy_core::metric::L2;
-use fuzzy_index::{MTree, NodeAccess, OverlayRTree, RTree, RTreeConfig};
+use fuzzy_index::{NodeAccess, OverlayRTree, RTree, RTreeConfig};
 use fuzzy_query::{
-    catch_query, execute_caught, metric_aknn, threshold_at, BatchRequest, BatchResponse,
-    QueryEngine, QueryError, QueryScratch, Versioned,
+    execute_caught, BatchRequest, BatchResponse, QueryEngine, QueryError, QueryScratch, Versioned,
 };
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
 use std::io::Write;
@@ -46,9 +44,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The index backend a server answers from: the in-memory tree, a
-/// disk-resident paged tree with its overlay, or a metric tree. All are
-/// cheap enough to clone for [`Versioned`] snapshot publishing (arena
+/// The index backend a server answers from: the in-memory tree or a
+/// disk-resident paged tree with its overlay. Both are cheap enough to clone for [`Versioned`] snapshot publishing (arena
 /// `Vec` / a small delta plus `Arc` bumps on the base file and its id
 /// set).
 #[derive(Clone, Debug)]
@@ -57,11 +54,6 @@ pub enum ServeIndex {
     Mem(RTree<WIRE_DIMS>),
     /// Disk-resident paged tree, with any sidecar delta replayed.
     Paged(OverlayRTree<WIRE_DIMS>),
-    /// A covering-ball M-tree from a `.fzmt` file. The wire serves L2
-    /// only, so the loader rejects files built under any other metric
-    /// (a SWAP answers [`ErrorCode::IndexMismatch`]). AKNN requests run
-    /// through `metric_aknn`; RKNN rides the tree's `NodeAccess` face.
-    Metric(MTree<WIRE_DIMS>),
 }
 
 impl ServeIndex {
@@ -75,42 +67,13 @@ impl ServeIndex {
         Ok(Self::Paged(OverlayRTree::open_with_cache(path, cache_pages)?))
     }
 
-    /// Open a metric index from a `.fzmt` file. The wire serves L2 only;
-    /// a file recording any other metric is rejected with a typed error
-    /// naming the mismatch.
-    pub fn open_metric(path: &str) -> Result<Self, StoreError> {
-        let name = MTree::<WIRE_DIMS>::stored_metric_name(path)?;
-        if name != "l2" {
-            return Err(StoreError::Corrupt {
-                reason: format!("metric mismatch: server serves 'l2', index records '{name}'"),
-            });
-        }
-        Ok(Self::Metric(MTree::load(path, &L2)?))
-    }
-
-    /// Open whatever `path` names: a `.fzmt` file becomes a metric tree,
-    /// anything else a paged tree.
-    pub fn open(path: &str, cache_pages: usize) -> Result<Self, StoreError> {
-        if is_metric_path(path) {
-            Self::open_metric(path)
-        } else {
-            Self::open_paged(path, cache_pages)
-        }
-    }
-
     /// Live objects in the index.
     pub fn object_count(&self) -> u64 {
         match self {
             Self::Mem(t) => NodeAccess::len(t) as u64,
             Self::Paged(t) => NodeAccess::len(t) as u64,
-            Self::Metric(t) => NodeAccess::len(t) as u64,
         }
     }
-}
-
-/// Does `path` name a metric M-tree file (by extension)?
-fn is_metric_path(path: &str) -> bool {
-    std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzmt"))
 }
 
 /// Does `path` name an approximate candidate index (by extension)?
@@ -599,7 +562,6 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job
     let executed = match snapshot.as_ref() {
         ServeIndex::Mem(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
         ServeIndex::Paged(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
-        ServeIndex::Metric(tree) => execute_metric(tree, store, request, scratch),
     };
     let resp = match executed {
         Ok(BatchResponse::Aknn(r)) => {
@@ -617,29 +579,6 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job
         }
     };
     write_response(&job.writer, job.request_id, &resp);
-}
-
-/// Execute one request against a metric snapshot. AKNN goes through the
-/// covering-ball search (`metric_aknn`), RKNN rides the tree's
-/// `NodeAccess` face through the engine. Both lanes enforce the request's
-/// deadline, validate α and catch panics at the per-query boundary like
-/// the other backends.
-fn execute_metric(
-    tree: &MTree<WIRE_DIMS>,
-    store: &FileStore<WIRE_DIMS>,
-    request: &BatchRequest<WIRE_DIMS>,
-    scratch: &mut QueryScratch<WIRE_DIMS>,
-) -> Result<BatchResponse, QueryError> {
-    match request {
-        BatchRequest::Aknn { query, k, alpha, cfg } => {
-            let t = threshold_at(*alpha)?;
-            catch_query(|| metric_aknn(&L2, tree, store, query, *k, t, cfg.deadline))
-                .map(BatchResponse::Aknn)
-        }
-        BatchRequest::Rknn { .. } => {
-            execute_caught(&QueryEngine::new(tree, store), request, scratch)
-        }
-    }
 }
 
 enum CounterKind {
@@ -669,15 +608,13 @@ fn classify(e: &QueryError) -> (ErrorCode, CounterKind) {
     }
 }
 
-/// Open the index a SWAP names. `:mem:` bulk-reloads from the store; a
-/// `.fzmt` file opens a metric tree (l2 only), anything else a paged
-/// tree — unless it is the paged file already being served, unchanged,
-/// in which case only its sidecar is replayed over the open base (warm
-/// pool, shared id set). Mismatches the server can
-/// diagnose by *kind* — an approximate candidate index, or a metric tree
-/// built under a metric the wire does not serve — answer
-/// [`ErrorCode::IndexMismatch`]; every other failure is a plain
-/// [`ErrorCode::SwapFailed`].
+/// Open the index a SWAP names. `:mem:` bulk-reloads from the store,
+/// anything else opens a paged tree — unless it is the paged file already
+/// being served, unchanged, in which case only its sidecar is replayed
+/// over the open base (warm pool, shared id set). An approximate
+/// candidate index is a mismatch the server diagnoses by *kind* and
+/// answers [`ErrorCode::IndexMismatch`]; every other failure, a file of a
+/// retired format included, is a plain [`ErrorCode::SwapFailed`].
 fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (ErrorCode, String)> {
     if index_path == ":mem:" {
         return Ok(ServeIndex::mem_from_store(shared.store.as_ref()));
@@ -687,23 +624,9 @@ fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (Err
             ErrorCode::IndexMismatch,
             format!(
                 "'{index_path}' is an approximate candidate index; the serve path needs an \
-                 exact index (.fzpt/.fzmt)"
+                 exact index (.fzpt)"
             ),
         ));
-    }
-    if is_metric_path(index_path) {
-        // Distinguish "wrong metric" (a mismatch by kind) from "broken
-        // file" (a plain swap failure) before committing to the load.
-        match MTree::<WIRE_DIMS>::stored_metric_name(index_path) {
-            Ok(name) if name != "l2" => {
-                return Err((
-                    ErrorCode::IndexMismatch,
-                    format!("server serves 'l2', index records metric '{name}'"),
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => return Err((ErrorCode::SwapFailed, e.to_string())),
-        }
     }
     reopen(&shared.index.snapshot(), index_path, shared.cache_pages)
         .map_err(|e| (ErrorCode::SwapFailed, e.to_string()))
@@ -726,7 +649,7 @@ fn reopen(
         {
             overlay.reload_delta().map(ServeIndex::Paged)
         }
-        _ => ServeIndex::open(index_path, cache_pages),
+        _ => ServeIndex::open_paged(index_path, cache_pages),
     }
 }
 

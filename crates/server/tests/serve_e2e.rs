@@ -225,7 +225,7 @@ fn paged_swap_mid_run_is_byte_identical() {
         .collect();
 
     let opts = ServeOptions { workers: 2, ..ServeOptions::default() };
-    let index = ServeIndex::open(index_files[0].to_str().unwrap(), 8).unwrap();
+    let index = ServeIndex::open_paged(index_files[0].to_str().unwrap(), 8).unwrap();
     let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
     let addr = handle.addr().to_string();
 
@@ -317,7 +317,7 @@ fn a_sidecar_only_swap_sees_the_new_delta_and_full_reopens_still_work() {
     .unwrap();
 
     let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
-    let index = ServeIndex::open(&target, 8).unwrap();
+    let index = ServeIndex::open_paged(&target, 8).unwrap();
     let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -408,8 +408,9 @@ fn a_sidecar_only_swap_sees_the_new_delta_and_full_reopens_still_work() {
     }
 }
 
-/// A path that names one of the two deleted index layouts — a `.fzsm`
-/// shard manifest, a `.fzlh` hash-table file — is no index at all: a SWAP
+/// A path that names one of the three deleted index layouts — a `.fzsm`
+/// shard manifest, a `.fzlh` hash-table file, a `.fzmt` M-tree — is no
+/// index at all: a SWAP
 /// to it fails as any non-index file does, typed `SWAP_FAILED`, whether
 /// the file is missing or holds an old build's bytes, and the connection
 /// and the live index carry on.
@@ -422,7 +423,7 @@ fn swap_to_a_deleted_format_is_swap_failed_and_the_connection_survives() {
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
-    for (ext, magic) in [("fzsm", b"FZSM"), ("fzlh", b"FZLH")] {
+    for (ext, magic) in [("fzsm", b"FZSM"), ("fzlh", b"FZLH"), ("fzmt", b"FZMT")] {
         let missing = path.with_extension(format!("missing.{ext}"));
         let stale = path.with_extension(format!("stale.{ext}"));
         // Header of a file an earlier build wrote: magic, version 1, two
@@ -453,7 +454,7 @@ fn swap_to_a_deleted_format_is_swap_failed_and_the_connection_survives() {
     }
 
     match client.call(&Request::Stats).unwrap() {
-        Response::Stats { swaps, errors, .. } => assert_eq!((swaps, errors), (0, 4)),
+        Response::Stats { swaps, errors, .. } => assert_eq!((swaps, errors), (0, 6)),
         other => panic!("STATS: {other:?}"),
     }
     handle.stop();
@@ -468,37 +469,10 @@ fn swap_to_a_deleted_format_is_swap_failed_and_the_connection_survives() {
 /// 1 ms-deadline query leaves the queue its deadline has long passed.
 #[test]
 fn expired_deadline_is_typed_and_does_not_stall_the_connection() {
-    deadline_burst("deadline", ServeIndex::mem_from_store);
-}
-
-/// The same burst over a `.fzmt` snapshot: the doomed AKNN runs through
-/// the covering-ball search, which checks the deadline like the rectangle
-/// engine does.
-#[test]
-fn expired_deadline_is_typed_on_a_metric_snapshot() {
-    deadline_burst("deadline-metric", |store| {
-        let objects: Vec<FuzzyObject<2>> =
-            store.ids().iter().map(|&id| store.probe(id).unwrap().as_ref().clone()).collect();
-        let file = std::env::temp_dir()
-            .join(format!("fuzzy-serve-e2e-deadline-{}.fzmt", std::process::id()));
-        fuzzy_index::MTree::build(
-            &fuzzy_core::metric::L2,
-            &objects,
-            fuzzy_index::MTreeConfig::default(),
-        )
-        .save(&file)
-        .unwrap();
-        let index = ServeIndex::open_metric(file.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&file).ok();
-        index
-    });
-}
-
-fn deadline_burst(tag: &str, index_of: impl FnOnce(&FileStore<2>) -> ServeIndex) {
     // Big enough that even a release build spends well over the doomed
     // query's 1 ms deadline on the Θ(N²) heavy frames ahead of it.
-    let (path, store) = store_file(tag, 400);
-    let index = index_of(&store);
+    let (path, store) = store_file("deadline", 400);
+    let index = ServeIndex::mem_from_store(&store);
     let opts = ServeOptions { workers: 1, queue_depth: 8, ..ServeOptions::default() };
     let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
     let ListenAddr::Tcp(addr) = handle.addr().clone() else { panic!("tcp") };
@@ -660,121 +634,56 @@ fn shutdown_frame_stops_the_daemon() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The metric backend behind the wire: a `.fzmt` file served after a
-/// live SWAP answers AKNN byte-identically to direct `metric_aknn` runs,
-/// RKNN rides the tree's `NodeAccess` face, and swaps to indexes the
-/// serve path cannot back — an approximate candidate file, or a metric
-/// tree built under a metric the wire does not serve — answer the typed
-/// `IndexMismatch` code instead of swapping.
+/// A SWAP to a pristine approximate candidate index answers the typed
+/// `IndexMismatch`, naming the mismatch, and does not swap: the previous
+/// snapshot keeps serving byte-identical answers. A bad alpha on the same
+/// connection stays a typed `InvalidArgument`.
 #[test]
-fn metric_index_serves_and_mismatched_swaps_are_typed() {
-    use fuzzy_core::metric::{GraphMetric, RoadNetwork, L2};
-    use fuzzy_core::Threshold;
-    use fuzzy_index::{MTree, MTreeConfig, VpTree, VpTreeConfig};
-    use fuzzy_query::metric_aknn;
-    use std::sync::Arc;
+fn approximate_index_swap_is_a_typed_mismatch() {
+    use fuzzy_core::metric::L2;
+    use fuzzy_index::{RTree, RTreeConfig, VpTree, VpTreeConfig};
 
-    let (path, store) = store_file("metric-serve", 48);
-    let pid = std::process::id();
-    let base = std::env::temp_dir();
-
-    // The exact metric tree the SWAP will load.
-    let objects: Vec<FuzzyObject<2>> =
-        (0..48).map(|i| store.probe(ObjectId(i)).unwrap().as_ref().clone()).collect();
-    let mtree = MTree::build(&L2, &objects, MTreeConfig::default());
-    let mtree_path = base.join(format!("fuzzy-serve-metric-{pid}.fzmt"));
-    mtree.save(&mtree_path).unwrap();
-
-    // A pristine approximate index: structurally valid, still unservable.
-    let vp_path = base.join(format!("fuzzy-serve-metric-{pid}.fzvp"));
+    let (path, store) = store_file("swap-approx", 48);
+    let vp_path = path.with_extension("fzvp");
     VpTree::build(&L2, store.summaries(), VpTreeConfig::default()).save(&vp_path).unwrap();
 
-    // A metric tree under the graph metric: valid file, wrong metric.
-    let net = RoadNetwork::new(
-        vec![Point::xy(0.0, 0.0), Point::xy(1.0, 0.0), Point::xy(0.0, 1.0)],
-        vec![(0, 1, 1.0), (1, 2, 1.0)],
-    )
-    .unwrap();
-    let graph = GraphMetric::new(Arc::new(net));
-    let graph_path = base.join(format!("fuzzy-serve-metric-{pid}-graph.fzmt"));
-    MTree::build(&graph, &objects, MTreeConfig::default()).save(&graph_path).unwrap();
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+    let engine = QueryEngine::new(&tree, &store);
+    let q = store.probe(ObjectId(7)).unwrap().as_ref().clone();
+    let request = BatchRequest::aknn(q, 5, 0.5, fuzzy_query::AknnConfig::lb_lp_ub());
+    let want = match execute_one(&engine, &request, &mut QueryScratch::new()).unwrap() {
+        fuzzy_query::BatchResponse::Aknn(r) => fingerprint(&r.neighbors),
+        other => panic!("local AKNN: {other:?}"),
+    };
 
-    // Reference answers straight through `metric_aknn`.
-    let work: Vec<(u64, u32, f64)> =
-        (0..48).map(|i| (i, 2 + (i % 6) as u32, [0.3, 0.5, 0.8][(i % 3) as usize])).collect();
-    let expected: Vec<String> = work
-        .iter()
-        .map(|&(id, k, alpha)| {
-            let q = store.probe(ObjectId(id)).unwrap();
-            let r = metric_aknn(&L2, &mtree, &store, &q, k as usize, Threshold::at(alpha), None)
-                .unwrap();
-            fingerprint(&r.neighbors)
-        })
-        .collect();
-
-    let opts = ServeOptions { workers: 2, ..ServeOptions::default() };
     let index = ServeIndex::mem_from_store(&store);
-    let handle = serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &opts).unwrap();
-    let addr = handle.addr().to_string();
-
-    let mut client = Client::connect(&addr).unwrap();
+    let handle =
+        serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &ServeOptions::default()).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
-    // Mismatched swaps first: typed rejection, the live index is untouched.
-    for (target, needle) in [(&vp_path, "approximate"), (&graph_path, "metric 'graph'")] {
-        match client.call(&Request::Swap { index_path: target.display().to_string() }).unwrap() {
-            Response::Error { code, message } => {
-                assert_eq!(code, ErrorCode::IndexMismatch, "swap to {}", target.display());
-                assert!(message.contains(needle), "message {message:?} must name the mismatch");
-            }
-            other => panic!("swap to {} must be rejected: {other:?}", target.display()),
+    match client.call(&Request::Swap { index_path: vp_path.display().to_string() }).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::IndexMismatch, "swap to {}", vp_path.display());
+            assert!(message.contains("approximate"), "message {message:?} must name the mismatch");
         }
-    }
-
-    // The real swap: the metric tree goes live.
-    match client.call(&Request::Swap { index_path: mtree_path.display().to_string() }).unwrap() {
-        Response::Swapped { objects, .. } => assert_eq!(objects, 48),
-        other => panic!("metric SWAP: {other:?}"),
+        other => panic!("swap to {} must be rejected: {other:?}", vp_path.display()),
     }
     match client.call(&Request::Info).unwrap() {
-        Response::Info { objects, .. } => assert_eq!(objects, 48),
+        Response::Info { objects, epoch, .. } => assert_eq!((objects, epoch), (48, 0)),
         other => panic!("INFO: {other:?}"),
     }
-
-    // Served answers are byte-identical to the direct metric runs.
-    for (&(id, k, alpha), want) in work.iter().zip(&expected) {
-        let req = aknn_request(id, k, alpha, fuzzy_server::WireVariant::LbLpUb);
-        match client.call(&req).unwrap() {
-            Response::Aknn { neighbors, .. } => {
-                assert_eq!(&fingerprint(&neighbors), want, "query {id} diverged on the wire");
-            }
-            other => panic!("AKNN {id}: {other:?}"),
-        }
+    match client.call(&aknn_request(7, 5, 0.5, fuzzy_server::WireVariant::LbLpUb)).unwrap() {
+        Response::Aknn { neighbors, .. } => assert_eq!(fingerprint(&neighbors), want),
+        other => panic!("AKNN after a refused swap: {other:?}"),
     }
-
-    // RKNN answers through the tree's NodeAccess face.
-    let rknn = Request::Rknn {
-        query: QuerySource::Stored(ObjectId(7)),
-        k: 3,
-        alpha_start: 0.3,
-        alpha_end: 0.8,
-        algo: fuzzy_query::RknnAlgorithm::Rss,
-        variant: fuzzy_server::WireVariant::LbLpUb,
-        deadline_ms: 0,
-    };
-    match client.call(&rknn).unwrap() {
-        Response::Rknn { .. } => {}
-        other => panic!("RKNN over the metric snapshot: {other:?}"),
-    }
-
-    // A bad alpha stays a typed error on this backend too.
     match client.call(&aknn_request(3, 5, 0.0, fuzzy_server::WireVariant::Basic)).unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::InvalidArgument),
         other => panic!("alpha=0 must be rejected: {other:?}"),
     }
 
     handle.stop();
-    for p in [&path, &mtree_path, &vp_path, &graph_path] {
+    for p in [&path, &vp_path] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Crash-safe whole-file replacement: [`write_atomic`].
 //!
 //! Every file this workspace rewrites in place — the `.fzdl` delta log, a
-//! compacted `.fzpt`, the `.fzmt` / `.fzvp` / `.fzrn` whole-file formats —
+//! compacted `.fzpt`, the `.fzvp` whole-file format —
 //! goes through the same five steps, in this order:
 //!
 //! 1. create `<path>.tmp`, a sibling in the same directory;

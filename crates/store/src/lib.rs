@@ -32,7 +32,6 @@ pub mod format;
 pub mod mem_store;
 pub mod overlay;
 pub mod pagecache;
-pub mod roadnet;
 pub mod stats;
 
 pub use atomic::write_atomic;
@@ -42,7 +41,6 @@ pub use file_store::{FileStore, FileStoreWriter};
 pub use mem_store::MemStore;
 pub use overlay::DeltaLog;
 pub use pagecache::{CachedPage, PageCache, PageCacheStats};
-pub use roadnet::{load_road_network, save_road_network, ROADNET_MAGIC, ROADNET_VERSION};
 pub use stats::{IoStats, IoStatsSnapshot};
 
 #[cfg(test)]
