@@ -1,5 +1,4 @@
-//! R-tree costs: STR bulk load, incremental insertion and range search over
-//! fuzzy summaries.
+//! R-tree costs: STR bulk load and range search over fuzzy summaries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fuzzy_core::ObjectSummary;
@@ -26,19 +25,6 @@ fn bench_build(c: &mut Criterion) {
             b.iter_batched(
                 || e.clone(),
                 |e| RTree::bulk_load(e, RTreeConfig::default()),
-                BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("r_star_insert", n), &entries, |b, e| {
-            b.iter_batched(
-                || e.clone(),
-                |e| {
-                    let mut t: RTree<2> = RTree::new(RTreeConfig::default());
-                    for s in e {
-                        t.insert(s);
-                    }
-                    t
-                },
                 BatchSize::LargeInput,
             )
         });

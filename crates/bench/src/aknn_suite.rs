@@ -20,7 +20,7 @@ use crate::json::Json;
 use crate::kernel::{self, KernelOptions};
 use crate::{DatasetSpec, Env};
 use fuzzy_datagen::DatasetKind;
-use fuzzy_index::{NodeAccess, PagedRTree};
+use fuzzy_index::{NodeAccess, OverlayRTree, PagedRTree};
 use fuzzy_query::{AknnConfig, BatchExecutor, BatchOutcome, BatchRequest};
 use fuzzy_store::{FileStore, ObjectStore};
 use std::path::Path;
@@ -72,12 +72,13 @@ pub struct BenchOptions {
     pub cache_pages: usize,
     /// Axes of the distance-kernel microbench (`kernel` report section).
     pub kernel: KernelOptions,
-    /// Fraction of the dataset cycled through the dynamic-update path
-    /// (delete + reinsert) before an extra `mutation` sweep measures the
-    /// default workload against the mutated index. `0.0` skips the sweep.
+    /// Fraction of the dataset cycled through the paged overlay (delete +
+    /// reinsert) before an extra `mutation` sweep measures the default
+    /// workload against the mutated index. `0.0` skips the sweep; the
+    /// in-memory backend has no mutation path and refuses anything else.
     /// The live set is unchanged, so the numbers are directly comparable
     /// to the pristine-index runs — the delta is the cost of querying
-    /// through overlay/condensed structures.
+    /// through the overlay.
     pub mutation_rate: f64,
     /// Workload of the `approx` sweep. Approximate candidate generation
     /// pays off where bound-based pruning struggles — many objects, heavy
@@ -346,34 +347,31 @@ fn sweeps<A: NodeAccess<2> + Sync>(
     runs
 }
 
-/// The extra `mutation` sweep: cycle `rate · n` objects through the
-/// dynamic-update path (delete, then reinsert — the live set is
-/// unchanged), then measure the default workload against the mutated
-/// index. `tree` is the post-mutation index.
-fn mutation_sweep<A: NodeAccess<2> + Sync>(
-    tree: &A,
+/// The extra `mutation` sweep: cycle `rate · n` objects through the paged
+/// overlay (delete, then reinsert — the live set is unchanged), then
+/// measure the default workload, cold, against the mutated overlay.
+fn mutation_sweep(
+    overlay: &OverlayRTree<2>,
     store: &FileStore<2>,
     queries: &[fuzzy_core::FuzzyObject<2>],
     opts: &BenchOptions,
-    clear_cache: &dyn Fn(),
-    cache_label: &str,
 ) -> Json {
     let best = AknnConfig::lb_lp_ub();
     let threads = opts.thread_counts.iter().copied().max().unwrap_or(1);
-    clear_cache();
+    overlay.base().clear_cache();
     let requests: Vec<BatchRequest<2>> = queries
         .iter()
         .map(|q| BatchRequest::aknn(q.clone(), opts.default_k, opts.default_alpha, best))
         .collect();
     let executor = BatchExecutor::new(threads);
-    let outcome = executor.run(tree, store, &requests);
+    let outcome = executor.run(overlay, store, &requests);
     let mut run = record(
         "mutation",
         &best,
         opts.default_k,
         opts.default_alpha,
         executor.threads(),
-        cache_label,
+        "cold",
         &outcome,
     );
     if let Json::Obj(fields) = &mut run {
@@ -525,20 +523,11 @@ pub fn run(opts: &BenchOptions) -> Json {
 
     let (mut runs, index_meta) = match opts.backend {
         IndexBackend::Mem => {
-            let mut runs = sweeps(&env.tree, &env.store, &queries, opts, &|| {}, "none");
-            if opts.mutation_rate > 0.0 {
-                let m = mutation_count(opts, env.store.len());
-                let victims = env.store.summaries()[..m].to_vec();
-                let mut mutated = env.tree.clone();
-                for s in &victims {
-                    assert!(mutated.delete(s.id), "benchmark dataset ids are indexed");
-                }
-                for s in victims {
-                    mutated.insert(s);
-                }
-                mutated.validate().expect("mutated tree invariants");
-                runs.push(mutation_sweep(&mutated, &env.store, &queries, opts, &|| {}, "none"));
-            }
+            assert!(
+                opts.mutation_rate <= 0.0,
+                "the in-memory tree is never edited: the mutation sweep needs the paged backend"
+            );
+            let runs = sweeps(&env.tree, &env.store, &queries, opts, &|| {}, "none");
             let meta = Json::obj(vec![
                 ("backend", Json::str("mem")),
                 ("nodes", Json::num(env.tree.node_count() as f64)),
@@ -560,21 +549,13 @@ pub fn run(opts: &BenchOptions) -> Json {
                     PagedRTree::open_with_cache(&index_path, opts.cache_pages)
                         .expect("reopen index"),
                 );
-                let mut overlay =
-                    fuzzy_index::OverlayRTree::new(base).expect("wrap index in overlay");
+                let mut overlay = OverlayRTree::new(base).expect("wrap index in overlay");
                 let victims = env.store.summaries()[..m].to_vec();
                 for s in victims {
                     assert!(overlay.delete(s.id), "benchmark dataset ids are indexed");
                     assert!(overlay.insert(s), "reinsert after delete cannot collide");
                 }
-                runs.push(mutation_sweep(
-                    &overlay,
-                    &env.store,
-                    &queries,
-                    opts,
-                    &|| overlay.base().clear_cache(),
-                    "cold",
-                ));
+                runs.push(mutation_sweep(&overlay, &env.store, &queries, opts));
             }
             let meta = Json::obj(vec![
                 ("backend", Json::str("paged")),

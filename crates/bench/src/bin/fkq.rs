@@ -40,7 +40,7 @@ use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::{
     aknn_brute, execute_one, AknnConfig, BatchRequest, BatchResponse, QueryEngine, QueryScratch,
-    RknnAlgorithm, SearchBackend,
+    RknnAlgorithm,
 };
 use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
@@ -55,7 +55,7 @@ const USAGE: &str = "usage:
 [--radius <r>] --out <path>
   fkq info <path> [--index-file <path>]
   fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
-[--min-fill <f>] [--leaf-size <n>] [--fof-neighbors <n>]
+[--leaf-size <n>] [--fof-neighbors <n>]
   fkq aknn <path> --k <k> --alpha <a> [--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] \
 [--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
 [--brute <true|false>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
@@ -84,9 +84,15 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// Flags of the retired road-network metric. A leftover one is refused
-/// rather than ignored, so no such query is ever answered under L2.
-const RETIRED_FLAGS: [&str; 3] = ["metric", "graph", "fanout"];
+/// Retired flags and why: those of the road-network metric, so no such
+/// query is ever answered under L2, and the R* split's fill fraction. A
+/// leftover one is refused rather than ignored.
+const RETIRED_FLAGS: [(&str, &str); 4] = [
+    ("metric", "queries run under L2 only"),
+    ("graph", "queries run under L2 only"),
+    ("fanout", "queries run under L2 only"),
+    ("min-fill", "indexes are STR bulk-loaded, which sets the fill"),
+];
 
 fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut pos = Vec::new();
@@ -94,8 +100,8 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if RETIRED_FLAGS.contains(&name) {
-                eprintln!("flag --{name} is no longer supported: queries run under L2 only");
+            if let Some((_, why)) = RETIRED_FLAGS.iter().find(|(retired, _)| *retired == name) {
+                eprintln!("flag --{name} is no longer supported: {why}");
                 usage();
             }
             if i + 1 >= args.len() {
@@ -270,7 +276,14 @@ fn bench(flags: &HashMap<String, String>) {
     opts.queries = get(flags, "queries").unwrap_or(opts.queries);
     opts.default_k = get(flags, "k").unwrap_or(opts.default_k);
     opts.default_alpha = get(flags, "alpha").unwrap_or(opts.default_alpha);
-    opts.mutation_rate = get(flags, "mutation-rate").unwrap_or(opts.mutation_rate);
+    // The in-memory tree is never edited: its default is no mutation
+    // sweep, and asking for one is refused.
+    let default_rate = if opts.backend == IndexBackend::Mem { 0.0 } else { opts.mutation_rate };
+    opts.mutation_rate = get(flags, "mutation-rate").unwrap_or(default_rate);
+    if opts.backend == IndexBackend::Mem && opts.mutation_rate > 0.0 {
+        eprintln!("--mutation-rate needs --backend paged: the in-memory tree is never edited");
+        usage()
+    }
     if let Some(ks) = csv_list(flags, "ks") {
         opts.ks = ks;
     }
@@ -485,10 +498,8 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
         return;
     }
     let page_size: u32 = get(flags, "page-size").unwrap_or(fuzzy_index::DEFAULT_PAGE_SIZE);
-    let defaults = RTreeConfig::default();
     let config = RTreeConfig {
-        max_entries: get(flags, "max-entries").unwrap_or(defaults.max_entries),
-        min_fill: get(flags, "min-fill").unwrap_or(defaults.min_fill),
+        max_entries: get(flags, "max-entries").unwrap_or(RTreeConfig::default().max_entries),
     };
     let started = std::time::Instant::now();
     let tree = PagedRTree::bulk_write(store.summaries().to_vec(), config, &out, page_size)
@@ -578,7 +589,7 @@ fn run_local(store: &FileStore<2>, flags: &HashMap<String, String>, request: &Ba
 
 /// Execute `request` through the engine and print the answer and cost
 /// lines.
-fn print_answer<I: SearchBackend<2>>(index: &I, store: &FileStore<2>, request: &BatchRequest<2>) {
+fn print_answer<I: NodeAccess<2>>(index: &I, store: &FileStore<2>, request: &BatchRequest<2>) {
     let engine = QueryEngine::new(index, store);
     let response = execute_one(&engine, request, &mut QueryScratch::new()).unwrap_or_else(|e| {
         eprintln!("query failed: {e}");

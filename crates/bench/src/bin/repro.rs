@@ -125,7 +125,6 @@ fn main() {
         "abl-line" => abl_line(&opts),
         "abl-cache" => abl_cache(&opts),
         "abl-samples" => abl_samples(&opts),
-        "abl-bulk" => abl_bulk(&opts),
         "all" => {
             table2(&opts);
             fig15(&opts);
@@ -139,12 +138,11 @@ fn main() {
             abl_line(&opts);
             abl_cache(&opts);
             abl_samples(&opts);
-            abl_bulk(&opts);
         }
         other => {
             eprintln!(
                 "unknown experiment '{other}'; known: table2 fig15 fig11a..c fig13a..c \
-                 sec5 abl-line abl-cache abl-samples abl-bulk all"
+                 sec5 abl-line abl-cache abl-samples all"
             );
             std::process::exit(2);
         }
@@ -459,47 +457,4 @@ fn abl_samples(opts: &Opts) {
         t.row(vec![n.to_string(), stats.object_accesses.to_string(), ms(&stats)]);
     }
     t.emit("abl-samples");
-}
-
-/// Ablation: STR bulk load vs repeated R* insertion.
-fn abl_bulk(opts: &Opts) {
-    let spec = opts.spec(DatasetKind::Cell, opts.scaled(10_000));
-    let store = spec.open();
-    let queries = spec.queries(opts.queries);
-
-    let t_bulk = Instant::now();
-    let bulk = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-    let bulk_build = t_bulk.elapsed();
-    let t_incr = Instant::now();
-    let mut incr: RTree<2> = RTree::new(RTreeConfig::default());
-    for s in store.summaries() {
-        incr.insert(*s);
-    }
-    let incr_build = t_incr.elapsed();
-    incr.validate().expect("valid incremental tree");
-
-    let mut t =
-        Table::new(&["load", "build ms", "height", "leaves", "node acc/query", "obj acc/query"]);
-    for (name, tree, build) in [("STR bulk", &bulk, bulk_build), ("R* insert", &incr, incr_build)] {
-        let engine = QueryEngine::new(tree, &store);
-        let mut stats = Vec::new();
-        for q in &queries {
-            stats.push(
-                engine
-                    .aknn(q, DEFAULT_K, DEFAULT_ALPHA, &AknnConfig::lb_lp_ub())
-                    .expect("aknn")
-                    .stats,
-            );
-        }
-        let mean = QueryStats::mean(&stats);
-        t.row(vec![
-            name.into(),
-            format!("{:.1}", build.as_secs_f64() * 1e3),
-            tree.height().to_string(),
-            tree.leaf_count().to_string(),
-            mean.node_accesses.to_string(),
-            mean.object_accesses.to_string(),
-        ]);
-    }
-    t.emit("abl-bulk");
 }

@@ -4,8 +4,10 @@
 //! index at all to this build: `fkq` given one fails the way it fails on
 //! any non-index file, exit code 1 and a message naming the path, whether
 //! the file is missing or holds an old build's bytes. A leftover flag of
-//! the road-network metric is refused by name. Nothing panics, nothing is
-//! silently answered from another index or under another metric.
+//! the road-network metric, or the R* split's `--min-fill`, is refused by
+//! name, as is a mutation sweep over the in-memory tree. Nothing panics,
+//! nothing is silently answered from another index or under another
+//! metric.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -65,7 +67,9 @@ fn fkq_refuses_the_road_network_flags_by_name() {
     );
     assert!(generated.status.success());
 
-    for (flag, value) in [("--metric", "graph"), ("--metric", "l2"), ("--graph", "road.fzrn")] {
+    for (flag, value) in
+        [("--metric", "graph"), ("--metric", "l2"), ("--graph", "road.fzrn"), ("--min-fill", "0.3")]
+    {
         for query in [
             &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5"][..],
             &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5", "--brute", "true"][..],
@@ -79,5 +83,30 @@ fn fkq_refuses_the_road_network_flags_by_name() {
         }
     }
     assert!(!dir.join("d.fzpt").exists(), "no index is built under a leftover flag");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fkq_bench_refuses_a_mutation_sweep_on_the_in_memory_tree() {
+    let dir = std::env::temp_dir().join(format!("fz-gone-mem-mutation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = fkq(
+        &[
+            "bench",
+            "--smoke",
+            "true",
+            "--backend",
+            "mem",
+            "--mutation-rate",
+            "0.25",
+            "--out",
+            "b.json",
+        ],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--backend paged"), "the refusal must name the way out: {stderr}");
+    assert!(out.stdout.is_empty() && !dir.join("b.json").exists(), "nothing was benchmarked");
     std::fs::remove_dir_all(&dir).ok();
 }

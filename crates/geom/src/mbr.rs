@@ -172,18 +172,6 @@ impl<const D: usize> Mbr<D> {
         (0..D).map(|i| self.extent(i)).product()
     }
 
-    /// Sum of side lengths — the R*-tree "margin" objective.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        (0..D).map(|i| self.extent(i)).sum()
-    }
-
-    /// Volume of the intersection (zero when disjoint).
-    #[inline]
-    pub fn overlap(&self, other: &Self) -> f64 {
-        self.intersection(other).map_or(0.0, |m| m.area())
-    }
-
     /// Squared `MinDist` (Eq. 1): the squared smallest distance between any
     /// point of `self` and any point of `other`. Zero when they intersect.
     #[inline]
@@ -353,12 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn area_margin_overlap_enlargement() {
+    fn area_intersection_and_enlargement() {
         let a = unit();
         assert_eq!(a.area(), 1.0);
-        assert_eq!(a.margin(), 2.0);
         let b = Mbr::new([0.5, 0.0], [1.5, 1.0]);
-        assert_eq!(a.overlap(&b), 0.5);
+        assert_eq!(a.intersection(&b).unwrap().area(), 0.5);
         // Union is [0,1.5]x[0,1] = 1.5, so enlarging `a` to cover `b` adds 0.5.
         assert_eq!(a.union(&b).area() - a.area(), 0.5);
     }

@@ -117,7 +117,10 @@ pub struct NodeRead<'t, const D: usize> {
 
 impl<'t, const D: usize> NodeRead<'t, D> {
     /// A read served from the in-memory arena.
-    pub fn from_memory(children: Children<'t, D>, child_mbrs: impl Fn(NodeId) -> Mbr<D>) -> Self {
+    pub(crate) fn from_memory(
+        children: Children<'t, D>,
+        child_mbrs: impl Fn(NodeId) -> Mbr<D>,
+    ) -> Self {
         let kind = match children {
             Children::Nodes(ids) => ReadKind::MemInternal(
                 ids.iter().map(|&id| ChildRef { id, mbr: child_mbrs(id) }).collect(),

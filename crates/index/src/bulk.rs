@@ -31,7 +31,7 @@ impl<const D: usize> RTree<D> {
     ///     })
     ///     .collect();
     ///
-    /// let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16, min_fill: 0.4 });
+    /// let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16 });
     /// assert_eq!(tree.len(), 100);
     /// assert!(tree.height() >= 2); // 100 entries cannot fit one 16-entry leaf
     /// tree.validate().unwrap();
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn bulk_load_preserves_all_entries() {
         let summaries = grid_summaries(1000);
-        let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16, min_fill: 0.4 });
+        let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16 });
         assert_eq!(tree.len(), 1000);
         let mut ids: Vec<u64> = tree.iter_entries().map(|s| s.id.0).collect();
         ids.sort_unstable();
@@ -181,8 +181,7 @@ mod tests {
     #[test]
     fn bulk_load_small_inputs() {
         for n in [0usize, 1, 2, 15, 16, 17] {
-            let tree =
-                RTree::bulk_load(grid_summaries(n), RTreeConfig { max_entries: 16, min_fill: 0.4 });
+            let tree = RTree::bulk_load(grid_summaries(n), RTreeConfig { max_entries: 16 });
             assert_eq!(tree.len(), n);
             tree.validate().unwrap();
             if n <= 16 {
@@ -193,8 +192,7 @@ mod tests {
 
     #[test]
     fn bulk_load_heights_are_logarithmic() {
-        let tree =
-            RTree::bulk_load(grid_summaries(5000), RTreeConfig { max_entries: 10, min_fill: 0.4 });
+        let tree = RTree::bulk_load(grid_summaries(5000), RTreeConfig { max_entries: 10 });
         // ceil(log_10(500 leaves)) + 1 ≈ 4; allow some slack but not a chain.
         assert!(tree.height() <= 5, "height {} too tall", tree.height());
         tree.validate().unwrap();
@@ -205,7 +203,7 @@ mod tests {
         // STR should produce far smaller total leaf area than random
         // grouping; check against a generous bound.
         let summaries = grid_summaries(2000);
-        let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 20, min_fill: 0.4 });
+        let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 20 });
         let mut total_area = 0.0;
         let mut leaf_count = 0;
         for n in &tree.nodes {

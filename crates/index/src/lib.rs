@@ -8,7 +8,7 @@
 //! navigation interface:
 //!
 //! * [`RTree`] — the arena-based in-memory tree (fast, bounded by RAM,
-//!   node accesses are counted but simulated);
+//!   no backing medium);
 //! * [`PagedRTree`] — the same tree serialized into fixed-size pages of a
 //!   single index file, read back through an LRU buffer pool, so node
 //!   accesses are real positioned reads with a measured disk/cache split
@@ -24,22 +24,17 @@
 //! (a) fuzzy summaries as leaf payloads and (b) node-access accounting —
 //! both of which this implementation provides:
 //!
-//! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing (the default way
-//!   datasets are indexed in the experiments); [`PagedRTree::bulk_write`]
-//!   reuses it to build index files.
-//! * [`RTree::insert`] / [`RTree::delete`] / [`RTree::update`] — R*-style
-//!   incremental maintenance: ChooseSubtree + topological split on the way
-//!   in, condense-and-reinsert with MBR tightening on the way out.
-//! * [`OverlayRTree`] — the write story for the immutable index file: an
-//!   in-memory delta overlay (inserted/tombstoned summaries consulted by
-//!   every `NodeAccess` read) over a [`PagedRTree`], persisted as a
-//!   sidecar delta log and folded back into the file by
-//!   [`OverlayRTree::compact`].
-//! * [`MutableIndex`] — the mutation trait both dynamic backends
-//!   implement; `fuzzy_query`'s epoch engine is generic over it.
-//! * [`RTree::expand`] / [`NodeAccess::read_node`] — the navigation
-//!   primitives used by the query processor's best-first search; every
-//!   call counts one node access.
+//! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing, the one way a
+//!   tree gets its shape; [`PagedRTree::bulk_write`] reuses it to build
+//!   index files. A built tree is never edited, only replaced.
+//! * [`OverlayRTree`] — the write story: an in-memory delta overlay
+//!   (inserted/tombstoned summaries consulted by every `NodeAccess` read)
+//!   over a [`PagedRTree`], persisted as a sidecar delta log and folded
+//!   back into the file by [`OverlayRTree::compact`] through a fresh bulk
+//!   load.
+//! * [`NodeAccess::read_node`] — the navigation primitive used by the
+//!   query processor's best-first search; the query charges one node
+//!   access per call.
 //! * [`range_search`] — the backend-generic range query, parameterised by
 //!   arbitrary node/entry scoring: the RSS candidate collection
 //!   (Algorithm 4).
@@ -50,9 +45,6 @@
 pub mod access;
 pub mod approx;
 pub mod bulk;
-pub mod delete;
-pub mod insert;
-pub mod mutate;
 pub mod node;
 pub mod overlay;
 pub mod paged;
@@ -62,8 +54,7 @@ pub mod vptree;
 
 pub use access::{range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
 pub use approx::{RecallDial, FOF_BUILD_CAP};
-pub use mutate::MutableIndex;
-pub use node::{Children, NodeId, RTree, RTreeConfig};
+pub use node::{NodeId, RTree, RTreeConfig};
 pub use overlay::{delta_path_for, OverlayRTree};
 pub use paged::{
     leaf_entry_len, paged_header_len, PagedRTree, DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE,
@@ -72,27 +63,3 @@ pub use paged::{
 pub use query::{EntryHit, RangeResult};
 pub use validate::ValidationError;
 pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Node-access counters (one per tree).
-#[derive(Debug, Default)]
-pub struct IndexStats {
-    node_accesses: AtomicU64,
-}
-
-impl IndexStats {
-    pub(crate) fn record_node_access(&self) {
-        self.node_accesses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of node expansions since the last reset.
-    pub fn node_accesses(&self) -> u64 {
-        self.node_accesses.load(Ordering::Relaxed)
-    }
-
-    /// Zero the counters.
-    pub fn reset(&self) {
-        self.node_accesses.store(0, Ordering::Relaxed);
-    }
-}

@@ -1,6 +1,5 @@
 //! Arena-based node storage and the core `RTree` type.
 
-use crate::IndexStats;
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 
@@ -21,63 +20,31 @@ impl NodeId {
 pub struct RTreeConfig {
     /// Maximum entries/children per node (`C_max` in the paper's §5).
     pub max_entries: usize,
-    /// Minimum fill fraction enforced by splits (R* uses 0.4).
-    pub min_fill: f64,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
-        Self { max_entries: 64, min_fill: 0.4 }
-    }
-}
-
-impl RTreeConfig {
-    /// Minimum number of entries per node implied by `min_fill`.
-    pub fn min_entries(&self) -> usize {
-        ((self.max_entries as f64 * self.min_fill).floor() as usize).max(1)
+        Self { max_entries: 64 }
     }
 }
 
 #[derive(Clone, Debug)]
 pub(crate) enum Node<const D: usize> {
-    Internal {
-        mbr: Mbr<D>,
-        children: Vec<NodeId>,
-    },
-    Leaf {
-        mbr: Mbr<D>,
-        entries: Vec<ObjectSummary<D>>,
-    },
-    /// An arena slot released by [`RTree::delete`]'s condense step, waiting
-    /// on the free list for reuse by a later split. Never reachable from
-    /// the root ([`RTree::validate`] enforces this).
-    Free,
+    Internal { mbr: Mbr<D>, children: Vec<NodeId> },
+    Leaf { mbr: Mbr<D>, entries: Vec<ObjectSummary<D>> },
 }
-
-/// The MBR of a [`Node::Free`] slot — queried only by diagnostics that
-/// sweep the whole arena, never by traversals.
-static FREE_MBR_PANIC: &str = "free arena slot has no MBR";
 
 impl<const D: usize> Node<D> {
     pub(crate) fn mbr(&self) -> &Mbr<D> {
         match self {
             Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => mbr,
-            Node::Free => panic!("{FREE_MBR_PANIC}"),
-        }
-    }
-
-    pub(crate) fn fanout(&self) -> usize {
-        match self {
-            Node::Internal { children, .. } => children.len(),
-            Node::Leaf { entries, .. } => entries.len(),
-            Node::Free => 0,
         }
     }
 }
 
 /// What lies beneath a node: either child nodes or object summaries.
 #[derive(Debug)]
-pub enum Children<'a, const D: usize> {
+pub(crate) enum Children<'a, const D: usize> {
     /// Internal node: child node ids (pair each with its MBR via
     /// [`RTree::node_mbr`]).
     Nodes(&'a [NodeId]),
@@ -85,54 +52,24 @@ pub enum Children<'a, const D: usize> {
     Entries(&'a [ObjectSummary<D>]),
 }
 
-/// The R-tree proper. Nodes live in an arena; the root is re-assigned on
-/// growth and shrink. All read paths are `&self` and thread-safe; mutation
-/// (`insert`/`delete`/`update`) takes `&mut self` — share mutable trees
-/// across threads through `fuzzy_query`'s epoch/snapshot scheme.
-#[derive(Debug)]
+/// The R-tree proper. Nodes live in an arena filled once by
+/// [`RTree::bulk_load`]; a built tree is never edited, only replaced
+/// (`fuzzy_query::Versioned` publishes a fresh tree as a new epoch). All
+/// read paths are `&self` and thread-safe.
+#[derive(Clone, Debug)]
 pub struct RTree<const D: usize> {
     pub(crate) nodes: Vec<Node<D>>,
-    /// Arena slots released by `delete`, reused by the next `alloc`.
-    pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) height: usize,
     pub(crate) len: usize,
     pub(crate) config: RTreeConfig,
-    pub(crate) stats: IndexStats,
-}
-
-/// Cloning snapshots the tree *structure*; the node-access counters start
-/// fresh in the clone (they instrument reads of one tree instance, not the
-/// lineage). This is what the epoch/snapshot publisher in `fuzzy_query`
-/// relies on: a writer clones the master tree and hands the frozen copy to
-/// readers.
-impl<const D: usize> Clone for RTree<D> {
-    fn clone(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            free: self.free.clone(),
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            config: self.config,
-            stats: IndexStats::default(),
-        }
-    }
 }
 
 impl<const D: usize> RTree<D> {
     /// An empty tree (a single empty leaf as root).
     pub fn new(config: RTreeConfig) -> Self {
         let root = Node::Leaf { mbr: Mbr::empty(), entries: Vec::new() };
-        Self {
-            nodes: vec![root],
-            free: Vec::new(),
-            root: NodeId(0),
-            height: 1,
-            len: 0,
-            config,
-            stats: IndexStats::default(),
-        }
+        Self { nodes: vec![root], root: NodeId(0), height: 1, len: 0, config }
     }
 
     /// Number of indexed objects.
@@ -167,32 +104,23 @@ impl<const D: usize> RTree<D> {
         self.nodes[id.0 as usize].mbr()
     }
 
-    /// Expand a node, returning what is beneath it. Counts **one node
-    /// access** — this is the instrumentation point for all traversals.
-    pub fn expand(&self, id: NodeId) -> Children<'_, D> {
-        self.stats.record_node_access();
+    /// Expand a node, returning what is beneath it. The query charges the
+    /// node access ([`crate::NodeAccess::read_node`] is the public path).
+    pub(crate) fn expand(&self, id: NodeId) -> Children<'_, D> {
         match &self.nodes[id.0 as usize] {
             Node::Internal { children, .. } => Children::Nodes(children),
             Node::Leaf { entries, .. } => Children::Entries(entries),
-            Node::Free => unreachable!("expand of a freed node {}", id.0),
         }
     }
 
-    /// Node-access counters.
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
-    }
-
-    /// Number of arena slots (live internal + leaf nodes plus freed slots
-    /// awaiting reuse) — also the page count of a [`crate::PagedRTree`]
-    /// serialization of this tree, which writes freed slots as empty,
-    /// unreferenced pages to keep node ids equal to page numbers.
+    /// Number of nodes (internal + leaf) — also the page count of a
+    /// [`crate::PagedRTree`] serialization of this tree, which writes one
+    /// page per node in arena order.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Number of live leaf nodes (diagnostics and the §5 cost model's
-    /// `C_avg`).
+    /// Number of leaf nodes (diagnostics and the §5 cost model's `C_avg`).
     pub fn leaf_count(&self) -> usize {
         self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()
     }
@@ -212,54 +140,14 @@ impl<const D: usize> RTree<D> {
     pub fn iter_entries(&self) -> impl Iterator<Item = &ObjectSummary<D>> + '_ {
         self.nodes.iter().flat_map(|n| match n {
             Node::Leaf { entries, .. } => entries.as_slice().iter(),
-            Node::Internal { .. } | Node::Free => [].iter(),
+            Node::Internal { .. } => [].iter(),
         })
     }
 
-    /// Is `id` stored in some leaf? Linear in the number of leaves (the
-    /// tree has no id directory); used by the id-safe mutation API.
-    pub fn contains_id(&self, id: fuzzy_core::ObjectId) -> bool {
-        self.iter_entries().any(|e| e.id == id)
-    }
-
     pub(crate) fn alloc(&mut self, node: Node<D>) -> NodeId {
-        if let Some(id) = self.free.pop() {
-            debug_assert!(matches!(self.nodes[id.0 as usize], Node::Free));
-            self.nodes[id.0 as usize] = node;
-            return id;
-        }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         id
-    }
-
-    /// Release one arena slot onto the free list. The caller must have
-    /// already unlinked it from its parent.
-    pub(crate) fn dealloc(&mut self, id: NodeId) {
-        debug_assert!(!matches!(self.nodes[id.0 as usize], Node::Free), "double free");
-        self.nodes[id.0 as usize] = Node::Free;
-        self.free.push(id);
-    }
-
-    /// Recompute `node`'s MBR as the tight union of what it actually holds
-    /// (child rectangles or entry support MBRs). Mutation paths call this
-    /// bottom-up so the [`crate::validate`] tight-MBR invariant holds after
-    /// every insert/delete.
-    pub(crate) fn recompute_mbr(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        let tight = match &self.nodes[idx] {
-            Node::Internal { children, .. } => children
-                .iter()
-                .fold(Mbr::empty(), |acc, &c| acc.union(self.nodes[c.0 as usize].mbr())),
-            Node::Leaf { entries, .. } => {
-                entries.iter().fold(Mbr::empty(), |acc, e| acc.union(&e.support_mbr))
-            }
-            Node::Free => return,
-        };
-        match &mut self.nodes[idx] {
-            Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => *mbr = tight,
-            Node::Free => {}
-        }
     }
 }
 
@@ -273,16 +161,5 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
         assert!(matches!(t.expand(t.root_id()), Children::Entries(e) if e.is_empty()));
-        assert_eq!(t.stats().node_accesses(), 1);
-        t.stats().reset();
-        assert_eq!(t.stats().node_accesses(), 0);
-    }
-
-    #[test]
-    fn config_min_entries() {
-        let c = RTreeConfig { max_entries: 10, min_fill: 0.4 };
-        assert_eq!(c.min_entries(), 4);
-        let tiny = RTreeConfig { max_entries: 2, min_fill: 0.1 };
-        assert_eq!(tiny.min_entries(), 1);
     }
 }

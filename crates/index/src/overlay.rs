@@ -21,11 +21,10 @@
 //!   `fuzzy_store::write_atomic`) and then clears the sidecar.
 //!
 //! The query stack is generic over `NodeAccess`, so AKNN/RKNN/batch
-//! run unmodified over an overlay; `fuzzy_query`'s epoch engine makes the
+//! run unmodified over an overlay; `fuzzy_query::Versioned` makes the
 //! mutation path safe to share with concurrent readers.
 
 use crate::access::{ChildRef, DecodedNode, NodeAccess, NodeRead, NodeView};
-use crate::mutate::MutableIndex;
 use crate::node::{NodeId, RTree, RTreeConfig};
 use crate::paged::PagedRTree;
 use fuzzy_core::{ObjectId, ObjectSummary};
@@ -444,16 +443,6 @@ impl<const D: usize> NodeAccess<D> for OverlayRTree<D> {
     }
 }
 
-impl<const D: usize> MutableIndex<D> for OverlayRTree<D> {
-    fn insert_summary(&mut self, entry: ObjectSummary<D>) -> Result<bool, StoreError> {
-        Ok(self.insert(entry))
-    }
-
-    fn delete_id(&mut self, id: ObjectId) -> Result<bool, StoreError> {
-        Ok(self.delete(id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +495,7 @@ mod tests {
     #[test]
     fn overlay_tracks_the_live_set() {
         let path = tmp("live");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let base = Arc::new(PagedRTree::bulk_write(grid(150), cfg, &path, 4096).unwrap());
         let mut ov = OverlayRTree::new(Arc::clone(&base)).unwrap();
         assert_eq!(NodeAccess::len(&ov), 150);
@@ -534,7 +523,7 @@ mod tests {
     #[test]
     fn searches_match_a_fresh_tree_over_the_same_live_set() {
         let path = tmp("search");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let base = Arc::new(PagedRTree::bulk_write(grid(200), cfg, &path, 4096).unwrap());
         let mut ov = OverlayRTree::new(base).unwrap();
         for id in (0..200).step_by(3) {
@@ -558,7 +547,7 @@ mod tests {
     #[test]
     fn delta_roundtrip_and_compact() {
         let path = tmp("compact");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         {
             let base = Arc::new(PagedRTree::bulk_write(grid(120), cfg, &path, 4096).unwrap());
             let mut ov = OverlayRTree::new(base).unwrap();
@@ -604,7 +593,7 @@ mod tests {
     fn a_fault_at_every_boundary_of_a_compaction_leaves_the_old_or_the_new_state() {
         use fuzzy_store::atomic::WRITE_ATOMIC_FAIL_AT;
         let path = tmp("compact-faults");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let live_ids = |ov: &OverlayRTree<2>| {
             let mut ids: Vec<u64> = ov.live_summaries().unwrap().iter().map(|e| e.id.0).collect();
             ids.sort_unstable();
@@ -681,7 +670,7 @@ mod tests {
         // entirely; the result must be indistinguishable from an overlay
         // rebuilt from scratch off the same delta log.
         let path = tmp("incremental");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let base = Arc::new(PagedRTree::bulk_write(grid(100), cfg, &path, 4096).unwrap());
         let mut ov = OverlayRTree::new(Arc::clone(&base)).unwrap();
         let mut state = 0xABCDu64;
@@ -728,7 +717,7 @@ mod tests {
     #[test]
     fn inconsistent_delta_logs_are_rejected() {
         let path = tmp("reject");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let base = Arc::new(PagedRTree::bulk_write(grid(30), cfg, &path, 4096).unwrap());
         // Tombstone for an id the file does not store.
         let bad = DeltaLog::<2> { inserted: vec![], tombstones: vec![999] };
@@ -751,7 +740,7 @@ mod tests {
     #[test]
     fn clones_and_sidecar_reloads_share_the_base_and_its_ids() {
         let path = tmp("reload");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let base = Arc::new(PagedRTree::bulk_write(grid(60), cfg, &path, 4096).unwrap());
         let served = OverlayRTree::new(base).unwrap();
         let published = served.clone();

@@ -1,7 +1,7 @@
 //! A disk-resident, paged R-tree: `PagedRTree`.
 //!
-//! The in-memory [`RTree`] caps datasets by RAM and only *simulates* I/O
-//! through its node-access counter. `PagedRTree` stores the same tree in a
+//! The in-memory [`RTree`] caps datasets by RAM and has no I/O to
+//! measure. `PagedRTree` stores the same tree in a
 //! single index file of fixed-size pages — one node per page, each
 //! checksummed — and reads it back through an LRU buffer pool
 //! ([`fuzzy_store::PageCache`]), so node accesses are real positioned
@@ -63,6 +63,11 @@ pub const DEFAULT_PAGE_SIZE: u32 = 16 * 1024;
 pub const MIN_PAGE_SIZE: u32 = 256;
 /// Default buffer-pool capacity in pages.
 pub const DEFAULT_CACHE_PAGES: usize = 1024;
+
+/// The header's reserved 8 bytes at offset 48, written as this `f64` and
+/// never read: older builds stored a split fill fraction there, always 0.4
+/// by default, so files keep their bytes.
+const RESERVED_FILL: f64 = 0.4;
 
 /// Fixed-size part of the header, before the root MBR.
 const HEADER_FIXED_LEN: usize = 4 + 2 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
@@ -265,7 +270,7 @@ fn decode_mbr<const D: usize>(d: &mut Decoder<'_>) -> Result<Mbr<D>, StoreError>
 ///
 /// let path = std::env::temp_dir().join(format!("fzpt-doc-{}.fzpt", std::process::id()));
 /// // Build with STR packing and persist; returns the opened tree.
-/// let cfg = RTreeConfig { max_entries: 16, min_fill: 0.4 };
+/// let cfg = RTreeConfig { max_entries: 16 };
 /// let tree = PagedRTree::bulk_write(summaries, cfg, &path, 4096).unwrap();
 /// assert_eq!(tree.len(), 100);
 /// assert!(tree.height() >= 2);
@@ -308,8 +313,8 @@ impl<const D: usize> PagedRTree<D> {
         Self::open(path)
     }
 
-    /// Serialize an existing in-memory tree to `path` (any tree works,
-    /// including insert-built ones). Node ids become page numbers.
+    /// Serialize a bulk-loaded in-memory tree to `path`. Node ids become
+    /// page numbers.
     pub fn write_tree(
         tree: &RTree<D>,
         path: impl AsRef<Path>,
@@ -348,7 +353,7 @@ impl<const D: usize> PagedRTree<D> {
         header.u64(tree.root_id().0 as u64);
         header.u64(tree.height() as u64);
         header.u64(tree.len() as u64);
-        header.f64(tree.config().min_fill);
+        header.f64(RESERVED_FILL);
         encode_mbr(&mut header, tree.node_mbr(tree.root_id()));
         let sum = fnv1a(header.as_bytes());
         header.u64(sum);
@@ -373,12 +378,6 @@ impl<const D: usize> PagedRTree<D> {
                     page.bytes(&[0, 0, 0, 0]);
                     page.u32(entries.len() as u32);
                     encode_leaf_entries(&mut page, entries);
-                }
-                // Freed arena slots keep node id == page number; they are
-                // unreferenced, so an empty leaf page is never read back.
-                Node::Free => {
-                    page.bytes(&[0, 0, 0, 0]);
-                    page.u32(0);
                 }
             }
             if page.len() + 8 > page_size as usize {
@@ -465,7 +464,7 @@ impl<const D: usize> PagedRTree<D> {
         let root_page = d.u64()?;
         let height = d.u64()? as usize;
         let len = d.u64()? as usize;
-        let min_fill = d.f64()?;
+        d.f64()?; // reserved (RESERVED_FILL), not read
         let root_mbr = decode_mbr::<D>(&mut d)?;
         if page_size < MIN_PAGE_SIZE || page_count == 0 || page_count > u32::MAX as u64 {
             return Err(corrupt(format!(
@@ -536,7 +535,7 @@ impl<const D: usize> PagedRTree<D> {
             root_mbr,
             height,
             len,
-            config: RTreeConfig { max_entries, min_fill },
+            config: RTreeConfig { max_entries },
             cache: PageCache::new(cache_pages),
         })
     }
@@ -755,7 +754,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_shape_and_entries() {
         let path = tmp("roundtrip");
-        let cfg = RTreeConfig { max_entries: 16, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 16 };
         let mem = RTree::bulk_load(grid_summaries(500), cfg);
         let paged = PagedRTree::bulk_write(grid_summaries(500), cfg, &path, 4096).unwrap();
         assert_eq!(NodeAccess::len(&paged), 500);
@@ -769,7 +768,7 @@ mod tests {
     #[test]
     fn generic_searches_agree_across_backends() {
         let path = tmp("agree");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let mem = RTree::bulk_load(grid_summaries(300), cfg);
         let paged = PagedRTree::bulk_write(grid_summaries(300), cfg, &path, 4096).unwrap();
         let q = Point::xy(17.0, 4.0);
@@ -798,7 +797,7 @@ mod tests {
     #[test]
     fn buffer_pool_accounting_cold_then_warm() {
         let path = tmp("coldwarm");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         let paged = PagedRTree::bulk_write(grid_summaries(300), cfg, &path, 4096).unwrap();
         let q = Point::xy(3.0, 3.0);
         let search = || {
@@ -825,7 +824,7 @@ mod tests {
     #[test]
     fn capacity_one_pool_answers_correctly() {
         let path = tmp("cap1");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         {
             let tree = RTree::bulk_load(grid_summaries(300), cfg);
             PagedRTree::write_tree(&tree, &path, 4096).unwrap();
@@ -858,7 +857,7 @@ mod tests {
     #[test]
     fn page_overflow_is_a_typed_error() {
         let path = tmp("overflow");
-        let cfg = RTreeConfig { max_entries: 64, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 64 };
         let err = PagedRTree::bulk_write(grid_summaries(100), cfg, &path, 4096).unwrap_err();
         assert!(matches!(err, StoreError::PageOverflow { .. }), "{err}");
         std::fs::remove_file(&path).ok();
@@ -867,7 +866,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_not_panicking() {
         let path = tmp("corrupt");
-        let cfg = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let cfg = RTreeConfig { max_entries: 8 };
         PagedRTree::bulk_write(grid_summaries(200), cfg, &path, 4096).unwrap();
         let pristine = std::fs::read(&path).unwrap();
 
@@ -925,24 +924,6 @@ mod tests {
         std::fs::write(&path, b"not an index at all").unwrap();
         assert!(PagedRTree::<2>::open(&path).is_err());
 
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn insert_built_trees_serialize_too() {
-        let path = tmp("insert");
-        let mut tree: RTree<2> = RTree::new(RTreeConfig { max_entries: 8, min_fill: 0.4 });
-        for s in grid_summaries(150) {
-            tree.insert(s);
-        }
-        tree.validate().unwrap();
-        PagedRTree::write_tree(&tree, &path, 4096).unwrap();
-        let paged: PagedRTree<2> = PagedRTree::open(&path).unwrap();
-        assert_eq!(NodeAccess::len(&paged), 150);
-        let q = Point::xy(20.0, 2.0);
-        let want = hits_within(&tree, q, 4.0);
-        assert!(want.len() >= 5, "{} hits", want.len());
-        assert_eq!(hits_within(&paged, q, 4.0), want);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -4,6 +4,16 @@ use crate::node::{Node, NodeId, RTree};
 use std::collections::HashSet;
 use std::fmt;
 
+/// The fill fraction every non-root node of an STR-packed tree keeps:
+/// [`RTree::bulk_load`] sizes its groups evenly instead of leaving a short
+/// remainder, so no node holds fewer than `⌊0.4 · C_max⌋` (at least one).
+const STR_MIN_FILL: f64 = 0.4;
+
+/// Minimum fanout of a non-root node of a tree with `max_entries` capacity.
+fn min_fanout(max_entries: usize) -> usize {
+    ((max_entries as f64 * STR_MIN_FILL).floor() as usize).max(1)
+}
+
 /// A violated R-tree invariant.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ValidationError {
@@ -54,12 +64,6 @@ pub enum ValidationError {
         /// The shared node id.
         node: u32,
     },
-    /// A freed arena slot is reachable from the root (dangling child
-    /// pointer left behind by `delete`'s condense step).
-    FreeNodeReachable {
-        /// The freed node id.
-        node: u32,
-    },
 }
 
 impl fmt::Display for ValidationError {
@@ -98,7 +102,6 @@ impl<const D: usize> RTree<D> {
         let is_root = id == self.root;
         let max = self.config.max_entries;
         match node {
-            Node::Free => return Err(ValidationError::FreeNodeReachable { node: id.0 }),
             Node::Leaf { mbr, entries } => {
                 if depth != self.height {
                     return Err(ValidationError::UnevenDepth {
@@ -107,8 +110,8 @@ impl<const D: usize> RTree<D> {
                     });
                 }
                 // Root leaf may hold 0..=max entries; other leaves must
-                // respect the minimum fill.
-                let min = if is_root { 0 } else { self.config.min_entries() };
+                // respect STR's minimum fill.
+                let min = if is_root { 0 } else { min_fanout(max) };
                 if entries.len() > max || entries.len() < min {
                     return Err(ValidationError::BadFanout {
                         node: id.0,
@@ -137,8 +140,8 @@ impl<const D: usize> RTree<D> {
             }
             Node::Internal { mbr, children } => {
                 // An internal root needs at least two children; other
-                // internal nodes respect the minimum fill.
-                let min = if is_root { 2 } else { self.config.min_entries() };
+                // internal nodes respect STR's minimum fill.
+                let min = if is_root { 2 } else { min_fanout(max) };
                 if children.len() > max || children.len() < min {
                     return Err(ValidationError::BadFanout {
                         node: id.0,
@@ -183,21 +186,20 @@ mod tests {
     #[test]
     fn valid_trees_pass() {
         let entries: Vec<_> = (0..200).map(|i| summary(i, i as f64, (i % 7) as f64)).collect();
-        let tree = RTree::bulk_load(entries, RTreeConfig { max_entries: 8, min_fill: 0.4 });
+        let tree = RTree::bulk_load(entries, RTreeConfig { max_entries: 8 });
         tree.validate().unwrap();
     }
 
     #[test]
     fn corruption_is_detected() {
         let entries: Vec<_> = (0..50).map(|i| summary(i, i as f64, 0.0)).collect();
-        let mut tree = RTree::bulk_load(entries, RTreeConfig { max_entries: 8, min_fill: 0.4 });
+        let mut tree = RTree::bulk_load(entries, RTreeConfig { max_entries: 8 });
         // Shrink the root MBR so children poke out.
         let root = tree.root;
         match &mut tree.nodes[root.0 as usize] {
             Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => {
                 *mbr = fuzzy_geom::Mbr::new([0.0, 0.0], [1.0, 1.0]);
             }
-            Node::Free => unreachable!(),
         }
         assert!(tree.validate().is_err());
     }

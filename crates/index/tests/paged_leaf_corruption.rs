@@ -46,7 +46,7 @@ fn tmp(name: &str) -> PathBuf {
 /// Small page size keeps the whole-file bit-flip sweep tractable while
 /// still yielding a multi-level tree (3-entry leaves).
 const PAGE: u32 = 512;
-const CFG: RTreeConfig = RTreeConfig { max_entries: 3, min_fill: 0.4 };
+const CFG: RTreeConfig = RTreeConfig { max_entries: 3 };
 
 fn build_fixture(name: &str) -> (PathBuf, Vec<u8>) {
     let path = tmp(name);

@@ -185,9 +185,9 @@ pub struct FoundNeighbor<const D: usize> {
     pub object: Option<Arc<FuzzyObject<D>>>,
 }
 
-/// What one top-k search found and what it cost — the currency of the
-/// [`SearchBackend`](crate::SearchBackend) seam. [`AknnResult`] is this
-/// with the decoded objects dropped.
+/// What one top-k search found and what it cost — what the engine and the
+/// RKNN algorithms get back from the best-first search. [`AknnResult`] is
+/// this with the decoded objects dropped.
 pub struct SearchOutcome<const D: usize> {
     /// The confirmed neighbours.
     pub neighbors: Vec<FoundNeighbor<D>>,

@@ -25,12 +25,13 @@
 //!   and the batch keeps going; nothing panics across the scope.
 
 use crate::aknn::{AknnConfig, QueryScratch};
-use crate::engine::{QueryEngine, SearchBackend};
+use crate::engine::QueryEngine;
 use crate::error::QueryError;
 use crate::result::{AknnResult, RknnResult};
 use crate::rknn::RknnAlgorithm;
 use crate::stats::QueryStats;
 use fuzzy_core::FuzzyObject;
+use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -235,7 +236,7 @@ impl BatchExecutor {
     }
 
     /// Run a workload against a borrowed index and store: any
-    /// [`SearchBackend`] — an in-memory or paged tree, or an `Arc`
+    /// [`NodeAccess`] index — an in-memory or paged tree, or an `Arc`
     /// snapshot of one.
     pub fn run<I, S, const D: usize>(
         &self,
@@ -244,7 +245,7 @@ impl BatchExecutor {
         requests: &[BatchRequest<D>],
     ) -> BatchOutcome
     where
-        I: SearchBackend<D> + Sync,
+        I: NodeAccess<D> + Sync,
         S: ObjectStore<D> + Sync,
     {
         let started = Instant::now();
@@ -309,7 +310,7 @@ impl BatchExecutor {
 /// This is the single-request execution primitive shared by the batch
 /// workers and the resident query server — both hand it a long-lived
 /// [`QueryScratch`] so steady state allocates nothing.
-pub fn execute_one<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+pub fn execute_one<I: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     engine: &QueryEngine<'_, I, S, D>,
     request: &BatchRequest<D>,
     scratch: &mut QueryScratch<D>,
@@ -333,7 +334,7 @@ pub fn execute_one<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 /// Reusing the scratch afterwards is sound: every search resets the
 /// scratch on entry, so a half-filled heap or buffer from the unwound
 /// query cannot leak into the next one.
-pub fn execute_caught<I: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+pub fn execute_caught<I: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     engine: &QueryEngine<'_, I, S, D>,
     request: &BatchRequest<D>,
     scratch: &mut QueryScratch<D>,

@@ -1,100 +1,28 @@
 //! The public query facade: one [`QueryEngine`] over whatever it is asked
 //! to search.
 //!
-//! The engine is generic over **what it searches** — the
-//! [`SearchBackend`] seam, implemented by every [`NodeAccess`] index (the
-//! in-memory `RTree`, the disk-resident `PagedRTree`/`OverlayRTree`, an
-//! `Arc` snapshot of any of them) — and over the **object
-//! store** `S` (anything implementing [`ObjectStore`]). The paper has one
-//! AKNN procedure and three RKNN algorithms that call it; the backend
-//! under them and the ownership around them (`&T`, `Arc<T>`, a
-//! [`Versioned`](crate::Versioned) snapshot) are the caller's choice, not
-//! separate engine types.
+//! The engine is generic over **what it searches** — any [`NodeAccess`]
+//! index (the in-memory `RTree`, the disk-resident
+//! `PagedRTree`/`OverlayRTree`, an `Arc` snapshot of any of them) — and
+//! over the **object store** `S` (anything implementing [`ObjectStore`]).
+//! The paper has one AKNN procedure and three RKNN algorithms that call
+//! it; the backend under them and the ownership around them (`&T`,
+//! `Arc<T>`, a [`Versioned`](crate::Versioned) snapshot) are the caller's
+//! choice, not separate engine types.
 //!
 //! The plain methods fix the metric to [`L2`]; the `*_in` roots take an
 //! explicit [`Metric`]. Under `L2` the generic path inlines to the
 //! specialized kernels, so answers and counters are byte-identical either
 //! way (the differential suites pin this).
 
-use crate::aknn::{search, AknnConfig, QueryScratch, SearchOutcome};
+use crate::aknn::{search, AknnConfig, QueryScratch};
 use crate::error::QueryError;
 use crate::result::{AknnResult, RknnResult};
 use crate::rknn::{self, RknnAlgorithm};
-use crate::stats::QueryStats;
 use fuzzy_core::metric::{Metric, L2};
-use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
-use fuzzy_geom::Mbr;
+use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
-
-/// What a [`QueryEngine`] searches: the two primitives through which the
-/// AKNN procedure and the RKNN algorithms reach an index.
-///
-/// Every [`NodeAccess`] backend implements it through a blanket impl,
-/// answering lazily unless the exact form is asked for. Everything above
-/// the seam — critical-probability stepping, profile refinement, batching,
-/// serving — is backend-agnostic.
-pub trait SearchBackend<const D: usize> {
-    /// The `k` nearest objects to `q` at `t`. With `exact = false` a
-    /// backend may return bound-confirmed neighbours
-    /// ([`DistBound::Bounded`](crate::DistBound::Bounded)) in confirmation
-    /// order; with `exact = true` every distance is probed exact and the
-    /// decoded object is attached.
-    #[allow(clippy::too_many_arguments)]
-    fn top_k<M: Metric<D>, S: ObjectStore<D>>(
-        &self,
-        metric: &M,
-        store: &S,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-        exact: bool,
-        scratch: &mut QueryScratch<D>,
-    ) -> Result<SearchOutcome<D>, QueryError>;
-
-    /// RSS candidate collection (Algorithm 4, step 2): ids of every object
-    /// whose lower-bound distance from `q_cut` at `t_start` is within
-    /// `r_sq` (squared). Charges node/bound costs to `stats`; the caller
-    /// sorts the ids.
-    fn range_candidates<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q_cut: &Mbr<D>,
-        t_start: Threshold,
-        r_sq: f64,
-        cfg: &AknnConfig,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<ObjectId>, QueryError>;
-}
-
-impl<A: NodeAccess<D>, const D: usize> SearchBackend<D> for A {
-    fn top_k<M: Metric<D>, S: ObjectStore<D>>(
-        &self,
-        metric: &M,
-        store: &S,
-        q: &FuzzyObject<D>,
-        k: usize,
-        t: Threshold,
-        cfg: &AknnConfig,
-        exact: bool,
-        scratch: &mut QueryScratch<D>,
-    ) -> Result<SearchOutcome<D>, QueryError> {
-        search(metric, self, store, q, k, t, cfg, exact, scratch)
-    }
-
-    fn range_candidates<M: Metric<D>>(
-        &self,
-        metric: &M,
-        q_cut: &Mbr<D>,
-        t_start: Threshold,
-        r_sq: f64,
-        cfg: &AknnConfig,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<ObjectId>, QueryError> {
-        rknn::range_candidates_one(metric, self, q_cut, t_start, r_sq, cfg, stats)
-    }
-}
 
 /// `Threshold::at(alpha)` for a caller-supplied probability: `alpha` must
 /// lie in `(0, 1]`, anything else is a typed error rather than a panic.
@@ -146,7 +74,7 @@ pub struct QueryEngine<'a, I, S, const D: usize> {
     store: &'a S,
 }
 
-impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I, S, D> {
+impl<'a, I: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I, S, D> {
     /// Bundle an index and a store.
     pub fn new(index: &'a I, store: &'a S) -> Self {
         Self { index, store }
@@ -206,7 +134,7 @@ impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a,
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        Ok(self.index.top_k(metric, self.store, q, k, t, cfg, false, scratch)?.into())
+        Ok(search(metric, self.index, self.store, q, k, t, cfg, false, scratch)?.into())
     }
 
     /// Canonical exact AKNN: every neighbour probed to an exact distance,
@@ -240,7 +168,7 @@ impl<'a, I: SearchBackend<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a,
             return Err(QueryError::ZeroK);
         }
         let mut result: AknnResult =
-            self.index.top_k(metric, self.store, q, k, t, cfg, true, scratch)?.into();
+            search(metric, self.index, self.store, q, k, t, cfg, true, scratch)?.into();
         result.neighbors.sort_by(|a, b| a.dist.hi().total_cmp(&b.dist.hi()).then(a.id.cmp(&b.id)));
         Ok(result)
     }

@@ -1,37 +1,41 @@
 //! Epoch/snapshot concurrency for dynamic indexes.
 //!
 //! The read path of this crate is lock-free by construction: every query
-//! runs against `&A`/`&S` references that are never mutated. Dynamic
-//! maintenance (`fuzzy_index::MutableIndex`) breaks that assumption — a
-//! writer restructuring the tree underneath an in-flight best-first
-//! traversal would hand it dangling node ids.
+//! runs against `&A`/`&S` references that are never mutated. An index that
+//! changes while it serves — the paged overlay (`fuzzy_index::OverlayRTree`)
+//! taking inserts and deletes, or a whole in-memory tree replaced by a
+//! fresh bulk load — breaks that assumption: a writer changing the index
+//! underneath an in-flight best-first traversal would hand it node ids of
+//! another tree.
 //!
 //! [`Versioned`] restores the invariant with snapshot isolation:
 //!
-//! * Writers mutate a private **master** copy under a mutex and, on
+//! * Writers change a private **master** copy under a mutex and, on
 //!   commit, **publish** a frozen clone behind an `Arc`, bumping the
 //!   epoch counter.
 //! * Readers grab the currently published `Arc` (one atomic-refcount
 //!   bump, no tree copy) and run entire queries — AKNN, RKNN, whole
 //!   [`crate::BatchExecutor`] batches — against that immutable
 //!   snapshot. A query admitted at epoch `e` sees exactly the epoch-`e`
-//!   tree no matter how many commits land while it runs.
+//!   index no matter how many commits land while it runs.
 //!
 //! The cost model: publishing clones the index once per *commit*, not per
-//! mutation — batch your writes with [`Versioned::write`]'s closure. For
-//! the in-memory `RTree` a clone is the arena `Vec`; for the paged
-//! overlay it is the (small) delta plus two `Arc` bumps — the open base
-//! file and the set of ids it stores, both immutable and shared.
+//! change — batch your writes in one [`Versioned::write`] closure. For the
+//! paged overlay a clone is the (small) delta plus two `Arc` bumps — the
+//! open base file and the set of ids it stores, both immutable and shared.
+//! An in-memory `RTree` is never edited: a commit replaces it whole
+//! (`write(|tree| *tree = RTree::bulk_load(..))`) and the clone is its
+//! arena.
 //!
 //! A reader is `QueryEngine::new(&versioned.snapshot(), &store)` — the
 //! `Arc` snapshot is an index like any other; a writer is
-//! `versioned.write(|index| index.insert_summary(..))`
-//! (`fuzzy_index::MutableIndex`).
+//! `versioned.write(|overlay| overlay.insert(summary))` or a whole-tree
+//! publish.
 //!
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId};
 //! use fuzzy_geom::Point;
-//! use fuzzy_index::{MutableIndex, RTree, RTreeConfig};
+//! use fuzzy_index::{RTree, RTreeConfig};
 //! use fuzzy_query::{AknnConfig, QueryEngine, Versioned};
 //! use fuzzy_store::{MemStore, ObjectStore};
 //!
@@ -46,9 +50,11 @@
 //! .unwrap();
 //! let index = Versioned::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()));
 //!
-//! // Readers pin a snapshot; writers publish new epochs.
+//! // Readers pin a snapshot; writers publish new epochs — here a fresh
+//! // bulk load without object 3.
 //! let pinned = index.snapshot();
-//! assert!(index.write(|tree| tree.delete_id(ObjectId(3))).unwrap());
+//! let without_3 = store.summaries().iter().filter(|s| s.id != ObjectId(3)).copied().collect();
+//! index.write(|tree| *tree = RTree::bulk_load(without_3, RTreeConfig::default()));
 //! assert_eq!(index.epoch(), 1);
 //!
 //! let q = store.probe(ObjectId(0)).unwrap();
@@ -66,10 +72,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// A value with single-writer/multi-reader snapshot semantics.
 ///
 /// See the [module docs](self) for the scheme. `T` is typically an index
-/// backend (`RTree`, `OverlayRTree`), but any `Clone` state works.
+/// backend (`OverlayRTree`, or an `RTree` replaced whole on each commit),
+/// but any `Clone` state works.
 #[derive(Debug)]
 pub struct Versioned<T> {
-    /// The writer's working copy. Mutations land here first.
+    /// The writer's working copy. Changes land here first.
     master: Mutex<T>,
     /// The frozen copy readers see. Swapped wholesale on commit.
     published: RwLock<Arc<T>>,
@@ -109,18 +116,9 @@ impl<T: Clone> Versioned<T> {
     /// Apply `mutate` to the master copy and publish the result as a new
     /// epoch. Serializes writers; readers are never blocked (they keep
     /// their snapshots, and `snapshot()` only contends for the swap
-    /// instant). Batch multiple mutations in one closure to pay the
-    /// publish clone once.
+    /// instant). Batch multiple changes in one closure to pay the publish
+    /// clone once.
     pub fn write<R>(&self, mutate: impl FnOnce(&mut T) -> R) -> R {
-        self.write_if(|value| (true, mutate(value)))
-    }
-
-    /// Like [`Versioned::write`], but `mutate` reports whether it
-    /// actually changed the value; a `false` skips the publish clone and
-    /// the epoch bump entirely. This is what keeps no-op mutations
-    /// (duplicate-id insert, delete of an absent id) from cloning a large
-    /// index just to republish an identical tree.
-    pub fn write_if<R>(&self, mutate: impl FnOnce(&mut T) -> (bool, R)) -> R {
         let mut master = self.master.lock().unwrap_or_else(|poisoned| {
             // A previous writer panicked mid-mutation, so the master copy
             // may hold a half-applied change that was never published.
@@ -132,17 +130,14 @@ impl<T: Clone> Versioned<T> {
             *guard = T::clone(&self.snapshot());
             guard
         });
-        let (changed, out) = mutate(&mut master);
-        if changed {
-            let fresh = Arc::new(master.clone());
-            // Publish while still holding the master lock so commit order
-            // and epoch order agree. Recover a poisoned published lock the
-            // same way `snapshot()` does: the Arc inside is always valid.
-            let mut published =
-                self.published.write().unwrap_or_else(|poisoned| poisoned.into_inner());
-            *published = fresh;
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
+        let out = mutate(&mut master);
+        let fresh = Arc::new(master.clone());
+        // Publish while still holding the master lock so commit order and
+        // epoch order agree. Recover a poisoned published lock the same
+        // way `snapshot()` does: the Arc inside is always valid.
+        let mut published = self.published.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+        *published = fresh;
+        self.epoch.fetch_add(1, Ordering::AcqRel);
         out
     }
 }
@@ -154,14 +149,8 @@ mod tests {
     use crate::engine::QueryEngine;
     use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
     use fuzzy_geom::Point;
-    use fuzzy_index::{MutableIndex, NodeAccess, RTree, RTreeConfig};
-    use fuzzy_store::{MemStore, ObjectStore, StoreError};
-
-    /// Publish only when the mutation reports it changed the index — the
-    /// [`Versioned::write_if`] idiom for `MutableIndex` outcomes.
-    fn changed(out: Result<bool, StoreError>) -> (bool, Result<bool, StoreError>) {
-        (matches!(out, Ok(true)), out)
-    }
+    use fuzzy_index::{NodeAccess, RTree, RTreeConfig};
+    use fuzzy_store::{MemStore, ObjectStore};
 
     fn summary(id: u64, x: f64, y: f64) -> ObjectSummary<2> {
         let obj = FuzzyObject::new(
@@ -199,15 +188,13 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_consistent_epochs() {
-        // Writers churn the tree while readers hammer snapshots; every
-        // query must observe an internally consistent tree (validate() on
-        // the snapshot plus a successful AKNN).
+        // A writer publishes freshly bulk-loaded trees (the shape of a
+        // server SWAP) while readers hammer snapshots; every query must
+        // observe an internally consistent tree (validate() on the
+        // snapshot plus a successful AKNN).
+        let config = RTreeConfig { max_entries: 8 };
         let store = MemStore::from_objects(objects(64)).unwrap();
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
-        let index = Versioned::new(tree);
+        let index = Versioned::new(RTree::bulk_load(store.summaries().to_vec(), config));
         let q = store.probe(ObjectId(0)).unwrap();
         let (index, store, q) = (&index, &store, &q);
 
@@ -228,11 +215,13 @@ mod tests {
                 });
             }
             scope.spawn(move || {
+                let mut live = store.summaries().to_vec();
                 for round in 0..30u64 {
-                    let entry = summary(100 + round, (round % 9) as f64, 40.0);
-                    assert!(index.write_if(|t| changed(t.insert_summary(entry))).unwrap());
+                    live.push(summary(100 + round, (round % 9) as f64, 40.0));
+                    index.write(|t| *t = RTree::bulk_load(live.clone(), config));
                     if round % 3 == 0 {
-                        assert!(index.write_if(|t| changed(t.delete_id(ObjectId(round)))).unwrap());
+                        live.retain(|s| s.id != ObjectId(round));
+                        index.write(|t| *t = RTree::bulk_load(live.clone(), config));
                     }
                 }
             });
@@ -269,34 +258,20 @@ mod tests {
     }
 
     #[test]
-    fn noop_mutations_publish_no_epoch() {
-        let store = MemStore::from_objects(objects(16)).unwrap();
-        let existing = store.summaries()[3];
-        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        let index = Versioned::new(tree);
-        let snap = index.snapshot();
-        assert!(!index.write_if(|t| changed(t.delete_id(ObjectId(9999)))).unwrap(), "unknown id");
-        assert!(!index.write_if(|t| changed(t.insert_summary(existing))).unwrap(), "duplicate id");
-        assert_eq!(index.epoch(), 0, "no-ops must not publish");
-        assert!(
-            Arc::ptr_eq(&snap, &index.snapshot()),
-            "published snapshot must be untouched by no-ops"
-        );
-        assert!(index.write_if(|t| changed(t.delete_id(ObjectId(3)))).unwrap());
-        assert_eq!(index.epoch(), 1);
-    }
-
-    #[test]
     fn batched_writes_publish_once() {
         let store = MemStore::from_objects(objects(16)).unwrap();
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
         let index = Versioned::new(tree);
+        let pinned = index.snapshot();
         index.write(|tree| {
+            let mut live = store.summaries().to_vec();
             for i in 100..150u64 {
-                assert!(tree.insert_summary(summary(i, i as f64, 0.0)).unwrap());
+                live.push(summary(i, i as f64, 0.0));
+                *tree = RTree::bulk_load(live.clone(), RTreeConfig::default());
             }
         });
         assert_eq!(index.epoch(), 1, "one commit, one epoch");
         assert_eq!(NodeAccess::len(&index.snapshot()), 66);
+        assert_eq!(NodeAccess::len(&pinned), 16, "the pinned epoch-0 tree is untouched");
     }
 }

@@ -21,8 +21,8 @@
 //!   used as the test oracle.
 //!
 //! There is **one engine**, [`QueryEngine`], generic over what it searches
-//! (the [`SearchBackend`] seam: any `NodeAccess` tree or an `Arc` snapshot
-//! of one) and over the object store. Backend and ownership are the
+//! (any `NodeAccess` tree or an `Arc` snapshot of one) and over the object
+//! store. Backend and ownership are the
 //! caller's choice, not separate engine types:
 //!
 //! * **Batched workloads** ([`batch`]): a [`BatchExecutor`] fans mixed
@@ -30,11 +30,10 @@
 //!   `&index`/`&store` pair, with deterministic output ordering and
 //!   lossless per-thread cost accounting.
 //! * **Dynamic indexes** ([`epoch`]): a [`Versioned`] epoch/snapshot
-//!   wrapper makes index mutation (`fuzzy_index::MutableIndex`:
-//!   insert/delete/update on the in-memory tree or the paged-overlay
-//!   backend) safe under concurrent reads — writers publish frozen
-//!   snapshots, in-flight queries keep theirs
-//!   (`QueryEngine::new(&versioned.snapshot(), &store)`).
+//!   wrapper makes index changes (inserts and deletes on the paged
+//!   overlay, or a freshly bulk-loaded tree replacing the old one) safe
+//!   under concurrent reads — writers publish frozen snapshots, in-flight
+//!   queries keep theirs (`QueryEngine::new(&versioned.snapshot(), &store)`).
 //! * **Approximate AKNN** ([`approx`]): candidate pools from a
 //!   `fuzzy_index::VpTree` over expected centers, resolved through the
 //!   exact probe loop and optionally refined friend-of-a-friend — exact
@@ -63,7 +62,7 @@ pub use batch::{
     execute_caught, execute_one, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
     ThreadStats,
 };
-pub use engine::{QueryEngine, SearchBackend};
+pub use engine::QueryEngine;
 pub use epoch::Versioned;
 pub use error::QueryError;
 pub use interval::{Interval, IntervalSet};

@@ -87,8 +87,7 @@
 //! property of the data — how far `d_α` moves across the window against the
 //! spacing of the neighbours — not of the algorithm.
 
-use crate::aknn::{check_deadline, AknnConfig, QueryScratch};
-use crate::engine::SearchBackend;
+use crate::aknn::{check_deadline, search, AknnConfig, QueryScratch};
 use crate::error::QueryError;
 use crate::interval::{Interval, IntervalSet};
 use crate::result::{RknnItem, RknnResult};
@@ -103,8 +102,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One tree's share of the Lemma-3 range scan (Algorithm 4, step 2).
-pub(crate) fn range_candidates_one<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
+/// RSS candidate collection (Algorithm 4, step 2): ids of every object
+/// whose lower-bound distance from `q_cut` at `t_start` is within `r_sq`
+/// (squared), unsorted. Charges node/bound costs to `stats`.
+fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     metric: &M,
     tree: &A,
     q_cut: &Mbr<D>,
@@ -196,9 +197,9 @@ impl<const D: usize> ProfileCache<D> {
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+pub(crate) fn run<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &B,
+    tree: &A,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -215,11 +216,11 @@ pub(crate) fn run<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D:
             naive(metric, store, q, k, alpha_start, alpha_end, cfg, &mut stats)?
         }
         RknnAlgorithm::Basic => {
-            basic(metric, backend, store, q, k, alpha_start, alpha_end, cfg, scratch, &mut stats)?
+            basic(metric, tree, store, q, k, alpha_start, alpha_end, cfg, scratch, &mut stats)?
         }
         RknnAlgorithm::Rss | RknnAlgorithm::RssIcr => rss(
             metric,
-            backend,
+            tree,
             store,
             q,
             k,
@@ -265,9 +266,9 @@ fn naive<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
 
 /// Algorithm 3: step through critical probabilities with one AKNN each.
 #[allow(clippy::too_many_arguments)]
-fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &B,
+    tree: &A,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -283,7 +284,7 @@ fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 
     loop {
         check_deadline(cfg.deadline)?;
-        let out = backend.top_k(metric, store, q, k, t, cfg, true, scratch)?;
+        let out = search(metric, tree, store, q, k, t, cfg, true, scratch)?;
         stats.aknn_calls += 1;
         stats.object_accesses += out.stats.object_accesses;
         stats.node_accesses += out.stats.node_accesses;
@@ -319,9 +320,9 @@ fn basic<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 
 /// Algorithms 4/5: reduce the search space, refine candidates in memory.
 #[allow(clippy::too_many_arguments)]
-fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
+fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
-    backend: &B,
+    tree: &A,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -334,7 +335,7 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
 ) -> Result<Vec<RknnItem>, QueryError> {
     // Step 1 — AKNN at α_e gives the pruning radius r = d_k(α_e).
     let t_end = Threshold::at(alpha_end);
-    let out_end = backend.top_k(metric, store, q, k, t_end, cfg, true, scratch)?;
+    let out_end = search(metric, tree, store, q, k, t_end, cfg, true, scratch)?;
     stats.aknn_calls += 1;
     stats.object_accesses += out_end.stats.object_accesses;
     stats.node_accesses += out_end.stats.node_accesses;
@@ -356,7 +357,7 @@ fn rss<M: Metric<D>, B: SearchBackend<D>, S: ObjectStore<D>, const D: usize>(
     let t_start = Threshold::at(alpha_start);
     let q_cut = q.cut_mbr(t_start).ok_or(QueryError::EmptyQueryCut)?;
     let r_sq = if r.is_finite() { r * r * (1.0 + 4.0 * f64::EPSILON) } else { f64::INFINITY };
-    let mut candidate_ids = backend.range_candidates(metric, &q_cut, t_start, r_sq, cfg, stats)?;
+    let mut candidate_ids = range_candidates(metric, tree, &q_cut, t_start, r_sq, cfg, stats)?;
 
     candidate_ids.sort_unstable();
     stats.candidates = candidate_ids.len() as u64;

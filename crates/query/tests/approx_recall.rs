@@ -67,10 +67,7 @@ fn vptree(store: &MemStore<2>) -> VpTree<2> {
 fn exact_dial_matches_exact_engine_bitwise() {
     for salt in [0_u64, 7, 1234] {
         let store = store_of(70, salt);
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         let vp = vptree(&store);
         let cfg = ApproxConfig::at(RecallDial::Exact);
@@ -145,7 +142,7 @@ proptest! {
         let store = store_of(n, salt);
         let tree = RTree::bulk_load(
             store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
+            RTreeConfig { max_entries: 8 },
         );
         let engine = QueryEngine::new(&tree, &store);
         let ids: Vec<ObjectId> = store.summaries().iter().map(|s| s.id).collect();

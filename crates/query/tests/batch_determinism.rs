@@ -195,7 +195,7 @@ fn paged_tree_matches_in_memory_backends_across_thread_counts() {
         writer.append(&obj).unwrap();
     }
     let store = writer.finish().unwrap();
-    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let config = RTreeConfig { max_entries: 8 };
 
     // In-memory reference: MemStore + RTree.
     let mem_store = MemStore::from_objects(objects(45)).unwrap();

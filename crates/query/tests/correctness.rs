@@ -75,10 +75,7 @@ fn oracle_distances(store: &MemStore<2>, q: &FuzzyObject<2>, t: Threshold) -> Ve
 fn aknn_variants_match_linear_scan() {
     for seed in [3u64, 17, 91] {
         let (store, q) = dataset(seed, 120, 30);
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         for alpha in [0.1, 0.5, 0.9] {
             let t = Threshold::at(alpha);
@@ -127,10 +124,7 @@ fn aknn_variants_match_linear_scan() {
 #[test]
 fn optimized_variants_access_fewer_or_equal_objects() {
     let (store, q) = dataset(77, 300, 40);
-    let tree = RTree::bulk_load(
-        store.summaries().to_vec(),
-        RTreeConfig { max_entries: 16, min_fill: 0.4 },
-    );
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 16 });
     let engine = QueryEngine::new(&tree, &store);
     let mut accesses = Vec::new();
     for cfg in AknnConfig::paper_variants() {
@@ -171,10 +165,7 @@ fn aknn_at_strict_threshold_matches_oracle() {
 fn rknn_algorithms_agree_with_naive() {
     for seed in [11u64, 23] {
         let (store, q) = dataset(seed, 60, 20);
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         for (k, lo, hi) in [(3usize, 0.3, 0.6), (5, 0.1, 0.9), (2, 0.5, 0.5), (4, 0.7, 1.0)] {
             let reference =
@@ -204,10 +195,7 @@ fn rknn_algorithms_agree_with_naive() {
 #[test]
 fn rknn_rss_accesses_far_fewer_objects_than_basic() {
     let (store, q) = dataset(31, 400, 25);
-    let tree = RTree::bulk_load(
-        store.summaries().to_vec(),
-        RTreeConfig { max_entries: 16, min_fill: 0.4 },
-    );
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 16 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let basic = engine.rknn(&q, 10, 0.4, 0.6, RknnAlgorithm::Basic, &cfg).unwrap();
@@ -390,10 +378,7 @@ fn rss_probes_no_object_twice() {
     for seed in [31u64, 77] {
         let (inner, q) = dataset(seed, 300, 25);
         let store = CountingStore { inner, probed: Mutex::new(Vec::new()) };
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
-        );
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         let cfg = AknnConfig::lb_lp_ub();
         let metric = RecordingL2::default();
@@ -541,8 +526,7 @@ fn windowed_algorithms_equal_naive(
     for s in store.summaries() {
         store.probe(s.id).unwrap().kd_tree();
     }
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let mut rows = Vec::new();
@@ -701,8 +685,7 @@ impl Metric<2> for FullProfileL2 {
 #[test]
 fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
     let (store, q) = dataset(23, 200, 20);
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
     let aknn = AknnConfig::lb_lp_ub();
     let mut scratch = QueryScratch::new();
@@ -730,8 +713,7 @@ fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
 #[test]
 fn rknn_rss_hands_step_one_distances_to_the_window() {
     let (store, q) = dataset(31, 300, 25);
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let (k, lo, hi) = (6usize, 0.3, 0.7);
@@ -834,10 +816,7 @@ fn rknn_settle_rule_at_its_edges_equals_naive() {
     ];
     for (tag, objects, ks) in fixtures {
         let store = MemStore::from_objects(objects).unwrap();
-        let tree = RTree::bulk_load(
-            store.summaries().to_vec(),
-            RTreeConfig { max_entries: 4, min_fill: 0.4 },
-        );
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 4 });
         let engine = QueryEngine::new(&tree, &store);
         for k in ks {
             for (lo, hi) in [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5), (0.05, 1.0)] {

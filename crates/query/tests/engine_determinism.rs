@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{OverlayRTree, PagedRTree, RTree, RTreeConfig};
+use fuzzy_index::{NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::{
     execute_one, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound,
-    Neighbor, QueryEngine, QueryScratch, RknnAlgorithm, RknnItem, SearchBackend, Versioned,
+    Neighbor, QueryEngine, QueryScratch, RknnAlgorithm, RknnItem, Versioned,
 };
 use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 
@@ -147,7 +147,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
     const N: u64 = 60;
     const INDEXED: u64 = 54;
     let (store_path, store) = file_store("scratch", N);
-    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let config = RTreeConfig { max_entries: 8 };
     let tree = RTree::bulk_load(store.summaries().to_vec(), config);
     let index_path = store_path.with_extension("fzpt");
     let paged = PagedRTree::bulk_write(store.summaries().to_vec(), config, &index_path, 4096)
@@ -199,7 +199,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
 
     // One request on the carried scratch and on a fresh one, each from a
     // cold buffer pool so `node_disk_reads` is comparable too.
-    fn reused_vs_fresh<I: SearchBackend<2>>(
+    fn reused_vs_fresh<I: NodeAccess<2>>(
         index: &I,
         pool: Option<&PagedRTree<2>>,
         store: &FileStore<2>,
@@ -249,7 +249,7 @@ fn compaction_under_a_pinned_snapshot_is_byte_identical() {
     let index_path = store_path.with_extension("fzpt");
     let base = PagedRTree::bulk_write(
         store.summaries()[..INDEXED as usize].to_vec(),
-        RTreeConfig { max_entries: 8, min_fill: 0.4 },
+        RTreeConfig { max_entries: 8 },
         &index_path,
         4096,
     )
@@ -324,8 +324,7 @@ fn metric_generic_l2_paths_match_committed_engine() {
 
     const N: u64 = 60;
     let store = MemStore::from_objects(objects(N)).unwrap();
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let mut scratch = QueryScratch::new();
@@ -366,7 +365,7 @@ fn metric_generic_l2_paths_match_committed_engine() {
 
 /// One 4-NN range query under the recording metric: the answer's bits, then
 /// every kernel call and every window the metric saw, in call order.
-fn recorded_rknn<I: SearchBackend<2>, S: ObjectStore<2>>(
+fn recorded_rknn<I: NodeAccess<2>, S: ObjectStore<2>>(
     engine: &QueryEngine<'_, I, S, 2>,
     metric: &RecordingL2,
     q: &FuzzyObject<2>,
@@ -416,7 +415,7 @@ fn rknn_windows_do_not_depend_on_where_candidates_live() {
     };
     let datasets: [(&str, Vec<FuzzyObject<2>>); 2] =
         [("synthetic", synthetic.generate().collect()), ("cell", cell.generate().collect())];
-    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let config = RTreeConfig { max_entries: 8 };
     let cfg = AknnConfig::lb_lp_ub();
 
     for (tag, objects) in datasets {

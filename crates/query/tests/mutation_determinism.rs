@@ -1,10 +1,9 @@
 //! Dynamic-update determinism: after an interleaved insert/delete/update
-//! workload, the three dynamic backends — the in-memory `RTree` mutated
-//! in place, the `PagedRTree` + delta overlay, and the overlay after
-//! `compact` rewrote the index file — must answer AKNN/RKNN queries
-//! **byte-identically** to each other, to a freshly bulk-loaded tree over
-//! the same live set, and to linear-scan oracles; at 1, 2 and 8 executor
-//! threads. This is the test the CI `mutation-determinism` job runs.
+//! workload, the write backend — the `PagedRTree` + delta overlay — and
+//! the index file `compact` rewrote from it must answer AKNN/RKNN queries
+//! **byte-identically** to a freshly bulk-loaded tree over the same live
+//! set, and to linear-scan oracles; at 1, 2 and 8 executor threads. This
+//! is the test the CI `mutation-determinism` job runs.
 //!
 //! Comparison configs avoid the lazy-probe buffer on *cross-shape*
 //! checks: which neighbours get confirmed via bounds (vs probed exact)
@@ -15,9 +14,7 @@
 use fuzzy_core::distance::alpha_distance;
 use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{
-    delta_path_for, MutableIndex, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig,
-};
+use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_query::{
     AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryEngine,
@@ -96,21 +93,21 @@ fn script() -> Vec<Op> {
     ops
 }
 
-/// Replay the script over any mutable backend; returns the live id set.
-fn apply<A: MutableIndex<2>>(index: &mut A, summaries: &[ObjectSummary<2>]) -> BTreeSet<u64> {
+/// Replay the script over the overlay; returns the live id set.
+fn apply(index: &mut OverlayRTree<2>, summaries: &[ObjectSummary<2>]) -> BTreeSet<u64> {
     let mut live: BTreeSet<u64> = (0..SEEDED).collect();
     for op in script() {
         match op {
             Op::Insert(id) => {
-                assert!(index.insert_summary(summaries[id as usize]).unwrap(), "insert {id}");
+                assert!(index.insert(summaries[id as usize]), "insert {id}");
                 live.insert(id);
             }
             Op::Delete(id) => {
-                assert!(index.delete_id(ObjectId(id)).unwrap(), "delete {id}");
+                assert!(index.delete(ObjectId(id)), "delete {id}");
                 live.remove(&id);
             }
             Op::Update(id) => {
-                assert!(index.update_summary(summaries[id as usize]).unwrap(), "update {id}");
+                assert!(index.update(summaries[id as usize]), "update {id}");
             }
         }
         assert_eq!(NodeAccess::len(index), live.len());
@@ -320,38 +317,13 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     }
     let store = writer.finish().unwrap();
     let summaries = store.summaries().to_vec();
-    let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+    let config = RTreeConfig { max_entries: 8 };
     let seeded: Vec<ObjectSummary<2>> = summaries[..SEEDED as usize].to_vec();
 
-    // Backend 1: in-memory tree mutated in place, with invariant checks
-    // after every mutation.
-    let mut mem = RTree::bulk_load(seeded.clone(), config);
-    let live = {
-        let mut live: BTreeSet<u64> = (0..SEEDED).collect();
-        for op in script() {
-            match op {
-                Op::Insert(id) => {
-                    assert!(mem.insert_summary(summaries[id as usize]).unwrap());
-                    live.insert(id);
-                }
-                Op::Delete(id) => {
-                    assert!(mem.delete(ObjectId(id)));
-                    live.remove(&id);
-                }
-                Op::Update(id) => {
-                    assert!(mem.update(summaries[id as usize]));
-                }
-            }
-            mem.validate().expect("invariants hold after every mutation");
-        }
-        live
-    };
-
-    // Backend 2: paged base file + delta overlay, same script.
+    // The paged base file + delta overlay runs the script.
     let base = Arc::new(PagedRTree::bulk_write(seeded, config, &index_path, 4096).unwrap());
     let mut overlay = OverlayRTree::new(base.clone()).unwrap();
-    let live_overlay = apply(&mut overlay, &summaries);
-    assert_eq!(live, live_overlay);
+    let live = apply(&mut overlay, &summaries);
 
     // Reference: a freshly bulk-loaded tree over the same live set.
     let fresh_summaries: Vec<ObjectSummary<2>> =
@@ -359,38 +331,34 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     let fresh = RTree::bulk_load(fresh_summaries.clone(), config);
     fresh.validate().unwrap();
 
-    let mem_engine = QueryEngine::new(&mem, &store);
     let overlay_engine = QueryEngine::new(&overlay, &store);
 
-    // 1/2/8-thread fingerprints, identical across all three backends.
-    let mem_print = threaded_fingerprint(&mem, &store, &live);
+    // 1/2/8-thread fingerprints, identical on the overlay and the fresh tree.
     let overlay_print = threaded_fingerprint(&overlay, &store, &live);
     let fresh_print = threaded_fingerprint(&fresh, &store, &live);
-    assert_eq!(mem_print, fresh_print, "mutated in-memory tree diverged from fresh bulk load");
     assert_eq!(overlay_print, fresh_print, "paged overlay diverged from fresh bulk load");
 
-    // Linear-scan oracles on every backend.
+    // Linear-scan oracles on both.
+    let fresh_engine = QueryEngine::new(&fresh, &store);
     for &qid in live.iter().take(6) {
         let q = store.probe(ObjectId(qid)).unwrap().as_ref().clone();
-        assert_aknn_matches_oracle(&mem_engine, &live, &q, 7, 0.5);
         assert_aknn_matches_oracle(&overlay_engine, &live, &q, 7, 0.5);
-        assert_rknn_matches_oracle(&mem_engine, &live, &q, 3, (0.3, 0.7));
+        assert_aknn_matches_oracle(&fresh_engine, &live, &q, 7, 0.5);
         assert_rknn_matches_oracle(&overlay_engine, &live, &q, 3, (0.3, 0.7));
+        assert_rknn_matches_oracle(&fresh_engine, &live, &q, 3, (0.3, 0.7));
     }
 
     // RSS settles its candidates the same way wherever they are indexed:
-    // the tree mutated in place and the overlay — inserts pending in its
-    // delta, deletes as tombstones over the base file — drop, keep and
-    // settle the ids the fresh bulk load does, and no tombstoned object
-    // reaches the metric — though the base file alone would hand some over.
-    let fresh_engine = QueryEngine::new(&fresh, &store);
+    // the overlay — inserts pending in its delta, deletes as tombstones
+    // over the base file — drops, keeps and settles the ids the fresh bulk
+    // load does, and no tombstoned object reaches the metric — though the
+    // base file alone would hand some over.
     let base_engine = QueryEngine::new(&base, &store);
     let (mut dropped, mut settled, mut tombstoned) = (0, 0, 0);
     for &qid in live.iter().step_by(5) {
         let q = store.probe(ObjectId(qid)).unwrap().as_ref().clone();
         for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
             let want = rss_settle_of(&fresh_engine, &q, algo);
-            assert_eq!(rss_settle_of(&mem_engine, &q, algo), want, "RTree, query {qid}");
             assert_eq!(rss_settle_of(&overlay_engine, &q, algo), want, "overlay, query {qid}");
             assert!(want.3.is_subset(&live), "query {qid}: a deleted object was evaluated");
             dropped += want.2.dropped.len();
@@ -415,12 +383,13 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     std::fs::remove_file(&index_path).ok();
 }
 
-/// In-flight queries pinned to an epoch snapshot must be unaffected by
-/// writer commits — including whole batches running while the writer
-/// churns.
+/// In-flight queries pinned to an epoch snapshot of the overlay must be
+/// unaffected by writer commits — including whole batches running while
+/// the writer churns.
 #[test]
 fn pinned_snapshots_survive_concurrent_writes() {
     let store_path = tmp("pinned-store.fzkn");
+    let index_path = tmp("pinned-index.fzpt");
     let mut writer = FileStoreWriter::<2>::create(&store_path).unwrap();
     for id in 0..TOTAL {
         writer.append(&blob(id)).unwrap();
@@ -428,8 +397,8 @@ fn pinned_snapshots_survive_concurrent_writes() {
     let store = writer.finish().unwrap();
     let seeded: Vec<ObjectSummary<2>> = store.summaries()[..SEEDED as usize].to_vec();
     let live: BTreeSet<u64> = (0..SEEDED).collect();
-    let tree = RTree::bulk_load(seeded, RTreeConfig { max_entries: 8, min_fill: 0.4 });
-    let index = Versioned::new(tree);
+    let base = PagedRTree::bulk_write(seeded, RTreeConfig { max_entries: 8 }, &index_path, 4096);
+    let index = Versioned::new(OverlayRTree::new(Arc::new(base.unwrap())).unwrap());
 
     let pinned = index.snapshot();
     let requests = workload(&store, &live);
@@ -442,15 +411,9 @@ fn pinned_snapshots_survive_concurrent_writes() {
             // One commit (one published epoch) per mutation.
             for op in script() {
                 match op {
-                    Op::Insert(id) => {
-                        index.write(|t| t.insert_summary(summaries[id as usize])).unwrap();
-                    }
-                    Op::Delete(id) => {
-                        index.write(|t| t.delete_id(ObjectId(id))).unwrap();
-                    }
-                    Op::Update(id) => {
-                        index.write(|t| t.update_summary(summaries[id as usize])).unwrap();
-                    }
+                    Op::Insert(id) => assert!(index.write(|t| t.insert(summaries[id as usize]))),
+                    Op::Delete(id) => assert!(index.write(|t| t.delete(ObjectId(id)))),
+                    Op::Update(id) => assert!(index.write(|t| t.update(summaries[id as usize]))),
                 }
             }
         });
@@ -465,8 +428,17 @@ fn pinned_snapshots_survive_concurrent_writes() {
         }
     });
 
-    assert!(index.epoch() > 0);
-    // A fresh reader sees the post-script tree, and it is valid.
-    index.snapshot().validate().unwrap();
+    assert_eq!(index.epoch(), script().len() as u64, "one epoch per commit");
+    // A fresh reader sees the post-script live set, and a tree bulk-loaded
+    // from it is valid.
+    let latest = index.snapshot();
+    let mut after = OverlayRTree::new(Arc::new(PagedRTree::open(&index_path).unwrap())).unwrap();
+    let want = apply(&mut after, store.summaries());
+    let ids: BTreeSet<u64> = latest.live_summaries().unwrap().iter().map(|s| s.id.0).collect();
+    assert_eq!(ids, want);
+    RTree::bulk_load(latest.live_summaries().unwrap(), RTreeConfig { max_entries: 8 })
+        .validate()
+        .unwrap();
     std::fs::remove_file(&store_path).ok();
+    std::fs::remove_file(&index_path).ok();
 }

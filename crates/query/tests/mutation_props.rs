@@ -1,16 +1,16 @@
 //! Property test: randomized interleaved insert/delete/update workloads.
 //!
-//! For every generated workload, both dynamic backends (in-memory `RTree`
-//! and `PagedRTree` + delta overlay) must (a) keep every `validate.rs`
-//! structural invariant after *each* mutation (checked on the in-memory
-//! tree, the only backend with introspectable structure), (b) agree with
-//! each other on the live set, and (c) answer AKNN and RKNN queries
-//! exactly like linear-scan oracles over the live set.
+//! For every generated workload, the write backend (`PagedRTree` + delta
+//! overlay) must (a) track the live set's size after *each* mutation and
+//! agree with it at the end, and (b) answer AKNN and RKNN queries exactly
+//! like linear-scan oracles over the live set — as must a tree freshly
+//! bulk-loaded from the overlay's live summaries, which also keeps every
+//! `validate.rs` structural invariant.
 
 use fuzzy_core::distance::alpha_distance;
 use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{MutableIndex, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
+use fuzzy_index::{NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_query::{AknnConfig, DistBound, QueryEngine, RknnAlgorithm};
 use fuzzy_store::{MemStore, ObjectStore};
@@ -134,9 +134,8 @@ proptest! {
         let store = MemStore::from_objects((0..TOTAL).map(|i| blob(i, salt))).unwrap();
         let summaries = store.summaries().to_vec();
         let seeded: Vec<ObjectSummary<2>> = summaries[..SEEDED as usize].to_vec();
-        let config = RTreeConfig { max_entries: 8, min_fill: 0.4 };
+        let config = RTreeConfig { max_entries: 8 };
 
-        let mut mem = RTree::bulk_load(seeded.clone(), config);
         let base = Arc::new(PagedRTree::bulk_write(seeded, config, &index_path, 4096).unwrap());
         let mut overlay = OverlayRTree::new(base).unwrap();
 
@@ -149,56 +148,49 @@ proptest! {
             state ^= state << 17;
             state
         };
-        for step in 0..n_ops {
+        for _ in 0..n_ops {
             match rnd() % 4 {
                 0 | 1 if !pending.is_empty() => {
                     let id = pending.remove(rnd() as usize % pending.len());
-                    prop_assert!(mem.insert_summary(summaries[id as usize]).unwrap());
-                    prop_assert!(overlay.insert_summary(summaries[id as usize]).unwrap());
+                    prop_assert!(overlay.insert(summaries[id as usize]));
                     live.insert(id);
                 }
                 2 if !live.is_empty() => {
                     let victim = *live.iter().nth(rnd() as usize % live.len()).unwrap();
-                    prop_assert!(mem.delete(ObjectId(victim)));
                     prop_assert!(overlay.delete(ObjectId(victim)));
                     live.remove(&victim);
                     pending.push(victim);
                 }
                 _ if !live.is_empty() => {
                     let id = *live.iter().nth(rnd() as usize % live.len()).unwrap();
-                    prop_assert!(mem.update(summaries[id as usize]));
                     prop_assert!(overlay.update(summaries[id as usize]));
                 }
                 _ => {}
             }
-            // (a) structural invariants hold after every mutation.
-            mem.validate().unwrap_or_else(|e| panic!("step {step}: {e}"));
-            prop_assert_eq!(mem.len(), live.len());
+            // (a) the overlay's size follows every mutation.
             prop_assert_eq!(NodeAccess::len(&overlay), live.len());
         }
 
-        // (b) both backends expose the same live set.
-        let mut mem_ids: Vec<u64> = mem.iter_entries().map(|e| e.id.0).collect();
-        mem_ids.sort_unstable();
-        let mut ov_ids: Vec<u64> =
-            overlay.live_summaries().unwrap().iter().map(|e| e.id.0).collect();
+        // (a) the overlay exposes exactly the live set, and a tree
+        // bulk-loaded from it is structurally sound.
+        let live_summaries = overlay.live_summaries().unwrap();
+        let mut ov_ids: Vec<u64> = live_summaries.iter().map(|e| e.id.0).collect();
         ov_ids.sort_unstable();
         let want_ids: Vec<u64> = live.iter().copied().collect();
-        prop_assert_eq!(&mem_ids, &want_ids);
         prop_assert_eq!(&ov_ids, &want_ids);
+        let fresh = RTree::bulk_load(live_summaries, config);
+        fresh.validate().unwrap();
 
-        // (c) query answers match linear-scan oracles on both backends.
+        // (b) query answers match linear-scan oracles on both.
         if !live.is_empty() {
-            let mem_engine = QueryEngine::new(&mem, &store);
             let ov_engine = QueryEngine::new(&overlay, &store);
-            let probe_ids: Vec<u64> = live.iter().copied().collect();
-            for pick in 0..3usize {
-                let qid = probe_ids[(rnd() as usize) % probe_ids.len()];
+            let fresh_engine = QueryEngine::new(&fresh, &store);
+            for _ in 0..3 {
+                let qid = want_ids[(rnd() as usize) % want_ids.len()];
                 let q = store.probe(ObjectId(qid)).unwrap().as_ref().clone();
                 let range = (alpha * 0.6, (alpha * 0.6 + 0.3).min(1.0));
-                check_backend("mem", &mem_engine, &live, &q, k, alpha, range);
                 check_backend("overlay", &ov_engine, &live, &q, k, alpha, range);
-                let _ = pick;
+                check_backend("fresh bulk load", &fresh_engine, &live, &q, k, alpha, range);
             }
         }
 

@@ -80,7 +80,7 @@ proptest! {
         let store = dataset(60, salt);
         let tree = RTree::bulk_load(
             store.summaries().to_vec(),
-            RTreeConfig { max_entries: 8, min_fill: 0.4 },
+            RTreeConfig { max_entries: 8 },
         );
         let engine = QueryEngine::new(&tree, &store);
         let (path, file_store) = on_disk(&store, salt);

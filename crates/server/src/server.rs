@@ -44,10 +44,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The index backend a server answers from: the in-memory tree or a
-/// disk-resident paged tree with its overlay. Both are cheap enough to clone for [`Versioned`] snapshot publishing (arena
-/// `Vec` / a small delta plus `Arc` bumps on the base file and its id
-/// set).
+/// The index backend a server answers from: a bulk-loaded in-memory tree
+/// or a disk-resident paged tree with its overlay. Neither is edited in
+/// place: a SWAP publishes a whole new one as a [`Versioned`] epoch, and
+/// the publish clone is cheap (the arena `Vec` / a small delta plus `Arc`
+/// bumps on the base file and its id set).
 #[derive(Clone, Debug)]
 pub enum ServeIndex {
     /// In-memory R-tree (bulk-loaded from the store's summaries).

@@ -36,8 +36,7 @@ fn oracle(store: &MemStore<2>, q: &FuzzyObject2, t: Threshold) -> Vec<(f64, Obje
 fn aknn_matches_exhaustive_scan_on_synthetic_data() {
     let gen = small_synthetic();
     let store = MemStore::from_objects(gen.generate()).unwrap();
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
 
     for query_seed in [1u64, 2] {

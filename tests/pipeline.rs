@@ -102,35 +102,6 @@ fn cached_store_reduces_repeat_probes() {
 }
 
 #[test]
-fn incremental_index_matches_bulk_load_results() {
-    let gen = SyntheticConfig {
-        num_objects: 250,
-        points_per_object: 60,
-        seed: 31,
-        ..SyntheticConfig::default()
-    };
-    let store = MemStore::from_objects(gen.generate()).unwrap();
-
-    let bulk = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-    let mut incr: RTree<2> = RTree::new(RTreeConfig::default());
-    for s in store.summaries() {
-        incr.insert(*s);
-    }
-    incr.validate().unwrap();
-
-    let q = gen.query_object(2);
-    let e1 = QueryEngine::new(&bulk, &store);
-    let e2 = QueryEngine::new(&incr, &store);
-    for alpha in [0.3, 0.7] {
-        let mut a = e1.aknn(&q, 8, alpha, &AknnConfig::lb_lp_ub()).unwrap().ids();
-        let mut b = e2.aknn(&q, 8, alpha, &AknnConfig::lb_lp_ub()).unwrap().ids();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "bulk vs incremental disagree at α={alpha}");
-    }
-}
-
-#[test]
 fn stats_are_coherent_across_layers() {
     let gen = SyntheticConfig {
         num_objects: 400,
@@ -139,16 +110,27 @@ fn stats_are_coherent_across_layers() {
         ..SyntheticConfig::default()
     };
     let store = MemStore::from_objects(gen.generate()).unwrap();
-    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+    let path = tmp("stats.fzpt");
+    let tree =
+        PagedRTree::bulk_write(store.summaries().to_vec(), RTreeConfig::default(), &path, 16384)
+            .unwrap();
     let engine = QueryEngine::new(&tree, &store);
     let q = gen.query_object(8);
 
     store.reset_stats();
-    tree.stats().reset();
+    let pool_before = tree.cache_stats();
     let res = engine.aknn(&q, 15, 0.5, &AknnConfig::lb()).unwrap();
-    // The per-query stats must equal the store/tree counter deltas.
+    let pool = tree.cache_stats();
+    // The per-query stats must equal the store and buffer-pool deltas:
+    // every node access is one pool lookup, a hit or a miss.
     assert_eq!(res.stats.object_accesses, store.stats().object_reads);
-    assert_eq!(res.stats.node_accesses, tree.stats().node_accesses());
+    assert!(res.stats.node_accesses > 0);
+    assert_eq!(
+        res.stats.node_accesses,
+        (pool.hits + pool.misses) - (pool_before.hits + pool_before.misses)
+    );
+    assert_eq!(res.stats.node_disk_reads, pool.misses - pool_before.misses);
     // Without lazy probe, every access implies a distance evaluation.
     assert_eq!(res.stats.object_accesses, res.stats.distance_evals);
+    std::fs::remove_file(&path).unwrap();
 }

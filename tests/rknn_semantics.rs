@@ -43,8 +43,7 @@ fn samples_inside(iv: &Interval) -> Vec<f64> {
 fn every_item_is_a_knn_inside_each_reported_subrange() {
     let gen = small_synthetic();
     let store = MemStore::from_objects(gen.generate()).unwrap();
-    let tree =
-        RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8, min_fill: 0.4 });
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
 
     for (k, lo, hi) in [(3usize, 0.25, 0.65), (6, 0.1, 0.95), (1, 0.5, 0.5)] {
