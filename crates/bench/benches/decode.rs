@@ -11,12 +11,17 @@
 //!   pages, the fullest leaves STR packs: 56 of 64 entries) through
 //!   [`PagedRTree`] with a one-page pool: two such leaves alternate, so
 //!   every read is a miss (the page comes from the OS page cache).
+//! * `store_open/50000` — [`FileStore::open`] of a 50 000-object `scale`
+//!   store (32 points, r = 0.1): header and trailer checks, every summary
+//!   decoded and checked, the id table built. The file comes from the OS
+//!   page cache.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy_core::{FuzzyObject, ObjectSummary};
-use fuzzy_datagen::SyntheticConfig;
+use fuzzy_datagen::{write_dataset, SyntheticConfig};
 use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
 use fuzzy_store::format::{decode_object, encode_object, fnv1a};
+use fuzzy_store::{FileStore, ObjectStore};
 
 fn objects(n: usize, points: usize, radius: f64) -> Vec<FuzzyObject<2>> {
     let cfg = SyntheticConfig {
@@ -78,5 +83,17 @@ fn bench_leaf_page(c: &mut Criterion) {
     std::fs::remove_file(&path).unwrap();
 }
 
-criterion_group!(benches, bench_records, bench_leaf_page);
+fn bench_store_open(c: &mut Criterion) {
+    let path = std::env::temp_dir().join(format!("fz-open-bench-{}.fzkn", std::process::id()));
+    drop(write_dataset(&path, objects(50_000, 32, 0.1)).unwrap());
+    let mut group = c.benchmark_group("store_open");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter(50_000), |b| {
+        b.iter(|| FileStore::<2>::open(&path).unwrap().len())
+    });
+    group.finish();
+    std::fs::remove_file(&path).unwrap();
+}
+
+criterion_group!(benches, bench_records, bench_leaf_page, bench_store_open);
 criterion_main!(benches);

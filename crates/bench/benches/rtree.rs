@@ -1,15 +1,27 @@
 //! R-tree costs: STR bulk load and range search over fuzzy summaries.
+//!
+//! * `rtree_build/str_bulk/{1000,10000}` — [`RTree::bulk_load`], the
+//!   in-memory arena.
+//! * `rtree_build/bulk_write/50000` — [`PagedRTree::bulk_write`] of 50 000
+//!   `scale`-shaped summaries (32 points, r = 0.1) at the default fan-out
+//!   and 16 KiB pages: packing, page encoding and the file write, then the
+//!   open. What fkbench's set-up pays per index it builds.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fuzzy_core::ObjectSummary;
 use fuzzy_datagen::SyntheticConfig;
 use fuzzy_geom::Point;
-use fuzzy_index::{range_search, RTree, RTreeConfig};
+use fuzzy_index::{range_search, PagedRTree, RTree, RTreeConfig, DEFAULT_PAGE_SIZE};
 
 fn summaries(n: usize) -> Vec<ObjectSummary<2>> {
+    shaped_summaries(n, 40, 0.5)
+}
+
+fn shaped_summaries(n: usize, points: usize, radius: f64) -> Vec<ObjectSummary<2>> {
     let cfg = SyntheticConfig {
         num_objects: n,
-        points_per_object: 40,
+        points_per_object: points,
+        radius,
         seed: 77,
         ..SyntheticConfig::default()
     };
@@ -29,6 +41,18 @@ fn bench_build(c: &mut Criterion) {
             )
         });
     }
+    let entries = shaped_summaries(50_000, 32, 0.1);
+    let path = std::env::temp_dir().join(format!("fz-rtree-bench-{}.fzpt", std::process::id()));
+    group.bench_with_input(BenchmarkId::new("bulk_write", 50_000), &entries, |b, e| {
+        b.iter_batched(
+            || e.clone(),
+            |e| {
+                PagedRTree::bulk_write(e, RTreeConfig::default(), &path, DEFAULT_PAGE_SIZE).unwrap()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    std::fs::remove_file(&path).ok();
     group.finish();
 }
 

@@ -537,8 +537,11 @@ pub fn run(opts: &BenchOptions) -> Json {
         }
         IndexBackend::Paged => {
             let index_path = opts.dataset.index_path();
-            PagedRTree::write_tree(&env.tree, &index_path, opts.page_size)
-                .expect("write index file");
+            let entries = env.store.summaries().to_vec();
+            drop(
+                PagedRTree::bulk_write(entries, env.tree.config(), &index_path, opts.page_size)
+                    .expect("write index file"),
+            );
             let paged: PagedRTree<2> =
                 PagedRTree::open_with_cache(&index_path, opts.cache_pages).expect("open index");
             let mut runs =

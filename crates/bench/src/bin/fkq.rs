@@ -46,7 +46,7 @@ use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
     WireVariant,
 };
-use fuzzy_store::{FileStore, ObjectStore};
+use fuzzy_store::{FileStore, ObjectStore, StoreError};
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -504,6 +504,10 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
     let started = std::time::Instant::now();
     let tree = PagedRTree::bulk_write(store.summaries().to_vec(), config, &out, page_size)
         .unwrap_or_else(|e| {
+            if let StoreError::FanoutTooSmall { max_entries } = e {
+                eprintln!("--max-entries must be at least 2, got {max_entries}");
+                usage();
+            }
             eprintln!("cannot build index: {e}");
             exit(1)
         });

@@ -1,11 +1,24 @@
 //! End-to-end check of the persisted index path: build an index file with
 //! `fkq build-index`, reopen it in a *fresh process* via `fkq
 //! aknn/rknn --index-file`, and diff the answers against the in-memory
-//! tree the same binary bulk-loads by default. This is the test the CI
+//! tree the same binary bulk-loads by default. Beside it: the writer's
+//! bytes pinned by digest, compaction held to `bulk_write`'s bytes, and
+//! `fkq build-index` refusing a fan-out below 2. This is the test the CI
 //! `paged-roundtrip` job runs.
 
+use fuzzy_core::{ObjectId, ObjectSummary};
+use fuzzy_datagen::SyntheticConfig;
+use fuzzy_index::{OverlayRTree, PagedRTree, RTreeConfig};
+use fuzzy_store::format::fnv1a;
 use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
+
+/// `fnv1a` of the files [`written_index_bytes_are_pinned`] writes, as the
+/// comparison-sort STR writer (an in-memory tree serialized node by node)
+/// wrote them: the key-sorted writer must reproduce them byte for byte.
+const PINNED_4K: &str = "984dcc5853a66777";
+const PINNED_16K: &str = "adcc8f62001733c7";
 
 fn fkq(args: &[&str], dir: &Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_fkq"))
@@ -75,5 +88,94 @@ fn persisted_index_answers_match_in_memory_tree_across_processes() {
     let info = fkq(&["info", "data.fzkn", "--index-file", "data.fzpt"], &dir);
     assert!(info.contains("paged index"), "{info}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A seeded `scale`-shaped dataset's summaries, plus 400 copies of its
+/// first 400 under fresh ids: duplicate support centres pin STR's tie
+/// order too.
+fn pinned_summaries() -> Vec<ObjectSummary<2>> {
+    let cfg = SyntheticConfig {
+        num_objects: 6_000,
+        points_per_object: 12,
+        radius: 0.1,
+        seed: 2010,
+        ..SyntheticConfig::default()
+    };
+    let mut summaries: Vec<ObjectSummary<2>> =
+        cfg.generate().map(|o| ObjectSummary::from_object(&o)).collect();
+    let copies: Vec<ObjectSummary<2>> = summaries[..400]
+        .iter()
+        .map(|s| ObjectSummary { id: ObjectId(100_000 + s.id.0), ..*s })
+        .collect();
+    summaries.extend(copies);
+    summaries
+}
+
+fn file_digest(path: &Path) -> String {
+    format!("{:016x}", fnv1a(&std::fs::read(path).expect("read the index file")))
+}
+
+/// The `.fzpt` bytes the writer produces, pinned: any change to the STR
+/// packing's groups, tie order or page numbering, or to the page encoding,
+/// changes these digests.
+#[test]
+fn written_index_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("fzpt-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pinned.fzpt");
+    for (page_size, max_entries, want) in
+        [(4096u32, 16usize, PINNED_4K), (16 * 1024, 64, PINNED_16K)]
+    {
+        let config = RTreeConfig { max_entries };
+        drop(PagedRTree::bulk_write(pinned_summaries(), config, &path, page_size).unwrap());
+        assert_eq!(file_digest(&path), want, "{page_size}-byte pages, C_max {max_entries}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Compaction writes exactly what `bulk_write` writes for the overlay's
+/// live summaries.
+#[test]
+fn compaction_writes_the_bytes_bulk_write_writes() {
+    let dir = std::env::temp_dir().join(format!("fzpt-compact-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (base_path, fresh_path) = (dir.join("base.fzpt"), dir.join("fresh.fzpt"));
+    let all = pinned_summaries();
+    let config = RTreeConfig { max_entries: 16 };
+    let base = PagedRTree::bulk_write(all[..5_000].to_vec(), config, &base_path, 4096).unwrap();
+    let mut overlay = OverlayRTree::new(Arc::new(base)).unwrap();
+    for id in (0..5_000).step_by(7) {
+        assert!(overlay.delete(ObjectId(id)));
+    }
+    for s in &all[5_000..] {
+        assert!(overlay.insert(*s));
+    }
+    let live = overlay.live_summaries().unwrap();
+    drop(PagedRTree::bulk_write(live, config, &fresh_path, 4096).unwrap());
+    drop(overlay.compact(4096).unwrap());
+    let (compacted, fresh) =
+        (std::fs::read(&base_path).unwrap(), std::fs::read(&fresh_path).unwrap());
+    assert!(compacted == fresh, "compaction and bulk_write disagree");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A node capacity below 2 would never pack into a root: `fkq` refuses it
+/// as a usage error naming the flag, and writes nothing.
+#[test]
+fn build_index_refuses_a_fan_out_below_two() {
+    let dir = std::env::temp_dir().join(format!("fzpt-fanout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    fkq(&["generate", "--kind", "synthetic", "--n", "50", "--ppo", "8", "--out", "d.fzkn"], &dir);
+    for fan_out in ["0", "1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fkq"))
+            .args(["build-index", "d.fzkn", "--out", "d.fzpt", "--max-entries", fan_out])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn fkq");
+        assert_eq!(out.status.code(), Some(2), "--max-entries {fan_out}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--max-entries"));
+        assert!(!dir.join("d.fzpt").exists());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

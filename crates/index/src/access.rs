@@ -46,7 +46,7 @@
 //! assert_eq!(ids_within(&tree, Point::xy(10.1, 0.0), 0.05), vec![ObjectId(10)]);
 //! ```
 
-use crate::node::{Children, NodeId, RTree};
+use crate::node::{NodeId, RTree};
 use crate::query::{EntryHit, RangeResult};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
@@ -95,11 +95,8 @@ impl<const D: usize> DecodedNode<D> {
 
 #[derive(Debug)]
 enum ReadKind<'t, const D: usize> {
-    /// Internal node of the in-memory tree (child MBRs gathered from the
-    /// arena into an owned buffer).
-    MemInternal(Vec<ChildRef<D>>),
-    /// Leaf of the in-memory tree, borrowed straight from the arena.
-    MemLeaf(&'t [ObjectSummary<D>]),
+    /// A node of the in-memory tree, borrowed straight from it.
+    Memory(NodeView<'t, D>),
     /// A buffer-pool page; the `Arc` keeps it alive while borrowed.
     Paged(Arc<DecodedNode<D>>),
 }
@@ -110,24 +107,15 @@ enum ReadKind<'t, const D: usize> {
 pub struct NodeRead<'t, const D: usize> {
     kind: ReadKind<'t, D>,
     /// True when serving this node touched the backing medium; false for
-    /// in-memory arenas and buffer-pool hits. This is the node-level
+    /// in-memory trees and buffer-pool hits. This is the node-level
     /// analogue of `fuzzy_store::TracedProbe::disk_read`.
     pub disk_read: bool,
 }
 
 impl<'t, const D: usize> NodeRead<'t, D> {
-    /// A read served from the in-memory arena.
-    pub(crate) fn from_memory(
-        children: Children<'t, D>,
-        child_mbrs: impl Fn(NodeId) -> Mbr<D>,
-    ) -> Self {
-        let kind = match children {
-            Children::Nodes(ids) => ReadKind::MemInternal(
-                ids.iter().map(|&id| ChildRef { id, mbr: child_mbrs(id) }).collect(),
-            ),
-            Children::Entries(entries) => ReadKind::MemLeaf(entries),
-        };
-        Self { kind, disk_read: false }
+    /// A read served from the in-memory tree.
+    pub(crate) fn from_memory(view: NodeView<'t, D>) -> Self {
+        Self { kind: ReadKind::Memory(view), disk_read: false }
     }
 
     /// A read served by a buffer pool.
@@ -138,8 +126,7 @@ impl<'t, const D: usize> NodeRead<'t, D> {
     /// Borrow the node contents.
     pub fn view(&self) -> NodeView<'_, D> {
         match &self.kind {
-            ReadKind::MemInternal(children) => NodeView::Nodes(children),
-            ReadKind::MemLeaf(entries) => NodeView::Entries(entries),
+            ReadKind::Memory(view) => *view,
             ReadKind::Paged(node) => node.view(),
         }
     }
@@ -147,7 +134,7 @@ impl<'t, const D: usize> NodeRead<'t, D> {
 
 /// Uniform navigation over an R-tree, independent of where its nodes live.
 ///
-/// Implementors: [`RTree`] (arena in memory, reads never fail and never
+/// Implementors: [`RTree`] (in memory, reads never fail and never
 /// touch a backing medium) and [`crate::PagedRTree`] (fixed-size pages in
 /// an index file behind an LRU buffer pool). Query processors that only
 /// use this trait — all of `fuzzy-query` — run unmodified against either.
@@ -216,7 +203,7 @@ impl<const D: usize> NodeAccess<D> for RTree<D> {
     }
 
     fn read_node(&self, id: NodeId) -> Result<NodeRead<'_, D>, StoreError> {
-        Ok(NodeRead::from_memory(self.expand(id), |child| *self.node_mbr(child)))
+        Ok(NodeRead::from_memory(self.expand(id)))
     }
 
     fn len(&self) -> usize {

@@ -4,13 +4,27 @@
 //! space into slabs along each dimension, then builds the upper levels by
 //! re-packing node rectangles the same way. It yields near-optimal space
 //! utilisation and is how the experiment datasets are indexed.
+//!
+//! The packing sorts keys, not summaries: every slab sorts `(centre key,
+//! slot, entry)` triples, the stable sort by centre that STR asks for. It
+//! numbers nodes as both trees do — leaves in group order, then each upper
+//! level, the root last. An [`RTree`] is that packing beside its entries
+//! gathered into leaf order; [`crate::PagedRTree::bulk_write`] encodes
+//! pages straight from it.
 
-use crate::node::{Node, NodeId, RTree, RTreeConfig};
+use crate::access::ChildRef;
+use crate::node::{NodeId, RTree, RTreeConfig};
 use fuzzy_core::ObjectSummary;
-use fuzzy_geom::{Mbr, Point};
+use fuzzy_geom::Mbr;
+use std::ops::Range;
 
 impl<const D: usize> RTree<D> {
     /// Build a tree containing `entries` using STR packing.
+    ///
+    /// # Panics
+    ///
+    /// When `config.max_entries` is below 2: a level of one-entry nodes
+    /// would never shrink to a root.
     ///
     /// ```
     /// use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
@@ -36,95 +50,165 @@ impl<const D: usize> RTree<D> {
     /// assert!(tree.height() >= 2); // 100 entries cannot fit one 16-entry leaf
     /// tree.validate().unwrap();
     /// ```
-    pub fn bulk_load(mut entries: Vec<ObjectSummary<D>>, config: RTreeConfig) -> Self {
-        let mut tree = RTree::new(config);
-        if entries.is_empty() {
-            return tree;
-        }
-        tree.len = entries.len();
-        tree.nodes.clear();
+    pub fn bulk_load(entries: Vec<ObjectSummary<D>>, config: RTreeConfig) -> Self {
+        assert!(
+            config.max_entries >= 2,
+            "STR packing needs a node capacity of at least 2, got {}",
+            config.max_entries
+        );
+        let (order, shape) = StrPacking::new(&entries, config.max_entries);
+        let entries = order.iter().map(|&i| entries[i as usize]).collect();
+        RTree { entries, shape, config }
+    }
+}
 
-        // Pack leaves.
-        let cap = config.max_entries;
-        let mut leaves: Vec<NodeId> = Vec::with_capacity(entries.len() / cap + 1);
-        let mut groups: Vec<Vec<ObjectSummary<D>>> = Vec::new();
-        str_tile(&mut entries, 0, cap, &mut |group| groups.push(group.to_vec()));
-        for group in groups {
-            let mbr = group.iter().fold(Mbr::empty(), |acc, s| acc.union(&s.support_mbr));
-            let id = tree.alloc(Node::Leaf { mbr, entries: group });
-            leaves.push(id);
+/// The shape of an STR-packed tree. Node ids are leaves first, in group
+/// order, then each upper level; the root is last. An empty input packs
+/// into one empty leaf.
+#[derive(Clone, Debug)]
+pub(crate) struct StrPacking<const D: usize> {
+    /// Where each leaf's run of the packed order ends.
+    leaf_ends: Vec<usize>,
+    /// The children of internal node `leaf count + i`, in entry order.
+    pub(crate) internal: Vec<Vec<ChildRef<D>>>,
+    /// Every node's MBR, by node id.
+    pub(crate) mbrs: Vec<Mbr<D>>,
+    /// Levels in the tree: 1 when the root is a leaf.
+    pub(crate) height: usize,
+}
+
+impl<const D: usize> StrPacking<D> {
+    /// Pack `entries` into nodes of at most `cap` (≥ 2) entries each: the
+    /// entry indices in leaf order, and the tree's shape.
+    pub(crate) fn new(entries: &[ObjectSummary<D>], cap: usize) -> (Vec<u32>, Self) {
+        debug_assert!(cap >= 2, "a level of one-entry nodes never shrinks");
+        let (order, mut leaf_ends) = str_groups(entries.iter().map(|s| &s.support_mbr), cap);
+        if leaf_ends.is_empty() {
+            leaf_ends.push(0);
         }
+        let mut shape = Self { leaf_ends, internal: Vec::new(), mbrs: Vec::new(), height: 1 };
+        shape.mbrs = shape
+            .leaves()
+            .map(|leaf| union(order[leaf].iter().map(|&i| &entries[i as usize].support_mbr)))
+            .collect();
 
         // Pack upper levels until a single root remains.
-        let mut level = leaves;
-        let mut height = 1;
+        let mut level: Vec<ChildRef<D>> = (shape.mbrs.iter().enumerate())
+            .map(|(i, &mbr)| ChildRef { id: NodeId(i as u32), mbr })
+            .collect();
         while level.len() > 1 {
-            #[derive(Clone)]
-            struct Item<const D: usize> {
-                id: NodeId,
-                mbr: Mbr<D>,
-            }
-            let mut items: Vec<Item<D>> =
-                level.iter().map(|&id| Item { id, mbr: *tree.node_mbr(id) }).collect();
-            let mut parent_groups: Vec<Vec<Item<D>>> = Vec::new();
-            str_tile_by(&mut items, 0, cap, &|it: &Item<D>| it.mbr.center(), &mut |group| {
-                parent_groups.push(group.to_vec())
-            });
-            let mut parents = Vec::with_capacity(parent_groups.len());
-            for group in parent_groups {
-                let mbr = group.iter().fold(Mbr::empty(), |acc, it| acc.union(&it.mbr));
-                let children = group.iter().map(|it| it.id).collect();
-                parents.push(tree.alloc(Node::Internal { mbr, children }));
-            }
-            level = parents;
-            height += 1;
+            let (grouped, ends) = str_groups(level.iter().map(|c| &c.mbr), cap);
+            let mut start = 0;
+            level = ends
+                .into_iter()
+                .map(|end| {
+                    let children: Vec<ChildRef<D>> =
+                        grouped[start..end].iter().map(|&i| level[i as usize]).collect();
+                    start = end;
+                    let id = NodeId(shape.mbrs.len() as u32);
+                    let parent = ChildRef { id, mbr: union(children.iter().map(|c| &c.mbr)) };
+                    shape.mbrs.push(parent.mbr);
+                    shape.internal.push(children);
+                    parent
+                })
+                .collect();
+            shape.height += 1;
         }
-        tree.root = level[0];
-        tree.height = height;
-        tree
+        (order, shape)
+    }
+
+    /// Each leaf's run of the packed order, in node-id order.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..self.leaf_ends.len()).map(|leaf| self.leaf(leaf))
+    }
+
+    /// Leaf `leaf`'s run of the packed order.
+    pub(crate) fn leaf(&self, leaf: usize) -> Range<usize> {
+        leaf.checked_sub(1).map_or(0, |before| self.leaf_ends[before])..self.leaf_ends[leaf]
+    }
+
+    /// Number of leaves.
+    pub(crate) fn leaf_count(&self) -> usize {
+        self.leaf_ends.len()
+    }
+
+    /// Node `id`'s MBR.
+    pub(crate) fn mbr(&self, id: NodeId) -> &Mbr<D> {
+        &self.mbrs[id.0 as usize]
+    }
+
+    /// The root: the last node.
+    pub(crate) fn root(&self) -> NodeId {
+        NodeId(self.mbrs.len() as u32 - 1)
     }
 }
 
-/// Tile object summaries (center of the support MBR is the sort key).
-fn str_tile<const D: usize>(
-    items: &mut [ObjectSummary<D>],
-    dim: usize,
-    cap: usize,
-    emit: &mut impl FnMut(&[ObjectSummary<D>]),
-) {
-    str_tile_by(items, dim, cap, &|s: &ObjectSummary<D>| s.support_mbr.center(), emit)
+/// The union of `rects`, folded in order from the empty rectangle.
+fn union<'a, const D: usize>(rects: impl Iterator<Item = &'a Mbr<D>>) -> Mbr<D> {
+    rects.fold(Mbr::empty(), |acc, m| acc.union(m))
 }
 
-/// Generic recursive STR tiling: sort by the center's `dim` coordinate,
-/// split into `ceil(P^(1/(D-dim)))` slabs (`P` = number of final groups),
-/// recurse on the next dimension; the last dimension chunks sequentially.
-fn str_tile_by<T: Clone, const D: usize>(
-    items: &mut [T],
+/// STR-tile the items `rects` yields into groups of at most `cap` by their
+/// centres: the item indices in group order, and where each group ends.
+/// A centre coordinate becomes a key whose unsigned order is
+/// [`f64::total_cmp`]'s: a set sign bit flips every bit (larger magnitudes
+/// sort lower), a clear one is set (lifting the rest above).
+fn str_groups<'a, const D: usize>(
+    rects: impl Iterator<Item = &'a Mbr<D>>,
+    cap: usize,
+) -> (Vec<u32>, Vec<usize>) {
+    let keys: Vec<[u64; D]> = rects
+        .map(|mbr| {
+            let centre = mbr.center();
+            std::array::from_fn(|dim| {
+                let bits = centre[dim].to_bits();
+                bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+            })
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    let mut ends = Vec::with_capacity(keys.len() / cap + 1);
+    str_tile(&keys, &mut order, 0, 0, cap, &mut Vec::new(), &mut ends);
+    (order, ends)
+}
+
+/// Recursive STR tiling of `order`, the run of the packed order from
+/// `start`: sort by the centre's `dim` coordinate, split into
+/// `ceil(P^(1/(D-dim)))` slabs (`P` = number of final groups), recurse on
+/// the next dimension; the last dimension chunks sequentially. Each
+/// group's end is pushed to `ends`, left to right.
+fn str_tile<const D: usize>(
+    keys: &[[u64; D]],
+    order: &mut [u32],
+    start: usize,
     dim: usize,
     cap: usize,
-    center: &impl Fn(&T) -> Point<D>,
-    emit: &mut impl FnMut(&[T]),
+    slab: &mut Vec<(u64, u32, u32)>,
+    ends: &mut Vec<usize>,
 ) {
-    let n = items.len();
+    let n = order.len();
     if n <= cap {
         if n > 0 {
-            emit(items);
+            ends.push(start + n);
         }
         return;
+    }
+    // A stable sort by key: equal keys keep their current slot.
+    slab.clear();
+    slab.extend(order.iter().enumerate().map(|(slot, &i)| (keys[i as usize][dim], slot as u32, i)));
+    slab.sort_unstable();
+    for (item, &(_, _, i)) in order.iter_mut().zip(slab.iter()) {
+        *item = i;
     }
     if dim + 1 == D {
-        items.sort_by(|a, b| center(a)[dim].total_cmp(&center(b)[dim]));
-        for (start, end) in even_partition(n, n.div_ceil(cap)) {
-            emit(&items[start..end]);
-        }
+        ends.extend(even_partition(n, n.div_ceil(cap)).into_iter().map(|(_, end)| start + end));
         return;
     }
-    items.sort_by(|a, b| center(a)[dim].total_cmp(&center(b)[dim]));
     let groups = n.div_ceil(cap);
     let dims_left = D - dim;
     let slabs = (groups as f64).powf(1.0 / dims_left as f64).ceil() as usize;
-    for (start, end) in even_partition(n, slabs.max(1)) {
-        str_tile_by(&mut items[start..end], dim + 1, cap, center, emit);
+    for (from, to) in even_partition(n, slabs.max(1)) {
+        str_tile(keys, &mut order[from..to], start + from, dim + 1, cap, slab, ends);
     }
 }
 
@@ -150,6 +234,7 @@ fn even_partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use fuzzy_core::{FuzzyObject, ObjectId};
+    use fuzzy_geom::Point;
 
     pub(crate) fn grid_summaries(n: usize) -> Vec<ObjectSummary<2>> {
         (0..n)
@@ -199,21 +284,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "node capacity of at least 2")]
+    fn bulk_load_refuses_a_fan_out_below_two() {
+        RTree::bulk_load(grid_summaries(50), RTreeConfig { max_entries: 1 });
+    }
+
+    #[test]
     fn leaves_are_spatially_coherent() {
         // STR should produce far smaller total leaf area than random
         // grouping; check against a generous bound.
         let summaries = grid_summaries(2000);
         let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 20 });
-        let mut total_area = 0.0;
-        let mut leaf_count = 0;
-        for n in &tree.nodes {
-            if let Node::Leaf { mbr, entries } = n {
-                if !entries.is_empty() {
-                    total_area += mbr.area();
-                    leaf_count += 1;
-                }
-            }
-        }
+        let leaf_count = tree.leaf_count();
+        let total_area: f64 = (0..leaf_count as u32).map(|i| tree.node_mbr(NodeId(i)).area()).sum();
         // 2000 unit-ish objects in a 100x20 region -> per-leaf area should
         // be bounded by a small multiple of (region area / leaf count).
         let region_area = 100.0 * 20.0;

@@ -7,7 +7,7 @@
 //! the object store; the index comes in two backends behind one
 //! navigation interface:
 //!
-//! * [`RTree`] — the arena-based in-memory tree (fast, bounded by RAM,
+//! * [`RTree`] — the in-memory tree (fast, bounded by RAM,
 //!   no backing medium);
 //! * [`PagedRTree`] — the same tree serialized into fixed-size pages of a
 //!   single index file, read back through an LRU buffer pool, so node
@@ -25,8 +25,9 @@
 //! both of which this implementation provides:
 //!
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing, the one way a
-//!   tree gets its shape; [`PagedRTree::bulk_write`] reuses it to build
-//!   index files. A built tree is never edited, only replaced.
+//!   tree gets its shape; [`PagedRTree::bulk_write`] encodes index files
+//!   page by page from the same packing, without building the in-memory
+//!   tree. A built tree is never edited, only replaced.
 //! * [`OverlayRTree`] — the write story: an in-memory delta overlay
 //!   (inserted/tombstoned summaries consulted by every `NodeAccess` read)
 //!   over a [`PagedRTree`], persisted as a sidecar delta log and folded

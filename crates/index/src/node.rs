@@ -1,15 +1,19 @@
-//! Arena-based node storage and the core `RTree` type.
+//! The core `RTree` type: an STR packing and its entries.
 
+use crate::access::NodeView;
+use crate::bulk::StrPacking;
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 
-/// Index of a node in the tree arena.
+/// Index of a node in a tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
-    /// Raw arena index — equal to the page number in a paged index file,
-    /// since serialization writes nodes in arena order.
+    /// Raw node index — the node number of an [`RTree`] and the page
+    /// number of a [`crate::PagedRTree`]. Both number an STR-packed tree
+    /// the same way: leaves in group order, then each upper level, the
+    /// root last.
     pub fn index(self) -> u32 {
         self.0
     }
@@ -28,63 +32,33 @@ impl Default for RTreeConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum Node<const D: usize> {
-    Internal { mbr: Mbr<D>, children: Vec<NodeId> },
-    Leaf { mbr: Mbr<D>, entries: Vec<ObjectSummary<D>> },
-}
-
-impl<const D: usize> Node<D> {
-    pub(crate) fn mbr(&self) -> &Mbr<D> {
-        match self {
-            Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => mbr,
-        }
-    }
-}
-
-/// What lies beneath a node: either child nodes or object summaries.
-#[derive(Debug)]
-pub(crate) enum Children<'a, const D: usize> {
-    /// Internal node: child node ids (pair each with its MBR via
-    /// [`RTree::node_mbr`]).
-    Nodes(&'a [NodeId]),
-    /// Leaf node: the object summaries it stores.
-    Entries(&'a [ObjectSummary<D>]),
-}
-
-/// The R-tree proper. Nodes live in an arena filled once by
-/// [`RTree::bulk_load`]; a built tree is never edited, only replaced
+/// The R-tree proper: the STR packing [`RTree::bulk_load`] computes and
+/// the entries gathered into its leaf order, so a leaf is a run of one
+/// entry array. A built tree is never edited, only replaced
 /// (`fuzzy_query::Versioned` publishes a fresh tree as a new epoch). All
 /// read paths are `&self` and thread-safe.
 #[derive(Clone, Debug)]
 pub struct RTree<const D: usize> {
-    pub(crate) nodes: Vec<Node<D>>,
-    pub(crate) root: NodeId,
-    pub(crate) height: usize,
-    pub(crate) len: usize,
+    /// Every entry, in leaf order.
+    pub(crate) entries: Vec<ObjectSummary<D>>,
+    pub(crate) shape: StrPacking<D>,
     pub(crate) config: RTreeConfig,
 }
 
 impl<const D: usize> RTree<D> {
-    /// An empty tree (a single empty leaf as root).
-    pub fn new(config: RTreeConfig) -> Self {
-        let root = Node::Leaf { mbr: Mbr::empty(), entries: Vec::new() };
-        Self { nodes: vec![root], root: NodeId(0), height: 1, len: 0, config }
-    }
-
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when no objects are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Tree height (1 = root is a leaf).
     pub fn height(&self) -> usize {
-        self.height
+        self.shape.height
     }
 
     /// The configuration in force.
@@ -94,35 +68,36 @@ impl<const D: usize> RTree<D> {
 
     /// Root node id.
     pub fn root_id(&self) -> NodeId {
-        self.root
+        self.shape.root()
     }
 
     /// MBR of a node (free — reading a parent's child pointers already
     /// loaded these, matching the paper's I/O model where an index node
     /// stores its children's rectangles).
     pub fn node_mbr(&self, id: NodeId) -> &Mbr<D> {
-        self.nodes[id.0 as usize].mbr()
+        self.shape.mbr(id)
     }
 
     /// Expand a node, returning what is beneath it. The query charges the
     /// node access ([`crate::NodeAccess::read_node`] is the public path).
-    pub(crate) fn expand(&self, id: NodeId) -> Children<'_, D> {
-        match &self.nodes[id.0 as usize] {
-            Node::Internal { children, .. } => Children::Nodes(children),
-            Node::Leaf { entries, .. } => Children::Entries(entries),
+    pub(crate) fn expand(&self, id: NodeId) -> NodeView<'_, D> {
+        let id = id.0 as usize;
+        match id.checked_sub(self.shape.leaf_count()) {
+            None => NodeView::Entries(&self.entries[self.shape.leaf(id)]),
+            Some(internal) => NodeView::Nodes(&self.shape.internal[internal]),
         }
     }
 
     /// Number of nodes (internal + leaf) — also the page count of a
-    /// [`crate::PagedRTree`] serialization of this tree, which writes one
-    /// page per node in arena order.
+    /// [`crate::PagedRTree`] written from the same entries, which holds
+    /// one page per node in the same numbering.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.shape.mbrs.len()
     }
 
     /// Number of leaf nodes (diagnostics and the §5 cost model's `C_avg`).
     pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count()
+        self.shape.leaf_count()
     }
 
     /// Average leaf fill `C_avg = C_max · U_avg` used by Equation 7/8.
@@ -131,23 +106,14 @@ impl<const D: usize> RTree<D> {
         if leaves == 0 {
             0.0
         } else {
-            self.len as f64 / leaves as f64
+            self.len() as f64 / leaves as f64
         }
     }
 
     /// Iterate over all stored summaries (test/diagnostic use; does not
     /// count node accesses).
     pub fn iter_entries(&self) -> impl Iterator<Item = &ObjectSummary<D>> + '_ {
-        self.nodes.iter().flat_map(|n| match n {
-            Node::Leaf { entries, .. } => entries.as_slice().iter(),
-            Node::Internal { .. } => [].iter(),
-        })
-    }
-
-    pub(crate) fn alloc(&mut self, node: Node<D>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
+        self.entries.iter()
     }
 }
 
@@ -157,9 +123,9 @@ mod tests {
 
     #[test]
     fn empty_tree_shape() {
-        let t: RTree<2> = RTree::new(RTreeConfig::default());
+        let t: RTree<2> = RTree::bulk_load(Vec::new(), RTreeConfig::default());
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
-        assert!(matches!(t.expand(t.root_id()), Children::Entries(e) if e.is_empty()));
+        assert!(matches!(t.expand(t.root_id()), NodeView::Entries(e) if e.is_empty()));
     }
 }

@@ -25,7 +25,7 @@
 //! mutation path safe to share with concurrent readers.
 
 use crate::access::{ChildRef, DecodedNode, NodeAccess, NodeRead, NodeView};
-use crate::node::{NodeId, RTree, RTreeConfig};
+use crate::node::{NodeId, RTreeConfig};
 use crate::paged::PagedRTree;
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::Mbr;
@@ -354,7 +354,8 @@ impl<const D: usize> OverlayRTree<D> {
     }
 
     /// Fold base + overlay into a freshly bulk-loaded index file and
-    /// reopen it: the live set is STR-packed ([`RTree::bulk_load`]) and
+    /// reopen it: the live set is STR-packed and written as
+    /// [`PagedRTree::bulk_write`] writes it, byte for byte, and
     /// published over the index path with [`write_atomic`] — temp file,
     /// sync, rename, directory sync — and only then is the sidecar delta
     /// log removed. Consumes the overlay; the returned tree reads the
@@ -370,8 +371,8 @@ impl<const D: usize> OverlayRTree<D> {
     pub fn compact(self, page_size: u32) -> Result<PagedRTree<D>, StoreError> {
         let live = self.live_summaries()?;
         let path = self.base.path().to_path_buf();
-        let fresh = RTree::bulk_load(live, self.base.config());
-        write_atomic(&path, |file| PagedRTree::write_tree_to(&fresh, || Ok(file), page_size))?;
+        let config = self.base.config();
+        write_atomic(&path, |file| PagedRTree::write(&live, config, || Ok(file), page_size))?;
         match std::fs::remove_file(delta_path_for(&path)) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -446,7 +447,7 @@ impl<const D: usize> NodeAccess<D> for OverlayRTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access;
+    use crate::{access, RTree};
     use fuzzy_core::FuzzyObject;
     use fuzzy_geom::Point;
 

@@ -1,6 +1,6 @@
 //! A disk-resident, paged R-tree: `PagedRTree`.
 //!
-//! The in-memory [`RTree`] caps datasets by RAM and has no I/O to
+//! The in-memory [`crate::RTree`] caps datasets by RAM and has no I/O to
 //! measure. `PagedRTree` stores the same tree in a
 //! single index file of fixed-size pages — one node per page, each
 //! checksummed — and reads it back through an LRU buffer pool
@@ -25,15 +25,19 @@
 //! subsequent probe borrows the decoded entries straight from the cached
 //! page (`Arc`-guarded [`NodeRead`]) — no per-read record decoding.
 //!
-//! Writing goes through [`PagedRTree::bulk_write`], which reuses the STR
-//! packing of [`RTree::bulk_load`] (`crates/index/src/bulk.rs`) and dumps
-//! the arena page by page: node ids equal page numbers, so the two
-//! backends share tree *structure* exactly — the foundation of the
-//! byte-identical-answers guarantee tested in
-//! `crates/query/tests/batch_determinism.rs`.
+//! Writing goes through [`PagedRTree::bulk_write`], which computes the
+//! STR packing [`crate::RTree::bulk_load`] builds its tree from
+//! (`crates/index/src/bulk.rs`) and encodes each node's page straight from
+//! it, into one reused page buffer — no in-memory tree and no copy of the
+//! entries.
+//! Page numbers are that packing's node ids (leaves in group order, then
+//! each upper level, the root last), so the two backends share tree
+//! *structure* exactly — the foundation of the byte-identical-answers
+//! guarantee tested in `crates/query/tests/batch_determinism.rs`.
 
 use crate::access::{ChildRef, DecodedNode, NodeAccess, NodeRead};
-use crate::node::{Node, NodeId, RTree, RTreeConfig};
+use crate::bulk::StrPacking;
+use crate::node::{NodeId, RTreeConfig};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 use fuzzy_store::format::{fnv1a, ChecksumWalk, Decoder, Encoder};
@@ -63,6 +67,8 @@ pub const DEFAULT_PAGE_SIZE: u32 = 16 * 1024;
 pub const MIN_PAGE_SIZE: u32 = 256;
 /// Default buffer-pool capacity in pages.
 pub const DEFAULT_CACHE_PAGES: usize = 1024;
+/// Pages the writer buffers before each write to the file.
+const WRITE_RUN_PAGES: usize = 4;
 
 /// The header's reserved 8 bytes at offset 48, written as this `f64` and
 /// never read: older builds stored a split fill fraction there, always 0.4
@@ -112,55 +118,53 @@ fn max_node_payload<const D: usize>(max_entries: usize) -> usize {
     internal.max(leaf)
 }
 
-/// Encode `entries` as the v3 columnar leaf block: all ids, all point
-/// counts, then one contiguous `n×f64` column per summary field in a fixed
-/// order (normative spec: `docs/FORMAT.md`). Grouping by field turns the
-/// decode into sequential column sweeps and keeps equal-typed values
-/// adjacent on disk.
-fn encode_leaf_entries<const D: usize>(page: &mut Encoder, entries: &[ObjectSummary<D>]) {
-    for e in entries {
-        page.u64(e.id.0);
-    }
-    for e in entries {
-        page.u32(e.point_count);
-    }
-    for d in 0..D {
-        for e in entries {
-            page.f64(e.support_mbr.lo(d));
-        }
-        for e in entries {
-            page.f64(e.support_mbr.hi(d));
-        }
-    }
-    for d in 0..D {
-        for e in entries {
-            page.f64(e.kernel_mbr.lo(d));
-        }
-        for e in entries {
-            page.f64(e.kernel_mbr.hi(d));
-        }
-    }
-    for d in 0..D {
-        for e in entries {
-            page.f64(e.upper_lines[d].m);
-        }
-        for e in entries {
-            page.f64(e.upper_lines[d].t);
+/// Encode `entries` as the v3 columnar leaf block filling `block`: all
+/// ids, all point counts, then one contiguous `n×f64` column per summary
+/// field in a fixed order (normative spec: `docs/FORMAT.md`). Grouping by
+/// field turns the decode into sequential column sweeps and keeps
+/// equal-typed values adjacent on disk.
+fn encode_leaf_entries<const D: usize>(block: &mut [u8], entries: &[ObjectSummary<D>]) {
+    let count = entries.len();
+    let (ids, rest) = block.split_at_mut(8 * count);
+    let (counts, cells) = rest.split_at_mut(4 * count);
+    for (j, e) in entries.iter().enumerate() {
+        ids[8 * j..8 * j + 8].copy_from_slice(&e.id.0.to_le_bytes());
+        counts[4 * j..4 * j + 4].copy_from_slice(&e.point_count.to_le_bytes());
+        // Cell *(column c, entry j)*, in [`decode_leaf_entries`]' column order.
+        let mut put = |c: usize, v: f64| {
+            let at = (c * count + j) * 8;
+            cells[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        for d in 0..D {
+            put(2 * d, e.support_mbr.lo(d));
+            put(2 * d + 1, e.support_mbr.hi(d));
+            put(2 * D + 2 * d, e.kernel_mbr.lo(d));
+            put(2 * D + 2 * d + 1, e.kernel_mbr.hi(d));
+            put(4 * D + 2 * d, e.upper_lines[d].m);
+            put(4 * D + 2 * d + 1, e.upper_lines[d].t);
+            put(6 * D + 2 * d, e.lower_lines[d].m);
+            put(6 * D + 2 * d + 1, e.lower_lines[d].t);
+            put(8 * D + d, e.rep[d]);
         }
     }
-    for d in 0..D {
-        for e in entries {
-            page.f64(e.lower_lines[d].m);
-        }
-        for e in entries {
-            page.f64(e.lower_lines[d].t);
-        }
-    }
-    for d in 0..D {
-        for e in entries {
-            page.f64(e.rep[d]);
-        }
-    }
+}
+
+/// Finish the node whose payload fills `page[8..used]` — kind byte, entry
+/// count, zero padding, checksum — and write the page to `out`.
+fn write_page(
+    out: &mut impl Write,
+    page: &mut [u8],
+    kind: u8,
+    count: usize,
+    used: usize,
+) -> std::io::Result<()> {
+    page[..4].copy_from_slice(&[kind, 0, 0, 0]);
+    page[4..8].copy_from_slice(&(count as u32).to_le_bytes());
+    let sum_at = page.len() - 8;
+    page[used..sum_at].fill(0);
+    let sum = fnv1a(&page[..sum_at]);
+    page[sum_at..].copy_from_slice(&sum.to_le_bytes());
+    out.write_all(page)
 }
 
 /// Decode a v3 columnar leaf block of `count` entries (inverse of
@@ -298,113 +302,106 @@ pub struct PagedRTree<const D: usize> {
 }
 
 impl<const D: usize> PagedRTree<D> {
-    /// Bulk-load `entries` with STR packing ([`RTree::bulk_load`]), write
-    /// the result to `path` and open it. `page_size` must fit the largest
-    /// node implied by `config.max_entries` ([`StoreError::PageOverflow`]
-    /// otherwise).
+    /// STR-pack `entries` (the packing [`crate::RTree::bulk_load`] builds),
+    /// write the tree to `path` and open it. `config.max_entries` must be
+    /// at least 2 ([`StoreError::FanoutTooSmall`] otherwise) and
+    /// `page_size` must fit the largest node it implies
+    /// ([`StoreError::PageOverflow`] otherwise); a refused write creates
+    /// nothing.
     pub fn bulk_write(
         entries: Vec<ObjectSummary<D>>,
         config: RTreeConfig,
         path: impl AsRef<Path>,
         page_size: u32,
     ) -> Result<Self, StoreError> {
-        let tree = RTree::bulk_load(entries, config);
-        Self::write_tree(&tree, &path, page_size)?;
+        Self::write(&entries, config, || File::create(path.as_ref()), page_size)?;
+        drop(entries);
         Self::open(path)
     }
 
-    /// Serialize a bulk-loaded in-memory tree to `path`. Node ids become
-    /// page numbers.
-    pub fn write_tree(
-        tree: &RTree<D>,
-        path: impl AsRef<Path>,
-        page_size: u32,
-    ) -> Result<(), StoreError> {
-        Self::write_tree_to(tree, || File::create(path.as_ref()), page_size)
-    }
-
-    /// [`PagedRTree::write_tree`] into whatever `open` yields (compaction
-    /// hands it the temp file of `fuzzy_store::write_atomic`). `open` runs
-    /// only once `page_size` is known to fit, so a refused write creates
-    /// nothing.
-    pub(crate) fn write_tree_to<W: Write>(
-        tree: &RTree<D>,
+    /// STR-pack `entries` and write the tree into whatever `open` yields
+    /// (compaction hands it the temp file of `fuzzy_store::write_atomic`):
+    /// the header, then every node's page in node-id order, encoded from
+    /// the packing through one reused page buffer, then the page table.
+    /// `open` runs only once the configuration is known to fit, so a
+    /// refused write creates nothing.
+    pub(crate) fn write<W: Write>(
+        entries: &[ObjectSummary<D>],
+        config: RTreeConfig,
         open: impl FnOnce() -> std::io::Result<W>,
         page_size: u32,
     ) -> Result<(), StoreError> {
+        if config.max_entries < 2 {
+            return Err(StoreError::FanoutTooSmall { max_entries: config.max_entries });
+        }
         if page_size < MIN_PAGE_SIZE {
             return Err(corrupt(format!("page size {page_size} below minimum {MIN_PAGE_SIZE}")));
         }
-        let needed = (max_node_payload::<D>(tree.config().max_entries) + PAGE_OVERHEAD) as u64;
+        let needed = (max_node_payload::<D>(config.max_entries) + PAGE_OVERHEAD) as u64;
         if needed > page_size as u64 {
             return Err(StoreError::PageOverflow { needed, page_size });
         }
-
-        let mut out = BufWriter::new(open()?);
+        let (order, packing) = StrPacking::new(entries, config.max_entries);
+        let mut out = BufWriter::with_capacity(WRITE_RUN_PAGES * page_size as usize, open()?);
 
         // Header.
+        let root = packing.root();
         let mut header = Encoder::with_capacity(paged_header_len(D));
         header.bytes(&PAGED_MAGIC);
         header.u16(PAGED_VERSION);
         header.u16(D as u16);
         header.u32(page_size);
-        header.u32(tree.config().max_entries as u32);
-        header.u64(tree.node_count() as u64);
-        header.u64(tree.root_id().0 as u64);
-        header.u64(tree.height() as u64);
-        header.u64(tree.len() as u64);
+        header.u32(config.max_entries as u32);
+        header.u64(packing.mbrs.len() as u64);
+        header.u64(root.0 as u64);
+        header.u64(packing.height as u64);
+        header.u64(entries.len() as u64);
         header.f64(RESERVED_FILL);
-        encode_mbr(&mut header, tree.node_mbr(tree.root_id()));
+        encode_mbr(&mut header, packing.mbr(root));
         let sum = fnv1a(header.as_bytes());
         header.u64(sum);
         debug_assert_eq!(header.len(), paged_header_len(D));
         out.write_all(header.as_bytes())?;
 
-        // Node pages, arena order (node id == page number).
-        let mut offsets = Vec::with_capacity(tree.node_count());
-        let mut offset = paged_header_len(D) as u64;
-        for node in &tree.nodes {
-            let mut page = Encoder::with_capacity(page_size as usize);
-            match node {
-                Node::Internal { children, .. } => {
-                    page.bytes(&[1, 0, 0, 0]);
-                    page.u32(children.len() as u32);
-                    for &child in children {
-                        page.u64(child.0 as u64);
-                        encode_mbr(&mut page, tree.node_mbr(child));
-                    }
-                }
-                Node::Leaf { entries, .. } => {
-                    page.bytes(&[0, 0, 0, 0]);
-                    page.u32(entries.len() as u32);
-                    encode_leaf_entries(&mut page, entries);
+        // Node pages, node id == page number: the leaves, then each upper
+        // level. The size check above makes every node fit its page. A
+        // leaf's entries are gathered before they are encoded: the copies
+        // are independent loads, so their cache misses overlap.
+        let mut page = vec![0u8; page_size as usize];
+        let mut gathered = Vec::with_capacity(config.max_entries);
+        for leaf in packing.leaves() {
+            gathered.clear();
+            gathered.extend(order[leaf].iter().map(|&i| entries[i as usize]));
+            let used = 8 + gathered.len() * leaf_entry_len(D);
+            encode_leaf_entries(&mut page[8..used], &gathered);
+            write_page(&mut out, &mut page, 0, gathered.len(), used)?;
+        }
+        for children in &packing.internal {
+            let mut used = 8;
+            for child in children {
+                let bounds =
+                    (0..D).flat_map(|i| [child.mbr.lo(i).to_bits(), child.mbr.hi(i).to_bits()]);
+                for word in std::iter::once(child.id.0 as u64).chain(bounds) {
+                    page[used..used + 8].copy_from_slice(&word.to_le_bytes());
+                    used += 8;
                 }
             }
-            if page.len() + 8 > page_size as usize {
-                return Err(StoreError::PageOverflow {
-                    needed: (page.len() + 8) as u64,
-                    page_size,
-                });
-            }
-            page.bytes(&vec![0u8; page_size as usize - 8 - page.len()]);
-            let sum = fnv1a(page.as_bytes());
-            page.u64(sum);
-            out.write_all(page.as_bytes())?;
-            offsets.push(offset);
-            offset += page_size as u64;
+            write_page(&mut out, &mut page, 1, children.len(), used)?;
         }
 
         // Page table + trailer.
-        let table_off = offset;
-        let mut tail = Encoder::with_capacity(8 + offsets.len() * 8 + 8 + PAGED_TRAILER_LEN);
-        tail.u64(offsets.len() as u64);
-        for &o in &offsets {
-            tail.u64(o);
+        let pages = packing.mbrs.len() as u64;
+        let first = paged_header_len(D) as u64;
+        let table_off = first + pages * page_size as u64;
+        let mut tail = Encoder::with_capacity(8 + pages as usize * 8 + 8 + PAGED_TRAILER_LEN);
+        tail.u64(pages);
+        for i in 0..pages {
+            tail.u64(first + i * page_size as u64);
         }
         let sum = fnv1a(tail.as_bytes());
         tail.u64(sum);
         tail.u64(table_off);
-        tail.u64(offsets.len() as u64);
+        tail.u64(pages);
         tail.u32(0); // reserved
         tail.bytes(&PAGED_MAGIC);
         out.write_all(tail.as_bytes())?;
@@ -471,9 +468,10 @@ impl<const D: usize> PagedRTree<D> {
                 "implausible geometry: page size {page_size}, {page_count} pages"
             )));
         }
-        if root_page >= page_count || height == 0 || max_entries == 0 {
+        if root_page >= page_count || height == 0 || max_entries < 2 {
             return Err(corrupt(format!(
-                "implausible tree shape: root page {root_page} of {page_count}, height {height}"
+                "implausible tree shape: root page {root_page} of {page_count}, height {height}, \
+                 node capacity {max_entries}"
             )));
         }
 
@@ -608,7 +606,7 @@ impl<const D: usize> PagedRTree<D> {
     /// since — same device and inode, and the length and modification /
     /// status-change times recorded at open? Replacing the index by rename
     /// (`fuzzy_store::write_atomic`, what compaction does) changes the
-    /// inode; rewriting it in place ([`PagedRTree::write_tree`] truncates
+    /// inode; rewriting it in place ([`PagedRTree::bulk_write`] truncates
     /// and keeps the inode) changes the times, and sometimes the length.
     /// Both answer `false`, as does a path that cannot be read. The times
     /// have the file system's granularity: a same-length rewrite finished
@@ -677,7 +675,7 @@ impl<const D: usize> NodeAccess<D> for PagedRTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access;
+    use crate::{access, RTree};
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
@@ -724,11 +722,9 @@ mod tests {
         // ends of what a page holds.
         let all = grid_summaries(64);
         for count in [0usize, 1, 63, 64] {
-            let mut block = Encoder::new();
-            encode_leaf_entries(&mut block, &all[..count]);
-            assert_eq!(block.len(), count * leaf_entry_len(2));
-            let mut padded = block.into_bytes();
-            padded.extend_from_slice(&[0u8; 24]); // a page's zero padding follows
+            // A page's zero padding follows the block.
+            let mut padded = vec![0u8; count * leaf_entry_len(2) + 24];
+            encode_leaf_entries(&mut padded[..count * leaf_entry_len(2)], &all[..count]);
             let mut d = Decoder::new(&padded);
             let mut walk = ChecksumWalk::new(&padded);
             let back = decode_leaf_entries::<2>(&mut d, count, &mut walk, 1).unwrap();
@@ -825,10 +821,7 @@ mod tests {
     fn capacity_one_pool_answers_correctly() {
         let path = tmp("cap1");
         let cfg = RTreeConfig { max_entries: 8 };
-        {
-            let tree = RTree::bulk_load(grid_summaries(300), cfg);
-            PagedRTree::write_tree(&tree, &path, 4096).unwrap();
-        }
+        drop(PagedRTree::bulk_write(grid_summaries(300), cfg, &path, 4096).unwrap());
         let paged: PagedRTree<2> = PagedRTree::open_with_cache(&path, 1).unwrap();
         let q = Point::xy(11.0, 7.0);
         let hits = hits_within(&paged, q, 6.0);
@@ -860,7 +853,15 @@ mod tests {
         let cfg = RTreeConfig { max_entries: 64 };
         let err = PagedRTree::bulk_write(grid_summaries(100), cfg, &path, 4096).unwrap_err();
         assert!(matches!(err, StoreError::PageOverflow { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
+        // A fan-out below 2 is refused the same way, before the file exists.
+        for max_entries in [0, 1] {
+            let cfg = RTreeConfig { max_entries };
+            let err = PagedRTree::bulk_write(grid_summaries(50), cfg, &path, 4096).unwrap_err();
+            assert!(
+                matches!(err, StoreError::FanoutTooSmall { max_entries: m } if m == max_entries)
+            );
+            assert!(!path.exists(), "a refused write creates nothing");
+        }
     }
 
     #[test]
@@ -876,17 +877,24 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(PagedRTree::<2>::open(&path).unwrap_err(), StoreError::Corrupt { .. }));
 
-        // Version mismatch (fix the header checksum so the version check
-        // is what fires).
-        let mut bytes = pristine.clone();
-        bytes[4] = 0xFE;
-        let sum = fnv1a(&bytes[..paged_header_len(2) - 8]);
-        bytes[paged_header_len(2) - 8..paged_header_len(2)].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
+        // Version mismatch, and a fan-out below 2 (fix the header checksum
+        // so the field's own check is what fires).
+        let restamped = |at: usize, field: &[u8]| {
+            let mut bytes = pristine.clone();
+            bytes[at..at + field.len()].copy_from_slice(field);
+            let sum = fnv1a(&bytes[..paged_header_len(2) - 8]);
+            bytes[paged_header_len(2) - 8..paged_header_len(2)].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            PagedRTree::<2>::open(&path).unwrap_err()
+        };
         assert!(matches!(
-            PagedRTree::<2>::open(&path).unwrap_err(),
+            restamped(4, &[0xFE]),
             StoreError::VersionMismatch { found: 0xFE, expected: PAGED_VERSION }
         ));
+        for max_entries in [0u32, 1] {
+            let err = restamped(12, &max_entries.to_le_bytes());
+            assert!(err.to_string().contains("node capacity"), "{err}");
+        }
 
         // Wrong dimensionality.
         std::fs::write(&path, &pristine).unwrap();

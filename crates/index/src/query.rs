@@ -32,7 +32,7 @@ pub struct RangeResult<const D: usize> {
 mod tests {
     use super::*;
     use crate::access;
-    use crate::node::{Children, RTree, RTreeConfig};
+    use crate::node::{RTree, RTreeConfig};
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let tree: RTree<2> = RTree::new(RTreeConfig::default());
+        let tree: RTree<2> = RTree::bulk_load(Vec::new(), RTreeConfig::default());
         let q = Point::xy(0.0, 0.0);
         let res = access::range_search(
             &tree,
@@ -98,14 +98,13 @@ mod tests {
         let read = tree.read_node(NodeAccess::root_id(&tree)).unwrap();
         assert!(!read.disk_read);
         match (read.view(), tree.expand(tree.root_id())) {
-            (NodeView::Nodes(refs), Children::Nodes(ids)) => {
-                assert_eq!(refs.len(), ids.len());
-                for (r, &id) in refs.iter().zip(ids) {
-                    assert_eq!(r.id, id);
-                    assert_eq!(r.mbr, *tree.node_mbr(id));
+            (NodeView::Nodes(refs), NodeView::Nodes(inherent)) => {
+                assert_eq!(refs, inherent);
+                for r in refs {
+                    assert_eq!(r.mbr, *tree.node_mbr(r.id));
                 }
             }
-            (NodeView::Entries(a), Children::Entries(b)) => assert_eq!(a.len(), b.len()),
+            (NodeView::Entries(a), NodeView::Entries(b)) => assert_eq!(a.len(), b.len()),
             _ => panic!("trait and inherent views disagree on node kind"),
         }
     }

@@ -1,6 +1,7 @@
 //! Structural invariant checking, used by tests and debug assertions.
 
-use crate::node::{Node, NodeId, RTree};
+use crate::access::NodeView;
+use crate::node::{NodeId, RTree};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -59,7 +60,7 @@ pub enum ValidationError {
         /// `len()` value.
         reported: usize,
     },
-    /// A node is referenced by two parents (arena corruption).
+    /// A node is referenced by two parents.
     SharedNode {
         /// The shared node id.
         node: u32,
@@ -80,7 +81,8 @@ impl<const D: usize> RTree<D> {
         let mut seen_nodes: HashSet<u32> = HashSet::new();
         let mut seen_entries: HashSet<u64> = HashSet::new();
         let mut entry_count = 0usize;
-        self.validate_rec(self.root, 1, &mut seen_nodes, &mut seen_entries, &mut entry_count)?;
+        let root = self.root_id();
+        self.validate_rec(root, 1, &mut seen_nodes, &mut seen_entries, &mut entry_count)?;
         if entry_count != self.len() {
             return Err(ValidationError::WrongLen { stored: entry_count, reported: self.len() });
         }
@@ -98,15 +100,15 @@ impl<const D: usize> RTree<D> {
         if !seen_nodes.insert(id.0) {
             return Err(ValidationError::SharedNode { node: id.0 });
         }
-        let node = &self.nodes[id.0 as usize];
-        let is_root = id == self.root;
+        let mbr = self.node_mbr(id);
+        let is_root = id == self.root_id();
         let max = self.config.max_entries;
-        match node {
-            Node::Leaf { mbr, entries } => {
-                if depth != self.height {
+        match self.expand(id) {
+            NodeView::Entries(entries) => {
+                if depth != self.height() {
                     return Err(ValidationError::UnevenDepth {
                         found: depth,
-                        expected: self.height,
+                        expected: self.height(),
                     });
                 }
                 // Root leaf may hold 0..=max entries; other leaves must
@@ -138,7 +140,7 @@ impl<const D: usize> RTree<D> {
                     return Err(ValidationError::LooseMbr { node: id.0 });
                 }
             }
-            Node::Internal { mbr, children } => {
+            NodeView::Nodes(children) => {
                 // An internal root needs at least two children; other
                 // internal nodes respect STR's minimum fill.
                 let min = if is_root { 2 } else { min_fanout(max) };
@@ -151,8 +153,8 @@ impl<const D: usize> RTree<D> {
                     });
                 }
                 let mut tight = fuzzy_geom::Mbr::empty();
-                for (i, &c) in children.iter().enumerate() {
-                    let child_mbr = self.node_mbr(c);
+                for (i, c) in children.iter().enumerate() {
+                    let child_mbr = self.node_mbr(c.id);
                     if !mbr.contains_mbr(child_mbr) {
                         return Err(ValidationError::ChildNotContained {
                             parent: id.0,
@@ -160,7 +162,7 @@ impl<const D: usize> RTree<D> {
                         });
                     }
                     tight = tight.union(child_mbr);
-                    self.validate_rec(c, depth + 1, seen_nodes, seen_entries, entry_count)?;
+                    self.validate_rec(c.id, depth + 1, seen_nodes, seen_entries, entry_count)?;
                 }
                 if tight != *mbr {
                     return Err(ValidationError::LooseMbr { node: id.0 });
@@ -195,12 +197,8 @@ mod tests {
         let entries: Vec<_> = (0..50).map(|i| summary(i, i as f64, 0.0)).collect();
         let mut tree = RTree::bulk_load(entries, RTreeConfig { max_entries: 8 });
         // Shrink the root MBR so children poke out.
-        let root = tree.root;
-        match &mut tree.nodes[root.0 as usize] {
-            Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => {
-                *mbr = fuzzy_geom::Mbr::new([0.0, 0.0], [1.0, 1.0]);
-            }
-        }
+        let root = tree.root_id().index() as usize;
+        tree.shape.mbrs[root] = fuzzy_geom::Mbr::new([0.0, 0.0], [1.0, 1.0]);
         assert!(tree.validate().is_err());
     }
 
@@ -208,10 +206,11 @@ mod tests {
     fn wrong_len_detected() {
         let entries: Vec<_> = (0..20).map(|i| summary(i, i as f64, 0.0)).collect();
         let mut tree = RTree::bulk_load(entries, RTreeConfig::default());
-        tree.len = 19;
+        // An entry no leaf's run covers.
+        tree.entries.push(summary(20, 20.0, 0.0));
         assert_eq!(
             tree.validate().unwrap_err(),
-            ValidationError::WrongLen { stored: 20, reported: 19 }
+            ValidationError::WrongLen { stored: 20, reported: 21 }
         );
     }
 }

@@ -42,6 +42,12 @@ pub enum StoreError {
         /// Configured page size.
         page_size: u32,
     },
+    /// A paged tree was asked for nodes of fewer than two entries: a level
+    /// of one-entry nodes never packs into a root.
+    FanoutTooSmall {
+        /// The node capacity asked for.
+        max_entries: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -60,6 +66,9 @@ impl fmt::Display for StoreError {
             Self::DuplicateObject(id) => write!(f, "duplicate object {id}"),
             Self::PageOverflow { needed, page_size } => {
                 write!(f, "node needs {needed} bytes but pages hold {page_size}")
+            }
+            Self::FanoutTooSmall { max_entries } => {
+                write!(f, "node capacity {max_entries} is below the minimum of 2")
             }
         }
     }

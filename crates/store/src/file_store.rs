@@ -175,32 +175,21 @@ impl<const D: usize> FileStore<D> {
         }
 
         // Summaries.
-        let mut sum_bytes = vec![0u8; (index_off - summary_off) as usize];
-        file.read_exact_at(&mut sum_bytes, summary_off)?;
-        let mut sd = Decoder::new(&sum_bytes);
-        let sum_count = sd.u64()?;
-        if sum_count != count {
-            return Err(corrupt(format!("summary count {sum_count} != object count {count}")));
-        }
         let mut summaries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            summaries.push(decode_summary::<D>(&mut sd)?);
-        }
+        read_section(&file, "summary", summary_off, count, summary_len(D), |record| {
+            summaries.push(decode_summary::<D>(record)?);
+            Ok(())
+        })?;
 
         // Index.
-        let mut idx_bytes = vec![0u8; (index_end - index_off) as usize];
-        file.read_exact_at(&mut idx_bytes, index_off)?;
-        let mut ix = Decoder::new(&idx_bytes);
-        let idx_count = ix.u64()?;
-        if idx_count != count {
-            return Err(corrupt(format!("index count {idx_count} != object count {count}")));
-        }
         let mut index = HashMap::with_capacity(summaries.len());
-        for summary in &summaries {
-            let id = ObjectId(ix.u64()?);
-            let off = ix.u64()?;
-            let len = ix.u64()?;
+        let mut next = summaries.iter();
+        read_section(&file, "index", index_off, count, 24, |entry| {
+            let word =
+                |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().expect("8 bytes"));
+            let (id, off, len) = (ObjectId(word(0)), word(8), word(16));
             // Both sections are written in append order.
+            let summary = next.next().expect("one summary per index entry");
             if id != summary.id {
                 return Err(corrupt(format!(
                     "index entry id {id} does not match its summary's id {}",
@@ -220,7 +209,8 @@ impl<const D: usize> FileStore<D> {
             if index.insert(id, (off, len)).is_some() {
                 return Err(corrupt(format!("index lists {id} twice")));
             }
-        }
+            Ok(())
+        })?;
 
         Ok(Self { file, path, index, summaries, stats: IoStats::new() })
     }
@@ -234,6 +224,45 @@ impl<const D: usize> FileStore<D> {
     pub fn ids(&self) -> Vec<ObjectId> {
         self.summaries.iter().map(|s| s.id).collect()
     }
+}
+
+/// Bytes [`read_section`] reads at a time, at most.
+const READ_CHUNK: usize = 1 << 20;
+
+/// Read the section at `off` — its `u64` count, which must be `count`, then
+/// that many records of `len` bytes — handing each record to `visit` in
+/// file order, through a buffer of at most [`READ_CHUNK`] bytes (or one
+/// record). Stops at `visit`'s first error.
+fn read_section(
+    file: &File,
+    section: &str,
+    mut off: u64,
+    count: u64,
+    len: usize,
+    mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let mut word = [0u8; 8];
+    file.read_exact_at(&mut word, off)?;
+    let stored = u64::from_le_bytes(word);
+    if stored != count {
+        return Err(StoreError::Corrupt {
+            reason: format!("{section} count {stored} != object count {count}"),
+        });
+    }
+    off += 8;
+    let per_chunk = (READ_CHUNK / len).max(1);
+    let mut left = count as usize;
+    let mut buf = vec![0u8; left.min(per_chunk) * len];
+    while left > 0 {
+        let chunk = &mut buf[..left.min(per_chunk) * len];
+        file.read_exact_at(chunk, off)?;
+        for record in chunk.chunks_exact(len) {
+            visit(record)?;
+        }
+        off += chunk.len() as u64;
+        left -= chunk.len() / len;
+    }
+    Ok(())
 }
 
 impl<const D: usize> ObjectStore<D> for FileStore<D> {

@@ -426,34 +426,34 @@ pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
     }
 }
 
-/// Decode one summary, checked by [`ObjectSummary::from_stored`]: the
-/// section summaries live in carries no checksum of its own (`.fzkn`), so
-/// a damaged box must fail here rather than prune a true neighbour.
-pub fn decode_summary<const D: usize>(d: &mut Decoder<'_>) -> Result<ObjectSummary<D>, StoreError> {
-    let id = ObjectId(d.u64()?);
-    let point_count = d.u32()?;
-    let _flags = d.u32()?;
-    let read_box = |d: &mut Decoder<'_>| -> Result<[[f64; D]; 2], StoreError> {
-        let (mut lo, mut hi) = ([0.0; D], [0.0; D]);
-        for (lo, hi) in lo.iter_mut().zip(&mut hi) {
-            (*lo, *hi) = (d.f64()?, d.f64()?);
-        }
-        Ok([lo, hi])
+/// Decode the summary at the front of `bytes` (its first [`summary_len`]
+/// bytes, read at fixed offsets), checked by [`ObjectSummary::from_stored`]:
+/// the section summaries live in carries no checksum of its own (`.fzkn`),
+/// so a damaged box must fail here rather than prune a true neighbour.
+pub fn decode_summary<const D: usize>(bytes: &[u8]) -> Result<ObjectSummary<D>, StoreError> {
+    let len = summary_len(D);
+    let Some(record) = bytes.get(..len) else {
+        return Err(end_of_data(len, 0, bytes.len()));
     };
-    let support = read_box(d)?;
-    let kernel = read_box(d)?;
-    let mut upper_lines = [ConservativeLine::ZERO; D];
-    for line in upper_lines.iter_mut() {
-        *line = ConservativeLine { m: d.f64()?, t: d.f64()? };
-    }
-    let mut lower_lines = [ConservativeLine::ZERO; D];
-    for line in lower_lines.iter_mut() {
-        *line = ConservativeLine { m: d.f64()?, t: d.f64()? };
-    }
-    let mut rep = [0.0; D];
-    for x in rep.iter_mut() {
-        *x = d.f64()?;
-    }
+    let word = |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8 bytes"));
+    // The f64 cells after id, point count and flags, in encoding order:
+    // support then kernel (lo, hi) per dimension, upper then lower lines
+    // (m, t) per dimension, the representative point.
+    let cell = |k: usize| f64::from_bits(word(16 + 8 * k));
+    let id = ObjectId(word(0));
+    let point_count = word(8) as u32;
+    let support = [std::array::from_fn(|i| cell(2 * i)), std::array::from_fn(|i| cell(2 * i + 1))];
+    let kernel = [
+        std::array::from_fn(|i| cell(2 * D + 2 * i)),
+        std::array::from_fn(|i| cell(2 * D + 2 * i + 1)),
+    ];
+    let line = |first: usize, i: usize| ConservativeLine {
+        m: cell(first + 2 * i),
+        t: cell(first + 2 * i + 1),
+    };
+    let upper_lines = std::array::from_fn(|i| line(4 * D, i));
+    let lower_lines = std::array::from_fn(|i| line(6 * D, i));
+    let rep = std::array::from_fn(|i| cell(8 * D + i));
     ObjectSummary::from_stored(id, point_count, support, kernel, upper_lines, lower_lines, rep)
         .map_err(|e| StoreError::Corrupt { reason: format!("summary for {id}: {e}") })
 }
@@ -539,8 +539,8 @@ mod tests {
         encode_summary(&mut e, &s);
         assert_eq!(e.len(), summary_len(2));
         let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        let back: ObjectSummary<2> = decode_summary(&mut d).unwrap();
+        let back: ObjectSummary<2> = decode_summary(&bytes).unwrap();
+        assert!(decode_summary::<2>(&bytes[..bytes.len() - 1]).is_err(), "one byte short");
         assert_eq!(back.id, s.id);
         assert_eq!(back.point_count, s.point_count);
         assert_eq!(back.support_mbr, s.support_mbr);

@@ -110,7 +110,7 @@ impl<const D: usize> DeltaLog<D> {
         }
         let mut inserted = Vec::with_capacity(n_inserted);
         for _ in 0..n_inserted {
-            inserted.push(decode_summary::<D>(&mut d)?);
+            inserted.push(decode_summary::<D>(d.bytes(summary_len(D))?)?);
         }
         let mut tombstones = Vec::with_capacity(n_tombstones);
         for _ in 0..n_tombstones {
