@@ -27,7 +27,7 @@ fn main() {
         seed: 42,
         ..SyntheticConfig::default()
     };
-    let store = fuzzy_datagen::mem_dataset(cfg.generate()).unwrap();
+    let store = fuzzy_store::MemStore::from_objects(cfg.generate()).unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
     let queries: Vec<_> = (0..32u64).map(|i| cfg.query_object(i + 1)).collect();
     let k = 10;

@@ -41,7 +41,8 @@ pub const SCHEMA: &str = "fuzzy-knn/bench-aknn/v7";
 /// Which index backend a bench run queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexBackend {
-    /// The in-memory `RTree` (node accesses are logical only).
+    /// The in-memory `RTree`: an index image, whose node reads never
+    /// touch disk.
     Mem,
     /// The disk-resident `PagedRTree` behind an LRU buffer pool.
     Paged,
@@ -530,7 +531,7 @@ pub fn run(opts: &BenchOptions) -> Json {
             let runs = sweeps(&env.tree, &env.store, &queries, opts, &|| {}, "none");
             let meta = Json::obj(vec![
                 ("backend", Json::str("mem")),
-                ("nodes", Json::num(env.tree.node_count() as f64)),
+                ("nodes", Json::num(env.tree.page_count() as f64)),
                 ("height", Json::num(env.tree.height() as f64)),
             ]);
             (runs, meta)

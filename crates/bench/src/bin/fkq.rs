@@ -479,11 +479,11 @@ fn info(path: &str, flags: &HashMap<String, String>) {
         }
     } else {
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        let leaves = tree.leaf_count().expect("an image reads");
         println!(
-            "  R-tree: height {}, {} leaves, avg fill {:.1}",
-            tree.height(),
-            tree.leaf_count(),
-            tree.avg_leaf_fill()
+            "  R-tree: height {}, {leaves} leaves, avg fill {:.1}",
+            NodeAccess::height(&tree),
+            tree.len() as f64 / leaves as f64
         );
     }
 }
@@ -576,19 +576,17 @@ fn variant(flags: &HashMap<String, String>) -> AknnConfig {
 
 /// Answer one request in this process against whichever index
 /// `--index-file` selects: a paged tree with its delta overlay replayed,
-/// the bare paged tree, or (no flag) a freshly bulk-loaded in-memory tree.
+/// the bare paged tree, or (no flag) a freshly bulk-loaded in-memory image.
 fn run_local(store: &FileStore<2>, flags: &HashMap<String, String>, request: &BatchRequest<2>) {
     store.reset_stats();
-    match flags.get("index-file") {
+    let tree = match flags.get("index-file") {
         Some(ix) if delta_path_for(ix).exists() => {
-            print_answer(&open_overlay(ix, flags), store, request)
+            return print_answer(&open_overlay(ix, flags), store, request);
         }
-        Some(ix) => print_answer(&open_paged(ix, flags), store, request),
-        None => {
-            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            print_answer(&tree, store, request);
-        }
-    }
+        Some(ix) => open_paged(ix, flags),
+        None => RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()),
+    };
+    print_answer(&tree, store, request);
 }
 
 /// Execute `request` through the engine and print the answer and cost

@@ -21,9 +21,9 @@ use fuzzy_bench::{ms, DatasetSpec, Env, Table};
 use fuzzy_core::ObjectSummary;
 use fuzzy_datagen::DatasetKind;
 use fuzzy_geom::{fit_conservative_line, fit_conservative_line_exact, Point};
-use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, QueryEngine, QueryStats, RknnAlgorithm};
-use fuzzy_store::{CachedStore, ObjectStore};
+use fuzzy_index::NodeAccess;
+use fuzzy_query::{AknnConfig, QueryStats, RknnAlgorithm};
+use fuzzy_store::ObjectStore;
 use std::time::Instant;
 
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +123,6 @@ fn main() {
         "fig13c" | "fig14c" => fig13c(&opts),
         "sec5" => sec5(&opts),
         "abl-line" => abl_line(&opts),
-        "abl-cache" => abl_cache(&opts),
         "abl-samples" => abl_samples(&opts),
         "all" => {
             table2(&opts);
@@ -136,13 +135,12 @@ fn main() {
             fig13c(&opts);
             sec5(&opts);
             abl_line(&opts);
-            abl_cache(&opts);
             abl_samples(&opts);
         }
         other => {
             eprintln!(
                 "unknown experiment '{other}'; known: table2 fig15 fig11a..c fig13a..c \
-                 sec5 abl-line abl-cache abl-samples all"
+                 sec5 abl-line abl-samples all"
             );
             std::process::exit(2);
         }
@@ -325,7 +323,7 @@ fn sec5(opts: &Opts) {
         env.store.summaries().iter().map(|s: &ObjectSummary<2>| s.support_mbr.center()).collect();
     let d0 = box_counting_dimension(&centers, 8).unwrap_or(2.0);
     let d2 = correlation_dimension(&centers, 8).unwrap_or(2.0);
-    let c_avg = env.tree.avg_leaf_fill();
+    let c_avg = env.tree.len() as f64 / env.tree.leaf_count().expect("leaf pages") as f64;
     println!("\nmodel inputs: D0 = {d0:.3}, D2 = {d2:.3}, C_avg = {c_avg:.1}");
 
     let space = 100.0;
@@ -402,46 +400,6 @@ fn abl_line(opts: &Opts) {
         fuzzy_geom::ConservativeLine { m: 0.0, t: max }
     });
     t.emit("abl-line");
-}
-
-/// Ablation: how much of RSS's advantage would a plain LRU object cache
-/// recover for the Basic RKNN algorithm?
-fn abl_cache(opts: &Opts) {
-    let spec = opts.spec(DatasetKind::Cell, opts.rknn_scaled(10_000));
-    let env = Env::prepare(&spec);
-    let queries = spec.queries(opts.rknn_queries);
-    let range = default_range();
-    let cfg = AknnConfig::lb_lp_ub();
-
-    let basic = env.run_rknn(&queries, DEFAULT_K, range, RknnAlgorithm::Basic, &cfg);
-    let rss = env.run_rknn(&queries, DEFAULT_K, range, RknnAlgorithm::Rss, &cfg);
-
-    // Re-run Basic behind an unbounded-ish LRU.
-    let cached = CachedStore::new(spec.open(), spec.n);
-    let tree = RTree::bulk_load(cached.summaries().to_vec(), RTreeConfig::default());
-    let engine = QueryEngine::new(&tree, &cached);
-    let mut stats = Vec::new();
-    for q in &queries {
-        cached.clear();
-        cached.reset_stats();
-        stats.push(
-            engine
-                .rknn(q, DEFAULT_K, range.0, range.1, RknnAlgorithm::Basic, &cfg)
-                .expect("rknn")
-                .stats,
-        );
-    }
-    let basic_cached = QueryStats::mean(&stats);
-
-    let mut t = Table::new(&["algorithm", "object accesses", "ms"]);
-    t.row(vec!["Basic RKNN".into(), basic.object_accesses.to_string(), ms(&basic)]);
-    t.row(vec![
-        "Basic RKNN + LRU".into(),
-        basic_cached.object_accesses.to_string(),
-        ms(&basic_cached),
-    ]);
-    t.row(vec!["RSS".into(), rss.object_accesses.to_string(), ms(&rss)]);
-    t.emit("abl-cache");
 }
 
 /// Ablation: UB sample size n (the paper requires n ≪ |Q_α| but does not

@@ -263,6 +263,7 @@ pub(crate) fn dataset_dir_test_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuzzy_index::NodeAccess;
 
     #[test]
     fn table_render_and_csv() {

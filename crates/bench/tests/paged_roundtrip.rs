@@ -2,13 +2,13 @@
 //! `fkq build-index`, reopen it in a *fresh process* via `fkq
 //! aknn/rknn --index-file`, and diff the answers against the in-memory
 //! tree the same binary bulk-loads by default. Beside it: the writer's
-//! bytes pinned by digest, compaction held to `bulk_write`'s bytes, and
-//! `fkq build-index` refusing a fan-out below 2. This is the test the CI
-//! `paged-roundtrip` job runs.
+//! bytes pinned by digest, compaction and the in-memory bulk load held to
+//! `bulk_write`'s bytes, and `fkq build-index` refusing a fan-out below 2.
+//! This is the test the CI `paged-roundtrip` job runs.
 
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_datagen::SyntheticConfig;
-use fuzzy_index::{OverlayRTree, PagedRTree, RTreeConfig};
+use fuzzy_index::{leaf_entry_len, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_store::format::fnv1a;
 use std::path::Path;
 use std::process::Command;
@@ -157,6 +157,25 @@ fn compaction_writes_the_bytes_bulk_write_writes() {
     let (compacted, fresh) =
         (std::fs::read(&base_path).unwrap(), std::fs::read(&fresh_path).unwrap());
     assert!(compacted == fresh, "compaction and bulk_write disagree");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An in-memory tree is the index file's bytes: `RTree::bulk_load` builds
+/// the image `bulk_write` writes at the smallest page that fits a node (a
+/// multiple of 8, here a full leaf plus the page overhead).
+#[test]
+fn bulk_load_images_are_the_bytes_bulk_write_writes() {
+    let dir = std::env::temp_dir().join(format!("fzpt-image-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("written.fzpt");
+    for max_entries in [16usize, 64] {
+        let config = RTreeConfig { max_entries };
+        let image = RTree::bulk_load(pinned_summaries(), config);
+        assert_eq!(image.page_size() as usize, max_entries * leaf_entry_len(2) + 16);
+        drop(PagedRTree::bulk_write(pinned_summaries(), config, &path, image.page_size()).unwrap());
+        let written = std::fs::read(&path).unwrap();
+        assert!(image.image() == Some(&written[..]), "C_max {max_entries}: image and file differ");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

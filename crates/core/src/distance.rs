@@ -29,8 +29,8 @@
 //!   [`MembershipPrefix`], which for a decoded object *is* the record's
 //!   columns (no sort, no copy; an object built by [`FuzzyObject::new`]
 //!   pays one sort per lifetime instead), and the kernel never reads a
-//!   kd-tree it may carry — an object a `MemStore` or `CachedStore` hands
-//!   back may have been a query earlier. The **second** is the *reusable*
+//!   kd-tree it may carry — a caller may probe with an object that was a
+//!   query earlier. The **second** is the *reusable*
 //!   side — the query object in AKNN: the kd-tree is only ever built and
 //!   searched there, and its cut is merely *counted* until a strategy needs
 //!   more.
@@ -343,8 +343,8 @@ mod tests {
         // Pairs under the dense budget at every α (120 × 110 points) and a
         // pair above it at α 0.05 (300 × 300 support cuts), in both
         // argument orders, with the probed side bare or carrying a kd-tree
-        // of its own — as when a `MemStore` or `CachedStore` hands back an
-        // object that was a query earlier. The kernel scans the probed
+        // of its own — as when an object that was a query earlier is
+        // probed. The kernel scans the probed
         // side's prefix whatever it carries; only the tree strategy builds
         // the query's tree.
         let mut cases: Vec<_> = [2u64, 5, 9]

@@ -23,7 +23,7 @@ pub use cell::CellConfig;
 pub use synthetic::SyntheticConfig;
 
 use fuzzy_core::FuzzyObject;
-use fuzzy_store::{FileStore, FileStoreWriter, MemStore, StoreError};
+use fuzzy_store::{FileStore, FileStoreWriter, StoreError};
 use std::path::Path;
 
 /// Which generator produced a dataset (used by the experiment harness).
@@ -58,12 +58,4 @@ where
         w.append(&obj)?;
     }
     w.finish()
-}
-
-/// Materialize a generated dataset in memory.
-pub fn mem_dataset<I, const D: usize>(objects: I) -> Result<MemStore<D>, StoreError>
-where
-    I: IntoIterator<Item = FuzzyObject<D>>,
-{
-    MemStore::from_objects(objects)
 }

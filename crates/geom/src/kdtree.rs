@@ -73,8 +73,7 @@
 //! every shipped caller uses) and 22 B in three (`w = 51`), beside the
 //! ≈ 30 B the tree already holds; it is not sized for more dimensions,
 //! where the padded runs multiply (2 MB at `D = 8`). That matters only for
-//! objects whose trees stay resident, `MemStore`'s. Filling it is a tenth
-//! of the build.
+//! objects whose trees stay resident. Filling it is a tenth of the build.
 //!
 //! **Canonical answers.** A search answers with a distance, never a point,
 //! and the minimum of a set of squared distances is one bit pattern in

@@ -1,5 +1,6 @@
-//! The [`NodeAccess`] abstraction: one navigation interface over both the
-//! in-memory [`RTree`] and the disk-resident [`crate::PagedRTree`].
+//! The [`NodeAccess`] abstraction: one navigation interface over the
+//! R-tree ([`crate::PagedRTree`], from a file or an in-memory image) and
+//! the write overlay over it ([`crate::OverlayRTree`]).
 //!
 //! The paper's cost model (§6) charges queries by *node accesses* because
 //! the index is assumed to live on secondary storage. `NodeAccess` makes
@@ -7,9 +8,9 @@
 //! node's children — child rectangles for internal nodes, object summaries
 //! for leaves — together with the read's provenance (backing medium vs
 //! buffer pool), so query processors can charge exact per-query I/O
-//! regardless of which backend they run on. The query crate
-//! (`fuzzy-query`) is generic over this trait; the determinism suite
-//! proves both backends return byte-identical answers.
+//! whatever the tree is read from. The query crate (`fuzzy-query`) is
+//! generic over this trait; the determinism suites prove an image, a file
+//! and an overlay return byte-identical answers.
 //!
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
@@ -17,7 +18,7 @@
 //! use fuzzy_index::{range_search, NodeAccess, RTree, RTreeConfig};
 //!
 //! // A generic "which supports come within `r`" helper that works on *any*
-//! // index backend.
+//! // index.
 //! fn ids_within<A: NodeAccess<2>>(index: &A, q: Point<2>, r: f64) -> Vec<ObjectId> {
 //!     let found = range_search(
 //!         index,
@@ -46,12 +47,13 @@
 //! assert_eq!(ids_within(&tree, Point::xy(10.1, 0.0), 0.05), vec![ObjectId(10)]);
 //! ```
 
-use crate::node::{NodeId, RTree};
+use crate::node::NodeId;
 use crate::query::{EntryHit, RangeResult};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 use fuzzy_store::StoreError;
 use std::cmp::Ordering;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A child pointer as stored inside its parent node: the paper's I/O model
@@ -65,7 +67,7 @@ pub struct ChildRef<const D: usize> {
     pub mbr: Mbr<D>,
 }
 
-/// What a node holds, borrowed from whichever backing the read came from.
+/// What a node holds, borrowed from the page it was decoded into.
 #[derive(Clone, Copy, Debug)]
 pub enum NodeView<'a, const D: usize> {
     /// Internal node: child pointers with their rectangles.
@@ -74,7 +76,7 @@ pub enum NodeView<'a, const D: usize> {
     Entries(&'a [ObjectSummary<D>]),
 }
 
-/// A fully decoded node, as cached by the paged backend's buffer pool.
+/// A fully decoded node, as cached by the tree's buffer pool.
 #[derive(Clone, Debug)]
 pub enum DecodedNode<const D: usize> {
     /// Internal node payload.
@@ -93,51 +95,39 @@ impl<const D: usize> DecodedNode<D> {
     }
 }
 
-#[derive(Debug)]
-enum ReadKind<'t, const D: usize> {
-    /// A node of the in-memory tree, borrowed straight from it.
-    Memory(NodeView<'t, D>),
-    /// A buffer-pool page; the `Arc` keeps it alive while borrowed.
-    Paged(Arc<DecodedNode<D>>),
-}
-
 /// One node read: the children plus the read's provenance. Holding the
-/// guard keeps the underlying page resident; drop it when done.
+/// guard keeps the underlying page resident; drop it when done. The
+/// lifetime ties a read to the tree it came from.
 #[derive(Debug)]
 pub struct NodeRead<'t, const D: usize> {
-    kind: ReadKind<'t, D>,
+    /// A buffer-pool page; the `Arc` keeps it alive while borrowed.
+    page: Arc<DecodedNode<D>>,
     /// True when serving this node touched the backing medium; false for
-    /// in-memory trees and buffer-pool hits. This is the node-level
-    /// analogue of `fuzzy_store::TracedProbe::disk_read`.
+    /// buffer-pool hits and for every read of an in-memory image. This is
+    /// the node-level analogue of `fuzzy_store::TracedProbe::disk_read`.
     pub disk_read: bool,
+    tree: PhantomData<&'t ()>,
 }
 
-impl<'t, const D: usize> NodeRead<'t, D> {
-    /// A read served from the in-memory tree.
-    pub(crate) fn from_memory(view: NodeView<'t, D>) -> Self {
-        Self { kind: ReadKind::Memory(view), disk_read: false }
-    }
-
+impl<const D: usize> NodeRead<'_, D> {
     /// A read served by a buffer pool.
     pub fn from_page(page: Arc<DecodedNode<D>>, disk_read: bool) -> Self {
-        Self { kind: ReadKind::Paged(page), disk_read }
+        Self { page, disk_read, tree: PhantomData }
     }
 
     /// Borrow the node contents.
     pub fn view(&self) -> NodeView<'_, D> {
-        match &self.kind {
-            ReadKind::Memory(view) => *view,
-            ReadKind::Paged(node) => node.view(),
-        }
+        self.page.view()
     }
 }
 
-/// Uniform navigation over an R-tree, independent of where its nodes live.
+/// Uniform navigation over an R-tree, independent of where its pages live.
 ///
-/// Implementors: [`RTree`] (in memory, reads never fail and never
-/// touch a backing medium) and [`crate::PagedRTree`] (fixed-size pages in
-/// an index file behind an LRU buffer pool). Query processors that only
-/// use this trait — all of `fuzzy-query` — run unmodified against either.
+/// Implementors: [`crate::PagedRTree`] (fixed-size pages of an index file
+/// or of an in-memory image, behind an LRU buffer pool) and
+/// [`crate::OverlayRTree`] (one with pending inserts and deletes). Query
+/// processors that only use this trait — all of `fuzzy-query` — run
+/// unmodified against any of them.
 pub trait NodeAccess<const D: usize> {
     /// Root node id.
     fn root_id(&self) -> NodeId;
@@ -164,9 +154,9 @@ pub trait NodeAccess<const D: usize> {
     fn height(&self) -> usize;
 }
 
-/// Shared-ownership delegation: an epoch snapshot is an `Arc<Tree>`
-/// (clones of a paged index share its file handle), and query code generic
-/// over `A: NodeAccess<D>` should accept the `Arc` directly.
+/// Shared-ownership delegation: an epoch snapshot is an `Arc<Tree>`, and
+/// query code generic over `A: NodeAccess<D>` should accept the `Arc`
+/// directly.
 impl<A: NodeAccess<D> + ?Sized, const D: usize> NodeAccess<D> for Arc<A> {
     fn root_id(&self) -> NodeId {
         (**self).root_id()
@@ -193,33 +183,11 @@ impl<A: NodeAccess<D> + ?Sized, const D: usize> NodeAccess<D> for Arc<A> {
     }
 }
 
-impl<const D: usize> NodeAccess<D> for RTree<D> {
-    fn root_id(&self) -> NodeId {
-        RTree::root_id(self)
-    }
-
-    fn root_mbr(&self) -> Mbr<D> {
-        *self.node_mbr(RTree::root_id(self))
-    }
-
-    fn read_node(&self, id: NodeId) -> Result<NodeRead<'_, D>, StoreError> {
-        Ok(NodeRead::from_memory(self.expand(id)))
-    }
-
-    fn len(&self) -> usize {
-        RTree::len(self)
-    }
-
-    fn height(&self) -> usize {
-        RTree::height(self)
-    }
-}
-
 /// Max-heap adapter turning [`std::collections::BinaryHeap`] into a min-heap on `f64` keys
 /// (ordered by `total_cmp`, reversed). Shared by every best-first
 /// traversal in the workspace — the AKNN engine in `fuzzy-query` among
 /// them — so tie-breaking and NaN policy cannot silently diverge between
-/// backends.
+/// them.
 pub struct MinKey<T> {
     /// The ordering key (smaller pops first).
     pub key: f64,
@@ -244,7 +212,7 @@ impl<T> Ord for MinKey<T> {
     }
 }
 
-/// Generic range search over any [`NodeAccess`] backend: collect every
+/// Generic range search over any [`NodeAccess`] tree: collect every
 /// entry whose `entry_key` is at most `radius`, pruning subtrees whose
 /// `node_key` exceeds it. With `node_key = MinDist` this is the search of
 /// Algorithm 4 (RSS candidate collection).

@@ -7,19 +7,23 @@
 //!
 //! The packing sorts keys, not summaries: every slab sorts `(centre key,
 //! slot, entry)` triples, the stable sort by centre that STR asks for. It
-//! numbers nodes as both trees do — leaves in group order, then each upper
-//! level, the root last. An [`RTree`] is that packing beside its entries
-//! gathered into leaf order; [`crate::PagedRTree::bulk_write`] encodes
-//! pages straight from it.
+//! numbers nodes as pages are numbered — leaves in group order, then each
+//! upper level, the root last. The index writer encodes pages straight
+//! from it, to a file ([`crate::PagedRTree::bulk_write`]) or to an
+//! in-memory image ([`RTree::bulk_load`]).
 
 use crate::access::ChildRef;
 use crate::node::{NodeId, RTree, RTreeConfig};
+use crate::paged::image_page_size;
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
 use std::ops::Range;
 
 impl<const D: usize> RTree<D> {
-    /// Build a tree containing `entries` using STR packing.
+    /// Build an in-memory tree containing `entries` using STR packing: the
+    /// index file [`crate::PagedRTree::bulk_write`] would write, at the
+    /// smallest page size (a multiple of 8, at least 256 bytes) that fits
+    /// the largest node, written into an image and opened from it.
     ///
     /// # Panics
     ///
@@ -29,7 +33,7 @@ impl<const D: usize> RTree<D> {
     /// ```
     /// use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
     /// use fuzzy_geom::Point;
-    /// use fuzzy_index::{RTree, RTreeConfig};
+    /// use fuzzy_index::{NodeAccess, RTree, RTreeConfig};
     ///
     /// // Summaries of 100 small fuzzy objects on a 10×10 grid.
     /// let summaries: Vec<ObjectSummary<2>> = (0..100)
@@ -48,7 +52,7 @@ impl<const D: usize> RTree<D> {
     /// let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16 });
     /// assert_eq!(tree.len(), 100);
     /// assert!(tree.height() >= 2); // 100 entries cannot fit one 16-entry leaf
-    /// tree.validate().unwrap();
+    /// assert!(!tree.read_node(tree.root_id()).unwrap().disk_read); // an image
     /// ```
     pub fn bulk_load(entries: Vec<ObjectSummary<D>>, config: RTreeConfig) -> Self {
         assert!(
@@ -56,9 +60,11 @@ impl<const D: usize> RTree<D> {
             "STR packing needs a node capacity of at least 2, got {}",
             config.max_entries
         );
-        let (order, shape) = StrPacking::new(&entries, config.max_entries);
-        let entries = order.iter().map(|&i| entries[i as usize]).collect();
-        RTree { entries, shape, config }
+        let page_size = image_page_size::<D>(config.max_entries);
+        let mut image = Vec::new();
+        Self::write(&entries, config, || Ok(&mut image), page_size).expect("a node fits its page");
+        drop(entries);
+        Self::from_image(image).expect("a written image opens")
     }
 }
 
@@ -125,11 +131,6 @@ impl<const D: usize> StrPacking<D> {
     /// Leaf `leaf`'s run of the packed order.
     pub(crate) fn leaf(&self, leaf: usize) -> Range<usize> {
         leaf.checked_sub(1).map_or(0, |before| self.leaf_ends[before])..self.leaf_ends[leaf]
-    }
-
-    /// Number of leaves.
-    pub(crate) fn leaf_count(&self) -> usize {
-        self.leaf_ends.len()
     }
 
     /// Node `id`'s MBR.
@@ -233,10 +234,11 @@ fn even_partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{NodeAccess, NodeView};
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
-    pub(crate) fn grid_summaries(n: usize) -> Vec<ObjectSummary<2>> {
+    fn grid_summaries(n: usize) -> Vec<ObjectSummary<2>> {
         (0..n)
             .map(|i| {
                 let x = (i % 100) as f64;
@@ -252,15 +254,45 @@ mod tests {
             .collect()
     }
 
+    /// Every entry of `tree` in leaf order, after checking the shape an STR
+    /// packing promises: each page is reached from the root exactly once,
+    /// every leaf sits at depth `height`, no node holds more than `cap`
+    /// entries and only the root may be empty, and the rectangle a parent
+    /// stores for a child is the tight union of what the child holds.
+    fn checked_entries(tree: &RTree<2>, cap: usize) -> Vec<ObjectSummary<2>> {
+        let mut seen = vec![false; tree.page_count()];
+        let mut out = Vec::new();
+        let mut stack = vec![(tree.root_id(), tree.root_mbr(), 1)];
+        while let Some((id, mbr, depth)) = stack.pop() {
+            assert!(!std::mem::replace(&mut seen[id.index() as usize], true), "{id:?} twice");
+            let read = tree.read_node(id).unwrap();
+            let (held, union) = match read.view() {
+                NodeView::Entries(entries) => {
+                    assert_eq!(depth, tree.height(), "leaf {id:?} off the leaf level");
+                    out.extend_from_slice(entries);
+                    (entries.len(), union(entries.iter().map(|e| &e.support_mbr)))
+                }
+                NodeView::Nodes(kids) => {
+                    stack.extend(kids.iter().map(|k| (k.id, k.mbr, depth + 1)));
+                    (kids.len(), union(kids.iter().map(|k| &k.mbr)))
+                }
+            };
+            assert!(held <= cap && (held > 0 || depth == 1), "{id:?} holds {held}");
+            assert_eq!(union, mbr, "{id:?}: loose or wrong rectangle");
+        }
+        assert!(seen.iter().all(|&s| s), "a page no parent reaches");
+        assert_eq!(out.len(), tree.len());
+        out
+    }
+
     #[test]
     fn bulk_load_preserves_all_entries() {
         let summaries = grid_summaries(1000);
         let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 16 });
         assert_eq!(tree.len(), 1000);
-        let mut ids: Vec<u64> = tree.iter_entries().map(|s| s.id.0).collect();
+        let mut ids: Vec<u64> = checked_entries(&tree, 16).iter().map(|s| s.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..1000u64).collect::<Vec<_>>());
-        tree.validate().unwrap();
     }
 
     #[test]
@@ -268,7 +300,7 @@ mod tests {
         for n in [0usize, 1, 2, 15, 16, 17] {
             let tree = RTree::bulk_load(grid_summaries(n), RTreeConfig { max_entries: 16 });
             assert_eq!(tree.len(), n);
-            tree.validate().unwrap();
+            assert_eq!(checked_entries(&tree, 16).len(), n);
             if n <= 16 {
                 assert_eq!(tree.height(), 1, "n={n} should fit in the root leaf");
             }
@@ -280,7 +312,7 @@ mod tests {
         let tree = RTree::bulk_load(grid_summaries(5000), RTreeConfig { max_entries: 10 });
         // ceil(log_10(500 leaves)) + 1 ≈ 4; allow some slack but not a chain.
         assert!(tree.height() <= 5, "height {} too tall", tree.height());
-        tree.validate().unwrap();
+        checked_entries(&tree, 10);
     }
 
     #[test]
@@ -295,8 +327,14 @@ mod tests {
         // grouping; check against a generous bound.
         let summaries = grid_summaries(2000);
         let tree = RTree::bulk_load(summaries, RTreeConfig { max_entries: 20 });
-        let leaf_count = tree.leaf_count();
-        let total_area: f64 = (0..leaf_count as u32).map(|i| tree.node_mbr(NodeId(i)).area()).sum();
+        let leaf_count = tree.leaf_count().unwrap();
+        assert_eq!(leaf_count, 100, "2000 entries in full 20-entry leaves");
+        let total_area: f64 = (0..leaf_count as u32)
+            .map(|i| match tree.read_node(NodeId(i)).unwrap().view() {
+                NodeView::Entries(entries) => union(entries.iter().map(|e| &e.support_mbr)).area(),
+                NodeView::Nodes(_) => panic!("page {i} is below the leaf count"),
+            })
+            .sum();
         // 2000 unit-ish objects in a 100x20 region -> per-leaf area should
         // be bounded by a small multiple of (region area / leaf count).
         let region_area = 100.0 * 20.0;

@@ -1,21 +1,22 @@
-//! R-tree indexes over fuzzy object summaries, in-memory and on-disk.
+//! The R-tree over fuzzy object summaries, read from an index file or an
+//! in-memory image of one.
 //!
 //! The paper (Section 3.1) indexes fuzzy objects by the MBR of their
 //! support; leaf entries additionally carry the kernel MBR, the optimal
 //! conservative lines and the representative point (Sections 3.2/3.4), all
 //! bundled in [`fuzzy_core::ObjectSummary`]. Objects themselves stay in
-//! the object store; the index comes in two backends behind one
-//! navigation interface:
+//! the object store. The index is one structure behind one navigation
+//! interface:
 //!
-//! * [`RTree`] — the in-memory tree (fast, bounded by RAM,
-//!   no backing medium);
-//! * [`PagedRTree`] — the same tree serialized into fixed-size pages of a
+//! * [`PagedRTree`] — the tree serialized into fixed-size pages of a
 //!   single index file, read back through an LRU buffer pool, so node
 //!   accesses are real positioned reads with a measured disk/cache split
-//!   (the paper's §6 cost model made literal);
-//! * [`NodeAccess`] — the trait both implement; the query processor in
+//!   (the paper's §6 cost model made literal). Its bytes come from the
+//!   file or from an in-memory image of it; [`RTree`] names the in-memory
+//!   form, built by [`RTree::bulk_load`].
+//! * [`NodeAccess`] — the navigation trait; the query processor in
 //!   `fuzzy-query` is generic over it and returns byte-identical answers
-//!   on either backend;
+//!   whatever the pages are read from;
 //! * [`VpTree`] — the approximate candidate generator over per-object
 //!   expected centers, dialed by [`RecallDial`] and always resolved through
 //!   the exact probe loop.
@@ -24,10 +25,9 @@
 //! (a) fuzzy summaries as leaf payloads and (b) node-access accounting —
 //! both of which this implementation provides:
 //!
-//! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing, the one way a
-//!   tree gets its shape; [`PagedRTree::bulk_write`] encodes index files
-//!   page by page from the same packing, without building the in-memory
-//!   tree. A built tree is never edited, only replaced.
+//! * [`RTree::bulk_load`] / [`PagedRTree::bulk_write`] — Sort-Tile-Recursive
+//!   packing, the one way a tree gets its shape, encoded page by page into
+//!   an image or a file. A built tree is never edited, only replaced.
 //! * [`OverlayRTree`] — the write story: an in-memory delta overlay
 //!   (inserted/tombstoned summaries consulted by every `NodeAccess` read)
 //!   over a [`PagedRTree`], persisted as a sidecar delta log and folded
@@ -36,10 +36,9 @@
 //! * [`NodeAccess::read_node`] — the navigation primitive used by the
 //!   query processor's best-first search; the query charges one node
 //!   access per call.
-//! * [`range_search`] — the backend-generic range query, parameterised by
+//! * [`range_search`] — the generic range query, parameterised by
 //!   arbitrary node/entry scoring: the RSS candidate collection
 //!   (Algorithm 4).
-//! * [`RTree::validate`] — structural invariant checker used by tests.
 
 #![warn(missing_docs)]
 
@@ -50,7 +49,6 @@ pub mod node;
 pub mod overlay;
 pub mod paged;
 pub mod query;
-pub mod validate;
 pub mod vptree;
 
 pub use access::{range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
@@ -62,5 +60,4 @@ pub use paged::{
     PAGED_VERSION,
 };
 pub use query::{EntryHit, RangeResult};
-pub use validate::ValidationError;
 pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};

@@ -19,6 +19,10 @@
 //! * **[`OverlayRTree::compact`]** folds base + overlay into a freshly
 //!   STR-bulk-loaded index file (published over the original through
 //!   `fuzzy_store::write_atomic`) and then clears the sidecar.
+//! * An overlay over an in-memory image ([`crate::RTree::bulk_load`]) has
+//!   no file: its edits live only in memory, and the sidecar and
+//!   compaction calls are refused with [`StoreError::NoFile`] before they
+//!   touch the file system.
 //!
 //! The query stack is generic over `NodeAccess`, so AKNN/RKNN/batch
 //! run unmodified over an overlay; `fuzzy_query::Versioned` makes the
@@ -114,7 +118,7 @@ impl<const D: usize> OverlayRTree<D> {
     /// checks. What re-publishing an unchanged index file costs — the
     /// caller establishes "unchanged" ([`PagedRTree::is_file_at`]).
     pub fn reload_delta(&self) -> Result<Self, StoreError> {
-        let delta = DeltaLog::load(delta_path_for(self.base.path()))?;
+        let delta = DeltaLog::load(delta_path_for(self.base_file()?))?;
         Self::replay(Arc::clone(&self.base), Arc::clone(&self.base_ids), delta)
     }
 
@@ -320,11 +324,20 @@ impl<const D: usize> OverlayRTree<D> {
         &self.base
     }
 
+    /// The base's index file: what the sidecar sits beside and compaction
+    /// rewrites. [`StoreError::NoFile`] for an image base.
+    fn base_file(&self) -> Result<&Path, StoreError> {
+        match self.base.image() {
+            Some(_) => Err(StoreError::NoFile),
+            None => Ok(self.base.path()),
+        }
+    }
+
     /// Persist the pending state to the base file's sidecar
     /// (`<index>.fzdl`). An empty delta removes the sidecar instead, so a
     /// clean index has no stray companion file.
     pub fn save_delta(&self) -> Result<(), StoreError> {
-        let path = delta_path_for(self.base.path());
+        let path = delta_path_for(self.base_file()?);
         let delta = self.delta();
         if delta.is_empty() {
             match std::fs::remove_file(&path) {
@@ -369,8 +382,8 @@ impl<const D: usize> OverlayRTree<D> {
     /// with a typed error rather than replaying it — never a wrong
     /// answer; deleting the sidecar by hand yields the compacted state.
     pub fn compact(self, page_size: u32) -> Result<PagedRTree<D>, StoreError> {
+        let path = self.base_file()?.to_path_buf();
         let live = self.live_summaries()?;
-        let path = self.base.path().to_path_buf();
         let config = self.base.config();
         write_atomic(&path, |file| PagedRTree::write(&live, config, || Ok(file), page_size))?;
         match std::fs::remove_file(delta_path_for(&path)) {
@@ -447,7 +460,7 @@ impl<const D: usize> NodeAccess<D> for OverlayRTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{access, RTree};
+    use crate::{access, RTree, DEFAULT_PAGE_SIZE};
     use fuzzy_core::FuzzyObject;
     use fuzzy_geom::Point;
 
@@ -535,13 +548,15 @@ mod tests {
             assert!(ov.insert(summary(1000 + i, x, y)));
         }
         let fresh = RTree::bulk_load(ov.live_summaries().unwrap(), cfg);
-        fresh.validate().unwrap();
         for q in [Point::xy(0.0, 0.0), Point::xy(14.0, 36.0), Point::xy(100.0, -5.0)] {
             for radius in [0.0, 1.0, 4.0, 50.0] {
                 let want = ids_within(&fresh, q, radius);
                 assert_eq!(ids_within(&ov, q, radius), want, "q={q:?} radius={radius}");
             }
         }
+        // Compacting at the image's page size writes the image's bytes.
+        ov.compact(fresh.page_size()).unwrap();
+        assert_eq!(fresh.image(), Some(&std::fs::read(&path).unwrap()[..]));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -767,6 +782,25 @@ mod tests {
         std::fs::remove_file(delta_path_for(&path)).unwrap();
         assert!(served.reload_delta().unwrap().is_clean(), "no sidecar is the empty delta");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An image base has no file: the overlay edits in memory and answers,
+    /// but saving or reloading a sidecar and compacting are typed errors
+    /// that create nothing — not even `.fzdl` in the working directory,
+    /// where the sidecar of an empty path would go.
+    #[test]
+    fn an_image_base_refuses_file_operations_and_creates_nothing() {
+        let base = Arc::new(RTree::bulk_load(grid(40), RTreeConfig { max_entries: 8 }));
+        let mut ov = OverlayRTree::new(base).unwrap();
+        assert!(ov.delete(ObjectId(3)) && ov.insert(summary(900, 0.25, 0.25)));
+        assert_eq!(ids_within(&ov, Point::xy(0.0, 0.0), 1.0), vec![0, 900]);
+        let stray = delta_path_for(ov.base().path());
+        assert_eq!(stray, Path::new(".fzdl"));
+        assert!(matches!(ov.save_delta(), Err(StoreError::NoFile)));
+        assert!(matches!(ov.reload_delta(), Err(StoreError::NoFile)));
+        assert!(matches!(ov.clone().compact(DEFAULT_PAGE_SIZE), Err(StoreError::NoFile)));
+        assert!(!stray.exists() && !Path::new(".tmp").exists());
+        assert_eq!(NodeAccess::len(&ov), 40, "the overlay is untouched");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! What a range search over the tree returns.
 //!
 //! The traversal itself is implemented once, generically over any
-//! [`crate::NodeAccess`] backend, as [`crate::range_search`] — the RKNN
-//! processors in `fuzzy-query` call it, so it runs unmodified against the
-//! in-memory [`crate::RTree`] and the disk-resident [`crate::PagedRTree`].
+//! [`crate::NodeAccess`] tree, as [`crate::range_search`] — the RKNN
+//! processors in `fuzzy-query` call it, so it runs unmodified against a
+//! [`crate::PagedRTree`] read from a file or from an in-memory image, and
+//! against an overlay over one.
 
 use fuzzy_core::ObjectSummary;
 
@@ -23,8 +24,8 @@ pub struct RangeResult<const D: usize> {
     pub hits: Vec<EntryHit<D>>,
     /// Nodes expanded while answering.
     pub node_accesses: u64,
-    /// Node reads that touched the backing medium (always 0 for the
-    /// in-memory tree; for a paged tree, the buffer-pool misses).
+    /// Node reads that touched the backing medium: the buffer-pool misses
+    /// of a tree read from a file (always 0 for an in-memory image).
     pub node_disk_reads: u64,
 }
 
@@ -36,8 +37,8 @@ mod tests {
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
-    fn build(n: usize, cap: usize) -> RTree<2> {
-        let summaries: Vec<ObjectSummary<2>> = (0..n)
+    fn summaries(n: usize) -> Vec<ObjectSummary<2>> {
+        (0..n)
             .map(|i| {
                 let x = (i % 50) as f64 * 2.0;
                 let y = (i / 50) as f64 * 2.0;
@@ -49,13 +50,13 @@ mod tests {
                 .unwrap();
                 ObjectSummary::from_object(&obj)
             })
-            .collect();
-        RTree::bulk_load(summaries, RTreeConfig { max_entries: cap })
+            .collect()
     }
 
     #[test]
     fn range_search_matches_linear_scan() {
-        let tree = build(800, 16);
+        let entries = summaries(800);
+        let tree = RTree::bulk_load(entries.clone(), RTreeConfig { max_entries: 16 });
         let q = Point::xy(50.0, 10.0);
         for radius in [0.0, 3.0, 10.0, 1000.0] {
             let res = access::range_search(
@@ -66,15 +67,15 @@ mod tests {
             )
             .unwrap();
             let want =
-                tree.iter_entries().filter(|e| e.support_mbr.min_dist_point(&q) <= radius).count();
+                entries.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= radius).count();
             assert_eq!(res.hits.len(), want, "radius {radius}");
-            // The arena never touches a backing medium.
+            // An image never touches a backing medium.
             assert_eq!(res.node_disk_reads, 0);
         }
         // An unbounded radius prunes nothing: every node is expanded once.
         let all = access::range_search(&tree, f64::INFINITY, |_| 0.0, |_| 0.0).unwrap();
-        assert_eq!(all.node_accesses, tree.node_count() as u64);
-        assert_eq!(all.hits.len(), tree.len());
+        assert_eq!(all.node_accesses, tree.page_count() as u64);
+        assert_eq!(all.hits.len(), entries.len());
     }
 
     #[test]
@@ -89,23 +90,5 @@ mod tests {
         )
         .unwrap();
         assert!(res.hits.is_empty());
-    }
-
-    #[test]
-    fn trait_view_agrees_with_inherent_expand() {
-        use crate::access::{NodeAccess, NodeView};
-        let tree = build(200, 8);
-        let read = tree.read_node(NodeAccess::root_id(&tree)).unwrap();
-        assert!(!read.disk_read);
-        match (read.view(), tree.expand(tree.root_id())) {
-            (NodeView::Nodes(refs), NodeView::Nodes(inherent)) => {
-                assert_eq!(refs, inherent);
-                for r in refs {
-                    assert_eq!(r.mbr, *tree.node_mbr(r.id));
-                }
-            }
-            (NodeView::Entries(a), NodeView::Entries(b)) => assert_eq!(a.len(), b.len()),
-            _ => panic!("trait and inherent views disagree on node kind"),
-        }
     }
 }

@@ -4,7 +4,8 @@
 //! surface as a typed [`StoreError`] or (for bytes no validator covers,
 //! e.g. reserved trailer padding) leave every decoded node identical to
 //! the pristine file. Never a panic, never silently different summaries.
-//! Mirrors `shard_manifest_corruption.rs` at the page layer.
+//! Every damaged file is also opened as an in-memory image of the same
+//! bytes, which must decode to the same nodes or fail with the same error.
 //!
 //! The page decode is also held to the one it replaced — a whole-page
 //! `fnv1a`, then the leaf or internal decode through a byte reader — kept
@@ -55,11 +56,22 @@ fn build_fixture(name: &str) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// Open the file and decode every **reachable** page (breadth-first from
-/// the root), returning a digest of all node contents (ids, entry ids,
-/// MBR bits) — the "did anything silently change" oracle.
-fn full_scan(path: &PathBuf) -> Result<Vec<u64>, StoreError> {
-    let tree = PagedRTree::<2>::open(path)?;
+/// Write `bytes` to `path`, open them as that file and as an in-memory
+/// image, and decode every **reachable** page of each (breadth-first from
+/// the root): a digest of all node contents (ids, entry ids, MBR bits) —
+/// the "did anything silently change" oracle — on which the two sources
+/// must agree, digest for digest or error for error.
+fn full_scan(path: &PathBuf, bytes: &[u8]) -> Result<Vec<u64>, StoreError> {
+    std::fs::write(path, bytes).unwrap();
+    let file = PagedRTree::<2>::open(path).and_then(|tree| scan(&tree));
+    let image = PagedRTree::<2>::from_image(bytes.to_vec()).and_then(|tree| scan(&tree));
+    let show = |r: &Result<Vec<u64>, StoreError>| r.as_ref().map_err(|e| e.to_string()).cloned();
+    assert_eq!(show(&file), show(&image), "file and image disagree");
+    file
+}
+
+/// The digest of every page of `tree` reachable from its root.
+fn scan(tree: &PagedRTree<2>) -> Result<Vec<u64>, StoreError> {
     let mut digest = Vec::new();
     let mut queue = vec![tree.root_id()];
     while let Some(id) = queue.pop() {
@@ -101,10 +113,9 @@ fn full_scan(path: &PathBuf) -> Result<Vec<u64>, StoreError> {
 #[test]
 fn truncation_at_every_byte_boundary_is_a_typed_error() {
     let (path, bytes) = build_fixture("trunc");
-    assert!(full_scan(&path).is_ok(), "fixture must scan clean");
+    assert!(full_scan(&path, &bytes).is_ok(), "fixture must scan clean");
     for len in 0..bytes.len() {
-        std::fs::write(&path, &bytes[..len]).unwrap();
-        let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path)));
+        let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path, &bytes[..len])));
         match out {
             Err(_) => panic!("scan panicked at truncation {len}"),
             Ok(Ok(_)) => panic!("scan accepted truncation to {len} bytes"),
@@ -117,14 +128,13 @@ fn truncation_at_every_byte_boundary_is_a_typed_error() {
 #[test]
 fn every_single_bit_flip_errors_or_changes_nothing() {
     let (path, bytes) = build_fixture("flip");
-    let pristine = full_scan(&path).unwrap();
+    let pristine = full_scan(&path, &bytes).unwrap();
     let mut undetected = 0usize;
     for byte in 0..bytes.len() {
         for bit in 0..8 {
             let mut evil = bytes.clone();
             evil[byte] ^= 1 << bit;
-            std::fs::write(&path, &evil).unwrap();
-            let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path)));
+            let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path, &evil)));
             match out {
                 Err(_) => panic!("scan panicked on bit {bit} of byte {byte}"),
                 Ok(Err(_)) => {}
@@ -161,12 +171,15 @@ fn stale_version_pages_are_version_mismatch() {
     let sum = fnv1a(&evil[..hlen - 8]);
     evil[hlen - 8..hlen].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&path, &evil).unwrap();
-    match PagedRTree::<2>::open(&path).unwrap_err() {
-        StoreError::VersionMismatch { found, expected } => {
-            assert_eq!(found, stale);
-            assert_eq!(expected, PAGED_VERSION);
+    let image = PagedRTree::<2>::from_image(evil);
+    for refused in [PagedRTree::<2>::open(&path), image] {
+        match refused.unwrap_err() {
+            StoreError::VersionMismatch { found, expected } => {
+                assert_eq!(found, stale);
+                assert_eq!(expected, PAGED_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {other}"),
         }
-        other => panic!("expected VersionMismatch, got {other}"),
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -201,11 +214,12 @@ fn damaged_leaf_page_fails_only_that_read() {
     evil[off] ^= 0x10;
     std::fs::write(&path, &evil).unwrap();
 
-    let tree = PagedRTree::<2>::open(&path).unwrap();
-    let err = tree.read_node(leaf).unwrap_err();
-    assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-    // Other pages still read fine through the same handle and cache.
-    assert!(tree.read_node(root).is_ok());
+    for tree in [PagedRTree::<2>::open(&path).unwrap(), PagedRTree::from_image(evil).unwrap()] {
+        let err = tree.read_node(leaf).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        // Other pages still read fine through the same handle and cache.
+        assert!(tree.read_node(root).is_ok());
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -386,18 +400,23 @@ fn pages_of(path: &PathBuf) -> (Vec<NodeId>, NodeId, NodeId) {
     (all, leaf.unwrap(), internal.unwrap())
 }
 
-/// Write `file`, open it and read page `id`; the oracle reads the same
-/// page's bytes. Both must agree.
+/// Write `file`, open it — as that file and as an in-memory image — and
+/// read page `id`; the oracle reads the same page's bytes. All must agree.
 fn page_matches_oracle(path: &PathBuf, file: &[u8], id: NodeId, what: &dyn Fn() -> String) {
     std::fs::write(path, file).unwrap();
-    let tree = PagedRTree::<2>::open(path).expect("only the page was touched");
-    let got = catch_unwind(AssertUnwindSafe(|| node_digest(&tree, id)))
-        .unwrap_or_else(|_| panic!("read panicked on {}", what()));
+    let on_disk = PagedRTree::<2>::open(path).expect("only the page was touched");
+    let image = PagedRTree::<2>::from_image(file.to_vec()).expect("only the page was touched");
     let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
     let page = &file[at..at + PAGE as usize];
-    let want = oracle_page(page, id.index(), tree.page_count() as u64, tree.config().max_entries);
+    let cap = on_disk.config().max_entries;
+    let want = oracle_page(page, id.index(), on_disk.page_count() as u64, cap);
     let show = |r: Result<Vec<u64>, StoreError>| r.map_err(|e| format!("{e:?}"));
-    assert_eq!(show(got), show(want), "{}", what());
+    let want = show(want);
+    for tree in [on_disk, image] {
+        let got = catch_unwind(AssertUnwindSafe(|| node_digest(&tree, id)))
+            .unwrap_or_else(|_| panic!("read panicked on {}", what()));
+        assert_eq!(show(got), want, "{}", what());
+    }
 }
 
 /// Re-stamp page `id`'s checksum in `file`.

@@ -8,8 +8,9 @@
 //! [`RTree::bulk_load`] must give the reference's tree node by node: the
 //! same leaf groups holding the same entries in the same order (the leaf
 //! permutation), the same parents, the same rectangles bit for bit, the
-//! same node numbering. [`PagedRTree::bulk_write`] must write that tree
-//! page for page.
+//! same node numbering, every page reached once. It is an in-memory image;
+//! [`PagedRTree::bulk_write`] must write that tree page for page to a
+//! file, at any page size that fits.
 
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::{ConservativeLine, Mbr, Point};
@@ -182,8 +183,7 @@ fn key_sort_matches_comparison_sort<const D: usize>() {
             let config = RTreeConfig { max_entries: cap };
             let reference = reference_tree(entries.clone(), cap);
             let tree = RTree::bulk_load(entries.clone(), config);
-            assert_eq!(tree_shapes(&tree), reference, "arena: n {n}, cap {cap}, D {D}");
-            tree.validate().unwrap();
+            assert_eq!(tree_shapes(&tree), reference, "image: n {n}, cap {cap}, D {D}");
             let page_size = 16 + (cap * fuzzy_index::leaf_entry_len(D)).max(256) as u32;
             let paged = PagedRTree::bulk_write(entries.clone(), config, &path, page_size).unwrap();
             assert_eq!(tree_shapes(&paged), reference, "pages: n {n}, cap {cap}, D {D}");

@@ -15,12 +15,7 @@
 //! * **Lossless stats** — every query charges a private [`QueryStats`];
 //!   per-thread and whole-batch aggregates are exact sums, so a
 //!   multi-thread run accounts for exactly the same probes and node
-//!   expansions as the equivalent sequential run. One caveat: over a
-//!   *shared cache layer* (`CachedStore`) the disk-read/cache-hit split
-//!   of each probe depends on how concurrent queries interleave, so
-//!   `object_accesses` totals can differ from a sequential run there —
-//!   the answers themselves remain identical. Over cache-free stores
-//!   (`FileStore`, `MemStore`) the equality is exact and test-enforced.
+//!   expansions as the equivalent sequential run (test-enforced).
 //! * **Graceful errors** — a failing query yields `Err` in its own slot
 //!   and the batch keeps going; nothing panics across the scope.
 
@@ -131,10 +126,9 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Lossless sum of the stats of every successful query. Per-query
     /// stats are charged locally, never read back from shared counters,
-    /// so over cache-free stores this equals the sequential total
-    /// exactly. Over a shared `CachedStore`, `object_accesses` depends on
-    /// how concurrent queries interleave on the cache (see the module
-    /// docs); all other counters remain exact.
+    /// so this equals the sequential total exactly — except
+    /// `node_disk_reads`, which depends on how concurrent queries
+    /// interleave on a shared buffer pool.
     pub fn total_stats(&self) -> QueryStats {
         let mut total = QueryStats::default();
         for t in &self.per_thread {

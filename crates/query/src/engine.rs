@@ -2,9 +2,9 @@
 //! to search.
 //!
 //! The engine is generic over **what it searches** — any [`NodeAccess`]
-//! index (the in-memory `RTree`, the disk-resident
-//! `PagedRTree`/`OverlayRTree`, an `Arc` snapshot of any of them) — and
-//! over the **object store** `S` (anything implementing [`ObjectStore`]).
+//! index (a `PagedRTree` read from a file or an in-memory image, an
+//! `OverlayRTree`, an `Arc` snapshot of either) — and over the **object
+//! store** `S` (anything implementing [`ObjectStore`]).
 //! The paper has one AKNN procedure and three RKNN algorithms that call
 //! it; the backend under them and the ownership around them (`&T`,
 //! `Arc<T>`, a [`Versioned`](crate::Versioned) snapshot) are the caller's
@@ -234,31 +234,27 @@ impl<'a, I: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I,
 #[cfg(test)]
 mod send_sync_tests {
     use super::*;
-    use fuzzy_index::{OverlayRTree, PagedRTree, RTree};
-    use fuzzy_store::{CachedStore, FileStore, MemStore};
+    use fuzzy_index::{OverlayRTree, PagedRTree};
+    use fuzzy_store::FileStore;
     use std::sync::Arc;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
-    /// The whole read path must be shareable across threads: the trees,
-    /// the stores, and the engine over a tree and an `Arc` snapshot — for
-    /// the mem and the paged backends. This is a compile-time audit —
+    /// The whole read path must be shareable across threads: the tree, the
+    /// store, and the engine over a tree and an `Arc` snapshot. (An
+    /// in-memory tree or store is the same type over an image.) This is a
+    /// compile-time audit —
     /// adding interior mutability without synchronization anywhere in
     /// `index`/`store`/`query` breaks this test.
     #[test]
     fn engines_and_components_are_send_sync() {
-        assert_send_sync::<RTree<2>>();
         assert_send_sync::<PagedRTree<2>>();
-        assert_send_sync::<MemStore<2>>();
         assert_send_sync::<FileStore<2>>();
         assert_send_sync::<QueryScratch<2>>();
         // Over a tree.
-        assert_send_sync::<QueryEngine<'static, RTree<2>, MemStore<2>, 2>>();
-        assert_send_sync::<QueryEngine<'static, RTree<2>, FileStore<2>, 2>>();
         assert_send_sync::<QueryEngine<'static, PagedRTree<2>, FileStore<2>, 2>>();
-        assert_send_sync::<QueryEngine<'static, PagedRTree<2>, CachedStore<FileStore<2>, 2>, 2>>();
         // Over an `Arc` snapshot (what `Versioned::snapshot` hands out).
-        assert_send_sync::<QueryEngine<'static, Arc<RTree<2>>, MemStore<2>, 2>>();
+        assert_send_sync::<QueryEngine<'static, Arc<PagedRTree<2>>, FileStore<2>, 2>>();
         assert_send_sync::<QueryEngine<'static, Arc<OverlayRTree<2>>, FileStore<2>, 2>>();
     }
 }

@@ -3,8 +3,8 @@
 //! The read path of this crate is lock-free by construction: every query
 //! runs against `&A`/`&S` references that are never mutated. An index that
 //! changes while it serves — the paged overlay (`fuzzy_index::OverlayRTree`)
-//! taking inserts and deletes, or a whole in-memory tree replaced by a
-//! fresh bulk load — breaks that assumption: a writer changing the index
+//! taking inserts and deletes, or a whole tree replaced by a fresh bulk
+//! load — breaks that assumption: a writer changing the index
 //! underneath an in-flight best-first traversal would hand it node ids of
 //! another tree.
 //!
@@ -23,9 +23,10 @@
 //! change — batch your writes in one [`Versioned::write`] closure. For the
 //! paged overlay a clone is the (small) delta plus two `Arc` bumps — the
 //! open base file and the set of ids it stores, both immutable and shared.
-//! An in-memory `RTree` is never edited: a commit replaces it whole
-//! (`write(|tree| *tree = RTree::bulk_load(..))`) and the clone is its
-//! arena.
+//! A bulk-loaded tree is never edited: it is held as an `Arc<RTree>`, a
+//! commit replaces it whole
+//! (`write(|tree| *tree = Arc::new(RTree::bulk_load(..)))`) and the clone
+//! is one more `Arc` bump.
 //!
 //! A reader is `QueryEngine::new(&versioned.snapshot(), &store)` — the
 //! `Arc` snapshot is an index like any other; a writer is
@@ -38,6 +39,7 @@
 //! use fuzzy_index::{RTree, RTreeConfig};
 //! use fuzzy_query::{AknnConfig, QueryEngine, Versioned};
 //! use fuzzy_store::{MemStore, ObjectStore};
+//! use std::sync::Arc;
 //!
 //! let store = MemStore::from_objects((0..8).map(|i| {
 //!     FuzzyObject::new(
@@ -48,13 +50,14 @@
 //!     .unwrap()
 //! }))
 //! .unwrap();
-//! let index = Versioned::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()));
+//! let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+//! let index = Versioned::new(Arc::new(tree));
 //!
 //! // Readers pin a snapshot; writers publish new epochs — here a fresh
 //! // bulk load without object 3.
 //! let pinned = index.snapshot();
 //! let without_3 = store.summaries().iter().filter(|s| s.id != ObjectId(3)).copied().collect();
-//! index.write(|tree| *tree = RTree::bulk_load(without_3, RTreeConfig::default()));
+//! index.write(|tree| *tree = Arc::new(RTree::bulk_load(without_3, RTreeConfig::default())));
 //! assert_eq!(index.epoch(), 1);
 //!
 //! let q = store.probe(ObjectId(0)).unwrap();
@@ -72,7 +75,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// A value with single-writer/multi-reader snapshot semantics.
 ///
 /// See the [module docs](self) for the scheme. `T` is typically an index
-/// backend (`OverlayRTree`, or an `RTree` replaced whole on each commit),
+/// (an `OverlayRTree`, or an `Arc<RTree>` replaced whole on each commit),
 /// but any `Clone` state works.
 #[derive(Debug)]
 pub struct Versioned<T> {
@@ -149,8 +152,15 @@ mod tests {
     use crate::engine::QueryEngine;
     use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
     use fuzzy_geom::Point;
-    use fuzzy_index::{NodeAccess, RTree, RTreeConfig};
+    use fuzzy_index::{range_search, NodeAccess, RTree, RTreeConfig};
     use fuzzy_store::{MemStore, ObjectStore};
+
+    /// Whether a range search over all of `tree` finds exactly `len`
+    /// entries: every page reachable, none cut off.
+    fn consistent(tree: &impl NodeAccess<2>) -> bool {
+        let all = range_search(tree, f64::INFINITY, |_| 0.0, |_| 0.0).unwrap();
+        all.hits.len() == tree.len()
+    }
 
     fn summary(id: u64, x: f64, y: f64) -> ObjectSummary<2> {
         let obj = FuzzyObject::new(
@@ -190,11 +200,12 @@ mod tests {
     fn concurrent_readers_see_consistent_epochs() {
         // A writer publishes freshly bulk-loaded trees (the shape of a
         // server SWAP) while readers hammer snapshots; every query must
-        // observe an internally consistent tree (validate() on the
-        // snapshot plus a successful AKNN).
+        // observe an internally consistent tree (a full range search
+        // finding `len` entries, plus a successful AKNN).
         let config = RTreeConfig { max_entries: 8 };
         let store = MemStore::from_objects(objects(64)).unwrap();
-        let index = Versioned::new(RTree::bulk_load(store.summaries().to_vec(), config));
+        let tree = RTree::bulk_load(store.summaries().to_vec(), config);
+        let index = Versioned::new(Arc::new(tree));
         let q = store.probe(ObjectId(0)).unwrap();
         let (index, store, q) = (&index, &store, &q);
 
@@ -203,7 +214,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..60 {
                         let snapshot = index.snapshot();
-                        snapshot.validate().expect("snapshot is structurally sound");
+                        assert!(consistent(&snapshot), "snapshot is structurally sound");
                         let k = 5.min(NodeAccess::len(&snapshot));
                         if k > 0 {
                             let res = QueryEngine::new(&snapshot, store)
@@ -218,17 +229,17 @@ mod tests {
                 let mut live = store.summaries().to_vec();
                 for round in 0..30u64 {
                     live.push(summary(100 + round, (round % 9) as f64, 40.0));
-                    index.write(|t| *t = RTree::bulk_load(live.clone(), config));
+                    index.write(|t| *t = Arc::new(RTree::bulk_load(live.clone(), config)));
                     if round % 3 == 0 {
                         live.retain(|s| s.id != ObjectId(round));
-                        index.write(|t| *t = RTree::bulk_load(live.clone(), config));
+                        index.write(|t| *t = Arc::new(RTree::bulk_load(live.clone(), config)));
                     }
                 }
             });
         });
         assert_eq!(index.epoch(), 30 + 10);
         assert_eq!(NodeAccess::len(&index.snapshot()), 64 + 30 - 10);
-        index.snapshot().validate().unwrap();
+        assert!(consistent(&index.snapshot()));
     }
 
     #[test]
@@ -261,13 +272,13 @@ mod tests {
     fn batched_writes_publish_once() {
         let store = MemStore::from_objects(objects(16)).unwrap();
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        let index = Versioned::new(tree);
+        let index = Versioned::new(Arc::new(tree));
         let pinned = index.snapshot();
         index.write(|tree| {
             let mut live = store.summaries().to_vec();
             for i in 100..150u64 {
                 live.push(summary(i, i as f64, 0.0));
-                *tree = RTree::bulk_load(live.clone(), RTreeConfig::default());
+                *tree = Arc::new(RTree::bulk_load(live.clone(), RTreeConfig::default()));
             }
         });
         assert_eq!(index.epoch(), 1, "one commit, one epoch");

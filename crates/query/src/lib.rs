@@ -1,10 +1,10 @@
 //! Query processing for fuzzy-object k-nearest-neighbour search.
 //!
 //! Implements both query types of the paper, generic over the index
-//! backend (`fuzzy_index::NodeAccess`: the in-memory `RTree` or the
-//! disk-resident `PagedRTree`) and the object store
-//! (`fuzzy_store::ObjectStore`); the determinism suite proves answers
-//! are byte-identical across backends and thread counts:
+//! (`fuzzy_index::NodeAccess`: a `PagedRTree` read from a file or an
+//! in-memory image, or an overlay over one) and the object store
+//! (`fuzzy_store::ObjectStore`); the determinism suites prove answers are
+//! byte-identical across sources and thread counts:
 //!
 //! * **AKNN** (Definition 4, Section 3): best-first search returning the k
 //!   objects with smallest α-distance at one probability threshold. The

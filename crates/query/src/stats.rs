@@ -13,9 +13,9 @@ pub struct QueryStats {
     /// index backends and thread counts).
     pub node_accesses: u64,
     /// Node expansions that touched the backing medium: buffer-pool
-    /// misses of a `PagedRTree`, always 0 for the in-memory tree. Like a
-    /// shared `CachedStore`'s hit/miss split, this depends on how
-    /// concurrent queries interleave on the shared pool.
+    /// misses of a `PagedRTree` read from a file, always 0 for an
+    /// in-memory image. This depends on how concurrent queries interleave
+    /// on the shared pool.
     pub node_disk_reads: u64,
     /// Exact α-distance evaluations (kernel calls): one per
     /// object an AKNN search probes, plus — in RSS / RSS-ICR — one bounded

@@ -509,9 +509,8 @@ fn assert_only_settle_columns_moved(
 }
 
 /// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
-/// profiles — item for item, interval bit for interval bit — with every
-/// candidate carrying a kd-tree of its own (a `MemStore` hands out the
-/// objects it holds), and their logical counters, summed over the queries
+/// profiles — item for item, interval bit for interval bit — and their
+/// logical counters, summed over the queries
 /// per (range, algorithm), against the pinned rows; those against the rows
 /// the commit before the settle step produced with this same code, which
 /// may differ in [`SETTLE_COLUMNS`] of the RSS rows and nowhere else.
@@ -523,9 +522,6 @@ fn windowed_algorithms_equal_naive(
 ) {
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
-    for s in store.summaries() {
-        store.probe(s.id).unwrap().kd_tree();
-    }
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();

@@ -1,10 +1,11 @@
-//! One engine, whatever it runs over: a `QueryScratch` carried across
-//! backends leaves no trace, a pinned epoch snapshot keeps answering
-//! **byte-identically** while the index file is compacted under it, the
-//! explicit-metric roots under `&L2` are exact aliases of the plain
-//! methods, and an RKNN's windowed profiles do not care whether a candidate
-//! arrives as a record's columns or as a resident object with a kd-tree. Distances are compared at the IEEE-754 bit level; "close
-//! enough" is a failure.
+//! One engine, whatever it runs over: a `QueryScratch` carried from an
+//! in-memory image to a file to an overlay leaves no trace, a pinned epoch
+//! snapshot keeps answering **byte-identically** while the index file is
+//! compacted under it, the explicit-metric roots under `&L2` are exact
+//! aliases of the plain methods, and an RKNN's windowed profiles do not
+//! care whether a candidate's record is read from a file or from an image.
+//! Distances are compared at the IEEE-754 bit level; "close enough" is a
+//! failure.
 
 use std::sync::Arc;
 
@@ -137,11 +138,11 @@ fn file_store(tag: &str, n: u64) -> (std::path::PathBuf, FileStore<2>) {
     (path, writer.finish().unwrap())
 }
 
-/// One `QueryScratch` carried mem tree → paged tree → overlay (pending
-/// inserts and tombstones) → mem tree again must leave no trace: every
-/// stop returns the answers and the logical counters of a run on a fresh
-/// scratch. This is what lets one long-lived worker scratch serve whatever
-/// backend a SWAP installs.
+/// One `QueryScratch` carried image → file → overlay (pending inserts and
+/// tombstones) → image again must leave no trace: every stop returns the
+/// answers and the logical counters of a run on a fresh scratch. This is
+/// what lets one long-lived worker scratch serve whatever index a SWAP
+/// installs.
 #[test]
 fn one_scratch_reused_across_backends_matches_fresh_scratch() {
     const N: u64 = 60;
@@ -219,10 +220,10 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
     let mut reused = QueryScratch::new();
     for (i, req) in requests.iter().enumerate() {
         let stops = [
-            ("mem tree", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
-            ("paged tree", reused_vs_fresh(&paged, Some(&paged), &store, req, &mut reused)),
+            ("image", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
+            ("file", reused_vs_fresh(&paged, Some(&paged), &store, req, &mut reused)),
             ("overlay", reused_vs_fresh(&overlay, Some(overlay.base()), &store, req, &mut reused)),
-            ("mem tree again", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
+            ("image again", reused_vs_fresh(&tree, None, &store, req, &mut reused)),
         ];
         for (stop, (got, want)) in stops {
             assert_eq!(got, want, "request {i}, {stop}: reused scratch diverged");
@@ -381,12 +382,11 @@ fn recorded_rknn<I: NodeAccess<2>, S: ObjectStore<2>>(
     (rknn_line(&res.items), kernel, windows)
 }
 
-/// RKNN over objects as they come off a file (`FileStore` + `PagedRTree`:
-/// every candidate is a freshly decoded record, columns only) and over the
-/// same objects resident with their kd-trees built (`MemStore` + `RTree`):
-/// the windowed profile sweep takes its top distance from whichever kernel
-/// strategy the pair's cached structures select and never indexes the
-/// candidate, so answers — to the bit — and logical counters must agree,
+/// RKNN over objects as they come off a file (`FileStore` + `PagedRTree`
+/// opened from disk) and off an in-memory image of the same data
+/// (`MemStore` + `RTree`): every candidate is a freshly decoded record,
+/// columns only, and the windowed profile sweep never indexes it, so
+/// answers — to the bit — and logical counters must agree,
 /// on continuous and on 256-level memberships, for the benchmark's range,
 /// a single probability, a range ending at the kernel level and one whose
 /// ends are stored membership levels. Nor does RSS's settle step: both
@@ -431,14 +431,11 @@ fn rknn_windows_do_not_depend_on_where_candidates_live() {
             .expect("write paged index");
 
         let queries: Vec<FuzzyObject<2>> = objects[..2].to_vec();
-        let resident = MemStore::from_objects(objects).unwrap();
-        for s in resident.summaries() {
-            resident.probe(s.id).unwrap().kd_tree();
-        }
-        let tree = RTree::bulk_load(resident.summaries().to_vec(), config);
+        let image = MemStore::from_objects(objects).unwrap();
+        let tree = RTree::bulk_load(image.summaries().to_vec(), config);
 
         let from_file = QueryEngine::new(&paged, &on_file);
-        let from_memory = QueryEngine::new(&tree, &resident);
+        let from_memory = QueryEngine::new(&tree, &image);
         let metric = RecordingL2::default();
         let (mut dropped, mut settled) = (0, 0);
         for q in &queries {

@@ -329,7 +329,6 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     let fresh_summaries: Vec<ObjectSummary<2>> =
         summaries.iter().filter(|s| live.contains(&s.id.0)).copied().collect();
     let fresh = RTree::bulk_load(fresh_summaries.clone(), config);
-    fresh.validate().unwrap();
 
     let overlay_engine = QueryEngine::new(&overlay, &store);
 
@@ -369,12 +368,15 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
     assert!(dropped > 0 && settled > 0, "the settle step never acted");
     assert!(tombstoned > 0, "no deleted object lies within any query's radius");
 
-    // Compact: rewrite the index file through the bulk loader; answers
-    // must not move.
+    // Compact: rewrite the index file through the bulk loader — the bytes
+    // of the in-memory bulk load of the overlay's live set, page size for
+    // page size; answers must not move.
     overlay.save_delta().unwrap();
     assert!(delta_path_for(&index_path).exists());
-    let compacted = overlay.compact(4096).unwrap();
+    let image = RTree::bulk_load(overlay.live_summaries().unwrap(), config);
+    let compacted = overlay.compact(image.page_size()).unwrap();
     assert!(!delta_path_for(&index_path).exists(), "compact clears the sidecar");
+    assert_eq!(image.image(), Some(&std::fs::read(&index_path).unwrap()[..]));
     assert_eq!(NodeAccess::len(&compacted), live.len());
     let compacted_print = threaded_fingerprint(&compacted, &store, &live);
     assert_eq!(compacted_print, fresh_print, "compacted index diverged");
@@ -429,16 +431,16 @@ fn pinned_snapshots_survive_concurrent_writes() {
     });
 
     assert_eq!(index.epoch(), script().len() as u64, "one epoch per commit");
-    // A fresh reader sees the post-script live set, and a tree bulk-loaded
-    // from it is valid.
+    // A fresh reader sees the post-script live set, and compacting it
+    // writes the bytes of the in-memory bulk load of that set.
     let latest = index.snapshot();
     let mut after = OverlayRTree::new(Arc::new(PagedRTree::open(&index_path).unwrap())).unwrap();
     let want = apply(&mut after, store.summaries());
     let ids: BTreeSet<u64> = latest.live_summaries().unwrap().iter().map(|s| s.id.0).collect();
     assert_eq!(ids, want);
-    RTree::bulk_load(latest.live_summaries().unwrap(), RTreeConfig { max_entries: 8 })
-        .validate()
-        .unwrap();
+    let image = RTree::bulk_load(latest.live_summaries().unwrap(), RTreeConfig { max_entries: 8 });
+    OverlayRTree::clone(&latest).compact(image.page_size()).unwrap();
+    assert_eq!(image.image(), Some(&std::fs::read(&index_path).unwrap()[..]));
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(&index_path).ok();
 }

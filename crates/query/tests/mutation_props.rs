@@ -171,15 +171,16 @@ proptest! {
             prop_assert_eq!(NodeAccess::len(&overlay), live.len());
         }
 
-        // (a) the overlay exposes exactly the live set, and a tree
-        // bulk-loaded from it is structurally sound.
+        // (a) the overlay exposes exactly the live set, and compacting it
+        // writes the bytes of the in-memory bulk load of that set.
         let live_summaries = overlay.live_summaries().unwrap();
         let mut ov_ids: Vec<u64> = live_summaries.iter().map(|e| e.id.0).collect();
         ov_ids.sort_unstable();
         let want_ids: Vec<u64> = live.iter().copied().collect();
         prop_assert_eq!(&ov_ids, &want_ids);
         let fresh = RTree::bulk_load(live_summaries, config);
-        fresh.validate().unwrap();
+        overlay.clone().compact(fresh.page_size()).unwrap();
+        prop_assert_eq!(fresh.image(), Some(&std::fs::read(&index_path).unwrap()[..]));
 
         // (b) query answers match linear-scan oracles on both.
         if !live.is_empty() {

@@ -12,7 +12,7 @@
 //!   sheds load at the door).
 //! * A fixed pool of **worker threads** drains the queue. Each worker
 //!   owns one [`QueryScratch`] reused across every query it answers
-//!   (whatever index backend a SWAP installs), and
+//!   (whatever index a SWAP installs), and
 //!   pins the published index snapshot *per query*, so a SWAP between two
 //!   requests is visible to the second while in-flight queries keep the
 //!   tree they started on ([`Versioned`] epoch semantics).
@@ -44,36 +44,32 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The index backend a server answers from: a bulk-loaded in-memory tree
-/// or a disk-resident paged tree with its overlay. Neither is edited in
-/// place: a SWAP publishes a whole new one as a [`Versioned`] epoch, and
-/// the publish clone is cheap (the arena `Vec` / a small delta plus `Arc`
-/// bumps on the base file and its id set).
+/// The index a server answers from: an overlay over an index file, with
+/// any sidecar delta replayed, or over an in-memory image bulk-loaded from
+/// the store's summaries (`:mem:`). It is never edited in place: a SWAP
+/// publishes a whole new one as a [`Versioned`] epoch, and the publish
+/// clone is cheap (a small delta plus `Arc` bumps on the base and its id
+/// set).
 #[derive(Clone, Debug)]
-pub enum ServeIndex {
-    /// In-memory R-tree (bulk-loaded from the store's summaries).
-    Mem(RTree<WIRE_DIMS>),
-    /// Disk-resident paged tree, with any sidecar delta replayed.
-    Paged(OverlayRTree<WIRE_DIMS>),
-}
+pub struct ServeIndex(OverlayRTree<WIRE_DIMS>);
 
 impl ServeIndex {
     /// Bulk-load an in-memory tree over a store's summaries.
     pub fn mem_from_store(store: &FileStore<WIRE_DIMS>) -> Self {
-        Self::Mem(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()))
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        // A store's ids are unique (its open checks them), so the overlay's
+        // sweep for twice-stored ids finds none.
+        Self(OverlayRTree::new(Arc::new(tree)).expect("a store's ids are unique"))
     }
 
     /// Open a persisted index (replaying its delta log if one exists).
     pub fn open_paged(path: &str, cache_pages: usize) -> Result<Self, StoreError> {
-        Ok(Self::Paged(OverlayRTree::open_with_cache(path, cache_pages)?))
+        Ok(Self(OverlayRTree::open_with_cache(path, cache_pages)?))
     }
 
     /// Live objects in the index.
     pub fn object_count(&self) -> u64 {
-        match self {
-            Self::Mem(t) => NodeAccess::len(t) as u64,
-            Self::Paged(t) => NodeAccess::len(t) as u64,
-        }
+        NodeAccess::len(&self.0) as u64
     }
 }
 
@@ -560,11 +556,8 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job
     let snapshot = shared.index.snapshot();
     let store = shared.store.as_ref();
     let request = &job.request;
-    let executed = match snapshot.as_ref() {
-        ServeIndex::Mem(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
-        ServeIndex::Paged(tree) => execute_caught(&QueryEngine::new(tree, store), request, scratch),
-    };
-    let resp = match executed {
+    let engine = QueryEngine::new(&snapshot.0, store);
+    let resp = match execute_caught(&engine, request, scratch) {
         Ok(BatchResponse::Aknn(r)) => {
             shared.counters.served.fetch_add(1, Ordering::Relaxed);
             Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors }
@@ -609,17 +602,11 @@ fn classify(e: &QueryError) -> (ErrorCode, CounterKind) {
     }
 }
 
-/// Open the index a SWAP names. `:mem:` bulk-reloads from the store,
-/// anything else opens a paged tree — unless it is the paged file already
-/// being served, unchanged, in which case only its sidecar is replayed
-/// over the open base (warm pool, shared id set). An approximate
+/// Open the index a SWAP names ([`reopen`]). An approximate
 /// candidate index is a mismatch the server diagnoses by *kind* and
 /// answers [`ErrorCode::IndexMismatch`]; every other failure, a file of a
 /// retired format included, is a plain [`ErrorCode::SwapFailed`].
 fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (ErrorCode, String)> {
-    if index_path == ":mem:" {
-        return Ok(ServeIndex::mem_from_store(shared.store.as_ref()));
-    }
     if is_approx_path(index_path) {
         return Err((
             ErrorCode::IndexMismatch,
@@ -629,28 +616,30 @@ fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (Err
             ),
         ));
     }
-    reopen(&shared.index.snapshot(), index_path, shared.cache_pages)
+    reopen(&shared.index.snapshot(), index_path, &shared.store, shared.cache_pages)
         .map_err(|e| (ErrorCode::SwapFailed, e.to_string()))
 }
 
 /// What a SWAP to `index_path` publishes while `served` is being served.
-/// A paged index asked to swap to its own base path, with that path still
-/// naming the file it opened, unmodified since, replays only the sidecar
-/// over the open base; a compacted index (a new inode), one rebuilt in
-/// place, another file or another backend pays the full open.
+/// `:mem:` bulk-loads a fresh image from `store`. An index asked to swap
+/// to its own base file, with that path still naming the file it opened,
+/// unmodified since, replays only the sidecar over the open base (warm
+/// pool, shared id set); a compacted index (a new inode), one rebuilt in
+/// place, another file, or a base that is an image — no file, so never
+/// "the served file" — pays the full open.
 fn reopen(
     served: &ServeIndex,
     index_path: &str,
+    store: &FileStore<WIRE_DIMS>,
     cache_pages: usize,
 ) -> Result<ServeIndex, StoreError> {
-    match served {
-        ServeIndex::Paged(overlay)
-            if overlay.base().path() == Path::new(index_path)
-                && overlay.base().is_file_at(index_path) =>
-        {
-            overlay.reload_delta().map(ServeIndex::Paged)
-        }
-        _ => ServeIndex::open_paged(index_path, cache_pages),
+    let base = served.0.base();
+    if index_path == ":mem:" {
+        Ok(ServeIndex::mem_from_store(store))
+    } else if base.path() == Path::new(index_path) && base.is_file_at(index_path) {
+        served.0.reload_delta().map(ServeIndex)
+    } else {
+        ServeIndex::open_paged(index_path, cache_pages)
     }
 }
 
@@ -671,22 +660,38 @@ mod tests {
     use fuzzy_geom::Point;
     use fuzzy_index::{PagedRTree, DEFAULT_PAGE_SIZE};
 
-    fn summary(id: u64) -> ObjectSummary<WIRE_DIMS> {
+    fn object(id: u64) -> FuzzyObject<WIRE_DIMS> {
         let (x, y) = ((id % 8) as f64 * 2.0, (id / 8) as f64 * 2.0);
-        let object = FuzzyObject::new(
+        FuzzyObject::new(
             ObjectId(id),
             vec![Point::xy(x, y), Point::xy(x + 0.5, y + 0.5)],
             vec![1.0, 0.5],
         )
-        .unwrap();
-        ObjectSummary::from_object(&object)
+        .unwrap()
+    }
+
+    fn summary(id: u64) -> ObjectSummary<WIRE_DIMS> {
+        ObjectSummary::from_object(&object(id))
     }
 
     fn overlay_of(index: &ServeIndex) -> &OverlayRTree<WIRE_DIMS> {
-        match index {
-            ServeIndex::Paged(overlay) => overlay,
-            other => panic!("expected a paged index, got {other:?}"),
-        }
+        &index.0
+    }
+
+    /// `:mem:` serves an image base, which is no file: a second SWAP to
+    /// `:mem:` bulk-loads a fresh image instead of replaying a sidecar
+    /// beside the empty path, and a SWAP to a file opens it in full.
+    #[test]
+    fn an_image_base_is_never_the_served_file() {
+        let store = FileStore::from_objects((0..40).map(object)).unwrap();
+        let served = ServeIndex::mem_from_store(&store);
+        let base = overlay_of(&served).base();
+        assert!(base.image().is_some() && !base.is_file_at(base.path()));
+        let again = reopen(&served, ":mem:", &store, 8).unwrap();
+        assert!(!std::ptr::eq(base, overlay_of(&again).base()), "rebuilt, not shared");
+        assert_eq!(again.object_count(), 40);
+        let err = reopen(&served, "", &store, 8).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err}");
     }
 
     /// The SWAP fast path: the served file, unchanged, keeps its open base
@@ -699,6 +704,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("fuzzy-server-reopen-{}.fzpt", std::process::id()));
         let name = path.to_str().unwrap();
+        let store = FileStore::from_objects((0..1).map(object)).unwrap();
         let entries: Vec<_> = (0..40).map(summary).collect();
         PagedRTree::bulk_write(entries, RTreeConfig::default(), &path, DEFAULT_PAGE_SIZE).unwrap();
         let served = ServeIndex::open_paged(name, 8).unwrap();
@@ -709,20 +715,20 @@ mod tests {
         assert!(writer.insert(summary(900)));
         writer.save_delta().unwrap();
 
-        let again = reopen(&served, name, 8).unwrap();
+        let again = reopen(&served, name, &store, 8).unwrap();
         assert!(std::ptr::eq(overlay_of(&served).base(), overlay_of(&again).base()));
         assert_eq!(again.object_count(), 39);
         assert_eq!(served.object_count(), 40, "the served snapshot is untouched");
 
         let copy = path.with_extension("copy.fzpt");
         std::fs::copy(&path, &copy).unwrap();
-        let other = reopen(&again, copy.to_str().unwrap(), 8).unwrap();
+        let other = reopen(&again, copy.to_str().unwrap(), &store, 8).unwrap();
         assert!(!std::ptr::eq(overlay_of(&again).base(), overlay_of(&other).base()));
         assert_eq!(other.object_count(), 40, "the copy has no sidecar");
 
         writer.compact(DEFAULT_PAGE_SIZE).unwrap();
         assert!(!overlay_of(&again).base().is_file_at(&path), "compaction renames a new file in");
-        let compacted = reopen(&again, name, 8).unwrap();
+        let compacted = reopen(&again, name, &store, 8).unwrap();
         assert!(!std::ptr::eq(overlay_of(&again).base(), overlay_of(&compacted).base()));
         assert!(overlay_of(&compacted).is_clean());
         assert_eq!(compacted.object_count(), 39);
@@ -736,7 +742,7 @@ mod tests {
         PagedRTree::bulk_write(entries, RTreeConfig::default(), &path, DEFAULT_PAGE_SIZE).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), length);
         assert!(!overlay_of(&compacted).base().is_file_at(&path), "rewritten under the open fd");
-        let rebuilt = reopen(&compacted, name, 8).unwrap();
+        let rebuilt = reopen(&compacted, name, &store, 8).unwrap();
         assert!(!std::ptr::eq(overlay_of(&compacted).base(), overlay_of(&rebuilt).base()));
         let mut probe = overlay_of(&rebuilt).clone();
         assert!(probe.delete(ObjectId(138)), "the rebuilt file's ids are live");

@@ -48,6 +48,9 @@ pub enum StoreError {
         /// The node capacity asked for.
         max_entries: usize,
     },
+    /// A file operation (a sidecar save or reload, a compaction) was asked
+    /// of an index held as an in-memory image, which has no file.
+    NoFile,
 }
 
 impl fmt::Display for StoreError {
@@ -70,6 +73,7 @@ impl fmt::Display for StoreError {
             Self::FanoutTooSmall { max_entries } => {
                 write!(f, "node capacity {max_entries} is below the minimum of 2")
             }
+            Self::NoFile => write!(f, "an in-memory index has no file to read or write"),
         }
     }
 }

@@ -1,25 +1,30 @@
-//! File-backed object store with positioned reads and access counting.
+//! The object store: a file of object records with positioned reads and
+//! access counting, read from disk or from an in-memory image of the same
+//! bytes ([`ByteSource`]).
 
 use crate::error::StoreError;
 use crate::format::{
     decode_object, decode_summary, encode_object, encode_summary, record_len, summary_len, Decoder,
     Encoder, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };
+use crate::source::ByteSource;
 use crate::stats::{IoStats, IoStatsSnapshot};
 use crate::ObjectStore;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Streaming writer: objects are appended one at a time (datasets larger
 /// than memory can be generated without buffering), summaries and the index
-/// are accumulated and flushed by [`FileStoreWriter::finish`].
-pub struct FileStoreWriter<const D: usize> {
-    out: BufWriter<File>,
+/// are accumulated and flushed by [`FileStoreWriter::finish`]. The bytes go
+/// to `W`: a file, or the `Vec` an in-memory image is built in
+/// ([`FileStore::from_objects`]).
+pub struct FileStoreWriter<const D: usize, W: Write = BufWriter<File>> {
+    out: W,
+    /// The file written; empty for an image.
     path: PathBuf,
     offset: u64,
     index: Vec<(ObjectId, u64, u64)>,
@@ -32,7 +37,20 @@ impl<const D: usize> FileStoreWriter<D> {
     pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        let mut out = BufWriter::new(file);
+        Self::start(BufWriter::new(file), path)
+    }
+
+    /// Flush summaries, index and trailer; returns the opened store.
+    pub fn finish(self) -> Result<FileStore<D>, StoreError> {
+        let (out, path) = self.end()?;
+        drop(out);
+        FileStore::open(path)
+    }
+}
+
+impl<const D: usize, W: Write> FileStoreWriter<D, W> {
+    /// Write the header to `out`.
+    fn start(mut out: W, path: PathBuf) -> Result<Self, StoreError> {
         let mut header = Encoder::with_capacity(HEADER_LEN);
         header.bytes(&MAGIC);
         header.u16(VERSION);
@@ -73,8 +91,9 @@ impl<const D: usize> FileStoreWriter<D> {
         self.index.is_empty()
     }
 
-    /// Flush summaries, index and trailer; returns the opened store.
-    pub fn finish(mut self) -> Result<FileStore<D>, StoreError> {
+    /// Write summaries, index and trailer and flush: the finished bytes'
+    /// sink, and the path they were written to.
+    fn end(mut self) -> Result<(W, PathBuf), StoreError> {
         let summary_off = self.offset;
         let mut enc = Encoder::with_capacity(8 + self.summaries.len() * 256);
         enc.u64(self.summaries.len() as u64);
@@ -95,17 +114,16 @@ impl<const D: usize> FileStoreWriter<D> {
         enc.bytes(&MAGIC);
         self.out.write_all(enc.as_bytes())?;
         self.out.flush()?;
-        drop(self.out);
-        FileStore::open(&self.path)
+        Ok((self.out, self.path))
     }
 }
 
 /// Read side: index and summaries live in memory, records are fetched with
-/// positioned reads (no seek contention, `File` is shared immutably).
+/// positioned reads from the [`ByteSource`] (no seek contention, the
+/// source is shared immutably).
 #[derive(Debug)]
 pub struct FileStore<const D: usize> {
-    file: File,
-    path: PathBuf,
+    source: ByteSource,
     index: HashMap<ObjectId, (u64, u64)>,
     summaries: Vec<ObjectSummary<D>>,
     stats: IoStats,
@@ -118,15 +136,60 @@ impl<const D: usize> FileStore<D> {
     /// hostile bytes: a damaged file is a typed [`StoreError`], never a
     /// panic and never a handle that points outside the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let total = file.metadata()?.len();
+        Self::read(ByteSource::File(File::open(path)?))
+    }
+
+    /// Open a store whose file's bytes are `image`, held in memory, with
+    /// [`FileStore::open`]'s checks; probes copy records out of the image
+    /// instead of reading a file, and are counted the same.
+    pub fn from_image(image: impl Into<Arc<[u8]>>) -> Result<Self, StoreError> {
+        Self::read(ByteSource::Image(image.into()))
+    }
+
+    /// Encode `objects` — in order, summaries computed here — into the
+    /// bytes [`FileStoreWriter`] would write to a file, and open that
+    /// image: a store that never touches the file system.
+    ///
+    /// ```
+    /// use fuzzy_core::{FuzzyObject, ObjectId};
+    /// use fuzzy_geom::Point;
+    /// use fuzzy_store::{FileStore, ObjectStore};
+    ///
+    /// let store = FileStore::from_objects((0..3).map(|i| {
+    ///     FuzzyObject::new(
+    ///         ObjectId(i),
+    ///         vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 1.0)],
+    ///         vec![1.0, 0.5],
+    ///     )
+    ///     .unwrap()
+    /// }))
+    /// .unwrap();
+    ///
+    /// assert_eq!(store.len(), 3);
+    /// assert_eq!(store.summaries().len(), 3); // free: no probe charged
+    /// let obj = store.probe(ObjectId(1)).unwrap();
+    /// assert_eq!(obj.id(), ObjectId(1));
+    /// assert_eq!(store.stats().object_reads, 1); // ... but the probe was charged
+    /// ```
+    pub fn from_objects(
+        objects: impl IntoIterator<Item = FuzzyObject<D>>,
+    ) -> Result<Self, StoreError> {
+        let mut writer = FileStoreWriter::start(Vec::new(), PathBuf::new())?;
+        for obj in objects {
+            writer.append(&obj)?;
+        }
+        Self::from_image(writer.end()?.0)
+    }
+
+    /// Read the header, trailer, summary section and index of `source`.
+    fn read(source: ByteSource) -> Result<Self, StoreError> {
+        let total = source.len()?;
         if total < (HEADER_LEN + TRAILER_LEN) as u64 {
             return Err(StoreError::Corrupt { reason: "file shorter than header+trailer".into() });
         }
         // Header.
         let mut head = [0u8; HEADER_LEN];
-        file.read_exact(&mut head)?;
+        source.read_exact_at(&mut head, 0)?;
         if head[..4] != MAGIC {
             return Err(StoreError::Corrupt { reason: "bad magic in header".into() });
         }
@@ -140,9 +203,8 @@ impl<const D: usize> FileStore<D> {
             return Err(StoreError::DimensionMismatch { found: dims, expected: D as u16 });
         }
         // Trailer.
-        file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
         let mut tail = [0u8; TRAILER_LEN];
-        file.read_exact(&mut tail)?;
+        source.read_exact_at(&mut tail, total - TRAILER_LEN as u64)?;
         if tail[TRAILER_LEN - 4..] != MAGIC {
             return Err(StoreError::Corrupt { reason: "bad magic in trailer".into() });
         }
@@ -176,7 +238,7 @@ impl<const D: usize> FileStore<D> {
 
         // Summaries.
         let mut summaries = Vec::with_capacity(count as usize);
-        read_section(&file, "summary", summary_off, count, summary_len(D), |record| {
+        read_section(&source, "summary", summary_off, count, summary_len(D), |record| {
             summaries.push(decode_summary::<D>(record)?);
             Ok(())
         })?;
@@ -184,7 +246,7 @@ impl<const D: usize> FileStore<D> {
         // Index.
         let mut index = HashMap::with_capacity(summaries.len());
         let mut next = summaries.iter();
-        read_section(&file, "index", index_off, count, 24, |entry| {
+        read_section(&source, "index", index_off, count, 24, |entry| {
             let word =
                 |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().expect("8 bytes"));
             let (id, off, len) = (ObjectId(word(0)), word(8), word(16));
@@ -212,15 +274,10 @@ impl<const D: usize> FileStore<D> {
             Ok(())
         })?;
 
-        Ok(Self { file, path, index, summaries, stats: IoStats::new() })
+        Ok(Self { source, index, summaries, stats: IoStats::new() })
     }
 
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// All stored ids (index order is unspecified).
+    /// All stored ids, in append order.
     pub fn ids(&self) -> Vec<ObjectId> {
         self.summaries.iter().map(|s| s.id).collect()
     }
@@ -234,7 +291,7 @@ const READ_CHUNK: usize = 1 << 20;
 /// file order, through a buffer of at most [`READ_CHUNK`] bytes (or one
 /// record). Stops at `visit`'s first error.
 fn read_section(
-    file: &File,
+    source: &ByteSource,
     section: &str,
     mut off: u64,
     count: u64,
@@ -242,7 +299,7 @@ fn read_section(
     mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
     let mut word = [0u8; 8];
-    file.read_exact_at(&mut word, off)?;
+    source.read_exact_at(&mut word, off)?;
     let stored = u64::from_le_bytes(word);
     if stored != count {
         return Err(StoreError::Corrupt {
@@ -255,7 +312,7 @@ fn read_section(
     let mut buf = vec![0u8; left.min(per_chunk) * len];
     while left > 0 {
         let chunk = &mut buf[..left.min(per_chunk) * len];
-        file.read_exact_at(chunk, off)?;
+        source.read_exact_at(chunk, off)?;
         for record in chunk.chunks_exact(len) {
             visit(record)?;
         }
@@ -269,7 +326,7 @@ impl<const D: usize> ObjectStore<D> for FileStore<D> {
     fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<D>>, StoreError> {
         let &(off, len) = self.index.get(&id).ok_or(StoreError::UnknownObject(id))?;
         let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
+        self.source.read_exact_at(&mut buf, off)?;
         self.stats.record_read(len);
         let obj = decode_object::<D>(&buf)?;
         if obj.id() != id {
@@ -325,17 +382,19 @@ mod tests {
             w.append(&obj(i, i as f64)).unwrap();
         }
         assert_eq!(w.len(), 20);
-        let store = w.finish().unwrap();
-        assert_eq!(store.len(), 20);
-        for i in 0..20u64 {
-            let o = store.probe(ObjectId(i)).unwrap();
-            assert_eq!(o.id(), ObjectId(i));
-            assert_eq!(o.len(), 3);
-            assert_eq!(o.points()[0], Point::xy(i as f64, i as f64));
+        let image = FileStore::from_objects((0..20u64).map(|i| obj(i, i as f64))).unwrap();
+        for store in [w.finish().unwrap(), image] {
+            assert_eq!(store.len(), 20);
+            for i in 0..20u64 {
+                let o = store.probe(ObjectId(i)).unwrap();
+                assert_eq!(o.id(), ObjectId(i));
+                assert_eq!(o.len(), 3);
+                assert_eq!(o.points()[0], Point::xy(i as f64, i as f64));
+            }
+            assert_eq!(store.stats().object_reads, 20);
+            store.reset_stats();
+            assert_eq!(store.stats().object_reads, 0);
         }
-        assert_eq!(store.stats().object_reads, 20);
-        store.reset_stats();
-        assert_eq!(store.stats().object_reads, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -364,11 +423,12 @@ mod tests {
         let path = tmp("unknown");
         let mut w = FileStoreWriter::<2>::create(&path).unwrap();
         w.append(&obj(1, 0.0)).unwrap();
-        let store = w.finish().unwrap();
-        assert!(matches!(
-            store.probe(ObjectId(999)).unwrap_err(),
-            StoreError::UnknownObject(ObjectId(999))
-        ));
+        for store in [w.finish().unwrap(), FileStore::from_objects([obj(1, 0.0)]).unwrap()] {
+            assert!(matches!(
+                store.probe(ObjectId(999)).unwrap_err(),
+                StoreError::UnknownObject(ObjectId(999))
+            ));
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -381,6 +441,8 @@ mod tests {
             w.append(&obj(1, 5.0)).unwrap_err(),
             StoreError::DuplicateObject(ObjectId(1))
         ));
+        let err = FileStore::from_objects([obj(1, 0.0), obj(1, 5.0)]).unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateObject(ObjectId(1))));
         std::fs::remove_file(&path).ok();
     }
 
@@ -409,12 +471,36 @@ mod tests {
         let path = tmp("bytes");
         let mut w = FileStoreWriter::<2>::create(&path).unwrap();
         w.append(&obj(1, 0.0)).unwrap();
-        let store = w.finish().unwrap();
-        let _ = store.probe(ObjectId(1)).unwrap();
-        let snap = store.stats();
-        // id(8) + n(4) + flags(4) + perm(3×4) + µ(3×8) + cols(2×3×8) + fnv(8).
-        assert_eq!(snap.bytes_read, crate::format::record_len(2, 3) as u64);
-        assert_eq!(snap.bytes_read, 108);
+        for store in [w.finish().unwrap(), FileStore::from_objects([obj(1, 0.0)]).unwrap()] {
+            let _ = store.probe(ObjectId(1)).unwrap();
+            let snap = store.stats();
+            // id(8) + n(4) + flags(4) + perm(3×4) + µ(3×8) + cols(2×3×8) + fnv(8).
+            assert_eq!(snap.bytes_read, crate::format::record_len(2, 3) as u64);
+            assert_eq!(snap.bytes_read, encode_object(&obj(1, 0.0)).len() as u64);
+            assert_eq!(snap.bytes_read, 108);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An image store is the file's bytes: `from_objects` writes what the
+    /// file writer writes, and opens it with the same checks.
+    #[test]
+    fn an_image_is_the_file_s_bytes() {
+        let path = tmp("image");
+        let mut w = FileStoreWriter::<2>::create(&path).unwrap();
+        for i in 0..6u64 {
+            w.append(&obj(i, i as f64)).unwrap();
+        }
+        drop(w.finish().unwrap());
+        let bytes = std::fs::read(&path).unwrap();
+        let mut w = FileStoreWriter::<2, _>::start(Vec::new(), PathBuf::new()).unwrap();
+        for i in 0..6u64 {
+            w.append(&obj(i, i as f64)).unwrap();
+        }
+        assert_eq!(w.end().unwrap().0, bytes);
+        let image = FileStore::<2>::from_objects((0..6u64).map(|i| obj(i, i as f64))).unwrap();
+        let reopened = FileStore::<2>::from_image(bytes).unwrap();
+        assert_eq!(reopened.ids(), image.ids());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -8,13 +8,14 @@
 //!
 //! * [`FileStore`] — an append-only binary file of object records with an
 //!   embedded summary section and index; probes use positioned reads
-//!   (`pread`) and count accesses/bytes.
-//! * [`MemStore`] — an in-memory stand-in with identical accounting, for
-//!   tests and small workloads.
-//! * [`CachedStore`] — an LRU wrapper used by the `abl-cache` ablation (the
-//!   paper's algorithms are evaluated *without* caching).
+//!   and count accesses/bytes.
+//! * [`ByteSource`] — where a reader's bytes come from: a file (`pread`)
+//!   or an in-memory image of one. An in-memory store
+//!   ([`FileStore::from_objects`], alias [`MemStore`]) is the file's bytes
+//!   held in RAM, read through the same checks, decoders and counters.
 //! * [`PageCache`] — a generic bounded LRU buffer pool for page-structured
-//!   files (the paged R-tree index reads through one).
+//!   files (the paged R-tree index reads through one). The paper's
+//!   algorithms are evaluated without an object cache, and there is none.
 //! * [`DeltaLog`] — the checksummed `.fzdl` sidecar persisting a paged
 //!   index's pending inserts/tombstones between processes (the index file
 //!   itself is immutable until compaction).
@@ -25,23 +26,26 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
-pub mod cache;
 pub mod error;
 pub mod file_store;
 pub mod format;
-pub mod mem_store;
 pub mod overlay;
 pub mod pagecache;
+pub mod source;
 pub mod stats;
 
 pub use atomic::write_atomic;
-pub use cache::CachedStore;
 pub use error::StoreError;
 pub use file_store::{FileStore, FileStoreWriter};
-pub use mem_store::MemStore;
 pub use overlay::DeltaLog;
 pub use pagecache::{CachedPage, PageCache, PageCacheStats};
+pub use source::ByteSource;
 pub use stats::{IoStats, IoStatsSnapshot};
+
+/// An in-memory store: a [`FileStore`] over the image
+/// [`FileStore::from_objects`] encodes, with the file's checks and
+/// accounting.
+pub type MemStore<const D: usize> = FileStore<D>;
 
 #[cfg(test)]
 mod send_sync_tests {
@@ -52,9 +56,7 @@ mod send_sync_tests {
     #[test]
     fn stores_are_send_sync() {
         assert_send_sync::<FileStore<2>>();
-        assert_send_sync::<MemStore<2>>();
-        assert_send_sync::<CachedStore<FileStore<2>, 2>>();
-        assert_send_sync::<CachedStore<MemStore<2>, 2>>();
+        assert_send_sync::<ByteSource>();
     }
 }
 
@@ -64,15 +66,17 @@ use std::sync::Arc;
 /// A probe result that records where the object came from.
 ///
 /// Query-local cost accounting needs to know whether a probe actually
-/// touched the backing medium (one of the paper's "object accesses") or was
-/// served by a cache layer — per-query counter deltas cannot distinguish
-/// the two once queries run concurrently against a shared store.
+/// touched the backing medium (one of the paper's "object accesses") —
+/// per-query counter deltas cannot tell once queries run concurrently
+/// against a shared store. Every store here reads its records, so every
+/// probe reports one; a wrapper that serves some other way overrides
+/// [`ObjectStore::probe_traced`].
 #[derive(Clone, Debug)]
 pub struct TracedProbe<const D: usize> {
     /// The retrieved object.
     pub object: Arc<FuzzyObject<D>>,
     /// True when the probe reached the backing medium (counts as one
-    /// object access); false for cache hits.
+    /// object access).
     pub disk_read: bool,
 }
 
@@ -81,15 +85,15 @@ pub struct TracedProbe<const D: usize> {
 ///
 /// Implementations must be usable behind a shared reference from many
 /// threads at once — all methods take `&self` and the built-in stores use
-/// atomic counters and positioned reads, so `&FileStore`/`&MemStore` can be
-/// probed concurrently without external locking.
+/// atomic counters and positioned reads, so a `&FileStore` can be probed
+/// concurrently without external locking.
 pub trait ObjectStore<const D: usize> {
     /// Retrieve one object — this is the "object access" the paper counts.
     fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<D>>, StoreError>;
 
-    /// Retrieve one object together with its provenance (backing medium vs
-    /// cache). The default forwards to [`ObjectStore::probe`] and reports a
-    /// disk read; caching layers override it to report hits.
+    /// Retrieve one object together with its provenance. The default
+    /// forwards to [`ObjectStore::probe`] and reports a read of the
+    /// backing medium.
     fn probe_traced(&self, id: ObjectId) -> Result<TracedProbe<D>, StoreError> {
         Ok(TracedProbe { object: self.probe(id)?, disk_read: true })
     }

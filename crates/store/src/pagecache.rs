@@ -1,12 +1,10 @@
 //! A generic bounded LRU page cache — the buffer pool behind the paged
 //! R-tree (`fuzzy_index::PagedRTree`) and any future page-structured file.
 //!
-//! Where [`crate::CachedStore`] caches whole fuzzy objects by id, this
-//! cache holds *pages*: fixed-size units of a file keyed by page number,
-//! decoded once and shared as `Arc<T>` between concurrent readers. Every
-//! lookup reports its provenance (backing medium vs cache) the same way
-//! [`crate::ObjectStore::probe_traced`] does, so per-query cost accounting
-//! stays exact under concurrency.
+//! The cache holds *pages*: fixed-size units of a file keyed by page
+//! number, decoded once and shared as `Arc<T>` between concurrent readers.
+//! Every lookup reports its provenance (backing medium vs cache), so
+//! per-query cost accounting stays exact under concurrency.
 //!
 //! The eviction policy is least-recently-used with lazy invalidation: each
 //! access appends a `(key, stamp)` ticket to a queue, and eviction pops
@@ -98,9 +96,8 @@ impl<T> Inner<T> {
 /// *outside* the cache lock (so concurrent readers of other pages are
 /// never serialized behind an I/O), then the result is inserted, evicting
 /// the least recently used page when the capacity is exceeded. Two threads
-/// missing the same page concurrently may both run the loader — each then
-/// correctly reports a disk read — which is the same interleaving caveat
-/// [`crate::CachedStore`] has for object probes.
+/// missing the same page concurrently may both run the loader, and each
+/// then correctly reports a disk read.
 ///
 /// ```
 /// use fuzzy_store::PageCache;

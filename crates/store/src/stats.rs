@@ -25,13 +25,11 @@ impl IoStats {
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Snapshot the counters. A bare store has no cache, so `cache_hits`
-    /// is zero here; a cache layer adds its own (`CachedStore::stats`).
+    /// Snapshot the counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
             object_reads: self.object_reads.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            cache_hits: 0,
         }
     }
 
@@ -49,8 +47,6 @@ pub struct IoStatsSnapshot {
     pub object_reads: u64,
     /// Bytes read from the backing medium.
     pub bytes_read: u64,
-    /// Probes served from a cache layer.
-    pub cache_hits: u64,
 }
 
 impl IoStatsSnapshot {
@@ -66,7 +62,6 @@ impl IoStatsSnapshot {
         IoStatsSnapshot {
             object_reads: self.object_reads - before.object_reads,
             bytes_read: self.bytes_read - before.bytes_read,
-            cache_hits: self.cache_hits - before.cache_hits,
         }
     }
 }
@@ -83,7 +78,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.object_reads, 2);
         assert_eq!(snap.bytes_read, 150);
-        assert_eq!(snap.cache_hits, 0);
     }
 
     #[test]

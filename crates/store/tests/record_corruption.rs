@@ -3,9 +3,11 @@
 //! every byte boundary, any single bit flipped, layout contracts forged
 //! behind a valid checksum, stale format versions — must surface as a
 //! typed [`StoreError`], never a panic and never a silently wrong object.
+//! A damaged store opens the same way from a file and from an in-memory
+//! image of the same bytes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
@@ -126,6 +128,24 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fz-v3-corrupt-{}-{name}", std::process::id()))
 }
 
+/// Open `bytes` as a file at `path` and as an in-memory image, each under
+/// `catch_unwind`: neither may panic, and the two sources must agree — a
+/// store each, or the same typed error.
+fn open_both(path: &Path, bytes: &[u8], what: &str) -> Result<FileStore<2>, StoreError> {
+    std::fs::write(path, bytes).unwrap();
+    let file = catch_unwind(AssertUnwindSafe(|| FileStore::<2>::open(path)));
+    let image = catch_unwind(AssertUnwindSafe(|| FileStore::<2>::from_image(bytes.to_vec())));
+    match (file, image) {
+        (Err(_), _) | (_, Err(_)) => panic!("open panicked on {what}"),
+        (Ok(Ok(store)), Ok(Ok(_))) => Ok(store),
+        (Ok(Err(a)), Ok(Err(b))) => {
+            assert_eq!(a.to_string(), b.to_string(), "{what}: file and image disagree");
+            Err(a)
+        }
+        (Ok(a), Ok(b)) => panic!("{what}: file and image disagree: {:?} vs {:?}", a.err(), b.err()),
+    }
+}
+
 /// The summary section carries no checksum, and the search prunes on its
 /// boxes: a summary that breaks an invariant — here a support box whose
 /// upper x bound a damaged bit pulled below the object's kernel point —
@@ -156,24 +176,20 @@ fn summaries_breaking_their_invariants_never_open() {
     for (what, k, value, says) in cases {
         let mut evil = pristine.clone();
         evil[cell(k)..cell(k) + 8].copy_from_slice(&value.to_le_bytes());
-        std::fs::write(&path, &evil).unwrap();
-        match catch_unwind(AssertUnwindSafe(|| FileStore::<2>::open(&path))) {
-            Err(_) => panic!("open panicked on {what}"),
-            Ok(Ok(_)) => panic!("open accepted {what}"),
-            Ok(Err(StoreError::Corrupt { reason })) => {
+        match open_both(&path, &evil, what) {
+            Ok(_) => panic!("open accepted {what}"),
+            Err(StoreError::Corrupt { reason }) => {
                 assert!(reason.contains("#42") && reason.contains(says), "{what}: {reason}")
             }
-            Ok(Err(e)) => panic!("{what} gave {e}"),
+            Err(e) => panic!("{what} gave {e}"),
         }
     }
     let mut evil = pristine.clone();
     evil[summary + 8..summary + 12].copy_from_slice(&0u32.to_le_bytes());
-    std::fs::write(&path, &evil).unwrap();
-    let err = FileStore::<2>::open(&path).unwrap_err();
+    let err = open_both(&path, &evil, "a summary of no points").unwrap_err();
     assert!(err.to_string().contains("no points"), "{err}");
 
-    std::fs::write(&path, &pristine).unwrap();
-    assert!(FileStore::<2>::open(&path).is_ok(), "the fixture itself opens");
+    assert!(open_both(&path, &pristine, "the fixture").is_ok(), "the fixture itself opens");
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -192,8 +208,7 @@ fn stale_version_files_are_version_mismatch() {
     assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
     let stale = VERSION - 1;
     bytes[4..6].copy_from_slice(&stale.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    match FileStore::<2>::open(&path).unwrap_err() {
+    match open_both(&path, &bytes, "a stale version").unwrap_err() {
         StoreError::VersionMismatch { found, expected } => {
             assert_eq!(found, stale);
             assert_eq!(expected, VERSION);
@@ -259,13 +274,9 @@ fn hostile_trailer_and_index_fields_never_open() {
                 .push((format!("index entry {entry} {name}"), index_off + 8 + 24 * entry + 8 * k));
         }
     }
-    let must_refuse = |bytes: &[u8], what: &str| {
-        std::fs::write(&path, bytes).unwrap();
-        match catch_unwind(AssertUnwindSafe(|| FileStore::<2>::open(&path))) {
-            Err(_) => panic!("open panicked on {what}"),
-            Ok(Ok(_)) => panic!("open accepted {what}"),
-            Ok(Err(e)) => assert!(matches!(e, StoreError::Corrupt { .. }), "{what} gave {e}"),
-        }
+    let must_refuse = |bytes: &[u8], what: &str| match open_both(&path, bytes, what) {
+        Ok(_) => panic!("open accepted {what}"),
+        Err(e) => assert!(matches!(e, StoreError::Corrupt { .. }), "{what} gave {e}"),
     };
     for (what, at) in &fields {
         for value in [0, total - 1, total, u64::MAX - 3, u64::MAX] {
@@ -282,7 +293,6 @@ fn hostile_trailer_and_index_fields_never_open() {
     }
     must_refuse(&evil, "equal counts of 2^61");
 
-    std::fs::write(&path, &pristine).unwrap();
-    assert_eq!(FileStore::<2>::open(&path).unwrap().len(), 3, "the fixture itself opens");
+    assert_eq!(open_both(&path, &pristine, "the fixture").unwrap().len(), 3, "the fixture opens");
     std::fs::remove_file(&path).unwrap();
 }

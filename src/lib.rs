@@ -51,8 +51,8 @@
 //! |---|---|
 //! | [`geom`] | points, MBRs, MinDist/MaxDist, hulls, conservative lines, level-annotated kd-trees |
 //! | [`core`] | fuzzy object model, α-cuts, summaries, α-distance, profiles, critical sets |
-//! | [`store`] | disk/memory object stores with the paper's object-access accounting, plus the page-cache buffer pool |
-//! | [`index`] | R-trees behind the `NodeAccess` trait: in-memory `RTree` (STR bulk load), the disk-resident `PagedRTree` and its write overlay `OverlayRTree` |
+//! | [`store`] | the object store (`FileStore`) read from a file or an in-memory image (`MemStore`), with the paper's object-access accounting, plus the page-cache buffer pool |
+//! | [`index`] | the R-tree behind the `NodeAccess` trait: `PagedRTree` (STR bulk load) read from a file or an in-memory image (`RTree`), and its write overlay `OverlayRTree` |
 //! | [`query`] | the one `QueryEngine` — AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) over a tree or an `Arc` snapshot of one |
 //! | [`datagen`] | §6.1 synthetic workload + cell-like substitute for the real dataset |
 //! | [`analysis`] | §5 cost model (fractal dimensions, Eq. 6–8) |
@@ -82,6 +82,6 @@ pub mod prelude {
         QueryStats, RknnAlgorithm, RknnItem, RknnResult, Versioned,
     };
     pub use fuzzy_store::{
-        CachedStore, FileStore, FileStoreWriter, MemStore, ObjectStore, PageCache, StoreError,
+        FileStore, FileStoreWriter, MemStore, ObjectStore, PageCache, StoreError,
     };
 }
