@@ -149,28 +149,7 @@ impl<const D: usize> FileStore<D> {
     /// Encode `objects` — in order, summaries computed here — into the
     /// bytes [`FileStoreWriter`] would write to a file, and open that
     /// image: a store that never touches the file system.
-    ///
-    /// ```
-    /// use fuzzy_core::{FuzzyObject, ObjectId};
-    /// use fuzzy_geom::Point;
-    /// use fuzzy_store::{FileStore, ObjectStore};
-    ///
-    /// let store = FileStore::from_objects((0..3).map(|i| {
-    ///     FuzzyObject::new(
-    ///         ObjectId(i),
-    ///         vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 1.0)],
-    ///         vec![1.0, 0.5],
-    ///     )
-    ///     .unwrap()
-    /// }))
-    /// .unwrap();
-    ///
-    /// assert_eq!(store.len(), 3);
-    /// assert_eq!(store.summaries().len(), 3); // free: no probe charged
-    /// let obj = store.probe(ObjectId(1)).unwrap();
-    /// assert_eq!(obj.id(), ObjectId(1));
-    /// assert_eq!(store.stats().object_reads, 1); // ... but the probe was charged
-    /// ```
+    /// [`MemStore`](crate::MemStore) shows one in use.
     pub fn from_objects(
         objects: impl IntoIterator<Item = FuzzyObject<D>>,
     ) -> Result<Self, StoreError> {

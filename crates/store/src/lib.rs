@@ -29,6 +29,7 @@ pub mod atomic;
 pub mod error;
 pub mod file_store;
 pub mod format;
+pub mod mem_store;
 pub mod overlay;
 pub mod pagecache;
 pub mod source;
@@ -37,15 +38,11 @@ pub mod stats;
 pub use atomic::write_atomic;
 pub use error::StoreError;
 pub use file_store::{FileStore, FileStoreWriter};
+pub use mem_store::MemStore;
 pub use overlay::DeltaLog;
 pub use pagecache::{CachedPage, PageCache, PageCacheStats};
 pub use source::ByteSource;
 pub use stats::{IoStats, IoStatsSnapshot};
-
-/// An in-memory store: a [`FileStore`] over the image
-/// [`FileStore::from_objects`] encodes, with the file's checks and
-/// accounting.
-pub type MemStore<const D: usize> = FileStore<D>;
 
 #[cfg(test)]
 mod send_sync_tests {

@@ -1,15 +1,13 @@
-//! In-memory object store with the same accounting semantics as
-//! [`crate::FileStore`] — every probe counts as one (simulated) object
-//! access. Used by tests, examples and CPU-bound benchmarks.
+//! The in-memory store: a [`FileStore`] over the image
+//! [`FileStore::from_objects`] encodes, so every probe goes through the
+//! file's checks and decoders and is counted as one object access. Used by
+//! tests, examples and CPU-bound benchmarks.
 
-use crate::error::StoreError;
-use crate::stats::{IoStats, IoStatsSnapshot};
-use crate::ObjectStore;
-use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::FileStore;
 
-/// A `HashMap`-backed store.
+/// An in-memory store: a [`FileStore`] over the image
+/// [`FileStore::from_objects`] encodes, with the file's checks and
+/// accounting.
 ///
 /// ```
 /// use fuzzy_core::{FuzzyObject, ObjectId};
@@ -32,68 +30,13 @@ use std::sync::Arc;
 /// assert_eq!(obj.id(), ObjectId(1));
 /// assert_eq!(store.stats().object_reads, 1); // ... but the probe was charged
 /// ```
-#[derive(Debug)]
-pub struct MemStore<const D: usize> {
-    objects: HashMap<ObjectId, Arc<FuzzyObject<D>>>,
-    summaries: Vec<ObjectSummary<D>>,
-    stats: IoStats,
-    /// Approximate encoded record size per object, for byte accounting
-    /// parity with the file store.
-    sizes: HashMap<ObjectId, u64>,
-}
-
-impl<const D: usize> MemStore<D> {
-    /// Build from a collection of objects (summaries computed here).
-    pub fn from_objects(
-        objects: impl IntoIterator<Item = FuzzyObject<D>>,
-    ) -> Result<Self, StoreError> {
-        let mut map = HashMap::new();
-        let mut summaries = Vec::new();
-        let mut sizes = HashMap::new();
-        for obj in objects {
-            if map.contains_key(&obj.id()) {
-                return Err(StoreError::DuplicateObject(obj.id()));
-            }
-            summaries.push(ObjectSummary::from_object(&obj));
-            sizes.insert(obj.id(), crate::format::record_len(D, obj.len()) as u64);
-            map.insert(obj.id(), Arc::new(obj));
-        }
-        Ok(Self { objects: map, summaries, stats: IoStats::new(), sizes })
-    }
-
-    /// All stored ids.
-    pub fn ids(&self) -> Vec<ObjectId> {
-        self.summaries.iter().map(|s| s.id).collect()
-    }
-}
-
-impl<const D: usize> ObjectStore<D> for MemStore<D> {
-    fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<D>>, StoreError> {
-        let obj = self.objects.get(&id).cloned().ok_or(StoreError::UnknownObject(id))?;
-        self.stats.record_read(self.sizes[&id]);
-        Ok(obj)
-    }
-
-    fn len(&self) -> usize {
-        self.summaries.len()
-    }
-
-    fn summaries(&self) -> &[ObjectSummary<D>] {
-        &self.summaries
-    }
-
-    fn stats(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-}
+pub type MemStore<const D: usize> = FileStore<D>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ObjectStore, StoreError};
+    use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
 
     fn obj(id: u64) -> FuzzyObject<2> {
