@@ -8,9 +8,10 @@
 //! * `fnv1a/record_1000` — the checksum alone over the 1 000-point record:
 //!   the dependency chain a decode cannot finish before.
 //! * `leaf_page/full` — one read of a full leaf of a `scale` index (16 KiB
-//!   pages, the fullest leaves STR packs: 56 of 64 entries) through
-//!   [`PagedRTree`] with a one-page pool: two such leaves alternate, so
-//!   every read is a miss (the page comes from the OS page cache).
+//!   page size, the fullest leaves STR packs: 56 of 64 entries, an
+//!   8 752-byte page) through [`PagedRTree`] with a one-page pool: two
+//!   such leaves alternate, so every read is a miss (the page comes from
+//!   the OS page cache).
 //! * `store_open/50000` — [`FileStore::open`] of a 50 000-object `scale`
 //!   store (32 points, r = 0.1): header and trailer checks, every summary
 //!   decoded and checked, the id table built. The file comes from the OS

@@ -432,7 +432,7 @@ fn compact_cmd(flags: &HashMap<String, String>) {
         exit(1)
     });
     println!(
-        "compacted {ix}: folded +{} -{} into {} pages x {page_size} bytes, {} objects, \
+        "compacted {ix}: folded +{} -{} into {} pages of at most {page_size} bytes, {} objects, \
          height {}, {:?}",
         pending.0,
         pending.1,
@@ -457,7 +457,7 @@ fn info(path: &str, flags: &HashMap<String, String>) {
         if delta_path_for(ix).exists() {
             let tree = open_overlay(ix, flags);
             println!(
-                "  paged index {ix}: height {}, {} pages x {} bytes, C_max {}, \
+                "  paged index {ix}: height {}, {} pages of at most {} bytes, C_max {}, \
                  overlay +{} -{} ({} live)",
                 NodeAccess::height(tree.base()),
                 tree.base().page_count(),
@@ -470,7 +470,7 @@ fn info(path: &str, flags: &HashMap<String, String>) {
         } else {
             let tree = open_paged(ix, flags);
             println!(
-                "  paged index {ix}: height {}, {} pages x {} bytes, C_max {}",
+                "  paged index {ix}: height {}, {} pages of at most {} bytes, C_max {}",
                 NodeAccess::height(&tree),
                 tree.page_count(),
                 tree.page_size(),
@@ -512,7 +512,7 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
             exit(1)
         });
     println!(
-        "wrote {out}: {} objects in {} pages x {page_size} bytes, height {}, {:?}",
+        "wrote {out}: {} objects in {} pages of at most {page_size} bytes, height {}, {:?}",
         tree.len(),
         tree.page_count(),
         NodeAccess::height(&tree),

@@ -14,11 +14,12 @@ use std::path::Path;
 use std::process::Command;
 use std::sync::Arc;
 
-/// `fnv1a` of the files [`written_index_bytes_are_pinned`] writes, as the
-/// comparison-sort STR writer (an in-memory tree serialized node by node)
-/// wrote them: the key-sorted writer must reproduce them byte for byte.
-const PINNED_4K: &str = "984dcc5853a66777";
-const PINNED_16K: &str = "adcc8f62001733c7";
+/// `fnv1a` of the `.fzpt` v4 files [`written_index_bytes_are_pinned`]
+/// writes: the key-sorted STR packing's groups, tie order and page
+/// numbering (the comparison-sort writer's, which `str_differential`
+/// checks node by node), in v4's page framing, checksums and id column.
+const PINNED_4K: &str = "74876e44d75528d0";
+const PINNED_16K: &str = "e9298ad6faf28200";
 
 fn fkq(args: &[&str], dir: &Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_fkq"))

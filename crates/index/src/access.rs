@@ -123,7 +123,7 @@ impl<const D: usize> NodeRead<'_, D> {
 
 /// Uniform navigation over an R-tree, independent of where its pages live.
 ///
-/// Implementors: [`crate::PagedRTree`] (fixed-size pages of an index file
+/// Implementors: [`crate::PagedRTree`] (one page per node of an index file
 /// or of an in-memory image, behind an LRU buffer pool) and
 /// [`crate::OverlayRTree`] (one with pending inserts and deletes). Query
 /// processors that only use this trait — all of `fuzzy-query` — run

@@ -8,7 +8,7 @@
 //! the object store. The index is one structure behind one navigation
 //! interface:
 //!
-//! * [`PagedRTree`] — the tree serialized into fixed-size pages of a
+//! * [`PagedRTree`] — the tree serialized one node per page into a
 //!   single index file, read back through an LRU buffer pool, so node
 //!   accesses are real positioned reads with a measured disk/cache split
 //!   (the paper's §6 cost model made literal). Its bytes come from the

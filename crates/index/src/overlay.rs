@@ -10,7 +10,8 @@
 //!   (ids from the top of the `u32` range, so they can never collide with
 //!   base page numbers).
 //! * **Deletes** tombstone base ids; leaf reads filter tombstoned entries
-//!   out before the query processor sees them. Base node MBRs may become
+//!   out before the query processor sees them (a leaf no tombstone hits
+//!   passes through as the pool holds it). Base node MBRs may become
 //!   loose — harmless for correctness, since traversals only use them as
 //!   lower bounds — until compaction re-tightens everything.
 //! * **Persistence**: the pending state round-trips through a checksummed
@@ -24,6 +25,11 @@
 //!   compaction calls are refused with [`StoreError::NoFile`] before they
 //!   touch the file system.
 //!
+//! Opening reads the base's header, page table and sorted id column
+//! ([`PagedRTree::stored_ids`]) — no node page: the pool stays cold until
+//! the first query. Which ids the base stores is a binary search in that
+//! column, shared by every clone.
+//!
 //! The query stack is generic over `NodeAccess`, so AKNN/RKNN/batch
 //! run unmodified over an overlay; `fuzzy_query::Versioned` makes the
 //! mutation path safe to share with concurrent readers.
@@ -36,6 +42,7 @@ use fuzzy_geom::Mbr;
 use fuzzy_store::overlay::DeltaLog;
 use fuzzy_store::{write_atomic, StoreError};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -56,24 +63,54 @@ fn corrupt(reason: impl Into<String>) -> StoreError {
     StoreError::Corrupt { reason: reason.into() }
 }
 
+/// Hashes an object id with one multiply, its high half folded into the
+/// low: a served leaf read looks every entry up in the tombstone set while
+/// deletes are pending, and SipHash cost more than the rest of the read.
+/// The ids are the index's own, not keys an adversary picks per lookup.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(self.0 ^ u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A set of object ids under [`IdHasher`].
+type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
+
 /// A dynamic view over an immutable [`PagedRTree`]: base pages plus an
 /// in-memory delta of inserted summaries and tombstoned ids.
 ///
 /// Reads (`&self`, via [`NodeAccess`]) are thread-safe exactly like the
 /// base tree's; mutation takes `&mut self`. Clones share the base file
-/// handle and the base's id set (`Arc`s) but copy the delta — which is
+/// handle and the base's id column (`Arc`s) but copy the delta — which is
 /// what `fuzzy_query`'s epoch publisher relies on to hand frozen snapshots
 /// to readers.
 #[derive(Clone, Debug)]
 pub struct OverlayRTree<const D: usize> {
     base: Arc<PagedRTree<D>>,
-    /// Every object id stored in the base file (one leaf sweep at open);
-    /// immutable for the file's lifetime, so clones share it.
-    base_ids: Arc<HashSet<u64>>,
+    /// Every object id stored in the base file, ascending: its id column,
+    /// read once at open; immutable for the file's lifetime, so clones
+    /// share it.
+    base_ids: Arc<[u64]>,
     /// Summaries inserted since the last compaction, insertion order.
     inserted: Vec<ObjectSummary<D>>,
     /// Base ids deleted since the last compaction.
-    tombstones: HashSet<u64>,
+    tombstones: IdSet,
     /// Inserted summaries chunked into ready-made delta leaf nodes.
     delta_leaves: Vec<Arc<DecodedNode<D>>>,
     /// Virtual root: base root + delta leaves as children.
@@ -104,16 +141,17 @@ impl<const D: usize> OverlayRTree<D> {
         Self::with_delta(base, delta)
     }
 
-    /// Wrap an open base tree, replaying a delta log. Rejects logs that
-    /// are inconsistent with the base (tombstones for unknown ids,
-    /// inserts colliding with live ids).
+    /// Wrap an open base tree, replaying a delta log. Reads the base's id
+    /// column, and no node page. Rejects logs that are inconsistent with
+    /// the base (tombstones for unknown ids, inserts colliding with live
+    /// ids).
     pub fn with_delta(base: Arc<PagedRTree<D>>, delta: DeltaLog<D>) -> Result<Self, StoreError> {
-        let base_ids = Arc::new(Self::sweep_base_ids(&base)?);
+        let base_ids = base.stored_ids()?;
         Self::replay(base, base_ids, delta)
     }
 
     /// This overlay's base under the sidecar as it is on disk *now*: the
-    /// open file, its warm buffer pool and its id set are shared, the
+    /// open file, its warm buffer pool and its id column are shared, the
     /// delta log is loaded afresh and held to [`OverlayRTree::with_delta`]'s
     /// checks. What re-publishing an unchanged index file costs — the
     /// caller establishes "unchanged" ([`PagedRTree::is_file_at`]).
@@ -125,21 +163,21 @@ impl<const D: usize> OverlayRTree<D> {
     /// Replay `delta` over a base whose stored ids are `base_ids`.
     fn replay(
         base: Arc<PagedRTree<D>>,
-        base_ids: Arc<HashSet<u64>>,
+        base_ids: Arc<[u64]>,
         delta: DeltaLog<D>,
     ) -> Result<Self, StoreError> {
         let mut out = Self {
             base,
             base_ids,
             inserted: Vec::new(),
-            tombstones: HashSet::new(),
+            tombstones: IdSet::default(),
             delta_leaves: Vec::new(),
             root_node: Arc::new(DecodedNode::Internal(Vec::new())),
             root_mbr: Mbr::empty(),
             live_len: 0,
         };
         for &id in &delta.tombstones {
-            if !out.base_ids.contains(&id) {
+            if !out.in_base(id) {
                 return Err(corrupt(format!(
                     "delta log tombstones id {id} which the index file does not store"
                 )));
@@ -151,7 +189,7 @@ impl<const D: usize> OverlayRTree<D> {
         for s in &delta.inserted {
             let id = s.id.0;
             let in_inserted = out.inserted.iter().any(|e| e.id.0 == id);
-            if in_inserted || (out.base_ids.contains(&id) && !out.tombstones.contains(&id)) {
+            if in_inserted || (out.in_base(id) && !out.tombstones.contains(&id)) {
                 return Err(corrupt(format!("delta log inserts id {id} which is already live")));
             }
             out.inserted.push(*s);
@@ -159,33 +197,6 @@ impl<const D: usize> OverlayRTree<D> {
         out.live_len = out.base.len() - out.tombstones.len() + out.inserted.len();
         out.rebuild_virtual();
         Ok(out)
-    }
-
-    /// One sweep over the base file's leaves, collecting every stored id.
-    fn sweep_base_ids(base: &PagedRTree<D>) -> Result<HashSet<u64>, StoreError> {
-        let mut ids = HashSet::with_capacity(base.len());
-        let mut stack = vec![NodeAccess::root_id(base)];
-        while let Some(id) = stack.pop() {
-            let read = base.read_node(id)?;
-            match read.view() {
-                NodeView::Nodes(kids) => stack.extend(kids.iter().map(|c| c.id)),
-                NodeView::Entries(entries) => {
-                    for e in entries {
-                        if !ids.insert(e.id.0) {
-                            return Err(corrupt(format!("index file stores id {} twice", e.id.0)));
-                        }
-                    }
-                }
-            }
-        }
-        if ids.len() != base.len() {
-            return Err(corrupt(format!(
-                "index header says {} objects, leaves store {}",
-                base.len(),
-                ids.len()
-            )));
-        }
-        Ok(ids)
     }
 
     /// Rechunk every inserted summary into delta leaves and rebuild the
@@ -248,10 +259,15 @@ impl<const D: usize> OverlayRTree<D> {
         id
     }
 
+    /// Does the base file store `id`?
+    fn in_base(&self, id: u64) -> bool {
+        self.base_ids.binary_search(&id).is_ok()
+    }
+
     /// Is `id` in the live set (base minus tombstones, plus inserts)?
     fn contains_id(&self, id: ObjectId) -> bool {
         self.inserted.iter().any(|e| e.id == id)
-            || (self.base_ids.contains(&id.0) && !self.tombstones.contains(&id.0))
+            || (self.in_base(id.0) && !self.tombstones.contains(&id.0))
     }
 
     /// Insert a summary unless its id is already live. Returns `true`
@@ -277,7 +293,7 @@ impl<const D: usize> OverlayRTree<D> {
             self.live_len -= 1;
             self.rebuild_virtual();
             true
-        } else if self.base_ids.contains(&id.0) && self.tombstones.insert(id.0) {
+        } else if self.in_base(id.0) && self.tombstones.insert(id.0) {
             // Tombstones only filter base leaf reads; the delta leaves and
             // the (conservative) root MBR are untouched.
             self.live_len -= 1;
@@ -751,7 +767,7 @@ mod tests {
     }
 
     /// A clone (what every publish makes) and a sidecar reload share the
-    /// open base and its id set; the reload sees the sidecar as saved and
+    /// open base and its id column; the reload sees the sidecar as saved and
     /// holds it to the same checks as a fresh open.
     #[test]
     fn clones_and_sidecar_reloads_share_the_base_and_its_ids() {

@@ -1,7 +1,7 @@
 //! The R-tree: `PagedRTree`, one reader over two byte sources.
 //!
-//! A tree is a single index file of fixed-size pages — one node per page,
-//! each checksummed — read back through an LRU buffer pool
+//! A tree is a single index file of checksummed pages — one node per page,
+//! each exactly as long as its node — read back through an LRU buffer pool
 //! ([`fuzzy_store::PageCache`]), so node accesses are real positioned
 //! reads and the per-query disk/cache split is measured, not simulated.
 //! The bytes come from a [`ByteSource`]: the file itself
@@ -16,19 +16,23 @@
 //!
 //! ```text
 //! [ header     ] magic "FZPT" | version | dims | page size | tree shape
-//!                | root MBR | FNV-1a checksum
+//!                | root MBR | checksum
 //! [ node pages ] page i = node i: kind u8, count u32, payload
 //!                (internal: child id + child MBR per entry; leaf: a
 //!                **columnar summary block** — ids, point counts, then one
-//!                contiguous f64 column per summary field), zero padding,
-//!                trailing FNV-1a checksum
-//! [ page table ] count + one u64 byte offset per page + FNV-1a checksum
-//! [ trailer    ] page-table offset | page count | magic "FZPT"
+//!                contiguous f64 column per summary field), checksum
+//! [ id column  ] count + every stored object id, ascending + checksum
+//! [ page table ] count + (byte offset, length) per page + checksum
+//! [ trailer    ] page-table offset | id-column offset | page count | magic
 //! ```
 //!
-//! Leaf pages are decoded **once** when they enter the buffer pool; every
-//! subsequent probe borrows the decoded entries straight from the cached
-//! page (`Arc`-guarded [`NodeRead`]) — no per-read record decoding.
+//! Every checksum is the four-lane [`fnv1a_lanes`]. A page miss reads
+//! exactly the page's bytes, and decodes its entries while the checksum
+//! lanes fold them; the decoded node is cached, and every subsequent probe
+//! borrows the decoded entries straight from the cached page
+//! (`Arc`-guarded [`NodeRead`]) — no per-read record decoding. The id
+//! column is read only when asked for ([`PagedRTree::stored_ids`], what
+//! an overlay does at open).
 //!
 //! Writing computes the STR packing (`crates/index/src/bulk.rs`) and
 //! encodes each node's page straight from it, into one reused page buffer
@@ -42,7 +46,7 @@ use crate::bulk::StrPacking;
 use crate::node::{NodeId, RTreeConfig};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
-use fuzzy_store::format::{fnv1a, ChecksumWalk, Decoder, Encoder};
+use fuzzy_store::format::{fnv1a_lanes, ChecksumWalk, Decoder, Encoder, LANES};
 use fuzzy_store::pagecache::{PageCache, PageCacheStats};
 use fuzzy_store::{ByteSource, StoreError};
 use std::fs::{File, Metadata};
@@ -54,23 +58,24 @@ use std::sync::Arc;
 /// Index-file magic ("FuZzy Paged Tree").
 pub const PAGED_MAGIC: [u8; 4] = *b"FZPT";
 /// Index-file format version understood by this build. Version 3 switched
-/// leaf pages from per-entry summary records to a columnar block layout
-/// (`encode_leaf_entries`): one contiguous column per summary field, so
-/// a page decode is a handful of sequential column sweeps instead of an
-/// interleaved field-by-field walk, and the buffer pool caches the decoded
-/// entries for zero-copy borrowing by every later probe.
-pub const PAGED_VERSION: u16 = 3;
-/// Trailer length in bytes: page-table offset, page count, reserved, magic.
-pub const PAGED_TRAILER_LEN: usize = 8 + 8 + 4 + 4;
+/// leaf pages to a columnar block layout (`encode_leaf_entries`). Version
+/// 4 stores each page unpadded, exactly its node's bytes, under the
+/// four-lane checksum [`fnv1a_lanes`], with each page's length in the
+/// page table, and adds the sorted id column an overlay opens from.
+pub const PAGED_VERSION: u16 = 4;
+/// Trailer length in bytes: page-table offset, id-column offset, page
+/// count, reserved, magic.
+pub const PAGED_TRAILER_LEN: usize = 8 + 8 + 8 + 4 + 4;
 /// Per-page overhead: kind byte, 3 reserved bytes, entry count, checksum.
 pub const PAGE_OVERHEAD: usize = 8 + 8;
-/// Default page size (holds a 64-entry 2-D leaf with room to spare).
+/// Default page size: the largest node a page may hold (a 64-entry 2-D
+/// leaf fits with room to spare).
 pub const DEFAULT_PAGE_SIZE: u32 = 16 * 1024;
 /// Smallest accepted page size.
 pub const MIN_PAGE_SIZE: u32 = 256;
 /// Default buffer-pool capacity in pages.
 pub const DEFAULT_CACHE_PAGES: usize = 1024;
-/// Pages the writer buffers before each write to the file.
+/// Largest nodes the writer buffers before each write to the file.
 const WRITE_RUN_PAGES: usize = 4;
 
 /// The header's reserved 8 bytes at offset 48, written as this `f64` and
@@ -82,7 +87,7 @@ const RESERVED_FILL: f64 = 0.4;
 const HEADER_FIXED_LEN: usize = 4 + 2 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 
 /// Total header length for dimensionality `d` (fixed fields, `2·d` f64
-/// root-MBR bounds, FNV-1a checksum).
+/// root-MBR bounds, checksum).
 pub const fn paged_header_len(d: usize) -> usize {
     HEADER_FIXED_LEN + 16 * d + 8
 }
@@ -114,11 +119,15 @@ pub const fn leaf_entry_len(d: usize) -> usize {
     8 + 4 + 9 * d * 8
 }
 
+/// Per-entry cost of an internal node: child page number (u64) and the
+/// child's MBR.
+const fn internal_entry_len(d: usize) -> usize {
+    8 + 16 * d
+}
+
 /// Largest payload any node of this tree can need, in bytes.
 fn max_node_payload<const D: usize>(max_entries: usize) -> usize {
-    let internal = max_entries * (8 + 16 * D);
-    let leaf = max_entries * leaf_entry_len(D);
-    internal.max(leaf)
+    max_entries * internal_entry_len(D).max(leaf_entry_len(D))
 }
 
 /// The page size of an in-memory image: the smallest multiple of 8, at
@@ -127,6 +136,19 @@ fn max_node_payload<const D: usize>(max_entries: usize) -> usize {
 pub(crate) fn image_page_size<const D: usize>(max_entries: usize) -> u32 {
     let needed = (max_node_payload::<D>(max_entries) + PAGE_OVERHEAD).next_multiple_of(8);
     u32::try_from(needed).expect("a node fits a u32-sized page").max(MIN_PAGE_SIZE)
+}
+
+/// Seal `bytes` with its [`fnv1a_lanes`] checksum.
+fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let sum = fnv1a_lanes(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Split a sealed section into its body and whether its checksum holds.
+fn unseal(bytes: &[u8]) -> (&[u8], bool) {
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    (body, u64::from_le_bytes(sum.try_into().expect("an 8-byte split")) == fnv1a_lanes(body))
 }
 
 /// Encode `entries` as the v3 columnar leaf block filling `block`: all
@@ -161,21 +183,21 @@ fn encode_leaf_entries<const D: usize>(block: &mut [u8], entries: &[ObjectSummar
 }
 
 /// Finish the node whose payload fills `page[8..used]` — kind byte, entry
-/// count, zero padding, checksum — and write the page to `out`.
+/// count, checksum — and write its `used + 8` bytes to `out`; returns the
+/// page's length.
 fn write_page(
     out: &mut impl Write,
     page: &mut [u8],
     kind: u8,
     count: usize,
     used: usize,
-) -> std::io::Result<()> {
+) -> std::io::Result<u64> {
     page[..4].copy_from_slice(&[kind, 0, 0, 0]);
     page[4..8].copy_from_slice(&(count as u32).to_le_bytes());
-    let sum_at = page.len() - 8;
-    page[used..sum_at].fill(0);
-    let sum = fnv1a(&page[..sum_at]);
-    page[sum_at..].copy_from_slice(&sum.to_le_bytes());
-    out.write_all(page)
+    let sum = fnv1a_lanes(&page[..used]);
+    page[used..used + 8].copy_from_slice(&sum.to_le_bytes());
+    out.write_all(&page[..used + 8])?;
+    Ok((used + 8) as u64)
 }
 
 /// Decode a v3 columnar leaf block of `count` entries (inverse of
@@ -187,7 +209,7 @@ fn write_page(
 fn decode_leaf_entries<const D: usize>(
     d: &mut Decoder<'_>,
     count: usize,
-    walk: &mut ChecksumWalk<'_>,
+    walk: &mut ChecksumWalk<'_, LANES>,
     words: usize,
 ) -> Result<Vec<ObjectSummary<D>>, StoreError> {
     use fuzzy_geom::{ConservativeLine, Point};
@@ -308,7 +330,10 @@ pub struct PagedRTree<const D: usize> {
     /// for an image.
     opened_as: Option<FileStamp>,
     page_size: u32,
-    page_offsets: Vec<u64>,
+    /// Each page's byte offset and length, by page number.
+    pages: Vec<(u64, u32)>,
+    /// Byte offset of the id column.
+    ids_at: u64,
     root: NodeId,
     root_mbr: Mbr<D>,
     height: usize,
@@ -339,9 +364,9 @@ impl<const D: usize> PagedRTree<D> {
     /// (compaction hands it the temp file of `fuzzy_store::write_atomic`,
     /// [`PagedRTree::bulk_load`] a `Vec`):
     /// the header, then every node's page in node-id order, encoded from
-    /// the packing through one reused page buffer, then the page table.
-    /// `open` runs only once the configuration is known to fit, so a
-    /// refused write creates nothing.
+    /// the packing through one reused page buffer, then the id column and
+    /// the page table. `open` runs only once the configuration is known to
+    /// fit, so a refused write creates nothing.
     pub(crate) fn write<W: Write>(
         entries: &[ObjectSummary<D>],
         config: RTreeConfig,
@@ -359,7 +384,7 @@ impl<const D: usize> PagedRTree<D> {
             return Err(StoreError::PageOverflow { needed, page_size });
         }
         let (order, packing) = StrPacking::new(entries, config.max_entries);
-        let mut out = BufWriter::with_capacity(WRITE_RUN_PAGES * page_size as usize, open()?);
+        let mut out = BufWriter::with_capacity(WRITE_RUN_PAGES * needed as usize, open()?);
 
         // Header.
         let root = packing.root();
@@ -375,23 +400,24 @@ impl<const D: usize> PagedRTree<D> {
         header.u64(entries.len() as u64);
         header.f64(RESERVED_FILL);
         encode_mbr(&mut header, packing.mbr(root));
-        let sum = fnv1a(header.as_bytes());
-        header.u64(sum);
+        let header = seal(header.into_bytes());
         debug_assert_eq!(header.len(), paged_header_len(D));
-        out.write_all(header.as_bytes())?;
+        out.write_all(&header)?;
 
         // Node pages, node id == page number: the leaves, then each upper
-        // level. The size check above makes every node fit its page. A
-        // leaf's entries are gathered before they are encoded: the copies
-        // are independent loads, so their cache misses overlap.
-        let mut page = vec![0u8; page_size as usize];
+        // level, back to back. The size check above makes every node fit
+        // the buffer. A leaf's entries are gathered before they are
+        // encoded: the copies are independent loads, so their cache misses
+        // overlap.
+        let mut page = vec![0u8; needed as usize];
+        let mut lens = Vec::with_capacity(packing.mbrs.len());
         let mut gathered = Vec::with_capacity(config.max_entries);
         for leaf in packing.leaves() {
             gathered.clear();
             gathered.extend(order[leaf].iter().map(|&i| entries[i as usize]));
             let used = 8 + gathered.len() * leaf_entry_len(D);
             encode_leaf_entries(&mut page[8..used], &gathered);
-            write_page(&mut out, &mut page, 0, gathered.len(), used)?;
+            lens.push(write_page(&mut out, &mut page, 0, gathered.len(), used)?);
         }
         for children in &packing.internal {
             let mut used = 8;
@@ -403,25 +429,40 @@ impl<const D: usize> PagedRTree<D> {
                     used += 8;
                 }
             }
-            write_page(&mut out, &mut page, 1, children.len(), used)?;
+            lens.push(write_page(&mut out, &mut page, 1, children.len(), used)?);
         }
 
-        // Page table + trailer.
-        let pages = packing.mbrs.len() as u64;
-        let first = paged_header_len(D) as u64;
-        let table_off = first + pages * page_size as u64;
-        let mut tail = Encoder::with_capacity(8 + pages as usize * 8 + 8 + PAGED_TRAILER_LEN);
-        tail.u64(pages);
-        for i in 0..pages {
-            tail.u64(first + i * page_size as u64);
+        // Id column: every stored id, ascending.
+        let mut ids: Vec<u64> = entries.iter().map(|e| e.id.0).collect();
+        ids.sort_unstable();
+        let mut column = Encoder::with_capacity(16 + 8 * ids.len());
+        column.u64(ids.len() as u64);
+        for id in ids {
+            column.u64(id);
         }
-        let sum = fnv1a(tail.as_bytes());
-        tail.u64(sum);
-        tail.u64(table_off);
-        tail.u64(pages);
-        tail.u32(0); // reserved
-        tail.bytes(&PAGED_MAGIC);
-        out.write_all(tail.as_bytes())?;
+        let column = seal(column.into_bytes());
+        out.write_all(&column)?;
+
+        // Page table + trailer.
+        let pages = lens.len() as u64;
+        let mut table = Encoder::with_capacity(16 + 16 * lens.len());
+        table.u64(pages);
+        let mut at = paged_header_len(D) as u64;
+        for len in lens {
+            table.u64(at);
+            table.u64(len);
+            at += len;
+        }
+        let table = seal(table.into_bytes());
+        let (ids_at, table_at) = (at, at + column.len() as u64);
+        let mut trailer = Encoder::with_capacity(PAGED_TRAILER_LEN);
+        trailer.u64(table_at);
+        trailer.u64(ids_at);
+        trailer.u64(pages);
+        trailer.u32(0); // reserved
+        trailer.bytes(&PAGED_MAGIC);
+        out.write_all(&table)?;
+        out.write_all(trailer.as_bytes())?;
         out.flush()?;
         Ok(())
     }
@@ -459,7 +500,8 @@ impl<const D: usize> PagedRTree<D> {
     }
 
     /// Check the header, trailer and page table of `source` and open it
-    /// behind a pool of `cache_pages` pages.
+    /// behind a pool of `cache_pages` pages. Neither a node page nor the
+    /// id column is read.
     fn read(
         source: ByteSource,
         path: PathBuf,
@@ -478,8 +520,7 @@ impl<const D: usize> PagedRTree<D> {
         if head[..4] != PAGED_MAGIC {
             return Err(corrupt("bad magic in index header"));
         }
-        let (payload, sum_bytes) = head.split_at(header_len - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+        let (payload, sealed) = unseal(&head);
         let mut d = Decoder::new(&payload[4..]);
         let version = d.u16()?;
         if version != PAGED_VERSION {
@@ -489,7 +530,7 @@ impl<const D: usize> PagedRTree<D> {
         if dims as usize != D {
             return Err(StoreError::DimensionMismatch { found: dims, expected: D as u16 });
         }
-        if stored != fnv1a(payload) {
+        if !sealed {
             return Err(corrupt("index header checksum mismatch"));
         }
         let page_size = d.u32()?;
@@ -497,7 +538,7 @@ impl<const D: usize> PagedRTree<D> {
         let page_count = d.u64()?;
         let root_page = d.u64()?;
         let height = d.u64()? as usize;
-        let len = d.u64()? as usize;
+        let len = d.u64()?;
         d.f64()?; // reserved (RESERVED_FILL), not read
         let root_mbr = decode_mbr::<D>(&mut d)?;
         if page_size < MIN_PAGE_SIZE || page_count == 0 || page_count > u32::MAX as u64 {
@@ -512,36 +553,41 @@ impl<const D: usize> PagedRTree<D> {
             )));
         }
 
-        // Trailer.
+        // Trailer: the page table ends where the trailer starts, and the id
+        // column, one id per indexed object, ends where the table starts.
+        // Checked arithmetic: a bit-rotted offset or count near u64::MAX
+        // must surface as Corrupt, not as a debug-build overflow panic.
         let mut tail = [0u8; PAGED_TRAILER_LEN];
         source.read_exact_at(&mut tail, total - PAGED_TRAILER_LEN as u64)?;
         if tail[PAGED_TRAILER_LEN - 4..] != PAGED_MAGIC {
             return Err(corrupt("bad magic in index trailer"));
         }
         let mut t = Decoder::new(&tail);
-        let table_off = t.u64()?;
-        let trailer_count = t.u64()?;
+        let (table_at, ids_at, trailer_count) = (t.u64()?, t.u64()?, t.u64()?);
         if trailer_count != page_count {
             return Err(corrupt(format!(
                 "trailer says {trailer_count} pages, header says {page_count}"
             )));
         }
-        let table_len = 8 + page_count as usize * 8 + 8;
-        // Checked arithmetic: a bit-rotted table_off near u64::MAX must
-        // surface as Corrupt, not as a debug-build overflow panic.
-        let table_end = table_off
-            .checked_add(table_len as u64)
-            .and_then(|v| v.checked_add(PAGED_TRAILER_LEN as u64));
-        if table_off < header_len as u64 || table_end != Some(total) {
+        let table_len = 16 + 16 * page_count;
+        let table_end = table_at.checked_add(table_len + PAGED_TRAILER_LEN as u64);
+        if table_end != Some(total) {
             return Err(corrupt("page table offset inconsistent with file size"));
         }
+        let ids_end = len.checked_mul(8).and_then(|ids| ids.checked_add(16)?.checked_add(ids_at));
+        if ids_at < header_len as u64 || ids_end != Some(table_at) {
+            return Err(corrupt(format!(
+                "id column at {ids_at} inconsistent with {len} objects and the page table at \
+                 {table_at}"
+            )));
+        }
 
-        // Page table.
-        let mut table = vec![0u8; table_len];
-        source.read_exact_at(&mut table, table_off)?;
-        let (payload, sum_bytes) = table.split_at(table_len - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if stored != fnv1a(payload) {
+        // Page table: pages ascend without overlapping, each at least a
+        // node's fixed part and at most a page, between header and id column.
+        let mut table = vec![0u8; table_len as usize];
+        source.read_exact_at(&mut table, table_at)?;
+        let (payload, sealed) = unseal(&table);
+        if !sealed {
             return Err(corrupt("page table checksum mismatch"));
         }
         let mut pt = Decoder::new(payload);
@@ -549,15 +595,24 @@ impl<const D: usize> PagedRTree<D> {
         if count != page_count {
             return Err(corrupt(format!("page table lists {count} pages, expected {page_count}")));
         }
-        let mut page_offsets = Vec::with_capacity(page_count as usize);
+        let mut pages = Vec::with_capacity(page_count as usize);
+        let mut free_from = header_len as u64;
         for i in 0..page_count {
-            let off = pt.u64()?;
-            let in_bounds = off >= header_len as u64
-                && off.checked_add(page_size as u64).is_some_and(|end| end <= table_off);
-            if !in_bounds {
-                return Err(corrupt(format!("page {i} offset {off} outside the page region")));
+            let (at, page_len) = (pt.u64()?, pt.u64()?);
+            let end = at.checked_add(page_len).filter(|&end| at >= free_from && end <= ids_at);
+            let Some(end) = end else {
+                return Err(corrupt(format!(
+                    "page {i} ({page_len} bytes at {at}) overlaps the page before it or leaves \
+                     the page region"
+                )));
+            };
+            if !(PAGE_OVERHEAD as u64..=page_size as u64).contains(&page_len) {
+                return Err(corrupt(format!(
+                    "page {i} is {page_len} bytes, not a node of at most {page_size}"
+                )));
             }
-            page_offsets.push(off);
+            pages.push((at, page_len as u32));
+            free_from = end;
         }
 
         Ok(Self {
@@ -565,28 +620,29 @@ impl<const D: usize> PagedRTree<D> {
             path,
             opened_as,
             page_size,
-            page_offsets,
+            pages,
+            ids_at,
             root: NodeId(root_page as u32),
             root_mbr,
             height,
-            len,
+            len: len as usize,
             config: RTreeConfig { max_entries },
             cache: PageCache::new(cache_pages),
         })
     }
 
-    /// Read and decode one page from disk (bypasses the buffer pool). The
-    /// page's checksum chain is folded in step with the decode — each entry
-    /// decoded folds its share of the page's words, the rest (padding
-    /// included) after the last — so the decode runs in the chain's shadow;
-    /// a checksum mismatch outranks every error the decode found.
+    /// Read and decode one page from disk (bypasses the buffer pool): its
+    /// bytes and no more. The page's checksum lanes are folded in step with
+    /// the decode — each entry decoded folds its share of the page's words,
+    /// the rest after the last — so the decode runs in the checksum's
+    /// shadow; a checksum mismatch outranks every error the decode found.
     fn load_page(&self, id: NodeId) -> Result<DecodedNode<D>, StoreError> {
-        let offset = self.page_offsets[id.0 as usize];
-        let mut buf = vec![0u8; self.page_size as usize];
-        self.source.read_exact_at(&mut buf, offset)?;
-        let (payload, sum_bytes) = buf.split_at(self.page_size as usize - 8);
+        let (at, len) = self.pages[id.0 as usize];
+        let mut buf = vec![0u8; len as usize];
+        self.source.read_exact_at(&mut buf, at)?;
+        let (payload, sum_bytes) = buf.split_at(len as usize - 8);
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("an 8-byte split"));
-        let mut walk = ChecksumWalk::new(payload);
+        let mut walk = ChecksumWalk::lanes(payload);
         let node = self.decode_page(id, payload, &mut walk);
         if walk.finish() != stored {
             return Err(corrupt(format!("page {} checksum mismatch", id.0)));
@@ -594,12 +650,13 @@ impl<const D: usize> PagedRTree<D> {
         node
     }
 
-    /// The node in a page's `payload`, decoded while `walk` folds it.
+    /// The node in a page's `payload`, decoded while `walk` folds it. The
+    /// payload must be exactly the kind byte, count and `count` entries.
     fn decode_page(
         &self,
         id: NodeId,
         payload: &[u8],
-        walk: &mut ChecksumWalk<'_>,
+        walk: &mut ChecksumWalk<'_, LANES>,
     ) -> Result<DecodedNode<D>, StoreError> {
         let mut d = Decoder::new(payload);
         let kind = d.bytes(4)?[0];
@@ -610,28 +667,66 @@ impl<const D: usize> PagedRTree<D> {
                 id.0, self.config.max_entries
             )));
         }
-        let words = payload.len() / 8 / count.max(1);
-        match kind {
-            1 => {
-                let mut children = Vec::with_capacity(count);
-                for _ in 0..count {
-                    walk.fold(words);
-                    let child = d.u64()?;
-                    if child >= self.page_offsets.len() as u64 {
-                        return Err(corrupt(format!(
-                            "page {} references child page {child} of {}",
-                            id.0,
-                            self.page_offsets.len()
-                        )));
-                    }
-                    let mbr = decode_mbr::<D>(&mut d)?;
-                    children.push(ChildRef { id: NodeId(child as u32), mbr });
-                }
-                Ok(DecodedNode::Internal(children))
-            }
-            0 => Ok(DecodedNode::Leaf(decode_leaf_entries::<D>(&mut d, count, walk, words)?)),
-            other => Err(corrupt(format!("page {} has unknown node kind {other}", id.0))),
+        let entry_len = match kind {
+            0 => leaf_entry_len(D),
+            1 => internal_entry_len(D),
+            other => return Err(corrupt(format!("page {} has unknown node kind {other}", id.0))),
+        };
+        let need = PAGE_OVERHEAD + count * entry_len;
+        if payload.len() + 8 != need {
+            return Err(corrupt(format!(
+                "page {} holds {} bytes, its {count} entries need {need}",
+                id.0,
+                payload.len() + 8
+            )));
         }
+        let words = payload.len() / 8 / count.max(1);
+        if kind == 0 {
+            return Ok(DecodedNode::Leaf(decode_leaf_entries::<D>(&mut d, count, walk, words)?));
+        }
+        let mut children = Vec::with_capacity(count);
+        for _ in 0..count {
+            walk.fold(words);
+            let child = d.u64()?;
+            if child >= self.pages.len() as u64 {
+                return Err(corrupt(format!(
+                    "page {} references child page {child} of {}",
+                    id.0,
+                    self.pages.len()
+                )));
+            }
+            let mbr = decode_mbr::<D>(&mut d)?;
+            children.push(ChildRef { id: NodeId(child as u32), mbr });
+        }
+        Ok(DecodedNode::Internal(children))
+    }
+
+    /// The id of every object the tree stores, ascending: the file's id
+    /// column, read (not through the pool) and checked — checksum, count
+    /// equal to [`NodeAccess::len`], strictly ascending — on each call.
+    pub fn stored_ids(&self) -> Result<Arc<[u64]>, StoreError> {
+        let mut column = vec![0u8; 16 + 8 * self.len];
+        self.source.read_exact_at(&mut column, self.ids_at)?;
+        let (body, sealed) = unseal(&column);
+        if !sealed {
+            return Err(corrupt("id column checksum mismatch"));
+        }
+        let (count, ids) = body.split_at(8);
+        let count = u64::from_le_bytes(count.try_into().expect("an 8-byte split"));
+        if count != self.len as u64 {
+            return Err(corrupt(format!("id column lists {count} ids, header says {}", self.len)));
+        }
+        let ids: Vec<u64> = ids
+            .chunks_exact(8)
+            .map(|id| u64::from_le_bytes(id.try_into().expect("8 bytes")))
+            .collect();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+            return Err(corrupt(format!(
+                "id column is not strictly ascending: {} then {}",
+                pair[0], pair[1]
+            )));
+        }
+        Ok(ids.into())
     }
 
     /// Path of the backing index file; empty for an image.
@@ -669,7 +764,7 @@ impl<const D: usize> PagedRTree<D> {
 
     /// Number of node pages in the file.
     pub fn page_count(&self) -> usize {
-        self.page_offsets.len()
+        self.pages.len()
     }
 
     /// Number of leaf pages (diagnostics and the §5 cost model's `C_avg`).
@@ -714,11 +809,11 @@ impl<const D: usize> NodeAccess<D> for PagedRTree<D> {
     }
 
     fn read_node(&self, id: NodeId) -> Result<NodeRead<'_, D>, StoreError> {
-        if id.0 as usize >= self.page_offsets.len() {
+        if id.0 as usize >= self.pages.len() {
             return Err(corrupt(format!(
                 "node {} out of range ({} pages)",
                 id.0,
-                self.page_offsets.len()
+                self.pages.len()
             )));
         }
         let page = self.cache.get_or_load(id.0 as u64, || self.load_page(id))?;
@@ -785,14 +880,14 @@ mod tests {
         // ends of what a page holds.
         let all = grid_summaries(64);
         for count in [0usize, 1, 63, 64] {
-            // A page's zero padding follows the block.
-            let mut padded = vec![0u8; count * leaf_entry_len(2) + 24];
-            encode_leaf_entries(&mut padded[..count * leaf_entry_len(2)], &all[..count]);
-            let mut d = Decoder::new(&padded);
-            let mut walk = ChecksumWalk::new(&padded);
+            // Whatever follows the block in the buffer is left to the caller.
+            let mut page = vec![0u8; count * leaf_entry_len(2) + 24];
+            encode_leaf_entries(&mut page[..count * leaf_entry_len(2)], &all[..count]);
+            let mut d = Decoder::new(&page);
+            let mut walk = ChecksumWalk::lanes(&page);
             let back = decode_leaf_entries::<2>(&mut d, count, &mut walk, 1).unwrap();
             assert_eq!(d.remaining(), 24, "the decode consumes exactly the block");
-            assert_eq!(walk.finish(), fnv1a(&padded), "the walk folds the whole page");
+            assert_eq!(walk.finish(), fnv1a_lanes(&page), "the walk folds the whole buffer");
             assert_eq!(back.len(), count);
             for (b, a) in back.iter().zip(&all) {
                 assert_eq!((b.id, b.point_count), (a.id, a.point_count));
@@ -803,8 +898,8 @@ mod tests {
                 assert_eq!((b.upper_lines, b.lower_lines), (a.upper_lines, a.lower_lines));
             }
             // One entry more than the block holds is a typed error.
-            let short = &padded[..padded.len() - 24];
-            let mut walk = ChecksumWalk::new(short);
+            let short = &page[..page.len() - 24];
+            let mut walk = ChecksumWalk::lanes(short);
             assert!(decode_leaf_entries::<2>(&mut Decoder::new(short), count + 1, &mut walk, 1)
                 .is_err());
         }
@@ -945,6 +1040,25 @@ mod tests {
         }
     }
 
+    /// `(offset, field)` words of `bytes`' trailer and the page table it
+    /// locates: table offset, id-column offset, then each page's offset
+    /// and length.
+    fn layout(bytes: &[u8]) -> (usize, usize, Vec<(u64, u64)>) {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let tail = bytes.len() - PAGED_TRAILER_LEN;
+        let (table_at, ids_at) = (word(tail) as usize, word(tail + 8) as usize);
+        let pages = (0..word(table_at) as usize)
+            .map(|i| (word(table_at + 8 + 16 * i), word(table_at + 16 + 16 * i)))
+            .collect();
+        (table_at, ids_at, pages)
+    }
+
+    /// Re-seal the section `bytes[from..to]` ends with.
+    fn reseal(bytes: &mut [u8], from: usize, to: usize) {
+        let sum = fnv1a_lanes(&bytes[from..to - 8]);
+        bytes[to - 8..to].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn corruption_is_detected_not_panicking() {
         let path = tmp("corrupt");
@@ -952,27 +1066,34 @@ mod tests {
         PagedRTree::bulk_write(grid_summaries(200), cfg, &path, 4096).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let open = |bytes: &[u8]| open_both::<2>(&path, bytes);
+        let (table_at, ids_at, pages) = layout(&pristine);
+        let table_end = pristine.len() - PAGED_TRAILER_LEN;
 
         // Bad magic.
         let mut bytes = pristine.clone();
         bytes[0] ^= 0xFF;
         assert!(matches!(open(&bytes).err(), Some(StoreError::Corrupt { .. })));
 
-        // Version mismatch, and a fan-out below 2 (fix the header checksum
-        // so the field's own check is what fires).
-        let restamped = |at: usize, field: &[u8]| {
+        // Version mismatch — a v3 header, sealed as v3 sealed it, and any
+        // other — and a fan-out below 2 (header re-sealed so the field's own
+        // check is what fires).
+        let restamped = |at: usize, field: &[u8], sum: fn(&[u8]) -> u64| {
             let mut bytes = pristine.clone();
             bytes[at..at + field.len()].copy_from_slice(field);
-            let sum = fnv1a(&bytes[..paged_header_len(2) - 8]);
+            let sum = sum(&bytes[..paged_header_len(2) - 8]);
             bytes[paged_header_len(2) - 8..paged_header_len(2)].copy_from_slice(&sum.to_le_bytes());
             open(&bytes).expect_err("a refused header")
         };
         assert!(matches!(
-            restamped(4, &[0xFE]),
+            restamped(4, &3u16.to_le_bytes(), fuzzy_store::format::fnv1a),
+            StoreError::VersionMismatch { found: 3, expected: 4 }
+        ));
+        assert!(matches!(
+            restamped(4, &[0xFE], fnv1a_lanes),
             StoreError::VersionMismatch { found: 0xFE, expected: PAGED_VERSION }
         ));
         for max_entries in [0u32, 1] {
-            let err = restamped(12, &max_entries.to_le_bytes());
+            let err = restamped(12, &max_entries.to_le_bytes(), fnv1a_lanes);
             assert!(err.to_string().contains("node capacity"), "{err}");
         }
 
@@ -992,19 +1113,108 @@ mod tests {
         // Bit flip inside a node page: open succeeds (pages are lazy) but
         // reading the damaged node returns a checksum error.
         let mut bytes = pristine.clone();
-        let flip_at = paged_header_len(2) + 4096 / 2;
-        bytes[flip_at] ^= 0x01;
+        bytes[pages[0].0 as usize + pages[0].1 as usize / 2] ^= 0x01;
         let [file, image] = open(&bytes).unwrap();
         let err = file.read_node(NodeId(0)).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
         assert_eq!(image.read_node(NodeId(0)).unwrap_err().to_string(), err.to_string());
 
-        // table_off bit-rotted to near u64::MAX: must be Corrupt, not an
-        // arithmetic-overflow panic.
+        // Trailer offsets bit-rotted to near u64::MAX, or pointing one
+        // word off: Corrupt, not an arithmetic-overflow panic.
+        for (field, value) in [(0, u64::MAX - 0xFF), (8, u64::MAX - 3), (8, ids_at as u64 + 8)] {
+            let mut bytes = pristine.clone();
+            bytes[table_end + field..table_end + field + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(matches!(open(&bytes).err(), Some(StoreError::Corrupt { .. })), "{value}");
+        }
+
+        // A page-table offset or length of 0, len − 1, len, 2⁶⁴ − 4 or
+        // 2⁶⁴ − 1, for the first and the last page; overlapping and
+        // descending pages. The table is re-sealed, so the bounds are what
+        // must refuse it.
+        let with_table = |table: Vec<(u64, u64)>| {
+            let mut bytes = pristine.clone();
+            for (i, (at, len)) in table.into_iter().enumerate() {
+                let entry = table_at + 8 + 16 * i;
+                bytes[entry..entry + 8].copy_from_slice(&at.to_le_bytes());
+                bytes[entry + 8..entry + 16].copy_from_slice(&len.to_le_bytes());
+            }
+            reseal(&mut bytes, table_at, table_end);
+            bytes
+        };
+        let n = pristine.len() as u64;
+        for value in [0, n - 1, n, u64::MAX - 3, u64::MAX] {
+            for page in [0, pages.len() - 1] {
+                let (mut at, mut len) = (pages.clone(), pages.clone());
+                (at[page].0, len[page].1) = (value, value);
+                for bytes in [with_table(at), with_table(len)] {
+                    let err = open(&bytes).expect_err("a refused page table");
+                    assert!(matches!(err, StoreError::Corrupt { .. }), "page {page}: {value}");
+                }
+            }
+        }
+        let (mut overlapping, mut descending) = (pages.clone(), pages.clone());
+        overlapping[1].0 = pages[0].0 + 8;
+        descending.swap(0, 1);
+        for table in [overlapping, descending] {
+            let err = open(&with_table(table)).expect_err("pages out of order");
+            assert!(err.to_string().contains("overlaps"), "{err}");
+        }
+
+        // A page whose length disagrees with its entry count: the count
+        // forged and the page re-sealed, so only the length rule sees it.
+        let leaf = pages[0];
+        let root = pages[pages.len() - 1];
+        for (id, (at, len)) in [(0, leaf), (pages.len() - 1, root)] {
+            let mut bytes = pristine.clone();
+            let (at, end) = (at as usize, (at + len) as usize);
+            let count = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
+            bytes[at + 4..at + 8].copy_from_slice(&(count - 1).to_le_bytes());
+            reseal(&mut bytes, at, end);
+            let [file, image] = open(&bytes).unwrap();
+            let err = file.read_node(NodeId(id as u32)).unwrap_err();
+            assert!(err.to_string().contains("entries need"), "{err}");
+            assert_eq!(
+                image.read_node(NodeId(id as u32)).unwrap_err().to_string(),
+                err.to_string()
+            );
+        }
+
+        // The id column: opening reads none of it, so each damage surfaces
+        // from `stored_ids`, the same from file and image.
+        let id_at = |k: usize| ids_at + 8 + 8 * k;
+        let column = |edit: &dyn Fn(&mut [u8]), sealed: bool| {
+            let mut bytes = pristine.clone();
+            edit(&mut bytes);
+            if sealed {
+                reseal(&mut bytes, ids_at, table_at);
+            }
+            let [file, image] = open(&bytes).unwrap();
+            let err = file.stored_ids().unwrap_err();
+            assert_eq!(image.stored_ids().unwrap_err().to_string(), err.to_string());
+            err.to_string()
+        };
+        let swap = |b: &mut [u8]| {
+            let (first, second) = (b[id_at(0)..id_at(1)].to_vec(), b[id_at(1)..id_at(2)].to_vec());
+            b[id_at(0)..id_at(1)].copy_from_slice(&second);
+            b[id_at(1)..id_at(2)].copy_from_slice(&first);
+        };
+        let duplicate = |b: &mut [u8]| b.copy_within(id_at(0)..id_at(1), id_at(1));
+        let recount = |b: &mut [u8]| b[ids_at..ids_at + 8].copy_from_slice(&199u64.to_le_bytes());
+        let flip = |b: &mut [u8]| b[id_at(7)] ^= 0x04;
+        assert!(column(&swap, true).contains("ascending"));
+        assert!(column(&duplicate, true).contains("ascending"));
+        assert!(column(&recount, true).contains("lists 199 ids"));
+        assert!(column(&flip, false).contains("checksum"));
+        // Truncated by one id, every later offset moved to match: the
+        // column no longer fits the header's object count.
         let mut bytes = pristine.clone();
-        let off_pos = bytes.len() - PAGED_TRAILER_LEN;
-        bytes[off_pos..off_pos + 8].copy_from_slice(&0xFFFF_FFFF_FFFF_FF00u64.to_le_bytes());
-        assert!(matches!(open(&bytes).err(), Some(StoreError::Corrupt { .. })));
+        bytes.drain(id_at(199)..id_at(200));
+        let tail = bytes.len() - PAGED_TRAILER_LEN;
+        bytes[tail..tail + 8].copy_from_slice(&(table_at as u64 - 8).to_le_bytes());
+        let err = open(&bytes).expect_err("a short id column");
+        assert!(err.to_string().contains("id column"), "{err}");
+        let [file, _] = open(&pristine).unwrap();
+        assert_eq!(file.stored_ids().unwrap().len(), 200);
 
         // Garbage file.
         assert!(open(b"not an index at all").is_err());

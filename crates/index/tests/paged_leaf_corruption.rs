@@ -1,17 +1,21 @@
-//! The corruption matrix for the v3 **columnar leaf pages** of the paged
-//! R-tree: an index file damaged in any way — truncated at every byte
-//! boundary, any single bit flipped, a stale format version — must either
-//! surface as a typed [`StoreError`] or (for bytes no validator covers,
-//! e.g. reserved trailer padding) leave every decoded node identical to
-//! the pristine file. Never a panic, never silently different summaries.
-//! Every damaged file is also opened as an in-memory image of the same
-//! bytes, which must decode to the same nodes or fail with the same error.
+//! The corruption matrix for the v4 paged R-tree file — unpadded
+//! **columnar leaf pages**, internal pages and the sorted id column: an
+//! index file damaged in any way — truncated at every byte boundary, any
+//! single bit flipped, a stale format version — must either surface as a
+//! typed [`StoreError`] or (for bytes no validator covers, e.g. reserved
+//! trailer padding) leave every decoded node and the id column identical
+//! to the pristine file. Never a panic, never silently different summaries
+//! or ids. Every damaged file is also opened as an in-memory image of the
+//! same bytes, which must decode to the same nodes or fail with the same
+//! error.
 //!
-//! The page decode is also held to the one it replaced — a whole-page
-//! `fnv1a`, then the leaf or internal decode through a byte reader — kept
-//! below as the oracle: every flipped bit of a leaf and of an internal page
-//! (checksum stale and re-stamped) and every forged checksum-valid page
-//! decodes to the same node, or fails with the same error and message.
+//! The page decode, which folds the checksum lanes as it decodes, is also
+//! held to a plain reading of the format kept below as the oracle — a
+//! whole-page `fnv1a_lanes`, the entry count against the node capacity and
+//! the page's length, then the leaf or internal decode through a byte
+//! reader: every flipped bit of a leaf and of an internal page (checksum
+//! stale and re-stamped) and every forged checksum-valid page decodes to
+//! the same node, or fails with the same error and message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -24,6 +28,7 @@ use fuzzy_index::{
 };
 use fuzzy_store::format::fnv1a;
 use fuzzy_store::StoreError;
+use std::ops::Range;
 
 fn summaries(n: u64) -> Vec<ObjectSummary<2>> {
     (0..n)
@@ -58,9 +63,10 @@ fn build_fixture(name: &str) -> (PathBuf, Vec<u8>) {
 
 /// Write `bytes` to `path`, open them as that file and as an in-memory
 /// image, and decode every **reachable** page of each (breadth-first from
-/// the root): a digest of all node contents (ids, entry ids, MBR bits) —
-/// the "did anything silently change" oracle — on which the two sources
-/// must agree, digest for digest or error for error.
+/// the root) and the id column: a digest of all node contents (ids, entry
+/// ids, MBR bits) and stored ids — the "did anything silently change"
+/// oracle — on which the two sources must agree, digest for digest or
+/// error for error.
 fn full_scan(path: &PathBuf, bytes: &[u8]) -> Result<Vec<u64>, StoreError> {
     std::fs::write(path, bytes).unwrap();
     let file = PagedRTree::<2>::open(path).and_then(|tree| scan(&tree));
@@ -70,7 +76,8 @@ fn full_scan(path: &PathBuf, bytes: &[u8]) -> Result<Vec<u64>, StoreError> {
     file
 }
 
-/// The digest of every page of `tree` reachable from its root.
+/// The digest of every page of `tree` reachable from its root, then of
+/// its id column.
 fn scan(tree: &PagedRTree<2>) -> Result<Vec<u64>, StoreError> {
     let mut digest = Vec::new();
     let mut queue = vec![tree.root_id()];
@@ -107,7 +114,17 @@ fn scan(tree: &PagedRTree<2>) -> Result<Vec<u64>, StoreError> {
             }
         }
     }
+    digest.extend(tree.stored_ids()?.iter());
     Ok(digest)
+}
+
+/// Each page's byte range in `file`, from its trailer and page table.
+fn spans(file: &[u8]) -> Vec<Range<usize>> {
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    let table = word(file.len() - 32);
+    let page =
+        |i: usize| word(table + 8 + 16 * i)..word(table + 8 + 16 * i) + word(table + 16 + 16 * i);
+    (0..word(table)).map(page).collect()
 }
 
 #[test]
@@ -161,9 +178,9 @@ fn every_single_bit_flip_errors_or_changes_nothing() {
 fn stale_version_pages_are_version_mismatch() {
     let (path, bytes) = build_fixture("stale");
 
-    // Rewrite the header version to v2 and re-seal the header checksum,
-    // so the version check — not the checksum — is what fires: a v2 file
-    // must not be parsed with v3 columnar-leaf expectations.
+    // Rewrite the header version to v3 and re-seal the header as v3 did
+    // (the `fnv1a` chain), so the version check is what fires: a v3 file
+    // must not be parsed with v4 page-table and id-column expectations.
     let mut evil = bytes.clone();
     let stale = PAGED_VERSION - 1;
     evil[4..6].copy_from_slice(&stale.to_le_bytes());
@@ -181,6 +198,90 @@ fn stale_version_pages_are_version_mismatch() {
             other => panic!("expected VersionMismatch, got {other}"),
         }
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Hostile values in the fields v4 added — each page's offset and length
+/// in the page table, page order, a page length its entry count disagrees
+/// with, the id column's count, order and bytes — are typed errors from
+/// file and image alike. Checksums are re-sealed wherever the field's own
+/// check should be what fires.
+#[test]
+fn hostile_page_table_and_id_column_fields_are_typed_errors() {
+    let (path, bytes) = build_fixture("hostile");
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let put = |b: &mut [u8], at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let reseal = |b: &mut [u8], section: Range<usize>| {
+        let sum = oracle_lanes(&b[section.start..section.end - 8]);
+        put(b, section.end - 8, sum);
+    };
+    let tail = bytes.len() - 32;
+    let (table_at, ids_at) = (word(&bytes, tail) as usize, word(&bytes, tail + 8) as usize);
+    let pages = spans(&bytes);
+    let refused =
+        |evil: &[u8], what: &str| match catch_unwind(AssertUnwindSafe(|| full_scan(&path, evil))) {
+            Err(_) => panic!("{what}: scan panicked"),
+            Ok(Ok(_)) => panic!("{what}: scan accepted"),
+            Ok(Err(e)) => assert!(matches!(e, StoreError::Corrupt { .. }), "{what}: {e}"),
+        };
+    let with_entry = |page: usize, field: usize, v: u64| {
+        let mut evil = bytes.clone();
+        put(&mut evil, table_at + 8 + 16 * page + 8 * field, v);
+        reseal(&mut evil, table_at..tail);
+        evil
+    };
+
+    let n = bytes.len() as u64;
+    for (page, span) in pages.iter().enumerate() {
+        for v in [0, n - 1, n, u64::MAX - 3, u64::MAX] {
+            refused(&with_entry(page, 0, v), &format!("page {page} at {v}"));
+            refused(&with_entry(page, 1, v), &format!("page {page} of {v} bytes"));
+        }
+        // One word shorter, re-sealed there: the count no longer fits.
+        let (start, len) = (span.start, span.len());
+        let mut evil = with_entry(page, 1, len as u64 - 8);
+        reseal(&mut evil, start..start + len - 8);
+        refused(&evil, &format!("page {page} one word short"));
+    }
+    for page in 1..pages.len() {
+        let overlapping = with_entry(page, 0, pages[page - 1].end as u64 - 8);
+        refused(&overlapping, &format!("page {page} overlapping its predecessor"));
+        let mut descending = bytes.clone();
+        for (k, from) in [(page - 1, page), (page, page - 1)] {
+            let entry = table_at + 8 + 16 * k;
+            put(&mut descending, entry, pages[from].start as u64);
+            put(&mut descending, entry + 8, pages[from].len() as u64);
+        }
+        reseal(&mut descending, table_at..tail);
+        refused(&descending, &format!("pages {} and {page} swapped", page - 1));
+    }
+
+    let id = |k: usize| ids_at + 8 + 8 * k;
+    let count = word(&bytes, ids_at) as usize;
+    let column = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut evil = bytes.clone();
+        edit(&mut evil);
+        reseal(&mut evil, ids_at..table_at);
+        evil
+    };
+    let swapped = column(&|b| {
+        let (a, z) = (word(b, id(0)), word(b, id(1)));
+        put(b, id(0), z);
+        put(b, id(1), a);
+    });
+    refused(&swapped, "ids unsorted");
+    refused(
+        &column(&|b| b.copy_within(id(count - 2)..id(count - 1), id(count - 1))),
+        "an id twice",
+    );
+    refused(&column(&|b| put(b, ids_at, count as u64 + 1)), "one id too many counted");
+    let mut flipped = bytes.clone();
+    flipped[id(count / 2)] ^= 0x01;
+    refused(&flipped, "an id bit flipped");
+    let mut truncated = bytes.clone();
+    truncated.drain(id(count - 1)..id(count));
+    put(&mut truncated, tail - 8, table_at as u64 - 8);
+    refused(&truncated, "the column one id short");
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -210,8 +311,8 @@ fn damaged_leaf_page_fails_only_that_read() {
 
     // Flip a byte in the middle of that page's columnar block.
     let mut evil = bytes.clone();
-    let off = paged_header_len(2) + leaf.index() as usize * PAGE as usize + PAGE as usize / 2;
-    evil[off] ^= 0x10;
+    let page = spans(&bytes)[leaf.index() as usize].clone();
+    evil[(page.start + page.end) / 2] ^= 0x10;
     std::fs::write(&path, &evil).unwrap();
 
     for tree in [PagedRTree::<2>::open(&path).unwrap(), PagedRTree::from_image(evil).unwrap()] {
@@ -223,27 +324,26 @@ fn damaged_leaf_page_fails_only_that_read() {
     std::fs::remove_file(&path).unwrap();
 }
 
-fn oracle_fnv1a(bytes: &[u8]) -> u64 {
+/// `fnv1a_lanes` as `docs/FORMAT.md` defines it: word `i` into lane
+/// `i mod 4`, lane `k` seeded with the length-mixed seed XOR `k`, the
+/// lanes folded in order into a chain from that seed.
+fn oracle_lanes(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    let seed = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
+    let mut lanes = [seed, seed ^ 1, seed ^ 2, seed ^ 3];
+    for (i, word) in bytes.chunks(8).enumerate() {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        lanes[i % 4] = (lanes[i % 4] ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
-    }
-    h
+    lanes.iter().fold(seed, |h, &lane| (h ^ lane).wrapping_mul(PRIME))
 }
 
 fn corrupt(reason: String) -> StoreError {
     StoreError::Corrupt { reason }
 }
 
-/// The parent's bounds-checked byte reader.
+/// A bounds-checked byte reader.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -268,7 +368,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The parent's page decode, as the node digest `full_scan` builds.
+/// The page decode as the format reads, as the node digest `full_scan`
+/// builds.
 fn oracle_page(
     page: &[u8],
     id: u32,
@@ -276,7 +377,7 @@ fn oracle_page(
     max_entries: usize,
 ) -> Result<Vec<u64>, StoreError> {
     let (payload, sum_bytes) = page.split_at(page.len() - 8);
-    if u64::from_le_bytes(sum_bytes.try_into().unwrap()) != oracle_fnv1a(payload) {
+    if u64::from_le_bytes(sum_bytes.try_into().unwrap()) != oracle_lanes(payload) {
         return Err(corrupt(format!("page {id} checksum mismatch")));
     }
     let mut d = Reader { buf: payload, pos: 0 };
@@ -285,6 +386,18 @@ fn oracle_page(
     if count > max_entries {
         return Err(corrupt(format!(
             "page {id} declares {count} entries, node capacity is {max_entries}"
+        )));
+    }
+    let entry_len = match kind {
+        0 => leaf_entry_len(2),
+        1 => 40,
+        other => return Err(corrupt(format!("page {id} has unknown node kind {other}"))),
+    };
+    if page.len() != 16 + count * entry_len {
+        return Err(corrupt(format!(
+            "page {id} holds {} bytes, its {count} entries need {}",
+            page.len(),
+            16 + count * entry_len
         )));
     }
     let mut digest = Vec::new();
@@ -337,7 +450,7 @@ fn oracle_page(
                 }
             }
         }
-        other => return Err(corrupt(format!("page {id} has unknown node kind {other}"))),
+        _ => unreachable!("the kind was checked"),
     }
     Ok(digest)
 }
@@ -406,8 +519,7 @@ fn page_matches_oracle(path: &PathBuf, file: &[u8], id: NodeId, what: &dyn Fn() 
     std::fs::write(path, file).unwrap();
     let on_disk = PagedRTree::<2>::open(path).expect("only the page was touched");
     let image = PagedRTree::<2>::from_image(file.to_vec()).expect("only the page was touched");
-    let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
-    let page = &file[at..at + PAGE as usize];
+    let page = &file[spans(file)[id.index() as usize].clone()];
     let cap = on_disk.config().max_entries;
     let want = oracle_page(page, id.index(), on_disk.page_count() as u64, cap);
     let show = |r: Result<Vec<u64>, StoreError>| r.map_err(|e| format!("{e:?}"));
@@ -421,10 +533,10 @@ fn page_matches_oracle(path: &PathBuf, file: &[u8], id: NodeId, what: &dyn Fn() 
 
 /// Re-stamp page `id`'s checksum in `file`.
 fn seal_page(file: &mut [u8], id: NodeId) {
-    let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
-    let end = at + PAGE as usize - 8;
-    let sum = oracle_fnv1a(&file[at..end]);
-    file[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+    let page = spans(file)[id.index() as usize].clone();
+    let end = page.end - 8;
+    let sum = oracle_lanes(&file[page.start..end]);
+    file[end..page.end].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
@@ -432,8 +544,8 @@ fn flipped_page_bits_decode_as_the_oracle_does() {
     let (path, bytes) = build_fixture("diffflip");
     let (_, leaf, internal) = pages_of(&path);
     for (kind, id) in [("leaf", leaf), ("internal", internal)] {
-        let at = paged_header_len(2) + id.index() as usize * PAGE as usize;
-        for byte in at..at + PAGE as usize - 8 {
+        let Range { start: at, end } = spans(&bytes)[id.index() as usize].clone();
+        for byte in at..end - 8 {
             // Every bit in release (CI); one a byte in tier-1's debug build.
             let bits = if cfg!(debug_assertions) { byte % 8..byte % 8 + 1 } else { 0..8 };
             for bit in bits {
@@ -453,11 +565,10 @@ fn flipped_page_bits_decode_as_the_oracle_does() {
 fn forged_pages_decode_as_the_oracle_does() {
     let (path, bytes) = build_fixture("diffforge");
     let (all, leaf, internal) = pages_of(&path);
-    let page_at = |id: NodeId| paged_header_len(2) + id.index() as usize * PAGE as usize;
+    let page_at = |id: NodeId| spans(&bytes)[id.index() as usize].clone();
     let forged = |id: NodeId, edit: &dyn Fn(&mut [u8])| {
         let mut file = bytes.clone();
-        let at = page_at(id);
-        edit(&mut file[at..at + PAGE as usize]);
+        edit(&mut file[page_at(id)]);
         seal_page(&mut file, id);
         file
     };
@@ -486,7 +597,7 @@ fn forged_pages_decode_as_the_oracle_does() {
     }
 
     // Leaf cells: column `c` of entry `j` sits at 8 + 12·count + 8·(c·count + j).
-    let n = count(&bytes[page_at(leaf)..]);
+    let n = count(&bytes[page_at(leaf)]);
     let cell = |c: usize, j: usize| 8 + 12 * n + 8 * (c * n + j);
     for j in [0, n - 1] {
         for (what, c, v) in [
@@ -503,7 +614,7 @@ fn forged_pages_decode_as_the_oracle_does() {
     }
 
     // Internal entries: child u64, then lo/hi per dimension.
-    let m = count(&bytes[page_at(internal)..]);
+    let m = count(&bytes[page_at(internal)]);
     for j in [0, m - 1] {
         let entry = 8 + 40 * j;
         let edits: [(&str, usize, u64); 6] = [
@@ -528,17 +639,17 @@ fn forged_pages_decode_as_the_oracle_does() {
         page_matches_oracle(&path, &file, internal, &|| format!("internal {j}: sentinel"));
     }
 
-    // A header that allows more entries than a page holds: the decode runs
-    // off the page's end, at the same offset as the oracle's reader.
+    // A header that allows more entries than the page holds: the count
+    // passes the capacity check and disagrees with the page's length.
     let mut roomy = bytes.clone();
     roomy[12..16].copy_from_slice(&40u32.to_le_bytes());
     let hlen = paged_header_len(2);
-    let sum = oracle_fnv1a(&roomy[..hlen - 8]);
+    let sum = oracle_lanes(&roomy[..hlen - 8]);
     roomy[hlen - 8..hlen].copy_from_slice(&sum.to_le_bytes());
     for (id, counts) in [(leaf, [4u32, 40]), (internal, [13, 40])] {
         for c in counts {
             let mut file = roomy.clone();
-            let at = page_at(id);
+            let at = page_at(id).start;
             file[at + 4..at + 8].copy_from_slice(&c.to_le_bytes());
             seal_page(&mut file, id);
             page_matches_oracle(&path, &file, id, &|| format!("page {} counts {c}", id.index()));

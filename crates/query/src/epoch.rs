@@ -22,7 +22,7 @@
 //! The cost model: publishing clones the index once per *commit*, not per
 //! change — batch your writes in one [`Versioned::write`] closure. For the
 //! paged overlay a clone is the (small) delta plus two `Arc` bumps — the
-//! open base file and the set of ids it stores, both immutable and shared.
+//! open base file and the column of ids it stores, both immutable and shared.
 //! A bulk-loaded tree is never edited: it is held as an `Arc<RTree>`, a
 //! commit replaces it whole
 //! (`write(|tree| *tree = Arc::new(RTree::bulk_load(..)))`) and the clone

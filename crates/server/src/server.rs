@@ -57,8 +57,8 @@ impl ServeIndex {
     /// Bulk-load an in-memory tree over a store's summaries.
     pub fn mem_from_store(store: &FileStore<WIRE_DIMS>) -> Self {
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-        // A store's ids are unique (its open checks them), so the overlay's
-        // sweep for twice-stored ids finds none.
+        // A store's ids are unique (its open checks them), so the image's
+        // id column ascends strictly, as the overlay checks.
         Self(OverlayRTree::new(Arc::new(tree)).expect("a store's ids are unique"))
     }
 
@@ -624,7 +624,7 @@ fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (Err
 /// `:mem:` bulk-loads a fresh image from `store`. An index asked to swap
 /// to its own base file, with that path still naming the file it opened,
 /// unmodified since, replays only the sidecar over the open base (warm
-/// pool, shared id set); a compacted index (a new inode), one rebuilt in
+/// pool, shared id column); a compacted index (a new inode), one rebuilt in
 /// place, another file, or a base that is an image — no file, so never
 /// "the served file" — pays the full open.
 fn reopen(

@@ -47,7 +47,7 @@ pub const TRAILER_LEN: usize = 8 + 8 + 8 + 4;
 /// throughput with the same error-detection envelope for our fixed-layout
 /// records (length is part of the state, so zero padding cannot alias).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv_fold(fnv_seed(bytes.len()), bytes)
+    ChecksumWalk::new(bytes).finish()
 }
 
 /// The state [`fnv1a`] starts from for an input of `len` bytes.
@@ -62,75 +62,121 @@ fn fnv_step(h: u64, word: &[u8]) -> u64 {
     (h ^ u64::from_le_bytes(word.try_into().expect("an 8-byte word"))).wrapping_mul(FNV_PRIME)
 }
 
-/// [`fnv1a`]'s fold of `bytes` from state `h`: whole words, then the
-/// zero-padded partial word.
-#[inline]
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = fnv_step(h, word);
-    }
-    let rest = words.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        h = fnv_step(h, &tail);
-    }
-    h
-}
-
 const FNV_PRIME: u64 = 0x100000001b3;
 
-/// [`fnv1a`] taken a piece at a time by a decoder, so the decode runs in
-/// the checksum's shadow.
+/// Independent chains of [`fnv1a_lanes`], the checksum of every `.fzpt`
+/// v4 page, header, table and id column.
+pub const LANES: usize = 4;
+
+/// The four-lane word FNV-1a (spec and test vector in `docs/FORMAT.md`):
+/// word `i` of the input (the trailing partial word zero-padded) folds
+/// into lane `i mod 4` with [`fnv1a`]'s step, lane `k` seeded with
+/// [`fnv1a`]'s length-mixed seed XOR `k`; at the end the four lanes are
+/// folded in lane order, as four words, into a chain from that same seed.
+/// The four multiply chains are independent, so a long input costs about
+/// a quarter of [`fnv1a`]'s latency, and a change to any one word still
+/// changes its lane and so the digest.
+pub fn fnv1a_lanes(bytes: &[u8]) -> u64 {
+    ChecksumWalk::lanes(bytes).finish()
+}
+
+/// [`fnv1a`] (`LANES = 1`, the default) or [`fnv1a_lanes`]
+/// (`LANES = 4`) taken a piece at a time by a decoder, so the decode runs
+/// in the checksum's shadow.
 ///
-/// The checksum is a strict dependency chain (a multiply per word), which
-/// leaves most of the core idle; a decoder that converts and checks values
-/// while the chain folds gets that work done in the chain's shadow instead
-/// of in passes after it. The walk folds the input's words in order, in
-/// one of two ways:
+/// A checksum chain is a strict dependency chain (a multiply per word),
+/// which leaves most of the core idle; a decoder that converts and checks
+/// values while the chain folds gets that work done in the chain's shadow
+/// instead of in passes after it. The walk folds the input's words in
+/// order, in one of two ways:
 ///
 /// * **folding ahead** ([`ChecksumWalk::fold`]) while the caller parses the
 ///   same bytes itself, a share of the words per entry parsed (a `.fzpt`
-///   page read);
+///   page read, in lane mode: [`ChecksumWalk::lanes`]);
 /// * **reading through the walk** (this module's `u64`, `u32s` and `f64s`,
-///   what [`decode_object`] does): the walk reads front to back, and every
-///   read folds the words that end inside it — after an odd count of
-///   `u32`s the walk sits 4 bytes into a word, which the next read folds.
-///   A section yields the values that are there, at most the `n` asked
-///   for, and the walk moves past all of them: take every value of a
-///   section before reading on.
+///   what [`decode_object`] does; chain mode only): the walk reads front
+///   to back, and every read folds the words that end inside it — after an
+///   odd count of `u32`s the walk sits 4 bytes into a word, which the next
+///   read folds. A section yields the values that are there, at most the
+///   `n` asked for, and the walk moves past all of them: take every value
+///   of a section before reading on.
 ///
 /// The two do not mix: a read after folding ahead folds its words again.
 ///
 /// [`ChecksumWalk::finish`] folds whatever was not folded yet, so its
-/// digest is always `fnv1a` of the whole input: a decoder may stop at its
+/// digest is always that of the whole input: a decoder may stop at its
 /// first error and still report the checksum verdict first.
 #[derive(Debug)]
-pub struct ChecksumWalk<'a> {
+pub struct ChecksumWalk<'a, const LANES: usize = 1> {
     bytes: &'a [u8],
-    h: u64,
+    /// Lane `k` holds the fold of words `k`, `k + LANES`, ….
+    h: [u64; LANES],
     /// Bytes read through the walk.
     read: usize,
-    /// Bytes folded: a multiple of 8, every whole word before it.
+    /// Bytes folded: a multiple of `8 · LANES` while folding ahead, of 8
+    /// while reading through; every whole word before it.
     folded: usize,
 }
 
-impl<'a> ChecksumWalk<'a> {
-    /// Start the chain over `bytes` (the state is seeded with its length).
+impl<'a> ChecksumWalk<'a, LANES> {
+    /// Start the [`fnv1a_lanes`] lanes over `bytes`.
     #[inline]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, h: fnv_seed(bytes.len()), read: 0, folded: 0 }
+    pub fn lanes(bytes: &'a [u8]) -> Self {
+        Self::seeded(bytes)
+    }
+}
+
+impl<'a, const L: usize> ChecksumWalk<'a, L> {
+    #[inline]
+    fn seeded(bytes: &'a [u8]) -> Self {
+        let seed = fnv_seed(bytes.len());
+        Self { bytes, h: std::array::from_fn(|k| seed ^ k as u64), read: 0, folded: 0 }
     }
 
-    /// Fold up to `words` more whole words, ahead of any read.
+    /// Fold about `words` more whole words, ahead of any read: whole runs
+    /// of one word per lane, rounded up, never past the input's last whole
+    /// run.
     #[inline]
     pub fn fold(&mut self, words: usize) {
-        let end = self.folded.saturating_add(words.saturating_mul(8)).min(self.bytes.len() & !7);
-        for word in self.bytes[self.folded..end].chunks_exact(8) {
-            self.h = fnv_step(self.h, word);
+        let run = 8 * L;
+        let whole = self.bytes.len() - self.bytes.len() % run;
+        let end = self.folded.saturating_add(words.div_ceil(L).saturating_mul(run)).min(whole);
+        if end <= self.folded {
+            return;
+        }
+        for run in self.bytes[self.folded..end].chunks_exact(run) {
+            for (k, h) in self.h.iter_mut().enumerate() {
+                *h = fnv_step(*h, &run[8 * k..8 * k + 8]);
+            }
         }
         self.folded = end;
+    }
+
+    /// Fold every word not folded yet and return the digest.
+    #[inline]
+    pub fn finish(mut self) -> u64 {
+        self.fold(usize::MAX);
+        let first = self.folded / 8;
+        for (i, word) in self.bytes[self.folded..].chunks(8).enumerate() {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            let lane = &mut self.h[(first + i) % L];
+            *lane = fnv_step(*lane, &padded);
+        }
+        if L == 1 {
+            return self.h[0];
+        }
+        let seed = fnv_seed(self.bytes.len());
+        self.h.iter().fold(seed, |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME))
+    }
+}
+
+impl<'a> ChecksumWalk<'a, 1> {
+    /// Start the [`fnv1a`] chain over `bytes` (the state is seeded with its
+    /// length).
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self::seeded(bytes)
     }
 
     /// The next little-endian `u64`, or the [`Decoder`]'s error for it.
@@ -140,7 +186,7 @@ impl<'a> ChecksumWalk<'a> {
         if at + 8 > self.bytes.len() {
             return Err(end_of_data(8, at, self.bytes.len()));
         }
-        self.h = fnv_step(self.h, &self.bytes[word..word + 8]);
+        self.h[0] = fnv_step(self.h[0], &self.bytes[word..word + 8]);
         (self.read, self.folded) = (at + 8, word + 8);
         Ok(u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes are there")))
     }
@@ -155,7 +201,7 @@ impl<'a> ChecksumWalk<'a> {
         let n = n.min((bytes.len() - at) / 4);
         self.read += 4 * n;
         self.folded = self.read & !7;
-        let h = &mut self.h;
+        let h = &mut self.h[0];
         bytes[at..at + 4 * n].chunks_exact(4).enumerate().map(move |(k, value)| {
             let end = at + 4 * k + 4;
             if end % 8 == 0 {
@@ -177,17 +223,11 @@ impl<'a> ChecksumWalk<'a> {
         self.folded = self.read & !7;
         // Value `k` ends inside word `k` from the one the read starts in.
         let words = bytes[at & !7..(at & !7) + 8 * n].chunks_exact(8);
-        let h = &mut self.h;
+        let h = &mut self.h[0];
         bytes[at..at + 8 * n].chunks_exact(8).zip(words).map(move |(value, word)| {
             *h = fnv_step(*h, word);
             f64::from_le_bytes(value.try_into().expect("an 8-byte chunk"))
         })
-    }
-
-    /// Fold every word not folded yet and return the digest.
-    #[inline]
-    pub fn finish(self) -> u64 {
-        fnv_fold(self.h, &self.bytes[self.folded..])
     }
 }
 
@@ -577,6 +617,53 @@ mod tests {
             h = (h ^ u64::from_le_bytes(*b"n\0\0\0\0\0\0\0")).wrapping_mul(PRIME);
             h
         });
+    }
+
+    #[test]
+    fn lane_checksum_is_pinned_and_every_walk_agrees() {
+        // The definition, spelled out: word i into lane i mod 4, lanes
+        // seeded with the length-mixed seed XOR k, folded in lane order.
+        let oracle = |bytes: &[u8]| {
+            const PRIME: u64 = 0x100000001b3;
+            let seed = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
+            let mut h = [seed, seed ^ 1, seed ^ 2, seed ^ 3];
+            for (i, word) in bytes.chunks(8).enumerate() {
+                let mut w = [0u8; 8];
+                w[..word.len()].copy_from_slice(word);
+                h[i % 4] = (h[i % 4] ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
+            }
+            h.iter().fold(seed, |acc, &lane| (acc ^ lane).wrapping_mul(PRIME))
+        };
+        // The test vector `docs/FORMAT.md` pins.
+        assert_eq!(fnv1a_lanes(b"fuzzy-knn"), 0xb26a86ab04e79190);
+        assert_eq!(oracle(b"fuzzy-knn"), 0xb26a86ab04e79190);
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in 0..bytes.len() {
+            let input = &bytes[..len];
+            let want = oracle(input);
+            assert_eq!(fnv1a_lanes(input), want, "{len} bytes");
+            // Folding ahead at any pace, then finishing, is the same digest.
+            for pace in [1, 3, 4, 9] {
+                let mut walk = ChecksumWalk::lanes(input);
+                for _ in 0..len / 8 / pace {
+                    walk.fold(pace);
+                }
+                assert_eq!(walk.finish(), want, "{len} bytes, {pace} words a step");
+            }
+        }
+        assert_ne!(fnv1a_lanes(b"abc"), fnv1a_lanes(b"abc\0"));
+        // Words swapped between lanes, and any one bit flipped, change it.
+        let base = vec![0x5Au8; 96];
+        let mut swapped = base.clone();
+        swapped[..8].copy_from_slice(&[1; 8]);
+        let mut other = base.clone();
+        other[8..16].copy_from_slice(&[1; 8]);
+        assert_ne!(fnv1a_lanes(&swapped), fnv1a_lanes(&other));
+        for i in 0..base.len() * 8 {
+            let mut flipped = base.clone();
+            flipped[i / 8] ^= 1 << (i % 8);
+            assert_ne!(fnv1a_lanes(&flipped), fnv1a_lanes(&base), "bit {i}");
+        }
     }
 
     #[test]

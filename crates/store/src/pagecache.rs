@@ -1,7 +1,7 @@
 //! A generic bounded LRU page cache — the buffer pool behind the paged
 //! R-tree (`fuzzy_index::PagedRTree`) and any future page-structured file.
 //!
-//! The cache holds *pages*: fixed-size units of a file keyed by page
+//! The cache holds *pages*: units of a file (an index node each) keyed by page
 //! number, decoded once and shared as `Arc<T>` between concurrent readers.
 //! Every lookup reports its provenance (backing medium vs cache), so
 //! per-query cost accounting stays exact under concurrency.
@@ -97,7 +97,8 @@ impl<T> Inner<T> {
 /// never serialized behind an I/O), then the result is inserted, evicting
 /// the least recently used page when the capacity is exceeded. Two threads
 /// missing the same page concurrently may both run the loader, and each
-/// then correctly reports a disk read.
+/// then correctly reports a disk read; the second to finish is served the
+/// first one's page and evicts nothing.
 ///
 /// ```
 /// use fuzzy_store::PageCache;
@@ -173,18 +174,23 @@ impl<T> PageCache<T> {
         }
         // Load outside the lock: a slow page read must not stall readers
         // of resident pages.
-        let value = Arc::new(load()?);
+        let loaded = Arc::new(load()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut inner.0;
-        while inner.map.len() >= self.capacity {
-            if inner.evict_one() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break; // queue exhausted; cannot happen while map is non-empty
+        // Another reader (or the loader itself, reading through the pool)
+        // may have brought the page in meanwhile: serve that copy and make
+        // no room — the page is already resident.
+        let value = match inner.map.get(&key) {
+            Some(slot) => Arc::clone(&slot.value),
+            None => {
+                while inner.map.len() >= self.capacity && inner.evict_one() {
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                inner.map.insert(key, Slot { value: Arc::clone(&loaded), stamp: 0 });
+                loaded
             }
-        }
-        inner.map.insert(key, Slot { value: Arc::clone(&value), stamp: 0 });
+        };
         inner.touch(key);
         Ok(CachedPage { value, disk_read: true })
     }
@@ -299,6 +305,37 @@ mod tests {
         let queue_len = cache.inner.lock().unwrap().0.queue.len();
         assert!(queue_len <= 64 + 1, "ticket queue grew to {queue_len}");
         assert_eq!(cache.stats().misses, 4);
+    }
+
+    /// A page that came in while its own load ran — here through a loader
+    /// that reads the same key through the pool, as a second reader
+    /// missing the same page would — is served as resident, and no live
+    /// page is evicted to make room for it again.
+    #[test]
+    fn a_page_loaded_during_its_own_load_evicts_nothing() {
+        for capacity in [1usize, 2] {
+            let cache: PageCache<u64> = PageCache::new(capacity);
+            if capacity == 2 {
+                cache.get_or_load(1, load_ok(10)).unwrap();
+            }
+            let outer = cache
+                .get_or_load(0, || {
+                    assert!(cache.get_or_load(0, load_ok(1)).unwrap().disk_read);
+                    Ok(2)
+                })
+                .unwrap();
+            assert!(outer.disk_read, "the outer loader ran");
+            assert_eq!(*outer.value, 1, "capacity {capacity}: the resident copy is served");
+            let again = cache.get_or_load(0, || panic!("page 0 stays resident")).unwrap();
+            assert!(Arc::ptr_eq(&again.value, &outer.value));
+            if capacity == 2 {
+                let one = cache.get_or_load(1, || panic!("page 1 stays resident")).unwrap();
+                assert_eq!(*one.value, 10);
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.evictions, 0, "capacity {capacity}");
+            assert_eq!(stats.misses, capacity as u64 + 1, "capacity {capacity}");
+        }
     }
 
     #[test]
