@@ -9,10 +9,8 @@
 //! fkq insert cells.fzkn --index-file cells.fzpt --ids 7,8,9
 //! fkq delete --index-file cells.fzpt --ids 3,4
 //! fkq compact --index-file cells.fzpt
-//! fkq bench --out BENCH_aknn.json
 //! fkq serve cells.fzkn --listen 127.0.0.1:7878
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --server 127.0.0.1:7878
-//! fkq loadgen --addr 127.0.0.1:7878 --qps 100,200 --out BENCH_serve.json
 //! fkq swap --addr 127.0.0.1:7878 --index-file cells.fzpt
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --brute true
 //! fkq build-index cells.fzkn --out cells.fzvp
@@ -30,9 +28,9 @@
 //!
 //! `serve` keeps a store/index pair resident behind the FZQP binary
 //! protocol (`docs/PROTOCOL.md`); `aknn`/`rknn --server` run the same
-//! query through a daemon and print byte-identical answers; `loadgen`
-//! measures latency under open-loop load and writes `BENCH_serve.json`;
-//! `swap` publishes a new index epoch without restarting the daemon.
+//! query through a daemon and print byte-identical answers; `swap`
+//! publishes a new index epoch without restarting the daemon.
+//! Throughput and latency are measured by fkbench (`benchmark/`), not here.
 
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
@@ -65,17 +63,8 @@ const USAGE: &str = "usage:
   fkq insert <path> --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq delete --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq compact --index-file <index> [--page-size <bytes>] [--cache-pages <n>]
-  fkq bench [--out <path=BENCH_aknn.json>] [--smoke <true|false>] [--kind <synthetic|cell>] \
-[--n <count>] [--ppo <points>] [--seed <u64>] [--queries <count>] [--k <k>] [--alpha <a>] \
-[--ks <csv>] [--alphas <csv>] [--threads <csv>] [--backend <mem|paged>] [--page-size <bytes>] \
-[--cache-pages <n>] [--mutation-rate <f>] [--approx-sweep <true|false>] \
-[--approx-n <count>] [--approx-ppo <points>] [--approx-seed <u64>] [--approx-radius <r>] \
-[--vptree-slacks <csv>]
   fkq serve <path> [--listen <host:port|unix:path>] [--index-file <path>] [--workers <n>] \
 [--queue-depth <n>] [--cache-pages <n>]
-  fkq loadgen --addr <host:port|unix:path> [--qps <csv>] [--duration <secs>] \
-[--connections <n>] [--k <k>] [--alpha <a>] [--variant <name>] [--deadline-ms <n>] \
-[--query-ids <csv>] [--out <path=BENCH_serve.json>]
   fkq swap --addr <host:port|unix:path> --index-file <path|:mem:>
   fkq shutdown --addr <host:port|unix:path>";
 
@@ -146,9 +135,7 @@ fn main() {
         "insert" => insert_cmd(pos.first().unwrap_or_else(|| usage()), &flags),
         "delete" => delete_cmd(&flags),
         "compact" => compact_cmd(&flags),
-        "bench" => bench(&flags),
         "serve" => serve_cmd(pos.first().unwrap_or_else(|| usage()), &flags),
-        "loadgen" => loadgen_cmd(&flags),
         "swap" => swap_cmd(&flags),
         "shutdown" => shutdown_cmd(&flags),
         _ => usage(),
@@ -224,115 +211,6 @@ fn csv_list<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) ->
             })
             .collect()
     })
-}
-
-/// Run the §6-style AKNN sweeps through the batch executor and write a
-/// machine-readable report (see `fuzzy_bench::aknn_suite` for the schema).
-fn bench(flags: &HashMap<String, String>) {
-    use fuzzy_bench::aknn_suite::{self, BenchOptions, IndexBackend};
-    use fuzzy_bench::DatasetSpec;
-    use fuzzy_datagen::DatasetKind;
-
-    let smoke: bool = get(flags, "smoke").unwrap_or(false);
-    let mut opts = if smoke { BenchOptions::smoke() } else { BenchOptions::full() };
-    if let Some(backend) = flags.get("backend") {
-        opts.backend = match backend.as_str() {
-            "mem" => IndexBackend::Mem,
-            "paged" => IndexBackend::Paged,
-            other => {
-                eprintln!("unknown backend {other}");
-                usage()
-            }
-        };
-    }
-    opts.page_size = get(flags, "page-size").unwrap_or(opts.page_size);
-    opts.cache_pages = get(flags, "cache-pages").unwrap_or(opts.cache_pages);
-    if let Some(kind) = flags.get("kind") {
-        opts.dataset.kind = match kind.as_str() {
-            "synthetic" => DatasetKind::Synthetic,
-            "cell" => DatasetKind::Cell,
-            other => {
-                eprintln!("unknown kind {other}");
-                usage()
-            }
-        };
-    }
-    let d = &mut opts.dataset;
-    *d = DatasetSpec {
-        kind: d.kind,
-        n: get(flags, "n").unwrap_or(d.n),
-        points_per_object: get(flags, "ppo").unwrap_or(d.points_per_object),
-        seed: get(flags, "seed").unwrap_or(d.seed),
-        radius: get(flags, "radius").map(Some).unwrap_or(d.radius),
-    };
-    let a = &mut opts.approx_dataset;
-    *a = DatasetSpec {
-        kind: a.kind,
-        n: get(flags, "approx-n").unwrap_or(a.n),
-        points_per_object: get(flags, "approx-ppo").unwrap_or(a.points_per_object),
-        seed: get(flags, "approx-seed").unwrap_or(a.seed),
-        radius: get(flags, "approx-radius").map(Some).unwrap_or(a.radius),
-    };
-    opts.queries = get(flags, "queries").unwrap_or(opts.queries);
-    opts.default_k = get(flags, "k").unwrap_or(opts.default_k);
-    opts.default_alpha = get(flags, "alpha").unwrap_or(opts.default_alpha);
-    // The in-memory tree is never edited: its default is no mutation
-    // sweep, and asking for one is refused.
-    let default_rate = if opts.backend == IndexBackend::Mem { 0.0 } else { opts.mutation_rate };
-    opts.mutation_rate = get(flags, "mutation-rate").unwrap_or(default_rate);
-    if opts.backend == IndexBackend::Mem && opts.mutation_rate > 0.0 {
-        eprintln!("--mutation-rate needs --backend paged: the in-memory tree is never edited");
-        usage()
-    }
-    if let Some(ks) = csv_list(flags, "ks") {
-        opts.ks = ks;
-    }
-    if let Some(alphas) = csv_list(flags, "alphas") {
-        opts.alphas = alphas;
-    }
-    if let Some(threads) = csv_list(flags, "threads") {
-        opts.thread_counts = threads;
-    }
-    if let Some(slacks) = csv_list(flags, "vptree-slacks") {
-        opts.vptree_slacks = slacks;
-    }
-    if let Some(false) = get(flags, "approx-sweep") {
-        opts.vptree_slacks.clear();
-    }
-
-    let out = flags.get("out").cloned().unwrap_or_else(|| "BENCH_aknn.json".into());
-    eprintln!(
-        "benchmarking {:?} n={} ppo={} queries={} (smoke: {smoke}) ...",
-        opts.dataset.kind, opts.dataset.n, opts.dataset.points_per_object, opts.queries
-    );
-    let report = aknn_suite::run(&opts);
-    aknn_suite::write_report(std::path::Path::new(&out), &report).unwrap_or_else(|e| {
-        eprintln!("cannot write report: {e}");
-        exit(1)
-    });
-
-    // Console summary: the variant × threads sweep, qps and mean accesses.
-    let runs = report.get("runs").and_then(|r| r.as_arr()).unwrap_or(&[]);
-    println!(
-        "{:>10} {:>8} {:>10} {:>12} {:>12} {:>12}",
-        "variant", "threads", "qps", "obj/query", "node/query", "disk/query"
-    );
-    for run in runs {
-        if run.get("sweep").and_then(|s| s.as_str()) != Some("variant_threads") {
-            continue;
-        }
-        let f = |key: &str| run.get(key).and_then(|v| v.as_num()).unwrap_or(f64::NAN);
-        println!(
-            "{:>10} {:>8} {:>10.1} {:>12.1} {:>12.1} {:>12.1}",
-            run.get("variant").and_then(|v| v.as_str()).unwrap_or("?"),
-            f("threads") as u64,
-            f("qps"),
-            f("object_accesses_mean"),
-            f("node_accesses_mean"),
-            f("node_disk_reads_mean"),
-        );
-    }
-    println!("-> {out}");
 }
 
 fn open(path: &str) -> FileStore<2> {
@@ -428,6 +306,7 @@ fn compact_cmd(flags: &HashMap<String, String>) {
     let pending = (overlay.pending_inserts(), overlay.pending_tombstones());
     let started = std::time::Instant::now();
     let tree = overlay.compact(page_size).unwrap_or_else(|e| {
+        refuse_page_size(&e);
         eprintln!("compaction failed: {e}");
         exit(1)
     });
@@ -441,6 +320,15 @@ fn compact_cmd(flags: &HashMap<String, String>) {
         NodeAccess::height(&tree),
         started.elapsed()
     );
+}
+
+/// A `--page-size` too small for the nodes it must hold is bad input, not
+/// a failed write: a usage error naming the flag.
+fn refuse_page_size(e: &StoreError) {
+    if let StoreError::PageOverflow { needed, page_size } = e {
+        eprintln!("--page-size {page_size} is too small: pages must hold {needed} bytes");
+        usage();
+    }
 }
 
 fn info(path: &str, flags: &HashMap<String, String>) {
@@ -508,6 +396,7 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
                 eprintln!("--max-entries must be at least 2, got {max_entries}");
                 usage();
             }
+            refuse_page_size(&e);
             eprintln!("cannot build index: {e}");
             exit(1)
         });
@@ -543,22 +432,32 @@ fn build_vptree_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, S
     );
 }
 
-fn query_object(store: &FileStore<2>, flags: &HashMap<String, String>) -> FuzzyObject<2> {
+fn query_object(
+    path: &str,
+    store: &FileStore<2>,
+    flags: &HashMap<String, String>,
+) -> FuzzyObject<2> {
     // Query by dataset object id, or a pseudo-random member.
-    if let Some(id) = get::<u64>(flags, "query-id") {
-        return store
-            .probe(fuzzy_core::ObjectId(id))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot load query object {id}: {e}");
+    let id = match get::<u64>(flags, "query-id") {
+        Some(id) => fuzzy_core::ObjectId(id),
+        None => {
+            let seed: u64 = get(flags, "query-seed").unwrap_or(7);
+            let ids = store.ids();
+            if ids.is_empty() {
+                eprintln!("{path} stores no objects to query");
                 exit(1)
-            })
-            .as_ref()
-            .clone();
-    }
-    let seed: u64 = get(flags, "query-seed").unwrap_or(7);
-    let ids = store.ids();
-    let pick = ids[(seed as usize) % ids.len()];
-    store.probe(pick).expect("probe query").as_ref().clone()
+            }
+            ids[(seed as usize) % ids.len()]
+        }
+    };
+    store
+        .probe(id)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot load query object {} from {path}: {e}", id.0);
+            exit(1)
+        })
+        .as_ref()
+        .clone()
 }
 
 fn variant(flags: &HashMap<String, String>) -> AknnConfig {
@@ -703,7 +602,7 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let k: usize = get(flags, "k").unwrap_or(10);
     let alpha: f64 = get(flags, "alpha").unwrap_or(0.5);
-    let q = query_object(&store, flags);
+    let q = query_object(path, &store, flags);
     let wants_approx = flags.contains_key("recall-dial")
         || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
     if wants_approx {
@@ -736,7 +635,7 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
             usage()
         }
     };
-    let q = query_object(&store, flags);
+    let q = query_object(path, &store, flags);
     if let Some(addr) = flags.get("server") {
         server_rknn(addr, q.id(), k, start, end, algo, flags);
         return;
@@ -881,69 +780,6 @@ fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
     use std::io::Write as _;
     let _ = std::io::stdout().flush(); // scripts wait for this line
     handle.join();
-}
-
-/// Drive a daemon with open-loop load and write `BENCH_serve.json`.
-fn loadgen_cmd(flags: &HashMap<String, String>) {
-    use fuzzy_bench::serve_suite::{self, LoadgenOptions};
-
-    let addr = flags.get("addr").cloned().unwrap_or_else(|| usage());
-    // Default query ids: every stored object, as reported by INFO.
-    let query_ids = csv_list(flags, "query-ids").unwrap_or_else(|| {
-        let mut client = connect(&addr);
-        match call(&mut client, &Request::Info) {
-            Response::Info { objects, .. } => (0..objects.max(1)).collect(),
-            other => {
-                eprintln!("unexpected INFO response: {other:?}");
-                exit(1)
-            }
-        }
-    });
-    let d = LoadgenOptions::default();
-    let opts = LoadgenOptions {
-        addr,
-        connections: get(flags, "connections").unwrap_or(d.connections),
-        qps_targets: csv_list(flags, "qps").unwrap_or(d.qps_targets),
-        duration_secs: get(flags, "duration").unwrap_or(d.duration_secs),
-        k: get(flags, "k").unwrap_or(d.k),
-        alpha: get(flags, "alpha").unwrap_or(d.alpha),
-        variant: wire_variant(flags),
-        deadline_ms: get(flags, "deadline-ms").unwrap_or(d.deadline_ms),
-        query_ids,
-    };
-    eprintln!(
-        "loadgen against {}: qps {:?} x {}s over {} connections ...",
-        opts.addr, opts.qps_targets, opts.duration_secs, opts.connections
-    );
-    let report = serve_suite::run(&opts).unwrap_or_else(|e| {
-        eprintln!("loadgen failed: {e}");
-        exit(1)
-    });
-    let out = flags.get("out").cloned().unwrap_or_else(|| "BENCH_serve.json".into());
-    serve_suite::write_report(std::path::Path::new(&out), &report).unwrap_or_else(|e| {
-        eprintln!("cannot write report: {e}");
-        exit(1)
-    });
-
-    println!(
-        "{:>10} {:>10} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "target", "achieved", "ok", "busy", "p50 ms", "p95 ms", "p99 ms", "mean ms"
-    );
-    for run in report.get("runs").and_then(|r| r.as_arr()).unwrap_or(&[]) {
-        let f = |key: &str| run.get(key).and_then(|v| v.as_num()).unwrap_or(f64::NAN);
-        println!(
-            "{:>10.0} {:>10.1} {:>6.0} {:>6.0} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            f("target_qps"),
-            f("achieved_qps"),
-            f("ok"),
-            f("busy"),
-            f("latency_ms_p50"),
-            f("latency_ms_p95"),
-            f("latency_ms_p99"),
-            f("latency_ms_mean"),
-        );
-    }
-    println!("-> {out}");
 }
 
 /// Publish a new index epoch on a running daemon.

@@ -58,7 +58,7 @@ impl Opts {
     }
 
     fn spec(&self, kind: DatasetKind, n: usize) -> DatasetSpec {
-        DatasetSpec { kind, n, points_per_object: self.ppo, seed: self.seed, radius: None }
+        DatasetSpec { kind, n, points_per_object: self.ppo, seed: self.seed }
     }
 }
 

@@ -1,9 +1,8 @@
 //! A minimal JSON value model, writer and parser.
 //!
 //! The build environment has no crates.io access, so `serde_json` is not an
-//! option; the bench harness needs exactly (a) emitting machine-readable
-//! reports and (b) re-parsing them in CI smoke tests to prove the schema
-//! did not rot. Numbers are `f64` (like JavaScript); non-finite values are
+//! option; fkbench (`benchmark/`) needs exactly (a) emitting
+//! machine-readable reports and (b) re-parsing them to compare runs. Numbers are `f64` (like JavaScript); non-finite values are
 //! serialized as `null` because JSON has no representation for them.
 
 use std::collections::HashSet;

@@ -4,16 +4,12 @@
 //! under `target/fuzzy-datasets/`, keyed by (kind, N, points-per-object,
 //! seed); each experiment then opens the file store, bulk-loads the
 //! R-tree, runs a batch of queries per algorithm variant and reports the
-//! mean per-query costs as CSV. The [`aknn_suite`] module adds the
-//! batched throughput sweeps behind `fkq bench` (JSON report via
-//! [`json`]).
+//! mean per-query costs as CSV. Throughput and latency are measured by
+//! fkbench (`benchmark/`), which reports through [`json`].
 
 #![warn(missing_docs)]
 
-pub mod aknn_suite;
 pub mod json;
-pub mod kernel;
-pub mod serve_suite;
 
 use fuzzy_core::FuzzyObject;
 use fuzzy_datagen::{CellConfig, DatasetKind, SyntheticConfig};
@@ -34,12 +30,6 @@ pub struct DatasetSpec {
     pub points_per_object: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Object-radius override for the synthetic generator (`None` keeps
-    /// the paper's 0.5). Larger radii in the same 100×100 space make
-    /// object supports overlap — the adverse regime for bound-based
-    /// pruning that the approximate sweep measures against. Ignored by
-    /// the cell generator.
-    pub radius: Option<f64>,
 }
 
 impl DatasetSpec {
@@ -48,12 +38,8 @@ impl DatasetSpec {
         let dir = PathBuf::from(
             std::env::var("FUZZY_DATASET_DIR").unwrap_or_else(|_| "target/fuzzy-datasets".into()),
         );
-        let radius = match self.radius {
-            Some(r) => format!("-r{r}"),
-            None => String::new(),
-        };
         dir.join(format!(
-            "{}-n{}-p{}-s{:x}{radius}.fzkn",
+            "{}-n{}-p{}-s{:x}.fzkn",
             match self.kind {
                 DatasetKind::Synthetic => "syn",
                 DatasetKind::Cell => "cell",
@@ -62,12 +48,6 @@ impl DatasetSpec {
             self.points_per_object,
             self.seed
         ))
-    }
-
-    /// Path of the paged index file derived from this spec (sibling of
-    /// the dataset file, `.fzpt` extension).
-    pub fn index_path(&self) -> PathBuf {
-        self.path().with_extension("fzpt")
     }
 
     /// Open the cached store, generating it on first use.
@@ -95,13 +75,11 @@ impl DatasetSpec {
     }
 
     fn synthetic(&self) -> SyntheticConfig {
-        let base = SyntheticConfig::default();
         SyntheticConfig {
             num_objects: self.n,
             points_per_object: self.points_per_object,
             seed: self.seed,
-            radius: self.radius.unwrap_or(base.radius),
-            ..base
+            ..SyntheticConfig::default()
         }
     }
 
@@ -250,20 +228,19 @@ pub fn ms(stats: &QueryStats) -> String {
     format!("{:.2}", stats.wall.as_secs_f64() * 1e3)
 }
 
-/// Serializes every test (in this binary) that reads or writes the
-/// `FUZZY_DATASET_DIR` process environment variable: concurrent
-/// `setenv`/`getenv` from parallel test threads is undefined behavior on
-/// glibc. Hold the returned guard for the whole test body.
-#[cfg(test)]
-pub(crate) fn dataset_dir_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fuzzy_index::NodeAccess;
+
+    /// Serializes every test here that reads or writes the
+    /// `FUZZY_DATASET_DIR` process environment variable: concurrent
+    /// `setenv`/`getenv` from parallel test threads is undefined behavior on
+    /// glibc. Hold the returned guard for the whole test body.
+    fn dataset_dir_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn table_render_and_csv() {
@@ -275,14 +252,9 @@ mod tests {
 
     #[test]
     fn spec_paths_distinguish_parameters() {
-        let _env = crate::dataset_dir_test_lock(); // path() reads the env var
-        let a = DatasetSpec {
-            kind: DatasetKind::Synthetic,
-            n: 100,
-            points_per_object: 50,
-            seed: 1,
-            radius: None,
-        };
+        let _env = dataset_dir_test_lock(); // path() reads the env var
+        let a =
+            DatasetSpec { kind: DatasetKind::Synthetic, n: 100, points_per_object: 50, seed: 1 };
         let b = DatasetSpec { n: 200, ..a };
         assert_ne!(a.path(), b.path());
         let c = DatasetSpec { kind: DatasetKind::Cell, ..a };
@@ -291,15 +263,10 @@ mod tests {
 
     #[test]
     fn end_to_end_small_experiment() {
-        let _env = crate::dataset_dir_test_lock();
+        let _env = dataset_dir_test_lock();
         std::env::set_var("FUZZY_DATASET_DIR", std::env::temp_dir().join("fzkn-bench-test"));
-        let spec = DatasetSpec {
-            kind: DatasetKind::Synthetic,
-            n: 60,
-            points_per_object: 40,
-            seed: 5,
-            radius: None,
-        };
+        let spec =
+            DatasetSpec { kind: DatasetKind::Synthetic, n: 60, points_per_object: 40, seed: 5 };
         let env = Env::prepare(&spec);
         assert_eq!(env.tree.len(), 60);
         let queries = spec.queries(2);

@@ -5,9 +5,10 @@
 //! any non-index file, exit code 1 and a message naming the path, whether
 //! the file is missing or holds an old build's bytes. A leftover flag of
 //! the road-network metric, or the R* split's `--min-fill`, is refused by
-//! name, as is a mutation sweep over the in-memory tree. Nothing panics,
-//! nothing is silently answered from another index or under another
-//! metric.
+//! name. The retired `bench` and `loadgen` subcommands are no commands at
+//! all: usage errors that measure and write nothing (fkbench, under
+//! `benchmark/`, is the one benchmark). Nothing panics, nothing is
+//! silently answered from another index or under another metric.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -87,26 +88,29 @@ fn fkq_refuses_the_road_network_flags_by_name() {
 }
 
 #[test]
-fn fkq_bench_refuses_a_mutation_sweep_on_the_in_memory_tree() {
-    let dir = std::env::temp_dir().join(format!("fz-gone-mem-mutation-{}", std::process::id()));
+fn fkq_refuses_the_retired_bench_and_loadgen_subcommands() {
+    let dir = std::env::temp_dir().join(format!("fz-gone-harnesses-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = fkq(
-        &[
-            "bench",
-            "--smoke",
-            "true",
-            "--backend",
-            "mem",
-            "--mutation-rate",
-            "0.25",
-            "--out",
-            "b.json",
-        ],
-        &dir,
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--backend paged"), "the refusal must name the way out: {stderr}");
-    assert!(out.stdout.is_empty() && !dir.join("b.json").exists(), "nothing was benchmarked");
+    for args in [
+        &["bench"][..],
+        &["bench", "--smoke", "true", "--out", "b.json"][..],
+        &["loadgen", "--addr", "unix:none.sock"][..],
+        &["loadgen", "--addr", "127.0.0.1:1", "--qps", "50", "--out", "s.json"][..],
+    ] {
+        let out = fkq(args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} must print the usage: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} measured something");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+    let help = fkq(&["--help"], &dir);
+    assert!(help.status.success());
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("fkq aknn"), "{help}");
+    for retired in ["bench", "loadgen"] {
+        assert!(!help.contains(retired), "--help still lists {retired}: {help}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,8 +3,10 @@
 //! aknn/rknn --index-file`, and diff the answers against the in-memory
 //! tree the same binary bulk-loads by default. Beside it: the writer's
 //! bytes pinned by digest, compaction and the in-memory bulk load held to
-//! `bulk_write`'s bytes, and `fkq build-index` refusing a fan-out below 2.
-//! This is the test the CI `paged-roundtrip` job runs.
+//! `bulk_write`'s bytes, `fkq build-index` refusing a fan-out below 2 and
+//! it and `compact` refusing a page size below the minimum, and
+//! the query subcommands failing cleanly when there is no query object to
+//! load. This is the test the CI `paged-roundtrip` job runs.
 
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_datagen::SyntheticConfig;
@@ -34,6 +36,16 @@ fn fkq(args: &[&str], dir: &Path) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// Run `fkq` and return its exit status and stderr, success or not.
+fn fkq_status(args: &[&str], dir: &Path) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fkq"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn fkq");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 /// Strip the cost line: wall-clock and the disk/cache split legitimately
@@ -180,22 +192,68 @@ fn bulk_load_images_are_the_bytes_bulk_write_writes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A node capacity below 2 would never pack into a root: `fkq` refuses it
-/// as a usage error naming the flag, and writes nothing.
+/// A node capacity below 2 would never pack into a root, and a page below
+/// the format's minimum of 256 bytes is never written: `fkq` refuses both
+/// as usage errors naming the flag, and writes nothing — `build-index`
+/// creates no file, `compact` leaves the index as it was and no temporary
+/// file behind.
 #[test]
 fn build_index_refuses_a_fan_out_below_two() {
     let dir = std::env::temp_dir().join(format!("fzpt-fanout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     fkq(&["generate", "--kind", "synthetic", "--n", "50", "--ppo", "8", "--out", "d.fzkn"], &dir);
-    for fan_out in ["0", "1"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fkq"))
-            .args(["build-index", "d.fzkn", "--out", "d.fzpt", "--max-entries", fan_out])
-            .current_dir(&dir)
-            .output()
-            .expect("spawn fkq");
-        assert_eq!(out.status.code(), Some(2), "--max-entries {fan_out}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("--max-entries"));
+    let refused = [
+        ("--max-entries", "0"),
+        ("--max-entries", "1"),
+        ("--page-size", "0"),
+        ("--page-size", "100"),
+        ("--page-size", "255"),
+    ];
+    for (flag, value) in refused {
+        let (code, stderr) =
+            fkq_status(&["build-index", "d.fzkn", "--out", "d.fzpt", flag, value], &dir);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag) && !stderr.contains("corrupt"), "{stderr}");
         assert!(!dir.join("d.fzpt").exists());
+    }
+    fkq(&["build-index", "d.fzkn", "--out", "d.fzpt"], &dir);
+    let before = std::fs::read(dir.join("d.fzpt")).unwrap();
+    for (flag, value) in refused.into_iter().filter(|(flag, _)| *flag == "--page-size") {
+        let (code, stderr) = fkq_status(&["compact", "--index-file", "d.fzpt", flag, value], &dir);
+        assert_eq!(code, Some(2), "compact {flag} {value}: {stderr}");
+        assert!(stderr.contains(flag) && !stderr.contains("corrupt"), "{stderr}");
+        assert_eq!(std::fs::read(dir.join("d.fzpt")).unwrap(), before, "the index is untouched");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "no temporary file is left");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `aknn` and `rknn` pick their query object from the store: a store with
+/// no objects, or one whose query record does not decode, is an error that
+/// names the store (exit 1), never a panic.
+#[test]
+fn queries_without_a_loadable_query_object_fail_naming_the_store() {
+    let dir = std::env::temp_dir().join(format!("fzkn-no-query-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    fkq(&["generate", "--n", "0", "--out", "empty.fzkn"], &dir);
+    fkq(&["generate", "--n", "1", "--ppo", "8", "--out", "damaged.fzkn"], &dir);
+    // Flip a byte inside the one object record (records start at offset
+    // 16): the store opens, the probe's checksum fails.
+    let mut bytes = std::fs::read(dir.join("damaged.fzkn")).unwrap();
+    bytes[40] ^= 0x01;
+    std::fs::write(dir.join("damaged.fzkn"), bytes).unwrap();
+    for (store, says) in
+        [("empty.fzkn", "stores no objects"), ("damaged.fzkn", "cannot load query object")]
+    {
+        for query in [
+            &["aknn", store, "--k", "3"][..],
+            &["rknn", store, "--k", "3", "--start", "0.3", "--end", "0.7"][..],
+        ] {
+            let (code, stderr) = fkq_status(query, &dir);
+            assert_eq!(code, Some(1), "{query:?}: {stderr}");
+            assert!(stderr.contains(store) && stderr.contains(says), "{query:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{query:?}: {stderr}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

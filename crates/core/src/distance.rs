@@ -346,17 +346,26 @@ mod tests {
         // of its own — as when an object that was a query earlier is
         // probed. The kernel scans the probed
         // side's prefix whatever it carries; only the tree strategy builds
-        // the query's tree.
+        // the query's tree. Every case runs four times against one `want`,
+        // so an answer is also reproducible.
         let mut cases: Vec<_> = [2u64, 5, 9]
             .iter()
             .flat_map(|&seed| {
                 let (a, b) = (blob(seed, 120, 0.0, 0.0), blob(seed + 7, 110, 2.0, -1.0));
-                [0.1, 0.5, 0.9].map(|v| (a.clone(), b.clone(), Threshold::at(v), true))
+                [0.1, 0.2, 0.5, 0.8, 0.9].map(|v| (a.clone(), b.clone(), Threshold::at(v), true))
             })
             .collect();
         let (a, b) = (blob(31, 300, 0.0, 0.0), blob(32, 300, 1.5, 0.5));
         cases.push((a.clone(), b.clone(), Threshold::at(0.05), false));
         cases.push((a, b, Threshold::above(0.05), false));
+        // 30 points apart and 480 points overlapping at α 0.2 / 0.5 / 0.8:
+        // the 480-point cuts cross the dense budget as α falls.
+        for (n, dx, dense) in [(30, 3.0, [true; 3]), (480, 1.0, [false, true, true])] {
+            let (a, b) = (blob(40 + n as u64, n, 0.0, 0.0), blob(41 + n as u64, n, dx, 0.5));
+            for (v, dense) in [0.2, 0.5, 0.8].into_iter().zip(dense) {
+                cases.push((a.clone(), b.clone(), Threshold::at(v), dense));
+            }
+        }
         for (x, y, t, dense) in cases {
             let product = x.cut_len(t) * y.cut_len(t);
             assert_eq!(product <= DENSE_PAIR_BUDGET, dense, "{t}: {product} pairs");

@@ -346,7 +346,7 @@ impl<const D: usize> PagedRTree<D> {
     /// STR-pack `entries`, write the tree to `path` and open it.
     /// `config.max_entries` must be at least 2
     /// ([`StoreError::FanoutTooSmall`] otherwise) and `page_size` must fit
-    /// the largest node it implies
+    /// the largest node it implies and be at least [`MIN_PAGE_SIZE`]
     /// ([`StoreError::PageOverflow`] otherwise); a refused write creates
     /// nothing.
     pub fn bulk_write(
@@ -376,10 +376,10 @@ impl<const D: usize> PagedRTree<D> {
         if config.max_entries < 2 {
             return Err(StoreError::FanoutTooSmall { max_entries: config.max_entries });
         }
-        if page_size < MIN_PAGE_SIZE {
-            return Err(corrupt(format!("page size {page_size} below minimum {MIN_PAGE_SIZE}")));
-        }
-        let needed = (max_node_payload::<D>(config.max_entries) + PAGE_OVERHEAD) as u64;
+        // A page holds the largest node the fan-out allows, and is never
+        // smaller than the format's minimum.
+        let needed = (max_node_payload::<D>(config.max_entries) + PAGE_OVERHEAD)
+            .max(MIN_PAGE_SIZE as usize) as u64;
         if needed > page_size as u64 {
             return Err(StoreError::PageOverflow { needed, page_size });
         }
@@ -1008,9 +1008,25 @@ mod tests {
     #[test]
     fn page_overflow_is_a_typed_error() {
         let path = tmp("overflow");
-        let cfg = RTreeConfig { max_entries: 64 };
-        let err = PagedRTree::bulk_write(grid_summaries(100), cfg, &path, 4096).unwrap_err();
-        assert!(matches!(err, StoreError::PageOverflow { .. }), "{err}");
+        // A node that outgrows its page, and pages below the minimum even
+        // for the smallest nodes: one typed error, before the file exists.
+        for (max_entries, page_size) in [(64, 4096), (2, 0), (2, 100), (2, MIN_PAGE_SIZE - 1)] {
+            let cfg = RTreeConfig { max_entries };
+            let err =
+                PagedRTree::bulk_write(grid_summaries(100), cfg, &path, page_size).unwrap_err();
+            assert!(
+                matches!(err, StoreError::PageOverflow { page_size: p, .. } if p == page_size),
+                "{err}"
+            );
+            assert!(!path.exists(), "a refused write creates nothing");
+        }
+        // A 1-D node of two entries fits in 200 bytes; the minimum still
+        // holds, and names itself as the bytes a page needs.
+        let cfg = RTreeConfig { max_entries: 2 };
+        let err = PagedRTree::<1>::bulk_write(Vec::new(), cfg, &path, 200).unwrap_err();
+        let needed = MIN_PAGE_SIZE as u64;
+        assert!(matches!(err, StoreError::PageOverflow { needed: n, .. } if n == needed), "{err}");
+        assert!(!path.exists(), "a refused write creates nothing");
         // A fan-out below 2 is refused the same way, before the file exists.
         for max_entries in [0, 1] {
             let cfg = RTreeConfig { max_entries };

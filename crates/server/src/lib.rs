@@ -17,7 +17,7 @@
 //!   index epoch through [`fuzzy_query::Versioned`] without blocking
 //!   readers.
 //! * [`client`] — a small blocking client, used by `fkq` (`--server`,
-//!   `loadgen`, `swap`) and the tests.
+//!   `swap`, `shutdown`), fkbench's `serve-mixed` workload and the tests.
 //!
 //! The answers a server returns are byte-identical to one-shot CLI runs
 //! on the same index: responses carry bit-exact `f64`s and the same

@@ -35,9 +35,11 @@ pub enum StoreError {
     Model(ModelError),
     /// An object with this id was already written.
     DuplicateObject(ObjectId),
-    /// An encoded node does not fit in one page of a paged file.
+    /// An encoded node does not fit in one page of a paged file, or the
+    /// page size is below the format's minimum.
     PageOverflow {
-        /// Bytes the node needs.
+        /// Bytes a page must hold: the largest node, and at least the
+        /// minimum page size.
         needed: u64,
         /// Configured page size.
         page_size: u32,
