@@ -12,15 +12,22 @@
 //!   8 752-byte page) through [`PagedRTree`] with a one-page pool: two
 //!   such leaves alternate, so every read is a miss (the page comes from
 //!   the OS page cache).
+//! * `leaf_pass/full` — what the best-first search does with such a leaf
+//!   once it is read, at α = 0.5: the column pass writing every entry's
+//!   Eq. 2 box, id and representative into the arena
+//!   ([`fuzzy_query::append_slots`]), then each entry's `d⁻` against a
+//!   query's cut box. The page stays pinned, so no read is timed.
 //! * `store_open/50000` — [`FileStore::open`] of a 50 000-object `scale`
 //!   store (32 points, r = 0.1): header and trailer checks, every summary
 //!   decoded and checked, the id table built. The file comes from the OS
 //!   page cache.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fuzzy_core::{FuzzyObject, ObjectSummary};
+use fuzzy_core::metric::{Metric, L2};
+use fuzzy_core::{FuzzyObject, ObjectSummary, Threshold};
 use fuzzy_datagen::{write_dataset, SyntheticConfig};
 use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
+use fuzzy_query::append_slots;
 use fuzzy_store::format::{decode_object, encode_object, fnv1a};
 use fuzzy_store::{FileStore, ObjectStore};
 
@@ -81,6 +88,26 @@ fn bench_leaf_page(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    let t = Threshold::at(0.5);
+    let q_cut = objects(1, 32, 0.1)[0].cut_mbr(t).expect("a non-empty cut");
+    let read = tree.read_node(full[0]).unwrap();
+    let NodeView::Entries(leaf) = read.view() else { unreachable!("a leaf") };
+    let mut slots = Vec::with_capacity(leaf.slots());
+    let mut group = c.benchmark_group("leaf_pass");
+    group.bench_function("full", |b| {
+        b.iter(|| {
+            slots.clear();
+            let base = append_slots(&leaf, Some(t), &mut slots);
+            for (j, slot) in slots[base..].iter().enumerate() {
+                if leaf.is_live(j) {
+                    black_box(L2.min_box_dist_sq(&slot.bound_mbr(), &q_cut));
+                }
+            }
+        })
+    });
+    group.finish();
+    drop(read);
     std::fs::remove_file(&path).unwrap();
 }
 

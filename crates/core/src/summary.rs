@@ -7,7 +7,6 @@
 
 use crate::boundary::BoundaryFunctions;
 use crate::error::ModelError;
-use crate::metric::Metric;
 use crate::object::{FuzzyObject, ObjectId};
 use crate::threshold::Threshold;
 use fuzzy_geom::{fit_conservative_line, ConservativeLine, Mbr, Point};
@@ -147,34 +146,6 @@ impl<const D: usize> ObjectSummary<D> {
     /// sample).
     pub fn rep_upper_bound_sq(&self, query_samples: &[Point<D>]) -> f64 {
         query_samples.iter().map(|q| self.rep.dist_sq(q)).fold(f64::INFINITY, f64::min)
-    }
-
-    /// [`ObjectSummary::lower_bound_dist_sq`] under an arbitrary metric:
-    /// the metric's box lower bound against the Eq. 2 approximate cut MBR.
-    /// Under [`crate::metric::L2`] this is bitwise the specialized form;
-    /// metrics without rectangle bounds degrade soundly to `0`.
-    #[inline]
-    pub fn lower_bound_dist_sq_in<M: Metric<D> + ?Sized>(
-        &self,
-        metric: &M,
-        query_cut: &Mbr<D>,
-        t: Threshold,
-    ) -> f64 {
-        metric.min_box_dist_sq(&self.approx_cut_mbr(t), query_cut)
-    }
-
-    /// [`ObjectSummary::rep_upper_bound_sq`] under an arbitrary metric:
-    /// the minimum squared metric distance from `rep(A)` to the sampled
-    /// query points. Sound for every α because `rep(A)` is a kernel point
-    /// and the samples come from the query's cut (Lemma 1 needs only the
-    /// metric axioms).
-    #[inline]
-    pub fn rep_upper_bound_sq_in<M: Metric<D> + ?Sized>(
-        &self,
-        metric: &M,
-        query_samples: &[Point<D>],
-    ) -> f64 {
-        query_samples.iter().map(|q| metric.dist_sq(&self.rep, q)).fold(f64::INFINITY, f64::min)
     }
 }
 

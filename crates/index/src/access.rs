@@ -5,12 +5,14 @@
 //! The paper's cost model (§6) charges queries by *node accesses* because
 //! the index is assumed to live on secondary storage. `NodeAccess` makes
 //! that assumption explicit: a single `read_node` primitive hands back a
-//! node's children — child rectangles for internal nodes, object summaries
-//! for leaves — together with the read's provenance (backing medium vs
-//! buffer pool), so query processors can charge exact per-query I/O
-//! whatever the tree is read from. The query crate (`fuzzy-query`) is
-//! generic over this trait; the determinism suites prove an image, a file
-//! and an overlay return byte-identical answers.
+//! node's children — child rectangles for internal nodes, the leaf page's
+//! summary columns ([`LeafView`]) for leaves — together with the read's
+//! provenance (backing medium vs buffer pool), so query processors can
+//! charge exact per-query I/O whatever the tree is read from. A leaf is
+//! cached as its page's bytes ([`LeafPage`]) and read in place: a read
+//! copies no entry. The query crate (`fuzzy-query`) is generic over this
+//! trait; the determinism suites prove an image, a file and an overlay
+//! return byte-identical answers.
 //!
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
@@ -47,9 +49,10 @@
 //! assert_eq!(ids_within(&tree, Point::xy(10.1, 0.0), 0.05), vec![ObjectId(10)]);
 //! ```
 
+use crate::leaf::{LeafPage, LeafView};
 use crate::node::NodeId;
 use crate::query::{EntryHit, RangeResult};
-use fuzzy_core::ObjectSummary;
+use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::Mbr;
 use fuzzy_store::StoreError;
 use std::cmp::Ordering;
@@ -67,22 +70,22 @@ pub struct ChildRef<const D: usize> {
     pub mbr: Mbr<D>,
 }
 
-/// What a node holds, borrowed from the page it was decoded into.
+/// What a node holds, borrowed from the page it was read into.
 #[derive(Clone, Copy, Debug)]
 pub enum NodeView<'a, const D: usize> {
     /// Internal node: child pointers with their rectangles.
     Nodes(&'a [ChildRef<D>]),
-    /// Leaf node: the object summaries it stores.
-    Entries(&'a [ObjectSummary<D>]),
+    /// Leaf node: the summary columns of its page.
+    Entries(LeafView<'a, D>),
 }
 
-/// A fully decoded node, as cached by the tree's buffer pool.
-#[derive(Clone, Debug)]
+/// A node as the tree's buffer pool caches it.
+#[derive(Debug)]
 pub enum DecodedNode<const D: usize> {
-    /// Internal node payload.
+    /// Internal node payload, decoded.
     Internal(Vec<ChildRef<D>>),
-    /// Leaf node payload.
-    Leaf(Vec<ObjectSummary<D>>),
+    /// Leaf node: its page's bytes, checked, not decoded.
+    Leaf(LeafPage<D>),
 }
 
 impl<const D: usize> DecodedNode<D> {
@@ -90,7 +93,7 @@ impl<const D: usize> DecodedNode<D> {
     pub fn view(&self) -> NodeView<'_, D> {
         match self {
             Self::Internal(children) => NodeView::Nodes(children),
-            Self::Leaf(entries) => NodeView::Entries(entries),
+            Self::Leaf(page) => NodeView::Entries(page.view()),
         }
     }
 }
@@ -102,6 +105,10 @@ impl<const D: usize> DecodedNode<D> {
 pub struct NodeRead<'t, const D: usize> {
     /// A buffer-pool page; the `Arc` keeps it alive while borrowed.
     page: Arc<DecodedNode<D>>,
+    /// The leaf slots this read shows (bit `j` for slot `j`); `None` shows
+    /// all of them. An overlay hides its deleted entries here, per read,
+    /// and leaves the cached page as it is.
+    live: Option<Box<[u64]>>,
     /// True when serving this node touched the backing medium; false for
     /// buffer-pool hits and for every read of an in-memory image. This is
     /// the node-level analogue of `fuzzy_store::TracedProbe::disk_read`.
@@ -112,12 +119,31 @@ pub struct NodeRead<'t, const D: usize> {
 impl<const D: usize> NodeRead<'_, D> {
     /// A read served by a buffer pool.
     pub fn from_page(page: Arc<DecodedNode<D>>, disk_read: bool) -> Self {
-        Self { page, disk_read, tree: PhantomData }
+        Self { page, live: None, disk_read, tree: PhantomData }
+    }
+
+    /// This read with every leaf entry whose id is `dead` hidden. A read
+    /// of an internal node, or of a leaf no dead id is in, is returned
+    /// as it is.
+    pub(crate) fn hiding(mut self, dead: impl Fn(ObjectId) -> bool) -> Self {
+        if let NodeView::Entries(leaf) = self.page.view() {
+            if leaf.ids().any(&dead) {
+                let mut live = vec![0u64; leaf.slots().div_ceil(64)];
+                for (j, id) in leaf.ids().enumerate() {
+                    live[j / 64] |= u64::from(!dead(id)) << (j % 64);
+                }
+                self.live = Some(live.into_boxed_slice());
+            }
+        }
+        self
     }
 
     /// Borrow the node contents.
     pub fn view(&self) -> NodeView<'_, D> {
-        self.page.view()
+        match self.page.view() {
+            NodeView::Entries(leaf) => NodeView::Entries(leaf.masked(self.live.as_deref())),
+            nodes => nodes,
+        }
     }
 }
 
@@ -222,26 +248,42 @@ pub fn range_search<A: NodeAccess<D> + ?Sized, const D: usize>(
     node_key: impl Fn(&Mbr<D>) -> f64,
     entry_key: impl Fn(&ObjectSummary<D>) -> f64,
 ) -> Result<RangeResult<D>, StoreError> {
-    let mut result = RangeResult::default();
+    let mut hits = Vec::new();
+    let (node_accesses, node_disk_reads) = range_scan(tree, radius, node_key, |leaf| {
+        for entry in leaf.iter() {
+            let score = entry_key(&entry);
+            if score <= radius {
+                hits.push(EntryHit { entry, score });
+            }
+        }
+    })?;
+    Ok(RangeResult { hits, node_accesses, node_disk_reads })
+}
+
+/// The traversal of [`range_search`] with the leaf work left to the
+/// caller: every leaf whose rectangle's `node_key` is within `radius` is
+/// handed to `leaf`, in the order `range_search` visits it, for the caller
+/// to score its columns. Returns the node accesses and the disk reads
+/// among them.
+pub fn range_scan<A: NodeAccess<D> + ?Sized, const D: usize>(
+    tree: &A,
+    radius: f64,
+    node_key: impl Fn(&Mbr<D>) -> f64,
+    mut leaf: impl FnMut(LeafView<'_, D>),
+) -> Result<(u64, u64), StoreError> {
+    let (mut accesses, mut disk_reads) = (0, 0);
     let mut stack = vec![(tree.root_id(), tree.root_mbr())];
     while let Some((id, mbr)) = stack.pop() {
         if node_key(&mbr) > radius {
             continue;
         }
         let read = tree.read_node(id)?;
-        result.node_accesses += 1;
-        result.node_disk_reads += read.disk_read as u64;
+        accesses += 1;
+        disk_reads += read.disk_read as u64;
         match read.view() {
             NodeView::Nodes(kids) => stack.extend(kids.iter().map(|c| (c.id, c.mbr))),
-            NodeView::Entries(entries) => {
-                for e in entries {
-                    let score = entry_key(e);
-                    if score <= radius {
-                        result.hits.push(EntryHit { entry: *e, score });
-                    }
-                }
-            }
+            NodeView::Entries(entries) => leaf(entries),
         }
     }
-    Ok(result)
+    Ok((accesses, disk_reads))
 }

@@ -269,8 +269,9 @@ mod tests {
             let (held, union) = match read.view() {
                 NodeView::Entries(entries) => {
                     assert_eq!(depth, tree.height(), "leaf {id:?} off the leaf level");
-                    out.extend_from_slice(entries);
-                    (entries.len(), union(entries.iter().map(|e| &e.support_mbr)))
+                    out.extend(entries.iter());
+                    let boxes: Vec<Mbr<2>> = entries.iter().map(|e| e.support_mbr).collect();
+                    (entries.len(), union(boxes.iter()))
                 }
                 NodeView::Nodes(kids) => {
                     stack.extend(kids.iter().map(|k| (k.id, k.mbr, depth + 1)));
@@ -331,7 +332,9 @@ mod tests {
         assert_eq!(leaf_count, 100, "2000 entries in full 20-entry leaves");
         let total_area: f64 = (0..leaf_count as u32)
             .map(|i| match tree.read_node(NodeId(i)).unwrap().view() {
-                NodeView::Entries(entries) => union(entries.iter().map(|e| &e.support_mbr)).area(),
+                NodeView::Entries(entries) => {
+                    entries.iter().fold(Mbr::empty(), |acc, e| acc.union(&e.support_mbr)).area()
+                }
                 NodeView::Nodes(_) => panic!("page {i} is below the leaf count"),
             })
             .sum();

@@ -14,6 +14,9 @@
 //!   (the paper's §6 cost model made literal). Its bytes come from the
 //!   file or from an in-memory image of it; [`RTree`] names the in-memory
 //!   form, built by [`RTree::bulk_load`].
+//! * [`LeafPage`] / [`LeafView`] — a leaf as its page: the pool caches
+//!   the checked bytes of the columnar summary block, and a read borrows
+//!   its columns ([`LeafField`]) instead of rebuilt summaries;
 //! * [`NodeAccess`] — the navigation trait; the query processor in
 //!   `fuzzy-query` is generic over it and returns byte-identical answers
 //!   whatever the pages are read from;
@@ -45,19 +48,22 @@
 pub mod access;
 pub mod approx;
 pub mod bulk;
+pub mod leaf;
 pub mod node;
 pub mod overlay;
 pub mod paged;
 pub mod query;
 pub mod vptree;
 
-pub use access::{range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
+pub use access::{
+    range_scan, range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView,
+};
 pub use approx::{RecallDial, FOF_BUILD_CAP};
+pub use leaf::{leaf_entry_len, LeafField, LeafPage, LeafView};
 pub use node::{NodeId, RTree, RTreeConfig};
 pub use overlay::{delta_path_for, OverlayRTree};
 pub use paged::{
-    leaf_entry_len, paged_header_len, PagedRTree, DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE,
-    PAGED_VERSION,
+    paged_header_len, PagedRTree, DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE, PAGED_VERSION,
 };
 pub use query::{EntryHit, RangeResult};
 pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};

@@ -8,8 +8,8 @@
 //! ([`PagedRTree::open`]), or an image of it in memory
 //! ([`PagedRTree::bulk_load`], [`PagedRTree::from_image`]) — an in-memory
 //! tree is exactly the file's bytes, behind the same header, trailer and
-//! page-table checks, the same page decoder and the same pool. An image's
-//! pool holds every page, so each is decoded once, and its reads report
+//! page-table checks, the same page loader and the same pool. An image's
+//! pool holds every page, so each is loaded once, and its reads report
 //! no disk read.
 //!
 //! The byte-level layout (normative spec: `docs/FORMAT.md`):
@@ -27,12 +27,15 @@
 //! ```
 //!
 //! Every checksum is the four-lane [`fnv1a_lanes`]. A page miss reads
-//! exactly the page's bytes, and decodes its entries while the checksum
-//! lanes fold them; the decoded node is cached, and every subsequent probe
-//! borrows the decoded entries straight from the cached page
-//! (`Arc`-guarded [`NodeRead`]) — no per-read record decoding. The id
-//! column is read only when asked for ([`PagedRTree::stored_ids`], what
-//! an overlay does at open).
+//! exactly the page's bytes and checks them, the checksum's verdict
+//! first. An internal node is decoded while the checksum lanes fold it. A
+//! leaf is not decoded at all: its page's bytes are kept as they were
+//! read ([`LeafPage`]), once one pass per column has checked its
+//! rectangles. The node is cached, and every subsequent probe borrows it
+//! straight from the cached page (`Arc`-guarded [`NodeRead`]) — a leaf
+//! as its summary columns ([`crate::LeafView`]), with no per-read and no
+//! per-miss rebuilding of summaries. The id column is read only when
+//! asked for ([`PagedRTree::stored_ids`], what an overlay does at open).
 //!
 //! Writing computes the STR packing (`crates/index/src/bulk.rs`) and
 //! encodes each node's page straight from it, into one reused page buffer
@@ -43,6 +46,7 @@
 
 use crate::access::{ChildRef, DecodedNode, NodeAccess, NodeRead};
 use crate::bulk::StrPacking;
+use crate::leaf::{encode_leaf_entries, leaf_entry_len, LeafPage};
 use crate::node::{NodeId, RTreeConfig};
 use fuzzy_core::ObjectSummary;
 use fuzzy_geom::Mbr;
@@ -58,7 +62,7 @@ use std::sync::Arc;
 /// Index-file magic ("FuZzy Paged Tree").
 pub const PAGED_MAGIC: [u8; 4] = *b"FZPT";
 /// Index-file format version understood by this build. Version 3 switched
-/// leaf pages to a columnar block layout (`encode_leaf_entries`). Version
+/// leaf pages to a columnar block layout ([`crate::leaf`]). Version
 /// 4 stores each page unpadded, exactly its node's bytes, under the
 /// four-lane checksum [`fnv1a_lanes`], with each page's length in the
 /// page table, and adds the sorted id column an overlay opens from.
@@ -112,13 +116,6 @@ fn file_stamp(meta: &Metadata) -> FileStamp {
     )
 }
 
-/// Per-entry cost of the columnar leaf block: id (u64), point count (u32)
-/// and `9·D` f64 column cells (support lo/hi, kernel lo/hi, upper and
-/// lower conservative-line `m`/`t`, rep coordinate — per dimension).
-pub const fn leaf_entry_len(d: usize) -> usize {
-    8 + 4 + 9 * d * 8
-}
-
 /// Per-entry cost of an internal node: child page number (u64) and the
 /// child's MBR.
 const fn internal_entry_len(d: usize) -> usize {
@@ -151,37 +148,6 @@ fn unseal(bytes: &[u8]) -> (&[u8], bool) {
     (body, u64::from_le_bytes(sum.try_into().expect("an 8-byte split")) == fnv1a_lanes(body))
 }
 
-/// Encode `entries` as the v3 columnar leaf block filling `block`: all
-/// ids, all point counts, then one contiguous `n×f64` column per summary
-/// field in a fixed order (normative spec: `docs/FORMAT.md`). Grouping by
-/// field turns the decode into sequential column sweeps and keeps
-/// equal-typed values adjacent on disk.
-fn encode_leaf_entries<const D: usize>(block: &mut [u8], entries: &[ObjectSummary<D>]) {
-    let count = entries.len();
-    let (ids, rest) = block.split_at_mut(8 * count);
-    let (counts, cells) = rest.split_at_mut(4 * count);
-    for (j, e) in entries.iter().enumerate() {
-        ids[8 * j..8 * j + 8].copy_from_slice(&e.id.0.to_le_bytes());
-        counts[4 * j..4 * j + 4].copy_from_slice(&e.point_count.to_le_bytes());
-        // Cell *(column c, entry j)*, in [`decode_leaf_entries`]' column order.
-        let mut put = |c: usize, v: f64| {
-            let at = (c * count + j) * 8;
-            cells[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        };
-        for d in 0..D {
-            put(2 * d, e.support_mbr.lo(d));
-            put(2 * d + 1, e.support_mbr.hi(d));
-            put(2 * D + 2 * d, e.kernel_mbr.lo(d));
-            put(2 * D + 2 * d + 1, e.kernel_mbr.hi(d));
-            put(4 * D + 2 * d, e.upper_lines[d].m);
-            put(4 * D + 2 * d + 1, e.upper_lines[d].t);
-            put(6 * D + 2 * d, e.lower_lines[d].m);
-            put(6 * D + 2 * d + 1, e.lower_lines[d].t);
-            put(8 * D + d, e.rep[d]);
-        }
-    }
-}
-
 /// Finish the node whose payload fills `page[8..used]` — kind byte, entry
 /// count, checksum — and write its `used + 8` bytes to `out`; returns the
 /// page's length.
@@ -198,63 +164,6 @@ fn write_page(
     page[used..used + 8].copy_from_slice(&sum.to_le_bytes());
     out.write_all(&page[..used + 8])?;
     Ok((used + 8) as u64)
-}
-
-/// Decode a v3 columnar leaf block of `count` entries (inverse of
-/// [`encode_leaf_entries`]) in one pass: cell *(column c, entry j)* is read
-/// straight out of the block and each summary is pushed once, while
-/// `walk` folds `words` more words of the page's checksum per entry. MBR
-/// cells are validated the same way [`decode_mbr`] validates
-/// internal-node rectangles.
-fn decode_leaf_entries<const D: usize>(
-    d: &mut Decoder<'_>,
-    count: usize,
-    walk: &mut ChecksumWalk<'_, LANES>,
-    words: usize,
-) -> Result<Vec<ObjectSummary<D>>, StoreError> {
-    use fuzzy_geom::{ConservativeLine, Point};
-    let block = d.bytes(count * leaf_entry_len(D))?;
-    let (ids, rest) = block.split_at(8 * count);
-    let (counts, cells) = rest.split_at(4 * count);
-    // The f64 columns in block order: support lo/hi, kernel lo/hi, upper
-    // m/t and lower m/t interleaved per dimension, then rep.
-    let cell = |c: usize, j: usize| -> f64 {
-        let at = (c * count + j) * 8;
-        f64::from_le_bytes(cells[at..at + 8].try_into().expect("8-byte cell"))
-    };
-    let mbr = |first: usize, j: usize| -> Result<Mbr<D>, StoreError> {
-        let lo: [f64; D] = std::array::from_fn(|dim| cell(first + 2 * dim, j));
-        let hi: [f64; D] = std::array::from_fn(|dim| cell(first + 2 * dim + 1, j));
-        if (0..D).all(|i| lo[i] <= hi[i]) {
-            Ok(Mbr::new(lo, hi))
-        } else {
-            Err(corrupt("inverted MBR in leaf summary block"))
-        }
-    };
-    let lines = |first: usize, j: usize| -> [ConservativeLine; D] {
-        std::array::from_fn(|dim| ConservativeLine {
-            m: cell(first + 2 * dim, j),
-            t: cell(first + 2 * dim + 1, j),
-        })
-    };
-    let mut entries = Vec::with_capacity(count);
-    for j in 0..count {
-        walk.fold(words);
-        entries.push(ObjectSummary {
-            id: fuzzy_core::ObjectId(u64::from_le_bytes(
-                ids[8 * j..8 * j + 8].try_into().expect("8-byte id"),
-            )),
-            support_mbr: mbr(0, j)?,
-            kernel_mbr: mbr(2 * D, j)?,
-            upper_lines: lines(4 * D, j),
-            lower_lines: lines(6 * D, j),
-            rep: Point::new(std::array::from_fn(|dim| cell(8 * D + dim, j))),
-            point_count: u32::from_le_bytes(
-                counts[4 * j..4 * j + 4].try_into().expect("4-byte count"),
-            ),
-        });
-    }
-    Ok(entries)
 }
 
 /// Encode an MBR as `D × (lo, hi)` f64 pairs.
@@ -281,6 +190,14 @@ fn decode_mbr<const D: usize>(d: &mut Decoder<'_>) -> Result<Mbr<D>, StoreError>
     } else {
         Err(corrupt("inverted MBR in node page"))
     }
+}
+
+/// What [`PagedRTree::load_page`]'s decode found in a page.
+enum Page<const D: usize> {
+    /// An internal node's children.
+    Internal(Vec<ChildRef<D>>),
+    /// A leaf of this many entries.
+    Leaf(usize),
 }
 
 /// The R-tree, read from an index file or an in-memory image of one. All
@@ -492,7 +409,7 @@ impl<const D: usize> PagedRTree<D> {
 
     /// Open the index whose file's bytes are `image`, held in memory, with
     /// [`PagedRTree::open`]'s checks. The pool holds every page, so each
-    /// is decoded once; reads report no disk read.
+    /// is loaded and checked once; reads report no disk read.
     pub fn from_image(image: impl Into<Arc<[u8]>>) -> Result<Self, StoreError> {
         let mut tree = Self::read(ByteSource::Image(image.into()), PathBuf::new(), None, 1)?;
         tree.cache = PageCache::new(tree.page_count());
@@ -631,11 +548,13 @@ impl<const D: usize> PagedRTree<D> {
         })
     }
 
-    /// Read and decode one page from disk (bypasses the buffer pool): its
-    /// bytes and no more. The page's checksum lanes are folded in step with
-    /// the decode — each entry decoded folds its share of the page's words,
-    /// the rest after the last — so the decode runs in the checksum's
-    /// shadow; a checksum mismatch outranks every error the decode found.
+    /// Read one page from disk (bypasses the buffer pool): its bytes and
+    /// no more. The checksum's verdict comes first: a mismatch outranks
+    /// every error the page's fields show. An internal page is decoded
+    /// while the checksum lanes fold it — each child decoded folds its
+    /// share of the page's words, the rest after the last — so the decode
+    /// runs in the checksum's shadow. A leaf page is kept as its bytes,
+    /// once its rectangles pass the column checks of [`LeafPage`].
     fn load_page(&self, id: NodeId) -> Result<DecodedNode<D>, StoreError> {
         let (at, len) = self.pages[id.0 as usize];
         let mut buf = vec![0u8; len as usize];
@@ -647,17 +566,21 @@ impl<const D: usize> PagedRTree<D> {
         if walk.finish() != stored {
             return Err(corrupt(format!("page {} checksum mismatch", id.0)));
         }
-        node
+        match node? {
+            Page::Internal(children) => Ok(DecodedNode::Internal(children)),
+            Page::Leaf(count) => LeafPage::checked(buf, count).map(DecodedNode::Leaf),
+        }
     }
 
-    /// The node in a page's `payload`, decoded while `walk` folds it. The
+    /// The node in a page's `payload`, decoded while `walk` folds it (an
+    /// internal node), or its entry count (a leaf, read in place). The
     /// payload must be exactly the kind byte, count and `count` entries.
     fn decode_page(
         &self,
         id: NodeId,
         payload: &[u8],
         walk: &mut ChecksumWalk<'_, LANES>,
-    ) -> Result<DecodedNode<D>, StoreError> {
+    ) -> Result<Page<D>, StoreError> {
         let mut d = Decoder::new(payload);
         let kind = d.bytes(4)?[0];
         let count = d.u32()? as usize;
@@ -680,10 +603,10 @@ impl<const D: usize> PagedRTree<D> {
                 payload.len() + 8
             )));
         }
-        let words = payload.len() / 8 / count.max(1);
         if kind == 0 {
-            return Ok(DecodedNode::Leaf(decode_leaf_entries::<D>(&mut d, count, walk, words)?));
+            return Ok(Page::Leaf(count));
         }
+        let words = payload.len() / 8 / count.max(1);
         let mut children = Vec::with_capacity(count);
         for _ in 0..count {
             walk.fold(words);
@@ -698,7 +621,7 @@ impl<const D: usize> PagedRTree<D> {
             let mbr = decode_mbr::<D>(&mut d)?;
             children.push(ChildRef { id: NodeId(child as u32), mbr });
         }
-        Ok(DecodedNode::Internal(children))
+        Ok(Page::Internal(children))
     }
 
     /// The id of every object the tree stores, ascending: the file's id
@@ -880,28 +803,38 @@ mod tests {
         // ends of what a page holds.
         let all = grid_summaries(64);
         for count in [0usize, 1, 63, 64] {
-            // Whatever follows the block in the buffer is left to the caller.
-            let mut page = vec![0u8; count * leaf_entry_len(2) + 24];
-            encode_leaf_entries(&mut page[..count * leaf_entry_len(2)], &all[..count]);
-            let mut d = Decoder::new(&page);
-            let mut walk = ChecksumWalk::lanes(&page);
-            let back = decode_leaf_entries::<2>(&mut d, count, &mut walk, 1).unwrap();
-            assert_eq!(d.remaining(), 24, "the decode consumes exactly the block");
-            assert_eq!(walk.finish(), fnv1a_lanes(&page), "the walk folds the whole buffer");
-            assert_eq!(back.len(), count);
-            for (b, a) in back.iter().zip(&all) {
-                assert_eq!((b.id, b.point_count), (a.id, a.point_count));
-                assert_eq!(
-                    (b.support_mbr, b.kernel_mbr, b.rep),
-                    (a.support_mbr, a.kernel_mbr, a.rep)
-                );
-                assert_eq!((b.upper_lines, b.lower_lines), (a.upper_lines, a.lower_lines));
+            // The page the writer stores: header, block, checksum.
+            let block = count * leaf_entry_len(2);
+            let mut page = vec![0u8; PAGE_OVERHEAD + block];
+            encode_leaf_entries(&mut page[8..8 + block], &all[..count]);
+            let encoded = LeafPage::<2>::encode(&all[..count]);
+            let checked = LeafPage::<2>::checked(page.clone(), count).unwrap();
+            for leaf in [encoded.view(), checked.view()] {
+                assert_eq!((leaf.slots(), leaf.len()), (count, count));
+                let ids: Vec<u64> = leaf.ids().map(|id| id.0).collect();
+                assert_eq!(ids, (0..count as u64).collect::<Vec<_>>());
+                let back: Vec<ObjectSummary<2>> = leaf.iter().collect();
+                assert_eq!(back.len(), count);
+                for (b, a) in back.iter().zip(&all) {
+                    assert_eq!((b.id, b.point_count), (a.id, a.point_count));
+                    assert_eq!(
+                        (b.support_mbr, b.kernel_mbr, b.rep),
+                        (a.support_mbr, a.kernel_mbr, a.rep)
+                    );
+                    assert_eq!((b.upper_lines, b.lower_lines), (a.upper_lines, a.lower_lines));
+                }
             }
-            // One entry more than the block holds is a typed error.
-            let short = &page[..page.len() - 24];
-            let mut walk = ChecksumWalk::lanes(short);
-            assert!(decode_leaf_entries::<2>(&mut Decoder::new(short), count + 1, &mut walk, 1)
-                .is_err());
+            // An inverted box in the last slot's last column pair fails the
+            // load's column checks.
+            if count > 0 {
+                let cell = |column: usize| 8 + 12 * count + 8 * (column * count + count - 1);
+                let (lo, hi) = (cell(6), cell(7)); // kernel lo / hi of dimension 1
+                let above =
+                    (f64::from_le_bytes(page[hi..hi + 8].try_into().unwrap()) + 1.0).to_le_bytes();
+                page[lo..lo + 8].copy_from_slice(&above);
+                let err = LeafPage::<2>::checked(page, count).unwrap_err();
+                assert!(err.to_string().contains("inverted MBR in leaf"), "{err}");
+            }
         }
     }
 

@@ -9,13 +9,15 @@
 //! same bytes, which must decode to the same nodes or fail with the same
 //! error.
 //!
-//! The page decode, which folds the checksum lanes as it decodes, is also
-//! held to a plain reading of the format kept below as the oracle — a
-//! whole-page `fnv1a_lanes`, the entry count against the node capacity and
-//! the page's length, then the leaf or internal decode through a byte
-//! reader: every flipped bit of a leaf and of an internal page (checksum
-//! stale and re-stamped) and every forged checksum-valid page decodes to
-//! the same node, or fails with the same error and message.
+//! The page read (an internal page decoded while the checksum lanes fold
+//! it, a leaf page kept as its bytes once its columns pass the `lo ≤ hi`
+//! checks) is also held to a plain reading of the format kept below as
+//! the oracle — a whole-page `fnv1a_lanes`, the entry count against the
+//! node capacity and the page's length, then the leaf or internal decode
+//! through a byte reader: every flipped bit of a leaf and of an internal
+//! page (checksum stale and re-stamped) and every forged checksum-valid
+//! page decodes to the same node, or fails with the same error and
+//! message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -96,7 +98,7 @@ fn scan(tree: &PagedRTree<2>) -> Result<Vec<u64>, StoreError> {
                 }
             }
             NodeView::Entries(entries) => {
-                for e in entries {
+                for e in entries.iter() {
                     digest.push(e.id.0);
                     digest.push(e.point_count as u64);
                     for d in 0..2 {
@@ -469,7 +471,7 @@ fn node_digest(tree: &PagedRTree<2>, id: NodeId) -> Result<Vec<u64>, StoreError>
             }
         }
         NodeView::Entries(entries) => {
-            for e in entries {
+            for e in entries.iter() {
                 digest.extend([e.id.0, e.point_count as u64]);
                 for d in 0..2 {
                     digest.extend([

@@ -15,11 +15,19 @@
 //! The whole traversal works in **squared** distances: heap keys, deferred
 //! lower/upper bounds and probe seeds are all squared, and the single
 //! `sqrt` is taken when a distance leaves the search (a reported
-//! neighbour). Leaf entries are appended once to a per-query arena (their
-//! Eq. 2 approximate cut MBR computed a single time and reused by the
-//! lower *and* upper bound), and heap items carry a `u32` arena index
-//! instead of a by-value [`ObjectSummary`]. All transient state lives in a
-//! reusable [`QueryScratch`], so steady-state queries allocate nothing.
+//! neighbour). A leaf is read as the columns of its cached page
+//! ([`LeafView`]), never as per-entry structs: one column pass per leaf
+//! ([`append_slots`]) writes every entry's id, bound box (under `LB` the
+//! Eq. 2 approximate cut MBR, bit for bit
+//! [`fuzzy_core::ObjectSummary::approx_cut_mbr`]; else the support MBR)
+//! and kernel representative into a per-query arena — 56 bytes a slot at
+//! `D = 2` — and then every live entry's `d⁻` is scored and pushed, in
+//! entry order, so the heap sees the same pushes and pops a per-entry loop
+//! made. The box is computed once and reused by the lower *and* upper
+//! bound. Heap items are 16 bytes — a squared key and a tagged `u32` —
+//! naming a node, an arena slot, or a probed object kept in a side arena.
+//! All transient state lives in a reusable [`QueryScratch`], so
+//! steady-state queries allocate nothing.
 //!
 //! ### Metric-generic pruning
 //!
@@ -65,9 +73,9 @@ use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
 use fuzzy_core::metric::Metric;
-use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary, Threshold};
+use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::{Mbr, Point};
-use fuzzy_index::{MinKey, NodeAccess, NodeId, NodeView};
+use fuzzy_index::{LeafField, LeafView, MinKey, NodeAccess, NodeId, NodeView};
 use fuzzy_store::ObjectStore;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -208,20 +216,91 @@ impl<const D: usize> From<SearchOutcome<D>> for AknnResult {
     }
 }
 
-enum Item<const D: usize> {
+/// A heap item: 8 bytes, so a keyed item is 16.
+enum Item {
     Node(NodeId),
     /// Index into the per-query entry arena ([`QueryScratch::entries`]).
     Entry(u32),
-    /// A probed object with its exact **squared** α-distance.
-    Object(ObjectId, f64, Arc<FuzzyObject<D>>),
+    /// Index into the probed-object arena ([`QueryScratch::probed`]); the
+    /// item's key is the object's exact **squared** α-distance.
+    Object(u32),
 }
 
-/// Arena slot for a leaf entry: the summary plus the rectangle its bounds
-/// are measured against (the Eq. 2 approximate cut MBR under `LB`,
-/// otherwise the support MBR) — computed once, shared by `d⁻` and `d⁺`.
-struct EntryState<const D: usize> {
-    summary: ObjectSummary<D>,
-    bound_mbr: Mbr<D>,
+const _: () = assert!(std::mem::size_of::<MinKey<Item>>() == 16);
+const _: () = assert!(std::mem::size_of::<EntrySlot<2>>() == 56);
+
+/// What the search keeps of a leaf entry, one arena slot per entry: its
+/// id, the rectangle its bounds are measured against (the Eq. 2
+/// approximate cut MBR under `LB`, otherwise the support MBR) — computed
+/// once, shared by `d⁻` and `d⁺` — and its kernel representative point
+/// for the §3.4 bound. 56 bytes at `D = 2`.
+#[derive(Clone, Copy, Debug)]
+pub struct EntrySlot<const D: usize> {
+    /// The entry's object id.
+    pub id: ObjectId,
+    /// The bound rectangle's lower corner.
+    pub lo: [f64; D],
+    /// The bound rectangle's upper corner.
+    pub hi: [f64; D],
+    /// The kernel representative point.
+    pub rep: [f64; D],
+}
+
+impl<const D: usize> EntrySlot<D> {
+    /// The bound rectangle.
+    #[inline]
+    pub fn bound_mbr(&self) -> Mbr<D> {
+        Mbr::new(self.lo, self.hi)
+    }
+}
+
+/// Bound a leaf in one pass over its columns: append one [`EntrySlot`]
+/// per slot of `leaf` — hidden slots too, so arena slot `base + j` is leaf
+/// slot `j` — and return `base`. Under `Some(t)` the box is Eq. 2's
+/// approximate cut MBR, bit for bit what
+/// [`fuzzy_core::ObjectSummary::approx_cut_mbr`] computes; under `None` it
+/// is the support MBR (the Basic variant). Each column is swept once, in
+/// slot order; no summary is assembled.
+pub fn append_slots<const D: usize>(
+    leaf: &LeafView<'_, D>,
+    t: Option<Threshold>,
+    slots: &mut Vec<EntrySlot<D>>,
+) -> usize {
+    let base = slots.len();
+    let blank = EntrySlot { id: ObjectId(0), lo: [0.0; D], hi: [0.0; D], rep: [0.0; D] };
+    slots.resize(base + leaf.slots(), blank);
+    let new = &mut slots[base..];
+    for (slot, id) in new.iter_mut().zip(leaf.ids()) {
+        slot.id = id;
+    }
+    for d in 0..D {
+        let col = |field| leaf.column(field, d);
+        for (slot, rep) in new.iter_mut().zip(col(LeafField::Rep)) {
+            slot.rep[d] = rep;
+        }
+        let Some(t) = t else {
+            let support = col(LeafField::SupportLo).zip(col(LeafField::SupportHi));
+            for (slot, (lo, hi)) in new.iter_mut().zip(support) {
+                (slot.lo[d], slot.hi[d]) = (lo, hi);
+            }
+            continue;
+        };
+        // Eq. 2, in `approx_cut_mbr`'s order of operations:
+        // M⁺(α)* = min{M⁺(1) + max(m⁺α + t⁺, 0), M⁺(0)}, then at least M⁺(1);
+        // M⁻(α)* mirrored.
+        let alpha = t.value;
+        let upper = col(LeafField::KernelHi).zip(col(LeafField::SupportHi));
+        let lines = col(LeafField::UpperM).zip(col(LeafField::UpperT));
+        for (slot, ((k, s), (m, c))) in new.iter_mut().zip(upper.zip(lines)) {
+            slot.hi[d] = (k + (m * alpha + c).max(0.0)).min(s).max(k);
+        }
+        let lower = col(LeafField::KernelLo).zip(col(LeafField::SupportLo));
+        let lines = col(LeafField::LowerM).zip(col(LeafField::LowerT));
+        for (slot, ((k, s), (m, c))) in new.iter_mut().zip(lower.zip(lines)) {
+            slot.lo[d] = (k - (m * alpha + c).max(0.0)).max(s).min(k);
+        }
+    }
+    base
 }
 
 /// Deferred entry in the lazy-probe buffer `G`: arena index plus squared
@@ -244,9 +323,11 @@ struct Deferred {
 /// `*_with_scratch` engine entry points; the convenience entry points
 /// allocate a fresh one per call.
 pub struct QueryScratch<const D: usize> {
-    heap: BinaryHeap<MinKey<Item<D>>>,
+    heap: BinaryHeap<MinKey<Item>>,
     buffer: Vec<Deferred>,
-    entries: Vec<EntryState<D>>,
+    entries: Vec<EntrySlot<D>>,
+    /// Probed objects in flight or confirmed, by [`Item::Object`] index.
+    probed: Vec<(ObjectId, Arc<FuzzyObject<D>>)>,
     samples: Vec<Point<D>>,
     seeds: SeedTracker,
 }
@@ -264,6 +345,7 @@ impl<const D: usize> QueryScratch<D> {
             heap: BinaryHeap::new(),
             buffer: Vec::new(),
             entries: Vec::new(),
+            probed: Vec::new(),
             samples: Vec::new(),
             seeds: SeedTracker::default(),
         }
@@ -273,6 +355,7 @@ impl<const D: usize> QueryScratch<D> {
         self.heap.clear();
         self.buffer.clear();
         self.entries.clear();
+        self.probed.clear();
         self.samples.clear();
         self.seeds.reset();
     }
@@ -444,7 +527,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     let mut stats = QueryStats::default();
 
     scratch.reset();
-    let QueryScratch { heap, buffer, entries, samples, seeds } = scratch;
+    let QueryScratch { heap, buffer, entries, probed, samples, seeds } = scratch;
 
     let q_cut = q.cut_mbr(t).ok_or(QueryError::EmptyQueryCut)?;
     if cfg.improved_upper_bound {
@@ -455,15 +538,21 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
         );
     }
 
-    // Squared upper bound of an arena entry (`d⁺` of §3.3/§3.4).
-    let entry_hi_sq = |st: &EntryState<D>| -> f64 {
-        let geo = metric.max_box_dist_sq(&st.bound_mbr, &q_cut);
+    // Squared upper bound of an arena entry (`d⁺` of §3.3/§3.4). The §3.4
+    // bound is the least squared metric distance from `rep(A)` to a sampled
+    // query point: sound for every α, as `rep(A)` is a kernel point and the
+    // samples come from the query's cut (Lemma 1 needs only the metric
+    // axioms).
+    let entry_hi_sq = |slot: &EntrySlot<D>| -> f64 {
+        let geo = metric.max_box_dist_sq(&slot.bound_mbr(), &q_cut);
         if cfg.improved_upper_bound {
-            geo.min(st.summary.rep_upper_bound_sq_in(metric, samples))
+            let rep = Point::new(slot.rep);
+            geo.min(samples.iter().map(|q| metric.dist_sq(&rep, q)).fold(f64::INFINITY, f64::min))
         } else {
             geo
         }
     };
+    let bound_t = cfg.improved_lower_bound.then_some(t);
 
     heap.push(MinKey {
         key: metric.min_box_dist_sq(&tree.root_mbr(), &q_cut),
@@ -480,13 +569,13 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
             // (|G| ≤ k − |NN| by invariant). Deterministic order: by lower
             // bound, then id.
             buffer.sort_by(|a, b| {
-                a.lo_sq.total_cmp(&b.lo_sq).then(
-                    entries[a.entry as usize].summary.id.cmp(&entries[b.entry as usize].summary.id),
-                )
+                a.lo_sq
+                    .total_cmp(&b.lo_sq)
+                    .then(entries[a.entry as usize].id.cmp(&entries[b.entry as usize].id))
             });
             for d in buffer.drain(..) {
                 out.push(FoundNeighbor {
-                    id: entries[d.entry as usize].summary.id,
+                    id: entries[d.entry as usize].id,
                     dist: DistBound::Bounded { lo: d.lo_sq.sqrt(), hi: d.hi_sq.sqrt() },
                     dist_sq: None,
                     object: None,
@@ -510,16 +599,14 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                         }
                     }
                     NodeView::Entries(leaf) => {
-                        for e in leaf {
+                        let base = append_slots(&leaf, bound_t, entries);
+                        for (j, slot) in entries[base..].iter().enumerate() {
+                            if !leaf.is_live(j) {
+                                continue;
+                            }
                             stats.bound_evals += 1;
-                            let bound_mbr = if cfg.improved_lower_bound {
-                                e.approx_cut_mbr(t)
-                            } else {
-                                e.support_mbr
-                            };
-                            let lo_sq = metric.min_box_dist_sq(&bound_mbr, &q_cut);
-                            let idx = entries.len() as u32;
-                            entries.push(EntryState { summary: *e, bound_mbr });
+                            let lo_sq = metric.min_box_dist_sq(&slot.bound_mbr(), &q_cut);
+                            let idx = (base + j) as u32;
                             heap.push(MinKey { key: lo_sq, item: Item::Entry(idx) });
                         }
                     }
@@ -527,7 +614,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
             }
             Item::Entry(idx) => {
                 check_deadline(cfg.deadline)?;
-                let id = entries[idx as usize].summary.id;
+                let id = entries[idx as usize].id;
                 if !cfg.lazy_probe {
                     let tau_sq = if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
                     match probe_exact(metric, store, q, t, id, f64::INFINITY, tau_sq, &mut stats)? {
@@ -535,7 +622,9 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                             if cfg.seeded_probes {
                                 seeds.insert(id, d_sq);
                             }
-                            heap.push(MinKey { key: d_sq, item: Item::Object(id, d_sq, obj) });
+                            let item = Item::Object(probed.len() as u32);
+                            probed.push((id, obj));
+                            heap.push(MinKey { key: d_sq, item });
                         }
                         Probed::Dominated => {}
                     }
@@ -549,7 +638,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                         if buffer[i].hi_sq < key {
                             let u = buffer.remove(i);
                             out.push(FoundNeighbor {
-                                id: entries[u.entry as usize].summary.id,
+                                id: entries[u.entry as usize].id,
                                 dist: DistBound::Bounded { lo: u.lo_sq.sqrt(), hi: u.hi_sq.sqrt() },
                                 dist_sq: None,
                                 object: None,
@@ -573,27 +662,33 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     buffer.insert(pos, Deferred { entry: idx, lo_sq: key, hi_sq });
                     while buffer.len() > k - out.len() {
                         evict(
-                            heap, buffer, entries, seeds, metric, store, q, t, k, cfg, &mut stats,
+                            heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg,
+                            &mut stats,
                         )?;
                     }
                 }
             }
-            Item::Object(id, d_sq, obj) => {
+            Item::Object(at) => {
+                let d_sq = key;
                 // Make room first: accepting the object shrinks the buffer
                 // capacity, and a full buffer might hide a closer candidate.
                 while !buffer.is_empty() && buffer.len() > k - out.len() - 1 {
-                    evict(heap, buffer, entries, seeds, metric, store, q, t, k, cfg, &mut stats)?;
+                    evict(
+                        heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg,
+                        &mut stats,
+                    )?;
                 }
                 // Eviction may have pushed a closer object into H; re-check.
                 if heap.peek().is_some_and(|top| top.key < d_sq) {
-                    heap.push(MinKey { key: d_sq, item: Item::Object(id, d_sq, obj) });
+                    heap.push(MinKey { key: d_sq, item: Item::Object(at) });
                     continue;
                 }
+                let (id, obj) = &probed[at as usize];
                 out.push(FoundNeighbor {
-                    id,
+                    id: *id,
                     dist: DistBound::Exact(d_sq.sqrt()),
                     dist_sq: Some(d_sq),
-                    object: Some(obj),
+                    object: Some(Arc::clone(obj)),
                 });
             }
         }
@@ -629,6 +724,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     heap.clear();
     buffer.clear();
     entries.clear();
+    probed.clear();
     samples.clear();
     seeds.reset();
 
@@ -643,9 +739,10 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
 /// other candidates.
 #[allow(clippy::too_many_arguments)]
 fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
-    heap: &mut BinaryHeap<MinKey<Item<D>>>,
+    heap: &mut BinaryHeap<MinKey<Item>>,
     buffer: &mut Vec<Deferred>,
-    entries: &[EntryState<D>],
+    entries: &[EntrySlot<D>],
+    probed: &mut Vec<(ObjectId, Arc<FuzzyObject<D>>)>,
     seeds: &mut SeedTracker,
     metric: &M,
     store: &S,
@@ -656,7 +753,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let victim = buffer.pop().expect("evict called on a non-empty buffer");
-    let id = entries[victim.entry as usize].summary.id;
+    let id = entries[victim.entry as usize].id;
     let (own_hi_sq, tau_sq) = if cfg.seeded_probes {
         seeds.remove(&id);
         (inflate_sq(victim.hi_sq), seeds.tau_sq(k))
@@ -668,7 +765,8 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
             if cfg.seeded_probes {
                 seeds.insert(id, d_sq);
             }
-            heap.push(MinKey { key: d_sq, item: Item::Object(id, d_sq, obj) });
+            heap.push(MinKey { key: d_sq, item: Item::Object(probed.len() as u32) });
+            probed.push((id, obj));
         }
         Probed::Dominated => {}
     }

@@ -54,7 +54,7 @@ pub mod rknn;
 pub mod stats;
 pub mod sweep;
 
-pub use aknn::{AknnConfig, QueryScratch};
+pub use aknn::{append_slots, AknnConfig, EntrySlot, QueryScratch};
 pub use approx::{
     aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial,
 };

@@ -87,7 +87,7 @@
 //! property of the data — how far `d_α` moves across the window against the
 //! spacing of the neighbours — not of the algorithm.
 
-use crate::aknn::{check_deadline, search, AknnConfig, QueryScratch};
+use crate::aknn::{append_slots, check_deadline, search, AknnConfig, QueryScratch};
 use crate::error::QueryError;
 use crate::interval::{Interval, IntervalSet};
 use crate::result::{RknnItem, RknnResult};
@@ -96,7 +96,7 @@ use crate::sweep::{exact_sweep, ProfiledCandidate};
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Mbr;
-use fuzzy_index::NodeAccess;
+use fuzzy_index::{range_scan, NodeAccess};
 use fuzzy_store::ObjectStore;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,7 +104,9 @@ use std::time::Instant;
 
 /// RSS candidate collection (Algorithm 4, step 2): ids of every object
 /// whose lower-bound distance from `q_cut` at `t_start` is within `r_sq`
-/// (squared), unsorted. Charges node/bound costs to `stats`.
+/// (squared), unsorted. Each leaf is bounded in one column pass
+/// ([`append_slots`]), as the best-first search bounds it. Charges
+/// node/bound costs to `stats`.
 fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     metric: &M,
     tree: &A,
@@ -114,22 +116,26 @@ fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     cfg: &AknnConfig,
     stats: &mut QueryStats,
 ) -> Result<Vec<ObjectId>, QueryError> {
-    let range = fuzzy_index::range_search(
+    let bound_t = cfg.improved_lower_bound.then_some(t_start);
+    let (mut ids, mut slots) = (Vec::new(), Vec::new());
+    let (accesses, disk_reads) = range_scan(
         tree,
         r_sq,
         |mbr| metric.min_box_dist_sq(mbr, q_cut),
-        |e| {
-            if cfg.improved_lower_bound {
-                e.lower_bound_dist_sq_in(metric, q_cut, t_start)
-            } else {
-                metric.min_box_dist_sq(&e.support_mbr, q_cut)
+        |leaf| {
+            slots.clear();
+            append_slots(&leaf, bound_t, &mut slots);
+            for (j, slot) in slots.iter().enumerate() {
+                if leaf.is_live(j) && metric.min_box_dist_sq(&slot.bound_mbr(), q_cut) <= r_sq {
+                    ids.push(slot.id);
+                }
             }
         },
     )?;
-    stats.node_accesses += range.node_accesses;
-    stats.node_disk_reads += range.node_disk_reads;
-    stats.bound_evals += range.hits.len() as u64;
-    Ok(range.hits.iter().map(|hit| hit.entry.id).collect())
+    stats.node_accesses += accesses;
+    stats.node_disk_reads += disk_reads;
+    stats.bound_evals += ids.len() as u64;
+    Ok(ids)
 }
 
 /// RKNN algorithm selector.
