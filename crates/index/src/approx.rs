@@ -138,9 +138,7 @@ fn build_fof<M: Metric<D> + ?Sized, const D: usize>(
 }
 
 pub(crate) fn encode_base<const D: usize>(body: &mut Encoder, base: &ApproxBase<D>) {
-    let name = base.metric_name.as_bytes();
-    body.u32(name.len() as u32);
-    body.bytes(name);
+    body.str(&base.metric_name);
     body.u64(base.ids.len() as u64);
     for i in 0..base.ids.len() {
         body.u64(base.ids[i].0);
@@ -161,14 +159,11 @@ pub(crate) fn decode_base<const D: usize>(
     d: &mut Decoder<'_>,
 ) -> Result<ApproxBase<D>, StoreError> {
     let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
-    let name_len = d.u32()? as usize;
-    let metric_name = std::str::from_utf8(d.bytes(name_len)?)
-        .map_err(|_| corrupt("metric name is not utf-8"))?
-        .to_string();
-    let n = d.u64()? as usize;
-    let mut ids = Vec::with_capacity(n.min(1 << 20));
-    let mut centers = Vec::with_capacity(n.min(1 << 20));
-    let mut spreads = Vec::with_capacity(n.min(1 << 20));
+    let metric_name = d.str()?.to_string();
+    let n = d.count(Decoder::u64, 8 * (D + 2))?;
+    let mut ids = Vec::with_capacity(n);
+    let mut centers = Vec::with_capacity(n);
+    let mut spreads = Vec::with_capacity(n);
     for _ in 0..n {
         ids.push(ObjectId(d.u64()?));
         let mut coords = [0.0_f64; D];
@@ -181,10 +176,10 @@ pub(crate) fn decode_base<const D: usize>(
     if !ids.windows(2).all(|w| w[0] < w[1]) {
         return Err(corrupt("approx item ids not strictly ascending"));
     }
-    let mut fof = Vec::with_capacity(n.min(1 << 20));
+    let mut fof = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = d.u32()? as usize;
-        let mut list = Vec::with_capacity(len.min(1 << 16));
+        let len = d.count(Decoder::u32, 8)?;
+        let mut list = Vec::with_capacity(len);
         for _ in 0..len {
             let id = ObjectId(d.u64()?);
             if ids.binary_search(&id).is_err() {

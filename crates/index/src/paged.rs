@@ -145,7 +145,7 @@ fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
 /// Split a sealed section into its body and whether its checksum holds.
 fn unseal(bytes: &[u8]) -> (&[u8], bool) {
     let (body, sum) = bytes.split_at(bytes.len() - 8);
-    (body, u64::from_le_bytes(sum.try_into().expect("an 8-byte split")) == fnv1a_lanes(body))
+    (body, Decoder::new(sum).u64() == Ok(fnv1a_lanes(body)))
 }
 
 /// Finish the node whose payload fills `page[8..used]` — kind byte, entry
@@ -463,7 +463,8 @@ impl<const D: usize> PagedRTree<D> {
                 "implausible geometry: page size {page_size}, {page_count} pages"
             )));
         }
-        if root_page >= page_count || height == 0 || max_entries < 2 {
+        // The root is written last.
+        if root_page != page_count - 1 || height == 0 || max_entries < 2 {
             return Err(corrupt(format!(
                 "implausible tree shape: root page {root_page} of {page_count}, height {height}, \
                  node capacity {max_entries}"
@@ -560,7 +561,7 @@ impl<const D: usize> PagedRTree<D> {
         let mut buf = vec![0u8; len as usize];
         self.source.read_exact_at(&mut buf, at)?;
         let (payload, sum_bytes) = buf.split_at(len as usize - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("an 8-byte split"));
+        let stored = Decoder::new(sum_bytes).u64()?;
         let mut walk = ChecksumWalk::lanes(payload);
         let node = self.decode_page(id, payload, &mut walk);
         if walk.finish() != stored {
@@ -634,15 +635,15 @@ impl<const D: usize> PagedRTree<D> {
         if !sealed {
             return Err(corrupt("id column checksum mismatch"));
         }
-        let (count, ids) = body.split_at(8);
-        let count = u64::from_le_bytes(count.try_into().expect("an 8-byte split"));
+        let mut d = Decoder::new(body);
+        let count = d.u64()?;
         if count != self.len as u64 {
             return Err(corrupt(format!("id column lists {count} ids, header says {}", self.len)));
         }
-        let ids: Vec<u64> = ids
-            .chunks_exact(8)
-            .map(|id| u64::from_le_bytes(id.try_into().expect("8 bytes")))
-            .collect();
+        let mut ids = Vec::with_capacity(self.len);
+        for _ in 0..count {
+            ids.push(d.u64()?);
+        }
         if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
             return Err(corrupt(format!(
                 "id column is not strictly ascending: {} then {}",
@@ -1010,6 +1011,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_not_panicking() {
+        // Bad magic, truncations and bit flips: the root `hostile_bytes` harness.
         let path = tmp("corrupt");
         let cfg = RTreeConfig { max_entries: 8 };
         PagedRTree::bulk_write(grid_summaries(200), cfg, &path, 4096).unwrap();
@@ -1017,11 +1019,6 @@ mod tests {
         let open = |bytes: &[u8]| open_both::<2>(&path, bytes);
         let (table_at, ids_at, pages) = layout(&pristine);
         let table_end = pristine.len() - PAGED_TRAILER_LEN;
-
-        // Bad magic.
-        let mut bytes = pristine.clone();
-        bytes[0] ^= 0xFF;
-        assert!(matches!(open(&bytes).err(), Some(StoreError::Corrupt { .. })));
 
         // Version mismatch — a v3 header, sealed as v3 sealed it, and any
         // other — and a fan-out below 2 (header re-sealed so the field's own
@@ -1053,21 +1050,6 @@ mod tests {
             Some(StoreError::DimensionMismatch { .. } | StoreError::Corrupt { .. })
         ));
 
-        // Truncation (short page region / missing trailer).
-        assert!(matches!(
-            open(&pristine[..pristine.len() - 100]).err(),
-            Some(StoreError::Corrupt { .. })
-        ));
-
-        // Bit flip inside a node page: open succeeds (pages are lazy) but
-        // reading the damaged node returns a checksum error.
-        let mut bytes = pristine.clone();
-        bytes[pages[0].0 as usize + pages[0].1 as usize / 2] ^= 0x01;
-        let [file, image] = open(&bytes).unwrap();
-        let err = file.read_node(NodeId(0)).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        assert_eq!(image.read_node(NodeId(0)).unwrap_err().to_string(), err.to_string());
-
         // Trailer offsets bit-rotted to near u64::MAX, or pointing one
         // word off: Corrupt, not an arithmetic-overflow panic.
         for (field, value) in [(0, u64::MAX - 0xFF), (8, u64::MAX - 3), (8, ids_at as u64 + 8)] {
@@ -1076,10 +1058,10 @@ mod tests {
             assert!(matches!(open(&bytes).err(), Some(StoreError::Corrupt { .. })), "{value}");
         }
 
-        // A page-table offset or length of 0, len − 1, len, 2⁶⁴ − 4 or
-        // 2⁶⁴ − 1, for the first and the last page; overlapping and
-        // descending pages. The table is re-sealed, so the bounds are what
-        // must refuse it.
+        // Overlapping and descending pages (every page's offset and length
+        // set to 0, len − 1, len, 2⁶⁴ − 4 and 2⁶⁴ − 1 is the hostile-bytes
+        // harness's field matrix). The table is re-sealed, so the bounds are
+        // what must refuse it.
         let with_table = |table: Vec<(u64, u64)>| {
             let mut bytes = pristine.clone();
             for (i, (at, len)) in table.into_iter().enumerate() {
@@ -1090,17 +1072,6 @@ mod tests {
             reseal(&mut bytes, table_at, table_end);
             bytes
         };
-        let n = pristine.len() as u64;
-        for value in [0, n - 1, n, u64::MAX - 3, u64::MAX] {
-            for page in [0, pages.len() - 1] {
-                let (mut at, mut len) = (pages.clone(), pages.clone());
-                (at[page].0, len[page].1) = (value, value);
-                for bytes in [with_table(at), with_table(len)] {
-                    let err = open(&bytes).expect_err("a refused page table");
-                    assert!(matches!(err, StoreError::Corrupt { .. }), "page {page}: {value}");
-                }
-            }
-        }
         let (mut overlapping, mut descending) = (pages.clone(), pages.clone());
         overlapping[1].0 = pages[0].0 + 8;
         descending.swap(0, 1);
@@ -1164,9 +1135,6 @@ mod tests {
         assert!(err.to_string().contains("id column"), "{err}");
         let [file, _] = open(&pristine).unwrap();
         assert_eq!(file.stored_ids().unwrap().len(), 200);
-
-        // Garbage file.
-        assert!(open(b"not an index at all").is_err());
 
         std::fs::remove_file(&path).unwrap();
     }

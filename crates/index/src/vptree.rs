@@ -148,7 +148,7 @@ impl<const D: usize> VpTree<D> {
         if leaf_size == 0 {
             return Err(corrupt("fzvp leaf size must be positive"));
         }
-        let mut order = Vec::with_capacity(n.min(1 << 20));
+        let mut order = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         for _ in 0..n {
             let o = d.u32()?;
@@ -157,10 +157,11 @@ impl<const D: usize> VpTree<D> {
             }
             order.push(o);
         }
-        let mut radius = Vec::with_capacity(n.min(1 << 20));
+        let mut radius = Vec::with_capacity(n);
         for _ in 0..n {
             radius.push(d.f64()?);
         }
+        d.finish()?;
         Ok(Self { base, leaf_size, order, radius })
     }
 

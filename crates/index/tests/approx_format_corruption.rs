@@ -1,12 +1,11 @@
-//! Corruption matrix for the approximate-index format: a `.fzvp` file
-//! damaged in **any** way — truncated at every byte boundary, any single
-//! bit flipped, a stale version stamp, a wrong-dimension header — must
-//! surface as a typed [`StoreError`], never a panic and never a silently
-//! wrong index. The format checksums **every byte before the trailer**
-//! (header included), so even the reserved header word is flip-protected.
-//! Mutated images are decoded in memory (`decode(&[u8])`, which `load`
-//! wraps) through `catch_unwind` so a panic shows up as its own failure,
-//! not a test abort.
+//! The `.fzvp` cases particular to the approximate-index format: a stale
+//! version stamp, a wrong-dimension header, garbage, another format's
+//! envelope and a metric mismatch must surface as a typed [`StoreError`],
+//! never a panic and never a silently wrong index. Mutated images are
+//! decoded in memory (`decode(&[u8])`, which `load` wraps) through
+//! `catch_unwind` so a panic shows up as its own failure, not a test
+//! abort. Every truncation, bit flip and length field runs in the root
+//! `hostile_bytes` harness.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -57,34 +56,6 @@ fn load_must_error(bytes: &[u8], what: &str) -> StoreError {
         Ok(()) => panic!("fzvp load accepted {what}"),
         Err(e) => e,
     }
-}
-
-#[test]
-fn truncation_at_every_byte_boundary_is_a_typed_error() {
-    let path = build_fixture("trunc");
-    let bytes = std::fs::read(&path).unwrap();
-    assert!(load_result(&bytes, "the pristine image").is_ok());
-    for len in 0..bytes.len() {
-        let e = load_must_error(&bytes[..len], &format!("truncation to {len} bytes"));
-        // Every truncation error must render (Display is part of the
-        // typed contract — the CLI prints these verbatim).
-        assert!(!e.to_string().is_empty());
-    }
-    cleanup(&path);
-}
-
-#[test]
-fn every_single_bit_flip_is_rejected() {
-    let path = build_fixture("flip");
-    let bytes = std::fs::read(&path).unwrap();
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut evil = bytes.clone();
-            evil[byte] ^= 1 << bit;
-            load_must_error(&evil, &format!("bit {bit} of byte {byte} flipped"));
-        }
-    }
-    cleanup(&path);
 }
 
 /// Rewrite the 12-byte header field region and re-checksum, so only the

@@ -1,13 +1,12 @@
-//! The corruption matrix for the v4 paged R-tree file — unpadded
-//! **columnar leaf pages**, internal pages and the sorted id column: an
-//! index file damaged in any way — truncated at every byte boundary, any
-//! single bit flipped, a stale format version — must either surface as a
-//! typed [`StoreError`] or (for bytes no validator covers, e.g. reserved
-//! trailer padding) leave every decoded node and the id column identical
-//! to the pristine file. Never a panic, never silently different summaries
-//! or ids. Every damaged file is also opened as an in-memory image of the
-//! same bytes, which must decode to the same nodes or fail with the same
-//! error.
+//! The cases particular to the v4 paged R-tree file — unpadded
+//! **columnar leaf pages**, internal pages and the sorted id column: a
+//! stale format version, hostile page-table and id-column contents and a
+//! damaged leaf must surface as a typed [`StoreError`], never a panic and
+//! never silently different summaries or ids. Every damaged file is also
+//! opened as an in-memory image of the same bytes, which must decode to the
+//! same nodes or fail with the same error. Every truncation, bit flip and
+//! length or offset field of the file runs in the root `hostile_bytes`
+//! harness.
 //!
 //! The page read (an internal page decoded while the checksum lanes fold
 //! it, a leaf page kept as its bytes once its columns pass the `lo ≤ hi`
@@ -130,53 +129,6 @@ fn spans(file: &[u8]) -> Vec<Range<usize>> {
 }
 
 #[test]
-fn truncation_at_every_byte_boundary_is_a_typed_error() {
-    let (path, bytes) = build_fixture("trunc");
-    assert!(full_scan(&path, &bytes).is_ok(), "fixture must scan clean");
-    for len in 0..bytes.len() {
-        let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path, &bytes[..len])));
-        match out {
-            Err(_) => panic!("scan panicked at truncation {len}"),
-            Ok(Ok(_)) => panic!("scan accepted truncation to {len} bytes"),
-            Ok(Err(e)) => assert!(!e.to_string().is_empty()),
-        }
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn every_single_bit_flip_errors_or_changes_nothing() {
-    let (path, bytes) = build_fixture("flip");
-    let pristine = full_scan(&path, &bytes).unwrap();
-    let mut undetected = 0usize;
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut evil = bytes.clone();
-            evil[byte] ^= 1 << bit;
-            let out = catch_unwind(AssertUnwindSafe(|| full_scan(&path, &evil)));
-            match out {
-                Err(_) => panic!("scan panicked on bit {bit} of byte {byte}"),
-                Ok(Err(_)) => {}
-                Ok(Ok(scan)) => {
-                    // The only acceptable decode is one indistinguishable
-                    // from the pristine file (reserved/padding bytes no
-                    // validator covers).
-                    assert_eq!(
-                        scan, pristine,
-                        "bit {bit} of byte {byte} silently changed decoded contents"
-                    );
-                    undetected += 1;
-                }
-            }
-        }
-    }
-    // Sanity: the checksums cover essentially the whole file — only a
-    // handful of reserved bytes may escape detection.
-    assert!(undetected <= 8 * 8, "{undetected} flipped bits decoded clean");
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
 fn stale_version_pages_are_version_mismatch() {
     let (path, bytes) = build_fixture("stale");
 
@@ -203,11 +155,12 @@ fn stale_version_pages_are_version_mismatch() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Hostile values in the fields v4 added — each page's offset and length
-/// in the page table, page order, a page length its entry count disagrees
-/// with, the id column's count, order and bytes — are typed errors from
-/// file and image alike. Checksums are re-sealed wherever the field's own
-/// check should be what fires.
+/// Hostile values in the fields v4 added — page order, a page length its
+/// entry count disagrees with, the id column's count, order and bytes — are
+/// typed errors from file and image alike. Checksums are re-sealed wherever
+/// the field's own check should be what fires. (Each page's offset and
+/// length set to a boundary of the file or of `u64` is the harness's
+/// `fzpt_fields`.)
 #[test]
 fn hostile_page_table_and_id_column_fields_are_typed_errors() {
     let (path, bytes) = build_fixture("hostile");
@@ -233,12 +186,7 @@ fn hostile_page_table_and_id_column_fields_are_typed_errors() {
         evil
     };
 
-    let n = bytes.len() as u64;
     for (page, span) in pages.iter().enumerate() {
-        for v in [0, n - 1, n, u64::MAX - 3, u64::MAX] {
-            refused(&with_entry(page, 0, v), &format!("page {page} at {v}"));
-            refused(&with_entry(page, 1, v), &format!("page {page} of {v} bytes"));
-        }
         // One word shorter, re-sealed there: the count no longer fits.
         let (start, len) = (span.start, span.len());
         let mut evil = with_entry(page, 1, len as u64 - 8);

@@ -77,7 +77,7 @@ impl AknnResult {
 }
 
 /// One RKNN answer item: an object and its qualifying range `I_A`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RknnItem {
     /// The object.
     pub id: ObjectId,

@@ -28,7 +28,7 @@ use fuzzy_geom::Point;
 use fuzzy_query::{
     AknnConfig, DistBound, Interval, IntervalSet, Neighbor, QueryStats, RknnAlgorithm, RknnItem,
 };
-use fuzzy_store::format::fnv1a;
+use fuzzy_store::format::{fnv1a, DecodeError, Decoder, Encoder};
 use std::fmt;
 use std::io::Read;
 use std::time::Duration;
@@ -108,18 +108,10 @@ impl ErrorCode {
     /// Decode a wire error code; `None` for values this version doesn't
     /// define.
     pub fn from_u16(v: u16) -> Option<Self> {
-        Some(match v {
-            1 => Self::Malformed,
-            2 => Self::Unsupported,
-            3 => Self::InvalidArgument,
-            4 => Self::NotFound,
-            5 => Self::DeadlineExceeded,
-            6 => Self::Panicked,
-            7 => Self::Store,
-            8 => Self::SwapFailed,
-            9 => Self::IndexMismatch,
-            _ => return None,
-        })
+        use ErrorCode::*;
+        let all = [Malformed, Unsupported, InvalidArgument, NotFound, DeadlineExceeded];
+        let more = [Panicked, Store, SwapFailed, IndexMismatch];
+        all.into_iter().chain(more).find(|&code| code as u16 == v)
     }
 }
 
@@ -252,13 +244,7 @@ impl WireVariant {
     }
 
     fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            0 => Self::Basic,
-            1 => Self::Lb,
-            2 => Self::LbLp,
-            3 => Self::LbLpUb,
-            _ => return None,
-        })
+        [Self::Basic, Self::Lb, Self::LbLp, Self::LbLpUb].into_iter().find(|&w| w as u8 == v)
     }
 }
 
@@ -385,10 +371,7 @@ impl WireStats {
 }
 
 /// A response frame payload.
-///
-/// `PartialEq` is implemented manually (below) because [`RknnItem`] does
-/// not derive it; items compare by id and exact interval endpoints.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// AKNN answer: neighbours in confirmation order, bit-exact bounds.
     Aknn {
@@ -446,173 +429,56 @@ pub enum Response {
     Busy,
 }
 
-impl PartialEq for Response {
-    fn eq(&self, other: &Self) -> bool {
-        fn items_eq(a: &[RknnItem], b: &[RknnItem]) -> bool {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b)
-                    .all(|(x, y)| x.id == y.id && x.range.intervals() == y.range.intervals())
-        }
-        match (self, other) {
-            (Self::Aknn { neighbors: a, stats: sa }, Self::Aknn { neighbors: b, stats: sb }) => {
-                a == b && sa == sb
+/// A payload that does not decode is [`WireError::Malformed`], saying
+/// which of the codec's checks failed.
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        let what = match e {
+            DecodeError::EndOfData { need, at, .. } if at.checked_add(need).is_none() => {
+                "length overflow"
             }
-            (Self::Rknn { items: a, stats: sa }, Self::Rknn { items: b, stats: sb }) => {
-                items_eq(a, b) && sa == sb
-            }
-            (
-                Self::Info { objects: a, epoch: ea, workers: wa },
-                Self::Info { objects: b, epoch: eb, workers: wb },
-            ) => a == b && ea == eb && wa == wb,
-            (
-                Self::Stats { served: a1, busy: a2, deadline_exceeded: a3, errors: a4, swaps: a5 },
-                Self::Stats { served: b1, busy: b2, deadline_exceeded: b3, errors: b4, swaps: b5 },
-            ) => a1 == b1 && a2 == b2 && a3 == b3 && a4 == b4 && a5 == b5,
-            (
-                Self::Swapped { epoch: ea, objects: oa },
-                Self::Swapped { epoch: eb, objects: ob },
-            ) => ea == eb && oa == ob,
-            (Self::ShutdownAck, Self::ShutdownAck) | (Self::Busy, Self::Busy) => true,
-            (Self::Error { code: ca, message: ma }, Self::Error { code: cb, message: mb }) => {
-                ca == cb && ma == mb
-            }
-            _ => false,
-        }
+            DecodeError::EndOfData { .. } => "payload too short",
+            DecodeError::Count { .. } => "count exceeds payload",
+            DecodeError::Trailing { .. } => "trailing bytes in payload",
+            DecodeError::NotUtf8 => "string is not UTF-8",
+        };
+        Self::Malformed { what }
     }
 }
 
-// ---------------------------------------------------------------------
-// Little-endian payload writer/reader.
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked payload reader: every accessor returns a typed error
-/// past the end instead of panicking.
-struct Rd<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end =
-            self.pos.checked_add(n).ok_or(WireError::Malformed { what: "length overflow" })?;
-        let s = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(WireError::Malformed { what: "payload too short" })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed { what: "string is not UTF-8" })
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed { what: "trailing bytes in payload" })
-        }
-    }
-
-    /// A count field about to drive a `Vec` reservation: cap it by the
-    /// bytes actually remaining so a corrupt count cannot over-allocate.
-    fn count(&mut self, elem_size: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(elem_size.max(1)) > remaining {
-            return Err(WireError::Malformed { what: "count exceeds payload" });
-        }
-        Ok(n)
-    }
-}
-
-fn put_query(buf: &mut Vec<u8>, q: &QuerySource) {
+fn encode_query(e: &mut Encoder, q: &QuerySource) {
     match q {
         QuerySource::Stored(id) => {
-            put_u8(buf, 0);
-            put_u64(buf, id.0);
+            e.u8(0);
+            e.u64(id.0);
         }
         QuerySource::Inline { id, rows } => {
-            put_u8(buf, 1);
-            put_u64(buf, id.0);
-            put_u32(buf, rows.len() as u32);
+            e.u8(1);
+            e.u64(id.0);
+            e.u32(rows.len() as u32);
             for (coords, mu) in rows {
                 for c in coords {
-                    put_f64(buf, *c);
+                    e.f64(*c);
                 }
-                put_f64(buf, *mu);
+                e.f64(*mu);
             }
         }
     }
 }
 
-fn read_query(rd: &mut Rd<'_>) -> Result<QuerySource, WireError> {
-    match rd.u8()? {
-        0 => Ok(QuerySource::Stored(ObjectId(rd.u64()?))),
+fn decode_query(d: &mut Decoder<'_>) -> Result<QuerySource, WireError> {
+    match d.u8()? {
+        0 => Ok(QuerySource::Stored(ObjectId(d.u64()?))),
         1 => {
-            let id = ObjectId(rd.u64()?);
-            let n = rd.count(8 * (WIRE_DIMS + 1))?;
+            let id = ObjectId(d.u64()?);
+            let n = d.count(Decoder::u32, 8 * (WIRE_DIMS + 1))?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let mut coords = [0.0; WIRE_DIMS];
                 for c in &mut coords {
-                    *c = rd.f64()?;
+                    *c = d.f64()?;
                 }
-                rows.push((coords, rd.f64()?));
+                rows.push((coords, d.f64()?));
             }
             Ok(QuerySource::Inline { id, rows })
         }
@@ -620,29 +486,29 @@ fn read_query(rd: &mut Rd<'_>) -> Result<QuerySource, WireError> {
     }
 }
 
-fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
-    put_u64(buf, s.object_accesses);
-    put_u64(buf, s.node_accesses);
-    put_u64(buf, s.node_disk_reads);
-    put_u64(buf, s.distance_evals);
-    put_u64(buf, s.profile_computations);
-    put_u64(buf, s.bound_evals);
-    put_u64(buf, s.aknn_calls);
-    put_u64(buf, s.candidates);
-    put_u64(buf, s.wall_nanos);
+fn encode_stats(e: &mut Encoder, s: &WireStats) {
+    e.u64(s.object_accesses);
+    e.u64(s.node_accesses);
+    e.u64(s.node_disk_reads);
+    e.u64(s.distance_evals);
+    e.u64(s.profile_computations);
+    e.u64(s.bound_evals);
+    e.u64(s.aknn_calls);
+    e.u64(s.candidates);
+    e.u64(s.wall_nanos);
 }
 
-fn read_stats(rd: &mut Rd<'_>) -> Result<WireStats, WireError> {
+fn decode_stats(d: &mut Decoder<'_>) -> Result<WireStats, WireError> {
     Ok(WireStats {
-        object_accesses: rd.u64()?,
-        node_accesses: rd.u64()?,
-        node_disk_reads: rd.u64()?,
-        distance_evals: rd.u64()?,
-        profile_computations: rd.u64()?,
-        bound_evals: rd.u64()?,
-        aknn_calls: rd.u64()?,
-        candidates: rd.u64()?,
-        wall_nanos: rd.u64()?,
+        object_accesses: d.u64()?,
+        node_accesses: d.u64()?,
+        node_disk_reads: d.u64()?,
+        distance_evals: d.u64()?,
+        profile_computations: d.u64()?,
+        bound_evals: d.u64()?,
+        aknn_calls: d.u64()?,
+        candidates: d.u64()?,
+        wall_nanos: d.u64()?,
     })
 }
 
@@ -661,60 +527,60 @@ impl Request {
 
     /// Serialize the payload (without the frame envelope).
     pub fn payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut e = Encoder::new();
         match self {
             Self::Aknn { query, k, alpha, variant, deadline_ms } => {
-                put_query(&mut buf, query);
-                put_u32(&mut buf, *k);
-                put_f64(&mut buf, *alpha);
-                put_u8(&mut buf, *variant as u8);
-                put_u32(&mut buf, *deadline_ms);
+                encode_query(&mut e, query);
+                e.u32(*k);
+                e.f64(*alpha);
+                e.u8(*variant as u8);
+                e.u32(*deadline_ms);
             }
             Self::Rknn { query, k, alpha_start, alpha_end, algo, variant, deadline_ms } => {
-                put_query(&mut buf, query);
-                put_u32(&mut buf, *k);
-                put_f64(&mut buf, *alpha_start);
-                put_f64(&mut buf, *alpha_end);
-                put_u8(&mut buf, algo_to_u8(*algo));
-                put_u8(&mut buf, *variant as u8);
-                put_u32(&mut buf, *deadline_ms);
+                encode_query(&mut e, query);
+                e.u32(*k);
+                e.f64(*alpha_start);
+                e.f64(*alpha_end);
+                e.u8(algo_to_u8(*algo));
+                e.u8(*variant as u8);
+                e.u32(*deadline_ms);
             }
             Self::Info | Self::Stats | Self::Shutdown => {}
-            Self::Swap { index_path } => put_str(&mut buf, index_path),
+            Self::Swap { index_path } => e.str(index_path),
         }
-        buf
+        e.into_bytes()
     }
 
     /// Decode a request payload for `frame_type`.
     pub fn decode(frame_type: u8, payload: &[u8]) -> Result<Self, WireError> {
-        let mut rd = Rd::new(payload);
+        let mut d = Decoder::new(payload);
         let req = match frame_type {
             T_AKNN => Self::Aknn {
-                query: read_query(&mut rd)?,
-                k: rd.u32()?,
-                alpha: rd.f64()?,
-                variant: WireVariant::from_u8(rd.u8()?)
+                query: decode_query(&mut d)?,
+                k: d.u32()?,
+                alpha: d.f64()?,
+                variant: WireVariant::from_u8(d.u8()?)
                     .ok_or(WireError::Malformed { what: "unknown variant" })?,
-                deadline_ms: rd.u32()?,
+                deadline_ms: d.u32()?,
             },
             T_RKNN => Self::Rknn {
-                query: read_query(&mut rd)?,
-                k: rd.u32()?,
-                alpha_start: rd.f64()?,
-                alpha_end: rd.f64()?,
-                algo: algo_from_u8(rd.u8()?)
+                query: decode_query(&mut d)?,
+                k: d.u32()?,
+                alpha_start: d.f64()?,
+                alpha_end: d.f64()?,
+                algo: algo_from_u8(d.u8()?)
                     .ok_or(WireError::Malformed { what: "unknown algorithm" })?,
-                variant: WireVariant::from_u8(rd.u8()?)
+                variant: WireVariant::from_u8(d.u8()?)
                     .ok_or(WireError::Malformed { what: "unknown variant" })?,
-                deadline_ms: rd.u32()?,
+                deadline_ms: d.u32()?,
             },
             T_INFO => Self::Info,
             T_STATS => Self::Stats,
-            T_SWAP => Self::Swap { index_path: rd.str()? },
+            T_SWAP => Self::Swap { index_path: d.str()?.into() },
             T_SHUTDOWN => Self::Shutdown,
             other => return Err(WireError::UnknownType { found: other }),
         };
-        rd.finish()?;
+        d.finish()?;
         Ok(req)
     }
 
@@ -741,121 +607,119 @@ impl Response {
 
     /// Serialize the payload (without the frame envelope).
     pub fn payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut e = Encoder::new();
         match self {
             Self::Aknn { neighbors, stats } => {
-                put_u32(&mut buf, neighbors.len() as u32);
+                e.u32(neighbors.len() as u32);
                 for n in neighbors {
-                    put_u64(&mut buf, n.id.0);
+                    e.u64(n.id.0);
                     match n.dist {
                         DistBound::Exact(d) => {
-                            put_u8(&mut buf, 0);
-                            put_f64(&mut buf, d);
+                            e.u8(0);
+                            e.f64(d);
                         }
                         DistBound::Bounded { lo, hi } => {
-                            put_u8(&mut buf, 1);
-                            put_f64(&mut buf, lo);
-                            put_f64(&mut buf, hi);
+                            e.u8(1);
+                            e.f64(lo);
+                            e.f64(hi);
                         }
                     }
                 }
-                put_stats(&mut buf, stats);
+                encode_stats(&mut e, stats);
             }
             Self::Rknn { items, stats } => {
-                put_u32(&mut buf, items.len() as u32);
+                e.u32(items.len() as u32);
                 for item in items {
-                    put_u64(&mut buf, item.id.0);
+                    e.u64(item.id.0);
                     let ivs = item.range.intervals();
-                    put_u32(&mut buf, ivs.len() as u32);
+                    e.u32(ivs.len() as u32);
                     for iv in ivs {
-                        put_f64(&mut buf, iv.lo);
-                        put_u8(&mut buf, iv.lo_closed as u8);
-                        put_f64(&mut buf, iv.hi);
-                        put_u8(&mut buf, iv.hi_closed as u8);
+                        e.f64(iv.lo);
+                        e.u8(iv.lo_closed as u8);
+                        e.f64(iv.hi);
+                        e.u8(iv.hi_closed as u8);
                     }
                 }
-                put_stats(&mut buf, stats);
+                encode_stats(&mut e, stats);
             }
             Self::Info { objects, epoch, workers } => {
-                put_u64(&mut buf, *objects);
-                put_u64(&mut buf, *epoch);
-                put_u16(&mut buf, *workers);
+                e.u64(*objects);
+                e.u64(*epoch);
+                e.u16(*workers);
             }
             Self::Stats { served, busy, deadline_exceeded, errors, swaps } => {
-                put_u64(&mut buf, *served);
-                put_u64(&mut buf, *busy);
-                put_u64(&mut buf, *deadline_exceeded);
-                put_u64(&mut buf, *errors);
-                put_u64(&mut buf, *swaps);
+                for v in [served, busy, deadline_exceeded, errors, swaps] {
+                    e.u64(*v);
+                }
             }
             Self::Swapped { epoch, objects } => {
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *objects);
+                e.u64(*epoch);
+                e.u64(*objects);
             }
             Self::ShutdownAck | Self::Busy => {}
             Self::Error { code, message } => {
-                put_u16(&mut buf, *code as u16);
-                put_str(&mut buf, message);
+                e.u16(*code as u16);
+                e.str(message);
             }
         }
-        buf
+        e.into_bytes()
     }
 
     /// Decode a response payload for `frame_type`.
     pub fn decode(frame_type: u8, payload: &[u8]) -> Result<Self, WireError> {
-        let mut rd = Rd::new(payload);
+        let mut d = Decoder::new(payload);
         let resp = match frame_type {
             T_AKNN_R => {
-                let n = rd.count(9)?;
+                let n = d.count(Decoder::u32, 9)?;
                 let mut neighbors = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = ObjectId(rd.u64()?);
-                    let dist = match rd.u8()? {
-                        0 => DistBound::Exact(rd.f64()?),
-                        1 => DistBound::Bounded { lo: rd.f64()?, hi: rd.f64()? },
+                    let id = ObjectId(d.u64()?);
+                    let dist = match d.u8()? {
+                        0 => DistBound::Exact(d.f64()?),
+                        1 => DistBound::Bounded { lo: d.f64()?, hi: d.f64()? },
                         _ => return Err(WireError::Malformed { what: "unknown bound tag" }),
                     };
                     neighbors.push(Neighbor { id, dist });
                 }
-                Self::Aknn { neighbors, stats: read_stats(&mut rd)? }
+                Self::Aknn { neighbors, stats: decode_stats(&mut d)? }
             }
             T_RKNN_R => {
-                let n = rd.count(12)?;
+                let n = d.count(Decoder::u32, 12)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = ObjectId(rd.u64()?);
-                    let m = rd.count(18)?;
+                    let id = ObjectId(d.u64()?);
+                    let m = d.count(Decoder::u32, 18)?;
                     let mut range = IntervalSet::empty();
                     for _ in 0..m {
-                        let lo = rd.f64()?;
-                        let lo_closed = rd.u8()? != 0;
-                        let hi = rd.f64()?;
-                        let hi_closed = rd.u8()? != 0;
+                        let lo = d.f64()?;
+                        let lo_closed = d.u8()? != 0;
+                        let hi = d.f64()?;
+                        let hi_closed = d.u8()? != 0;
                         range.push(Interval::new(lo, lo_closed, hi, hi_closed));
                     }
                     items.push(RknnItem { id, range });
                 }
-                Self::Rknn { items, stats: read_stats(&mut rd)? }
+                Self::Rknn { items, stats: decode_stats(&mut d)? }
             }
-            T_INFO_R => Self::Info { objects: rd.u64()?, epoch: rd.u64()?, workers: rd.u16()? },
+            T_INFO_R => Self::Info { objects: d.u64()?, epoch: d.u64()?, workers: d.u16()? },
             T_STATS_R => Self::Stats {
-                served: rd.u64()?,
-                busy: rd.u64()?,
-                deadline_exceeded: rd.u64()?,
-                errors: rd.u64()?,
-                swaps: rd.u64()?,
+                served: d.u64()?,
+                busy: d.u64()?,
+                deadline_exceeded: d.u64()?,
+                errors: d.u64()?,
+                swaps: d.u64()?,
             },
-            T_SWAP_R => Self::Swapped { epoch: rd.u64()?, objects: rd.u64()? },
+            T_SWAP_R => Self::Swapped { epoch: d.u64()?, objects: d.u64()? },
             T_SHUTDOWN_R => Self::ShutdownAck,
             T_ERROR => Self::Error {
-                code: ErrorCode::from_u16(rd.u16()?)
+                code: ErrorCode::from_u16(d.u16()?)
                     .ok_or(WireError::Malformed { what: "unknown error code" })?,
-                message: rd.str()?,
+                message: d.str()?.into(),
             },
             T_BUSY => Self::Busy,
             other => return Err(WireError::UnknownType { found: other }),
         };
-        rd.finish()?;
+        d.finish()?;
         Ok(resp)
     }
 
@@ -888,41 +752,28 @@ pub struct RawFrame {
 
 /// Assemble a frame: envelope + payload + trailing checksum.
 pub fn encode_frame(frame_type: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    buf.extend_from_slice(&MAGIC);
-    put_u16(&mut buf, VERSION);
-    put_u8(&mut buf, frame_type);
-    put_u8(&mut buf, 0); // reserved
-    put_u64(&mut buf, request_id);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(payload);
-    let sum = fnv1a(&buf);
-    put_u64(&mut buf, sum);
-    buf
+    let mut e = Encoder::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    e.bytes(&MAGIC);
+    e.u16(VERSION);
+    e.u8(frame_type);
+    e.u8(0); // reserved
+    e.u64(request_id);
+    e.u32(payload.len() as u32);
+    e.bytes(payload);
+    let sum = fnv1a(e.as_bytes());
+    e.u64(sum);
+    e.into_bytes()
 }
 
 /// Decode one frame from a complete in-memory buffer. Returns the frame
 /// and the number of bytes it consumed.
 pub fn decode_frame(bytes: &[u8]) -> Result<(RawFrame, usize), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let header = &bytes[..HEADER_LEN];
+    let header = bytes.get(..HEADER_LEN).ok_or(WireError::Truncated)?;
     let (frame_type, request_id, len) = parse_header(header)?;
     let total = HEADER_LEN + len + TRAILER_LEN;
-    if bytes.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let body = &bytes[..HEADER_LEN + len];
-    let expect =
-        u64::from_le_bytes(bytes[HEADER_LEN + len..total].try_into().expect("trailer len 8"));
-    if fnv1a(body) != expect {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok((
-        RawFrame { frame_type, request_id, payload: bytes[HEADER_LEN..HEADER_LEN + len].to_vec() },
-        total,
-    ))
+    let frame = bytes.get(..total).ok_or(WireError::Truncated)?;
+    let payload = checked_payload(frame)?.to_vec();
+    Ok((RawFrame { frame_type, request_id, payload }, total))
 }
 
 /// Validate a frame header, returning `(type, request_id, payload_len)`.
@@ -930,17 +781,26 @@ fn parse_header(header: &[u8]) -> Result<(u8, u64, usize), WireError> {
     if header[..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().expect("len 2"));
+    let mut d = Decoder::new(&header[4..HEADER_LEN]);
+    let version = d.u16()?;
     if version != VERSION {
         return Err(WireError::BadVersion { found: version });
     }
-    let frame_type = header[6];
-    let request_id = u64::from_le_bytes(header[8..16].try_into().expect("len 8"));
-    let len = u32::from_le_bytes(header[16..20].try_into().expect("len 4"));
+    let (frame_type, _reserved, request_id, len) = (d.u8()?, d.u8()?, d.u64()?, d.u32()?);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversize { len });
     }
     Ok((frame_type, request_id, len as usize))
+}
+
+/// The payload of a whole `frame` (header, payload, checksum) whose
+/// checksum holds.
+fn checked_payload(frame: &[u8]) -> Result<&[u8], WireError> {
+    let (body, sum) = frame.split_at(frame.len() - TRAILER_LEN);
+    if Decoder::new(sum).u64()? != fnv1a(body) {
+        return Err(WireError::ChecksumMismatch);
+    }
+    Ok(&body[HEADER_LEN..])
 }
 
 /// Read one frame from a blocking stream. `Ok(None)` means the peer
@@ -954,18 +814,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<RawFrame>, WireError> {
         _ => {}
     }
     let (frame_type, request_id, len) = parse_header(&header)?;
-    let mut rest = vec![0u8; len + TRAILER_LEN];
-    if read_full(r, &mut rest)? < rest.len() {
+    let mut frame = vec![0u8; HEADER_LEN + len + TRAILER_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    if read_full(r, &mut frame[HEADER_LEN..])? < len + TRAILER_LEN {
         return Err(WireError::Truncated);
     }
-    let mut body = Vec::with_capacity(HEADER_LEN + len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..len]);
-    let expect = u64::from_le_bytes(rest[len..].try_into().expect("trailer len 8"));
-    if fnv1a(&body) != expect {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok(Some(RawFrame { frame_type, request_id, payload: body.split_off(HEADER_LEN) }))
+    checked_payload(&frame)?;
+    frame.truncate(HEADER_LEN + len);
+    frame.drain(..HEADER_LEN);
+    Ok(Some(RawFrame { frame_type, request_id, payload: frame }))
 }
 
 /// Fill `buf` from `r`, tolerating short reads; returns the bytes read

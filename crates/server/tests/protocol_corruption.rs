@@ -1,7 +1,9 @@
-//! Adversarial decode tests for the FZQP codec: every way a frame can be
-//! damaged in transit must surface as a typed [`WireError`] — never a
-//! panic, a hang, or an over-allocation — and undamaged frames must
-//! round-trip bit-exactly (property-tested below).
+//! The FZQP cases particular to frames: a damaged magic, version or
+//! length, unknown types and tags, trailing payload bytes and lying counts
+//! must surface as a typed [`WireError`] — never a panic, a hang, or an
+//! over-allocation — and undamaged frames must round-trip bit-exactly
+//! (property-tested below). Every truncation, bit flip and length field of
+//! a frame runs in the root `hostile_bytes` harness.
 
 use fuzzy_core::ObjectId;
 use fuzzy_query::{DistBound, Interval, IntervalSet, Neighbor, RknnAlgorithm, RknnItem};
@@ -9,6 +11,7 @@ use fuzzy_server::protocol::{
     decode_frame, encode_frame, read_frame, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, T_INFO,
 };
 use fuzzy_server::{QuerySource, Request, Response, WireError, WireStats, WireVariant};
+use fuzzy_store::format::DecodeError;
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -38,26 +41,6 @@ fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
 #[test]
 fn roundtrip_of_the_sample_request() {
     assert_eq!(decode_request(&sample_frame()).unwrap(), sample_request());
-}
-
-#[test]
-fn truncation_at_every_boundary_is_typed() {
-    let frame = sample_frame();
-    for cut in 0..frame.len() {
-        // In-memory decode: any strict prefix is Truncated.
-        match decode_frame(&frame[..cut]) {
-            Err(WireError::Truncated) => {}
-            other => panic!("prefix of {cut} bytes: expected Truncated, got {other:?}"),
-        }
-        // Stream decode: zero bytes is a clean close; a partial frame is
-        // Truncated (the reader must not block forever on the difference).
-        let mut cursor = Cursor::new(frame[..cut].to_vec());
-        match read_frame(&mut cursor) {
-            Ok(None) if cut == 0 => {}
-            Err(WireError::Truncated) if cut > 0 => {}
-            other => panic!("stream prefix of {cut} bytes: got {other:?}"),
-        }
-    }
 }
 
 #[test]
@@ -98,22 +81,6 @@ fn hostile_length_is_rejected_before_allocation() {
 }
 
 #[test]
-fn every_single_bit_flip_is_detected() {
-    let frame = sample_frame();
-    for byte in 0..frame.len() {
-        for bit in 0..8 {
-            let mut damaged = frame.clone();
-            damaged[byte] ^= 1 << bit;
-            // Whatever the flip hit — magic, version, type, id, length,
-            // payload or the checksum itself — decoding must fail with a
-            // typed error; a silent wrong answer would be the real bug.
-            let result = decode_frame(&damaged);
-            assert!(result.is_err(), "bit {bit} of byte {byte}: flip went undetected: {result:?}");
-        }
-    }
-}
-
-#[test]
 fn trailing_payload_bytes_are_rejected() {
     // A structurally valid INFO frame whose payload has one stray byte:
     // the frame checksums fine, but the payload decoder must notice.
@@ -123,6 +90,31 @@ fn trailing_payload_bytes_are_rejected() {
         Err(WireError::Malformed { what }) => assert_eq!(what, "trailing bytes in payload"),
         other => panic!("got {other:?}"),
     }
+}
+
+/// Each codec error reads as the `Malformed` text frames always carried.
+#[test]
+fn decode_errors_keep_their_wire_text() {
+    let end = |need, at| DecodeError::EndOfData { need, at, have: 16 };
+    for (error, what) in [
+        (end(9, 8), "payload too short"),
+        (end(usize::MAX - 4, 8), "length overflow"),
+        (DecodeError::Count { count: 3, left: 8 }, "count exceeds payload"),
+        (DecodeError::Trailing { left: 1 }, "trailing bytes in payload"),
+        (DecodeError::NotUtf8, "string is not UTF-8"),
+    ] {
+        match WireError::from(error) {
+            WireError::Malformed { what: got } => assert_eq!(got, what, "{error:?}"),
+            other => panic!("{error:?} became {other:?}"),
+        }
+    }
+    // A SWAP path that is not UTF-8 is refused by that text.
+    let frame = encode_frame(fuzzy_server::protocol::T_SWAP, 1, &[2, 0, 0, 0, 0xC3, 0x28]);
+    let (raw, _) = decode_frame(&frame).unwrap();
+    assert!(matches!(
+        Request::decode(raw.frame_type, &raw.payload),
+        Err(WireError::Malformed { what: "string is not UTF-8" })
+    ));
 }
 
 #[test]

@@ -408,6 +408,53 @@ fn a_sidecar_only_swap_sees_the_new_delta_and_full_reopens_still_work() {
     }
 }
 
+/// A sidecar whose checksum holds but whose insert count is 2^59 (its
+/// length sum wraps to 0 in a release build and overflows in a debug one)
+/// is refused on the SWAP's own connection, typed `SWAP_FAILED`, and the
+/// same connection then answers INFO from the index it had.
+#[test]
+fn a_sidecar_with_wrapping_counts_is_swap_failed_and_the_connection_survives() {
+    use fuzzy_index::{delta_path_for, PagedRTree};
+    use fuzzy_store::format::fnv1a;
+    use fuzzy_store::overlay::DeltaLog;
+
+    let (path, store) = store_file("wrapping-sidecar", 30);
+    let index_file = path.with_extension("wrapping.fzpt");
+    let summaries = store.summaries().to_vec();
+    let config = fuzzy_index::RTreeConfig::default();
+    PagedRTree::bulk_write(summaries, config, &index_file, fuzzy_index::DEFAULT_PAGE_SIZE).unwrap();
+    let target = index_file.display().to_string();
+    let index = ServeIndex::open_paged(&target, 8).unwrap();
+    let handle =
+        serve(store, index, &ListenAddr::parse("127.0.0.1:0"), &ServeOptions::default()).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    // Four tombstones after an insert count of 2^59, checksum re-stamped.
+    let mut bytes = DeltaLog::<2> { inserted: vec![], tombstones: vec![1, 2, 3, 4] }.to_bytes();
+    bytes[8..16].copy_from_slice(&(1u64 << 59).to_le_bytes());
+    let end = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(delta_path_for(&index_file), &bytes).unwrap();
+
+    match client.call(&Request::Swap { index_path: target }).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::SwapFailed);
+            assert!(message.contains("count"), "{message}");
+        }
+        other => panic!("a sidecar with wrapping counts must be refused: {other:?}"),
+    }
+    match client.call(&Request::Info).unwrap() {
+        Response::Info { objects, epoch, .. } => assert_eq!((objects, epoch), (30, 0)),
+        other => panic!("INFO: {other:?}"),
+    }
+    handle.stop();
+    for file in [delta_path_for(&index_file), index_file, path] {
+        std::fs::remove_file(file).ok();
+    }
+}
+
 /// A path that names one of the three deleted index layouts — a `.fzsm`
 /// shard manifest, a `.fzlh` hash-table file, a `.fzmt` M-tree — is no
 /// index at all: a SWAP

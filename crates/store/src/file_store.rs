@@ -226,11 +226,10 @@ impl<const D: usize> FileStore<D> {
         let mut index = HashMap::with_capacity(summaries.len());
         let mut next = summaries.iter();
         read_section(&source, "index", index_off, count, 24, |entry| {
-            let word =
-                |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().expect("8 bytes"));
-            let (id, off, len) = (ObjectId(word(0)), word(8), word(16));
+            let mut d = Decoder::new(entry);
+            let (id, off, len) = (ObjectId(d.u64()?), d.u64()?, d.u64()?);
             // Both sections are written in append order.
-            let summary = next.next().expect("one summary per index entry");
+            let summary = next.next().expect("both sections hold `count` entries");
             if id != summary.id {
                 return Err(corrupt(format!(
                     "index entry id {id} does not match its summary's id {}",

@@ -181,10 +181,10 @@ impl<'a> ChecksumWalk<'a, 1> {
 
     /// The next little-endian `u64`, or the [`Decoder`]'s error for it.
     #[inline]
-    fn u64(&mut self) -> Result<u64, StoreError> {
+    fn u64(&mut self) -> Result<u64, DecodeError> {
         let (at, word) = (self.read, self.read & !7);
         if at + 8 > self.bytes.len() {
-            return Err(end_of_data(8, at, self.bytes.len()));
+            return Err(DecodeError::EndOfData { need: 8, at, have: self.bytes.len() });
         }
         self.h[0] = fnv_step(self.h[0], &self.bytes[word..word + 8]);
         (self.read, self.folded) = (at + 8, word + 8);
@@ -207,7 +207,7 @@ impl<'a> ChecksumWalk<'a, 1> {
             if end % 8 == 0 {
                 *h = fnv_step(*h, &bytes[end - 8..end]);
             }
-            u32::from_le_bytes(value.try_into().expect("a 4-byte chunk"))
+            u32::from_le_bytes(value.try_into().expect("a chunks_exact(4) item"))
         })
     }
 
@@ -226,19 +226,65 @@ impl<'a> ChecksumWalk<'a, 1> {
         let h = &mut self.h[0];
         bytes[at..at + 8 * n].chunks_exact(8).zip(words).map(move |(value, word)| {
             *h = fnv_step(*h, word);
-            f64::from_le_bytes(value.try_into().expect("an 8-byte chunk"))
+            f64::from_le_bytes(value.try_into().expect("a chunks_exact(8) item"))
         })
     }
 }
 
-/// The error for a read of `need` bytes at `at` from `have` bytes.
-fn end_of_data(need: usize, at: usize, have: usize) -> StoreError {
-    StoreError::Corrupt {
-        reason: format!("unexpected end of data: need {need} bytes at offset {at}, have {have}"),
+/// Why a [`Decoder`] read failed: the one error of the codec every file
+/// and frame reader shares. `From` turns it into a [`StoreError`] (its
+/// `Display` text is the `Corrupt` reason) and, in `fuzzy-server`, into a
+/// wire error.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// A read of `need` bytes at offset `at` runs past the `have` bytes of
+    /// the input (or past `usize::MAX`).
+    EndOfData {
+        /// Bytes the read asked for.
+        need: usize,
+        /// Offset of the read.
+        at: usize,
+        /// Length of the input.
+        have: usize,
+    },
+    /// A count read from the input needs more bytes than remain.
+    Count {
+        /// The count read.
+        count: u64,
+        /// Bytes left after it.
+        left: usize,
+    },
+    /// Bytes remain after the last field.
+    Trailing {
+        /// How many.
+        left: usize,
+    },
+    /// A string field is not UTF-8.
+    NotUtf8,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::EndOfData { need, at, have } => {
+                write!(f, "unexpected end of data: need {need} bytes at offset {at}, have {have}")
+            }
+            Self::Count { count, left } => write!(f, "count {count} exceeds the {left} bytes left"),
+            Self::Trailing { left } => write!(f, "{left} trailing bytes after the last field"),
+            Self::NotUtf8 => write!(f, "string is not UTF-8"),
+        }
     }
 }
 
-/// Little-endian byte writer over a growable buffer.
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        Self::Corrupt { reason: e.to_string() }
+    }
+}
+
+/// Little-endian byte writer over a growable buffer: [`Decoder`]'s pair.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -255,29 +301,47 @@ impl Encoder {
         Self { buf: Vec::with_capacity(n) }
     }
 
+    /// Append a u8.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
     /// Append a u16.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a u32.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a u64.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an f64.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+    }
+
+    /// Append a string: its byte length as a u32, then its UTF-8 bytes.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.bytes(s.as_bytes());
     }
 
     /// Current length.
@@ -301,7 +365,10 @@ impl Encoder {
     }
 }
 
-/// Little-endian byte reader with bounds checking.
+/// Little-endian byte reader, total on hostile input: every read is
+/// bounds-checked with overflow-checked arithmetic, and a count read from
+/// the input is capped by the bytes that remain ([`Decoder::count`])
+/// before anything is sized from it.
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -309,47 +376,98 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Wrap a byte slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.buf.len() {
-            return Err(end_of_data(n, self.pos, self.buf.len()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    /// Read `n` raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
+        let Some(end) = end else {
+            return Err(DecodeError::EndOfData { need: n, at: self.pos, have: self.buf.len() });
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// Read a u8.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
     /// Read a u16.
-    pub fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a u32.
-    pub fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a u64.
-    pub fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read an f64.
-    pub fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
     }
 
-    /// Read `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n)
+    /// Read a string written by [`Encoder::str`].
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.bytes(n)?).map_err(|_| DecodeError::NotUtf8)
+    }
+
+    /// Read a count with `read` (`Decoder::u32` or `Decoder::u64`) and
+    /// check that that many items of `item_len` bytes (at least one byte
+    /// each) fit in what remains, so no count can size a buffer the input
+    /// cannot fill.
+    #[inline]
+    pub fn count<T: Into<u64>>(
+        &mut self,
+        read: fn(&mut Self) -> Result<T, DecodeError>,
+        item_len: usize,
+    ) -> Result<usize, DecodeError> {
+        let count = read(self)?.into();
+        let left = self.remaining();
+        match usize::try_from(count) {
+            Ok(n) if n.saturating_mul(item_len.max(1)) <= left => Ok(n),
+            _ => Err(DecodeError::Count { count, left }),
+        }
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Check that every byte was read.
+    #[inline]
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(DecodeError::Trailing { left }),
+        }
     }
 }
 
@@ -400,7 +518,7 @@ pub fn decode_object<const D: usize>(bytes: &[u8]) -> Result<FuzzyObject<D>, Sto
         return Err(StoreError::Corrupt { reason: "record too short".into() });
     }
     let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("an 8-byte split"));
+    let stored = Decoder::new(sum_bytes).u64()?;
     let mut walk = ChecksumWalk::new(payload);
     let decoded = walk_object(&mut walk);
     let computed = walk.finish();
@@ -473,7 +591,7 @@ pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
 pub fn decode_summary<const D: usize>(bytes: &[u8]) -> Result<ObjectSummary<D>, StoreError> {
     let len = summary_len(D);
     let Some(record) = bytes.get(..len) else {
-        return Err(end_of_data(len, 0, bytes.len()));
+        return Err(DecodeError::EndOfData { need: len, at: 0, have: bytes.len() }.into());
     };
     let word = |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8 bytes"));
     // The f64 cells after id, point count and flags, in encoding order:
@@ -671,5 +789,42 @@ mod tests {
         let mut d = Decoder::new(&[1, 2, 3]);
         assert!(d.u16().is_ok());
         assert!(d.u32().is_err());
+
+        // A length whose end overflows `usize` is a typed error, not a panic.
+        let mut d = Decoder::new(&[7u8; 16]);
+        d.u64().unwrap();
+        let huge = d.bytes(usize::MAX - 4).unwrap_err();
+        assert_eq!(huge, DecodeError::EndOfData { need: usize::MAX - 4, at: 8, have: 16 });
+        assert_eq!(d.u64(), Ok(u64::from_le_bytes([7; 8])), "a failed read moves nothing");
+
+        // A count is capped by the bytes left after it, before anything is
+        // sized from it; strings round-trip unless they are not UTF-8.
+        let mut e = Encoder::new();
+        e.u32(3);
+        e.str("l2");
+        e.u32(2);
+        e.bytes(&[0xC3, 0x28]);
+        let bytes = e.into_bytes();
+        let count = Decoder::new(&bytes).count(Decoder::u32, 5).unwrap_err();
+        assert_eq!(count, DecodeError::Count { count: 3, left: 12 });
+        assert!(Decoder::new(&[0xFF; 8]).count(Decoder::u64, 0).is_err());
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.count(Decoder::u32, 4), Ok(3));
+        assert_eq!(d.finish(), Err(DecodeError::Trailing { left: 12 }));
+        assert_eq!((d.str(), d.str(), d.finish()), (Ok("l2"), Err(DecodeError::NotUtf8), Ok(())));
+
+        // Each error's text as a file error; `WireError`'s are pinned in
+        // the server's protocol suite.
+        let end =
+            format!("unexpected end of data: need {} bytes at offset 8, have 16", usize::MAX - 4);
+        let texts = [
+            (huge, end.as_str()),
+            (count, "count 3 exceeds the 12 bytes left"),
+            (DecodeError::Trailing { left: 12 }, "12 trailing bytes after the last field"),
+            (DecodeError::NotUtf8, "string is not UTF-8"),
+        ];
+        for (e, text) in texts {
+            assert_eq!(StoreError::from(e).to_string(), format!("corrupt store: {text}"));
+        }
     }
 }

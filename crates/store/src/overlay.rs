@@ -77,7 +77,9 @@ impl<const D: usize> DeltaLog<D> {
     }
 
     /// Decode from bytes, verifying magic, version, dimensionality and
-    /// checksum.
+    /// checksum. Each count is capped by the bytes after it before the
+    /// exact length is checked, so no count, however forged, can overflow
+    /// the length sum or size an allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         if bytes.len() < DELTA_HEADER_LEN + 8 {
             return Err(corrupt("delta log shorter than header + checksum"));
@@ -86,7 +88,6 @@ impl<const D: usize> DeltaLog<D> {
             return Err(corrupt("bad magic in delta log"));
         }
         let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
         let mut d = Decoder::new(&payload[4..]);
         let version = d.u16()?;
         if version != DELTA_VERSION {
@@ -96,11 +97,11 @@ impl<const D: usize> DeltaLog<D> {
         if dims as usize != D {
             return Err(StoreError::DimensionMismatch { found: dims, expected: D as u16 });
         }
-        if stored != fnv1a(payload) {
+        if Decoder::new(sum_bytes).u64()? != fnv1a(payload) {
             return Err(corrupt("delta log checksum mismatch"));
         }
-        let n_inserted = d.u64()? as usize;
-        let n_tombstones = d.u64()? as usize;
+        let n_inserted = d.count(Decoder::u64, summary_len(D))?;
+        let n_tombstones = d.count(Decoder::u64, 8)?;
         let expect = DELTA_HEADER_LEN + n_inserted * summary_len(D) + n_tombstones * 8;
         if payload.len() != expect {
             return Err(corrupt(format!(
@@ -198,6 +199,24 @@ mod tests {
         ));
 
         assert!(DeltaLog::<2>::from_bytes(&pristine).is_ok());
+    }
+
+    /// A checksum-valid log whose insert count is 2^59 (times a 160-byte
+    /// summary that is 5·2^64, which wraps to 0 in a release build and
+    /// overflows in a debug one), with 4 tombstones after it, is a typed
+    /// error: the count is capped by the bytes after it first.
+    #[test]
+    fn wrapping_counts_are_a_typed_error() {
+        let mut bytes = DeltaLog::<2> { inserted: vec![], tombstones: vec![1, 2, 3, 4] }.to_bytes();
+        bytes[8..16].copy_from_slice(&(1u64 << 59).to_le_bytes());
+        let end = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let err = DeltaLog::<2>::from_bytes(&bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "corrupt store: count 576460752303423488 exceeds the 40 bytes left"
+        );
     }
 
     /// A save interrupted at any boundary — temp creation, each write, the
