@@ -193,6 +193,11 @@ pub struct FoundNeighbor<const D: usize> {
     pub object: Option<Arc<FuzzyObject<D>>>,
 }
 
+/// An object a search decoded: its id, its exact **squared** α-distance
+/// when the kernel returned one (`None`: the τ seed cut the kernel off),
+/// and the object.
+pub(crate) type Decoded<const D: usize> = (ObjectId, Option<f64>, Arc<FuzzyObject<D>>);
+
 /// What one top-k search found and what it cost — what the engine and the
 /// RKNN algorithms get back from the best-first search. [`AknnResult`] is
 /// this with the decoded objects dropped.
@@ -201,6 +206,10 @@ pub struct SearchOutcome<const D: usize> {
     pub neighbors: Vec<FoundNeighbor<D>>,
     /// Execution costs of the search.
     pub stats: QueryStats,
+    /// Under `exact`, every object the search decoded and did not return,
+    /// ascending in id — RSS takes its outsiders from here before it reads
+    /// the store. Empty otherwise.
+    pub(crate) others: Vec<Decoded<D>>,
 }
 
 impl<const D: usize> From<SearchOutcome<D>> for AknnResult {
@@ -326,8 +335,10 @@ pub struct QueryScratch<const D: usize> {
     heap: BinaryHeap<MinKey<Item>>,
     buffer: Vec<Deferred>,
     entries: Vec<EntrySlot<D>>,
-    /// Probed objects in flight or confirmed, by [`Item::Object`] index.
-    probed: Vec<(ObjectId, Arc<FuzzyObject<D>>)>,
+    /// Every object probed: in flight or confirmed, by [`Item::Object`]
+    /// index, with its exact squared distance; dominated, with `None`, and
+    /// only when the search is `exact` (nothing else reads them).
+    probed: Vec<Decoded<D>>,
     samples: Vec<Point<D>>,
     seeds: SeedTracker,
 }
@@ -454,8 +465,9 @@ pub(crate) enum Probed<const D: usize> {
     /// Exact **squared** α-distance and the decoded object.
     Exact(f64, Arc<FuzzyObject<D>>),
     /// The probe was cut off by the τ seed: at least `k` live candidates
-    /// are no farther, so the object cannot enter the result.
-    Dominated,
+    /// are no farther, so the object cannot enter the result. It was
+    /// decoded all the same.
+    Dominated(Arc<FuzzyObject<D>>),
 }
 
 /// Retrieve one object and evaluate its exact α-distance, charging the
@@ -466,8 +478,8 @@ pub(crate) enum Probed<const D: usize> {
 /// domination can never discard a candidate that exactly ties the k-th
 /// distance, and seeded answers match unseeded ones even on ties (e.g.
 /// duplicated objects). This single function serves the eager path, the
-/// lazy-probe eviction and the `force_exact` tail (the latter passes `+∞`
-/// seeds), so the probe accounting cannot diverge between them.
+/// lazy-probe eviction and the `exact` tail (the latter passes `+∞` for
+/// τ), so the probe accounting cannot diverge between them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -487,7 +499,7 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     let seed_sq = own_hi_sq.min(tau_eff);
     match metric.alpha_distance_sq_bounded(&obj, q, t, seed_sq) {
         Some(d_sq) => Ok(Probed::Exact(d_sq, obj)),
-        None if tau_eff <= own_hi_sq && tau_eff.is_finite() => Ok(Probed::Dominated),
+        None if tau_eff <= own_hi_sq && tau_eff.is_finite() => Ok(Probed::Dominated(obj)),
         None => {
             // The object's own conservative bound failed by an ulp (only
             // possible through floating-point degeneracies, or because no
@@ -507,7 +519,8 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
 /// ([`DistBound::Bounded`]), in confirmation order. With `exact`, every
 /// bound-confirmed survivor is then probed, so all returned distances are
 /// exact with the decoded object attached (RKNN and the canonical exact
-/// form need this).
+/// form need this), and every other object the search decoded comes back
+/// in [`SearchOutcome::others`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -623,10 +636,11 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                                 seeds.insert(id, d_sq);
                             }
                             let item = Item::Object(probed.len() as u32);
-                            probed.push((id, obj));
+                            probed.push((id, Some(d_sq), obj));
                             heap.push(MinKey { key: d_sq, item });
                         }
-                        Probed::Dominated => {}
+                        Probed::Dominated(obj) if exact => probed.push((id, None, obj)),
+                        Probed::Dominated(_) => {}
                     }
                 } else {
                     // §3.3: any buffered U with d⁺(U) < d⁻(E) is dominated
@@ -663,7 +677,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     while buffer.len() > k - out.len() {
                         evict(
                             heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg,
-                            &mut stats,
+                            exact, &mut stats,
                         )?;
                     }
                 }
@@ -674,7 +688,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 // capacity, and a full buffer might hide a closer candidate.
                 while !buffer.is_empty() && buffer.len() > k - out.len() - 1 {
                     evict(
-                        heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg,
+                        heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg, exact,
                         &mut stats,
                     )?;
                 }
@@ -683,7 +697,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     heap.push(MinKey { key: d_sq, item: Item::Object(at) });
                     continue;
                 }
-                let (id, obj) = &probed[at as usize];
+                let (id, _, obj) = &probed[at as usize];
                 out.push(FoundNeighbor {
                     id: *id,
                     dist: DistBound::Exact(d_sq.sqrt()),
@@ -694,28 +708,24 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
         }
     }
 
+    let mut others = Vec::new();
     if exact {
         for n in &mut out {
-            if n.object.is_none() {
-                match probe_exact(
-                    metric,
-                    store,
-                    q,
-                    t,
-                    n.id,
-                    f64::INFINITY,
-                    f64::INFINITY,
-                    &mut stats,
-                )? {
-                    Probed::Exact(d_sq, obj) => {
-                        n.dist = DistBound::Exact(d_sq.sqrt());
-                        n.dist_sq = Some(d_sq);
-                        n.object = Some(obj);
-                    }
-                    Probed::Dominated => unreachable!("unseeded probes cannot be dominated"),
+            let DistBound::Bounded { hi, .. } = n.dist else { continue };
+            // A bound-confirmed neighbour: its own bound seeds the kernel,
+            // as an evicted entry's does; with no τ it is never dominated.
+            let own_hi_sq = if cfg.seeded_probes { inflate_sq(hi * hi) } else { f64::INFINITY };
+            match probe_exact(metric, store, q, t, n.id, own_hi_sq, f64::INFINITY, &mut stats)? {
+                Probed::Exact(d_sq, obj) => {
+                    n.dist = DistBound::Exact(d_sq.sqrt());
+                    n.dist_sq = Some(d_sq);
+                    n.object = Some(obj);
                 }
+                Probed::Dominated(_) => unreachable!("a probe without τ cannot be dominated"),
             }
         }
+        others.extend(probed.drain(..).filter(|(id, ..)| out.iter().all(|n| n.id != *id)));
+        others.sort_unstable_by_key(|&(id, ..)| id);
     }
 
     // Release per-query state now rather than at the next query: a
@@ -729,20 +739,20 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     seeds.reset();
 
     stats.wall = start.elapsed();
-    Ok(SearchOutcome { neighbors: out, stats })
+    Ok(SearchOutcome { neighbors: out, stats, others })
 }
 
 /// Evict the most promising deferred entry (the buffer tail, since `G` is
 /// kept descending by lower bound): probe it and let its exact distance
 /// compete in H. A probe dominated under the τ seed is discarded — its
 /// live-bound entry was removed *before* τ was computed, so τ counts `k`
-/// other candidates.
+/// other candidates — and its object kept only under `exact`.
 #[allow(clippy::too_many_arguments)]
 fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     heap: &mut BinaryHeap<MinKey<Item>>,
     buffer: &mut Vec<Deferred>,
     entries: &[EntrySlot<D>],
-    probed: &mut Vec<(ObjectId, Arc<FuzzyObject<D>>)>,
+    probed: &mut Vec<Decoded<D>>,
     seeds: &mut SeedTracker,
     metric: &M,
     store: &S,
@@ -750,6 +760,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     t: Threshold,
     k: usize,
     cfg: &AknnConfig,
+    exact: bool,
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let victim = buffer.pop().expect("evict called on a non-empty buffer");
@@ -766,9 +777,10 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
                 seeds.insert(id, d_sq);
             }
             heap.push(MinKey { key: d_sq, item: Item::Object(probed.len() as u32) });
-            probed.push((id, obj));
+            probed.push((id, Some(d_sq), obj));
         }
-        Probed::Dominated => {}
+        Probed::Dominated(obj) if exact => probed.push((id, None, obj)),
+        Probed::Dominated(_) => {}
     }
     Ok(())
 }

@@ -254,7 +254,7 @@ where
                 found.insert(pos, (d_sq, id));
                 found.truncate(k);
             }
-            Probed::Dominated => {}
+            Probed::Dominated(_) => {}
         }
     }
     Ok(())

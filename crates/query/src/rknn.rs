@@ -25,9 +25,12 @@
 //! at `αe`, and who already holds it decides what is handed over: RSS's
 //! step 1 is an exact AKNN at `αe`, so each of its neighbours arrives with
 //! the kernel's squared distance ([`FoundNeighbor::dist_sq`](crate::aknn::FoundNeighbor::dist_sq)) and its
-//! window starts from that; the candidates only step 2 found, and every
-//! object in Basic (whose AKNN calls run at other thresholds), pass `None`
-//! and the window evaluates it once itself.
+//! window starts from that, as does the window of a candidate step 1
+//! probed, evaluated and did not return (`SearchOutcome::others`); the
+//! candidates step 1 never evaluated to the end (only step 2 found them,
+//! or the τ seed cut their kernel off), and every object in Basic (whose
+//! AKNN calls run at other thresholds), pass `None` and the window
+//! evaluates it once itself.
 //!
 //! # Which candidates get a profile: the settle step
 //!
@@ -38,8 +41,8 @@
 //! range candidates it did not return the *outsiders*. Before anything is
 //! profiled:
 //!
-//! 1. every outsider is probed (each candidate is still read exactly once)
-//!    and asked one bounded kernel question,
+//! 1. every outsider is taken from step 1 if its search decoded it, probed
+//!    otherwise, and asked one bounded kernel question,
 //!    `alpha_distance_sq_bounded(obj, q, αs, r_sq)` with the range scan's
 //!    own inflated `r_sq`: `None` — no pair strictly within `r_sq` at `αs` —
 //!    **drops** it; `Some(l_sq)` keeps it and feeds `l_min_sq`, the smallest
@@ -82,10 +85,12 @@
 //! **Counters.** `distance_evals` counts step 1's evaluations plus one per
 //! outsider (none when the guard fails); `profile_computations` counts the
 //! windows actually built — at most `candidates`, and 0 when every
-//! neighbour settles. `object_accesses` and `candidates` are what they
-//! were: every candidate is read once. How many candidates settle is a
-//! property of the data — how far `d_α` moves across the window against the
-//! spacing of the neighbours — not of the algorithm.
+//! neighbour settles. Each object is read at most once per query: every
+//! object step 1 decoded, neighbour and rejected probe alike, is reused, so
+//! `object_accesses` is step 1's plus one per outsider step 1 never
+//! probed. How many candidates settle is a property of the data — how far
+//! `d_α` moves across the window against the spacing of the neighbours —
+//! not of the algorithm.
 
 use crate::aknn::{append_slots, check_deadline, search, AknnConfig, QueryScratch};
 use crate::error::QueryError;
@@ -380,9 +385,13 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     let can_settle = r_sq.sqrt() > r;
 
     // The outsiders — candidates step 1 did not return — are the only
-    // objects left to read. Each is probed once and asked one bounded
-    // question: is d_αs strictly within the radius at all?
-    let mut outsiders: Vec<(ObjectId, Arc<FuzzyObject<D>>)> = Vec::new();
+    // objects left to read, and step 1 may have decoded one already (probed
+    // and rejected it): then it is taken from step 1, with the exact d²_αe
+    // the kernel returned if it returned one. Any other is probed once.
+    // Each is asked one bounded question: is d_αs strictly within the
+    // radius at all?
+    let mut decoded = out_end.others.into_iter().peekable();
+    let mut outsiders: Vec<(ObjectId, Arc<FuzzyObject<D>>, Option<f64>)> = Vec::new();
     let mut dropped = false;
     let mut l_min_sq = f64::INFINITY;
     for &id in &candidate_ids {
@@ -390,11 +399,19 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
             continue;
         }
         check_deadline(cfg.deadline)?;
-        let probe = store.probe_traced(id)?;
-        stats.object_accesses += probe.disk_read as u64;
+        // Both lists ascend in id: one merge walk pairs them.
+        while decoded.next_if(|o| o.0 < id).is_some() {}
+        let (object, top_sq) = match decoded.next_if(|o| o.0 == id) {
+            Some((_, top_sq, object)) => (object, top_sq),
+            None => {
+                let probe = store.probe_traced(id)?;
+                stats.object_accesses += probe.disk_read as u64;
+                (probe.object, None)
+            }
+        };
         if can_settle {
             stats.distance_evals += 1;
-            match metric.alpha_distance_sq_bounded(&probe.object, q, t_start, r_sq) {
+            match metric.alpha_distance_sq_bounded(&object, q, t_start, r_sq) {
                 Some(l_sq) => l_min_sq = l_min_sq.min(l_sq),
                 None => {
                     dropped = true;
@@ -402,7 +419,7 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
                 }
             }
         }
-        outsiders.push((id, probe.object));
+        outsiders.push((id, object, top_sq));
     }
 
     // A neighbour whose distance at α_e is strictly below every kept
@@ -429,7 +446,7 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     // there is nothing to decide and no outsider is profiled at all.
     let slots = k - acc.len();
     if slots > 0 {
-        profiles.extend(outsiders.into_iter().map(|(id, obj)| (id, window(&obj, None))));
+        profiles.extend(outsiders.into_iter().map(|(id, obj, top_sq)| (id, window(&obj, top_sq))));
         // Ascending in id: a slot's index is the refinement's id tie-break.
         profiles.sort_unstable_by_key(|&(id, _)| id);
         stats.profile_computations += profiles.len() as u64;

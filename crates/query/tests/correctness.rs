@@ -293,9 +293,11 @@ impl ObjectStore<2> for CountingStore {
 /// `(αs, r_sq)` per outsider and none per step-1 neighbour, `None` exactly
 /// for the outsiders not strictly within `r_sq`; one window per unsettled
 /// neighbour (its top the kernel's bits at `αe`) and per kept outsider (top
-/// `None`), none for a settled or a dropped id, and none at all when every
-/// neighbour settles; `distance_evals` and `profile_computations` count
-/// those calls. `step1` is the exact AKNN at `hi` the query starts with.
+/// the kernel's bits at `αe` when step 1 evaluated it exactly, so that RSS
+/// took it from step 1, and `None` otherwise), none for a settled or a
+/// dropped id, and none at all when every neighbour settles;
+/// `distance_evals` and `profile_computations` count those calls. `step1`
+/// is the exact AKNN at `hi` the query starts with.
 fn assert_settle_accounting(
     store: &MemStore<2>,
     q: &FuzzyObject<2>,
@@ -314,6 +316,9 @@ fn assert_settle_accounting(
     let r = step1.neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max);
     let r_sq = r * r * (1.0 + 4.0 * f64::EPSILON);
     let settle = Settle::of(kernel, windows, lo, &neighbors);
+    // Step 1 runs at `hi`: the ids its kernel returned a distance for.
+    let step1_exact: Vec<ObjectId> =
+        kernel.iter().filter(|c| c.1 == Threshold::at(hi) && c.3.is_some()).map(|c| c.0).collect();
 
     let mut distinct = settle.outsiders.clone();
     distinct.dedup();
@@ -340,7 +345,9 @@ fn assert_settle_accounting(
         .collect();
     if !want.is_empty() {
         let kept = settle.outsiders.iter().filter(|id| !settle.dropped.contains(id));
-        want.extend(kept.map(|&id| (id, None)));
+        want.extend(
+            kept.map(|&id| (id, step1_exact.contains(&id).then(|| exact_sq(id, hi).to_bits()))),
+        );
     }
     want.sort_unstable();
     let mut got: Vec<(ObjectId, Option<u64>)> = windows
@@ -363,19 +370,19 @@ fn assert_settle_accounting(
     settle
 }
 
-/// RSS / RSS-ICR read each object at most once per query: step 1's
-/// neighbours are settled or profiled from the objects its AKNN already
-/// decoded, so only the remaining range candidates — the outsiders — are
-/// probed, each exactly once whether it is then dropped, kept or never
-/// profiled because every neighbour settled. (Step 1 returns the objects of
-/// its final neighbours only; one it probed and rejected is read again as
-/// an outsider, which the first window — the pinned one — does not meet.)
+/// RSS / RSS-ICR read each object at most once per query: every object
+/// step 1's AKNN decoded — the neighbours it returns and the probes it
+/// rejects alike — is reused, so only the range candidates it never
+/// decoded are probed, each exactly once whether it is then dropped, kept
+/// or never profiled because every neighbour settled.
 #[test]
 fn rss_probes_no_object_twice() {
     // Seen at least once: an outsider dropped, neighbours settled beside
-    // profiled ones, and every neighbour settled (no window at all).
-    let mut seen = [false; 3];
-    for seed in [31u64, 77] {
+    // profiled ones, every neighbour settled (no window at all), an
+    // outsider step 1 had probed and rejected, and one whose window opened
+    // from the distance step 1's kernel returned for it.
+    let mut seen = [false; 5];
+    for seed in [20u64, 31, 77] {
         let (inner, q) = dataset(seed, 300, 25);
         let store = CountingStore { inner, probed: Mutex::new(Vec::new()) };
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
@@ -386,7 +393,12 @@ fn rss_probes_no_object_twice() {
         let k = 6usize;
         for (lo, hi) in [(0.3, 0.7), (0.2, 0.5), (0.6, 0.9)] {
             let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
+            store.probed.lock().unwrap().clear();
             let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
+            // What step 1 decoded and did not return.
+            let mut rejected = std::mem::take(&mut *store.probed.lock().unwrap());
+            let returned = step1.ids();
+            rejected.retain(|id| !returned.contains(id));
 
             for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
                 store.probed.lock().unwrap().clear();
@@ -401,19 +413,9 @@ fn rss_probes_no_object_twice() {
                 let reads = probed.len() as u64;
                 probed.sort_unstable();
                 probed.dedup();
-                if (lo, hi) == (0.3, 0.7) {
-                    assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
-                }
+                assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
                 assert_eq!(res.stats.object_accesses, reads, "{what}");
 
-                // Every step-1 neighbour lies within r of q, so the range scan
-                // returns it and its decoded object is reused.
-                let in_hand = step1.neighbors.len() as u64;
-                assert_eq!(
-                    res.stats.object_accesses,
-                    step1.stats.object_accesses + res.stats.candidates - in_hand,
-                    "{what}"
-                );
                 let settle = assert_settle_accounting(
                     &store.inner,
                     &q,
@@ -426,14 +428,26 @@ fn rss_probes_no_object_twice() {
                 for id in &settle.outsiders {
                     assert!(probed.binary_search(id).is_ok(), "{what}: {id} was never read");
                 }
+                // Every step-1 neighbour lies within r of q, so the range scan
+                // returns it and its decoded object is reused; so is every
+                // outsider step 1 probed and rejected.
+                let in_hand = step1.neighbors.len() as u64;
+                let reused = settle.outsiders.iter().filter(|id| rejected.contains(id)).count();
+                assert_eq!(
+                    res.stats.object_accesses,
+                    step1.stats.object_accesses + res.stats.candidates - in_hand - reused as u64,
+                    "{what}"
+                );
                 seen[0] |= !settle.dropped.is_empty();
                 seen[1] |= !settle.settled.is_empty() && !settle.profiled.is_empty();
                 seen[2] |= settle.profiled.is_empty() && !settle.dropped.is_empty();
+                seen[3] |= reused > 0;
+                seen[4] |= log.1.iter().any(|w| w.3.is_some() && settle.outsiders.contains(&w.0));
                 assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{what}");
             }
         }
     }
-    assert_eq!(seen, [true; 3], "a path of the settle step was never taken: pick other queries");
+    assert_eq!(seen, [true; 5], "a path of the settle step was never taken: pick other queries");
 }
 
 /// An RKNN answer down to the bits of every interval endpoint.
@@ -480,12 +494,18 @@ fn window_ranges(q: &FuzzyObject<2>) -> [(f64, f64); 4] {
 /// The two columns of [`counters`] RSS's settle step moves: it adds one
 /// bounded kernel call per outsider to `distance_evals` and takes the
 /// settled neighbours' and dropped outsiders' windows — or all of them — off
-/// `profile_computations`. Every other counter is the parent's.
+/// `profile_computations`.
 const SETTLE_COLUMNS: [usize; 2] = [2, 3];
 
+/// The column of [`counters`] RSS's reuse of step 1's rejected probes
+/// moves: `object_accesses`, and only down. Every other counter is the
+/// parent's.
+const READS_COLUMN: usize = 0;
+
 /// `rows` against the rows the commit before the settle step produced:
-/// equal outside [`SETTLE_COLUMNS`] for RSS and RSS-ICR, equal everywhere
-/// for every other algorithm.
+/// for RSS and RSS-ICR, equal outside [`SETTLE_COLUMNS`] and
+/// [`READS_COLUMN`], and no higher in the latter; equal everywhere for
+/// every other algorithm.
 fn assert_only_settle_columns_moved(
     what: &str,
     algos: &[RknnAlgorithm],
@@ -497,13 +517,17 @@ fn assert_only_settle_columns_moved(
         let algo = algos[i % algos.len()];
         let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
         for col in 0..7 {
-            if !(rss && SETTLE_COLUMNS.contains(&col)) {
+            if !(rss && (SETTLE_COLUMNS.contains(&col) || col == READS_COLUMN)) {
                 assert_eq!(row[col], old[col], "{what} row {i} ({}) column {col}", algo.name());
             }
         }
         if rss {
             assert!(row[3] <= row[6], "{what} row {i}: more profiles than candidates");
             assert!(row[2] >= old[2], "{what} row {i}: settle calls only add evaluations");
+            assert!(
+                row[READS_COLUMN] <= old[READS_COLUMN],
+                "{what} row {i}: reuse only saves reads"
+            );
         }
     }
 }
@@ -513,7 +537,8 @@ fn assert_only_settle_columns_moved(
 /// logical counters, summed over the queries
 /// per (range, algorithm), against the pinned rows; those against the rows
 /// the commit before the settle step produced with this same code, which
-/// may differ in [`SETTLE_COLUMNS`] of the RSS rows and nowhere else.
+/// may differ in [`SETTLE_COLUMNS`] and [`READS_COLUMN`] of the RSS rows
+/// and nowhere else.
 fn windowed_algorithms_equal_naive(
     what: &str,
     objects: Vec<FuzzyObject<2>>,
@@ -582,17 +607,17 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
     ];
     let pinned = [
         [76, 68, 76, 16, 343, 12, 0],
-        [25, 33, 25, 3, 100, 3, 22],
-        [25, 33, 25, 3, 100, 3, 22],
+        [23, 33, 25, 3, 100, 3, 22],
+        [23, 33, 25, 3, 100, 3, 22],
         [22, 18, 22, 15, 96, 3, 0],
-        [28, 36, 28, 0, 117, 3, 21],
-        [28, 36, 28, 0, 117, 3, 21],
+        [22, 36, 28, 0, 117, 3, 21],
+        [22, 36, 28, 0, 117, 3, 21],
         [703, 724, 703, 16, 3665, 119, 0],
-        [52, 41, 52, 39, 141, 3, 50],
-        [52, 41, 52, 39, 141, 3, 50],
+        [50, 41, 52, 39, 141, 3, 50],
+        [50, 41, 52, 39, 141, 3, 50],
         [198, 204, 198, 16, 1038, 33, 0],
-        [28, 36, 28, 5, 117, 3, 25],
-        [28, 36, 28, 5, 117, 3, 25],
+        [25, 36, 28, 5, 117, 3, 25],
+        [25, 36, 28, 5, 117, 3, 25],
     ];
     windowed_algorithms_equal_naive("synthetic", data.generate().collect(), &parent, &pinned);
 }
@@ -623,17 +648,17 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
     ];
     let pinned = [
         [293, 291, 293, 18, 1612, 45, 0],
-        [39, 40, 39, 14, 142, 3, 36],
-        [39, 40, 39, 14, 142, 3, 36],
+        [36, 40, 39, 14, 142, 3, 36],
+        [36, 40, 39, 14, 142, 3, 36],
         [18, 20, 18, 15, 106, 3, 0],
-        [19, 35, 19, 0, 122, 3, 16],
-        [19, 35, 19, 0, 122, 3, 16],
+        [18, 35, 19, 0, 122, 3, 16],
+        [18, 35, 19, 0, 122, 3, 16],
         [505, 539, 505, 18, 2919, 77, 0],
-        [50, 51, 50, 26, 168, 3, 45],
-        [50, 51, 50, 26, 168, 3, 45],
+        [45, 51, 50, 26, 168, 3, 45],
+        [45, 51, 50, 26, 168, 3, 45],
         [235, 218, 235, 17, 1197, 34, 0],
-        [39, 41, 39, 13, 142, 3, 36],
-        [39, 41, 39, 13, 142, 3, 36],
+        [36, 41, 39, 13, 142, 3, 36],
+        [36, 41, 39, 13, 142, 3, 36],
     ];
     windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent, &pinned);
 }
@@ -703,9 +728,9 @@ fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
 /// Who hands the window its top: RSS passes step 1's exact squared distance
 /// for each neighbour it still has to profile — also for one the lazy-probe
 /// search confirmed by its bounds alone and only the exact tail probed — and
-/// nothing for the outsiders it kept; a settled neighbour and a dropped
-/// outsider get no window; Basic passes nothing at all; Naive never asks for
-/// a window.
+/// for each kept outsider step 1 evaluated exactly, and nothing for the
+/// other outsiders it kept; a settled neighbour and a dropped outsider get
+/// no window; Basic passes nothing at all; Naive never asks for a window.
 #[test]
 fn rknn_rss_hands_step_one_distances_to_the_window() {
     let (store, q) = dataset(31, 300, 25);

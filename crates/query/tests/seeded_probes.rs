@@ -13,15 +13,22 @@
 //! there each probed object is its record's decoded columns rather than a
 //! constructed object, and neighbours, distances and logical counters
 //! must not be able to tell.
+//!
+//! The exact tail — `aknn_exact` probing each neighbour the search
+//! confirmed by its bounds alone — seeds that probe with the neighbour's
+//! own upper bound, and is held to the same bar.
 
 use fuzzy_core::distance::alpha_distance_brute;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, DistBound, QueryEngine, QueryStats};
+use fuzzy_query::{AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats};
 use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+mod common;
+use common::{KernelCall, RecordingL2};
 
 fn blob(id: u64, salt: u64, cx: f64, cy: f64) -> FuzzyObject<2> {
     let mut state = (id ^ salt.rotate_left(21)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -147,4 +154,80 @@ proptest! {
         }
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+/// `aknn_exact` under a recording metric: the answer and the kernel calls
+/// it made, in call order.
+fn exact_logged<S: ObjectStore<2>>(
+    engine: &QueryEngine<'_, RTree<2>, S, 2>,
+    q: &FuzzyObject<2>,
+    (k, alpha): (usize, f64),
+    cfg: &AknnConfig,
+) -> (AknnResult, Vec<KernelCall>) {
+    let metric = RecordingL2::default();
+    let res = engine
+        .aknn_exact_with_scratch_in(&metric, q, k, alpha, cfg, &mut QueryScratch::new())
+        .unwrap();
+    (res, metric.take().0)
+}
+
+/// The exact tail seeds each bound-confirmed neighbour's probe with its own
+/// upper bound, and that moves nothing: under `lb_lp_ub()` the neighbours,
+/// in order, and the squared distances the kernel returned for them are
+/// `.unseeded()`'s bit for bit, and over a `FileStore` every answer and
+/// logical counter is the `MemStore`'s.
+#[test]
+fn exact_tail_seeded_by_own_bound_agrees_with_unseeded() {
+    let cfg = AknnConfig::lb_lp_ub();
+    let logical = |s: &QueryStats| QueryStats { wall: Default::default(), ..*s };
+    let mut tail_probes = 0;
+    for salt in [3u64, 17, 29, 41] {
+        let store = dataset(60, salt);
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
+        let engine = QueryEngine::new(&tree, &store);
+        let (path, file_store) = on_disk(&store, salt);
+        let file_engine = QueryEngine::new(&tree, &file_store);
+        for (query_seed, k, alpha) in [(1u64, 3usize, 0.3), (2, 6, 0.5), (3, 10, 0.8), (4, 11, 0.1)]
+        {
+            let q = blob(1_000_000 + query_seed, salt, 12.0, 12.0);
+            let what = format!("salt {salt} k {k} α {alpha}");
+            let (seeded, seeded_log) = exact_logged(&engine, &q, (k, alpha), &cfg);
+            let (unseeded, unseeded_log) = exact_logged(&engine, &q, (k, alpha), &cfg.unseeded());
+            assert_eq!(seeded.ids(), unseeded.ids(), "{what}: neighbours or their order moved");
+
+            // The squared distance the kernel last returned for an id.
+            let d_sq = |log: &[KernelCall], id| {
+                log.iter().rev().find_map(|c| (c.0 == id).then_some(c.3).flatten()).unwrap()
+            };
+            for n in &seeded.neighbors {
+                let bits = d_sq(&seeded_log, n.id).to_bits();
+                assert_eq!(bits, d_sq(&unseeded_log, n.id).to_bits(), "{what}: {}", n.id);
+                assert_eq!(n.dist, DistBound::Exact(f64::from_bits(bits).sqrt()), "{what}");
+            }
+
+            // Who the search confirms by its bounds alone is who the tail
+            // probes: seeded, its first kernel call carries the
+            // neighbour's own bound; unseeded, no seed at all.
+            for (log, cfg) in [(&seeded_log, cfg), (&unseeded_log, cfg.unseeded())] {
+                for n in engine.aknn(&q, k, alpha, &cfg).unwrap().neighbors {
+                    let DistBound::Bounded { hi, .. } = n.dist else { continue };
+                    tail_probes += 1;
+                    let seed_sq = log.iter().find(|c| c.0 == n.id).unwrap().2;
+                    if cfg.seeded_probes {
+                        assert!(seed_sq.is_finite() && seed_sq >= hi * hi, "{what}: {}", n.id);
+                    } else {
+                        assert_eq!(seed_sq, f64::INFINITY, "{what}: {}", n.id);
+                    }
+                }
+            }
+
+            for (cfg, mem) in [(cfg, &seeded), (cfg.unseeded(), &unseeded)] {
+                let file = file_engine.aknn_exact(&q, k, alpha, &cfg).unwrap();
+                assert_eq!(file.neighbors, mem.neighbors, "{what}");
+                assert_eq!(logical(&file.stats), logical(&mem.stats), "{what}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+    assert!(tail_probes > 0, "no neighbour was confirmed by its bounds: pick other queries");
 }
