@@ -102,9 +102,11 @@ pub struct AknnConfig {
     /// Seed for the deterministic query-point sampling.
     pub sample_seed: u64,
     /// Abort the query with [`QueryError::DeadlineExceeded`] once this
-    /// instant passes. Checked at traversal expansion points (node reads,
-    /// object probes, refinement steps), so an overdue query stops burning
-    /// its worker within one expansion instead of running to completion.
+    /// instant passes. Checked before every node read and every object
+    /// probe — the best-first search's, the lazy-probe evictions', the
+    /// reads that make a bound-confirmed neighbour exact, RKNN's — and at
+    /// every refinement step, so an overdue query stops burning its worker
+    /// within one unit of work instead of running to completion.
     /// `None` (the default) never expires. The deadline changes which
     /// queries *finish*, never the answers of those that do.
     pub deadline: Option<Instant>,
@@ -206,7 +208,7 @@ pub struct SearchOutcome<const D: usize> {
     pub neighbors: Vec<FoundNeighbor<D>>,
     /// Execution costs of the search.
     pub stats: QueryStats,
-    /// Under `exact`, every object the search decoded and did not return,
+    /// Under `reuse`, every object the search decoded and did not return,
     /// ascending in id — RSS takes its outsiders from here before it reads
     /// the store. Empty otherwise.
     pub(crate) others: Vec<Decoded<D>>,
@@ -337,7 +339,7 @@ pub struct QueryScratch<const D: usize> {
     entries: Vec<EntrySlot<D>>,
     /// Every object probed: in flight or confirmed, by [`Item::Object`]
     /// index, with its exact squared distance; dominated, with `None`, and
-    /// only when the search is `exact` (nothing else reads them).
+    /// only when the search runs with `reuse` (nothing else reads them).
     probed: Vec<Decoded<D>>,
     samples: Vec<Point<D>>,
     seeds: SeedTracker,
@@ -438,7 +440,8 @@ impl SeedTracker {
 
 /// Abort with [`QueryError::DeadlineExceeded`] once `deadline` has passed.
 /// Called at expansion points: each node read of the best-first search,
-/// each object probe of the RKNN candidate collection, and each critical-
+/// each object probe (in [`probe_exact`], which every search probe passes
+/// through, and in RKNN's candidate collection), and each critical-
 /// probability step of the refinement loops. Those are the units of work
 /// between which a traversal can soundly stop, and each is coarse enough
 /// (a page decode, a distance evaluation) that the `Instant::now()` call
@@ -471,14 +474,15 @@ pub(crate) enum Probed<const D: usize> {
 }
 
 /// Retrieve one object and evaluate its exact α-distance, charging the
-/// stats. `own_hi_sq` is the entry's own (inflated) upper bound when known
+/// stats — first checking `deadline`, so no probe starts past it.
+/// `own_hi_sq` is the entry's own (inflated) upper bound when known
 /// and `tau_sq` the current k-th best upper bound — their minimum seeds
 /// the evaluation. τ is inflated by a few ulps before use, so a `None`
 /// under the τ seed implies the distance is **strictly** greater than τ:
 /// domination can never discard a candidate that exactly ties the k-th
 /// distance, and seeded answers match unseeded ones even on ties (e.g.
 /// duplicated objects). This single function serves the eager path, the
-/// lazy-probe eviction and the `exact` tail (the latter passes `+∞` for
+/// lazy-probe eviction and [`exact_neighbor`] (the latter passes `+∞` for
 /// τ), so the probe accounting cannot diverge between them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usize>(
@@ -489,8 +493,10 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     id: ObjectId,
     own_hi_sq: f64,
     tau_sq: f64,
+    deadline: Option<Instant>,
     stats: &mut QueryStats,
 ) -> Result<Probed<D>, QueryError> {
+    check_deadline(deadline)?;
     let probe = store.probe_traced(id)?;
     let obj = probe.object;
     stats.object_accesses += probe.disk_read as u64;
@@ -514,13 +520,45 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     }
 }
 
+/// Make one bound-confirmed neighbour exact: probe it, seeded with its own
+/// inflated bound `inflate_sq(hi²)` (`+∞` unseeded) and no τ, so it is never
+/// dominated, and attach the kernel's squared distance and the object. An
+/// exact neighbour is left as it is. The canonical exact AKNN and Basic
+/// RKNN call this for every neighbour the search returns, in confirmation
+/// order; RSS only where `r`, a settle test or a window needs the read. Debug
+/// builds assert `sqrt(d²) ≤ hi`, which RSS's unread neighbours rest on
+/// (the argument is in the `rknn` module docs).
+pub(crate) fn exact_neighbor<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
+    metric: &M,
+    store: &S,
+    q: &FuzzyObject<D>,
+    t: Threshold,
+    cfg: &AknnConfig,
+    n: &mut FoundNeighbor<D>,
+    stats: &mut QueryStats,
+) -> Result<(), QueryError> {
+    let DistBound::Bounded { hi, .. } = n.dist else { return Ok(()) };
+    let own_hi_sq = if cfg.seeded_probes { inflate_sq(hi * hi) } else { f64::INFINITY };
+    match probe_exact(metric, store, q, t, n.id, own_hi_sq, f64::INFINITY, cfg.deadline, stats)? {
+        Probed::Exact(d_sq, obj) => {
+            debug_assert!(d_sq.sqrt() <= hi, "{}: d⁺ {hi} below its distance", n.id);
+            n.dist = DistBound::Exact(d_sq.sqrt());
+            n.dist_sq = Some(d_sq);
+            n.object = Some(obj);
+        }
+        Probed::Dominated(_) => unreachable!("a probe without τ cannot be dominated"),
+    }
+    Ok(())
+}
+
 /// Core best-first search (the paper's Algorithm 1/2), generic over the
 /// index backend: confirm `k` neighbours, exact or bound-confirmed
-/// ([`DistBound::Bounded`]), in confirmation order. With `exact`, every
-/// bound-confirmed survivor is then probed, so all returned distances are
-/// exact with the decoded object attached (RKNN and the canonical exact
-/// form need this), and every other object the search decoded comes back
-/// in [`SearchOutcome::others`].
+/// ([`DistBound::Bounded`]), in confirmation order. An exact neighbour
+/// carries its kernel distance and decoded object; a bound-confirmed one
+/// was never read, and [`exact_neighbor`] reads it when a caller needs it.
+/// With `reuse`, every object the search decoded and did not return —
+/// dominated probes included — comes back in [`SearchOutcome::others`] for
+/// RSS to reuse.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -530,7 +568,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     k: usize,
     t: Threshold,
     cfg: &AknnConfig,
-    exact: bool,
+    reuse: bool,
     scratch: &mut QueryScratch<D>,
 ) -> Result<SearchOutcome<D>, QueryError> {
     if k == 0 {
@@ -626,11 +664,20 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 }
             }
             Item::Entry(idx) => {
-                check_deadline(cfg.deadline)?;
                 let id = entries[idx as usize].id;
                 if !cfg.lazy_probe {
                     let tau_sq = if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
-                    match probe_exact(metric, store, q, t, id, f64::INFINITY, tau_sq, &mut stats)? {
+                    match probe_exact(
+                        metric,
+                        store,
+                        q,
+                        t,
+                        id,
+                        f64::INFINITY,
+                        tau_sq,
+                        cfg.deadline,
+                        &mut stats,
+                    )? {
                         Probed::Exact(d_sq, obj) => {
                             if cfg.seeded_probes {
                                 seeds.insert(id, d_sq);
@@ -639,7 +686,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                             probed.push((id, Some(d_sq), obj));
                             heap.push(MinKey { key: d_sq, item });
                         }
-                        Probed::Dominated(obj) if exact => probed.push((id, None, obj)),
+                        Probed::Dominated(obj) if reuse => probed.push((id, None, obj)),
                         Probed::Dominated(_) => {}
                     }
                 } else {
@@ -677,7 +724,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                     while buffer.len() > k - out.len() {
                         evict(
                             heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg,
-                            exact, &mut stats,
+                            reuse, &mut stats,
                         )?;
                     }
                 }
@@ -688,7 +735,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 // capacity, and a full buffer might hide a closer candidate.
                 while !buffer.is_empty() && buffer.len() > k - out.len() - 1 {
                     evict(
-                        heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg, exact,
+                        heap, buffer, entries, probed, seeds, metric, store, q, t, k, cfg, reuse,
                         &mut stats,
                     )?;
                 }
@@ -709,21 +756,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     }
 
     let mut others = Vec::new();
-    if exact {
-        for n in &mut out {
-            let DistBound::Bounded { hi, .. } = n.dist else { continue };
-            // A bound-confirmed neighbour: its own bound seeds the kernel,
-            // as an evicted entry's does; with no τ it is never dominated.
-            let own_hi_sq = if cfg.seeded_probes { inflate_sq(hi * hi) } else { f64::INFINITY };
-            match probe_exact(metric, store, q, t, n.id, own_hi_sq, f64::INFINITY, &mut stats)? {
-                Probed::Exact(d_sq, obj) => {
-                    n.dist = DistBound::Exact(d_sq.sqrt());
-                    n.dist_sq = Some(d_sq);
-                    n.object = Some(obj);
-                }
-                Probed::Dominated(_) => unreachable!("a probe without τ cannot be dominated"),
-            }
-        }
+    if reuse {
         others.extend(probed.drain(..).filter(|(id, ..)| out.iter().all(|n| n.id != *id)));
         others.sort_unstable_by_key(|&(id, ..)| id);
     }
@@ -746,7 +779,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
 /// kept descending by lower bound): probe it and let its exact distance
 /// compete in H. A probe dominated under the τ seed is discarded — its
 /// live-bound entry was removed *before* τ was computed, so τ counts `k`
-/// other candidates — and its object kept only under `exact`.
+/// other candidates — and its object kept only under `reuse`.
 #[allow(clippy::too_many_arguments)]
 fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     heap: &mut BinaryHeap<MinKey<Item>>,
@@ -760,7 +793,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     t: Threshold,
     k: usize,
     cfg: &AknnConfig,
-    exact: bool,
+    reuse: bool,
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let victim = buffer.pop().expect("evict called on a non-empty buffer");
@@ -771,7 +804,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     } else {
         (f64::INFINITY, f64::INFINITY)
     };
-    match probe_exact(metric, store, q, t, id, own_hi_sq, tau_sq, stats)? {
+    match probe_exact(metric, store, q, t, id, own_hi_sq, tau_sq, cfg.deadline, stats)? {
         Probed::Exact(d_sq, obj) => {
             if cfg.seeded_probes {
                 seeds.insert(id, d_sq);
@@ -779,7 +812,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
             heap.push(MinKey { key: d_sq, item: Item::Object(probed.len() as u32) });
             probed.push((id, Some(d_sq), obj));
         }
-        Probed::Dominated(obj) if exact => probed.push((id, None, obj)),
+        Probed::Dominated(obj) if reuse => probed.push((id, None, obj)),
         Probed::Dominated(_) => {}
     }
     Ok(())

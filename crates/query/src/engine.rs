@@ -15,7 +15,7 @@
 //! specialized kernels, so answers and counters are byte-identical either
 //! way (the differential suites pin this).
 
-use crate::aknn::{search, AknnConfig, QueryScratch};
+use crate::aknn::{exact_neighbor, search, AknnConfig, QueryScratch};
 use crate::error::QueryError;
 use crate::result::{AknnResult, RknnResult};
 use crate::rknn::{self, RknnAlgorithm};
@@ -23,6 +23,7 @@ use fuzzy_core::metric::{Metric, L2};
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_index::NodeAccess;
 use fuzzy_store::ObjectStore;
+use std::time::Instant;
 
 /// `Threshold::at(alpha)` for a caller-supplied probability: `alpha` must
 /// lie in `(0, 1]`, anything else is a typed error rather than a panic.
@@ -167,8 +168,13 @@ impl<'a, I: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I,
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        let mut result: AknnResult =
-            search(metric, self.index, self.store, q, k, t, cfg, true, scratch)?.into();
+        let start = Instant::now();
+        let mut out = search(metric, self.index, self.store, q, k, t, cfg, false, scratch)?;
+        for n in &mut out.neighbors {
+            exact_neighbor(metric, self.store, q, t, cfg, n, &mut out.stats)?;
+        }
+        out.stats.wall = start.elapsed();
+        let mut result: AknnResult = out.into();
         result.neighbors.sort_by(|a, b| a.dist.hi().total_cmp(&b.dist.hi()).then(a.id.cmp(&b.id)));
         Ok(result)
     }

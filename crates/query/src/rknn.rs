@@ -23,9 +23,11 @@
 //! so they ask the metric for that window
 //! ([`Metric::distance_profile_window`]). A window opens with the distance
 //! at `αe`, and who already holds it decides what is handed over: RSS's
-//! step 1 is an exact AKNN at `αe`, so each of its neighbours arrives with
-//! the kernel's squared distance ([`FoundNeighbor::dist_sq`](crate::aknn::FoundNeighbor::dist_sq)) and its
-//! window starts from that, as does the window of a candidate step 1
+//! step 1 is the AKNN at `αe`, so a neighbour it probed arrives with the
+//! kernel's squared distance ([`FoundNeighbor::dist_sq`]) and its window
+//! starts from that; so does one it confirmed by its bounds alone, which
+//! RSS reads itself when it needs it (below) with the same seeded probe
+//! the exact AKNN uses, and so does the window of a candidate step 1
 //! probed, evaluated and did not return (`SearchOutcome::others`); the
 //! candidates step 1 never evaluated to the end (only step 2 found them,
 //! or the τ seed cut their kernel off), and every object in Basic (whose
@@ -38,8 +40,18 @@
 //! not need one. Lemma 3, which the range scan applies to lower bounds,
 //! decides more once it is applied to exact distances. Write `r = d_k(αe)`
 //! for step 1's radius, call step 1's `k` results the *neighbours* and the
-//! range candidates it did not return the *outsiders*. Before anything is
-//! profiled:
+//! range candidates it did not return the *outsiders*. A neighbour step 1
+//! confirmed by its bounds alone carries `hi = sqrt(d⁺²)` and no distance;
+//! it is read only where a decision needs its distance or its object. `d⁺`
+//! bounds the kernel's own squares — the max-box distance through monotone
+//! rounding, the §3.4 rep-to-sample distance because that pair is one of
+//! the kernel's — so its exact `d = sqrt(u_sq) ≤ hi` (debug builds assert
+//! it at every such read). First `r`: with `M` the largest exact step-1
+//! distance, a bound-confirmed neighbour with `hi > M` is read before `r`
+//! is taken; one with `hi ≤ M` cannot raise it (`d ≤ hi ≤ M`), so
+//! `r = max dist.hi()` has the bits of the largest exact distance. With
+//! fewer than `k` neighbours `r = ∞` and nothing is read for it. Then,
+//! before anything is profiled:
 //!
 //! 1. every outsider is taken from step 1 if its search decoded it, probed
 //!    otherwise, and asked one bounded kernel question,
@@ -49,10 +61,14 @@
 //!    kept `d²_αs`;
 //! 2. a neighbour whose exact distance at `αe` satisfies
 //!    `sqrt(u_sq) < sqrt(l_min_sq)` is **settled**: its answer is the whole
-//!    `[αs, αe]`;
-//! 3. only the unsettled neighbours and the kept outsiders get windows, and
-//!    the refinement runs over them with `k − settled` slots — or not at
-//!    all when no slot is open.
+//!    `[αs, αe]`. An unread neighbour with `hi < sqrt(l_min_sq)` settles
+//!    without a read (`sqrt(u_sq) ≤ hi`, so the rule above holds); any other
+//!    unread one is read and the rule decides on the kernel's bits, so the
+//!    settled set is the one the exact distances give;
+//! 3. only the unsettled neighbours — read by now, their windows opened from
+//!    the kernel's bits — and the kept outsiders get windows, and the
+//!    refinement runs over them with `k − settled` slots — or not at all
+//!    when no slot is open.
 //!
 //! **Why this is exact.** Every comparison the refinement makes is between
 //! `sqrt`s of pair minima, and on the window a profile's values lie between
@@ -82,17 +98,22 @@
 //! `r`, or one whose `d_αs` *equals* a neighbour's `d_αe`, may win a slot on
 //! the id tie-break and keeps the neighbour unsettled.
 //!
-//! **Counters.** `distance_evals` counts step 1's evaluations plus one per
-//! outsider (none when the guard fails); `profile_computations` counts the
-//! windows actually built — at most `candidates`, and 0 when every
-//! neighbour settles. Each object is read at most once per query: every
-//! object step 1 decoded, neighbour and rejected probe alike, is reused, so
-//! `object_accesses` is step 1's plus one per outsider step 1 never
-//! probed. How many candidates settle is a property of the data — how far
-//! `d_α` moves across the window against the spacing of the neighbours —
-//! not of the algorithm.
+//! **Counters.** `distance_evals` counts step 1's evaluations, one per
+//! bound-confirmed neighbour read, and one per outsider (none when the
+//! guard fails); `profile_computations` counts the windows actually built —
+//! at most `candidates`, and 0 when every neighbour settles. An object is
+//! read at most once per query, and a step-1 neighbour only when `r`, its
+//! settlement or its window needs it: every object step 1 decoded,
+//! neighbour and rejected probe alike, is reused, so `object_accesses` is
+//! step 1's, plus one per bound-confirmed neighbour read, plus one per
+//! outsider step 1 never probed. Against the exact AKNN at `αe` both
+//! counters fall by one per neighbour settled unread. How many candidates
+//! settle is a property of the data — how far `d_α` moves across the
+//! window against the spacing of the neighbours — not of the algorithm.
 
-use crate::aknn::{append_slots, check_deadline, search, AknnConfig, QueryScratch};
+use crate::aknn::{
+    append_slots, check_deadline, exact_neighbor, search, AknnConfig, FoundNeighbor, QueryScratch,
+};
 use crate::error::QueryError;
 use crate::interval::{Interval, IntervalSet};
 use crate::result::{RknnItem, RknnResult};
@@ -295,7 +316,7 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
 
     loop {
         check_deadline(cfg.deadline)?;
-        let out = search(metric, tree, store, q, k, t, cfg, true, scratch)?;
+        let mut out = search(metric, tree, store, q, k, t, cfg, false, scratch)?;
         stats.aknn_calls += 1;
         stats.object_accesses += out.stats.object_accesses;
         stats.node_accesses += out.stats.node_accesses;
@@ -307,8 +328,9 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         }
         // β_A = min{α' ∈ Ω_Q(A) | α' covers t}; α* = min over the set.
         let mut alpha_star = f64::INFINITY;
-        for n in &out.neighbors {
-            let obj = n.object.as_ref().expect("force_exact probes every neighbour");
+        for n in &mut out.neighbors {
+            exact_neighbor(metric, store, q, t, cfg, n, stats)?;
+            let obj = n.object.as_ref().expect("exact_neighbor reads every neighbour");
             // The search ran at `t`, not at α_e: its distance is no use
             // to the window.
             let beta = cache.get_or_compute(metric, obj, q, None).next_critical(t).unwrap_or(1.0);
@@ -344,7 +366,9 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     scratch: &mut QueryScratch<D>,
     stats: &mut QueryStats,
 ) -> Result<Vec<RknnItem>, QueryError> {
-    // Step 1 — AKNN at α_e gives the pruning radius r = d_k(α_e).
+    // Step 1 — AKNN at α_e gives the pruning radius r = d_k(α_e). A
+    // neighbour it confirmed by its bounds alone is read only where r, its
+    // settle test or its window needs the read (module docs).
     let t_end = Threshold::at(alpha_end);
     let out_end = search(metric, tree, store, q, k, t_end, cfg, true, scratch)?;
     stats.aknn_calls += 1;
@@ -353,10 +377,18 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     stats.node_disk_reads += out_end.stats.node_disk_reads;
     stats.distance_evals += out_end.stats.distance_evals;
     stats.bound_evals += out_end.stats.bound_evals;
-    let r = if out_end.neighbors.len() < k {
+    let mut neighbors = out_end.neighbors;
+    let r = if neighbors.len() < k {
         f64::INFINITY
     } else {
-        out_end.neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max)
+        // `d ≤ hi`: a bound-confirmed neighbour at or below the largest exact
+        // distance `M` cannot raise r; one above it is read first.
+        let exact = neighbors.iter().filter(|n| n.dist_sq.is_some());
+        let m = exact.map(|n| n.dist.hi()).fold(0.0, f64::max);
+        for n in neighbors.iter_mut().filter(|n| n.dist.hi() > m) {
+            exact_neighbor(metric, store, q, t_end, cfg, n, stats)?;
+        }
+        neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max)
     };
 
     // Step 2 — range search at α_s with radius r (Lemma 3: no object with
@@ -372,7 +404,6 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
 
     candidate_ids.sort_unstable();
     stats.candidates = candidate_ids.len() as u64;
-    let mut neighbors = out_end.neighbors;
     neighbors.sort_unstable_by_key(|n| n.id);
     debug_assert!(
         neighbors.iter().all(|n| candidate_ids.binary_search(&n.id).is_ok()),
@@ -430,13 +461,20 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     let window = |obj: &FuzzyObject<D>, top_sq| {
         metric.distance_profile_window(obj, q, alpha_start, alpha_end, top_sq)
     };
-    for n in neighbors {
-        if can_settle && n.dist_sq.is_some_and(|u_sq| u_sq.sqrt() < l_min) {
+    // `dist.hi()` is `sqrt(u_sq)` once a neighbour is exact, and bounds it
+    // before: a bound-confirmed neighbour below `l_min` settles unread; any
+    // other is read, and the rule decides on the kernel's bits.
+    let settles = |n: &FoundNeighbor<D>| can_settle && n.dist.hi() < l_min;
+    for mut n in neighbors {
+        if !settles(&n) {
+            exact_neighbor(metric, store, q, t_end, cfg, &mut n, stats)?;
+        }
+        if settles(&n) {
             acc.insert(n.id, IntervalSet::from_interval(Interval::closed(alpha_start, alpha_end)));
         } else {
-            // Step 1 holds the neighbour decoded *and* its exact squared
+            // The neighbour is decoded *and* holds its exact squared
             // distance at α_e — the top of the window.
-            let obj = n.object.expect("force_exact probes every neighbour");
+            let obj = n.object.expect("exact_neighbor reads the neighbour");
             profiles.push((n.id, window(&obj, n.dist_sq)));
         }
     }

@@ -10,11 +10,12 @@ use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::{RTree, RTreeConfig};
 use fuzzy_query::{
-    AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm,
-    RknnResult,
+    AknnConfig, AknnResult, DistBound, QueryEngine, QueryError, QueryScratch, QueryStats,
+    RknnAlgorithm, RknnResult,
 };
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 mod common;
 use common::{settle_calls, KernelCall, RecordingL2, Settle, Window};
@@ -263,15 +264,34 @@ fn k_exceeding_dataset_returns_all_objects() {
     assert_eq!(rknn.items.len(), 12);
 }
 
-/// A store that logs every probe, to count what one query reads.
+/// A store that logs every probe and when it started, to count what one
+/// query reads; each probe takes `delay` first.
 struct CountingStore {
     inner: MemStore<2>,
-    probed: Mutex<Vec<ObjectId>>,
+    delay: Duration,
+    probed: Mutex<Vec<(ObjectId, Instant)>>,
+}
+
+impl CountingStore {
+    fn new(inner: MemStore<2>, delay: Duration) -> Self {
+        Self { inner, delay, probed: Mutex::new(Vec::new()) }
+    }
+
+    /// The probes since the last call, in probe order.
+    fn take(&self) -> Vec<(ObjectId, Instant)> {
+        std::mem::take(&mut *self.probed.lock().unwrap())
+    }
+
+    /// The ids probed since the last call, in probe order.
+    fn take_ids(&self) -> Vec<ObjectId> {
+        self.take().into_iter().map(|(id, _)| id).collect()
+    }
 }
 
 impl ObjectStore<2> for CountingStore {
     fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<2>>, StoreError> {
-        self.probed.lock().unwrap().push(id);
+        self.probed.lock().unwrap().push((id, Instant::now()));
+        std::thread::sleep(self.delay);
         self.inner.probe(id)
     }
     fn len(&self) -> usize {
@@ -288,6 +308,18 @@ impl ObjectStore<2> for CountingStore {
     }
 }
 
+/// What RSS did with step 1's bound-confirmed neighbours, recomputed from
+/// the lazy step-1 answer at `hi` (`M` is the largest exact distance in it).
+#[derive(Debug, Default)]
+struct BoundConfirmed {
+    /// `hi ≤ M` and `hi < l_min`: settled on the bound, never read.
+    never_read: Vec<ObjectId>,
+    /// `hi > M`: read before `r` is taken.
+    above_m: Vec<ObjectId>,
+    /// `hi ≤ M` but not below `l_min`: read for the settle test.
+    unsettled: Vec<ObjectId>,
+}
+
 /// What the settle step may do, recomputed from unseeded kernel calls and
 /// held against what the recording metric saw: exactly one kernel call at
 /// `(αs, r_sq)` per outsider and none per step-1 neighbour, `None` exactly
@@ -295,24 +327,31 @@ impl ObjectStore<2> for CountingStore {
 /// neighbour (its top the kernel's bits at `αe`) and per kept outsider (top
 /// the kernel's bits at `αe` when step 1 evaluated it exactly, so that RSS
 /// took it from step 1, and `None` otherwise), none for a settled or a
-/// dropped id, and none at all when every neighbour settles;
-/// `distance_evals` and `profile_computations` count those calls. `step1`
-/// is the exact AKNN at `hi` the query starts with.
+/// dropped id, and none at all when every neighbour settles; no kernel call
+/// at all for a never-read bound-confirmed neighbour, whose oracle `d_αe` is
+/// strictly below `l_min`, and exactly one, seeded with its own bound, for
+/// every other; `distance_evals` and `profile_computations` count those
+/// calls. `step1` is the exact AKNN at `hi`, `lazy` the search RSS runs.
 fn assert_settle_accounting(
     store: &MemStore<2>,
     q: &FuzzyObject<2>,
     (k, lo, hi): (usize, f64, f64),
-    step1: &AknnResult,
+    (step1, lazy): (&AknnResult, &AknnResult),
     res: &RknnResult,
     (kernel, windows): &(Vec<KernelCall>, Vec<Window>),
     what: &str,
-) -> Settle {
+) -> (Settle, BoundConfirmed) {
     let exact_sq = |id: ObjectId, alpha: f64| {
         let obj = store.probe(id).unwrap();
         alpha_distance_sq_bounded(&obj, q, Threshold::at(alpha), f64::INFINITY).unwrap()
     };
     let neighbors = step1.ids();
     assert_eq!(neighbors.len(), k, "{what}");
+    let sorted = |mut ids: Vec<ObjectId>| {
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(sorted(lazy.ids()), sorted(neighbors.clone()), "{what}: other neighbours");
     let r = step1.neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max);
     let r_sq = r * r * (1.0 + 4.0 * f64::EPSILON);
     let settle = Settle::of(kernel, windows, lo, &neighbors);
@@ -334,6 +373,26 @@ fn assert_settle_accounting(
         assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {id}");
         if want.is_some() {
             l_min = l_min.min(d_sq.sqrt());
+        }
+    }
+
+    let can_settle = r_sq.sqrt() > r;
+    let exact = lazy.neighbors.iter().filter(|n| matches!(n.dist, DistBound::Exact(_)));
+    let m = exact.map(|n| n.dist.hi()).fold(0.0, f64::max);
+    let mut bound = BoundConfirmed::default();
+    for n in &lazy.neighbors {
+        let DistBound::Bounded { hi: b, .. } = n.dist else { continue };
+        let calls: Vec<&KernelCall> = kernel.iter().filter(|c| c.0 == n.id).collect();
+        if b <= m && can_settle && b < l_min {
+            let d = alpha_distance_brute(&store.probe(n.id).unwrap(), q, Threshold::at(hi));
+            assert!(d.unwrap() < l_min, "{what}: {} settled unread at {d:?} ≥ {l_min}", n.id);
+            assert!(calls.is_empty(), "{what}: never-read {} was evaluated", n.id);
+            bound.never_read.push(n.id);
+        } else {
+            assert_eq!(calls.len(), 1, "{what}: {} read once, evaluated once", n.id);
+            assert_eq!(calls[0].1, Threshold::at(hi), "{what}: {}", n.id);
+            assert!(calls[0].2.is_finite() && calls[0].2 >= b * b, "{what}: {} own bound", n.id);
+            if b > m { &mut bound.above_m } else { &mut bound.unsettled }.push(n.id);
         }
     }
 
@@ -364,27 +423,32 @@ fn assert_settle_accounting(
     assert!(res.stats.profile_computations <= res.stats.candidates, "{what}");
     assert_eq!(
         res.stats.distance_evals,
-        step1.stats.distance_evals + settle.outsiders.len() as u64,
+        step1.stats.distance_evals + settle.outsiders.len() as u64 - bound.never_read.len() as u64,
         "{what}"
     );
-    settle
+    (settle, bound)
 }
 
-/// RSS / RSS-ICR read each object at most once per query: every object
-/// step 1's AKNN decoded — the neighbours it returns and the probes it
-/// rejects alike — is reused, so only the range candidates it never
-/// decoded are probed, each exactly once whether it is then dropped, kept
-/// or never profiled because every neighbour settled.
+/// RSS / RSS-ICR read each object at most once per query, and a step-1
+/// neighbour only when `r`, its settlement or its window needs it: every
+/// object step 1's AKNN decoded — the neighbours it returns and the probes
+/// it rejects alike — is reused; a neighbour it confirmed by its bounds is
+/// read only when its bound exceeds the largest exact distance `M` or cannot
+/// settle it; and only the range candidates it never decoded are probed,
+/// each exactly once whether it is then dropped, kept or never profiled
+/// because every neighbour settled.
 #[test]
 fn rss_probes_no_object_twice() {
     // Seen at least once: an outsider dropped, neighbours settled beside
     // profiled ones, every neighbour settled (no window at all), an
-    // outsider step 1 had probed and rejected, and one whose window opened
-    // from the distance step 1's kernel returned for it.
-    let mut seen = [false; 5];
+    // outsider step 1 had probed and rejected, one whose window opened
+    // from the distance step 1's kernel returned for it, a bound-confirmed
+    // neighbour never read, one read because its bound exceeded `M`, and
+    // one read because its bound could not settle it.
+    let mut seen = [false; 8];
     for seed in [20u64, 31, 77] {
         let (inner, q) = dataset(seed, 300, 25);
-        let store = CountingStore { inner, probed: Mutex::new(Vec::new()) };
+        let store = CountingStore::new(inner, Duration::ZERO);
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         let cfg = AknnConfig::lb_lp_ub();
@@ -393,20 +457,21 @@ fn rss_probes_no_object_twice() {
         let k = 6usize;
         for (lo, hi) in [(0.3, 0.7), (0.2, 0.5), (0.6, 0.9)] {
             let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
-            store.probed.lock().unwrap().clear();
+            store.take();
             let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
             // What step 1 decoded and did not return.
-            let mut rejected = std::mem::take(&mut *store.probed.lock().unwrap());
+            let mut rejected = store.take_ids();
             let returned = step1.ids();
             rejected.retain(|id| !returned.contains(id));
+            let lazy = engine.aknn(&q, k, hi, &cfg).unwrap();
 
             for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
-                store.probed.lock().unwrap().clear();
+                store.take();
                 metric.take();
                 let res = engine
                     .rknn_with_scratch_in(&metric, &q, k, lo, hi, algo, &cfg, &mut scratch)
                     .unwrap();
-                let mut probed = std::mem::take(&mut *store.probed.lock().unwrap());
+                let mut probed = store.take_ids();
                 let log = metric.take();
                 let what = format!("seed {seed} k {k} [{lo}, {hi}] {}", algo.name());
 
@@ -416,11 +481,11 @@ fn rss_probes_no_object_twice() {
                 assert_eq!(probed.len() as u64, reads, "{what}: an object was probed twice");
                 assert_eq!(res.stats.object_accesses, reads, "{what}");
 
-                let settle = assert_settle_accounting(
+                let (settle, bound) = assert_settle_accounting(
                     &store.inner,
                     &q,
                     (k, lo, hi),
-                    &step1,
+                    (&step1, &lazy),
                     &res,
                     &log,
                     &what,
@@ -428,14 +493,25 @@ fn rss_probes_no_object_twice() {
                 for id in &settle.outsiders {
                     assert!(probed.binary_search(id).is_ok(), "{what}: {id} was never read");
                 }
+                for id in bound.above_m.iter().chain(&bound.unsettled) {
+                    assert!(probed.binary_search(id).is_ok(), "{what}: {id} was never read");
+                }
+                for id in &bound.never_read {
+                    assert!(probed.binary_search(id).is_err(), "{what}: {id} was read");
+                }
                 // Every step-1 neighbour lies within r of q, so the range scan
-                // returns it and its decoded object is reused; so is every
-                // outsider step 1 probed and rejected.
+                // returns it and, once decoded, it is reused; so is every
+                // outsider step 1 probed and rejected. A neighbour settled on
+                // its bound is never read at all.
                 let in_hand = step1.neighbors.len() as u64;
                 let reused = settle.outsiders.iter().filter(|id| rejected.contains(id)).count();
+                let never_read = bound.never_read.len() as u64;
                 assert_eq!(
                     res.stats.object_accesses,
-                    step1.stats.object_accesses + res.stats.candidates - in_hand - reused as u64,
+                    step1.stats.object_accesses + res.stats.candidates
+                        - in_hand
+                        - reused as u64
+                        - never_read,
                     "{what}"
                 );
                 seen[0] |= !settle.dropped.is_empty();
@@ -443,11 +519,41 @@ fn rss_probes_no_object_twice() {
                 seen[2] |= settle.profiled.is_empty() && !settle.dropped.is_empty();
                 seen[3] |= reused > 0;
                 seen[4] |= log.1.iter().any(|w| w.3.is_some() && settle.outsiders.contains(&w.0));
+                seen[5] |= never_read > 0;
+                seen[6] |= !bound.above_m.is_empty();
+                seen[7] |= !bound.unsettled.is_empty();
                 assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{what}");
             }
         }
     }
-    assert_eq!(seen, [true; 5], "a path of the settle step was never taken: pick other queries");
+    assert_eq!(seen, [true; 8], "a path of the settle step was never taken: pick other queries");
+}
+
+/// An overdue query stops probing: with each probe taking 3 ms and the
+/// deadline 1 ms away, no probe of the lazy AKNN (its evictions included),
+/// of the exact AKNN (the reads that make its bound-confirmed neighbours
+/// exact included) or of RSS starts more than 1 ms past the deadline, and
+/// each query returns `DeadlineExceeded` rather than an answer.
+#[test]
+fn an_overdue_query_starts_no_probe() {
+    let (inner, q) = dataset(20, 300, 25);
+    let tree = RTree::bulk_load(inner.summaries().to_vec(), RTreeConfig::default());
+    let store = CountingStore::new(inner, Duration::from_millis(3));
+    let engine = QueryEngine::new(&tree, &store);
+    let (k, alpha) = (10, 0.5);
+    let overdue = |what: &str, run: &dyn Fn(&AknnConfig) -> Result<(), QueryError>| {
+        store.take();
+        let deadline = Instant::now() + Duration::from_millis(1);
+        let got = run(&AknnConfig::lb_lp_ub().with_deadline(Some(deadline)));
+        let starts = store.take();
+        let late = starts.iter().filter(|p| p.1 > deadline + Duration::from_millis(1)).count();
+        assert_eq!(late, 0, "{what}: {late} of {} probes started past the deadline", starts.len());
+        assert!(matches!(got, Err(QueryError::DeadlineExceeded)), "{what}: {got:?}");
+    };
+    overdue("lazy AKNN", &|cfg| engine.aknn(&q, k, alpha, cfg).map(drop));
+    overdue("exact AKNN", &|cfg| engine.aknn_exact(&q, k, alpha, cfg).map(drop));
+    let rss = RknnAlgorithm::Rss;
+    overdue("RSS", &|cfg| engine.rknn(&q, k, 0.3, alpha, rss, cfg).map(drop));
 }
 
 /// An RKNN answer down to the bits of every interval endpoint.
@@ -502,48 +608,76 @@ const SETTLE_COLUMNS: [usize; 2] = [2, 3];
 /// parent's.
 const READS_COLUMN: usize = 0;
 
-/// `rows` against the rows the commit before the settle step produced:
-/// for RSS and RSS-ICR, equal outside [`SETTLE_COLUMNS`] and
-/// [`READS_COLUMN`], and no higher in the latter; equal everywhere for
-/// every other algorithm.
+/// The columns of [`counters`] that RSS's unread bound-confirmed neighbours
+/// move: each such neighbour is one probe and one kernel call fewer, so
+/// `object_accesses` and `distance_evals` fall together, by the same amount.
+const UNREAD_COLUMNS: [usize; 2] = [READS_COLUMN, 2];
+
+/// `reference` against the rows the commit before the settle step produced
+/// (`before_settle`): for RSS and RSS-ICR, equal outside [`SETTLE_COLUMNS`]
+/// and [`READS_COLUMN`], no lower in `distance_evals` (settle calls only
+/// add evaluations) and no higher in the latter; equal everywhere for every
+/// other algorithm. Then `rows` against `reference`: for RSS and RSS-ICR,
+/// equal outside [`UNREAD_COLUMNS`], no higher in either and lower by the
+/// same amount in both; equal everywhere for every other algorithm.
 fn assert_only_settle_columns_moved(
     what: &str,
     algos: &[RknnAlgorithm],
     rows: &[[u64; 7]],
-    parent: &[[u64; 7]],
+    reference: &[[u64; 7]],
+    before_settle: &[[u64; 7]],
 ) {
-    assert_eq!(rows.len(), parent.len());
-    for (i, (row, old)) in rows.iter().zip(parent).enumerate() {
+    assert_eq!(reference.len(), before_settle.len());
+    for (i, (row, old)) in reference.iter().zip(before_settle).enumerate() {
         let algo = algos[i % algos.len()];
         let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
         for col in 0..7 {
             if !(rss && (SETTLE_COLUMNS.contains(&col) || col == READS_COLUMN)) {
+                assert_eq!(row[col], old[col], "{what} reference row {i} column {col}");
+            }
+        }
+        if rss {
+            assert!(
+                row[2] >= old[2],
+                "{what} reference row {i}: settle calls only add evaluations"
+            );
+            assert!(
+                row[READS_COLUMN] <= old[READS_COLUMN],
+                "{what} reference row {i}: reuse only saves reads"
+            );
+        }
+    }
+    assert_eq!(rows.len(), reference.len());
+    for (i, (row, old)) in rows.iter().zip(reference).enumerate() {
+        let algo = algos[i % algos.len()];
+        let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
+        for col in 0..7 {
+            if !(rss && UNREAD_COLUMNS.contains(&col)) {
                 assert_eq!(row[col], old[col], "{what} row {i} ({}) column {col}", algo.name());
             }
         }
         if rss {
             assert!(row[3] <= row[6], "{what} row {i}: more profiles than candidates");
-            assert!(row[2] >= old[2], "{what} row {i}: settle calls only add evaluations");
-            assert!(
-                row[READS_COLUMN] <= old[READS_COLUMN],
-                "{what} row {i}: reuse only saves reads"
-            );
+            let [reads, evals] = UNREAD_COLUMNS.map(|col| {
+                assert!(row[col] <= old[col], "{what} row {i} column {col}: unread only saves");
+                old[col] - row[col]
+            });
+            assert_eq!(reads, evals, "{what} row {i}: a read saved without its evaluation");
         }
     }
 }
 
 /// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
 /// profiles — item for item, interval bit for interval bit — and their
-/// logical counters, summed over the queries
-/// per (range, algorithm), against the pinned rows; those against the rows
-/// the commit before the settle step produced with this same code, which
-/// may differ in [`SETTLE_COLUMNS`] and [`READS_COLUMN`] of the RSS rows
-/// and nowhere else.
+/// logical counters, summed over the queries per (range, algorithm),
+/// against the `pinned` rows; those against the `reference` rows of the
+/// commit before RSS left bound-confirmed neighbours unread, and those
+/// against the rows of the commit before the settle step, by the rules of
+/// [`assert_only_settle_columns_moved`].
 fn windowed_algorithms_equal_naive(
     what: &str,
     objects: Vec<FuzzyObject<2>>,
-    parent_counters: &[[u64; 7]; 12],
-    pinned_counters: &[[u64; 7]; 12],
+    [before_settle, reference, pinned]: [&[[u64; 7]; 12]; 3],
 ) {
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
@@ -572,13 +706,9 @@ fn windowed_algorithms_equal_naive(
             rows.push(sum);
         }
     }
-    assert_eq!(rows, pinned_counters, "{what}: counters moved");
-    assert_only_settle_columns_moved(
-        what,
-        &RknnAlgorithm::paper_variants(),
-        pinned_counters,
-        parent_counters,
-    );
+    assert_eq!(rows, pinned, "{what}: counters moved");
+    let algos = RknnAlgorithm::paper_variants();
+    assert_only_settle_columns_moved(what, &algos, pinned, reference, before_settle);
 }
 
 #[test]
@@ -591,7 +721,7 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         ..SyntheticConfig::default()
     };
     // Per range, in `paper_variants` order: Basic, RSS, RSS-ICR.
-    let parent = [
+    let before_settle = [
         [76, 68, 76, 16, 343, 12, 0],
         [25, 33, 18, 22, 100, 3, 22],
         [25, 33, 18, 22, 100, 3, 22],
@@ -604,22 +734,37 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [198, 204, 198, 16, 1038, 33, 0],
         [28, 36, 18, 25, 117, 3, 25],
         [28, 36, 18, 25, 117, 3, 25],
+    ];
+    let reference = [
+        [76, 68, 76, 16, 343, 12, 0],
+        [23, 33, 25, 3, 100, 3, 22],
+        [23, 33, 25, 3, 100, 3, 22],
+        [22, 18, 22, 15, 96, 3, 0],
+        [22, 36, 28, 0, 117, 3, 21],
+        [22, 36, 28, 0, 117, 3, 21],
+        [703, 724, 703, 16, 3665, 119, 0],
+        [50, 41, 52, 39, 141, 3, 50],
+        [50, 41, 52, 39, 141, 3, 50],
+        [198, 204, 198, 16, 1038, 33, 0],
+        [25, 36, 28, 5, 117, 3, 25],
+        [25, 36, 28, 5, 117, 3, 25],
     ];
     let pinned = [
         [76, 68, 76, 16, 343, 12, 0],
-        [23, 33, 25, 3, 100, 3, 22],
-        [23, 33, 25, 3, 100, 3, 22],
+        [20, 33, 22, 3, 100, 3, 22],
+        [20, 33, 22, 3, 100, 3, 22],
         [22, 18, 22, 15, 96, 3, 0],
-        [22, 36, 28, 0, 117, 3, 21],
-        [22, 36, 28, 0, 117, 3, 21],
+        [21, 36, 27, 0, 117, 3, 21],
+        [21, 36, 27, 0, 117, 3, 21],
         [703, 724, 703, 16, 3665, 119, 0],
-        [50, 41, 52, 39, 141, 3, 50],
-        [50, 41, 52, 39, 141, 3, 50],
+        [47, 41, 49, 39, 141, 3, 50],
+        [47, 41, 49, 39, 141, 3, 50],
         [198, 204, 198, 16, 1038, 33, 0],
-        [25, 36, 28, 5, 117, 3, 25],
-        [25, 36, 28, 5, 117, 3, 25],
+        [19, 36, 22, 5, 117, 3, 25],
+        [19, 36, 22, 5, 117, 3, 25],
     ];
-    windowed_algorithms_equal_naive("synthetic", data.generate().collect(), &parent, &pinned);
+    let rows = [&before_settle, &reference, &pinned];
+    windowed_algorithms_equal_naive("synthetic", data.generate().collect(), rows);
 }
 
 #[test]
@@ -632,7 +777,7 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         seed: 21,
         ..CellConfig::default()
     };
-    let parent = [
+    let before_settle = [
         [293, 291, 293, 18, 1612, 45, 0],
         [39, 40, 18, 36, 142, 3, 36],
         [39, 40, 18, 36, 142, 3, 36],
@@ -645,22 +790,37 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [235, 218, 235, 17, 1197, 34, 0],
         [39, 41, 18, 36, 142, 3, 36],
         [39, 41, 18, 36, 142, 3, 36],
+    ];
+    let reference = [
+        [293, 291, 293, 18, 1612, 45, 0],
+        [36, 40, 39, 14, 142, 3, 36],
+        [36, 40, 39, 14, 142, 3, 36],
+        [18, 20, 18, 15, 106, 3, 0],
+        [18, 35, 19, 0, 122, 3, 16],
+        [18, 35, 19, 0, 122, 3, 16],
+        [505, 539, 505, 18, 2919, 77, 0],
+        [45, 51, 50, 26, 168, 3, 45],
+        [45, 51, 50, 26, 168, 3, 45],
+        [235, 218, 235, 17, 1197, 34, 0],
+        [36, 41, 39, 13, 142, 3, 36],
+        [36, 41, 39, 13, 142, 3, 36],
     ];
     let pinned = [
         [293, 291, 293, 18, 1612, 45, 0],
-        [36, 40, 39, 14, 142, 3, 36],
-        [36, 40, 39, 14, 142, 3, 36],
+        [29, 40, 32, 14, 142, 3, 36],
+        [29, 40, 32, 14, 142, 3, 36],
         [18, 20, 18, 15, 106, 3, 0],
-        [18, 35, 19, 0, 122, 3, 16],
-        [18, 35, 19, 0, 122, 3, 16],
+        [12, 35, 13, 0, 122, 3, 16],
+        [12, 35, 13, 0, 122, 3, 16],
         [505, 539, 505, 18, 2919, 77, 0],
-        [45, 51, 50, 26, 168, 3, 45],
-        [45, 51, 50, 26, 168, 3, 45],
+        [39, 51, 44, 26, 168, 3, 45],
+        [39, 51, 44, 26, 168, 3, 45],
         [235, 218, 235, 17, 1197, 34, 0],
-        [36, 41, 39, 13, 142, 3, 36],
-        [36, 41, 39, 13, 142, 3, 36],
+        [29, 41, 32, 13, 142, 3, 36],
+        [29, 41, 32, 13, 142, 3, 36],
     ];
-    windowed_algorithms_equal_naive("cell", data.generate().collect(), &parent, &pinned);
+    let rows = [&before_settle, &reference, &pinned];
+    windowed_algorithms_equal_naive("cell", data.generate().collect(), rows);
 }
 
 /// `L2` with every hook but the window one, the shape of a wrapper that
@@ -727,7 +887,7 @@ fn rknn_under_a_metric_without_a_window_hook_is_unchanged() {
 
 /// Who hands the window its top: RSS passes step 1's exact squared distance
 /// for each neighbour it still has to profile — also for one the lazy-probe
-/// search confirmed by its bounds alone and only the exact tail probed — and
+/// search confirmed by its bounds alone and only RSS itself read — and
 /// for each kept outsider step 1 evaluated exactly, and nothing for the
 /// other outsiders it kept; a settled neighbour and a dropped outsider get
 /// no window; Basic passes nothing at all; Naive never asks for a window.
@@ -750,8 +910,8 @@ fn rknn_rss_hands_step_one_distances_to_the_window() {
     let (naive, (kernel, windows)) = run(RknnAlgorithm::Naive);
     assert!(kernel.is_empty() && windows.is_empty(), "Naive profiles the full range");
 
-    // Step 1 as RSS runs it, without the exact tail: whoever comes back
-    // `Bounded` was never probed by the search itself.
+    // Step 1 as RSS runs it: whoever comes back `Bounded` was never probed
+    // by the search itself.
     let lazy = engine.aknn(&q, k, hi, &cfg).unwrap();
     let unprobed: Vec<ObjectId> = lazy
         .neighbors
@@ -765,7 +925,8 @@ fn rknn_rss_hands_step_one_distances_to_the_window() {
         let (res, log) = run(algo);
         let what = algo.name();
         assert_eq!(rknn_bits(&res), rknn_bits(&naive), "{what}");
-        let settle = assert_settle_accounting(&store, &q, (k, lo, hi), &step1, &res, &log, what);
+        let (settle, _) =
+            assert_settle_accounting(&store, &q, (k, lo, hi), (&step1, &lazy), &res, &log, what);
         assert!(
             unprobed.iter().any(|id| settle.profiled.contains(id)),
             "{what}: no bound-confirmed neighbour was left to profile: pick another dataset"

@@ -15,8 +15,9 @@
 //! must not be able to tell.
 //!
 //! The exact tail — `aknn_exact` probing each neighbour the search
-//! confirmed by its bounds alone — seeds that probe with the neighbour's
-//! own upper bound, and is held to the same bar.
+//! confirmed by its bounds alone, with the probe RSS makes of such a
+//! neighbour when it needs one — seeds that probe with the neighbour's own
+//! upper bound, and is held to the same bar.
 
 use fuzzy_core::distance::alpha_distance_brute;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
