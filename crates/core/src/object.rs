@@ -633,12 +633,24 @@ impl<const D: usize> FuzzyObject<D> {
     /// `n` point indices from the cut at `t`; fewer when the cut is smaller.
     /// Used to build the query sample set `Q'_α` of §3.4.
     pub fn sample_cut_indices(&self, t: Threshold, n: usize, seed: u64) -> Vec<usize> {
-        let cut = self.cut_indices(t);
-        if cut.len() <= n {
-            return cut;
+        let mut idx = Vec::new();
+        self.sample_cut_indices_into(t, n, seed, &mut idx);
+        idx
+    }
+
+    /// [`Self::sample_cut_indices`] into a caller's buffer, which is
+    /// cleared first and keeps its capacity: the same cut index list, the
+    /// same LCG, the same samples. The AKNN search fills one its scratch
+    /// keeps, so drawing `Q'_α` allocates nothing in steady state.
+    pub fn sample_cut_indices_into(&self, t: Threshold, n: usize, seed: u64, idx: &mut Vec<usize>) {
+        idx.clear();
+        idx.extend(
+            self.memberships().iter().enumerate().filter(|&(_, &mu)| t.accepts(mu)).map(|(i, _)| i),
+        );
+        if idx.len() <= n {
+            return;
         }
         // Partial Fisher–Yates over the cut index vector.
-        let mut idx = cut;
         let mut state = seed | 1;
         let mut next = move |bound: usize| {
             state ^= state << 13;
@@ -651,7 +663,6 @@ impl<const D: usize> FuzzyObject<D> {
             idx.swap(i, j);
         }
         idx.truncate(n);
-        idx
     }
 
     /// Point accessor.

@@ -29,7 +29,7 @@
 //! scans stop at the first rejected membership instead of testing every
 //! point.
 //!
-//! **One search.** [`KdTree::min_dist_sq_within`] is the tree's only
+//! **Two searches.** [`KdTree::min_dist_sq_within`] is the tree's main
 //! query: the smallest squared distance from a point to a point passing a
 //! [`LevelFilter`], strictly below a cap, or `None`. The α-distance kernel
 //! and the profile sweep chain it — both minimise over pairs and never read
@@ -37,6 +37,16 @@
 //! search pays for nothing an index would need: a subtree *at* the best
 //! distance is pruned (it cannot lower a minimum), a child's box is tested
 //! before the call into it, and a leaf is one lane min-reduction.
+//! [`KdTree::any_within_box_sq`] is the other: does any point passing a
+//! filter lie strictly within a cap of a *box*? The AKNN probe gate asks it
+//! of an entry's support MBR before reading the entry. It prunes a subtree
+//! on the squared gap between its box and the query box and on `max_µ`,
+//! scans leaf prefixes point by point, and stops at the first point under
+//! the cap. A point's gap is [`Point::dist_sq_to_box`]'s, and a node's gap
+//! is never above the gap of any point inside it (per dimension the
+//! subtraction is against a node bound no nearer the box, and correctly
+//! rounded subtraction is monotone), so a pruned subtree holds no point the
+//! scan would have accepted: the answer is the brute scan's, bit for bit.
 //!
 //! **The O(1) no.** Chained searches mostly fail: once the running best is
 //! below the tree's own point spacing, nearly every further search pays a
@@ -300,7 +310,7 @@ impl<const D: usize> KdTree<D> {
     /// evaluators) start each probe from the running best, so a search that
     /// cannot improve it ends at the root — or, with a cap below the
     /// tree's point spacing, at the occupancy bitmap (module docs, "The
-    /// O(1) no"). This is the tree's one search: it carries no index.
+    /// O(1) no"). It carries no index.
     pub fn min_dist_sq_within(
         &self,
         q: &Point<D>,
@@ -316,6 +326,71 @@ impl<const D: usize> KdTree<D> {
             self.descend(root, q, filter, &mut best);
         }
         (best < cap_sq).then_some(best)
+    }
+
+    /// Capped box existence: true when some point passing `filter` has a
+    /// squared gap to the box `[lo, hi]` — [`Point::dist_sq_to_box`] —
+    /// *strictly* below `cap_sq`. A point inside the box has gap 0, so any
+    /// positive cap finds it; a cap of 0 or NaN finds nothing. Subtrees are
+    /// pruned on their box's gap to `[lo, hi]` and on `max_µ`, and the
+    /// search returns at the first point under the cap (module docs, "Two
+    /// searches": why the pruning is exact).
+    pub fn any_within_box_sq(
+        &self,
+        lo: &[f64; D],
+        hi: &[f64; D],
+        filter: LevelFilter,
+        cap_sq: f64,
+    ) -> bool {
+        self.any_in(self.root_ref(), lo, hi, filter, cap_sq)
+    }
+
+    /// [`Self::any_within_box_sq`] over the subtree at `node`.
+    fn any_in(
+        &self,
+        node: NodeRef,
+        lo: &[f64; D],
+        hi: &[f64; D],
+        filter: LevelFilter,
+        cap_sq: f64,
+    ) -> bool {
+        let reachable = filter.accepts(self.max_mu[node.id as usize])
+            && self.node_gap_sq(node, lo, hi) < cap_sq;
+        if !reachable {
+            return false;
+        }
+        if node.is_leaf() {
+            let start = node.start as usize;
+            let p = self.leaf_prefix_len(node, filter);
+            return (start..start + p).any(|j| {
+                let pt = Point::new(std::array::from_fn(|d| self.cols[d * self.len + j]));
+                pt.dist_sq_to_box(lo, hi) < cap_sq
+            });
+        }
+        let (left, right) = node.children();
+        self.any_in(left, lo, hi, filter, cap_sq) || self.any_in(right, lo, hi, filter, cap_sq)
+    }
+
+    /// Squared gap between `node`'s box and the box `[lo, hi]`: per
+    /// dimension the distance between the two intervals (0 when they
+    /// meet), squared and summed in dimension order. No point of the node
+    /// has a smaller [`Point::dist_sq_to_box`].
+    #[inline]
+    fn node_gap_sq(&self, node: NodeRef, lo: &[f64; D], hi: &[f64; D]) -> f64 {
+        let b = node.id as usize * 2 * D;
+        let (nlo, nhi) = (&self.bounds[b..b + D], &self.bounds[b + D..b + 2 * D]);
+        let mut acc = 0.0;
+        for i in 0..D {
+            let g = if nhi[i] < lo[i] {
+                lo[i] - nhi[i]
+            } else if nlo[i] > hi[i] {
+                nlo[i] - hi[i]
+            } else {
+                0.0
+            };
+            acc += g * g;
+        }
+        acc
     }
 
     /// The descent below `node`, whose filter and box tests the caller has

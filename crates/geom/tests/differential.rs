@@ -1,7 +1,8 @@
 //! The kernel-equivalence differential suite: the flat implicit
-//! [`KdTree`]'s one search, `min_dist_sq_within`, must return
+//! [`KdTree`]'s point search, `min_dist_sq_within`, must return
 //! **bit-identical** distances to the arena tree ([`ArenaKdTree`], kept in
-//! `tests/arena/`) and to a brute-force oracle, across point counts
+//! `tests/arena/`) and to a brute-force oracle, and its box search,
+//! `any_within_box_sq`, the brute scan's verdict, across point counts
 //! straddling every leaf-size boundary, α levels, strictness,
 //! dimensionalities, and adversarial inputs (NaN coordinates, degenerate
 //! membership distributions, duplicated points).
@@ -13,6 +14,10 @@
 //!   any cap, the caps and query points that straddle every threshold of
 //!   the tree's occupancy bitmap (the O(1) "no" in front of the descent)
 //!   included — regardless of tree shape or traversal order;
+//! * the box search answers true exactly when some accepted point's
+//!   squared gap to the box is strictly below the cap — at caps of 0, the
+//!   smallest normal, +∞ and NaN too, and for boxes degenerate to a point
+//!   or a segment;
 //! * points with NaN coordinates never win and never poison an answer
 //!   (their candidate distance is NaN, which every evaluator ignores the
 //!   same way).
@@ -268,6 +273,99 @@ fn distance_only_search_ignores_ties_and_empty_filters() {
     }
 }
 
+/// Brute-force oracle of the box search: does an accepted point have a
+/// squared gap to `[lo, hi]` strictly below `cap_sq`?
+fn brute_any_within_box<const D: usize>(
+    pts: &[Point<D>],
+    mus: &[f64],
+    (lo, hi): (&[f64; D], &[f64; D]),
+    f: LevelFilter,
+    cap_sq: f64,
+) -> bool {
+    pts.iter().zip(mus).any(|(p, &mu)| f.accepts(mu) && p.dist_sq_to_box(lo, hi) < cap_sq)
+}
+
+/// The box search against the brute scan for one cloud, under all six
+/// filters: degenerate boxes (a point of the cloud, a point off it, a
+/// segment), boxes around the cloud and around a few of its points, boxes
+/// with a point exactly on a face, and boxes far away; at caps of 0, the
+/// smallest normal, the smallest gap itself and the next float either
+/// side, half of it, finite values, +∞ and NaN.
+fn check_box_search<const D: usize>(pts: &[Point<D>], mus: &[f64], tag: &str) {
+    let tree = KdTree::build(pts, mus);
+    let (lo, hi) = (*tree.mbr().lo_coords(), *tree.mbr().hi_coords());
+    let mut rng = Mix(0xB0C5 ^ pts.len() as u64);
+    let at = |p: &Point<D>, dx: f64| -> [f64; D] { std::array::from_fn(|d| p.coords()[d] + dx) };
+    let mut boxes: Vec<([f64; D], [f64; D])> = vec![(lo, hi)];
+    for i in [0, pts.len() / 2, pts.len() - 1] {
+        let p = &pts[i];
+        boxes.push((*p.coords(), *p.coords()));
+        boxes.push((at(p, 0.25), at(p, 0.25)));
+        boxes.push((at(p, -0.5), at(p, 0.5)));
+        // `p` on the low face of the first dimension, the box reaching away.
+        let mut face_hi = at(p, 1.0);
+        face_hi[0] = p.coords()[0] + 3.0;
+        boxes.push((*p.coords(), face_hi));
+        // `p` on the high face, the box below it in every dimension.
+        boxes.push((at(p, -2.0), *p.coords()));
+        // A segment through `p`'s first coordinate.
+        let mut seg_lo = at(p, -1.0);
+        let mut seg_hi = at(p, 1.0);
+        seg_lo[0] = p.coords()[0];
+        seg_hi[0] = p.coords()[0];
+        boxes.push((seg_lo, seg_hi));
+    }
+    for _ in 0..4 {
+        let a: [f64; D] = std::array::from_fn(|_| rng.f64() * 30.0 - 15.0);
+        let b: [f64; D] = std::array::from_fn(|d| a[d] + rng.f64() * 4.0);
+        boxes.push((a, b));
+    }
+    boxes.push(([40.0; D], [41.0; D]));
+    boxes.push(([-1e6; D], [-1e6; D]));
+
+    for f in FILTERS {
+        for &(blo, bhi) in &boxes {
+            let gap = pts
+                .iter()
+                .zip(mus)
+                .filter(|&(_, &mu)| f.accepts(mu))
+                .map(|(p, _)| p.dist_sq_to_box(&blo, &bhi))
+                .fold(f64::INFINITY, f64::min);
+            let mut caps = vec![0.0, f64::MIN_POSITIVE, 1.0, 50.0, f64::INFINITY, f64::NAN];
+            if gap.is_finite() {
+                caps.extend([gap, f64::from_bits(gap.to_bits() + 1), gap * 0.5]);
+                if gap > 0.0 {
+                    caps.push(f64::from_bits(gap.to_bits() - 1));
+                }
+            }
+            for cap in caps {
+                let want = brute_any_within_box(pts, mus, (&blo, &bhi), f, cap);
+                let got = tree.any_within_box_sq(&blo, &bhi, f, cap);
+                assert_eq!(got, want, "{tag}: f={f:?} box={blo:?}..{bhi:?} cap={cap:e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn box_search_matches_brute_scan() {
+    for n in [1usize, 16, 17, 1000] {
+        let seed = 800 + n as u64;
+        for shape in [MuShape::Continuous, MuShape::Quantized, MuShape::AllOnes] {
+            let (pts, mus) = cloud::<2>(seed, n, shape, 0, 0);
+            check_box_search(&pts, &mus, &format!("2d n={n} {shape:?}"));
+        }
+        let (pts, mus) = cloud::<3>(seed, n, MuShape::Quantized, 0, 0);
+        check_box_search(&pts, &mus, &format!("3d n={n}"));
+        let (pts, mus) = cloud::<2>(seed, n, MuShape::Quantized, 0, 2);
+        check_box_search(&pts, &mus, &format!("dup n={n}"));
+    }
+    // Every point equal: one degenerate node box, the box search's
+    // zero-extent case on the tree's side.
+    let mus: Vec<f64> = (0..40).map(|i| if i % 3 == 0 { 1.0 } else { 0.4 }).collect();
+    check_box_search(&vec![Point::xy(4.25, -1.5); 40], &mus, "all-equal");
+}
+
 /// The occupancy bitmap against the arena and the oracle, for one cloud under all six
 /// filters. The grid is recomputed here from its documented geometry —
 /// `w` the smallest integer with `w^D ≥ 128·n` (at most 2 048), cell side
@@ -404,6 +502,25 @@ proptest! {
         let want = brute_min(&pts, &mus, &q, f, cap).map(f64::to_bits);
         prop_assert_eq!(want, flat.min_dist_sq_within(&q, f, cap).map(f64::to_bits));
         prop_assert_eq!(want, arena.min_dist_sq_within(&q, f, cap).map(f64::to_bits));
+    }
+
+    /// Random clouds, boxes and caps: the box search is the brute scan's
+    /// verdict.
+    #[test]
+    fn random_box_searches_agree(
+        (pts, mus) in arb_cloud2(120),
+        (bx, by) in (-60.0..60.0f64, -60.0..60.0f64),
+        (w, h) in (0.0..20.0f64, 0.0..20.0f64),
+        lvl in 0.0..=1.0f64,
+        strict in any::<bool>(),
+        cap in 0.0..500.0f64,
+    ) {
+        let cap = if cap < 400.0 { cap } else { f64::INFINITY };
+        let (lo, hi) = ([bx, by], [bx + w, by + h]);
+        let f = LevelFilter { min: lvl, strict };
+        let tree = KdTree::build(&pts, &mus);
+        let want = brute_any_within_box(&pts, &mus, (&lo, &hi), f, cap);
+        prop_assert_eq!(want, tree.any_within_box_sq(&lo, &hi, f, cap));
     }
 }
 

@@ -19,15 +19,16 @@
 //! ([`LeafView`]), never as per-entry structs: one column pass per leaf
 //! ([`append_slots`]) writes every entry's id, bound box (under `LB` the
 //! Eq. 2 approximate cut MBR, bit for bit
-//! [`fuzzy_core::ObjectSummary::approx_cut_mbr`]; else the support MBR)
-//! and kernel representative into a per-query arena — 56 bytes a slot at
-//! `D = 2` — and then every live entry's `d⁻` is scored and pushed, in
-//! entry order, so the heap sees the same pushes and pops a per-entry loop
-//! made. The box is computed once and reused by the lower *and* upper
-//! bound. Heap items are 16 bytes — a squared key and a tagged `u32` —
-//! naming a node, an arena slot, or a probed object kept in a side arena.
-//! All transient state lives in a reusable [`QueryScratch`], so
-//! steady-state queries allocate nothing.
+//! [`fuzzy_core::ObjectSummary::approx_cut_mbr`]; else the support MBR),
+//! kernel representative and support MBR into a per-query arena — 88 bytes
+//! a slot at `D = 2` — and then every live entry's `d⁻` is scored and
+//! pushed, in entry order, so the heap sees the same pushes and pops a
+//! per-entry loop made. The box is computed once and reused by the lower
+//! *and* upper bound. Heap items are 16 bytes — a squared key and a tagged
+//! `u32` — naming a node, an arena slot, or a probed object kept in a side
+//! arena. All transient state — the query sample `Q'_α` included — lives
+//! in a reusable [`QueryScratch`], so in steady state a query allocates
+//! only its answer `Vec` and the objects the store decodes for it.
 //!
 //! ### Metric-generic pruning
 //!
@@ -52,6 +53,47 @@
 //! without ever finishing its kernel call (the documented `None`-on-seed
 //! contract of the kernel).
 //!
+//! ### Probe gate
+//!
+//! A dominated probe still costs a read. The heap key `d⁻` is box against
+//! box (§3.2), but when a probe is due the query itself is in memory, so
+//! `probe_exact` first tests the query's *points* against the entry's box
+//! — wherever the kernel's `None` would mean dominated: τ finite and the τ
+//! seed `τ_eff` (τ inflated, as above) the binding one, `τ_eff ≤` the
+//! entry's own bound. If no point of the query's cut under `t` — the cut the
+//! kernel would scan — has a squared gap to the entry's **support MBR**
+//! strictly below `τ_eff`, the probe ends there, dominated: no read, no
+//! kernel call, no object; `object_accesses` and `distance_evals` are not
+//! charged, and the test itself is one `bound_evals`. Once the kernel has
+//! built the query's kd-tree the test is the tree's capped box search
+//! ([`fuzzy_geom::KdTree::any_within_box_sq`]); before that, one pass over
+//! the cut in whichever view the query holds. Nothing is built for it.
+//!
+//! *Why the answer is the kernel's, bit for bit.* The support MBR is the
+//! exact per-dimension minimum and maximum of the object's points, so it
+//! contains every point of every cut bitwise. For a cut point `a` in the box
+//! and a query point `q`, per dimension the gap `lo_d − q_d` (or
+//! `q_d − hi_d`, or 0) is at most `|a_d − q_d|` as computed, because
+//! correctly rounded subtraction is monotone, and so is squaring; the gaps'
+//! squares are summed in dimension order from 0, as the kernel sums a pair's
+//! `d²`, and rounded addition of non-negative terms is monotone too. So
+//! every pair's computed `d²` is at least the gap sum, hence at least
+//! `τ_eff`, and the kernel seeded with `τ_eff` — which keeps only pairs
+//! strictly below its seed — would return `None`, the dominated outcome
+//! the read would have led to. The heap, the buffer, the seed tracker and
+//! the confirmation order end up exactly as with the read; only counters
+//! move. The Eq. 2 box is tighter but not sound bitwise — it holds its cut
+//! only to within a rounding (a point can lie 1e-17 outside it), so a gate
+//! on it could drop a `d = 0` tie between duplicated objects — hence
+//! [`EntrySlot`] carries the support MBR beside its bound box.
+//!
+//! The gate is Euclidean (the gap is an L2 box distance) and stays outside
+//! the [`Metric`] seam, so a wrapper that observes the kernel sees the reads
+//! an unwrapped run makes. It never runs under `reuse`: RSS wants every
+//! dominated object of its step 1 decoded, since its refinement would read a
+//! skipped one again. `exact_neighbor` probes without τ and never gates,
+//! and the approximate path passes no box.
+//!
 //! ### A note on the lazy-probe buffer
 //!
 //! Algorithm 2 of the paper keeps deferred leaf entries in a second queue
@@ -64,10 +106,11 @@
 //! the sound dominance test `d⁺(U) < d⁻(E)` of §3.3 or when `H` is
 //! exhausted. Both rules preserve the paper's central property: an object
 //! is retrieved from disk only when the buffer overflows ("lazy probe
-//! makes all the object retrieval mandatory"). `G` is kept ordered by
-//! lower bound (descending, ties latest-first), so evicting the most
-//! promising entry is an O(1) tail pop instead of the linear scan of the
-//! original implementation.
+//! makes all the object retrieval mandatory") — and not even then when the
+//! probe gate shows the query's own cut rules it out (see above). `G` is
+//! kept ordered by lower bound (descending, ties latest-first), so evicting
+//! the most promising entry is an O(1) tail pop instead of the linear scan
+//! of the original implementation.
 
 use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
@@ -238,13 +281,15 @@ enum Item {
 }
 
 const _: () = assert!(std::mem::size_of::<MinKey<Item>>() == 16);
-const _: () = assert!(std::mem::size_of::<EntrySlot<2>>() == 56);
+const _: () = assert!(std::mem::size_of::<EntrySlot<2>>() == 88);
 
 /// What the search keeps of a leaf entry, one arena slot per entry: its
 /// id, the rectangle its bounds are measured against (the Eq. 2
 /// approximate cut MBR under `LB`, otherwise the support MBR) — computed
-/// once, shared by `d⁻` and `d⁺` — and its kernel representative point
-/// for the §3.4 bound. 56 bytes at `D = 2`.
+/// once, shared by `d⁻` and `d⁺` — its kernel representative point for the
+/// §3.4 bound, and its support MBR, which the probe gate tests the query's
+/// cut against before the entry is read (module docs, "Probe gate": why not
+/// the Eq. 2 box). 88 bytes at `D = 2`.
 #[derive(Clone, Copy, Debug)]
 pub struct EntrySlot<const D: usize> {
     /// The entry's object id.
@@ -255,6 +300,10 @@ pub struct EntrySlot<const D: usize> {
     pub hi: [f64; D],
     /// The kernel representative point.
     pub rep: [f64; D],
+    /// The support MBR's lower corner: the least coordinate of every point.
+    pub support_lo: [f64; D],
+    /// The support MBR's upper corner.
+    pub support_hi: [f64; D],
 }
 
 impl<const D: usize> EntrySlot<D> {
@@ -267,18 +316,27 @@ impl<const D: usize> EntrySlot<D> {
 
 /// Bound a leaf in one pass over its columns: append one [`EntrySlot`]
 /// per slot of `leaf` — hidden slots too, so arena slot `base + j` is leaf
-/// slot `j` — and return `base`. Under `Some(t)` the box is Eq. 2's
+/// slot `j` — and return `base`. Under `Some(t)` the bound box is Eq. 2's
 /// approximate cut MBR, bit for bit what
 /// [`fuzzy_core::ObjectSummary::approx_cut_mbr`] computes; under `None` it
-/// is the support MBR (the Basic variant). Each column is swept once, in
-/// slot order; no summary is assembled.
+/// is the support MBR (the Basic variant). The support MBR is kept beside
+/// it either way. Each column is swept once, in slot order; no summary is
+/// assembled.
 pub fn append_slots<const D: usize>(
     leaf: &LeafView<'_, D>,
     t: Option<Threshold>,
     slots: &mut Vec<EntrySlot<D>>,
 ) -> usize {
     let base = slots.len();
-    let blank = EntrySlot { id: ObjectId(0), lo: [0.0; D], hi: [0.0; D], rep: [0.0; D] };
+    let zero = [0.0; D];
+    let blank = EntrySlot {
+        id: ObjectId(0),
+        lo: zero,
+        hi: zero,
+        rep: zero,
+        support_lo: zero,
+        support_hi: zero,
+    };
     slots.resize(base + leaf.slots(), blank);
     let new = &mut slots[base..];
     for (slot, id) in new.iter_mut().zip(leaf.ids()) {
@@ -289,10 +347,13 @@ pub fn append_slots<const D: usize>(
         for (slot, rep) in new.iter_mut().zip(col(LeafField::Rep)) {
             slot.rep[d] = rep;
         }
+        let support = col(LeafField::SupportLo).zip(col(LeafField::SupportHi));
+        for (slot, (lo, hi)) in new.iter_mut().zip(support) {
+            (slot.support_lo[d], slot.support_hi[d]) = (lo, hi);
+        }
         let Some(t) = t else {
-            let support = col(LeafField::SupportLo).zip(col(LeafField::SupportHi));
-            for (slot, (lo, hi)) in new.iter_mut().zip(support) {
-                (slot.lo[d], slot.hi[d]) = (lo, hi);
+            for slot in new.iter_mut() {
+                (slot.lo[d], slot.hi[d]) = (slot.support_lo[d], slot.support_hi[d]);
             }
             continue;
         };
@@ -326,9 +387,12 @@ struct Deferred {
 }
 
 /// Reusable per-query transient state. One instance per worker (or per
-/// call) makes the steady-state search allocation-free: the heap, the
-/// lazy-probe buffer, the entry arena, the query-sample vector and the
-/// seeding bookkeeping all retain their capacity across queries.
+/// call) keeps the search's own bookkeeping off the allocator: the heap,
+/// the lazy-probe buffer, the entry arena, the query-sample index list and
+/// points, and the seeding bookkeeping all retain their capacity across
+/// queries. What a query still allocates is the answer `Vec` and the
+/// objects the store decodes for it (and, once per query object, the
+/// views the kernel caches on it).
 ///
 /// Obtain one with [`QueryScratch::new`] and pass it to the
 /// `*_with_scratch` engine entry points; the convenience entry points
@@ -341,6 +405,7 @@ pub struct QueryScratch<const D: usize> {
     /// index, with its exact squared distance; dominated, with `None`, and
     /// only when the search runs with `reuse` (nothing else reads them).
     probed: Vec<Decoded<D>>,
+    sample_idx: Vec<usize>,
     samples: Vec<Point<D>>,
     seeds: SeedTracker,
 }
@@ -359,6 +424,7 @@ impl<const D: usize> QueryScratch<D> {
             buffer: Vec::new(),
             entries: Vec::new(),
             probed: Vec::new(),
+            sample_idx: Vec::new(),
             samples: Vec::new(),
             seeds: SeedTracker::default(),
         }
@@ -369,6 +435,7 @@ impl<const D: usize> QueryScratch<D> {
         self.buffer.clear();
         self.entries.clear();
         self.probed.clear();
+        self.sample_idx.clear();
         self.samples.clear();
         self.seeds.reset();
     }
@@ -468,9 +535,33 @@ pub(crate) enum Probed<const D: usize> {
     /// Exact **squared** α-distance and the decoded object.
     Exact(f64, Arc<FuzzyObject<D>>),
     /// The probe was cut off by the τ seed: at least `k` live candidates
-    /// are no farther, so the object cannot enter the result. It was
-    /// decoded all the same.
-    Dominated(Arc<FuzzyObject<D>>),
+    /// are no farther, so the object cannot enter the result. The decoded
+    /// object, or `None` when the probe gate ruled it out before the read.
+    Dominated(Option<Arc<FuzzyObject<D>>>),
+}
+
+/// The probe gate's test (module docs, "Probe gate"): does a point of `q`'s
+/// cut under `t` have a squared gap ([`Point::dist_sq_to_box`]) to the box
+/// `[lo, hi]` strictly below `cap_sq`? Once the kernel has built `q`'s
+/// kd-tree it answers with the tree's capped box search; until then with one
+/// pass over the cut, in whichever view `q` already holds. It builds
+/// nothing, and every path gives the same answer.
+fn cut_reaches_box<const D: usize>(
+    q: &FuzzyObject<D>,
+    t: Threshold,
+    (lo, hi): (&[f64; D], &[f64; D]),
+    cap_sq: f64,
+) -> bool {
+    if q.kd_tree_ready() {
+        return q.kd_tree().any_within_box_sq(lo, hi, t.filter(), cap_sq);
+    }
+    let within = |p: Point<D>| p.dist_sq_to_box(lo, hi) < cap_sq;
+    if q.prefix_ready() {
+        let pb = q.by_membership();
+        let column = |j| Point::new(std::array::from_fn(|d| pb.coord_column(d)[j]));
+        return (0..pb.prefix_len(t)).map(column).any(within);
+    }
+    q.iter().filter(|&(_, mu)| t.accepts(mu)).map(|(p, _)| *p).any(within)
 }
 
 /// Retrieve one object and evaluate its exact α-distance, charging the
@@ -484,6 +575,14 @@ pub(crate) enum Probed<const D: usize> {
 /// duplicated objects). This single function serves the eager path, the
 /// lazy-probe eviction and [`exact_neighbor`] (the latter passes `+∞` for
 /// τ), so the probe accounting cannot diverge between them.
+///
+/// `support` is the entry's support MBR, passed by the search's own probes
+/// when it runs without `reuse`. When the kernel's `None` would mean
+/// dominated — τ finite and the τ seed the binding one — the probe gate
+/// runs first: one `bound_evals`, and if no point of `q`'s cut lies within
+/// the τ seed of the box, the object is dominated without a read, a kernel
+/// call or a charge to `object_accesses` or `distance_evals` (module docs,
+/// "Probe gate": why that is the kernel's verdict bit for bit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -491,21 +590,28 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     q: &FuzzyObject<D>,
     t: Threshold,
     id: ObjectId,
-    own_hi_sq: f64,
-    tau_sq: f64,
+    (own_hi_sq, tau_sq): (f64, f64),
+    support: Option<(&[f64; D], &[f64; D])>,
     deadline: Option<Instant>,
     stats: &mut QueryStats,
 ) -> Result<Probed<D>, QueryError> {
     check_deadline(deadline)?;
+    let tau_eff = if tau_sq.is_finite() { inflate_sq(tau_sq) } else { f64::INFINITY };
+    let tau_binds = tau_eff <= own_hi_sq && tau_eff.is_finite();
+    if let (true, Some(support)) = (tau_binds, support) {
+        stats.bound_evals += 1;
+        if !cut_reaches_box(q, t, support, tau_eff) {
+            return Ok(Probed::Dominated(None));
+        }
+    }
     let probe = store.probe_traced(id)?;
     let obj = probe.object;
     stats.object_accesses += probe.disk_read as u64;
     stats.distance_evals += 1;
-    let tau_eff = if tau_sq.is_finite() { inflate_sq(tau_sq) } else { f64::INFINITY };
     let seed_sq = own_hi_sq.min(tau_eff);
     match metric.alpha_distance_sq_bounded(&obj, q, t, seed_sq) {
         Some(d_sq) => Ok(Probed::Exact(d_sq, obj)),
-        None if tau_eff <= own_hi_sq && tau_eff.is_finite() => Ok(Probed::Dominated(obj)),
+        None if tau_binds => Ok(Probed::Dominated(Some(obj))),
         None => {
             // The object's own conservative bound failed by an ulp (only
             // possible through floating-point degeneracies, or because no
@@ -539,7 +645,8 @@ pub(crate) fn exact_neighbor<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
 ) -> Result<(), QueryError> {
     let DistBound::Bounded { hi, .. } = n.dist else { return Ok(()) };
     let own_hi_sq = if cfg.seeded_probes { inflate_sq(hi * hi) } else { f64::INFINITY };
-    match probe_exact(metric, store, q, t, n.id, own_hi_sq, f64::INFINITY, cfg.deadline, stats)? {
+    let bounds = (own_hi_sq, f64::INFINITY);
+    match probe_exact(metric, store, q, t, n.id, bounds, None, cfg.deadline, stats)? {
         Probed::Exact(d_sq, obj) => {
             debug_assert!(d_sq.sqrt() <= hi, "{}: d⁺ {hi} below its distance", n.id);
             n.dist = DistBound::Exact(d_sq.sqrt());
@@ -578,15 +685,12 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     let mut stats = QueryStats::default();
 
     scratch.reset();
-    let QueryScratch { heap, buffer, entries, probed, samples, seeds } = scratch;
+    let QueryScratch { heap, buffer, entries, probed, sample_idx, samples, seeds } = scratch;
 
     let q_cut = q.cut_mbr(t).ok_or(QueryError::EmptyQueryCut)?;
     if cfg.improved_upper_bound {
-        samples.extend(
-            q.sample_cut_indices(t, cfg.query_samples, cfg.sample_seed)
-                .into_iter()
-                .map(|i| *q.point(i)),
-        );
+        q.sample_cut_indices_into(t, cfg.query_samples, cfg.sample_seed, sample_idx);
+        samples.extend(sample_idx.iter().map(|&i| *q.point(i)));
     }
 
     // Squared upper bound of an arena entry (`d⁺` of §3.3/§3.4). The §3.4
@@ -664,17 +768,20 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 }
             }
             Item::Entry(idx) => {
-                let id = entries[idx as usize].id;
+                let slot = &entries[idx as usize];
+                let id = slot.id;
                 if !cfg.lazy_probe {
                     let tau_sq = if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
+                    let support = (!reuse).then_some((&slot.support_lo, &slot.support_hi));
+                    let bounds = (f64::INFINITY, tau_sq);
                     match probe_exact(
                         metric,
                         store,
                         q,
                         t,
                         id,
-                        f64::INFINITY,
-                        tau_sq,
+                        bounds,
+                        support,
                         cfg.deadline,
                         &mut stats,
                     )? {
@@ -686,7 +793,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                             probed.push((id, Some(d_sq), obj));
                             heap.push(MinKey { key: d_sq, item });
                         }
-                        Probed::Dominated(obj) if reuse => probed.push((id, None, obj)),
+                        Probed::Dominated(Some(obj)) if reuse => probed.push((id, None, obj)),
                         Probed::Dominated(_) => {}
                     }
                 } else {
@@ -768,6 +875,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
     buffer.clear();
     entries.clear();
     probed.clear();
+    sample_idx.clear();
     samples.clear();
     seeds.reset();
 
@@ -797,14 +905,16 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let victim = buffer.pop().expect("evict called on a non-empty buffer");
-    let id = entries[victim.entry as usize].id;
-    let (own_hi_sq, tau_sq) = if cfg.seeded_probes {
+    let slot = &entries[victim.entry as usize];
+    let id = slot.id;
+    let bounds = if cfg.seeded_probes {
         seeds.remove(&id);
         (inflate_sq(victim.hi_sq), seeds.tau_sq(k))
     } else {
         (f64::INFINITY, f64::INFINITY)
     };
-    match probe_exact(metric, store, q, t, id, own_hi_sq, tau_sq, cfg.deadline, stats)? {
+    let support = (!reuse).then_some((&slot.support_lo, &slot.support_hi));
+    match probe_exact(metric, store, q, t, id, bounds, support, cfg.deadline, stats)? {
         Probed::Exact(d_sq, obj) => {
             if cfg.seeded_probes {
                 seeds.insert(id, d_sq);
@@ -812,7 +922,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
             heap.push(MinKey { key: d_sq, item: Item::Object(probed.len() as u32) });
             probed.push((id, Some(d_sq), obj));
         }
-        Probed::Dominated(obj) if reuse => probed.push((id, None, obj)),
+        Probed::Dominated(Some(obj)) if reuse => probed.push((id, None, obj)),
         Probed::Dominated(_) => {}
     }
     Ok(())

@@ -248,7 +248,7 @@ where
         }
         let own_hi = center_d + q_spread + spread;
         let own_hi_sq = inflate_sq(own_hi * own_hi);
-        match probe_exact(metric, store, q, t, id, own_hi_sq, tau_sq, None, stats)? {
+        match probe_exact(metric, store, q, t, id, (own_hi_sq, tau_sq), None, None, stats)? {
             Probed::Exact(d_sq, _) => {
                 seeds.insert(id, d_sq);
                 let pos = found.partition_point(|&(d, i)| d < d_sq || (d == d_sq && i < id));

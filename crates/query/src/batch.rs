@@ -259,7 +259,8 @@ impl BatchExecutor {
                         let engine = QueryEngine::new(index, store);
                         // One scratch per worker: every query this thread
                         // claims reuses the same heap/buffer/arena
-                        // capacity, so steady state allocates nothing.
+                        // capacity (a query allocates only its answer and
+                        // the objects it reads).
                         let mut scratch = QueryScratch::new();
                         let mut report = ThreadStats::default();
                         let mut answered: Vec<(usize, Result<BatchResponse, QueryError>)> =
@@ -303,7 +304,7 @@ impl BatchExecutor {
 ///
 /// This is the single-request execution primitive shared by the batch
 /// workers and the resident query server — both hand it a long-lived
-/// [`QueryScratch`] so steady state allocates nothing.
+/// [`QueryScratch`], so the search's own bookkeeping reuses its capacity.
 pub fn execute_one<I: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     engine: &QueryEngine<'_, I, S, D>,
     request: &BatchRequest<D>,

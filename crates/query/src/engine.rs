@@ -104,8 +104,9 @@ impl<'a, I: NodeAccess<D>, S: ObjectStore<D>, const D: usize> QueryEngine<'a, I,
     }
 
     /// [`QueryEngine::aknn`] with caller-provided [`QueryScratch`]. Workers
-    /// issuing many queries should reuse one scratch per thread — the
-    /// steady-state search then allocates nothing.
+    /// issuing many queries should reuse one scratch per thread — in
+    /// steady state a search then allocates only its answer and the
+    /// objects it reads.
     pub fn aknn_with_scratch(
         &self,
         q: &FuzzyObject<D>,

@@ -26,7 +26,9 @@ pub struct QueryStats {
     /// most `candidates`: a step-1 neighbour that can never leave the kNN
     /// set and a candidate that can never enter it get none.
     pub profile_computations: u64,
-    /// Lower/upper bound evaluations (cheap, CPU only).
+    /// Lower/upper bound evaluations (cheap, CPU only), AKNN probe-gate
+    /// tests included: one per τ-seeded probe tested against the query's
+    /// cut before its read, whether or not the test skips the read.
     pub bound_evals: u64,
     /// Internal AKNN invocations (RKNN algorithms).
     pub aknn_calls: u64,

@@ -331,7 +331,11 @@ struct BoundConfirmed {
 /// at all for a never-read bound-confirmed neighbour, whose oracle `d_αe` is
 /// strictly below `l_min`, and exactly one, seeded with its own bound, for
 /// every other; `distance_evals` and `profile_computations` count those
-/// calls. `step1` is the exact AKNN at `hi`, `lazy` the search RSS runs.
+/// calls — `distance_evals` is RSS's own step-1 calls (the log's calls at
+/// `hi`) plus one per outsider. `step1` is the exact AKNN at `hi`, `lazy`
+/// the search RSS runs; both gate probes and RSS's step 1 does not, so
+/// RSS's step 1 makes at least the calls `step1` made, less the never-read
+/// neighbours'.
 fn assert_settle_accounting(
     store: &MemStore<2>,
     q: &FuzzyObject<2>,
@@ -421,10 +425,11 @@ fn assert_settle_accounting(
 
     assert_eq!(res.stats.profile_computations, windows.len() as u64, "{what}");
     assert!(res.stats.profile_computations <= res.stats.candidates, "{what}");
-    assert_eq!(
-        res.stats.distance_evals,
-        step1.stats.distance_evals + settle.outsiders.len() as u64 - bound.never_read.len() as u64,
-        "{what}"
+    let own_step1_calls = kernel.iter().filter(|c| c.1 == Threshold::at(hi)).count() as u64;
+    assert_eq!(res.stats.distance_evals, own_step1_calls + settle.outsiders.len() as u64, "{what}");
+    assert!(
+        own_step1_calls + bound.never_read.len() as u64 >= step1.stats.distance_evals,
+        "{what}: RSS's step 1 made fewer kernel calls than the gated exact AKNN"
     );
     (settle, bound)
 }
@@ -457,12 +462,7 @@ fn rss_probes_no_object_twice() {
         let k = 6usize;
         for (lo, hi) in [(0.3, 0.7), (0.2, 0.5), (0.6, 0.9)] {
             let naive = engine.rknn(&q, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
-            store.take();
             let step1 = engine.aknn_exact(&q, k, hi, &cfg).unwrap();
-            // What step 1 decoded and did not return.
-            let mut rejected = store.take_ids();
-            let returned = step1.ids();
-            rejected.retain(|id| !returned.contains(id));
             let lazy = engine.aknn(&q, k, hi, &cfg).unwrap();
 
             for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
@@ -490,6 +490,16 @@ fn rss_probes_no_object_twice() {
                     &log,
                     &what,
                 );
+                // What RSS's own step 1 read — each read is one kernel call
+                // at `hi`, as its step 1 never gates a probe — and of that,
+                // what it decoded and did not return.
+                let mut step1_read: Vec<ObjectId> =
+                    log.0.iter().filter(|c| c.1 == Threshold::at(hi)).map(|c| c.0).collect();
+                step1_read.sort_unstable();
+                step1_read.dedup();
+                let returned = step1.ids();
+                let rejected: Vec<ObjectId> =
+                    step1_read.iter().copied().filter(|id| !returned.contains(id)).collect();
                 for id in &settle.outsiders {
                     assert!(probed.binary_search(id).is_ok(), "{what}: {id} was never read");
                 }
@@ -502,17 +512,21 @@ fn rss_probes_no_object_twice() {
                 // Every step-1 neighbour lies within r of q, so the range scan
                 // returns it and, once decoded, it is reused; so is every
                 // outsider step 1 probed and rejected. A neighbour settled on
-                // its bound is never read at all.
+                // its bound is never read at all, by step 1 or after it.
                 let in_hand = step1.neighbors.len() as u64;
                 let reused = settle.outsiders.iter().filter(|id| rejected.contains(id)).count();
                 let never_read = bound.never_read.len() as u64;
+                for id in &bound.never_read {
+                    assert!(step1_read.binary_search(id).is_err(), "{what}: {id} was read");
+                }
                 assert_eq!(
                     res.stats.object_accesses,
-                    step1.stats.object_accesses + res.stats.candidates
-                        - in_hand
-                        - reused as u64
-                        - never_read,
+                    step1_read.len() as u64 + res.stats.candidates - in_hand - reused as u64,
                     "{what}"
+                );
+                assert!(
+                    step1_read.len() as u64 + never_read >= step1.stats.object_accesses,
+                    "{what}: RSS's step 1 read less than the gated exact AKNN"
                 );
                 seen[0] |= !settle.dropped.is_empty();
                 seen[1] |= !settle.settled.is_empty() && !settle.profiled.is_empty();
@@ -613,22 +627,31 @@ const READS_COLUMN: usize = 0;
 /// `object_accesses` and `distance_evals` fall together, by the same amount.
 const UNREAD_COLUMNS: [usize; 2] = [READS_COLUMN, 2];
 
-/// `reference` against the rows the commit before the settle step produced
-/// (`before_settle`): for RSS and RSS-ICR, equal outside [`SETTLE_COLUMNS`]
-/// and [`READS_COLUMN`], no lower in `distance_evals` (settle calls only
-/// add evaluations) and no higher in the latter; equal everywhere for every
-/// other algorithm. Then `rows` against `reference`: for RSS and RSS-ICR,
-/// equal outside [`UNREAD_COLUMNS`], no higher in either and lower by the
-/// same amount in both; equal everywhere for every other algorithm.
+/// The column of [`counters`] the AKNN probe gate adds to: one
+/// `bound_evals` per gate test.
+const GATE_COLUMN: usize = 4;
+
+/// `before_unread` against the rows the commit before the settle step
+/// produced (`before_settle`): for RSS and RSS-ICR, equal outside
+/// [`SETTLE_COLUMNS`] and [`READS_COLUMN`], no lower in `distance_evals`
+/// (settle calls only add evaluations) and no higher in the latter; equal
+/// everywhere for every other algorithm. Then `reference` against
+/// `before_unread`: for RSS and RSS-ICR, equal outside [`UNREAD_COLUMNS`],
+/// no higher in either and lower by the same amount in both; equal
+/// everywhere for every other algorithm. Then `rows` against `reference`,
+/// the rows of the commit before the probe gate: for Basic, equal outside
+/// [`UNREAD_COLUMNS`] and [`GATE_COLUMN`], lower by the same amount `s` in
+/// both of the former (each gated probe is one read and one kernel call
+/// fewer) and higher by `g ≥ s` in the latter (each gate test is one bound
+/// evaluation, and only some of them skip a read); equal everywhere for RSS
+/// and RSS-ICR, whose step 1 never gates.
 fn assert_only_settle_columns_moved(
     what: &str,
     algos: &[RknnAlgorithm],
-    rows: &[[u64; 7]],
-    reference: &[[u64; 7]],
-    before_settle: &[[u64; 7]],
+    [before_settle, before_unread, reference, rows]: [&[[u64; 7]]; 4],
 ) {
-    assert_eq!(reference.len(), before_settle.len());
-    for (i, (row, old)) in reference.iter().zip(before_settle).enumerate() {
+    assert_eq!(before_unread.len(), before_settle.len());
+    for (i, (row, old)) in before_unread.iter().zip(before_settle).enumerate() {
         let algo = algos[i % algos.len()];
         let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
         for col in 0..7 {
@@ -647,22 +670,44 @@ fn assert_only_settle_columns_moved(
             );
         }
     }
-    assert_eq!(rows.len(), reference.len());
-    for (i, (row, old)) in rows.iter().zip(reference).enumerate() {
+    assert_eq!(reference.len(), before_unread.len());
+    for (i, (row, old)) in reference.iter().zip(before_unread).enumerate() {
         let algo = algos[i % algos.len()];
         let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
         for col in 0..7 {
             if !(rss && UNREAD_COLUMNS.contains(&col)) {
-                assert_eq!(row[col], old[col], "{what} row {i} ({}) column {col}", algo.name());
+                assert_eq!(row[col], old[col], "{what} reference row {i} column {col}");
             }
         }
         if rss {
-            assert!(row[3] <= row[6], "{what} row {i}: more profiles than candidates");
+            assert!(row[3] <= row[6], "{what} reference row {i}: more profiles than candidates");
             let [reads, evals] = UNREAD_COLUMNS.map(|col| {
-                assert!(row[col] <= old[col], "{what} row {i} column {col}: unread only saves");
+                assert!(row[col] <= old[col], "{what} reference row {i} column {col}");
                 old[col] - row[col]
             });
-            assert_eq!(reads, evals, "{what} row {i}: a read saved without its evaluation");
+            assert_eq!(reads, evals, "{what} reference row {i}: a read saved without its call");
+        }
+    }
+    assert_eq!(rows.len(), reference.len());
+    for (i, (row, old)) in rows.iter().zip(reference).enumerate() {
+        let algo = algos[i % algos.len()];
+        let basic = algo == RknnAlgorithm::Basic;
+        for col in 0..7 {
+            if !(basic && (UNREAD_COLUMNS.contains(&col) || col == GATE_COLUMN)) {
+                assert_eq!(row[col], old[col], "{what} row {i} ({}) column {col}", algo.name());
+            }
+        }
+        if basic {
+            let [reads, evals] = UNREAD_COLUMNS.map(|col| {
+                assert!(row[col] <= old[col], "{what} row {i} column {col}: the gate only saves");
+                old[col] - row[col]
+            });
+            assert_eq!(reads, evals, "{what} row {i}: a read gated without its kernel call");
+            let gate_tests = row[GATE_COLUMN].checked_sub(old[GATE_COLUMN]);
+            assert!(
+                gate_tests >= Some(reads),
+                "{what} row {i}: {reads} reads gated, {gate_tests:?} tests"
+            );
         }
     }
 }
@@ -671,13 +716,14 @@ fn assert_only_settle_columns_moved(
 /// profiles — item for item, interval bit for interval bit — and their
 /// logical counters, summed over the queries per (range, algorithm),
 /// against the `pinned` rows; those against the `reference` rows of the
-/// commit before RSS left bound-confirmed neighbours unread, and those
-/// against the rows of the commit before the settle step, by the rules of
+/// commit before the AKNN probe gate, those against the rows of the commit
+/// before RSS left bound-confirmed neighbours unread, and those against the
+/// rows of the commit before the settle step, by the rules of
 /// [`assert_only_settle_columns_moved`].
 fn windowed_algorithms_equal_naive(
     what: &str,
     objects: Vec<FuzzyObject<2>>,
-    [before_settle, reference, pinned]: [&[[u64; 7]; 12]; 3],
+    [before_settle, before_unread, reference, pinned]: [&[[u64; 7]; 12]; 4],
 ) {
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
@@ -708,7 +754,8 @@ fn windowed_algorithms_equal_naive(
     }
     assert_eq!(rows, pinned, "{what}: counters moved");
     let algos = RknnAlgorithm::paper_variants();
-    assert_only_settle_columns_moved(what, &algos, pinned, reference, before_settle);
+    let tiers: [&[[u64; 7]]; 4] = [before_settle, before_unread, reference, pinned];
+    assert_only_settle_columns_moved(what, &algos, tiers);
 }
 
 #[test]
@@ -735,35 +782,49 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [28, 36, 18, 25, 117, 3, 25],
         [28, 36, 18, 25, 117, 3, 25],
     ];
+    let before_unread = [
+        [76, 68, 76, 16, 343, 12, 0],
+        [23, 33, 25, 3, 100, 3, 22],
+        [23, 33, 25, 3, 100, 3, 22],
+        [22, 18, 22, 15, 96, 3, 0],
+        [22, 36, 28, 0, 117, 3, 21],
+        [22, 36, 28, 0, 117, 3, 21],
+        [703, 724, 703, 16, 3665, 119, 0],
+        [50, 41, 52, 39, 141, 3, 50],
+        [50, 41, 52, 39, 141, 3, 50],
+        [198, 204, 198, 16, 1038, 33, 0],
+        [25, 36, 28, 5, 117, 3, 25],
+        [25, 36, 28, 5, 117, 3, 25],
+    ];
     let reference = [
         [76, 68, 76, 16, 343, 12, 0],
-        [23, 33, 25, 3, 100, 3, 22],
-        [23, 33, 25, 3, 100, 3, 22],
+        [20, 33, 22, 3, 100, 3, 22],
+        [20, 33, 22, 3, 100, 3, 22],
         [22, 18, 22, 15, 96, 3, 0],
-        [22, 36, 28, 0, 117, 3, 21],
-        [22, 36, 28, 0, 117, 3, 21],
+        [21, 36, 27, 0, 117, 3, 21],
+        [21, 36, 27, 0, 117, 3, 21],
         [703, 724, 703, 16, 3665, 119, 0],
-        [50, 41, 52, 39, 141, 3, 50],
-        [50, 41, 52, 39, 141, 3, 50],
+        [47, 41, 49, 39, 141, 3, 50],
+        [47, 41, 49, 39, 141, 3, 50],
         [198, 204, 198, 16, 1038, 33, 0],
-        [25, 36, 28, 5, 117, 3, 25],
-        [25, 36, 28, 5, 117, 3, 25],
+        [19, 36, 22, 5, 117, 3, 25],
+        [19, 36, 22, 5, 117, 3, 25],
     ];
     let pinned = [
-        [76, 68, 76, 16, 343, 12, 0],
+        [67, 68, 67, 16, 362, 12, 0],
         [20, 33, 22, 3, 100, 3, 22],
         [20, 33, 22, 3, 100, 3, 22],
-        [22, 18, 22, 15, 96, 3, 0],
+        [20, 18, 20, 15, 104, 3, 0],
         [21, 36, 27, 0, 117, 3, 21],
         [21, 36, 27, 0, 117, 3, 21],
-        [703, 724, 703, 16, 3665, 119, 0],
+        [686, 724, 686, 16, 3798, 119, 0],
         [47, 41, 49, 39, 141, 3, 50],
         [47, 41, 49, 39, 141, 3, 50],
-        [198, 204, 198, 16, 1038, 33, 0],
+        [189, 204, 189, 16, 1080, 33, 0],
         [19, 36, 22, 5, 117, 3, 25],
         [19, 36, 22, 5, 117, 3, 25],
     ];
-    let rows = [&before_settle, &reference, &pinned];
+    let rows = [&before_settle, &before_unread, &reference, &pinned];
     windowed_algorithms_equal_naive("synthetic", data.generate().collect(), rows);
 }
 
@@ -791,35 +852,49 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [39, 41, 18, 36, 142, 3, 36],
         [39, 41, 18, 36, 142, 3, 36],
     ];
+    let before_unread = [
+        [293, 291, 293, 18, 1612, 45, 0],
+        [36, 40, 39, 14, 142, 3, 36],
+        [36, 40, 39, 14, 142, 3, 36],
+        [18, 20, 18, 15, 106, 3, 0],
+        [18, 35, 19, 0, 122, 3, 16],
+        [18, 35, 19, 0, 122, 3, 16],
+        [505, 539, 505, 18, 2919, 77, 0],
+        [45, 51, 50, 26, 168, 3, 45],
+        [45, 51, 50, 26, 168, 3, 45],
+        [235, 218, 235, 17, 1197, 34, 0],
+        [36, 41, 39, 13, 142, 3, 36],
+        [36, 41, 39, 13, 142, 3, 36],
+    ];
     let reference = [
         [293, 291, 293, 18, 1612, 45, 0],
-        [36, 40, 39, 14, 142, 3, 36],
-        [36, 40, 39, 14, 142, 3, 36],
+        [29, 40, 32, 14, 142, 3, 36],
+        [29, 40, 32, 14, 142, 3, 36],
         [18, 20, 18, 15, 106, 3, 0],
-        [18, 35, 19, 0, 122, 3, 16],
-        [18, 35, 19, 0, 122, 3, 16],
+        [12, 35, 13, 0, 122, 3, 16],
+        [12, 35, 13, 0, 122, 3, 16],
         [505, 539, 505, 18, 2919, 77, 0],
-        [45, 51, 50, 26, 168, 3, 45],
-        [45, 51, 50, 26, 168, 3, 45],
+        [39, 51, 44, 26, 168, 3, 45],
+        [39, 51, 44, 26, 168, 3, 45],
         [235, 218, 235, 17, 1197, 34, 0],
-        [36, 41, 39, 13, 142, 3, 36],
-        [36, 41, 39, 13, 142, 3, 36],
+        [29, 41, 32, 13, 142, 3, 36],
+        [29, 41, 32, 13, 142, 3, 36],
     ];
     let pinned = [
-        [293, 291, 293, 18, 1612, 45, 0],
+        [290, 291, 290, 18, 1689, 45, 0],
         [29, 40, 32, 14, 142, 3, 36],
         [29, 40, 32, 14, 142, 3, 36],
-        [18, 20, 18, 15, 106, 3, 0],
+        [17, 20, 17, 15, 109, 3, 0],
         [12, 35, 13, 0, 122, 3, 16],
         [12, 35, 13, 0, 122, 3, 16],
-        [505, 539, 505, 18, 2919, 77, 0],
+        [505, 539, 505, 18, 3044, 77, 0],
         [39, 51, 44, 26, 168, 3, 45],
         [39, 51, 44, 26, 168, 3, 45],
-        [235, 218, 235, 17, 1197, 34, 0],
+        [229, 218, 229, 17, 1271, 34, 0],
         [29, 41, 32, 13, 142, 3, 36],
         [29, 41, 32, 13, 142, 3, 36],
     ];
-    let rows = [&before_settle, &reference, &pinned];
+    let rows = [&before_settle, &before_unread, &reference, &pinned];
     windowed_algorithms_equal_naive("cell", data.generate().collect(), rows);
 }
 

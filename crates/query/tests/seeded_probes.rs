@@ -18,15 +18,29 @@
 //! confirmed by its bounds alone, with the probe RSS makes of such a
 //! neighbour when it needs one — seeds that probe with the neighbour's own
 //! upper bound, and is held to the same bar.
+//!
+//! The probe gate — a τ-seeded probe skipped, unread, when no point of the
+//! query's cut lies strictly within the seed of the entry's support MBR —
+//! only ever skips a probe that would have come back dominated: on data
+//! with partial cuts, duplicated objects and the query itself stored twice,
+//! every variant at inclusive and strict thresholds answers the oracle's
+//! distances, and each skipped read is one RSS's step 1 (the same search,
+//! never gated) made and found dominated. Its compare is strict, like the
+//! kernel's.
 
-use fuzzy_core::distance::alpha_distance_brute;
+use fuzzy_core::distance::{alpha_distance_brute, alpha_distance_sq_bounded};
+use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
+use fuzzy_datagen::SyntheticConfig;
 use fuzzy_geom::Point;
 use fuzzy_index::{RTree, RTreeConfig};
-use fuzzy_query::{AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats};
-use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
+use fuzzy_query::{
+    AknnConfig, AknnResult, DistBound, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm,
+};
+use fuzzy_store::{FileStore, FileStoreWriter, IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 mod common;
 use common::{KernelCall, RecordingL2};
@@ -231,4 +245,372 @@ fn exact_tail_seeded_by_own_bound_agrees_with_unseeded() {
         std::fs::remove_file(&path).unwrap();
     }
     assert!(tail_probes > 0, "no neighbour was confirmed by its bounds: pick other queries");
+}
+
+/// A store that logs the id of every probe, in probe order.
+struct ProbeLog {
+    inner: MemStore<2>,
+    ids: Mutex<Vec<ObjectId>>,
+}
+
+impl ProbeLog {
+    /// The ids probed since the last call, in probe order.
+    fn take(&self) -> Vec<ObjectId> {
+        std::mem::take(&mut *self.ids.lock().unwrap())
+    }
+}
+
+impl ObjectStore<2> for ProbeLog {
+    fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<2>>, StoreError> {
+        self.ids.lock().unwrap().push(id);
+        self.inner.probe(id)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn summaries(&self) -> &[fuzzy_core::ObjectSummary<2>] {
+        self.inner.summaries()
+    }
+    fn stats(&self) -> IoStatsSnapshot {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+}
+
+/// `o`'s points and memberships under another id, holding only the views a
+/// freshly built object holds.
+fn copy_as(o: &FuzzyObject<2>, id: u64) -> FuzzyObject<2> {
+    FuzzyObject::new(ObjectId(id), o.points().to_vec(), o.memberships().to_vec()).unwrap()
+}
+
+/// The probe gate's world: partial cuts (σ 0.2 on radius 0.5, so every
+/// α-cut above the support drops part of each object), every fifth object
+/// stored twice, and the query itself stored twice — d = 0 ties.
+fn gate_world(salt: u64) -> (ProbeLog, RTree<2>, FuzzyObject<2>) {
+    let cfg = SyntheticConfig {
+        num_objects: 90,
+        points_per_object: 30,
+        radius: 0.5,
+        sigma: 0.2,
+        space: 7.0,
+        quantize_levels: None,
+        seed: salt,
+    };
+    let q = cfg.query_object(1);
+    let mut objects: Vec<FuzzyObject<2>> = cfg.generate().collect();
+    let twins: Vec<FuzzyObject<2>> =
+        objects.iter().step_by(5).map(|o| copy_as(o, 1_000 + o.id().0)).collect();
+    objects.extend(twins);
+    objects.extend([copy_as(&q, 2_000), copy_as(&q, 2_001)]);
+    let inner = MemStore::from_objects(objects).unwrap();
+    let tree = RTree::bulk_load(inner.summaries().to_vec(), RTreeConfig { max_entries: 8 });
+    (ProbeLog { inner, ids: Mutex::new(Vec::new()) }, tree, q)
+}
+
+/// What the probe-gate checks saw, over the cases they ran.
+#[derive(Debug, Default, PartialEq)]
+struct GateSeen {
+    /// The gate skipped a lazy-probe eviction's read.
+    lazy_eviction: bool,
+    /// It skipped an eager read under LB (the Eq. 2 bound box).
+    eager_lb: bool,
+    /// It skipped an eager read under Basic, whose bound box is the support
+    /// MBR the gate tests.
+    eager_basic: bool,
+    /// The unseeded run read an id RSS's step 1 proved the gate skipped: no
+    /// gate without τ.
+    read_unseeded: bool,
+    /// RSS's step 1 read an id the gate skipped: no gate under `reuse`.
+    read_under_reuse: bool,
+    /// It skipped a read at a strict threshold.
+    strict: bool,
+    /// The oracle's k-th distance was tied.
+    tie_at_k: bool,
+}
+
+impl GateSeen {
+    fn all() -> Self {
+        GateSeen {
+            lazy_eviction: true,
+            eager_lb: true,
+            eager_basic: true,
+            read_unseeded: true,
+            read_under_reuse: true,
+            strict: true,
+            tie_at_k: true,
+        }
+    }
+
+    fn merge(&mut self, o: GateSeen) {
+        self.lazy_eviction |= o.lazy_eviction;
+        self.eager_lb |= o.eager_lb;
+        self.eager_basic |= o.eager_basic;
+        self.read_unseeded |= o.read_unseeded;
+        self.read_under_reuse |= o.read_under_reuse;
+        self.strict |= o.strict;
+        self.tie_at_k |= o.tie_at_k;
+    }
+}
+
+/// The ids of `reference` the run did not read: `read` must be `reference`
+/// with exactly those removed, in order — the gate skips reads and moves
+/// nothing else.
+fn skipped(reference: &[ObjectId], read: &[ObjectId], what: &str) -> Vec<ObjectId> {
+    let gated: Vec<ObjectId> = reference.iter().copied().filter(|id| !read.contains(id)).collect();
+    let kept: Vec<ObjectId> = reference.iter().copied().filter(|id| !gated.contains(id)).collect();
+    assert_eq!(kept, read, "{what}: the gated run read what its reference did not");
+    gated
+}
+
+/// One case of the probe gate: every variant at `t`, seeded (gated) against
+/// unseeded and against the brute oracle, and its reads against a run that
+/// reads what the gate skips. At an inclusive threshold that run is RSS's
+/// step 1 — the same search under `reuse`, which never gates, so the same
+/// heap pushes in the same order: the gated run reads its reads less the
+/// skipped ones, in order, and its kernel call for each skipped id came back
+/// `None` under a finite seed — a dominated probe. For the eager variants
+/// (Basic, LB: every popped entry read) the unseeded run reads a superset up
+/// to the order of equal heap keys, which its extra heap items may reorder;
+/// an id it read and the gated run did not is one the gate skipped or a tie
+/// at the k-th key. Either way every such id is absent from the answer, its
+/// oracle squared distance no smaller than the k-th, and it was never read.
+fn check_gate(salt: u64, k: usize, t: Threshold) -> GateSeen {
+    let (store, tree, q) = gate_world(salt);
+    let engine = QueryEngine::new(&tree, &store);
+    let d_sq = |id: ObjectId| {
+        alpha_distance_sq_bounded(&store.inner.probe(id).unwrap(), &q, t, f64::INFINITY).unwrap()
+    };
+    let mut oracle: Vec<f64> = store.summaries().iter().map(|s| d_sq(s.id)).collect();
+    oracle.sort_by(f64::total_cmp);
+    let kth_sq = oracle[k - 1];
+    let mut seen = GateSeen { tie_at_k: oracle[k] == kth_sq, ..GateSeen::default() };
+    let logical = |s: &QueryStats| QueryStats { wall: Default::default(), ..*s };
+
+    for cfg in AknnConfig::paper_variants() {
+        let what = format!("salt {salt} k {k} {t} {}", cfg.variant_name());
+        let run = |q: &FuzzyObject<2>, cfg: &AknnConfig| {
+            store.take();
+            let res = engine
+                .aknn_at_with_scratch_in(&L2, q, k, t, cfg, &mut QueryScratch::new())
+                .unwrap();
+            (res, store.take())
+        };
+        // The gate tests the query's cut in whichever view it holds: the
+        // points it was built from, its prefix columns, its kd-tree.
+        let (seeded, read) = run(&copy_as(&q, q.id().0), &cfg);
+        let views: [fn(&FuzzyObject<2>); 2] = [
+            |o| {
+                o.by_membership();
+            },
+            |o| {
+                o.kd_tree();
+            },
+        ];
+        for view in views {
+            let q_view = copy_as(&q, q.id().0);
+            view(&q_view);
+            let (again, read_again) = run(&q_view, &cfg);
+            assert_eq!(again.neighbors, seeded.neighbors, "{what}");
+            assert_eq!(logical(&again.stats), logical(&seeded.stats), "{what}");
+            assert_eq!(read_again, read, "{what}");
+        }
+        let (unseeded, read_unseeded) = run(&q, &cfg.unseeded());
+
+        // The answers: the oracle's k smallest distances, bit for bit, seeded
+        // and unseeded alike — which of several objects tied at the k-th
+        // distance is returned is the only freedom either run has.
+        let ids = seeded.ids();
+        let within = |r: &AknnResult| {
+            let mut ids: Vec<ObjectId> =
+                r.ids().into_iter().filter(|&id| d_sq(id) < kth_sq).collect();
+            ids.sort();
+            ids
+        };
+        assert_eq!(within(&seeded), within(&unseeded), "{what}: neighbours short of a tie");
+        for r in [&seeded, &unseeded] {
+            let mut got: Vec<f64> = r.neighbors.iter().map(|n| d_sq(n.id)).collect();
+            got.sort_by(f64::total_cmp);
+            let bits = |d: &[f64]| -> Vec<u64> { d.iter().map(|d| d.to_bits()).collect() };
+            assert_eq!(bits(&got), bits(&oracle[..k]), "{what}: against the oracle");
+            for n in &r.neighbors {
+                let want = d_sq(n.id);
+                match n.dist {
+                    DistBound::Exact(d) => assert_eq!(d.to_bits(), want.sqrt().to_bits(), "{what}"),
+                    DistBound::Bounded { lo, hi } => {
+                        assert!(lo <= want.sqrt() && want.sqrt() <= hi, "{what}: {}", n.id)
+                    }
+                }
+            }
+        }
+        if !t.strict {
+            let exact = |cfg: &AknnConfig| engine.aknn_exact(&q, k, t.value, cfg).unwrap();
+            let (gated, ungated) = (exact(&cfg), exact(&cfg.unseeded()));
+            let bits = |r: &AknnResult| -> Vec<u64> {
+                r.neighbors.iter().map(|n| n.dist.hi().to_bits()).collect()
+            };
+            let want: Vec<u64> = oracle[..k].iter().map(|d| d.sqrt().to_bits()).collect();
+            assert_eq!(bits(&gated), want, "{what}: exact AKNN against the oracle");
+            assert_eq!(bits(&ungated), want, "{what}: unseeded exact AKNN against the oracle");
+        }
+
+        let assert_skipped = |gated: &[ObjectId], what: &str| {
+            for id in gated {
+                assert!(!ids.contains(id), "{what}: gated {id} is in the answer");
+                assert!(d_sq(*id) >= kth_sq, "{what}: gated {id} below the k-th distance");
+                assert!(!read.contains(id), "{what}: gated {id} was read");
+            }
+        };
+        let mut gated = Vec::new();
+        if !cfg.lazy_probe {
+            gated = read_unseeded.iter().copied().filter(|id| !read.contains(id)).collect();
+            assert_skipped(&gated, &format!("{what} (unseeded)"));
+        }
+        if !t.strict {
+            // RSS's step 1 is this search under `reuse`; its kernel calls at
+            // αe, less those that make a bound-confirmed neighbour exact, are
+            // the reads the search would make with no gate.
+            let metric = RecordingL2::default();
+            let alpha = t.value;
+            engine
+                .rknn_with_scratch_in(
+                    &metric,
+                    &q,
+                    k,
+                    alpha / 2.0,
+                    alpha,
+                    RknnAlgorithm::Rss,
+                    &cfg,
+                    &mut QueryScratch::new(),
+                )
+                .unwrap();
+            store.take();
+            let bounded: Vec<ObjectId> = seeded
+                .neighbors
+                .iter()
+                .filter(|n| matches!(n.dist, DistBound::Bounded { .. }))
+                .map(|n| n.id)
+                .collect();
+            let calls: Vec<KernelCall> = metric
+                .take()
+                .0
+                .into_iter()
+                .filter(|c| c.1 == t && !bounded.contains(&c.0))
+                .collect();
+            let reference: Vec<ObjectId> = calls.iter().map(|c| c.0).collect();
+            let by_reuse = skipped(&reference, &read, &format!("{what} (reuse)"));
+            assert_skipped(&by_reuse, &what);
+            for c in calls.iter().filter(|c| by_reuse.contains(&c.0)) {
+                assert!(c.3.is_none() && c.2.is_finite(), "{what}: {} was not dominated", c.0);
+            }
+            seen.read_under_reuse |= !by_reuse.is_empty();
+            seen.read_unseeded |= by_reuse.iter().any(|id| read_unseeded.contains(id));
+            gated = by_reuse;
+        }
+        let fired = !gated.is_empty();
+        match cfg.variant_name() {
+            "Basic" => seen.eager_basic |= fired,
+            "LB" => seen.eager_lb |= fired,
+            _ => seen.lazy_eviction |= fired,
+        }
+        seen.strict |= fired && t.strict;
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The probe gate only ever skips a probe that would have come back
+    /// dominated, and changes no answer.
+    #[test]
+    fn probe_gate_skips_only_dominated_probes(
+        salt in any::<u64>(),
+        k_at in 0usize..3,
+        alpha_step in 1u32..=9,
+        strict in any::<bool>(),
+    ) {
+        let t = Threshold { value: alpha_step as f64 / 10.0, strict };
+        check_gate(salt, [1, 5, 10][k_at], t);
+    }
+}
+
+/// [`check_gate`] on fixed cases, each path of the gate taken at least once.
+#[test]
+fn probe_gate_paths_are_all_taken() {
+    let mut seen = GateSeen::default();
+    for salt in [5u64, 23, 61] {
+        for k in [1usize, 5, 10] {
+            for (alpha, strict) in [(0.3, false), (0.5, true), (0.7, false)] {
+                seen.merge(check_gate(salt, k, Threshold { value: alpha, strict }));
+            }
+        }
+    }
+    assert_eq!(seen, GateSeen::all(), "a path of the probe gate was never taken");
+}
+
+/// The gate's compare is strict, as the kernel's is: an entry whose support
+/// MBR lies at exactly the τ seed from the query's cut is skipped, because
+/// no pair can lie strictly within the seed. Basic, k = 1, the query's cut
+/// `{(0, 0), (10, 10)}`: `near` at `(10, −0.5)` is read first and its
+/// squared distance 100.25 becomes τ; `edge`, a point at `(x, 0)` whose
+/// squared distance to `(10, 10)` rounds to exactly the seed, is popped next
+/// (its box is nearer the cut's MBR than `near`'s distance) and never read —
+/// in each of the views the gate reads the query's cut from.
+#[test]
+fn probe_gate_skips_an_entry_exactly_at_the_tau_seed() {
+    // τ as the engine inflates it before seeding a probe.
+    let tau_eff = 100.25 * (1.0 + 1e-12) + f64::MIN_POSITIVE;
+    let gap_sq = |x: f64| (x - 10.0) * (x - 10.0) + 100.0;
+    let start = 10.0 + (tau_eff - 100.0).sqrt();
+    let x = (0..1 << 14)
+        .flat_map(|i: u64| [start.to_bits() + i, start.to_bits() - i])
+        .map(f64::from_bits)
+        .find(|&x| gap_sq(x) == tau_eff)
+        .expect("some x puts (x, 0) at exactly the seed from (10, 10)");
+
+    let point =
+        |id, x, y| FuzzyObject::new(ObjectId(id), vec![Point::xy(x, y)], vec![1.0]).unwrap();
+    let (near, edge) = (point(1, 10.0, -0.5), point(2, x, 0.0));
+    let q = FuzzyObject::new(
+        ObjectId(9),
+        vec![Point::xy(0.0, 0.0), Point::xy(10.0, 10.0)],
+        vec![1.0, 1.0],
+    )
+    .unwrap();
+    let t = Threshold::at(0.5);
+    assert_eq!(alpha_distance_sq_bounded(&edge, &q, t, f64::INFINITY), Some(tau_eff));
+    assert_eq!(alpha_distance_sq_bounded(&edge, &q, t, tau_eff), None, "edge is dominated");
+
+    let inner = MemStore::from_objects([near, edge]).unwrap();
+    let tree = RTree::bulk_load(inner.summaries().to_vec(), RTreeConfig { max_entries: 8 });
+    let store = ProbeLog { inner, ids: Mutex::new(Vec::new()) };
+    let engine = QueryEngine::new(&tree, &store);
+    let views: [fn(&FuzzyObject<2>); 3] = [
+        |_| {},
+        |o| {
+            o.by_membership();
+        },
+        |o| {
+            o.kd_tree();
+        },
+    ];
+    for view in views {
+        let q_view = copy_as(&q, 9);
+        view(&q_view);
+        let res = engine
+            .aknn_at_with_scratch_in(
+                &L2,
+                &q_view,
+                1,
+                t,
+                &AknnConfig::basic(),
+                &mut QueryScratch::new(),
+            )
+            .unwrap();
+        assert_eq!(res.ids(), [ObjectId(1)]);
+        assert_eq!(store.take(), [ObjectId(1)], "edge was read");
+        assert_eq!((res.stats.object_accesses, res.stats.distance_evals), (1, 1));
+    }
 }
