@@ -36,10 +36,7 @@ use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
-use fuzzy_query::{
-    aknn_brute, execute_one, AknnConfig, BatchRequest, BatchResponse, QueryEngine, QueryScratch,
-    RknnAlgorithm,
-};
+use fuzzy_query::{aknn_brute, AknnConfig, QueryEngine, QueryError, RknnAlgorithm};
 use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
     WireVariant,
@@ -47,6 +44,8 @@ use fuzzy_server::{
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
 use std::collections::HashMap;
 use std::process::exit;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage:
   fkq generate --kind <synthetic|cell> --n <count> [--ppo <points>] [--seed <u64>] \
@@ -58,8 +57,8 @@ const USAGE: &str = "usage:
 [--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
 [--brute <true|false>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
   fkq rknn <path> --k <k> --start <a> --end <a> [--algo <naive|basic|rss|rss-icr>] \
-[--query-seed <u64>] [--index-file <path>] [--cache-pages <n>] [--server <addr>] \
-[--deadline-ms <n>]
+[--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] [--index-file <path>] \
+[--cache-pages <n>] [--server <addr>] [--deadline-ms <n>]
   fkq insert <path> --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq delete --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq compact --index-file <index> [--page-size <bytes>] [--cache-pages <n>]
@@ -460,75 +459,32 @@ fn query_object(
         .clone()
 }
 
-fn variant(flags: &HashMap<String, String>) -> AknnConfig {
-    match flags.get("variant").map(String::as_str).unwrap_or("lb-lp-ub") {
-        "basic" => AknnConfig::basic(),
-        "lb" => AknnConfig::lb(),
-        "lb-lp" => AknnConfig::lb_lp(),
-        "lb-lp-ub" => AknnConfig::lb_lp_ub(),
-        other => {
-            eprintln!("unknown variant {other}");
-            usage()
-        }
+/// The index a local query runs over, as `--index-file` selects it: a
+/// paged tree with its delta overlay replayed, the bare paged tree, or (no
+/// flag) a freshly bulk-loaded in-memory image.
+fn local_index(store: &FileStore<2>, flags: &HashMap<String, String>) -> Arc<dyn NodeAccess<2>> {
+    match flags.get("index-file") {
+        Some(ix) if delta_path_for(ix).exists() => Arc::new(open_overlay(ix, flags)),
+        Some(ix) => Arc::new(open_paged(ix, flags)),
+        None => Arc::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default())),
     }
 }
 
-/// Answer one request in this process against whichever index
-/// `--index-file` selects: a paged tree with its delta overlay replayed,
-/// the bare paged tree, or (no flag) a freshly bulk-loaded in-memory image.
-fn run_local(store: &FileStore<2>, flags: &HashMap<String, String>, request: &BatchRequest<2>) {
-    store.reset_stats();
-    let tree = match flags.get("index-file") {
-        Some(ix) if delta_path_for(ix).exists() => {
-            return print_answer(&open_overlay(ix, flags), store, request);
-        }
-        Some(ix) => open_paged(ix, flags),
-        None => RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default()),
-    };
-    print_answer(&tree, store, request);
+/// The engine configuration of a local query: the `--variant` a daemon
+/// would run, with the `--deadline-ms` budget counted from now, as a
+/// daemon counts it from admission.
+fn local_config(variant: WireVariant, deadline_ms: u32) -> AknnConfig {
+    let deadline =
+        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms.into()));
+    variant.config().with_deadline(deadline)
 }
 
-/// Execute `request` through the engine and print the answer and cost
-/// lines.
-fn print_answer<I: NodeAccess<2>>(index: &I, store: &FileStore<2>, request: &BatchRequest<2>) {
-    let engine = QueryEngine::new(index, store);
-    let response = execute_one(&engine, request, &mut QueryScratch::new()).unwrap_or_else(|e| {
+/// A local query's answer, or its error reported and exit 1.
+fn answered<T>(res: Result<T, QueryError>) -> T {
+    res.unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
         exit(1)
-    });
-    match (request, response) {
-        (BatchRequest::Aknn { query, k, alpha, .. }, BatchResponse::Aknn(res)) => {
-            println!("{k}NN of {} at α = {alpha}:", query.id());
-            for n in &res.neighbors {
-                println!("  {n}");
-            }
-            println!(
-                "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
-                res.stats.object_accesses,
-                res.stats.node_accesses,
-                res.stats.node_disk_reads,
-                res.stats.wall
-            );
-        }
-        (
-            BatchRequest::Rknn { query, k, alpha_start, alpha_end, algo, .. },
-            BatchResponse::Rknn(res),
-        ) => {
-            println!(
-                "range {k}NN of {} over [{alpha_start}, {alpha_end}] ({}):",
-                query.id(),
-                algo.name()
-            );
-            for item in &res.items {
-                println!("  {item}");
-            }
-            println!(
-                "cost: {} object accesses, {} candidates, {:?}",
-                res.stats.object_accesses, res.stats.candidates, res.stats.wall
-            );
-        }
-        _ => unreachable!("execute_one answers a request in kind"),
-    }
+    })
 }
 
 /// Resolve the `--recall-dial` flag (`exact` or a numeric budget/slack).
@@ -613,11 +569,31 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
         run_brute_aknn(&store, &q, k, alpha);
         return;
     }
-    if let Some(addr) = flags.get("server") {
-        server_aknn(addr, q.id(), k, alpha, flags);
-        return;
+    let (variant, deadline_ms) = (wire_variant(flags), get(flags, "deadline-ms").unwrap_or(0));
+    let (neighbors, stats) = match flags.get("server") {
+        Some(addr) => {
+            let query = QuerySource::Stored(q.id());
+            let request = Request::Aknn { query, k: k as u32, alpha, variant, deadline_ms };
+            match call(&mut connect(addr), &request) {
+                Response::Aknn { neighbors, stats } => (neighbors, stats.to_query_stats()),
+                other => unexpected(&other),
+            }
+        }
+        None => {
+            let index = local_index(&store, flags);
+            let cfg = local_config(variant, deadline_ms);
+            let res = answered(QueryEngine::new(&index, &store).aknn(&q, k, alpha, &cfg));
+            (res.neighbors, res.stats)
+        }
+    };
+    println!("{k}NN of {} at α = {alpha}:", q.id());
+    for n in &neighbors {
+        println!("  {n}");
     }
-    run_local(&store, flags, &BatchRequest::aknn(q, k, alpha, variant(flags)));
+    println!(
+        "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
+        stats.object_accesses, stats.node_accesses, stats.node_disk_reads, stats.wall
+    );
 }
 
 fn rknn(path: &str, flags: &HashMap<String, String>) {
@@ -636,12 +612,39 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
         }
     };
     let q = query_object(path, &store, flags);
-    if let Some(addr) = flags.get("server") {
-        server_rknn(addr, q.id(), k, start, end, algo, flags);
-        return;
+    let (variant, deadline_ms) = (wire_variant(flags), get(flags, "deadline-ms").unwrap_or(0));
+    let (items, stats) = match flags.get("server") {
+        Some(addr) => {
+            let request = Request::Rknn {
+                query: QuerySource::Stored(q.id()),
+                k: k as u32,
+                alpha_start: start,
+                alpha_end: end,
+                algo,
+                variant,
+                deadline_ms,
+            };
+            match call(&mut connect(addr), &request) {
+                Response::Rknn { items, stats } => (items, stats.to_query_stats()),
+                other => unexpected(&other),
+            }
+        }
+        None => {
+            let index = local_index(&store, flags);
+            let cfg = local_config(variant, deadline_ms);
+            let res =
+                answered(QueryEngine::new(&index, &store).rknn(&q, k, start, end, algo, &cfg));
+            (res.items, res.stats)
+        }
+    };
+    println!("range {k}NN of {} over [{start}, {end}] ({}):", q.id(), algo.name());
+    for item in &items {
+        println!("  {item}");
     }
-    let request = BatchRequest::rknn(q, k, (start, end), algo, AknnConfig::lb_lp_ub());
-    run_local(&store, flags, &request);
+    println!(
+        "cost: {} object accesses, {} candidates, {:?}",
+        stats.object_accesses, stats.candidates, stats.wall
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -680,79 +683,9 @@ fn call(client: &mut Client, request: &Request) -> Response {
     }
 }
 
-/// AKNN through a daemon — prints exactly what the local path prints
-/// (the answers are byte-identical; only the cost line's wall differs).
-fn server_aknn(
-    addr: &str,
-    id: fuzzy_core::ObjectId,
-    k: usize,
-    alpha: f64,
-    flags: &HashMap<String, String>,
-) {
-    let mut client = connect(addr);
-    let request = Request::Aknn {
-        query: QuerySource::Stored(id),
-        k: k as u32,
-        alpha,
-        variant: wire_variant(flags),
-        deadline_ms: get(flags, "deadline-ms").unwrap_or(0),
-    };
-    match call(&mut client, &request) {
-        Response::Aknn { neighbors, stats } => {
-            let stats = stats.to_query_stats();
-            println!("{k}NN of {id} at α = {alpha}:");
-            for n in &neighbors {
-                println!("  {n}");
-            }
-            println!(
-                "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
-                stats.object_accesses, stats.node_accesses, stats.node_disk_reads, stats.wall
-            );
-        }
-        other => {
-            eprintln!("unexpected response: {other:?}");
-            exit(1)
-        }
-    }
-}
-
-/// RKNN through a daemon, printed like the local path.
-fn server_rknn(
-    addr: &str,
-    id: fuzzy_core::ObjectId,
-    k: usize,
-    start: f64,
-    end: f64,
-    algo: RknnAlgorithm,
-    flags: &HashMap<String, String>,
-) {
-    let mut client = connect(addr);
-    let request = Request::Rknn {
-        query: QuerySource::Stored(id),
-        k: k as u32,
-        alpha_start: start,
-        alpha_end: end,
-        algo,
-        variant: wire_variant(flags),
-        deadline_ms: get(flags, "deadline-ms").unwrap_or(0),
-    };
-    match call(&mut client, &request) {
-        Response::Rknn { items, stats } => {
-            let stats = stats.to_query_stats();
-            println!("range {k}NN of {id} over [{start}, {end}] ({}):", algo.name());
-            for item in &items {
-                println!("  {item}");
-            }
-            println!(
-                "cost: {} object accesses, {} candidates, {:?}",
-                stats.object_accesses, stats.candidates, stats.wall
-            );
-        }
-        other => {
-            eprintln!("unexpected response: {other:?}");
-            exit(1)
-        }
-    }
+fn unexpected(response: &Response) -> ! {
+    eprintln!("unexpected response: {response:?}");
+    exit(1)
 }
 
 /// Start the resident daemon and park until a SHUTDOWN frame arrives.
@@ -791,10 +724,7 @@ fn swap_cmd(flags: &HashMap<String, String>) {
         Response::Swapped { epoch, objects } => {
             println!("swapped: epoch {epoch}, {objects} objects");
         }
-        other => {
-            eprintln!("unexpected response: {other:?}");
-            exit(1)
-        }
+        other => unexpected(&other),
     }
 }
 
@@ -804,9 +734,6 @@ fn shutdown_cmd(flags: &HashMap<String, String>) {
     let mut client = connect(&addr);
     match call(&mut client, &Request::Shutdown) {
         Response::ShutdownAck => println!("server at {addr} is shutting down"),
-        other => {
-            eprintln!("unexpected response: {other:?}");
-            exit(1)
-        }
+        other => unexpected(&other),
     }
 }

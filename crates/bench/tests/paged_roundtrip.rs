@@ -6,12 +6,14 @@
 //! `bulk_write`'s bytes, `fkq build-index` refusing a fan-out below 2 and
 //! it and `compact` refusing a page size below the minimum, and
 //! the query subcommands failing cleanly when there is no query object to
-//! load. This is the test the CI `paged-roundtrip` job runs.
+//! load, and local `fkq rknn` running the `--variant` it is given. This is the test the CI `paged-roundtrip` job runs.
 
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_datagen::SyntheticConfig;
 use fuzzy_index::{leaf_entry_len, OverlayRTree, PagedRTree, RTree, RTreeConfig};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm};
 use fuzzy_store::format::fnv1a;
+use fuzzy_store::{FileStore, ObjectStore};
 use std::path::Path;
 use std::process::Command;
 use std::sync::Arc;
@@ -100,6 +102,31 @@ fn persisted_index_answers_match_in_memory_tree_across_processes() {
     // `fkq info` reports the paged geometry.
     let info = fkq(&["info", "data.fzkn", "--index-file", "data.fzpt"], &dir);
     assert!(info.contains("paged index"), "{info}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Local `fkq rknn` runs the `--variant` it is given, as a daemon does: its
+/// cost line counts the object accesses the engine charges under that
+/// variant, for the same query.
+#[test]
+fn local_rknn_runs_the_variant_it_is_given() {
+    let dir = std::env::temp_dir().join(format!("fkq-rknn-variant-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    fkq(&["generate", "--kind", "cell", "--n", "300", "--ppo", "40", "--out", "cells.fzkn"], &dir);
+    let args = ["--k", "5", "--start", "0.3", "--end", "0.7", "--query-seed", "1"];
+    let printed =
+        fkq(&[&["rknn", "cells.fzkn"][..], &args, &["--variant", "basic"]].concat(), &dir);
+
+    let store = FileStore::<2>::open(dir.join("cells.fzkn")).unwrap();
+    let q = store.probe(store.ids()[1 % store.len()]).unwrap();
+    let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+    let engine = QueryEngine::new(&tree, &store);
+    let (algo, cfg) = (RknnAlgorithm::RssIcr, AknnConfig::basic());
+    let want = engine.rknn_with_scratch(&q, 5, 0.3, 0.7, algo, &cfg, &mut QueryScratch::new());
+    let want = format!("cost: {} object accesses,", want.unwrap().stats.object_accesses);
+    let cost = printed.lines().find(|l| l.starts_with("cost:")).expect("cost line");
+    assert!(cost.starts_with(&want), "printed {cost:?}, the engine charges {want:?}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,9 +14,9 @@
 //!   commit, **publish** a frozen clone behind an `Arc`, bumping the
 //!   epoch counter.
 //! * Readers grab the currently published `Arc` (one atomic-refcount
-//!   bump, no tree copy) and run entire queries — AKNN, RKNN, whole
-//!   [`crate::BatchExecutor`] batches — against that immutable
-//!   snapshot. A query admitted at epoch `e` sees exactly the epoch-`e`
+//!   bump, no tree copy) and run entire queries — AKNN, RKNN, or a whole
+//!   workload on scoped threads, one `QueryScratch` each — against that
+//!   immutable snapshot. A query admitted at epoch `e` sees exactly the epoch-`e`
 //!   index no matter how many commits land while it runs.
 //!
 //! The cost model: publishing clones the index once per *commit*, not per

@@ -31,7 +31,7 @@ pub enum QueryError {
     /// probes, refinement steps), so an overdue query aborts promptly
     /// instead of burning its worker; partial results are discarded.
     DeadlineExceeded,
-    /// The query panicked inside a batch/server worker. The unwind was
+    /// The query panicked inside a server worker. The unwind was
     /// caught at the per-query boundary; the message is the panic payload
     /// when it was a string.
     Panicked {

@@ -25,10 +25,10 @@
 //! store. Backend and ownership are the
 //! caller's choice, not separate engine types:
 //!
-//! * **Batched workloads** ([`batch`]): a [`BatchExecutor`] fans mixed
-//!   AKNN/RKNN workloads across scoped worker threads over one shared
-//!   `&index`/`&store` pair, with deterministic output ordering and
-//!   lossless per-thread cost accounting.
+//! * **Concurrent workloads**: an engine only borrows its `&index` and
+//!   `&store`, so a workload fans out over scoped threads, each running
+//!   ordinary single-query searches on a [`QueryScratch`] of its own (see
+//!   the example below).
 //! * **Dynamic indexes** ([`epoch`]): a [`Versioned`] epoch/snapshot
 //!   wrapper makes index changes (inserts and deletes on the paged
 //!   overlay, or a freshly bulk-loaded tree replacing the old one) safe
@@ -39,12 +39,50 @@
 //!   exact probe loop and optionally refined friend-of-a-friend — exact
 //!   distances always, recall set by the [`RecallDial`], measured by
 //!   [`recall_at_k`].
+//!
+//! One scoped thread per worker, each with its own scratch, answers a
+//! workload in request order:
+//!
+//! ```
+//! use fuzzy_core::{FuzzyObject, ObjectId};
+//! use fuzzy_geom::Point;
+//! use fuzzy_index::{RTree, RTreeConfig};
+//! use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch};
+//! use fuzzy_store::{MemStore, ObjectStore};
+//!
+//! let store = MemStore::from_objects((0..8).map(|i| {
+//!     let points = vec![Point::xy(i as f64, 0.0), Point::xy(i as f64, 0.5)];
+//!     FuzzyObject::new(ObjectId(i), points, vec![1.0, 0.5]).unwrap()
+//! }))
+//! .unwrap();
+//! let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+//! let queries: Vec<_> = (0..8).map(|i| store.probe(ObjectId(i)).unwrap()).collect();
+//!
+//! let answers: Vec<_> = std::thread::scope(|scope| {
+//!     let workers: Vec<_> = queries
+//!         .chunks(2)
+//!         .map(|part| {
+//!             let (tree, store) = (&tree, &store);
+//!             scope.spawn(move || {
+//!                 let engine = QueryEngine::new(tree, store);
+//!                 let mut scratch = QueryScratch::new();
+//!                 let cfg = AknnConfig::lb_lp_ub();
+//!                 part.iter()
+//!                     .map(|q| engine.aknn_with_scratch(q, 3, 0.5, &cfg, &mut scratch).unwrap())
+//!                     .collect::<Vec<_>>()
+//!             })
+//!         })
+//!         .collect();
+//!     workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+//! });
+//! // answers[i] answers queries[i]: each query object is its own 1-NN.
+//! assert!(answers.iter().enumerate().all(|(i, a)| a.ids().contains(&ObjectId(i as u64))));
+//! ```
 
 #![warn(missing_docs)]
 
 pub mod aknn;
 pub mod approx;
-pub mod batch;
 pub mod engine;
 pub mod epoch;
 pub mod error;
@@ -57,10 +95,6 @@ pub mod sweep;
 pub use aknn::{append_slots, AknnConfig, EntrySlot, QueryScratch};
 pub use approx::{
     aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial,
-};
-pub use batch::{
-    execute_caught, execute_one, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-    ThreadStats,
 };
 pub use engine::QueryEngine;
 pub use epoch::Versioned;

@@ -1,6 +1,6 @@
-//! Executor determinism: the same workload must produce byte-identical
-//! answers whether it runs on 1, 2 or 8 threads — and, since PR 3,
-//! whether the index is the in-memory `RTree` or the disk-resident
+//! Workload determinism: the same workload must produce byte-identical
+//! answers whether it runs on 1, 2 or 8 threads (one `QueryScratch` each),
+//! and whether the index is the in-memory `RTree` or the disk-resident
 //! `PagedRTree`. The summed *logical* cost accounting of a concurrent run
 //! must equal the sequential run exactly (the disk/cache split of a
 //! shared buffer pool legitimately depends on interleaving and is checked
@@ -9,11 +9,11 @@
 use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
 use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
-use fuzzy_query::{
-    AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryEngine,
-    QueryStats, RknnAlgorithm,
-};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm};
 use fuzzy_store::{FileStoreWriter, MemStore, ObjectStore};
+
+mod common;
+use common::{counts, fingerprint, run_on_threads, total_stats, Request};
 
 /// A deterministic pseudo-random fuzzy object (xorshift, no external RNG).
 fn blob(id: u64, cx: f64, cy: f64) -> FuzzyObject<2> {
@@ -41,21 +41,21 @@ fn objects(n: u64) -> impl Iterator<Item = FuzzyObject<2>> {
 
 /// A mixed workload touching every query type, several variants and both
 /// valid and invalid parameters (error slots must be stable too).
-fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<BatchRequest<2>> {
+fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<Request> {
     let mut requests = Vec::new();
     for i in 0..n {
         let q = store.probe(ObjectId(i)).unwrap().as_ref().clone();
         match i % 5 {
-            0 => requests.push(BatchRequest::aknn(q, 5, 0.5, AknnConfig::lb_lp_ub())),
-            1 => requests.push(BatchRequest::aknn(q, 3, 0.8, AknnConfig::basic())),
-            2 => requests.push(BatchRequest::rknn(
+            0 => requests.push(Request::aknn(q, 5, 0.5, AknnConfig::lb_lp_ub())),
+            1 => requests.push(Request::aknn(q, 3, 0.8, AknnConfig::basic())),
+            2 => requests.push(Request::rknn(
                 q,
                 3,
                 (0.3, 0.7),
                 RknnAlgorithm::RssIcr,
                 AknnConfig::lb_lp_ub(),
             )),
-            3 => requests.push(BatchRequest::rknn(
+            3 => requests.push(Request::rknn(
                 q,
                 2,
                 (0.2, 0.9),
@@ -64,65 +64,10 @@ fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<BatchRequest<2>> {
             )),
             // Deliberately invalid: α out of range; the error must land in
             // this exact slot on every run.
-            _ => requests.push(BatchRequest::aknn(q, 4, 1.5, AknnConfig::lb_lp_ub())),
+            _ => requests.push(Request::aknn(q, 4, 1.5, AknnConfig::lb_lp_ub())),
         }
     }
     requests
-}
-
-/// Canonical byte representation of an outcome's answers: ids and the raw
-/// IEEE-754 bits of every distance/endpoint, excluding wall-clock times.
-/// Two outcomes with equal fingerprints are byte-identical result sets.
-fn fingerprint(outcome: &BatchOutcome) -> String {
-    let mut out = String::new();
-    for (i, res) in outcome.responses.iter().enumerate() {
-        out.push_str(&format!("[{i}] "));
-        match res {
-            Err(e) => out.push_str(&format!("err {e}\n")),
-            Ok(BatchResponse::Aknn(r)) => {
-                for n in &r.neighbors {
-                    let bits = match n.dist {
-                        DistBound::Exact(d) => format!("={:016x}", d.to_bits()),
-                        DistBound::Bounded { lo, hi } => {
-                            format!("[{:016x},{:016x}]", lo.to_bits(), hi.to_bits())
-                        }
-                    };
-                    out.push_str(&format!("{}{bits} ", n.id));
-                }
-                out.push('\n');
-            }
-            Ok(BatchResponse::Rknn(r)) => {
-                for item in &r.items {
-                    out.push_str(&format!("{} ", item.id));
-                    for iv in item.range.intervals() {
-                        out.push_str(&format!(
-                            "({}{:016x},{:016x}{}) ",
-                            if iv.lo_closed { "[" } else { "(" },
-                            iv.lo.to_bits(),
-                            iv.hi.to_bits(),
-                            if iv.hi_closed { "]" } else { ")" },
-                        ));
-                    }
-                }
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-/// The count fields of a stats aggregate (everything except wall-clock,
-/// which legitimately differs between runs).
-fn counts(s: &QueryStats) -> [u64; 7] {
-    [
-        s.object_accesses,
-        s.node_accesses,
-        s.distance_evals,
-        s.profile_computations,
-        s.bound_evals,
-        s.aknn_calls,
-        s.candidates,
-    ]
 }
 
 fn assert_deterministic<A, S>(tree: &A, store: &S, n: u64) -> String
@@ -131,30 +76,27 @@ where
     S: ObjectStore<2> + Sync,
 {
     let requests = workload(store, n);
-    let sequential = BatchExecutor::sequential().run(tree, store, &requests);
+    let sequential = run_on_threads(tree, store, &requests, 1);
     let seq_print = fingerprint(&sequential);
-    let seq_counts = counts(&sequential.total_stats());
-    assert!(sequential.error_count() > 0, "workload must exercise error slots");
+    let seq_counts = counts(&total_stats(&sequential));
+    assert!(sequential.iter().any(Result::is_err), "workload must exercise error slots");
 
     for threads in [2usize, 8] {
-        let concurrent = BatchExecutor::new(threads).run(tree, store, &requests);
-        assert_eq!(concurrent.per_thread.len(), threads);
+        let concurrent = run_on_threads(tree, store, &requests, threads);
+        assert_eq!(concurrent.len(), requests.len());
         assert_eq!(
             fingerprint(&concurrent),
             seq_print,
             "{threads}-thread run diverged from sequential"
         );
+        let total = total_stats(&concurrent);
         assert_eq!(
-            counts(&concurrent.total_stats()),
+            counts(&total),
             seq_counts,
             "{threads}-thread stats sum diverged from sequential"
         );
-        // Per-thread reports are a lossless partition of the batch.
-        let executed: usize = concurrent.per_thread.iter().map(|t| t.executed).sum();
-        assert_eq!(executed, requests.len());
         // The disk/cache split may vary with interleaving but can never
         // exceed the logical access count.
-        let total = concurrent.total_stats();
         assert!(total.node_disk_reads <= total.node_accesses);
     }
     seq_print
@@ -217,8 +159,7 @@ fn paged_tree_matches_in_memory_backends_across_thread_counts() {
     // disk reads, and they must never exceed the logical accesses.
     paged.clear_cache();
     let requests = workload(&store, 45);
-    let cold = BatchExecutor::sequential().run(&paged, &store, &requests);
-    let total = cold.total_stats();
+    let total = total_stats(&run_on_threads(&paged, &store, &requests, 1));
     assert!(total.node_disk_reads > 0, "cold buffer pool must read pages");
     assert!(total.node_disk_reads <= total.node_accesses);
 
@@ -228,27 +169,21 @@ fn paged_tree_matches_in_memory_backends_across_thread_counts() {
 
 #[test]
 fn batch_stats_match_individual_queries() {
-    // The batch is bookkeeping only: each response's stats must equal the
-    // stats of the same query run alone (modulo wall-clock).
+    // A shared scratch and a thread pool are bookkeeping only: each
+    // answer's stats must equal the stats of the same query run alone on a
+    // fresh scratch (modulo wall-clock).
     let store = MemStore::from_objects(objects(30)).unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
     let engine = QueryEngine::new(&tree, &store);
     let requests = workload(&store, 30);
-    let outcome = BatchExecutor::new(4).run(&tree, &store, &requests);
+    let answers = run_on_threads(&tree, &store, &requests, 4);
 
-    for (req, res) in requests.iter().zip(&outcome.responses) {
-        let solo = match req {
-            BatchRequest::Aknn { query, k, alpha, cfg } => {
-                engine.aknn(query, *k, *alpha, cfg).map(|r| r.stats)
-            }
-            BatchRequest::Rknn { query, k, alpha_start, alpha_end, algo, cfg } => {
-                engine.rknn(query, *k, *alpha_start, *alpha_end, *algo, cfg).map(|r| r.stats)
-            }
-        };
+    for (req, res) in requests.iter().zip(&answers) {
+        let solo = req.run(&engine, &mut QueryScratch::new()).map(|a| *a.stats());
         match (solo, res) {
-            (Ok(solo), Ok(batched)) => assert_eq!(counts(&solo), counts(batched.stats())),
+            (Ok(solo), Ok(shared)) => assert_eq!(counts(&solo), counts(shared.stats())),
             (Err(_), Err(_)) => {}
-            (a, b) => panic!("solo/batch disagree on success: {a:?} vs {b:?}"),
+            (a, b) => panic!("solo/shared disagree on success: {a:?} vs {b:?}"),
         }
     }
 }

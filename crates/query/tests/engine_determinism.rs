@@ -12,14 +12,14 @@ use std::sync::Arc;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
 use fuzzy_index::{NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
-use fuzzy_query::{
-    execute_one, AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound,
-    Neighbor, QueryEngine, QueryScratch, RknnAlgorithm, RknnItem, Versioned,
-};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, RknnAlgorithm, Versioned};
 use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 
 mod common;
-use common::{KernelCall, RecordingL2, Settle, Window};
+use common::{
+    aknn_line, fingerprint, rknn_line, run_on_threads, Answer, KernelCall, RecordingL2, Request,
+    Settle, Window,
+};
 
 /// A deterministic pseudo-random fuzzy object (xorshift, no external RNG).
 fn blob(id: u64, cx: f64, cy: f64) -> FuzzyObject<2> {
@@ -47,22 +47,22 @@ fn objects(n: u64) -> impl Iterator<Item = FuzzyObject<2>> {
 
 /// A mixed AKNN/RKNN workload over every paper variant, including an
 /// invalid slot — error positions must be stable across all cells too.
-fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<BatchRequest<2>> {
+fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<Request> {
     let mut requests = Vec::new();
     for i in 0..n {
         let q = store.probe(ObjectId(i)).unwrap().as_ref().clone();
         match i % 6 {
-            0 => requests.push(BatchRequest::aknn(q, 5, 0.5, AknnConfig::lb_lp_ub())),
-            1 => requests.push(BatchRequest::aknn(q, 3, 0.8, AknnConfig::basic())),
-            2 => requests.push(BatchRequest::aknn(q, 8, 0.3, AknnConfig::lb())),
-            3 => requests.push(BatchRequest::rknn(
+            0 => requests.push(Request::aknn(q, 5, 0.5, AknnConfig::lb_lp_ub())),
+            1 => requests.push(Request::aknn(q, 3, 0.8, AknnConfig::basic())),
+            2 => requests.push(Request::aknn(q, 8, 0.3, AknnConfig::lb())),
+            3 => requests.push(Request::rknn(
                 q,
                 3,
                 (0.3, 0.7),
                 RknnAlgorithm::RssIcr,
                 AknnConfig::lb_lp_ub(),
             )),
-            4 => requests.push(BatchRequest::rknn(
+            4 => requests.push(Request::rknn(
                 q,
                 2,
                 (0.2, 0.9),
@@ -70,61 +70,10 @@ fn workload<S: ObjectStore<2>>(store: &S, n: u64) -> Vec<BatchRequest<2>> {
                 AknnConfig::lb_lp(),
             )),
             // Deliberately invalid: α out of range.
-            _ => requests.push(BatchRequest::aknn(q, 4, 1.5, AknnConfig::lb_lp_ub())),
+            _ => requests.push(Request::aknn(q, 4, 1.5, AknnConfig::lb_lp_ub())),
         }
     }
     requests
-}
-
-/// One AKNN answer line: ids plus the raw IEEE-754 bits of every
-/// distance (or bound endpoints).
-fn aknn_line(neighbors: &[Neighbor]) -> String {
-    let mut out = String::new();
-    for n in neighbors {
-        let bits = match n.dist {
-            DistBound::Exact(d) => format!("={:016x}", d.to_bits()),
-            DistBound::Bounded { lo, hi } => {
-                format!("[{:016x},{:016x}]", lo.to_bits(), hi.to_bits())
-            }
-        };
-        out.push_str(&format!("{}{bits} ", n.id));
-    }
-    out.push('\n');
-    out
-}
-
-/// One RKNN answer line: ids plus the bits of every interval endpoint.
-fn rknn_line(items: &[RknnItem]) -> String {
-    let mut out = String::new();
-    for item in items {
-        out.push_str(&format!("{} ", item.id));
-        for iv in item.range.intervals() {
-            out.push_str(&format!(
-                "({}{:016x},{:016x}{}) ",
-                if iv.lo_closed { "[" } else { "(" },
-                iv.lo.to_bits(),
-                iv.hi.to_bits(),
-                if iv.hi_closed { "]" } else { ")" },
-            ));
-        }
-    }
-    out.push('\n');
-    out
-}
-
-/// Canonical byte representation of the answers. Equal fingerprints ⟺
-/// byte-identical result sets.
-fn fingerprint(outcome: &BatchOutcome) -> String {
-    let mut out = String::new();
-    for (i, res) in outcome.responses.iter().enumerate() {
-        out.push_str(&format!("[{i}] "));
-        match res {
-            Err(e) => out.push_str(&format!("err {e}\n")),
-            Ok(BatchResponse::Aknn(r)) => out.push_str(&aknn_line(&r.neighbors)),
-            Ok(BatchResponse::Rknn(r)) => out.push_str(&rknn_line(&r.items)),
-        }
-    }
-    out
 }
 
 /// The dataset as a `.fzkn` file under a per-test name.
@@ -174,7 +123,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
     let requests = workload(&store, N);
 
     // Answer bytes plus every counter except the wall clock.
-    fn trace(res: Result<BatchResponse, fuzzy_query::QueryError>) -> String {
+    fn trace(res: Result<Answer, fuzzy_query::QueryError>) -> String {
         match res {
             Err(e) => format!("err {e}\n"),
             Ok(r) => {
@@ -190,8 +139,8 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
                     s.candidates,
                 ];
                 let line = match &r {
-                    BatchResponse::Aknn(r) => aknn_line(&r.neighbors),
-                    BatchResponse::Rknn(r) => rknn_line(&r.items),
+                    Answer::Aknn(r) => aknn_line(&r.neighbors),
+                    Answer::Rknn(r) => rknn_line(&r.items),
                 };
                 format!("{counts:?} {line}")
             }
@@ -204,7 +153,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
         index: &I,
         pool: Option<&PagedRTree<2>>,
         store: &FileStore<2>,
-        req: &BatchRequest<2>,
+        req: &Request,
         reused: &mut QueryScratch<2>,
     ) -> (String, String) {
         let engine = QueryEngine::new(index, store);
@@ -212,7 +161,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
             if let Some(pool) = pool {
                 pool.clear_cache();
             }
-            trace(execute_one(&engine, req, scratch))
+            trace(req.run(&engine, scratch))
         };
         (cold(reused), cold(&mut QueryScratch::new()))
     }
@@ -266,7 +215,7 @@ fn compaction_under_a_pinned_snapshot_is_byte_identical() {
 
     let requests = workload(&store, N);
     let pinned = dynamic.snapshot();
-    let baseline = fingerprint(&BatchExecutor::sequential().run(&pinned, &store, &requests));
+    let baseline = fingerprint(&run_on_threads(&pinned, &store, &requests, 1));
 
     // Readers hammer the pinned snapshot while the main thread compacts.
     std::thread::scope(|scope| {
@@ -276,7 +225,7 @@ fn compaction_under_a_pinned_snapshot_is_byte_identical() {
                     (&pinned, &requests, &store, baseline.as_str());
                 scope.spawn(move || {
                     for round in 0..4 {
-                        let outcome = BatchExecutor::new(2).run(pinned, store, requests);
+                        let outcome = run_on_threads(pinned, store, requests, 2);
                         assert_eq!(
                             fingerprint(&outcome),
                             baseline,
@@ -305,7 +254,7 @@ fn compaction_under_a_pinned_snapshot_is_byte_identical() {
     let fresh = dynamic.snapshot();
     assert!(fresh.is_clean(), "compaction must leave the overlay clean");
     assert!(!fuzzy_index::delta_path_for(&index_path).exists());
-    let after = BatchExecutor::sequential().run(&fresh, &store, &requests);
+    let after = run_on_threads(&fresh, &store, &requests, 1);
     assert_eq!(fingerprint(&after), baseline, "post-compaction answers diverged");
 
     std::fs::remove_file(&index_path).ok();

@@ -2,7 +2,7 @@
 //! workload, the write backend — the `PagedRTree` + delta overlay — and
 //! the index file `compact` rewrote from it must answer AKNN/RKNN queries
 //! **byte-identically** to a freshly bulk-loaded tree over the same live
-//! set, and to linear-scan oracles; at 1, 2 and 8 executor threads. This
+//! set, and to linear-scan oracles; at 1, 2 and 8 query threads. This
 //! is the test the CI `mutation-determinism` job runs.
 //!
 //! Comparison configs avoid the lazy-probe buffer on *cross-shape*
@@ -16,17 +16,14 @@ use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshol
 use fuzzy_geom::Point;
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
-use fuzzy_query::{
-    AknnConfig, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse, DistBound, QueryEngine,
-    QueryScratch, RknnAlgorithm, Versioned,
-};
+use fuzzy_query::{AknnConfig, DistBound, QueryEngine, QueryScratch, RknnAlgorithm, Versioned};
 use fuzzy_store::{FileStoreWriter, ObjectStore};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 mod common;
-use common::{RecordingL2, Settle};
+use common::{fingerprint, run_on_threads, RecordingL2, Request, Settle};
 
 /// Deterministic pseudo-random fuzzy object (tie-free geometry).
 fn blob(id: u64) -> FuzzyObject<2> {
@@ -117,21 +114,21 @@ fn apply(index: &mut OverlayRTree<2>, summaries: &[ObjectSummary<2>]) -> BTreeSe
 
 /// Mixed workload over shape-independent configurations (no lazy probe;
 /// every AKNN answer carries exact distances in ascending order).
-fn workload<S: ObjectStore<2>>(store: &S, live: &BTreeSet<u64>) -> Vec<BatchRequest<2>> {
+fn workload<S: ObjectStore<2>>(store: &S, live: &BTreeSet<u64>) -> Vec<Request> {
     let mut requests = Vec::new();
     for (i, &id) in live.iter().step_by(4).enumerate() {
         let q = store.probe(ObjectId(id)).unwrap().as_ref().clone();
         match i % 4 {
-            0 => requests.push(BatchRequest::aknn(q, 5, 0.5, AknnConfig::basic())),
-            1 => requests.push(BatchRequest::aknn(q, 8, 0.7, AknnConfig::lb())),
-            2 => requests.push(BatchRequest::rknn(
+            0 => requests.push(Request::aknn(q, 5, 0.5, AknnConfig::basic())),
+            1 => requests.push(Request::aknn(q, 8, 0.7, AknnConfig::lb())),
+            2 => requests.push(Request::rknn(
                 q,
                 3,
                 (0.3, 0.7),
                 RknnAlgorithm::RssIcr,
                 AknnConfig::lb_lp_ub(),
             )),
-            _ => requests.push(BatchRequest::rknn(
+            _ => requests.push(Request::rknn(
                 q,
                 2,
                 (0.2, 0.9),
@@ -143,46 +140,6 @@ fn workload<S: ObjectStore<2>>(store: &S, live: &BTreeSet<u64>) -> Vec<BatchRequ
     requests
 }
 
-/// Canonical bytes of a batch outcome (ids + IEEE-754 bits, no wall
-/// clock).
-fn fingerprint(outcome: &BatchOutcome) -> String {
-    let mut out = String::new();
-    for (i, res) in outcome.responses.iter().enumerate() {
-        out.push_str(&format!("[{i}] "));
-        match res {
-            Err(e) => out.push_str(&format!("err {e}\n")),
-            Ok(BatchResponse::Aknn(r)) => {
-                for n in &r.neighbors {
-                    let bits = match n.dist {
-                        DistBound::Exact(d) => format!("={:016x}", d.to_bits()),
-                        DistBound::Bounded { lo, hi } => {
-                            format!("[{:016x},{:016x}]", lo.to_bits(), hi.to_bits())
-                        }
-                    };
-                    out.push_str(&format!("{}{bits} ", n.id));
-                }
-                out.push('\n');
-            }
-            Ok(BatchResponse::Rknn(r)) => {
-                for item in &r.items {
-                    out.push_str(&format!("{} ", item.id));
-                    for iv in item.range.intervals() {
-                        out.push_str(&format!(
-                            "{}{:016x},{:016x}{} ",
-                            if iv.lo_closed { "[" } else { "(" },
-                            iv.lo.to_bits(),
-                            iv.hi.to_bits(),
-                            if iv.hi_closed { "]" } else { ")" },
-                        ));
-                    }
-                }
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
 /// Run the workload at 1/2/8 threads; all runs must agree; returns the
 /// shared fingerprint.
 fn threaded_fingerprint<A, S>(tree: &A, store: &S, live: &BTreeSet<u64>) -> String
@@ -191,11 +148,11 @@ where
     S: ObjectStore<2> + Sync,
 {
     let requests = workload(store, live);
-    let sequential = BatchExecutor::sequential().run(tree, store, &requests);
-    assert_eq!(sequential.error_count(), 0);
+    let sequential = run_on_threads(tree, store, &requests, 1);
+    assert!(sequential.iter().all(Result::is_ok));
     let print = fingerprint(&sequential);
     for threads in [2usize, 8] {
-        let concurrent = BatchExecutor::new(threads).run(tree, store, &requests);
+        let concurrent = run_on_threads(tree, store, &requests, threads);
         assert_eq!(fingerprint(&concurrent), print, "{threads}-thread run diverged");
     }
     print
@@ -386,7 +343,7 @@ fn interleaved_mutations_converge_across_backends_and_threads() {
 }
 
 /// In-flight queries pinned to an epoch snapshot of the overlay must be
-/// unaffected by writer commits — including whole batches running while
+/// unaffected by writer commits — including whole workloads running while
 /// the writer churns.
 #[test]
 fn pinned_snapshots_survive_concurrent_writes() {
@@ -404,7 +361,7 @@ fn pinned_snapshots_survive_concurrent_writes() {
 
     let pinned = index.snapshot();
     let requests = workload(&store, &live);
-    let before = fingerprint(&BatchExecutor::sequential().run(&pinned, &store, &requests));
+    let before = fingerprint(&run_on_threads(&pinned, &store, &requests, 1));
 
     std::thread::scope(|scope| {
         let index = &index;
@@ -421,7 +378,7 @@ fn pinned_snapshots_survive_concurrent_writes() {
         });
         // Readers on the pinned snapshot, racing the writer.
         for threads in [1usize, 2, 8] {
-            let outcome = BatchExecutor::new(threads).run(&pinned, &store, &requests);
+            let outcome = run_on_threads(&pinned, &store, &requests, threads);
             assert_eq!(
                 fingerprint(&outcome),
                 before,

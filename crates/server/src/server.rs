@@ -6,7 +6,7 @@
 //!   spawns one **reader thread** per connection.
 //! * Reader threads decode frames. Control-plane requests (INFO, STATS,
 //!   SWAP, SHUTDOWN) are answered inline — they never queue behind
-//!   queries. Query requests are resolved to [`BatchRequest`]s and pushed
+//!   queries. Query requests are resolved to a query object and pushed
 //!   onto a **bounded job queue**; a full queue answers BUSY immediately
 //!   (admission control: the pool never builds unbounded backlog, it
 //!   sheds load at the door).
@@ -28,10 +28,9 @@ use crate::protocol::{
     inline_object, read_frame, ErrorCode, QuerySource, RawFrame, Request, Response, WireError,
     WIRE_DIMS,
 };
+use fuzzy_core::FuzzyObject;
 use fuzzy_index::{NodeAccess, OverlayRTree, RTree, RTreeConfig};
-use fuzzy_query::{
-    execute_caught, BatchRequest, BatchResponse, QueryEngine, QueryError, QueryScratch, Versioned,
-};
+use fuzzy_query::{AknnConfig, QueryEngine, QueryError, QueryScratch, RknnAlgorithm, Versioned};
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -150,11 +149,24 @@ struct Shared {
     addr: ListenAddr,
 }
 
-/// One admitted query, en route to a worker.
+/// One admitted query, en route to a worker: the query object, what to
+/// run on it, and the engine configuration with the request's deadline.
 struct Job {
-    request: BatchRequest<WIRE_DIMS>,
+    query: FuzzyObject<WIRE_DIMS>,
+    k: usize,
+    kind: Kind,
+    cfg: AknnConfig,
     request_id: u64,
     writer: SharedWriter,
+}
+
+/// What a [`Job`] asks of the engine.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// AKNN at one probability threshold.
+    Aknn { alpha: f64 },
+    /// RKNN over `[start, end]`.
+    Rknn { start: f64, end: f64, algo: RknnAlgorithm },
 }
 
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
@@ -440,73 +452,69 @@ fn handle_frame(
             false
         }
         Request::Aknn { query, k, alpha, variant, deadline_ms } => {
-            let admitted = Instant::now();
-            let deadline = deadline_of(admitted, deadline_ms);
-            let q = match resolve_query(shared, &query) {
-                Ok(q) => q,
-                Err(resp) => {
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_response(writer, id, &resp);
-                    return true;
-                }
-            };
-            let cfg = variant.config().with_deadline(deadline);
-            let request = BatchRequest::aknn(q, k as usize, alpha, cfg);
-            enqueue(shared, tx, writer, id, request);
+            let cfg = variant.config().with_deadline(deadline_of(deadline_ms));
+            if let Some(query) = resolve_query(shared, writer, id, &query) {
+                let kind = Kind::Aknn { alpha };
+                let writer = Arc::clone(writer);
+                enqueue(
+                    shared,
+                    tx,
+                    Job { query, k: k as usize, kind, cfg, request_id: id, writer },
+                );
+            }
             true
         }
         Request::Rknn { query, k, alpha_start, alpha_end, algo, variant, deadline_ms } => {
-            let admitted = Instant::now();
-            let deadline = deadline_of(admitted, deadline_ms);
-            let q = match resolve_query(shared, &query) {
-                Ok(q) => q,
-                Err(resp) => {
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_response(writer, id, &resp);
-                    return true;
-                }
-            };
-            let cfg = variant.config().with_deadline(deadline);
-            let request = BatchRequest::rknn(q, k as usize, (alpha_start, alpha_end), algo, cfg);
-            enqueue(shared, tx, writer, id, request);
+            let cfg = variant.config().with_deadline(deadline_of(deadline_ms));
+            if let Some(query) = resolve_query(shared, writer, id, &query) {
+                let kind = Kind::Rknn { start: alpha_start, end: alpha_end, algo };
+                let writer = Arc::clone(writer);
+                enqueue(
+                    shared,
+                    tx,
+                    Job { query, k: k as usize, kind, cfg, request_id: id, writer },
+                );
+            }
             true
         }
     }
 }
 
-fn deadline_of(admitted: Instant, deadline_ms: u32) -> Option<Instant> {
-    (deadline_ms > 0).then(|| admitted + Duration::from_millis(deadline_ms as u64))
+/// The deadline of a query admitted now, if it set one.
+fn deadline_of(deadline_ms: u32) -> Option<Instant> {
+    (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms as u64))
 }
 
 /// Materialize the request's query object: probe the store for stored-id
-/// sources, validate inline ones.
+/// sources, validate inline ones. A source that names no usable object is
+/// answered here, and yields `None`.
 fn resolve_query(
     shared: &Shared,
+    writer: &SharedWriter,
+    request_id: u64,
     source: &QuerySource,
-) -> Result<fuzzy_core::FuzzyObject<WIRE_DIMS>, Response> {
+) -> Option<FuzzyObject<WIRE_DIMS>> {
+    let refused = |code, message| {
+        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        write_response(writer, request_id, &Response::Error { code, message });
+        None
+    };
     match source {
         QuerySource::Stored(id) => match shared.store.probe(*id) {
-            Ok(obj) => Ok(obj.as_ref().clone()),
-            Err(e @ StoreError::UnknownObject(_)) => {
-                Err(Response::Error { code: ErrorCode::NotFound, message: e.to_string() })
-            }
-            Err(e) => Err(Response::Error { code: ErrorCode::Store, message: e.to_string() }),
+            Ok(obj) => Some(obj.as_ref().clone()),
+            Err(e @ StoreError::UnknownObject(_)) => refused(ErrorCode::NotFound, e.to_string()),
+            Err(e) => refused(ErrorCode::Store, e.to_string()),
         },
-        QuerySource::Inline { id, rows } => inline_object(*id, rows)
-            .map_err(|message| Response::Error { code: ErrorCode::InvalidArgument, message }),
+        QuerySource::Inline { id, rows } => match inline_object(*id, rows) {
+            Ok(obj) => Some(obj),
+            Err(message) => refused(ErrorCode::InvalidArgument, message),
+        },
     }
 }
 
 /// Admission control: try to hand the job to the pool; a full queue means
 /// an immediate BUSY, the request is never buffered.
-fn enqueue(
-    shared: &Shared,
-    tx: &SyncSender<Job>,
-    writer: &SharedWriter,
-    request_id: u64,
-    request: BatchRequest<WIRE_DIMS>,
-) {
-    let job = Job { request, request_id, writer: Arc::clone(writer) };
+fn enqueue(shared: &Shared, tx: &SyncSender<Job>, job: Job) {
     match tx.try_send(job) {
         Ok(()) => {}
         Err(TrySendError::Full(job)) => {
@@ -554,51 +562,62 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut QueryScratch<WIRE_DIMS>, job: Job
     // is picked up here; a SWAP landing mid-query is not (epoch
     // isolation).
     let snapshot = shared.index.snapshot();
-    let store = shared.store.as_ref();
-    let request = &job.request;
-    let engine = QueryEngine::new(&snapshot.0, store);
-    let resp = match execute_caught(&engine, request, scratch) {
-        Ok(BatchResponse::Aknn(r)) => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors }
+    let engine = QueryEngine::new(&snapshot.0, shared.store.as_ref());
+    let resp = dispatch(&engine, &job, scratch);
+    let counter = match &resp {
+        Response::Error { code: ErrorCode::DeadlineExceeded, .. } => {
+            &shared.counters.deadline_exceeded
         }
-        Ok(BatchResponse::Rknn(r)) => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            Response::Rknn { stats: (&r.stats).into(), items: r.items }
-        }
-        Err(e) => {
-            let (code, counter) = classify(&e);
-            counter_of(shared, counter).fetch_add(1, Ordering::Relaxed);
-            Response::Error { code, message: e.to_string() }
-        }
+        Response::Error { .. } => &shared.counters.errors,
+        _ => &shared.counters.served,
     };
+    counter.fetch_add(1, Ordering::Relaxed);
     write_response(&job.writer, job.request_id, &resp);
 }
 
-enum CounterKind {
-    Deadline,
-    Error,
+/// Answer one job through the engine, on the worker's long-lived scratch.
+///
+/// A panic inside the query is caught at this per-query boundary and
+/// answered PANICKED, with the payload's message when it was a string, so
+/// one poisoned query cannot take its worker down. Reusing the scratch
+/// afterwards is sound: every search resets it on entry, so a half-filled
+/// heap or buffer from the unwound query cannot leak into the next one.
+fn dispatch<I: NodeAccess<WIRE_DIMS>, S: ObjectStore<WIRE_DIMS>>(
+    engine: &QueryEngine<'_, I, S, WIRE_DIMS>,
+    job: &Job,
+    scratch: &mut QueryScratch<WIRE_DIMS>,
+) -> Response {
+    let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
+        Kind::Aknn { alpha } => engine
+            .aknn_with_scratch(&job.query, job.k, alpha, &job.cfg, scratch)
+            .map(|r| Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors }),
+        Kind::Rknn { start, end, algo } => engine
+            .rknn_with_scratch(&job.query, job.k, start, end, algo, &job.cfg, scratch)
+            .map(|r| Response::Rknn { stats: (&r.stats).into(), items: r.items }),
+    }))
+    .unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(QueryError::Panicked { message })
+    });
+    answer.unwrap_or_else(|e| Response::Error { code: classify(&e), message: e.to_string() })
 }
 
-fn counter_of(shared: &Shared, kind: CounterKind) -> &AtomicU64 {
-    match kind {
-        CounterKind::Deadline => &shared.counters.deadline_exceeded,
-        CounterKind::Error => &shared.counters.errors,
-    }
-}
-
-fn classify(e: &QueryError) -> (ErrorCode, CounterKind) {
+fn classify(e: &QueryError) -> ErrorCode {
     match e {
-        QueryError::DeadlineExceeded => (ErrorCode::DeadlineExceeded, CounterKind::Deadline),
-        QueryError::Panicked { .. } => (ErrorCode::Panicked, CounterKind::Error),
-        QueryError::Store(StoreError::UnknownObject(_)) => {
-            (ErrorCode::NotFound, CounterKind::Error)
-        }
-        QueryError::Store(_) => (ErrorCode::Store, CounterKind::Error),
+        QueryError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
+        QueryError::Panicked { .. } => ErrorCode::Panicked,
+        QueryError::Store(StoreError::UnknownObject(_)) => ErrorCode::NotFound,
+        QueryError::Store(_) => ErrorCode::Store,
         QueryError::EmptyQueryCut
         | QueryError::ZeroK
         | QueryError::InvalidProbability { .. }
-        | QueryError::InvalidRange { .. } => (ErrorCode::InvalidArgument, CounterKind::Error),
+        | QueryError::InvalidRange { .. } => ErrorCode::InvalidArgument,
     }
 }
 
@@ -676,6 +695,119 @@ mod tests {
 
     fn overlay_of(index: &ServeIndex) -> &OverlayRTree<WIRE_DIMS> {
         &index.0
+    }
+
+    /// A store that panics when probing one designated id: a latent bug
+    /// deep inside a single query's traversal.
+    struct PanickyStore {
+        inner: FileStore<WIRE_DIMS>,
+        poison: ObjectId,
+    }
+
+    impl ObjectStore<WIRE_DIMS> for PanickyStore {
+        fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<WIRE_DIMS>>, StoreError> {
+            assert!(id != self.poison, "injected probe panic");
+            self.inner.probe(id)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn summaries(&self) -> &[ObjectSummary<WIRE_DIMS>] {
+            self.inner.summaries()
+        }
+
+        fn stats(&self) -> fuzzy_store::IoStatsSnapshot {
+            self.inner.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    /// A job whose response goes nowhere: [`dispatch`] returns it.
+    fn job(query: &FuzzyObject<WIRE_DIMS>, k: usize, kind: Kind, cfg: AknnConfig) -> Job {
+        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::sink())));
+        Job { query: query.clone(), k, kind, cfg, request_id: 0, writer }
+    }
+
+    /// Dispatch `bad` between two copies of a good AKNN for object 0 on one
+    /// scratch: return `bad`'s response, after checking that both good ones
+    /// answer with object 0 among the neighbours.
+    fn between_good_queries(
+        store: &PanickyStore,
+        bad: &FuzzyObject<WIRE_DIMS>,
+        bad_kind: Kind,
+        bad_cfg: AknnConfig,
+    ) -> Response {
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        let engine = QueryEngine::new(&tree, store);
+        let q0 = store.inner.probe(ObjectId(0)).unwrap();
+        let good = job(&q0, 2, Kind::Aknn { alpha: 0.5 }, AknnConfig::lb_lp_ub());
+        let mut scratch = QueryScratch::new();
+        let answers_itself =
+            |scratch: &mut QueryScratch<WIRE_DIMS>| match dispatch(&engine, &good, scratch) {
+                Response::Aknn { neighbors, .. } => {
+                    assert!(neighbors.iter().any(|n| n.id == ObjectId(0)))
+                }
+                other => panic!("expected an AKNN answer, got {other:?}"),
+            };
+        answers_itself(&mut scratch);
+        let resp = dispatch(&engine, &job(bad, 12, bad_kind, bad_cfg), &mut scratch);
+        answers_itself(&mut scratch);
+        resp
+    }
+
+    fn grid_store(poison: u64) -> PanickyStore {
+        let inner = FileStore::from_objects((0..12).map(|i| {
+            let (x, y) = ((i % 4) as f64, (i / 4) as f64);
+            FuzzyObject::new(
+                ObjectId(i),
+                vec![Point::xy(x, y), Point::xy(x + 0.3, y + 0.3)],
+                vec![1.0, 0.5],
+            )
+            .unwrap()
+        }))
+        .unwrap();
+        PanickyStore { inner, poison: ObjectId(poison) }
+    }
+
+    /// A query that panics is answered PANICKED with the payload's message,
+    /// and the next query on the same scratch still answers.
+    #[test]
+    fn a_panicking_query_answers_panicked_and_the_scratch_still_serves() {
+        // Probing object 5 panics; `basic()` probes every popped entry,
+        // so a wide AKNN from object 5 is bound to hit it.
+        let store = grid_store(5);
+        let q5 = store.inner.probe(ObjectId(5)).unwrap();
+        let resp =
+            between_good_queries(&store, &q5, Kind::Aknn { alpha: 0.5 }, AknnConfig::basic());
+        match resp {
+            Response::Error { code: ErrorCode::Panicked, message } => {
+                assert!(message.contains("injected probe panic"), "payload kept: {message}")
+            }
+            other => panic!("expected PANICKED, got {other:?}"),
+        }
+    }
+
+    /// An invalid query is answered INVALID_ARGUMENT, and the next query on
+    /// the same scratch still answers.
+    #[test]
+    fn an_invalid_query_answers_invalid_argument_and_the_scratch_still_serves() {
+        let store = grid_store(u64::MAX);
+        let q0 = store.inner.probe(ObjectId(0)).unwrap();
+        for kind in [
+            Kind::Aknn { alpha: 1.5 },
+            Kind::Rknn { start: 0.3, end: 1.5, algo: RknnAlgorithm::RssIcr },
+        ] {
+            let resp = between_good_queries(&store, &q0, kind, AknnConfig::lb_lp_ub());
+            assert!(
+                matches!(resp, Response::Error { code: ErrorCode::InvalidArgument, .. }),
+                "{kind:?}: {resp:?}"
+            );
+        }
     }
 
     /// `:mem:` serves an image base, which is no file: a second SWAP to

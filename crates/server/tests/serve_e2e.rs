@@ -6,7 +6,7 @@
 
 use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
-use fuzzy_query::{execute_one, BatchRequest, DistBound, QueryEngine, QueryScratch};
+use fuzzy_query::{DistBound, QueryEngine, QueryScratch};
 use fuzzy_server::protocol::read_frame;
 use fuzzy_server::{
     serve, Client, ErrorCode, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
@@ -78,8 +78,8 @@ fn workload(n: u64) -> Vec<(u64, u32, f64, fuzzy_server::WireVariant)> {
         .collect()
 }
 
-/// One-shot reference answers through the exact engine path the server
-/// workers use (`execute_one` with a reused scratch) over the same
+/// One-shot reference answers through the engine method the server
+/// workers call (`aknn_with_scratch` on a reused scratch) over the same
 /// bulk-loaded tree a `ServeIndex::mem_from_store` holds.
 fn reference_answers(
     store: &FileStore<2>,
@@ -93,12 +93,14 @@ fn reference_answers(
     let mut scratch = QueryScratch::new();
     work.iter()
         .map(|&(id, k, alpha, variant)| {
-            let q = store.probe(ObjectId(id)).unwrap().as_ref().clone();
-            let request = BatchRequest::aknn(q, k as usize, alpha, variant.config());
-            match execute_one(&engine, &request, &mut scratch).unwrap() {
-                fuzzy_query::BatchResponse::Aknn(r) => fingerprint(&r.neighbors),
-                other => panic!("expected AKNN, got {other:?}"),
-            }
+            let q = store.probe(ObjectId(id)).unwrap();
+            let cfg = variant.config();
+            fingerprint(
+                &engine
+                    .aknn_with_scratch(&q, k as usize, alpha, &cfg, &mut scratch)
+                    .unwrap()
+                    .neighbors,
+            )
         })
         .collect()
 }
@@ -696,12 +698,10 @@ fn approximate_index_swap_is_a_typed_mismatch() {
 
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
     let engine = QueryEngine::new(&tree, &store);
-    let q = store.probe(ObjectId(7)).unwrap().as_ref().clone();
-    let request = BatchRequest::aknn(q, 5, 0.5, fuzzy_query::AknnConfig::lb_lp_ub());
-    let want = match execute_one(&engine, &request, &mut QueryScratch::new()).unwrap() {
-        fuzzy_query::BatchResponse::Aknn(r) => fingerprint(&r.neighbors),
-        other => panic!("local AKNN: {other:?}"),
-    };
+    let q = store.probe(ObjectId(7)).unwrap();
+    let want = fingerprint(
+        &engine.aknn(&q, 5, 0.5, &fuzzy_query::AknnConfig::lb_lp_ub()).unwrap().neighbors,
+    );
 
     let index = ServeIndex::mem_from_store(&store);
     let handle =

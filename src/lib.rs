@@ -77,9 +77,8 @@ pub mod prelude {
     pub use fuzzy_geom::{Mbr, Point};
     pub use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
     pub use fuzzy_query::{
-        AknnConfig, AknnResult, BatchExecutor, BatchOutcome, BatchRequest, BatchResponse,
-        DistBound, Interval, IntervalSet, Neighbor, QueryEngine, QueryError, QueryScratch,
-        QueryStats, RknnAlgorithm, RknnItem, RknnResult, Versioned,
+        AknnConfig, AknnResult, DistBound, Interval, IntervalSet, Neighbor, QueryEngine,
+        QueryError, QueryScratch, QueryStats, RknnAlgorithm, RknnItem, RknnResult, Versioned,
     };
     pub use fuzzy_store::{
         FileStore, FileStoreWriter, MemStore, ObjectStore, PageCache, StoreError,
