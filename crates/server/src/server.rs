@@ -810,6 +810,62 @@ mod tests {
         }
     }
 
+    /// A query whose deadline has passed is answered DEADLINE_EXCEEDED,
+    /// and the next query on the same scratch still answers.
+    #[test]
+    fn an_expired_deadline_answers_deadline_exceeded_and_the_scratch_still_serves() {
+        let store = grid_store(u64::MAX);
+        let q0 = store.inner.probe(ObjectId(0)).unwrap();
+        let expired = AknnConfig::lb_lp_ub().with_deadline(Some(Instant::now()));
+        for kind in [
+            Kind::Aknn { alpha: 0.5 },
+            Kind::Rknn { start: 0.3, end: 0.7, algo: RknnAlgorithm::RssIcr },
+        ] {
+            let resp = between_good_queries(&store, &q0, kind, expired);
+            assert!(
+                matches!(resp, Response::Error { code: ErrorCode::DeadlineExceeded, .. }),
+                "{kind:?}: {resp:?}"
+            );
+        }
+    }
+
+    /// A dispatched query answers what the engine's own method answers:
+    /// the same neighbours or items and the same logical counters (the
+    /// wall time aside), for AKNN and for every RKNN algorithm.
+    #[test]
+    fn a_dispatched_query_answers_what_the_engine_answers() {
+        let store = grid_store(u64::MAX);
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        let engine = QueryEngine::new(&tree, &store);
+        let q5 = store.inner.probe(ObjectId(5)).unwrap();
+        let cfg = AknnConfig::lb_lp_ub();
+        let without_wall = |resp: Response| match resp {
+            Response::Aknn { neighbors, mut stats } => {
+                stats.wall_nanos = 0;
+                Response::Aknn { neighbors, stats }
+            }
+            Response::Rknn { items, mut stats } => {
+                stats.wall_nanos = 0;
+                Response::Rknn { items, stats }
+            }
+            other => panic!("expected an answer, got {other:?}"),
+        };
+        let mut scratch = QueryScratch::new();
+        let got = dispatch(&engine, &job(&q5, 3, Kind::Aknn { alpha: 0.5 }, cfg), &mut scratch);
+        let r = engine.aknn(&q5, 3, 0.5, &cfg).unwrap();
+        let want = Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors };
+        assert_eq!(without_wall(got), without_wall(want));
+        for algo in
+            [RknnAlgorithm::Naive, RknnAlgorithm::Basic, RknnAlgorithm::Rss, RknnAlgorithm::RssIcr]
+        {
+            let kind = Kind::Rknn { start: 0.2, end: 0.9, algo };
+            let got = dispatch(&engine, &job(&q5, 3, kind, cfg), &mut scratch);
+            let r = engine.rknn(&q5, 3, 0.2, 0.9, algo, &cfg).unwrap();
+            let want = Response::Rknn { stats: (&r.stats).into(), items: r.items };
+            assert_eq!(without_wall(got), without_wall(want), "{algo:?}");
+        }
+    }
+
     /// `:mem:` serves an image base, which is no file: a second SWAP to
     /// `:mem:` bulk-loads a fresh image instead of replaying a sidecar
     /// beside the empty path, and a SWAP to a file opens it in full.

@@ -31,6 +31,7 @@
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
@@ -157,7 +158,6 @@ impl Kind {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     fn bit_flips(&self) {
@@ -178,7 +178,6 @@ impl Kind {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     fn fields(&self) {
@@ -208,7 +207,6 @@ impl Kind {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     fn mutations(&self, seed: u64) {
@@ -267,7 +265,6 @@ impl Kind {
             "{}: only {past_checksums} of {MUTATIONS} mutants got past the checksums",
             self.name
         );
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -306,6 +303,26 @@ fn stamp(bytes: &mut [u8], from: usize, to: usize, sum: fn(&[u8]) -> u64) {
 fn reseal_whole(bytes: &mut [u8]) {
     let len = bytes.len();
     stamp(bytes, 0, len, fnv1a);
+}
+
+/// A temp path no other call gets: the four steps of a kind are concurrent
+/// tests, and each builds its own fixtures.
+fn fixture_path(kind: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("fz-hostile-{}-{kind}-fixture-{n}", std::process::id()))
+}
+
+/// Write `bytes` to `path`, open the file with `open`, then remove it.
+/// Each decode writes a new file, never a truncating rewrite of the last
+/// one: ext4 starts writeback of a file truncated and rewritten
+/// (`auto_da_alloc`), and the next rewrite waits for it, which made every
+/// file step wait on the disk rather than the CPU.
+fn from_file<T>(path: &Path, bytes: &[u8], open: impl FnOnce(&Path) -> T) -> T {
+    std::fs::write(path, bytes).unwrap();
+    let opened = open(path);
+    std::fs::remove_file(path).unwrap();
+    opened
 }
 
 fn show<T>(result: Result<T, impl std::fmt::Display>) -> Result<T, String> {
@@ -354,7 +371,7 @@ fn grid(n: u64) -> Vec<ObjectSummary<2>> {
 // carry checksums.
 
 fn fzkn_fixtures() -> Vec<Vec<u8>> {
-    let path = std::env::temp_dir().join(format!("fz-hostile-{}-fzkn-fixture", std::process::id()));
+    let path = fixture_path("fzkn");
     let mut writer = FileStoreWriter::<2>::create(&path).unwrap();
     for id in [42u64, 43] {
         writer.append(&object(id, id as f64, -(id as f64))).unwrap();
@@ -374,8 +391,7 @@ fn fzkn_decode(path: &Path, bytes: &[u8]) -> [Outcome; 2] {
         }
         Ok(digest)
     };
-    std::fs::write(path, bytes).unwrap();
-    let file = FileStore::<2>::open(path).and_then(digest);
+    let file = from_file(path, bytes, |path| FileStore::<2>::open(path).and_then(digest));
     [show(file), show(FileStore::<2>::from_image(bytes.to_vec()).and_then(digest))]
 }
 
@@ -487,7 +503,7 @@ const RECORD: Kind = Kind {
 const FZPT_HEADER_FIELDS: [usize; 3] = [16, 24, 40];
 
 fn fzpt_fixtures() -> Vec<Vec<u8>> {
-    let path = std::env::temp_dir().join(format!("fz-hostile-{}-fzpt-fixture", std::process::id()));
+    let path = fixture_path("fzpt");
     // Small pages and 2-entry nodes: a three-level tree in 1.4 KiB.
     PagedRTree::bulk_write(grid(5), RTreeConfig { max_entries: 2 }, &path, 512).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -525,8 +541,7 @@ fn fzpt_scan(tree: PagedRTree<2>) -> Result<Vec<u64>, fuzzy_store::StoreError> {
 }
 
 fn fzpt_decode(path: &Path, bytes: &[u8]) -> [Outcome; 2] {
-    std::fs::write(path, bytes).unwrap();
-    let file = PagedRTree::<2>::open(path).and_then(fzpt_scan);
+    let file = from_file(path, bytes, |path| PagedRTree::<2>::open(path).and_then(fzpt_scan));
     [show(file), show(PagedRTree::<2>::from_image(bytes.to_vec()).and_then(fzpt_scan))]
 }
 
@@ -611,8 +626,8 @@ fn fzdl_decode(path: &Path, bytes: &[u8]) -> [Outcome; 2] {
         log.inserted.iter().for_each(|s| summary_digest(&mut digest, s));
         digest
     };
-    std::fs::write(path, bytes).unwrap();
-    [show(DeltaLog::load(path).map(digest)), show(DeltaLog::from_bytes(bytes).map(digest))]
+    let file = from_file(path, bytes, |path| DeltaLog::load(path).map(digest));
+    [show(file), show(DeltaLog::from_bytes(bytes).map(digest))]
 }
 
 const FZDL: Kind = Kind {
@@ -631,7 +646,7 @@ const FZDL: Kind = Kind {
 // everything before it | magic.
 
 fn fzvp_fixtures() -> Vec<Vec<u8>> {
-    let path = std::env::temp_dir().join(format!("fz-hostile-{}-fzvp-fixture", std::process::id()));
+    let path = fixture_path("fzvp");
     let mut fixtures = Vec::new();
     for (n, fof_neighbors) in [(10, 3), (4, 0)] {
         let config = VpTreeConfig { leaf_size: 2, fof_neighbors };
@@ -656,8 +671,8 @@ fn fzvp_decode(path: &Path, bytes: &[u8]) -> [Outcome; 2] {
         digest.extend(pool.iter().map(|id| id.0));
         digest
     };
-    std::fs::write(path, bytes).unwrap();
-    [show(VpTree::load(path, &L2).map(digest)), show(VpTree::decode(bytes, &L2).map(digest))]
+    let file = from_file(path, bytes, |path| VpTree::load(path, &L2).map(digest));
+    [show(file), show(VpTree::decode(bytes, &L2).map(digest))]
 }
 
 fn fzvp_field_list(bytes: &[u8]) -> Vec<Field> {
