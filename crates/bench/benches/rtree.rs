@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use fuzzy_core::ObjectSummary;
 use fuzzy_datagen::SyntheticConfig;
 use fuzzy_geom::Point;
-use fuzzy_index::{range_search, PagedRTree, RTree, RTreeConfig, DEFAULT_PAGE_SIZE};
+use fuzzy_index::{range_scan, PagedRTree, RTree, RTreeConfig, DEFAULT_PAGE_SIZE};
 
 fn summaries(n: usize) -> Vec<ObjectSummary<2>> {
     shaped_summaries(n, 40, 0.5)
@@ -64,12 +64,17 @@ fn bench_queries(c: &mut Criterion) {
     for radius in [1.0, 5.0, 20.0] {
         group.bench_with_input(BenchmarkId::new("range", radius as u64), &radius, |b, &r| {
             b.iter(|| {
-                range_search(
+                let mut hits = 0;
+                range_scan(
                     &tree,
                     r,
                     |mbr| mbr.min_dist_point(&q),
-                    |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+                    |leaf| {
+                        hits +=
+                            leaf.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= r).count();
+                    },
                 )
+                .map(|_| hits)
             })
         });
     }

@@ -49,38 +49,33 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage:
   fkq generate --kind <synthetic|cell> --n <count> [--ppo <points>] [--seed <u64>] \
-[--radius <r>] --out <path>
-  fkq info <path> [--index-file <path>]
+[--radius <r> (synthetic)] --out <path>
+  fkq info <path> [--index-file <path> [--cache-pages <n>]]
   fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
-[--leaf-size <n>] [--fof-neighbors <n>]
-  fkq aknn <path> --k <k> --alpha <a> [--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] \
-[--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
-[--brute <true|false>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
+[--leaf-size <n> (.fzvp)] [--fof-neighbors <n> (.fzvp)]
+  fkq aknn <path> --k <k> --alpha <a> [--query-id <id> | --query-seed <u64>] \
+[--variant <basic|lb|lb-lp|lb-lp-ub>] [--deadline-ms <n>] \
+[--index-file <path> [--cache-pages <n>] | --server <addr>] [--brute <true|false>] \
+[--recall-dial <exact|v>] [--measure-recall <true|false>]
   fkq rknn <path> --k <k> --start <a> --end <a> [--algo <naive|basic|rss|rss-icr>] \
-[--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] [--index-file <path>] \
-[--cache-pages <n>] [--server <addr>] [--deadline-ms <n>]
+[--query-id <id> | --query-seed <u64>] [--variant <basic|lb|lb-lp|lb-lp-ub>] [--deadline-ms <n>] \
+[--index-file <path> [--cache-pages <n>] | --server <addr>]
   fkq insert <path> --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq delete --index-file <index> --ids <csv> [--cache-pages <n>]
   fkq compact --index-file <index> [--page-size <bytes>] [--cache-pages <n>]
   fkq serve <path> [--listen <host:port|unix:path>] [--index-file <path>] [--workers <n>] \
 [--queue-depth <n>] [--cache-pages <n>]
   fkq swap --addr <host:port|unix:path> --index-file <path|:mem:>
-  fkq shutdown --addr <host:port|unix:path>";
+  fkq shutdown --addr <host:port|unix:path>
+A flag the command does not read on the path its other flags pick is a usage error: \
+aknn's approximate path (--recall-dial, or a .fzvp --index-file) reads no --variant, \
+--deadline-ms, --server or --brute; --brute true reads none of those nor an index flag; \
+rknn --algo naive reads no --variant.";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
     exit(2)
 }
-
-/// Retired flags and why: those of the road-network metric, so no such
-/// query is ever answered under L2, and the R* split's fill fraction. A
-/// leftover one is refused rather than ignored.
-const RETIRED_FLAGS: [(&str, &str); 4] = [
-    ("metric", "queries run under L2 only"),
-    ("graph", "queries run under L2 only"),
-    ("fanout", "queries run under L2 only"),
-    ("min-fill", "indexes are STR bulk-loaded, which sets the fill"),
-];
 
 fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut pos = Vec::new();
@@ -88,10 +83,6 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if let Some((_, why)) = RETIRED_FLAGS.iter().find(|(retired, _)| *retired == name) {
-                eprintln!("flag --{name} is no longer supported: {why}");
-                usage();
-            }
             if i + 1 >= args.len() {
                 eprintln!("flag --{name} needs a value");
                 usage();
@@ -104,6 +95,22 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
         }
     }
     (pos, flags)
+}
+
+/// Refuse every flag outside `reads`, the flags `what` reads on the path
+/// its other flags picked: a flag nothing reads would be silently ignored,
+/// so it is a usage error that names the flag instead.
+fn reads_only(flags: &HashMap<String, String>, what: &str, reads: &[&str]) {
+    let mut ignored: Vec<&str> =
+        flags.keys().map(String::as_str).filter(|flag| !reads.contains(flag)).collect();
+    if ignored.is_empty() {
+        return;
+    }
+    ignored.sort_unstable();
+    for flag in ignored {
+        eprintln!("{what} does not read --{flag}");
+    }
+    usage()
 }
 
 fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
@@ -143,6 +150,11 @@ fn main() {
 
 fn generate(flags: &HashMap<String, String>) {
     let kind = flags.get("kind").cloned().unwrap_or_else(|| "synthetic".into());
+    let mut reads = vec!["kind", "n", "ppo", "seed", "out"];
+    if kind == "synthetic" {
+        reads.push("radius");
+    }
+    reads_only(flags, &format!("generate --kind {kind}"), &reads);
     let n: usize = get(flags, "n").unwrap_or(1_000);
     let ppo: usize = get(flags, "ppo").unwrap_or(200);
     let seed: u64 = get(flags, "seed").unwrap_or(42);
@@ -246,6 +258,7 @@ fn open_overlay(path: &str, flags: &HashMap<String, String>) -> OverlayRTree<2> 
 /// Insert summaries of store objects (by id) into a persisted index's
 /// overlay.
 fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
+    reads_only(flags, "insert", &["index-file", "ids", "cache-pages"]);
     let store = open(path);
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
@@ -275,6 +288,7 @@ fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
 
 /// Tombstone ids out of a persisted index's overlay.
 fn delete_cmd(flags: &HashMap<String, String>) {
+    reads_only(flags, "delete", &["index-file", "ids", "cache-pages"]);
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
     let mut overlay = open_overlay(&ix, flags);
@@ -299,6 +313,7 @@ fn delete_cmd(flags: &HashMap<String, String>) {
 
 /// Fold a persisted index's overlay back into the file (STR bulk reload).
 fn compact_cmd(flags: &HashMap<String, String>) {
+    reads_only(flags, "compact", &["index-file", "page-size", "cache-pages"]);
     let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let overlay = open_overlay(&ix, flags);
     let page_size: u32 = get(flags, "page-size").unwrap_or(overlay.base().page_size());
@@ -331,6 +346,10 @@ fn refuse_page_size(e: &StoreError) {
 }
 
 fn info(path: &str, flags: &HashMap<String, String>) {
+    match flags.contains_key("index-file") {
+        true => reads_only(flags, "info", &["index-file", "cache-pages"]),
+        false => reads_only(flags, "info without --index-file", &[]),
+    }
     let store = open(path);
     println!("{path}: {} objects", store.len());
     let total_points: u64 = store.summaries().iter().map(|s| s.point_count as u64).sum();
@@ -378,8 +397,12 @@ fn info(path: &str, flags: &HashMap<String, String>) {
 /// Build a persistent paged index over a store's summaries (see
 /// `docs/FORMAT.md`).
 fn build_index(path: &str, flags: &HashMap<String, String>) {
-    let store = open(path);
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
+    match out.ends_with(".fzvp") {
+        true => reads_only(flags, "build-index of a .fzvp", &["out", "leaf-size", "fof-neighbors"]),
+        false => reads_only(flags, "build-index", &["out", "page-size", "max-entries"]),
+    }
+    let store = open(path);
     if out.ends_with(".fzvp") {
         build_vptree_index(&store, &out, flags);
         return;
@@ -554,18 +577,52 @@ fn run_approx_aknn(
     }
 }
 
+/// The flag that picks the query object: `--query-id`, else `--query-seed`.
+fn query_flag(flags: &HashMap<String, String>) -> &'static str {
+    if flags.contains_key("query-id") {
+        "query-id"
+    } else {
+        "query-seed"
+    }
+}
+
+/// Refuse the flags an exact query (`aknn` or `rknn`, named by `cmd`) does
+/// not read: `reads` plus the flags of where it runs — a daemon, an index
+/// file, or the in-memory index.
+fn exact_reads_only(flags: &HashMap<String, String>, cmd: &str, reads: &[&str]) {
+    let (place, place_reads): (&str, &[&str]) = if flags.contains_key("server") {
+        ("through --server", &["server"])
+    } else if flags.contains_key("index-file") {
+        ("over --index-file", &["index-file", "cache-pages"])
+    } else {
+        ("over the in-memory index", &[])
+    };
+    let common = ["deadline-ms", query_flag(flags)];
+    reads_only(flags, &format!("{cmd} {place}"), &[reads, &common, place_reads].concat());
+}
+
 fn aknn(path: &str, flags: &HashMap<String, String>) {
+    let wants_approx = flags.contains_key("recall-dial")
+        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
+    let brute = !wants_approx && get::<bool>(flags, "brute").unwrap_or(false);
+    let query = ["k", "alpha", query_flag(flags)];
+    if wants_approx {
+        let approx = ["index-file", "recall-dial", "measure-recall"];
+        reads_only(flags, "approximate aknn", &[&query[..], &approx].concat());
+    } else if brute {
+        reads_only(flags, "aknn --brute true", &[&query[..], &["brute"]].concat());
+    } else {
+        exact_reads_only(flags, "aknn", &["k", "alpha", "brute", "variant"]);
+    }
     let store = open(path);
     let k: usize = get(flags, "k").unwrap_or(10);
     let alpha: f64 = get(flags, "alpha").unwrap_or(0.5);
     let q = query_object(path, &store, flags);
-    let wants_approx = flags.contains_key("recall-dial")
-        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
     if wants_approx {
         run_approx_aknn(&store, &q, k, alpha, flags);
         return;
     }
-    if get::<bool>(flags, "brute").unwrap_or(false) {
+    if brute {
         run_brute_aknn(&store, &q, k, alpha);
         return;
     }
@@ -597,11 +654,17 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
 }
 
 fn rknn(path: &str, flags: &HashMap<String, String>) {
+    let algo = flags.get("algo").map(String::as_str).unwrap_or("rss-icr");
+    // Naive probes every object: it searches no tree, so it has no variant.
+    match algo {
+        "naive" => exact_reads_only(flags, "rknn --algo naive", &["k", "start", "end", "algo"]),
+        _ => exact_reads_only(flags, "rknn", &["k", "start", "end", "algo", "variant"]),
+    }
     let store = open(path);
     let k: usize = get(flags, "k").unwrap_or(10);
     let start: f64 = get(flags, "start").unwrap_or(0.4);
     let end: f64 = get(flags, "end").unwrap_or(0.6);
-    let algo = match flags.get("algo").map(String::as_str).unwrap_or("rss-icr") {
+    let algo = match algo {
         "naive" => RknnAlgorithm::Naive,
         "basic" => RknnAlgorithm::Basic,
         "rss" => RknnAlgorithm::Rss,
@@ -690,6 +753,8 @@ fn unexpected(response: &Response) -> ! {
 
 /// Start the resident daemon and park until a SHUTDOWN frame arrives.
 fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
+    let reads = ["listen", "index-file", "workers", "queue-depth", "cache-pages"];
+    reads_only(flags, "serve", &reads);
     let store = open(path);
     let index = match flags.get("index-file") {
         Some(ix) => ServeIndex::open_paged(ix, cache_pages(flags)).unwrap_or_else(|e| {
@@ -717,6 +782,7 @@ fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
 
 /// Publish a new index epoch on a running daemon.
 fn swap_cmd(flags: &HashMap<String, String>) {
+    reads_only(flags, "swap", &["addr", "index-file"]);
     let addr = flags.get("addr").cloned().unwrap_or_else(|| usage());
     let index_path = flags.get("index-file").cloned().unwrap_or_else(|| usage());
     let mut client = connect(&addr);
@@ -730,6 +796,7 @@ fn swap_cmd(flags: &HashMap<String, String>) {
 
 /// Ask a running daemon to exit.
 fn shutdown_cmd(flags: &HashMap<String, String>) {
+    reads_only(flags, "shutdown", &["addr"]);
     let addr = flags.get("addr").cloned().unwrap_or_else(|| usage());
     let mut client = connect(&addr);
     match call(&mut client, &Request::Shutdown) {

@@ -13,8 +13,8 @@
 //! Scaling: the paper uses N up to 50 000 objects of 1 000 points on 2010
 //! hardware; `--scale` multiplies every N in a sweep and `--ppo` sets
 //! points per object, so the full-size reproduction is
-//! `--scale 1 --ppo 1000`. Recorded defaults fit a small CI box (see
-//! EXPERIMENTS.md).
+//! `--scale 1 --ppo 1000`. The defaults (`--scale 1`, `--rknn-scale 0.2`,
+//! `--ppo 100`, `--queries 5`, `--rknn-queries 3`) fit a small machine.
 
 use fuzzy_analysis::{box_counting_dimension, correlation_dimension, CostModelParams};
 use fuzzy_bench::{ms, DatasetSpec, Env, Table};

@@ -25,8 +25,8 @@ pub struct DatasetSpec {
     pub kind: DatasetKind,
     /// Number of objects `N`.
     pub n: usize,
-    /// Points per object (the paper uses 1 000; the recorded runs scale
-    /// this down — see EXPERIMENTS.md).
+    /// Points per object (the paper uses 1 000; `repro` defaults to 100,
+    /// set by its `--ppo`).
     pub points_per_object: usize,
     /// Generator seed.
     pub seed: u64,

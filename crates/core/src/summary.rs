@@ -124,29 +124,6 @@ impl<const D: usize> ObjectSummary<D> {
         }
         Mbr::new(lo, hi)
     }
-
-    /// Squared lower bound `d⁻_α(A, Q)² = MinDist²(M_A(α)*, M_Q(α))` (§3.2)
-    /// against a query cut MBR computed exactly by the caller — the form the
-    /// best-first traversal keys its heap with (no `sqrt` on the hot path).
-    #[inline]
-    pub fn lower_bound_dist_sq(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
-        self.approx_cut_mbr(t).min_dist_sq(query_cut)
-    }
-
-    /// Squared loose upper bound `MaxDist²(M_A(α)*, M_Q(α))` (Eq. 3) used by
-    /// the lazy probe before the improved §3.4 bound is applied.
-    #[inline]
-    pub fn upper_bound_dist_sq(&self, query_cut: &Mbr<D>, t: Threshold) -> f64 {
-        self.approx_cut_mbr(t).max_dist_sq(query_cut)
-    }
-
-    /// Squared improved upper bound `d⁺_α(A, Q) = min_{q ∈ Q'_α} ‖rep(A) − q‖`
-    /// (Lemma 1): the minimum squared distance from the kernel
-    /// representative to the sampled query points (`+∞` for an empty
-    /// sample).
-    pub fn rep_upper_bound_sq(&self, query_samples: &[Point<D>]) -> f64 {
-        query_samples.iter().map(|q| self.rep.dist_sq(q)).fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Defensive post-processing of a fitted line: boundary functions are
@@ -249,28 +226,6 @@ mod tests {
         let s = ObjectSummary::from_object(&obj);
         let at_09 = s.approx_cut_mbr(Threshold::at(0.9));
         assert!(at_09.area() < s.support_mbr.area() * 0.9);
-    }
-
-    #[test]
-    fn lower_bound_below_upper_bound() {
-        let a = ring_object(11, 100);
-        let s = ObjectSummary::from_object(&a);
-        let query_cut = Mbr::new([5.0, 5.0], [6.0, 6.0]);
-        for v in [0.1, 0.5, 0.9] {
-            let t = Threshold::at(v);
-            assert!(s.lower_bound_dist_sq(&query_cut, t) <= s.upper_bound_dist_sq(&query_cut, t));
-        }
-    }
-
-    #[test]
-    fn rep_upper_bound_is_min_over_samples() {
-        let a = ring_object(13, 50);
-        let s = ObjectSummary::from_object(&a);
-        let samples = [Point::xy(3.0, 4.0), Point::xy(1.0, 1.0)];
-        let d_sq = s.rep_upper_bound_sq(&samples);
-        let want = s.rep.dist_sq(&samples[1]).min(s.rep.dist_sq(&samples[0]));
-        assert_eq!(d_sq, want);
-        assert_eq!(s.rep_upper_bound_sq(&[]), f64::INFINITY);
     }
 
     #[test]

@@ -17,19 +17,17 @@
 //! ```
 //! use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 //! use fuzzy_geom::Point;
-//! use fuzzy_index::{range_search, NodeAccess, RTree, RTreeConfig};
+//! use fuzzy_index::{range_scan, NodeAccess, RTree, RTreeConfig};
 //!
 //! // A generic "which supports come within `r`" helper that works on *any*
 //! // index.
 //! fn ids_within<A: NodeAccess<2>>(index: &A, q: Point<2>, r: f64) -> Vec<ObjectId> {
-//!     let found = range_search(
-//!         index,
-//!         r,
-//!         |mbr| mbr.min_dist_point(&q),
-//!         |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-//!     )
+//!     let mut ids = Vec::new();
+//!     range_scan(index, r, |mbr| mbr.min_dist_point(&q), |leaf| {
+//!         let near = leaf.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= r);
+//!         ids.extend(near.map(|e| e.id));
+//!     })
 //!     .unwrap();
-//!     let mut ids: Vec<ObjectId> = found.hits.iter().map(|h| h.entry.id).collect();
 //!     ids.sort();
 //!     ids
 //! }
@@ -51,8 +49,7 @@
 
 use crate::leaf::{LeafPage, LeafView};
 use crate::node::NodeId;
-use crate::query::{EntryHit, RangeResult};
-use fuzzy_core::{ObjectId, ObjectSummary};
+use fuzzy_core::ObjectId;
 use fuzzy_geom::Mbr;
 use fuzzy_store::StoreError;
 use std::cmp::Ordering;
@@ -238,33 +235,12 @@ impl<T> Ord for MinKey<T> {
     }
 }
 
-/// Generic range search over any [`NodeAccess`] tree: collect every
-/// entry whose `entry_key` is at most `radius`, pruning subtrees whose
-/// `node_key` exceeds it. With `node_key = MinDist` this is the search of
-/// Algorithm 4 (RSS candidate collection).
-pub fn range_search<A: NodeAccess<D> + ?Sized, const D: usize>(
-    tree: &A,
-    radius: f64,
-    node_key: impl Fn(&Mbr<D>) -> f64,
-    entry_key: impl Fn(&ObjectSummary<D>) -> f64,
-) -> Result<RangeResult<D>, StoreError> {
-    let mut hits = Vec::new();
-    let (node_accesses, node_disk_reads) = range_scan(tree, radius, node_key, |leaf| {
-        for entry in leaf.iter() {
-            let score = entry_key(&entry);
-            if score <= radius {
-                hits.push(EntryHit { entry, score });
-            }
-        }
-    })?;
-    Ok(RangeResult { hits, node_accesses, node_disk_reads })
-}
-
-/// The traversal of [`range_search`] with the leaf work left to the
-/// caller: every leaf whose rectangle's `node_key` is within `radius` is
-/// handed to `leaf`, in the order `range_search` visits it, for the caller
-/// to score its columns. Returns the node accesses and the disk reads
-/// among them.
+/// Range search over any [`NodeAccess`] tree: every leaf whose rectangle's
+/// `node_key` is within `radius` is handed to `leaf`, subtrees whose
+/// `node_key` exceeds it are pruned, and the caller scores the leaf's
+/// columns. With `node_key = MinDist` this is the search of Algorithm 4
+/// (RSS candidate collection). Returns the node accesses and the disk
+/// reads among them.
 pub fn range_scan<A: NodeAccess<D> + ?Sized, const D: usize>(
     tree: &A,
     radius: f64,
@@ -286,4 +262,71 @@ pub fn range_scan<A: NodeAccess<D> + ?Sized, const D: usize>(
         }
     }
     Ok((accesses, disk_reads))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{RTree, RTreeConfig};
+    use fuzzy_core::{FuzzyObject, ObjectSummary};
+    use fuzzy_geom::Point;
+
+    fn summaries(n: usize) -> Vec<ObjectSummary<2>> {
+        (0..n)
+            .map(|i| {
+                let x = (i % 50) as f64 * 2.0;
+                let y = (i / 50) as f64 * 2.0;
+                let obj = FuzzyObject::new(
+                    ObjectId(i as u64),
+                    vec![Point::xy(x, y), Point::xy(x + 0.4, y + 0.4)],
+                    vec![1.0, 0.6],
+                )
+                .unwrap();
+                ObjectSummary::from_object(&obj)
+            })
+            .collect()
+    }
+
+    /// How many entries' supports come within `radius` of `q`, and the
+    /// scan's disk reads.
+    fn within<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> (usize, u64) {
+        let mut hits = 0;
+        let (_, disk_reads) = range_scan(
+            tree,
+            radius,
+            |mbr| mbr.min_dist_point(&q),
+            |leaf| {
+                hits += leaf.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= radius).count();
+            },
+        )
+        .unwrap();
+        (hits, disk_reads)
+    }
+
+    #[test]
+    fn range_scan_matches_linear_scan() {
+        let entries = summaries(800);
+        let tree = RTree::bulk_load(entries.clone(), RTreeConfig { max_entries: 16 });
+        let q = Point::xy(50.0, 10.0);
+        for radius in [0.0, 3.0, 10.0, 1000.0] {
+            let (hits, disk_reads) = within(&tree, q, radius);
+            let want =
+                entries.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= radius).count();
+            assert_eq!(hits, want, "radius {radius}");
+            // An image never touches a backing medium.
+            assert_eq!(disk_reads, 0);
+        }
+        // An unbounded radius prunes nothing: every node is expanded once.
+        let mut all = 0;
+        let (accesses, _) =
+            range_scan(&tree, f64::INFINITY, |_| 0.0, |leaf| all += leaf.len()).unwrap();
+        assert_eq!(accesses, tree.page_count() as u64);
+        assert_eq!(all, entries.len());
+    }
+
+    #[test]
+    fn empty_tree_queries() {
+        let tree: RTree<2> = RTree::bulk_load(Vec::new(), RTreeConfig::default());
+        assert_eq!(within(&tree, Point::xy(0.0, 0.0), 10.0).0, 0);
+    }
 }

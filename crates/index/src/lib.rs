@@ -39,9 +39,9 @@
 //! * [`NodeAccess::read_node`] — the navigation primitive used by the
 //!   query processor's best-first search; the query charges one node
 //!   access per call.
-//! * [`range_search`] — the generic range query, parameterised by
-//!   arbitrary node/entry scoring: the RSS candidate collection
-//!   (Algorithm 4).
+//! * [`range_scan`] — the generic range query, parameterised by node
+//!   scoring, with each reached leaf's columns handed to the caller: the
+//!   RSS candidate collection (Algorithm 4).
 
 #![warn(missing_docs)]
 
@@ -52,12 +52,9 @@ pub mod leaf;
 pub mod node;
 pub mod overlay;
 pub mod paged;
-pub mod query;
 pub mod vptree;
 
-pub use access::{
-    range_scan, range_search, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView,
-};
+pub use access::{range_scan, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
 pub use approx::{RecallDial, FOF_BUILD_CAP};
 pub use leaf::{leaf_entry_len, LeafField, LeafPage, LeafView};
 pub use node::{NodeId, RTree, RTreeConfig};
@@ -65,5 +62,4 @@ pub use overlay::{delta_path_for, OverlayRTree};
 pub use paged::{
     paged_header_len, PagedRTree, DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE, PAGED_VERSION,
 };
-pub use query::{EntryHit, RangeResult};
 pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};

@@ -505,14 +505,17 @@ mod tests {
     /// Ids of the entries whose support comes within `radius` of `q`,
     /// ascending.
     fn ids_within<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> Vec<u64> {
-        let found = access::range_search(
+        let mut ids = Vec::new();
+        access::range_scan(
             tree,
             radius,
             |m| m.min_dist_point(&q),
-            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+            |leaf| {
+                let near = leaf.iter().filter(|e| e.support_mbr.min_dist_point(&q) <= radius);
+                ids.extend(near.map(|e| e.id.0));
+            },
         )
         .unwrap();
-        let mut ids: Vec<u64> = found.hits.iter().map(|h| h.entry.id.0).collect();
         ids.sort_unstable();
         ids
     }

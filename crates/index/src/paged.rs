@@ -784,17 +784,28 @@ mod tests {
     /// Every entry whose support comes within `radius` of `q`, as sorted
     /// `(id, score bits)`.
     fn hits_within<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> Vec<(u64, u64)> {
-        let found = access::range_search(
+        let mut hits = Vec::new();
+        access::range_scan(
             tree,
             radius,
             |m| m.min_dist_point(&q),
-            |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
+            |leaf| {
+                for e in leaf.iter() {
+                    let score = e.support_mbr.min_dist_point(&q);
+                    if score <= radius {
+                        hits.push((e.id.0, score.to_bits()));
+                    }
+                }
+            },
         )
         .unwrap();
-        let mut hits: Vec<(u64, u64)> =
-            found.hits.iter().map(|h| (h.entry.id.0, h.score.to_bits())).collect();
         hits.sort_unstable();
         hits
+    }
+
+    /// The node accesses and disk reads of the scan behind `hits_within`.
+    fn scan_cost<A: NodeAccess<2>>(tree: &A, q: Point<2>, radius: f64) -> (u64, u64) {
+        access::range_scan(tree, radius, |m| m.min_dist_point(&q), |_| {}).unwrap()
     }
 
     #[test]
@@ -862,22 +873,9 @@ mod tests {
         let q = Point::xy(17.0, 4.0);
         for radius in [0.0, 5.0, 100.0] {
             assert_eq!(hits_within(&mem, q, radius), hits_within(&paged, q, radius), "{radius}");
-            let a = access::range_search(
-                &mem,
-                radius,
-                |m| m.min_dist_point(&q),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-            )
-            .unwrap();
-            let b = access::range_search(
-                &paged,
-                radius,
-                |m| m.min_dist_point(&q),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-            )
-            .unwrap();
-            assert_eq!(a.node_accesses, b.node_accesses, "same logical I/O");
-            assert_eq!(a.node_disk_reads, 0, "an image never reads disk");
+            let (a, b) = (scan_cost(&mem, q, radius), scan_cost(&paged, q, radius));
+            assert_eq!(a.0, b.0, "same logical I/O");
+            assert_eq!(a.1, 0, "an image never reads disk");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -888,24 +886,17 @@ mod tests {
         let cfg = RTreeConfig { max_entries: 8 };
         let paged = PagedRTree::bulk_write(grid_summaries(300), cfg, &path, 4096).unwrap();
         let q = Point::xy(3.0, 3.0);
-        let search = || {
-            access::range_search(
-                &paged,
-                8.0,
-                |m| m.min_dist_point(&q),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_point(&q),
-            )
-            .unwrap()
-        };
+        // (node accesses, disk reads)
+        let search = || scan_cost(&paged, q, 8.0);
         let cold = search();
-        assert!(cold.node_disk_reads > 0, "cold pool must read pages");
-        assert_eq!(cold.node_disk_reads, cold.node_accesses, "everything cold");
+        assert!(cold.1 > 0, "cold pool must read pages");
+        assert_eq!(cold.1, cold.0, "everything cold");
         let warm = search();
-        assert_eq!(warm.node_accesses, cold.node_accesses);
-        assert_eq!(warm.node_disk_reads, 0, "warm pool serves everything");
+        assert_eq!(warm.0, cold.0);
+        assert_eq!(warm.1, 0, "warm pool serves everything");
         paged.clear_cache();
         let recold = search();
-        assert_eq!(recold.node_disk_reads, cold.node_disk_reads);
+        assert_eq!(recold.1, cold.1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -8,8 +8,7 @@
 use fuzzy_core::{ObjectId, ObjectSummary};
 use fuzzy_geom::{ConservativeLine, Mbr, Point};
 use fuzzy_index::{
-    leaf_entry_len, range_search, NodeAccess, NodeView, OverlayRTree, PagedRTree, RTree,
-    RTreeConfig,
+    leaf_entry_len, range_scan, NodeAccess, NodeView, OverlayRTree, PagedRTree, RTree, RTreeConfig,
 };
 use std::path::Path;
 
@@ -79,8 +78,9 @@ fn sorted_ids<const D: usize>(entries: &[ObjectSummary<D>]) -> Vec<u64> {
 fn open_cold<const D: usize>(path: &Path, what: &str) -> OverlayRTree<D> {
     let overlay = OverlayRTree::<D>::open_with_cache(path, 8).unwrap();
     assert_eq!(overlay.base().cache_stats().misses, 0, "{what}: opening read a node page");
-    let everywhere = range_search(&overlay, f64::INFINITY, |_| 0.0, |_| 0.0).unwrap();
-    assert_eq!(everywhere.hits.len(), NodeAccess::len(&overlay), "{what}");
+    let mut everywhere = 0;
+    range_scan(&overlay, f64::INFINITY, |_| 0.0, |leaf| everywhere += leaf.len()).unwrap();
+    assert_eq!(everywhere, NodeAccess::len(&overlay), "{what}");
     assert!(overlay.base().cache_stats().misses > 0, "{what}: the query reads pages");
     overlay
 }

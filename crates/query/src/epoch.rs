@@ -152,14 +152,15 @@ mod tests {
     use crate::engine::QueryEngine;
     use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
     use fuzzy_geom::Point;
-    use fuzzy_index::{range_search, NodeAccess, RTree, RTreeConfig};
+    use fuzzy_index::{range_scan, NodeAccess, RTree, RTreeConfig};
     use fuzzy_store::{MemStore, ObjectStore};
 
     /// Whether a range search over all of `tree` finds exactly `len`
     /// entries: every page reachable, none cut off.
     fn consistent(tree: &impl NodeAccess<2>) -> bool {
-        let all = range_search(tree, f64::INFINITY, |_| 0.0, |_| 0.0).unwrap();
-        all.hits.len() == tree.len()
+        let mut all = 0;
+        range_scan(tree, f64::INFINITY, |_| 0.0, |leaf| all += leaf.len()).unwrap();
+        all == tree.len()
     }
 
     fn summary(id: u64, x: f64, y: f64) -> ObjectSummary<2> {

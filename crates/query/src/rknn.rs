@@ -19,6 +19,9 @@
 //!   within the (k+1)-th distance (Lemma 4), sharply cutting CPU work for
 //!   wide probability ranges.
 //!
+//! RSS and RSS-ICR share one refinement loop and differ only in how far a
+//! member's recorded range reaches (below).
+//!
 //! Basic, RSS and RSS-ICR read a candidate's staircase on `[αs, αe]` only,
 //! so they ask the metric for that window
 //! ([`Metric::distance_profile_window`]). A window opens with the distance
@@ -76,12 +79,12 @@
 //! monotone, so these are bounds on the *rounded* values compared). A
 //! dropped outsider has `sqrt(d²_αs) ≥ sqrt(r_sq) > r` (the guard below):
 //! strictly beyond all `k` neighbours at every level, it is never a member,
-//! and the `(k+1)`-th distance it could have supplied is one `refine_icr`
-//! already clamps to `r`. A settled neighbour is, at every level, strictly
-//! closer than every kept outsider (`≤ sqrt(u_sq) < sqrt(l_min_sq) ≤` theirs),
-//! every dropped one and every non-candidate (`≤ r <` theirs), so only the
-//! other `k − 1` neighbours can precede it, whatever the id tie-break: it is
-//! always a member. The kNN set at a level is therefore "the settled, plus
+//! and the `(k+1)`-th distance it could have supplied is one the
+//! refinement already clamps to `r`. A settled neighbour is, at every
+//! level, strictly closer than every kept outsider
+//! (`≤ sqrt(u_sq) < sqrt(l_min_sq) ≤` theirs), every dropped one and every
+//! non-candidate (`≤ r <` theirs), so only the other `k − 1` neighbours can
+//! precede it, whatever the id tie-break: it is always a member. The kNN set at a level is therefore "the settled, plus
 //! the top `k − settled` of the rest", and taking the settled out changes
 //! neither the rest's distances nor their relative (distance, id) order —
 //! the profiles stay sorted by id, a slot's index still is the tie-break.
@@ -97,6 +100,28 @@
 //! every candidate is profiled. Both rules are strict: an outsider *at*
 //! `r`, or one whose `d_αs` *equals* a neighbour's `d_αe`, may win a slot on
 //! the id tie-break and keeps the neighbour unsettled.
+//!
+//! # The refinement: how far a member is recorded
+//!
+//! The refinement ranks the id-sorted profiles at `t` by (distance, slot),
+//! records each of the `k` nearest from `t` to its **safe end**, and steps
+//! `t` just past the earliest safe end. Under RSS a member's safe end is
+//! its next critical level; under RSS-ICR it is Lemma 4's: the last
+//! critical level at which its distance stays strictly below the (k+1)-th
+//! distance (clamped to `r` when objects outside the profiles exist), or
+//! the next critical level when that bound is degenerate. Either end is
+//! capped by `αe`.
+//!
+//! **Why RSS's wider pieces are exact.** Algorithm 4 records every member
+//! only up to the step `α*`, the earliest next critical level of the set.
+//! A member whose own next critical level `β` lies past `α*` keeps its
+//! distance up to `β`, while every other distance can only grow (`d_α` is
+//! non-decreasing in `α`). An object behind it in (distance, slot) order
+//! therefore stays behind it, so its rank cannot worsen and it is a member
+//! at every step up to `β`: the stepping would have recorded all of
+//! `(α*, β]` piece by piece. [`IntervalSet`] is canonical, so recording
+//! `[t, β]` at once yields the same set, and RSS still steps one critical
+//! probability at a time.
 //!
 //! **Counters.** `distance_evals` counts step 1's evaluations, one per
 //! bound-confirmed neighbour read, and one per outsider (none when the
@@ -194,40 +219,6 @@ impl RknnAlgorithm {
     }
 }
 
-/// Basic's profile cache: its AKNN calls return the same objects step
-/// after step, so one α-distance profile per (object, query) pair per query
-/// execution, each computed on the query's window `[αs, αe]` — the only
-/// part of a staircase the stepping reads (it starts at `αs` and clamps
-/// every level to `αe`). RSS meets each candidate once and keeps a plain
-/// id-sorted vector instead.
-struct ProfileCache<const D: usize> {
-    map: HashMap<ObjectId, DistanceProfile>,
-    computations: u64,
-    alpha_start: f64,
-    alpha_end: f64,
-}
-
-impl<const D: usize> ProfileCache<D> {
-    fn new(alpha_start: f64, alpha_end: f64) -> Self {
-        Self { map: HashMap::new(), computations: 0, alpha_start, alpha_end }
-    }
-
-    /// `top_sq` is the squared α-distance at `αe` when a search at exactly
-    /// that threshold already evaluated it for `obj`, `None` otherwise.
-    fn get_or_compute<M: Metric<D>>(
-        &mut self,
-        metric: &M,
-        obj: &FuzzyObject<D>,
-        q: &FuzzyObject<D>,
-        top_sq: Option<f64>,
-    ) -> &DistanceProfile {
-        self.map.entry(obj.id()).or_insert_with(|| {
-            self.computations += 1;
-            metric.distance_profile_window(obj, q, self.alpha_start, self.alpha_end, top_sq)
-        })
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -310,19 +301,21 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     scratch: &mut QueryScratch<D>,
     stats: &mut QueryStats,
 ) -> Result<Vec<RknnItem>, QueryError> {
-    let mut cache: ProfileCache<D> = ProfileCache::new(alpha_start, alpha_end);
+    // Its AKNN calls return the same objects step after step: one window
+    // `[αs, αe]` per object per query, the only part of a staircase the
+    // stepping reads. The searches run at `t`, not at αe: their distances
+    // are no use to the window.
+    let mut profiles: HashMap<ObjectId, DistanceProfile> = HashMap::new();
+    let window =
+        |obj: &FuzzyObject<D>| metric.distance_profile_window(obj, q, alpha_start, alpha_end, None);
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut t = Threshold::at(alpha_start);
 
     loop {
         check_deadline(cfg.deadline)?;
         let mut out = search(metric, tree, store, q, k, t, cfg, false, scratch)?;
+        *stats += out.stats;
         stats.aknn_calls += 1;
-        stats.object_accesses += out.stats.object_accesses;
-        stats.node_accesses += out.stats.node_accesses;
-        stats.node_disk_reads += out.stats.node_disk_reads;
-        stats.distance_evals += out.stats.distance_evals;
-        stats.bound_evals += out.stats.bound_evals;
         if out.neighbors.is_empty() {
             break;
         }
@@ -331,15 +324,15 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         for n in &mut out.neighbors {
             exact_neighbor(metric, store, q, t, cfg, n, stats)?;
             let obj = n.object.as_ref().expect("exact_neighbor reads every neighbour");
-            // The search ran at `t`, not at α_e: its distance is no use
-            // to the window.
-            let beta = cache.get_or_compute(metric, obj, q, None).next_critical(t).unwrap_or(1.0);
+            let profile = profiles.entry(n.id).or_insert_with(|| window(obj));
+            let beta = profile.next_critical(t).unwrap_or(1.0);
             alpha_star = alpha_star.min(beta);
         }
-        let hi = alpha_star.min(alpha_end);
-        let iv = Interval::new(t.value, !t.strict, hi, true);
+        // The search, not a (distance, slot) order, breaks its ties, so
+        // `refine`'s rank argument does not carry over: every member is
+        // recorded to the common step.
         for n in &out.neighbors {
-            acc.entry(n.id).or_default().push(iv);
+            record(&mut acc, n.id, t, alpha_star.min(alpha_end));
         }
         if alpha_star >= alpha_end {
             break;
@@ -347,7 +340,7 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         t = Threshold::above(alpha_star);
     }
 
-    stats.profile_computations += cache.computations;
+    stats.profile_computations += profiles.len() as u64;
     Ok(collect(acc))
 }
 
@@ -371,12 +364,8 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     // settle test or its window needs the read (module docs).
     let t_end = Threshold::at(alpha_end);
     let out_end = search(metric, tree, store, q, k, t_end, cfg, true, scratch)?;
+    *stats += out_end.stats;
     stats.aknn_calls += 1;
-    stats.object_accesses += out_end.stats.object_accesses;
-    stats.node_accesses += out_end.stats.node_accesses;
-    stats.node_disk_reads += out_end.stats.node_disk_reads;
-    stats.distance_evals += out_end.stats.distance_evals;
-    stats.bound_evals += out_end.stats.bound_evals;
     let mut neighbors = out_end.neighbors;
     let r = if neighbors.len() < k {
         f64::INFINITY
@@ -470,7 +459,7 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
             exact_neighbor(metric, store, q, t_end, cfg, &mut n, stats)?;
         }
         if settles(&n) {
-            acc.insert(n.id, IntervalSet::from_interval(Interval::closed(alpha_start, alpha_end)));
+            record(&mut acc, n.id, t_start, alpha_end);
         } else {
             // The neighbour is decoded *and* holds its exact squared
             // distance at α_e — the top of the window.
@@ -489,22 +478,30 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         profiles.sort_unstable_by_key(|&(id, _)| id);
         stats.profile_computations += profiles.len() as u64;
         let has_non_candidates = dropped || candidate_ids.len() < store.len();
-        acc.extend(if improved_refinement {
-            refine_icr(&profiles, slots, alpha_start, alpha_end, r, has_non_candidates, cfg)?
-        } else {
-            refine_basic(&profiles, slots, alpha_start, alpha_end, cfg)?
-        });
+        let cap = if has_non_candidates { r } else { f64::INFINITY };
+        let lemma4 = improved_refinement.then_some(cap);
+        acc.extend(refine(&profiles, slots, alpha_start, alpha_end, lemma4, cfg)?);
     }
     Ok(collect(acc))
 }
 
-/// Basic refinement (the inner loop of Algorithm 3 restricted to the
-/// candidate set): advance one critical probability at a time.
-fn refine_basic(
+/// The refinement of Algorithms 4 and 5 over the id-sorted `profiles`
+/// (module docs): at `t` it ranks the profiles by (distance, slot), records
+/// each of the `k` nearest from `t` to its safe end and steps `t` past the
+/// earliest end. A member's safe end is its next critical level, or — with
+/// `lemma4 = Some(cap)`, RSS-ICR — the last critical level at which its
+/// distance stays strictly below the (k+1)-th distance `d_{k+1}`, where
+/// `d_{k+1}` is clamped to `cap`. When objects outside `profiles` exist —
+/// non-candidates, or outsiders the settle step dropped — `cap` is the
+/// pruning radius `r`: each of them keeps a distance > r throughout the
+/// range, so `min(d̂_{k+1}, r)` is a sound (conservative) stand-in for the
+/// true global (k+1)-th distance; otherwise `cap` is `∞`.
+fn refine(
     profiles: &[(ObjectId, DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
+    lemma4: Option<f64>,
     cfg: &AknnConfig,
 ) -> Result<HashMap<ObjectId, IntervalSet>, QueryError> {
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
@@ -524,15 +521,18 @@ fn refine_basic(
         if scratch.is_empty() {
             break;
         }
-        let nn = &scratch[..k.min(scratch.len())];
+        let dk1 = lemma4.map(|cap| scratch.get(k).map_or(f64::INFINITY, |&(d, _)| d).min(cap));
         let mut alpha_star = f64::INFINITY;
-        for &(_, slot) in nn {
-            let beta = profiles[slot].1.next_critical(t).unwrap_or(1.0);
+        for &(d, slot) in &scratch[..k.min(scratch.len())] {
+            let (id, prof) = &profiles[slot];
+            // Lemma 4's safe end; the plain Lemma 2 step without it, or when
+            // the bound is degenerate (ties). `d < dk1` puts the segment
+            // covering `t` below the bound, so the end is at or past it.
+            let safe_end =
+                dk1.filter(|&dk1| d < dk1).and_then(|dk1| prof.max_level_with_dist_below(dk1));
+            let beta = safe_end.or_else(|| prof.next_critical(t)).unwrap_or(1.0);
+            record(&mut acc, *id, t, beta.min(alpha_end));
             alpha_star = alpha_star.min(beta);
-        }
-        let iv = Interval::new(t.value, !t.strict, alpha_star.min(alpha_end), true);
-        for &(_, slot) in nn {
-            acc.entry(profiles[slot].0).or_default().push(iv);
         }
         if alpha_star >= alpha_end {
             break;
@@ -542,67 +542,9 @@ fn refine_basic(
     Ok(acc)
 }
 
-/// Improved candidate refinement (Algorithm 5 / Lemma 4): each member A of
-/// the current kNN set is safe up to the largest critical value where its
-/// distance stays below the (k+1)-th distance `d_{k+1}`; record the whole
-/// safe range at once and jump to the earliest safe-range end.
-///
-/// When objects outside `profiles` exist — non-candidates, or outsiders the
-/// settle step dropped — `d_{k+1}` is clamped to the pruning radius `r`:
-/// each of them keeps a distance > r throughout the range, so
-/// `min(d̂_{k+1}, r)` is a sound (conservative) stand-in for the true global
-/// (k+1)-th distance.
-fn refine_icr(
-    profiles: &[(ObjectId, DistanceProfile)],
-    k: usize,
-    alpha_start: f64,
-    alpha_end: f64,
-    r: f64,
-    has_non_candidates: bool,
-    cfg: &AknnConfig,
-) -> Result<HashMap<ObjectId, IntervalSet>, QueryError> {
-    let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
-    let mut t = Threshold::at(alpha_start);
-    // (distance, candidate slot): ids ascend with the slot, so slot order
-    // is the id tie-break.
-    let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(profiles.len());
-    loop {
-        check_deadline(cfg.deadline)?;
-        scratch.clear();
-        for (slot, (_, prof)) in profiles.iter().enumerate() {
-            if let Some(d) = prof.value_at(t) {
-                scratch.push((d, slot));
-            }
-        }
-        scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if scratch.is_empty() {
-            break;
-        }
-        let nn = &scratch[..k.min(scratch.len())];
-        let mut dk1 = scratch.get(k).map_or(f64::INFINITY, |&(d, _)| d);
-        if has_non_candidates {
-            dk1 = dk1.min(r);
-        }
-        let mut alpha_star = f64::INFINITY;
-        for &(d, slot) in nn {
-            let (id, prof) = &profiles[slot];
-            // Safe range end: the farthest critical value with distance
-            // still below d_{k+1}; fall back to the plain Lemma 2 step when
-            // the bound is degenerate (ties).
-            let beta = match prof.max_level_with_dist_below(dk1) {
-                Some(b) if b >= t.value && d < dk1 => b,
-                _ => prof.next_critical(t).unwrap_or(1.0),
-            };
-            let iv = Interval::new(t.value, !t.strict, beta.min(alpha_end), true);
-            acc.entry(*id).or_default().push(iv);
-            alpha_star = alpha_star.min(beta);
-        }
-        if alpha_star >= alpha_end {
-            break;
-        }
-        t = Threshold::above(alpha_star);
-    }
-    Ok(acc)
+/// Add `[t, end]` (left-open when `t` is strict) to `id`'s answer.
+fn record(acc: &mut HashMap<ObjectId, IntervalSet>, id: ObjectId, t: Threshold, end: f64) {
+    acc.entry(id).or_default().push(Interval::new(t.value, !t.strict, end, true));
 }
 
 fn collect(acc: HashMap<ObjectId, IntervalSet>) -> Vec<RknnItem> {
@@ -613,4 +555,66 @@ fn collect(acc: HashMap<ObjectId, IntervalSet>) -> Vec<RknnItem> {
         .collect();
     items.sort_by_key(|i| i.id);
     items
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::tests::fig3;
+
+    /// A profile from `(level, dist)` steps: `d_α = dist` up to `level`.
+    fn staircase(id: u64, steps: &[(f64, f64)]) -> (ObjectId, DistanceProfile) {
+        (ObjectId(id), DistanceProfile::from_pairs(steps.iter().copied()))
+    }
+
+    /// `refine`, with and without Lemma 4, is the exact sweep over the same
+    /// profiles for every `k` and every window in `windows`.
+    fn refine_is_the_sweep(profiles: &[(ObjectId, DistanceProfile)], windows: &[(f64, f64)]) {
+        let cfg = AknnConfig::default();
+        let cands: Vec<ProfiledCandidate<'_>> =
+            profiles.iter().map(|(id, p)| ProfiledCandidate { id: *id, profile: p }).collect();
+        for &(lo, hi) in windows {
+            for k in 1..=profiles.len() + 1 {
+                let want = exact_sweep(&cands, k, lo, hi);
+                for lemma4 in [None, Some(f64::INFINITY)] {
+                    let got = collect(refine(profiles, k, lo, hi, lemma4, &cfg).unwrap());
+                    assert_eq!(got, want, "k {k} over [{lo}, {hi}], lemma4 {lemma4:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refine_matches_the_sweep_on_figure_3() {
+        let (objs, q) = fig3();
+        let profiles: Vec<(ObjectId, DistanceProfile)> =
+            objs.iter().map(|o| (o.id(), DistanceProfile::compute(o, &q))).collect();
+        refine_is_the_sweep(&profiles, &[(0.3, 0.6), (0.2, 0.9), (0.45, 0.55), (0.5, 0.5)]);
+    }
+
+    #[test]
+    fn refine_matches_the_sweep_on_a_tie_at_a_critical_level() {
+        // Past 0.5, 1 steps up to 2 and ties 2 there; the lower id wins.
+        let profiles = [
+            staircase(1, &[(0.5, 1.0), (1.0, 2.0)]),
+            staircase(2, &[(1.0, 2.0)]),
+            staircase(3, &[(0.7, 1.5), (1.0, 3.0)]),
+        ];
+        refine_is_the_sweep(&profiles, &[(0.2, 0.9), (0.5, 0.7), (0.6, 1.0)]);
+    }
+
+    #[test]
+    fn refine_matches_the_sweep_past_the_step() {
+        // At 0.1 the 2NN are 1 and 2; 2's step at 0.4 is α*, while 1 keeps
+        // its distance up to 1.0 and is recorded over the window at once.
+        let profiles = [
+            staircase(1, &[(1.0, 1.0)]),
+            staircase(2, &[(0.4, 2.0), (1.0, 5.0)]),
+            staircase(3, &[(0.6, 3.0), (1.0, 4.0)]),
+        ];
+        let cfg = AknnConfig::default();
+        let acc = refine(&profiles, 2, 0.1, 0.8, None, &cfg).unwrap();
+        assert_eq!(acc[&ObjectId(1)].intervals(), &[Interval::closed(0.1, 0.8)]);
+        refine_is_the_sweep(&profiles, &[(0.1, 0.8), (0.4, 0.6), (0.0, 1.0)]);
+    }
 }

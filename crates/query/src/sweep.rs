@@ -2,10 +2,11 @@
 //!
 //! Given the α-distance profiles of a set of objects against the query,
 //! the kNN set is piecewise constant between critical levels; sweeping the
-//! elementary intervals of `[αs, αe]` yields the *exact* RKNN answer. This
-//! is both the refinement backend of the RSS algorithms (over the pruned
-//! candidate set) and — applied to *all* objects — the naive/reference
-//! algorithm used as the test oracle.
+//! elementary intervals of `[αs, αe]` yields the *exact* RKNN answer.
+//! Applied to *all* objects this is Naive RKNN, the oracle the other
+//! algorithms are tested against. RSS and RSS-ICR do not call it: their
+//! refinement steps through critical levels in `crate::rknn`, and its unit
+//! tests hold that loop to this sweep.
 
 use crate::interval::{Interval, IntervalSet};
 use crate::result::RknnItem;
@@ -68,7 +69,7 @@ pub fn exact_sweep(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fuzzy_core::{FuzzyObject, ObjectId};
     use fuzzy_geom::Point;
@@ -78,7 +79,7 @@ mod tests {
     ///
     /// Distances to Q (at x=0): A constant 1; B is 2 below α=0.45 then 4
     /// above; C is 3 below 0.55 then jumps to 3.5; D constant 5.
-    fn fig3() -> (Vec<FuzzyObject<2>>, FuzzyObject<2>) {
+    pub(crate) fn fig3() -> (Vec<FuzzyObject<2>>, FuzzyObject<2>) {
         let q = FuzzyObject::new(ObjectId(100), vec![Point::xy(0.0, 0.0)], vec![1.0]).unwrap();
         // Object with a near point at membership `m` and a kernel farther
         // away: d_α = near for α ≤ m, far for α > m.

@@ -15,7 +15,7 @@ use fuzzy_core::metric::{Metric, L2};
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary, Threshold};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::{
-    range_search, DecodedNode, LeafPage, NodeAccess, NodeId, NodeRead, NodeView, OverlayRTree,
+    range_scan, DecodedNode, LeafPage, NodeAccess, NodeId, NodeRead, NodeView, OverlayRTree,
     PagedRTree, RTree, RTreeConfig,
 };
 use fuzzy_query::{AknnConfig, QueryEngine, QueryScratch, QueryStats, RknnAlgorithm};
@@ -161,16 +161,21 @@ fn outcomes<A: NodeAccess<2>>(index: &A, base: &PagedRTree<2>, store: &MemStore<
         let q_cut = q.cut_mbr(Threshold::at(0.5)).unwrap();
         for radius in [0.0, 2.0, 6.0, 100.0] {
             base.clear_cache();
-            let found = range_search(
+            let mut hits: Vec<(u64, u64)> = Vec::new();
+            let cost = range_scan(
                 index,
                 radius,
                 |m| m.min_dist_sq(&q_cut),
-                |e: &ObjectSummary<2>| e.support_mbr.min_dist_sq(&q_cut),
+                |leaf| {
+                    for e in leaf.iter() {
+                        let score = e.support_mbr.min_dist_sq(&q_cut);
+                        if score <= radius {
+                            hits.push((e.id.0, score.to_bits()));
+                        }
+                    }
+                },
             )
             .unwrap();
-            let hits: Vec<(u64, u64)> =
-                found.hits.iter().map(|h| (h.entry.id.0, h.score.to_bits())).collect();
-            let cost = (found.node_accesses, found.node_disk_reads);
             out.push(format!("query {qi} range {radius}: {hits:?} {cost:?}"));
         }
         for cfg in AknnConfig::paper_variants() {
