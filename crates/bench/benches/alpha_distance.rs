@@ -14,8 +14,9 @@
 //!   `paper` dataset: the single-tree strategy. `seed_inf` is an unseeded
 //!   call, `seed_1.05x` one seeded 5 % above the answer — the engine's d⁺
 //!   seeds are that tight.
-//! * `kd_build/{100,1000}` — [`KdTree::build`] over one such object, the
-//!   occupancy bitmap's fill included (a query pays it once).
+//! * `kd_build/{100,1000}` — [`KdTree::build`] over one such object (a
+//!   `paper`-shaped query), the occupancy bitmap's fill included: what a
+//!   query pays once, at its first tree-strategy kernel call.
 //! * `kd_search/{miss_small_cap,hit}` — one [`KdTree::min_dist_sq_within`]
 //!   from an interior point of the 1 000-point tree: with the cap at a
 //!   quarter of a bitmap cell's area, where no point lies within it (the
@@ -85,7 +86,7 @@ fn bench_threshold_sensitivity(c: &mut Criterion) {
     group.finish();
 }
 
-/// `a` moved by `dx` along x, as a v3 record decode would produce it: the
+/// `a` moved by `dx` along x, as a record decode would produce it: the
 /// prefix layout filled, no construction order, no kd-tree.
 fn probed_at(a: &FuzzyObject<2>, dx: f64) -> FuzzyObject<2> {
     let pa = a.by_membership();

@@ -1,12 +1,15 @@
 //! What a store probe and a page miss pay to turn bytes into a checked
 //! object or node, on in-memory bytes (no `pread`).
 //!
-//! * `decode_object/{32,1000}` — [`decode_object`] of one record of
-//!   fkbench's `scale` (32 points, r = 0.1) and `paper` (1 000 points,
-//!   r = 0.5) shapes: checksum, conversion and every layout check. 32 is
-//!   `aknn-scale`'s and `serve-mixed`'s probe, 1 000 `aknn-heavy`'s.
-//! * `fnv1a/record_1000` — the checksum alone over the 1 000-point record:
-//!   the dependency chain a decode cannot finish before.
+//! * `decode_object/{32,1000}` — [`decode_object`] of one `.fzkn` v4
+//!   record of fkbench's `scale` (32 points, r = 0.1) and `paper` (1 000
+//!   points, r = 0.5) shapes: the lane digest, collection and every layout
+//!   check. 32 is `aknn-scale`'s and `serve-mixed`'s probe, 1 000
+//!   `aknn-heavy`'s.
+//! * `fnv1a/record_1000`, `fnv1a_lanes/record_1000` — a checksum alone over
+//!   the 1 000-point record: the one-lane chain v3 sealed records with, and
+//!   the four lanes v4 does, the dependency chain a decode cannot finish
+//!   before.
 //! * `leaf_page/full` — one read of a full leaf of a `scale` index (16 KiB
 //!   page size, the fullest leaves STR packs: 56 of 64 entries, an
 //!   8 752-byte page) through [`PagedRTree`] with a one-page pool: two
@@ -28,7 +31,7 @@ use fuzzy_core::{FuzzyObject, ObjectSummary, Threshold};
 use fuzzy_datagen::{write_dataset, SyntheticConfig};
 use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
 use fuzzy_query::append_slots;
-use fuzzy_store::format::{decode_object, encode_object, fnv1a};
+use fuzzy_store::format::{decode_object, encode_object, fnv1a, fnv1a_lanes};
 use fuzzy_store::{FileStore, ObjectStore};
 
 fn objects(n: usize, points: usize, radius: f64) -> Vec<FuzzyObject<2>> {
@@ -56,6 +59,9 @@ fn bench_records(c: &mut Criterion) {
     let payload = &record[..record.len() - 8];
     let mut group = c.benchmark_group("fnv1a");
     group.bench_function("record_1000", |b| b.iter(|| fnv1a(black_box(payload))));
+    group.finish();
+    let mut group = c.benchmark_group("fnv1a_lanes");
+    group.bench_function("record_1000", |b| b.iter(|| fnv1a_lanes(black_box(payload))));
     group.finish();
 }
 

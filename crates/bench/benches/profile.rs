@@ -22,7 +22,7 @@ use fuzzy_core::distance::alpha_distance_sq_bounded;
 use fuzzy_core::{DistanceProfile, FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, SyntheticConfig};
 
-/// A fresh copy of `a` as a v3 record decode would produce it.
+/// A fresh copy of `a` as a record decode would produce it.
 fn decoded(a: &FuzzyObject<2>) -> FuzzyObject<2> {
     let pa = a.by_membership();
     let cols = [pa.coord_column(0), pa.coord_column(1)].concat();

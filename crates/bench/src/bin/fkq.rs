@@ -192,15 +192,7 @@ fn generate(flags: &HashMap<String, String>) {
 /// evaluated, no index. Answer lines print in the same format as the
 /// indexed paths so outputs diff cleanly.
 fn run_brute_aknn(store: &FileStore<2>, q: &FuzzyObject<2>, k: usize, alpha: f64) {
-    if !(alpha > 0.0 && alpha <= 1.0) {
-        eprintln!("--alpha must lie in (0, 1]; got {alpha}");
-        exit(1)
-    }
-    let res =
-        aknn_brute(&L2, store, &store.ids(), q, k, Threshold::at(alpha)).unwrap_or_else(|e| {
-            eprintln!("query failed: {e}");
-            exit(1)
-        });
+    let res = answered(aknn_brute(&L2, store, &store.ids(), q, k, valid_alpha(alpha)));
     println!("{k}NN of {} at α = {alpha} (brute-force oracle):", q.id());
     for n in &res.neighbors {
         println!("  {n}");
@@ -502,12 +494,29 @@ fn local_config(variant: WireVariant, deadline_ms: u32) -> AknnConfig {
     variant.config().with_deadline(deadline)
 }
 
-/// A local query's answer, or its error reported and exit 1.
+/// A local query's answer, or its error reported: exit 2 for an argument
+/// the query refuses (a probability or range outside (0, 1], `k` = 0),
+/// as for any other bad input; exit 1 for the rest.
 fn answered<T>(res: Result<T, QueryError>) -> T {
     res.unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
-        exit(1)
+        use QueryError::{InvalidProbability, InvalidRange, ZeroK};
+        exit(if matches!(e, InvalidProbability { .. } | InvalidRange { .. } | ZeroK) {
+            2
+        } else {
+            1
+        })
     })
+}
+
+/// `--alpha` as the threshold it names, or exit 2 when it lies outside
+/// (0, 1].
+fn valid_alpha(alpha: f64) -> Threshold {
+    if !(alpha > 0.0 && alpha <= 1.0) {
+        eprintln!("--alpha must lie in (0, 1]; got {alpha}");
+        exit(2)
+    }
+    Threshold::at(alpha)
 }
 
 /// Resolve the `--recall-dial` flag (`exact` or a numeric budget/slack).
@@ -531,11 +540,7 @@ fn run_approx_aknn(
     alpha: f64,
     flags: &HashMap<String, String>,
 ) {
-    if !(alpha > 0.0 && alpha <= 1.0) {
-        eprintln!("--alpha must lie in (0, 1]; got {alpha}");
-        exit(1)
-    }
-    let t = Threshold::at(alpha);
+    let t = valid_alpha(alpha);
     let dial = recall_dial(flags);
     let cfg = fuzzy_query::ApproxConfig::at(dial);
     let index = match flags.get("index-file") {
@@ -547,16 +552,13 @@ fn run_approx_aknn(
         }
         Some(ix) => {
             eprintln!("approximate queries need a .fzvp index; got {ix}");
-            exit(1)
+            exit(2)
         }
         None => {
             fuzzy_index::VpTree::build(&L2, store.summaries(), fuzzy_index::VpTreeConfig::default())
         }
     };
-    let res = fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg).unwrap_or_else(|e| {
-        eprintln!("query failed: {e}");
-        exit(1)
-    });
+    let res = answered(fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg));
     println!("{k}NN of {} at α = {alpha} (approx vptree, dial {}):", q.id(), dial.label());
     for n in &res.neighbors {
         println!("  {n}");

@@ -7,8 +7,10 @@
 //! the road-network metric, or the R* split's `--min-fill`, is refused by
 //! name. The retired `bench` and `loadgen` subcommands are no commands at
 //! all: usage errors that measure and write nothing (fkbench, under
-//! `benchmark/`, is the one benchmark). Nothing panics, nothing is
-//! silently answered from another index or under another metric.
+//! `benchmark/`, is the one benchmark). A `.fzkn` store of the previous
+//! version, v3, is refused the same way, naming the path and both
+//! versions. Nothing panics, nothing is silently answered from another
+//! index or under another metric.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -111,6 +113,35 @@ fn fkq_refuses_the_retired_bench_and_loadgen_subcommands() {
     assert!(help.contains("fkq aknn"), "{help}");
     for retired in ["bench", "loadgen"] {
         assert!(!help.contains(retired), "--help still lists {retired}: {help}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fkq_refuses_a_v3_store() {
+    let dir = std::env::temp_dir().join(format!("fz-v3-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = fkq(&["generate", "--n", "20", "--ppo", "12", "--out", "d.fzkn"], &dir);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The version field, after the magic: 4 written, 3 patched in.
+    let mut bytes = std::fs::read(dir.join("d.fzkn")).unwrap();
+    assert_eq!(bytes[4..6], [4, 0]);
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    std::fs::write(dir.join("v3.fzkn"), bytes).unwrap();
+    for query in [
+        &["info", "v3.fzkn"][..],
+        &["aknn", "v3.fzkn", "--k", "3"][..],
+        &["rknn", "v3.fzkn", "--k", "3"][..],
+    ] {
+        let out = fkq(query, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{query:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot open v3.fzkn")
+                && stderr.contains("format version 3, expected 4"),
+            "{query:?} must name the path and both versions: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{query:?}: {}", String::from_utf8_lossy(&out.stdout));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

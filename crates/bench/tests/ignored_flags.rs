@@ -2,7 +2,9 @@
 //! or one the path picked by the other flags never reads (a daemon address
 //! beside a local-only path, a recall dial on an exact query), is a usage
 //! error — exit 2, the flag named on stderr, nothing answered on stdout —
-//! instead of an answer from somewhere the caller did not ask for.
+//! instead of an answer from somewhere the caller did not ask for. A flag
+//! read but holding a value the query refuses is bad input the same way:
+//! exit 2, not the I/O-error code 1.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -77,6 +79,37 @@ fn fkq_refuses_a_flag_it_would_ignore() {
     ] {
         let out = fkq(args, &dir);
         assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fkq_answers_a_refused_argument_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("fz-bad-arguments-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = fkq(&["generate", "--n", "40", "--ppo", "12", "--out", "d.fzkn"], &dir);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    for (args, says) in [
+        (&["aknn", "d.fzkn", "--alpha", "1.5"][..], "probability 1.5 outside (0, 1]"),
+        (&["aknn", "d.fzkn", "--alpha", "1.5", "--brute", "true"][..], "--alpha must lie"),
+        (&["aknn", "d.fzkn", "--alpha", "1.5", "--recall-dial", "1"][..], "--alpha must lie"),
+        (&["aknn", "d.fzkn", "--k", "0"][..], "k must be at least 1"),
+        (&["rknn", "d.fzkn", "--start", "0.8", "--end", "0.3"][..], "invalid probability range"),
+        (
+            &["aknn", "d.fzkn", "--index-file", "x.fzpt", "--recall-dial", "1"][..],
+            "need a .fzvp index",
+        ),
+    ] {
+        let out = fkq(args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?} must say {says:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} answered: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,9 +5,9 @@
 //! membership-descending columns of a stored record ([`ColumnarChecker`],
 //! which [`FuzzyObject::from_columnar`] also goes through) — and builds the
 //! other and the kd-tree only when a caller first asks for them; see
-//! [`FuzzyObject`]. A store probe hands the checker each value as it reads
-//! it, so the layout checks run inside the probe's one walk over the record
-//! bytes instead of in a pass of their own.
+//! [`FuzzyObject`]. A store probe hands the checker each section of the
+//! record as it folds the section into the record's checksum, so the
+//! layout checks run in the checksum's shadow.
 
 use crate::error::ModelError;
 use crate::threshold::Threshold;
@@ -84,8 +84,9 @@ pub struct MembershipPrefix<const D: usize> {
     /// unrolled lane reduction of [`fuzzy_geom::kernel`].
     columns: Vec<f64>,
     /// `orig[j]` is the construction-order index of sorted point `j` — the
-    /// permutation that undoes the membership sort. Serialized with format
-    /// v3 records so construction order can be restored without re-sorting.
+    /// permutation that undoes the membership sort. Serialized with stored
+    /// records (since format v3) so construction order can be restored
+    /// without re-sorting.
     orig: Vec<u32>,
 }
 
@@ -195,27 +196,23 @@ impl<const D: usize> MembershipPrefix<D> {
 /// The one check of a membership-descending columnar layout, and the owner
 /// of the columns it checks: values checked are values kept.
 ///
-/// A decoder hands it the three sections of a record in record order —
-/// source indices, memberships, then the dimension-major coordinate
-/// columns — and each value is checked as it is stored, by branch-free
-/// accumulators, so the checks ride along with whatever produces the
-/// values (a store probe's checksum chain) instead of taking a pass of
-/// their own. [`ColumnarChecker::finish`] then turns the columns into the
-/// object, or names the first broken rule in a fixed order: the source
-/// indices are a permutation of `0..n`; memberships descend under
-/// [`f64::total_cmp`], ties by ascending source index; then the first
-/// slot whose membership is outside `(0, 1]` or whose coordinates are not
-/// all finite (the membership first when one slot breaks both), reported
-/// by its source index; then the kernel (`µ₀ == 1`). In that order the
-/// memberships outside `(0, 1]` can only sit at the two ends of their
-/// column, so the first of them is found from the order, by one binary
-/// search, instead of slot by slot.
-///
-/// Each section is filled by one call, in record order: source indices,
-/// memberships, then one call per coordinate column. Values beyond a
-/// section's length are not taken; a section handed over short, or a call
-/// out of order (which fills nothing), leaves the object unfinished, and
-/// [`ColumnarChecker::finish`] reports it.
+/// A decoder hands it the sections of a record in record order, one call
+/// each — source indices, memberships, then each dimension's coordinate
+/// column — and each is collected as it comes (no zero-filled staging) and
+/// checked by a lean pass: a byte marked per source index, each
+/// membership compared with the next, each coordinate tested finite.
+/// Memberships that descend as `f64`s (ties by ascending source index)
+/// from `µ₀ == 1` to a last one above 0 all lie in `(0, 1]`, where that
+/// order is [`f64::total_cmp`]'s, so a valid object needs nothing more.
+/// Otherwise [`ColumnarChecker::finish`] names the first broken rule in a
+/// fixed order: the source indices are a permutation of `0..n`;
+/// memberships descend under [`f64::total_cmp`], ties by ascending source
+/// index; then the first slot whose membership is outside `(0, 1]` or
+/// whose coordinates are not all finite (the membership first when one
+/// slot breaks both), reported by its source index; then the kernel
+/// (`µ₀ == 1`). Values beyond a section's length are not taken; a section
+/// handed over short, or a call out of order (which fills nothing), is
+/// reported as columns that do not cover every point.
 ///
 /// ```
 /// use fuzzy_core::{ColumnarChecker, ObjectId};
@@ -235,18 +232,14 @@ pub struct ColumnarChecker<const D: usize> {
     /// The memberships, then the coordinate columns (as in
     /// [`MembershipPrefix`]).
     columns: Vec<f64>,
-    /// Sections filled so far, and whether one of them came short.
+    /// Sections filled so far.
     filled: usize,
-    short: bool,
     /// The source indices are a permutation of `0..n`.
     permutation: bool,
-    /// Some slot broke the descending order or its tie-break.
-    misordered: bool,
-    /// The first slot whose membership is outside `(0, 1]`, or `n` (read
-    /// off the order, which it only names when the order holds).
-    mu_lead: usize,
-    /// The fewest leading finite slots of any coordinate column.
-    coord_lead: usize,
+    /// The memberships descend as `f64`s, ties by ascending source index.
+    descending: bool,
+    /// Every coordinate filled so far is finite.
+    finite: bool,
 }
 
 /// [`f64::total_cmp`]'s key: ordering these integers orders the floats.
@@ -261,110 +254,71 @@ impl<const D: usize> ColumnarChecker<D> {
     pub fn new(n: usize) -> Self {
         Self {
             len: n,
-            orig: vec![0; n],
-            columns: vec![0.0; (1 + D) * n],
+            orig: Vec::with_capacity(n),
+            columns: Vec::with_capacity((1 + D) * n),
             filled: 0,
-            short: false,
             permutation: false,
-            misordered: false,
-            mu_lead: 0,
-            coord_lead: n,
+            descending: false,
+            finite: true,
         }
     }
 
     /// Start the next section if it is one of `sections`.
-    fn begin(&mut self, sections: std::ops::Range<usize>) -> Option<usize> {
+    fn begin(&mut self, sections: std::ops::Range<usize>) -> bool {
         // A branch, not `filled += contains(…) as usize`: rustc 1.95
         // (LLVM 22) drops that store in release builds when a slice loop
         // follows.
-        let next = self.filled;
-        if !sections.contains(&next) {
-            return None;
+        if !sections.contains(&self.filled) {
+            return false;
         }
         self.filled += 1;
-        Some(next)
+        true
     }
 
     /// The source indices: `orig[j]` is the construction index of sorted
     /// slot `j`.
     #[inline]
     pub fn fill_source_indices(&mut self, values: impl IntoIterator<Item = u32>) {
-        if self.begin(0..1).is_none() {
+        if !self.begin(0..1) {
             return;
         }
         let n = self.len;
-        // The memberships are not filled yet: until they are, their first
-        // ⌈n/64⌉ slots are the bitmap of source indices seen.
-        let seen = &mut self.columns[..n.div_ceil(64)];
-        let mut taken = 0;
-        for (slot, i) in self.orig.iter_mut().zip(values) {
-            *slot = i;
-            taken += 1;
-            if let Some(word) = seen.get_mut(i as usize / 64) {
-                *word = f64::from_bits(word.to_bits() | 1 << (i % 64));
-            }
+        self.orig.extend(values.into_iter().take(n));
+        // A byte per index, each marked with a plain store: an index out of
+        // range marks the spare byte `n`, a repeated one marks a byte
+        // twice, and either leaves one of the first `n` clear.
+        let mut seen = vec![0u8; n + 1];
+        for &i in &self.orig {
+            seen[(i as usize).min(n)] = 1;
         }
-        // Only bits below `n` are counted, so a slot naming an index out of
-        // range (past the bitmap, or at or above `n` in its last word) is
-        // missing from `distinct` just like a repeated one.
-        let words = seen.len();
-        let distinct = seen.iter().enumerate().map(|(w, word)| {
-            let below_n = if w + 1 == words { u64::MAX >> (64 * words - n) } else { u64::MAX };
-            (word.to_bits() & below_n).count_ones() as usize
-        });
-        self.permutation = distinct.sum::<usize>() == n;
-        self.short |= taken < n;
+        self.permutation = !seen[..n].contains(&0);
     }
 
     /// The memberships, slot by slot.
     #[inline]
     pub fn fill_memberships(&mut self, values: impl IntoIterator<Item = f64>) {
-        if self.begin(1..2).is_none() {
+        if !self.begin(1..2) {
             return;
         }
-        // Slot order as one number: the membership's `total_cmp` key, then
-        // the complement of the source index (ties by ascending index), so
-        // a slot ranking above its predecessor breaks the order. The first
-        // slot has no predecessor: nothing ranks above `i128::MAX`.
-        let mut prev = i128::MAX;
-        let (mut misordered, mut taken) = (false, 0);
-        let mus = &mut self.columns[..self.len];
-        for ((slot, &i), mu) in mus.iter_mut().zip(&self.orig).zip(values) {
-            *slot = mu;
-            taken += 1;
-            let rank = (total_key(mu) as i128) << 64 | !i as i128;
-            misordered |= prev < rank;
-            prev = rank;
-        }
-        // In that order the memberships outside (0, 1] sit at the ends:
-        // above 1 (and +NaN) first, at or below +0.0 last. The first bad
-        // slot is therefore 0 or the first of the tail.
-        self.mu_lead = match mus.first() {
-            Some(&mu) if total_key(mu) > total_key(1.0) => 0,
-            _ => mus.partition_point(|&mu| total_key(mu) > 0),
-        };
-        self.misordered = misordered;
-        self.short |= taken < self.len;
+        self.columns.extend(values.into_iter().take(self.len));
+        let (mus, orig) = (&self.columns, &self.orig);
+        let slots = mus.len().min(orig.len());
+        self.descending = (1..slots).fold(true, |ok, j| {
+            ok & ((mus[j - 1] > mus[j]) | ((mus[j - 1] == mus[j]) & (orig[j - 1] < orig[j])))
+        });
     }
 
     /// The next coordinate column: coordinate `d` of every slot, for
     /// `d = 0, 1, …` in turn.
     #[inline]
     pub fn fill_coord_column(&mut self, values: impl IntoIterator<Item = f64>) {
-        // Section `2 + d` is buffer column `1 + d`.
-        let Some(section) = self.begin(2..2 + D) else {
+        if !self.begin(2..2 + D) {
             return;
-        };
-        let n = self.len;
-        let (mut clean, mut lead, mut taken) = (true, 0, 0);
-        for (slot, c) in self.columns[(section - 1) * n..section * n].iter_mut().zip(values) {
-            *slot = c;
-            taken += 1;
-            clean &= c.is_finite();
-            lead += clean as usize;
         }
-        self.coord_lead = self.coord_lead.min(lead);
-        self.short |= taken < n;
+        let start = self.columns.len();
+        self.columns.extend(values.into_iter().take(self.len));
+        // `c · 0` is ±0 for a finite `c` and NaN for any other.
+        self.finite &= self.columns[start..].iter().fold(true, |ok, &c| ok & (c * 0.0 == 0.0));
     }
 
     /// The checked object, or the first broken rule (see
@@ -376,27 +330,43 @@ impl<const D: usize> ColumnarChecker<D> {
         if n == 0 {
             return Err(ModelError::EmptyObject);
         }
-        if self.filled != 2 + D || self.short {
+        if self.filled != 2 + D || self.orig.len() != n || self.columns.len() != (1 + D) * n {
             return layout("columns do not cover every point");
         }
         if !self.permutation {
             return layout("source indices are not a permutation");
         }
-        if self.misordered {
-            return layout("memberships are not membership-descending");
-        }
-        let slot = self.mu_lead.min(self.coord_lead);
-        if slot < n {
-            let index = self.orig[slot] as usize;
-            return Err(if self.mu_lead == slot {
-                ModelError::InvalidMembership { index, value: self.columns[slot] }
-            } else {
-                ModelError::NonFiniteCoordinate { index }
-            });
-        }
-        // Descending order makes the kernel check O(1).
-        if self.columns[0] != 1.0 {
-            return Err(ModelError::EmptyKernel);
+        let (mus, orig) = (&self.columns[..n], &self.orig);
+        if !(self.descending && self.finite && mus[0] == 1.0 && mus[n - 1] > 0.0) {
+            // The lean pass failed, so a rule is broken: name the first.
+            // Slot order as one number: the membership's `total_cmp` key,
+            // then the complement of the source index (ties by ascending
+            // index), so a slot ranking above its predecessor breaks it.
+            let rank = |j: usize| (total_key(mus[j]) as i128) << 64 | !orig[j] as i128;
+            if (1..n).any(|j| rank(j - 1) < rank(j)) {
+                return layout("memberships are not membership-descending");
+            }
+            // In that order the memberships outside (0, 1] sit at the ends:
+            // above 1 (and +NaN) first, at or below +0.0 last. The first
+            // bad slot is therefore 0 or the first of the tail.
+            let mu_lead = match mus[0] {
+                mu if total_key(mu) > total_key(1.0) => 0,
+                _ => mus.partition_point(|&mu| total_key(mu) > 0),
+            };
+            let finite = |j: usize| (1..=D).all(|c| self.columns[c * n + j].is_finite());
+            let slot = (0..mu_lead).find(|&j| !finite(j)).unwrap_or(mu_lead);
+            if slot < n {
+                let index = orig[slot] as usize;
+                return Err(if mu_lead == slot {
+                    ModelError::InvalidMembership { index, value: mus[slot] }
+                } else {
+                    ModelError::NonFiniteCoordinate { index }
+                });
+            }
+            // Descending order makes the kernel check O(1).
+            if mus[0] != 1.0 {
+                return Err(ModelError::EmptyKernel);
+            }
         }
         let Self { orig, columns, .. } = self;
         Ok(FuzzyObject {
@@ -449,7 +419,7 @@ impl<const D: usize> FuzzyObject<D> {
     }
 
     /// Validate and construct from the membership-descending **columnar**
-    /// layout that format v3 records store directly: `orig[j]` is the
+    /// layout that stored records hold directly: `orig[j]` is the
     /// construction-order index of sorted slot `j`, `mus` descends (ties
     /// by `orig`), and `cols[d·n + j]` is coordinate `d` of slot `j`.
     ///
@@ -560,7 +530,7 @@ impl<const D: usize> FuzzyObject<D> {
     }
 
     /// True when the membership-descending prefix layout is already built
-    /// (always the case for objects decoded from format v3 records).
+    /// (always the case for objects decoded from stored records).
     #[inline]
     pub fn prefix_ready(&self) -> bool {
         self.prefix.get().is_some()
@@ -885,7 +855,7 @@ mod tests {
         assert_eq!(a.kd_tree().len(), a.len());
     }
 
-    /// Decompose `a` into the columnar triple a v3 record stores.
+    /// Decompose `a` into the columnar triple a stored record holds.
     fn columnar_parts(a: &FuzzyObject<2>) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
         let pb = a.by_membership();
         let n = a.len();

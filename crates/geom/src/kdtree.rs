@@ -83,7 +83,19 @@
 //! every shipped caller uses) and 22 B in three (`w = 51`), beside the
 //! ≈ 30 B the tree already holds; it is not sized for more dimensions,
 //! where the padded runs multiply (2 MB at `D = 8`). That matters only for
-//! objects whose trees stay resident. Filling it is a tenth of the build.
+//! objects whose trees stay resident. Filling it is about 15 % of the build.
+//!
+//! **Build.** The median selections move 8-byte keys (in two dimensions):
+//! a point's coordinates quantized to 16 bits over the root box, and its
+//! source index. Each internal range is split on the widest side of its
+//! quantized cell, each leaf sorted by (µ descending, source index) as
+//! integers and written to the final columns, and every box and `max_µ`
+//! computed bottom-up from those columns. *Why no answer moves:* nothing
+//! is pruned on a split value, only on a node's box and `max_µ`, and both
+//! are exact over the points the node holds whichever points those are —
+//! so quantization can change the shape, never an answer (next
+//! paragraph). A dimension where some point of a node is NaN gets a NaN
+//! bound, which fails every comparison and so never prunes; unions keep it.
 //!
 //! **Canonical answers.** A search answers with a distance, never a point,
 //! and the minimum of a set of squared distances is one bit pattern in
@@ -196,15 +208,6 @@ impl NodeRef {
     }
 }
 
-/// One point during construction; kept AoS so `select_nth_unstable_by`
-/// permutes coordinates, membership and original index in lockstep.
-#[derive(Clone, Copy)]
-struct BuildItem<const D: usize> {
-    pt: Point<D>,
-    mu: f64,
-    orig: u32,
-}
-
 /// Bulk-loaded, immutable implicit kd-tree over `(point, membership)` pairs.
 ///
 /// Construction permutes the points internally; a search answers with a
@@ -220,11 +223,8 @@ pub struct KdTree<const D: usize> {
     /// Heap-indexed subtree max-membership annotations.
     max_mu: Box<[f64]>,
     /// Heap-indexed exact subtree bounds: `2·D` values per node, lows then
-    /// highs. Unused heap slots keep an inverted sentinel and are never
-    /// read.
+    /// highs. Unused heap slots are never read.
     bounds: Box<[f64]>,
-    /// Number of real (visited) nodes, for diagnostics.
-    node_count: usize,
     root_mbr: Mbr<D>,
     /// Which cells of a uniform grid on the root box hold a point.
     occupancy: Occupancy<D>,
@@ -239,38 +239,33 @@ impl<const D: usize> KdTree<D> {
         assert_eq!(points.len(), memberships.len(), "points/memberships length mismatch");
         assert!(!points.is_empty(), "cannot build a kd-tree over no points");
         let n = points.len();
-        let mut items: Vec<BuildItem<D>> = points
-            .iter()
-            .zip(memberships)
-            .enumerate()
-            .map(|(i, (&pt, &mu))| BuildItem { pt, mu, orig: i as u32 })
-            .collect();
-
-        // Computed before any permutation, so the expansion order (and with
-        // it any NaN-coordinate quirk) matches a plain scan of the input.
+        // A plain scan of the input: any NaN-coordinate quirk is a scan's.
         let root_mbr = Mbr::from_points(points.iter()).expect("non-empty input");
-        let mut ann = Annotations { max_mu: Vec::new(), bounds: Vec::new(), nodes: 0 };
-        build_range(&mut items, &mut ann, 0, 0, n);
-
-        let mut cols = vec![0.0; D * n].into_boxed_slice();
-        let mut mus = vec![0.0; n].into_boxed_slice();
-        for (j, it) in items.iter().enumerate() {
-            for d in 0..D {
-                cols[d * n + j] = it.pt.coords()[d];
-            }
-            mus[j] = it.mu;
-        }
-        let occupancy = Occupancy::build(&cols, n, &root_mbr);
-        Self {
-            len: n,
-            cols,
-            mus,
-            max_mu: ann.max_mu.into_boxed_slice(),
-            bounds: ann.bounds.into_boxed_slice(),
-            node_count: ann.nodes,
-            root_mbr,
-            occupancy,
-        }
+        let (lo, step) =
+            (root_mbr.lo_coords(), std::array::from_fn(|d| root_mbr.extent(d) / 65535.0));
+        let scale = step.map(|s: f64| if s > 0.0 { 1.0 / s } else { 0.0 });
+        // The saturating casts send NaN, and anything off the box, to an end.
+        let key = |(i, p): (usize, &Point<D>)| BuildKey {
+            q: std::array::from_fn(|d| ((p[d] - lo[d]) * scale[d]) as u16),
+            src: i as u32,
+        };
+        let mut keys: Vec<BuildKey<D>> = points.iter().enumerate().map(key).collect();
+        // Halving `n` log₂ of this power of two times leaves at most a
+        // leaf, so no node is deeper and every heap id is below twice it.
+        let slots = 2 * n.div_ceil(LEAF_SIZE).next_power_of_two();
+        let mut b = Builder {
+            points,
+            memberships,
+            step,
+            cols: vec![0.0; D * n].into_boxed_slice(),
+            mus: vec![0.0; n].into_boxed_slice(),
+            max_mu: vec![f64::NEG_INFINITY; slots].into_boxed_slice(),
+            bounds: vec![0.0; 2 * D * slots].into_boxed_slice(),
+        };
+        b.fill(&mut keys, NodeRef { id: 0, start: 0, end: n as u32 }, [[0; D], [u16::MAX; D]]);
+        let occupancy = Occupancy::build(&b.cols, n, &root_mbr);
+        let Builder { cols, mus, max_mu, bounds, .. } = b;
+        Self { len: n, cols, mus, max_mu, bounds, root_mbr, occupancy }
     }
 
     /// Number of points.
@@ -297,9 +292,12 @@ impl<const D: usize> KdTree<D> {
         self.max_mu[0]
     }
 
-    /// Number of implicit nodes the structure decomposes into (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.node_count
+    /// The flat arrays, for diagnostics and the structural suite: the
+    /// heap-indexed boxes (`D` lows, then `D` highs, per node) and `max_µ`,
+    /// then the slots' dim-major coordinate columns and memberships (module
+    /// docs, "Implicit layout").
+    pub fn layout(&self) -> [&[f64]; 4] {
+        [&self.bounds, &self.max_mu, &self.cols, &self.mus]
     }
 
     /// Seeded nearest-neighbour **distance** in squared space: the smallest
@@ -491,9 +489,17 @@ impl<const D: usize> Occupancy<D> {
     /// Grid the root box `mbr` and mark the cell of each of the `n` points
     /// in the dim-major columns `cols`.
     fn build(cols: &[f64], n: usize, mbr: &Mbr<D>) -> Self {
-        // The smallest `w` with `w^D ≥ CELLS_PER_POINT · n`, at most 2 048.
+        // The smallest `w` with `w^D ≥ CELLS_PER_POINT · n`, at most 2 048:
+        // the float root, corrected to the exact integer answer.
         let want = CELLS_PER_POINT.saturating_mul(n);
-        let top = (1..2048).find(|w: &usize| w.saturating_pow(D as u32) >= want).unwrap_or(2048);
+        let covers = |w: usize| w.saturating_pow(D as u32) >= want;
+        let mut top = ((want as f64).powf(1.0 / D as f64) as usize).clamp(1, 2048);
+        while top > 1 && covers(top - 1) {
+            top -= 1;
+        }
+        while top < 2048 && !covers(top) {
+            top += 1;
+        }
         let reach_sq_of = |c: f64| -> [f64; MAX_REACH] {
             std::array::from_fn(|i| {
                 let r = (i + 1) as f64 * c * (1.0 - 1e-9);
@@ -590,66 +596,109 @@ impl<const D: usize> Occupancy<D> {
     }
 }
 
-/// Growable heap-indexed annotation storage used during construction.
-struct Annotations {
-    max_mu: Vec<f64>,
-    /// `2·D` values per heap slot: lows then highs.
-    bounds: Vec<f64>,
-    nodes: usize,
+/// What the median selections move for a point (module docs, "Build"): its
+/// coordinates quantized to 16 bits over the root box, and its index.
+#[derive(Clone, Copy)]
+struct BuildKey<const D: usize> {
+    q: [u16; D],
+    src: u32,
 }
 
-impl Annotations {
-    fn ensure<const D: usize>(&mut self, id: usize) {
-        let need = (id + 1) * 2 * D;
-        if self.bounds.len() < need {
-            self.bounds.resize(need, 0.0);
-            self.max_mu.resize(id + 1, f64::NEG_INFINITY);
-        }
+/// Construction state: the input, and the arrays being filled.
+struct Builder<'a, const D: usize> {
+    points: &'a [Point<D>],
+    memberships: &'a [f64],
+    /// Root-box length of one quantization step, per dimension: what a
+    /// key difference is worth when the widest extent is chosen.
+    step: [f64; D],
+    cols: Box<[f64]>,
+    mus: Box<[f64]>,
+    max_mu: Box<[f64]>,
+    bounds: Box<[f64]>,
+}
+
+/// One side of a box union — the lower bound if `low`, else the higher —
+/// and NaN if either is: a NaN bound never prunes, and it stays one.
+#[inline]
+fn union(x: f64, y: f64, low: bool) -> f64 {
+    match (x.is_nan() || y.is_nan(), low) {
+        (true, _) => f64::NAN,
+        (false, true) => x.min(y),
+        (false, false) => x.max(y),
     }
 }
 
-/// Recursive construction over `items[start..end)` for heap node `id`:
-/// records the subtree annotations, establishes the leaf prefix invariant
-/// at the leaves, and median-partitions internal ranges in place.
-fn build_range<const D: usize>(
-    items: &mut [BuildItem<D>],
-    ann: &mut Annotations,
-    id: usize,
-    start: usize,
-    end: usize,
-) {
-    ann.ensure::<D>(id);
-    ann.nodes += 1;
-    let range = &items[start..end];
-    let mbr = Mbr::from_points(range.iter().map(|it| &it.pt)).expect("non-empty range");
-    let max_mu = range.iter().map(|it| it.mu).fold(f64::NEG_INFINITY, f64::max);
-    {
-        let b = id * 2 * D;
-        ann.bounds[b..b + D].copy_from_slice(mbr.lo_coords());
-        ann.bounds[b + D..b + 2 * D].copy_from_slice(mbr.hi_coords());
-        ann.max_mu[id] = max_mu;
-    }
-    if end - start <= LEAF_SIZE {
-        // Leaf prefix invariant: membership descending, ties by original
-        // index for determinism.
-        items[start..end].sort_by(|a, b| b.mu.total_cmp(&a.mu).then(a.orig.cmp(&b.orig)));
-        return;
-    }
-    // Split on the widest dimension at the median; the split position is
-    // implied by the range, never stored.
-    let mut dim = 0;
-    let mut widest = -1.0;
-    for i in 0..D {
-        let e = mbr.extent(i);
-        if e > widest {
-            widest = e;
-            dim = i;
+impl<const D: usize> Builder<'_, D> {
+    /// Fill the subtree at `node`, whose keys lie in the quantized cell
+    /// `[lo, hi]`: split it at the median on the cell's widest side, or lay
+    /// out a leaf; then its exact box and `max_µ`, bottom-up.
+    fn fill(&mut self, keys: &mut [BuildKey<D>], node: NodeRef, [lo, hi]: [[u16; D]; 2]) {
+        let (id, b) = (node.id as usize, node.id as usize * 2 * D);
+        let range = &mut keys[node.start as usize..node.end as usize];
+        if node.is_leaf() {
+            return self.leaf(range, node);
         }
+        let (mut dim, mut widest) = (0, -1.0);
+        for d in 0..D {
+            let w = f64::from(hi[d] - lo[d]) * self.step[d];
+            if w > widest {
+                (dim, widest) = (d, w);
+            }
+        }
+        let (_, median, _) = range.select_nth_unstable_by_key(node.len() / 2, |k| k.q[dim]);
+        let split = median.q[dim];
+        let (left, right) = node.children();
+        let (mut left_hi, mut right_lo) = (hi, lo);
+        (left_hi[dim], right_lo[dim]) = (split, split);
+        self.fill(keys, left, [lo, left_hi]);
+        self.fill(keys, right, [right_lo, hi]);
+        let (l, r) = (left.id as usize * 2 * D, right.id as usize * 2 * D);
+        for i in 0..2 * D {
+            self.bounds[b + i] = union(self.bounds[l + i], self.bounds[r + i], i < D);
+        }
+        self.max_mu[id] = self.max_mu[left.id as usize].max(self.max_mu[right.id as usize]);
     }
-    let mid = start + (end - start) / 2;
-    items[start..end].select_nth_unstable_by(mid - start, |a, b| a.pt[dim].total_cmp(&b.pt[dim]));
-    build_range(items, ann, 2 * id + 1, start, mid);
-    build_range(items, ann, 2 * id + 2, mid, end);
+
+    /// Lay out a leaf: its points by (µ descending, source index) — a sort
+    /// of at most [`LEAF_SIZE`] integer keys — written to the final
+    /// columns, and its box and `max_µ` over them.
+    fn leaf(&mut self, keys: &[BuildKey<D>], node: NodeRef) {
+        // `total_cmp`'s order as unsigned integers, complemented so that a
+        // larger membership sorts first; the source index breaks ties.
+        let mut slots = [0u128; LEAF_SIZE];
+        let slots = &mut slots[..keys.len()];
+        for (slot, k) in slots.iter_mut().zip(keys) {
+            let bits = self.memberships[k.src as usize].to_bits();
+            let total = bits ^ (((bits as i64 >> 63) as u64) >> 1) ^ 1 << 63;
+            *slot = u128::from(!total) << 32 | u128::from(k.src);
+        }
+        slots.sort_unstable();
+        let (n, start) = (self.mus.len(), node.start as usize);
+        let (mut lo, mut hi, mut max_mu) =
+            ([f64::INFINITY; D], [f64::NEG_INFINITY; D], f64::NEG_INFINITY);
+        // A running extreme skips NaN; a dimension holding one gets a NaN
+        // bound instead.
+        let mut nan = [false; D];
+        for (j, &slot) in slots.iter().enumerate() {
+            let (src, mu) = (slot as u32 as usize, self.memberships[slot as u32 as usize]);
+            let p = self.points[src].coords();
+            for d in 0..D {
+                self.cols[d * n + start + j] = p[d];
+                lo[d] = if p[d] < lo[d] { p[d] } else { lo[d] };
+                hi[d] = if p[d] > hi[d] { p[d] } else { hi[d] };
+                nan[d] |= p[d].is_nan();
+            }
+            self.mus[start + j] = mu;
+            max_mu = max_mu.max(mu);
+        }
+        for d in (0..D).filter(|&d| nan[d]) {
+            (lo[d], hi[d]) = (f64::NAN, f64::NAN);
+        }
+        let b = node.id as usize * 2 * D;
+        self.bounds[b..b + D].copy_from_slice(&lo);
+        self.bounds[b + D..b + 2 * D].copy_from_slice(&hi);
+        self.max_mu[node.id as usize] = max_mu;
+    }
 }
 
 #[cfg(test)]
@@ -742,7 +791,7 @@ mod tests {
         let (_, mus, tree) = grid_tree();
         let want = mus.iter().copied().fold(f64::MIN, f64::max);
         assert_eq!(tree.max_mu(), want);
-        assert!(tree.node_count() >= 1);
+        assert_eq!(tree.layout()[1][0], want);
     }
 
     #[test]

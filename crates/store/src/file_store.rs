@@ -4,25 +4,26 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    decode_object, decode_summary, encode_object, encode_summary, record_len, summary_len, Decoder,
-    Encoder, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
+    decode_object, decode_summary, encode_object, encode_summary, fnv1a_lanes, record_len,
+    summary_len, Decoder, Encoder, LaneSeal, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION,
 };
 use crate::source::ByteSource;
 use crate::stats::{IoStats, IoStatsSnapshot};
 use crate::ObjectStore;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Streaming writer: objects are appended one at a time (datasets larger
 /// than memory can be generated without buffering), summaries and the index
-/// are accumulated and flushed by [`FileStoreWriter::finish`]. The bytes go
-/// to `W`: a file, or the `Vec` an in-memory image is built in
-/// ([`FileStore::from_objects`]).
-pub struct FileStoreWriter<const D: usize, W: Write = BufWriter<File>> {
+/// are accumulated and flushed by [`FileStoreWriter::finish`], which then
+/// patches their seal into the header. The bytes go to `W`: a file, or
+/// the `Vec` an in-memory image is built in ([`FileStore::from_objects`]).
+pub struct FileStoreWriter<const D: usize, W: Write + Seek = BufWriter<File>> {
     out: W,
     /// The file written; empty for an image.
     path: PathBuf,
@@ -48,14 +49,14 @@ impl<const D: usize> FileStoreWriter<D> {
     }
 }
 
-impl<const D: usize, W: Write> FileStoreWriter<D, W> {
+impl<const D: usize, W: Write + Seek> FileStoreWriter<D, W> {
     /// Write the header to `out`.
     fn start(mut out: W, path: PathBuf) -> Result<Self, StoreError> {
         let mut header = Encoder::with_capacity(HEADER_LEN);
         header.bytes(&MAGIC);
         header.u16(VERSION);
         header.u16(D as u16);
-        header.u64(0); // reserved
+        header.u64(0); // the seal, patched by `end`
         out.write_all(header.as_bytes())?;
         Ok(Self {
             out,
@@ -91,8 +92,9 @@ impl<const D: usize, W: Write> FileStoreWriter<D, W> {
         self.index.is_empty()
     }
 
-    /// Write summaries, index and trailer and flush: the finished bytes'
-    /// sink, and the path they were written to.
+    /// Write summaries, index and trailer, patch the header's seal over the
+    /// first two, and flush: the finished bytes' sink, and the path they
+    /// were written to.
     fn end(mut self) -> Result<(W, PathBuf), StoreError> {
         let summary_off = self.offset;
         let mut enc = Encoder::with_capacity(8 + self.summaries.len() * 256);
@@ -113,6 +115,9 @@ impl<const D: usize, W: Write> FileStoreWriter<D, W> {
         enc.u64(self.index.len() as u64);
         enc.bytes(&MAGIC);
         self.out.write_all(enc.as_bytes())?;
+        let seal = fnv1a_lanes(&enc.as_bytes()[..enc.len() - TRAILER_LEN]);
+        self.out.seek(SeekFrom::Start(HEADER_LEN as u64 - 8))?;
+        self.out.write_all(&seal.to_le_bytes())?;
         self.out.flush()?;
         Ok((self.out, self.path))
     }
@@ -131,8 +136,9 @@ pub struct FileStore<const D: usize> {
 
 impl<const D: usize> FileStore<D> {
     /// Open an existing store file, validating magic, version,
-    /// dimensionality and that every offset, count and index entry the
-    /// trailer leads to stays inside the section it belongs to. Total on
+    /// dimensionality, that every offset, count and index entry the
+    /// trailer leads to stays inside the section it belongs to, and the
+    /// header's seal over the summary and index sections. Total on
     /// hostile bytes: a damaged file is a typed [`StoreError`], never a
     /// panic and never a handle that points outside the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
@@ -153,11 +159,11 @@ impl<const D: usize> FileStore<D> {
     pub fn from_objects(
         objects: impl IntoIterator<Item = FuzzyObject<D>>,
     ) -> Result<Self, StoreError> {
-        let mut writer = FileStoreWriter::start(Vec::new(), PathBuf::new())?;
+        let mut writer = FileStoreWriter::start(Cursor::new(Vec::new()), PathBuf::new())?;
         for obj in objects {
             writer.append(&obj)?;
         }
-        Self::from_image(writer.end()?.0)
+        Self::from_image(writer.end()?.0.into_inner())
     }
 
     /// Read the header, trailer, summary section and index of `source`.
@@ -181,6 +187,7 @@ impl<const D: usize> FileStore<D> {
         if dims as usize != D {
             return Err(StoreError::DimensionMismatch { found: dims, expected: D as u16 });
         }
+        let stored_seal = d.u64()?;
         // Trailer.
         let mut tail = [0u8; TRAILER_LEN];
         source.read_exact_at(&mut tail, total - TRAILER_LEN as u64)?;
@@ -201,31 +208,29 @@ impl<const D: usize> FileStore<D> {
                  trailer at {index_end}"
             )));
         }
-        let section_holds = |len: u64, entry: usize| {
-            count.checked_mul(entry as u64).and_then(|b| b.checked_add(8)).is_some_and(|b| b <= len)
-        };
-        if !section_holds(index_off - summary_off, summary_len(D)) {
-            return Err(corrupt(format!(
-                "trailer count {count} exceeds what the summary section can hold"
-            )));
-        }
-        if !section_holds(index_end - index_off, 24) {
-            return Err(corrupt(format!(
-                "trailer count {count} exceeds what the index section can hold"
-            )));
+        // Each section is its count and `count` entries, no more and no less.
+        for (section, len, entry) in [
+            ("summary", index_off - summary_off, summary_len(D)),
+            ("index", index_end - index_off, 24),
+        ] {
+            if count.checked_mul(entry as u64).and_then(|b| b.checked_add(8)) != Some(len) {
+                let reason =
+                    format!("trailer count {count} does not fill the {len}-byte {section} section");
+                return Err(corrupt(reason));
+            }
         }
 
-        // Summaries.
+        // Summaries, then the index, every byte of both folded into the seal.
+        let mut seal = LaneSeal::new((index_end - summary_off) as usize);
         let mut summaries = Vec::with_capacity(count as usize);
-        read_section(&source, "summary", summary_off, count, summary_len(D), |record| {
+        let len = summary_len(D);
+        read_section(&source, "summary", summary_off, count, len, &mut seal, |record| {
             summaries.push(decode_summary::<D>(record)?);
             Ok(())
         })?;
-
-        // Index.
         let mut index = HashMap::with_capacity(summaries.len());
         let mut next = summaries.iter();
-        read_section(&source, "index", index_off, count, 24, |entry| {
+        read_section(&source, "index", index_off, count, 24, &mut seal, |entry| {
             let mut d = Decoder::new(entry);
             let (id, off, len) = (ObjectId(d.u64()?), d.u64()?, d.u64()?);
             // Both sections are written in append order.
@@ -251,6 +256,12 @@ impl<const D: usize> FileStore<D> {
             }
             Ok(())
         })?;
+        let computed = seal.finish();
+        if computed != stored_seal {
+            return Err(corrupt(format!(
+                "summary and index checksum mismatch: stored {stored_seal:x}, computed {computed:x}"
+            )));
+        }
 
         Ok(Self { source, index, summaries, stats: IoStats::new() })
     }
@@ -265,19 +276,22 @@ impl<const D: usize> FileStore<D> {
 const READ_CHUNK: usize = 1 << 20;
 
 /// Read the section at `off` — its `u64` count, which must be `count`, then
-/// that many records of `len` bytes — handing each record to `visit` in
-/// file order, through a buffer of at most [`READ_CHUNK`] bytes (or one
-/// record). Stops at `visit`'s first error.
+/// that many records of `len` bytes — folding every byte into `seal` and
+/// handing each record to `visit` in file order, through a buffer of at
+/// most [`READ_CHUNK`] bytes (or one record). Stops at `visit`'s first
+/// error.
 fn read_section(
     source: &ByteSource,
     section: &str,
     mut off: u64,
     count: u64,
     len: usize,
+    seal: &mut LaneSeal,
     mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
     let mut word = [0u8; 8];
     source.read_exact_at(&mut word, off)?;
+    seal.update(&word);
     let stored = u64::from_le_bytes(word);
     if stored != count {
         return Err(StoreError::Corrupt {
@@ -291,6 +305,7 @@ fn read_section(
     while left > 0 {
         let chunk = &mut buf[..left.min(per_chunk) * len];
         source.read_exact_at(chunk, off)?;
+        seal.update(chunk);
         for record in chunk.chunks_exact(len) {
             visit(record)?;
         }
@@ -300,13 +315,22 @@ fn read_section(
     Ok(())
 }
 
+thread_local! {
+    /// Each thread's probe buffer: grown to the longest record it has read,
+    /// never zeroed again.
+    static PROBE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 impl<const D: usize> ObjectStore<D> for FileStore<D> {
     fn probe(&self, id: ObjectId) -> Result<Arc<FuzzyObject<D>>, StoreError> {
         let &(off, len) = self.index.get(&id).ok_or(StoreError::UnknownObject(id))?;
-        let mut buf = vec![0u8; len as usize];
-        self.source.read_exact_at(&mut buf, off)?;
-        self.stats.record_read(len);
-        let obj = decode_object::<D>(&buf)?;
+        let obj = PROBE_BUF.with_borrow_mut(|buf| {
+            buf.resize(buf.len().max(len as usize), 0);
+            let record = &mut buf[..len as usize];
+            self.source.read_exact_at(record, off)?;
+            self.stats.record_read(len);
+            decode_object::<D>(record)
+        })?;
         if obj.id() != id {
             return Err(StoreError::Corrupt {
                 reason: format!("record at offset {off} has id {} but index says {id}", obj.id()),
@@ -471,11 +495,12 @@ mod tests {
         }
         drop(w.finish().unwrap());
         let bytes = std::fs::read(&path).unwrap();
-        let mut w = FileStoreWriter::<2, _>::start(Vec::new(), PathBuf::new()).unwrap();
+        let mut w =
+            FileStoreWriter::<2, _>::start(Cursor::new(Vec::new()), PathBuf::new()).unwrap();
         for i in 0..6u64 {
             w.append(&obj(i, i as f64)).unwrap();
         }
-        assert_eq!(w.end().unwrap().0, bytes);
+        assert_eq!(w.end().unwrap().0.into_inner(), bytes);
         let image = FileStore::<2>::from_objects((0..6u64).map(|i| obj(i, i as f64))).unwrap();
         let reopened = FileStore::<2>::from_image(bytes).unwrap();
         assert_eq!(reopened.ids(), image.ids());

@@ -4,7 +4,7 @@
 //! that reuses this module's encoder/decoder — in `docs/FORMAT.md`.
 //!
 //! ```text
-//! [ header   ] magic "FZKN" | version u16 | dims u16 | reserved u64
+//! [ header   ] magic "FZKN" | version u16 | dims u16 | seal u64
 //! [ records  ] one per object: id u64 | n u32 | flags u32
 //!              | perm n×u32 | µ n×f64 (descending) | cols D×n×f64 | fnv u64
 //! [ summaries] count u64, then one fixed-size summary per object
@@ -12,10 +12,12 @@
 //! [ trailer  ] summary_off u64 | index_off u64 | count u64 | magic "FZKN"
 //! ```
 //!
-//! Every record carries an FNV-1a checksum so a truncated or bit-flipped
-//! file is detected at probe time rather than silently decoded. A probe
-//! reads its record in one [`ChecksumWalk`]: each word is folded into the
-//! checksum, converted and handed to the layout checks in the same step.
+//! Every record carries an [`fnv1a_lanes`] digest so a truncated or
+//! bit-flipped record is detected at probe time rather than silently
+//! decoded, and the header's seal is the [`fnv1a_lanes`] digest of the
+//! summary and index sections, checked at open. A probe folds its record
+//! into the digest a section ahead of the checks that read it
+//! ([`ChecksumWalk`]), so the checks run in the checksum's shadow.
 
 use crate::error::StoreError;
 use fuzzy_core::{ColumnarChecker, FuzzyObject, ObjectId, ObjectSummary};
@@ -32,8 +34,12 @@ pub const MAGIC: [u8; 4] = *b"FZKN";
 /// plus the permutation that restores construction order, so a decoded
 /// object's [`MembershipPrefix`](fuzzy_core::MembershipPrefix) — the
 /// layout every hot distance kernel scans — *is* the record's three
-/// sections, converted to native words and nothing else.
-pub const VERSION: u16 = 3;
+/// sections, converted to native words and nothing else. Version 4 seals
+/// each record with [`fnv1a_lanes`] instead of [`fnv1a`], whose one
+/// multiply chain had become most of a probe's decode, and stores the
+/// [`fnv1a_lanes`] digest of the summary and index sections in the
+/// header's formerly reserved word; no length changed.
+pub const VERSION: u16 = 4;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 4 + 2 + 2 + 8;
 /// Trailer length in bytes.
@@ -47,7 +53,7 @@ pub const TRAILER_LEN: usize = 8 + 8 + 8 + 4;
 /// throughput with the same error-detection envelope for our fixed-layout
 /// records (length is part of the state, so zero padding cannot alias).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    ChecksumWalk::new(bytes).finish()
+    ChecksumWalk::<1>::seeded(bytes).finish()
 }
 
 /// The state [`fnv1a`] starts from for an input of `len` bytes.
@@ -64,8 +70,9 @@ fn fnv_step(h: u64, word: &[u8]) -> u64 {
 
 const FNV_PRIME: u64 = 0x100000001b3;
 
-/// Independent chains of [`fnv1a_lanes`], the checksum of every `.fzpt`
-/// v4 page, header, table and id column.
+/// Independent chains of [`fnv1a_lanes`], the checksum of every `.fzkn`
+/// v4 record and section seal and of every `.fzpt` v4 page, header, table
+/// and id column.
 pub const LANES: usize = 4;
 
 /// The four-lane word FNV-1a (spec and test vector in `docs/FORMAT.md`):
@@ -81,27 +88,15 @@ pub fn fnv1a_lanes(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a`] (`LANES = 1`, the default) or [`fnv1a_lanes`]
-/// (`LANES = 4`) taken a piece at a time by a decoder, so the decode runs
-/// in the checksum's shadow.
+/// (`LANES = 4`, [`ChecksumWalk::lanes`]) folded a piece at a time ahead of a decoder that parses
+/// the same bytes itself, so the decode runs in the checksum's shadow.
 ///
 /// A checksum chain is a strict dependency chain (a multiply per word),
 /// which leaves most of the core idle; a decoder that converts and checks
 /// values while the chain folds gets that work done in the chain's shadow
-/// instead of in passes after it. The walk folds the input's words in
-/// order, in one of two ways:
-///
-/// * **folding ahead** ([`ChecksumWalk::fold`]) while the caller parses the
-///   same bytes itself, a share of the words per entry parsed (a `.fzpt`
-///   page read, in lane mode: [`ChecksumWalk::lanes`]);
-/// * **reading through the walk** (this module's `u64`, `u32s` and `f64s`,
-///   what [`decode_object`] does; chain mode only): the walk reads front
-///   to back, and every read folds the words that end inside it — after an
-///   odd count of `u32`s the walk sits 4 bytes into a word, which the next
-///   read folds. A section yields the values that are there, at most the
-///   `n` asked for, and the walk moves past all of them: take every value
-///   of a section before reading on.
-///
-/// The two do not mix: a read after folding ahead folds its words again.
+/// instead of in passes after it. [`ChecksumWalk::fold`] folds a share of
+/// the words ahead of the entries or sections parsed next (a `.fzpt` page
+/// read, a `.fzkn` record probe).
 ///
 /// [`ChecksumWalk::finish`] folds whatever was not folded yet, so its
 /// digest is always that of the whole input: a decoder may stop at its
@@ -111,10 +106,7 @@ pub struct ChecksumWalk<'a, const LANES: usize = 1> {
     bytes: &'a [u8],
     /// Lane `k` holds the fold of words `k`, `k + LANES`, ….
     h: [u64; LANES],
-    /// Bytes read through the walk.
-    read: usize,
-    /// Bytes folded: a multiple of `8 · LANES` while folding ahead, of 8
-    /// while reading through; every whole word before it.
+    /// Bytes folded: a multiple of `8 · LANES`, every whole run before it.
     folded: usize,
 }
 
@@ -129,13 +121,11 @@ impl<'a> ChecksumWalk<'a, LANES> {
 impl<'a, const L: usize> ChecksumWalk<'a, L> {
     #[inline]
     fn seeded(bytes: &'a [u8]) -> Self {
-        let seed = fnv_seed(bytes.len());
-        Self { bytes, h: std::array::from_fn(|k| seed ^ k as u64), read: 0, folded: 0 }
+        Self { bytes, h: std::array::from_fn(|k| fnv_seed(bytes.len()) ^ k as u64), folded: 0 }
     }
 
-    /// Fold about `words` more whole words, ahead of any read: whole runs
-    /// of one word per lane, rounded up, never past the input's last whole
-    /// run.
+    /// Fold about `words` more whole words: whole runs of one word per
+    /// lane, rounded up, never past the input's last whole run.
     #[inline]
     pub fn fold(&mut self, words: usize) {
         let run = 8 * L;
@@ -163,71 +153,45 @@ impl<'a, const L: usize> ChecksumWalk<'a, L> {
             let lane = &mut self.h[(first + i) % L];
             *lane = fnv_step(*lane, &padded);
         }
-        if L == 1 {
-            return self.h[0];
-        }
-        let seed = fnv_seed(self.bytes.len());
-        self.h.iter().fold(seed, |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME))
+        join_lanes(self.bytes.len(), &self.h)
     }
 }
 
-impl<'a> ChecksumWalk<'a, 1> {
-    /// Start the [`fnv1a`] chain over `bytes` (the state is seeded with its
-    /// length).
-    #[inline]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self::seeded(bytes)
+/// The digest of folded lanes: the one lane, or the lanes folded in lane
+/// order, as words, into a chain from the seed.
+#[inline]
+fn join_lanes(len: usize, h: &[u64]) -> u64 {
+    match h {
+        [one] => *one,
+        lanes => lanes.iter().fold(fnv_seed(len), |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME)),
+    }
+}
+
+/// [`fnv1a_lanes`] of a `len`-byte input, `len` a multiple of 8, that
+/// arrives in order in pieces of whole words: the summary and index
+/// sections a store seals, read a chunk at a time.
+pub(crate) struct LaneSeal {
+    h: [u64; LANES],
+    len: usize,
+    /// Words folded so far; the next goes to lane `words mod 4`.
+    words: usize,
+}
+
+impl LaneSeal {
+    pub(crate) fn new(len: usize) -> Self {
+        Self { h: std::array::from_fn(|k| fnv_seed(len) ^ k as u64), len, words: 0 }
     }
 
-    /// The next little-endian `u64`, or the [`Decoder`]'s error for it.
-    #[inline]
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let (at, word) = (self.read, self.read & !7);
-        if at + 8 > self.bytes.len() {
-            return Err(DecodeError::EndOfData { need: 8, at, have: self.bytes.len() });
+    pub(crate) fn update(&mut self, piece: &[u8]) {
+        for word in piece.chunks_exact(8) {
+            let lane = &mut self.h[self.words % LANES];
+            *lane = fnv_step(*lane, word);
+            self.words += 1;
         }
-        self.h[0] = fnv_step(self.h[0], &self.bytes[word..word + 8]);
-        (self.read, self.folded) = (at + 8, word + 8);
-        Ok(u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes are there")))
     }
 
-    /// The next `n` little-endian `u32`s.
-    #[inline]
-    fn u32s<'w>(&'w mut self, n: usize) -> impl Iterator<Item = u32> + 'w
-    where
-        'a: 'w,
-    {
-        let (bytes, at): (&'w [u8], usize) = (self.bytes, self.read);
-        let n = n.min((bytes.len() - at) / 4);
-        self.read += 4 * n;
-        self.folded = self.read & !7;
-        let h = &mut self.h[0];
-        bytes[at..at + 4 * n].chunks_exact(4).enumerate().map(move |(k, value)| {
-            let end = at + 4 * k + 4;
-            if end % 8 == 0 {
-                *h = fnv_step(*h, &bytes[end - 8..end]);
-            }
-            u32::from_le_bytes(value.try_into().expect("a chunks_exact(4) item"))
-        })
-    }
-
-    /// The next `n` little-endian `f64`s.
-    #[inline]
-    fn f64s<'w>(&'w mut self, n: usize) -> impl Iterator<Item = f64> + 'w
-    where
-        'a: 'w,
-    {
-        let (bytes, at): (&'w [u8], usize) = (self.bytes, self.read);
-        let n = n.min((bytes.len() - at) / 8);
-        self.read += 8 * n;
-        self.folded = self.read & !7;
-        // Value `k` ends inside word `k` from the one the read starts in.
-        let words = bytes[at & !7..(at & !7) + 8 * n].chunks_exact(8);
-        let h = &mut self.h[0];
-        bytes[at..at + 8 * n].chunks_exact(8).zip(words).map(move |(value, word)| {
-            *h = fnv_step(*h, word);
-            f64::from_le_bytes(value.try_into().expect("a chunks_exact(8) item"))
-        })
+    pub(crate) fn finish(self) -> u64 {
+        join_lanes(self.len, &self.h)
     }
 }
 
@@ -471,7 +435,7 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Encoded size of one v3 object record with `n` points in `d` dimensions.
+/// Encoded size of one object record with `n` points in `d` dimensions.
 pub const fn record_len(d: usize, n: usize) -> usize {
     8 + 4 + 4 + n * 4 + n * 8 + d * n * 8 + 8
 }
@@ -503,24 +467,24 @@ pub fn encode_object<const D: usize>(obj: &FuzzyObject<D>) -> Vec<u8> {
             e.f64(c);
         }
     }
-    let sum = fnv1a(e.as_bytes());
+    let sum = fnv1a_lanes(e.as_bytes());
     e.u64(sum);
     e.into_bytes()
 }
 
-/// Decode one object record in one [`ChecksumWalk`]: every word is folded
-/// into the checksum, converted into its column and checked by a
-/// [`ColumnarChecker`] in the same step. A checksum mismatch outranks every
-/// other error; then a point count the record's length disagrees with;
-/// then the checker's verdict.
+/// Decode one object record: its [`fnv1a_lanes`] digest is folded a
+/// section ahead through a [`ChecksumWalk`] while a [`ColumnarChecker`]
+/// collects and checks each section straight from the bytes. A checksum
+/// mismatch outranks every other error; then a point count the record's
+/// length disagrees with; then the checker's verdict.
 pub fn decode_object<const D: usize>(bytes: &[u8]) -> Result<FuzzyObject<D>, StoreError> {
     if bytes.len() < record_len(D, 0) {
         return Err(StoreError::Corrupt { reason: "record too short".into() });
     }
     let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
     let stored = Decoder::new(sum_bytes).u64()?;
-    let mut walk = ChecksumWalk::new(payload);
-    let decoded = walk_object(&mut walk);
+    let mut walk = ChecksumWalk::lanes(payload);
+    let decoded = check_object(payload, &mut walk);
     let computed = walk.finish();
     if stored != computed {
         return Err(StoreError::Corrupt {
@@ -530,25 +494,40 @@ pub fn decode_object<const D: usize>(bytes: &[u8]) -> Result<FuzzyObject<D>, Sto
     decoded
 }
 
-/// The record body behind [`decode_object`]'s walk.
-fn walk_object<const D: usize>(walk: &mut ChecksumWalk<'_>) -> Result<FuzzyObject<D>, StoreError> {
-    let id = ObjectId(walk.u64()?);
+/// The record body behind [`decode_object`]: each section folded into
+/// `walk`, then handed to the checker.
+fn check_object<const D: usize>(
+    payload: &[u8],
+    walk: &mut ChecksumWalk<'_, LANES>,
+) -> Result<FuzzyObject<D>, StoreError> {
+    let (head, body) = payload.split_at(16);
+    let id = ObjectId(u64::from_le_bytes(head[..8].try_into().expect("8 bytes")));
     // `n` u32, then the reserved flags u32.
-    let n = walk.u64()? as u32 as usize;
+    let n = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
     let expected = n * 4 + n * 8 + D * n * 8;
-    let carried = walk.bytes.len() - walk.read;
-    if carried != expected {
+    if body.len() != expected {
         return Err(StoreError::Corrupt {
             reason: format!(
-                "record for {id} declares {n} points but carries {carried} payload bytes (expected {expected})"
+                "record for {id} declares {n} points but carries {} payload bytes (expected {expected})",
+                body.len()
             ),
         });
     }
+    let (perm, rest) = body.split_at(4 * n);
     let mut check = ColumnarChecker::<D>::new(n);
-    check.fill_source_indices(walk.u32s(n));
-    check.fill_memberships(walk.f64s(n));
-    for _ in 0..D {
-        check.fill_coord_column(walk.f64s(n));
+    walk.fold(2 + n.div_ceil(2));
+    check.fill_source_indices(
+        perm.chunks_exact(4).map(|v| u32::from_le_bytes(v.try_into().expect("4 bytes"))),
+    );
+    for section in 0..=D {
+        walk.fold(n);
+        let values = rest[8 * n * section..8 * n * (section + 1)]
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(v.try_into().expect("8 bytes")));
+        match section {
+            0 => check.fill_memberships(values),
+            _ => check.fill_coord_column(values),
+        }
     }
     Ok(check.finish(id)?)
 }
@@ -586,8 +565,9 @@ pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
 
 /// Decode the summary at the front of `bytes` (its first [`summary_len`]
 /// bytes, read at fixed offsets), checked by [`ObjectSummary::from_stored`]:
-/// the section summaries live in carries no checksum of its own (`.fzkn`),
-/// so a damaged box must fail here rather than prune a true neighbour.
+/// a checksum vouches for the bytes a writer wrote, not for what they
+/// mean, so a box no summary could have must fail here rather than prune a
+/// true neighbour.
 pub fn decode_summary<const D: usize>(bytes: &[u8]) -> Result<ObjectSummary<D>, StoreError> {
     let len = summary_len(D);
     let Some(record) = bytes.get(..len) else {
@@ -635,7 +615,7 @@ mod tests {
         assert_eq!(back.id(), obj.id());
         assert_eq!(back.points(), obj.points());
         assert_eq!(back.memberships(), obj.memberships());
-        // v3 decoding pre-fills the membership-descending prefix layout —
+        // Decoding pre-fills the membership-descending prefix layout —
         // no sort on the probe path — and it matches a lazy build bitwise.
         assert!(back.prefix_ready());
         let pa = obj.by_membership();
@@ -663,7 +643,7 @@ mod tests {
         for c in [0.0, 1.0, 0.0, 1.0] {
             e.f64(c);
         }
-        let sum = fnv1a(e.as_bytes());
+        let sum = fnv1a_lanes(e.as_bytes());
         e.u64(sum);
         let err = decode_object::<2>(&e.into_bytes()).unwrap_err();
         assert!(matches!(err, StoreError::Model(_)), "{err}");

@@ -1,6 +1,7 @@
-//! `decode_object` against the decode it replaced, held here as the oracle:
-//! the three passes (word FNV over the payload, bulk conversion of the
-//! three sections, then `FuzzyObject::from_columnar`'s four check loops).
+//! `decode_object` against a plain reading of a `.fzkn` v4 record, held
+//! here as the oracle: the four-lane word FNV digest over the payload as
+//! `docs/FORMAT.md` defines it, bulk conversion of the three sections, then
+//! the layout checks one loop at a time in their order of precedence.
 //! Every record, truncation, single-bit flip (with the checksum left stale
 //! and re-stamped) and forged checksum-valid layout must give the same
 //! `Result`: bit-identical columns, or the same error variant and message.
@@ -13,23 +14,22 @@ use fuzzy_store::StoreError;
 /// A decoded object's id and columns (µ and coordinates as bits).
 type Columns = (u64, Vec<u32>, Vec<u64>, Vec<u64>);
 
-fn oracle_fnv1a(bytes: &[u8]) -> u64 {
+/// The record digest by its definition: word `i` (the last zero-padded)
+/// into lane `i mod 4`, lane `k` seeded with the length-mixed FNV basis
+/// XOR `k`, the four lanes folded in order into a chain from that seed.
+fn oracle_digest(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+    let seed = 0xcbf29ce484222325 ^ (bytes.len() as u64).wrapping_mul(PRIME);
+    let mut lanes = [seed, seed ^ 1, seed ^ 2, seed ^ 3];
+    for (i, word) in bytes.chunks(8).enumerate() {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        lanes[i % 4] = (lanes[i % 4] ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
-    }
-    h
+    lanes.iter().fold(seed, |h, &lane| (h ^ lane).wrapping_mul(PRIME))
 }
 
-/// The parent's `FuzzyObject::from_columnar` check sequence.
+/// The layout rules in their order of precedence, one loop each.
 fn oracle_checks<const D: usize>(
     orig: &[u32],
     mus: &[f64],
@@ -78,14 +78,14 @@ fn oracle_checks<const D: usize>(
     Ok(())
 }
 
-/// The parent's three-pass `decode_object`.
+/// A plain reading of a v4 record: the digest, the length, the checks.
 fn oracle<const D: usize>(bytes: &[u8]) -> Result<Columns, StoreError> {
     if bytes.len() < record_len(D, 0) {
         return Err(StoreError::Corrupt { reason: "record too short".into() });
     }
     let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    let computed = oracle_fnv1a(payload);
+    let computed = oracle_digest(payload);
     if stored != computed {
         return Err(StoreError::Corrupt {
             reason: format!("record checksum mismatch: stored {stored:x}, computed {computed:x}"),
@@ -157,7 +157,7 @@ const SIZES: [usize; 10] = [1, 2, 3, 7, 8, 63, 64, 65, 999, 1000];
 /// Re-stamp the checksum after the payload was edited.
 fn seal(bytes: &mut [u8]) {
     let at = bytes.len() - 8;
-    let sum = oracle_fnv1a(&bytes[..at]);
+    let sum = oracle_digest(&bytes[..at]);
     bytes[at..].copy_from_slice(&sum.to_le_bytes());
 }
 

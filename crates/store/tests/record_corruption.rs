@@ -1,6 +1,7 @@
-//! The `.fzkn` v3 cases particular to columnar object records and the
+//! The `.fzkn` v4 cases particular to columnar object records and the
 //! store file around them: layout contracts forged behind a valid
-//! checksum, summaries that break their invariants, stale format versions
+//! checksum, summaries that break their invariants behind a valid seal,
+//! stale format versions
 //! and hostile counts must surface as a typed [`StoreError`], never a
 //! panic and never a silently wrong object. A damaged store opens the same
 //! way from a file and from an in-memory image of the same bytes. Every
@@ -12,7 +13,10 @@ use std::path::{Path, PathBuf};
 
 use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
-use fuzzy_store::format::{decode_object, fnv1a, record_len, Encoder, TRAILER_LEN, VERSION};
+use fuzzy_store::format::{
+    decode_object, encode_object, fnv1a_lanes, record_len, summary_len, Encoder, TRAILER_LEN,
+    VERSION,
+};
 use fuzzy_store::{FileStore, FileStoreWriter, ObjectStore, StoreError};
 
 fn sample() -> FuzzyObject<2> {
@@ -24,6 +28,31 @@ fn sample() -> FuzzyObject<2> {
         Point::xy(-1.0, -1.0),
     ];
     FuzzyObject::new(ObjectId(42), pts, vec![1.0, 0.5, 0.5, 0.25, 0.125]).unwrap()
+}
+
+/// The `.fzkn` v4 test vector `docs/FORMAT.md` pins: the record of a
+/// three-point object and the seal of a store holding only it.
+#[test]
+fn v4_test_vector() {
+    let pts = vec![Point::xy(1.5, -2.25), Point::xy(0.0, 0.125), Point::xy(-3.5, 7.0)];
+    let obj = FuzzyObject::new(ObjectId(42), pts, vec![1.0, 0.5, 0.25]).unwrap();
+    let record = encode_object(&obj);
+    let (payload, sum) = record.split_at(record.len() - 8);
+    assert_eq!(u64::from_le_bytes(sum.try_into().unwrap()), fnv1a_lanes(payload));
+    assert_eq!(fnv1a_lanes(payload), 0x7f88_2ff8_6a71_5ed4);
+    let path = tmp("vector");
+    let mut writer = FileStoreWriter::<2>::create(&path).unwrap();
+    writer.append(&obj).unwrap();
+    drop(writer.finish().unwrap());
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(&file[..8], b"FZKN\x04\x00\x02\x00", "magic, version 4, two dimensions");
+    // Header, the record, then the sealed sections up to the trailer.
+    let sections = &file[16 + record.len()..file.len() - TRAILER_LEN];
+    assert_eq!(sections.len(), 8 + summary_len(2) + 8 + 24);
+    let seal = u64::from_le_bytes(file[8..16].try_into().unwrap());
+    assert_eq!(seal, fnv1a_lanes(sections));
+    assert_eq!(seal, 0x7489_7adb_9c87_7706);
 }
 
 /// Decode a mutated record; a panic is converted into a test failure
@@ -43,7 +72,7 @@ fn decode_must_error(bytes: &[u8], what: &str) -> StoreError {
 #[test]
 fn forged_layout_violations_are_model_errors() {
     let seal = |mut e: Encoder| -> Vec<u8> {
-        let sum = fnv1a(e.as_bytes());
+        let sum = fnv1a_lanes(e.as_bytes());
         e.u64(sum);
         e.into_bytes()
     };
@@ -99,7 +128,7 @@ fn forged_layout_violations_are_model_errors() {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fz-v3-corrupt-{}-{name}", std::process::id()))
+    std::env::temp_dir().join(format!("fz-fzkn-corrupt-{}-{name}", std::process::id()))
 }
 
 /// Open `bytes` as a file at `path` and as an in-memory image, each under
@@ -120,11 +149,12 @@ fn open_both(path: &Path, bytes: &[u8], what: &str) -> Result<FileStore<2>, Stor
     }
 }
 
-/// The summary section carries no checksum, and the search prunes on its
-/// boxes: a summary that breaks an invariant — here a support box whose
-/// upper x bound a damaged bit pulled below the object's kernel point —
-/// must stop the open with a `Corrupt` naming the object, not open into
-/// an index that can prune a true neighbour.
+/// The search prunes on the summaries' boxes, and the seal vouches only for
+/// the bytes a writer wrote: a summary that breaks an invariant — here a
+/// support box whose upper x bound was pulled below the object's kernel
+/// point — behind a re-stamped seal must stop the open with a `Corrupt`
+/// naming the object, not open into an index that can prune a true
+/// neighbour.
 #[test]
 fn summaries_breaking_their_invariants_never_open() {
     let path = tmp("summary");
@@ -147,10 +177,16 @@ fn summaries_breaking_their_invariants_never_open() {
         ("an infinite rep", 16, f64::INFINITY, "not finite"),
         ("rep beyond the kernel", 16, kernel_hi_x + 0.5, "representative"),
     ];
+    // The header's seal, re-stamped over the summary and index sections.
+    let reseal = |mut bytes: Vec<u8>| {
+        let seal = fnv1a_lanes(&bytes[summary - 8..trailer]);
+        bytes[8..16].copy_from_slice(&seal.to_le_bytes());
+        bytes
+    };
     for (what, k, value, says) in cases {
         let mut evil = pristine.clone();
         evil[cell(k)..cell(k) + 8].copy_from_slice(&value.to_le_bytes());
-        match open_both(&path, &evil, what) {
+        match open_both(&path, &reseal(evil), what) {
             Ok(_) => panic!("open accepted {what}"),
             Err(StoreError::Corrupt { reason }) => {
                 assert!(reason.contains("#42") && reason.contains(says), "{what}: {reason}")
@@ -160,7 +196,7 @@ fn summaries_breaking_their_invariants_never_open() {
     }
     let mut evil = pristine.clone();
     evil[summary + 8..summary + 12].copy_from_slice(&0u32.to_le_bytes());
-    let err = open_both(&path, &evil, "a summary of no points").unwrap_err();
+    let err = open_both(&path, &reseal(evil), "a summary of no points").unwrap_err();
     assert!(err.to_string().contains("no points"), "{err}");
 
     assert!(open_both(&path, &pristine, "the fixture").is_ok(), "the fixture itself opens");
@@ -176,18 +212,14 @@ fn stale_version_files_are_version_mismatch() {
     drop(store);
 
     // Patch the header back to the previous format version: the open
-    // must refuse with the typed mismatch, not misparse v3 records with
-    // v2 expectations.
+    // must refuse with the typed mismatch, not check v3's one-lane record
+    // digests and unsealed summaries by v4's rules.
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
-    let stale = VERSION - 1;
-    bytes[4..6].copy_from_slice(&stale.to_le_bytes());
-    match open_both(&path, &bytes, "a stale version").unwrap_err() {
-        StoreError::VersionMismatch { found, expected } => {
-            assert_eq!(found, stale);
-            assert_eq!(expected, VERSION);
-        }
-        other => panic!("expected VersionMismatch, got {other}"),
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    match open_both(&path, &bytes, "a v3 file").unwrap_err() {
+        StoreError::VersionMismatch { found: 3, expected: 4 } => {}
+        other => panic!("expected VersionMismatch {{ found: 3, expected: 4 }}, got {other:?}"),
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -61,10 +61,6 @@ enum Flip {
     Reject,
     /// No validator covers the byte: an error, or the pristine digest.
     RejectOrSame,
-    /// Only its own value checks cover the byte (a `.fzkn` v3 summary,
-    /// which carries no checksum): an error or any decode, the same both
-    /// ways.
-    Unsealed,
 }
 
 /// A little-endian length or offset field: its offset and width in bytes.
@@ -171,7 +167,7 @@ impl Kind {
                     evil[byte] ^= 1 << bit;
                     let what = || format!("bit {bit} of byte {byte} of {} flipped", fixture.len());
                     match (self.run(&path, &evil, &what), policy) {
-                        (Err(_), _) | (Ok(_), Flip::Unsealed) => {}
+                        (Err(_), _) => {}
                         (Ok(got), Flip::RejectOrSame) if got == pristine => {}
                         (Ok(_), _) => panic!("{}: {} decodes ({policy:?})", self.name, what()),
                     }
@@ -367,8 +363,9 @@ fn grid(n: u64) -> Vec<ObjectSummary<2>> {
 }
 
 // ---------------------------------------------------------------------
-// `.fzkn`: header | records | summaries | index | trailer. Only records
-// carry checksums.
+// `.fzkn`: header (its last word the seal) | records | summaries | index |
+// trailer. Each record carries an `fnv1a_lanes` digest, and the seal is
+// the `fnv1a_lanes` digest of the summary and index sections.
 
 fn fzkn_fixtures() -> Vec<Vec<u8>> {
     let path = fixture_path("fzkn");
@@ -414,7 +411,7 @@ fn fzkn_field_list(bytes: &[u8]) -> Vec<Field> {
 }
 
 fn fzkn_reseal(bytes: &mut [u8]) {
-    let Some((_, index, trailer)) = fzkn_layout(bytes) else { return };
+    let Some((summaries, index, trailer)) = fzkn_layout(bytes) else { return };
     let count = word(bytes, index).unwrap_or(0) as usize;
     for k in 0..count.min(trailer.saturating_sub(index) / 24) {
         let (Some(off), Some(len)) =
@@ -424,23 +421,12 @@ fn fzkn_reseal(bytes: &mut [u8]) {
         };
         if let (Ok(off), Ok(end)) = (usize::try_from(off), usize::try_from(off.saturating_add(len)))
         {
-            stamp(bytes, off, end, fnv1a);
+            stamp(bytes, off, end, fnv1a_lanes);
         }
     }
-}
-
-fn fzkn_flip(bytes: &[u8], i: usize) -> Flip {
-    let (summaries, index, _) = fzkn_layout(bytes).unwrap();
-    // Where byte `i` sits inside a summary, if it sits in one.
-    let len = summary_len(2);
-    let summary = (summaries + 8..index).contains(&i).then(|| (i - summaries - 8) % len);
-    match (i, summary) {
-        // The header's reserved word.
-        (8..=15, _) => Flip::RejectOrSame,
-        // A summary's reserved flags; its point count and cells.
-        (_, Some(12..=15)) => Flip::RejectOrSame,
-        (_, Some(8..)) => Flip::Unsealed,
-        _ => Flip::Reject,
+    if summaries <= trailer && bytes.len() >= 16 {
+        let seal = fnv1a_lanes(&bytes[summaries..trailer]);
+        bytes[8..16].copy_from_slice(&seal.to_le_bytes());
     }
 }
 
@@ -450,14 +436,14 @@ const FZKN: Kind = Kind {
     decode: fzkn_decode,
     fields: fzkn_field_list,
     reseal: fzkn_reseal,
-    flip: fzkn_flip,
+    flip: |_, _| Flip::Reject,
     truncation_error: "",
     field_error: "corrupt store:",
 };
 
 // ---------------------------------------------------------------------
 // A `.fzkn` record: id | point count | flags | permutation | memberships |
-// coordinate columns | `fnv1a` over all of it, decoded as a probe decodes
+// coordinate columns | `fnv1a_lanes` over all of it, decoded as a probe decodes
 // it. (The `.fzkn` kind reaches records through the store's index.)
 
 fn record_object() -> FuzzyObject<2> {
@@ -489,7 +475,10 @@ const RECORD: Kind = Kind {
     decode: record_decode,
     // The point count.
     fields: |_| vec![Field::u32(8)],
-    reseal: reseal_whole,
+    reseal: |bytes| {
+        let len = bytes.len();
+        stamp(bytes, 0, len, fnv1a_lanes)
+    },
     flip: |_, _| Flip::Reject,
     truncation_error: "",
     field_error: "corrupt store:",
@@ -833,6 +822,35 @@ fn fzkn_fields() {
 #[test]
 fn fzkn_mutations() {
     FZKN.mutations(0xF2C7);
+}
+
+/// A summary bit that keeps every invariant a summary is checked by — a
+/// bit of its point count or reserved flags, the last mantissa bit of a
+/// line coefficient — opened in v3 as a different summary. The v4 seal
+/// refuses it at open, as a file and as an image, with a typed `Corrupt`.
+#[test]
+fn fzkn_summary_flips_the_invariants_allow_fail_the_seal() {
+    let fixture = fzkn_fixtures().remove(0);
+    let (summaries, _, _) = fzkn_layout(&fixture).unwrap();
+    let path = fixture_path("fzkn-seal");
+    // Point count, flags, then the eight line cells after the two boxes.
+    let cells = [8, 12].into_iter().chain((0..8).map(|k| 16 + 8 * (8 + k)));
+    for second in [0, summary_len(2)] {
+        for cell in cells.clone() {
+            let at = summaries + 8 + second + cell;
+            let mut evil = fixture.clone();
+            evil[at] ^= 1;
+            let what = || format!("bit 0 of byte {at}");
+            match FZKN.run(&path, &evil, &what) {
+                Err(e) => assert!(
+                    e.starts_with("corrupt store: summary and index checksum mismatch"),
+                    "{}: {e}",
+                    what()
+                ),
+                Ok(_) => panic!("{} opens", what()),
+            }
+        }
+    }
 }
 
 #[test]
