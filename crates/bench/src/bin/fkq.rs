@@ -13,9 +13,8 @@
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --server 127.0.0.1:7878
 //! fkq swap --addr 127.0.0.1:7878 --index-file cells.fzpt
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --brute true
-//! fkq build-index cells.fzkn --out cells.fzvp
-//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial 1.5 --measure-recall true
-//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial exact
+//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --recall-dial 1.5 --measure-recall true
+//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --recall-dial exact
 //! ```
 //!
 //! Query subcommands bulk-load an in-memory R-tree by default; pass
@@ -25,6 +24,8 @@
 //! accumulate changes in a checksummed sidecar delta log
 //! (`<index>.fzdl`) which every query subcommand replays automatically;
 //! `compact` folds base + delta into a freshly bulk-loaded file.
+//! `aknn --recall-dial` answers through a VP-tree built in memory over the
+//! store's expected centers; the approximate index is never stored.
 //!
 //! `serve` keeps a store/index pair resident behind the FZQP binary
 //! protocol (`docs/PROTOCOL.md`); `aknn`/`rknn --server` run the same
@@ -51,8 +52,7 @@ const USAGE: &str = "usage:
   fkq generate --kind <synthetic|cell> --n <count> [--ppo <points>] [--seed <u64>] \
 [--radius <r> (synthetic)] --out <path>
   fkq info <path> [--index-file <path> [--cache-pages <n>]]
-  fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
-[--leaf-size <n> (.fzvp)] [--fof-neighbors <n> (.fzvp)]
+  fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>]
   fkq aknn <path> --k <k> --alpha <a> [--query-id <id> | --query-seed <u64>] \
 [--variant <basic|lb|lb-lp|lb-lp-ub>] [--deadline-ms <n>] \
 [--index-file <path> [--cache-pages <n>] | --server <addr>] [--brute <true|false>] \
@@ -68,8 +68,8 @@ const USAGE: &str = "usage:
   fkq swap --addr <host:port|unix:path> --index-file <path|:mem:>
   fkq shutdown --addr <host:port|unix:path>
 A flag the command does not read on the path its other flags pick is a usage error: \
-aknn's approximate path (--recall-dial, or a .fzvp --index-file) reads no --variant, \
---deadline-ms, --server or --brute; --brute true reads none of those nor an index flag; \
+aknn's approximate path (--recall-dial) reads no --variant, --deadline-ms, --index-file, \
+--server or --brute; --brute true reads none of those nor an index flag; \
 rknn --algo naive reads no --variant.";
 
 fn usage() -> ! {
@@ -390,15 +390,8 @@ fn info(path: &str, flags: &HashMap<String, String>) {
 /// `docs/FORMAT.md`).
 fn build_index(path: &str, flags: &HashMap<String, String>) {
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
-    match out.ends_with(".fzvp") {
-        true => reads_only(flags, "build-index of a .fzvp", &["out", "leaf-size", "fof-neighbors"]),
-        false => reads_only(flags, "build-index", &["out", "page-size", "max-entries"]),
-    }
+    reads_only(flags, "build-index", &["out", "page-size", "max-entries"]);
     let store = open(path);
-    if out.ends_with(".fzvp") {
-        build_vptree_index(&store, &out, flags);
-        return;
-    }
     let page_size: u32 = get(flags, "page-size").unwrap_or(fuzzy_index::DEFAULT_PAGE_SIZE);
     let config = RTreeConfig {
         max_entries: get(flags, "max-entries").unwrap_or(RTreeConfig::default().max_entries),
@@ -419,29 +412,6 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
         tree.len(),
         tree.page_count(),
         NodeAccess::height(&tree),
-        started.elapsed()
-    );
-}
-
-/// Build and persist the approximate candidate index: a `.fzvp`
-/// vantage-point tree over the store's expected centers (L2, see
-/// `docs/FORMAT.md`).
-fn build_vptree_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, String>) {
-    let defaults = fuzzy_index::VpTreeConfig::default();
-    let config = fuzzy_index::VpTreeConfig {
-        leaf_size: get(flags, "leaf-size").unwrap_or(defaults.leaf_size),
-        fof_neighbors: get(flags, "fof-neighbors").unwrap_or(defaults.fof_neighbors),
-    };
-    let started = std::time::Instant::now();
-    let index = fuzzy_index::VpTree::build(&L2, store.summaries(), config);
-    index.save(out).unwrap_or_else(|e| {
-        eprintln!("cannot write VP-tree index: {e}");
-        exit(1)
-    });
-    println!(
-        "wrote {out}: {} objects, vptree backend (leaf size {}), {:?}",
-        store.len(),
-        config.leaf_size,
         started.elapsed()
     );
 }
@@ -529,10 +499,10 @@ fn recall_dial(flags: &HashMap<String, String>) -> fuzzy_index::RecallDial {
 }
 
 /// AKNN through the approximate path: a candidate pool from a VP-tree
-/// (loaded from a `.fzvp` `--index-file`, else built in memory), resolved
-/// through the exact probe loop — distances stay exact, only recall
-/// follows the dial. `--measure-recall true` runs the exact engine
-/// alongside and prints the measured recall@k.
+/// built in memory from the store's summaries, resolved through the
+/// exact probe loop — distances stay exact, only recall follows the dial.
+/// `--measure-recall true` runs the exact engine alongside and prints the
+/// measured recall@k.
 fn run_approx_aknn(
     store: &FileStore<2>,
     q: &FuzzyObject<2>,
@@ -542,23 +512,8 @@ fn run_approx_aknn(
 ) {
     let t = valid_alpha(alpha);
     let dial = recall_dial(flags);
-    let cfg = fuzzy_query::ApproxConfig::at(dial);
-    let index = match flags.get("index-file") {
-        Some(ix) if ix.ends_with(".fzvp") => {
-            fuzzy_index::VpTree::load(ix, &L2).unwrap_or_else(|e| {
-                eprintln!("cannot open VP-tree index {ix}: {e}");
-                exit(1)
-            })
-        }
-        Some(ix) => {
-            eprintln!("approximate queries need a .fzvp index; got {ix}");
-            exit(2)
-        }
-        None => {
-            fuzzy_index::VpTree::build(&L2, store.summaries(), fuzzy_index::VpTreeConfig::default())
-        }
-    };
-    let res = answered(fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg));
+    let index = fuzzy_index::VpTree::build(&L2, store.summaries());
+    let res = answered(fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, dial));
     println!("{k}NN of {} at α = {alpha} (approx vptree, dial {}):", q.id(), dial.label());
     for n in &res.neighbors {
         println!("  {n}");
@@ -604,12 +559,11 @@ fn exact_reads_only(flags: &HashMap<String, String>, cmd: &str, reads: &[&str]) 
 }
 
 fn aknn(path: &str, flags: &HashMap<String, String>) {
-    let wants_approx = flags.contains_key("recall-dial")
-        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
+    let wants_approx = flags.contains_key("recall-dial");
     let brute = !wants_approx && get::<bool>(flags, "brute").unwrap_or(false);
     let query = ["k", "alpha", query_flag(flags)];
     if wants_approx {
-        let approx = ["index-file", "recall-dial", "measure-recall"];
+        let approx = ["recall-dial", "measure-recall"];
         reads_only(flags, "approximate aknn", &[&query[..], &approx].concat());
     } else if brute {
         reads_only(flags, "aknn --brute true", &[&query[..], &["brute"]].concat());

@@ -1,12 +1,14 @@
 //! The retired file formats — the `.fzsm` shard manifest and the `.fzlh`
 //! hash-table file (deleted by measurement), the `.fzmt` M-tree and the
-//! `.fzrn` road network (deleted with the road-network metric) — are no
-//! index at all to this build: `fkq` given one fails the way it fails on
-//! any non-index file, exit code 1 and a message naming the path, whether
-//! the file is missing or holds an old build's bytes. A leftover flag of
-//! the road-network metric, or the R* split's `--min-fill`, is refused by
-//! name. The retired `bench` and `loadgen` subcommands are no commands at
-//! all: usage errors that measure and write nothing (fkbench, under
+//! `.fzrn` road network (deleted with the road-network metric), and the
+//! `.fzvp` VP-tree (built in memory instead) — are no index at all to
+//! this build: `fkq` given one fails the way it fails on any non-index
+//! file, exit code 1 and a message naming the path, whether the file is
+//! missing or holds an old build's bytes. A leftover flag of the
+//! road-network metric, the R* split's `--min-fill`, or the stored
+//! VP-tree's `--leaf-size` and `--fof-neighbors`, is refused by name. The
+//! retired `bench` and `loadgen` subcommands are no commands at all:
+//! usage errors that measure and write nothing (fkbench, under
 //! `benchmark/`, is the one benchmark). A `.fzkn` store of the previous
 //! version, v3, is refused the same way, naming the path and both
 //! versions. Nothing panics, nothing is silently answered from another
@@ -29,9 +31,13 @@ fn fkq_refuses_a_shard_manifest_and_a_hash_table_file() {
     );
     assert!(generated.status.success());
 
-    for (file, magic) in
-        [("old.fzsm", b"FZSM"), ("old.fzlh", b"FZLH"), ("old.fzmt", b"FZMT"), ("old.fzrn", b"FZRN")]
-    {
+    for (file, magic) in [
+        ("old.fzsm", b"FZSM"),
+        ("old.fzlh", b"FZLH"),
+        ("old.fzmt", b"FZMT"),
+        ("old.fzrn", b"FZRN"),
+        ("old.fzvp", b"FZVP"),
+    ] {
         // Header of a file the previous build wrote: magic, version 1, two
         // dimensions, then whatever followed.
         let mut image = magic.to_vec();
@@ -70,9 +76,14 @@ fn fkq_refuses_the_road_network_flags_by_name() {
     );
     assert!(generated.status.success());
 
-    for (flag, value) in
-        [("--metric", "graph"), ("--metric", "l2"), ("--graph", "road.fzrn"), ("--min-fill", "0.3")]
-    {
+    for (flag, value) in [
+        ("--metric", "graph"),
+        ("--metric", "l2"),
+        ("--graph", "road.fzrn"),
+        ("--min-fill", "0.3"),
+        ("--leaf-size", "8"),
+        ("--fof-neighbors", "8"),
+    ] {
         for query in [
             &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5"][..],
             &["aknn", "d.fzkn", "--k", "3", "--alpha", "0.5", "--brute", "true"][..],

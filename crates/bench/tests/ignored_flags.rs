@@ -17,36 +17,21 @@ fn fkq(args: &[&str], dir: &Path) -> Output {
 fn fkq_refuses_a_flag_it_would_ignore() {
     let dir = std::env::temp_dir().join(format!("fz-ignored-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for setup in [
-        &["generate", "--n", "40", "--ppo", "12", "--out", "d.fzkn"][..],
-        &["build-index", "d.fzkn", "--out", "x.fzvp"][..],
-    ] {
-        let out = fkq(setup, &dir);
-        assert!(out.status.success(), "{setup:?}: {}", String::from_utf8_lossy(&out.stderr));
-    }
+    let out = fkq(&["generate", "--n", "40", "--ppo", "12", "--out", "d.fzkn"], &dir);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     for (args, flag) in [
         // Misspelt: RSS-ICR and LB-LP-UB would run in their place.
         (&["rknn", "d.fzkn", "--alog", "rss"][..], "--alog"),
         (&["aknn", "d.fzkn", "--varaint", "basic"][..], "--varaint"),
-        // The approximate path answers locally from the VP-tree.
+        // The approximate path answers locally from a VP-tree it builds.
         (
-            &[
-                "aknn",
-                "d.fzkn",
-                "--index-file",
-                "x.fzvp",
-                "--server",
-                "A",
-                "--variant",
-                "basic",
-                "--deadline-ms",
-                "5",
-            ][..],
+            &["aknn", "d.fzkn", "--recall-dial", "1", "--server", "A", "--variant", "basic"][..],
             "--server",
         ),
-        (&["aknn", "d.fzkn", "--index-file", "x.fzvp", "--variant", "basic"][..], "--variant"),
+        (&["aknn", "d.fzkn", "--recall-dial", "1", "--variant", "basic"][..], "--variant"),
         (&["aknn", "d.fzkn", "--recall-dial", "1", "--deadline-ms", "5"][..], "--deadline-ms"),
+        (&["aknn", "d.fzkn", "--index-file", "x.fzpt", "--recall-dial", "1"][..], "--index-file"),
         // The brute-force oracle answers locally too.
         (&["aknn", "d.fzkn", "--brute", "true", "--server", "A"][..], "--server"),
         // RKNN has no approximate path.
@@ -75,7 +60,7 @@ fn fkq_refuses_a_flag_it_would_ignore() {
     for args in [
         &["rknn", "d.fzkn", "--algo", "rss", "--query-id", "3", "--variant", "basic"][..],
         &["aknn", "d.fzkn", "--brute", "true", "--query-seed", "2"][..],
-        &["aknn", "d.fzkn", "--index-file", "x.fzvp", "--recall-dial", "1"][..],
+        &["aknn", "d.fzkn", "--recall-dial", "1", "--measure-recall", "true"][..],
     ] {
         let out = fkq(args, &dir);
         assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
@@ -96,10 +81,6 @@ fn fkq_answers_a_refused_argument_with_exit_2() {
         (&["aknn", "d.fzkn", "--alpha", "1.5", "--recall-dial", "1"][..], "--alpha must lie"),
         (&["aknn", "d.fzkn", "--k", "0"][..], "k must be at least 1"),
         (&["rknn", "d.fzkn", "--start", "0.8", "--end", "0.3"][..], "invalid probability range"),
-        (
-            &["aknn", "d.fzkn", "--index-file", "x.fzpt", "--recall-dial", "1"][..],
-            "need a .fzvp index",
-        ),
     ] {
         let out = fkq(args, &dir);
         let stderr = String::from_utf8_lossy(&out.stderr);

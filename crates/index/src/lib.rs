@@ -21,8 +21,8 @@
 //!   `fuzzy-query` is generic over it and returns byte-identical answers
 //!   whatever the pages are read from;
 //! * [`VpTree`] — the approximate candidate generator over per-object
-//!   expected centers, dialed by [`RecallDial`] and always resolved through
-//!   the exact probe loop.
+//!   expected centers, built in memory from the summaries, dialed by
+//!   [`RecallDial`] and always resolved through the exact probe loop.
 //!
 //! We could not reuse an off-the-shelf R-tree because the evaluation needs
 //! (a) fuzzy summaries as leaf payloads and (b) node-access accounting —
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod approx;
 pub mod bulk;
 pub mod leaf;
 pub mod node;
@@ -55,11 +54,10 @@ pub mod paged;
 pub mod vptree;
 
 pub use access::{range_scan, ChildRef, DecodedNode, MinKey, NodeAccess, NodeRead, NodeView};
-pub use approx::{RecallDial, FOF_BUILD_CAP};
 pub use leaf::{leaf_entry_len, LeafField, LeafPage, LeafView};
 pub use node::{NodeId, RTree, RTreeConfig};
 pub use overlay::{delta_path_for, OverlayRTree};
 pub use paged::{
     paged_header_len, PagedRTree, DEFAULT_CACHE_PAGES, DEFAULT_PAGE_SIZE, PAGED_VERSION,
 };
-pub use vptree::{VpTree, VpTreeConfig, VPTREE_MAGIC, VPTREE_VERSION};
+pub use vptree::{RecallDial, VpTree, FOF_NEIGHBORS};

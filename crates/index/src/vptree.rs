@@ -1,12 +1,19 @@
 //! Bulk-loaded vantage-point tree over per-object expected centers.
 //!
-//! The approximate candidate generator: a VP-tree needs nothing but the
-//! [`Metric`] distance itself, so it rides the metric seam, and the
-//! `.fzvp` loader checks the metric name the file records against the
-//! one it is opened under. The tree is implicit: one
-//! permutation of the id-sorted base arrays plus a parallel radius
-//! column, where the subtree of range `[lo, hi)` has its vantage at
-//! `order[lo]`, the inner half (distance ≤ radius) at
+//! The exact engines answer every query from first principles; at scale
+//! the interesting trade is *recall for throughput*. The VP-tree is the
+//! one candidate backend: a deterministic **candidate generator** over
+//! per-object expected centers (the [`ObjectSummary::rep`] points the
+//! store already persists), dialed by a [`RecallDial`]. Candidates are
+//! *never* an answer by themselves — the query layer resolves the pool
+//! through the exact probe loop, so returned distances are always exact
+//! and only recall varies with the dial. A VP-tree needs nothing but the
+//! [`Metric`] distance itself, so it rides the metric seam. It is built
+//! in memory from the summaries, never stored.
+//!
+//! The tree is implicit: one permutation of the id-sorted center arrays
+//! plus a parallel radius column, where the subtree of range `[lo, hi)`
+//! has its vantage at `order[lo]`, the inner half (distance ≤ radius) at
 //! `[lo+1, mid)` and the outer half (distance ≥ radius) at `[mid, hi)`
 //! with `mid = lo + 1 + (hi - lo - 1) / 2` — no node structs, no child
 //! pointers.
@@ -14,64 +21,106 @@
 //! Candidate generation is center-kNN with **ε-slack pruning**: the
 //! search tracks τ_c, the k-th nearest center distance seen so far, and
 //! discards a subtree only when its triangle-inequality bound exceeds
-//! `τ_c · (1 + ε)`; every visited center within that slack of the final
-//! τ_c joins the pool. `ε` is the [`RecallDial`]: 0 keeps the pool tight
-//! around the center-nearest objects, larger values sweep in near misses
-//! whose α-distance may beat their center rank, and `Exact` bypasses the
-//! tree entirely.
+//! `τ_c · (1 + ε)` by more than rounding can explain; every visited
+//! center within that slack of the final τ_c joins the pool. `ε` is the
+//! [`RecallDial`]: 0 keeps the pool tight around the center-nearest
+//! objects, larger values sweep in near misses whose α-distance may beat
+//! their center rank, and `Exact` bypasses the tree entirely.
+//!
+//! The tree also carries **friend-of-a-friend** neighbor lists (the FoF
+//! principle: a near neighbor's near neighbors are likely near), which
+//! the query layer expands for one refinement round after the initial
+//! pool is resolved. They come from the same search: at ε = 0 it visits
+//! every center at or within the exact k-th distance, so each center's
+//! [`FOF_NEIGHBORS`] nearest others, ties broken by id, are selected
+//! from its visited set exactly as an all-pairs scan would select them.
 
-use crate::approx::{
-    approx_body, decode_base, encode_base, write_approx_file, ApproxBase, RecallDial,
-};
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{ObjectId, ObjectSummary};
-use fuzzy_geom::Point;
-use fuzzy_store::format::{Decoder, Encoder};
-use fuzzy_store::StoreError;
-use std::path::Path;
+use fuzzy_geom::{Mbr, Point};
 
-/// Magic framing a `.fzvp` file.
-pub const VPTREE_MAGIC: [u8; 4] = *b"FZVP";
-/// Current `.fzvp` format version.
-pub const VPTREE_VERSION: u16 = 1;
+/// Ranges at or below this size stay unsplit (scanned linearly).
+const LEAF_SIZE: usize = 8;
 
-/// Build-time knobs for [`VpTree`].
-#[derive(Clone, Copy, Debug)]
-pub struct VpTreeConfig {
-    /// Ranges at or below this size stay unsplit (scanned linearly).
-    pub leaf_size: usize,
-    /// FoF neighbors recorded per object (0 disables).
-    pub fof_neighbors: usize,
+/// FoF neighbors recorded per object (fewer when the tree holds fewer
+/// other objects).
+pub const FOF_NEIGHBORS: usize = 8;
+
+/// Relative rounding a bound test allows for: a subtree is pruned only
+/// when its bound clears the slack by more than this share of the two
+/// distances the bound subtracts. The bound `|d − r|` cancels, so its
+/// error scales with `d + r`, not with the bound itself; a few ulps of
+/// each distance (the L2 distance rounds at most a few ulps in low
+/// dimensions) stay well inside this allowance.
+const ROUNDING: f64 = 64.0 * f64::EPSILON;
+
+/// How far the approximate candidate generation reaches.
+///
+/// The dial trades recall for work; resolved distances are exact at every
+/// position, so `Exact` is a true exact-search fallback, not a "high"
+/// setting.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum RecallDial {
+    /// Exhaustive: every indexed object enters the candidate pool, so the
+    /// resolved answer equals exact AKNN (recall 1.0) at linear pool cost.
+    Exact,
+    /// Pruning slack `v ≥ 0`: the VP-tree keeps every visited center
+    /// within `τ_c · (1 + v)` of the query (ε-slack pruning with `ε = v`).
+    Budget(f64),
 }
 
-impl Default for VpTreeConfig {
-    fn default() -> Self {
-        Self { leaf_size: 8, fof_neighbors: 8 }
+impl RecallDial {
+    /// Parse a CLI dial value: `exact` or a non-negative finite number.
+    pub fn parse(s: &str) -> Option<Self> {
+        if s.eq_ignore_ascii_case("exact") {
+            return Some(Self::Exact);
+        }
+        let v: f64 = s.parse().ok()?;
+        (v.is_finite() && v >= 0.0).then_some(Self::Budget(v))
+    }
+
+    /// Stable label for bench rows and log lines.
+    pub fn label(&self) -> String {
+        match self {
+            Self::Exact => "exact".to_string(),
+            Self::Budget(v) => format!("{v}"),
+        }
     }
 }
 
 /// A deterministic bulk-loaded VP-tree over expected centers.
 pub struct VpTree<const D: usize> {
-    base: ApproxBase<D>,
-    leaf_size: usize,
-    /// Permutation of base positions in VP layout.
+    /// Ascending; parallel to `centers`, `spreads` and the rows of `fof`.
+    ids: Vec<ObjectId>,
+    centers: Vec<Point<D>>,
+    spreads: Vec<f64>,
+    /// Row `p`, [`Self::fof_width`] ids wide: the FoF list of position
+    /// `p`, nearest first, ties by id.
+    fof: Vec<ObjectId>,
+    /// Permutation of positions in VP layout.
     order: Vec<u32>,
     /// Parallel to `order`: split radius at internal roots, 0 elsewhere.
     radius: Vec<f64>,
 }
 
 impl<const D: usize> VpTree<D> {
-    /// Bulk-build from summaries under `metric`. Deterministic: the
-    /// vantage of every range is its lowest base position, and the
-    /// distance partition sorts with position tie-breaks.
-    pub fn build<M: Metric<D> + ?Sized>(
-        metric: &M,
-        summaries: &[ObjectSummary<D>],
-        config: VpTreeConfig,
-    ) -> Self {
-        let leaf_size = config.leaf_size.max(1);
-        let base = ApproxBase::build(metric, summaries, config.fof_neighbors);
-        let n = base.ids.len();
+    /// Bulk-build from summaries under `metric`: the vantage layout, then
+    /// every center's FoF list through the tree's own search.
+    /// Deterministic: the vantage of every range is its lowest position,
+    /// and the distance partition sorts with position tie-breaks.
+    pub fn build<M: Metric<D> + ?Sized>(metric: &M, summaries: &[ObjectSummary<D>]) -> Self {
+        let mut sorted: Vec<&ObjectSummary<D>> = summaries.iter().collect();
+        sorted.sort_by_key(|s| s.id);
+        let ids: Vec<ObjectId> = sorted.iter().map(|s| s.id).collect();
+        let centers: Vec<Point<D>> = sorted.iter().map(|s| s.rep).collect();
+        let spreads: Vec<f64> = sorted
+            .iter()
+            .map(|s| {
+                let rep_box = Mbr::new(*s.rep.coords(), *s.rep.coords());
+                metric.max_box_dist_sq(&rep_box, &s.support_mbr).sqrt()
+            })
+            .collect();
+        let n = ids.len();
         let mut order: Vec<u32> = (0..n as u32).collect();
         let mut radius = vec![0.0_f64; n];
         // Explicit stack of ranges to split; recursion depth is data-
@@ -79,18 +128,18 @@ impl<const D: usize> VpTree<D> {
         let mut ranges = vec![(0_usize, n)];
         let mut dists: Vec<(f64, u32)> = Vec::with_capacity(n);
         while let Some((lo, hi)) = ranges.pop() {
-            if hi - lo <= leaf_size {
+            if hi - lo <= LEAF_SIZE {
                 continue;
             }
-            // Deterministic vantage: the smallest base position in range.
+            // Deterministic vantage: the smallest position in range.
             let vp_idx = (lo..hi).min_by_key(|&i| order[i]).expect("range is non-empty");
             order.swap(lo, vp_idx);
-            let vantage = base.centers[order[lo] as usize];
+            let vantage = centers[order[lo] as usize];
             dists.clear();
             dists.extend(
                 order[lo + 1..hi]
                     .iter()
-                    .map(|&pos| (metric.dist(&vantage, &base.centers[pos as usize]), pos)),
+                    .map(|&pos| (metric.dist(&vantage, &centers[pos as usize]), pos)),
             );
             dists.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
             for (slot, &(_, pos)) in order[lo + 1..hi].iter_mut().zip(&dists) {
@@ -101,72 +150,61 @@ impl<const D: usize> VpTree<D> {
             ranges.push((lo + 1, mid));
             ranges.push((mid, hi));
         }
-        Self { base, leaf_size, order, radius }
+        let mut tree = Self { ids, centers, spreads, fof: Vec::new(), order, radius };
+        tree.fof = tree.fof_lists(metric);
+        tree
     }
 
-    /// Persist as a `.fzvp` file (layout in `docs/FORMAT.md`).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let mut body = Encoder::with_capacity(64 + self.base.ids.len() * (28 + D * 8));
-        encode_base(&mut body, &self.base);
-        body.u32(self.leaf_size as u32);
-        for &o in &self.order {
-            body.u32(o);
+    /// Every position's FoF row: the `FOF_NEIGHBORS + 1` nearest centers
+    /// by an ε = 0 search from its own center, self dropped, the rest
+    /// ranked by (distance, id). The search keeps every center within the
+    /// exact k-th distance (see [`ROUNDING`]), so the rows equal an
+    /// all-pairs scan's.
+    fn fof_lists<M: Metric<D> + ?Sized>(&self, metric: &M) -> Vec<ObjectId> {
+        let width = self.fof_width();
+        let mut fof = Vec::with_capacity(self.ids.len() * width);
+        let mut within: Vec<(f64, u32)> = Vec::new();
+        let mut near: Vec<(f64, ObjectId)> = Vec::new();
+        for (pos, center) in self.centers.iter().enumerate() {
+            self.search(metric, center, FOF_NEIGHBORS + 1, 0.0, &mut within);
+            near.clear();
+            near.extend(
+                within
+                    .iter()
+                    .filter(|&&(_, p)| p as usize != pos)
+                    .map(|&(d, p)| (d, self.ids[p as usize])),
+            );
+            near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            fof.extend(near[..width].iter().map(|&(_, id)| id));
         }
-        for &r in &self.radius {
-            body.f64(r);
-        }
-        write_approx_file(path, VPTREE_MAGIC, VPTREE_VERSION, D as u16, body.as_bytes())
+        fof
     }
 
-    /// Load a `.fzvp` file: read it and [`VpTree::decode`] the image.
-    pub fn load<M: Metric<D> + ?Sized>(
-        path: impl AsRef<Path>,
+    /// Length of every FoF row.
+    fn fof_width(&self) -> usize {
+        FOF_NEIGHBORS.min(self.ids.len().saturating_sub(1))
+    }
+
+    /// The ε-slack search from `q`: every visited `(center distance,
+    /// position)` within the final `τ_c · (1 + ε)` — all of them while
+    /// fewer than `k` were visited — into `out`, in visit order.
+    fn search<M: Metric<D> + ?Sized>(
+        &self,
         metric: &M,
-    ) -> Result<Self, StoreError> {
-        Self::decode(&std::fs::read(path)?, metric)
-    }
-
-    /// Decode a `.fzvp` image, verifying magic, version, dimensionality,
-    /// the whole-file checksum, that it was built under `metric` (by
-    /// name) and that the layout column is a permutation.
-    pub fn decode<M: Metric<D> + ?Sized>(bytes: &[u8], metric: &M) -> Result<Self, StoreError> {
-        let body = approx_body(bytes, VPTREE_MAGIC, VPTREE_VERSION, D as u16, "fzvp")?;
-        let corrupt = |reason: &str| StoreError::Corrupt { reason: reason.to_string() };
-        let mut d = Decoder::new(body);
-        let base = decode_base::<D>(&mut d)?;
-        if base.metric_name != metric.name() {
-            return Err(StoreError::Corrupt {
-                reason: format!(
-                    "metric mismatch: index built under '{}', opened under '{}'",
-                    base.metric_name,
-                    metric.name()
-                ),
-            });
-        }
-        let n = base.ids.len();
-        let leaf_size = d.u32()? as usize;
-        if leaf_size == 0 {
-            return Err(corrupt("fzvp leaf size must be positive"));
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for _ in 0..n {
-            let o = d.u32()?;
-            if o as usize >= n || std::mem::replace(&mut seen[o as usize], true) {
-                return Err(corrupt("fzvp layout is not a permutation"));
-            }
-            order.push(o);
-        }
-        let mut radius = Vec::with_capacity(n);
-        for _ in 0..n {
-            radius.push(d.f64()?);
-        }
-        d.finish()?;
-        Ok(Self { base, leaf_size, order, radius })
+        q: &Point<D>,
+        k: usize,
+        eps: f64,
+        out: &mut Vec<(f64, u32)>,
+    ) {
+        let mut topk: Vec<f64> = Vec::with_capacity(k + 1);
+        out.clear();
+        self.visit(metric, q, k, eps, 0, self.order.len(), &mut topk, out);
+        let cut = if topk.len() < k { f64::INFINITY } else { topk[k - 1] * (1.0 + eps) };
+        out.retain(|&(d, _)| d <= cut);
     }
 
     /// Collect `(center distance, position)` for every visited entry of
-    /// the ε-slack search, tracking τ_c in `topk` (sorted, ≤ k entries).
+    /// the range `[lo, hi)`, tracking τ_c in `topk` (sorted, ≤ k entries).
     #[allow(clippy::too_many_arguments)]
     fn visit<M: Metric<D> + ?Sized>(
         &self,
@@ -179,15 +217,8 @@ impl<const D: usize> VpTree<D> {
         topk: &mut Vec<f64>,
         visited: &mut Vec<(f64, u32)>,
     ) {
-        let slack = |topk: &Vec<f64>| {
-            if topk.len() < k {
-                f64::INFINITY
-            } else {
-                topk[k - 1] * (1.0 + eps)
-            }
-        };
         let touch = |pos: u32, topk: &mut Vec<f64>, visited: &mut Vec<(f64, u32)>| {
-            let d = metric.dist(q, &self.base.centers[pos as usize]);
+            let d = metric.dist(q, &self.centers[pos as usize]);
             visited.push((d, pos));
             if topk.len() < k || d < topk[k - 1] {
                 let at = topk.partition_point(|&t| t < d);
@@ -196,7 +227,7 @@ impl<const D: usize> VpTree<D> {
             }
             d
         };
-        if hi - lo <= self.leaf_size {
+        if hi - lo <= LEAF_SIZE {
             for &pos in &self.order[lo..hi] {
                 touch(pos, topk, visited);
             }
@@ -205,38 +236,52 @@ impl<const D: usize> VpTree<D> {
         let d = touch(self.order[lo], topk, visited);
         let r = self.radius[lo];
         let mid = lo + 1 + (hi - lo - 1) / 2;
+        // A side is visited unless its bound clears the slack by more
+        // than the rounding of `d` and `r` can explain.
+        let tolerance = ROUNDING * (d + r);
+        let reaches = |lb: f64, topk: &Vec<f64>| {
+            topk.len() < k || lb - tolerance <= topk[k - 1] * (1.0 + eps)
+        };
         // Inner holds distances ≤ r, outer ≥ r; visit the likelier side
         // first so τ_c tightens before the other side's bound check.
         let inner_lb = (d - r).max(0.0);
         let outer_lb = (r - d).max(0.0);
         if d <= r {
-            if inner_lb <= slack(topk) {
+            if reaches(inner_lb, topk) {
                 self.visit(metric, q, k, eps, lo + 1, mid, topk, visited);
             }
-            if outer_lb <= slack(topk) {
+            if reaches(outer_lb, topk) {
                 self.visit(metric, q, k, eps, mid, hi, topk, visited);
             }
         } else {
-            if outer_lb <= slack(topk) {
+            if reaches(outer_lb, topk) {
                 self.visit(metric, q, k, eps, mid, hi, topk, visited);
             }
-            if inner_lb <= slack(topk) {
+            if reaches(inner_lb, topk) {
                 self.visit(metric, q, k, eps, lo + 1, mid, topk, visited);
             }
         }
+    }
+
+    /// Position of `id` in the id-sorted arrays.
+    fn pos_of(&self, id: ObjectId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// The indexed ball of `id`: expected center and a sound upper bound
     /// on the object's spread around it (`+∞` when the metric cannot
     /// bound boxes). `None` for ids the index does not hold.
     pub fn ball_of(&self, id: ObjectId) -> Option<(&Point<D>, f64)> {
-        let pos = self.base.pos_of(id)?;
-        Some((&self.base.centers[pos], self.base.spreads[pos]))
+        let pos = self.pos_of(id)?;
+        Some((&self.centers[pos], self.spreads[pos]))
     }
 
-    /// Build-time FoF neighbor list of `id` (empty when disabled).
+    /// FoF neighbor list of `id`: its [`FOF_NEIGHBORS`] nearest other
+    /// centers, nearest first, ties by id (empty for ids the index does
+    /// not hold).
     pub fn neighbors_of(&self, id: ObjectId) -> &[ObjectId] {
-        self.base.pos_of(id).map(|p| self.base.fof[p].as_slice()).unwrap_or(&[])
+        let width = self.fof_width();
+        self.pos_of(id).map(|p| &self.fof[p * width..(p + 1) * width]).unwrap_or(&[])
     }
 
     /// Append the deterministic candidate pool for a query centered at
@@ -253,22 +298,15 @@ impl<const D: usize> VpTree<D> {
     ) {
         let eps = match dial {
             RecallDial::Exact => {
-                out.extend_from_slice(&self.base.ids);
+                out.extend_from_slice(&self.ids);
                 return;
             }
             RecallDial::Budget(v) => v,
         };
-        if self.base.ids.is_empty() {
-            return;
-        }
-        let k = k.max(1);
-        let mut topk: Vec<f64> = Vec::with_capacity(k + 1);
-        let mut visited: Vec<(f64, u32)> = Vec::new();
-        self.visit(metric, q_center, k, eps, 0, self.order.len(), &mut topk, &mut visited);
-        let cut = if topk.len() < k { f64::INFINITY } else { topk[k - 1] * (1.0 + eps) };
-        let mut pool: Vec<u32> =
-            visited.into_iter().filter(|&(d, _)| d <= cut).map(|(_, pos)| pos).collect();
+        let mut within: Vec<(f64, u32)> = Vec::new();
+        self.search(metric, q_center, k.max(1), eps, &mut within);
+        let mut pool: Vec<u32> = within.into_iter().map(|(_, pos)| pos).collect();
         pool.sort_unstable();
-        out.extend(pool.into_iter().map(|pos| self.base.ids[pos as usize]));
+        out.extend(pool.into_iter().map(|pos| self.ids[pos as usize]));
     }
 }

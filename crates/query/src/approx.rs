@@ -6,8 +6,8 @@
 //! centers (reach set by the [`RecallDial`]); this module then
 //! **resolves** the pool through the same exact probe loop the tree
 //! engines use — τ-seeded [`Metric::alpha_distance_sq_bounded`] probes
-//! with the [`QueryScratch`] seed tracker — and finishes with optional
-//! friend-of-a-friend refinement rounds (expand the current answers'
+//! with the [`QueryScratch`] seed tracker — and finishes with one
+//! friend-of-a-friend refinement round (expand the current answers'
 //! build-time neighbor lists, probe anything that might beat τ).
 //!
 //! The contract worth repeating: **every returned distance is an exact
@@ -34,31 +34,6 @@ use std::time::Instant;
 
 pub use fuzzy_index::RecallDial;
 
-/// Knobs of the approximate query path.
-#[derive(Clone, Copy, Debug)]
-pub struct ApproxConfig {
-    /// How far the candidate generation reaches (see [`RecallDial`]).
-    pub dial: RecallDial,
-    /// Friend-of-a-friend refinement rounds after the initial pool
-    /// resolves (0 disables; ignored at `RecallDial::Exact`, where the
-    /// pool is already exhaustive). A round stops early when it probes
-    /// nothing new.
-    pub fof_rounds: u32,
-}
-
-impl ApproxConfig {
-    /// Default path at a given dial: one FoF refinement round.
-    pub fn at(dial: RecallDial) -> Self {
-        Self { dial, fof_rounds: 1 }
-    }
-}
-
-impl Default for ApproxConfig {
-    fn default() -> Self {
-        Self::at(RecallDial::Budget(1.0))
-    }
-}
-
 /// Approximate AKNN with a fresh scratch; see [`approx_aknn_with_scratch`].
 pub fn approx_aknn<M, S, const D: usize>(
     metric: &M,
@@ -67,20 +42,18 @@ pub fn approx_aknn<M, S, const D: usize>(
     q: &FuzzyObject<D>,
     k: usize,
     t: Threshold,
-    cfg: &ApproxConfig,
+    dial: RecallDial,
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
     S: ObjectStore<D>,
 {
-    approx_aknn_with_scratch(metric, index, store, q, k, t, cfg, &mut QueryScratch::new())
+    approx_aknn_with_scratch(metric, index, store, q, k, t, dial, &mut QueryScratch::new())
 }
 
 /// k nearest objects to `q` at threshold `t`, candidate-generated by
-/// `index` at `cfg.dial` and resolved exactly against `store` under
-/// `metric` (which must match the metric the index was built under; the
-/// file loaders enforce the pairing by name, in-process callers must
-/// uphold it).
+/// `index` at `dial` and resolved exactly against `store` under
+/// `metric` (which must be the metric the index was built under).
 ///
 /// Returns exact neighbours in canonical `(distance, id)` order — the
 /// same pairs the exact engine would return for these objects — with
@@ -96,7 +69,7 @@ pub fn approx_aknn_with_scratch<M, S, const D: usize>(
     q: &FuzzyObject<D>,
     k: usize,
     t: Threshold,
-    cfg: &ApproxConfig,
+    dial: RecallDial,
     scratch: &mut QueryScratch<D>,
 ) -> Result<AknnResult, QueryError>
 where
@@ -114,7 +87,7 @@ where
     let (q_rep, q_spread) = query_ball(metric, q);
 
     let mut pool_ids: Vec<ObjectId> = Vec::new();
-    index.candidates(metric, &q_rep, k, cfg.dial, &mut pool_ids);
+    index.candidates(metric, &q_rep, k, dial, &mut pool_ids);
 
     // Exact results so far, sorted by (squared distance, id); the scratch
     // seed tracker holds every probed exact distance, so its k-th
@@ -127,35 +100,31 @@ where
     let mut pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
     resolve(metric, store, q, k, t, q_spread, &pool, seeds, &mut found, &mut probed, &mut stats)?;
 
-    if cfg.dial != RecallDial::Exact {
-        for _ in 0..cfg.fof_rounds {
-            let frontier: Vec<ObjectId> = found.iter().map(|&(_, id)| id).collect();
-            pool_ids.clear();
-            for fid in frontier {
-                pool_ids.extend(
-                    index.neighbors_of(fid).iter().copied().filter(|nid| !probed.contains(nid)),
-                );
-            }
-            pool_ids.sort_unstable();
-            pool_ids.dedup();
-            if pool_ids.is_empty() {
-                break;
-            }
-            pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
-            resolve(
-                metric,
-                store,
-                q,
-                k,
-                t,
-                q_spread,
-                &pool,
-                seeds,
-                &mut found,
-                &mut probed,
-                &mut stats,
-            )?;
+    // One FoF round: the current answers' neighbor lists, less what was
+    // probed. At `Exact` the pool was already exhaustive.
+    if dial != RecallDial::Exact {
+        pool_ids.clear();
+        for &(_, fid) in &found {
+            pool_ids.extend(
+                index.neighbors_of(fid).iter().copied().filter(|nid| !probed.contains(nid)),
+            );
         }
+        pool_ids.sort_unstable();
+        pool_ids.dedup();
+        pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
+        resolve(
+            metric,
+            store,
+            q,
+            k,
+            t,
+            q_spread,
+            &pool,
+            seeds,
+            &mut found,
+            &mut probed,
+            &mut stats,
+        )?;
     }
 
     stats.wall = start.elapsed();

@@ -35,9 +35,9 @@
 //!   under concurrent reads — writers publish frozen snapshots, in-flight
 //!   queries keep theirs (`QueryEngine::new(&versioned.snapshot(), &store)`).
 //! * **Approximate AKNN** ([`approx`]): candidate pools from a
-//!   `fuzzy_index::VpTree` over expected centers, resolved through the
-//!   exact probe loop and optionally refined friend-of-a-friend — exact
-//!   distances always, recall set by the [`RecallDial`], measured by
+//!   `fuzzy_index::VpTree` built in memory over expected centers, resolved
+//!   through the exact probe loop and refined by one friend-of-a-friend
+//!   round — exact distances always, recall set by the [`RecallDial`], measured by
 //!   [`recall_at_k`].
 //!
 //! One scoped thread per worker, each with its own scratch, answers a
@@ -93,9 +93,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use aknn::{append_slots, AknnConfig, EntrySlot, QueryScratch};
-pub use approx::{
-    aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial,
-};
+pub use approx::{aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, RecallDial};
 pub use engine::QueryEngine;
 pub use epoch::Versioned;
 pub use error::QueryError;

@@ -14,10 +14,8 @@
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::Point;
-use fuzzy_index::{RTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig};
-use fuzzy_query::{
-    aknn_brute, approx_aknn, recall_at_k, AknnConfig, ApproxConfig, DistBound, QueryEngine,
-};
+use fuzzy_index::{RTree, RTreeConfig, RecallDial, VpTree};
+use fuzzy_query::{aknn_brute, approx_aknn, recall_at_k, AknnConfig, DistBound, QueryEngine};
 use fuzzy_store::{MemStore, ObjectStore};
 use proptest::prelude::*;
 
@@ -60,7 +58,7 @@ fn fingerprint(result: &fuzzy_query::AknnResult) -> String {
 }
 
 fn vptree(store: &MemStore<2>) -> VpTree<2> {
-    VpTree::build(&L2, store.summaries(), VpTreeConfig::default())
+    VpTree::build(&L2, store.summaries())
 }
 
 #[test]
@@ -70,13 +68,12 @@ fn exact_dial_matches_exact_engine_bitwise() {
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
         let engine = QueryEngine::new(&tree, &store);
         let vp = vptree(&store);
-        let cfg = ApproxConfig::at(RecallDial::Exact);
         for qid in [0_u64, 13, 42, 69] {
             let q = store.probe(ObjectId(qid)).unwrap();
             for (k, alpha) in [(1, 0.5), (5, 0.5), (10, 0.3), (7, 0.8)] {
                 let exact = engine.aknn_exact(&q, k, alpha, &AknnConfig::lb_lp_ub()).unwrap();
                 let t = Threshold::at(alpha);
-                let via_vp = approx_aknn(&L2, &vp, &store, &q, k, t, &cfg).unwrap();
+                let via_vp = approx_aknn(&L2, &vp, &store, &q, k, t, RecallDial::Exact).unwrap();
                 assert_eq!(fingerprint(&via_vp), fingerprint(&exact), "vptree exact dial");
                 assert_eq!(recall_at_k(&via_vp, &exact), 1.0);
             }
@@ -97,8 +94,7 @@ fn returned_pairs_are_bitwise_oracle_pairs() {
         // Full oracle ranking: every object's exact pair.
         let oracle = aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
         for dial in [RecallDial::Budget(1.0), RecallDial::Budget(4.0), RecallDial::Exact] {
-            let cfg = ApproxConfig::at(dial);
-            let result = approx_aknn(&L2, &vp, &store, &q, 10, t, &cfg).unwrap();
+            let result = approx_aknn(&L2, &vp, &store, &q, 10, t, dial).unwrap();
             for nb in &result.neighbors {
                 let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
                 let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();
@@ -153,8 +149,7 @@ proptest! {
         let oracle = aknn_brute(&L2, &store, &ids, &q, n as usize, t).unwrap();
 
         // (1) exact dial ⇒ bitwise-exact answer, recall 1.0.
-        let at_exact = ApproxConfig::at(RecallDial::Exact);
-        let vp_exact = approx_aknn(&L2, &vp, &store, &q, k, t, &at_exact).unwrap();
+        let vp_exact = approx_aknn(&L2, &vp, &store, &q, k, t, RecallDial::Exact).unwrap();
         prop_assert_eq!(fingerprint(&vp_exact), fingerprint(&exact));
         prop_assert_eq!(recall_at_k(&vp_exact, &exact), 1.0);
 
@@ -168,7 +163,7 @@ proptest! {
         }
 
         // (3) every returned pair is a bitwise oracle pair.
-        let result = approx_aknn(&L2, &vp, &store, &q, k, t, &ApproxConfig::default()).unwrap();
+        let result = approx_aknn(&L2, &vp, &store, &q, k, t, RecallDial::Budget(1.0)).unwrap();
         for nb in &result.neighbors {
             let DistBound::Exact(d) = nb.dist else { panic!("approx must be exact") };
             let found = oracle.neighbors.iter().find(|o| o.id == nb.id).unwrap();

@@ -99,9 +99,8 @@ pub enum ErrorCode {
     Store = 7,
     /// A SWAP request could not open or publish the new index.
     SwapFailed = 8,
-    /// The named index cannot back the serve path: an approximate
-    /// (`.fzvp`) file where an exact index is required.
-    IndexMismatch = 9,
+    // 9 is retired (an index-kind mismatch of a deleted format) and never
+    // reused: it decodes as an unknown code.
 }
 
 impl ErrorCode {
@@ -110,7 +109,7 @@ impl ErrorCode {
     pub fn from_u16(v: u16) -> Option<Self> {
         use ErrorCode::*;
         let all = [Malformed, Unsupported, InvalidArgument, NotFound, DeadlineExceeded];
-        let more = [Panicked, Store, SwapFailed, IndexMismatch];
+        let more = [Panicked, Store, SwapFailed];
         all.into_iter().chain(more).find(|&code| code as u16 == v)
     }
 }

@@ -72,13 +72,6 @@ impl ServeIndex {
     }
 }
 
-/// Does `path` name an approximate candidate index (by extension)?
-/// It cannot back the serve path — it generates candidates, it does not
-/// answer queries — so a SWAP to one is an [`ErrorCode::IndexMismatch`].
-fn is_approx_path(path: &str) -> bool {
-    std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzvp"))
-}
-
 /// Where the server listens.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ListenAddr {
@@ -428,16 +421,20 @@ fn handle_frame(
             true
         }
         Request::Swap { index_path } => {
-            let resp = match open_swap_index(shared, &index_path) {
+            // Every failure, a file of a retired format included, is
+            // SWAP_FAILED.
+            let reopened =
+                reopen(&shared.index.snapshot(), &index_path, &shared.store, shared.cache_pages);
+            let resp = match reopened {
                 Ok(new_index) => {
                     let objects = new_index.object_count();
                     shared.index.write(|ix| *ix = new_index);
                     shared.counters.swaps.fetch_add(1, Ordering::Relaxed);
                     Response::Swapped { epoch: shared.index.epoch(), objects }
                 }
-                Err((code, message)) => {
+                Err(e) => {
                     shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Error { code, message }
+                    Response::Error { code: ErrorCode::SwapFailed, message: e.to_string() }
                 }
             };
             write_response(writer, id, &resp);
@@ -619,24 +616,6 @@ fn classify(e: &QueryError) -> ErrorCode {
         | QueryError::InvalidProbability { .. }
         | QueryError::InvalidRange { .. } => ErrorCode::InvalidArgument,
     }
-}
-
-/// Open the index a SWAP names ([`reopen`]). An approximate
-/// candidate index is a mismatch the server diagnoses by *kind* and
-/// answers [`ErrorCode::IndexMismatch`]; every other failure, a file of a
-/// retired format included, is a plain [`ErrorCode::SwapFailed`].
-fn open_swap_index(shared: &Shared, index_path: &str) -> Result<ServeIndex, (ErrorCode, String)> {
-    if is_approx_path(index_path) {
-        return Err((
-            ErrorCode::IndexMismatch,
-            format!(
-                "'{index_path}' is an approximate candidate index; the serve path needs an \
-                 exact index (.fzpt)"
-            ),
-        ));
-    }
-    reopen(&shared.index.snapshot(), index_path, &shared.store, shared.cache_pages)
-        .map_err(|e| (ErrorCode::SwapFailed, e.to_string()))
 }
 
 /// What a SWAP to `index_path` publishes while `served` is being served.

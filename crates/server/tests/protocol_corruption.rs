@@ -369,8 +369,8 @@ impl Mix {
             4 => Response::Swapped { epoch: self.next(), objects: self.next() },
             5 => Response::ShutdownAck,
             6 => Response::Error {
-                code: fuzzy_server::ErrorCode::from_u16((self.below(9) + 1) as u16)
-                    .expect("codes 1..=9"),
+                code: fuzzy_server::ErrorCode::from_u16((self.below(8) + 1) as u16)
+                    .expect("codes 1..=8"),
                 message: "injected".into(),
             },
             _ => Response::Busy,

@@ -1,8 +1,7 @@
 //! Crash-safe whole-file replacement: [`write_atomic`].
 //!
-//! Every file this workspace rewrites in place — the `.fzdl` delta log, a
-//! compacted `.fzpt`, the `.fzvp` whole-file format —
-//! goes through the same five steps, in this order:
+//! Every file this workspace rewrites in place — the `.fzdl` delta log and
+//! a compacted `.fzpt` — goes through the same five steps, in this order:
 //!
 //! 1. create `<path>.tmp`, a sibling in the same directory;
 //! 2. write the new content into it;

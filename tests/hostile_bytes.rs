@@ -1,7 +1,7 @@
 //! One hostile-bytes harness for every byte format the engine reads: the
 //! object store (`.fzkn`, as a whole file and as one object record inside
-//! one), the paged R-tree (`.fzpt`), the overlay sidecar (`.fzdl`), the
-//! VP-tree (`.fzvp`) and FZQP frames. Each [`Kind`] supplies
+//! one), the paged R-tree (`.fzpt`), the overlay sidecar (`.fzdl`) and
+//! FZQP frames. Each [`Kind`] supplies
 //! fixtures, a decode to a digest (two ways: a file kind opened as a file
 //! and as an in-memory image, a record at two alignments, a frame through
 //! `decode_frame` and through `read_frame` over a cursor — the two must
@@ -33,13 +33,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use fuzzy_geom::Point;
 use fuzzy_index::paged::PAGED_TRAILER_LEN;
-use fuzzy_index::{
-    NodeAccess, NodeView, PagedRTree, RTreeConfig, RecallDial, VpTree, VpTreeConfig,
-};
+use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
 use fuzzy_query::{DistBound, Interval, IntervalSet, Neighbor, RknnAlgorithm, RknnItem};
 use fuzzy_server::protocol::{decode_frame, read_frame, HEADER_LEN};
 use fuzzy_server::{ErrorCode, QuerySource, Request, Response, WireStats, WireVariant};
@@ -631,69 +628,6 @@ const FZDL: Kind = Kind {
 };
 
 // ---------------------------------------------------------------------
-// `.fzvp`: header | metric name, items, FoF lists, layout | `fnv1a` over
-// everything before it | magic.
-
-fn fzvp_fixtures() -> Vec<Vec<u8>> {
-    let path = fixture_path("fzvp");
-    let mut fixtures = Vec::new();
-    for (n, fof_neighbors) in [(10, 3), (4, 0)] {
-        let config = VpTreeConfig { leaf_size: 2, fof_neighbors };
-        VpTree::build(&L2, &grid(n), config).save(&path).unwrap();
-        fixtures.push(std::fs::read(&path).unwrap());
-    }
-    std::fs::remove_file(&path).unwrap();
-    fixtures
-}
-
-fn fzvp_decode(path: &Path, bytes: &[u8]) -> [Outcome; 2] {
-    let digest = |tree: VpTree<2>| {
-        let mut digest = Vec::new();
-        for id in (0..20).map(ObjectId) {
-            if let Some((center, spread)) = tree.ball_of(id) {
-                digest.extend([id.0, center[0].to_bits(), center[1].to_bits(), spread.to_bits()]);
-                digest.extend(tree.neighbors_of(id).iter().map(|n| n.0));
-            }
-        }
-        let mut pool = Vec::new();
-        tree.candidates(&L2, &Point::xy(3.0, 3.0), 3, RecallDial::Budget(0.5), &mut pool);
-        digest.extend(pool.iter().map(|id| id.0));
-        digest
-    };
-    let file = from_file(path, bytes, |path| VpTree::load(path, &L2).map(digest));
-    [show(file), show(VpTree::decode(bytes, &L2).map(digest))]
-}
-
-fn fzvp_field_list(bytes: &[u8]) -> Vec<Field> {
-    // The metric name's length, the item count, then each FoF list's length.
-    let name = 16 + 4 + Field::u32(16).get(bytes) as usize;
-    let n = Field::u64(name).get(bytes) as usize;
-    let mut fields = vec![Field::u32(16), Field::u64(name)];
-    let mut at = name + 8 + n * (8 + 16 + 8);
-    for _ in 0..n {
-        fields.push(Field::u32(at));
-        at += 4 + 8 * Field::u32(at).get(bytes) as usize;
-    }
-    fields
-}
-
-fn fzvp_reseal(bytes: &mut [u8]) {
-    let end = bytes.len().saturating_sub(4);
-    stamp(bytes, 0, end, fnv1a);
-}
-
-const FZVP: Kind = Kind {
-    name: "fzvp",
-    fixtures: fzvp_fixtures,
-    decode: fzvp_decode,
-    fields: fzvp_field_list,
-    reseal: fzvp_reseal,
-    flip: |_, _| Flip::Reject,
-    truncation_error: "",
-    field_error: "corrupt store:",
-};
-
-// ---------------------------------------------------------------------
 // FZQP frames: header (payload length at 16) | payload | `fnv1a` over both.
 
 fn frame_fixtures() -> Vec<Vec<u8>> {
@@ -911,26 +845,6 @@ fn fzdl_fields() {
 #[test]
 fn fzdl_mutations() {
     FZDL.mutations(0xFD1);
-}
-
-#[test]
-fn fzvp_truncations() {
-    FZVP.truncations();
-}
-
-#[test]
-fn fzvp_bit_flips() {
-    FZVP.bit_flips();
-}
-
-#[test]
-fn fzvp_fields() {
-    FZVP.fields();
-}
-
-#[test]
-fn fzvp_mutations() {
-    FZVP.mutations(0xF7B);
 }
 
 #[test]
