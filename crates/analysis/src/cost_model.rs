@@ -10,12 +10,6 @@ pub struct CostModelParams {
     pub k: usize,
     /// Average R-tree node capacity `C_avg = C_max · U_avg`.
     pub c_avg: f64,
-    /// Correlation fractal dimension `D₂` (2 for uniform data).
-    pub d2: f64,
-    /// Hausdorff fractal dimension `D₀` (2 for uniform data; Eq. 8 as
-    /// printed assumes the uniform case `√(C_avg/N)`, we keep `D₀`
-    /// explicit).
-    pub d0: f64,
 }
 
 /// Equation 6: the distance `ε` from the query centre within which `k`
@@ -44,7 +38,7 @@ pub fn gaussian_disk_radius(alpha: f64, sigma: f64, r0: f64) -> f64 {
 /// cut radius and distances are normalized to the unit square:
 ///
 /// ```text
-/// L = (N−1)/C_avg · ( (C_avg/N)^{1/D₀} + 2·(ε − R(α)) )^{D₂}
+/// L = (N−1)/C_avg · ( √(C_avg/N) + 2·(ε − R(α)) )²
 /// ```
 ///
 /// (Eq. 8 substitutes the range-query radius `d = d_knn(α) + R(α)` with
@@ -58,8 +52,8 @@ pub fn eq8_object_accesses(p: &CostModelParams, radius_alpha: f64) -> f64 {
     }
     let eps = eq6_knn_radius(p.k, p.num_objects);
     let d = (eps - radius_alpha).max(0.0);
-    let base = (p.c_avg / n).powf(1.0 / p.d0) + 2.0 * d;
-    let l = (n - 1.0) / p.c_avg * base.powf(p.d2);
+    let base = (p.c_avg / n).sqrt() + 2.0 * d;
+    let l = (n - 1.0) / p.c_avg * base * base;
     l.clamp(p.k as f64, n)
 }
 
@@ -68,7 +62,7 @@ mod tests {
     use super::*;
 
     fn params(n: usize, k: usize) -> CostModelParams {
-        CostModelParams { num_objects: n, k, c_avg: 40.0, d2: 2.0, d0: 2.0 }
+        CostModelParams { num_objects: n, k, c_avg: 40.0 }
     }
 
     #[test]
@@ -100,7 +94,7 @@ mod tests {
         // "more objects need to be accessed as N, k or α increases".
         // Use a small C_avg so the model is not clamped at k (in clamped
         // regimes Eq. 8 degenerates and the claim only holds weakly).
-        let p = |n, k| CostModelParams { num_objects: n, k, c_avg: 1.0, d2: 2.0, d0: 2.0 };
+        let p = |n, k| CostModelParams { num_objects: n, k, c_avg: 1.0 };
         let r = |a| gaussian_disk_radius(a, 0.003, 0.01);
         let base = eq8_object_accesses(&p(10_000, 20), r(0.5));
         let more_k = eq8_object_accesses(&p(10_000, 50), r(0.5));

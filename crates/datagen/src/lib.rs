@@ -26,25 +26,6 @@ use fuzzy_core::FuzzyObject;
 use fuzzy_store::{FileStore, FileStoreWriter, StoreError};
 use std::path::Path;
 
-/// Which generator produced a dataset (used by the experiment harness).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DatasetKind {
-    /// Paper §6.1 synthetic circles.
-    Synthetic,
-    /// Cell-like substitute for the paper's real dataset.
-    Cell,
-}
-
-impl DatasetKind {
-    /// Table label used in experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DatasetKind::Synthetic => "synthetic",
-            DatasetKind::Cell => "real(cell-like)",
-        }
-    }
-}
-
 /// Stream a generated dataset into a file-backed store.
 pub fn write_dataset<I, const D: usize>(
     path: impl AsRef<Path>,

@@ -125,6 +125,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Sample size `n` for §3.4's `Q'_α` (the paper requires `n ≪ |Q_α|`).
+const QUERY_SAMPLES: usize = 16;
+/// Seed of the deterministic query-point sampling.
+const SAMPLE_SEED: u64 = 0x5EED;
+
 /// Optimization switches for the AKNN engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AknnConfig {
@@ -140,10 +145,6 @@ pub struct AknnConfig {
     /// bound and the running k-th best upper bound, so dominated objects
     /// terminate their descent early. Changes no answers; on by default.
     pub seeded_probes: bool,
-    /// Sample size `n` for `Q'_α` (the paper requires `n ≪ |Q_α|`).
-    pub query_samples: usize,
-    /// Seed for the deterministic query-point sampling.
-    pub sample_seed: u64,
     /// Abort the query with [`QueryError::DeadlineExceeded`] once this
     /// instant passes. Checked before every node read and every object
     /// probe — the best-first search's, the lazy-probe evictions', the
@@ -169,8 +170,6 @@ impl AknnConfig {
             lazy_probe: false,
             improved_upper_bound: false,
             seeded_probes: true,
-            query_samples: 16,
-            sample_seed: 0x5EED,
             deadline: None,
         }
     }
@@ -689,7 +688,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
 
     let q_cut = q.cut_mbr(t).ok_or(QueryError::EmptyQueryCut)?;
     if cfg.improved_upper_bound {
-        q.sample_cut_indices_into(t, cfg.query_samples, cfg.sample_seed, sample_idx);
+        q.sample_cut_indices_into(t, QUERY_SAMPLES, SAMPLE_SEED, sample_idx);
         samples.extend(sample_idx.iter().map(|&i| *q.point(i)));
     }
 

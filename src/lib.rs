@@ -55,7 +55,7 @@
 //! | [`index`] | the R-tree behind the `NodeAccess` trait: `PagedRTree` (STR bulk load) read from a file or an in-memory image (`RTree`), and its write overlay `OverlayRTree` |
 //! | [`query`] | the one `QueryEngine` — AKNN (Basic/LB/LB-LP/LB-LP-UB) and RKNN (Naive/Basic/RSS/RSS-ICR) over a tree or an `Arc` snapshot of one |
 //! | [`datagen`] | §6.1 synthetic workload + cell-like substitute for the real dataset |
-//! | [`analysis`] | §5 cost model (fractal dimensions, Eq. 6–8) |
+//! | [`analysis`] | §5 cost model (Eq. 6 and Eq. 8) |
 
 #![warn(missing_docs)]
 
@@ -73,7 +73,7 @@ pub mod prelude {
         DistanceProfile, FuzzyObject, FuzzyObject2, FuzzyObjectBuilder, ModelError, ObjectId,
         ObjectSummary, Threshold,
     };
-    pub use fuzzy_datagen::{CellConfig, DatasetKind, SyntheticConfig};
+    pub use fuzzy_datagen::{CellConfig, SyntheticConfig};
     pub use fuzzy_geom::{Mbr, Point};
     pub use fuzzy_index::{NodeAccess, PagedRTree, RTree, RTreeConfig};
     pub use fuzzy_query::{
