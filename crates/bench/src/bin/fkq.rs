@@ -37,7 +37,7 @@ use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
-use fuzzy_query::{aknn_brute, AknnConfig, QueryEngine, QueryError, RknnAlgorithm};
+use fuzzy_query::{aknn_brute, AknnConfig, QueryEngine, QueryError, QueryStats, RknnAlgorithm};
 use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
     WireVariant,
@@ -604,9 +604,21 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
         println!("  {n}");
     }
     println!(
-        "cost: {} object accesses, {} node accesses ({} from disk), {:?}",
-        stats.object_accesses, stats.node_accesses, stats.node_disk_reads, stats.wall
+        "cost: {} object accesses, {} node accesses ({} from disk), {}",
+        stats.object_accesses,
+        stats.node_accesses,
+        stats.node_disk_reads,
+        cost_tail(&stats, !flags.contains_key("server"))
     );
+}
+
+/// The end of an engine query's `cost:` line: its wall time, then — when
+/// this process ran the query — its prune counts (the wire does not carry
+/// them). The counts hold no comma, so stripping the line's last
+/// `, …` field strips the wall time and the counts together.
+fn cost_tail(stats: &QueryStats, local: bool) -> String {
+    let prunes = if local { format!("; prunes: {}", stats.prunes) } else { String::new() };
+    format!("{:?}{prunes}", stats.wall)
 }
 
 fn rknn(path: &str, flags: &HashMap<String, String>) {
@@ -661,8 +673,10 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
         println!("  {item}");
     }
     println!(
-        "cost: {} object accesses, {} candidates, {:?}",
-        stats.object_accesses, stats.candidates, stats.wall
+        "cost: {} object accesses, {} candidates, {}",
+        stats.object_accesses,
+        stats.candidates,
+        cost_tail(&stats, !flags.contains_key("server"))
     );
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Each test runs one section's sweeps on data built in memory, sums every
 //! logical counter of [`QueryStats`] over the section's queries (wall time
-//! and buffer-pool misses are not logical), and judges the paper's shapes
-//! on those sums. A shape the data do not show reads `finding`; it fails
+//! and buffer-pool misses are not logical; the prune counts, which explain
+//! the others, are left to the query suites), and judges the paper's
+//! shapes on those sums. A shape the data do not show reads `finding`; it fails
 //! nothing. What fails is a section that differs from the committed
 //! `REPRO.json`: the test then prints the whole file with the fresh section
 //! in place, and a deliberate re-pin copies that output over the file.

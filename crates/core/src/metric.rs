@@ -2,11 +2,11 @@
 //!
 //! Every pruning bound in the engine — `d⁻`/`d⁺` over α-cuts, the Eq. 2
 //! approximations, the lazy-probe τ discipline — needs only the metric
-//! axioms, not Euclidean geometry. One check does not: the AKNN probe gate,
-//! which rules a probe out by the L2 gap between the query's cut points and
-//! the entry's support MBR before the read. It is Euclidean, and it sits
-//! outside this seam (the engine has been Euclidean throughout since `L2`
-//! became the one implementation). [`Metric`] captures exactly what the
+//! axioms, not Euclidean geometry. One check does not: the probe gate, which
+//! rules a read out by the L2 gap between the query's cut points and the
+//! entry's support MBR — before an AKNN probe, and in RSS's range scan. It
+//! is Euclidean, and it sits outside this seam (the engine has been
+//! Euclidean throughout since `L2` became the one implementation). [`Metric`] captures exactly what the
 //! query layer consumes through the seam:
 //!
 //! * **point evaluation** — [`Metric::dist`] / [`Metric::dist_sq`]; the

@@ -46,6 +46,10 @@ const LEAF_SIZE: usize = 8;
 /// other objects).
 pub const FOF_NEIGHBORS: usize = 8;
 
+/// The fewest centers a FoF thread is given: at a few µs a search, enough
+/// work to repay a thread's spawn many times over.
+const FOF_RUN_MIN: usize = 512;
+
 /// Relative rounding a bound test allows for: a subtree is pruned only
 /// when its bound clears the slack by more than this share of the two
 /// distances the bound subtracts. The bound `|d − r|` cancels, so its
@@ -159,14 +163,40 @@ impl<const D: usize> VpTree<D> {
     /// by an ε = 0 search from its own center, self dropped, the rest
     /// ranked by (distance, id). The search keeps every center within the
     /// exact k-th distance (see [`ROUNDING`]), so the rows equal an
-    /// all-pairs scan's.
+    /// all-pairs scan's. The searches are independent: the centers are
+    /// split into one contiguous run per available thread (none shorter
+    /// than [`FOF_RUN_MIN`] but the last), each run's rows built on a scoped
+    /// thread, and the runs concatenated in center order, so the rows do
+    /// not depend on the thread count.
     fn fof_lists<M: Metric<D> + ?Sized>(&self, metric: &M) -> Vec<ObjectId> {
+        let n = self.centers.len();
+        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let run = n.div_ceil(threads).max(FOF_RUN_MIN);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..n)
+                .step_by(run)
+                .map(|lo| scope.spawn(move || self.fof_rows(metric, lo..n.min(lo + run))))
+                .collect();
+            let mut fof = Vec::with_capacity(n * self.fof_width());
+            for w in workers {
+                fof.extend(w.join().expect("a FoF thread panicked"));
+            }
+            fof
+        })
+    }
+
+    /// The FoF rows of the positions in `range`, in position order.
+    fn fof_rows<M: Metric<D> + ?Sized>(
+        &self,
+        metric: &M,
+        range: std::ops::Range<usize>,
+    ) -> Vec<ObjectId> {
         let width = self.fof_width();
-        let mut fof = Vec::with_capacity(self.ids.len() * width);
+        let mut fof = Vec::with_capacity(range.len() * width);
         let mut within: Vec<(f64, u32)> = Vec::new();
         let mut near: Vec<(f64, ObjectId)> = Vec::new();
-        for (pos, center) in self.centers.iter().enumerate() {
-            self.search(metric, center, FOF_NEIGHBORS + 1, 0.0, &mut within);
+        for pos in range {
+            self.search(metric, &self.centers[pos], FOF_NEIGHBORS + 1, 0.0, &mut within);
             near.clear();
             near.extend(
                 within

@@ -64,8 +64,9 @@
 //! kernel would scan — has a squared gap to the entry's **support MBR**
 //! strictly below `τ_eff`, the probe ends there, dominated: no read, no
 //! kernel call, no object; `object_accesses` and `distance_evals` are not
-//! charged, and the test itself is one `bound_evals`. Once the kernel has
-//! built the query's kd-tree the test is the tree's capped box search
+//! charged, the test itself is one `bound_evals`, and a skipped read is one
+//! [`crate::PruneCounts::probe_gate`]. Once the kernel has built the query's
+//! kd-tree the test is the tree's capped box search
 //! ([`fuzzy_geom::KdTree::any_within_box_sq`]); before that, one pass over
 //! the cut in whichever view the query holds. Nothing is built for it.
 //!
@@ -89,10 +90,13 @@
 //!
 //! The gate is Euclidean (the gap is an L2 box distance) and stays outside
 //! the [`Metric`] seam, so a wrapper that observes the kernel sees the reads
-//! an unwrapped run makes. It never runs under `reuse`: RSS wants every
-//! dominated object of its step 1 decoded, since its refinement would read a
-//! skipped one again. `exact_neighbor` probes without τ and never gates,
-//! and the approximate path passes no box.
+//! an unwrapped run makes. It runs whenever τ binds, RSS's step 1 included:
+//! an object that step gates is one RSS's range scan gates in turn, or one
+//! RSS reads once itself (the `rknn` module docs, "The scan gate").
+//! `exact_neighbor` probes without τ and never gates, and the approximate
+//! path passes no box. The range scan asks the same question,
+//! `cut_reaches_box`, of the query's cut at `αs` with RSS's radius as the
+//! cap.
 //!
 //! ### A note on the lazy-probe buffer
 //!
@@ -401,8 +405,9 @@ pub struct QueryScratch<const D: usize> {
     buffer: Vec<Deferred>,
     entries: Vec<EntrySlot<D>>,
     /// Every object probed: in flight or confirmed, by [`Item::Object`]
-    /// index, with its exact squared distance; dominated, with `None`, and
-    /// only when the search runs with `reuse` (nothing else reads them).
+    /// index, with its exact squared distance; dominated after its read,
+    /// with `None`, and only when the search runs with `reuse` (nothing else
+    /// reads them).
     probed: Vec<Decoded<D>>,
     sample_idx: Vec<usize>,
     samples: Vec<Point<D>>,
@@ -544,8 +549,9 @@ pub(crate) enum Probed<const D: usize> {
 /// `[lo, hi]` strictly below `cap_sq`? Once the kernel has built `q`'s
 /// kd-tree it answers with the tree's capped box search; until then with one
 /// pass over the cut, in whichever view `q` already holds. It builds
-/// nothing, and every path gives the same answer.
-fn cut_reaches_box<const D: usize>(
+/// nothing, and every path gives the same answer. RSS's range scan asks it
+/// too, at `αs` with its radius as the cap.
+pub(crate) fn cut_reaches_box<const D: usize>(
     q: &FuzzyObject<D>,
     t: Threshold,
     (lo, hi): (&[f64; D], &[f64; D]),
@@ -575,12 +581,12 @@ fn cut_reaches_box<const D: usize>(
 /// lazy-probe eviction and [`exact_neighbor`] (the latter passes `+∞` for
 /// τ), so the probe accounting cannot diverge between them.
 ///
-/// `support` is the entry's support MBR, passed by the search's own probes
-/// when it runs without `reuse`. When the kernel's `None` would mean
-/// dominated — τ finite and the τ seed the binding one — the probe gate
-/// runs first: one `bound_evals`, and if no point of `q`'s cut lies within
-/// the τ seed of the box, the object is dominated without a read, a kernel
-/// call or a charge to `object_accesses` or `distance_evals` (module docs,
+/// `support` is the entry's support MBR, passed by the search's own probes.
+/// When the kernel's `None` would mean dominated — τ finite and the τ seed
+/// the binding one — the probe gate runs first: one `bound_evals`, and if no
+/// point of `q`'s cut lies within the τ seed of the box, the object is
+/// dominated without a read, a kernel call or a charge to `object_accesses`
+/// or `distance_evals`, and one `prunes.probe_gate` is charged (module docs,
 /// "Probe gate": why that is the kernel's verdict bit for bit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usize>(
@@ -600,6 +606,7 @@ pub(crate) fn probe_exact<M: Metric<D> + ?Sized, S: ObjectStore<D>, const D: usi
     if let (true, Some(support)) = (tau_binds, support) {
         stats.bound_evals += 1;
         if !cut_reaches_box(q, t, support, tau_eff) {
+            stats.prunes.probe_gate += 1;
             return Ok(Probed::Dominated(None));
         }
     }
@@ -663,8 +670,8 @@ pub(crate) fn exact_neighbor<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
 /// carries its kernel distance and decoded object; a bound-confirmed one
 /// was never read, and [`exact_neighbor`] reads it when a caller needs it.
 /// With `reuse`, every object the search decoded and did not return —
-/// dominated probes included — comes back in [`SearchOutcome::others`] for
-/// RSS to reuse.
+/// dominated probes included, gated ones never decoded — comes back in
+/// [`SearchOutcome::others`] for RSS to reuse.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
@@ -771,7 +778,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
                 let id = slot.id;
                 if !cfg.lazy_probe {
                     let tau_sq = if cfg.seeded_probes { seeds.tau_sq(k) } else { f64::INFINITY };
-                    let support = (!reuse).then_some((&slot.support_lo, &slot.support_hi));
+                    let support = Some((&slot.support_lo, &slot.support_hi));
                     let bounds = (f64::INFINITY, tau_sq);
                     match probe_exact(
                         metric,
@@ -886,7 +893,8 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
 /// kept descending by lower bound): probe it and let its exact distance
 /// compete in H. A probe dominated under the τ seed is discarded — its
 /// live-bound entry was removed *before* τ was computed, so τ counts `k`
-/// other candidates — and its object kept only under `reuse`.
+/// other candidates — and its object, if it was read, kept only under
+/// `reuse`.
 #[allow(clippy::too_many_arguments)]
 fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     heap: &mut BinaryHeap<MinKey<Item>>,
@@ -912,7 +920,7 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     } else {
         (f64::INFINITY, f64::INFINITY)
     };
-    let support = (!reuse).then_some((&slot.support_lo, &slot.support_hi));
+    let support = Some((&slot.support_lo, &slot.support_hi));
     match probe_exact(metric, store, q, t, id, bounds, support, cfg.deadline, stats)? {
         Probed::Exact(d_sq, obj) => {
             if cfg.seeded_probes {

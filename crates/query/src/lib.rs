@@ -100,4 +100,4 @@ pub use error::QueryError;
 pub use interval::{Interval, IntervalSet};
 pub use result::{AknnResult, DistBound, Neighbor, RknnItem, RknnResult};
 pub use rknn::RknnAlgorithm;
-pub use stats::QueryStats;
+pub use stats::{PruneCounts, QueryStats};

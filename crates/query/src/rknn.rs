@@ -12,7 +12,8 @@
 //! * [`RknnAlgorithm::Rss`] — Algorithm 4: one AKNN at `αe` yields the
 //!   radius `r = d_k(αe)`; one range search at `αs` collects every object
 //!   whose lower bound is within `r` (Lemma 3 guarantees no false
-//!   dismissals); refinement then runs entirely over this in-memory
+//!   dismissals) and that the query's `αs` cut reaches within `r` (the scan
+//!   gate, below); refinement then runs entirely over this in-memory
 //!   candidate set.
 //! * [`RknnAlgorithm::RssIcr`] — Algorithm 5: like RSS, but refinement
 //!   steps leap over every critical value at which a member provably stays
@@ -96,10 +97,48 @@
 //! `r`" only if `r_sq.sqrt() > r` holds as `f64`s. It does not at `r = 0`
 //! (everything that touches the query ties at 0, and ids decide), at
 //! `r = ∞` (fewer than `k` objects) and when `r²` is subnormal and the
-//! inflation is rounded away; then nothing is dropped, nothing settles and
-//! every candidate is profiled. Both rules are strict: an outsider *at*
-//! `r`, or one whose `d_αs` *equals* a neighbour's `d_αe`, may win a slot on
-//! the id tie-break and keeps the neighbour unsettled.
+//! inflation is rounded away; then nothing is gated (below), nothing is
+//! dropped, nothing settles and every candidate is profiled. Both rules are
+//! strict: an outsider *at* `r`, or one whose `d_αs` *equals* a neighbour's
+//! `d_αe`, may win a slot on the id tie-break and keeps the neighbour
+//! unsettled.
+//!
+//! # The scan gate: dropping an outsider before its read
+//!
+//! The range scan keeps an entry whose box lower bound at `αs` is within
+//! `r_sq` (Lemma 3), and — under the tie guard — only if some point of the
+//! query's `αs` cut also lies strictly within `r_sq` of the entry's
+//! **support MBR**. That is the AKNN probe gate's question
+//! (`cut_reaches_box`: the query's kd-tree once step 1 has built it, a
+//! scan of the cut before) with `r_sq` as the cap. Each test is one
+//! `bound_evals`; each entry it rules out is one `prunes.scan_gate`.
+//!
+//! *A gated entry is an outsider the settle question drops.* The support
+//! MBR holds every point of every cut of the object, so by the probe gate's
+//! argument (the `aknn` module docs) every pair of the `αs` cuts has a
+//! computed `d²` no smaller than its query point's gap to the box, hence no
+//! smaller than `r_sq`: the kernel seeded with `r_sq`, which keeps only
+//! pairs strictly below it, would return `None`. Its `d_αs` is then at
+//! least `sqrt(r_sq) > r` (the guard), and `d_α` only grows with `α`, so it
+//! is beyond `r` on the whole window. It becomes a non-candidate instead of
+//! a dropped outsider: no read, no kernel call, and the Lemma 4 cap stays
+//! `r`, as a dropped outsider keeps it.
+//!
+//! *No step-1 neighbour is gated* (debug builds assert that every one is a
+//! candidate). A neighbour's exact distance at `αe` comes from a kernel
+//! pair with `d² = u_sq` and `sqrt(u_sq) ≤ r` — read or bound-confirmed,
+//! `d ≤ hi ≤ r` — and both points of the pair lie in the `αs` cuts too. Its
+//! query point's gap to the box is at most `u_sq` (the probe gate's
+//! argument again). And `u_sq < r_sq`, which is what the inflation of
+//! `r_sq = r·r·(1 + 4ε)` is for: the guard holds, `sqrt(r_sq) > r ≥
+//! sqrt(u_sq)` as computed, and a correctly rounded `sqrt` is monotone, so
+//! `r_sq ≤ u_sq` is impossible. The pair's query point lies strictly within
+//! `r_sq` of the box.
+//!
+//! *Step 1 gates too.* The AKNN probe gate runs whenever τ binds, RSS's
+//! step 1 included: an object it gated at `αe` was never decoded, so the
+//! scan gate rules it out at `αs` or, still a candidate, RSS reads it once
+//! as an outsider.
 //!
 //! # The refinement: how far a member is recorded
 //!
@@ -131,13 +170,18 @@
 //! settlement or its window needs it: every object step 1 decoded,
 //! neighbour and rejected probe alike, is reused, so `object_accesses` is
 //! step 1's, plus one per bound-confirmed neighbour read, plus one per
-//! outsider step 1 never probed. Against the exact AKNN at `αe` both
-//! counters fall by one per neighbour settled unread. How many candidates
-//! settle is a property of the data — how far `d_α` moves across the
-//! window against the spacing of the neighbours — not of the algorithm.
+//! outsider step 1 never decoded. Against the exact AKNN at `αe` both
+//! counters fall by one per neighbour settled unread. `bound_evals` adds
+//! one per entry the range scan keeps and one per scan-gate test. The
+//! prune counts name the verdicts: `scan_gate` per entry gated,
+//! `outsiders_dropped` and `outsiders_kept` per settle answer, `settled`
+//! per neighbour settled. How many candidates settle is a property of the
+//! data — how far `d_α` moves across the window against the spacing of the
+//! neighbours — not of the algorithm.
 
 use crate::aknn::{
-    append_slots, check_deadline, exact_neighbor, search, AknnConfig, FoundNeighbor, QueryScratch,
+    append_slots, check_deadline, cut_reaches_box, exact_neighbor, search, AknnConfig,
+    FoundNeighbor, QueryScratch,
 };
 use crate::error::QueryError;
 use crate::interval::{Interval, IntervalSet};
@@ -154,21 +198,27 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// RSS candidate collection (Algorithm 4, step 2): ids of every object
-/// whose lower-bound distance from `q_cut` at `t_start` is within `r_sq`
-/// (squared), unsorted. Each leaf is bounded in one column pass
-/// ([`append_slots`]), as the best-first search bounds it. Charges
-/// node/bound costs to `stats`.
+/// whose lower-bound distance from `q_cut`, the MBR of `q`'s cut at
+/// `t_start`, is within `r_sq` (squared), unsorted. Under `gate` an entry
+/// is kept only if some point of that cut also lies strictly within `r_sq`
+/// of its support MBR (module docs, "The scan gate"). Each leaf is bounded
+/// in one column pass ([`append_slots`]), as the best-first search bounds
+/// it. Charges node/bound costs and the gate's prunes to `stats`.
+#[allow(clippy::too_many_arguments)]
 fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     metric: &M,
     tree: &A,
+    q: &FuzzyObject<D>,
     q_cut: &Mbr<D>,
     t_start: Threshold,
     r_sq: f64,
+    gate: bool,
     cfg: &AknnConfig,
     stats: &mut QueryStats,
 ) -> Result<Vec<ObjectId>, QueryError> {
     let bound_t = cfg.improved_lower_bound.then_some(t_start);
     let (mut ids, mut slots) = (Vec::new(), Vec::new());
+    let (mut tests, mut gated) = (0, 0);
     let (accesses, disk_reads) = range_scan(
         tree,
         r_sq,
@@ -177,15 +227,25 @@ fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
             slots.clear();
             append_slots(&leaf, bound_t, &mut slots);
             for (j, slot) in slots.iter().enumerate() {
-                if leaf.is_live(j) && metric.min_box_dist_sq(&slot.bound_mbr(), q_cut) <= r_sq {
-                    ids.push(slot.id);
+                if !(leaf.is_live(j) && metric.min_box_dist_sq(&slot.bound_mbr(), q_cut) <= r_sq) {
+                    continue;
                 }
+                if gate {
+                    tests += 1;
+                    let support = (&slot.support_lo, &slot.support_hi);
+                    if !cut_reaches_box(q, t_start, support, r_sq) {
+                        gated += 1;
+                        continue;
+                    }
+                }
+                ids.push(slot.id);
             }
         },
     )?;
     stats.node_accesses += accesses;
     stats.node_disk_reads += disk_reads;
-    stats.bound_evals += ids.len() as u64;
+    stats.bound_evals += ids.len() as u64 + tests;
+    stats.prunes.scan_gate += gated;
     Ok(ids)
 }
 
@@ -389,21 +449,25 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     let t_start = Threshold::at(alpha_start);
     let q_cut = q.cut_mbr(t_start).ok_or(QueryError::EmptyQueryCut)?;
     let r_sq = if r.is_finite() { r * r * (1.0 + 4.0 * f64::EPSILON) } else { f64::INFINITY };
-    let mut candidate_ids = range_candidates(metric, tree, &q_cut, t_start, r_sq, cfg, stats)?;
+    // The tie guard (module docs): `r_sq` must round-trip to strictly more
+    // than `r`, or "not below r_sq" would not mean "beyond r". At r = 0,
+    // r = ∞ and on underflow nothing is gated, dropped or settled.
+    let can_settle = r_sq.sqrt() > r;
+    // The scan gate, under the guard: an entry no point of the αs cut
+    // reaches within r_sq is the outsider the settle step would drop.
+    let mut candidate_ids =
+        range_candidates(metric, tree, q, &q_cut, t_start, r_sq, can_settle, cfg, stats)?;
 
     candidate_ids.sort_unstable();
     stats.candidates = candidate_ids.len() as u64;
     neighbors.sort_unstable_by_key(|n| n.id);
     debug_assert!(
         neighbors.iter().all(|n| candidate_ids.binary_search(&n.id).is_ok()),
-        "a step-1 neighbour lies within r, so the range scan must return it"
+        "a step-1 neighbour lies within r, so the range scan and its gate keep it"
     );
 
-    // Step 3a — settle (module docs). The tie guard: `r_sq` must round-trip
-    // to strictly more than `r`, or "not below r_sq" would not mean "beyond
-    // r". At r = 0, r = ∞ and on underflow nothing is dropped or settled.
-    let can_settle = r_sq.sqrt() > r;
-
+    // Step 3a — settle (module docs), under the tie guard above.
+    //
     // The outsiders — candidates step 1 did not return — are the only
     // objects left to read, and step 1 may have decoded one already (probed
     // and rejected it): then it is taken from step 1, with the exact d²_αe
@@ -432,8 +496,12 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         if can_settle {
             stats.distance_evals += 1;
             match metric.alpha_distance_sq_bounded(&object, q, t_start, r_sq) {
-                Some(l_sq) => l_min_sq = l_min_sq.min(l_sq),
+                Some(l_sq) => {
+                    stats.prunes.outsiders_kept += 1;
+                    l_min_sq = l_min_sq.min(l_sq);
+                }
                 None => {
+                    stats.prunes.outsiders_dropped += 1;
                     dropped = true;
                     continue;
                 }
@@ -459,6 +527,7 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
             exact_neighbor(metric, store, q, t_end, cfg, &mut n, stats)?;
         }
         if settles(&n) {
+            stats.prunes.settled += 1;
             record(&mut acc, n.id, t_start, alpha_end);
         } else {
             // The neighbour is decoded *and* holds its exact squared

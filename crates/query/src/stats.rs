@@ -1,7 +1,54 @@
 //! Per-query cost accounting.
 
+use std::fmt;
 use std::ops::AddAssign;
 use std::time::Duration;
+
+/// Why the engine's exact filters ruled work out (or in), counted per
+/// query. Each is a verdict the answer does not depend on: a pruned read is
+/// one that would have changed nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PruneCounts {
+    /// Reads the AKNN probe gate ruled out, in any search: no point of the
+    /// query's cut lies within the τ seed of the entry's support MBR.
+    pub probe_gate: u64,
+    /// RSS range entries the query's `αs` cut ruled out: no point of it lies
+    /// strictly within the radius of the entry's support MBR.
+    pub scan_gate: u64,
+    /// RSS outsiders the settle question dropped: no pair strictly within
+    /// the radius at `αs`.
+    pub outsiders_dropped: u64,
+    /// RSS outsiders the settle question kept.
+    pub outsiders_kept: u64,
+    /// RSS step-1 neighbours settled: the whole window, with no profile.
+    pub settled: u64,
+}
+
+impl AddAssign for PruneCounts {
+    fn add_assign(&mut self, rhs: Self) {
+        self.probe_gate += rhs.probe_gate;
+        self.scan_gate += rhs.scan_gate;
+        self.outsiders_dropped += rhs.outsiders_dropped;
+        self.outsiders_kept += rhs.outsiders_kept;
+        self.settled += rhs.settled;
+    }
+}
+
+/// `probe_gate 3 scan_gate 1 outsiders_dropped 2 outsiders_kept 4 settled
+/// 5`: space-separated, no commas, so it can close a comma-separated line.
+impl fmt::Display for PruneCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "probe_gate {} scan_gate {} outsiders_dropped {} outsiders_kept {} settled {}",
+            self.probe_gate,
+            self.scan_gate,
+            self.outsiders_dropped,
+            self.outsiders_kept,
+            self.settled
+        )
+    }
+}
 
 /// Costs incurred by one query execution. `object_accesses` is the paper's
 /// headline metric; the rest support the runtime figures and ablations.
@@ -34,6 +81,8 @@ pub struct QueryStats {
     pub aknn_calls: u64,
     /// Candidate set size after pruning (RSS/ICR).
     pub candidates: u64,
+    /// Prune-reason counts.
+    pub prunes: PruneCounts,
     /// Wall-clock time of the query (Figures 12/14/15b).
     pub wall: Duration,
 }
@@ -48,6 +97,7 @@ impl AddAssign for QueryStats {
         self.bound_evals += rhs.bound_evals;
         self.aknn_calls += rhs.aknn_calls;
         self.candidates += rhs.candidates;
+        self.prunes += rhs.prunes;
         self.wall += rhs.wall;
     }
 }
@@ -72,6 +122,13 @@ impl QueryStats {
             bound_evals: total.bound_evals / n,
             aknn_calls: total.aknn_calls / n,
             candidates: total.candidates / n,
+            prunes: PruneCounts {
+                probe_gate: total.prunes.probe_gate / n,
+                scan_gate: total.prunes.scan_gate / n,
+                outsiders_dropped: total.prunes.outsiders_dropped / n,
+                outsiders_kept: total.prunes.outsiders_kept / n,
+                settled: total.prunes.settled / n,
+            },
             wall: total.wall / n as u32,
         }
     }
@@ -88,13 +145,17 @@ mod tests {
         let b = QueryStats {
             object_accesses: 2,
             node_accesses: 7,
+            prunes: PruneCounts { scan_gate: 4, settled: 1, ..Default::default() },
             wall: Duration::from_millis(10),
             ..Default::default()
         };
         a += b;
-        assert_eq!(a.object_accesses, 5);
-        assert_eq!(a.node_accesses, 7);
-        assert_eq!(a.wall, Duration::from_millis(15));
+        a += b;
+        assert_eq!(a.object_accesses, 7);
+        assert_eq!(a.node_accesses, 14);
+        let want = PruneCounts { scan_gate: 8, settled: 2, ..Default::default() };
+        assert_eq!(a.prunes, want);
+        assert_eq!(a.wall, Duration::from_millis(25));
     }
 
     #[test]

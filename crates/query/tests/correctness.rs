@@ -10,8 +10,8 @@ use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::{RTree, RTreeConfig};
 use fuzzy_query::{
-    AknnConfig, AknnResult, DistBound, QueryEngine, QueryError, QueryScratch, QueryStats,
-    RknnAlgorithm, RknnResult,
+    AknnConfig, AknnResult, DistBound, PruneCounts, QueryEngine, QueryError, QueryScratch,
+    QueryStats, RknnAlgorithm, RknnResult,
 };
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
@@ -333,8 +333,8 @@ struct BoundConfirmed {
 /// every other; `distance_evals` and `profile_computations` count those
 /// calls — `distance_evals` is RSS's own step-1 calls (the log's calls at
 /// `hi`) plus one per outsider. `step1` is the exact AKNN at `hi`, `lazy`
-/// the search RSS runs; both gate probes and RSS's step 1 does not, so
-/// RSS's step 1 makes at least the calls `step1` made, less the never-read
+/// the search RSS runs; both gate probes as RSS's step 1 does, so RSS's
+/// step 1 makes exactly the calls `step1` made, less the never-read
 /// neighbours'.
 fn assert_settle_accounting(
     store: &MemStore<2>,
@@ -427,9 +427,10 @@ fn assert_settle_accounting(
     assert!(res.stats.profile_computations <= res.stats.candidates, "{what}");
     let own_step1_calls = kernel.iter().filter(|c| c.1 == Threshold::at(hi)).count() as u64;
     assert_eq!(res.stats.distance_evals, own_step1_calls + settle.outsiders.len() as u64, "{what}");
-    assert!(
-        own_step1_calls + bound.never_read.len() as u64 >= step1.stats.distance_evals,
-        "{what}: RSS's step 1 made fewer kernel calls than the gated exact AKNN"
+    assert_eq!(
+        own_step1_calls + bound.never_read.len() as u64,
+        step1.stats.distance_evals,
+        "{what}: RSS's step 1 made other kernel calls than the exact AKNN"
     );
     (settle, bound)
 }
@@ -491,8 +492,8 @@ fn rss_probes_no_object_twice() {
                     &what,
                 );
                 // What RSS's own step 1 read — each read is one kernel call
-                // at `hi`, as its step 1 never gates a probe — and of that,
-                // what it decoded and did not return.
+                // at `hi`, and a probe its gate skips is neither — and of
+                // that, what it decoded and did not return.
                 let mut step1_read: Vec<ObjectId> =
                     log.0.iter().filter(|c| c.1 == Threshold::at(hi)).map(|c| c.0).collect();
                 step1_read.sort_unstable();
@@ -524,9 +525,10 @@ fn rss_probes_no_object_twice() {
                     step1_read.len() as u64 + res.stats.candidates - in_hand - reused as u64,
                     "{what}"
                 );
-                assert!(
-                    step1_read.len() as u64 + never_read >= step1.stats.object_accesses,
-                    "{what}: RSS's step 1 read less than the gated exact AKNN"
+                assert_eq!(
+                    step1_read.len() as u64 + never_read,
+                    step1.stats.object_accesses,
+                    "{what}: RSS's step 1 read other objects than the exact AKNN"
                 );
                 seen[0] |= !settle.dropped.is_empty();
                 seen[1] |= !settle.settled.is_empty() && !settle.profiled.is_empty();
@@ -631,6 +633,10 @@ const UNREAD_COLUMNS: [usize; 2] = [READS_COLUMN, 2];
 /// `bound_evals` per gate test.
 const GATE_COLUMN: usize = 4;
 
+/// The columns of [`counters`] RSS's scan gate and its step-1 probe gate
+/// move down: `object_accesses`, `distance_evals` and `candidates`.
+const SCAN_GATE_COLUMNS: [usize; 3] = [READS_COLUMN, 2, 6];
+
 /// `before_unread` against the rows the commit before the settle step
 /// produced (`before_settle`): for RSS and RSS-ICR, equal outside
 /// [`SETTLE_COLUMNS`] and [`READS_COLUMN`], no lower in `distance_evals`
@@ -644,11 +650,15 @@ const GATE_COLUMN: usize = 4;
 /// both of the former (each gated probe is one read and one kernel call
 /// fewer) and higher by `g ≥ s` in the latter (each gate test is one bound
 /// evaluation, and only some of them skip a read); equal everywhere for RSS
-/// and RSS-ICR, whose step 1 never gates.
+/// and RSS-ICR, whose step 1 did not gate then. Last, `rows` against
+/// `before_scan_gate`, the rows of the commit before RSS's range scan gated
+/// and its step 1 ran the probe gate: for RSS and RSS-ICR, no higher in
+/// [`SCAN_GATE_COLUMNS`], no lower in [`GATE_COLUMN`] and equal elsewhere;
+/// equal everywhere for Basic.
 fn assert_only_settle_columns_moved(
     what: &str,
     algos: &[RknnAlgorithm],
-    [before_settle, before_unread, reference, rows]: [&[[u64; 7]]; 4],
+    [before_settle, before_unread, reference, before_scan_gate, rows]: [&[[u64; 7]]; 5],
 ) {
     assert_eq!(before_unread.len(), before_settle.len());
     for (i, (row, old)) in before_unread.iter().zip(before_settle).enumerate() {
@@ -688,8 +698,8 @@ fn assert_only_settle_columns_moved(
             assert_eq!(reads, evals, "{what} reference row {i}: a read saved without its call");
         }
     }
-    assert_eq!(rows.len(), reference.len());
-    for (i, (row, old)) in rows.iter().zip(reference).enumerate() {
+    assert_eq!(before_scan_gate.len(), reference.len());
+    for (i, (row, old)) in before_scan_gate.iter().zip(reference).enumerate() {
         let algo = algos[i % algos.len()];
         let basic = algo == RknnAlgorithm::Basic;
         for col in 0..7 {
@@ -710,20 +720,38 @@ fn assert_only_settle_columns_moved(
             );
         }
     }
+    assert_eq!(rows.len(), before_scan_gate.len());
+    for (i, (row, old)) in rows.iter().zip(before_scan_gate).enumerate() {
+        let algo = algos[i % algos.len()];
+        let rss = matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr);
+        for col in 0..7 {
+            let name = algo.name();
+            if rss && SCAN_GATE_COLUMNS.contains(&col) {
+                assert!(row[col] <= old[col], "{what} row {i} ({name}) column {col}: only falls");
+            } else if rss && col == GATE_COLUMN {
+                assert!(row[col] >= old[col], "{what} row {i} ({name}) column {col}: only rises");
+            } else {
+                assert_eq!(row[col], old[col], "{what} row {i} ({name}) column {col}");
+            }
+        }
+    }
 }
 
 /// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
 /// profiles — item for item, interval bit for interval bit — and their
 /// logical counters, summed over the queries per (range, algorithm),
-/// against the `pinned` rows; those against the `reference` rows of the
-/// commit before the AKNN probe gate, those against the rows of the commit
-/// before RSS left bound-confirmed neighbours unread, and those against the
-/// rows of the commit before the settle step, by the rules of
-/// [`assert_only_settle_columns_moved`].
+/// against the `pinned` rows; those against the rows of the commit before
+/// RSS's scan gate, those against the `reference` rows of the commit before
+/// the AKNN probe gate, those against the rows of the commit before RSS left
+/// bound-confirmed neighbours unread, and those against the rows of the
+/// commit before the settle step, by the rules of
+/// [`assert_only_settle_columns_moved`]. The prune counts, summed alike,
+/// account for the moves: every candidate RSS lost is one `scan_gate`, and
+/// every candidate left that step 1 did not return is one settle verdict.
 fn windowed_algorithms_equal_naive(
     what: &str,
     objects: Vec<FuzzyObject<2>>,
-    [before_settle, before_unread, reference, pinned]: [&[[u64; 7]; 12]; 4],
+    [before_settle, before_unread, reference, before_scan_gate, pinned]: [&[[u64; 7]; 12]; 5],
 ) {
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
@@ -731,9 +759,11 @@ fn windowed_algorithms_equal_naive(
     let engine = QueryEngine::new(&tree, &store);
     let cfg = AknnConfig::lb_lp_ub();
     let mut rows = Vec::new();
+    let mut prunes = Vec::new();
     for r in 0..4 {
         for algo in RknnAlgorithm::paper_variants() {
             let mut sum = [0u64; 7];
+            let mut pruned = PruneCounts::default();
             for q in &queries {
                 let (lo, hi) = window_ranges(q)[r];
                 let naive = engine.rknn(q, 5, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
@@ -748,14 +778,29 @@ fn windowed_algorithms_equal_naive(
                 for (total, c) in sum.iter_mut().zip(counters(&got.stats)) {
                     *total += c;
                 }
+                pruned += got.stats.prunes;
             }
             rows.push(sum);
+            prunes.push(pruned);
         }
     }
     assert_eq!(rows, pinned, "{what}: counters moved");
     let algos = RknnAlgorithm::paper_variants();
-    let tiers: [&[[u64; 7]]; 4] = [before_settle, before_unread, reference, pinned];
+    let tiers: [&[[u64; 7]]; 5] =
+        [before_settle, before_unread, reference, before_scan_gate, pinned];
     assert_only_settle_columns_moved(what, &algos, tiers);
+    let neighbours = 5 * queries.len() as u64;
+    for (i, ((row, old), pruned)) in rows.iter().zip(before_scan_gate).zip(&prunes).enumerate() {
+        let PruneCounts { scan_gate, outsiders_dropped, outsiders_kept, settled, .. } = *pruned;
+        if algos[i % algos.len()] == RknnAlgorithm::Basic {
+            assert_eq!([scan_gate, outsiders_dropped, outsiders_kept, settled], [0; 4], "{what}");
+            continue;
+        }
+        assert_eq!(old[6] - row[6], scan_gate, "{what} row {i}: a lost candidate not scan-gated");
+        let verdicts = outsiders_dropped + outsiders_kept;
+        assert_eq!(verdicts, row[6] - neighbours, "{what} row {i}: an outsider not asked");
+        assert!(settled <= neighbours, "{what} row {i}");
+    }
 }
 
 #[test]
@@ -810,7 +855,7 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [19, 36, 22, 5, 117, 3, 25],
         [19, 36, 22, 5, 117, 3, 25],
     ];
-    let pinned = [
+    let before_scan_gate = [
         [67, 68, 67, 16, 362, 12, 0],
         [20, 33, 22, 3, 100, 3, 22],
         [20, 33, 22, 3, 100, 3, 22],
@@ -824,7 +869,21 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [19, 36, 22, 5, 117, 3, 25],
         [19, 36, 22, 5, 117, 3, 25],
     ];
-    let rows = [&before_settle, &before_unread, &reference, &pinned];
+    let pinned = [
+        [67, 68, 67, 16, 362, 12, 0],
+        [16, 33, 17, 3, 123, 3, 19],
+        [16, 33, 17, 3, 123, 3, 19],
+        [20, 18, 20, 15, 104, 3, 0],
+        [19, 36, 23, 0, 144, 3, 19],
+        [19, 36, 23, 0, 144, 3, 19],
+        [686, 724, 686, 16, 3798, 119, 0],
+        [45, 41, 47, 39, 191, 3, 48],
+        [45, 41, 47, 39, 191, 3, 48],
+        [189, 204, 189, 16, 1080, 33, 0],
+        [19, 36, 22, 5, 146, 3, 25],
+        [19, 36, 22, 5, 146, 3, 25],
+    ];
+    let rows = [&before_settle, &before_unread, &reference, &before_scan_gate, &pinned];
     windowed_algorithms_equal_naive("synthetic", data.generate().collect(), rows);
 }
 
@@ -880,7 +939,7 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [29, 41, 32, 13, 142, 3, 36],
         [29, 41, 32, 13, 142, 3, 36],
     ];
-    let pinned = [
+    let before_scan_gate = [
         [290, 291, 290, 18, 1689, 45, 0],
         [29, 40, 32, 14, 142, 3, 36],
         [29, 40, 32, 14, 142, 3, 36],
@@ -894,7 +953,21 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [29, 41, 32, 13, 142, 3, 36],
         [29, 41, 32, 13, 142, 3, 36],
     ];
-    let rows = [&before_settle, &before_unread, &reference, &pinned];
+    let pinned = [
+        [290, 291, 290, 18, 1689, 45, 0],
+        [27, 40, 30, 14, 179, 3, 34],
+        [27, 40, 30, 14, 179, 3, 34],
+        [17, 20, 17, 15, 109, 3, 0],
+        [11, 35, 12, 0, 141, 3, 16],
+        [11, 35, 12, 0, 141, 3, 16],
+        [505, 539, 505, 18, 3044, 77, 0],
+        [39, 51, 44, 26, 217, 3, 45],
+        [39, 51, 44, 26, 217, 3, 45],
+        [229, 218, 229, 17, 1271, 34, 0],
+        [23, 41, 26, 13, 175, 3, 30],
+        [23, 41, 26, 13, 175, 3, 30],
+    ];
+    let rows = [&before_settle, &before_unread, &reference, &before_scan_gate, &pinned];
     windowed_algorithms_equal_naive("cell", data.generate().collect(), rows);
 }
 
@@ -1021,13 +1094,14 @@ fn stepped(id: u64, near: f64, far: f64, m: f64) -> FuzzyObject<2> {
         .unwrap()
 }
 
-/// Where the settle rule is at its edge, RSS and RSS-ICR still answer what
-/// Naive answers, interval bit for interval bit, under both lower bounds.
-/// Every distance here is exact in `f64`, so every tie is a tie of bits.
-#[test]
-fn rknn_settle_rule_at_its_edges_equals_naive() {
-    let origin =
-        FuzzyObject::new(ObjectId(u64::MAX), vec![Point::xy(0.0, 0.0)], vec![1.0]).unwrap();
+/// The query of the settle rule's edge cases: one point at the origin.
+fn origin() -> FuzzyObject<2> {
+    FuzzyObject::new(ObjectId(u64::MAX), vec![Point::xy(0.0, 0.0)], vec![1.0]).unwrap()
+}
+
+/// The settle rule's edge cases around [`origin`]: a tag, the objects and
+/// the ks to run.
+fn edge_fixtures() -> [(&'static str, Vec<FuzzyObject<2>>, Vec<usize>); 4] {
     // k = 3 over [0.3, 0.7]; step 1 returns {1, 4, 5} with r = 3.
     let ties = |scale: f64| -> Vec<FuzzyObject<2>> {
         let at = |id, near: f64, far: f64, m| stepped(id, near * scale, far * scale, m);
@@ -1062,7 +1136,7 @@ fn rknn_settle_rule_at_its_edges_equals_naive() {
         stepped(6, 0.0, 0.0, 1.0),
         stepped(7, 0.0, 1.0, 0.6),
     ];
-    let fixtures: [(&str, Vec<FuzzyObject<2>>, Vec<usize>); 4] = [
+    [
         ("ties", ties(1.0), vec![1, 2, 3, 4]),
         // The same at 1e-160: squared distances are subnormal, the radius'
         // inflation is lost and the guard must see that.
@@ -1070,13 +1144,24 @@ fn rknn_settle_rule_at_its_edges_equals_naive() {
         ("dense, r = 0", dense, vec![1, 2, 3, 4]),
         // k = n: r is finite and everything settles; k > n: r = ∞.
         ("k >= n", ties(1.0), vec![9, 10, 50]),
-    ];
-    for (tag, objects, ks) in fixtures {
+    ]
+}
+
+/// The windows the edge cases run on.
+const EDGE_WINDOWS: [(f64, f64); 4] = [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5), (0.05, 1.0)];
+
+/// Where the settle rule is at its edge, RSS and RSS-ICR still answer what
+/// Naive answers, interval bit for interval bit, under both lower bounds.
+/// Every distance here is exact in `f64`, so every tie is a tie of bits.
+#[test]
+fn rknn_settle_rule_at_its_edges_equals_naive() {
+    let origin = origin();
+    for (tag, objects, ks) in edge_fixtures() {
         let store = MemStore::from_objects(objects).unwrap();
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 4 });
         let engine = QueryEngine::new(&tree, &store);
         for k in ks {
-            for (lo, hi) in [(0.3, 0.7), (0.5, 0.7), (0.3, 0.5), (0.05, 1.0)] {
+            for (lo, hi) in EDGE_WINDOWS {
                 for cfg in [AknnConfig::basic(), AknnConfig::lb_lp_ub()] {
                     let naive =
                         engine.rknn(&origin, k, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
@@ -1094,4 +1179,114 @@ fn rknn_settle_rule_at_its_edges_equals_naive() {
             }
         }
     }
+}
+
+/// The tie guard holds for the scan gate too: at `r = 0`, at `r = ∞` and
+/// when `r²` is subnormal no entry is gated, and the candidates are every
+/// live entry whose bound box at `αs` lies within `r_sq` of the query's cut
+/// box — the box test's set, as before the gate.
+#[test]
+fn rknn_scan_gate_gates_nothing_under_the_tie_guard() {
+    let origin = origin();
+    let mut seen = [false; 3];
+    for (tag, objects, ks) in edge_fixtures() {
+        let store = MemStore::from_objects(objects).unwrap();
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 4 });
+        let engine = QueryEngine::new(&tree, &store);
+        for k in ks {
+            for (lo, hi) in EDGE_WINDOWS {
+                let at_hi = oracle_distances(&store, &origin, Threshold::at(hi));
+                let r = at_hi.get(k - 1).map_or(f64::INFINITY, |&(d, _)| d);
+                let r_sq = r * r * (1.0 + 4.0 * f64::EPSILON);
+                if r_sq.sqrt() > r {
+                    continue;
+                }
+                seen[0] |= r == 0.0;
+                seen[1] |= r == f64::INFINITY;
+                seen[2] |= r > 0.0 && r.is_finite();
+                let t = Threshold::at(lo);
+                let q_cut = origin.cut_mbr(t).unwrap();
+                for cfg in [AknnConfig::basic(), AknnConfig::lb_lp_ub()] {
+                    let boxed = store
+                        .summaries()
+                        .iter()
+                        .map(|s| match cfg.improved_lower_bound {
+                            true => s.approx_cut_mbr(t),
+                            false => s.support_mbr,
+                        })
+                        .filter(|b| L2.min_box_dist_sq(b, &q_cut) <= r_sq)
+                        .count() as u64;
+                    for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+                        let got = engine.rknn(&origin, k, lo, hi, algo, &cfg).unwrap();
+                        let what = format!("{tag}: k {k} [{lo}, {hi}] {}", algo.name());
+                        assert_eq!(got.stats.prunes.scan_gate, 0, "{what}");
+                        assert_eq!(got.stats.candidates, boxed, "{what}");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(seen, [true; 3], "r = 0, r = ∞ and a subnormal r² each seen");
+}
+
+/// The scan gate's box-corner case: the object `corner` at `(9, 1)` lies
+/// inside the box of the query's cut `{(0, 0), (10, 10)}` — its box lower
+/// bound is 0 — but about 9.06 from both cut points, while the two
+/// neighbours lie at 1 (`r = 1`). A low-membership query point at
+/// `(9, 1.5)` is in the query's support, 0.5 from `corner`, and in no cut at
+/// or above 0.1. Over `[0.3, 0.7]` RSS and RSS-ICR never read `corner` —
+/// step 1 gates its probe and the range scan gates its entry — and answer
+/// Naive's answer; over `[0.05, 0.7]` the point is in the `αs` cut, so
+/// `corner` is a candidate, read once, and a member up to 0.1. In memory
+/// and from an index file alike.
+#[test]
+fn rknn_scan_gate_skips_a_box_corner_object_unread() {
+    let crisp =
+        |id, x, y| FuzzyObject::new(ObjectId(id), vec![Point::xy(x, y)], vec![1.0]).unwrap();
+    let corner = ObjectId(3);
+    let objects = vec![crisp(1, 0.0, -1.0), crisp(2, 10.0, 11.0), crisp(3, 9.0, 1.0)];
+    let q = FuzzyObject::new(
+        ObjectId(9),
+        vec![Point::xy(0.0, 0.0), Point::xy(10.0, 10.0), Point::xy(9.0, 1.5)],
+        vec![1.0, 1.0, 0.1],
+    )
+    .unwrap();
+    let store = CountingStore::new(MemStore::from_objects(objects).unwrap(), Duration::ZERO);
+    let config = RTreeConfig { max_entries: 4 };
+    let tree = RTree::bulk_load(store.summaries().to_vec(), config);
+    let path = std::env::temp_dir().join(format!("fz-scan-gate-{}.fzpt", std::process::id()));
+    let paged =
+        fuzzy_index::PagedRTree::bulk_write(store.summaries().to_vec(), config, &path, 4096)
+            .unwrap();
+    let cfg = AknnConfig::lb_lp_ub();
+    let in_memory = |lo, hi, algo| QueryEngine::new(&tree, &store).rknn(&q, 2, lo, hi, algo, &cfg);
+    let from_file = |lo, hi, algo| QueryEngine::new(&paged, &store).rknn(&q, 2, lo, hi, algo, &cfg);
+    let naive = |lo, hi| in_memory(lo, hi, RknnAlgorithm::Naive).unwrap();
+    let (gated, kept) = (naive(0.3, 0.7), naive(0.05, 0.7));
+    assert!(!gated.items.iter().any(|i| i.id == corner));
+    assert!(kept.items.iter().any(|i| i.id == corner), "corner is a member below 0.1");
+    store.take();
+    let run = |paged: bool, lo, hi, algo| {
+        let res = if paged { from_file(lo, hi, algo) } else { in_memory(lo, hi, algo) };
+        res.unwrap()
+    };
+    for algo in [RknnAlgorithm::Rss, RknnAlgorithm::RssIcr] {
+        for paged in [false, true] {
+            let what = format!("{} (paged: {paged})", algo.name());
+            let res = run(paged, 0.3, 0.7, algo);
+            let read = store.take_ids();
+            assert_eq!(rknn_bits(&res), rknn_bits(&gated), "{what}");
+            assert!(!read.contains(&corner), "{what}: corner was read: {read:?}");
+            assert_eq!(res.stats.object_accesses, read.len() as u64, "{what}");
+            assert_eq!(res.stats.candidates, 2, "{what}");
+            assert_eq!((res.stats.prunes.probe_gate, res.stats.prunes.scan_gate), (1, 1), "{what}");
+
+            let res = run(paged, 0.05, 0.7, algo);
+            let read = store.take_ids();
+            assert_eq!(rknn_bits(&res), rknn_bits(&kept), "{what}");
+            assert_eq!(read.iter().filter(|&&id| id == corner).count(), 1, "{what}: {read:?}");
+            assert_eq!((res.stats.candidates, res.stats.prunes.scan_gate), (3, 0), "{what}");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -17,8 +17,8 @@ use fuzzy_store::{FileStore, FileStoreWriter, MemStore, ObjectStore};
 
 mod common;
 use common::{
-    aknn_line, fingerprint, rknn_line, run_on_threads, Answer, KernelCall, RecordingL2, Request,
-    Settle, Window,
+    aknn_line, counts, fingerprint, rknn_line, run_on_threads, Answer, KernelCall, RecordingL2,
+    Request, Settle, Window,
 };
 
 /// A deterministic pseudo-random fuzzy object (xorshift, no external RNG).
@@ -128,16 +128,7 @@ fn one_scratch_reused_across_backends_matches_fresh_scratch() {
             Err(e) => format!("err {e}\n"),
             Ok(r) => {
                 let s = *r.stats();
-                let counts = [
-                    s.object_accesses,
-                    s.node_accesses,
-                    s.node_disk_reads,
-                    s.distance_evals,
-                    s.profile_computations,
-                    s.bound_evals,
-                    s.aknn_calls,
-                    s.candidates,
-                ];
+                let counts = (counts(&s), s.node_disk_reads);
                 let line = match &r {
                     Answer::Aknn(r) => aknn_line(&r.neighbors),
                     Answer::Rknn(r) => rknn_line(&r.items),
@@ -401,17 +392,6 @@ fn rknn_windows_do_not_depend_on_where_candidates_live() {
                     let b = from_memory.rknn(q, 4, lo, hi, algo, &cfg).unwrap();
                     let what = format!("{tag} {} [{lo}, {hi}] query {}", algo.name(), q.id());
                     assert_eq!(rknn_line(&a.items), rknn_line(&b.items), "{what}");
-                    let counts = |s: &fuzzy_query::QueryStats| {
-                        [
-                            s.object_accesses,
-                            s.node_accesses,
-                            s.distance_evals,
-                            s.profile_computations,
-                            s.bound_evals,
-                            s.aknn_calls,
-                            s.candidates,
-                        ]
-                    };
                     assert_eq!(counts(&a.stats), counts(&b.stats), "{what}");
 
                     if !matches!(algo, RknnAlgorithm::Rss | RknnAlgorithm::RssIcr) {

@@ -16,7 +16,9 @@ use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, ObjectSummary, Threshol
 use fuzzy_geom::Point;
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
 use fuzzy_query::sweep::{exact_sweep, ProfiledCandidate};
-use fuzzy_query::{AknnConfig, DistBound, QueryEngine, QueryScratch, RknnAlgorithm, Versioned};
+use fuzzy_query::{
+    AknnConfig, DistBound, PruneCounts, QueryEngine, QueryScratch, RknnAlgorithm, Versioned,
+};
 use fuzzy_store::{FileStoreWriter, ObjectStore};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -225,13 +227,14 @@ fn assert_rknn_matches_oracle<A, S>(
 /// What one RSS / RSS-ICR query settled, dropped and profiled, with its
 /// answer and the counters that do not depend on the tree's shape
 /// (`object_accesses`, `distance_evals`, `profile_computations`,
-/// `aknn_calls`, `candidates`; node and bound counts follow the shape) and
+/// `aknn_calls`, `candidates` and the prune counts; node and bound counts
+/// follow the shape) and
 /// every id that reached the metric, as a neighbour, an outsider or a window.
 fn rss_settle_of<A, S>(
     engine: &QueryEngine<'_, A, S, 2>,
     q: &FuzzyObject<2>,
     algo: RknnAlgorithm,
-) -> (Vec<String>, [u64; 5], Settle, BTreeSet<u64>)
+) -> (Vec<String>, [u64; 10], Settle, BTreeSet<u64>)
 where
     A: NodeAccess<2>,
     S: ObjectStore<2>,
@@ -245,6 +248,8 @@ where
     let (kernel, windows) = metric.take();
     let step1 = engine.aknn_exact(q, k, hi, &cfg).unwrap().ids();
     let st = res.stats;
+    let PruneCounts { probe_gate, scan_gate, outsiders_dropped, outsiders_kept, settled } =
+        st.prunes;
     (
         res.items.iter().map(|item| item.to_string()).collect(),
         [
@@ -253,6 +258,11 @@ where
             st.profile_computations,
             st.aknn_calls,
             st.candidates,
+            probe_gate,
+            scan_gate,
+            outsiders_dropped,
+            outsiders_kept,
+            settled,
         ],
         Settle::of(&kernel, &windows, lo, &step1),
         kernel.iter().map(|c| c.0 .0).chain(windows.iter().map(|w| w.0 .0)).collect(),

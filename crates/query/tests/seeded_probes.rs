@@ -24,8 +24,10 @@
 //! only ever skips a probe that would have come back dominated: on data
 //! with partial cuts, duplicated objects and the query itself stored twice,
 //! every variant at inclusive and strict thresholds answers the oracle's
-//! distances, and each skipped read is one RSS's step 1 (the same search,
-//! never gated) made and found dominated. Its compare is strict, like the
+//! distances, and each read the eager variants skip is one their unseeded
+//! run made and is no nearer than the k-th distance. RSS's step 1 is the
+//! same search and gates the same probes; an object it gated is read at
+//! most once by RSS after it, or never. Its compare is strict, like the
 //! kernel's.
 
 use fuzzy_core::distance::{alpha_distance_brute, alpha_distance_sq_bounded};
@@ -319,11 +321,15 @@ struct GateSeen {
     /// It skipped an eager read under Basic, whose bound box is the support
     /// MBR the gate tests.
     eager_basic: bool,
-    /// The unseeded run read an id RSS's step 1 proved the gate skipped: no
-    /// gate without τ.
+    /// The unseeded run read an id the gate skipped: no gate without τ.
     read_unseeded: bool,
-    /// RSS's step 1 read an id the gate skipped: no gate under `reuse`.
-    read_under_reuse: bool,
+    /// RSS's step 1 gated a probe: the gate runs under `reuse`.
+    gated_under_reuse: bool,
+    /// RSS read an object its step 1 gated, once, as a range candidate.
+    read_after_step1: bool,
+    /// RSS never read an object its step 1 gated: its range scan gated it,
+    /// or its box was beyond the radius.
+    never_read: bool,
     /// It skipped a read at a strict threshold.
     strict: bool,
     /// The oracle's k-th distance was tied.
@@ -337,7 +343,9 @@ impl GateSeen {
             eager_lb: true,
             eager_basic: true,
             read_unseeded: true,
-            read_under_reuse: true,
+            gated_under_reuse: true,
+            read_after_step1: true,
+            never_read: true,
             strict: true,
             tie_at_k: true,
         }
@@ -348,34 +356,27 @@ impl GateSeen {
         self.eager_lb |= o.eager_lb;
         self.eager_basic |= o.eager_basic;
         self.read_unseeded |= o.read_unseeded;
-        self.read_under_reuse |= o.read_under_reuse;
+        self.gated_under_reuse |= o.gated_under_reuse;
+        self.read_after_step1 |= o.read_after_step1;
+        self.never_read |= o.never_read;
         self.strict |= o.strict;
         self.tie_at_k |= o.tie_at_k;
     }
 }
 
-/// The ids of `reference` the run did not read: `read` must be `reference`
-/// with exactly those removed, in order — the gate skips reads and moves
-/// nothing else.
-fn skipped(reference: &[ObjectId], read: &[ObjectId], what: &str) -> Vec<ObjectId> {
-    let gated: Vec<ObjectId> = reference.iter().copied().filter(|id| !read.contains(id)).collect();
-    let kept: Vec<ObjectId> = reference.iter().copied().filter(|id| !gated.contains(id)).collect();
-    assert_eq!(kept, read, "{what}: the gated run read what its reference did not");
-    gated
-}
-
 /// One case of the probe gate: every variant at `t`, seeded (gated) against
-/// unseeded and against the brute oracle, and its reads against a run that
-/// reads what the gate skips. At an inclusive threshold that run is RSS's
-/// step 1 — the same search under `reuse`, which never gates, so the same
-/// heap pushes in the same order: the gated run reads its reads less the
-/// skipped ones, in order, and its kernel call for each skipped id came back
-/// `None` under a finite seed — a dominated probe. For the eager variants
-/// (Basic, LB: every popped entry read) the unseeded run reads a superset up
-/// to the order of equal heap keys, which its extra heap items may reorder;
-/// an id it read and the gated run did not is one the gate skipped or a tie
-/// at the k-th key. Either way every such id is absent from the answer, its
-/// oracle squared distance no smaller than the k-th, and it was never read.
+/// unseeded and against the brute oracle. For the eager variants (Basic, LB:
+/// every popped entry read) the unseeded run reads a superset up to the
+/// order of equal heap keys, which its extra heap items may reorder; an id
+/// it read and the gated run did not is one the gate skipped or a tie at the
+/// k-th key. Every such id is absent from the answer, its oracle squared
+/// distance no smaller than the k-th, and it was never read. At an inclusive
+/// threshold RSS over `[t/2, t]` runs the same search as its step 1, under
+/// `reuse`: its kernel calls at `t`, less those that make a bound-confirmed
+/// neighbour exact, are the gated run's reads in order, its step-1 gate
+/// count is the gated run's, and it reads no object twice — so an object
+/// its step 1 gated is read once after step 1, as a range candidate, or
+/// never.
 fn check_gate(salt: u64, k: usize, t: Threshold) -> GateSeen {
     let (store, tree, q) = gate_world(salt);
     let engine = QueryEngine::new(&tree, &store);
@@ -462,18 +463,18 @@ fn check_gate(salt: u64, k: usize, t: Threshold) -> GateSeen {
                 assert!(!read.contains(id), "{what}: gated {id} was read");
             }
         };
+        // Ids the eager variants' gate skipped (or tied at the k-th key).
         let mut gated = Vec::new();
         if !cfg.lazy_probe {
             gated = read_unseeded.iter().copied().filter(|id| !read.contains(id)).collect();
             assert_skipped(&gated, &format!("{what} (unseeded)"));
+            seen.read_unseeded |= !gated.is_empty();
         }
         if !t.strict {
-            // RSS's step 1 is this search under `reuse`; its kernel calls at
-            // αe, less those that make a bound-confirmed neighbour exact, are
-            // the reads the search would make with no gate.
             let metric = RecordingL2::default();
             let alpha = t.value;
-            engine
+            store.take();
+            let rss = engine
                 .rknn_with_scratch_in(
                     &metric,
                     &q,
@@ -485,30 +486,37 @@ fn check_gate(salt: u64, k: usize, t: Threshold) -> GateSeen {
                     &mut QueryScratch::new(),
                 )
                 .unwrap();
-            store.take();
+            let rss_read = store.take();
             let bounded: Vec<ObjectId> = seeded
                 .neighbors
                 .iter()
                 .filter(|n| matches!(n.dist, DistBound::Bounded { .. }))
                 .map(|n| n.id)
                 .collect();
-            let calls: Vec<KernelCall> = metric
+            let step1: Vec<ObjectId> = metric
                 .take()
                 .0
                 .into_iter()
                 .filter(|c| c.1 == t && !bounded.contains(&c.0))
+                .map(|c| c.0)
                 .collect();
-            let reference: Vec<ObjectId> = calls.iter().map(|c| c.0).collect();
-            let by_reuse = skipped(&reference, &read, &format!("{what} (reuse)"));
-            assert_skipped(&by_reuse, &what);
-            for c in calls.iter().filter(|c| by_reuse.contains(&c.0)) {
-                assert!(c.3.is_none() && c.2.is_finite(), "{what}: {} was not dominated", c.0);
+            assert_eq!(step1, read, "{what}: RSS's step 1 read other objects");
+            assert!(rss_read.starts_with(&read), "{what}: RSS read before its step 1");
+            let (gates, rss_gates) = (seeded.stats.prunes.probe_gate, rss.stats.prunes.probe_gate);
+            assert_eq!(rss_gates, gates, "{what}: RSS's step 1 gated other probes");
+            let mut distinct = rss_read.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), rss_read.len(), "{what}: RSS read an object twice");
+            seen.gated_under_reuse |= rss_gates > 0;
+            for id in &gated {
+                match rss_read.contains(id) {
+                    true => seen.read_after_step1 = true,
+                    false => seen.never_read = true,
+                }
             }
-            seen.read_under_reuse |= !by_reuse.is_empty();
-            seen.read_unseeded |= by_reuse.iter().any(|id| read_unseeded.contains(id));
-            gated = by_reuse;
         }
-        let fired = !gated.is_empty();
+        let fired = seeded.stats.prunes.probe_gate > 0;
         match cfg.variant_name() {
             "Basic" => seen.eager_basic |= fired,
             "LB" => seen.eager_lb |= fired,

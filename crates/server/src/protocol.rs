@@ -313,7 +313,8 @@ pub enum Request {
     Shutdown,
 }
 
-/// Per-query execution costs on the wire (a fixed 72-byte block).
+/// Per-query execution costs on the wire (a fixed 72-byte block). The
+/// prune counts ([`fuzzy_query::PruneCounts`]) are not carried.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WireStats {
     /// Objects retrieved from the store.
@@ -353,7 +354,8 @@ impl From<&QueryStats> for WireStats {
 }
 
 impl WireStats {
-    /// Back-convert to the engine's stats type (wall truncated to ns).
+    /// Back-convert to the engine's stats type (wall truncated to ns; the
+    /// prune counts, which the wire does not carry, zero).
     pub fn to_query_stats(&self) -> QueryStats {
         QueryStats {
             object_accesses: self.object_accesses,
@@ -364,6 +366,7 @@ impl WireStats {
             bound_evals: self.bound_evals,
             aknn_calls: self.aknn_calls,
             candidates: self.candidates,
+            prunes: Default::default(),
             wall: Duration::from_nanos(self.wall_nanos),
         }
     }
