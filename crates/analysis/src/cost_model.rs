@@ -18,7 +18,7 @@ pub struct CostModelParams {
 ///
 /// Note the paper's data space is 100×100 while Eq. 6 is derived on the
 /// unit square; multiply by the space side length for absolute distances.
-pub fn eq6_knn_radius(k: usize, num_objects: usize) -> f64 {
+pub(crate) fn eq6_knn_radius(k: usize, num_objects: usize) -> f64 {
     if num_objects < 2 {
         return 0.0;
     }

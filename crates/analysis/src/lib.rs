@@ -13,4 +13,4 @@
 
 pub mod cost_model;
 
-pub use cost_model::{eq6_knn_radius, eq8_object_accesses, gaussian_disk_radius, CostModelParams};
+pub use cost_model::{eq8_object_accesses, gaussian_disk_radius, CostModelParams};

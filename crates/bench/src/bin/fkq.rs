@@ -32,6 +32,14 @@
 //! query through a daemon and print byte-identical answers; `swap`
 //! publishes a new index epoch without restarting the daemon.
 //! Throughput and latency are measured by fkbench (`benchmark/`), not here.
+//!
+//! A command reads what its path looks up — the path its other flags pick
+//! — and refuses the rest: a flag that path never looks up, a flag given
+//! twice, or a positional argument the command does not take is a usage
+//! error (exit 2) naming it, raised before anything is opened, written,
+//! bound or connected. So `--cache-pages` is read only beside
+//! `--index-file`, `--brute` only off the approximate path, `--query-seed`
+//! only without `--query-id`, and `--radius` only for `--kind synthetic`.
 
 use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
@@ -43,7 +51,6 @@ use fuzzy_server::{
     WireVariant,
 };
 use fuzzy_store::{FileStore, ObjectStore, StoreError};
-use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,49 +84,96 @@ fn usage() -> ! {
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut pos = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 >= args.len() {
+/// The flags and positional arguments of one command line. Each lookup
+/// marks its flag as read, so the flags a path reads are exactly the ones
+/// its code looks up; [`Flags::finish`] then refuses every other one.
+struct Flags {
+    /// `(name, value, read)` per flag, in command-line order.
+    given: Vec<(String, String, bool)>,
+    /// Positional arguments not yet taken by [`Flags::path`].
+    args: Vec<String>,
+}
+
+impl Flags {
+    /// Split `args` into flags and positionals. A flag without a value, or
+    /// one given twice, is a usage error naming it.
+    fn parse(args: &[String]) -> Self {
+        let mut flags = Self { given: Vec::new(), args: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                flags.args.push(arg.clone());
+                continue;
+            };
+            let Some(value) = it.next() else {
                 eprintln!("flag --{name} needs a value");
-                usage();
+                usage()
+            };
+            if flags.given.iter().any(|(given, ..)| given == name) {
+                eprintln!("flag --{name} is given more than once");
+                usage()
             }
-            flags.insert(name.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            pos.push(args[i].clone());
-            i += 1;
+            flags.given.push((name.to_string(), value.clone(), false));
         }
+        flags
     }
-    (pos, flags)
-}
 
-/// Refuse every flag outside `reads`, the flags `what` reads on the path
-/// its other flags picked: a flag nothing reads would be silently ignored,
-/// so it is a usage error that names the flag instead.
-fn reads_only(flags: &HashMap<String, String>, what: &str, reads: &[&str]) {
-    let mut ignored: Vec<&str> =
-        flags.keys().map(String::as_str).filter(|flag| !reads.contains(flag)).collect();
-    if ignored.is_empty() {
-        return;
-    }
-    ignored.sort_unstable();
-    for flag in ignored {
-        eprintln!("{what} does not read --{flag}");
-    }
-    usage()
-}
-
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
-    flags.get(key).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for --{key}: {v}");
+    /// The command's path argument; a usage error when there is none.
+    fn path(&mut self) -> String {
+        if self.args.is_empty() {
             usage()
-        })
-    })
+        }
+        self.args.remove(0)
+    }
+
+    /// The raw value of `--key`, marked as read.
+    fn raw(&mut self, key: &str) -> Option<&str> {
+        let (_, value, read) = self.given.iter_mut().find(|(name, ..)| name == key)?;
+        *read = true;
+        Some(value)
+    }
+
+    /// `--key` parsed, or a usage error naming it.
+    fn get<T: std::str::FromStr>(&mut self, key: &str) -> Option<T> {
+        let value = self.raw(key)?;
+        Some(value.parse().unwrap_or_else(|_| {
+            eprintln!("bad value for --{key}: {value}");
+            usage()
+        }))
+    }
+
+    /// `--key` as a comma-separated list, each item parsed.
+    fn csv<T: std::str::FromStr>(&mut self, key: &str) -> Option<Vec<T>> {
+        let value = self.raw(key)?;
+        let items = value.split(',').map(|item| {
+            item.trim().parse().unwrap_or_else(|_| {
+                eprintln!("bad value in --{key}: {item}");
+                usage()
+            })
+        });
+        Some(items.collect())
+    }
+
+    /// Refuse every flag `what` never looked up, and every positional it
+    /// did not take: a flag nothing reads would be silently ignored, so it
+    /// is a usage error that names it. Taking `self` ends the lookups;
+    /// a command calls this before it opens, writes, binds or connects
+    /// anything.
+    fn finish(self, what: &str) {
+        let mut unread: Vec<&str> =
+            self.given.iter().filter(|(.., read)| !read).map(|(name, ..)| name.as_str()).collect();
+        if unread.is_empty() && self.args.is_empty() {
+            return;
+        }
+        unread.sort_unstable();
+        for flag in unread {
+            eprintln!("{what} does not read --{flag}");
+        }
+        for arg in &self.args {
+            eprintln!("{what} does not read the argument {arg}");
+        }
+        usage()
+    }
 }
 
 fn main() {
@@ -131,34 +185,33 @@ fn main() {
         println!("fkq — query fuzzy-knn object stores\n\n{USAGE}");
         return;
     }
-    let (pos, flags) = parse_flags(&args[1..]);
+    let flags = Flags::parse(&args[1..]);
     match args[0].as_str() {
-        "generate" => generate(&flags),
-        "info" => info(pos.first().unwrap_or_else(|| usage()), &flags),
-        "build-index" => build_index(pos.first().unwrap_or_else(|| usage()), &flags),
-        "aknn" => aknn(pos.first().unwrap_or_else(|| usage()), &flags),
-        "rknn" => rknn(pos.first().unwrap_or_else(|| usage()), &flags),
-        "insert" => insert_cmd(pos.first().unwrap_or_else(|| usage()), &flags),
-        "delete" => delete_cmd(&flags),
-        "compact" => compact_cmd(&flags),
-        "serve" => serve_cmd(pos.first().unwrap_or_else(|| usage()), &flags),
-        "swap" => swap_cmd(&flags),
-        "shutdown" => shutdown_cmd(&flags),
+        "generate" => generate(flags),
+        "info" => info(flags),
+        "build-index" => build_index(flags),
+        "aknn" => aknn(flags),
+        "rknn" => rknn(flags),
+        "insert" => insert_cmd(flags),
+        "delete" => delete_cmd(flags),
+        "compact" => compact_cmd(flags),
+        "serve" => serve_cmd(flags),
+        "swap" => swap_cmd(flags),
+        "shutdown" => shutdown_cmd(flags),
         _ => usage(),
     }
 }
 
-fn generate(flags: &HashMap<String, String>) {
-    let kind = flags.get("kind").cloned().unwrap_or_else(|| "synthetic".into());
-    let mut reads = vec!["kind", "n", "ppo", "seed", "out"];
-    if kind == "synthetic" {
-        reads.push("radius");
-    }
-    reads_only(flags, &format!("generate --kind {kind}"), &reads);
-    let n: usize = get(flags, "n").unwrap_or(1_000);
-    let ppo: usize = get(flags, "ppo").unwrap_or(200);
-    let seed: u64 = get(flags, "seed").unwrap_or(42);
-    let out = flags.get("out").cloned().unwrap_or_else(|| usage());
+fn generate(mut flags: Flags) {
+    let kind: String = flags.get("kind").unwrap_or_else(|| "synthetic".into());
+    let n: usize = flags.get("n").unwrap_or(1_000);
+    let ppo: usize = flags.get("ppo").unwrap_or(200);
+    let seed: u64 = flags.get("seed").unwrap_or(42);
+    let out: Option<String> = flags.get("out");
+    // The cell generator has no radius.
+    let radius: Option<f64> = if kind == "synthetic" { flags.get("radius") } else { None };
+    flags.finish(&format!("generate --kind {kind}"));
+    let out = out.unwrap_or_else(|| usage());
     let store = match kind.as_str() {
         "synthetic" => {
             let base = SyntheticConfig::default();
@@ -166,7 +219,7 @@ fn generate(flags: &HashMap<String, String>) {
                 num_objects: n,
                 points_per_object: ppo,
                 seed,
-                radius: get(flags, "radius").unwrap_or(base.radius),
+                radius: radius.unwrap_or(base.radius),
                 ..base
             };
             fuzzy_datagen::write_dataset(&out, cfg.generate())
@@ -203,19 +256,6 @@ fn run_brute_aknn(store: &FileStore<2>, q: &FuzzyObject<2>, k: usize, alpha: f64
     );
 }
 
-fn csv_list<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<Vec<T>> {
-    flags.get(key).map(|v| {
-        v.split(',')
-            .map(|item| {
-                item.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad value in --{key}: {item}");
-                    usage()
-                })
-            })
-            .collect()
-    })
-}
-
 fn open(path: &str) -> FileStore<2> {
     FileStore::open(path).unwrap_or_else(|e| {
         eprintln!("cannot open {path}: {e}");
@@ -223,15 +263,16 @@ fn open(path: &str) -> FileStore<2> {
     })
 }
 
-fn cache_pages(flags: &HashMap<String, String>) -> usize {
-    get(flags, "cache-pages").unwrap_or(fuzzy_index::DEFAULT_CACHE_PAGES)
+/// `--cache-pages`: the buffer pool of an index file.
+fn cache_pages(flags: &mut Flags) -> usize {
+    flags.get("cache-pages").unwrap_or(fuzzy_index::DEFAULT_CACHE_PAGES)
 }
 
 /// Open a persisted index that has no sidecar delta log: the bare paged
 /// tree. (An index *with* pending inserts/deletes opens through
 /// [`open_overlay`], which replays them.)
-fn open_paged(path: &str, flags: &HashMap<String, String>) -> PagedRTree<2> {
-    PagedRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| {
+fn open_paged(path: &str, cache_pages: usize) -> PagedRTree<2> {
+    PagedRTree::open_with_cache(path, cache_pages).unwrap_or_else(|e| {
         eprintln!("cannot open index {path}: {e}");
         exit(1)
     })
@@ -240,8 +281,8 @@ fn open_paged(path: &str, flags: &HashMap<String, String>) -> PagedRTree<2> {
 /// Open an index through its overlay, replaying the sidecar delta log if
 /// one exists: the mutable view, and how fresh processes see pending
 /// inserts/deletes.
-fn open_overlay(path: &str, flags: &HashMap<String, String>) -> OverlayRTree<2> {
-    OverlayRTree::open_with_cache(path, cache_pages(flags)).unwrap_or_else(|e| {
+fn open_overlay(path: &str, cache_pages: usize) -> OverlayRTree<2> {
+    OverlayRTree::open_with_cache(path, cache_pages).unwrap_or_else(|e| {
         eprintln!("cannot open index {path}: {e}");
         exit(1)
     })
@@ -249,12 +290,16 @@ fn open_overlay(path: &str, flags: &HashMap<String, String>) -> OverlayRTree<2> 
 
 /// Insert summaries of store objects (by id) into a persisted index's
 /// overlay.
-fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
-    reads_only(flags, "insert", &["index-file", "ids", "cache-pages"]);
-    let store = open(path);
-    let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
-    let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
-    let mut overlay = open_overlay(&ix, flags);
+fn insert_cmd(mut flags: Flags) {
+    let path = flags.path();
+    let ix: Option<String> = flags.get("index-file");
+    let ids: Option<Vec<u64>> = flags.csv("ids");
+    let cache = cache_pages(&mut flags);
+    flags.finish("insert");
+    let store = open(&path);
+    let ix = ix.unwrap_or_else(|| usage());
+    let ids = ids.unwrap_or_else(|| usage());
+    let mut overlay = open_overlay(&ix, cache);
     let mut inserted = 0usize;
     for id in ids {
         let Some(summary) = store.summaries().iter().find(|s| s.id.0 == id) else {
@@ -279,11 +324,14 @@ fn insert_cmd(path: &str, flags: &HashMap<String, String>) {
 }
 
 /// Tombstone ids out of a persisted index's overlay.
-fn delete_cmd(flags: &HashMap<String, String>) {
-    reads_only(flags, "delete", &["index-file", "ids", "cache-pages"]);
-    let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
-    let ids: Vec<u64> = csv_list(flags, "ids").unwrap_or_else(|| usage());
-    let mut overlay = open_overlay(&ix, flags);
+fn delete_cmd(mut flags: Flags) {
+    let ix: Option<String> = flags.get("index-file");
+    let ids: Option<Vec<u64>> = flags.csv("ids");
+    let cache = cache_pages(&mut flags);
+    flags.finish("delete");
+    let ix = ix.unwrap_or_else(|| usage());
+    let ids = ids.unwrap_or_else(|| usage());
+    let mut overlay = open_overlay(&ix, cache);
     let mut deleted = 0usize;
     for id in ids {
         match overlay.delete(fuzzy_core::ObjectId(id)) {
@@ -304,11 +352,14 @@ fn delete_cmd(flags: &HashMap<String, String>) {
 }
 
 /// Fold a persisted index's overlay back into the file (STR bulk reload).
-fn compact_cmd(flags: &HashMap<String, String>) {
-    reads_only(flags, "compact", &["index-file", "page-size", "cache-pages"]);
-    let ix = flags.get("index-file").cloned().unwrap_or_else(|| usage());
-    let overlay = open_overlay(&ix, flags);
-    let page_size: u32 = get(flags, "page-size").unwrap_or(overlay.base().page_size());
+fn compact_cmd(mut flags: Flags) {
+    let ix: Option<String> = flags.get("index-file");
+    let page_size: Option<u32> = flags.get("page-size");
+    let cache = cache_pages(&mut flags);
+    flags.finish("compact");
+    let ix = ix.unwrap_or_else(|| usage());
+    let overlay = open_overlay(&ix, cache);
+    let page_size = page_size.unwrap_or(overlay.base().page_size());
     let pending = (overlay.pending_inserts(), overlay.pending_tombstones());
     let started = std::time::Instant::now();
     let tree = overlay.compact(page_size).unwrap_or_else(|e| {
@@ -337,12 +388,13 @@ fn refuse_page_size(e: &StoreError) {
     }
 }
 
-fn info(path: &str, flags: &HashMap<String, String>) {
-    match flags.contains_key("index-file") {
-        true => reads_only(flags, "info", &["index-file", "cache-pages"]),
-        false => reads_only(flags, "info without --index-file", &[]),
-    }
-    let store = open(path);
+fn info(mut flags: Flags) {
+    let path = flags.path();
+    // A buffer pool needs an index file.
+    let index: Option<(String, usize)> =
+        flags.get("index-file").map(|ix| (ix, cache_pages(&mut flags)));
+    flags.finish(if index.is_some() { "info" } else { "info without --index-file" });
+    let store = open(&path);
     println!("{path}: {} objects", store.len());
     let total_points: u64 = store.summaries().iter().map(|s| s.point_count as u64).sum();
     println!("  total points: {total_points}");
@@ -351,9 +403,9 @@ fn info(path: &str, flags: &HashMap<String, String>) {
         bbox.expand_mbr(&s.support_mbr);
     }
     println!("  bounding box: {bbox:?}");
-    if let Some(ix) = flags.get("index-file") {
-        if delta_path_for(ix).exists() {
-            let tree = open_overlay(ix, flags);
+    if let Some((ix, cache)) = index {
+        if delta_path_for(&ix).exists() {
+            let tree = open_overlay(&ix, cache);
             println!(
                 "  paged index {ix}: height {}, {} pages of at most {} bytes, C_max {}, \
                  overlay +{} -{} ({} live)",
@@ -366,7 +418,7 @@ fn info(path: &str, flags: &HashMap<String, String>) {
                 NodeAccess::len(&tree),
             );
         } else {
-            let tree = open_paged(ix, flags);
+            let tree = open_paged(&ix, cache);
             println!(
                 "  paged index {ix}: height {}, {} pages of at most {} bytes, C_max {}",
                 NodeAccess::height(&tree),
@@ -388,14 +440,14 @@ fn info(path: &str, flags: &HashMap<String, String>) {
 
 /// Build a persistent paged index over a store's summaries (see
 /// `docs/FORMAT.md`).
-fn build_index(path: &str, flags: &HashMap<String, String>) {
-    let out = flags.get("out").cloned().unwrap_or_else(|| usage());
-    reads_only(flags, "build-index", &["out", "page-size", "max-entries"]);
-    let store = open(path);
-    let page_size: u32 = get(flags, "page-size").unwrap_or(fuzzy_index::DEFAULT_PAGE_SIZE);
-    let config = RTreeConfig {
-        max_entries: get(flags, "max-entries").unwrap_or(RTreeConfig::default().max_entries),
-    };
+fn build_index(mut flags: Flags) {
+    let path = flags.path();
+    let out: String = flags.get("out").unwrap_or_else(|| usage());
+    let page_size: u32 = flags.get("page-size").unwrap_or(fuzzy_index::DEFAULT_PAGE_SIZE);
+    let max_entries = flags.get("max-entries").unwrap_or(RTreeConfig::default().max_entries);
+    flags.finish("build-index");
+    let store = open(&path);
+    let config = RTreeConfig { max_entries };
     let started = std::time::Instant::now();
     let tree = PagedRTree::bulk_write(store.summaries().to_vec(), config, &out, page_size)
         .unwrap_or_else(|e| {
@@ -416,42 +468,84 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
     );
 }
 
-fn query_object(
-    path: &str,
-    store: &FileStore<2>,
-    flags: &HashMap<String, String>,
-) -> FuzzyObject<2> {
-    // Query by dataset object id, or a pseudo-random member.
-    let id = match get::<u64>(flags, "query-id") {
-        Some(id) => fuzzy_core::ObjectId(id),
-        None => {
-            let seed: u64 = get(flags, "query-seed").unwrap_or(7);
-            let ids = store.ids();
-            if ids.is_empty() {
-                eprintln!("{path} stores no objects to query");
-                exit(1)
-            }
-            ids[(seed as usize) % ids.len()]
-        }
-    };
-    store
-        .probe(id)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot load query object {} from {path}: {e}", id.0);
-            exit(1)
-        })
-        .as_ref()
-        .clone()
+/// The query object, as its flags pick it: a dataset object by
+/// `--query-id`, else a pseudo-random member by `--query-seed` (which is
+/// looked up only without `--query-id`).
+enum QueryPick {
+    Id(u64),
+    Seed(u64),
 }
 
-/// The index a local query runs over, as `--index-file` selects it: a
-/// paged tree with its delta overlay replayed, the bare paged tree, or (no
-/// flag) a freshly bulk-loaded in-memory image.
-fn local_index(store: &FileStore<2>, flags: &HashMap<String, String>) -> Arc<dyn NodeAccess<2>> {
-    match flags.get("index-file") {
-        Some(ix) if delta_path_for(ix).exists() => Arc::new(open_overlay(ix, flags)),
-        Some(ix) => Arc::new(open_paged(ix, flags)),
-        None => Arc::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default())),
+impl QueryPick {
+    fn read(flags: &mut Flags) -> Self {
+        match flags.get("query-id") {
+            Some(id) => Self::Id(id),
+            None => Self::Seed(flags.get("query-seed").unwrap_or(7)),
+        }
+    }
+
+    fn object(&self, path: &str, store: &FileStore<2>) -> FuzzyObject<2> {
+        let id = match *self {
+            Self::Id(id) => fuzzy_core::ObjectId(id),
+            Self::Seed(seed) => {
+                let ids = store.ids();
+                if ids.is_empty() {
+                    eprintln!("{path} stores no objects to query");
+                    exit(1)
+                }
+                ids[(seed as usize) % ids.len()]
+            }
+        };
+        store
+            .probe(id)
+            .unwrap_or_else(|e| {
+                eprintln!("cannot load query object {} from {path}: {e}", id.0);
+                exit(1)
+            })
+            .as_ref()
+            .clone()
+    }
+}
+
+/// Where an exact query runs, as its flags pick it: through a daemon
+/// (`--server`), over a paged index file (`--index-file`, with its
+/// `--cache-pages`), or over a freshly bulk-loaded in-memory image. Only
+/// the picked place's flags are looked up.
+enum Place {
+    Server(String),
+    File(String, usize),
+    Memory,
+}
+
+impl Place {
+    fn read(flags: &mut Flags) -> Self {
+        if let Some(addr) = flags.get("server") {
+            return Self::Server(addr);
+        }
+        match flags.get("index-file") {
+            Some(ix) => Self::File(ix, cache_pages(flags)),
+            None => Self::Memory,
+        }
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            Self::Server(_) => "through --server",
+            Self::File(..) => "over --index-file",
+            Self::Memory => "over the in-memory index",
+        }
+    }
+
+    /// The index a local query runs over: a paged tree with its delta
+    /// overlay replayed, the bare paged tree, or the in-memory image.
+    fn local_index(&self, store: &FileStore<2>) -> Arc<dyn NodeAccess<2>> {
+        match self {
+            Self::File(ix, cache) if delta_path_for(ix).exists() => {
+                Arc::new(open_overlay(ix, *cache))
+            }
+            Self::File(ix, cache) => Arc::new(open_paged(ix, *cache)),
+            _ => Arc::new(RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default())),
+        }
     }
 }
 
@@ -489,29 +583,24 @@ fn valid_alpha(alpha: f64) -> Threshold {
     Threshold::at(alpha)
 }
 
-/// Resolve the `--recall-dial` flag (`exact` or a numeric budget/slack).
-fn recall_dial(flags: &HashMap<String, String>) -> fuzzy_index::RecallDial {
-    let raw = flags.get("recall-dial").map(String::as_str).unwrap_or("1");
-    fuzzy_index::RecallDial::parse(raw).unwrap_or_else(|| {
-        eprintln!("bad --recall-dial {raw}: expected 'exact' or a finite value >= 0");
-        usage()
-    })
-}
-
 /// AKNN through the approximate path: a candidate pool from a VP-tree
 /// built in memory from the store's summaries, resolved through the
-/// exact probe loop — distances stay exact, only recall follows the dial.
-/// `--measure-recall true` runs the exact engine alongside and prints the
-/// measured recall@k.
+/// exact probe loop — distances stay exact, only recall follows the dial
+/// (`exact` or a numeric budget/slack). `measure_recall` runs the exact
+/// engine alongside and prints the measured recall@k.
 fn run_approx_aknn(
     store: &FileStore<2>,
     q: &FuzzyObject<2>,
     k: usize,
     alpha: f64,
-    flags: &HashMap<String, String>,
+    dial: &str,
+    measure_recall: bool,
 ) {
     let t = valid_alpha(alpha);
-    let dial = recall_dial(flags);
+    let dial = fuzzy_index::RecallDial::parse(dial).unwrap_or_else(|| {
+        eprintln!("bad --recall-dial {dial}: expected 'exact' or a finite value >= 0");
+        usage()
+    });
     let index = fuzzy_index::VpTree::build(&L2, store.summaries());
     let res = answered(fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, dial));
     println!("{k}NN of {} at α = {alpha} (approx vptree, dial {}):", q.id(), dial.label());
@@ -522,7 +611,7 @@ fn run_approx_aknn(
         "cost: {} object accesses, {} bound evals, {:?}",
         res.stats.object_accesses, res.stats.bound_evals, res.stats.wall
     );
-    if get::<bool>(flags, "measure-recall").unwrap_or(false) {
+    if measure_recall {
         let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
         let exact = QueryEngine::new(&tree, store)
             .aknn(q, k, alpha, &AknnConfig::lb_lp_ub())
@@ -534,57 +623,40 @@ fn run_approx_aknn(
     }
 }
 
-/// The flag that picks the query object: `--query-id`, else `--query-seed`.
-fn query_flag(flags: &HashMap<String, String>) -> &'static str {
-    if flags.contains_key("query-id") {
-        "query-id"
-    } else {
-        "query-seed"
-    }
-}
-
-/// Refuse the flags an exact query (`aknn` or `rknn`, named by `cmd`) does
-/// not read: `reads` plus the flags of where it runs — a daemon, an index
-/// file, or the in-memory index.
-fn exact_reads_only(flags: &HashMap<String, String>, cmd: &str, reads: &[&str]) {
-    let (place, place_reads): (&str, &[&str]) = if flags.contains_key("server") {
-        ("through --server", &["server"])
-    } else if flags.contains_key("index-file") {
-        ("over --index-file", &["index-file", "cache-pages"])
-    } else {
-        ("over the in-memory index", &[])
-    };
-    let common = ["deadline-ms", query_flag(flags)];
-    reads_only(flags, &format!("{cmd} {place}"), &[reads, &common, place_reads].concat());
-}
-
-fn aknn(path: &str, flags: &HashMap<String, String>) {
-    let wants_approx = flags.contains_key("recall-dial");
-    let brute = !wants_approx && get::<bool>(flags, "brute").unwrap_or(false);
-    let query = ["k", "alpha", query_flag(flags)];
-    if wants_approx {
-        let approx = ["recall-dial", "measure-recall"];
-        reads_only(flags, "approximate aknn", &[&query[..], &approx].concat());
-    } else if brute {
-        reads_only(flags, "aknn --brute true", &[&query[..], &["brute"]].concat());
-    } else {
-        exact_reads_only(flags, "aknn", &["k", "alpha", "brute", "variant"]);
-    }
-    let store = open(path);
-    let k: usize = get(flags, "k").unwrap_or(10);
-    let alpha: f64 = get(flags, "alpha").unwrap_or(0.5);
-    let q = query_object(path, &store, flags);
-    if wants_approx {
-        run_approx_aknn(&store, &q, k, alpha, flags);
+fn aknn(mut flags: Flags) {
+    let path = flags.path();
+    // The approximate path answers locally from a VP-tree it builds, and
+    // the brute-force oracle from a scan: neither reads a variant, a
+    // deadline or a place to run.
+    let dial: Option<String> = flags.get("recall-dial");
+    let brute = dial.is_none() && flags.get::<bool>("brute").unwrap_or(false);
+    let k: usize = flags.get("k").unwrap_or(10);
+    let alpha: f64 = flags.get("alpha").unwrap_or(0.5);
+    let pick = QueryPick::read(&mut flags);
+    if let Some(dial) = dial {
+        let measure_recall = flags.get("measure-recall").unwrap_or(false);
+        flags.finish("approximate aknn");
+        let store = open(&path);
+        let q = pick.object(&path, &store);
+        run_approx_aknn(&store, &q, k, alpha, &dial, measure_recall);
         return;
     }
     if brute {
+        flags.finish("aknn --brute true");
+        let store = open(&path);
+        let q = pick.object(&path, &store);
         run_brute_aknn(&store, &q, k, alpha);
         return;
     }
-    let (variant, deadline_ms) = (wire_variant(flags), get(flags, "deadline-ms").unwrap_or(0));
-    let (neighbors, stats) = match flags.get("server") {
-        Some(addr) => {
+    let variant: Option<String> = flags.get("variant");
+    let deadline_ms: u32 = flags.get("deadline-ms").unwrap_or(0);
+    let place = Place::read(&mut flags);
+    flags.finish(&format!("aknn {}", place.label()));
+    let store = open(&path);
+    let q = pick.object(&path, &store);
+    let variant = wire_variant(variant.as_deref());
+    let (neighbors, stats) = match &place {
+        Place::Server(addr) => {
             let query = QuerySource::Stored(q.id());
             let request = Request::Aknn { query, k: k as u32, alpha, variant, deadline_ms };
             match call(&mut connect(addr), &request) {
@@ -592,8 +664,8 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
                 other => unexpected(&other),
             }
         }
-        None => {
-            let index = local_index(&store, flags);
+        local => {
+            let index = local.local_index(&store);
             let cfg = local_config(variant, deadline_ms);
             let res = answered(QueryEngine::new(&index, &store).aknn(&q, k, alpha, &cfg));
             (res.neighbors, res.stats)
@@ -608,7 +680,7 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
         stats.object_accesses,
         stats.node_accesses,
         stats.node_disk_reads,
-        cost_tail(&stats, !flags.contains_key("server"))
+        cost_tail(&stats, &place)
     );
 }
 
@@ -616,23 +688,30 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
 /// this process ran the query — its prune counts (the wire does not carry
 /// them). The counts hold no comma, so stripping the line's last
 /// `, …` field strips the wall time and the counts together.
-fn cost_tail(stats: &QueryStats, local: bool) -> String {
-    let prunes = if local { format!("; prunes: {}", stats.prunes) } else { String::new() };
+fn cost_tail(stats: &QueryStats, place: &Place) -> String {
+    let prunes = match place {
+        Place::Server(_) => String::new(),
+        _ => format!("; prunes: {}", stats.prunes),
+    };
     format!("{:?}{prunes}", stats.wall)
 }
 
-fn rknn(path: &str, flags: &HashMap<String, String>) {
-    let algo = flags.get("algo").map(String::as_str).unwrap_or("rss-icr");
+fn rknn(mut flags: Flags) {
+    let path = flags.path();
+    let algo: String = flags.get("algo").unwrap_or_else(|| "rss-icr".into());
+    let k: usize = flags.get("k").unwrap_or(10);
+    let start: f64 = flags.get("start").unwrap_or(0.4);
+    let end: f64 = flags.get("end").unwrap_or(0.6);
+    let pick = QueryPick::read(&mut flags);
     // Naive probes every object: it searches no tree, so it has no variant.
-    match algo {
-        "naive" => exact_reads_only(flags, "rknn --algo naive", &["k", "start", "end", "algo"]),
-        _ => exact_reads_only(flags, "rknn", &["k", "start", "end", "algo", "variant"]),
-    }
-    let store = open(path);
-    let k: usize = get(flags, "k").unwrap_or(10);
-    let start: f64 = get(flags, "start").unwrap_or(0.4);
-    let end: f64 = get(flags, "end").unwrap_or(0.6);
-    let algo = match algo {
+    let naive = algo == "naive";
+    let variant: Option<String> = if naive { None } else { flags.get("variant") };
+    let deadline_ms: u32 = flags.get("deadline-ms").unwrap_or(0);
+    let place = Place::read(&mut flags);
+    let cmd = if naive { "rknn --algo naive" } else { "rknn" };
+    flags.finish(&format!("{cmd} {}", place.label()));
+    let store = open(&path);
+    let algo = match algo.as_str() {
         "naive" => RknnAlgorithm::Naive,
         "basic" => RknnAlgorithm::Basic,
         "rss" => RknnAlgorithm::Rss,
@@ -642,10 +721,10 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
             usage()
         }
     };
-    let q = query_object(path, &store, flags);
-    let (variant, deadline_ms) = (wire_variant(flags), get(flags, "deadline-ms").unwrap_or(0));
-    let (items, stats) = match flags.get("server") {
-        Some(addr) => {
+    let q = pick.object(&path, &store);
+    let variant = wire_variant(variant.as_deref());
+    let (items, stats) = match &place {
+        Place::Server(addr) => {
             let request = Request::Rknn {
                 query: QuerySource::Stored(q.id()),
                 k: k as u32,
@@ -660,8 +739,8 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
                 other => unexpected(&other),
             }
         }
-        None => {
-            let index = local_index(&store, flags);
+        local => {
+            let index = local.local_index(&store);
             let cfg = local_config(variant, deadline_ms);
             let res =
                 answered(QueryEngine::new(&index, &store).rknn(&q, k, start, end, algo, &cfg));
@@ -676,15 +755,16 @@ fn rknn(path: &str, flags: &HashMap<String, String>) {
         "cost: {} object accesses, {} candidates, {}",
         stats.object_accesses,
         stats.candidates,
-        cost_tail(&stats, !flags.contains_key("server"))
+        cost_tail(&stats, &place)
     );
 }
 
 // ---------------------------------------------------------------------
 // Resident-server subcommands (see `docs/PROTOCOL.md`).
 
-fn wire_variant(flags: &HashMap<String, String>) -> WireVariant {
-    let name = flags.get("variant").map(String::as_str).unwrap_or("lb-lp-ub");
+/// `--variant`, by name (LB-LP-UB when not given).
+fn wire_variant(name: Option<&str>) -> WireVariant {
+    let name = name.unwrap_or("lb-lp-ub");
     WireVariant::parse(name).unwrap_or_else(|| {
         eprintln!("unknown variant {name}");
         usage()
@@ -722,24 +802,24 @@ fn unexpected(response: &Response) -> ! {
 }
 
 /// Start the resident daemon and park until a SHUTDOWN frame arrives.
-fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
-    let reads = ["listen", "index-file", "workers", "queue-depth", "cache-pages"];
-    reads_only(flags, "serve", &reads);
-    let store = open(path);
-    let index = match flags.get("index-file") {
-        Some(ix) => ServeIndex::open_paged(ix, cache_pages(flags)).unwrap_or_else(|e| {
+fn serve_cmd(mut flags: Flags) {
+    let path = flags.path();
+    let listen: Option<String> = flags.get("listen");
+    let ix: Option<String> = flags.get("index-file");
+    let workers = flags.get("workers").unwrap_or(0);
+    let queue_depth = flags.get("queue-depth").unwrap_or(64);
+    let cache = cache_pages(&mut flags);
+    flags.finish("serve");
+    let store = open(&path);
+    let index = match ix {
+        Some(ix) => ServeIndex::open_paged(&ix, cache).unwrap_or_else(|e| {
             eprintln!("cannot open index {ix}: {e}");
             exit(1)
         }),
         None => ServeIndex::mem_from_store(&store),
     };
-    let listen =
-        ListenAddr::parse(flags.get("listen").map(String::as_str).unwrap_or("127.0.0.1:7878"));
-    let opts = ServeOptions {
-        workers: get(flags, "workers").unwrap_or(0),
-        queue_depth: get(flags, "queue-depth").unwrap_or(64),
-        cache_pages: cache_pages(flags),
-    };
+    let listen = ListenAddr::parse(listen.as_deref().unwrap_or("127.0.0.1:7878"));
+    let opts = ServeOptions { workers, queue_depth, cache_pages: cache };
     let handle = serve(store, index, &listen, &opts).unwrap_or_else(|e| {
         eprintln!("cannot bind {listen}: {e}");
         exit(1)
@@ -751,10 +831,12 @@ fn serve_cmd(path: &str, flags: &HashMap<String, String>) {
 }
 
 /// Publish a new index epoch on a running daemon.
-fn swap_cmd(flags: &HashMap<String, String>) {
-    reads_only(flags, "swap", &["addr", "index-file"]);
-    let addr = flags.get("addr").cloned().unwrap_or_else(|| usage());
-    let index_path = flags.get("index-file").cloned().unwrap_or_else(|| usage());
+fn swap_cmd(mut flags: Flags) {
+    let addr: Option<String> = flags.get("addr");
+    let index_path: Option<String> = flags.get("index-file");
+    flags.finish("swap");
+    let addr = addr.unwrap_or_else(|| usage());
+    let index_path = index_path.unwrap_or_else(|| usage());
     let mut client = connect(&addr);
     match call(&mut client, &Request::Swap { index_path }) {
         Response::Swapped { epoch, objects } => {
@@ -765,9 +847,10 @@ fn swap_cmd(flags: &HashMap<String, String>) {
 }
 
 /// Ask a running daemon to exit.
-fn shutdown_cmd(flags: &HashMap<String, String>) {
-    reads_only(flags, "shutdown", &["addr"]);
-    let addr = flags.get("addr").cloned().unwrap_or_else(|| usage());
+fn shutdown_cmd(mut flags: Flags) {
+    let addr: Option<String> = flags.get("addr");
+    flags.finish("shutdown");
+    let addr = addr.unwrap_or_else(|| usage());
     let mut client = connect(&addr);
     match call(&mut client, &Request::Shutdown) {
         Response::ShutdownAck => println!("server at {addr} is shutting down"),

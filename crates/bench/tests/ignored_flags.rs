@@ -1,13 +1,16 @@
 //! `fkq` reads every flag it is given or refuses to run: a misspelt flag,
-//! or one the path picked by the other flags never reads (a daemon address
-//! beside a local-only path, a recall dial on an exact query), is a usage
-//! error — exit 2, the flag named on stderr, nothing answered on stdout —
-//! instead of an answer from somewhere the caller did not ask for. A flag
-//! read but holding a value the query refuses is bad input the same way:
-//! exit 2, not the I/O-error code 1.
+//! one the path picked by the other flags never reads (a daemon address
+//! beside a local-only path, a recall dial on an exact query), a flag given
+//! twice or a positional argument the command does not take is a usage
+//! error — exit 2, the flag or argument named on stderr, nothing answered
+//! on stdout, nothing written, bound or connected — instead of an answer
+//! from somewhere the caller did not ask for. A flag read but holding a
+//! value the query refuses is bad input the same way: exit 2, not the
+//! I/O-error code 1.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn fkq(args: &[&str], dir: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fkq")).args(args).current_dir(dir).output().expect("spawn fkq")
@@ -43,6 +46,11 @@ fn fkq_refuses_a_flag_it_would_ignore() {
         (&["rknn", "d.fzkn", "--algo", "naive", "--variant", "basic"][..], "--variant"),
         // The cell generator has no radius.
         (&["generate", "--kind", "cell", "--radius", "3", "--out", "c.fzkn"][..], "--radius"),
+        // A flag given twice has no one value: neither is read.
+        (&["aknn", "d.fzkn", "--k", "5", "--k", "7"][..], "--k"),
+        // A positional the command does not take.
+        (&["delete", "x.fzkn", "--index-file", "d.fzpt", "--ids", "1"][..], "x.fzkn"),
+        (&["aknn", "d.fzkn", "e.fzkn"][..], "e.fzkn"),
     ] {
         let out = fkq(args, &dir);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -91,6 +99,74 @@ fn fkq_answers_a_refused_argument_with_exit_2() {
             "{args:?} answered: {}",
             String::from_utf8_lossy(&out.stdout)
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every subcommand refuses a flag it does not read before it acts: each
+/// one given `--bogus 1`, on a line it would otherwise run, exits 2 naming
+/// the flag, prints nothing on stdout and leaves the directory as it was —
+/// no `--out` file, no `.fzdl` sidecar, no `unix:` socket, no compaction.
+#[test]
+fn every_subcommand_refuses_an_unread_flag_before_it_acts() {
+    let dir = std::env::temp_dir().join(format!("fz-every-command-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for setup in [
+        &["generate", "--n", "40", "--ppo", "12", "--out", "d.fzkn"][..],
+        &["build-index", "d.fzkn", "--out", "d.fzpt"][..],
+    ] {
+        let out = fkq(setup, &dir);
+        assert!(out.status.success(), "{setup:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let listing = |dir: &Path| -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = listing(&dir);
+    let commands: [&[&str]; 11] = [
+        &["generate", "--n", "10", "--ppo", "8", "--out", "g.fzkn"],
+        &["info", "d.fzkn", "--index-file", "d.fzpt"],
+        &["build-index", "d.fzkn", "--out", "b.fzpt"],
+        &["aknn", "d.fzkn", "--k", "3"],
+        &["rknn", "d.fzkn", "--k", "3"],
+        &["insert", "d.fzkn", "--index-file", "d.fzpt", "--ids", "1"],
+        &["delete", "--index-file", "d.fzpt", "--ids", "1"],
+        &["compact", "--index-file", "d.fzpt"],
+        &["serve", "d.fzkn", "--listen", "unix:s.sock"],
+        &["swap", "--addr", "unix:s.sock", "--index-file", "d.fzpt"],
+        &["shutdown", "--addr", "unix:s.sock"],
+    ];
+    for args in commands {
+        let args = [args, &["--bogus", "1"]].concat();
+        // A daemon that did not refuse would never exit: give it 20 s.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fkq"))
+            .args(&args)
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn fkq");
+        let started = Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if started.elapsed() > Duration::from_secs(20) {
+                child.kill().ok();
+                panic!("{args:?} is still running");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("does not read --bogus"), "{args:?} must name --bogus: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(listing(&dir) == before, "{args:?} changed the directory");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -22,7 +22,8 @@
 //! * [`alpha_distance_brute`] — the naive per-pair scan (with a `sqrt` per
 //!   pair), kept verbatim as the test oracle and for the `abl-dist`
 //!   ablation.
-//! * [`alpha_distance`] / [`alpha_distance_bounded`] — the adaptive kernel.
+//! * [`alpha_distance`] / [`alpha_distance_sq_bounded`] — the adaptive
+//!   kernel.
 //!   Its two arguments play different roles. The **first** is the *probed*
 //!   side — in AKNN an object decoded from the store for this one call. It
 //!   is never indexed: it is scanned point by point through its
@@ -79,7 +80,7 @@
 //!   they return bitwise-equal results (property-tested against the
 //!   oracle).
 //!
-//! The `upper_bound` seed of [`alpha_distance_bounded`] realizes the
+//! The `upper_bound_sq` seed of [`alpha_distance_sq_bounded`] realizes the
 //! bound-seeding idea the AKNN traversal exploits (§3.3–3.4): pairs at or
 //! beyond the seed are pruned, and `None` reports that no qualifying pair
 //! closer than the seed exists.
@@ -102,27 +103,6 @@ pub fn alpha_distance<const D: usize>(
     t: Threshold,
 ) -> Option<f64> {
     alpha_distance_sq_bounded(a, b, t, f64::INFINITY).map(f64::sqrt)
-}
-
-/// α-distance with a seed upper bound: pairs at distance `≥ upper_bound`
-/// are pruned. Returns `None` when no qualifying pair closer than the seed
-/// exists — callers seeding with a known-valid upper bound (Lemma 1) should
-/// treat `None` as "the seed itself is the distance witness region".
-///
-/// No distance is below a bound `≤ 0`, so such a bound (`-0.0` included)
-/// answers `None`; it is never squared into a positive one. A NaN bound is
-/// no bound at all, like `+∞`.
-pub fn alpha_distance_bounded<const D: usize>(
-    a: &FuzzyObject<D>,
-    b: &FuzzyObject<D>,
-    t: Threshold,
-    upper_bound: f64,
-) -> Option<f64> {
-    if upper_bound <= 0.0 {
-        return None;
-    }
-    let bound_sq = if upper_bound.is_finite() { upper_bound * upper_bound } else { f64::INFINITY };
-    alpha_distance_sq_bounded(a, b, t, bound_sq).map(f64::sqrt)
 }
 
 /// The squared-space workhorse behind every evaluator: the **squared**
@@ -486,15 +466,11 @@ mod tests {
         let a = blob(15, 40, 0.0, 0.0);
         let b = blob(16, 40, 0.5, 0.0);
         let t = Threshold::at(0.2);
-        let exact = alpha_distance(&a, &b, t).unwrap();
-        assert!(exact < 1.0, "a bound of 1.0 would admit the pair: {exact}");
-        // −1.0 used to be squared into a bound of 1.0.
-        for bound in [-1.0, -0.0, 0.0, f64::NEG_INFINITY] {
-            assert_eq!(alpha_distance_bounded(&a, &b, t, bound), None, "bound {bound}");
-        }
-        // NaN is no bound at all, like +∞.
-        for bound in [f64::NAN, f64::INFINITY] {
-            assert_eq!(alpha_distance_bounded(&a, &b, t, bound), Some(exact), "bound {bound}");
+        let exact_sq = alpha_distance_sq_bounded(&a, &b, t, f64::INFINITY).unwrap();
+        assert!(exact_sq < 1.0, "a bound of 1.0 would admit the pair: {exact_sq}");
+        for bound_sq in [-1.0, -0.0, 0.0, f64::NEG_INFINITY] {
+            let got = alpha_distance_sq_bounded(&a, &b, t, bound_sq);
+            assert_eq!(got, None, "bound {bound_sq}");
         }
     }
 
@@ -543,8 +519,9 @@ mod tests {
         let b = blob(10, 60, 5.0, 0.0);
         let t = Threshold::at(0.5);
         let exact = alpha_distance(&a, &b, t).unwrap();
-        assert_eq!(alpha_distance_bounded(&a, &b, t, exact + 0.5).unwrap(), exact);
-        assert_eq!(alpha_distance_bounded(&a, &b, t, exact * 0.9), None);
+        let bounded = |bound: f64| alpha_distance_sq_bounded(&a, &b, t, bound * bound);
+        assert_eq!(bounded(exact + 0.5).map(f64::sqrt), Some(exact));
+        assert_eq!(bounded(exact * 0.9), None);
     }
 
     #[test]

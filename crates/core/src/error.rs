@@ -57,7 +57,7 @@ impl fmt::Display for ModelError {
             Self::EmptyKernel => write!(
                 f,
                 "fuzzy object has an empty kernel (no point with membership 1); \
-                 normalize memberships or use FuzzyObjectBuilder::normalize_max"
+                 divide the memberships by the largest so that it is 1"
             ),
             Self::LengthMismatch { points, memberships } => {
                 write!(f, "length mismatch: {points} points vs {memberships} membership values")

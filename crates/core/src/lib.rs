@@ -36,7 +36,7 @@ pub mod threshold;
 
 pub use error::ModelError;
 pub use metric::{Metric, L2};
-pub use object::{ColumnarChecker, FuzzyObject, FuzzyObjectBuilder, MembershipPrefix, ObjectId};
+pub use object::{ColumnarChecker, FuzzyObject, MembershipPrefix, ObjectId};
 pub use profile::DistanceProfile;
 pub use summary::ObjectSummary;
 pub use threshold::Threshold;

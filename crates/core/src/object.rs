@@ -154,7 +154,7 @@ impl<const D: usize> MembershipPrefix<D> {
     /// the exact cut MBR, computed with one pass over the coordinate
     /// columns. Callers use it to skip whole prefix scans whose bounding
     /// box already lies beyond a known bound.
-    pub fn prefix_bounds(&self, n: usize) -> ([f64; D], [f64; D]) {
+    pub(crate) fn prefix_bounds(&self, n: usize) -> ([f64; D], [f64; D]) {
         // Independent lanes, folded at the end: one running minimum would
         // serialise the pass on its own latency. Coordinates are finite, so
         // the extremes do not depend on the order they are compared in.
@@ -187,7 +187,7 @@ impl<const D: usize> MembershipPrefix<D> {
     /// [`fuzzy_geom::kernel`] (explicit multi-accumulator lanes; bitwise
     /// identical to the scalar evaluators). `+∞` for an empty prefix.
     #[inline]
-    pub fn min_dist_sq_to_prefix(&self, p: &Point<D>, n: usize) -> f64 {
+    pub(crate) fn min_dist_sq_to_prefix(&self, p: &Point<D>, n: usize) -> f64 {
         let cols: [&[f64]; D] = std::array::from_fn(|d| &self.coord_column(d)[..n]);
         fuzzy_geom::kernel::min_dist_sq_cols(&cols, p.coords())
     }
@@ -380,8 +380,7 @@ impl<const D: usize> ColumnarChecker<D> {
 }
 
 impl<const D: usize> FuzzyObject<D> {
-    /// Validate and construct. See [`FuzzyObjectBuilder`] for a more
-    /// ergonomic incremental interface with optional normalization.
+    /// Validate and construct.
     pub fn new(
         id: ObjectId,
         points: Vec<Point<D>>,
@@ -554,16 +553,6 @@ impl<const D: usize> FuzzyObject<D> {
             .expect("kernel is non-empty by construction")
     }
 
-    /// Indices of points belonging to the cut selected by `t`.
-    pub fn cut_indices(&self, t: Threshold) -> Vec<usize> {
-        self.memberships()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &mu)| t.accepts(mu))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of points in the cut selected by `t` (`|A_α|`): one binary
     /// search when the prefix layout exists, one counting pass otherwise —
     /// neither view is built to answer it.
@@ -600,18 +589,11 @@ impl<const D: usize> FuzzyObject<D> {
     }
 
     /// Uniformly sample (with a simple deterministic LCG keyed on `seed`)
-    /// `n` point indices from the cut at `t`; fewer when the cut is smaller.
-    /// Used to build the query sample set `Q'_α` of §3.4.
-    pub fn sample_cut_indices(&self, t: Threshold, n: usize, seed: u64) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.sample_cut_indices_into(t, n, seed, &mut idx);
-        idx
-    }
-
-    /// [`Self::sample_cut_indices`] into a caller's buffer, which is
-    /// cleared first and keeps its capacity: the same cut index list, the
-    /// same LCG, the same samples. The AKNN search fills one its scratch
-    /// keeps, so drawing `Q'_α` allocates nothing in steady state.
+    /// `n` point indices from the cut at `t` into `idx`; fewer when the cut
+    /// is smaller. Used to build the query sample set `Q'_α` of §3.4. The
+    /// buffer is cleared first and keeps its capacity: the AKNN search
+    /// fills one its scratch keeps, so drawing `Q'_α` allocates nothing in
+    /// steady state.
     pub fn sample_cut_indices_into(&self, t: Threshold, n: usize, seed: u64, idx: &mut Vec<usize>) {
         idx.clear();
         idx.extend(
@@ -645,76 +627,6 @@ impl<const D: usize> FuzzyObject<D> {
     #[inline]
     pub fn membership(&self, i: usize) -> f64 {
         self.memberships()[i]
-    }
-}
-
-/// Incremental builder with optional max-normalization (for raw data whose
-/// largest membership is not exactly 1, e.g. probabilistic segmentation
-/// masks; the paper normalizes its datasets the same way, §6.1).
-#[derive(Clone, Debug, Default)]
-pub struct FuzzyObjectBuilder<const D: usize> {
-    points: Vec<Point<D>>,
-    memberships: Vec<f64>,
-    normalize_max: bool,
-}
-
-impl<const D: usize> FuzzyObjectBuilder<D> {
-    /// Empty builder.
-    pub fn new() -> Self {
-        Self { points: Vec::new(), memberships: Vec::new(), normalize_max: false }
-    }
-
-    /// Pre-allocate for `n` points.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            points: Vec::with_capacity(n),
-            memberships: Vec::with_capacity(n),
-            normalize_max: false,
-        }
-    }
-
-    /// Rescale memberships by `1 / max(µ)` at build time so the kernel is
-    /// non-empty. Mirrors the paper's "normalize the probability values"
-    /// dataset preparation step.
-    pub fn normalize_max(mut self, yes: bool) -> Self {
-        self.normalize_max = yes;
-        self
-    }
-
-    /// Add one probabilistic point.
-    pub fn push(&mut self, p: Point<D>, mu: f64) -> &mut Self {
-        self.points.push(p);
-        self.memberships.push(mu);
-        self
-    }
-
-    /// Number of points added so far.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points were added.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Validate and build.
-    pub fn build(mut self, id: ObjectId) -> Result<FuzzyObject<D>, ModelError> {
-        if self.normalize_max {
-            let max = self.memberships.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            if max > 0.0 && max.is_finite() {
-                for mu in &mut self.memberships {
-                    *mu /= max;
-                }
-                // Guard against 0.999999... from the division itself.
-                for mu in &mut self.memberships {
-                    if *mu > 1.0 {
-                        *mu = 1.0;
-                    }
-                }
-            }
-        }
-        FuzzyObject::new(id, self.points, self.memberships)
     }
 }
 
@@ -814,36 +726,17 @@ mod tests {
     fn sampling_is_within_cut_and_deterministic() {
         let a = obj();
         let t = Threshold::at(0.5);
-        let s1 = a.sample_cut_indices(t, 3, 99);
-        let s2 = a.sample_cut_indices(t, 3, 99);
-        assert_eq!(s1, s2);
+        let (mut s1, mut s2) = (Vec::new(), vec![7; 9]);
+        a.sample_cut_indices_into(t, 3, 99, &mut s1);
+        a.sample_cut_indices_into(t, 3, 99, &mut s2);
+        assert_eq!(s1, s2, "the buffer is cleared first");
         assert_eq!(s1.len(), 3);
         for &i in &s1 {
             assert!(t.accepts(a.membership(i)));
         }
         // Requesting more than available returns the whole cut.
-        let all = a.sample_cut_indices(t, 100, 1);
-        assert_eq!(all.len(), 5);
-    }
-
-    #[test]
-    fn builder_normalizes_to_unit_kernel() {
-        let mut b = FuzzyObjectBuilder::with_capacity(3);
-        b.push(Point::xy(0.0, 0.0), 0.8)
-            .push(Point::xy(1.0, 0.0), 0.4)
-            .push(Point::xy(0.0, 1.0), 0.2);
-        let obj = b.normalize_max(true).build(ObjectId(1)).unwrap();
-        assert_eq!(obj.memberships()[0], 1.0);
-        assert!((obj.memberships()[1] - 0.5).abs() < 1e-12);
-        assert_eq!(obj.kernel_mbr().area(), 0.0);
-    }
-
-    #[test]
-    fn builder_without_normalization_requires_kernel() {
-        let mut b = FuzzyObjectBuilder::new();
-        b.push(Point::xy(0.0, 0.0), 0.8);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.build(ObjectId(1)).unwrap_err(), ModelError::EmptyKernel);
+        a.sample_cut_indices_into(t, 100, 1, &mut s1);
+        assert_eq!(s1.len(), 5);
     }
 
     #[test]

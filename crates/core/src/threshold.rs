@@ -1,7 +1,6 @@
 //! Probability thresholds with exact strict/inclusive semantics.
 
 use fuzzy_geom::LevelFilter;
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A probability threshold α for selecting α-cuts.
@@ -71,22 +70,6 @@ impl Threshold {
     pub fn filter(&self) -> LevelFilter {
         LevelFilter { min: self.value, strict: self.strict }
     }
-
-    /// Total order by *cut inclusion*: `t1 < t2` iff the cut of `t1` is a
-    /// strict superset of the cut of `t2` for a generic object — i.e. lower
-    /// thresholds sort first, and at equal values the inclusive form sorts
-    /// before the strict form (`µ ≥ v ⊇ µ > v`).
-    #[inline]
-    pub fn cmp_cut(&self, other: &Self) -> Ordering {
-        self.value.total_cmp(&other.value).then_with(|| self.strict.cmp(&other.strict))
-    }
-
-    /// True when this threshold selects a superset of `other`'s cut
-    /// (i.e. `self` is the looser of the two).
-    #[inline]
-    pub fn is_looser_or_equal(&self, other: &Self) -> bool {
-        self.cmp_cut(other) != Ordering::Greater
-    }
 }
 
 impl fmt::Display for Threshold {
@@ -113,18 +96,6 @@ mod tests {
         assert!(!Threshold::support().accepts(0.0));
         assert!(Threshold::kernel().accepts(1.0));
         assert!(!Threshold::kernel().accepts(0.999999));
-    }
-
-    #[test]
-    fn cut_order_is_inclusion_order() {
-        let a = Threshold::at(0.3);
-        let b = Threshold::above(0.3);
-        let c = Threshold::at(0.4);
-        assert_eq!(a.cmp_cut(&b), Ordering::Less);
-        assert_eq!(b.cmp_cut(&c), Ordering::Less);
-        assert!(a.is_looser_or_equal(&b));
-        assert!(a.is_looser_or_equal(&a));
-        assert!(!c.is_looser_or_equal(&b));
     }
 
     #[test]

@@ -63,10 +63,15 @@ fn assert_observably_equal(a: &FuzzyObject<2>, b: &FuzzyObject<2>) {
         for strict in [false, true] {
             let t = Threshold { value, strict };
             assert_eq!(a.cut_len(t), b.cut_len(t), "cut_len at {t}");
-            assert_eq!(a.cut_indices(t), b.cut_indices(t), "cut_indices at {t}");
+            assert_eq!(cut_indices(a, t), cut_indices(b, t), "cut indices at {t}");
             assert_eq!(a.cut_mbr(t).map(mbr_bits), b.cut_mbr(t).map(mbr_bits), "cut_mbr at {t}");
             for seed in [1, 99] {
-                assert_eq!(a.sample_cut_indices(t, 3, seed), b.sample_cut_indices(t, 3, seed));
+                let sample = |o: &FuzzyObject<2>| {
+                    let mut idx = Vec::new();
+                    o.sample_cut_indices_into(t, 3, seed, &mut idx);
+                    idx
+                };
+                assert_eq!(sample(a), sample(b));
             }
             let f = LevelFilter { min: value, strict };
             for q in [Point::xy(0.25, -0.25), Point::xy(-2.0, 2.0), Point::xy(0.0, 0.0)] {
@@ -85,6 +90,19 @@ fn assert_observably_equal(a: &FuzzyObject<2>, b: &FuzzyObject<2>) {
     }
 }
 
+/// The indices of `o`'s cut at `t`, ascending: a sample of the whole cut.
+fn cut_indices(o: &FuzzyObject<2>, t: Threshold) -> Vec<usize> {
+    let mut idx = Vec::new();
+    o.sample_cut_indices_into(t, usize::MAX, 0, &mut idx);
+    idx
+}
+
+/// True when `a`'s cut contains `b`'s for every object: a lower value, or
+/// the same value with `a` inclusive or both alike (`µ ≥ v ⊇ µ > v`).
+fn looser_or_equal(a: Threshold, b: Threshold) -> bool {
+    (a.value, a.strict) <= (b.value, b.strict)
+}
+
 fn arb_threshold() -> impl Strategy<Value = Threshold> {
     ((0u32..=20), any::<bool>())
         .prop_map(|(v, strict)| Threshold { value: v as f64 / 20.0, strict })
@@ -96,9 +114,9 @@ proptest! {
     /// α-cuts shrink as thresholds tighten (Definition 2).
     #[test]
     fn cuts_are_nested(obj in arb_object(1, 60), t1 in arb_threshold(), t2 in arb_threshold()) {
-        let (loose, tight) = if t1.is_looser_or_equal(&t2) { (t1, t2) } else { (t2, t1) };
-        let tight_cut = obj.cut_indices(tight);
-        let loose_cut = obj.cut_indices(loose);
+        let (loose, tight) = if looser_or_equal(t1, t2) { (t1, t2) } else { (t2, t1) };
+        let tight_cut = cut_indices(&obj, tight);
+        let loose_cut = cut_indices(&obj, loose);
         prop_assert!(tight_cut.iter().all(|i| loose_cut.contains(i)));
         prop_assert!(obj.cut_len(loose) >= obj.cut_len(tight));
     }
@@ -264,12 +282,12 @@ proptest! {
         t in arb_threshold(),
         slack in 1e-9..1.0f64,
     ) {
-        use fuzzy_core::distance::alpha_distance_bounded;
+        use fuzzy_core::distance::alpha_distance_sq_bounded;
         if let Some(exact) = alpha_distance_brute(&a, &b, t) {
-            let above = alpha_distance_bounded(&a, &b, t, exact * (1.0 + slack) + f64::MIN_POSITIVE);
-            prop_assert_eq!(above.map(f64::to_bits), Some(exact.to_bits()));
-            let at = alpha_distance_bounded(&a, &b, t, exact * (1.0 - slack.min(0.5)));
-            prop_assert_eq!(at, None);
+            let bounded = |bound: f64| alpha_distance_sq_bounded(&a, &b, t, bound * bound);
+            let above = bounded(exact * (1.0 + slack) + f64::MIN_POSITIVE);
+            prop_assert_eq!(above.map(|d_sq| d_sq.sqrt().to_bits()), Some(exact.to_bits()));
+            prop_assert_eq!(bounded(exact * (1.0 - slack.min(0.5))), None);
         }
     }
 
@@ -330,7 +348,7 @@ proptest! {
         t1 in arb_threshold(),
         t2 in arb_threshold(),
     ) {
-        let (loose, tight) = if t1.is_looser_or_equal(&t2) { (t1, t2) } else { (t2, t1) };
+        let (loose, tight) = if looser_or_equal(t1, t2) { (t1, t2) } else { (t2, t1) };
         match (alpha_distance(&a, &b, loose), alpha_distance(&a, &b, tight)) {
             (Some(dl), Some(dt)) => prop_assert!(
                 dl <= dt + 1e-9,

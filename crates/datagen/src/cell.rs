@@ -15,7 +15,7 @@
 //! * **spatial clustering** — cells cluster in tissue; centres are drawn
 //!   from a Gaussian mixture rather than uniformly.
 
-use fuzzy_core::{FuzzyObject, FuzzyObjectBuilder, ObjectId};
+use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,7 +131,8 @@ impl CellConfig {
 
     fn one_object(&self, id: ObjectId, cx: f64, cy: f64, rng: &mut StdRng) -> FuzzyObject<2> {
         let shape = BlobShape::sample(rng, self.mean_radius, self.irregularity);
-        let mut b = FuzzyObjectBuilder::with_capacity(self.points_per_object);
+        let mut points = Vec::with_capacity(self.points_per_object);
+        let mut memberships = Vec::with_capacity(self.points_per_object);
         let levels = self.quantize_levels.max(2) as f64;
         for _ in 0..self.points_per_object {
             let theta = rng.gen::<f64>() * std::f64::consts::TAU;
@@ -145,9 +146,10 @@ impl CellConfig {
             let core = 1.0 / (1.0 + (-(depth - 0.35) / 0.12).exp());
             let speckle = 1.0 - 0.15 * rng.gen::<f64>();
             let mu = ((core * speckle * levels).ceil().max(1.0)) / levels;
-            b.push(Point::xy(cx + dx, cy + dy), mu);
+            points.push(Point::xy(cx + dx, cy + dy));
+            memberships.push(mu);
         }
-        b.normalize_max(true).build(id).expect("generator produces valid objects")
+        crate::normalized(id, points, memberships)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The paper's synthetic dataset (§6.1).
 
-use fuzzy_core::{FuzzyObject, FuzzyObjectBuilder, ObjectId};
+use fuzzy_core::{FuzzyObject, ObjectId};
 use fuzzy_geom::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,8 @@ impl SyntheticConfig {
     }
 
     fn one_object(&self, id: ObjectId, cx: f64, cy: f64, rng: &mut StdRng) -> FuzzyObject<2> {
-        let mut b = FuzzyObjectBuilder::with_capacity(self.points_per_object);
+        let mut points = Vec::with_capacity(self.points_per_object);
+        let mut memberships = Vec::with_capacity(self.points_per_object);
         let inv_2s2 = 1.0 / (2.0 * self.sigma * self.sigma);
         for _ in 0..self.points_per_object {
             // Uniform point in the disk (area-uniform via sqrt).
@@ -70,17 +71,18 @@ impl SyntheticConfig {
             let theta = rng.gen::<f64>() * std::f64::consts::TAU;
             let (dx, dy) = (r * theta.cos(), r * theta.sin());
             // Membership ∝ the 2-d Gaussian density at the offset; the
-            // builder's max-normalization implements the paper's "normalize
-            // the probability values across 0 to 1" step (and guarantees a
+            // max-normalization implements the paper's "normalize the
+            // probability values across 0 to 1" step (and guarantees a
             // non-empty kernel).
             let mut mu = (-(dx * dx + dy * dy) * inv_2s2).exp();
             if let Some(levels) = self.quantize_levels {
                 let l = levels.max(2) as f64;
                 mu = (mu * l).ceil().max(1.0) / l;
             }
-            b.push(Point::xy(cx + dx, cy + dy), mu);
+            points.push(Point::xy(cx + dx, cy + dy));
+            memberships.push(mu);
         }
-        b.normalize_max(true).build(id).expect("generator produces valid objects")
+        crate::normalized(id, points, memberships)
     }
 }
 

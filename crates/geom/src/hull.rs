@@ -1,42 +1,7 @@
-//! Convex hulls in the plane (Andrew's monotone chain, ref. \[3\] of the
-//! paper) and the *upper convex hull* used by Definition 6.
+//! The *upper convex hull* Definition 6 builds on (Andrew's monotone
+//! chain, ref. \[3\] of the paper).
 
 use crate::point::Point;
-
-/// Full convex hull of `points`, counter-clockwise, starting from the
-/// lexicographically smallest point. Collinear points on the hull boundary
-/// are dropped. Returns the input (deduplicated) when fewer than three
-/// distinct points exist.
-pub fn convex_hull_2d(points: &[Point<2>]) -> Vec<Point<2>> {
-    let mut pts: Vec<Point<2>> = points.to_vec();
-    pts.sort_by(|a, b| a.lex_cmp(b));
-    pts.dedup();
-    if pts.len() < 3 {
-        return pts;
-    }
-    let mut lower: Vec<Point<2>> = Vec::with_capacity(pts.len());
-    for p in &pts {
-        while lower.len() >= 2
-            && Point::cross(&lower[lower.len() - 2], &lower[lower.len() - 1], p) <= 0.0
-        {
-            lower.pop();
-        }
-        lower.push(*p);
-    }
-    let mut upper: Vec<Point<2>> = Vec::with_capacity(pts.len());
-    for p in pts.iter().rev() {
-        while upper.len() >= 2
-            && Point::cross(&upper[upper.len() - 2], &upper[upper.len() - 1], p) <= 0.0
-        {
-            upper.pop();
-        }
-        upper.push(*p);
-    }
-    lower.pop();
-    upper.pop();
-    lower.extend(upper);
-    lower
-}
 
 /// Upper convex hull (UCH) of a point cloud, left to right.
 ///
@@ -105,33 +70,6 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point<2> {
         Point::xy(x, y)
-    }
-
-    #[test]
-    fn hull_of_square_with_interior_points() {
-        let pts =
-            vec![p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0), p(0.5, 0.5), p(0.25, 0.75)];
-        let hull = convex_hull_2d(&pts);
-        assert_eq!(hull.len(), 4);
-        for corner in [p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0), p(0.0, 1.0)] {
-            assert!(hull.contains(&corner), "missing {corner:?}");
-        }
-    }
-
-    #[test]
-    fn hull_drops_collinear_boundary_points() {
-        let pts = vec![p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0), p(1.0, 1.0)];
-        let hull = convex_hull_2d(&pts);
-        assert_eq!(hull.len(), 3);
-        assert!(!hull.contains(&p(1.0, 0.0)));
-    }
-
-    #[test]
-    fn hull_degenerate_inputs() {
-        assert!(convex_hull_2d(&[]).is_empty());
-        assert_eq!(convex_hull_2d(&[p(1.0, 1.0)]), vec![p(1.0, 1.0)]);
-        let two = convex_hull_2d(&[p(0.0, 0.0), p(1.0, 1.0), p(0.0, 0.0)]);
-        assert_eq!(two.len(), 2);
     }
 
     #[test]

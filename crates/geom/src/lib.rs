@@ -6,8 +6,8 @@
 //!
 //! * [`Point`] and [`Mbr`] with the `MinDist` (Eq. 1) and `MaxDist` (Eq. 3)
 //!   metrics used as α-distance bounds throughout the paper.
-//! * [`hull`] — Andrew's monotone-chain convex hull and the *upper convex
-//!   hull* (UCH) needed by Definition 6.
+//! * [`hull`] — the *upper convex hull* (UCH) needed by Definition 6, by
+//!   Andrew's monotone chain.
 //! * [`conservative`] — the *optimal conservative approximation* of a
 //!   boundary function (Definition 6): a line `y = m·x + t` that stays above
 //!   every sample while minimising the summed squared error, found by the
@@ -32,7 +32,7 @@ pub mod mbr;
 pub mod point;
 
 pub use conservative::{fit_conservative_line, fit_conservative_line_exact, ConservativeLine};
-pub use hull::{convex_hull_2d, upper_hull_2d};
+pub use hull::upper_hull_2d;
 pub use kdtree::{KdTree, LevelFilter};
 pub use mbr::Mbr;
 pub use point::Point;

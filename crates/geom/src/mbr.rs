@@ -28,7 +28,7 @@ impl<const D: usize> Mbr<D> {
 
     /// The degenerate rectangle covering exactly one point.
     #[inline]
-    pub fn from_point(p: &Point<D>) -> Self {
+    fn from_point(p: &Point<D>) -> Self {
         Self { lo: *p.coords(), hi: *p.coords() }
     }
 
@@ -132,18 +132,6 @@ impl<const D: usize> Mbr<D> {
         Some(Self { lo, hi })
     }
 
-    /// True when the rectangles share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Self) -> bool {
-        (0..D).all(|i| self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i])
-    }
-
-    /// True when `p` lies inside or on the boundary.
-    #[inline]
-    pub fn contains_point(&self, p: &Point<D>) -> bool {
-        (0..D).all(|i| self.lo[i] <= p.coords()[i] && p.coords()[i] <= self.hi[i])
-    }
-
     /// True when `other` lies entirely inside `self` (boundaries allowed).
     #[inline]
     pub fn contains_mbr(&self, other: &Self) -> bool {
@@ -191,12 +179,6 @@ impl<const D: usize> Mbr<D> {
         acc
     }
 
-    /// `MinDist` (Eq. 1).
-    #[inline]
-    pub fn min_dist(&self, other: &Self) -> f64 {
-        self.min_dist_sq(other).sqrt()
-    }
-
     /// Squared `MaxDist` (Eq. 3): the squared largest distance between any
     /// point of `self` and any point of `other`.
     #[inline]
@@ -207,12 +189,6 @@ impl<const D: usize> Mbr<D> {
             acc += l * l;
         }
         acc
-    }
-
-    /// `MaxDist` (Eq. 3).
-    #[inline]
-    pub fn max_dist(&self, other: &Self) -> f64 {
-        self.max_dist_sq(other).sqrt()
     }
 
     /// `MinDist` from a single point (zero when inside).
@@ -285,37 +261,37 @@ mod tests {
         let a = unit();
         let b = Mbr::new([4.0, 5.0], [6.0, 7.0]);
         // Gap is 3 in x, 4 in y -> distance 5.
-        assert_eq!(a.min_dist(&b), 5.0);
-        assert_eq!(b.min_dist(&a), 5.0);
+        assert_eq!(a.min_dist_sq(&b), 25.0);
+        assert_eq!(b.min_dist_sq(&a), 25.0);
     }
 
     #[test]
     fn min_dist_overlapping_is_zero() {
         let a = unit();
         let b = Mbr::new([0.5, 0.5], [2.0, 2.0]);
-        assert_eq!(a.min_dist(&b), 0.0);
+        assert_eq!(a.min_dist_sq(&b), 0.0);
     }
 
     #[test]
     fn min_dist_axis_gap_only() {
         let a = unit();
         let b = Mbr::new([3.0, 0.0], [4.0, 1.0]);
-        assert_eq!(a.min_dist(&b), 2.0);
+        assert_eq!(a.min_dist_sq(&b), 4.0);
     }
 
     #[test]
     fn max_dist_corners() {
         let a = unit();
         let b = Mbr::new([2.0, 0.0], [3.0, 1.0]);
-        // Farthest corner pair: (0,0)-(3,1) or (0,1)-(3,0): sqrt(9+1).
-        assert!((a.max_dist(&b) - 10.0_f64.sqrt()).abs() < 1e-12);
+        // Farthest corner pair: (0,0)-(3,1) or (0,1)-(3,0): 9 + 1.
+        assert_eq!(a.max_dist_sq(&b), 10.0);
     }
 
     #[test]
     fn max_dist_of_box_with_itself() {
         let a = unit();
         // Diagonal of the unit square.
-        assert!((a.max_dist(&a) - 2.0_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(a.max_dist_sq(&a), 2.0);
     }
 
     #[test]
@@ -333,10 +309,8 @@ mod tests {
         let b = Mbr::new([0.25, 0.25], [0.75, 0.75]);
         assert!(a.contains_mbr(&b));
         assert!(!b.contains_mbr(&a));
-        assert!(a.intersects(&b));
         assert_eq!(a.intersection(&b).unwrap(), b);
         let c = Mbr::new([5.0, 5.0], [6.0, 6.0]);
-        assert!(!a.intersects(&c));
         assert!(a.intersection(&c).is_none());
     }
 
@@ -364,7 +338,7 @@ mod tests {
     #[test]
     fn min_max_dist_bound_actual_point_distances() {
         // Deterministic grid check: for all pairs of sample points inside two
-        // boxes, MinDist <= ||a-b|| <= MaxDist.
+        // boxes, MinDist² <= ||a-b||² <= MaxDist².
         let a = Mbr::new([0.0, 0.0], [2.0, 1.0]);
         let b = Mbr::new([3.0, -1.0], [5.0, 0.5]);
         let samples = |m: &Mbr<2>| {
@@ -379,10 +353,10 @@ mod tests {
             }
             v
         };
-        let (mn, mx) = (a.min_dist(&b), a.max_dist(&b));
+        let (mn, mx) = (a.min_dist_sq(&b), a.max_dist_sq(&b));
         for p in samples(&a) {
             for q in samples(&b) {
-                let d = p.dist(&q);
+                let d = p.dist_sq(&q);
                 assert!(d >= mn - 1e-12, "{d} < MinDist {mn}");
                 assert!(d <= mx + 1e-12, "{d} > MaxDist {mx}");
             }

@@ -50,9 +50,9 @@ proptest! {
             b.lo(0) + gx * b.extent(0),
             b.lo(1) + gy * b.extent(1),
         );
-        let d = p.dist(&q);
-        prop_assert!(a.min_dist(&b) <= d + 1e-9);
-        prop_assert!(d <= a.max_dist(&b) + 1e-9);
+        let d_sq = p.dist_sq(&q);
+        prop_assert!(a.min_dist_sq(&b) <= d_sq * (1.0 + 1e-9) + 1e-9);
+        prop_assert!(d_sq <= a.max_dist_sq(&b) * (1.0 + 1e-9) + 1e-9);
     }
 
     /// Union is commutative, contains both operands, and is monotone in area.
@@ -68,11 +68,11 @@ proptest! {
     /// MinDist is symmetric and zero iff the boxes intersect.
     #[test]
     fn min_dist_symmetric_and_zero_on_overlap(a in arb_mbr2(), b in arb_mbr2()) {
-        prop_assert_eq!(a.min_dist(&b), b.min_dist(&a));
-        if a.intersects(&b) {
-            prop_assert_eq!(a.min_dist(&b), 0.0);
+        prop_assert_eq!(a.min_dist_sq(&b), b.min_dist_sq(&a));
+        if a.intersection(&b).is_some() {
+            prop_assert_eq!(a.min_dist_sq(&b), 0.0);
         } else {
-            prop_assert!(a.min_dist(&b) > 0.0);
+            prop_assert!(a.min_dist_sq(&b) > 0.0);
         }
     }
 
@@ -139,19 +139,19 @@ proptest! {
         let (fa, fb) = (filtered(&pa, &ma), filtered(&pb, &mb));
         let mbr_a = Mbr::from_points(fa.iter()).expect("kernel keeps the cut non-empty");
         let mbr_b = Mbr::from_points(fb.iter()).expect("kernel keeps the cut non-empty");
-        let exact = fa
+        let exact_sq = fa
             .iter()
-            .flat_map(|p| fb.iter().map(move |q| p.dist(q)))
+            .flat_map(|p| fb.iter().map(move |q| p.dist_sq(q)))
             .fold(f64::INFINITY, f64::min);
-        prop_assert!(mbr_a.min_dist(&mbr_b) <= exact + 1e-9);
+        prop_assert!(mbr_a.min_dist_sq(&mbr_b) <= exact_sq * (1.0 + 1e-9) + 1e-9);
         // And MaxDist brackets it from above.
-        prop_assert!(exact <= mbr_a.max_dist(&mbr_b) + 1e-9);
+        prop_assert!(exact_sq <= mbr_a.max_dist_sq(&mbr_b) * (1.0 + 1e-9) + 1e-9);
         // The MBRs really are minimal: every filtered point is contained.
         for p in &fa {
-            prop_assert!(mbr_a.contains_point(p));
+            prop_assert!(mbr_a.contains_mbr(&Mbr::from_points([p]).unwrap()));
         }
         for p in &fb {
-            prop_assert!(mbr_b.contains_point(p));
+            prop_assert!(mbr_b.contains_mbr(&Mbr::from_points([p]).unwrap()));
         }
     }
 }

@@ -152,14 +152,17 @@ impl<const D: usize> OverlayRTree<D> {
     /// column, and no node page. Rejects logs that are inconsistent with
     /// the base (tombstones for unknown ids, inserts colliding with live
     /// ids).
-    pub fn with_delta(base: Arc<PagedRTree<D>>, delta: DeltaLog<D>) -> Result<Self, StoreError> {
+    pub(crate) fn with_delta(
+        base: Arc<PagedRTree<D>>,
+        delta: DeltaLog<D>,
+    ) -> Result<Self, StoreError> {
         let base_ids = base.stored_ids()?;
         Self::replay(base, base_ids, delta)
     }
 
     /// This overlay's base under the sidecar as it is on disk *now*: the
     /// open file, its warm buffer pool and its id column are shared, the
-    /// delta log is loaded afresh and held to [`OverlayRTree::with_delta`]'s
+    /// delta log is loaded afresh and held to [`OverlayRTree::open`]'s
     /// checks. What re-publishing an unchanged index file costs — the
     /// caller establishes "unchanged" ([`PagedRTree::is_file_at`]).
     pub fn reload_delta(&self) -> Result<Self, StoreError> {
@@ -406,7 +409,7 @@ impl<const D: usize> OverlayRTree<D> {
     /// sidecar untouched. The sidecar describes the *old* base, so one
     /// window remains: after the rename and before the sidecar is gone
     /// (a crash there, or a failed directory sync) the new index sits
-    /// beside a stale sidecar, which [`OverlayRTree::with_delta`] refuses
+    /// beside a stale sidecar, which [`OverlayRTree::open`] refuses
     /// with a typed error rather than replaying it — never a wrong
     /// answer; deleting the sidecar by hand yields the compacted state.
     pub fn compact(self, page_size: u32) -> Result<PagedRTree<D>, StoreError> {

@@ -443,12 +443,6 @@ impl<const D: usize> QueryScratch<D> {
         self.samples.clear();
         self.seeds.reset();
     }
-
-    /// The seed tracker, for crate-internal probe loops (the approximate
-    /// resolution reuses it across queries like the exact search does).
-    pub(crate) fn seeds_mut(&mut self) -> &mut SeedTracker {
-        &mut self.seeds
-    }
 }
 
 /// Probe-seed bookkeeping: an upper bound (squared) per *live* candidate

@@ -6,7 +6,7 @@
 //! centers (reach set by the [`RecallDial`]); this module then
 //! **resolves** the pool through the same exact probe loop the tree
 //! engines use — τ-seeded [`Metric::alpha_distance_sq_bounded`] probes
-//! with the [`QueryScratch`] seed tracker — and finishes with one
+//! with the exact search's seed tracker — and finishes with one
 //! friend-of-a-friend refinement round (expand the current answers'
 //! build-time neighbor lists, probe anything that might beat τ).
 //!
@@ -21,7 +21,7 @@
 //! bench sweep plots against QPS. [`aknn_brute`] is that oracle at its
 //! plainest: every stored object evaluated, no index at all.
 
-use crate::aknn::{inflate_sq, probe_exact, Probed, QueryScratch};
+use crate::aknn::{inflate_sq, probe_exact, Probed, SeedTracker};
 use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
@@ -34,23 +34,6 @@ use std::time::Instant;
 
 pub use fuzzy_index::RecallDial;
 
-/// Approximate AKNN with a fresh scratch; see [`approx_aknn_with_scratch`].
-pub fn approx_aknn<M, S, const D: usize>(
-    metric: &M,
-    index: &VpTree<D>,
-    store: &S,
-    q: &FuzzyObject<D>,
-    k: usize,
-    t: Threshold,
-    dial: RecallDial,
-) -> Result<AknnResult, QueryError>
-where
-    M: Metric<D> + ?Sized,
-    S: ObjectStore<D>,
-{
-    approx_aknn_with_scratch(metric, index, store, q, k, t, dial, &mut QueryScratch::new())
-}
-
 /// k nearest objects to `q` at threshold `t`, candidate-generated by
 /// `index` at `dial` and resolved exactly against `store` under
 /// `metric` (which must be the metric the index was built under).
@@ -61,8 +44,7 @@ where
 /// engine's units: `bound_evals` per candidate center bound,
 /// `object_accesses` per store probe that hit disk, `distance_evals` per
 /// α-distance evaluation.
-#[allow(clippy::too_many_arguments)]
-pub fn approx_aknn_with_scratch<M, S, const D: usize>(
+pub fn approx_aknn<M, S, const D: usize>(
     metric: &M,
     index: &VpTree<D>,
     store: &S,
@@ -70,7 +52,6 @@ pub fn approx_aknn_with_scratch<M, S, const D: usize>(
     k: usize,
     t: Threshold,
     dial: RecallDial,
-    scratch: &mut QueryScratch<D>,
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
@@ -92,7 +73,7 @@ where
     // Exact results so far, sorted by (squared distance, id); the scratch
     // seed tracker holds every probed exact distance, so its k-th
     // smallest is τ² for probe seeding.
-    let seeds = scratch.seeds_mut();
+    let seeds = &mut SeedTracker::default();
     seeds.reset();
     let mut found: Vec<(f64, ObjectId)> = Vec::with_capacity(k + 1);
     let mut probed: BTreeSet<ObjectId> = BTreeSet::new();
@@ -183,7 +164,7 @@ fn resolve<M, S, const D: usize>(
     t: Threshold,
     q_spread: f64,
     pool: &[(f64, f64, ObjectId)],
-    seeds: &mut crate::aknn::SeedTracker,
+    seeds: &mut SeedTracker,
     found: &mut Vec<(f64, ObjectId)>,
     probed: &mut BTreeSet<ObjectId>,
     stats: &mut QueryStats,

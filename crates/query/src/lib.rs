@@ -93,7 +93,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use aknn::{append_slots, AknnConfig, EntrySlot, QueryScratch};
-pub use approx::{aknn_brute, approx_aknn, approx_aknn_with_scratch, recall_at_k, RecallDial};
+pub use approx::{aknn_brute, approx_aknn, recall_at_k, RecallDial};
 pub use engine::QueryEngine;
 pub use epoch::Versioned;
 pub use error::QueryError;

@@ -172,12 +172,13 @@
 //! step 1's, plus one per bound-confirmed neighbour read, plus one per
 //! outsider step 1 never decoded. Against the exact AKNN at `αe` both
 //! counters fall by one per neighbour settled unread. `bound_evals` adds
-//! one per entry the range scan keeps and one per scan-gate test. The
-//! prune counts name the verdicts: `scan_gate` per entry gated,
-//! `outsiders_dropped` and `outsiders_kept` per settle answer, `settled`
-//! per neighbour settled. How many candidates settle is a property of the
-//! data — how far `d_α` moves across the window against the spacing of the
-//! neighbours — not of the algorithm.
+//! one per live entry the range scan's box test scores, kept or not, as
+//! the best-first search charges one per live entry it scores, and one per
+//! scan-gate test. The prune counts name the verdicts: `scan_gate` per
+//! entry gated, `outsiders_dropped` and `outsiders_kept` per settle
+//! answer, `settled` per neighbour settled. How many candidates settle is
+//! a property of the data — how far `d_α` moves across the window against
+//! the spacing of the neighbours — not of the algorithm.
 
 use crate::aknn::{
     append_slots, check_deadline, cut_reaches_box, exact_neighbor, search, AknnConfig,
@@ -218,7 +219,7 @@ fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
 ) -> Result<Vec<ObjectId>, QueryError> {
     let bound_t = cfg.improved_lower_bound.then_some(t_start);
     let (mut ids, mut slots) = (Vec::new(), Vec::new());
-    let (mut tests, mut gated) = (0, 0);
+    let (mut evals, mut gated) = (0, 0);
     let (accesses, disk_reads) = range_scan(
         tree,
         r_sq,
@@ -227,11 +228,16 @@ fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
             slots.clear();
             append_slots(&leaf, bound_t, &mut slots);
             for (j, slot) in slots.iter().enumerate() {
-                if !(leaf.is_live(j) && metric.min_box_dist_sq(&slot.bound_mbr(), q_cut) <= r_sq) {
+                if !leaf.is_live(j) {
+                    continue;
+                }
+                evals += 1;
+                let within = metric.min_box_dist_sq(&slot.bound_mbr(), q_cut) <= r_sq;
+                if !within {
                     continue;
                 }
                 if gate {
-                    tests += 1;
+                    evals += 1;
                     let support = (&slot.support_lo, &slot.support_hi);
                     if !cut_reaches_box(q, t_start, support, r_sq) {
                         gated += 1;
@@ -244,7 +250,7 @@ fn range_candidates<M: Metric<D>, A: NodeAccess<D>, const D: usize>(
     )?;
     stats.node_accesses += accesses;
     stats.node_disk_reads += disk_reads;
-    stats.bound_evals += ids.len() as u64 + tests;
+    stats.bound_evals += evals;
     stats.prunes.scan_gate += gated;
     Ok(ids)
 }

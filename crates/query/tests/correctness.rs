@@ -8,10 +8,10 @@ use fuzzy_core::metric::{Metric, L2};
 use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
 use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_geom::{Mbr, Point};
-use fuzzy_index::{RTree, RTreeConfig};
+use fuzzy_index::{range_scan, RTree, RTreeConfig};
 use fuzzy_query::{
-    AknnConfig, AknnResult, DistBound, PruneCounts, QueryEngine, QueryError, QueryScratch,
-    QueryStats, RknnAlgorithm, RknnResult,
+    aknn_brute, AknnConfig, AknnResult, DistBound, PruneCounts, QueryEngine, QueryError,
+    QueryScratch, QueryStats, RknnAlgorithm, RknnResult,
 };
 use fuzzy_store::{IoStatsSnapshot, MemStore, ObjectStore, StoreError};
 use std::sync::{Arc, Mutex};
@@ -737,10 +737,18 @@ fn assert_only_settle_columns_moved(
     }
 }
 
+/// One tier of [`windowed_algorithms_equal_naive`]'s counter rows: the
+/// four ranges × the three paper variants.
+type Rows = [[u64; 7]; 12];
+
 /// Basic, RSS and RSS-ICR on `[lo, hi]` windows against Naive on full
 /// profiles — item for item, interval bit for interval bit — and their
 /// logical counters, summed over the queries per (range, algorithm),
 /// against the `pinned` rows; those against the rows of the commit before
+/// RSS's range scan charged a `bound_evals` per live entry its box test
+/// scores (`before_box_count`: RSS and RSS-ICR rise there by exactly the
+/// entries [`box_rejected`] counts plus their `scan_gate` prunes, every
+/// other cell is equal); those against the rows of the commit before
 /// RSS's scan gate, those against the `reference` rows of the commit before
 /// the AKNN probe gate, those against the rows of the commit before RSS left
 /// bound-confirmed neighbours unread, and those against the rows of the
@@ -748,11 +756,9 @@ fn assert_only_settle_columns_moved(
 /// [`assert_only_settle_columns_moved`]. The prune counts, summed alike,
 /// account for the moves: every candidate RSS lost is one `scan_gate`, and
 /// every candidate left that step 1 did not return is one settle verdict.
-fn windowed_algorithms_equal_naive(
-    what: &str,
-    objects: Vec<FuzzyObject<2>>,
-    [before_settle, before_unread, reference, before_scan_gate, pinned]: [&[[u64; 7]; 12]; 5],
-) {
+fn windowed_algorithms_equal_naive(what: &str, objects: Vec<FuzzyObject<2>>, tiers: [&Rows; 6]) {
+    let [before_settle, before_unread, reference, before_scan_gate, before_box_count, pinned] =
+        tiers;
     let queries: Vec<FuzzyObject<2>> = objects[..3].to_vec();
     let store = MemStore::from_objects(objects).unwrap();
     let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig { max_entries: 8 });
@@ -760,12 +766,15 @@ fn windowed_algorithms_equal_naive(
     let cfg = AknnConfig::lb_lp_ub();
     let mut rows = Vec::new();
     let mut prunes = Vec::new();
+    let mut rejected = Vec::new();
     for r in 0..4 {
         for algo in RknnAlgorithm::paper_variants() {
             let mut sum = [0u64; 7];
             let mut pruned = PruneCounts::default();
+            let mut box_rejects = 0;
             for q in &queries {
                 let (lo, hi) = window_ranges(q)[r];
+                box_rejects += box_rejected(&tree, &store, q, 5, lo, hi);
                 let naive = engine.rknn(q, 5, lo, hi, RknnAlgorithm::Naive, &cfg).unwrap();
                 let got = engine.rknn(q, 5, lo, hi, algo, &cfg).unwrap();
                 assert_eq!(
@@ -782,25 +791,66 @@ fn windowed_algorithms_equal_naive(
             }
             rows.push(sum);
             prunes.push(pruned);
+            rejected.push(box_rejects);
         }
     }
     assert_eq!(rows, pinned, "{what}: counters moved");
     let algos = RknnAlgorithm::paper_variants();
     let tiers: [&[[u64; 7]]; 5] =
-        [before_settle, before_unread, reference, before_scan_gate, pinned];
+        [before_settle, before_unread, reference, before_scan_gate, before_box_count];
     assert_only_settle_columns_moved(what, &algos, tiers);
     let neighbours = 5 * queries.len() as u64;
     for (i, ((row, old), pruned)) in rows.iter().zip(before_scan_gate).zip(&prunes).enumerate() {
         let PruneCounts { scan_gate, outsiders_dropped, outsiders_kept, settled, .. } = *pruned;
+        let mut want = before_box_count[i];
         if algos[i % algos.len()] == RknnAlgorithm::Basic {
             assert_eq!([scan_gate, outsiders_dropped, outsiders_kept, settled], [0; 4], "{what}");
+            assert_eq!(*row, want, "{what} row {i}: Basic's counters moved");
             continue;
         }
+        want[GATE_COLUMN] += rejected[i] + scan_gate;
+        assert_eq!(*row, want, "{what} row {i}: not one bound per live entry scored");
         assert_eq!(old[6] - row[6], scan_gate, "{what} row {i}: a lost candidate not scan-gated");
         let verdicts = outsiders_dropped + outsiders_kept;
         assert_eq!(verdicts, row[6] - neighbours, "{what} row {i}: an outsider not asked");
         assert!(settled <= neighbours, "{what} row {i}");
     }
+}
+
+/// The live entries RSS's range scan scores for `q` on `[lo, hi]` and its
+/// box test rejects: every live entry of the leaves the scan reaches
+/// within step 1's radius, less the summaries whose Eq. 2 box at `lo` lies
+/// within it (Lemma 3's keep, gated or not). The radius is the brute-force
+/// `k`-th distance at `hi`, inflated as RSS inflates it.
+fn box_rejected(
+    tree: &RTree<2>,
+    store: &MemStore<2>,
+    q: &FuzzyObject<2>,
+    k: usize,
+    lo: f64,
+    hi: f64,
+) -> u64 {
+    let step1 = aknn_brute(&L2, store, &store.ids(), q, k, Threshold::at(hi)).unwrap();
+    let r = match step1.neighbors.len() < k {
+        true => f64::INFINITY,
+        false => step1.neighbors.iter().map(|n| n.dist.hi()).fold(0.0, f64::max),
+    };
+    let r_sq = if r.is_finite() { r * r * (1.0 + 4.0 * f64::EPSILON) } else { f64::INFINITY };
+    let t_start = Threshold::at(lo);
+    let q_cut = q.cut_mbr(t_start).unwrap();
+    let mut scored = 0;
+    range_scan(
+        tree,
+        r_sq,
+        |mbr| mbr.min_dist_sq(&q_cut),
+        |leaf| {
+            scored += (0..leaf.slots()).filter(|&j| leaf.is_live(j)).count();
+        },
+    )
+    .unwrap();
+    let within = store.summaries().iter();
+    let kept = within.filter(|s| s.approx_cut_mbr(t_start).min_dist_sq(&q_cut) <= r_sq).count();
+    (scored - kept) as u64
 }
 
 #[test]
@@ -869,7 +919,7 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [19, 36, 22, 5, 117, 3, 25],
         [19, 36, 22, 5, 117, 3, 25],
     ];
-    let pinned = [
+    let before_box_count = [
         [67, 68, 67, 16, 362, 12, 0],
         [16, 33, 17, 3, 123, 3, 19],
         [16, 33, 17, 3, 123, 3, 19],
@@ -883,7 +933,22 @@ fn windowed_rknn_equals_naive_on_continuous_memberships() {
         [19, 36, 22, 5, 146, 3, 25],
         [19, 36, 22, 5, 146, 3, 25],
     ];
-    let rows = [&before_settle, &before_unread, &reference, &before_scan_gate, &pinned];
+    let pinned = [
+        [67, 68, 67, 16, 362, 12, 0],
+        [16, 33, 17, 3, 178, 3, 19],
+        [16, 33, 17, 3, 178, 3, 19],
+        [20, 18, 20, 15, 104, 3, 0],
+        [19, 36, 23, 0, 199, 3, 19],
+        [19, 36, 23, 0, 199, 3, 19],
+        [686, 724, 686, 16, 3798, 119, 0],
+        [45, 41, 47, 39, 247, 3, 48],
+        [45, 41, 47, 39, 247, 3, 48],
+        [189, 204, 189, 16, 1080, 33, 0],
+        [19, 36, 22, 5, 195, 3, 25],
+        [19, 36, 22, 5, 195, 3, 25],
+    ];
+    let rows =
+        [&before_settle, &before_unread, &reference, &before_scan_gate, &before_box_count, &pinned];
     windowed_algorithms_equal_naive("synthetic", data.generate().collect(), rows);
 }
 
@@ -953,7 +1018,7 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [29, 41, 32, 13, 142, 3, 36],
         [29, 41, 32, 13, 142, 3, 36],
     ];
-    let pinned = [
+    let before_box_count = [
         [290, 291, 290, 18, 1689, 45, 0],
         [27, 40, 30, 14, 179, 3, 34],
         [27, 40, 30, 14, 179, 3, 34],
@@ -967,7 +1032,22 @@ fn windowed_rknn_equals_naive_on_256_level_memberships() {
         [23, 41, 26, 13, 175, 3, 30],
         [23, 41, 26, 13, 175, 3, 30],
     ];
-    let rows = [&before_settle, &before_unread, &reference, &before_scan_gate, &pinned];
+    let pinned = [
+        [290, 291, 290, 18, 1689, 45, 0],
+        [27, 40, 30, 14, 233, 3, 34],
+        [27, 40, 30, 14, 233, 3, 34],
+        [17, 20, 17, 15, 109, 3, 0],
+        [11, 35, 12, 0, 185, 3, 16],
+        [11, 35, 12, 0, 185, 3, 16],
+        [505, 539, 505, 18, 3044, 77, 0],
+        [39, 51, 44, 26, 297, 3, 45],
+        [39, 51, 44, 26, 297, 3, 45],
+        [229, 218, 229, 17, 1271, 34, 0],
+        [23, 41, 26, 13, 240, 3, 30],
+        [23, 41, 26, 13, 240, 3, 30],
+    ];
+    let rows =
+        [&before_settle, &before_unread, &reference, &before_scan_gate, &before_box_count, &pinned];
     windowed_algorithms_equal_naive("cell", data.generate().collect(), rows);
 }
 

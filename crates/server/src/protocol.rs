@@ -732,7 +732,7 @@ impl Response {
 }
 
 /// Resolve a [`QuerySource`] carried inline into an engine query object.
-pub fn inline_object(
+pub(crate) fn inline_object(
     id: ObjectId,
     rows: &[([f64; WIRE_DIMS], f64)],
 ) -> Result<FuzzyObject<WIRE_DIMS>, String> {

@@ -67,7 +67,7 @@ impl ServeIndex {
     }
 
     /// Live objects in the index.
-    pub fn object_count(&self) -> u64 {
+    pub(crate) fn object_count(&self) -> u64 {
         NodeAccess::len(&self.0) as u64
     }
 }

@@ -538,7 +538,7 @@ pub const fn summary_len(d: usize) -> usize {
 }
 
 /// Encode one summary into `e`.
-pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
+pub(crate) fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
     e.u64(s.id.0);
     e.u32(s.point_count);
     e.u32(0); // padding / future flags
@@ -568,7 +568,7 @@ pub fn encode_summary<const D: usize>(e: &mut Encoder, s: &ObjectSummary<D>) {
 /// a checksum vouches for the bytes a writer wrote, not for what they
 /// mean, so a box no summary could have must fail here rather than prune a
 /// true neighbour.
-pub fn decode_summary<const D: usize>(bytes: &[u8]) -> Result<ObjectSummary<D>, StoreError> {
+pub(crate) fn decode_summary<const D: usize>(bytes: &[u8]) -> Result<ObjectSummary<D>, StoreError> {
     let len = summary_len(D);
     let Some(record) = bytes.get(..len) else {
         return Err(DecodeError::EndOfData { need: len, at: 0, have: bytes.len() }.into());

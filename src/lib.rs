@@ -70,8 +70,7 @@ pub use fuzzy_store as store;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use fuzzy_core::{
-        DistanceProfile, FuzzyObject, FuzzyObject2, FuzzyObjectBuilder, ModelError, ObjectId,
-        ObjectSummary, Threshold,
+        DistanceProfile, FuzzyObject, FuzzyObject2, ModelError, ObjectId, ObjectSummary, Threshold,
     };
     pub use fuzzy_datagen::{CellConfig, SyntheticConfig};
     pub use fuzzy_geom::{Mbr, Point};
