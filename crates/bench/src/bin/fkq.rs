@@ -45,7 +45,7 @@ use fuzzy_core::metric::L2;
 use fuzzy_core::{FuzzyObject, Threshold};
 use fuzzy_datagen::{CellConfig, SyntheticConfig};
 use fuzzy_index::{delta_path_for, NodeAccess, OverlayRTree, PagedRTree, RTree, RTreeConfig};
-use fuzzy_query::{aknn_brute, AknnConfig, QueryEngine, QueryError, QueryStats, RknnAlgorithm};
+use fuzzy_query::{aknn_brute, AknnConfig, QueryEngine, QueryError, RknnAlgorithm};
 use fuzzy_server::{
     serve, Client, ListenAddr, QuerySource, Request, Response, ServeIndex, ServeOptions,
     WireVariant,
@@ -675,25 +675,12 @@ fn aknn(mut flags: Flags) {
     for n in &neighbors {
         println!("  {n}");
     }
+    // Local and served runs print the same line: the wire carries every
+    // counter. The prune counts hold no comma, so they close the line.
     println!(
-        "cost: {} object accesses, {} node accesses ({} from disk), {}",
-        stats.object_accesses,
-        stats.node_accesses,
-        stats.node_disk_reads,
-        cost_tail(&stats, &place)
+        "cost: {} object accesses, {} node accesses ({} from disk), {:?}; prunes: {}",
+        stats.object_accesses, stats.node_accesses, stats.node_disk_reads, stats.wall, stats.prunes
     );
-}
-
-/// The end of an engine query's `cost:` line: its wall time, then — when
-/// this process ran the query — its prune counts (the wire does not carry
-/// them). The counts hold no comma, so stripping the line's last
-/// `, …` field strips the wall time and the counts together.
-fn cost_tail(stats: &QueryStats, place: &Place) -> String {
-    let prunes = match place {
-        Place::Server(_) => String::new(),
-        _ => format!("; prunes: {}", stats.prunes),
-    };
-    format!("{:?}{prunes}", stats.wall)
 }
 
 fn rknn(mut flags: Flags) {
@@ -752,10 +739,8 @@ fn rknn(mut flags: Flags) {
         println!("  {item}");
     }
     println!(
-        "cost: {} object accesses, {} candidates, {}",
-        stats.object_accesses,
-        stats.candidates,
-        cost_tail(&stats, &place)
+        "cost: {} object accesses, {} candidates, {:?}; prunes: {}",
+        stats.object_accesses, stats.candidates, stats.wall, stats.prunes
     );
 }
 

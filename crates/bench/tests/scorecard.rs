@@ -3,9 +3,8 @@
 //!
 //! Each test runs one section's sweeps on data built in memory, sums every
 //! logical counter of [`QueryStats`] over the section's queries (wall time
-//! and buffer-pool misses are not logical; the prune counts, which explain
-//! the others, are left to the query suites), and judges the paper's
-//! shapes on those sums. A shape the data do not show reads `finding`; it fails
+//! and buffer-pool misses are not logical), and judges the paper's shapes
+//! on those sums. A shape the data do not show reads `finding`; it fails
 //! nothing. What fails is a section that differs from the committed
 //! `REPRO.json`: the test then prints the whole file with the fresh section
 //! in place, and a deliberate re-pin copies that output over the file.
@@ -98,29 +97,24 @@ impl Data {
     }
 }
 
+/// Every logical counter of `s` but `node_disk_reads`, which an in-memory
+/// image never charges.
 fn counters(s: &QueryStats) -> Json {
-    Json::obj(vec![
-        ("object_accesses", Json::num(s.object_accesses as f64)),
-        ("node_accesses", Json::num(s.node_accesses as f64)),
-        ("distance_evals", Json::num(s.distance_evals as f64)),
-        ("profile_computations", Json::num(s.profile_computations as f64)),
-        ("bound_evals", Json::num(s.bound_evals as f64)),
-        ("aknn_calls", Json::num(s.aknn_calls as f64)),
-        ("candidates", Json::num(s.candidates as f64)),
-    ])
+    let logical = s.counters().filter(|&(name, _)| name != "node_disk_reads");
+    Json::obj(logical.map(|(name, value)| (name, Json::num(value as f64))).collect())
 }
 
-/// One sweep: its rows as JSON and each row's object accesses per
-/// variant, in the variants' order.
+/// One sweep: its rows as JSON and each row's stats per variant, in the
+/// variants' order.
 #[derive(Default)]
 struct Sweep {
     rows: Vec<Json>,
-    accesses: Vec<Vec<u64>>,
+    stats: Vec<Vec<QueryStats>>,
 }
 
 impl Sweep {
     fn push(&mut self, axes: Vec<(&str, Json)>, runs: &[(&str, QueryStats)]) {
-        self.accesses.push(runs.iter().map(|(_, s)| s.object_accesses).collect());
+        self.stats.push(runs.iter().map(|(_, s)| *s).collect());
         let mut row = axes;
         row.extend(runs.iter().map(|(name, s)| (*name, counters(s))));
         self.rows.push(Json::obj(row));
@@ -156,12 +150,14 @@ impl Sweep {
 
     /// Object accesses of variant `v` down the sweep.
     fn column(&self, v: usize) -> Vec<u64> {
-        self.accesses.iter().map(|row| row[v]).collect()
+        self.stats.iter().map(|row| row[v].object_accesses).collect()
     }
 
     /// Every row orders its variants from most to fewest accesses.
     fn ordered(&self) -> bool {
-        self.accesses.iter().all(|row| never_rises(row))
+        let accesses =
+            |row: &Vec<QueryStats>| -> Vec<u64> { row.iter().map(|s| s.object_accesses).collect() };
+        self.stats.iter().all(|row| never_rises(&accesses(row)))
     }
 }
 
@@ -288,6 +284,18 @@ fn rknn_section() {
         shapes.push((
             format!("{name}: RSS's saving over Basic RKNN never falls as L grows"),
             verdict(never_falls(&saving)),
+        ));
+        // Lemma 4 lets RSS-ICR step past critical levels RSS stops at; without
+        // it the two take equal steps, which only the second shape refuses.
+        let steps: Vec<(u64, u64)> =
+            by_l.stats.iter().map(|row| (row[1].refine_steps, row[2].refine_steps)).collect();
+        shapes.push((
+            format!("{name}: RSS-ICR takes no more refinement steps than RSS on every row"),
+            verdict(steps.iter().all(|(rss, icr)| icr <= rss)),
+        ));
+        shapes.push((
+            format!("{name}: RSS-ICR takes fewer refinement steps than RSS at the longest L"),
+            verdict(steps.last().is_some_and(|(rss, icr)| icr < rss)),
         ));
         section.push((name.to_string(), Json::Arr(by_l.rows)));
     }

@@ -129,7 +129,8 @@ proptest! {
         prop_assert!(s.support_mbr.contains_mbr(&approx));
         prop_assert!(approx.contains_mbr(&s.kernel_mbr));
         if let Some(exact) = obj.cut_mbr(t) {
-            prop_assert!(approx.inflate(1e-9).contains_mbr(&exact),
+            let near = |c: &[f64; 2]| approx.min_dist_point(&Point::new(*c)) <= 1e-9;
+            prop_assert!(near(exact.lo_coords()) && near(exact.hi_coords()),
                 "approx {:?} misses exact {:?} at {}", approx, exact, t);
         }
     }

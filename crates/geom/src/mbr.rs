@@ -118,20 +118,6 @@ impl<const D: usize> Mbr<D> {
         out
     }
 
-    /// Intersection, or `None` when disjoint.
-    pub fn intersection(&self, other: &Self) -> Option<Self> {
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            lo[i] = self.lo[i].max(other.lo[i]);
-            hi[i] = self.hi[i].min(other.hi[i]);
-            if lo[i] > hi[i] {
-                return None;
-            }
-        }
-        Some(Self { lo, hi })
-    }
-
     /// True when `other` lies entirely inside `self` (boundaries allowed).
     #[inline]
     pub fn contains_mbr(&self, other: &Self) -> bool {
@@ -195,19 +181,6 @@ impl<const D: usize> Mbr<D> {
     #[inline]
     pub fn min_dist_point(&self, p: &Point<D>) -> f64 {
         p.dist_sq_to_box(&self.lo, &self.hi).sqrt()
-    }
-
-    /// Rectangle grown by `pad` on every side (negative `pad` shrinks but is
-    /// clamped so the rectangle never inverts).
-    pub fn inflate(&self, pad: f64) -> Self {
-        let mut lo = self.lo;
-        let mut hi = self.hi;
-        for i in 0..D {
-            let c = 0.5 * (lo[i] + hi[i]);
-            lo[i] = (lo[i] - pad).min(c);
-            hi[i] = (hi[i] + pad).max(c);
-        }
-        Self { lo, hi }
     }
 }
 
@@ -309,9 +282,9 @@ mod tests {
         let b = Mbr::new([0.25, 0.25], [0.75, 0.75]);
         assert!(a.contains_mbr(&b));
         assert!(!b.contains_mbr(&a));
-        assert_eq!(a.intersection(&b).unwrap(), b);
+        assert_eq!(a.min_dist_sq(&b), 0.0);
         let c = Mbr::new([5.0, 5.0], [6.0, 6.0]);
-        assert!(a.intersection(&c).is_none());
+        assert!(a.min_dist_sq(&c) > 0.0);
     }
 
     #[test]
@@ -319,20 +292,10 @@ mod tests {
         let a = unit();
         assert_eq!(a.area(), 1.0);
         let b = Mbr::new([0.5, 0.0], [1.5, 1.0]);
-        assert_eq!(a.intersection(&b).unwrap().area(), 0.5);
-        // Union is [0,1.5]x[0,1] = 1.5, so enlarging `a` to cover `b` adds 0.5.
+        // Union is [0,1.5]x[0,1] = 1.5, so enlarging `a` to cover `b` adds
+        // 0.5, and the two, of area 1 each, overlap in 0.5.
         assert_eq!(a.union(&b).area() - a.area(), 0.5);
-    }
-
-    #[test]
-    fn inflate_grows_every_side() {
-        let a = unit().inflate(0.5);
-        assert_eq!(a.lo(0), -0.5);
-        assert_eq!(a.hi(1), 1.5);
-        // Shrinking past the center clamps instead of inverting.
-        let tiny = unit().inflate(-10.0);
-        assert!(!tiny.is_empty());
-        assert!(tiny.extent(0) <= 1.0);
+        assert_eq!(a.area() + b.area() - a.union(&b).area(), 0.5);
     }
 
     #[test]

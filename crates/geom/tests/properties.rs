@@ -69,7 +69,8 @@ proptest! {
     #[test]
     fn min_dist_symmetric_and_zero_on_overlap(a in arb_mbr2(), b in arb_mbr2()) {
         prop_assert_eq!(a.min_dist_sq(&b), b.min_dist_sq(&a));
-        if a.intersection(&b).is_some() {
+        let overlap = (0..2).all(|i| a.lo(i).max(b.lo(i)) <= a.hi(i).min(b.hi(i)));
+        if overlap {
             prop_assert_eq!(a.min_dist_sq(&b), 0.0);
         } else {
             prop_assert!(a.min_dist_sq(&b) > 0.0);

@@ -451,13 +451,23 @@ impl<const D: usize> QueryScratch<D> {
 /// inserting a bound at or above the cached τ cannot change the k-th
 /// smallest, so only inserts below it and removals trigger a recompute.
 /// This keeps the bookkeeping O(1) amortized per candidate instead of a
-/// full selection per probe.
-#[derive(Default)]
+/// full selection per probe. A fresh tracker is a reset one.
 pub(crate) struct SeedTracker {
     live_ub: HashMap<ObjectId, f64>,
     tau_tmp: Vec<f64>,
     cached_tau: f64,
     dirty: bool,
+}
+
+impl Default for SeedTracker {
+    fn default() -> Self {
+        Self {
+            live_ub: HashMap::new(),
+            tau_tmp: Vec::new(),
+            cached_tau: f64::INFINITY,
+            dirty: true,
+        }
+    }
 }
 
 impl SeedTracker {
@@ -927,4 +937,22 @@ fn evict<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
         Probed::Dominated(_) => {}
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tracker fresh from `default()` needs no `reset()` first: holding k
+    /// positive bounds, it answers their k-th, not the 0 a zeroed cache
+    /// would keep.
+    #[test]
+    fn a_fresh_seed_tracker_answers_the_kth_bound() {
+        let mut seeds = SeedTracker::default();
+        assert_eq!(seeds.tau_sq(1), f64::INFINITY);
+        for (id, ub_sq) in [(1, 4.0), (2, 1.0), (3, 9.0)] {
+            seeds.insert(ObjectId(id), ub_sq);
+        }
+        assert_eq!(seeds.tau_sq(2), 4.0);
+    }
 }

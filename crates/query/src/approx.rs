@@ -74,7 +74,6 @@ where
     // seed tracker holds every probed exact distance, so its k-th
     // smallest is τ² for probe seeding.
     let seeds = &mut SeedTracker::default();
-    seeds.reset();
     let mut found: Vec<(f64, ObjectId)> = Vec::with_capacity(k + 1);
     let mut probed: BTreeSet<ObjectId> = BTreeSet::new();
 

@@ -176,7 +176,8 @@
 //! the best-first search charges one per live entry it scores, and one per
 //! scan-gate test. The prune counts name the verdicts: `scan_gate` per
 //! entry gated, `outsiders_dropped` and `outsiders_kept` per settle
-//! answer, `settled` per neighbour settled. How many candidates settle is
+//! answer, `settled` per neighbour settled. `refine_steps` counts the
+//! refinement's passes, 0 when no slot is open. How many candidates settle is
 //! a property of the data — how far `d_α` moves across the window against
 //! the spacing of the neighbours — not of the algorithm.
 
@@ -555,7 +556,8 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
         let has_non_candidates = dropped || candidate_ids.len() < store.len();
         let cap = if has_non_candidates { r } else { f64::INFINITY };
         let lemma4 = improved_refinement.then_some(cap);
-        acc.extend(refine(&profiles, slots, alpha_start, alpha_end, lemma4, cfg)?);
+        let steps = &mut stats.refine_steps;
+        acc.extend(refine(&profiles, slots, alpha_start, alpha_end, lemma4, steps, cfg)?);
     }
     Ok(collect(acc))
 }
@@ -570,13 +572,15 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
 /// non-candidates, or outsiders the settle step dropped — `cap` is the
 /// pruning radius `r`: each of them keeps a distance > r throughout the
 /// range, so `min(d̂_{k+1}, r)` is a sound (conservative) stand-in for the
-/// true global (k+1)-th distance; otherwise `cap` is `∞`.
+/// true global (k+1)-th distance; otherwise `cap` is `∞`. Each pass of the
+/// loop adds one to `steps`.
 fn refine(
     profiles: &[(ObjectId, DistanceProfile)],
     k: usize,
     alpha_start: f64,
     alpha_end: f64,
     lemma4: Option<f64>,
+    steps: &mut u64,
     cfg: &AknnConfig,
 ) -> Result<HashMap<ObjectId, IntervalSet>, QueryError> {
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
@@ -586,6 +590,7 @@ fn refine(
     let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(profiles.len());
     loop {
         check_deadline(cfg.deadline)?;
+        *steps += 1;
         scratch.clear();
         for (slot, (_, prof)) in profiles.iter().enumerate() {
             if let Some(d) = prof.value_at(t) {
@@ -652,7 +657,7 @@ mod tests {
             for k in 1..=profiles.len() + 1 {
                 let want = exact_sweep(&cands, k, lo, hi);
                 for lemma4 in [None, Some(f64::INFINITY)] {
-                    let got = collect(refine(profiles, k, lo, hi, lemma4, &cfg).unwrap());
+                    let got = collect(refine(profiles, k, lo, hi, lemma4, &mut 0, &cfg).unwrap());
                     assert_eq!(got, want, "k {k} over [{lo}, {hi}], lemma4 {lemma4:?}");
                 }
             }
@@ -688,7 +693,7 @@ mod tests {
             staircase(3, &[(0.6, 3.0), (1.0, 4.0)]),
         ];
         let cfg = AknnConfig::default();
-        let acc = refine(&profiles, 2, 0.1, 0.8, None, &cfg).unwrap();
+        let acc = refine(&profiles, 2, 0.1, 0.8, None, &mut 0, &cfg).unwrap();
         assert_eq!(acc[&ObjectId(1)].intervals(), &[Interval::closed(0.1, 0.8)]);
         refine_is_the_sweep(&profiles, &[(0.1, 0.8), (0.4, 0.6), (0.0, 1.0)]);
     }

@@ -24,29 +24,19 @@ pub struct PruneCounts {
     pub settled: u64,
 }
 
-impl AddAssign for PruneCounts {
-    fn add_assign(&mut self, rhs: Self) {
-        self.probe_gate += rhs.probe_gate;
-        self.scan_gate += rhs.scan_gate;
-        self.outsiders_dropped += rhs.outsiders_dropped;
-        self.outsiders_kept += rhs.outsiders_kept;
-        self.settled += rhs.settled;
-    }
-}
+/// The prune counts close [`QueryStats::counters`]: its last this many
+/// entries.
+const PRUNE_COUNTERS: usize = std::mem::size_of::<PruneCounts>() / std::mem::size_of::<u64>();
 
 /// `probe_gate 3 scan_gate 1 outsiders_dropped 2 outsiders_kept 4 settled
 /// 5`: space-separated, no commas, so it can close a comma-separated line.
 impl fmt::Display for PruneCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "probe_gate {} scan_gate {} outsiders_dropped {} outsiders_kept {} settled {}",
-            self.probe_gate,
-            self.scan_gate,
-            self.outsiders_dropped,
-            self.outsiders_kept,
-            self.settled
-        )
+        let all = QueryStats { prunes: *self, ..QueryStats::default() }.counters();
+        let skip = all.len() - PRUNE_COUNTERS;
+        let text: Vec<String> =
+            all.skip(skip).map(|(name, value)| format!("{name} {value}")).collect();
+        f.write_str(&text.join(" "))
     }
 }
 
@@ -81,6 +71,10 @@ pub struct QueryStats {
     pub aknn_calls: u64,
     /// Candidate set size after pruning (RSS/ICR).
     pub candidates: u64,
+    /// Passes of the RSS / RSS-ICR refinement loop (Algorithms 4 and 5):
+    /// one per probability the sweep ranks the profiles at. Lemma 4 lets
+    /// RSS-ICR step past levels RSS stops at.
+    pub refine_steps: u64,
     /// Prune-reason counts.
     pub prunes: PruneCounts,
     /// Wall-clock time of the query (Figures 12/14/15b).
@@ -89,48 +83,74 @@ pub struct QueryStats {
 
 impl AddAssign for QueryStats {
     fn add_assign(&mut self, rhs: Self) {
-        self.object_accesses += rhs.object_accesses;
-        self.node_accesses += rhs.node_accesses;
-        self.node_disk_reads += rhs.node_disk_reads;
-        self.distance_evals += rhs.distance_evals;
-        self.profile_computations += rhs.profile_computations;
-        self.bound_evals += rhs.bound_evals;
-        self.aknn_calls += rhs.aknn_calls;
-        self.candidates += rhs.candidates;
-        self.prunes += rhs.prunes;
+        for (sum, (_, value)) in self.counters_mut().zip(rhs.counters()) {
+            *sum += value;
+        }
         self.wall += rhs.wall;
     }
 }
 
 impl QueryStats {
+    /// Every counter, by name, in one fixed order: the order the wire
+    /// carries them in and every suite compares them in. The prune counts
+    /// come last. Adding a counter adds its field here and in
+    /// [`Self::counters_mut`], which lists the same fields in the same order.
+    pub fn counters(&self) -> impl ExactSizeIterator<Item = (&'static str, u64)> {
+        let p = &self.prunes;
+        [
+            ("object_accesses", self.object_accesses),
+            ("node_accesses", self.node_accesses),
+            ("node_disk_reads", self.node_disk_reads),
+            ("distance_evals", self.distance_evals),
+            ("profile_computations", self.profile_computations),
+            ("bound_evals", self.bound_evals),
+            ("aknn_calls", self.aknn_calls),
+            ("candidates", self.candidates),
+            ("refine_steps", self.refine_steps),
+            ("probe_gate", p.probe_gate),
+            ("scan_gate", p.scan_gate),
+            ("outsiders_dropped", p.outsiders_dropped),
+            ("outsiders_kept", p.outsiders_kept),
+            ("settled", p.settled),
+        ]
+        .into_iter()
+    }
+
+    /// The counters of [`Self::counters`], in its order, to write.
+    pub fn counters_mut(&mut self) -> impl ExactSizeIterator<Item = &mut u64> {
+        let p = &mut self.prunes;
+        [
+            &mut self.object_accesses,
+            &mut self.node_accesses,
+            &mut self.node_disk_reads,
+            &mut self.distance_evals,
+            &mut self.profile_computations,
+            &mut self.bound_evals,
+            &mut self.aknn_calls,
+            &mut self.candidates,
+            &mut self.refine_steps,
+            &mut p.probe_gate,
+            &mut p.scan_gate,
+            &mut p.outsiders_dropped,
+            &mut p.outsiders_kept,
+            &mut p.settled,
+        ]
+        .into_iter()
+    }
+
     /// Averages a collection of per-query stats (for experiment tables).
     pub fn mean(samples: &[QueryStats]) -> QueryStats {
-        if samples.is_empty() {
-            return QueryStats::default();
-        }
         let mut total = QueryStats::default();
         for s in samples {
             total += *s;
         }
-        let n = samples.len() as u64;
-        QueryStats {
-            object_accesses: total.object_accesses / n,
-            node_accesses: total.node_accesses / n,
-            node_disk_reads: total.node_disk_reads / n,
-            distance_evals: total.distance_evals / n,
-            profile_computations: total.profile_computations / n,
-            bound_evals: total.bound_evals / n,
-            aknn_calls: total.aknn_calls / n,
-            candidates: total.candidates / n,
-            prunes: PruneCounts {
-                probe_gate: total.prunes.probe_gate / n,
-                scan_gate: total.prunes.scan_gate / n,
-                outsiders_dropped: total.prunes.outsiders_dropped / n,
-                outsiders_kept: total.prunes.outsiders_kept / n,
-                settled: total.prunes.settled / n,
-            },
-            wall: total.wall / n as u32,
+        // No samples average to the zero stats.
+        let n = samples.len().max(1) as u64;
+        for c in total.counters_mut() {
+            *c /= n;
         }
+        total.wall /= n as u32;
+        total
     }
 }
 
@@ -166,5 +186,34 @@ mod tests {
         ];
         assert_eq!(QueryStats::mean(&samples).object_accesses, 15);
         assert_eq!(QueryStats::mean(&[]).object_accesses, 0);
+    }
+
+    #[test]
+    fn counters_mut_writes_what_counters_reads() {
+        let mut s = QueryStats::default();
+        for (i, c) in (1..).zip(s.counters_mut()) {
+            *c = i;
+        }
+        let read: Vec<u64> = s.counters().map(|(_, v)| v).collect();
+        assert_eq!(read, (1..=read.len() as u64).collect::<Vec<_>>());
+        assert_eq!(s.counters_mut().len(), read.len());
+        let names: std::collections::BTreeSet<_> = s.counters().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), read.len(), "a name listed twice");
+        // Every field but the wall time is a listed `u64`.
+        let fields = std::mem::size_of::<QueryStats>() - std::mem::size_of::<Duration>();
+        assert_eq!(fields / 8, read.len(), "a counter missing from the list");
+    }
+
+    #[test]
+    fn prune_counts_close_the_list() {
+        let prunes = PruneCounts {
+            probe_gate: 3,
+            scan_gate: 1,
+            outsiders_dropped: 2,
+            outsiders_kept: 4,
+            settled: 5,
+        };
+        let text = "probe_gate 3 scan_gate 1 outsiders_dropped 2 outsiders_kept 4 settled 5";
+        assert_eq!(prunes.to_string(), text);
     }
 }

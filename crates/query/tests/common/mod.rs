@@ -9,8 +9,8 @@ use fuzzy_core::{DistanceProfile, FuzzyObject, ObjectId, Threshold};
 use fuzzy_geom::{Mbr, Point};
 use fuzzy_index::NodeAccess;
 use fuzzy_query::{
-    AknnConfig, AknnResult, DistBound, Neighbor, PruneCounts, QueryEngine, QueryError,
-    QueryScratch, QueryStats, RknnAlgorithm, RknnItem, RknnResult,
+    AknnConfig, AknnResult, DistBound, Neighbor, QueryEngine, QueryError, QueryScratch, QueryStats,
+    RknnAlgorithm, RknnItem, RknnResult,
 };
 use fuzzy_store::ObjectStore;
 use std::sync::Mutex;
@@ -173,23 +173,8 @@ pub fn fingerprint(answers: &[Result<Answer, QueryError>]) -> String {
 
 /// The count fields of a stats record, prune counts included: everything
 /// except the wall clock and `node_disk_reads`.
-pub fn counts(s: &QueryStats) -> [u64; 12] {
-    let PruneCounts { probe_gate, scan_gate, outsiders_dropped, outsiders_kept, settled } =
-        s.prunes;
-    [
-        s.object_accesses,
-        s.node_accesses,
-        s.distance_evals,
-        s.profile_computations,
-        s.bound_evals,
-        s.aknn_calls,
-        s.candidates,
-        probe_gate,
-        scan_gate,
-        outsiders_dropped,
-        outsiders_kept,
-        settled,
-    ]
+pub fn counts(s: &QueryStats) -> Vec<u64> {
+    s.counters().filter(|&(name, _)| name != "node_disk_reads").map(|(_, value)| value).collect()
 }
 
 /// One `alpha_distance_sq_bounded` call: candidate, threshold, seed, answer.

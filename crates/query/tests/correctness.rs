@@ -770,7 +770,7 @@ fn windowed_algorithms_equal_naive(what: &str, objects: Vec<FuzzyObject<2>>, tie
     for r in 0..4 {
         for algo in RknnAlgorithm::paper_variants() {
             let mut sum = [0u64; 7];
-            let mut pruned = PruneCounts::default();
+            let mut pruned = QueryStats::default();
             let mut box_rejects = 0;
             for q in &queries {
                 let (lo, hi) = window_ranges(q)[r];
@@ -787,10 +787,10 @@ fn windowed_algorithms_equal_naive(what: &str, objects: Vec<FuzzyObject<2>>, tie
                 for (total, c) in sum.iter_mut().zip(counters(&got.stats)) {
                     *total += c;
                 }
-                pruned += got.stats.prunes;
+                pruned += got.stats;
             }
             rows.push(sum);
-            prunes.push(pruned);
+            prunes.push(pruned.prunes);
             rejected.push(box_rejects);
         }
     }

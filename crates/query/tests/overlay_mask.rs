@@ -122,17 +122,8 @@ impl Metric<2> for CountingL2 {
 }
 
 /// Every counter but the wall time.
-fn counters(s: &QueryStats) -> [u64; 8] {
-    [
-        s.object_accesses,
-        s.node_accesses,
-        s.node_disk_reads,
-        s.distance_evals,
-        s.profile_computations,
-        s.bound_evals,
-        s.aknn_calls,
-        s.candidates,
-    ]
+fn counters(s: &QueryStats) -> Vec<u64> {
+    s.counters().map(|(_, value)| value).collect()
 }
 
 /// Every leaf of `base`, depth first from the root, with its ids in slot

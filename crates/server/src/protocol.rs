@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FZQP"
-//! 4       2     version (u16 LE) = 1
+//! 4       2     version (u16 LE) = 2
 //! 6       1     frame type
 //! 7       1     reserved (writers put 0; readers ignore)
 //! 8       8     request id (u64 LE, echoed verbatim in the response)
@@ -36,7 +36,7 @@ use std::time::Duration;
 /// Frame magic: "FZQP" (FuZzy Query Protocol).
 pub const MAGIC: [u8; 4] = *b"FZQP";
 /// Current protocol version. Bump on any incompatible layout change.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Fixed frame header size (magic through payload length).
 pub const HEADER_LEN: usize = 20;
 /// Trailing checksum size.
@@ -45,7 +45,7 @@ pub const TRAILER_LEN: usize = 8;
 /// before allocation — a corrupted or hostile length cannot wedge a peer.
 pub const MAX_PAYLOAD: u32 = 16 << 20;
 
-/// Wire dimensionality of protocol version 1. Inline query objects are
+/// Wire dimensionality of this protocol version. Inline query objects are
 /// always 2-d, matching the dataset format.
 pub const WIRE_DIMS: usize = 2;
 
@@ -313,62 +313,17 @@ pub enum Request {
     Shutdown,
 }
 
-/// Per-query execution costs on the wire (a fixed 72-byte block). The
-/// prune counts ([`fuzzy_query::PruneCounts`]) are not carried.
+/// Per-query execution costs on the wire: the engine's whole
+/// [`QueryStats`]. Its stats block is a `u8` count, the counters in
+/// [`QueryStats::counters`] order, then the server-side wall time in
+/// nanoseconds; a count other than the list's length is refused.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct WireStats {
-    /// Objects retrieved from the store.
-    pub object_accesses: u64,
-    /// R-tree nodes expanded.
-    pub node_accesses: u64,
-    /// Node expansions that touched the backing medium.
-    pub node_disk_reads: u64,
-    /// Exact α-distance evaluations.
-    pub distance_evals: u64,
-    /// Distance-profile computations.
-    pub profile_computations: u64,
-    /// Lower/upper bound evaluations.
-    pub bound_evals: u64,
-    /// Internal AKNN invocations.
-    pub aknn_calls: u64,
-    /// Candidate set size after pruning.
-    pub candidates: u64,
-    /// Server-side wall clock of the query, in nanoseconds.
-    pub wall_nanos: u64,
-}
-
-impl From<&QueryStats> for WireStats {
-    fn from(s: &QueryStats) -> Self {
-        Self {
-            object_accesses: s.object_accesses,
-            node_accesses: s.node_accesses,
-            node_disk_reads: s.node_disk_reads,
-            distance_evals: s.distance_evals,
-            profile_computations: s.profile_computations,
-            bound_evals: s.bound_evals,
-            aknn_calls: s.aknn_calls,
-            candidates: s.candidates,
-            wall_nanos: s.wall.as_nanos().min(u64::MAX as u128) as u64,
-        }
-    }
-}
+pub struct WireStats(pub QueryStats);
 
 impl WireStats {
-    /// Back-convert to the engine's stats type (wall truncated to ns; the
-    /// prune counts, which the wire does not carry, zero).
+    /// The engine's stats type (wall truncated to whole nanoseconds).
     pub fn to_query_stats(&self) -> QueryStats {
-        QueryStats {
-            object_accesses: self.object_accesses,
-            node_accesses: self.node_accesses,
-            node_disk_reads: self.node_disk_reads,
-            distance_evals: self.distance_evals,
-            profile_computations: self.profile_computations,
-            bound_evals: self.bound_evals,
-            aknn_calls: self.aknn_calls,
-            candidates: self.candidates,
-            prunes: Default::default(),
-            wall: Duration::from_nanos(self.wall_nanos),
-        }
+        self.0
     }
 }
 
@@ -488,30 +443,24 @@ fn decode_query(d: &mut Decoder<'_>) -> Result<QuerySource, WireError> {
     }
 }
 
-fn encode_stats(e: &mut Encoder, s: &WireStats) {
-    e.u64(s.object_accesses);
-    e.u64(s.node_accesses);
-    e.u64(s.node_disk_reads);
-    e.u64(s.distance_evals);
-    e.u64(s.profile_computations);
-    e.u64(s.bound_evals);
-    e.u64(s.aknn_calls);
-    e.u64(s.candidates);
-    e.u64(s.wall_nanos);
+fn encode_stats(e: &mut Encoder, WireStats(s): &WireStats) {
+    e.u8(u8::try_from(s.counters().len()).expect("the counter list is shorter than 256"));
+    for (_, value) in s.counters() {
+        e.u64(value);
+    }
+    e.u64(s.wall.as_nanos().min(u64::MAX as u128) as u64);
 }
 
 fn decode_stats(d: &mut Decoder<'_>) -> Result<WireStats, WireError> {
-    Ok(WireStats {
-        object_accesses: d.u64()?,
-        node_accesses: d.u64()?,
-        node_disk_reads: d.u64()?,
-        distance_evals: d.u64()?,
-        profile_computations: d.u64()?,
-        bound_evals: d.u64()?,
-        aknn_calls: d.u64()?,
-        candidates: d.u64()?,
-        wall_nanos: d.u64()?,
-    })
+    let mut s = QueryStats::default();
+    if d.u8()? as usize != s.counters().len() {
+        return Err(WireError::Malformed { what: "stats count is not this version's" });
+    }
+    for counter in s.counters_mut() {
+        *counter = d.u64()?;
+    }
+    s.wall = Duration::from_nanos(d.u64()?);
+    Ok(WireStats(s))
 }
 
 impl Request {

@@ -26,7 +26,7 @@
 
 use crate::protocol::{
     inline_object, read_frame, ErrorCode, QuerySource, RawFrame, Request, Response, WireError,
-    WIRE_DIMS,
+    WireStats, WIRE_DIMS,
 };
 use fuzzy_core::FuzzyObject;
 use fuzzy_index::{NodeAccess, OverlayRTree, RTree, RTreeConfig};
@@ -587,10 +587,10 @@ fn dispatch<I: NodeAccess<WIRE_DIMS>, S: ObjectStore<WIRE_DIMS>>(
     let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
         Kind::Aknn { alpha } => engine
             .aknn_with_scratch(&job.query, job.k, alpha, &job.cfg, scratch)
-            .map(|r| Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors }),
+            .map(|r| Response::Aknn { stats: WireStats(r.stats), neighbors: r.neighbors }),
         Kind::Rknn { start, end, algo } => engine
             .rknn_with_scratch(&job.query, job.k, start, end, algo, &job.cfg, scratch)
-            .map(|r| Response::Rknn { stats: (&r.stats).into(), items: r.items }),
+            .map(|r| Response::Rknn { stats: WireStats(r.stats), items: r.items }),
     }))
     .unwrap_or_else(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -820,11 +820,11 @@ mod tests {
         let cfg = AknnConfig::lb_lp_ub();
         let without_wall = |resp: Response| match resp {
             Response::Aknn { neighbors, mut stats } => {
-                stats.wall_nanos = 0;
+                stats.0.wall = Duration::ZERO;
                 Response::Aknn { neighbors, stats }
             }
             Response::Rknn { items, mut stats } => {
-                stats.wall_nanos = 0;
+                stats.0.wall = Duration::ZERO;
                 Response::Rknn { items, stats }
             }
             other => panic!("expected an answer, got {other:?}"),
@@ -832,7 +832,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let got = dispatch(&engine, &job(&q5, 3, Kind::Aknn { alpha: 0.5 }, cfg), &mut scratch);
         let r = engine.aknn(&q5, 3, 0.5, &cfg).unwrap();
-        let want = Response::Aknn { stats: (&r.stats).into(), neighbors: r.neighbors };
+        let want = Response::Aknn { stats: WireStats(r.stats), neighbors: r.neighbors };
         assert_eq!(without_wall(got), without_wall(want));
         for algo in
             [RknnAlgorithm::Naive, RknnAlgorithm::Basic, RknnAlgorithm::Rss, RknnAlgorithm::RssIcr]
@@ -840,7 +840,7 @@ mod tests {
             let kind = Kind::Rknn { start: 0.2, end: 0.9, algo };
             let got = dispatch(&engine, &job(&q5, 3, kind, cfg), &mut scratch);
             let r = engine.rknn(&q5, 3, 0.2, 0.9, algo, &cfg).unwrap();
-            let want = Response::Rknn { stats: (&r.stats).into(), items: r.items };
+            let want = Response::Rknn { stats: WireStats(r.stats), items: r.items };
             assert_eq!(without_wall(got), without_wall(want), "{algo:?}");
         }
     }

@@ -6,7 +6,9 @@
 //! a frame runs in the root `hostile_bytes` harness.
 
 use fuzzy_core::ObjectId;
-use fuzzy_query::{DistBound, Interval, IntervalSet, Neighbor, RknnAlgorithm, RknnItem};
+use fuzzy_query::{
+    DistBound, Interval, IntervalSet, Neighbor, QueryStats, RknnAlgorithm, RknnItem,
+};
 use fuzzy_server::protocol::{
     decode_frame, encode_frame, read_frame, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, T_INFO,
 };
@@ -14,6 +16,7 @@ use fuzzy_server::{QuerySource, Request, Response, WireError, WireStats, WireVar
 use fuzzy_store::format::DecodeError;
 use proptest::prelude::*;
 use std::io::Cursor;
+use std::time::Duration;
 
 fn sample_request() -> Request {
     Request::Aknn {
@@ -54,7 +57,7 @@ fn bad_magic_in_any_magic_byte() {
 
 #[test]
 fn version_mismatch_reports_the_found_version() {
-    for found in [0u16, 2, 0x7FFF, 0xFFFF] {
+    for found in [0u16, 1, 3, 0x7FFF, 0xFFFF] {
         let mut frame = sample_frame();
         frame[4..6].copy_from_slice(&found.to_le_bytes());
         match decode_frame(&frame) {
@@ -273,17 +276,12 @@ impl Mix {
     }
 
     fn stats(&mut self) -> WireStats {
-        WireStats {
-            object_accesses: self.next(),
-            node_accesses: self.next(),
-            node_disk_reads: self.next(),
-            distance_evals: self.next(),
-            profile_computations: self.next(),
-            bound_evals: self.next(),
-            aknn_calls: self.next(),
-            candidates: self.next(),
-            wall_nanos: self.next(),
+        let mut s = QueryStats::default();
+        for counter in s.counters_mut() {
+            *counter = self.next();
         }
+        s.wall = Duration::from_nanos(self.next());
+        WireStats(s)
     }
 
     fn request(&mut self) -> Request {
@@ -424,6 +422,11 @@ fn frame_sizes_match_the_spec() {
     let frame = Request::Info.encode(0);
     assert_eq!(frame.len(), HEADER_LEN + TRAILER_LEN);
     assert_eq!(&frame[..4], b"FZQP");
-    assert_eq!(frame[4..6], 1u16.to_le_bytes());
+    assert_eq!(frame[4..6], 2u16.to_le_bytes());
     assert_eq!(frame[6], T_INFO);
+    // An empty AKNN answer: its count, then the stats block — the counter
+    // count, one u64 per counter, the wall time.
+    let answer = Response::Aknn { neighbors: vec![], stats: WireStats::default() };
+    let counters = QueryStats::default().counters().len();
+    assert_eq!(answer.payload().len(), 4 + 1 + 8 * counters + 8);
 }

@@ -32,16 +32,19 @@ use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use fuzzy_core::{FuzzyObject, ObjectId, ObjectSummary};
 use fuzzy_geom::Point;
 use fuzzy_index::paged::PAGED_TRAILER_LEN;
 use fuzzy_index::{NodeAccess, NodeView, PagedRTree, RTreeConfig};
-use fuzzy_query::{DistBound, Interval, IntervalSet, Neighbor, RknnAlgorithm, RknnItem};
-use fuzzy_server::protocol::{decode_frame, read_frame, HEADER_LEN};
+use fuzzy_query::{
+    DistBound, Interval, IntervalSet, Neighbor, QueryStats, RknnAlgorithm, RknnItem,
+};
+use fuzzy_server::protocol::{decode_frame, encode_frame, read_frame, HEADER_LEN, T_AKNN_R};
 use fuzzy_server::{ErrorCode, QuerySource, Request, Response, WireStats, WireVariant};
 use fuzzy_store::format::{
-    decode_object, encode_object, fnv1a, fnv1a_lanes, summary_len, TRAILER_LEN,
+    decode_object, encode_object, fnv1a, fnv1a_lanes, summary_len, Encoder, TRAILER_LEN,
 };
 use fuzzy_store::{DeltaLog, FileStore, FileStoreWriter, ObjectStore};
 
@@ -631,7 +634,8 @@ const FZDL: Kind = Kind {
 // FZQP frames: header (payload length at 16) | payload | `fnv1a` over both.
 
 fn frame_fixtures() -> Vec<Vec<u8>> {
-    let stats = WireStats { object_accesses: 7, wall_nanos: 1234, ..WireStats::default() };
+    let wall = Duration::from_nanos(1234);
+    let stats = WireStats(QueryStats { object_accesses: 7, wall, ..QueryStats::default() });
     let mut range = IntervalSet::empty();
     range.push(Interval::new(0.2, true, 0.4, false));
     range.push(Interval::new(0.6, false, 0.8, true));
@@ -725,6 +729,50 @@ fn frame_reseal(bytes: &mut [u8]) {
         let end = HEADER_LEN + u32::from_le_bytes(len.try_into().unwrap()) as usize + 8;
         stamp(bytes, 0, end, fnv1a);
     }
+}
+
+/// An AKNN response payload with no neighbour: its count, then `stats`, a
+/// stats block as some writer laid it out.
+fn aknn_response(stats: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.u32(0);
+    stats(&mut e);
+    e.into_bytes()
+}
+
+/// Stats blocks of a counter list other than the reader's, refused and
+/// never misparsed: a count one short and one long, each with that many
+/// values (the block is whole, only its list differs), and version 1's
+/// block (eight counters and the wall time, no count) under version 1's
+/// header and under this version's.
+#[test]
+fn frame_stats_blocks_of_another_list_are_refused() {
+    let listed = QueryStats::default().counters().len();
+    let block = |count: usize| {
+        aknn_response(move |e| {
+            e.u8(count as u8);
+            (0..=count as u64).for_each(|v| e.u64(v));
+        })
+    };
+    let v1 = aknn_response(|e| (0..9).for_each(|v| e.u64(v)));
+    let mut v1_frame = encode_frame(T_AKNN_R, 7, &v1);
+    v1_frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    frame_reseal(&mut v1_frame);
+    let count = "malformed payload: stats count is not this version's";
+    let rows = [
+        ("a count one short", encode_frame(T_AKNN_R, 7, &block(listed - 1)), count),
+        ("a count one long", encode_frame(T_AKNN_R, 7, &block(listed + 1)), count),
+        ("a version-1 frame", v1_frame, "unsupported protocol version 1"),
+        ("a version-1 block", encode_frame(T_AKNN_R, 7, &v1), count),
+    ];
+    let path = FRAMES.path("stats-blocks");
+    for (what, frame, error) in rows {
+        match FRAMES.run(&path, &frame, &|| what.to_string()) {
+            Err(e) => assert_eq!(e, error, "{what}"),
+            Ok(_) => panic!("{what} decodes"),
+        }
+    }
+    assert!(FRAMES.run(&path, &encode_frame(T_AKNN_R, 7, &block(listed)), &String::new).is_ok());
 }
 
 const FRAMES: Kind = Kind {
