@@ -15,7 +15,13 @@
 //! * `window_0.3_0.7` — the same cold candidate on the window an RKNN over
 //!   [0.3, 0.7] asks for: what RSS pays for a candidate step 2 found;
 //! * `window_0.3_0.7_known_top` — that window with the distance at 0.7
-//!   handed in: what RSS pays for a step-1 neighbour.
+//!   handed in: what RSS pays for a step-1 neighbour;
+//! * `window_0.3_0.7_capped` — the cold window capped at the mean of the
+//!   squared distances at 0.3 and 0.7: what RSS pays for an outsider, whose
+//!   staircase it reads only below the radius `r`;
+//! * `window_0.3_0.7_known_top_floored` — the neighbour's window floored at
+//!   that mean: what RSS-ICR pays for an unsettled neighbour, whose
+//!   staircase it reads only down to the nearest outsider's `d_0.3`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fuzzy_core::distance::alpha_distance_sq_bounded;
@@ -72,17 +78,26 @@ fn bench_profile(c: &mut Criterion) {
             b.iter(|| DistanceProfile::compute(a, q))
         });
         let (lo, hi) = (0.3, 0.7);
-        let top_sq = alpha_distance_sq_bounded(a, q, Threshold::at(hi), f64::INFINITY);
-        let rows: [(&str, f64, f64, Option<f64>); 3] = [
-            ("sweep_cold_candidate", 0.0, 1.0, None),
-            ("window_0.3_0.7", lo, hi, None),
-            ("window_0.3_0.7_known_top", lo, hi, top_sq),
+        let square_at = |v| alpha_distance_sq_bounded(a, q, Threshold::at(v), f64::INFINITY);
+        let top_sq = square_at(hi);
+        let mid_sq = square_at(lo).zip(top_sq).map(|(l, t)| 0.5 * (l + t));
+        #[allow(clippy::type_complexity)]
+        let rows: [(&str, f64, f64, Option<f64>, Option<f64>, Option<f64>); 5] = [
+            ("sweep_cold_candidate", 0.0, 1.0, None, None, None),
+            ("window_0.3_0.7", lo, hi, None, None, None),
+            ("window_0.3_0.7_known_top", lo, hi, top_sq, None, None),
+            ("window_0.3_0.7_capped", lo, hi, None, mid_sq, None),
+            ("window_0.3_0.7_known_top_floored", lo, hi, top_sq, None, mid_sq),
         ];
-        for (row, lo, hi, top_sq) in rows {
+        for (row, lo, hi, top_sq, cap_sq, floor_sq) in rows {
             group.bench_with_input(BenchmarkId::new(format!("{row}{suffix}"), n), n, |b, _| {
                 b.iter_batched(
                     || decoded(a),
-                    |a| DistanceProfile::compute_window(&a, q, lo, hi, top_sq),
+                    |a| {
+                        DistanceProfile::compute_window_limited(
+                            &a, q, lo, hi, top_sq, cap_sq, floor_sq,
+                        )
+                    },
                     BatchSize::SmallInput,
                 )
             });

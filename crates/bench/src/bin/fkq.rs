@@ -31,7 +31,12 @@
 //! protocol (`docs/PROTOCOL.md`); `aknn`/`rknn --server` run the same
 //! query through a daemon and print byte-identical answers; `swap`
 //! publishes a new index epoch without restarting the daemon.
-//! Throughput and latency are measured by fkbench (`benchmark/`), not here.
+//! Throughput and latency are measured by fkbench (`benchmark/`), not here;
+//! `ab` pairs two trees' fkbench runs into a verdict per metric:
+//!
+//! ```sh
+//! fkq ab --parent ../parent --change . --workload rknn-range --seed 11 --blocks 5
+//! ```
 //!
 //! A command reads what its path looks up — the path its other flags pick
 //! — and refuses the rest: a flag that path never looks up, a flag given
@@ -55,6 +60,9 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "fkq/ab.rs"]
+mod ab;
+
 const USAGE: &str = "usage:
   fkq generate --kind <synthetic|cell> --n <count> [--ppo <points>] [--seed <u64>] \
 [--radius <r> (synthetic)] --out <path>
@@ -74,6 +82,8 @@ const USAGE: &str = "usage:
 [--queue-depth <n>] [--cache-pages <n>]
   fkq swap --addr <host:port|unix:path> --index-file <path|:mem:>
   fkq shutdown --addr <host:port|unix:path>
+  fkq ab --parent <dir> --change <dir> --workload <w> [--seed <u64>] [--blocks <n>] \
+[--seconds <s>]
 A flag the command does not read on the path its other flags pick is a usage error: \
 aknn's approximate path (--recall-dial) reads no --variant, --deadline-ms, --index-file, \
 --server or --brute; --brute true reads none of those nor an index flag; \
@@ -198,6 +208,7 @@ fn main() {
         "serve" => serve_cmd(flags),
         "swap" => swap_cmd(flags),
         "shutdown" => shutdown_cmd(flags),
+        "ab" => ab::ab_cmd(flags),
         _ => usage(),
     }
 }
@@ -739,8 +750,8 @@ fn rknn(mut flags: Flags) {
         println!("  {item}");
     }
     println!(
-        "cost: {} object accesses, {} candidates, {:?}; prunes: {}",
-        stats.object_accesses, stats.candidates, stats.wall, stats.prunes
+        "cost: {} object accesses, {} candidates, {} refinement steps, {:?}; prunes: {}",
+        stats.object_accesses, stats.candidates, stats.refine_steps, stats.wall, stats.prunes
     );
 }
 

@@ -28,7 +28,8 @@
 //!   defaults to the full profile, which is a valid answer for every
 //!   window, so a metric (or an adapter around one) that implements only
 //!   `distance_profile` stays correct and merely does the full work. `L2`
-//!   overrides it with the windowed sweep of [`crate::profile`].
+//!   overrides it with the windowed sweep of [`crate::profile`], which also
+//!   honours the window's two optional limits, a cap and a floor.
 //!
 //! One implementation ships here: [`L2`], the paper's Euclidean setting,
 //! every hook delegating to the existing specialized code. The trait stays
@@ -107,12 +108,15 @@ pub trait Metric<const D: usize>: Sync {
     }
 
     /// The staircase on the window `[lo, hi]`, under the contract of
-    /// [`DistanceProfile::compute_window`]: exact for every threshold in
-    /// the window, unspecified outside it. `top_sq` is the squared
+    /// [`DistanceProfile::compute_window_limited`]: exact for every
+    /// threshold in the window, unspecified outside it, and under a cap
+    /// `cap_sq` or a floor `floor_sq` exact only where that limit promises
+    /// it ([`crate::profile`], "Two limits"). `top_sq` is the squared
     /// α-distance at `hi` when the caller already holds it (as returned by
     /// [`Metric::alpha_distance_sq_bounded`] for the same pair), `None`
-    /// otherwise. The default ignores the window and returns
-    /// [`Metric::distance_profile`].
+    /// otherwise. The default ignores the window and both limits and
+    /// returns [`Metric::distance_profile`], which meets every contract.
+    #[allow(clippy::too_many_arguments)]
     fn distance_profile_window(
         &self,
         a: &FuzzyObject<D>,
@@ -120,6 +124,8 @@ pub trait Metric<const D: usize>: Sync {
         _lo: f64,
         _hi: f64,
         _top_sq: Option<f64>,
+        _cap_sq: Option<f64>,
+        _floor_sq: Option<f64>,
     ) -> DistanceProfile {
         self.distance_profile(a, q)
     }
@@ -214,8 +220,10 @@ impl<const D: usize> Metric<D> for L2 {
         lo: f64,
         hi: f64,
         top_sq: Option<f64>,
+        cap_sq: Option<f64>,
+        floor_sq: Option<f64>,
     ) -> DistanceProfile {
-        DistanceProfile::compute_window(a, q, lo, hi, top_sq)
+        DistanceProfile::compute_window_limited(a, q, lo, hi, top_sq, cap_sq, floor_sq)
     }
 }
 

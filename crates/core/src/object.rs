@@ -92,15 +92,17 @@ pub struct MembershipPrefix<const D: usize> {
 
 impl<const D: usize> MembershipPrefix<D> {
     fn build(points: &[Point<D>], memberships: &[f64]) -> Self {
-        // One (µ, index) buffer; unstable sort is fine because the index
-        // tie-break makes the order total and deterministic.
-        let mut keyed: Vec<(f64, u32)> =
-            memberships.iter().zip(0u32..).map(|(&mu, i)| (mu, i)).collect();
-        keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // One (key, index) buffer of integers: a membership is positive and
+        // finite, so its bits ascend with its value, and `!bits` ascending
+        // is `total_cmp` descending. Unstable sort is fine because the
+        // index tie-break makes the order total and deterministic.
+        let mut keyed: Vec<(u64, u32)> =
+            memberships.iter().zip(0u32..).map(|(&mu, i)| (!mu.to_bits(), i)).collect();
+        keyed.sort_unstable();
         let n = keyed.len();
         let mut columns = vec![0.0; (1 + D) * n];
-        for (j, &(mu, i)) in keyed.iter().enumerate() {
-            columns[j] = mu;
+        for (j, &(key, i)) in keyed.iter().enumerate() {
+            columns[j] = f64::from_bits(!key);
             for d in 0..D {
                 columns[(1 + d) * n + j] = points[i as usize].coords()[d];
             }

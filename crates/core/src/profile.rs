@@ -15,7 +15,8 @@
 //! given the range `[lo, hi]` and touches only what can matter inside it;
 //! [`DistanceProfile::compute`] is the widest window, `[0, 1]`.
 //!
-//! **Contract.** The result holds the full profile's segments whose level
+//! **Contract.** Without limits (below), the result holds the full
+//! profile's segments whose level
 //! lies in `[lo, hi)` bit for bit, then one last segment `(1.0, d_hi)`, and
 //! nothing below `lo`. The last segment says "from the previous level up,
 //! the distance is `d_hi`"; where above `hi` the full staircase next steps
@@ -27,12 +28,36 @@
 //! (for an answer at or above `lo`) equal the full profile's. Outside the
 //! window all three are unspecified.
 //!
+//! **Two limits.** A reader that provably looks at only part of a
+//! staircase can say so, and the sweep then stops computing the rest. Each
+//! limit is exact where it makes a promise; what it says about the other
+//! levels is only a bound, which the full profile meets too — so a metric
+//! may ignore both (the trait's default window does).
+//!
+//! * A **cap** `c²`: every level whose squared distance lies below `c²`
+//!   reads its exact value; every other level reads at least `√c²`, and
+//!   the sweep reads exactly `√c²` there. Pointwise the window is
+//!   `min(d_α, √c²)`: `sqrt` is monotone, so `d² < c²` gives `d ≤ √c²`.
+//! * A **floor** `f²`: walking down from `hi`, the window is exact down to
+//!   and including the first level whose distance is below `√f²`, and that
+//!   value covers every lower level (the sweep stops there). Below that
+//!   level every reading is below `√f²` and no smaller than the true one.
+//!
+//! With both, the floor applies to the capped staircase. A reader must
+//! compare only in ways these promises decide (`fuzzy_query::rknn`, "How
+//! much of a window RSS computes", gives the one reader and its argument).
+//!
 //! **The sweep.** `d_hi` comes first: from the caller when it already holds
 //! the squared distance (RSS step 1 evaluated exactly this, see
 //! `fuzzy_query::rknn`), otherwise from one call of the α-distance kernel
-//! at `hi`. Below `hi` the staircase can only fall, and only through a pair
-//! strictly closer than `d_hi` — which bounds the rest of the work before
-//! it starts:
+//! at `hi`, seeded with the cap when there is one (no pair strictly below
+//! `c²` at `hi` reads `c²`). A top the caller hands in is capped as
+//! `min(top², c²)`. An unknown top is *evaluated* under the cap and never
+//! replaced by it: the sweep below searches only from points under `hi`,
+//! so a pair at `hi` or above below the cap is found by this call or not
+//! at all. Below `hi` the staircase can only fall, and only through a pair
+//! strictly closer than the start `min(d²_hi, c²)` — which bounds the rest
+//! of the work before it starts:
 //!
 //! * only points with `lo ≤ µ` are looked at (a prefix of each side's
 //!   membership-descending columns);
@@ -51,7 +76,8 @@
 //!   min-reduction over the candidate's activated survivors. Either is
 //!   skipped when the point is not closer than the running minimum to the
 //!   box of the opposite side's activated survivors. `d_ℓ` is the running
-//!   minimum when level `ℓ` is done.
+//!   minimum when level `ℓ` is done, and the walk ends at the first level
+//!   whose `d_ℓ` is below the floor.
 //!
 //! The query side `Q` is resident for a whole RKNN query, so it is the side
 //! searched through a kd-tree (built on the first search that needs it);
@@ -165,14 +191,43 @@ impl DistanceProfile {
         hi: f64,
         top_sq: Option<f64>,
     ) -> Self {
+        Self::compute_window_limited(a, q, lo, hi, top_sq, None, None)
+    }
+
+    /// [`DistanceProfile::compute_window`] under the limits of the module
+    /// docs: a cap `cap_sq` (levels with no pair below it read its `sqrt`)
+    /// and a floor `floor_sq` (the sweep stops on the first level whose
+    /// distance is below its `sqrt`). `None` sets no limit.
+    ///
+    /// # Panics
+    /// Unless `0 ≤ lo ≤ hi ≤ 1`.
+    pub fn compute_window_limited<const D: usize>(
+        a: &FuzzyObject<D>,
+        q: &FuzzyObject<D>,
+        lo: f64,
+        hi: f64,
+        top_sq: Option<f64>,
+        cap_sq: Option<f64>,
+        floor_sq: Option<f64>,
+    ) -> Self {
         let (cut_lo, cut_hi) = (Threshold::at(lo), Threshold::at(hi));
         assert!(lo <= hi, "window [{lo}, {hi}] is inverted");
-        let kernel_top = || {
-            alpha_distance_sq_bounded(a, q, cut_hi, f64::INFINITY)
-                .expect("kernels are non-empty, so both cuts at hi ≤ 1 are")
+        // The kernel at `hi` seeded with `seed_sq`: `None` when no pair of
+        // the two cuts lies strictly below it.
+        let kernel_top = |seed_sq| alpha_distance_sq_bounded(a, q, cut_hi, seed_sq);
+        debug_assert!(top_sq
+            .map_or(true, |t| Some(t.to_bits()) == kernel_top(f64::INFINITY).map(f64::to_bits)));
+        let cap_sq = cap_sq.unwrap_or(f64::INFINITY);
+        let top_sq = match top_sq {
+            Some(t) => t.min(cap_sq),
+            // Kernels are non-empty, so unseeded this is never `None`.
+            None => kernel_top(cap_sq).unwrap_or(cap_sq),
         };
-        debug_assert!(top_sq.map_or(true, |t| t.to_bits() == kernel_top().to_bits()));
-        let top_sq = top_sq.unwrap_or_else(kernel_top);
+        let floor = floor_sq.map_or(0.0, f64::sqrt);
+        let mut raw = vec![Segment { level: 1.0, dist: top_sq.sqrt() }];
+        if raw[0].dist < floor {
+            return Self::from_raw_descending(raw);
+        }
 
         let (pa, pq) = (a.by_membership(), q.by_membership());
         let (na, nq) = (pa.prefix_len(cut_lo), pq.prefix_len(cut_lo));
@@ -186,7 +241,6 @@ impl DistanceProfile {
         sa.activate(&mut ca, &mut box_a, hi);
         sq.activate(&mut cq, &mut box_q, hi);
         let mut best_sq = top_sq;
-        let mut raw = vec![Segment { level: 1.0, dist: top_sq.sqrt() }];
 
         while ca < sa.mus.len() || cq < sq.mus.len() {
             // Merge walk: the next level is the larger head of the two
@@ -224,7 +278,12 @@ impl DistanceProfile {
             // One step per change of the minimum (two squares may still
             // round to one `sqrt`; `from_raw_descending` merges those).
             if best_sq < before {
-                raw.push(Segment { level, dist: best_sq.sqrt() });
+                let dist = best_sq.sqrt();
+                raw.push(Segment { level, dist });
+                // Below the floor: this value covers every lower level.
+                if dist < floor {
+                    break;
+                }
             }
         }
         Self::from_raw_descending(raw)

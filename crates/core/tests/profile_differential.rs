@@ -13,6 +13,13 @@
 //! hold exactly its segments with `lo ≤ level < hi` plus `(1.0, d_hi)`, do
 //! so with the top distance computed or handed in, and never depend on a
 //! point whose membership lies below `lo` ([`check_window`]).
+//!
+//! `DistanceProfile::compute_window_limited` must, under a cap `c²`, hold
+//! that window bit for bit wherever its distance is below `√c²` and read
+//! `√c²` elsewhere, and under a floor `f²` hold it down to its first level
+//! below `√f²`, that level's value covering every lower one — with caps
+//! and floors at the staircase's own squares, a float either side of them,
+//! between them and beyond them, and subnormal ([`check_limits`]).
 
 use fuzzy_core::distance::alpha_distance_sq_bounded;
 use fuzzy_core::profile::Segment;
@@ -321,6 +328,163 @@ fn windows_64_levels() {
     windows_match_the_brute_profile(64.0);
 }
 
+/// The window `[lo, hi]` of `brute` as the contract states it: the
+/// segments with `lo ≤ level < hi`, then `(1.0, d_hi)`.
+fn window_of(brute: &DistanceProfile, (lo, hi): (f64, f64)) -> Vec<Segment> {
+    let mut segs: Vec<Segment> =
+        brute.segments().iter().copied().filter(|s| lo <= s.level && s.level < hi).collect();
+    segs.push(Segment { level: 1.0, dist: brute.value_at(Threshold::at(hi)).unwrap() });
+    segs
+}
+
+/// `win` under a cap: pointwise `min(d, √cap)`, merged — the steps below
+/// `√cap` as they are, then `(1.0, √cap)` when any step reaches it.
+fn capped(win: &[Segment], cap_sq: f64) -> Vec<Segment> {
+    let cap = cap_sq.sqrt();
+    let mut segs: Vec<Segment> = win.iter().copied().filter(|s| s.dist < cap).collect();
+    if segs.len() < win.len() {
+        segs.push(Segment { level: 1.0, dist: cap });
+    }
+    segs
+}
+
+/// `win` under a floor: from the highest step below `√floor` on, that step
+/// covering every lower level; all of it when no step is below.
+fn floored(win: &[Segment], floor_sq: f64) -> Vec<Segment> {
+    let floor = floor_sq.sqrt();
+    let first = win.iter().rposition(|s| s.dist < floor).unwrap_or(0);
+    win[first..].to_vec()
+}
+
+/// Caps and floors around a window's staircase: its squares (the kernel's,
+/// at each step's level), the floats either side of each, the midpoints
+/// between them, and 0, the two smallest subnormals, the smallest normal,
+/// twice the largest square and ∞.
+fn limits_around(a: &FuzzyObject<2>, q: &FuzzyObject<2>, win: &[Segment], hi: f64) -> Vec<f64> {
+    let squares: Vec<f64> = win
+        .iter()
+        .map(|s| {
+            let level = if s.level == 1.0 { hi } else { s.level };
+            let sq = alpha_distance_sq_bounded(a, q, Threshold::at(level), f64::INFINITY).unwrap();
+            assert_eq!(sq.sqrt().to_bits(), s.dist.to_bits(), "the kernel's square at {level}");
+            sq
+        })
+        .collect();
+    let mut limits = vec![0.0, f64::from_bits(1), f64::from_bits(2), f64::MIN_POSITIVE];
+    limits.extend([2.0 * squares.last().unwrap(), f64::INFINITY]);
+    for (i, &sq) in squares.iter().enumerate() {
+        limits.extend([sq, f64::from_bits(sq.to_bits() + 1)]);
+        if sq > 0.0 {
+            limits.push(f64::from_bits(sq.to_bits() - 1));
+        }
+        if let Some(&next) = squares.get(i + 1) {
+            limits.push(0.5 * (sq + next));
+        }
+    }
+    limits
+}
+
+/// Everything a cap and a floor promise (module docs of
+/// `fuzzy_core::profile`, "Two limits"), held against the brute profile's
+/// window with the top computed and handed in: each limit alone at every
+/// value of [`limits_around`], and both together on a coarser grid.
+fn check_limits(
+    name: &str,
+    a: &FuzzyObject<2>,
+    q: &FuzzyObject<2>,
+    brute: &DistanceProfile,
+    (lo, hi): (f64, f64),
+) {
+    let name = format!("{name} window [{lo}, {hi}]");
+    let win = window_of(brute, (lo, hi));
+    let limits = limits_around(a, q, &win, hi);
+    let top_sq = alpha_distance_sq_bounded(a, q, Threshold::at(hi), f64::INFINITY);
+    let mut cases: Vec<(Option<f64>, Option<f64>)> = Vec::new();
+    for &l in &limits {
+        cases.extend([(Some(l), None), (None, Some(l))]);
+    }
+    for cap in limits.iter().step_by(3) {
+        for floor in limits.iter().step_by(4) {
+            cases.push((Some(*cap), Some(*floor)));
+        }
+    }
+    for (cap_sq, floor_sq) in cases {
+        let mut want = win.clone();
+        if let Some(cap_sq) = cap_sq {
+            want = capped(&want, cap_sq);
+        }
+        if let Some(floor_sq) = floor_sq {
+            want = floored(&want, floor_sq);
+        }
+        for known in [None, top_sq] {
+            let (cand, query) = (fresh(a), fresh(q));
+            let got = DistanceProfile::compute_window_limited(
+                &cand, &query, lo, hi, known, cap_sq, floor_sq,
+            );
+            let what = format!("{name} cap {cap_sq:?} floor {floor_sq:?} top {known:?}");
+            assert_eq!(bits(got.segments()), bits(&want), "{what}");
+            // Pointwise: below the cap the brute value, elsewhere √cap.
+            if floor_sq.is_none() {
+                let cap = cap_sq.map_or(f64::INFINITY, f64::sqrt);
+                for t in [lo, 0.5 * (lo + hi), hi].map(Threshold::at) {
+                    let exact = brute.value_at(t).unwrap();
+                    let read = got.value_at(t).unwrap();
+                    let expect = if exact < cap { exact } else { cap };
+                    assert_eq!(read.to_bits(), expect.to_bits(), "{what}: value at {t}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn capped_and_floored_windows_match_the_brute_profile() {
+    for quant in [0.0, 10.0] {
+        for (i, &(name, cx, cy, radius)) in RELATIONS.iter().enumerate() {
+            for seed in 1..=3u64 {
+                let a = disc(seed, 40 + 20 * seed as usize, 0.0, 0.0, 2.0, quant);
+                let q = disc(100 * (i as u64 + 1) + seed, 50, cx, cy, radius, quant);
+                let brute = DistanceProfile::compute_brute(&a, &q);
+                let name = format!("{name} quant {quant} seed {seed}");
+                for window in [(0.0, 1.0), (0.3, 0.7), (0.55, 1.0), (0.5, 0.5)] {
+                    check_limits(&name, &a, &q, &brute, window);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn capped_and_floored_windows_on_ties_and_subnormal_squares() {
+    // Ties: locations shared between and within the objects, so several
+    // levels hold equal distances and 0 is one of them.
+    let mut rnd = rng(99);
+    let sites: Vec<Point<2>> = (0..12).map(|_| Point::xy(rnd() * 3.0, rnd() * 3.0)).collect();
+    let build = |id: u64, offset: usize, step: usize, scale: f64| {
+        let mut pts = vec![sites[offset]];
+        let mut mus = vec![1.0];
+        for i in 0..40 {
+            pts.push(sites[(offset + i * step) % sites.len()]);
+            mus.push(((i % 7) + 1) as f64 / 8.0);
+        }
+        let pts = pts.into_iter().map(|p| Point::xy(p.x() * scale, p.y() * scale)).collect();
+        FuzzyObject::new(ObjectId(id), pts, mus).unwrap()
+    };
+    // Subnormal squares: the same shapes at 1e-160, where every pair's
+    // squared distance is below the smallest normal.
+    for scale in [1.0, 1e-160] {
+        let (a, q) = (build(1, 0, 5, scale), build(2, 3, 7, scale));
+        let brute = DistanceProfile::compute_brute(&a, &q);
+        if scale < 1.0 {
+            let top = brute.segments().last().unwrap().dist;
+            assert!(top > 0.0 && top * top < f64::MIN_POSITIVE, "the squares are subnormal");
+        }
+        for window in [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)] {
+            check_limits(&format!("ties at scale {scale}"), &a, &q, &brute, window);
+        }
+    }
+}
+
 /// Euclidean distance with no hook overridden: profiles come from the
 /// provided `Metric::distance_profile`, i.e. `DistanceProfile::from_pairs`
 /// over the full enumeration.
@@ -346,7 +510,7 @@ fn default_profile_hook_handles_a_level_per_pair() {
     assert!(by_pairs.segments().len() > 20);
     assert_eq!(bits(by_pairs.segments()), bits(DistanceProfile::compute(&a, &q).segments()));
     // The provided window hook is the full profile.
-    let windowed = BareL2.distance_profile_window(&a, &q, 0.3, 0.7, None);
+    let windowed = BareL2.distance_profile_window(&a, &q, 0.3, 0.7, None, None, None);
     assert_eq!(bits(windowed.segments()), bits(by_pairs.segments()));
 }
 

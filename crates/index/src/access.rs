@@ -110,13 +110,18 @@ pub struct NodeRead<'t, const D: usize> {
     /// buffer-pool hits and for every read of an in-memory image. This is
     /// the node-level analogue of `fuzzy_store::TracedProbe::disk_read`.
     pub disk_read: bool,
+    /// True for an overlay's virtual root, which is no node of the tree
+    /// (the base root and the delta leaves hang off it): a traversal
+    /// charges it no node access, so a quiescent overlay counts what its
+    /// base counts.
+    pub virtual_root: bool,
     tree: PhantomData<&'t ()>,
 }
 
 impl<const D: usize> NodeRead<'_, D> {
     /// A read served by a buffer pool.
     pub fn from_page(page: Arc<DecodedNode<D>>, disk_read: bool) -> Self {
-        Self { page, live: None, disk_read, tree: PhantomData }
+        Self { page, live: None, disk_read, virtual_root: false, tree: PhantomData }
     }
 
     /// This read with every leaf entry whose id is `dead` hidden. A read
@@ -240,7 +245,8 @@ impl<T> Ord for MinKey<T> {
 /// `node_key` exceeds it are pruned, and the caller scores the leaf's
 /// columns. With `node_key = MinDist` this is the search of Algorithm 4
 /// (RSS candidate collection). Returns the node accesses and the disk
-/// reads among them.
+/// reads among them; a virtual root ([`NodeRead::virtual_root`]) is no
+/// access.
 pub fn range_scan<A: NodeAccess<D> + ?Sized, const D: usize>(
     tree: &A,
     radius: f64,
@@ -254,7 +260,7 @@ pub fn range_scan<A: NodeAccess<D> + ?Sized, const D: usize>(
             continue;
         }
         let read = tree.read_node(id)?;
-        accesses += 1;
+        accesses += u64::from(!read.virtual_root);
         disk_reads += read.disk_read as u64;
         match read.view() {
             NodeView::Nodes(kids) => stack.extend(kids.iter().map(|c| (c.id, c.mbr))),

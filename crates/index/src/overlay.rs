@@ -8,7 +8,8 @@
 //! * **Inserts** accumulate in memory and are exposed to every
 //!   [`NodeAccess`] read as *delta leaves* hanging off a virtual root
 //!   (ids from the top of the `u32` range, so they can never collide with
-//!   base page numbers).
+//!   base page numbers). The virtual root is read as
+//!   [`NodeRead::virtual_root`]: traversals charge it no node access.
 //! * **Deletes** tombstone base ids. A leaf read hides its tombstoned
 //!   entries behind a per-read live mask ([`crate::LeafView`]): the pooled
 //!   page is shared as it is, never copied or filtered, and a leaf no
@@ -444,7 +445,9 @@ impl<const D: usize> NodeAccess<D> for OverlayRTree<D> {
 
     fn read_node(&self, id: NodeId) -> Result<NodeRead<'_, D>, StoreError> {
         if id == VIRTUAL_ROOT {
-            return Ok(NodeRead::from_page(Arc::clone(&self.root_node), false));
+            let mut root = NodeRead::from_page(Arc::clone(&self.root_node), false);
+            root.virtual_root = true;
+            return Ok(root);
         }
         if id.0 > DELTA_TOP - self.delta_leaves.len() as u32 && id.0 <= DELTA_TOP {
             let chunk = (DELTA_TOP - id.0) as usize;

@@ -752,7 +752,7 @@ pub(crate) fn search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D:
             Item::Node(id) => {
                 check_deadline(cfg.deadline)?;
                 let read = tree.read_node(id)?;
-                stats.node_accesses += 1;
+                stats.node_accesses += u64::from(!read.virtual_root);
                 stats.node_disk_reads += read.disk_read as u64;
                 match read.view() {
                     NodeView::Nodes(kids) => {

@@ -36,7 +36,8 @@
 //! candidates step 1 never evaluated to the end (only step 2 found them,
 //! or the τ seed cut their kernel off), and every object in Basic (whose
 //! AKNN calls run at other thresholds), pass `None` and the window
-//! evaluates it once itself.
+//! evaluates it once itself — seeded with the window's cap when it has one
+//! (below, "How much of a window RSS computes").
 //!
 //! # Which candidates get a profile: the settle step
 //!
@@ -180,6 +181,62 @@
 //! refinement's passes, 0 when no slot is open. How many candidates settle is
 //! a property of the data — how far `d_α` moves across the window against
 //! the spacing of the neighbours — not of the algorithm.
+//!
+//! # How much of a window RSS computes
+//!
+//! The refinement reads a window only through the ranking (`value_at`), a
+//! member's `next_critical` or `max_level_with_dist_below(d_{k+1})`, and
+//! `d_{k+1}` itself. Two parts of a staircase never change what those
+//! return, so under the tie guard RSS asks the metric not to compute them:
+//! the cap and the floor of [`DistanceProfile::compute_window_limited`]
+//! (`fuzzy_core::profile`, "Two limits"). With `s = k − settled` open
+//! slots, the `s` unsettled neighbours are at most `r` at every level
+//! (`d_α ≤ d_αe ≤ r`), and `√r_sq > r` (the guard).
+//!
+//! **An outsider's window is capped at `r_sq`** once Lemma 4's cap is `r`
+//! (an object lies outside the profiles). It reads `min(d_α, √r_sq)`:
+//!
+//! * *the ranking*: an entry the cap changed reads, and is, at least
+//!   `√r_sq > r`, so it stays behind all `s` unsettled neighbours; the
+//!   members, their order and their values are the same, and a member's
+//!   value is below the cap, so the segment it sits on is the exact one;
+//! * *the clamp on `d_{k+1}`*: capping is monotone, so the sorted values
+//!   become `min(v, √r_sq)`, and `min(min(v, √r_sq), r) = min(v, r)`: the
+//!   clamped `d_{k+1}` is unchanged. Unclamped — Lemma 4's cap at `∞` —
+//!   it could read `√r_sq` for a larger true value, which is why the cap
+//!   waits for that condition; under RSS, which reads no `d_{k+1}`, one
+//!   condition serves both;
+//! * *`max_level_with_dist_below(d_{k+1})`* and `next_critical` of a member
+//!   read only segments below `d_{k+1} ≤ r` or the one under a value
+//!   `≤ r`: exact ones;
+//! * *the `d_αe = r` tie*: an outsider can sit exactly at `r`, having lost
+//!   step 1's id tie-break. Then `d²_αe < r_sq` (the guard), so its top is
+//!   below the cap and must read `r`: at `αe` it ties the k-th neighbour
+//!   and the ids decide again. That is why an unknown top is *evaluated*
+//!   by the kernel seeded with `r_sq` and never replaced by `r_sq`: the
+//!   sweep searches only from points under `αe`, so a top read as `√r_sq`
+//!   would stay `√r_sq` and the tie would be lost.
+//!
+//! **Under RSS-ICR, an unsettled neighbour's window is floored at
+//! `l_min_sq`.** Every kept outsider reads at least `l_min` on the whole
+//! window (`d_α ≥ d_αs`, and `√r_sq ≥ l_min` under the cap), so at any
+//! level the entries below `l_min` are neighbours, at most `s` of them. A
+//! floored window differs from the staircase only below its first level
+//! under `l_min`, where both readings are below `l_min`. So the entries
+//! below `l_min` are the same ones, the others keep their values and order,
+//! and the members and `d_{k+1}` — the `(s+1)`-th value, at or above
+//! `l_min`, clamped to `r ≥ l_min` (an unsettled neighbour has `l_min ≤
+//! d_αe ≤ r`) — are unchanged. A member below `l_min` has `d < d_{k+1}`,
+//! so its safe end is `max_level_with_dist_below(d_{k+1})`, and every
+//! segment the floor changed lies below `d_{k+1}` both ways: the last
+//! level below it is the same. Under RSS that member would step to its
+//! `next_critical`, which the floor moves; so RSS computes a neighbour's
+//! whole window, and its `refine_steps` stay as they are.
+//!
+//! Without the tie guard neither limit is set: `l_min_sq` is then `∞` (no
+//! outsider was asked) and `r_sq` no strict bound. Answers, every counter
+//! and the window calls are those of the full windows; only the sweep's
+//! own work falls.
 
 use crate::aknn::{
     append_slots, check_deadline, cut_reaches_box, exact_neighbor, search, AknnConfig,
@@ -373,8 +430,9 @@ fn basic<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     // stepping reads. The searches run at `t`, not at αe: their distances
     // are no use to the window.
     let mut profiles: HashMap<ObjectId, DistanceProfile> = HashMap::new();
-    let window =
-        |obj: &FuzzyObject<D>| metric.distance_profile_window(obj, q, alpha_start, alpha_end, None);
+    let window = |obj: &FuzzyObject<D>| {
+        metric.distance_profile_window(obj, q, alpha_start, alpha_end, None, None, None)
+    };
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut t = Threshold::at(alpha_start);
 
@@ -522,8 +580,14 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     let l_min = l_min_sq.sqrt();
     let mut acc: HashMap<ObjectId, IntervalSet> = HashMap::new();
     let mut profiles: Vec<(ObjectId, DistanceProfile)> = Vec::new();
-    let window = |obj: &FuzzyObject<D>, top_sq| {
-        metric.distance_profile_window(obj, q, alpha_start, alpha_end, top_sq)
+    let has_non_candidates = dropped || candidate_ids.len() < store.len();
+    // How much of each window the refinement reads (module docs): an
+    // outsider's only below `r`, once Lemma 4's cap is `r`; under RSS-ICR
+    // an unsettled neighbour's only down to `l_min`.
+    let cap_sq = (can_settle && has_non_candidates).then_some(r_sq);
+    let floor_sq = (can_settle && improved_refinement).then_some(l_min_sq);
+    let window = |obj: &FuzzyObject<D>, top_sq, cap_sq, floor_sq| {
+        metric.distance_profile_window(obj, q, alpha_start, alpha_end, top_sq, cap_sq, floor_sq)
     };
     // `dist.hi()` is `sqrt(u_sq)` once a neighbour is exact, and bounds it
     // before: a bound-confirmed neighbour below `l_min` settles unread; any
@@ -540,7 +604,7 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
             // The neighbour is decoded *and* holds its exact squared
             // distance at α_e — the top of the window.
             let obj = n.object.expect("exact_neighbor reads the neighbour");
-            profiles.push((n.id, window(&obj, n.dist_sq)));
+            profiles.push((n.id, window(&obj, n.dist_sq, None, floor_sq)));
         }
     }
 
@@ -549,11 +613,12 @@ fn rss<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, const D: usize>(
     // there is nothing to decide and no outsider is profiled at all.
     let slots = k - acc.len();
     if slots > 0 {
-        profiles.extend(outsiders.into_iter().map(|(id, obj, top_sq)| (id, window(&obj, top_sq))));
+        for (id, obj, top_sq) in outsiders {
+            profiles.push((id, window(&obj, top_sq, cap_sq, None)));
+        }
         // Ascending in id: a slot's index is the refinement's id tie-break.
         profiles.sort_unstable_by_key(|&(id, _)| id);
         stats.profile_computations += profiles.len() as u64;
-        let has_non_candidates = dropped || candidate_ids.len() < store.len();
         let cap = if has_non_candidates { r } else { f64::INFINITY };
         let lemma4 = improved_refinement.then_some(cap);
         let steps = &mut stats.refine_steps;

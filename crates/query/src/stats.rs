@@ -47,7 +47,8 @@ pub struct QueryStats {
     /// Objects retrieved from the store (Figures 11/13/15a).
     pub object_accesses: u64,
     /// R-tree nodes expanded (logical node accesses — identical across
-    /// index backends and thread counts).
+    /// index backends and thread counts; an overlay's virtual root is no
+    /// node, so a quiescent overlay counts what its base counts).
     pub node_accesses: u64,
     /// Node expansions that touched the backing medium: buffer-pool
     /// misses of a `PagedRTree` read from a file, always 0 for an

@@ -237,9 +237,11 @@ impl Metric<2> for RecordingL2 {
         lo: f64,
         hi: f64,
         top_sq: Option<f64>,
+        cap_sq: Option<f64>,
+        floor_sq: Option<f64>,
     ) -> DistanceProfile {
         self.windows.lock().unwrap().push((a.id(), lo, hi, top_sq));
-        L2.distance_profile_window(a, q, lo, hi, top_sq)
+        L2.distance_profile_window(a, q, lo, hi, top_sq, cap_sq, floor_sq)
     }
 }
 
